@@ -16,6 +16,11 @@ fn coll_tag(comm: &Comm) -> u64 {
 
 /// Broadcast from `root`: every rank returns the value. Non-roots pass
 /// their received value through, so `value` is consumed and returned.
+///
+/// On a byte-oriented transport the root encodes once and every interior
+/// rank forwards the payload bytes it received *before* decoding them, so
+/// a value is encoded once and decoded once per rank however deep the
+/// tree; headers, clocks and counters are those of per-hop sends.
 pub fn bcast<T>(comm: &Comm, root: usize, value: Option<T>) -> T
 where
     T: WirePayload + Clone,
@@ -28,24 +33,21 @@ where
     let rank = comm.rank();
     let relative = (rank + p - root) % p;
 
-    let mut received: Option<T> = if relative == 0 {
-        Some(value.expect("root must supply a value"))
-    } else {
-        None
-    };
+    let mut relay =
+        (relative == 0).then(|| comm.relay_from(value.expect("root must supply a value")));
 
     // Receive phase: find the parent.
     let mut mask = 1usize;
     while mask < p {
         if relative & mask != 0 {
             let src = (rank + p - mask) % p;
-            received = Some(comm.recv::<T>(src, tag));
+            relay = Some(comm.recv_relay::<T>(src, tag));
             break;
         }
         mask <<= 1;
     }
     // Send phase: forward to children.
-    let val = received.expect("bcast tree delivered no value");
+    let relay = relay.expect("bcast tree delivered no value");
     mask >>= 1;
     let mut m = if relative == 0 {
         // Root starts at the highest power of two below p.
@@ -60,11 +62,11 @@ where
     while m > 0 {
         if relative + m < p {
             let dst = (rank + m) % p;
-            comm.send(dst, tag, val.clone());
+            comm.send_relay(dst, tag, &relay);
         }
         m >>= 1;
     }
-    val
+    relay.into_value(comm)
 }
 
 /// Broadcast from `root` by root-sequential point-to-point sends — the
@@ -86,18 +88,18 @@ where
         return value.expect("root must supply a value");
     }
     if comm.rank() == root {
-        let val = value.expect("root must supply a value");
-        let bytes = val.wire_bytes();
+        let relay = comm.relay_from(value.expect("root must supply a value"));
+        let bytes = relay.bytes();
         for dst in 0..p {
             if dst == root {
                 continue;
             }
-            comm.send(dst, tag, val.clone());
+            comm.send_relay(dst, tag, &relay);
             // NIC occupancy: the next send cannot start until this
             // payload has left the root.
             comm.advance_clock(bytes as f64 * comm.model().beta);
         }
-        val
+        relay.into_value(comm)
     } else {
         comm.recv::<T>(root, tag)
     }
@@ -129,7 +131,7 @@ where
             }
         } else {
             let dst = ((relative - mask) + root) % p;
-            comm.send(dst, tag, acc.clone());
+            comm.send(dst, tag, acc);
             return None;
         }
         mask <<= 1;

@@ -13,7 +13,9 @@
 use crate::clock::{CommStats, RankClock, TimeModel};
 use crate::machine::MachineModel;
 use crate::packet::WirePayload;
-use crate::transport::{Endpoint, Frame, FrameHeader, FramePayload, RecvError, TransportKind};
+use crate::transport::{
+    Endpoint, Frame, FrameHeader, FramePayload, RecvError, SendPayload, TransportKind,
+};
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -186,34 +188,44 @@ impl Comm {
     /// usual LogP-style accounting.
     pub fn send<T: WirePayload>(&self, dst: usize, tag: u64, value: T) {
         let bytes = value.wire_bytes();
-        self.send_with_bytes(dst, tag, value, bytes)
+        if self.mailbox.endpoint.byte_oriented() {
+            self.send_payload(dst, tag, bytes, SendPayload::Bytes(&value.encoded()));
+        } else {
+            self.send_payload(dst, tag, bytes, SendPayload::Typed(Box::new(value)));
+        }
     }
 
-    /// [`Comm::send`] with an explicit wire size (for payloads whose
-    /// modeled size differs from their in-memory size).
-    pub fn send_with_bytes<T: WirePayload>(&self, dst: usize, tag: u64, value: T, bytes: usize) {
-        let world_dst = self.world_ranks[dst];
-        let payload = if self.mailbox.endpoint.byte_oriented() {
-            FramePayload::Bytes(value.encoded())
-        } else {
-            FramePayload::Typed(Box::new(value))
-        };
-        let frame = Frame {
-            header: FrameHeader {
-                src_world: self.world_ranks[self.rank],
-                ctx: self.ctx,
-                tag,
-                send_clock: self.now(),
-                bytes,
-            },
-            payload,
+    /// Stamps, counts and hands one frame to the transport — the single
+    /// exit for every message, so the modeled clock and the counters see
+    /// a forwarded payload exactly as they see a freshly encoded one.
+    fn send_payload(&self, dst: usize, tag: u64, bytes: usize, payload: SendPayload<'_>) {
+        let header = FrameHeader {
+            src_world: self.world_ranks[self.rank],
+            ctx: self.ctx,
+            tag,
+            send_clock: self.now(),
+            bytes,
         };
         {
             let mut st = self.stats.borrow_mut();
             st.msgs_sent += 1;
             st.bytes_sent += bytes as u64;
         }
-        self.mailbox.endpoint.send_frame(world_dst, frame);
+        self.mailbox
+            .endpoint
+            .send_frame(self.world_ranks[dst], header, payload);
+    }
+
+    /// Adds the wall seconds `f` takes to [`CommStats::measured_comm_s`]
+    /// under [`TimeModel::Measured`]; never reads the host clock otherwise.
+    fn timed_comm<R>(&self, f: impl FnOnce() -> R) -> R {
+        if !self.shared.time.is_measured() {
+            return f();
+        }
+        let t0 = std::time::Instant::now();
+        let out = f();
+        self.stats.borrow_mut().measured_comm_s += t0.elapsed().as_secs_f64();
+        out
     }
 
     /// Receives the message `(src, tag)` (communicator ranks), blocking
@@ -227,34 +239,60 @@ impl Comm {
     /// arrives in time, panics with rank/src/tag diagnostics instead of
     /// deadlocking the run.
     pub fn recv<T: WirePayload>(&self, src: usize, tag: u64) -> T {
-        let measured = self.shared.time.is_measured();
-        let wall0 = if measured {
-            Some(std::time::Instant::now())
+        self.recv_relay(src, tag).into_value(self)
+    }
+
+    /// Wraps the value a collective's root contributes: on a byte-oriented
+    /// transport it is encoded here, once, however many peers it goes to.
+    pub(crate) fn relay_from<T: WirePayload>(&self, value: T) -> Relay<T> {
+        let bytes = value.wire_bytes();
+        let body = if self.mailbox.endpoint.byte_oriented() {
+            let wire = value.encoded();
+            RelayBody::Encoded(value, wire)
         } else {
-            None
+            RelayBody::Value(value)
         };
-        let world_src = self.world_ranks[src];
-        let frame = self.match_frame(world_src, src, tag);
-        let arrival = frame.header.send_clock + self.shared.model.p2p_time(frame.header.bytes);
+        Relay { bytes, body }
+    }
+
+    /// [`Comm::recv`] minus the decode: matches `(src, tag)`, charges the
+    /// clock and the counters, and leaves a byte payload as it arrived so
+    /// a tree collective can pass it on before paying for the decode.
+    pub(crate) fn recv_relay<T: WirePayload>(&self, src: usize, tag: u64) -> Relay<T> {
+        let frame = self.timed_comm(|| self.match_frame(self.world_ranks[src], src, tag));
+        let bytes = frame.header.bytes;
+        let arrival = frame.header.send_clock + self.shared.model.p2p_time(bytes);
         let idle = self.clock.borrow_mut().wait_until(arrival);
-        let value = match frame.payload {
-            FramePayload::Typed(b) => *b
-                .downcast::<T>()
-                .unwrap_or_else(|_| panic!("type mismatch receiving tag {tag} from {src}")),
-            FramePayload::Bytes(buf) => T::decode_all(&buf).unwrap_or_else(|e| {
-                panic!("wire decode failed receiving tag {tag} from {src}: {e}")
-            }),
-        };
         {
             let mut st = self.stats.borrow_mut();
             st.msgs_recv += 1;
-            st.bytes_recv += frame.header.bytes as u64;
+            st.bytes_recv += bytes as u64;
             st.modeled_comm_s += idle;
-            if let Some(t0) = wall0 {
-                st.measured_comm_s += t0.elapsed().as_secs_f64();
-            }
         }
-        value
+        let body = match frame.payload {
+            FramePayload::Typed(b) => RelayBody::Value(
+                *b.downcast::<T>()
+                    .unwrap_or_else(|_| panic!("type mismatch receiving tag {tag} from {src}")),
+            ),
+            FramePayload::Bytes(wire) => RelayBody::Wire { wire, src, tag },
+        };
+        Relay { bytes, body }
+    }
+
+    /// Sends `relay`'s message on to `dst`: the bytes verbatim on a
+    /// byte-oriented transport, a clone of the value otherwise. Stamped
+    /// and counted like any [`Comm::send`] of the same value.
+    pub(crate) fn send_relay<T: WirePayload + Clone>(
+        &self,
+        dst: usize,
+        tag: u64,
+        relay: &Relay<T>,
+    ) {
+        let payload = match &relay.body {
+            RelayBody::Value(v) => SendPayload::Typed(Box::new(v.clone())),
+            RelayBody::Encoded(_, wire) | RelayBody::Wire { wire, .. } => SendPayload::Bytes(wire),
+        };
+        self.send_payload(dst, tag, relay.bytes, payload);
     }
 
     /// Pulls the first frame matching `(world_src, ctx, tag)`, buffering
@@ -266,7 +304,10 @@ impl Comm {
             if let Some(pos) = pending.iter().position(|f| {
                 f.header.src_world == world_src && f.header.ctx == self.ctx && f.header.tag == tag
             }) {
-                return pending.swap_remove(pos);
+                // Order-preserving: frames left behind must keep their
+                // arrival order, or two messages on one (src, tag) could
+                // overtake each other.
+                return pending.remove(pos);
             }
         }
         // Fail fast if the transport already knows the source is dead —
@@ -391,6 +432,53 @@ impl Comm {
     }
 }
 
+/// A message passing through a collective: supplied by the root or
+/// received from a parent, forwarded to any number of peers with
+/// [`Comm::send_relay`], and finally turned into its value — encoded at
+/// most once and decoded at most once on the way.
+pub(crate) struct Relay<T> {
+    /// Modeled wire size, as the sender's `wire_bytes()` reported it.
+    bytes: usize,
+    body: RelayBody<T>,
+}
+
+enum RelayBody<T> {
+    /// In-process: the value itself moves.
+    Value(T),
+    /// Byte transport, root: the value and its one encoding.
+    Encoded(T, Vec<u8>),
+    /// Byte transport, received: the payload as it arrived.
+    Wire { wire: Vec<u8>, src: usize, tag: u64 },
+}
+
+impl<T: WirePayload> Relay<T> {
+    /// Modeled wire size of the message.
+    pub(crate) fn bytes(&self) -> usize {
+        self.bytes
+    }
+
+    /// The value: as supplied, as received, or decoded now (the wall time
+    /// of which counts as receive time under [`TimeModel::Measured`]).
+    pub(crate) fn into_value(self, comm: &Comm) -> T {
+        match self.body {
+            RelayBody::Value(v) | RelayBody::Encoded(v, _) => v,
+            RelayBody::Wire { wire, src, tag } => {
+                let v = comm
+                    .timed_comm(|| T::decode_all(&wire))
+                    .unwrap_or_else(|e| {
+                        panic!("wire decode failed receiving tag {tag} from {src}: {e}")
+                    });
+                debug_assert_eq!(
+                    v.wire_bytes(),
+                    self.bytes,
+                    "decoded value models a different wire size than the frame that carried it"
+                );
+                v
+            }
+        }
+    }
+}
+
 /// Deterministic 3-word mix for context derivation.
 fn fxhash3(a: u64, b: u64, c: u64) -> u64 {
     let mut h = 0xcbf29ce484222325u64;
@@ -463,6 +551,25 @@ mod tests {
             }
         });
         assert_eq!(results[1], 1020);
+    }
+
+    #[test]
+    fn buffered_messages_on_one_tag_keep_their_order() {
+        // X(tag 1), A1(tag 2), A2(tag 2) are all buffered while the
+        // receiver waits for tag 3; pulling X out of the buffer must not
+        // reorder A1 and A2 behind it (MPI's non-overtaking rule).
+        let results = Universe::run(2, MachineModel::summit(), |comm| {
+            if comm.rank() == 0 {
+                comm.send(1, 1, 100u64);
+                comm.send(1, 2, 1u64);
+                comm.send(1, 2, 2u64);
+                comm.send(1, 3, 300u64);
+                Vec::new()
+            } else {
+                [3, 1, 2, 2].map(|tag| comm.recv::<u64>(0, tag)).to_vec()
+            }
+        });
+        assert_eq!(results[1], vec![300, 100, 1, 2]);
     }
 
     #[test]

@@ -77,7 +77,9 @@ pub use grid::ProcGrid;
 pub use hipmcl_sparse::wire::{WireDecode, WireEncode, WireError, WireReader};
 pub use machine::{CommMode, GpuLib, MachineModel, MergeKernel, SpgemmKernel};
 pub use packet::{WirePayload, WireSize};
-pub use transport::{Endpoint, Frame, FrameHeader, FramePayload, RecvError, TransportKind};
+pub use transport::{
+    Endpoint, Frame, FrameHeader, FramePayload, RecvError, SendPayload, TransportKind,
+};
 pub use universe::{SocketConfig, Universe, UniverseConfig};
 
 #[cfg(test)]

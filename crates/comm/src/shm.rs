@@ -45,7 +45,8 @@ use crate::launch::{
 };
 use crate::packet::WirePayload;
 use crate::transport::{
-    Endpoint, Frame, FrameHeader, FramePayload, RecvError, TransportKind, FRAME_HEADER_BYTES,
+    Endpoint, Frame, FrameHeader, FramePayload, RecvError, SendPayload, TransportKind,
+    FRAME_HEADER_BYTES,
 };
 use crate::universe::{run_threads, UniverseConfig};
 use hipmcl_sparse::wire::{WireDecode, WireEncode};
@@ -243,6 +244,29 @@ impl ShmEndpoint {
         }
     }
 
+    /// Pushes all of `buf` into the ring towards `dst_world`, waiting out
+    /// backpressure.
+    fn push_all(&self, dst_world: usize, buf: &[u8]) {
+        let mut written = 0;
+        while written < buf.len() {
+            let n = {
+                let mut writers = self.writers.borrow_mut();
+                writers[dst_world]
+                    .as_mut()
+                    .expect("send to self goes through the mailbox, not the ring")
+                    .push(&buf[written..])
+            };
+            written += n;
+            if written < buf.len() && n == 0 {
+                // Ring full: keep consuming our own traffic so a cyclic
+                // exchange larger than the ring capacity cannot deadlock.
+                if self.drain_incoming() == 0 {
+                    std::thread::sleep(POLL);
+                }
+            }
+        }
+    }
+
     /// Moves every complete frame from every ring into the inbox;
     /// returns how many frames arrived.
     fn drain_incoming(&self) -> usize {
@@ -269,36 +293,17 @@ impl Endpoint for ShmEndpoint {
         true
     }
 
-    fn send_frame(&self, dst_world: usize, frame: Frame) {
-        let payload = match frame.payload {
-            FramePayload::Bytes(b) => b,
-            FramePayload::Typed(_) => {
+    fn send_frame(&self, dst_world: usize, header: FrameHeader, payload: SendPayload<'_>) {
+        let payload = match payload {
+            SendPayload::Bytes(b) => b,
+            SendPayload::Typed(_) => {
                 unreachable!("typed payload on a byte-oriented transport")
             }
         };
-        let mut buf = Vec::with_capacity(8 + FRAME_HEADER_BYTES + payload.len());
-        buf.extend_from_slice(&((FRAME_HEADER_BYTES + payload.len()) as u64).to_le_bytes());
-        frame.header.encode(&mut buf);
-        buf.extend_from_slice(&payload);
-
-        let mut written = 0;
-        while written < buf.len() {
-            let n = {
-                let mut writers = self.writers.borrow_mut();
-                writers[dst_world]
-                    .as_mut()
-                    .expect("send to self goes through the mailbox, not the ring")
-                    .push(&buf[written..])
-            };
-            written += n;
-            if written < buf.len() && n == 0 {
-                // Ring full: keep consuming our own traffic so a cyclic
-                // exchange larger than the ring capacity cannot deadlock.
-                if self.drain_incoming() == 0 {
-                    std::thread::sleep(POLL);
-                }
-            }
-        }
+        // The lead lives on the stack and the payload stays where the
+        // caller holds it: each goes into the ring in turn.
+        self.push_all(dst_world, &header.frame_lead(payload.len()));
+        self.push_all(dst_world, payload);
     }
 
     fn recv_frame(&self, timeout: Option<Duration>) -> Result<Frame, RecvError> {

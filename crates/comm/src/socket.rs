@@ -50,11 +50,12 @@ use crate::launch::{
 };
 use crate::packet::WirePayload;
 use crate::transport::{
-    Endpoint, Frame, FrameHeader, FramePayload, RecvError, TransportKind, FRAME_HEADER_BYTES,
+    Endpoint, Frame, FrameHeader, FramePayload, RecvError, SendPayload, TransportKind,
+    FRAME_HEADER_BYTES,
 };
 use crate::universe::{run_threads, UniverseConfig};
 use std::cell::RefCell;
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -70,6 +71,10 @@ const HELLO_MAGIC: u64 = 0x4849_504d_434c_534b; // "HIPMCLSK"
 /// within two orders of magnitude of this; a larger length prefix means
 /// a corrupt or hostile stream, not a big matrix.
 const MAX_FRAME_BYTES: usize = 1 << 30;
+
+/// The most payload capacity reserved on the word of a length prefix
+/// alone; beyond it the buffer grows only with bytes that arrived.
+const PAYLOAD_PREALLOC_CAP: usize = 64 * 1024;
 
 /// Poll interval while waiting to accept or for the root-address file.
 const POLL: Duration = Duration::from_millis(2);
@@ -87,6 +92,15 @@ enum Stream {
 }
 
 impl Stream {
+    /// Wraps a connected TCP stream — dialed or accepted — with Nagle's
+    /// algorithm off. A frame already leaves in one write, so coalescing
+    /// buys nothing, while the small back-to-back frames of a collective
+    /// would each wait out the peer's delayed ACK (~40 ms).
+    fn tcp(s: TcpStream) -> std::io::Result<Stream> {
+        s.set_nodelay(true)?;
+        Ok(Stream::Tcp(s))
+    }
+
     fn try_clone(&self) -> std::io::Result<Stream> {
         match self {
             Stream::Tcp(s) => s.try_clone().map(Stream::Tcp),
@@ -136,6 +150,16 @@ impl Write for Stream {
         }
     }
 
+    // Without this the default writes only the first slice, and a frame
+    // would leave as two packets.
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+        match self {
+            Stream::Tcp(s) => s.write_vectored(bufs),
+            #[cfg(unix)]
+            Stream::Unix(s) => s.write_vectored(bufs),
+        }
+    }
+
     fn flush(&mut self) -> std::io::Result<()> {
         match self {
             Stream::Tcp(s) => s.flush(),
@@ -163,7 +187,7 @@ impl Listener {
 
     fn accept(&self) -> std::io::Result<Stream> {
         match self {
-            Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
+            Listener::Tcp(l) => l.accept().and_then(|(s, _)| Stream::tcp(s)),
             #[cfg(unix)]
             Listener::Unix(l) => l.accept().map(|(s, _)| Stream::Unix(s)),
         }
@@ -187,12 +211,17 @@ fn bind_unix(_path: &Path) -> std::io::Result<Listener> {
     ))
 }
 
-/// Writes little-endian u64 words.
-fn write_words(s: &mut Stream, words: &[u64]) -> std::io::Result<()> {
-    for w in words {
-        s.write_all(&w.to_le_bytes())?;
-    }
-    Ok(())
+/// Starts a rendezvous message: its words, little-endian. Each message
+/// is assembled whole and leaves in one write — with Nagle off, a write
+/// per word would be a packet per word.
+fn rendezvous_msg(words: &[u64]) -> Vec<u8> {
+    words.iter().flat_map(|w| w.to_le_bytes()).collect()
+}
+
+/// Appends a length-prefixed address to a rendezvous message.
+fn push_addr(msg: &mut Vec<u8>, addr: &str) {
+    msg.extend_from_slice(&(addr.len() as u64).to_le_bytes());
+    msg.extend_from_slice(addr.as_bytes());
 }
 
 /// Reads one little-endian u64 word.
@@ -218,11 +247,6 @@ fn read_addr(s: &mut Stream) -> std::io::Result<String> {
         .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidData, "non-utf8 address"))
 }
 
-fn write_addr(s: &mut Stream, addr: &str) -> std::io::Result<()> {
-    write_words(s, &[addr.len() as u64])?;
-    s.write_all(addr.as_bytes())
-}
-
 /// Fills `buf`, returning how many bytes arrived before EOF.
 fn read_full(s: &mut Stream, buf: &mut [u8]) -> std::io::Result<usize> {
     let mut n = 0;
@@ -235,6 +259,27 @@ fn read_full(s: &mut Stream, buf: &mut [u8]) -> std::io::Result<usize> {
         }
     }
     Ok(n)
+}
+
+/// Writes one frame — the stack-resident lead, then the payload from
+/// wherever the caller holds it — as a single vectored write (finished
+/// with plain writes if the kernel takes only part of it).
+fn write_frame(s: &mut Stream, lead: &[u8], payload: &[u8]) -> std::io::Result<()> {
+    let mut sent = 0;
+    while sent < lead.len() + payload.len() {
+        let wrote = if sent < lead.len() {
+            s.write_vectored(&[IoSlice::new(&lead[sent..]), IoSlice::new(payload)])
+        } else {
+            s.write(&payload[sent - lead.len()..])
+        };
+        match wrote {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => sent += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// What a reader thread forwards to the endpoint.
@@ -275,17 +320,18 @@ fn read_frame(s: &mut Stream, expect_src: usize) -> Result<Option<Frame>, String
             header.src_world
         ));
     }
-    // Chunked payload read: don't trust `total` enough to allocate it in
-    // one shot before any payload bytes actually arrive.
-    let mut remaining = total - FRAME_HEADER_BYTES;
-    let mut payload = Vec::new();
-    let mut chunk = vec![0u8; 64 * 1024];
-    while remaining > 0 {
-        let n = chunk.len().min(remaining);
-        s.read_exact(&mut chunk[..n])
-            .map_err(|e| format!("truncated frame payload: {e}"))?;
-        payload.extend_from_slice(&chunk[..n]);
-        remaining -= n;
+    // Read straight into the payload, which grows as bytes actually
+    // arrive: `total` is not trusted enough to allocate it in one shot.
+    let want = total - FRAME_HEADER_BYTES;
+    let mut payload = Vec::with_capacity(want.min(PAYLOAD_PREALLOC_CAP));
+    match s.take(want as u64).read_to_end(&mut payload) {
+        Ok(got) if got == want => {}
+        Ok(got) => {
+            return Err(format!(
+                "truncated frame payload: {got}/{want} bytes, then EOF"
+            ))
+        }
+        Err(e) => return Err(format!("truncated frame payload: {e}")),
     }
     Ok(Some(Frame {
         header,
@@ -340,26 +386,22 @@ impl Endpoint for SocketEndpoint {
         true
     }
 
-    fn send_frame(&self, dst_world: usize, frame: Frame) {
-        let payload = match frame.payload {
-            FramePayload::Bytes(b) => b,
-            FramePayload::Typed(_) => {
+    fn send_frame(&self, dst_world: usize, header: FrameHeader, payload: SendPayload<'_>) {
+        let payload = match payload {
+            SendPayload::Bytes(b) => b,
+            SendPayload::Typed(_) => {
                 unreachable!("typed payload on a byte-oriented transport")
             }
         };
-        let mut buf = Vec::with_capacity(8 + FRAME_HEADER_BYTES + payload.len());
-        buf.extend_from_slice(&((FRAME_HEADER_BYTES + payload.len()) as u64).to_le_bytes());
-        frame.header.encode(&mut buf);
-        buf.extend_from_slice(&payload);
         let mut w = self.writers[dst_world]
             .as_ref()
             .expect("send to self goes through the mailbox, not the socket")
             .borrow_mut();
-        w.write_all(&buf).unwrap_or_else(|e| {
+        write_frame(&mut w, &header.frame_lead(payload.len()), payload).unwrap_or_else(|e| {
             panic!(
                 "rank (world {}) failed sending tag {:#x} to world {dst_world} over {}: {e} \
                  (peer process died?)",
-                self.world_rank, frame.header.tag, self.kind
+                self.world_rank, header.tag, self.kind
             )
         });
     }
@@ -411,7 +453,7 @@ fn dial(kind: TransportKind, addr: &str, rank: usize, deadline: Instant) -> Stre
     let mut attempt = 0u32;
     loop {
         let res = match kind {
-            TransportKind::Tcp => TcpStream::connect(addr).map(Stream::Tcp),
+            TransportKind::Tcp => TcpStream::connect(addr).and_then(Stream::tcp),
             #[cfg(unix)]
             TransportKind::Uds => UnixStream::connect(addr).map(Stream::Unix),
             _ => unreachable!("dial on a non-socket transport"),
@@ -625,14 +667,14 @@ fn connect_mesh(cfg: &UniverseConfig, rank: usize, p: usize, dir: Option<&Path>)
                 conns[peer] = Some(s);
             }
             // Everyone reported in: send the address table to each peer.
+            let mut table = rendezvous_msg(&[HELLO_MAGIC, p as u64]);
+            for (i, a) in addrs.iter().enumerate().skip(1) {
+                table.extend_from_slice(&(i as u64).to_le_bytes());
+                push_addr(&mut table, a.as_ref().expect("all addrs known"));
+            }
             for conn in conns.iter_mut().skip(1) {
                 let s = conn.as_mut().expect("all peers connected");
-                write_words(s, &[HELLO_MAGIC, p as u64]).expect("table header");
-                for (i, a) in addrs.iter().enumerate().skip(1) {
-                    let a = a.as_ref().expect("all addrs known");
-                    write_words(s, &[i as u64]).expect("table entry");
-                    write_addr(s, a).expect("table entry addr");
-                }
+                s.write_all(&table).expect("send address table");
             }
         } else {
             // Bind our own listener before advertising it.
@@ -658,8 +700,9 @@ fn connect_mesh(cfg: &UniverseConfig, rank: usize, p: usize, dir: Option<&Path>)
             let addr = root_addr(kind, cfg, dir, rank, deadline);
             let mut root = dial(kind, &addr, rank, deadline);
             let advert = advertised_addr(kind, &listener, &root, cfg, dir, rank);
-            write_words(&mut root, &[HELLO_MAGIC, rank as u64]).expect("send hello");
-            write_addr(&mut root, &advert).expect("send hello addr");
+            let mut hello = rendezvous_msg(&[HELLO_MAGIC, rank as u64]);
+            push_addr(&mut hello, &advert);
+            root.write_all(&hello).expect("send hello");
             // Address table back from the root.
             let magic = read_word(&mut root).expect("table magic");
             assert_eq!(magic, HELLO_MAGIC, "bad rendezvous reply from root");
@@ -679,7 +722,8 @@ fn connect_mesh(cfg: &UniverseConfig, rank: usize, p: usize, dir: Option<&Path>)
             for (i, a) in addrs.iter().enumerate().take(rank).skip(1) {
                 let a = a.as_ref().expect("table covers all peers");
                 let mut s = dial(kind, a, rank, deadline);
-                write_words(&mut s, &[HELLO_MAGIC, rank as u64]).expect("mesh hello");
+                s.write_all(&rendezvous_msg(&[HELLO_MAGIC, rank as u64]))
+                    .expect("mesh hello");
                 conns[i] = Some(s);
             }
             for _ in rank + 1..p {
@@ -863,9 +907,12 @@ fn decode_results<R: WirePayload>(all: &[Vec<u8>]) -> Vec<R> {
 mod tests {
     use super::*;
     use crate::clock::TimeModel;
-    use crate::collectives::{allgather, allreduce, barrier};
+    use crate::collectives::{allgather, allreduce, barrier, bcast};
     use crate::machine::MachineModel;
+    use crate::packet::WireSize;
     use crate::universe::Universe;
+    use hipmcl_sparse::wire::{WireDecode, WireEncode, WireError, WireReader};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn sock_cfg(p: usize, kind: TransportKind) -> UniverseConfig {
         UniverseConfig::new(p, MachineModel::summit())
@@ -873,13 +920,23 @@ mod tests {
             .with_recv_deadline(Some(Duration::from_secs(60)))
     }
 
+    /// A dialed and an accepted loopback TCP stream, made the way the
+    /// mesh makes them.
+    fn loopback_streams() -> (Stream, Stream) {
+        let listener = Listener::Tcp(TcpListener::bind("127.0.0.1:0").unwrap());
+        let Listener::Tcp(l) = &listener else {
+            unreachable!()
+        };
+        let addr = l.local_addr().unwrap().to_string();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let dialed = dial(TransportKind::Tcp, &addr, 0, deadline);
+        (dialed, listener.accept().unwrap())
+    }
+
     /// A connected endpoint pair over a loopback TCP socket, bypassing
     /// the rendezvous (unit-level plumbing tests).
     fn loopback_pair() -> (SocketEndpoint, SocketEndpoint) {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let a = Stream::Tcp(TcpStream::connect(addr).unwrap());
-        let b = Stream::Tcp(listener.accept().unwrap().0);
+        let (a, b) = loopback_streams();
         let mk = |rank: usize, peer: usize, s: Stream| {
             let (tx, rx) = crossbeam_channel::unbounded::<Incoming>();
             spawn_reader(&s, peer, tx.clone());
@@ -910,10 +967,17 @@ mod tests {
         }
     }
 
+    fn send(ep: &SocketEndpoint, dst: usize, f: Frame) {
+        let FramePayload::Bytes(payload) = f.payload else {
+            panic!("socket frames are bytes")
+        };
+        ep.send_frame(dst, f.header, SendPayload::Bytes(&payload));
+    }
+
     #[test]
     fn frames_roundtrip_over_a_real_socket() {
         let (a, b) = loopback_pair();
-        a.send_frame(1, frame(0, 7, vec![1, 2, 3]));
+        send(&a, 1, frame(0, 7, vec![1, 2, 3]));
         let f = b.recv_frame(Some(Duration::from_secs(5))).unwrap();
         assert_eq!(f.header.tag, 7);
         match f.payload {
@@ -922,7 +986,7 @@ mod tests {
         }
         // And a large frame that spans many reads.
         let big: Vec<u8> = (0..300_000u32).map(|i| (i % 251) as u8).collect();
-        b.send_frame(0, frame(1, 9, big.clone()));
+        send(&b, 0, frame(1, 9, big.clone()));
         let f = a.recv_frame(Some(Duration::from_secs(5))).unwrap();
         match f.payload {
             FramePayload::Bytes(p) => assert_eq!(p, big),
@@ -964,12 +1028,70 @@ mod tests {
     fn misattributed_src_world_closes_the_connection() {
         let (a, b) = loopback_pair();
         // Endpoint `a` is world 0, but claims src_world 5.
-        a.send_frame(1, frame(5, 7, vec![]));
+        send(&a, 1, frame(5, 7, vec![]));
         match b.recv_frame(Some(Duration::from_secs(5))) {
             Err(RecvError::PeerClosed(0)) => {}
             other => panic!("expected PeerClosed(0), got {other:?}"),
         }
         assert!(b.closed_peer_info(0).unwrap().contains("src_world"));
+    }
+
+    #[test]
+    fn nagle_is_off_on_both_ends_of_a_tcp_connection() {
+        let (dialed, accepted) = loopback_streams();
+        for (side, s) in [("dialed", dialed), ("accepted", accepted)] {
+            let Stream::Tcp(s) = s else { unreachable!() };
+            assert!(s.nodelay().unwrap(), "{side} stream must set TCP_NODELAY");
+        }
+    }
+
+    #[test]
+    fn payload_shorter_than_its_length_prefix_closes_the_connection() {
+        let (mut raw, s) = loopback_streams();
+        let (tx, rx) = crossbeam_channel::unbounded::<Incoming>();
+        spawn_reader(&s, 0, tx);
+        // The prefix promises 100 payload bytes; 10 arrive, then EOF.
+        let f = frame(0, 7, vec![]);
+        raw.write_all(&f.header.frame_lead(100)).unwrap();
+        raw.write_all(&[0xAB; 10]).unwrap();
+        raw.shutdown_write();
+        match rx.recv_timeout(Duration::from_secs(5)).unwrap() {
+            Incoming::Closed { peer: 0, reason } => {
+                assert!(reason.contains("truncated frame payload"), "got {reason:?}")
+            }
+            _ => panic!("expected Closed"),
+        }
+    }
+
+    #[test]
+    fn tcp_burst_of_small_sends_is_not_nagle_bound() {
+        // Four 8-byte sends to one peer, then one reply: with Nagle on,
+        // the second small write waits for the delayed ACK of the first
+        // (~40 ms a round); without it a round is tens of microseconds.
+        let results = Universe::run_with(sock_cfg(2, TransportKind::Tcp), |comm| {
+            let mut rounds: Vec<f64> = (0..20)
+                .map(|_| {
+                    let t = Instant::now();
+                    if comm.rank() == 0 {
+                        for i in 0..4u64 {
+                            comm.send(1, 5, i);
+                        }
+                        let _: u64 = comm.recv(1, 5);
+                    } else {
+                        let sum: u64 = (0..4).map(|_| comm.recv::<u64>(0, 5)).sum();
+                        comm.send(0, 5, sum);
+                    }
+                    t.elapsed().as_secs_f64()
+                })
+                .collect();
+            rounds.sort_by(f64::total_cmp);
+            rounds[rounds.len() / 2]
+        });
+        assert!(
+            results[0] < 5e-3,
+            "median burst round took {:.1} ms",
+            results[0] * 1e3
+        );
     }
 
     #[test]
@@ -1019,6 +1141,63 @@ mod tests {
             tcp, inp,
             "results and modeled clocks identical across transports"
         );
+    }
+
+    /// A payload that counts, per process, how often it is encoded and
+    /// decoded.
+    #[derive(Clone)]
+    struct Counted(Vec<u64>);
+    static ENCODES: AtomicUsize = AtomicUsize::new(0);
+    static DECODES: AtomicUsize = AtomicUsize::new(0);
+
+    impl WireSize for Counted {
+        fn wire_bytes(&self) -> usize {
+            self.0.wire_bytes()
+        }
+    }
+    impl WireEncode for Counted {
+        fn encode(&self, out: &mut Vec<u8>) {
+            ENCODES.fetch_add(1, Ordering::Relaxed);
+            self.0.encode(out);
+        }
+    }
+    impl WireDecode for Counted {
+        fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+            DECODES.fetch_add(1, Ordering::Relaxed);
+            Vec::decode(r).map(Counted)
+        }
+    }
+
+    #[test]
+    fn bcast_encodes_once_and_decodes_once_per_rank() {
+        // Root 3 of 5: relative rank 2 (world 0) is the tree's one
+        // interior node — it must forward the bytes it received, not
+        // re-encode the value it decoded from them.
+        const ROOT: usize = 3;
+        let body = |comm: Comm| {
+            comm.advance_clock(comm.rank() as f64 * 1e-4);
+            let mine = (comm.rank() == ROOT).then(|| Counted((0..1000).collect()));
+            let got = bcast(&comm, ROOT, mine);
+            let counts = (
+                ENCODES.load(Ordering::Relaxed) as u64,
+                DECODES.load(Ordering::Relaxed) as u64,
+            );
+            (got.0, comm.now(), counts)
+        };
+        let uds = Universe::run_with(sock_cfg(5, TransportKind::Uds), body);
+        let inp = Universe::run_with(UniverseConfig::new(5, MachineModel::summit()), body);
+        for (rank, ((value, clock, counts), (inp_value, inp_clock, _))) in
+            uds.iter().zip(&inp).enumerate()
+        {
+            assert_eq!(value, inp_value, "rank {rank} value");
+            assert_eq!(
+                clock.to_bits(),
+                inp_clock.to_bits(),
+                "rank {rank} modeled clock"
+            );
+            let want = if rank == ROOT { (1, 0) } else { (0, 1) };
+            assert_eq!(*counts, want, "rank {rank} (encodes, decodes)");
+        }
     }
 
     #[test]

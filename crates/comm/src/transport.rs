@@ -111,14 +111,36 @@ pub struct FrameHeader {
 /// transports: five 8-byte little-endian words.
 pub const FRAME_HEADER_BYTES: usize = 40;
 
+/// What precedes the payload of a frame on byte-oriented transports: the
+/// `u64` length of everything after it, then the [`FrameHeader`].
+pub(crate) const FRAME_LEAD_BYTES: usize = 8 + FRAME_HEADER_BYTES;
+
 impl FrameHeader {
-    /// Serializes the header (always exactly [`FRAME_HEADER_BYTES`]).
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(self.src_world as u64).to_le_bytes());
-        out.extend_from_slice(&self.ctx.to_le_bytes());
-        out.extend_from_slice(&self.tag.to_le_bytes());
-        out.extend_from_slice(&self.send_clock.to_bits().to_le_bytes());
-        out.extend_from_slice(&(self.bytes as u64).to_le_bytes());
+    /// Serializes the header.
+    pub fn to_bytes(&self) -> [u8; FRAME_HEADER_BYTES] {
+        let words = [
+            self.src_world as u64,
+            self.ctx,
+            self.tag,
+            self.send_clock.to_bits(),
+            self.bytes as u64,
+        ];
+        let mut out = [0u8; FRAME_HEADER_BYTES];
+        for (dst, w) in out.chunks_exact_mut(8).zip(words) {
+            dst.copy_from_slice(&w.to_le_bytes());
+        }
+        out
+    }
+
+    /// The fixed-size start of a byte-oriented frame carrying
+    /// `payload_len` payload bytes — `[total_len u64][header]`. It lives
+    /// on the sender's stack; the payload follows from wherever it
+    /// already is, so a frame is never assembled in a second buffer.
+    pub(crate) fn frame_lead(&self, payload_len: usize) -> [u8; FRAME_LEAD_BYTES] {
+        let mut lead = [0u8; FRAME_LEAD_BYTES];
+        lead[..8].copy_from_slice(&((FRAME_HEADER_BYTES + payload_len) as u64).to_le_bytes());
+        lead[8..].copy_from_slice(&self.to_bytes());
+        lead
     }
 
     /// Deserializes a header from exactly [`FRAME_HEADER_BYTES`] bytes.
@@ -152,7 +174,17 @@ impl std::fmt::Debug for FramePayload {
     }
 }
 
-/// One in-flight message.
+/// The payload of a frame being sent. Bytes are *borrowed*: the transport
+/// writes them out (or copies them into its ring) straight from the
+/// sender's buffer, and the same buffer can go to any number of peers.
+pub enum SendPayload<'a> {
+    /// The boxed value, moved by pointer between threads.
+    Typed(Box<dyn Any + Send>),
+    /// The wire-encoded bytes.
+    Bytes(&'a [u8]),
+}
+
+/// One received message.
 #[derive(Debug)]
 pub struct Frame {
     /// Matching/charging metadata.
@@ -189,10 +221,10 @@ pub trait Endpoint {
     /// Senders consult this to decide whether to wire-encode.
     fn byte_oriented(&self) -> bool;
 
-    /// Delivers `frame` to `dst_world`'s incoming queue. May block on
+    /// Delivers a frame to `dst_world`'s incoming queue. May block on
     /// transport backpressure but never on the receiver's progress
     /// through unrelated tags.
-    fn send_frame(&self, dst_world: usize, frame: Frame);
+    fn send_frame(&self, dst_world: usize, header: FrameHeader, payload: SendPayload<'_>);
 
     /// Blocks for the next incoming frame (any source, any tag — the
     /// caller does the matching). `timeout` of `None` waits forever.
@@ -241,9 +273,13 @@ impl Endpoint for InProcessEndpoint {
         false
     }
 
-    fn send_frame(&self, dst_world: usize, frame: Frame) {
+    fn send_frame(&self, dst_world: usize, header: FrameHeader, payload: SendPayload<'_>) {
+        let payload = match payload {
+            SendPayload::Typed(b) => FramePayload::Typed(b),
+            SendPayload::Bytes(b) => FramePayload::Bytes(b.to_vec()),
+        };
         self.senders[dst_world]
-            .send(frame)
+            .send(Frame { header, payload })
             .expect("peer rank hung up (panicked?)");
     }
 
@@ -301,10 +337,10 @@ mod tests {
             send_clock: -0.0,
             bytes: 1_000_000,
         };
-        let mut buf = Vec::new();
-        h.encode(&mut buf);
-        assert_eq!(buf.len(), FRAME_HEADER_BYTES);
-        let back = FrameHeader::decode(&buf.try_into().unwrap());
+        let lead = h.frame_lead(3);
+        assert_eq!(lead[..8], (FRAME_HEADER_BYTES as u64 + 3).to_le_bytes());
+        assert_eq!(lead[8..], h.to_bytes());
+        let back = FrameHeader::decode(&h.to_bytes());
         assert_eq!(back.src_world, 3);
         assert_eq!(back.ctx, 0xdead_beef);
         assert_eq!(back.tag, (1 << 63) | 17);
@@ -317,16 +353,14 @@ mod tests {
         let eps = InProcessEndpoint::universe(2);
         eps[0].send_frame(
             1,
-            Frame {
-                header: FrameHeader {
-                    src_world: 0,
-                    ctx: 0,
-                    tag: 5,
-                    send_clock: 0.0,
-                    bytes: 8,
-                },
-                payload: FramePayload::Typed(Box::new(42u64)),
+            FrameHeader {
+                src_world: 0,
+                ctx: 0,
+                tag: 5,
+                send_clock: 0.0,
+                bytes: 8,
             },
+            SendPayload::Typed(Box::new(42u64)),
         );
         let f = eps[1].recv_frame(None).unwrap();
         assert_eq!(f.header.tag, 5);

@@ -86,8 +86,9 @@ impl<T: Value> Dcsc<T> {
         Ok(m)
     }
 
-    /// Compresses a CSC matrix by dropping its empty columns' pointers.
-    pub fn from_csc(csc: &Csc<T>) -> Self {
+    /// The `(jc, cp)` column index of `csc`: its non-empty columns and
+    /// their pointer ranges. `O(ncols)`.
+    pub(crate) fn compress_cols(csc: &Csc<T>) -> (Vec<Idx>, Vec<usize>) {
         let mut jc = Vec::new();
         let mut cp = vec![0usize];
         for j in 0..csc.ncols() {
@@ -96,6 +97,12 @@ impl<T: Value> Dcsc<T> {
                 cp.push(csc.colptr[j + 1]);
             }
         }
+        (jc, cp)
+    }
+
+    /// Compresses a CSC matrix by dropping its empty columns' pointers.
+    pub fn from_csc(csc: &Csc<T>) -> Self {
+        let (jc, cp) = Self::compress_cols(csc);
         Self {
             nrows: csc.nrows(),
             ncols: csc.ncols(),
@@ -106,17 +113,47 @@ impl<T: Value> Dcsc<T> {
         }
     }
 
-    /// Decompresses the column pointers back to a full CSC pointer array.
-    /// `O(ncols + nzc)`; the index and value arrays are shared semantics
-    /// (copied here — they are identical byte-for-byte).
-    pub fn to_csc(&self) -> Csc<T> {
-        let mut colptr = vec![0usize; self.ncols + 1];
-        for (k, &j) in self.jc.iter().enumerate() {
-            colptr[j as usize + 1] = self.cp[k + 1] - self.cp[k];
+    /// [`Dcsc::bytes`] of `Dcsc::from_csc(csc)` without building it: an
+    /// `O(ncols)` count of the non-empty columns.
+    pub fn bytes_of_csc(csc: &Csc<T>) -> usize {
+        let nzc = csc.colptr.windows(2).filter(|w| w[0] < w[1]).count();
+        Self::bytes_for(nzc, csc.nnz())
+    }
+
+    fn bytes_for(nzc: usize, nnz: usize) -> usize {
+        nzc * std::mem::size_of::<Idx>()
+            + (nzc + 1) * std::mem::size_of::<usize>()
+            + nnz * (std::mem::size_of::<Idx>() + std::mem::size_of::<T>())
+    }
+
+    /// Decompresses a `(jc, cp)` column index that passed
+    /// [`Dcsc::validate_cols`] back to a full CSC pointer array,
+    /// `O(ncols + nzc)`. `ncols` may come off the wire, so an array that
+    /// cannot be allocated is an error, not an abort.
+    pub(crate) fn expand_colptr(
+        ncols: usize,
+        jc: &[Idx],
+        cp: &[usize],
+    ) -> Result<Vec<usize>, &'static str> {
+        let mut colptr = Vec::new();
+        colptr
+            .try_reserve_exact(ncols + 1)
+            .map_err(|_| "ncols too large to expand to CSC")?;
+        colptr.resize(ncols + 1, 0usize);
+        for (k, &j) in jc.iter().enumerate() {
+            colptr[j as usize + 1] = cp[k + 1] - cp[k];
         }
-        for j in 0..self.ncols {
+        for j in 0..ncols {
             colptr[j + 1] += colptr[j];
         }
+        Ok(colptr)
+    }
+
+    /// Decompresses to CSC; the index and value arrays are copied (they
+    /// are identical byte-for-byte in both forms).
+    pub fn to_csc(&self) -> Csc<T> {
+        let colptr = Self::expand_colptr(self.ncols, &self.jc, &self.cp)
+            .unwrap_or_else(|e| panic!("DCSC to CSC: {e}"));
         Csc::from_parts(
             self.nrows,
             self.ncols,
@@ -200,10 +237,7 @@ impl<T: Value> Dcsc<T> {
     /// Approximate heap footprint in bytes. For a hypersparse block this is
     /// `O(nnz + nzc)` versus CSC's `O(nnz + ncols)`.
     pub fn bytes(&self) -> usize {
-        self.jc.len() * std::mem::size_of::<Idx>()
-            + self.cp.len() * std::mem::size_of::<usize>()
-            + self.ir.len() * std::mem::size_of::<Idx>()
-            + self.num.len() * std::mem::size_of::<T>()
+        Self::bytes_for(self.nzc(), self.nnz())
     }
 
     /// Checks structural invariants; panics on violation.
@@ -220,34 +254,13 @@ impl<T: Value> Dcsc<T> {
     /// [`Dcsc::to_csc`], whose pointer arithmetic relies on exactly
     /// these invariants.
     pub fn validate(&self) -> Result<(), &'static str> {
-        if self
-            .jc
-            .len()
-            .checked_add(1)
-            .is_none_or(|n| self.cp.len() != n)
-        {
-            return Err("cp length != jc length + 1");
-        }
-        if self.cp[0] != 0 {
-            return Err("cp[0] != 0");
-        }
-        if self.ir.len() != self.num.len() {
-            return Err("ir/num length mismatch");
-        }
-        if *self.cp.last().expect("length checked") != self.num.len() {
-            return Err("cp end != nnz");
-        }
-        if !crate::util::is_strictly_increasing(&self.jc) {
-            return Err("jc not strictly increasing");
-        }
-        if let Some(&last) = self.jc.last() {
-            if last as usize >= self.ncols {
-                return Err("jc column index out of bounds");
-            }
-        }
-        if self.cp.windows(2).any(|w| w[0] >= w[1]) {
-            return Err("cp not strictly increasing (a listed column is empty)");
-        }
+        Self::validate_cols(
+            self.ncols,
+            &self.jc,
+            &self.cp,
+            self.ir.len(),
+            self.num.len(),
+        )?;
         // cp[0] == 0, strictly increasing, end == nnz ⇒ every listed
         // column's range is in bounds of ir/num from here on.
         for k in 0..self.jc.len() {
@@ -258,6 +271,46 @@ impl<T: Value> Dcsc<T> {
             if *rows.last().expect("listed columns are non-empty") as usize >= self.nrows {
                 return Err("row index out of bounds");
             }
+        }
+        Ok(())
+    }
+
+    /// The column-index half of [`Dcsc::validate`]: everything about
+    /// `jc`/`cp` and the array lengths, nothing about row contents.
+    /// Passing it makes [`Dcsc::expand_colptr`] in-bounds and its result
+    /// a CSC pointer array whose column ranges are exactly `cp`'s.
+    pub(crate) fn validate_cols(
+        ncols: usize,
+        jc: &[Idx],
+        cp: &[usize],
+        ir_len: usize,
+        num_len: usize,
+    ) -> Result<(), &'static str> {
+        if ncols.checked_add(1).is_none() {
+            return Err("ncols + 1 overflows");
+        }
+        if jc.len().checked_add(1).is_none_or(|n| cp.len() != n) {
+            return Err("cp length != jc length + 1");
+        }
+        if cp[0] != 0 {
+            return Err("cp[0] != 0");
+        }
+        if ir_len != num_len {
+            return Err("ir/num length mismatch");
+        }
+        if *cp.last().expect("length checked") != num_len {
+            return Err("cp end != nnz");
+        }
+        if !crate::util::is_strictly_increasing(jc) {
+            return Err("jc not strictly increasing");
+        }
+        if let Some(&last) = jc.last() {
+            if last as usize >= ncols {
+                return Err("jc column index out of bounds");
+            }
+        }
+        if cp.windows(2).any(|w| w[0] >= w[1]) {
+            return Err("cp not strictly increasing (a listed column is empty)");
         }
         Ok(())
     }

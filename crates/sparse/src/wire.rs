@@ -102,6 +102,28 @@ impl<'a> WireReader<'a> {
     fn array<const N: usize>(&mut self, what: &'static str) -> Result<[u8; N], WireError> {
         Ok(self.take(N, what)?.try_into().expect("length checked"))
     }
+
+    /// Takes `n` elements of `width` bytes each with one bounds check. On
+    /// truncation (or an `n * width` that overflows) the reader advances
+    /// past the elements that did fit and the error points at the first
+    /// one that does not — where an element-at-a-time decode would stop.
+    fn take_elems(
+        &mut self,
+        n: usize,
+        width: usize,
+        what: &'static str,
+    ) -> Result<&'a [u8], WireError> {
+        match n.checked_mul(width) {
+            Some(len) if len <= self.remaining() => self.take(len, what),
+            _ => {
+                self.pos += self.remaining() / width * width;
+                Err(WireError {
+                    what,
+                    pos: self.pos,
+                })
+            }
+        }
+    }
 }
 
 /// Appends the value's canonical little-endian byte form to `out`.
@@ -109,9 +131,28 @@ pub trait WireEncode {
     /// Serializes `self` onto the end of `out`.
     fn encode(&self, out: &mut Vec<u8>);
 
+    /// How many bytes [`encode`](Self::encode) appends, where that is
+    /// cheap to know; otherwise a lower bound. Only ever used to size a
+    /// buffer before encoding into it.
+    fn encoded_len_hint(&self) -> usize {
+        0
+    }
+
+    /// Serializes `items` back to back, without a length prefix — the
+    /// body of a `Vec<Self>`. Fixed-width primitives override this with
+    /// one reservation and a slice-wise write.
+    fn encode_slice(items: &[Self], out: &mut Vec<u8>)
+    where
+        Self: Sized,
+    {
+        for v in items {
+            v.encode(out);
+        }
+    }
+
     /// Convenience: serializes into a fresh buffer.
     fn encoded(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.encoded_len_hint());
         self.encode(&mut out);
         out
     }
@@ -121,6 +162,20 @@ pub trait WireEncode {
 pub trait WireDecode: Sized {
     /// Deserializes one value, advancing the reader.
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError>;
+
+    /// Deserializes `n` values laid out back to back — the body of a
+    /// `Vec<Self>` whose (untrusted) length prefix said `n`. Never
+    /// allocates more than the remaining buffer could fill. Fixed-width
+    /// primitives override this with one bounds check and one allocation.
+    fn decode_vec(r: &mut WireReader<'_>, n: usize) -> Result<Vec<Self>, WireError> {
+        // Each element is ≥1 byte except `()`, for which reserving
+        // nothing is fine.
+        let mut v = Vec::with_capacity(n.min(r.remaining()));
+        for _ in 0..n {
+            v.push(Self::decode(r)?);
+        }
+        Ok(v)
+    }
 
     /// Decodes a buffer that must contain exactly one value.
     fn decode_all(buf: &[u8]) -> Result<Self, WireError> {
@@ -136,6 +191,38 @@ pub trait WireDecode: Sized {
     }
 }
 
+/// Appends `items` as `W`-byte little-endian words: one reservation, then
+/// a fixed-stride copy the compiler turns into wide moves.
+#[inline]
+fn encode_words<T: Copy, const W: usize>(
+    items: &[T],
+    out: &mut Vec<u8>,
+    to_le: impl Fn(T) -> [u8; W],
+) {
+    let start = out.len();
+    out.resize(start + items.len() * W, 0);
+    for (dst, &v) in out[start..].chunks_exact_mut(W).zip(items) {
+        dst.copy_from_slice(&to_le(v));
+    }
+}
+
+/// Reads `n` `W`-byte little-endian words: one bounds check (which is
+/// also what caps the allocation at the bytes actually present), one
+/// exactly-sized allocation.
+#[inline]
+fn decode_words<T, const W: usize>(
+    r: &mut WireReader<'_>,
+    n: usize,
+    what: &'static str,
+    from_le: impl Fn([u8; W]) -> T,
+) -> Result<Vec<T>, WireError> {
+    let bytes = r.take_elems(n, W, what)?;
+    Ok(bytes
+        .chunks_exact(W)
+        .map(|c| from_le(c.try_into().expect("chunks_exact yields W bytes")))
+        .collect())
+}
+
 macro_rules! impl_wire_int {
     ($($t:ty),*) => {$(
         impl WireEncode for $t {
@@ -143,22 +230,63 @@ macro_rules! impl_wire_int {
             fn encode(&self, out: &mut Vec<u8>) {
                 out.extend_from_slice(&self.to_le_bytes());
             }
+            #[inline]
+            fn encoded_len_hint(&self) -> usize {
+                std::mem::size_of::<$t>()
+            }
+            fn encode_slice(items: &[Self], out: &mut Vec<u8>) {
+                encode_words(items, out, <$t>::to_le_bytes);
+            }
         }
         impl WireDecode for $t {
             #[inline]
             fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
                 Ok(<$t>::from_le_bytes(r.array(stringify!($t))?))
             }
+            fn decode_vec(r: &mut WireReader<'_>, n: usize) -> Result<Vec<Self>, WireError> {
+                decode_words(r, n, stringify!($t), <$t>::from_le_bytes)
+            }
         }
     )*};
 }
 
-impl_wire_int!(u8, u16, u32, u64, i8, i16, i32, i64);
+impl_wire_int!(u16, u32, u64, i8, i16, i32, i64);
+
+// Bytes need no byte-order work at all: both directions are one copy.
+impl WireEncode for u8 {
+    #[inline]
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.push(*self);
+    }
+    #[inline]
+    fn encoded_len_hint(&self) -> usize {
+        1
+    }
+    fn encode_slice(items: &[Self], out: &mut Vec<u8>) {
+        out.extend_from_slice(items);
+    }
+}
+impl WireDecode for u8 {
+    #[inline]
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        Ok(r.array::<1>("u8")?[0])
+    }
+    fn decode_vec(r: &mut WireReader<'_>, n: usize) -> Result<Vec<Self>, WireError> {
+        Ok(r.take_elems(n, 1, "u8")?.to_vec())
+    }
+}
 
 impl WireEncode for usize {
     #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         (*self as u64).encode(out);
+    }
+    #[inline]
+    fn encoded_len_hint(&self) -> usize {
+        8
+    }
+    fn encode_slice(items: &[Self], out: &mut Vec<u8>) {
+        encode_words(items, out, |v| (v as u64).to_le_bytes());
     }
 }
 impl WireDecode for usize {
@@ -169,6 +297,19 @@ impl WireDecode for usize {
             what: "usize overflow",
             pos: r.pos(),
         })
+    }
+    fn decode_vec(r: &mut WireReader<'_>, n: usize) -> Result<Vec<Self>, WireError> {
+        let start = r.pos();
+        decode_words(r, n, "u64", u64::from_le_bytes)?
+            .into_iter()
+            .enumerate()
+            .map(|(i, w)| {
+                usize::try_from(w).map_err(|_| WireError {
+                    what: "usize overflow",
+                    pos: start + (i + 1) * 8,
+                })
+            })
+            .collect()
     }
 }
 
@@ -189,31 +330,36 @@ impl WireDecode for isize {
     }
 }
 
-impl WireEncode for f64 {
-    #[inline]
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.to_bits().encode(out);
-    }
-}
-impl WireDecode for f64 {
-    #[inline]
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(f64::from_bits(u64::decode(r)?))
-    }
+macro_rules! impl_wire_float {
+    ($($t:ty as $bits:ty),*) => {$(
+        impl WireEncode for $t {
+            #[inline]
+            fn encode(&self, out: &mut Vec<u8>) {
+                self.to_bits().encode(out);
+            }
+            #[inline]
+            fn encoded_len_hint(&self) -> usize {
+                std::mem::size_of::<$t>()
+            }
+            fn encode_slice(items: &[Self], out: &mut Vec<u8>) {
+                encode_words(items, out, |v: $t| v.to_bits().to_le_bytes());
+            }
+        }
+        impl WireDecode for $t {
+            #[inline]
+            fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+                Ok(<$t>::from_bits(<$bits>::decode(r)?))
+            }
+            fn decode_vec(r: &mut WireReader<'_>, n: usize) -> Result<Vec<Self>, WireError> {
+                decode_words(r, n, stringify!($bits), |b| {
+                    <$t>::from_bits(<$bits>::from_le_bytes(b))
+                })
+            }
+        }
+    )*};
 }
 
-impl WireEncode for f32 {
-    #[inline]
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.to_bits().encode(out);
-    }
-}
-impl WireDecode for f32 {
-    #[inline]
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(f32::from_bits(u32::decode(r)?))
-    }
-}
+impl_wire_float!(f64 as u64, f32 as u32);
 
 impl WireEncode for bool {
     #[inline]
@@ -246,25 +392,27 @@ impl WireDecode for () {
     }
 }
 
-impl<T: WireEncode> WireEncode for Vec<T> {
+impl<T: WireEncode> WireEncode for [T] {
     fn encode(&self, out: &mut Vec<u8>) {
         (self.len() as u64).encode(out);
-        for v in self {
-            v.encode(out);
-        }
+        T::encode_slice(self, out);
+    }
+    fn encoded_len_hint(&self) -> usize {
+        8 + self.iter().map(T::encoded_len_hint).sum::<usize>()
+    }
+}
+impl<T: WireEncode> WireEncode for Vec<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.as_slice().encode(out);
+    }
+    fn encoded_len_hint(&self) -> usize {
+        self.as_slice().encoded_len_hint()
     }
 }
 impl<T: WireDecode> WireDecode for Vec<T> {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let n = usize::decode(r)?;
-        // A corrupt length cannot force an allocation larger than the
-        // remaining buffer could possibly fill (each element is ≥1 byte
-        // except `()`, for which reserving nothing is fine).
-        let mut v = Vec::with_capacity(n.min(r.remaining()));
-        for _ in 0..n {
-            v.push(T::decode(r)?);
-        }
-        Ok(v)
+        T::decode_vec(r, n)
     }
 }
 
@@ -303,6 +451,9 @@ impl<T: WireEncode> WireEncode for Option<T> {
             }
         }
     }
+    fn encoded_len_hint(&self) -> usize {
+        1 + self.as_ref().map_or(0, T::encoded_len_hint)
+    }
 }
 impl<T: WireDecode> WireDecode for Option<T> {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
@@ -322,6 +473,9 @@ impl<A: WireEncode, B: WireEncode> WireEncode for (A, B) {
         self.0.encode(out);
         self.1.encode(out);
     }
+    fn encoded_len_hint(&self) -> usize {
+        self.0.encoded_len_hint() + self.1.encoded_len_hint()
+    }
 }
 impl<A: WireDecode, B: WireDecode> WireDecode for (A, B) {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
@@ -335,6 +489,9 @@ impl<A: WireEncode, B: WireEncode, C: WireEncode> WireEncode for (A, B, C) {
         self.1.encode(out);
         self.2.encode(out);
     }
+    fn encoded_len_hint(&self) -> usize {
+        self.0.encoded_len_hint() + self.1.encoded_len_hint() + self.2.encoded_len_hint()
+    }
 }
 impl<A: WireDecode, B: WireDecode, C: WireDecode> WireDecode for (A, B, C) {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
@@ -345,6 +502,9 @@ impl<A: WireDecode, B: WireDecode, C: WireDecode> WireDecode for (A, B, C) {
 impl<T: WireEncode> WireEncode for Arc<T> {
     fn encode(&self, out: &mut Vec<u8>) {
         self.as_ref().encode(out);
+    }
+    fn encoded_len_hint(&self) -> usize {
+        self.as_ref().encoded_len_hint()
     }
 }
 impl<T: WireDecode> WireDecode for Arc<T> {
@@ -360,6 +520,10 @@ impl<T: Value> WireEncode for Csc<T> {
         self.colptr.encode(out);
         self.rowidx.encode(out);
         self.vals.encode(out);
+    }
+    fn encoded_len_hint(&self) -> usize {
+        // Two dims and three length prefixes around the arrays.
+        40 + self.bytes()
     }
 }
 impl<T: Value> WireDecode for Csc<T> {
@@ -378,14 +542,71 @@ impl<T: Value> WireDecode for Csc<T> {
     }
 }
 
+/// Framing bytes of the DCSC wire form around its four arrays: two dims
+/// and four length prefixes.
+const DCSC_FRAMING_BYTES: usize = 48;
+
+/// The one writer of the DCSC wire form, over borrowed arrays.
+fn encode_dcsc<T: Value>(
+    (nrows, ncols): (usize, usize),
+    jc: &[Idx],
+    cp: &[usize],
+    ir: &[Idx],
+    num: &[T],
+    out: &mut Vec<u8>,
+) {
+    nrows.encode(out);
+    ncols.encode(out);
+    jc.encode(out);
+    cp.encode(out);
+    ir.encode(out);
+    num.encode(out);
+}
+
 impl<T: Value> WireEncode for Dcsc<T> {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.nrows().encode(out);
-        self.ncols().encode(out);
-        self.jc.encode(out);
-        self.cp.encode(out);
-        self.ir.encode(out);
-        self.num.encode(out);
+        let dims = (self.nrows(), self.ncols());
+        encode_dcsc(dims, &self.jc, &self.cp, &self.ir, &self.num, out);
+    }
+    fn encoded_len_hint(&self) -> usize {
+        DCSC_FRAMING_BYTES + self.bytes()
+    }
+}
+
+impl<T: Value> Dcsc<T> {
+    /// Appends exactly the bytes `Dcsc::from_csc(csc).encode(out)` would,
+    /// without building the `Dcsc`: only the `O(nzc)` column index is
+    /// computed, the row and value arrays are written straight from
+    /// `csc`. This is how a SUMMA panel held in CSC ships hypersparse.
+    pub fn encode_csc(csc: &Csc<T>, out: &mut Vec<u8>) {
+        let (jc, cp) = Self::compress_cols(csc);
+        let dims = (csc.nrows(), csc.ncols());
+        encode_dcsc(dims, &jc, &cp, &csc.rowidx, &csc.vals, out);
+    }
+
+    /// Bytes [`Dcsc::encode_csc`] appends for a panel whose hypersparse
+    /// storage size ([`Dcsc::bytes_of_csc`]) is `dcsc_bytes`.
+    pub fn encoded_len_for(dcsc_bytes: usize) -> usize {
+        DCSC_FRAMING_BYTES + dcsc_bytes
+    }
+
+    /// Decodes the DCSC wire form straight into CSC — `Dcsc::decode`
+    /// followed by `to_csc`, minus the intermediate matrix and its copy of
+    /// the row and value arrays. Accepts exactly the frames `Dcsc::decode`
+    /// accepts: the column index is checked as a DCSC's is, and the
+    /// expanded matrix goes through the validating
+    /// [`Csc::try_from_parts`].
+    pub fn decode_csc(r: &mut WireReader<'_>) -> Result<Csc<T>, WireError> {
+        let nrows = usize::decode(r)?;
+        let ncols = usize::decode(r)?;
+        let jc: Vec<Idx> = Vec::decode(r)?;
+        let cp: Vec<usize> = Vec::decode(r)?;
+        let ir: Vec<Idx> = Vec::decode(r)?;
+        let num: Vec<T> = Vec::decode(r)?;
+        Self::validate_cols(ncols, &jc, &cp, ir.len(), num.len())
+            .and_then(|()| Self::expand_colptr(ncols, &jc, &cp))
+            .and_then(|colptr| Csc::try_from_parts(nrows, ncols, colptr, ir, num))
+            .map_err(|what| WireError { what, pos: r.pos() })
     }
 }
 impl<T: Value> WireDecode for Dcsc<T> {
@@ -408,6 +629,9 @@ impl<T: Value> WireEncode for Triples<T> {
         self.rows.encode(out);
         self.cols.encode(out);
         self.vals.encode(out);
+    }
+    fn encoded_len_hint(&self) -> usize {
+        40 + self.bytes()
     }
 }
 impl<T: Value> WireDecode for Triples<T> {
@@ -550,5 +774,156 @@ mod tests {
         Vec::<Idx>::new().encode(&mut buf);
         Vec::<f64>::new().encode(&mut buf);
         assert!(Csc::<f64>::decode_all(&buf).is_err());
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// 4×5, three entries, columns 0 and 2 empty.
+    fn golden_matrix() -> Csc<f64> {
+        let mut t = Triples::new(4, 5);
+        t.push(0, 1, 1.5);
+        t.push(2, 3, f64::from_bits(0x7ff8_dead_beef_0001));
+        t.push(1, 4, 2.0);
+        Csc::from_triples(&t)
+    }
+
+    const GOLDEN_DCSC: &str = "0400000000000000050000000000000003000000000000000100000003000000\
+        040000000400000000000000000000000000000001000000000000000200000000000000030000000000\
+        000003000000000000000000000002000000010000000300000000000000000000000000f83f0100efbe\
+        addef87f0000000000000040";
+
+    #[test]
+    fn encoded_bytes_match_the_fixtures_of_the_element_wise_codec() {
+        // Hex captured from the element-at-a-time codec this one replaced:
+        // the wire format is a contract between builds, not an
+        // implementation detail.
+        let bytes: Vec<u8> = vec![0, 1, 2, 253, 254, 255, 7];
+        assert_eq!(hex(&bytes.encoded()), "0700000000000000000102fdfeff07");
+        let floats = vec![
+            1.5f64,
+            -0.0,
+            f64::from_bits(0x7ff8_dead_beef_0001),
+            f64::MIN_POSITIVE,
+        ];
+        assert_eq!(
+            hex(&floats.encoded()),
+            "0400000000000000000000000000f83f00000000000000800100efbeaddef87f0000000000001000"
+        );
+        let nested: Vec<Vec<f64>> = vec![vec![1.0], vec![], vec![-2.5, 3.25]];
+        assert_eq!(
+            hex(&nested.encoded()),
+            "03000000000000000100000000000000000000000000f03f0000000000000000020000000000000000\
+             000000000004c00000000000000a40"
+        );
+        assert_eq!(
+            hex(&vec![1u32, 0xdead_beef].encoded()),
+            "020000000000000001000000efbeadde"
+        );
+        assert_eq!(
+            hex(&vec![0usize, 7, usize::MAX].encoded()),
+            "030000000000000000000000000000000700000000000000ffffffffffffffff"
+        );
+        assert_eq!(
+            hex(&vec![-0.0f32, 1.0].encoded()),
+            "0200000000000000000000800000803f"
+        );
+        let m = golden_matrix();
+        assert_eq!(
+            hex(&m.encoded()),
+            "0400000000000000050000000000000006000000000000000000000000000000000000000000000001\
+             000000000000000100000000000000020000000000000003000000000000000300000000000000000000\
+             0002000000010000000300000000000000000000000000f83f0100efbeaddef87f0000000000000040"
+        );
+        assert_eq!(hex(&Dcsc::from_csc(&m).encoded()), GOLDEN_DCSC);
+    }
+
+    #[test]
+    fn csc_ships_as_dcsc_without_building_one() {
+        let m = golden_matrix();
+        let mut direct = Vec::new();
+        Dcsc::encode_csc(&m, &mut direct);
+        assert_eq!(hex(&direct), GOLDEN_DCSC);
+        assert_eq!(
+            direct.len(),
+            Dcsc::<f64>::encoded_len_for(Dcsc::bytes_of_csc(&m))
+        );
+        assert_eq!(Dcsc::bytes_of_csc(&m), Dcsc::from_csc(&m).bytes());
+        // (Compared through the encoding: the fixture holds a NaN.)
+        let back = Dcsc::<f64>::decode_csc(&mut WireReader::new(&direct)).unwrap();
+        assert_eq!(back.encoded(), m.encoded());
+        // Fully empty and fully dense column sets take the same path.
+        for m in [Csc::<f64>::zero(3, 4), Csc::<f64>::identity(5)] {
+            let mut buf = Vec::new();
+            Dcsc::encode_csc(&m, &mut buf);
+            assert_eq!(buf, Dcsc::from_csc(&m).encoded());
+            assert_eq!(Dcsc::<f64>::decode_csc(&mut WireReader::new(&buf)), Ok(m));
+        }
+    }
+
+    #[test]
+    fn dcsc_to_csc_decode_rejects_what_dcsc_decode_rejects() {
+        let decode_csc = |buf: &[u8]| Dcsc::<f64>::decode_csc(&mut WireReader::new(buf));
+        let frame = |ncols: usize, jc: Vec<Idx>, cp: Vec<usize>, ir: Vec<Idx>| {
+            let mut buf = Vec::new();
+            2usize.encode(&mut buf);
+            ncols.encode(&mut buf);
+            jc.encode(&mut buf);
+            cp.encode(&mut buf);
+            ir.encode(&mut buf);
+            vec![1.0f64; ir.len()].encode(&mut buf);
+            buf
+        };
+        for bad in [
+            frame(2, vec![7], vec![0, 1], vec![0]),    // column past ncols
+            frame(2, vec![0], vec![0, 1, 1], vec![0]), // cp too long
+            frame(2, vec![0, 1], vec![0, 1, 1], vec![0]), // listed column empty
+            frame(2, vec![1, 0], vec![0, 1, 2], vec![0, 1]), // jc out of order
+            frame(2, vec![0], vec![0, 2], vec![1, 0]), // rows out of order
+            frame(2, vec![0], vec![0, 1], vec![9]),    // row past nrows
+            frame(usize::MAX, vec![], vec![0], vec![]), // ncols + 1 overflows
+        ] {
+            assert!(decode_csc(&bad).is_err());
+            assert!(Dcsc::<f64>::decode_all(&bad).is_err());
+        }
+        // A legal hypersparse matrix whose dense column-pointer array
+        // cannot exist: an error here, never an abort.
+        assert!(decode_csc(&frame(usize::MAX - 1, vec![], vec![0], vec![])).is_err());
+        let good = frame(2, vec![1], vec![0, 2], vec![0, 1]);
+        assert_eq!(
+            decode_csc(&good).unwrap(),
+            Dcsc::<f64>::decode_all(&good).unwrap().to_csc()
+        );
+    }
+
+    #[test]
+    fn bulk_decode_reports_truncation_where_the_element_loop_did() {
+        // 3 of 5 promised u32s present, plus two stray bytes: the error
+        // sits at the first element that does not fit.
+        let mut buf = Vec::new();
+        5u64.encode(&mut buf);
+        for v in [1u32, 2, 3] {
+            v.encode(&mut buf);
+        }
+        buf.extend_from_slice(&[9, 9]);
+        assert_eq!(
+            Vec::<u32>::decode_all(&buf),
+            Err(WireError {
+                what: "u32",
+                pos: 8 + 12
+            })
+        );
+        // A length whose byte count overflows is a truncation too.
+        let mut buf = Vec::new();
+        u64::MAX.encode(&mut buf);
+        1.0f64.encode(&mut buf);
+        assert_eq!(
+            Vec::<f64>::decode_all(&buf),
+            Err(WireError {
+                what: "u64",
+                pos: 16
+            })
+        );
     }
 }

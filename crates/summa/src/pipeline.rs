@@ -65,18 +65,22 @@ impl<T: Value> WireSize for BlockMsg<T> {
 
 // On a byte-moving transport the panel really travels as its hypersparse
 // DCSC encoding — the same representation whose byte count the α–β model
-// charges — and is re-densified to CSC on arrival.
+// charges — written straight from the CSC arrays and re-densified to CSC
+// on arrival, with no `Dcsc` built on either side.
 impl<T: Value> WireEncode for BlockMsg<T> {
     fn encode(&self, out: &mut Vec<u8>) {
-        Dcsc::from_csc(&self.0).encode(out);
+        Dcsc::encode_csc(&self.0, out);
+    }
+    fn encoded_len_hint(&self) -> usize {
+        Dcsc::<T>::encoded_len_for(self.1)
     }
 }
 
 impl<T: Value> WireDecode for BlockMsg<T> {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let dcsc = Dcsc::<T>::decode(r)?;
-        let bytes = dcsc.bytes();
-        Ok(BlockMsg(Arc::new(dcsc.to_csc()), bytes))
+        let block = Dcsc::<T>::decode_csc(r)?;
+        let bytes = Dcsc::bytes_of_csc(&block);
+        Ok(BlockMsg(Arc::new(block), bytes))
     }
 }
 
@@ -94,15 +98,12 @@ fn exchange_block<T: Value>(
 ) -> (Arc<Csc<T>>, usize, CommMode) {
     match policy {
         CommPolicy::Broadcast => {
-            let payload = local.map(|m| {
-                let bytes = Dcsc::from_csc(m).bytes();
-                BlockMsg(Arc::new(m.clone()), bytes)
-            });
+            let payload = local.map(|m| BlockMsg(Arc::new(m.clone()), Dcsc::bytes_of_csc(m)));
             let msg = bcast(comm, root, payload);
             (msg.0, msg.1, CommMode::Broadcast)
         }
         CommPolicy::Hybrid => {
-            let sized = local.map(|m| (Dcsc::from_csc(m).bytes(), m));
+            let sized = local.map(|m| (Dcsc::bytes_of_csc(m), m));
             // Header round: every rank learns the payload size over the
             // tree (8 bytes), then evaluates the same machine model — so
             // the mode decision is agreed without any extra exchange.
@@ -544,5 +545,64 @@ where
         kernels_used,
         comm_choices,
         timers_measured,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hipmcl_sparse::Triples;
+
+    /// 4×5, three entries, columns 0 and 2 empty.
+    fn panel() -> Csc<f64> {
+        let mut t = Triples::new(4, 5);
+        t.push(0, 1, 1.5);
+        t.push(2, 3, f64::from_bits(0x7ff8_dead_beef_0001));
+        t.push(1, 4, 2.0);
+        Csc::from_triples(&t)
+    }
+
+    #[test]
+    fn block_msg_bytes_match_the_fixture_and_the_modeled_size() {
+        // Hex captured when `BlockMsg` still built a `Dcsc` to encode:
+        // panels must stay readable across builds.
+        let m = panel();
+        let msg = BlockMsg(Arc::new(m.clone()), Dcsc::bytes_of_csc(&m));
+        assert_eq!(msg.wire_bytes(), 80);
+        let wire = msg.encoded();
+        let hex: String = wire.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "0400000000000000050000000000000003000000000000000100000003000000040000000400000000\
+             000000000000000000000001000000000000000200000000000000030000000000000003000000000000\
+             000000000002000000010000000300000000000000000000000000f83f0100efbeaddef87f0000000000\
+             000040"
+        );
+        assert_eq!(wire.len(), msg.encoded_len_hint(), "hint is exact");
+        let back = BlockMsg::<f64>::decode_all(&wire).unwrap();
+        assert_eq!(back.1, msg.1, "receiver models the same wire size");
+        assert_eq!(back.0.colptr, m.colptr);
+        assert_eq!(back.0.rowidx, m.rowidx);
+        assert_eq!(
+            back.0.encoded(),
+            m.encoded(),
+            "values bit-exact, NaN included"
+        );
+    }
+
+    #[test]
+    fn corrupt_block_msgs_are_decode_errors() {
+        let wire = BlockMsg(Arc::new(panel()), 80).encoded();
+        for cut in 0..wire.len() {
+            assert!(BlockMsg::<f64>::decode_all(&wire[..cut]).is_err());
+        }
+        // ncols (second word) blown up to a width no colptr could have.
+        let mut huge = wire.clone();
+        huge[8..16].copy_from_slice(&(usize::MAX - 1).to_le_bytes());
+        assert!(BlockMsg::<f64>::decode_all(&huge).is_err());
+        // jc[0] pointed past ncols.
+        let mut stray = wire;
+        stray[24..28].copy_from_slice(&9u32.to_le_bytes());
+        assert!(BlockMsg::<f64>::decode_all(&stray).is_err());
     }
 }
