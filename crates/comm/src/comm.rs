@@ -627,6 +627,9 @@ mod tests {
     fn measured_runs_report_both_rollups() {
         let cfg = UniverseConfig::new(2, MachineModel::summit()).with_time(TimeModel::Measured);
         let results = Universe::run_with(cfg, |comm| {
+            // Both rank threads are live before the sleep starts; a late
+            // spawn must not eat into the receiver's blocking time.
+            crate::collectives::barrier(&comm);
             if comm.rank() == 0 {
                 // Make the receiver actually block on the wall clock.
                 std::thread::sleep(Duration::from_millis(5));

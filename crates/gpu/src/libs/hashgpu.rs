@@ -11,68 +11,9 @@
 //! accumulate — which is why nsparse dominates Fig. 4 at MCL densities.
 
 use super::{build_csr_from_rows, row_flops, RowOut};
-use hipmcl_sparse::{Csr, Idx, PlusTimes, Semiring, Value};
+use hipmcl_sparse::{Csr, PlusTimes, Semiring, Value};
+use hipmcl_spgemm::hash::HashScratch;
 use rayon::prelude::*;
-
-const EMPTY: Idx = Idx::MAX;
-
-/// Open-addressing table sized per bin, reused across a worker's rows.
-#[derive(Clone)]
-struct RowTable<T> {
-    keys: Vec<Idx>,
-    vals: Vec<T>,
-    touched: Vec<u32>,
-    mask: usize,
-}
-
-impl<T: Value> RowTable<T> {
-    fn with_capacity(n: usize) -> Self {
-        let size = (2 * n.max(1)).next_power_of_two();
-        Self {
-            keys: vec![EMPTY; size],
-            // Placeholder: slots are written before first read.
-            vals: vec![T::default(); size],
-            touched: Vec::new(),
-            mask: size - 1,
-        }
-    }
-
-    #[inline]
-    fn upsert<S: Semiring<Elem = T>>(&mut self, _sr: S, key: Idx, val: T) {
-        let mut s = ((key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & self.mask;
-        loop {
-            let k = self.keys[s];
-            if k == key {
-                self.vals[s] = S::add(self.vals[s], val);
-                return;
-            }
-            if k == EMPTY {
-                self.keys[s] = key;
-                self.vals[s] = val;
-                self.touched.push(s as u32);
-                return;
-            }
-            s = (s + 1) & self.mask;
-        }
-    }
-
-    fn drain_sorted(&mut self) -> RowOut<T> {
-        let mut pairs: Vec<(Idx, T)> = self
-            .touched
-            .iter()
-            .map(|&s| (self.keys[s as usize], self.vals[s as usize]))
-            .collect();
-        pairs.sort_unstable_by_key(|&(c, _)| c);
-        for &s in &self.touched {
-            self.keys[s as usize] = EMPTY;
-        }
-        self.touched.clear();
-        (
-            pairs.iter().map(|&(c, _)| c).collect(),
-            pairs.iter().map(|&(_, v)| v).collect(),
-        )
-    }
-}
 
 /// Assigns each row to a bin by `ceil(lg flops)`; bin `b` holds rows with
 /// `flops ∈ (2^(b−1), 2^b]` (bin 0: flops ≤ 1). Returns `bins[b] = rows`.
@@ -103,21 +44,23 @@ pub fn multiply_in<S: Semiring>(sr: S, a: &Csr<S::Elem>, b: &Csr<S::Elem>) -> Cs
         if bin.is_empty() {
             continue;
         }
-        let cap = 1usize << bin_id; // flops upper bound for the bin
+        // The bin's table: its flops bound, capped by a row's possible columns.
+        let cap = (1usize << bin_id).min(b.ncols());
         let outputs: Vec<(u32, RowOut<S::Elem>)> = bin
             .par_iter()
-            .map_with(RowTable::with_capacity(cap), |table, &i| {
+            .map_with(HashScratch::default(), |table, &i| {
                 let i = i as usize;
-                let (acols, avals) = (a.row_cols(i), a.row_vals(i));
-                for (idx, &k) in acols.iter().enumerate() {
-                    let av = avals[idx];
+                table.open(cap);
+                for (&k, &av) in a.row_cols(i).iter().zip(a.row_vals(i)) {
                     let k = k as usize;
-                    let (bcols, bvals) = (b.row_cols(k), b.row_vals(k));
-                    for (bi, &c) in bcols.iter().enumerate() {
-                        table.upsert(sr, c, S::mul(av, bvals[bi]));
+                    for (&c, &bv) in b.row_cols(k).iter().zip(b.row_vals(k)) {
+                        table.upsert(sr, c, S::mul(av, bv));
                     }
                 }
-                (i as u32, table.drain_sorted())
+                let mut out = (vec![0; table.len()], vec![S::Elem::default(); table.len()]);
+                // Row-wise here: a failed assert's "column {i}" is row `i`.
+                table.drain_sorted_into(i, &mut out.0, &mut out.1);
+                (i as u32, out)
             })
             .collect();
         for (i, out) in outputs {
@@ -148,22 +91,6 @@ mod tests {
         assert_eq!(bins[2], vec![3, 4]); // 3..4
         assert_eq!(bins[4], vec![5]); // 9 -> bin 4 (<=16)
         assert_eq!(bins[10], vec![6]); // 1024 -> bin 10
-    }
-
-    #[test]
-    fn row_table_accumulates_and_sorts() {
-        let pt = PlusTimes::<f64>::new();
-        let mut t = RowTable::with_capacity(4);
-        t.upsert(pt, 9, 1.0);
-        t.upsert(pt, 2, 3.0);
-        t.upsert(pt, 9, 1.5);
-        let (cols, vals) = t.drain_sorted();
-        assert_eq!(cols, vec![2, 9]);
-        assert_eq!(vals, vec![3.0, 2.5]);
-        // Reusable after drain.
-        t.upsert(pt, 5, 1.0);
-        let (cols2, _) = t.drain_sorted();
-        assert_eq!(cols2, vec![5]);
     }
 
     #[test]

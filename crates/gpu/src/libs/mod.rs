@@ -89,8 +89,20 @@ pub fn multiply_csc_in<S: Semiring>(
     lib: GpuLib,
 ) -> Csc<S::Elem> {
     let at = Csr::from_csc_transpose(a.clone()); // Aᵀ in CSR, zero work
-    let bt = Csr::from_csc_transpose(b.clone()); // Bᵀ in CSR
-    let ct = multiply_csr_in(s, &bt, &at, lib); // Cᵀ = Bᵀ·Aᵀ
+    multiply_csc_with_at_in(s, &at, b.clone(), lib)
+}
+
+/// [`multiply_csc_in`] with `Aᵀ` already reinterpreted and `B` owned, so a
+/// launch that splits `B` across devices stages `A` once and moves each
+/// slab instead of copying it again.
+pub(crate) fn multiply_csc_with_at_in<S: Semiring>(
+    s: S,
+    at: &Csr<S::Elem>,
+    b: Csc<S::Elem>,
+    lib: GpuLib,
+) -> Csc<S::Elem> {
+    let bt = Csr::from_csc_transpose(b); // Bᵀ in CSR
+    let ct = multiply_csr_in(s, &bt, at, lib); // Cᵀ = Bᵀ·Aᵀ
     ct.into_csc_transpose()
 }
 

@@ -14,7 +14,7 @@
 use crate::device::{Device, DeviceError};
 use hipmcl_comm::{GpuLib, MachineModel};
 use hipmcl_sparse::util::even_chunk;
-use hipmcl_sparse::{Csc, PlusTimes, Semiring, Value};
+use hipmcl_sparse::{Csc, Csr, PlusTimes, Semiring, Value};
 
 /// The set of devices owned by one rank.
 pub struct MultiGpu {
@@ -101,6 +101,8 @@ impl MultiGpu {
         let mut total_flops = 0u64;
         let mut total_out = 0u64;
 
+        // `A` goes to every device; its CSR reinterpretation is built once.
+        let at = Csr::from_csc_transpose(a.clone());
         for (d, dev) in self.devices.iter_mut().enumerate() {
             let cols = even_chunk(n, g, d);
             let b_slab = b.column_slice(cols);
@@ -113,7 +115,7 @@ impl MultiGpu {
             inputs_done = inputs_done.max(t_in);
 
             // Real kernel execution (host-side, verified), modeled duration.
-            let c_slab = crate::libs::multiply_csc_in(s, a, &b_slab, lib);
+            let c_slab = crate::libs::multiply_csc_with_at_in(s, &at, b_slab, lib);
             let cf = if c_slab.nnz() == 0 {
                 1.0
             } else {

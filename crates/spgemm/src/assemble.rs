@@ -12,37 +12,13 @@ use rayon::prelude::*;
 /// Builds a CSC matrix by filling each column's slice in parallel.
 ///
 /// `counts[j]` must be the exact number of entries `fill` writes for column
-/// `j`. `fill(j, rows, vals)` receives the column's output slices (length
-/// `counts[j]`) and must write all of them, with strictly increasing rows.
-pub fn build_csc_parallel<T, F>(nrows: usize, ncols: usize, counts: &[usize], fill: F) -> Csc<T>
-where
-    T: Value,
-    F: Fn(usize, &mut [Idx], &mut [T]) + Sync,
-{
-    debug_assert_eq!(counts.len(), ncols);
-    let colptr = counts_to_colptr(counts);
-    let nnz = colptr[ncols];
-    let mut rowidx = vec![0 as Idx; nnz];
-    let mut vals = vec![T::default(); nnz];
-
-    // Split the flat arrays into disjoint per-column chunks. `split_at_mut`
-    // in a fold keeps this entirely safe.
-    let row_chunks = split_by_colptr(&mut rowidx, &colptr);
-    let val_chunks = split_by_colptr(&mut vals, &colptr);
-    row_chunks
-        .into_par_iter()
-        .zip_eq(val_chunks)
-        .enumerate()
-        .for_each(|(j, (rows, vals))| fill(j, rows, vals));
-
-    Csc::from_parts(nrows, ncols, colptr, rowidx, vals)
-}
-
-/// Like [`build_csc_parallel`], but threads a clonable per-worker scratch
-/// value through the fill closure (rayon `for_each_with`), so hash tables
-/// and dense accumulators are reused across the columns a worker processes
-/// instead of being reallocated per column — the Nagasaka CPU-SpGEMM trick
-/// of one long-lived table per thread.
+/// `j`. `fill(scratch, j, rows, vals)` receives the column's output slices
+/// (length `counts[j]`) and must write all of them, with strictly
+/// increasing rows — and must panic rather than return if `counts[j]` turns
+/// out wrong. `scratch` is cloned once per worker (rayon `for_each_with`),
+/// so hash tables, heaps and dense accumulators are reused across the
+/// columns a worker processes instead of being reallocated per column —
+/// the Nagasaka CPU-SpGEMM trick of one long-lived table per thread.
 pub fn build_csc_parallel_scratch<T, S, F>(
     nrows: usize,
     ncols: usize,
@@ -104,19 +80,20 @@ mod tests {
     }
 
     #[test]
-    fn build_csc_parallel_fills_columns() {
+    fn build_csc_parallel_scratch_fills_columns() {
         // 3 columns with 1, 0, 2 entries.
-        let m: Csc<f64> = build_csc_parallel(4, 3, &[1, 0, 2], |j, rows, vals| match j {
-            0 => {
-                rows[0] = 2;
-                vals[0] = 5.0;
-            }
-            2 => {
-                rows.copy_from_slice(&[0, 3]);
-                vals.copy_from_slice(&[1.0, 2.0]);
-            }
-            _ => {}
-        });
+        let m: Csc<f64> =
+            build_csc_parallel_scratch(4, 3, &[1, 0, 2], (), |(), j, rows, vals| match j {
+                0 => {
+                    rows[0] = 2;
+                    vals[0] = 5.0;
+                }
+                2 => {
+                    rows.copy_from_slice(&[0, 3]);
+                    vals.copy_from_slice(&[1.0, 2.0]);
+                }
+                _ => {}
+            });
         m.assert_valid();
         assert_eq!(m.get(2, 0), Some(5.0));
         assert_eq!(m.get(3, 2), Some(2.0));

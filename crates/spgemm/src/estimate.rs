@@ -65,22 +65,21 @@ impl CohenEstimator {
     pub fn propagate<T: Value>(&self, m: &Csc<T>, row_keys: &[f32]) -> Vec<f32> {
         assert_eq!(row_keys.len(), m.nrows() * self.r);
         let r = self.r;
-        (0..m.ncols())
-            .into_par_iter()
-            .flat_map_iter(|j| {
-                let rows = m.col_rows(j);
-                (0..r).map(move |t| {
-                    let mut mn = f32::INFINITY;
-                    for &i in rows {
-                        let k = row_keys[i as usize * r + t];
-                        if k < mn {
-                            mn = k;
-                        }
+        let mut col_keys = vec![f32::INFINITY; m.ncols() * r];
+        col_keys
+            .par_chunks_mut(r)
+            .enumerate()
+            .for_each(|(j, mins)| {
+                // One pass per column: each row's `r` keys are contiguous.
+                for &i in m.col_rows(j) {
+                    let keys = &row_keys[i as usize * r..][..r];
+                    for (mn, &k) in mins.iter_mut().zip(keys) {
+                        // A select, not a branch: compiles to a vector min.
+                        *mn = if k < *mn { k } else { *mn };
                     }
-                    mn
-                })
-            })
-            .collect()
+                }
+            });
+        col_keys
     }
 
     /// Converts final keys (per column of `B`) into per-column cardinality
@@ -179,6 +178,28 @@ mod tests {
         let row_keys = vec![0.5, 0.9, 0.8, 0.2, 0.1, 0.7]; // rows 0,1,2
         let col_keys = e.propagate(&m, &row_keys);
         assert_eq!(col_keys, vec![0.1, 0.7, 0.8, 0.2]);
+    }
+
+    #[test]
+    fn propagate_is_bit_equal_to_key_major_loop() {
+        // The loop order before PR 13: key index outer, rows inner. `min`
+        // over non-NaN keys is order-independent, so no key may move.
+        let m = random_csc(60, 40, 500, 8);
+        let e = CohenEstimator::new(5, 3);
+        let row_keys = e.draw_keys(60);
+        let old_loop = |(j, t): (usize, usize)| {
+            let mut mn = f32::INFINITY;
+            for &i in m.col_rows(j) {
+                let k = row_keys[i as usize * 5 + t];
+                if k < mn {
+                    mn = k;
+                }
+            }
+            mn.to_bits()
+        };
+        let want: Vec<u32> = (0..40 * 5).map(|x| old_loop((x / 5, x % 5))).collect();
+        let got = e.propagate(&m, &row_keys);
+        assert_eq!(got.iter().map(|k| k.to_bits()).collect::<Vec<_>>(), want);
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! pointer-chasing heap hurt at MCL densities (≈1000 nonzeros per column),
 //! which is what §VI replaces with hash accumulation.
 
-use crate::assemble::build_csc_parallel;
+use crate::assemble::build_csc_parallel_scratch;
 use hipmcl_sparse::{Csc, Idx, PlusTimes, Semiring, Value};
-use rayon::prelude::*;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 /// One merge cursor: the current head of a scaled column of `A`.
 /// Ordered by `row` (then list id for determinism) as a *min*-heap entry.
@@ -34,29 +34,21 @@ impl PartialOrd for Cursor {
     }
 }
 
+/// Per-worker merge state, reused across the columns a worker fills.
+#[derive(Clone, Default)]
+struct HeapScratch {
+    /// `positions[l]` = how far `A_{*k}` for the `l`-th entry of `B_{*j}`
+    /// has been consumed.
+    positions: Vec<usize>,
+    heap: BinaryHeap<Cursor>,
+}
+
 /// Multiplies `C = A · B` with heap accumulation in the given semiring,
-/// column-parallel.
+/// column-parallel. Two-phase like CombBLAS's local multiply, so assembly
+/// is allocation-exact: the shared hash symbolic pass sizes the output
+/// (`O(flops)`, no products, no `lg` factor), then one heap merge fills it.
 pub fn multiply_in<S: Semiring>(s: S, a: &Csc<S::Elem>, b: &Csc<S::Elem>) -> Csc<S::Elem> {
-    assert_eq!(a.ncols(), b.nrows(), "inner dimensions must agree");
-
-    // Pass 1: exact per-column output sizes via a structure-only merge.
-    // (Heap SpGEMM traditionally runs single-pass with guessed output size;
-    // we use the common two-pass variant so assembly is allocation-exact,
-    // matching what CombBLAS does for its local multiply.)
-    let counts: Vec<usize> = (0..b.ncols())
-        .into_par_iter()
-        .map(|j| merge_column(s, a, b, j, |_r, _v| {}))
-        .collect();
-
-    build_csc_parallel(a.nrows(), b.ncols(), &counts, |j, rows_out, vals_out| {
-        let mut w = 0usize;
-        merge_column(s, a, b, j, |r, v| {
-            rows_out[w] = r;
-            vals_out[w] = v;
-            w += 1;
-        });
-        debug_assert_eq!(w, rows_out.len());
-    })
+    multiply_with_counts_in(s, a, b, &crate::hash::symbolic_counts(a, b))
 }
 
 /// [`multiply_in`] with the numeric plus-times semiring — MCL's default.
@@ -67,71 +59,88 @@ where
     multiply_in(PlusTimes::new(), a, b)
 }
 
+/// The numeric phase alone: heap-merges every output column into a CSC
+/// allocated from `counts` ([`crate::hash::symbolic_counts_with_flops`]).
+/// Panics on a count that does not match the column it describes.
+pub fn multiply_with_counts_in<S: Semiring>(
+    s: S,
+    a: &Csc<S::Elem>,
+    b: &Csc<S::Elem>,
+    counts: &[usize],
+) -> Csc<S::Elem> {
+    assert_eq!(a.ncols(), b.nrows(), "inner dimensions must agree");
+    assert_eq!(counts.len(), b.ncols(), "one count per output column");
+    build_csc_parallel_scratch(
+        a.nrows(),
+        b.ncols(),
+        counts,
+        HeapScratch::default(),
+        |scratch, j, rows_out, vals_out| {
+            let mut w = 0usize;
+            merge_column(s, a, b, j, scratch, |r, v| {
+                rows_out[w] = r;
+                vals_out[w] = v;
+                w += 1;
+            });
+            assert_eq!(w, rows_out.len(), "column {j}: count does not match");
+        },
+    )
+}
+
 /// Heap-merges the scaled A-columns selected by `B_{*j}`, invoking `emit`
 /// once per distinct output row (in increasing row order) with the
-/// accumulated value. Returns the number of emitted entries.
+/// accumulated value. Equal rows pop in ascending list order, so each
+/// entry folds its products in ascending position within `B_{*j}`.
 fn merge_column<S: Semiring>(
     _s: S,
     a: &Csc<S::Elem>,
     b: &Csc<S::Elem>,
     j: usize,
+    scratch: &mut HeapScratch,
     mut emit: impl FnMut(Idx, S::Elem),
-) -> usize {
+) {
     let bk = b.col_rows(j);
     let bv = b.col_vals(j);
-    if bk.is_empty() {
-        return 0;
-    }
+    let HeapScratch { positions, heap } = scratch;
+    positions.clear();
+    positions.resize(bk.len(), 0);
+    heap.clear();
+    heap.extend(bk.iter().enumerate().filter_map(|(l, &k)| {
+        let row = *a.col_rows(k as usize).first()?;
+        Some(Cursor {
+            row,
+            list: l as u32,
+        })
+    }));
 
-    // positions[l] = how far we've consumed A column bk[l].
-    let mut positions: Vec<usize> = vec![0; bk.len()];
-    let mut heap = std::collections::BinaryHeap::with_capacity(bk.len());
-    for (l, &k) in bk.iter().enumerate() {
-        let rows = a.col_rows(k as usize);
-        if !rows.is_empty() {
-            heap.push(Cursor {
-                row: rows[0],
-                list: l as u32,
-            });
-        }
-    }
-
-    let mut count = 0usize;
-    let mut cur_row: Option<Idx> = None;
-    let mut acc = S::ZERO;
-    while let Some(Cursor { row, list }) = heap.pop() {
+    let mut cur: Option<(Idx, S::Elem)> = None;
+    while let Some(mut top) = heap.peek_mut() {
+        let Cursor { row, list } = *top;
         let l = list as usize;
         let k = bk[l] as usize;
         let pos = positions[l];
         let contrib = S::mul(a.col_vals(k)[pos], bv[l]);
-        match cur_row {
-            Some(r) if r == row => acc = S::add(acc, contrib),
-            Some(r) => {
+        cur = match cur {
+            Some((r, acc)) if r == row => Some((r, S::add(acc, contrib))),
+            Some((r, acc)) => {
                 emit(r, acc);
-                count += 1;
-                cur_row = Some(row);
-                acc = contrib;
+                Some((row, contrib))
             }
+            None => Some((row, contrib)),
+        };
+        // Advance the top cursor in place: one sift when the guard drops,
+        // instead of a pop and a push.
+        positions[l] = pos + 1;
+        match a.col_rows(k).get(pos + 1) {
+            Some(&next) => top.row = next,
             None => {
-                cur_row = Some(row);
-                acc = contrib;
+                PeekMut::pop(top);
             }
         }
-        // Advance this cursor.
-        positions[l] += 1;
-        let rows = a.col_rows(k);
-        if positions[l] < rows.len() {
-            heap.push(Cursor {
-                row: rows[positions[l]],
-                list,
-            });
-        }
     }
-    if let Some(r) = cur_row {
+    if let Some((r, acc)) = cur {
         emit(r, acc);
-        count += 1;
     }
-    count
 }
 
 #[cfg(test)]

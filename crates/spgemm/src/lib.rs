@@ -13,8 +13,10 @@
 //! * [`spa`] — dense sparse-accumulator (Gilbert/Moler/Schreiber), the
 //!   classic baseline; fast for short, dense outputs, memory-hungry.
 //!
-//! [`hypersparse`] multiplies DCSC operands directly — the CombBLAS
-//! HyperSparseGEMM analogue for blocks with `nnz < ncols` (large grids).
+//! Every kernel is two-phase, each phase run once per product: the shared
+//! symbolic pass [`hash::symbolic_counts_with_flops`] sizes the output, a
+//! kernel's `multiply_with_counts_in` fills it (DESIGN.md, "Local SpGEMM:
+//! the two-phase contract").
 //!
 //! [`symbolic`] computes exact output structure counts (the "exact" memory
 //! estimator), and [`estimate`] implements Cohen's probabilistic `nnz(AB)`
@@ -31,7 +33,6 @@ pub mod estimate;
 pub mod hash;
 pub mod heap;
 pub mod hybrid;
-pub mod hypersparse;
 pub mod spa;
 pub mod symbolic;
 

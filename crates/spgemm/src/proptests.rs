@@ -40,16 +40,11 @@ proptest! {
     }
 
     #[test]
-    fn kernels_agree_on_pattern((a, b) in arb_mult_pair()) {
-        // Positive inputs -> no cancellation -> identical patterns.
+    fn kernels_agree_exactly((a, b) in arb_mult_pair()) {
+        // Same pattern, and the same fold order per entry: equal values.
         let c1 = heap::multiply(&a, &b);
-        let c2 = hash::multiply(&a, &b);
-        let c3 = spa::multiply(&a, &b);
-        prop_assert_eq!(c1.nnz(), c2.nnz());
-        prop_assert_eq!(&c1.colptr, &c2.colptr);
-        prop_assert_eq!(&c1.rowidx, &c2.rowidx);
-        prop_assert_eq!(&c2.colptr, &c3.colptr);
-        prop_assert_eq!(&c2.rowidx, &c3.rowidx);
+        prop_assert_eq!(&c1, &hash::multiply(&a, &b));
+        prop_assert_eq!(&c1, &spa::multiply(&a, &b));
     }
 
     #[test]
