@@ -44,18 +44,19 @@ pub fn multiply_in<S: Semiring>(sr: S, a: &Csr<S::Elem>, b: &Csr<S::Elem>) -> Cs
         if bin.is_empty() {
             continue;
         }
-        // The bin's table: its flops bound, capped by a row's possible columns.
+        // The bin's table: its flops bound, capped by a row's possible
+        // columns — direct-addressed by column id when `ncols(B)` slots fit
+        // the accumulator's budget, a hash table of `cap` keys otherwise.
         let cap = (1usize << bin_id).min(b.ncols());
         let outputs: Vec<(u32, RowOut<S::Elem>)> = bin
             .par_iter()
             .map_with(HashScratch::default(), |table, &i| {
                 let i = i as usize;
-                table.open(cap);
+                table.open(cap, b.ncols());
                 for (&k, &av) in a.row_cols(i).iter().zip(a.row_vals(i)) {
                     let k = k as usize;
-                    for (&c, &bv) in b.row_cols(k).iter().zip(b.row_vals(k)) {
-                        table.upsert(sr, c, S::mul(av, bv));
-                    }
+                    let scaled = b.row_vals(k).iter().map(|&bv| S::mul(av, bv));
+                    table.extend(sr, b.row_cols(k).iter().copied().zip(scaled));
                 }
                 let mut out = (vec![0; table.len()], vec![S::Elem::default(); table.len()]);
                 // Row-wise here: a failed assert's "column {i}" is row `i`.

@@ -214,7 +214,9 @@ mod tests {
         let a = random_csc(100, 100, 4000, 24);
         let mut m = MultiGpu::new(MachineModel::summit(), 1, 64); // 64 bytes
         let err = m.multiply(0.0, &a, &a, GpuLib::Nsparse).unwrap_err();
-        matches!(err, DeviceError::OutOfMemory { .. });
+        // One device: its inputs are `A` and all of `B` (= `A`).
+        let (requested, free) = (2 * a.bytes(), 64);
+        assert_eq!(err, DeviceError::OutOfMemory { requested, free });
     }
 
     #[test]

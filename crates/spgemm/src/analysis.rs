@@ -14,17 +14,7 @@ use rayon::prelude::*;
 /// `O(nnz(B))` to compute — cheap enough to evaluate before every local
 /// multiplication for kernel selection.
 pub fn flops<T: Value, U: Value>(a: &Csc<T>, b: &Csc<U>) -> u64 {
-    assert_eq!(a.ncols(), b.nrows(), "inner dimensions must agree");
-    let col_nnz_a: Vec<u64> = (0..a.ncols()).map(|k| a.col_nnz(k) as u64).collect();
-    (0..b.ncols())
-        .into_par_iter()
-        .map(|j| {
-            b.col_rows(j)
-                .iter()
-                .map(|&k| col_nnz_a[k as usize])
-                .sum::<u64>()
-        })
-        .sum()
+    flops_per_column(a, b).iter().sum()
 }
 
 /// Per-output-column `flops`, used to size hash tables and to split phases.

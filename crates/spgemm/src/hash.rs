@@ -5,20 +5,32 @@
 //! Two phases, each run exactly once per product:
 //! [`symbolic_counts_with_flops`] counts the distinct rows of every output
 //! column (keys only, no values), and [`multiply_with_counts_in`] fills a
-//! CSC allocated from those counts. Each worker owns one open-addressing
-//! table whose storage only grows and which is opened per column at the
-//! smallest power of two that holds the column at ≤ 50 % load: at most
-//! `min(flops_j, nrows)` keys in the symbolic phase, exactly `counts[j]` in
-//! the numeric one — so the hot table tracks the column, not the largest
-//! column the worker ever saw. Accumulation is `O(1)` expected per product
-//! — no `lg` factor — which is why hash beats heaps when the compression
-//! factor `cf = flops/nnz(C)` is large, the regime of the expensive MCL
-//! iterations. The drained column is radix-sorted (MCL merges and prunes
-//! sorted columns).
+//! CSC allocated from those counts. Each worker owns one accumulator,
+//! [`HashScratch`], whose storage only grows and which finds a row's slot
+//! in one of two ways ([`Addressing`]), chosen from the operands alone:
+//!
+//! * **direct** while one slot per row of `A` fits a cache-resident budget
+//!   ([`DIRECT_BUDGET_BYTES`]): the slot is the row id — no hashing, no
+//!   probing, no key compare. Occupancy is a two-level bitmap, so the drain
+//!   walks set bits, which is ascending row order, and clears only the words
+//!   it finds; the symbolic pass needs no drain and keeps a generation stamp
+//!   per row instead (one store and a branch-free count per product).
+//! * **hashed** above the budget — the hypersparse blocks §VI adopts hash
+//!   accumulation for — and for products with under one output row per 4096
+//!   rows of `A`: an open-addressing table opened per column at the
+//!   smallest power of two that holds the column at ≤ 50 % load (at most
+//!   `min(flops_j, nrows)` keys in the symbolic phase, exactly `counts[j]`
+//!   in the numeric one), so the hot table tracks the column, not the
+//!   largest column the worker ever saw; the drained column is radix-sorted
+//!   (MCL merges and prunes sorted columns).
+//!
+//! Either way accumulation is `O(1)` expected per product — no `lg` factor —
+//! which is why this kernel beats heaps when the compression factor
+//! `cf = flops/nnz(C)` is large, the regime of the expensive MCL iterations.
 //!
 //! Every output entry folds its products in ascending position `l` within
-//! `B_{*j}`; table size and pass count never touch that order, so values
-//! are bit-identical to the heap and SPA kernels.
+//! `B_{*j}`; addressing, table size and pass count never touch that order,
+//! so values are bit-identical to the heap kernel in both modes.
 
 use crate::analysis::flops_per_column;
 use crate::assemble::build_csc_parallel_scratch;
@@ -26,6 +38,82 @@ use hipmcl_sparse::{Csc, Idx, PlusTimes, Semiring, Value};
 use rayon::prelude::*;
 
 const EMPTY: Idx = Idx::MAX;
+
+/// How an accumulator finds a key's slot.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Addressing {
+    /// Slot = key: no hashing, no probing, no key compare, one slot per key
+    /// of the universe.
+    Direct,
+    /// Fibonacci-hashed linear probing into a table sized for the column.
+    #[default]
+    Hashed,
+}
+
+/// Bytes of direct-addressed value slots one worker may own: half a common
+/// private L2, so the slots stay cache-resident next to the operands
+/// (EXPERIMENTS.md, "Direct or hashed": direct wins 1.2–2.4× wherever the
+/// slots fit, and on this host's 2 MiB L2 well beyond).
+pub const DIRECT_BUDGET_BYTES: usize = 512 << 10;
+
+/// Keys one word of [`HashScratch`]'s bitmap summary spans. A column with
+/// fewer keys than its universe has summary words pays a walk and a cache
+/// line per key where a table of its own size is a line or two: hashed
+/// wins below one key per span (same sweep, uniform columns of 1–16 keys).
+const SUMMARY_SPAN: usize = 64 * 64;
+
+impl Addressing {
+    /// The mode for a column of about `n` distinct keys below `universe`
+    /// with values of type `T`: direct while one slot per possible key fits
+    /// [`DIRECT_BUDGET_BYTES`] and the column is not hypersparse in its
+    /// universe.
+    pub fn of<T>(n: usize, universe: usize) -> Self {
+        let fits = universe.saturating_mul(std::mem::size_of::<T>()) <= DIRECT_BUDGET_BYTES;
+        if fits && n.saturating_mul(SUMMARY_SPAN) >= universe {
+            Addressing::Direct
+        } else {
+            Addressing::Hashed
+        }
+    }
+}
+
+/// Direct-addressed key counter of the symbolic pass: `marks[key] == gen`
+/// says the current column has the key. One store per key and a branch-free
+/// count; nothing to reset between columns until `gen` wraps.
+#[derive(Clone, Default)]
+struct Stamps {
+    marks: Vec<u8>,
+    gen: u8,
+}
+
+impl Stamps {
+    /// Number of distinct keys in `columns`, all below `universe`. Panics on
+    /// a key outside the universe.
+    fn count_distinct<'a>(
+        &mut self,
+        universe: usize,
+        columns: impl Iterator<Item = &'a [Idx]>,
+    ) -> usize {
+        if self.marks.len() < universe {
+            self.marks.resize(universe, 0);
+        }
+        if self.gen == u8::MAX {
+            self.marks.fill(0);
+            self.gen = 0;
+        }
+        self.gen += 1;
+        let (marks, gen) = (&mut self.marks[..universe], self.gen);
+        let mut count = 0;
+        for keys in columns {
+            for &key in keys {
+                let mark = &mut marks[key as usize];
+                count += (*mark != gen) as usize;
+                *mark = gen;
+            }
+        }
+        count
+    }
+}
 
 /// Linear-probing key set reused across columns by one worker.
 /// Between columns every slot is `EMPTY`, so any power-of-two prefix of
@@ -117,56 +205,120 @@ fn sort_by_key(words: &mut Vec<u64>, spare: &mut Vec<u64>) {
     }
 }
 
-/// Linear-probing accumulation table reused across columns by one worker:
-/// a key set plus one value per slot and reused drain buffers. The one
-/// hash accumulator of the workspace — the CPU hash kernel and the
-/// `nsparse` analogue in `hipmcl-gpu` both run on it.
+/// Accumulator reused across columns by one worker, in either addressing
+/// mode: one value per slot, found by key ([`Addressing::Direct`]) or by a
+/// [`KeySet`] probe. The one accumulator of the workspace — the CPU hash and
+/// SPA kernels and the `nsparse` analogue in `hipmcl-gpu` all run on it.
+///
+/// Between columns the key set is empty and every bitmap word is zero, so
+/// any prefix of the storage is a valid empty accumulator: opening only
+/// picks mode and size, and grows what a column needs more of than any
+/// before.
 #[derive(Clone, Default)]
 pub struct HashScratch<T> {
-    set: KeySet,
+    mode: Addressing,
+    universe: usize,
     vals: Vec<T>,
-    /// Drain buffers: `key << 32 | slot` words and the radix sort's spare.
+    /// Hashed: slot finder, and the drain's `key << 32 | slot` words with
+    /// the radix sort's spare.
+    set: KeySet,
     order: Vec<u64>,
     spare: Vec<u64>,
+    /// Direct: one occupancy bit per key, one bit per nonzero word of
+    /// `bits` — the drain walks set bits, which is ascending key order, and
+    /// clears only the words it finds — and the number of bits set.
+    bits: Vec<u64>,
+    summary: Vec<u64>,
+    len: usize,
 }
 
 impl<T: Value> HashScratch<T> {
-    /// Opens an empty table for a column of at most `n` distinct keys.
-    /// Panics if the previous column was not drained.
-    pub fn open(&mut self, n: usize) {
-        self.set.open(n);
-        if self.vals.len() < self.set.keys.len() {
+    /// Opens an empty accumulator for a column of at most `n` distinct keys
+    /// below `universe`, addressed as [`Addressing::of`] says. Panics if the
+    /// previous column was not drained.
+    pub fn open(&mut self, n: usize, universe: usize) {
+        self.open_as(Addressing::of::<T>(n, universe), n, universe);
+    }
+
+    /// [`HashScratch::open`] with the addressing mode given.
+    pub fn open_as(&mut self, mode: Addressing, n: usize, universe: usize) {
+        assert!(self.is_empty(), "previous column was not drained");
+        (self.mode, self.universe) = (mode, universe);
+        let slots = match mode {
+            Addressing::Direct => {
+                let words = universe.div_ceil(64);
+                if self.bits.len() < words {
+                    self.bits.resize(words, 0);
+                    self.summary.resize(words.div_ceil(64), 0);
+                }
+                universe
+            }
+            Addressing::Hashed => {
+                self.set.open(n);
+                self.set.keys.len()
+            }
+        };
+        if self.vals.len() < slots {
             // Placeholder only: every slot's value is overwritten on first
             // touch, so no semiring identity is needed here.
-            self.vals.resize(self.set.keys.len(), T::default());
+            self.vals.resize(slots, T::default());
         }
     }
 
-    /// Accumulates `val` into `key`'s slot with the semiring's addition,
-    /// inserting on first touch. Panics if the column turns out to have
-    /// more distinct keys than it was opened for.
+    /// Accumulates every `(key, val)` of `entries` into `key`'s slot with
+    /// the semiring's addition, in order, inserting on first touch. Panics
+    /// (direct) on a key outside the universe, (hashed) if the column turns
+    /// out to have more distinct keys than it was opened for.
     #[inline]
-    pub fn upsert<S: Semiring<Elem = T>>(&mut self, _sr: S, key: Idx, val: T) {
-        let (s, inserted) = self.set.probe(key);
-        self.vals[s] = if inserted {
-            val
-        } else {
-            S::add(self.vals[s], val)
-        };
+    pub fn extend<S: Semiring<Elem = T>>(
+        &mut self,
+        _sr: S,
+        entries: impl IntoIterator<Item = (Idx, T)>,
+    ) {
+        match self.mode {
+            Addressing::Direct => {
+                // Slices as long as the universe: indexing is the key check.
+                let slots = &mut self.vals[..self.universe];
+                let bits = &mut self.bits[..self.universe.div_ceil(64)];
+                for (key, val) in entries {
+                    let slot = &mut slots[key as usize];
+                    let w = key as usize >> 6;
+                    let (word, bit) = (bits[w], 1u64 << (key & 63));
+                    if word & bit != 0 {
+                        *slot = S::add(*slot, val);
+                    } else {
+                        *slot = val;
+                        bits[w] = word | bit;
+                        self.summary[w >> 6] |= 1 << (w & 63);
+                        self.len += 1;
+                    }
+                }
+            }
+            Addressing::Hashed => {
+                for (key, val) in entries {
+                    let (s, inserted) = self.set.probe(key);
+                    self.vals[s] = if inserted {
+                        val
+                    } else {
+                        S::add(self.vals[s], val)
+                    };
+                }
+            }
+        }
     }
 
     /// Number of distinct keys currently stored.
     pub fn len(&self) -> usize {
-        self.set.touched.len()
+        self.set.touched.len() + self.len
     }
 
     /// `true` if no key is stored.
     pub fn is_empty(&self) -> bool {
-        self.set.touched.is_empty()
+        self.len() == 0
     }
 
     /// Drains `(key, val)` pairs sorted by key into the output slices of
-    /// column `col` and resets the table. Panics if the slices are not
+    /// column `col` and resets the accumulator. Panics if the slices are not
     /// exactly [`HashScratch::len`] long — a wrong count must not become a
     /// malformed column. `col` only labels the panic (`hipmcl_gpu`'s
     /// row-wise `hashgpu` passes its row id).
@@ -177,24 +329,47 @@ impl<T: Value> HashScratch<T> {
             rows.len(),
             self.len()
         );
-        let keys = &self.set.keys;
-        self.order.clear();
-        self.order
-            .extend((self.set.touched.iter()).map(|&s| (keys[s as usize] as u64) << 32 | s as u64));
-        sort_by_key(&mut self.order, &mut self.spare);
-        for (i, &w) in self.order.iter().enumerate() {
-            rows[i] = (w >> 32) as Idx;
-            vals[i] = self.vals[w as u32 as usize];
+        match self.mode {
+            Addressing::Direct => {
+                let mut out = rows.iter_mut().zip(vals);
+                let nsummary = self.universe.div_ceil(64).div_ceil(64);
+                for (i, summary) in self.summary[..nsummary].iter_mut().enumerate() {
+                    let mut nonzero = std::mem::take(summary);
+                    while nonzero != 0 {
+                        let w = i << 6 | nonzero.trailing_zeros() as usize;
+                        nonzero &= nonzero - 1;
+                        let mut word = std::mem::take(&mut self.bits[w]);
+                        while word != 0 {
+                            let key = w << 6 | word.trailing_zeros() as usize;
+                            word &= word - 1;
+                            let (r, v) = out.next().expect("as many slots as bits set");
+                            (*r, *v) = (key as Idx, self.vals[key]);
+                        }
+                    }
+                }
+                self.len = 0;
+            }
+            Addressing::Hashed => {
+                let keys = &self.set.keys;
+                self.order.clear();
+                self.order.extend(
+                    (self.set.touched.iter()).map(|&s| (keys[s as usize] as u64) << 32 | s as u64),
+                );
+                sort_by_key(&mut self.order, &mut self.spare);
+                for (i, &w) in self.order.iter().enumerate() {
+                    rows[i] = (w >> 32) as Idx;
+                    vals[i] = self.vals[w as u32 as usize];
+                }
+                self.set.reset();
+            }
         }
-        self.set.reset();
     }
 }
 
 /// Multiplies `C = A · B` with hash accumulation in the given semiring:
 /// one symbolic pass, one numeric pass.
 pub fn multiply_in<S: Semiring>(s: S, a: &Csc<S::Elem>, b: &Csc<S::Elem>) -> Csc<S::Elem> {
-    let fpc = flops_per_column(a, b);
-    multiply_with_flops_in(s, a, b, &fpc)
+    multiply_with_counts_in(s, a, b, &symbolic_counts(a, b))
 }
 
 /// [`multiply_in`] with the numeric plus-times semiring — MCL's default.
@@ -203,16 +378,6 @@ where
     PlusTimes<T>: Semiring<Elem = T>,
 {
     multiply_in(PlusTimes::new(), a, b)
-}
-
-/// [`multiply_in`] when the per-column flops are already known.
-pub fn multiply_with_flops_in<S: Semiring>(
-    sr: S,
-    a: &Csc<S::Elem>,
-    b: &Csc<S::Elem>,
-    fpc: &[u64],
-) -> Csc<S::Elem> {
-    multiply_with_counts_in(sr, a, b, &symbolic_counts_with_flops(a, b, fpc))
 }
 
 /// The numeric phase alone: fills `C = A · B` given `counts[j] =
@@ -225,20 +390,35 @@ pub fn multiply_with_counts_in<S: Semiring>(
     b: &Csc<S::Elem>,
     counts: &[usize],
 ) -> Csc<S::Elem> {
+    // One mode per product, from the mean column: a direct column among
+    // hashed ones would find its slots evicted.
+    let mean = counts.iter().sum::<usize>().div_ceil(counts.len().max(1));
+    multiply_with_counts_as(Addressing::of::<S::Elem>(mean, a.nrows()), sr, a, b, counts)
+}
+
+/// [`multiply_with_counts_in`] with the addressing mode given instead of
+/// derived from the operands.
+pub fn multiply_with_counts_as<S: Semiring>(
+    mode: Addressing,
+    sr: S,
+    a: &Csc<S::Elem>,
+    b: &Csc<S::Elem>,
+    counts: &[usize],
+) -> Csc<S::Elem> {
     assert_eq!(a.ncols(), b.nrows(), "inner dimensions must agree");
     assert_eq!(counts.len(), b.ncols(), "one count per output column");
+    let nrows = a.nrows();
     build_csc_parallel_scratch(
-        a.nrows(),
+        nrows,
         b.ncols(),
         counts,
         HashScratch::<S::Elem>::default(),
         |scratch, j, rows_out, vals_out| {
-            scratch.open(rows_out.len());
+            scratch.open_as(mode, rows_out.len(), nrows);
             for (&k, &bv) in b.col_rows(j).iter().zip(b.col_vals(j)) {
                 let k = k as usize;
-                for (&r, &av) in a.col_rows(k).iter().zip(a.col_vals(k)) {
-                    scratch.upsert(sr, r, S::mul(av, bv));
-                }
+                let scaled = a.col_vals(k).iter().map(|&av| S::mul(av, bv));
+                scratch.extend(sr, a.col_rows(k).iter().copied().zip(scaled));
             }
             scratch.drain_sorted_into(j, rows_out, vals_out);
         },
@@ -246,26 +426,45 @@ pub fn multiply_with_counts_in<S: Semiring>(
 }
 
 /// The symbolic phase alone: exact `nnz(C_{*j})` per output column of
-/// `A · B`, given the per-column flops. Hash-based, `O(flops)`, no values
-/// touched — the one symbolic pass every two-phase kernel and the exact
-/// memory estimator share.
+/// `A · B`, given the per-column flops. `O(flops)`, no values touched — the
+/// one symbolic pass every two-phase kernel and the exact memory estimator
+/// share.
 pub fn symbolic_counts_with_flops<T: Value>(a: &Csc<T>, b: &Csc<T>, fpc: &[u64]) -> Vec<usize> {
+    // No drain to walk, so no column is too sparse: ask as for a full one.
+    symbolic_counts_as(Addressing::of::<T>(a.nrows(), a.nrows()), a, b, fpc)
+}
+
+/// [`symbolic_counts_with_flops`] with the addressing mode given instead of
+/// derived from `nrows(A)`.
+pub fn symbolic_counts_as<T: Value>(
+    mode: Addressing,
+    a: &Csc<T>,
+    b: &Csc<T>,
+    fpc: &[u64],
+) -> Vec<usize> {
     assert_eq!(a.ncols(), b.nrows(), "inner dimensions must agree");
     assert_eq!(fpc.len(), b.ncols(), "one flops entry per output column");
     let nrows = a.nrows();
     (0..b.ncols())
         .into_par_iter()
-        .map_with(KeySet::default(), |set, j| {
-            set.open((fpc[j] as usize).min(nrows));
-            for &k in b.col_rows(j) {
-                for &r in a.col_rows(k as usize) {
-                    set.probe(r);
+        .map_with(
+            (KeySet::default(), Stamps::default()),
+            |(set, stamps), j| {
+                let columns = b.col_rows(j).iter().map(|&k| a.col_rows(k as usize));
+                match mode {
+                    Addressing::Direct => stamps.count_distinct(nrows, columns),
+                    Addressing::Hashed => {
+                        set.open((fpc[j] as usize).min(nrows));
+                        columns.flatten().for_each(|&r| {
+                            set.probe(r);
+                        });
+                        let n = set.touched.len();
+                        set.reset();
+                        n
+                    }
                 }
-            }
-            let n = set.touched.len();
-            set.reset();
-            n
-        })
+            },
+        )
         .collect()
 }
 
@@ -278,21 +477,41 @@ pub fn symbolic_counts<T: Value>(a: &Csc<T>, b: &Csc<T>) -> Vec<usize> {
 mod tests {
     use super::*;
     use crate::testutil::{dense_reference, random_csc};
+    use Addressing::{Direct, Hashed};
+
+    const PT: PlusTimes<f64> = PlusTimes::new();
+
+    /// Drains `s` into fresh vectors.
+    fn drained(s: &mut HashScratch<f64>) -> (Vec<Idx>, Vec<f64>) {
+        let (mut rows, mut vals) = (vec![0; s.len()], vec![0.0; s.len()]);
+        s.drain_sorted_into(0, &mut rows, &mut vals);
+        (rows, vals)
+    }
 
     #[test]
-    fn scratch_upsert_accumulates() {
-        let mut s = HashScratch::<f64>::default();
-        s.open(4);
-        s.upsert(PlusTimes::<f64>::new(), 7, 1.0);
-        s.upsert(PlusTimes::<f64>::new(), 3, 2.0);
-        s.upsert(PlusTimes::<f64>::new(), 7, 0.5);
-        assert_eq!(s.len(), 2);
-        let mut rows = vec![0; 2];
-        let mut vals = vec![0.0; 2];
-        s.drain_sorted_into(0, &mut rows, &mut vals);
-        assert_eq!(rows, vec![3, 7]);
-        assert_eq!(vals, vec![2.0, 1.5]);
-        assert!(s.is_empty(), "drain resets");
+    fn the_rule_is_bytes_of_slots_and_keys_per_summary_word() {
+        let fits = DIRECT_BUDGET_BYTES / 8;
+        assert_eq!(Addressing::of::<f64>(fits, fits), Direct);
+        assert_eq!(Addressing::of::<f64>(fits + 1, fits + 1), Hashed);
+        assert_eq!(Addressing::of::<bool>(8 * fits, 8 * fits), Direct);
+        assert_eq!(Addressing::of::<bool>(8 * fits + 1, 8 * fits + 1), Hashed);
+        assert_eq!(Addressing::of::<f64>(0, SUMMARY_SPAN), Hashed);
+        assert_eq!(Addressing::of::<f64>(1, SUMMARY_SPAN), Direct);
+        assert_eq!(Addressing::of::<f64>(1, SUMMARY_SPAN + 1), Hashed);
+        assert_eq!(Addressing::of::<f64>(2, 2 * SUMMARY_SPAN), Direct);
+    }
+
+    #[test]
+    fn extend_accumulates_in_both_modes() {
+        for mode in [Direct, Hashed] {
+            let mut s = HashScratch::<f64>::default();
+            s.open_as(mode, 4, 8);
+            s.extend(PT, [(7, 1.0), (3, 2.0)]);
+            s.extend(PT, [(7, 0.5)]);
+            assert_eq!(s.len(), 2);
+            assert_eq!(drained(&mut s), (vec![3, 7], vec![2.0, 1.5]));
+            assert!(s.is_empty(), "drain resets");
+        }
     }
 
     #[test]
@@ -319,20 +538,26 @@ mod tests {
     }
 
     #[test]
+    fn stamps_count_distinct_across_generation_wraps() {
+        let mut s = Stamps::default();
+        let cols: [&[Idx]; 2] = [&[0, 3, 5], &[3, 4]];
+        for _ in 0..600 {
+            assert_eq!(s.count_distinct(6, cols.into_iter()), 4);
+        }
+        // A wider universe later: stale marks below it must not count.
+        assert_eq!(s.count_distinct(9, [&[8, 0][..]].into_iter()), 2);
+    }
+
+    #[test]
     fn table_shrinks_and_grows_per_column() {
         // A big column, then a small one in a prefix of the same storage,
         // then a bigger one: each sees an empty table of its own size.
-        let pt = PlusTimes::<f64>::new();
         let mut s = HashScratch::<f64>::default();
         for n in [300usize, 3, 1000] {
-            s.open(n);
+            s.open_as(Hashed, n, 7000);
             assert_eq!(s.set.mask + 1, (2 * n).next_power_of_two());
-            for k in 0..n as Idx {
-                s.upsert(pt, k * 7, 1.0);
-                s.upsert(pt, k * 7, 1.0);
-            }
-            let (mut rows, mut vals) = (vec![0; n], vec![0.0; n]);
-            s.drain_sorted_into(0, &mut rows, &mut vals);
+            s.extend(PT, (0..n as Idx).flat_map(|k| [(k * 7, 1.0); 2]));
+            let (rows, vals) = drained(&mut s);
             assert!(rows.windows(2).all(|w| w[0] < w[1]));
             assert!(vals.iter().all(|&v| v == 2.0));
         }
@@ -341,24 +566,74 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "more distinct rows")]
-    fn overfull_table_panics_instead_of_spinning() {
+    fn direct_drain_is_ascending_at_every_word_edge() {
+        // Universes around one bitmap word and one summary word, the last
+        // key of each, and a wide universe after a narrow one and back.
         let mut s = HashScratch::<f64>::default();
-        s.open(3); // 8 slots: the eighth key would fill the table
-        for k in 0..8u32 {
-            s.upsert(PlusTimes::<f64>::new(), k, 1.0);
+        for universe in [63usize, 64, 65, 4095, 4096, 4097, 1, 70_000, 64] {
+            s.open_as(Direct, 0, universe);
+            let keys: Vec<Idx> = (0..universe as Idx).rev().step_by(61).collect();
+            s.extend(PT, keys.iter().map(|&k| (k, 1.0)));
+            s.extend(PT, keys.iter().map(|&k| (k, k as f64)));
+            assert_eq!(s.len(), keys.len());
+            let (rows, vals) = drained(&mut s);
+            assert_eq!(rows, keys.iter().rev().copied().collect::<Vec<_>>());
+            assert_eq!(rows[rows.len() - 1] as usize, universe - 1);
+            assert!(rows.iter().zip(&vals).all(|(&r, &v)| v == 1.0 + r as f64));
+            assert!(
+                s.bits.iter().chain(&s.summary).all(|&w| w == 0),
+                "drain resets"
+            );
         }
     }
 
     #[test]
-    #[should_panic(expected = "column 1: count 3 but 2 distinct rows")]
-    fn count_too_large_panics() {
+    #[should_panic(expected = "more distinct rows")]
+    fn overfull_table_panics_instead_of_spinning() {
+        let mut s = HashScratch::<f64>::default();
+        s.open_as(Hashed, 3, 8); // 8 slots: the eighth key would fill the table
+        s.extend(PT, (0..8).map(|k| (k, 1.0)));
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn direct_key_outside_the_universe_panics() {
+        let mut s = HashScratch::<f64>::default();
+        s.open_as(Direct, 1, 4096);
+        drained(&mut s);
+        // Storage reaches 4095, the universe does not.
+        s.open_as(Direct, 1, 100);
+        s.extend(PT, [(100, 1.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn symbolic_direct_key_outside_the_universe_panics() {
+        let mut s = Stamps::default();
+        s.count_distinct(4096, std::iter::empty());
+        s.count_distinct(100, [&[100][..]].into_iter());
+    }
+
+    /// `I · B` with `B` = one column of rows {0, 2}, under a wrong count.
+    fn count_three_for_two_rows(mode: Addressing) {
         let a = Csc::<f64>::identity(4);
         let mut t = hipmcl_sparse::Triples::new(4, 2);
         t.push(0, 1, 1.0);
         t.push(2, 1, 1.0);
         let b = Csc::from_triples(&t);
-        let _ = multiply_with_counts_in(PlusTimes::<f64>::new(), &a, &b, &[0, 3]);
+        let _ = multiply_with_counts_as(mode, PT, &a, &b, &[0, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "column 1: count 3 but 2 distinct rows")]
+    fn count_too_large_panics() {
+        count_three_for_two_rows(Hashed);
+    }
+
+    #[test]
+    #[should_panic(expected = "column 1: count 3 but 2 distinct rows")]
+    fn count_too_large_panics_direct() {
+        count_three_for_two_rows(Direct);
     }
 
     #[test]
@@ -377,9 +652,15 @@ mod tests {
     }
 
     #[test]
-    fn matches_heap_kernel() {
+    fn direct_hashed_and_heap_agree() {
         let a = random_csc(30, 30, 300, 9);
-        assert_eq!(multiply(&a, &a), crate::heap::multiply(&a, &a));
+        let fpc = flops_per_column(&a, &a);
+        let counts = symbolic_counts_as(Direct, &a, &a, &fpc);
+        assert_eq!(counts, symbolic_counts_as(Hashed, &a, &a, &fpc));
+        let want = crate::heap::multiply(&a, &a);
+        for mode in [Direct, Hashed] {
+            assert_eq!(multiply_with_counts_as(mode, PT, &a, &a, &counts), want);
+        }
     }
 
     #[test]

@@ -8,10 +8,15 @@
 //!
 //! * [`heap`] — priority-queue accumulation, the *original HipMCL* kernel.
 //!   Wins at small `cf` (≈ sparse graph processing).
-//! * [`hash`] — hash-table accumulation, the paper's replacement. Wins at
-//!   large `cf`, which dominates MCL runs.
+//! * [`hash`] — `O(1)` accumulation per product, the paper's replacement.
+//!   Wins at large `cf`, which dominates MCL runs. Its accumulator
+//!   ([`hash::HashScratch`], the only one in the workspace) addresses a
+//!   row's slot directly while `nrows(A)` slots stay cache-resident and
+//!   through a hash table above that — the recipe picks the accumulator
+//!   from the operand too.
 //! * [`spa`] — dense sparse-accumulator (Gilbert/Moler/Schreiber), the
-//!   classic baseline; fast for short, dense outputs, memory-hungry.
+//!   classic baseline: the same accumulator with direct addressing forced,
+//!   so memory-hungry on tall operands.
 //!
 //! Every kernel is two-phase, each phase run once per product: the shared
 //! symbolic pass [`hash::symbolic_counts_with_flops`] sizes the output, a

@@ -1,6 +1,8 @@
 //! Property tests: all SpGEMM kernels agree with each other and with the
-//! dense reference; symbolic and probabilistic estimators are consistent.
+//! dense reference, in both addressing modes over random universes;
+//! symbolic and probabilistic estimators are consistent.
 
+use crate::hash::Addressing::{Direct, Hashed};
 use crate::testutil::dense_reference;
 use crate::{hash, heap, spa, symbolic};
 use hipmcl_sparse::{Csc, Idx, Triples};
@@ -25,7 +27,47 @@ fn arb_mult_pair() -> impl Strategy<Value = (Csc<f64>, Csc<f64>)> {
     })
 }
 
+/// Strategy: `A` with up to 9000 rows — past the bitmap's word (64) and
+/// summary-word (4096) edges, last row included — times a small `B`, with
+/// signed dyadic values so that sums cancel exactly.
+fn arb_tall_pair() -> impl Strategy<Value = (Csc<f64>, Csc<f64>)> {
+    (1usize..9000, 1usize..8, 1usize..8).prop_flat_map(|(m, k, n)| {
+        let a = proptest::collection::vec((0..m as Idx, 0..k as Idx, 1u32..8), 0..60);
+        let b = proptest::collection::vec((0..k as Idx, 0..n as Idx, 1u32..8), 0..40);
+        (a, b).prop_map(move |(ea, eb)| {
+            let mut ta = Triples::new(m, k);
+            ta.push(m as Idx - 1, 0, 1.0);
+            for (r, c, v) in ea {
+                ta.push(r, c, v as f64 / 4.0 - 1.0);
+            }
+            let mut tb = Triples::new(k, n);
+            for (r, c, v) in eb {
+                tb.push(r, c, v as f64 / 4.0 - 1.0);
+            }
+            (Csc::from_triples(&ta), Csc::from_triples(&tb))
+        })
+    })
+}
+
 proptest! {
+    #[test]
+    fn addressing_modes_agree_over_random_universes((a, b) in arb_tall_pair()) {
+        let fpc = crate::analysis::flops_per_column(&a, &b);
+        let counts = hash::symbolic_counts_as(Direct, &a, &b, &fpc);
+        prop_assert_eq!(&counts, &hash::symbolic_counts_as(Hashed, &a, &b, &fpc));
+        let pt = hipmcl_sparse::PlusTimes::<f64>::new();
+        let want = heap::multiply(&a, &b);
+        want.assert_valid();
+        for mode in [Direct, Hashed] {
+            let got = hash::multiply_with_counts_as(mode, pt, &a, &b, &counts);
+            // Bit-equal, explicit zeros of cancelled sums included.
+            prop_assert_eq!(&got.colptr, &want.colptr);
+            prop_assert_eq!(&got.rowidx, &want.rowidx);
+            let bits = |c: &Csc<f64>| c.vals.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&got), bits(&want), "{:?}", mode);
+        }
+    }
+
     #[test]
     fn kernels_match_dense_reference((a, b) in arb_mult_pair()) {
         let want = dense_reference(&a, &b);

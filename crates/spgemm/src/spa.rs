@@ -1,106 +1,23 @@
 //! Sparse-accumulator (SPA) SpGEMM — the classic Gilbert–Moler–Schreiber
 //! formulation used by MATLAB and by Patwary et al. on multicore.
 //!
-//! Each worker owns a dense value array plus a generation-stamped occupancy
-//! array of length `nrows(A)`, so resets are free (bump the generation).
-//! Accumulation is a direct array write — the fastest accumulator when the
-//! output columns are dense relative to `nrows`, but the `O(nrows)` scratch
-//! per worker makes it memory-hungry for the large hypersparse blocks of
-//! distributed MCL, which is why HipMCL prefers heaps/hashes. Included as
-//! the third candidate accumulator for the selection benchmarks.
+//! A dense value array of length `nrows(A)` per worker, written directly by
+//! row id: the workspace's one accumulator ([`crate::hash::HashScratch`])
+//! with [`Addressing::Direct`] forced, whatever `nrows(A)` is. The fastest
+//! accumulator while that array stays cache-resident — which is when the
+//! hash kernel picks direct addressing by itself — and memory-hungry for
+//! the large hypersparse blocks of distributed MCL, which is why HipMCL
+//! prefers heaps/hashes. Kept as the third candidate of the selection
+//! benchmarks.
 
-use crate::assemble::build_csc_parallel_scratch;
-use hipmcl_sparse::{Csc, Idx, PlusTimes, Semiring, Value};
-use rayon::prelude::*;
-
-/// Dense accumulator with generation marking, reused across columns.
-#[derive(Clone)]
-struct SpaScratch<T> {
-    vals: Vec<T>,
-    stamp: Vec<u32>,
-    gen: u32,
-    rows: Vec<Idx>,
-}
-
-impl<T: Value> SpaScratch<T> {
-    fn new(nrows: usize) -> Self {
-        Self {
-            // Placeholder only: slots are written before first read.
-            vals: vec![T::default(); nrows],
-            stamp: vec![0; nrows],
-            gen: 0,
-            rows: Vec::new(),
-        }
-    }
-
-    #[inline]
-    fn begin_column(&mut self) {
-        self.gen = self.gen.wrapping_add(1);
-        if self.gen == 0 {
-            // Wrapped: clear stamps once every 2^32 columns.
-            self.stamp.fill(0);
-            self.gen = 1;
-        }
-        self.rows.clear();
-    }
-
-    #[inline]
-    fn accumulate<S: Semiring<Elem = T>>(&mut self, _s: S, r: Idx, v: T) {
-        let ri = r as usize;
-        if self.stamp[ri] == self.gen {
-            self.vals[ri] = S::add(self.vals[ri], v);
-        } else {
-            self.stamp[ri] = self.gen;
-            self.vals[ri] = v;
-            self.rows.push(r);
-        }
-    }
-}
+use crate::hash::{multiply_with_counts_as, symbolic_counts, Addressing};
+use hipmcl_sparse::{Csc, PlusTimes, Semiring, Value};
 
 /// Multiplies `C = A · B` with a dense sparse accumulator per worker, in
-/// the given semiring.
+/// the given semiring: the shared symbolic pass, then the numeric phase
+/// direct-addressed.
 pub fn multiply_in<S: Semiring>(sr: S, a: &Csc<S::Elem>, b: &Csc<S::Elem>) -> Csc<S::Elem> {
-    assert_eq!(a.ncols(), b.nrows(), "inner dimensions must agree");
-
-    // Symbolic pass: count distinct rows per output column.
-    let counts: Vec<usize> = (0..b.ncols())
-        .into_par_iter()
-        .map_with(SpaScratch::<S::Elem>::new(a.nrows()), |s, j| {
-            s.begin_column();
-            for &k in b.col_rows(j) {
-                for &r in a.col_rows(k as usize) {
-                    if s.stamp[r as usize] != s.gen {
-                        s.stamp[r as usize] = s.gen;
-                        s.rows.push(r);
-                    }
-                }
-            }
-            s.rows.len()
-        })
-        .collect();
-
-    build_csc_parallel_scratch(
-        a.nrows(),
-        b.ncols(),
-        &counts,
-        SpaScratch::<S::Elem>::new(a.nrows()),
-        |s, j, rows_out, vals_out| {
-            s.begin_column();
-            for (l, &k) in b.col_rows(j).iter().enumerate() {
-                let bv = b.col_vals(j)[l];
-                let k = k as usize;
-                let (ar, av) = (a.col_rows(k), a.col_vals(k));
-                for (idx, &r) in ar.iter().enumerate() {
-                    s.accumulate(sr, r, S::mul(av[idx], bv));
-                }
-            }
-            s.rows.sort_unstable();
-            for (i, &r) in s.rows.iter().enumerate() {
-                rows_out[i] = r;
-                vals_out[i] = s.vals[r as usize];
-            }
-        },
-    )
+    multiply_with_counts_as(Addressing::Direct, sr, a, b, &symbolic_counts(a, b))
 }
 
 /// [`multiply_in`] with the numeric plus-times semiring — MCL's default.
@@ -109,54 +26,4 @@ where
     PlusTimes<T>: Semiring<Elem = T>,
 {
     multiply_in(PlusTimes::new(), a, b)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::testutil::{dense_reference, random_csc};
-
-    #[test]
-    fn identity_times_identity() {
-        let i = Csc::<f64>::identity(4);
-        assert_eq!(multiply(&i, &i), i);
-    }
-
-    #[test]
-    fn matches_dense_reference() {
-        let a = random_csc(11, 9, 40, 31);
-        let b = random_csc(9, 13, 35, 32);
-        let c = multiply(&a, &b);
-        c.assert_valid();
-        assert!(c.max_abs_diff(&dense_reference(&a, &b)) < 1e-9);
-    }
-
-    #[test]
-    fn matches_hash_kernel() {
-        let a = random_csc(25, 25, 200, 8);
-        let c_spa = multiply(&a, &a);
-        let c_hash = crate::hash::multiply(&a, &a);
-        assert!(c_spa.max_abs_diff(&c_hash) < 1e-9);
-        assert_eq!(c_spa.nnz(), c_hash.nnz());
-    }
-
-    #[test]
-    fn generation_wrap_is_safe() {
-        let mut s = SpaScratch::<f64>::new(4);
-        s.gen = u32::MAX - 1;
-        s.begin_column(); // gen = MAX
-        s.accumulate(PlusTimes::<f64>::new(), 2, 1.0);
-        assert_eq!(s.rows, vec![2]);
-        s.begin_column(); // wraps to 1 after clearing stamps
-        assert_eq!(s.gen, 1);
-        s.accumulate(PlusTimes::<f64>::new(), 2, 5.0);
-        assert_eq!(s.vals[2], 5.0, "stale stamp must not leak");
-    }
-
-    #[test]
-    fn empty_product() {
-        let a = Csc::<f64>::zero(5, 5);
-        let c = multiply(&a, &a);
-        assert_eq!(c.nnz(), 0);
-    }
 }

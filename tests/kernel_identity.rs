@@ -1,12 +1,13 @@
 //! Every local SpGEMM kernel produces the same matrix, bit for bit: same
 //! `colptr`, same `rowidx`, `to_bits()`-equal values. The only thing that
 //! fixes a value is the order its products are folded in — ascending
-//! position within `B_{*j}` on every CPU kernel — so table sizes, pass
-//! counts and heap mechanics must never show here.
+//! position within `B_{*j}` on every CPU kernel — so addressing modes, table
+//! sizes, pass counts and heap mechanics must never show here.
 
 use hipmcl::comm::GpuLib;
 use hipmcl::gpu::libs::multiply_csc_in;
-use hipmcl::sparse::{Boolean, Csc, Idx, MinPlus, PlusTimes, Semiring, Triples, Value};
+use hipmcl::sparse::{Boolean, Csc, Idx, MaxMin, MinPlus, PlusTimes, Semiring, Triples, Value};
+use hipmcl::spgemm::hash::Addressing::{self, Direct, Hashed};
 use hipmcl::spgemm::{flops_per_column, hash, heap, hybrid, spa};
 
 /// `m × n` operand with about `fill`/256 of the entries present, values
@@ -37,14 +38,26 @@ fn bits<T: Value>(c: &Csc<T>) -> Bits {
     (c.colptr.clone(), c.rowidx.clone(), vals)
 }
 
-/// Asserts the four CPU entry points — and, with `gpu`, the three GPU
-/// library analogues — return the same bits; returns them.
+/// Asserts the four CPU entry points, the hash kernel forced into each
+/// addressing mode — and, with `gpu`, the three GPU library analogues —
+/// return the same bits; returns them.
 fn assert_identical<S: Semiring>(s: S, a: &Csc<S::Elem>, b: &Csc<S::Elem>, gpu: bool) -> Bits {
     let want = bits(&hash::multiply_in(s, a, b));
+    let fpc = flops_per_column(a, b);
+    let counts = hash::symbolic_counts_as(Direct, a, b, &fpc);
+    assert_eq!(counts, hash::symbolic_counts_as(Hashed, a, b, &fpc));
     let mut others = vec![
         ("heap", heap::multiply_in(s, a, b)),
         ("spa", spa::multiply_in(s, a, b)),
         ("auto", hybrid::multiply_auto_in(s, a, b).0),
+        (
+            "direct",
+            hash::multiply_with_counts_as(Direct, s, a, b, &counts),
+        ),
+        (
+            "hashed",
+            hash::multiply_with_counts_as(Hashed, s, a, b, &counts),
+        ),
     ];
     if gpu {
         others.extend(GpuLib::all().map(|lib| (lib.name(), multiply_csc_in(s, a, b, lib))));
@@ -90,16 +103,50 @@ fn a_wrong_count_panics_instead_of_padding_or_cutting_the_column() {
         let mut counts = hash::symbolic_counts(&a, &b);
         let j = counts.iter().position(|&c| c == 8).unwrap();
         counts[j] = counts[j].wrapping_add_signed(delta);
-        let hash = std::panic::catch_unwind(|| hash::multiply_with_counts_in(pt, &a, &b, &counts));
+        let hash = |mode| {
+            std::panic::catch_unwind(|| hash::multiply_with_counts_as(mode, pt, &a, &b, &counts))
+        };
         let heap = std::panic::catch_unwind(|| heap::multiply_with_counts_in(pt, &a, &b, &counts));
-        assert!(hash.is_err() && heap.is_err(), "delta {delta}");
+        assert!(
+            hash(Direct).is_err() && hash(Hashed).is_err() && heap.is_err(),
+            "delta {delta}"
+        );
     }
 }
 
 #[test]
-fn min_plus_boolean_and_empty_operands() {
+fn bitmap_word_edges_and_the_last_row() {
+    // nrows(A) around one word of the occupancy bitmap and one word of its
+    // summary, with output in row `universe − 1`.
+    let b = operand(40, 24, 70, 9, dyadic);
+    for universe in [63, 64, 65, 4095, 4096, 4097] {
+        let a = operand(universe, 40, 60, 8, dyadic);
+        let (_, rows, _) = assert_identical(PlusTimes::<f64>::new(), &a, &b, true);
+        assert!(rows.contains(&(universe as Idx - 1)), "universe {universe}");
+    }
+}
+
+#[test]
+fn both_sides_of_the_direct_budget_through_the_rule() {
+    // The same hypersparse `B` against a short and a tall `A`: the rule
+    // (`hash::multiply_in`, `multiply_auto_in`, the nsparse analogue) sends
+    // the first product direct and the second hashed, and each agrees with
+    // both forced modes and the heap.
+    let b = operand(40, 24, 70, 9, dyadic);
+    let budget = hash::DIRECT_BUDGET_BYTES / std::mem::size_of::<f64>();
+    for (nrows, fill, mode) in [(budget / 16, 64, Direct), (budget + 9, 1, Hashed)] {
+        let a = operand(nrows, 40, fill, 10, dyadic);
+        let (colptr, ..) = assert_identical(PlusTimes::<f64>::new(), &a, &b, true);
+        let mean = colptr[24].div_ceil(24);
+        assert_eq!(Addressing::of::<f64>(mean, nrows), mode, "nrows = {nrows}");
+    }
+}
+
+#[test]
+fn min_plus_max_min_boolean_and_empty_operands() {
     let a = operand(40, 40, 50, 5, |x| (x % 64) as f64 / 8.0);
     assert_identical(MinPlus, &a, &a, true);
+    assert_identical(MaxMin, &a, &a, true);
     let r = operand(40, 40, 30, 6, |_| true);
     assert_identical(Boolean, &r, &r, true);
     let (_, rows, _) = assert_identical(PlusTimes::<f64>::new(), &a, &Csc::zero(40, 9), true);
