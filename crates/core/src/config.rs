@@ -135,13 +135,15 @@ impl MclConfig {
 
     /// Checks the configuration for values that would misbehave at run
     /// time — a fixed hybrid split fraction outside `[0, 1]`, a
-    /// degenerate overlap-planner headroom, or an out-of-range active-set
-    /// shrinking parameter — which is reported here (and
-    /// by the drivers, which call this on entry) rather than silently
-    /// clamped.
+    /// degenerate overlap-planner headroom, an out-of-range active-set
+    /// shrinking parameter, or pruning parameters no prune can honour
+    /// (`select == 0` used to panic mid-collective) — which is reported
+    /// here (and by the distributed driver, which calls this on entry)
+    /// rather than silently clamped.
     pub fn validate(&self) -> Result<(), ConfigError> {
         self.summa.validate()?;
-        self.active_set.validate().map_err(ConfigError::from)
+        self.active_set.validate()?;
+        Ok(self.prune.validate()?)
     }
 }
 
@@ -265,6 +267,46 @@ mod tests {
             ConfigError::ActiveSet(e) => assert_eq!(e.field, "epsilon"),
             other => panic!("expected an active-set error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn validate_rejects_zero_select() {
+        let mut c = MclConfig::testing(8);
+        c.prune.select = 0;
+        match c.validate().unwrap_err() {
+            ConfigError::Prune(e) => assert_eq!(e.field, "select"),
+            other => panic!("expected a prune error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn validate_rejects_negative_and_nan_cutoff() {
+        for cutoff in [-1e-9, f64::NAN] {
+            let mut c = MclConfig::testing(8);
+            c.prune.cutoff = cutoff;
+            match c.validate().unwrap_err() {
+                ConfigError::Prune(e) => assert_eq!(e.field, "cutoff"),
+                other => panic!("expected a prune error, got {other:?}"),
+            }
+        }
+        let mut c = MclConfig::testing(8);
+        c.prune.cutoff = 0.0;
+        assert!(c.validate().is_ok(), "0.0 prunes nothing and is legal");
+    }
+
+    #[test]
+    fn validate_rejects_recover_pct_outside_unit_interval() {
+        for pct in [-0.1, 1.1, f64::NAN] {
+            let mut c = MclConfig::testing(8);
+            c.prune.recover_pct = pct;
+            match c.validate().unwrap_err() {
+                ConfigError::Prune(e) => assert_eq!(e.field, "recover_pct"),
+                other => panic!("expected a prune error, got {other:?}"),
+            }
+        }
+        let mut c = MclConfig::testing(8);
+        (c.prune.recover_num, c.prune.recover_pct) = (10, 1.0);
+        assert!(c.validate().is_ok(), "1.0 is a legal fraction");
     }
 
     #[test]

@@ -378,44 +378,45 @@ pub fn dist_inflate_and_chaos_cols(
     power: f64,
 ) -> (Vec<f64>, f64) {
     let col_comm = &grid.col_comm;
-    let model = col_comm.model().clone();
+    let ncols = m.ncols();
 
-    // Hadamard power, local.
-    for v in &mut m.vals {
-        *v = v.powf(power);
-    }
-    // Column sums reduced down the process column.
-    let local_sums: Vec<f64> = (0..m.ncols()).map(|j| m.col_vals(j).iter().sum()).collect();
+    // Hadamard power and local column sums in one walk; the sums are
+    // reduced down the process column.
+    let local_sums: Vec<f64> = (0..ncols)
+        .map(|j| {
+            let powered = m.col_vals_mut(j).iter_mut().map(|v| {
+                *v = v.powf(power);
+                *v
+            });
+            powered.sum()
+        })
+        .collect();
     let sums = allreduce_sum_vec(col_comm, local_sums);
-    for (j, &s) in sums.iter().enumerate() {
-        if s > 0.0 {
-            let inv = 1.0 / s;
-            for v in m.col_vals_mut(j) {
-                *v *= inv;
-            }
-        }
-    }
-    col_comm.advance_clock(model.elementwise_time(2 * m.nnz() as u64));
+    // Renormalization with the chaos partials — per-column max, then
+    // per-column sum of squares — in the second walk.
+    let mut partials = vec![0.0f64; 2 * ncols];
+    scale_columns(m, &sums, |j, v| {
+        partials[j] = partials[j].max(v);
+        partials[ncols + j] += v * v;
+    });
+    col_comm.advance_clock(col_comm.model().elementwise_time(2 * m.nnz() as u64));
 
-    // Chaos: per-column max and sum of squares, combined down the column.
-    let mut maxes: Vec<f64> = vec![0.0; m.ncols()];
-    let mut ssq: Vec<f64> = vec![0.0; m.ncols()];
-    for j in 0..m.ncols() {
-        for &v in m.col_vals(j) {
-            maxes[j] = maxes[j].max(v);
-            ssq[j] += v * v;
-        }
-    }
-    let gmax = allreduce(col_comm, maxes, |mut x, y| {
-        for (a, b) in x.iter_mut().zip(&y) {
+    // One reduction for both halves: max on the first, sum on the second.
+    let reduced = allreduce(col_comm, partials, |mut x, y| {
+        let (xmax, xssq) = x.split_at_mut(ncols);
+        let (ymax, yssq) = y.split_at(ncols);
+        for (a, b) in xmax.iter_mut().zip(ymax) {
             *a = a.max(*b);
+        }
+        for (a, b) in xssq.iter_mut().zip(yssq) {
+            *a += b;
         }
         x
     });
-    let gssq = allreduce_sum_vec(col_comm, ssq);
+    let (gmax, gssq) = reduced.split_at(ncols);
     let col_chaos: Vec<f64> = gmax
         .iter()
-        .zip(&gssq)
+        .zip(gssq)
         .map(|(&mx, &s)| if mx > 0.0 { mx - s } else { 0.0 })
         .collect();
     // The world allreduce folds from 0.0, the chaos identity: a column of
@@ -428,6 +429,19 @@ pub fn dist_inflate_and_chaos_cols(
     (col_chaos, chaos)
 }
 
+/// Divides every column `j` with `sums[j] > 0` by `sums[j]` (the others
+/// stay as they are: `× 1.0` is exact) and hands each entry's final value
+/// to `visit(j, value)`.
+fn scale_columns(m: &mut Csc<f64>, sums: &[f64], mut visit: impl FnMut(usize, f64)) {
+    for (j, &s) in sums.iter().enumerate() {
+        let inv = if s > 0.0 { 1.0 / s } else { 1.0 };
+        for v in m.col_vals_mut(j) {
+            *v *= inv;
+            visit(j, *v);
+        }
+    }
+}
+
 /// [`dist_inflate_and_chaos_cols`] when only the global chaos is wanted.
 pub fn dist_inflate_and_chaos(grid: &ProcGrid, m: &mut Csc<f64>, power: f64) -> f64 {
     dist_inflate_and_chaos_cols(grid, m, power).1
@@ -436,17 +450,9 @@ pub fn dist_inflate_and_chaos(grid: &ProcGrid, m: &mut Csc<f64>, power: f64) -> 
 /// Distributed column normalization (used to prepare an already
 /// distributed matrix): divides each column by its global sum.
 pub fn dist_normalize(grid: &ProcGrid, m: &mut Csc<f64>) {
-    let col_comm = &grid.col_comm;
     let local_sums: Vec<f64> = (0..m.ncols()).map(|j| m.col_vals(j).iter().sum()).collect();
-    let sums = allreduce_sum_vec(col_comm, local_sums);
-    for (j, &s) in sums.iter().enumerate() {
-        if s > 0.0 {
-            let inv = 1.0 / s;
-            for v in m.col_vals_mut(j) {
-                *v *= inv;
-            }
-        }
-    }
+    let sums = allreduce_sum_vec(&grid.col_comm, local_sums);
+    scale_columns(m, &sums, |_, _| {});
 }
 
 /// Convenience for reports: returns `(name, seconds)` for stages plus the

@@ -50,6 +50,43 @@ impl PruneParams {
             ..Self::default()
         }
     }
+
+    /// Rejects parameters no prune can honour: `select == 0` (a column
+    /// may never become empty), a negative or NaN `cutoff`, or a
+    /// `recover_pct` outside `[0, 1]`.
+    pub fn validate(&self) -> Result<(), InvalidPrune> {
+        let bad = |field, value| Err(InvalidPrune { field, value });
+        if self.select == 0 {
+            return bad("select", 0.0);
+        }
+        if self.cutoff.is_nan() || self.cutoff < 0.0 {
+            return bad("cutoff", self.cutoff);
+        }
+        if !(0.0..=1.0).contains(&self.recover_pct) {
+            return bad("recover_pct", self.recover_pct);
+        }
+        Ok(())
+    }
+}
+
+/// A [`PruneParams`] field outside its legal range.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct InvalidPrune {
+    /// Which parameter.
+    pub field: &'static str,
+    /// The offending value (`0.0` stands in for a zero `select`).
+    pub value: f64,
+}
+
+impl std::fmt::Display for InvalidPrune {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "prune {} = {} out of range (select must be >= 1, cutoff >= 0, \
+             recover_pct in [0, 1])",
+            self.field, self.value
+        )
+    }
 }
 
 /// Summary of one pruning pass, used by the driver's instrumentation.

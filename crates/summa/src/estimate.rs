@@ -293,14 +293,16 @@ fn exact_symbolic_in<S: Semiring>(
 
 /// Broadcasts a block's pattern within `comm` from `root`; `is_root` says
 /// whether this rank supplies `local`.
-fn bcast_pattern<T: Value>(comm: &Comm, root: usize, local: &Csc<T>, is_root: bool) -> Csc<T> {
-    let payload = if is_root {
-        Some(PatternBlock(std::sync::Arc::new(local.clone())))
-    } else {
-        None
-    };
-    let blk = hipmcl_comm::collectives::bcast(comm, root, payload);
-    blk.0.as_ref().clone()
+fn bcast_pattern<T: Value>(
+    comm: &Comm,
+    root: usize,
+    local: &Csc<T>,
+    is_root: bool,
+) -> std::sync::Arc<Csc<T>> {
+    // The operands are borrowed, so the root pays one copy to share its
+    // block; nobody copies it again on arrival.
+    let payload = is_root.then(|| PatternBlock(std::sync::Arc::new(local.clone())));
+    hipmcl_comm::collectives::bcast(comm, root, payload).0
 }
 
 /// Distributed Cohen estimation. Requires square operands distributed on

@@ -94,22 +94,21 @@ fn exchange_block<T: Value>(
     comm: &Comm,
     policy: CommPolicy,
     root: usize,
-    local: Option<&Csc<T>>,
+    local: Option<&Arc<Csc<T>>>,
 ) -> (Arc<Csc<T>>, usize, CommMode) {
+    // The root shares its panel, it does not copy it.
+    let payload = local.map(|m| BlockMsg(Arc::clone(m), Dcsc::bytes_of_csc(m)));
     match policy {
         CommPolicy::Broadcast => {
-            let payload = local.map(|m| BlockMsg(Arc::new(m.clone()), Dcsc::bytes_of_csc(m)));
             let msg = bcast(comm, root, payload);
             (msg.0, msg.1, CommMode::Broadcast)
         }
         CommPolicy::Hybrid => {
-            let sized = local.map(|m| (Dcsc::bytes_of_csc(m), m));
             // Header round: every rank learns the payload size over the
             // tree (8 bytes), then evaluates the same machine model — so
             // the mode decision is agreed without any extra exchange.
-            let bytes = bcast(comm, root, sized.map(|(b, _)| b as u64)) as usize;
+            let bytes = bcast(comm, root, payload.as_ref().map(|msg| msg.1 as u64)) as usize;
             let mode = comm.model().choose_comm_mode(comm.size(), bytes);
-            let payload = sized.map(|(b, m)| BlockMsg(Arc::new(m.clone()), b));
             let msg = match mode {
                 CommMode::Broadcast => bcast(comm, root, payload),
                 CommMode::Gather => flat_bcast(comm, root, payload),
@@ -406,10 +405,13 @@ where
     // next round of broadcasts and launches (phases sliced from `B` are
     // independent; only the per-phase hook needs the merged slab).
     let mut sealed: Option<(usize, MergeEngine<S>)> = None;
+    // Broadcast roots hand out `Arc`s: `A`'s block is shared by every
+    // phase, `B`'s phase slice is a fresh matrix already.
+    let a_local = Arc::new(a.local.clone());
 
     for ph in 0..phases {
         let cols = even_chunk(local_cols, phases, ph);
-        let b_phase = b.local.column_slice(cols);
+        let b_phase = Arc::new(b.local.column_slice(cols));
         // Every stage product this phase has the same block shape.
         let mut merge = MergeEngine::new(s, cfg, (a.local.nrows(), b_phase.ncols()));
 
@@ -421,7 +423,7 @@ where
                 &grid.row_comm,
                 cfg.comm,
                 k,
-                (grid.col == k).then_some(&a.local),
+                (grid.col == k).then_some(&a_local),
             );
             let (b_blk, b_bytes, b_mode) = exchange_block(
                 &grid.col_comm,

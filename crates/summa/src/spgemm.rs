@@ -266,6 +266,9 @@ pub enum ConfigError {
     /// An active-set shrinking parameter out of range (reported through
     /// `MclConfig::validate`, which owns the policy).
     ActiveSet(crate::active::InvalidActiveSet),
+    /// A pruning parameter out of range (reported through
+    /// `MclConfig::validate`, which owns the parameters).
+    Prune(hipmcl_sparse::colops::InvalidPrune),
 }
 
 impl std::fmt::Display for ConfigError {
@@ -277,6 +280,7 @@ impl std::fmt::Display for ConfigError {
                 "overlap-aware planner headroom must lie in 1..=64 phases, got {max_extra_phases}"
             ),
             ConfigError::ActiveSet(e) => e.fmt(f),
+            ConfigError::Prune(e) => e.fmt(f),
         }
     }
 }
@@ -292,6 +296,12 @@ impl From<InvalidSplit> for ConfigError {
 impl From<crate::active::InvalidActiveSet> for ConfigError {
     fn from(e: crate::active::InvalidActiveSet) -> Self {
         ConfigError::ActiveSet(e)
+    }
+}
+
+impl From<hipmcl_sparse::colops::InvalidPrune> for ConfigError {
+    fn from(e: hipmcl_sparse::colops::InvalidPrune) -> Self {
+        ConfigError::Prune(e)
     }
 }
 
