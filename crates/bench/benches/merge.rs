@@ -4,9 +4,9 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use hipmcl_comm::{MachineModel, MergeKernel};
-use hipmcl_sparse::Csc;
+use hipmcl_sparse::{Csc, PlusTimes};
 use hipmcl_spgemm::testutil::random_csc;
-use hipmcl_summa::merge::{kway_merge, merge_algo, MergeKernelPolicy, StackMerger};
+use hipmcl_summa::merge::{kway_merge, merge_with, MergeKernelPolicy, StackMerger};
 
 const SHAPE: (usize, usize) = (2000, 2000);
 
@@ -72,7 +72,7 @@ fn kernels(c: &mut Criterion) {
     let mats = slabs(8);
     for kernel in MergeKernel::all() {
         group.bench_with_input(BenchmarkId::new(kernel.name(), 8), &mats, |b, mats| {
-            b.iter(|| merge_algo(kernel).merge(mats, SHAPE))
+            b.iter(|| merge_with(PlusTimes::<f64>::new(), kernel, mats, SHAPE))
         });
     }
     group.finish();

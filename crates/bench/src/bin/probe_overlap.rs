@@ -37,7 +37,6 @@ fn main() {
             merge_kernel: hipmcl_summa::MergeKernelPolicy::Auto,
             pipelined: true,
             executor: hipmcl_summa::ExecutorKind::Gpus,
-            steal: hipmcl_summa::executor::StealPolicy::default(),
             comm: CommPolicy::Hybrid,
             seed: 1,
         };

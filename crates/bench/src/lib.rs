@@ -17,7 +17,7 @@ use hipmcl_core::MclConfig;
 use hipmcl_gpu::multi::MultiGpu;
 use hipmcl_sparse::Csc;
 use hipmcl_summa::estimate::{PhaseDecision, PhasePlanner};
-use hipmcl_summa::executor::{ExecutorKind, SplitPolicy, StealPolicy};
+use hipmcl_summa::executor::{ExecutorKind, SplitPolicy};
 use hipmcl_summa::merge::MergeKernelPolicy;
 use hipmcl_summa::spgemm::CommPolicy;
 use hipmcl_summa::topk::prune_local_slab;
@@ -450,174 +450,6 @@ pub fn run_comm_policy_probe(
     results.into_iter().next().unwrap()
 }
 
-/// Workload fed to the lane-steal probe (`probe_lane_steal`): a scaled
-/// paper network, or a synthetic hub-heavy graph whose merge durations
-/// are wildly uneven — the regime where submission-time lane pinning
-/// keeps opening idle gaps that a cost-aware steal can fill.
-#[derive(Clone, Copy, Debug)]
-pub enum LaneWorkload {
-    /// A scaled paper network (see [`bench_reduction`]).
-    Net(Dataset),
-    /// Synthetic skewed stack: a handful of super-dense hub columns on a
-    /// sparse background. Expansion turns the hubs into a few huge merge
-    /// tasks among many tiny ones, so one lane backs up while the other
-    /// runs dry between submissions.
-    SkewedStack,
-}
-
-impl LaneWorkload {
-    /// Label used in tables and CSV rows.
-    pub fn name(self) -> &'static str {
-        match self {
-            LaneWorkload::Net(d) => d.name(),
-            LaneWorkload::SkewedStack => "skewed-stack",
-        }
-    }
-
-    /// Prepared (symmetrized, self-looped, normalized) adjacency matrix.
-    pub fn graph(self, cfg: &MclConfig) -> Csc<f64> {
-        match self {
-            LaneWorkload::Net(d) => bench_graph(d, cfg),
-            LaneWorkload::SkewedStack => {
-                use rand::{Rng, SeedableRng};
-                let n = 600usize;
-                let mut rng = rand::rngs::SmallRng::seed_from_u64(23);
-                let mut t = hipmcl_sparse::Triples::new(n, n);
-                for j in 0..n {
-                    let deg = if j < 8 { n / 2 } else { 3 };
-                    for _ in 0..deg {
-                        t.push(
-                            rng.gen_range(0..n) as hipmcl_sparse::Idx,
-                            j as hipmcl_sparse::Idx,
-                            rng.gen_range(0.5..1.5),
-                        );
-                    }
-                }
-                t.sum_duplicates();
-                hipmcl_core::serial::prepare_matrix(&Csc::from_triples(&t), cfg)
-            }
-        }
-    }
-
-    /// Selection parameter matching [`bench_select`] for networks.
-    pub fn select(self) -> usize {
-        match self {
-            LaneWorkload::Net(d) => bench_select(d),
-            LaneWorkload::SkewedStack => 300,
-        }
-    }
-}
-
-/// One steal policy's outcome in the lane-steal ablation
-/// (`probe_lane_steal`).
-#[derive(Clone, Debug)]
-pub struct LaneStealReport {
-    /// Mean over ranks of host idle time, summed over iterations.
-    pub cpu_idle: f64,
-    /// Mean over ranks of device/pool idle time, summed over iterations.
-    pub gpu_idle: f64,
-    /// Mean over ranks of merge-lane idle time, summed over iterations.
-    pub merge_lane_idle: f64,
-    /// Merge operations submitted, summed over iterations (rank 0).
-    pub merge_ops: u64,
-    /// Merges that ran on a lane other than their pinned origin, summed
-    /// over ranks and iterations (always 0 under [`StealPolicy::Off`]).
-    pub stolen_merges: u64,
-    /// Max over ranks of the final virtual clock.
-    pub total_time: f64,
-    /// Iterations executed.
-    pub iterations: usize,
-}
-
-impl LaneStealReport {
-    /// Total pipeline idle off the unified timelines.
-    pub fn total_idle(&self) -> f64 {
-        self.cpu_idle + self.gpu_idle + self.merge_lane_idle
-    }
-}
-
-/// Runs a multi-iteration distributed MCL expansion loop under the given
-/// merge-lane steal policy, reporting the idle decomposition and how many
-/// merges actually moved off their pinned lane. Same loop shape as
-/// [`run_merge_overlap_probe`] (CPU-pipelined preset, constrained budget
-/// so several phases produce a real merge cadence); only the placement of
-/// merges on the per-socket lanes varies with `steal` — operands never
-/// change, which is what the cluster-equality gate checks.
-pub fn run_lane_steal_probe(
-    p: usize,
-    w: LaneWorkload,
-    kernel: MergeKernelPolicy,
-    steal: StealPolicy,
-    per_rank_budget: u64,
-    max_iters: usize,
-) -> LaneStealReport {
-    let results =
-        hipmcl_comm::Universe::run(p, hipmcl_comm::MachineModel::summit_bench(), move |comm| {
-            let grid = ProcGrid::new(comm);
-            let mut gpus = MultiGpu::summit_node(grid.world.model());
-            let mut cfg = MclConfig::cpu_pipelined(per_rank_budget);
-            cfg.prune.select = w.select();
-            cfg.max_iters = max_iters;
-            cfg.summa.merge_kernel = kernel;
-            cfg.summa.steal = steal;
-            let global = (grid.world.rank() == 0).then(|| w.graph(&cfg).to_triples());
-            let mut a = DistMatrix::scatter_from_root(&grid, global.as_ref());
-            grid.world.reset_instrumentation();
-
-            let mut cpu_idle = 0.0f64;
-            let mut gpu_idle = 0.0f64;
-            let mut lane_idle = 0.0f64;
-            let mut merge_ops = 0u64;
-            let mut stolen = 0u64;
-            let mut iterations = 0usize;
-            for _ in 0..cfg.max_iters {
-                iterations += 1;
-                let prune_params = cfg.prune;
-                let out = {
-                    let col_comm = &grid.col_comm;
-                    hipmcl_summa::spgemm::summa_spgemm_with(
-                        &grid,
-                        &mut gpus,
-                        &a,
-                        &a,
-                        &cfg.summa,
-                        |_, slab| {
-                            let (pruned, _stats) = prune_local_slab(col_comm, &slab, &prune_params);
-                            col_comm.advance_clock(
-                                col_comm.model().elementwise_time(slab.nnz() as u64),
-                            );
-                            pruned
-                        },
-                    )
-                };
-                cpu_idle += out.cpu_idle;
-                gpu_idle += out.gpu_idle;
-                lane_idle += out.merge_lane_idle;
-                merge_ops += out.merge_stats.merge_ops as u64;
-                stolen += out.merge_spans.iter().filter(|s| s.stolen).count() as u64;
-                a = out.c;
-                let chaos = dist_inflate_and_chaos(&grid, &mut a.local, cfg.inflation);
-                if chaos < cfg.chaos_epsilon {
-                    break;
-                }
-            }
-
-            let idle = allreduce_sum_vec(&grid.world, vec![cpu_idle, gpu_idle, lane_idle]);
-            let stolen = allreduce(&grid.world, stolen, |x, y| x + y);
-            let total_time = allreduce(&grid.world, grid.world.now(), f64::max);
-            LaneStealReport {
-                cpu_idle: idle[0] / p as f64,
-                gpu_idle: idle[1] / p as f64,
-                merge_lane_idle: idle[2] / p as f64,
-                merge_ops,
-                stolen_merges: stolen,
-                total_time,
-                iterations,
-            }
-        });
-    results.into_iter().next().unwrap()
-}
-
 /// One (network, fan-in) row of the merge-gap ablation
 /// (`probe_merge_gap`): **real wall-clock** times, not virtual-clock
 /// model times. This is the one probe that measures the merge kernels as
@@ -722,7 +554,7 @@ fn assert_pattern_eq_values_close(a: &Csc<f64>, b: &Csc<f64>) {
 pub fn run_merge_gap_probe(d: Dataset, k: usize, reps: usize) -> MergeGapReport {
     use hipmcl_comm::{MachineModel, MergeKernel};
     use hipmcl_sparse::PlusTimes;
-    use hipmcl_summa::merge::{merge_algo, spadd_into, ColsRef, MergeArena, StackMerger};
+    use hipmcl_summa::merge::{kway_merge, spadd_into, ColsRef, MergeArena, StackMerger};
 
     let (slabs, shape) = merge_gap_stage_products(d, k);
     let total_in_elems: u64 = slabs.iter().map(|m| m.nnz() as u64).sum();
@@ -740,9 +572,7 @@ pub fn run_merge_gap_probe(d: Dataset, k: usize, reps: usize) -> MergeGapReport 
         (best, out.unwrap())
     };
 
-    let (t_kway_heap, c_heap) = best_of(Box::new(|| {
-        merge_algo(MergeKernel::Heap).merge(&slabs, shape)
-    }));
+    let (t_kway_heap, c_heap) = best_of(Box::new(|| kway_merge(&slabs, shape)));
 
     // k-way SpAdd through a persistent arena: after the first rep the
     // epoch-stamped SPAs and the output slab come back from the free
@@ -1023,96 +853,6 @@ mod tests {
             let fixed = run(MergeKernelPolicy::Fixed(kernel));
             assert_eq!(auto.labels, fixed.labels, "{} diverged", kernel.name());
             assert_eq!(auto.num_clusters, fixed.num_clusters);
-        }
-    }
-
-    #[test]
-    fn cost_aware_steal_lane_idle_no_worse_than_pinning() {
-        // The probe_lane_steal acceptance check: cost-aware stealing must
-        // end the run with total merge-lane idle no worse than the legacy
-        // submission-time pinning on both reference workloads, and
-        // strictly lower on the skewed stack (whose uneven merges are the
-        // regime stealing exists for). Merge counts must agree exactly:
-        // stealing moves merges between lanes, never adds or drops one.
-        // 9 ranks (a 3x3 grid): with three stages per phase the binary
-        // merge cadence produces accumulated merges whose inputs are
-        // homed on a lane, which is what gives the two policies room to
-        // disagree — on a 2x2 grid every merge joins two home-less kernel
-        // slabs and placement is forced.
-        let budget = 3 << 20;
-        let iters = 3;
-        for w in [
-            LaneWorkload::Net(Dataset::Archaea),
-            LaneWorkload::Net(Dataset::Isom100_3),
-            LaneWorkload::SkewedStack,
-        ] {
-            let off = run_lane_steal_probe(
-                9,
-                w,
-                MergeKernelPolicy::Auto,
-                StealPolicy::Off,
-                budget,
-                iters,
-            );
-            let on = run_lane_steal_probe(
-                9,
-                w,
-                MergeKernelPolicy::Auto,
-                StealPolicy::CostAware,
-                budget,
-                iters,
-            );
-            assert_eq!(off.iterations, on.iterations, "{}", w.name());
-            assert_eq!(off.merge_ops, on.merge_ops, "{}", w.name());
-            assert_eq!(off.stolen_merges, 0, "pinning never steals");
-            assert!(
-                on.merge_lane_idle <= off.merge_lane_idle * (1.0 + 1e-9),
-                "{}: cost-aware lane idle {} must be <= pinned lane idle {}",
-                w.name(),
-                on.merge_lane_idle,
-                off.merge_lane_idle
-            );
-            if matches!(w, LaneWorkload::SkewedStack) {
-                assert!(
-                    on.stolen_merges > 0,
-                    "the skewed stack must trigger actual steals"
-                );
-                assert!(
-                    on.merge_lane_idle < off.merge_lane_idle,
-                    "skewed stack: cost-aware lane idle {} must be strictly below pinned {}",
-                    on.merge_lane_idle,
-                    off.merge_lane_idle
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn steal_policy_preserves_clusters_across_merge_kernels() {
-        // Stealing only moves *when and where* a merge runs on the
-        // virtual clock, never its operands: cluster labels must be
-        // bit-identical across both steal policies and every merge-kernel
-        // policy.
-        use hipmcl_comm::MergeKernel;
-        let run = |steal: StealPolicy, kernel: MergeKernelPolicy| {
-            let mut cfg = bench_mcl_config(MclConfig::optimized(u64::MAX));
-            cfg.summa.steal = steal;
-            cfg.summa.merge_kernel = kernel;
-            cfg.max_iters = 3;
-            run_scattered(4, Dataset::Archaea, &cfg)
-        };
-        let reference = run(StealPolicy::Off, MergeKernelPolicy::Auto);
-        for steal in StealPolicy::all() {
-            let mut kernels = vec![MergeKernelPolicy::Auto];
-            kernels.extend(MergeKernel::all().into_iter().map(MergeKernelPolicy::Fixed));
-            for kernel in kernels {
-                let r = run(steal, kernel);
-                assert_eq!(
-                    reference.labels, r.labels,
-                    "labels diverged under {steal:?} / {kernel:?}"
-                );
-                assert_eq!(reference.num_clusters, r.num_clusters);
-            }
         }
     }
 

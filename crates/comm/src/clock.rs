@@ -351,26 +351,6 @@ impl StageTimers {
     pub fn total(&self) -> f64 {
         self.entries.iter().map(|(_, t)| t).sum()
     }
-
-    /// Merges by taking the per-stage *maximum* across ranks — the
-    /// convention for reporting distributed stage times (the slowest rank
-    /// determines the stage's wall time).
-    pub fn merge_max(&mut self, other: &StageTimers) {
-        for (name, t) in other.iter() {
-            if let Some(e) = self.entries.iter_mut().find(|(n, _)| n == name) {
-                e.1 = e.1.max(t);
-            } else {
-                self.entries.push((name.to_string(), t));
-            }
-        }
-    }
-
-    /// Merges by summing per-stage (accumulating iterations).
-    pub fn merge_add(&mut self, other: &StageTimers) {
-        for (name, t) in other.iter() {
-            self.add(name, t);
-        }
-    }
 }
 
 use hipmcl_sparse::wire::{WireDecode, WireEncode, WireError, WireReader};
@@ -556,20 +536,5 @@ mod tests {
         assert_eq!(t.get("spgemm"), 3.0);
         assert_eq!(t.get("absent"), 0.0);
         assert_eq!(t.total(), 3.5);
-    }
-
-    #[test]
-    fn stage_timers_merge_max_and_add() {
-        let mut a = StageTimers::new();
-        a.add("x", 1.0);
-        let mut b = StageTimers::new();
-        b.add("x", 3.0);
-        b.add("y", 2.0);
-        let mut mx = a.clone();
-        mx.merge_max(&b);
-        assert_eq!(mx.get("x"), 3.0);
-        assert_eq!(mx.get("y"), 2.0);
-        a.merge_add(&b);
-        assert_eq!(a.get("x"), 4.0);
     }
 }

@@ -112,11 +112,6 @@ impl Comm {
         self.world_ranks.len()
     }
 
-    /// World rank of `rank` in this communicator.
-    pub fn world_rank_of(&self, rank: usize) -> usize {
-        self.world_ranks[rank]
-    }
-
     /// The machine model in force.
     pub fn model(&self) -> &MachineModel {
         &self.shared.model

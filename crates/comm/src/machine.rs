@@ -290,16 +290,6 @@ impl MachineModel {
         }
     }
 
-    /// A CPU-only Summit node (for "original HipMCL" baselines).
-    pub fn summit_cpu_only() -> Self {
-        Self {
-            gpus: 0,
-            gpu_node_rate: 0.0,
-            name: "summit-cpu-only",
-            ..Self::summit()
-        }
-    }
-
     /// Thread-parallel efficiency for this rank's thread count.
     pub fn thread_efficiency(&self) -> f64 {
         1.0 / (1.0 + self.thread_overhead * self.threads as f64)
@@ -796,8 +786,13 @@ mod tests {
             }
         }
         // No devices or no work: everything stays on the pool.
+        let no_gpus = MachineModel {
+            gpus: 0,
+            gpu_node_rate: 0.0,
+            ..MachineModel::summit()
+        };
         assert_eq!(
-            MachineModel::summit_cpu_only().hybrid_gpu_fraction(GpuLib::Nsparse, 1 << 30, 50.0),
+            no_gpus.hybrid_gpu_fraction(GpuLib::Nsparse, 1 << 30, 50.0),
             0.0
         );
         assert_eq!(m.hybrid_gpu_fraction(GpuLib::Nsparse, 0, 50.0), 0.0);

@@ -4,7 +4,7 @@ use hipmcl_gpu::select::SelectionPolicy;
 use hipmcl_sparse::colops::PruneParams;
 use hipmcl_summa::active::ActiveSetPolicy;
 use hipmcl_summa::estimate::{EstimatorKind, PhasePlanner};
-use hipmcl_summa::executor::{ExecutorKind, StealPolicy};
+use hipmcl_summa::executor::ExecutorKind;
 use hipmcl_summa::merge::{MergeKernelPolicy, MergeStrategy};
 use hipmcl_summa::spgemm::{CommPolicy, ConfigError, PhasePlan, SummaConfig};
 
@@ -109,7 +109,6 @@ impl MclConfig {
                 merge_kernel: MergeKernelPolicy::Auto,
                 pipelined: false,
                 executor: ExecutorKind::Gpus,
-                steal: StealPolicy::default(),
                 comm: CommPolicy::Hybrid,
                 seed: 42,
             },
@@ -220,27 +219,6 @@ mod tests {
             other => panic!("expected a split error, got {other:?}"),
         }
         assert!(MclConfig::optimized(1 << 30).validate().is_ok());
-    }
-
-    #[test]
-    fn steal_policy_defaults_cost_aware_and_validates_everywhere() {
-        // The optimized presets ship with cost-aware stealing on; the
-        // original-HipMCL baseline keeps the legacy pinning. Both
-        // variants pass the MclConfig validation chain.
-        assert_eq!(StealPolicy::default(), StealPolicy::CostAware);
-        assert_eq!(
-            MclConfig::optimized(1 << 30).summa.steal,
-            StealPolicy::CostAware
-        );
-        assert_eq!(
-            MclConfig::original_hipmcl(1 << 30).summa.steal,
-            StealPolicy::Off
-        );
-        for steal in StealPolicy::all() {
-            let mut c = MclConfig::testing(8);
-            c.summa.steal = steal;
-            assert!(c.validate().is_ok(), "{steal:?}");
-        }
     }
 
     #[test]

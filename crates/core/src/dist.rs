@@ -19,7 +19,7 @@
 use crate::config::MclConfig;
 use crate::serial::IterTrace;
 use hipmcl_comm::collectives::{allreduce, allreduce_sum_vec};
-use hipmcl_comm::{Comm, ProcGrid, WireDecode, WireEncode, WireError, WireReader};
+use hipmcl_comm::{ProcGrid, WireDecode, WireEncode, WireError, WireReader};
 use hipmcl_gpu::multi::MultiGpu;
 use hipmcl_sparse::Csc;
 use hipmcl_summa::active::{ActiveSet, ActiveSetPolicy};
@@ -454,18 +454,6 @@ pub fn dist_normalize(grid: &ProcGrid, m: &mut Csc<f64>) {
     let sums = allreduce_sum_vec(&grid.col_comm, local_sums);
     scale_columns(m, &sums, |_, _| {});
 }
-
-/// Convenience for reports: returns `(name, seconds)` for stages plus the
-/// overall time, like the paper's Fig. 1 stacked bars.
-pub fn stage_summary(report: &DistMclReport) -> Vec<(String, f64)> {
-    let mut rows = report.stage_times.clone();
-    rows.push(("overall".to_string(), report.total_time));
-    rows
-}
-
-/// Suppresses "unused" for `Comm` kept in the public signature docs.
-#[allow(dead_code)]
-fn _comm_marker(_c: &Comm) {}
 
 #[cfg(test)]
 mod tests {

@@ -96,12 +96,23 @@ pub struct MclResult {
 /// symmetrized and self-looped according to `cfg`, made column stochastic,
 /// then iterated until the chaos statistic drops below
 /// `cfg.chaos_epsilon`.
+///
+/// # Panics
+///
+/// On pruning parameters no prune can honour (`select == 0`, a negative
+/// or NaN `cutoff`, `recover_pct` outside `[0, 1]`), with the distributed
+/// driver's message. Only `cfg.prune` is checked: the serial driver reads
+/// neither `cfg.summa` nor `cfg.active_set`, so a fault there cannot
+/// affect it.
 pub fn cluster_serial(adjacency: &Csc<f64>, cfg: &MclConfig) -> MclResult {
     assert_eq!(
         adjacency.nrows(),
         adjacency.ncols(),
         "MCL needs a square matrix"
     );
+    cfg.prune
+        .validate()
+        .unwrap_or_else(|e| panic!("invalid MclConfig: {e}"));
     let mut a = prepare_matrix(adjacency, cfg);
 
     let mut trace = Vec::new();
@@ -276,6 +287,42 @@ mod tests {
         let r = cluster_serial(&g, &cfg);
         assert_eq!(r.iterations, 1);
         assert!(!r.converged);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid MclConfig: prune select = 0")]
+    fn zero_select_is_rejected_on_entry() {
+        let mut cfg = MclConfig::testing(8);
+        cfg.prune.select = 0;
+        cluster_serial(&planted(2, 4, 0, 8), &cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid MclConfig: prune cutoff = NaN")]
+    fn nan_cutoff_is_rejected_on_entry() {
+        let mut cfg = MclConfig::testing(8);
+        cfg.prune.cutoff = f64::NAN;
+        cluster_serial(&planted(2, 4, 0, 8), &cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid MclConfig: prune recover_pct = 1.5")]
+    fn recover_pct_above_one_is_rejected_on_entry() {
+        let mut cfg = MclConfig::testing(8);
+        cfg.prune.recover_pct = 1.5;
+        cluster_serial(&planted(2, 4, 0, 8), &cfg);
+    }
+
+    #[test]
+    fn a_fault_in_the_summa_settings_alone_does_not_stop_the_serial_driver() {
+        use hipmcl_summa::executor::{ExecutorKind, SplitPolicy};
+        let mut cfg = MclConfig::testing(10);
+        cfg.summa.executor = ExecutorKind::Hybrid {
+            split: SplitPolicy::Fixed(1.5),
+        };
+        assert!(cfg.validate().is_err(), "the distributed driver refuses it");
+        let r = cluster_serial(&planted(2, 5, 0, 2), &cfg);
+        assert_eq!(r.num_clusters, 2);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! * GPU idle time (Table V) accumulates whenever the kernel queue starts
 //!   a kernel later than it became free.
 
-use hipmcl_comm::{GpuLib, MachineModel, SpgemmKernel, Timeline};
+use hipmcl_comm::{GpuLib, MachineModel, Timeline};
 
 pub use hipmcl_comm::Event;
 
@@ -76,11 +76,6 @@ impl Device {
             kernel_queue: Timeline::new(),
             copy_engine: Timeline::new(),
         }
-    }
-
-    /// A V100-sized device.
-    pub fn v100(model: MachineModel) -> Self {
-        Self::new(model, V100_MEMORY)
     }
 
     /// Allocates `bytes` of device memory.
@@ -178,13 +173,6 @@ impl Device {
         self.kernel_queue.reset();
         self.copy_engine.reset();
     }
-}
-
-/// Reports the modeled duration of a local SpGEMM on the CPU, for the
-/// selection logic and for CPU-fallback paths (kept here so callers use
-/// one entry point for both targets).
-pub fn cpu_spgemm_duration(model: &MachineModel, kernel: SpgemmKernel, flops: u64, cf: f64) -> f64 {
-    model.spgemm_time(kernel, flops, cf)
 }
 
 #[cfg(test)]

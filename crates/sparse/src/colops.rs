@@ -42,15 +42,6 @@ impl Default for PruneParams {
 }
 
 impl PruneParams {
-    /// Parameters scaled for small test graphs (keeps ≤ `k` per column).
-    pub fn with_select(k: usize) -> Self {
-        Self {
-            select: k,
-            recover_num: k + k / 4,
-            ..Self::default()
-        }
-    }
-
     /// Rejects parameters no prune can honour: `select == 0` (a column
     /// may never become empty), a negative or NaN `cutoff`, or a
     /// `recover_pct` outside `[0, 1]`.

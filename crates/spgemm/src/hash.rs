@@ -207,8 +207,9 @@ fn sort_by_key(words: &mut Vec<u64>, spare: &mut Vec<u64>) {
 
 /// Accumulator reused across columns by one worker, in either addressing
 /// mode: one value per slot, found by key ([`Addressing::Direct`]) or by a
-/// [`KeySet`] probe. The one accumulator of the workspace — the CPU hash and
-/// SPA kernels and the `nsparse` analogue in `hipmcl-gpu` all run on it.
+/// `KeySet` probe ([`Addressing::Hashed`]). The one accumulator of the
+/// workspace — the CPU hash and SPA kernels and the `nsparse` analogue in
+/// `hipmcl-gpu` all run on it.
 ///
 /// Between columns the key set is empty and every bitmap word is zero, so
 /// any prefix of the storage is a valid empty accumulator: opening only

@@ -18,13 +18,6 @@ pub fn output_nnz<T: Value>(a: &Csc<T>, b: &Csc<T>) -> u64 {
     output_counts(a, b).iter().map(|&c| c as u64).sum()
 }
 
-/// Bytes needed to hold `A·B` in CSC with `f64` values — the quantity the
-/// phase planner compares against per-process available memory.
-pub fn output_bytes<T: Value>(a: &Csc<T>, b: &Csc<T>) -> u64 {
-    let nnz = output_nnz(a, b);
-    csc_bytes(nnz, b.ncols() as u64)
-}
-
 /// CSC memory footprint for a given `nnz` and column count (f64 values,
 /// u32 row indices, usize column pointers).
 pub fn csc_bytes(nnz: u64, ncols: u64) -> u64 {

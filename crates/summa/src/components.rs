@@ -14,7 +14,7 @@
 //!   scalable path and validated against union-find.
 
 use crate::distmat::DistMatrix;
-use hipmcl_comm::collectives::{allreduce, allreduce_sum_vec, bcast};
+use hipmcl_comm::collectives::{allreduce, bcast};
 use hipmcl_comm::ProcGrid;
 use hipmcl_sparse::components::{clusters_from_labels, connected_components};
 
@@ -103,13 +103,6 @@ pub fn cluster_size_histogram(labels: &[u32], k: usize) -> Vec<usize> {
     }
     sizes.sort_unstable_by(|a, b| b.cmp(a));
     sizes
-}
-
-/// Silences the "unused import" for allreduce_sum_vec kept for API
-/// stability of this module.
-#[allow(dead_code)]
-fn _keep(v: Vec<f64>, grid: &ProcGrid) -> Vec<f64> {
-    allreduce_sum_vec(&grid.world, v)
 }
 
 #[cfg(test)]

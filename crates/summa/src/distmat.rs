@@ -117,15 +117,6 @@ impl<T: Value> DistMatrix<T> {
     pub fn dcsc_bytes(&self) -> usize {
         Dcsc::from_csc(&self.local).bytes()
     }
-
-    /// An empty distributed matrix with the same global shape as `self`.
-    pub fn empty_like(&self, grid: &ProcGrid) -> Self {
-        Self {
-            local: Csc::zero(self.row_range(grid).len(), self.col_range(grid).len()),
-            nrows_global: self.nrows_global,
-            ncols_global: self.ncols_global,
-        }
-    }
 }
 
 /// Plus-times convenience constructors — the historical f64 API.

@@ -1,57 +1,46 @@
 //! The kernel-execution layer: every local SpGEMM is an asynchronous
-//! launch.
+//! launch, every merge a task on a host-side lane.
 //!
 //! The Pipelined Sparse SUMMA scheduler (`pipeline`) never cares *where* a
-//! local multiplication runs — it submits the selected kernel to an
-//! [`Executor`] and overlaps against the returned [`KernelLaunch`] events.
-//! Three executors implement the trait:
+//! local multiplication runs — it submits the selected kernel to the
+//! rank's [`Executor`] and overlaps against the returned [`KernelLaunch`]
+//! events. There is one executor type; an [`ExecutorKind`] fixes the three
+//! facts in which the configurations differ:
 //!
-//! * [`MultiGpu`] — the paper's configuration (§III-A): GPU kernels run
-//!   asynchronously on the devices (the host resumes after the input
-//!   transfer), CPU-selected kernels run inline on the host, exactly as
-//!   original HipMCL executes them.
-//! * [`CpuPool`] — a per-rank worker pool (the rayon thread pool executes
-//!   the real kernel) advancing its own [`Timeline`] like a device stream
-//!   does, which makes CPU kernels overlappable: "optimized HipMCL on
-//!   nodes without accelerators" gains the §III broadcast/merge overlap.
-//! * [`Hybrid`] — extends §III-A's multi-GPU column split to the CPU: a
-//!   [`SplitPolicy`]-chosen fraction of `B`'s columns is multiplied on the
-//!   devices while the worker pool takes the trailing slab, and the output
-//!   is a trivial `hcat`. The split is either a fixed constant, derived
-//!   per stage from the machine model
-//!   ([`MachineModel::hybrid_gpu_fraction`]), or adapted online by a
-//!   damped [`SplitController`] reading the realized finish-time imbalance
-//!   off the two sides' timelines.
+//! | kind | GPU-selected multiply | CPU-side multiply | the lanes hold |
+//! |---|---|---|---|
+//! | [`Gpus`](ExecutorKind::Gpus) — the paper's setup (§III-A) | all of `B` on the devices | inline on the host, as original HipMCL runs it | merges only |
+//! | [`CpuPool`](ExecutorKind::CpuPool) — nodes without accelerators | none (selection stays CPU-only) | a whole-node job on the worker lanes | merges *and* multiplies |
+//! | [`Hybrid`](ExecutorKind::Hybrid) — §III-A's column split taken one device further | the [`SplitPolicy`]'s leading share; the trailing slab is a worker job | a whole-node job on the worker lanes | merges *and* multiplies |
 //!
-//! Merging is a first-class executor task, not a side activity: the
-//! pipeline submits every merge operation as a [`MergeTask`] through
-//! [`Executor::submit_merge`], and the executor queues it on a host-side
-//! **merge lane** — one [`Timeline`] per socket of the machine model, so
-//! a NUMA node merges at its per-socket rate and inputs produced on the
-//! other socket pay the model's cross-socket penalty. On [`CpuPool`] (and
-//! the pool half of [`Hybrid`]) the merge lanes *are* the worker
-//! timelines, so merges genuinely contend with CPU-side SpGEMM for the
-//! same cores; on [`GpuExecutor`] the lanes are dedicated host-side
-//! timelines next to the device streams. Either way a merge's cost shows
-//! up only as a [`MergeLaunch`] span on a lane — there is no private
+//! A *CPU-side* multiply is one whose selected kernel is a CPU kernel, or
+//! a GPU launch the devices could not hold (out of memory), which
+//! degrades to the host hash kernel instead of killing the rank. The
+//! lanes are one [`Timeline`] per socket of the machine model. A merge
+//! ([`MergeTask`]) occupies one lane at the per-socket rate and pays the
+//! model's cross-socket penalty for inputs produced on another socket; a
+//! queued multiply occupies every lane (the kernels are row-parallel
+//! across all cores), so on a worker pool merges contend with SpGEMM for
+//! the same cores. Handing a job to the lanes is free for the host — that
+//! is what makes a CPU-only configuration pipelinable. A merge's cost
+//! shows up only as a [`MergeLaunch`] span on a lane; there is no private
 //! merge clock anywhere.
 //!
 //! All timestamps are virtual seconds on the owning rank's clock; the
-//! executors only read the clock value the scheduler passes in and never
-//! advance it themselves — waiting (and therefore idle accounting) is the
+//! executor only reads the clock value the scheduler passes in and never
+//! advances it — waiting (and therefore idle accounting) is the
 //! scheduler's job.
 
-use hipmcl_comm::{Event, MachineModel, MergeKernel, SpgemmKernel, TimeModel, Timeline};
+use hipmcl_comm::{Event, GpuLib, MachineModel, MergeKernel, SpgemmKernel, TimeModel, Timeline};
 use hipmcl_gpu::multi::MultiGpu;
-use hipmcl_sparse::{Csc, PlusTimes, Semiring, Value};
+use hipmcl_sparse::{Csc, Semiring, Value};
 use hipmcl_spgemm::CpuAlgo;
 
-/// How the [`Hybrid`] executor chooses the GPU share of each column split.
+/// How [`ExecutorKind::Hybrid`] chooses the GPU share of each column split.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum SplitPolicy {
     /// The same fraction of `B`'s columns goes to the devices in every
-    /// stage (the legacy behaviour; must lie in `[0, 1]` — see
-    /// [`SplitPolicy::validate`]).
+    /// stage (must lie in `[0, 1]` — see [`SplitPolicy::validate`]).
     Fixed(f64),
     /// Each stage's fraction comes from
     /// [`MachineModel::hybrid_gpu_fraction`], evaluated at the stage's
@@ -98,61 +87,12 @@ impl SplitPolicy {
     }
 }
 
-/// Whether an idle merge lane may steal a task pinned to another lane.
-///
-/// Under [`StealPolicy::Off`] every merge task pins to the least-busy lane
-/// at submission time (the PR-3 behaviour): the pick looks only at lane
-/// backlogs, so a task whose inputs are homed elsewhere — or one that
-/// arrives after a short lane just freed up — can open an idle gap on one
-/// socket while the other queues. [`StealPolicy::CostAware`] lets any lane
-/// win the task, but only by the model's arithmetic: each candidate lane
-/// is priced with [`MachineModel::merge_lane_time_with`] (which charges
-/// `xsocket_penalty` for input elements homed on another socket), and the
-/// task goes to the lane with the earliest modeled completion — so a steal
-/// is taken exactly when paying the cross-socket penalty still beats
-/// waiting for the home lane, and refused otherwise. Ties prefer the lane
-/// that opens the smallest idle gap, then the lowest index, keeping the
-/// schedule deterministic.
-///
-/// Stealing only moves *when and where* a task runs on the virtual clock —
-/// never its operands — so results stay bit-identical across policies.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum StealPolicy {
-    /// Submission-time pinning to the least-busy lane (legacy).
-    Off,
-    /// Cost-aware stealing: any lane may take the task if its modeled
-    /// completion (cross-socket penalty included) is earliest.
-    #[default]
-    CostAware,
-}
-
-impl StealPolicy {
-    /// Validates the policy. Both variants are currently always valid;
-    /// the hook exists so `MclConfig`/`SummaConfig` validation covers the
-    /// steal dimension like every other scheduling knob.
-    pub fn validate(self) -> Result<(), InvalidSplit> {
-        Ok(())
-    }
-
-    /// Label used in probes and CSV output.
-    pub fn name(self) -> &'static str {
-        match self {
-            StealPolicy::Off => "off",
-            StealPolicy::CostAware => "cost-aware",
-        }
-    }
-
-    /// Both policies, in display order.
-    pub fn all() -> [StealPolicy; 2] {
-        [StealPolicy::Off, StealPolicy::CostAware]
-    }
-}
-
-/// Which executor a SUMMA run submits its local multiplications to.
+/// Which configuration of the [`Executor`] a SUMMA run submits its local
+/// multiplications to (see the module docs for what each one fixes).
 #[derive(Clone, Copy, Debug, PartialEq, Default)]
 pub enum ExecutorKind {
     /// GPU kernels async on the devices, CPU kernels inline on the host
-    /// (the paper's setup and the legacy behaviour).
+    /// (the paper's setup).
     #[default]
     Gpus,
     /// Every kernel is an async launch on the per-rank CPU worker pool.
@@ -164,10 +104,10 @@ pub enum ExecutorKind {
     },
 }
 
-/// GPU share of the legacy fixed hybrid column split. Summit's six V100s
-/// out-rate the host cores by a wide margin at high `cf` (Fig. 4), so the
-/// pool only takes a sliver; kept as the baseline the adaptive policies
-/// are measured against (`probe_hybrid_split`).
+/// GPU share of the fixed hybrid column split the adaptive policies are
+/// measured against (`probe_hybrid_split`). Summit's six V100s out-rate
+/// the host cores by a wide margin at high `cf` (Fig. 4), so the pool only
+/// takes a sliver.
 pub const DEFAULT_GPU_FRACTION: f64 = 0.85;
 
 impl ExecutorKind {
@@ -176,14 +116,6 @@ impl ExecutorKind {
     pub fn hybrid() -> Self {
         ExecutorKind::Hybrid {
             split: SplitPolicy::Adaptive,
-        }
-    }
-
-    /// Hybrid execution with the legacy fixed split
-    /// ([`DEFAULT_GPU_FRACTION`]).
-    pub fn hybrid_fixed() -> Self {
-        ExecutorKind::Hybrid {
-            split: SplitPolicy::Fixed(DEFAULT_GPU_FRACTION),
         }
     }
 
@@ -206,28 +138,16 @@ pub struct LaunchSpec {
     /// Exact flop count the scheduler already derived for selection.
     pub flops: u64,
     /// Estimated compression factor `flops / nnz(C)` from the stage's
-    /// Cohen probe (already clamped so `cf_est ≥ 1`); executors use it to
-    /// evaluate the machine model's rate curves before the realized `cf`
-    /// is known.
+    /// Cohen probe (already clamped so `cf_est ≥ 1`); the split policies
+    /// evaluate the machine model's rate curves at it before the realized
+    /// `cf` is known.
     pub cf_est: f64,
-    /// The universe's time model. Executors key their timelines off the
-    /// modeled clock either way; under [`TimeModel::Measured`] they
-    /// additionally stamp each launch's real host compute with wall
+    /// The universe's time model. The executor keys its timelines off the
+    /// modeled clock either way; under [`TimeModel::Measured`] it
+    /// additionally stamps each launch's real host compute with wall
     /// seconds ([`KernelLaunch::measured_s`]). Under
     /// [`TimeModel::Modeled`] the host clock is never read.
     pub time: TimeModel,
-}
-
-/// Starts a wall-clock sample iff `spec` was submitted under
-/// [`TimeModel::Measured`] — the modeled path must never touch the host
-/// clock, so the sample is the executor's only `Instant` read.
-fn wall_start(spec: &LaunchSpec) -> Option<std::time::Instant> {
-    spec.time.is_measured().then(std::time::Instant::now)
-}
-
-/// Seconds since a [`wall_start`] sample (`0.0` when none was taken).
-fn wall_elapsed(w0: Option<std::time::Instant>) -> f64 {
-    w0.map_or(0.0, |t| t.elapsed().as_secs_f64())
 }
 
 /// One asynchronous local multiplication, as seen by the scheduler.
@@ -295,7 +215,8 @@ impl MergeTask {
 
 /// One merge operation as scheduled on an executor merge lane — the
 /// merge-side analogue of [`KernelLaunch`]. The real merging work is the
-/// pipeline's (`merge::merge_algo`); this records only the span.
+/// pipeline's (the kernels in [`crate::merge`]); this records only the
+/// span.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MergeLaunch {
     /// Virtual time the merge began executing on its lane (≥ the
@@ -307,11 +228,11 @@ pub struct MergeLaunch {
     pub duration: f64,
     /// Index of the lane (socket) the merge occupied.
     pub lane: usize,
-    /// The lane submission-time pinning ([`StealPolicy::Off`]) would have
-    /// chosen — the task's origin queue.
+    /// The least-busy lane at submission — the queue a backlog-only pick
+    /// would have left the task in.
     pub origin: usize,
-    /// Whether another lane stole the task from its origin queue
-    /// (`lane != origin`; only under [`StealPolicy::CostAware`]).
+    /// Whether another lane took the task from its origin queue
+    /// (`lane != origin`).
     pub stolen: bool,
 }
 
@@ -324,141 +245,6 @@ fn remote_elems(task: &MergeTask, lane: usize) -> u64 {
         .sum()
 }
 
-/// Places `task` on one of `lanes` per `policy` and returns the span.
-///
-/// The task conceptually lands in the queue of its *origin* lane — the
-/// least-busy lane, which is where submission-time pinning would leave it.
-/// Under [`StealPolicy::CostAware`] every lane then competes for the task:
-/// lane `l` would finish it at `max(ready_at, busy_until(l)) + duration(l)`
-/// where the duration prices remote-homed inputs at the model's
-/// cross-socket penalty ([`MachineModel::merge_lane_time_with`]), and the
-/// earliest modeled completion wins. A lane other than the origin winning
-/// is a *steal*: it only happens when the thief's penalty-inclusive time
-/// beats waiting in the origin's queue. Ties break toward the lane that
-/// opens the smallest idle gap (`ready_at − busy_until`, zero for a lane
-/// with no jobs yet, whose leading gap is not accounted idle), then the
-/// lowest index — fully deterministic, like every other scheduling rule in
-/// the simulator.
-fn submit_merge_on(
-    lanes: &mut [Timeline],
-    model: &MachineModel,
-    policy: StealPolicy,
-    ready_at: f64,
-    task: &MergeTask,
-) -> MergeLaunch {
-    let n = lanes.len();
-    let dur_on = |lane: usize| {
-        model.merge_lane_time_with(
-            task.kernel,
-            task.total_elems(),
-            task.ways(),
-            remote_elems(task, lane),
-            n,
-        )
-    };
-    let origin = lanes
-        .iter()
-        .enumerate()
-        .min_by(|(_, a), (_, b)| a.busy_until().partial_cmp(&b.busy_until()).unwrap())
-        .map(|(i, _)| i)
-        .expect("executors always have at least one merge lane");
-    let lane = match policy {
-        StealPolicy::Off => origin,
-        StealPolicy::CostAware => {
-            let cost = |l: usize| {
-                let end = lanes[l].busy_until().max(ready_at) + dur_on(l);
-                let gap = if lanes[l].jobs() > 0 {
-                    (ready_at - lanes[l].busy_until()).max(0.0)
-                } else {
-                    0.0
-                };
-                (end, gap)
-            };
-            (0..n)
-                .min_by(|&i, &j| {
-                    let (ei, gi) = cost(i);
-                    let (ej, gj) = cost(j);
-                    ei.partial_cmp(&ej)
-                        .unwrap()
-                        .then(gi.partial_cmp(&gj).unwrap())
-                })
-                .expect("executors always have at least one merge lane")
-        }
-    };
-    let dur = dur_on(lane);
-    let done = lanes[lane].submit(ready_at, dur);
-    MergeLaunch {
-        started_at: done.at - dur,
-        output_ready_at: done.at,
-        duration: dur,
-        lane,
-        origin,
-        stolen: lane != origin,
-    }
-}
-
-/// Sums the internal idle gaps of a set of lanes.
-fn lanes_idle(lanes: &[Timeline]) -> f64 {
-    lanes.iter().map(Timeline::idle_time).sum()
-}
-
-/// A target that local SpGEMM launches and merge operations are submitted
-/// to.
-///
-/// The trait is generic over the [`Semiring`] the multiplications run in;
-/// the default parameter keeps `dyn Executor` meaning the plus-times
-/// `f64` executor the MCL driver uses. Every concrete executor implements
-/// the trait for *all* semirings — scheduling (timelines, merge lanes,
-/// split policies) is element-type-free, so the same scheduler instance
-/// works for shortest paths exactly as it does for MCL.
-pub trait Executor<S: Semiring = PlusTimes<f64>> {
-    /// Submits `C = A ⊗ B` in semiring `s` as described by `spec`,
-    /// starting at host virtual time `host_now`. Must not advance any
-    /// rank clock — the scheduler decides what to wait on.
-    fn submit(
-        &mut self,
-        s: S,
-        model: &MachineModel,
-        host_now: f64,
-        a: &Csc<S::Elem>,
-        b: &Csc<S::Elem>,
-        spec: LaunchSpec,
-    ) -> KernelLaunch<S::Elem>;
-
-    /// Submits one merge operation, ready at virtual time `ready_at`
-    /// (when its last input slab exists), onto a host-side merge lane.
-    /// Like [`submit`](Self::submit), never advances a rank clock.
-    fn submit_merge(
-        &mut self,
-        model: &MachineModel,
-        ready_at: f64,
-        task: &MergeTask,
-    ) -> MergeLaunch;
-
-    /// GPUs visible to kernel selection (0 keeps selection CPU-only).
-    fn gpus_available(&self) -> usize;
-
-    /// Accumulated device/worker idle time — the Table V "GPU idle"
-    /// column, read uniformly off the executor's timelines.
-    fn device_idle(&self) -> f64;
-
-    /// Accumulated idle on the merge lanes. For [`GpuExecutor`] the lanes
-    /// are dedicated (disjoint from [`device_idle`](Self::device_idle));
-    /// for [`CpuPool`]-backed executors the lanes are the shared worker
-    /// timelines, so this overlaps the pool's share of `device_idle`.
-    fn merge_lane_idle(&self) -> f64;
-
-    /// Number of merge lanes (per-socket [`Timeline`]s) merges can be
-    /// placed on. The pipeline sizes its per-lane
-    /// [`ArenaPool`](crate::merge::ArenaPool) from this, so every lane's
-    /// merges recycle buffers out of a lane-homed
-    /// [`MergeArena`](crate::merge::MergeArena).
-    fn merge_lane_count(&self) -> usize;
-
-    /// Resets all internal timelines (between pipeline sections).
-    fn reset_timelines(&mut self);
-}
-
 /// The CPU algorithm behind a CPU-side kernel selection.
 fn cpu_algo(kernel: SpgemmKernel) -> CpuAlgo {
     match kernel {
@@ -468,205 +254,36 @@ fn cpu_algo(kernel: SpgemmKernel) -> CpuAlgo {
     }
 }
 
-/// The paper's configuration (§III-A) behind the [`Executor`] contract:
-/// GPU kernels run asynchronously on the wrapped devices, CPU-selected
-/// kernels run inline on the host, and merges queue on dedicated
-/// host-side merge lanes — one [`Timeline`] per socket of the machine
-/// model, disjoint from the device streams, so
-/// [`merge_lane_idle`](Executor::merge_lane_idle) reconciles exactly with
-/// the gaps between the recorded merge spans.
-pub struct GpuExecutor<'g> {
-    gpus: &'g mut MultiGpu,
-    lanes: Vec<Timeline>,
-    steal: StealPolicy,
+/// What share of a GPU-selected multiply goes to the devices.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum GpuShare {
+    /// All of `B`'s columns.
+    All,
+    /// None: the multiply runs on the CPU side whole.
+    None,
+    /// The leading columns the policy picks; the rest is a worker job.
+    Split(SplitPolicy),
 }
 
-impl<'g> GpuExecutor<'g> {
-    /// Wraps the rank's devices; merge lanes are sized to the model's
-    /// socket count.
-    pub fn new(gpus: &'g mut MultiGpu, model: &MachineModel) -> Self {
-        let lanes = (0..model.sockets.max(1)).map(|_| Timeline::new()).collect();
-        Self {
-            gpus,
-            lanes,
-            steal: StealPolicy::default(),
-        }
-    }
-
-    /// Sets the merge-lane steal policy (default
-    /// [`StealPolicy::CostAware`]).
-    pub fn with_steal(mut self, steal: StealPolicy) -> Self {
-        self.steal = steal;
-        self
-    }
-
-    /// The host-side merge lanes (one per socket).
-    pub fn merge_lanes(&self) -> &[Timeline] {
-        &self.lanes
-    }
-
-    /// Places a merge on a host-side lane (see [`Executor::submit_merge`]).
-    /// Inherent so callers with a concrete executor need not name a
-    /// semiring — merge scheduling is element-type-free.
-    pub fn submit_merge(
-        &mut self,
-        model: &MachineModel,
-        ready_at: f64,
-        task: &MergeTask,
-    ) -> MergeLaunch {
-        submit_merge_on(&mut self.lanes, model, self.steal, ready_at, task)
-    }
-
-    /// GPUs visible to kernel selection (see [`Executor::gpus_available`]).
-    pub fn gpus_available(&self) -> usize {
-        self.gpus.len()
-    }
-
-    /// Accumulated device idle (see [`Executor::device_idle`]).
-    pub fn device_idle(&self) -> f64 {
-        self.gpus.total_idle()
-    }
-
-    /// Accumulated merge-lane idle (see [`Executor::merge_lane_idle`]).
-    pub fn merge_lane_idle(&self) -> f64 {
-        lanes_idle(&self.lanes)
-    }
-
-    /// Number of dedicated merge lanes (see
-    /// [`Executor::merge_lane_count`]).
-    pub fn merge_lane_count(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// Resets all internal timelines (see [`Executor::reset_timelines`]).
-    pub fn reset_timelines(&mut self) {
-        self.gpus.reset_timelines();
-        for lane in &mut self.lanes {
-            lane.reset();
-        }
-    }
-}
-
-impl<S: Semiring> Executor<S> for GpuExecutor<'_> {
-    fn submit(
-        &mut self,
-        s: S,
-        model: &MachineModel,
-        host_now: f64,
-        a: &Csc<S::Elem>,
-        b: &Csc<S::Elem>,
-        spec: LaunchSpec,
-    ) -> KernelLaunch<S::Elem> {
-        let w0 = wall_start(&spec);
-        match spec.kernel {
-            SpgemmKernel::Gpu(lib) => match self.gpus.multiply_in(s, host_now, a, b, lib) {
-                Ok(r) => KernelLaunch {
-                    c: r.c,
-                    kernel: spec.kernel,
-                    inputs_ready_at: r.inputs_transferred_at,
-                    output_ready_at: r.output_ready_at,
-                    host_compute: 0.0,
-                    kernel_time: r.output_ready_at - r.inputs_transferred_at,
-                    flops: r.flops,
-                    cf: r.cf,
-                    measured_s: wall_elapsed(w0),
-                },
-                // The devices cannot take this phase (out of memory): a
-                // busy or undersized engine degrades the launch to the
-                // host hash kernel instead of killing the rank. The
-                // modeled clock charges the CPU duration, so the slowdown
-                // shows up in reports rather than vanishing.
-                Err(e) => {
-                    eprintln!(
-                        "gpu launch degraded to CpuHash: {e} (increase phases or use a CPU \
-                         policy to avoid the fallback)"
-                    );
-                    let (c, cf) =
-                        cpu_algo(SpgemmKernel::CpuHash).multiply_measured_in(s, a, b, spec.flops);
-                    let dur = model.spgemm_time(SpgemmKernel::CpuHash, spec.flops, cf);
-                    KernelLaunch {
-                        c,
-                        kernel: SpgemmKernel::CpuHash,
-                        inputs_ready_at: host_now + dur,
-                        output_ready_at: host_now + dur,
-                        host_compute: dur,
-                        kernel_time: dur,
-                        flops: spec.flops,
-                        cf,
-                        measured_s: wall_elapsed(w0),
-                    }
-                }
-            },
-            cpu_kernel => {
-                // Inline on the host, as original HipMCL runs CPU kernels:
-                // the host is busy (not idle) for the whole duration and
-                // cannot issue the next broadcast meanwhile.
-                let (c, cf) = cpu_algo(cpu_kernel).multiply_measured_in(s, a, b, spec.flops);
-                let dur = model.spgemm_time(cpu_kernel, spec.flops, cf);
-                KernelLaunch {
-                    c,
-                    kernel: cpu_kernel,
-                    inputs_ready_at: host_now + dur,
-                    output_ready_at: host_now + dur,
-                    host_compute: dur,
-                    kernel_time: dur,
-                    flops: spec.flops,
-                    cf,
-                    measured_s: wall_elapsed(w0),
-                }
-            }
-        }
-    }
-
-    fn submit_merge(
-        &mut self,
-        model: &MachineModel,
-        ready_at: f64,
-        task: &MergeTask,
-    ) -> MergeLaunch {
-        GpuExecutor::submit_merge(self, model, ready_at, task)
-    }
-
-    fn gpus_available(&self) -> usize {
-        GpuExecutor::gpus_available(self)
-    }
-
-    fn device_idle(&self) -> f64 {
-        GpuExecutor::device_idle(self)
-    }
-
-    fn merge_lane_idle(&self) -> f64 {
-        GpuExecutor::merge_lane_idle(self)
-    }
-
-    fn merge_lane_count(&self) -> usize {
-        GpuExecutor::merge_lane_count(self)
-    }
-
-    fn reset_timelines(&mut self) {
-        GpuExecutor::reset_timelines(self)
-    }
-}
-
-/// A per-rank CPU worker pool with a device-like virtual timeline.
+/// The target a rank's local SpGEMM launches and merge operations are
+/// submitted to: its devices plus one host-side lane per socket.
 ///
-/// The real kernel executes through rayon (the kernels themselves are
-/// row-parallel); the modeled duration comes from the machine model's
-/// whole-node CPU rate, queued FIFO on the pool's [`Timeline`]. Handing a
-/// job to the pool is free for the host — that is what makes a CPU-only
-/// configuration pipelinable.
+/// Scheduling (timelines, lanes, split policies) is element-type-free;
+/// only [`submit`](Self::submit) names the semiring, per call, so the same
+/// executor serves shortest paths exactly as it does MCL.
 ///
 /// # Example
 ///
-/// Two launches submitted back-to-back queue FIFO; a launch that only
-/// becomes ready after the previous one finished leaves a measurable idle
-/// gap on the pool's timeline (the Table V "GPU idle" analogue for
+/// On a worker pool two launches submitted back-to-back queue FIFO; a
+/// launch that only becomes ready after the previous one finished leaves a
+/// measurable idle gap on every lane (the Table V "GPU idle" analogue for
 /// accelerator-less nodes):
 ///
 /// ```
 /// use hipmcl_comm::{MachineModel, SpgemmKernel, TimeModel};
+/// use hipmcl_gpu::multi::MultiGpu;
 /// use hipmcl_sparse::PlusTimes;
-/// use hipmcl_summa::executor::{CpuPool, Executor, LaunchSpec};
+/// use hipmcl_summa::executor::{Executor, ExecutorKind, LaunchSpec};
 /// use hipmcl_spgemm::testutil::random_csc;
 ///
 /// let model = MachineModel::summit();
@@ -678,82 +295,238 @@ impl<S: Semiring> Executor<S> for GpuExecutor<'_> {
 ///     time: TimeModel::Modeled,
 /// };
 ///
-/// let mut pool = CpuPool::new();
+/// let mut gpus = MultiGpu::summit_node(&model);
+/// let mut pool = Executor::new(ExecutorKind::CpuPool, &mut gpus, &model);
 /// let pt = PlusTimes::<f64>::new();
-/// let l1 = pool.submit(pt, &model, 0.0, &a, &a, spec);
+/// let l1 = pool.submit(pt, 0.0, &a, &a, spec);
 /// assert_eq!(l1.inputs_ready_at, 0.0, "handoff is free for the host");
 ///
-/// // Ready 1 s after the first launch completed: the pool sat idle in
-/// // between, and the gap is exactly what `device_idle` reports.
-/// let l2 = pool.submit(pt, &model, l1.output_ready_at + 1.0, &a, &a, spec);
+/// // Ready 1 s after the first launch completed: each of the pool's
+/// // lanes (one per socket) sat idle in between, and the gaps are
+/// // exactly what `device_idle` reports.
+/// let l2 = pool.submit(pt, l1.output_ready_at + 1.0, &a, &a, spec);
 /// assert!(l2.output_ready_at > l1.output_ready_at);
-/// assert!((pool.device_idle() - 1.0).abs() < 1e-9);
+/// assert!((pool.device_idle() - model.sockets as f64).abs() < 1e-9);
 /// ```
-///
-/// # NUMA lanes
-///
-/// [`CpuPool::for_model`] sizes the pool from the machine model's node
-/// topology — one lane (a [`Timeline`]) per socket, `model.threads`
-/// workers overall — instead of a flat process-wide constant. A
-/// whole-node SpGEMM occupies **every** lane (the kernels are
-/// row-parallel across all cores); a merge occupies **one** lane at the
-/// per-socket rate, so merges genuinely contend with SpGEMM for the same
-/// cores and two merges can run socket-parallel. Merge inputs homed on
-/// the other socket pay the model's cross-socket penalty.
-pub struct CpuPool {
-    threads: usize,
+pub struct Executor<'g> {
+    gpus: &'g mut MultiGpu,
+    model: &'g MachineModel,
+    /// One lane per socket. Merges always land here.
     lanes: Vec<Timeline>,
-    steal: StealPolicy,
+    /// What share of a GPU-selected multiply the devices take.
+    share: GpuShare,
+    /// Whether the lanes are a worker pool: CPU-side multiplies queue on
+    /// them as whole-node jobs and their idle counts as device idle. When
+    /// not, CPU-side multiplies run inline on the host and the lanes are
+    /// dedicated to merges — one set of lanes, so "where CPU multiplies
+    /// run" and "what merges share their lanes with" are the same bit.
+    pooled: bool,
+    /// Feedback state of [`SplitPolicy::Adaptive`], seeded by the first
+    /// split.
+    controller: Option<SplitController>,
+    /// Realized GPU share of every submission (split kinds only).
+    fractions: Vec<f64>,
 }
 
-impl Default for CpuPool {
-    fn default() -> Self {
-        Self::new()
+impl<'g> Executor<'g> {
+    /// Builds the rank's executor of the given kind over its devices, with
+    /// one lane per socket of `model` and every timeline empty.
+    ///
+    /// # Panics
+    ///
+    /// On a [`SplitPolicy::Fixed`] fraction outside `[0, 1]` — such values
+    /// are a configuration error that `MclConfig`/`SummaConfig` validation
+    /// reports before any executor is built; they are never clamped.
+    pub fn new(kind: ExecutorKind, gpus: &'g mut MultiGpu, model: &'g MachineModel) -> Self {
+        kind.validate()
+            .unwrap_or_else(|e| panic!("invalid hybrid split: {e}"));
+        let (share, pooled) = match kind {
+            ExecutorKind::Gpus => (GpuShare::All, false),
+            ExecutorKind::CpuPool => (GpuShare::None, true),
+            ExecutorKind::Hybrid { split } => (GpuShare::Split(split), true),
+        };
+        let mut exec = Self {
+            gpus,
+            model,
+            lanes: vec![Timeline::new(); model.sockets.max(1)],
+            share,
+            pooled,
+            controller: None,
+            fractions: Vec::new(),
+        };
+        exec.reset_timelines();
+        exec
     }
-}
 
-impl CpuPool {
-    /// A single-lane pool sized to the rayon thread pool of this process
-    /// (no NUMA structure — the legacy shape, kept for direct use).
-    pub fn new() -> Self {
-        Self {
-            threads: rayon::current_num_threads().max(1),
-            lanes: vec![Timeline::new()],
-            steal: StealPolicy::default(),
+    /// Submits `C = A ⊗ B` in semiring `s` as described by `spec`,
+    /// starting at host virtual time `host_now`. Never advances a rank
+    /// clock — the scheduler decides what to wait on.
+    pub fn submit<S: Semiring>(
+        &mut self,
+        s: S,
+        host_now: f64,
+        a: &Csc<S::Elem>,
+        b: &Csc<S::Elem>,
+        spec: LaunchSpec,
+    ) -> KernelLaunch<S::Elem> {
+        let w0 = spec.time.is_measured().then(std::time::Instant::now);
+        let (mut launch, gpu_share) = match spec.kernel {
+            SpgemmKernel::Gpu(lib) => self.submit_gpu(s, host_now, a, b, lib, &spec),
+            cpu_kernel => (
+                self.submit_cpu(s, host_now, a, b, cpu_kernel, spec.flops),
+                0.0,
+            ),
+        };
+        if matches!(self.share, GpuShare::Split(_)) {
+            self.fractions.push(gpu_share);
+        }
+        // The modeled path never touches the host clock: this sample is
+        // the executor's only `Instant` read.
+        launch.measured_s = w0.map_or(0.0, |t| t.elapsed().as_secs_f64());
+        launch
+    }
+
+    /// A CPU-side multiply: a whole-node job on the worker lanes, or — on
+    /// an executor without a pool — inline on the host, which is busy (not
+    /// idle) for the whole duration and cannot issue the next broadcast
+    /// meanwhile.
+    fn submit_cpu<S: Semiring>(
+        &mut self,
+        s: S,
+        host_now: f64,
+        a: &Csc<S::Elem>,
+        b: &Csc<S::Elem>,
+        kernel: SpgemmKernel,
+        flops: u64,
+    ) -> KernelLaunch<S::Elem> {
+        let (c, cf) = cpu_algo(kernel).multiply_measured_in(s, a, b, flops);
+        let dur = self.model.spgemm_time(kernel, flops, cf);
+        let (inputs_ready_at, output_ready_at, host_compute) = if self.pooled {
+            (host_now, self.node_job(host_now, dur).at, 0.0)
+        } else {
+            (host_now + dur, host_now + dur, dur)
+        };
+        KernelLaunch {
+            c,
+            kernel,
+            inputs_ready_at,
+            output_ready_at,
+            host_compute,
+            kernel_time: dur,
+            flops,
+            cf,
+            measured_s: 0.0,
         }
     }
 
-    /// A pool sized from the machine model's node topology: one lane per
-    /// socket, `model.threads` workers.
-    pub fn for_model(model: &MachineModel) -> Self {
-        Self {
-            threads: model.threads.max(1),
-            lanes: (0..model.sockets.max(1)).map(|_| Timeline::new()).collect(),
-            steal: StealPolicy::default(),
+    /// A GPU-selected multiply: the leading `share` of `B`'s columns on
+    /// the devices (the host resumes after the input transfers), the
+    /// trailing slab — if any — as a hash-kernel job on the worker lanes,
+    /// the output a trivial `hcat`. Returns the launch and the share of
+    /// `B`'s columns the devices really took.
+    fn submit_gpu<S: Semiring>(
+        &mut self,
+        s: S,
+        host_now: f64,
+        a: &Csc<S::Elem>,
+        b: &Csc<S::Elem>,
+        lib: GpuLib,
+        spec: &LaunchSpec,
+    ) -> (KernelLaunch<S::Elem>, f64) {
+        let n = b.ncols();
+        let gcols = match self.share {
+            GpuShare::All => n,
+            GpuShare::Split(policy) if !self.gpus.is_empty() => {
+                let frac = self.pick_fraction(policy, lib, spec);
+                ((n as f64 * frac).round() as usize).min(n)
+            }
+            _ => 0,
+        };
+        let on_cpu = |exec: &mut Self| {
+            let hash = SpgemmKernel::CpuHash;
+            (exec.submit_cpu(s, host_now, a, b, hash, spec.flops), 0.0)
+        };
+        if gcols == 0 {
+            return on_cpu(self);
         }
+
+        let b_lead;
+        let b_gpu = if gcols < n {
+            b_lead = b.column_slice(0..gcols);
+            &b_lead
+        } else {
+            b
+        };
+        let r = match self.gpus.multiply_in(s, host_now, a, b_gpu, lib) {
+            Ok(r) => r,
+            // The devices cannot take this phase (out of memory): a busy
+            // or undersized engine degrades the launch to the host hash
+            // kernel instead of killing the rank. The modeled clock
+            // charges the CPU duration, so the slowdown shows up in
+            // reports rather than vanishing, and the share reported is
+            // the fallback's 0, not the intent, which keeps the adaptive
+            // fraction honest.
+            Err(e) => {
+                eprintln!(
+                    "gpu launch degraded to CpuHash: {e} (increase phases or use a CPU \
+                     policy to avoid the fallback)"
+                );
+                return on_cpu(self);
+            }
+        };
+
+        let mut launch = KernelLaunch {
+            c: r.c,
+            kernel: spec.kernel,
+            inputs_ready_at: r.inputs_transferred_at,
+            output_ready_at: r.output_ready_at,
+            host_compute: 0.0,
+            kernel_time: r.output_ready_at - r.inputs_transferred_at,
+            flops: r.flops,
+            cf: r.cf,
+            measured_s: 0.0,
+        };
+        if gcols < n {
+            let b_cpu = b.column_slice(gcols..n);
+            let flops_cpu = hipmcl_spgemm::flops(a, &b_cpu);
+            let (c_cpu, cf_cpu) = CpuAlgo::Hash.multiply_measured_in(s, a, &b_cpu, flops_cpu);
+            let dur = self
+                .model
+                .spgemm_time(SpgemmKernel::CpuHash, flops_cpu, cf_cpu);
+            let done = self.node_job(host_now, dur);
+            // Online feedback: the two sides' finish latencies from this
+            // submission instant are exactly the imbalance the adaptive
+            // policy drives to zero.
+            if let Some(ctl) = self.controller.as_mut() {
+                ctl.observe(r.output_ready_at - host_now, done.at - host_now);
+            }
+            launch.output_ready_at = r.output_ready_at.max(done.at);
+            launch.kernel_time = launch.output_ready_at - r.inputs_transferred_at;
+            launch.flops += flops_cpu;
+            let nnz = launch.c.nnz() + c_cpu.nnz();
+            launch.cf = if nnz == 0 {
+                1.0
+            } else {
+                launch.flops as f64 / nnz as f64
+            };
+            launch.c = Csc::hcat(&[launch.c, c_cpu]);
+        }
+        debug_assert_eq!(launch.flops, spec.flops, "split must cover all columns");
+        (launch, gcols as f64 / n as f64)
     }
 
-    /// Sets the merge-lane steal policy (default
-    /// [`StealPolicy::CostAware`]).
-    pub fn with_steal(mut self, steal: StealPolicy) -> Self {
-        self.steal = steal;
-        self
-    }
-
-    /// Worker threads backing the pool.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// The pool's first lane (jobs queued, idle gaps) — the whole pool
-    /// for a single-lane [`CpuPool::new`].
-    pub fn timeline(&self) -> &Timeline {
-        &self.lanes[0]
-    }
-
-    /// All worker lanes (one per socket).
-    pub fn lanes(&self) -> &[Timeline] {
-        &self.lanes
+    /// The GPU share `policy` picks for this launch.
+    fn pick_fraction(&mut self, policy: SplitPolicy, lib: GpuLib, spec: &LaunchSpec) -> f64 {
+        let model = self.model;
+        let derived = || model.hybrid_gpu_fraction(lib, spec.flops, spec.cf_est);
+        match policy {
+            SplitPolicy::Fixed(f) => f,
+            SplitPolicy::ModelDerived => derived(),
+            SplitPolicy::Adaptive => self
+                .controller
+                .get_or_insert_with(|| SplitController::new(derived(), SPLIT_GAIN))
+                .fraction(),
+        }
     }
 
     /// Queues a whole-node job (all lanes busy for `dur`, the machine
@@ -764,111 +537,126 @@ impl CpuPool {
             .iter_mut()
             .map(|lane| lane.submit(ready, dur))
             .max_by(|a, b| a.at.partial_cmp(&b.at).unwrap())
-            .expect("pool always has at least one lane")
+            .expect("an executor always has at least one lane")
     }
 
-    /// Places a merge on a worker lane (see [`Executor::submit_merge`]).
-    /// Inherent so callers with a concrete pool need not name a semiring.
-    pub fn submit_merge(
-        &mut self,
-        model: &MachineModel,
-        ready_at: f64,
-        task: &MergeTask,
-    ) -> MergeLaunch {
-        submit_merge_on(&mut self.lanes, model, self.steal, ready_at, task)
+    /// Places one merge operation, ready at virtual time `ready_at` (when
+    /// its last input slab exists), on a lane and returns the span. Like
+    /// [`submit`](Self::submit), never advances a rank clock.
+    ///
+    /// **The placement rule.** Every lane competes for the task: lane `l`
+    /// would finish it at `max(ready_at, busy_until(l)) + duration(l)`,
+    /// where the duration prices remote-homed inputs at the model's
+    /// cross-socket penalty ([`MachineModel::merge_lane_time_with`]), and
+    /// the earliest modeled completion wins — so a task leaves the lane
+    /// its inputs live on exactly when paying the penalty still beats
+    /// waiting for that lane, and stays otherwise. Ties break toward the
+    /// lane that opens the smallest idle gap (`ready_at − busy_until`,
+    /// zero for a lane with no jobs yet, whose leading gap is not
+    /// accounted idle), then the lowest index — fully deterministic, like
+    /// every other scheduling rule in the simulator. Placement only moves
+    /// *when and where* a task runs on the virtual clock, never its
+    /// operands. The span also records the task's *origin* — the
+    /// least-busy lane, which a pick blind to input homes and idle gaps
+    /// would have taken — and whether the rule moved it off that lane.
+    pub fn submit_merge(&mut self, ready_at: f64, task: &MergeTask) -> MergeLaunch {
+        let lanes = &self.lanes;
+        let n = lanes.len();
+        let dur_on = |lane: usize| {
+            self.model.merge_lane_time_with(
+                task.kernel,
+                task.total_elems(),
+                task.ways(),
+                remote_elems(task, lane),
+                n,
+            )
+        };
+        let origin = (0..n)
+            .min_by(|&i, &j| {
+                let (bi, bj) = (lanes[i].busy_until(), lanes[j].busy_until());
+                bi.partial_cmp(&bj).unwrap()
+            })
+            .expect("an executor always has at least one lane");
+        let cost = |l: usize| {
+            let end = lanes[l].busy_until().max(ready_at) + dur_on(l);
+            let gap = if lanes[l].jobs() > 0 {
+                (ready_at - lanes[l].busy_until()).max(0.0)
+            } else {
+                0.0
+            };
+            (end, gap)
+        };
+        let lane = (0..n)
+            .min_by(|&i, &j| {
+                let (ei, gi) = cost(i);
+                let (ej, gj) = cost(j);
+                ei.partial_cmp(&ej)
+                    .unwrap()
+                    .then(gi.partial_cmp(&gj).unwrap())
+            })
+            .expect("an executor always has at least one lane");
+        let dur = dur_on(lane);
+        let done = self.lanes[lane].submit(ready_at, dur);
+        MergeLaunch {
+            started_at: done.at - dur,
+            output_ready_at: done.at,
+            duration: dur,
+            lane,
+            origin,
+            stolen: lane != origin,
+        }
     }
 
-    /// GPUs visible to kernel selection — always 0 for a pure pool.
+    /// GPUs visible to kernel selection (0 keeps selection CPU-only).
     pub fn gpus_available(&self) -> usize {
-        0
+        match self.share {
+            GpuShare::None => 0,
+            _ => self.gpus.len(),
+        }
     }
 
-    /// Accumulated worker idle (see [`Executor::device_idle`]).
+    /// Accumulated device/worker idle time — the Table V "GPU idle"
+    /// column, read uniformly off the device streams and, on a worker
+    /// pool, the lanes.
     pub fn device_idle(&self) -> f64 {
-        lanes_idle(&self.lanes)
+        let workers = if self.pooled {
+            self.merge_lane_idle()
+        } else {
+            0.0
+        };
+        self.gpus.total_idle() + workers
     }
 
-    /// Accumulated merge-lane idle — the merge lanes *are* the shared
-    /// worker timelines, so this equals [`CpuPool::device_idle`].
+    /// Accumulated idle on the lanes. Dedicated merge lanes are disjoint
+    /// from [`device_idle`](Self::device_idle); a worker pool's lanes are
+    /// shared with SpGEMM, so there this is the pool's share of it.
     pub fn merge_lane_idle(&self) -> f64 {
-        self.device_idle()
+        self.lanes.iter().map(Timeline::idle_time).sum()
     }
 
-    /// Number of worker lanes merges can occupy (see
-    /// [`Executor::merge_lane_count`]).
+    /// Number of lanes merges can be placed on. The pipeline sizes its
+    /// per-lane [`ArenaPool`](crate::merge::ArenaPool) from this, so every
+    /// lane's merges recycle buffers out of a lane-homed
+    /// [`MergeArena`](crate::merge::MergeArena).
     pub fn merge_lane_count(&self) -> usize {
         self.lanes.len()
     }
 
-    /// Resets all worker timelines (see [`Executor::reset_timelines`]).
+    /// Empties every timeline — device streams and lanes — which also
+    /// zeroes the idle accounting (between pipeline sections).
     pub fn reset_timelines(&mut self) {
+        self.gpus.reset_timelines();
         for lane in &mut self.lanes {
             lane.reset();
         }
     }
-}
 
-impl<S: Semiring> Executor<S> for CpuPool {
-    fn submit(
-        &mut self,
-        s: S,
-        model: &MachineModel,
-        host_now: f64,
-        a: &Csc<S::Elem>,
-        b: &Csc<S::Elem>,
-        spec: LaunchSpec,
-    ) -> KernelLaunch<S::Elem> {
-        // Selection never yields a GPU kernel here (`gpus_available` is
-        // 0); a forced GPU request degrades to the hash kernel.
-        let cpu_kernel = match spec.kernel {
-            SpgemmKernel::Gpu(_) => SpgemmKernel::CpuHash,
-            k => k,
-        };
-        let w0 = wall_start(&spec);
-        let (c, cf) = cpu_algo(cpu_kernel).multiply_measured_in(s, a, b, spec.flops);
-        let dur = model.spgemm_time(cpu_kernel, spec.flops, cf);
-        let done = self.node_job(host_now, dur);
-        KernelLaunch {
-            c,
-            kernel: cpu_kernel,
-            inputs_ready_at: host_now,
-            output_ready_at: done.at,
-            host_compute: 0.0,
-            kernel_time: dur,
-            flops: spec.flops,
-            cf,
-            measured_s: wall_elapsed(w0),
-        }
-    }
-
-    fn submit_merge(
-        &mut self,
-        model: &MachineModel,
-        ready_at: f64,
-        task: &MergeTask,
-    ) -> MergeLaunch {
-        CpuPool::submit_merge(self, model, ready_at, task)
-    }
-
-    fn gpus_available(&self) -> usize {
-        CpuPool::gpus_available(self)
-    }
-
-    fn device_idle(&self) -> f64 {
-        CpuPool::device_idle(self)
-    }
-
-    fn merge_lane_idle(&self) -> f64 {
-        // The merge lanes are the shared worker timelines.
-        CpuPool::merge_lane_idle(self)
-    }
-
-    fn merge_lane_count(&self) -> usize {
-        CpuPool::merge_lane_count(self)
-    }
-
-    fn reset_timelines(&mut self) {
-        CpuPool::reset_timelines(self)
+    /// The realized GPU share of every submission so far, in order (0 for
+    /// multiplications that ran on the CPU side whole); empty unless the
+    /// kind splits. Every share is recorded so the split decision is an
+    /// observable part of the pipeline, not a hidden constant.
+    pub fn fractions(&self) -> &[f64] {
+        &self.fractions
     }
 }
 
@@ -947,254 +735,10 @@ impl SplitController {
     }
 }
 
-/// Joint CPU+GPU execution: each GPU-sized multiplication is column-split
-/// between the devices (leading columns) and the worker pool (trailing
-/// columns), extending §III-A's multi-GPU split by one more "device".
-/// CPU-selected (small) multiplications go to the pool whole.
-///
-/// The per-stage GPU share follows the configured [`SplitPolicy`]; every
-/// realized share is recorded (see [`Hybrid::fractions`]) so the split
-/// decision is an observable part of the pipeline, not a hidden constant.
-pub struct Hybrid<'g> {
-    gpus: &'g mut MultiGpu,
-    pool: CpuPool,
-    policy: SplitPolicy,
-    controller: Option<SplitController>,
-    fractions: Vec<f64>,
-}
-
-impl<'g> Hybrid<'g> {
-    /// Wraps the rank's devices with the given split policy.
-    ///
-    /// # Panics
-    ///
-    /// On a [`SplitPolicy::Fixed`] fraction outside `[0, 1]` — such values
-    /// are a configuration error that `MclConfig`/`SummaConfig` validation
-    /// reports before any executor is built; they are never clamped.
-    pub fn new(gpus: &'g mut MultiGpu, split: SplitPolicy) -> Self {
-        split
-            .validate()
-            .unwrap_or_else(|e| panic!("invalid hybrid split: {e}"));
-        Self {
-            gpus,
-            pool: CpuPool::new(),
-            policy: split,
-            controller: None,
-            fractions: Vec::new(),
-        }
-    }
-
-    /// Like [`Hybrid::new`], but the pool side is sized from the machine
-    /// model's node topology ([`CpuPool::for_model`]): NUMA merge lanes
-    /// shared with the CPU slab of every column split.
-    ///
-    /// # Panics
-    ///
-    /// As [`Hybrid::new`], on an invalid [`SplitPolicy::Fixed`] fraction.
-    pub fn for_model(gpus: &'g mut MultiGpu, split: SplitPolicy, model: &MachineModel) -> Self {
-        let mut h = Self::new(gpus, split);
-        h.pool = CpuPool::for_model(model);
-        h
-    }
-
-    /// Sets the merge-lane steal policy of the pool side (default
-    /// [`StealPolicy::CostAware`]); merges delegate to the pool's lanes.
-    pub fn with_steal(mut self, steal: StealPolicy) -> Self {
-        self.pool.steal = steal;
-        self
-    }
-
-    /// The realized GPU share of every submission so far, in order (0 for
-    /// multiplications that went to the pool whole).
-    pub fn fractions(&self) -> &[f64] {
-        &self.fractions
-    }
-
-    /// The GPU share the policy picks for this launch.
-    fn pick_fraction(
-        &mut self,
-        model: &MachineModel,
-        lib: hipmcl_comm::GpuLib,
-        spec: &LaunchSpec,
-    ) -> f64 {
-        match self.policy {
-            SplitPolicy::Fixed(f) => f,
-            SplitPolicy::ModelDerived => model.hybrid_gpu_fraction(lib, spec.flops, spec.cf_est),
-            SplitPolicy::Adaptive => self
-                .controller
-                .get_or_insert_with(|| {
-                    SplitController::new(
-                        model.hybrid_gpu_fraction(lib, spec.flops, spec.cf_est),
-                        SPLIT_GAIN,
-                    )
-                })
-                .fraction(),
-        }
-    }
-
-    /// Places a merge on the pool's worker lanes (see
-    /// [`Executor::submit_merge`]). Inherent so callers with a concrete
-    /// executor need not name a semiring.
-    pub fn submit_merge(
-        &mut self,
-        model: &MachineModel,
-        ready_at: f64,
-        task: &MergeTask,
-    ) -> MergeLaunch {
-        // Merges land on the pool's worker lanes, contending with the
-        // CPU slabs of the column splits for the same cores.
-        self.pool.submit_merge(model, ready_at, task)
-    }
-
-    /// GPUs visible to kernel selection (see [`Executor::gpus_available`]).
-    pub fn gpus_available(&self) -> usize {
-        self.gpus.len()
-    }
-
-    /// Accumulated device + worker idle (see [`Executor::device_idle`]).
-    pub fn device_idle(&self) -> f64 {
-        self.gpus.total_idle() + self.pool.device_idle()
-    }
-
-    /// Accumulated merge-lane idle (see [`Executor::merge_lane_idle`]).
-    pub fn merge_lane_idle(&self) -> f64 {
-        self.pool.merge_lane_idle()
-    }
-
-    /// Number of worker lanes merges can occupy (see
-    /// [`Executor::merge_lane_count`]) — the delegated pool's.
-    pub fn merge_lane_count(&self) -> usize {
-        self.pool.merge_lane_count()
-    }
-
-    /// Resets all internal timelines (see [`Executor::reset_timelines`]).
-    pub fn reset_timelines(&mut self) {
-        self.gpus.reset_timelines();
-        self.pool.reset_timelines();
-    }
-}
-
-impl<S: Semiring> Executor<S> for Hybrid<'_> {
-    fn submit(
-        &mut self,
-        s: S,
-        model: &MachineModel,
-        host_now: f64,
-        a: &Csc<S::Elem>,
-        b: &Csc<S::Elem>,
-        spec: LaunchSpec,
-    ) -> KernelLaunch<S::Elem> {
-        let n = b.ncols();
-        let lib = match spec.kernel {
-            SpgemmKernel::Gpu(lib) if !self.gpus.is_empty() => lib,
-            _ => {
-                self.fractions.push(0.0);
-                return self.pool.submit(s, model, host_now, a, b, spec);
-            }
-        };
-        let frac = self.pick_fraction(model, lib, &spec);
-        let gcols = ((n as f64 * frac).round() as usize).min(n);
-        if gcols == 0 {
-            self.fractions.push(0.0);
-            return self.pool.submit(s, model, host_now, a, b, spec);
-        }
-        self.fractions.push(gcols as f64 / n.max(1) as f64);
-
-        let w0 = wall_start(&spec);
-        let b_gpu = b.column_slice(0..gcols);
-        let r = match self.gpus.multiply_in(s, host_now, a, &b_gpu, lib) {
-            Ok(r) => r,
-            // Device out of memory: hand the whole multiply to the CPU
-            // pool instead of panicking, and record that the GPU took
-            // none of it so the adaptive fraction stays honest.
-            Err(e) => {
-                eprintln!(
-                    "hybrid gpu side degraded to the cpu pool: {e} (increase phases or use \
-                     a CPU policy to avoid the fallback)"
-                );
-                *self.fractions.last_mut().expect("fraction pushed above") = 0.0;
-                return self.pool.submit(s, model, host_now, a, b, spec);
-            }
-        };
-
-        let mut output_ready_at = r.output_ready_at;
-        let mut total_flops = r.flops;
-        let mut total_nnz = r.c.nnz() as u64;
-        let c = if gcols < n {
-            let b_cpu = b.column_slice(gcols..n);
-            let flops_cpu = hipmcl_spgemm::flops(a, &b_cpu);
-            let (c_cpu, cf_cpu) = CpuAlgo::Hash.multiply_measured_in(s, a, &b_cpu, flops_cpu);
-            let dur = model.spgemm_time(SpgemmKernel::CpuHash, flops_cpu, cf_cpu);
-            let done = self.pool.node_job(host_now, dur);
-            output_ready_at = output_ready_at.max(done.at);
-            total_flops += flops_cpu;
-            total_nnz += c_cpu.nnz() as u64;
-            // Online feedback: the two sides' finish latencies from this
-            // submission instant are exactly the imbalance the adaptive
-            // policy drives to zero.
-            if let Some(ctl) = self.controller.as_mut() {
-                ctl.observe(r.output_ready_at - host_now, done.at - host_now);
-            }
-            Csc::hcat(&[r.c, c_cpu])
-        } else {
-            r.c
-        };
-        debug_assert_eq!(total_flops, spec.flops, "split must cover all columns");
-
-        let cf = if total_nnz == 0 {
-            1.0
-        } else {
-            total_flops as f64 / total_nnz as f64
-        };
-        KernelLaunch {
-            c,
-            kernel: spec.kernel,
-            // The host blocks on the GPU input transfers (the pool handoff
-            // is free), exactly like the pure multi-GPU path.
-            inputs_ready_at: r.inputs_transferred_at,
-            output_ready_at,
-            host_compute: 0.0,
-            kernel_time: output_ready_at - r.inputs_transferred_at,
-            flops: total_flops,
-            cf,
-            measured_s: wall_elapsed(w0),
-        }
-    }
-
-    fn submit_merge(
-        &mut self,
-        model: &MachineModel,
-        ready_at: f64,
-        task: &MergeTask,
-    ) -> MergeLaunch {
-        Hybrid::submit_merge(self, model, ready_at, task)
-    }
-
-    fn gpus_available(&self) -> usize {
-        Hybrid::gpus_available(self)
-    }
-
-    fn device_idle(&self) -> f64 {
-        Hybrid::device_idle(self)
-    }
-
-    fn merge_lane_idle(&self) -> f64 {
-        Hybrid::merge_lane_idle(self)
-    }
-
-    fn merge_lane_count(&self) -> usize {
-        Hybrid::merge_lane_count(self)
-    }
-
-    fn reset_timelines(&mut self) {
-        Hybrid::reset_timelines(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hipmcl_comm::GpuLib;
+    use hipmcl_sparse::PlusTimes;
     use hipmcl_spgemm::testutil::random_csc;
     use proptest::prelude::*;
 
@@ -1219,19 +763,18 @@ mod tests {
         }
     }
 
+    const NSPARSE: SpgemmKernel = SpgemmKernel::Gpu(GpuLib::Nsparse);
+
+    fn hybrid(split: SplitPolicy) -> ExecutorKind {
+        ExecutorKind::Hybrid { split }
+    }
+
     #[test]
-    fn multigpu_executor_gpu_kernel_is_async() {
-        let a = random_csc(30, 30, 260, 41);
+    fn gpu_kernel_on_the_devices_is_async() {
+        let (m, a) = (model(), random_csc(30, 30, 260, 41));
         let mut gpus = MultiGpu::new(model(), 2, 1 << 30);
-        let mut exec = GpuExecutor::new(&mut gpus, &model());
-        let l = exec.submit(
-            pt(),
-            &model(),
-            1.0,
-            &a,
-            &a,
-            spec_for(&a, SpgemmKernel::Gpu(GpuLib::Nsparse)),
-        );
+        let mut exec = Executor::new(ExecutorKind::Gpus, &mut gpus, &m);
+        let l = exec.submit(pt(), 1.0, &a, &a, spec_for(&a, NSPARSE));
         assert!(l.c.max_abs_diff(&want(&a)) < 1e-9);
         assert!(l.inputs_ready_at > 1.0);
         assert!(
@@ -1240,21 +783,18 @@ mod tests {
         );
         assert_eq!(l.host_compute, 0.0);
         assert!((l.kernel_time - (l.output_ready_at - l.inputs_ready_at)).abs() < 1e-12);
+        assert!(
+            exec.fractions().is_empty(),
+            "only split kinds record shares"
+        );
     }
 
     #[test]
-    fn multigpu_executor_cpu_kernel_is_host_synchronous() {
-        let a = random_csc(30, 30, 260, 42);
+    fn cpu_kernel_without_a_pool_is_host_synchronous() {
+        let (m, a) = (model(), random_csc(30, 30, 260, 42));
         let mut gpus = MultiGpu::new(model(), 2, 1 << 30);
-        let mut exec = GpuExecutor::new(&mut gpus, &model());
-        let l = exec.submit(
-            pt(),
-            &model(),
-            1.0,
-            &a,
-            &a,
-            spec_for(&a, SpgemmKernel::CpuHash),
-        );
+        let mut exec = Executor::new(ExecutorKind::Gpus, &mut gpus, &m);
+        let l = exec.submit(pt(), 1.0, &a, &a, spec_for(&a, SpgemmKernel::CpuHash));
         assert!(l.c.max_abs_diff(&want(&a)) < 1e-9);
         assert_eq!(
             l.inputs_ready_at, l.output_ready_at,
@@ -1262,22 +802,16 @@ mod tests {
         );
         assert!(l.host_compute > 0.0);
         assert!((l.host_compute - (l.output_ready_at - 1.0)).abs() < 1e-12);
+        assert_eq!(exec.lanes[0].jobs(), 0, "dedicated lanes saw no multiply");
     }
 
     #[test]
     fn gpu_oom_degrades_to_host_kernel_instead_of_panicking() {
-        let a = random_csc(30, 30, 260, 45);
+        let (m, a) = (model(), random_csc(30, 30, 260, 45));
         // Devices far too small for the operands: every launch OOMs.
         let mut gpus = MultiGpu::new(model(), 2, 64);
-        let mut exec = GpuExecutor::new(&mut gpus, &model());
-        let l = exec.submit(
-            pt(),
-            &model(),
-            1.0,
-            &a,
-            &a,
-            spec_for(&a, SpgemmKernel::Gpu(GpuLib::Nsparse)),
-        );
+        let mut exec = Executor::new(ExecutorKind::Gpus, &mut gpus, &m);
+        let l = exec.submit(pt(), 1.0, &a, &a, spec_for(&a, NSPARSE));
         assert!(l.c.max_abs_diff(&want(&a)) < 1e-9, "result still correct");
         assert_eq!(
             l.kernel,
@@ -1290,18 +824,13 @@ mod tests {
 
     #[test]
     fn hybrid_oom_hands_the_whole_multiply_to_the_pool() {
-        let a = random_csc(30, 30, 260, 46);
+        let (m, a) = (model(), random_csc(30, 30, 260, 46));
         let mut gpus = MultiGpu::new(model(), 2, 64);
-        let mut h = Hybrid::new(&mut gpus, SplitPolicy::Fixed(0.5));
-        let l = h.submit(
-            pt(),
-            &model(),
-            1.0,
-            &a,
-            &a,
-            spec_for(&a, SpgemmKernel::Gpu(GpuLib::Nsparse)),
-        );
+        let mut h = Executor::new(hybrid(SplitPolicy::Fixed(0.5)), &mut gpus, &m);
+        let l = h.submit(pt(), 1.0, &a, &a, spec_for(&a, NSPARSE));
         assert!(l.c.max_abs_diff(&want(&a)) < 1e-9, "result still correct");
+        assert_eq!(l.kernel, SpgemmKernel::CpuHash);
+        assert_eq!(l.inputs_ready_at, 1.0, "queued on the pool, not inline");
         assert_eq!(
             h.fractions(),
             &[0.0],
@@ -1311,16 +840,12 @@ mod tests {
 
     #[test]
     fn cpu_pool_launches_are_async_and_fifo() {
-        let a = random_csc(30, 30, 260, 43);
-        let mut pool = CpuPool::new();
-        let l1 = pool.submit(
-            pt(),
-            &model(),
-            1.0,
-            &a,
-            &a,
-            spec_for(&a, SpgemmKernel::CpuHash),
-        );
+        let (m, a) = (model(), random_csc(30, 30, 260, 43));
+        let mut gpus = MultiGpu::new(model(), 2, 1 << 30);
+        let mut pool = Executor::new(ExecutorKind::CpuPool, &mut gpus, &m);
+        assert_eq!(pool.merge_lane_count(), m.sockets, "one lane per socket");
+        assert_eq!(pool.gpus_available(), 0, "selection stays CPU-only");
+        let l1 = pool.submit(pt(), 1.0, &a, &a, spec_for(&a, SpgemmKernel::CpuHash));
         assert!(l1.c.max_abs_diff(&want(&a)) < 1e-9);
         assert_eq!(
             l1.inputs_ready_at, 1.0,
@@ -1329,39 +854,28 @@ mod tests {
         assert!(l1.output_ready_at > 1.0);
         assert_eq!(l1.host_compute, 0.0);
         // Second job ready immediately queues behind the first.
-        let l2 = pool.submit(
-            pt(),
-            &model(),
-            1.0,
-            &a,
-            &a,
-            spec_for(&a, SpgemmKernel::CpuHeap),
-        );
+        let l2 = pool.submit(pt(), 1.0, &a, &a, spec_for(&a, SpgemmKernel::CpuHeap));
         assert!(l2.output_ready_at > l1.output_ready_at);
-        assert_eq!(pool.timeline().jobs(), 2);
+        assert!(
+            pool.lanes.iter().all(|lane| lane.jobs() == 2),
+            "a whole-node job occupies every lane"
+        );
         assert_eq!(pool.device_idle(), 0.0, "back-to-back jobs leave no gap");
-        assert!(pool.threads() >= 1);
     }
 
     #[test]
     fn cpu_pool_degrades_gpu_requests_to_hash() {
-        let a = random_csc(20, 20, 120, 44);
-        let mut pool = CpuPool::new();
-        let l = pool.submit(
-            pt(),
-            &model(),
-            0.0,
-            &a,
-            &a,
-            spec_for(&a, SpgemmKernel::Gpu(GpuLib::Nsparse)),
-        );
+        let (m, a) = (model(), random_csc(20, 20, 120, 44));
+        let mut gpus = MultiGpu::new(model(), 2, 1 << 30);
+        let mut pool = Executor::new(ExecutorKind::CpuPool, &mut gpus, &m);
+        let l = pool.submit(pt(), 0.0, &a, &a, spec_for(&a, NSPARSE));
         assert_eq!(l.kernel, SpgemmKernel::CpuHash);
         assert!(l.c.max_abs_diff(&want(&a)) < 1e-9);
     }
 
     #[test]
     fn hybrid_splits_and_matches_reference() {
-        let a = random_csc(40, 40, 500, 45);
+        let (m, a) = (model(), random_csc(40, 40, 500, 45));
         let w = want(&a);
         let policies = [
             SplitPolicy::Fixed(0.0),
@@ -1374,22 +888,11 @@ mod tests {
         ];
         for policy in policies {
             let mut gpus = MultiGpu::new(model(), 3, 1 << 30);
-            let mut h = Hybrid::new(&mut gpus, policy);
-            let l = h.submit(
-                pt(),
-                &model(),
-                0.0,
-                &a,
-                &a,
-                spec_for(&a, SpgemmKernel::Gpu(GpuLib::Nsparse)),
-            );
+            let mut h = Executor::new(hybrid(policy), &mut gpus, &m);
+            let l = h.submit(pt(), 0.0, &a, &a, spec_for(&a, NSPARSE));
             assert!(l.c.max_abs_diff(&w) < 1e-9, "{policy:?}");
             assert_eq!(l.c.nnz(), w.nnz(), "{policy:?}");
-            assert_eq!(
-                l.flops,
-                spec_for(&a, SpgemmKernel::CpuHash).flops,
-                "{policy:?}"
-            );
+            assert_eq!(l.flops, spec_for(&a, NSPARSE).flops, "{policy:?}");
             assert!(l.output_ready_at >= l.inputs_ready_at, "{policy:?}");
             assert_eq!(h.fractions().len(), 1, "{policy:?}");
             let f = h.fractions()[0];
@@ -1399,17 +902,10 @@ mod tests {
 
     #[test]
     fn hybrid_sends_cpu_kernels_to_the_pool() {
-        let a = random_csc(25, 25, 180, 46);
+        let (m, a) = (model(), random_csc(25, 25, 180, 46));
         let mut gpus = MultiGpu::new(model(), 2, 1 << 30);
-        let mut h = Hybrid::new(&mut gpus, SplitPolicy::Fixed(0.85));
-        let l = h.submit(
-            pt(),
-            &model(),
-            2.0,
-            &a,
-            &a,
-            spec_for(&a, SpgemmKernel::CpuHeap),
-        );
+        let mut h = Executor::new(hybrid(SplitPolicy::Fixed(0.85)), &mut gpus, &m);
+        let l = h.submit(pt(), 2.0, &a, &a, spec_for(&a, SpgemmKernel::CpuHeap));
         assert!(l.c.max_abs_diff(&want(&a)) < 1e-9);
         assert_eq!(
             l.inputs_ready_at, 2.0,
@@ -1421,12 +917,11 @@ mod tests {
 
     #[test]
     fn hybrid_without_devices_runs_entirely_on_pool() {
-        let a = random_csc(20, 20, 140, 47);
+        let (m, a) = (model(), random_csc(20, 20, 140, 47));
         let mut gpus = MultiGpu::new(model(), 0, 1 << 30);
-        let mut h = Hybrid::new(&mut gpus, SplitPolicy::Adaptive);
+        let mut h = Executor::new(hybrid(SplitPolicy::Adaptive), &mut gpus, &m);
         let l = h.submit(
             pt(),
-            &model(),
             0.0,
             &a,
             &a,
@@ -1440,14 +935,14 @@ mod tests {
     #[should_panic(expected = "invalid hybrid split")]
     fn hybrid_rejects_fraction_above_one() {
         let mut gpus = MultiGpu::new(model(), 2, 1 << 30);
-        let _ = Hybrid::new(&mut gpus, SplitPolicy::Fixed(1.5));
+        let _ = Executor::new(hybrid(SplitPolicy::Fixed(1.5)), &mut gpus, &model());
     }
 
     #[test]
     #[should_panic(expected = "invalid hybrid split")]
     fn hybrid_rejects_negative_fraction() {
         let mut gpus = MultiGpu::new(model(), 2, 1 << 30);
-        let _ = Hybrid::new(&mut gpus, SplitPolicy::Fixed(-0.1));
+        let _ = Executor::new(hybrid(SplitPolicy::Fixed(-0.1)), &mut gpus, &model());
     }
 
     #[test]
@@ -1461,11 +956,7 @@ mod tests {
         let above = SplitPolicy::Fixed(1.0 + 1e-9).validate().unwrap_err();
         assert!(above.fraction > 1.0);
         assert!(SplitPolicy::Fixed(f64::NAN).validate().is_err());
-        assert!(ExecutorKind::Hybrid {
-            split: SplitPolicy::Fixed(2.0)
-        }
-        .validate()
-        .is_err());
+        assert!(hybrid(SplitPolicy::Fixed(2.0)).validate().is_err());
         assert!(ExecutorKind::Gpus.validate().is_ok());
         // The error is displayable (surfaced by MclConfig validation).
         let msg = format!("{}", above);
@@ -1473,20 +964,9 @@ mod tests {
     }
 
     #[test]
-    fn executor_kind_default_and_hybrid_presets() {
+    fn executor_kind_default_and_hybrid_preset() {
         assert_eq!(ExecutorKind::default(), ExecutorKind::Gpus);
-        assert_eq!(
-            ExecutorKind::hybrid(),
-            ExecutorKind::Hybrid {
-                split: SplitPolicy::Adaptive
-            }
-        );
-        assert_eq!(
-            ExecutorKind::hybrid_fixed(),
-            ExecutorKind::Hybrid {
-                split: SplitPolicy::Fixed(DEFAULT_GPU_FRACTION)
-            }
-        );
+        assert_eq!(ExecutorKind::hybrid(), hybrid(SplitPolicy::Adaptive));
     }
 
     #[test]
@@ -1498,15 +978,15 @@ mod tests {
         // Big enough that split work dwarfs the fixed launch/transfer
         // overheads — otherwise the gap floor is the overhead, not the
         // imbalance.
-        let a = random_csc(300, 300, 24000, 49);
-        let spec = spec_for(&a, SpgemmKernel::Gpu(GpuLib::Nsparse));
+        let (m, a) = (model(), random_csc(300, 300, 24000, 49));
+        let spec = spec_for(&a, NSPARSE);
         let mut gpus = MultiGpu::new(model(), 6, 1 << 30);
-        let mut h = Hybrid::new(&mut gpus, SplitPolicy::Adaptive);
+        let mut h = Executor::new(hybrid(SplitPolicy::Adaptive), &mut gpus, &m);
         h.controller = Some(SplitController::new(0.2, SPLIT_GAIN));
         let mut gaps = Vec::new();
         let mut now = 0.0;
         for _ in 0..12 {
-            let l = h.submit(pt(), &model(), now, &a, &a, spec);
+            let l = h.submit(pt(), now, &a, &a, spec);
             now = l.output_ready_at;
             let gpu_done = h
                 .gpus
@@ -1514,7 +994,7 @@ mod tests {
                 .iter()
                 .map(|d| d.quiescent_at())
                 .fold(0.0, f64::max);
-            let pool_done = h.pool.timeline().busy_until();
+            let pool_done = h.lanes[0].busy_until();
             gaps.push((gpu_done - pool_done).abs());
         }
         assert!(
@@ -1531,18 +1011,19 @@ mod tests {
     fn merge_tasks_spread_across_socket_lanes() {
         // Summit's model has two sockets → two merge lanes; two merges
         // ready at the same instant run socket-parallel, not queued.
+        let m = model();
         let mut gpus = MultiGpu::new(model(), 2, 1 << 30);
-        let mut exec = GpuExecutor::new(&mut gpus, &model());
-        assert_eq!(exec.merge_lanes().len(), 2);
+        let mut exec = Executor::new(ExecutorKind::Gpus, &mut gpus, &m);
+        assert_eq!(exec.merge_lane_count(), 2);
         let t = merge_task(MergeKernel::Heap, vec![(50_000, None), (50_000, None)]);
-        let l1 = exec.submit_merge(&model(), 0.0, &t);
-        let l2 = exec.submit_merge(&model(), 0.0, &t);
+        let l1 = exec.submit_merge(0.0, &t);
+        let l2 = exec.submit_merge(0.0, &t);
         assert_ne!(l1.lane, l2.lane, "second merge takes the free lane");
         assert_eq!(l1.started_at, 0.0);
         assert_eq!(l2.started_at, 0.0);
         assert!((l1.output_ready_at - l1.duration).abs() < 1e-12);
         // A third merge must queue behind one of them.
-        let l3 = exec.submit_merge(&model(), 0.0, &t);
+        let l3 = exec.submit_merge(0.0, &t);
         assert!(l3.started_at >= l1.output_ready_at.min(l2.output_ready_at) - 1e-12);
     }
 
@@ -1553,10 +1034,10 @@ mod tests {
         let m = MachineModel::summit_ranks_per_node(4);
         assert_eq!(m.sockets, 1);
         let mut gpus = MultiGpu::new(m.clone(), 2, 1 << 30);
-        let mut exec = GpuExecutor::new(&mut gpus, &m);
+        let mut exec = Executor::new(ExecutorKind::Gpus, &mut gpus, &m);
         let t = merge_task(MergeKernel::Hash, vec![(10_000, None); 4]);
-        let l1 = exec.submit_merge(&m, 0.0, &t);
-        let l2 = exec.submit_merge(&m, l1.output_ready_at + 0.25, &t);
+        let l1 = exec.submit_merge(0.0, &t);
+        let l2 = exec.submit_merge(l1.output_ready_at + 0.25, &t);
         assert!((l2.started_at - (l1.output_ready_at + 0.25)).abs() < 1e-12);
         assert!((exec.merge_lane_idle() - 0.25).abs() < 1e-12);
         assert_eq!(exec.device_idle(), 0.0, "device streams saw no merges");
@@ -1566,29 +1047,21 @@ mod tests {
 
     #[test]
     fn remote_socket_inputs_pay_the_crossing_penalty() {
-        // Pin the legacy policy: under cost-aware stealing the scheduler
-        // would route the all-remote task to its home lane and never pay.
+        // Lane 1 is backlogged, so a task whose inputs live there runs on
+        // lane 0 and every input element crosses sockets; the same task
+        // homed on lane 0 pays nothing.
         let m = model();
-        let mut gpus = MultiGpu::new(m.clone(), 2, 1 << 30);
-        let mut exec = GpuExecutor::new(&mut gpus, &m).with_steal(StealPolicy::Off);
-        // Fresh lanes tie on busy_until → lane 0 wins; inputs homed on
-        // socket 1 are all remote.
-        let local = merge_task(
-            MergeKernel::Heap,
-            vec![(40_000, Some(0)), (40_000, Some(0))],
-        );
-        let remote = merge_task(
-            MergeKernel::Heap,
-            vec![(40_000, Some(1)), (40_000, Some(1))],
-        );
-        let ll = exec.submit_merge(&m, 0.0, &local);
-        assert_eq!(ll.lane, 0);
-        assert!(!ll.stolen);
-        let mut gpus2 = MultiGpu::new(m.clone(), 2, 1 << 30);
-        let mut exec2 = GpuExecutor::new(&mut gpus2, &m).with_steal(StealPolicy::Off);
-        let lr = exec2.submit_merge(&m, 0.0, &remote);
-        assert_eq!(lr.lane, 0);
-        let ratio = lr.duration / ll.duration;
+        let run = |home: usize| {
+            let mut gpus = MultiGpu::new(m.clone(), 2, 1 << 30);
+            let mut exec = Executor::new(ExecutorKind::Gpus, &mut gpus, &m);
+            let big = merge_task(MergeKernel::Heap, vec![(50_000_000, Some(1)); 2]);
+            assert_eq!(exec.submit_merge(0.0, &big).lane, 1);
+            let t = merge_task(MergeKernel::Heap, vec![(40_000, Some(home)); 2]);
+            let l = exec.submit_merge(0.0, &t);
+            assert_eq!(l.lane, 0);
+            l.duration
+        };
+        let ratio = run(1) / run(0);
         assert!(
             (ratio - (1.0 + m.xsocket_penalty)).abs() < 1e-9,
             "all-remote inputs scale the merge by 1 + penalty, got {ratio}"
@@ -1596,45 +1069,45 @@ mod tests {
     }
 
     #[test]
-    fn cost_aware_steal_avoids_the_crossing_penalty_on_free_lanes() {
-        // Same all-remote task as above, but under the default CostAware
-        // policy: lane 1 (the inputs' home) finishes it sooner than the
-        // origin pick (lane 0, which would pay the penalty), so lane 1
-        // steals it and the span records the steal.
+    fn placement_avoids_the_crossing_penalty_on_free_lanes() {
+        // Both lanes are free and the inputs live on lane 1: lane 1
+        // finishes the task sooner than the least-busy pick (lane 0,
+        // which would pay the penalty), so it takes the task and the
+        // span records the move.
         let m = model();
         let mut gpus = MultiGpu::new(m.clone(), 2, 1 << 30);
-        let mut exec = GpuExecutor::new(&mut gpus, &m);
+        let mut exec = Executor::new(ExecutorKind::Gpus, &mut gpus, &m);
         let remote = merge_task(
             MergeKernel::Heap,
             vec![(40_000, Some(1)), (40_000, Some(1))],
         );
-        let l = exec.submit_merge(&m, 0.0, &remote);
+        let l = exec.submit_merge(0.0, &remote);
         assert_eq!(l.lane, 1, "home lane wins the task");
-        assert_eq!(l.origin, 0, "pinning would have picked lane 0");
+        assert_eq!(l.origin, 0, "fresh lanes tie on backlog: lane 0");
         assert!(l.stolen);
         let unpenalized = m.merge_lane_time_with(MergeKernel::Heap, 80_000, 2, 0, 2);
         assert!(
             (l.duration - unpenalized).abs() < 1e-12,
-            "the steal pays no cross-socket penalty: {} vs {unpenalized}",
+            "the move pays no cross-socket penalty: {} vs {unpenalized}",
             l.duration
         );
     }
 
     #[test]
-    fn cost_aware_refuses_a_steal_that_loses_to_waiting() {
+    fn placement_refuses_a_move_that_loses_to_waiting() {
         // Lane 1 (the inputs' home) is deeply backlogged; lane 0 is free.
         // Paying the penalty on lane 0 now beats waiting for lane 1, so
-        // the task stays on its origin lane — stealing is cost-gated, not
-        // affinity-greedy.
+        // the task stays on its origin lane — placement is cost-gated,
+        // not affinity-greedy.
         let m = model();
         let mut gpus = MultiGpu::new(m.clone(), 2, 1 << 30);
-        let mut exec = GpuExecutor::new(&mut gpus, &m);
+        let mut exec = Executor::new(ExecutorKind::Gpus, &mut gpus, &m);
         // Backlog lane 1 with a huge merge homed there.
         let big = merge_task(MergeKernel::Heap, vec![(50_000_000, Some(1)); 2]);
-        let lb = exec.submit_merge(&m, 0.0, &big);
+        let lb = exec.submit_merge(0.0, &big);
         assert_eq!(lb.lane, 1);
         let small = merge_task(MergeKernel::Heap, vec![(40_000, Some(1)); 2]);
-        let ls = exec.submit_merge(&m, 0.0, &small);
+        let ls = exec.submit_merge(0.0, &small);
         assert_eq!(ls.lane, 0, "waiting behind the backlog would lose");
         assert_eq!(ls.origin, 0);
         assert!(!ls.stolen);
@@ -1643,35 +1116,26 @@ mod tests {
     }
 
     #[test]
-    fn cost_aware_tie_breaks_toward_the_smallest_idle_gap() {
+    fn placement_tie_breaks_toward_the_smallest_idle_gap() {
         // Both lanes hold jobs; the task becomes ready exactly when the
-        // longer lane frees up. Off pins to the shorter backlog (opening
-        // an idle gap there); CostAware sees equal completion times and
-        // prefers the lane that opens no gap.
+        // longer lane frees up. Either lane would finish it at the same
+        // instant; the shorter backlog (the origin) would open an idle
+        // gap, so the rule prefers the lane that opens none.
         let m = model();
         let t_short = merge_task(MergeKernel::Heap, vec![(10_000, None); 2]);
         let t_long = merge_task(MergeKernel::Heap, vec![(80_000, None); 2]);
         let probe = merge_task(MergeKernel::Heap, vec![(20_000, None); 2]);
-        let run = |policy: StealPolicy| {
-            let mut gpus = MultiGpu::new(m.clone(), 2, 1 << 30);
-            let mut exec = GpuExecutor::new(&mut gpus, &m).with_steal(policy);
-            let a = exec.submit_merge(&m, 0.0, &t_long); // lane 0
-            let b = exec.submit_merge(&m, 0.0, &t_short); // lane 1
-            assert_ne!(a.lane, b.lane);
-            let l = exec.submit_merge(&m, a.output_ready_at, &probe);
-            (l, exec.merge_lane_idle())
-        };
-        let (l_off, idle_off) = run(StealPolicy::Off);
-        assert_eq!(l_off.lane, 1, "pinning chases the shorter backlog");
-        assert!(idle_off > 0.0, "and opens an idle gap there");
-        let (l_ca, idle_ca) = run(StealPolicy::CostAware);
-        assert_eq!(l_ca.lane, 0, "equal finish → prefer the gapless lane");
-        assert!(l_ca.stolen);
-        assert_eq!(idle_ca, 0.0);
-        assert_eq!(
-            l_ca.output_ready_at, l_off.output_ready_at,
-            "the steal was free: same completion, less idle"
-        );
+        let mut gpus = MultiGpu::new(m.clone(), 2, 1 << 30);
+        let mut exec = Executor::new(ExecutorKind::Gpus, &mut gpus, &m);
+        let a = exec.submit_merge(0.0, &t_long); // lane 0
+        let b = exec.submit_merge(0.0, &t_short); // lane 1
+        assert_eq!((a.lane, b.lane), (0, 1));
+        let l = exec.submit_merge(a.output_ready_at, &probe);
+        assert_eq!(l.origin, 1, "the shorter backlog");
+        assert_eq!(l.lane, 0, "equal finish → prefer the gapless lane");
+        assert!(l.stolen);
+        assert_eq!(l.started_at, a.output_ready_at, "no later than on lane 1");
+        assert_eq!(exec.merge_lane_idle(), 0.0);
     }
 
     #[test]
@@ -1681,17 +1145,17 @@ mod tests {
         // to merge_lane_idle — neither under- nor double-counted.
         let m = model();
         let mut gpus = MultiGpu::new(m.clone(), 2, 1 << 30);
-        let mut exec = GpuExecutor::new(&mut gpus, &m);
+        let mut exec = Executor::new(ExecutorKind::Gpus, &mut gpus, &m);
         let t = merge_task(MergeKernel::Heap, vec![(30_000, Some(0)); 2]);
         let mut ready = 0.0;
         let mut spans = Vec::new();
         for _ in 0..4 {
-            let l = exec.submit_merge(&m, ready, &t);
+            let l = exec.submit_merge(ready, &t);
             assert_eq!(l.lane, 0, "home lane always wins: lane 1 starves");
             spans.push(l);
             ready = l.output_ready_at + 0.125; // open a real gap each time
         }
-        assert_eq!(exec.merge_lanes()[1].jobs(), 0, "lane 1 saw nothing");
+        assert_eq!(exec.lanes[1].jobs(), 0, "lane 1 saw nothing");
         let gaps: f64 = spans
             .windows(2)
             .map(|w| (w[1].started_at - w[0].output_ready_at).max(0.0))
@@ -1704,34 +1168,16 @@ mod tests {
     }
 
     #[test]
-    fn steal_policy_default_validation_and_names() {
-        assert_eq!(StealPolicy::default(), StealPolicy::CostAware);
-        for p in StealPolicy::all() {
-            assert!(p.validate().is_ok());
-        }
-        assert_eq!(StealPolicy::Off.name(), "off");
-        assert_eq!(StealPolicy::CostAware.name(), "cost-aware");
-    }
-
-    #[test]
-    fn cpu_pool_sizes_from_model_topology() {
-        let m = model();
-        let pool = CpuPool::for_model(&m);
-        assert_eq!(pool.threads(), m.threads, "workers = sockets × cores");
-        assert_eq!(pool.lanes().len(), m.sockets);
-        assert_eq!(CpuPool::new().lanes().len(), 1, "legacy pool is flat");
-    }
-
-    #[test]
     fn pool_merges_contend_with_spgemm_for_the_lanes() {
         let m = model();
         let a = random_csc(30, 30, 260, 50);
-        let mut pool = CpuPool::for_model(&m);
-        let k = pool.submit(pt(), &m, 0.0, &a, &a, spec_for(&a, SpgemmKernel::CpuHash));
+        let mut gpus = MultiGpu::new(model(), 2, 1 << 30);
+        let mut pool = Executor::new(ExecutorKind::CpuPool, &mut gpus, &m);
+        let k = pool.submit(pt(), 0.0, &a, &a, spec_for(&a, SpgemmKernel::CpuHash));
         // The whole-node kernel holds every lane; a merge ready at 0 can
         // only start once a lane frees up.
         let t = merge_task(MergeKernel::Pairwise, vec![(1000, None), (1000, None)]);
-        let l = pool.submit_merge(&m, 0.0, &t);
+        let l = pool.submit_merge(0.0, &t);
         assert!(
             (l.started_at - k.output_ready_at).abs() < 1e-12,
             "merge waited for the SpGEMM to release its lane"
@@ -1755,24 +1201,12 @@ mod tests {
 
     #[test]
     fn reset_timelines_clears_idle_accounting() {
-        let a = random_csc(20, 20, 120, 48);
-        let mut pool = CpuPool::new();
-        pool.submit(
-            pt(),
-            &model(),
-            0.0,
-            &a,
-            &a,
-            spec_for(&a, SpgemmKernel::CpuHash),
-        );
-        pool.submit(
-            pt(),
-            &model(),
-            1e9,
-            &a,
-            &a,
-            spec_for(&a, SpgemmKernel::CpuHash),
-        );
+        let (m, a) = (model(), random_csc(20, 20, 120, 48));
+        let spec = spec_for(&a, SpgemmKernel::CpuHash);
+        let mut gpus = MultiGpu::new(model(), 2, 1 << 30);
+        let mut pool = Executor::new(ExecutorKind::CpuPool, &mut gpus, &m);
+        pool.submit(pt(), 0.0, &a, &a, spec);
+        pool.submit(pt(), 1e9, &a, &a, spec);
         assert!(pool.device_idle() > 0.0);
         pool.reset_timelines();
         assert_eq!(pool.device_idle(), 0.0);

@@ -7,22 +7,24 @@
 //! * [`distmat`] — 2D block-distributed matrices on the
 //!   [`hipmcl_comm::ProcGrid`] (CombBLAS-style layout, DCSC-aware sizing).
 //! * [`merge`] — merging the per-stage intermediate products: the
-//!   multiway and **binary** (§IV, Algorithm 2) schedules, and three
-//!   bit-identical per-merge kernels (heap, pairwise, SpAdd-style hash)
-//!   selected by a machine-model cost rule
+//!   multiway and **binary** (§IV, Algorithm 2) schedules, and five
+//!   bit-identical per-merge kernels behind one entry
+//!   ([`merge::merge_with`]), selected by a machine-model cost rule
 //!   ([`merge::select_merge_kernel`]). Merges themselves execute as
-//!   executor tasks ([`executor::MergeTask`]) on per-socket merge lanes.
+//!   executor tasks ([`executor::MergeTask`]) on per-socket lanes.
 //! * [`estimate`] — distributed memory-requirement estimation: the exact
 //!   symbolic SUMMA of original HipMCL and the paper's **probabilistic**
 //!   Cohen-sketch estimator (§V), plus the hybrid rule (exact when `cf` is
 //!   small).
 //! * [`executor`] — the kernel-execution layer: every local multiply is
-//!   an asynchronous [`executor::KernelLaunch`] submitted to an
-//!   [`executor::Executor`] — the devices ([`hipmcl_gpu::multi::MultiGpu`]),
-//!   a per-rank CPU worker pool ([`executor::CpuPool`]), or a
-//!   column-splitting [`executor::Hybrid`] of both whose per-stage GPU
-//!   share follows a [`executor::SplitPolicy`] (fixed, model-derived, or
-//!   adaptively controlled from the realized finish-time imbalance).
+//!   an asynchronous [`executor::KernelLaunch`] submitted to the rank's
+//!   [`executor::Executor`], one struct whose [`executor::ExecutorKind`]
+//!   says whether GPU-selected multiplies go to the devices
+//!   ([`hipmcl_gpu::multi::MultiGpu`]) whole, not at all, or in the share
+//!   a [`executor::SplitPolicy`] picks (fixed, model-derived, or
+//!   adaptively controlled from the realized finish-time imbalance), and
+//!   whether CPU-side multiplies run inline on the host or queue on the
+//!   per-socket worker lanes that also carry the merges.
 //! * [`pipeline`] — the single stage scheduler of Pipelined Sparse SUMMA:
 //!   issues broadcasts, submits launches, and drives merging off the
 //!   launches' completion events.
@@ -52,8 +54,8 @@ pub use active::{ActiveSet, ActiveSetPolicy, InvalidActiveSet};
 pub use distmat::DistMatrix;
 pub use estimate::{EstimatorKind, MemoryEstimate, OverlapInputs, PhaseDecision, PhasePlanner};
 pub use executor::{
-    CpuPool, Executor, ExecutorKind, GpuExecutor, Hybrid, InvalidSplit, KernelLaunch, LaunchSpec,
-    MergeLaunch, MergeTask, SplitController, SplitPolicy,
+    Executor, ExecutorKind, InvalidSplit, KernelLaunch, LaunchSpec, MergeLaunch, MergeTask,
+    SplitController, SplitPolicy,
 };
 pub use merge::{
     merge_with, ArenaPool, ColsRef, MergeArena, MergeKernelPolicy, MergeSlab, MergeSpan,

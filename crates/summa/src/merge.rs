@@ -43,7 +43,10 @@
 //! entries whose final value is the semiring's annihilator (exactly `0.0`
 //! for plus-times, `+∞` for min-plus, `false` for boolean), so kernel
 //! choice can never change a result — in any semiring (property-tested
-//! below for plus-times, min-plus and boolean):
+//! for plus-times, min-plus and boolean in the workspace root's
+//! `tests/merge_identity.rs`). [`merge_with`] is the one entry for all
+//! five; [`StackMerger`] and the pipeline reach them through the same
+//! crate-private dispatch with a persistent arena:
 //!
 //! ```
 //! use hipmcl_comm::MergeKernel;
@@ -147,11 +150,10 @@ pub struct MergeSpan {
     pub elems: u64,
     /// Index of the worker lane (socket) it occupied.
     pub lane: usize,
-    /// The lane submission-time pinning would have chosen (the task's
-    /// origin queue; equals `lane` unless the merge was stolen).
+    /// The least-busy lane at submission (the task's origin queue; equals
+    /// `lane` unless the placement rule moved the merge).
     pub origin: usize,
-    /// Whether the occupying lane stole the task from its origin queue
-    /// (only under `StealPolicy::CostAware`).
+    /// Whether the occupying lane took the task from its origin queue.
     pub stolen: bool,
     /// Wall seconds the real merge compute took on the host, sampled
     /// only under `TimeModel::Measured` (`0.0` under `Modeled`, which
@@ -620,124 +622,77 @@ impl<T: Value> MergeSlab<T> {
 // Kernels
 // ---------------------------------------------------------------------------
 
-/// A single k-way merge kernel: sums equally-shaped CSC matrices. All
-/// implementations accumulate coincident entries in list order and drop
-/// entries whose final value is the semiring's annihilator, making their
-/// outputs bit-identical (see the module docs). The trait is the
-/// `f64`/plus-times face kept for the benches and the exact symbolic
-/// estimator; the pipeline dispatches statically through [`merge_with`]
-/// so any [`Semiring`] can drive the same five kernels.
-pub trait MergeAlgo {
-    /// Which kernel this is (for spans and model lookup).
-    fn kind(&self) -> MergeKernel;
-    /// Merges `mats` (all of shape `shape`); an empty slice yields an
-    /// empty matrix of that shape.
-    fn merge(&self, mats: &[Csc<f64>], shape: (usize, usize)) -> Csc<f64>;
-}
-
-/// Cursor-based k-way heap merge (original HipMCL's accumulator).
-pub struct HeapMerge;
-/// Left-fold of two-way cursor merges.
-pub struct PairwiseMerge;
-/// SpAdd-style per-column hash accumulation.
-pub struct HashMerge;
-/// BRMerge-style single-pass k-cursor merge into arena slack
-/// (arXiv:2206.06611).
-pub struct BrMergeAccum;
-/// Hussain-style parallel SpAdd through epoch-stamped SPAs
-/// (arXiv:2112.10223).
-pub struct SpAddMerge;
-
-/// The implementation behind a [`MergeKernel`] tag.
-pub fn merge_algo(kernel: MergeKernel) -> &'static dyn MergeAlgo {
-    match kernel {
-        MergeKernel::Heap => &HeapMerge,
-        MergeKernel::Pairwise => &PairwiseMerge,
-        MergeKernel::Hash => &HashMerge,
-        MergeKernel::BrMerge => &BrMergeAccum,
-        MergeKernel::SpAdd => &SpAddMerge,
-    }
-}
-
-/// Runs the selected merge kernel in the given semiring — the statically
-/// dispatched generic entry the pipeline uses (a `dyn MergeAlgo` cannot
-/// carry a semiring type parameter). All five kernels accumulate
+/// Runs the selected merge kernel in the given semiring — the one public
+/// entry for merging owned matrices. All five kernels accumulate
 /// coincident entries strictly in list order with [`Semiring::add`] and
 /// drop entries whose final value is the annihilator
 /// ([`Semiring::is_annihilator`]), so for any semiring the kernel choice
-/// never changes the result — the bit-identity property the plus-times
-/// path has always had, extended verbatim. The arena kernels run against
-/// a throwaway arena here; the pipeline and [`StackMerger`] instead call
-/// [`brmerge_into`] / [`spadd_into`] with a persistent one.
+/// never changes the result. The arena kernels run against a throwaway
+/// arena here; the pipeline and [`StackMerger`] keep a persistent one.
 pub fn merge_with<S: Semiring>(
     s: S,
     kernel: MergeKernel,
     mats: &[Csc<S::Elem>],
     shape: (usize, usize),
 ) -> Csc<S::Elem> {
-    for mat in mats {
-        assert_eq!((mat.nrows(), mat.ncols()), shape, "merge shape mismatch");
+    match mats {
+        // A zero-flops phase produces nothing to merge; the configured
+        // output shape keeps the pipeline alive instead of panicking.
+        [] => Csc::zero(shape.0, shape.1),
+        [one] => {
+            assert_eq!((one.nrows(), one.ncols()), shape, "merge shape mismatch");
+            one.clone()
+        }
+        _ => {
+            let refs: Vec<ColsRef<'_, S::Elem>> = mats.iter().map(ColsRef::of).collect();
+            match merge_into(s, kernel, &refs, shape, &mut MergeArena::new()) {
+                MergeSlab::Mat(m) => m,
+                MergeSlab::Buf(b) => b.into_csc(),
+            }
+        }
     }
-    let refs: Vec<ColsRef<'_, S::Elem>> = mats.iter().map(ColsRef::of).collect();
-    merge_refs_with(s, kernel, &refs, shape)
 }
 
-/// [`merge_with`] over borrowed column views — the form the arena paths
-/// use, since a [`SlabBuf`] has no `Csc` to lend.
-pub fn merge_refs_with<S: Semiring>(
+/// The one kernel dispatch: merges `mats` (fan-in ≥ 2, all of `shape`)
+/// with `kernel`. The arena kernels write into a buffer checked out of
+/// `arena` and leave it staged; the others materialize a fresh matrix.
+pub(crate) fn merge_into<S: Semiring>(
     s: S,
     kernel: MergeKernel,
     mats: &[ColsRef<'_, S::Elem>],
     shape: (usize, usize),
-) -> Csc<S::Elem> {
-    if let Some(t) = merge_refs_trivial(mats, shape) {
-        return t;
+    arena: &mut MergeArena<S::Elem>,
+) -> MergeSlab<S::Elem> {
+    for mat in mats {
+        assert_eq!((mat.nrows(), mat.ncols()), shape, "merge shape mismatch");
     }
     match kernel {
-        MergeKernel::Heap => assemble(
+        MergeKernel::Heap => MergeSlab::Mat(assemble(
             shape,
             (0..shape.1)
                 .into_par_iter()
                 .map(|j| merge_column(s, mats, j))
                 .collect(),
-        ),
-        MergeKernel::Pairwise => {
-            let mut acc = two_way_merge(s, mats[0], mats[1], shape);
-            for m in &mats[2..] {
-                acc = two_way_merge(s, ColsRef::of(&acc), *m, shape);
-            }
-            acc
-        }
-        MergeKernel::Hash => assemble(
+        )),
+        MergeKernel::Hash => MergeSlab::Mat(assemble(
             shape,
             (0..shape.1)
                 .into_par_iter()
                 .map(|j| hash_column(s, mats, j))
                 .collect(),
-        ),
-        MergeKernel::BrMerge => {
-            let mut arena = MergeArena::new();
-            brmerge_into(s, mats, shape, &mut arena).into_csc()
+        )),
+        // The left fold keeps the accumulation order identical to the
+        // heap's list-order tie-breaking: after i folds the accumulator
+        // holds `v_0 ⊕ v_1 ⊕ … ⊕ v_i` exactly as the heap combines it.
+        MergeKernel::Pairwise => {
+            let mut acc = two_way_merge(s, mats[0], mats[1], shape);
+            for m in &mats[2..] {
+                acc = two_way_merge(s, ColsRef::of(&acc), *m, shape);
+            }
+            MergeSlab::Mat(acc)
         }
-        MergeKernel::SpAdd => {
-            let mut arena = MergeArena::new();
-            spadd_into(s, mats, shape, &mut arena).into_csc()
-        }
-    }
-}
-
-/// Checks shapes and handles the 0- and 1-input fast paths shared by all
-/// kernels; returns `None` when a real merge is needed.
-fn merge_refs_trivial<T: Value>(mats: &[ColsRef<'_, T>], shape: (usize, usize)) -> Option<Csc<T>> {
-    for mat in mats {
-        assert_eq!((mat.nrows(), mat.ncols()), shape, "merge shape mismatch");
-    }
-    match mats.len() {
-        // A zero-flops phase produces nothing to merge; the configured
-        // output shape keeps the pipeline alive instead of panicking.
-        0 => Some(Csc::zero(shape.0, shape.1)),
-        1 => Some(mats[0].to_csc()),
-        _ => None,
+        MergeKernel::BrMerge => MergeSlab::Buf(brmerge_into(s, mats, shape, arena)),
+        MergeKernel::SpAdd => MergeSlab::Buf(spadd_into(s, mats, shape, arena)),
     }
 }
 
@@ -756,91 +711,11 @@ fn assemble<T: Value>(shape: (usize, usize), cols: Vec<(Vec<Idx>, Vec<T>)>) -> C
     Csc::from_parts(m, n, colptr, rowidx, vals)
 }
 
-impl MergeAlgo for HeapMerge {
-    fn kind(&self) -> MergeKernel {
-        MergeKernel::Heap
-    }
-
-    fn merge(&self, mats: &[Csc<f64>], shape: (usize, usize)) -> Csc<f64> {
-        merge_with(PlusTimes::<f64>::new(), MergeKernel::Heap, mats, shape)
-    }
-}
-
-impl MergeAlgo for PairwiseMerge {
-    fn kind(&self) -> MergeKernel {
-        MergeKernel::Pairwise
-    }
-
-    fn merge(&self, mats: &[Csc<f64>], shape: (usize, usize)) -> Csc<f64> {
-        merge_with(PlusTimes::<f64>::new(), MergeKernel::Pairwise, mats, shape)
-    }
-}
-
-impl MergeAlgo for HashMerge {
-    fn kind(&self) -> MergeKernel {
-        MergeKernel::Hash
-    }
-
-    fn merge(&self, mats: &[Csc<f64>], shape: (usize, usize)) -> Csc<f64> {
-        merge_with(PlusTimes::<f64>::new(), MergeKernel::Hash, mats, shape)
-    }
-}
-
-impl MergeAlgo for BrMergeAccum {
-    fn kind(&self) -> MergeKernel {
-        MergeKernel::BrMerge
-    }
-
-    fn merge(&self, mats: &[Csc<f64>], shape: (usize, usize)) -> Csc<f64> {
-        merge_with(PlusTimes::<f64>::new(), MergeKernel::BrMerge, mats, shape)
-    }
-}
-
-impl MergeAlgo for SpAddMerge {
-    fn kind(&self) -> MergeKernel {
-        MergeKernel::SpAdd
-    }
-
-    fn merge(&self, mats: &[Csc<f64>], shape: (usize, usize)) -> Csc<f64> {
-        merge_with(PlusTimes::<f64>::new(), MergeKernel::SpAdd, mats, shape)
-    }
-}
-
 /// K-way merges equally-shaped CSC matrices with the heap kernel (kept as
 /// a named entry point: the exact symbolic estimator and the benches call
 /// it directly). An empty slice returns an empty matrix of `shape`.
 pub fn kway_merge(mats: &[Csc<f64>], shape: (usize, usize)) -> Csc<f64> {
-    kway_merge_in(PlusTimes::<f64>::new(), mats, shape)
-}
-
-/// [`kway_merge`] in an arbitrary semiring (the heap kernel).
-pub fn kway_merge_in<S: Semiring>(
-    s: S,
-    mats: &[Csc<S::Elem>],
-    shape: (usize, usize),
-) -> Csc<S::Elem> {
-    merge_with(s, MergeKernel::Heap, mats, shape)
-}
-
-/// Left-fold of two-way cursor merges in an arbitrary semiring. The left
-/// fold keeps the accumulation order identical to the heap's list-order
-/// tie-breaking: after i folds the accumulator holds
-/// `v_0 ⊕ v_1 ⊕ … ⊕ v_i` exactly as the heap would have combined it.
-pub fn pairwise_merge_in<S: Semiring>(
-    s: S,
-    mats: &[Csc<S::Elem>],
-    shape: (usize, usize),
-) -> Csc<S::Elem> {
-    merge_with(s, MergeKernel::Pairwise, mats, shape)
-}
-
-/// Per-column hash accumulation in an arbitrary semiring.
-pub fn hash_merge_in<S: Semiring>(
-    s: S,
-    mats: &[Csc<S::Elem>],
-    shape: (usize, usize),
-) -> Csc<S::Elem> {
-    merge_with(s, MergeKernel::Hash, mats, shape)
+    merge_with(PlusTimes::<f64>::new(), MergeKernel::Heap, mats, shape)
 }
 
 /// Heap-merges column `j` across all matrices.
@@ -1551,15 +1426,7 @@ impl StackMerger {
         self.stats.merge_ops += 1;
         let merged = {
             let refs: Vec<ColsRef<'_, f64>> = tail.iter().map(MergeSlab::as_cols).collect();
-            match kernel {
-                MergeKernel::BrMerge => {
-                    MergeSlab::Buf(brmerge_into(s, &refs, self.shape, &mut self.arena))
-                }
-                MergeKernel::SpAdd => {
-                    MergeSlab::Buf(spadd_into(s, &refs, self.shape, &mut self.arena))
-                }
-                k => MergeSlab::Mat(merge_refs_with(s, k, &refs, self.shape)),
-            }
+            merge_into(s, kernel, &refs, self.shape, &mut self.arena)
         };
         for slab in tail {
             slab.recycle(&mut self.arena);
@@ -1586,9 +1453,7 @@ impl StackMerger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hipmcl_sparse::{Boolean, MinPlus};
     use hipmcl_spgemm::testutil::random_csc;
-    use proptest::prelude::*;
 
     #[test]
     fn merge_stats_absorb_maxes_peak_and_sums_rest() {
@@ -1648,41 +1513,12 @@ mod tests {
     }
 
     #[test]
-    fn kway_merge_empty_slice_returns_empty_of_shape() {
-        let merged = kway_merge(&[], (7, 9));
-        merged.assert_valid();
-        assert_eq!((merged.nrows(), merged.ncols()), (7, 9));
-        assert_eq!(merged.nnz(), 0);
-    }
-
-    #[test]
-    fn every_kernel_empty_slice_returns_empty_of_shape() {
-        for kernel in MergeKernel::all() {
-            let merged = merge_with(PlusTimes::<f64>::new(), kernel, &[], (7, 9));
-            merged.assert_valid();
-            assert_eq!((merged.nrows(), merged.ncols()), (7, 9), "{kernel:?}");
-            assert_eq!(merged.nnz(), 0, "{kernel:?}");
-        }
-    }
-
-    #[test]
-    fn kway_merge_drops_cancellation() {
-        let a = random_csc(8, 8, 20, 1);
-        let mut b = a.clone();
-        for v in &mut b.vals {
-            *v = -*v;
-        }
-        let merged = kway_merge(&[a, b], (8, 8));
-        assert_eq!(merged.nnz(), 0, "exact cancellation drops all entries");
-    }
-
-    #[test]
     fn all_kernels_match_elementwise_sum() {
         for k in [2usize, 3, 5, 8] {
             let mats = slabs(10, k);
             let want = reference_sum(&mats);
             for kernel in hipmcl_comm::MergeKernel::all() {
-                let got = merge_algo(kernel).merge(&mats, (10, 10));
+                let got = merge_with(PlusTimes::<f64>::new(), kernel, &mats, (10, 10));
                 got.assert_valid();
                 assert!(got.max_abs_diff(&want) < 1e-9, "{kernel:?} k={k}");
                 assert_eq!(got.nnz(), want.nnz(), "{kernel:?} k={k}");
@@ -1747,23 +1583,6 @@ mod tests {
     }
 
     #[test]
-    fn arena_outputs_match_materialized_kernels_exactly() {
-        let s = PlusTimes::<f64>::new();
-        let mut arena = MergeArena::new();
-        for k in [2usize, 3, 5, 8] {
-            let mats = slabs(10, k);
-            let refs: Vec<ColsRef<'_, f64>> = mats.iter().map(ColsRef::of).collect();
-            let want = merge_refs_with(s, MergeKernel::Heap, &refs, (10, 10));
-            let br = brmerge_into(s, &refs, (10, 10), &mut arena);
-            assert_eq!(br.to_csc(), want, "brmerge k={k}");
-            arena.release(br);
-            let sp = spadd_into(s, &refs, (10, 10), &mut arena);
-            assert_eq!(sp.to_csc(), want, "spadd k={k}");
-            arena.release(sp);
-        }
-    }
-
-    #[test]
     fn algorithm2_schedule_matches_paper() {
         // Pushes 2,4,6,8 trigger merges of 2,3,2,4 lists respectively.
         let counts: Vec<usize> = (1..=8).map(algorithm2_merge_count).collect();
@@ -1791,29 +1610,6 @@ mod tests {
             }
             let got = sm.finish();
             assert!(got.max_abs_diff(&want) < 1e-9, "k={k}");
-        }
-    }
-
-    #[test]
-    fn stack_merger_result_is_policy_invariant() {
-        // The arena-backed Auto path must produce the exact CSC the
-        // legacy fixed kernels produce — schedule and accumulation order
-        // are kernel-independent.
-        let mats = slabs(14, 8);
-        let run = |policy| {
-            let mut sm = StackMerger::new(MachineModel::summit(), policy, (14, 14));
-            for m in &mats {
-                sm.push(m.clone());
-            }
-            sm.finish()
-        };
-        let auto = run(MergeKernelPolicy::Auto);
-        for kernel in MergeKernel::all() {
-            assert_eq!(
-                run(MergeKernelPolicy::Fixed(kernel)),
-                auto,
-                "{kernel:?} diverged from Auto"
-            );
         }
     }
 
@@ -1862,121 +1658,5 @@ mod tests {
             sm.stats().peak_merge_elems,
             multiway_peak
         );
-    }
-
-    /// Random stage-product sets with deliberate cancellation: a base set
-    /// of random slabs, optionally including the exact negation of one of
-    /// them so entries cancel to exact zero mid-accumulation.
-    fn product_set(n: usize, k: usize, seed: u64, with_cancel: bool) -> Vec<Csc<f64>> {
-        let mut mats = slabs(n, k);
-        for (i, m) in mats.iter_mut().enumerate() {
-            for v in &mut m.vals {
-                // Mixed signs so partial sums can hit exact zero.
-                if (i + 1) % 2 == 0 {
-                    *v = -*v;
-                }
-            }
-        }
-        if with_cancel {
-            let mut neg = random_csc(n, n, n * 3, 100 + (seed % k as u64));
-            for v in &mut neg.vals {
-                *v = -*v;
-            }
-            mats.push(neg);
-        }
-        mats
-    }
-
-    proptest! {
-        /// All five merge kernels produce bit-identical CSC outputs —
-        /// values AND sparsity structure, including entries removed by
-        /// exact-zero cancellation.
-        #[test]
-        fn merge_kernels_are_bit_identical(
-            n in 4usize..24,
-            k in 2usize..9,
-            seed in 0u64..32,
-            with_cancel in proptest::prelude::any::<bool>(),
-        ) {
-            let mats = product_set(n, k, seed, with_cancel);
-            let shape = (n, n);
-            let heap = merge_algo(MergeKernel::Heap).merge(&mats, shape);
-            heap.assert_valid();
-            for kernel in MergeKernel::all() {
-                let got = merge_algo(kernel).merge(&mats, shape);
-                // `Csc: PartialEq` compares colptr, rowidx and vals
-                // exactly — bitwise equality of structure and floats.
-                prop_assert_eq!(&heap, &got, "{:?}", kernel);
-            }
-        }
-
-        /// Min-plus: the same five kernels stay bit-identical when ⊕ is
-        /// `min` and the annihilator is `+∞`. One slab carries explicit
-        /// `+∞` entries: positions where *every* contribution is `+∞`
-        /// must be dropped by all kernels alike (exact-annihilator
-        /// cancellation), while positions that also receive a finite
-        /// value must keep the finite minimum.
-        #[test]
-        fn merge_kernels_bit_identical_under_min_plus(
-            n in 4usize..24,
-            k in 2usize..9,
-            seed in 0u64..32,
-            with_cancel in proptest::prelude::any::<bool>(),
-        ) {
-            let s = MinPlus;
-            let mut mats = slabs(n, k);
-            if with_cancel {
-                // Annihilator slab: all entries are +∞ ("no path").
-                let mut inf = random_csc(n, n, n * 3, 500 + seed);
-                for v in &mut inf.vals {
-                    *v = f64::INFINITY;
-                }
-                mats.push(inf);
-            }
-            let shape = (n, n);
-            let heap = merge_with(s, MergeKernel::Heap, &mats, shape);
-            heap.assert_valid();
-            for kernel in MergeKernel::all() {
-                let got = merge_with(s, kernel, &mats, shape);
-                prop_assert_eq!(&heap, &got, "{:?}", kernel);
-            }
-            prop_assert!(
-                heap.vals.iter().all(|v| v.is_finite()),
-                "accumulated +∞ entries must be dropped, not stored"
-            );
-        }
-
-        /// Boolean: bit-identity when ⊕ is `∨` and the annihilator is
-        /// `false`, including explicit stored `false` entries that must
-        /// vanish unless some list contributes `true` at that position.
-        #[test]
-        fn merge_kernels_bit_identical_under_boolean(
-            n in 4usize..24,
-            k in 2usize..9,
-            seed in 0u64..32,
-            with_cancel in proptest::prelude::any::<bool>(),
-        ) {
-            let s = Boolean;
-            let mut mats: Vec<Csc<bool>> = slabs(n, k)
-                .iter()
-                .map(|m| m.map_values(|v| v > 1.0))
-                .collect();
-            if with_cancel {
-                // Annihilator slab: every stored entry is `false`.
-                let f = random_csc(n, n, n * 3, 700 + seed).map_values(|_| false);
-                mats.push(f);
-            }
-            let shape = (n, n);
-            let heap = merge_with(s, MergeKernel::Heap, &mats, shape);
-            heap.assert_valid();
-            for kernel in MergeKernel::all() {
-                let got = merge_with(s, kernel, &mats, shape);
-                prop_assert_eq!(&heap, &got, "{:?}", kernel);
-            }
-            prop_assert!(
-                heap.vals.iter().all(|&v| v),
-                "an OR-accumulation can only store true entries"
-            );
-        }
     }
 }

@@ -35,15 +35,14 @@
 use crate::distmat::DistMatrix;
 use crate::executor::{Executor, LaunchSpec, MergeTask};
 use crate::merge::{
-    algorithm2_merge_count, brmerge_into, merge_refs_with, select_merge_kernel, spadd_into,
-    ArenaPool, ColsRef, MergeKernelPolicy, MergeSlab, MergeSpan, MergeStats, MergeStrategy,
+    algorithm2_merge_count, merge_into, select_merge_kernel, ArenaPool, ColsRef, MergeKernelPolicy,
+    MergeSlab, MergeSpan, MergeStats, MergeStrategy,
 };
 use crate::spgemm::{CommChoice, CommPolicy, SummaConfig};
 use hipmcl_comm::clock::StageTimers;
 use hipmcl_comm::collectives::{bcast, flat_bcast};
 use hipmcl_comm::{
-    Comm, CommMode, MergeKernel, ProcGrid, SpgemmKernel, WireDecode, WireEncode, WireError,
-    WireReader, WireSize,
+    Comm, CommMode, ProcGrid, SpgemmKernel, WireDecode, WireEncode, WireError, WireReader, WireSize,
 };
 use hipmcl_gpu::select::select_kernel;
 use hipmcl_sparse::util::even_chunk;
@@ -197,7 +196,7 @@ impl<S: Semiring> MergeEngine<S> {
     fn do_merge(
         &mut self,
         comm: &Comm,
-        exec: &mut dyn Executor<S>,
+        exec: &mut Executor<'_>,
         pool: &mut ArenaPool<S::Elem>,
         count: usize,
     ) {
@@ -211,21 +210,20 @@ impl<S: Semiring> MergeEngine<S> {
             MergeKernelPolicy::Auto => select_merge_kernel(comm.model(), total, count),
         };
         let task = MergeTask { kernel, inputs };
-        let launch = exec.submit_merge(comm.model(), ready, &task);
+        let launch = exec.submit_merge(ready, &task);
         // Wall sample of the real merge compute below; `measured_now`
         // is pinned to 0 under `Modeled`, so the delta costs nothing
         // there and the host clock stays untouched.
         let w0 = comm.measured_now();
         let merged = {
             let refs: Vec<ColsRef<'_, S::Elem>> = tail.iter().map(|s| s.m.as_cols()).collect();
-            let arena = pool.lane_mut(launch.lane);
-            match kernel {
-                MergeKernel::BrMerge => {
-                    MergeSlab::Buf(brmerge_into(self.sr, &refs, self.shape, arena))
-                }
-                MergeKernel::SpAdd => MergeSlab::Buf(spadd_into(self.sr, &refs, self.shape, arena)),
-                k => MergeSlab::Mat(merge_refs_with(self.sr, k, &refs, self.shape)),
-            }
+            merge_into(
+                self.sr,
+                kernel,
+                &refs,
+                self.shape,
+                pool.lane_mut(launch.lane),
+            )
         };
         let measured_s = comm.measured_now() - w0;
         for s in tail {
@@ -259,7 +257,7 @@ impl<S: Semiring> MergeEngine<S> {
     fn push_binary(
         &mut self,
         comm: &Comm,
-        exec: &mut dyn Executor<S>,
+        exec: &mut Executor<'_>,
         pool: &mut ArenaPool<S::Elem>,
         slab: Slab<S::Elem>,
     ) {
@@ -275,7 +273,7 @@ impl<S: Semiring> MergeEngine<S> {
     fn accept(
         &mut self,
         comm: &Comm,
-        exec: &mut dyn Executor<S>,
+        exec: &mut Executor<'_>,
         pool: &mut ArenaPool<S::Elem>,
         slab: Csc<S::Elem>,
         ready_at: f64,
@@ -313,7 +311,7 @@ impl<S: Semiring> MergeEngine<S> {
     /// Algorithm 2's `finish` collapse of the remaining stack). All of it
     /// is async lane work — the host does not wait here; that is
     /// [`drain`](Self::drain)'s job, which pipelining defers one phase.
-    fn seal(&mut self, comm: &Comm, exec: &mut dyn Executor<S>, pool: &mut ArenaPool<S::Elem>) {
+    fn seal(&mut self, comm: &Comm, exec: &mut Executor<'_>, pool: &mut ArenaPool<S::Elem>) {
         if let Some(prev) = self.pending.take() {
             self.push_binary(comm, exec, pool, prev);
         }
@@ -372,7 +370,7 @@ impl<S: Semiring> MergeEngine<S> {
 pub(crate) fn run<S, F>(
     s: S,
     grid: &ProcGrid,
-    exec: &mut dyn Executor<S>,
+    exec: &mut Executor<'_>,
     a: &DistMatrix<S::Elem>,
     b: &DistMatrix<S::Elem>,
     cfg: &SummaConfig,
@@ -488,7 +486,7 @@ where
                     cf_est: flops as f64 / nnz_probe.max(1) as f64,
                     time: comm.time_model(),
                 };
-                let launch = exec.submit(s, comm.model(), comm.now(), &a_blk, &b_blk, spec);
+                let launch = exec.submit(s, comm.now(), &a_blk, &b_blk, spec);
                 if cfg.pipelined {
                     // Host resumes as soon as the inputs are handed off.
                     comm.wait_clock_until(launch.inputs_ready_at);

@@ -27,9 +27,7 @@ use crate::estimate::{
     estimate_memory_in, plan_phases, plan_phases_overlap, EstimatorKind, MemoryEstimate,
     OverlapInputs, PhaseDecision, PhasePlanner,
 };
-use crate::executor::{
-    CpuPool, Executor, ExecutorKind, GpuExecutor, Hybrid, InvalidSplit, StealPolicy,
-};
+use crate::executor::{Executor, ExecutorKind, InvalidSplit};
 use crate::merge::{MergeKernelPolicy, MergeSpan, MergeStats, MergeStrategy};
 use crate::pipeline::{self, PipelineOutcome};
 use hipmcl_comm::clock::StageTimers;
@@ -143,10 +141,6 @@ pub struct SummaConfig {
     /// Where local multiplications execute (devices, CPU worker pool, or
     /// a hybrid column split across both).
     pub executor: ExecutorKind,
-    /// Whether an idle merge lane may steal a task pinned to another lane
-    /// when the modeled steal-time (cross-socket penalty included) beats
-    /// waiting. Never changes results, only the virtual schedule.
-    pub steal: StealPolicy,
     /// How stage operand panels are communicated (tree broadcast always,
     /// or the per-stage modeled broadcast/gather choice). Never changes
     /// numeric results, only the virtual comm schedule.
@@ -170,7 +164,6 @@ impl SummaConfig {
             merge_kernel: MergeKernelPolicy::Fixed(MergeKernel::Heap),
             pipelined: false,
             executor: ExecutorKind::Gpus,
-            steal: StealPolicy::Off,
             comm: CommPolicy::Broadcast,
             seed: 0,
         }
@@ -194,7 +187,6 @@ impl SummaConfig {
             merge_kernel: MergeKernelPolicy::Fixed(MergeKernel::Heap),
             pipelined: false,
             executor: ExecutorKind::Gpus,
-            steal: StealPolicy::Off,
             comm: CommPolicy::Hybrid,
             seed: 0,
         }
@@ -217,7 +209,6 @@ impl SummaConfig {
             merge_kernel: MergeKernelPolicy::Auto,
             pipelined: true,
             executor: ExecutorKind::Gpus,
-            steal: StealPolicy::CostAware,
             comm: CommPolicy::Hybrid,
             seed: 0,
         }
@@ -241,7 +232,6 @@ impl SummaConfig {
     /// configuration should call it themselves first.
     pub fn validate(&self) -> Result<(), ConfigError> {
         self.executor.validate()?;
-        self.steal.validate()?;
         if let PhasePlanner::OverlapAware { max_extra_phases } = self.planner {
             if max_extra_phases == 0 || max_extra_phases > 64 {
                 return Err(ConfigError::Planner { max_extra_phases });
@@ -386,20 +376,6 @@ impl<T: Value> SummaOutput<T> {
     pub fn modeled_comm_time_broadcast(&self) -> f64 {
         self.comm_choices.iter().map(|c| c.t_tree).sum()
     }
-
-    /// Modeled α–β seconds this rank's clock idled inside `recv` during
-    /// the multiply — the receiver-side rollup of the same virtual time
-    /// [`modeled_comm_time`](Self::modeled_comm_time) prices sender-side.
-    pub fn modeled_comm_wait(&self) -> f64 {
-        self.comm_stats.modeled_comm_s
-    }
-
-    /// Wall seconds this rank actually spent blocked in `recv` during
-    /// the multiply. Only meaningful under [`TimeModel::Measured`];
-    /// exactly `0.0` under `Modeled`.
-    pub fn measured_comm_time(&self) -> f64 {
-        self.comm_stats.measured_comm_s
-    }
 }
 
 /// Distributed `C = A·B` with the identity per-phase hook.
@@ -428,37 +404,6 @@ pub fn summa_spgemm_in<S: Semiring>(
     cfg: &SummaConfig,
 ) -> SummaOutput<S::Elem> {
     summa_spgemm_with_in(s, grid, gpus, a, b, cfg, |_, c| c)
-}
-
-/// Runs the pipeline with idle accounting bracketed around it: timelines
-/// reset first (the gap between the previous expansion's last kernel and
-/// this one's first is not pipeline idle — Table V measures idleness
-/// *within* the Pipelined Sparse SUMMA), device idle read as a delta
-/// after.
-#[allow(clippy::too_many_arguments)]
-fn run_on<S, F>(
-    s: S,
-    grid: &ProcGrid,
-    exec: &mut dyn Executor<S>,
-    a: &DistMatrix<S::Elem>,
-    b: &DistMatrix<S::Elem>,
-    cfg: &SummaConfig,
-    phases: usize,
-    cf_hint: Option<f64>,
-    timers: &mut StageTimers,
-    on_slab: F,
-) -> (PipelineOutcome<S::Elem>, f64, f64)
-where
-    S: Semiring,
-    F: FnMut(usize, Csc<S::Elem>) -> Csc<S::Elem>,
-{
-    exec.reset_timelines();
-    let idle0 = exec.device_idle();
-    let lane_idle0 = exec.merge_lane_idle();
-    let outcome = pipeline::run(s, grid, exec, a, b, cfg, phases, cf_hint, timers, on_slab);
-    let device_idle = exec.device_idle() - idle0;
-    let merge_lane_idle = exec.merge_lane_idle() - lane_idle0;
-    (outcome, device_idle, merge_lane_idle)
 }
 
 /// Distributed `C = A·B` with a per-phase output hook.
@@ -578,57 +523,26 @@ where
         }
     });
 
-    let (outcome, gpu_idle, merge_lane_idle, hybrid_fractions) = match cfg.executor {
-        ExecutorKind::Gpus => {
-            let mut exec = GpuExecutor::new(gpus, comm.model()).with_steal(cfg.steal);
-            let (o, idle, lane_idle) = run_on(
-                s,
-                grid,
-                &mut exec,
-                a,
-                b,
-                cfg,
-                phases,
-                cf_hint,
-                &mut timers,
-                on_slab,
-            );
-            (o, idle, lane_idle, Vec::new())
-        }
-        ExecutorKind::CpuPool => {
-            let mut pool = CpuPool::for_model(comm.model()).with_steal(cfg.steal);
-            let (o, idle, lane_idle) = run_on(
-                s,
-                grid,
-                &mut pool,
-                a,
-                b,
-                cfg,
-                phases,
-                cf_hint,
-                &mut timers,
-                on_slab,
-            );
-            (o, idle, lane_idle, Vec::new())
-        }
-        ExecutorKind::Hybrid { split } => {
-            let mut hybrid = Hybrid::for_model(gpus, split, comm.model()).with_steal(cfg.steal);
-            let (o, idle, lane_idle) = run_on(
-                s,
-                grid,
-                &mut hybrid,
-                a,
-                b,
-                cfg,
-                phases,
-                cf_hint,
-                &mut timers,
-                on_slab,
-            );
-            let fractions = hybrid.fractions().to_vec();
-            (o, idle, lane_idle, fractions)
-        }
-    };
+    // A fresh executor starts with every timeline empty — the gap between
+    // the previous expansion's last kernel and this one's first is not
+    // pipeline idle (Table V measures idleness *within* the Pipelined
+    // Sparse SUMMA) — so what its timelines hold afterwards is this run's.
+    let mut exec = Executor::new(cfg.executor, gpus, comm.model());
+    let outcome = pipeline::run(
+        s,
+        grid,
+        &mut exec,
+        a,
+        b,
+        cfg,
+        phases,
+        cf_hint,
+        &mut timers,
+        on_slab,
+    );
+    let gpu_idle = exec.device_idle();
+    let merge_lane_idle = exec.merge_lane_idle();
+    let hybrid_fractions = exec.fractions().to_vec();
 
     let PipelineOutcome {
         mut slabs,
@@ -719,7 +633,6 @@ mod tests {
             merge_kernel: MergeKernelPolicy::Auto,
             pipelined: false,
             executor: ExecutorKind::Gpus,
-            steal: StealPolicy::default(),
             comm: CommPolicy::Hybrid,
             seed: 7,
         }
@@ -1097,8 +1010,7 @@ mod tests {
 
     /// A global matrix whose mass is concentrated in a few dense columns:
     /// the per-stage slabs (and hence the Algorithm 2 merge stack) are
-    /// heavily skewed, so under pinning one merge lane backlogs while the
-    /// other starves — the workload of the ISSUE's lane-starvation audit.
+    /// heavily skewed, so one merge lane backlogs while the other starves.
     fn skewed_global(n: usize, seed: u64) -> Triples<f64> {
         let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
         let mut t = Triples::new(n, n);
@@ -1120,97 +1032,71 @@ mod tests {
     #[test]
     fn merge_spans_reconcile_with_lane_timelines() {
         // The acceptance property: no merge charges time outside the
-        // unified timelines, under either steal policy and on both a
-        // balanced and a lane-starved skewed workload. Per rank, the
-        // spans' durations must sum to the recorded merge time, the span
-        // count must equal merge_ops, the peak must be the largest span,
-        // and the per-lane gaps reconstructed from the spans must equal
-        // the executor's reported merge-lane idle (Timeline semantics:
-        // a leading gap — and a lane with zero tasks — counts as zero, so
-        // starved lanes add no phantom idle and steals none double).
-        for steal in StealPolicy::all() {
-            for skewed in [false, true] {
-                let results = Universe::run(4, MachineModel::summit(), move |comm| {
-                    let grid = ProcGrid::new(comm);
-                    let g = if skewed {
-                        skewed_global(40, 16)
-                    } else {
-                        random_global(40, 600, 16)
-                    };
-                    let a = DistMatrix::from_global(&grid, &g);
-                    let mut gpus = MultiGpu::summit_node(grid.world.model());
-                    let cfg = SummaConfig {
-                        phases: PhasePlan::Fixed(2),
-                        policy: SelectionPolicy::always_gpu(),
-                        merge: MergeStrategy::Binary,
-                        pipelined: true,
-                        steal,
-                        ..base_cfg()
-                    };
-                    let out = summa_spgemm(&grid, &mut gpus, &a, &a, &cfg);
-                    (
-                        out.merge_spans,
-                        out.merge_stats,
-                        out.merge_lane_idle,
-                        grid.world.model().sockets,
-                    )
-                });
-                for (spans, stats, lane_idle, sockets) in results {
-                    assert!(!spans.is_empty());
-                    assert_eq!(spans.len(), stats.merge_ops);
-                    let dur_sum: f64 = spans.iter().map(|s| s.duration()).sum();
-                    assert!(
-                        (dur_sum - stats.merge_time).abs() < 1e-9,
-                        "span durations {dur_sum} vs merge_time {}",
-                        stats.merge_time
-                    );
-                    let peak = spans.iter().map(|s| s.elems).max().unwrap();
-                    assert_eq!(peak as usize, stats.peak_merge_elems);
-                    for s in &spans {
-                        assert_eq!(
-                            s.stolen,
-                            s.lane != s.origin,
-                            "stolen flag must match lane vs origin"
-                        );
-                        if steal == StealPolicy::Off {
-                            assert!(!s.stolen, "pinning never steals");
-                        }
-                    }
-                    // Rebuild each lane's idle from its spans alone.
-                    let mut rebuilt = 0.0;
-                    for lane in 0..sockets {
-                        let mut on_lane: Vec<_> = spans.iter().filter(|s| s.lane == lane).collect();
-                        on_lane.sort_by(|x, y| x.start.partial_cmp(&y.start).unwrap());
-                        for pair in on_lane.windows(2) {
-                            rebuilt += (pair[1].start - pair[0].end).max(0.0);
-                        }
-                    }
-                    assert!(
-                        (rebuilt - lane_idle).abs() < 1e-9,
-                        "steal={steal:?} skewed={skewed}: lane gaps {rebuilt} \
-                         vs reported idle {lane_idle}"
+        // unified timelines, on both a balanced and a lane-starved skewed
+        // workload. Per rank, the spans' durations must sum to the
+        // recorded merge time, the span count must equal merge_ops, the
+        // peak must be the largest span, and the per-lane gaps
+        // reconstructed from the spans must equal the executor's reported
+        // merge-lane idle (Timeline semantics: a leading gap — and a lane
+        // with zero tasks — counts as zero, so starved lanes add no
+        // phantom idle and moved merges none double).
+        for skewed in [false, true] {
+            let results = Universe::run(4, MachineModel::summit(), move |comm| {
+                let grid = ProcGrid::new(comm);
+                let g = if skewed {
+                    skewed_global(40, 16)
+                } else {
+                    random_global(40, 600, 16)
+                };
+                let a = DistMatrix::from_global(&grid, &g);
+                let mut gpus = MultiGpu::summit_node(grid.world.model());
+                let cfg = SummaConfig {
+                    phases: PhasePlan::Fixed(2),
+                    policy: SelectionPolicy::always_gpu(),
+                    merge: MergeStrategy::Binary,
+                    pipelined: true,
+                    ..base_cfg()
+                };
+                let out = summa_spgemm(&grid, &mut gpus, &a, &a, &cfg);
+                (
+                    out.merge_spans,
+                    out.merge_stats,
+                    out.merge_lane_idle,
+                    grid.world.model().sockets,
+                )
+            });
+            for (spans, stats, lane_idle, sockets) in results {
+                assert!(!spans.is_empty());
+                assert_eq!(spans.len(), stats.merge_ops);
+                let dur_sum: f64 = spans.iter().map(|s| s.duration()).sum();
+                assert!(
+                    (dur_sum - stats.merge_time).abs() < 1e-9,
+                    "span durations {dur_sum} vs merge_time {}",
+                    stats.merge_time
+                );
+                let peak = spans.iter().map(|s| s.elems).max().unwrap();
+                assert_eq!(peak as usize, stats.peak_merge_elems);
+                for s in &spans {
+                    assert_eq!(
+                        s.stolen,
+                        s.lane != s.origin,
+                        "stolen flag must match lane vs origin"
                     );
                 }
+                // Rebuild each lane's idle from its spans alone.
+                let mut rebuilt = 0.0;
+                for lane in 0..sockets {
+                    let mut on_lane: Vec<_> = spans.iter().filter(|s| s.lane == lane).collect();
+                    on_lane.sort_by(|x, y| x.start.partial_cmp(&y.start).unwrap());
+                    for pair in on_lane.windows(2) {
+                        rebuilt += (pair[1].start - pair[0].end).max(0.0);
+                    }
+                }
+                assert!(
+                    (rebuilt - lane_idle).abs() < 1e-9,
+                    "skewed={skewed}: lane gaps {rebuilt} vs reported idle {lane_idle}"
+                );
             }
-        }
-    }
-
-    #[test]
-    fn steal_policy_never_changes_the_product() {
-        // The tentpole's bit-identity gate at the SUMMA level: stealing
-        // moves merges between lanes on the virtual clock but never
-        // touches operands, so the distributed product is unchanged.
-        let want = serial_product(26, 220, 17);
-        for steal in StealPolicy::all() {
-            let cfg = SummaConfig {
-                merge: MergeStrategy::Binary,
-                pipelined: true,
-                steal,
-                ..base_cfg()
-            };
-            let got = run_config(26, 220, 17, 9, cfg);
-            assert!(got.max_abs_diff(&want) < 1e-9, "{steal:?}");
-            assert_eq!(got.nnz(), want.nnz(), "{steal:?}");
         }
     }
 
