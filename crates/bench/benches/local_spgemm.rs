@@ -1,13 +1,23 @@
 //! Criterion microbenchmark: the CPU SpGEMM accumulators (heap / hash /
-//! SPA) and the GPU-library kernel analogues across density regimes —
-//! the measured counterpart of the §VI selection recipe.
+//! SPA), the shared symbolic pass, the post-expansion prune and the
+//! GPU-library kernel analogues across density regimes — the measured
+//! counterpart of the §VI selection recipe. Every case is timed at width 1
+//! and at the host's width (`hipmcl_bench::scaling_pools`); the printed
+//! flops and nnz turn the times into rates.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hipmcl_comm::GpuLib;
+use hipmcl_sparse::colops::{self, PruneParams};
 use hipmcl_spgemm::testutil::random_csc;
 
 fn local_spgemm(c: &mut Criterion) {
-    let mut group = c.benchmark_group("local_spgemm");
+    for (width, pool) in hipmcl_bench::scaling_pools() {
+        pool.install(|| local_spgemm_at(c, width));
+    }
+}
+
+fn local_spgemm_at(c: &mut Criterion, width: usize) {
+    let mut group = c.benchmark_group(format!("local_spgemm/w{width}"));
     group.sample_size(10);
     // (label, nrows, n, nnz) of `A · B`, `A` nrows × n: sparse -> low cf,
     // dense -> high cf; square cases are `A · A`. The tall case has more
@@ -38,6 +48,16 @@ fn local_spgemm(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("cpu-spa", label), input, |bch, (a, b)| {
             bch.iter(|| hipmcl_spgemm::spa::multiply(a, b))
+        });
+        group.bench_with_input(BenchmarkId::new("symbolic", label), input, |bch, (a, b)| {
+            bch.iter(|| hipmcl_spgemm::hash::symbolic_counts(a, b))
+        });
+        let mut product = hipmcl_spgemm::hash::multiply(a, b);
+        let (flops, nnz) = (hipmcl_spgemm::flops(a, b), product.nnz());
+        println!("local_spgemm/{label}: {flops} flops, nnz(C) {nnz}");
+        colops::normalize_columns(&mut product);
+        group.bench_with_input(BenchmarkId::new("prune", label), &product, |bch, m| {
+            bch.iter(|| colops::prune(m, &PruneParams::default()))
         });
         for lib in GpuLib::all() {
             group.bench_with_input(BenchmarkId::new(lib.name(), label), input, |bch, (a, b)| {

@@ -1,6 +1,9 @@
 //! Criterion microbenchmark: multiway vs binary merging of SUMMA
 //! intermediate products (§IV), plus the five per-merge kernels
-//! (heap, pairwise, hash, BRMerge, SpAdd) on one k-way merge.
+//! (heap, pairwise, hash, BRMerge, SpAdd) on one k-way merge. Every case
+//! is timed at width 1 and at the host's width
+//! (`hipmcl_bench::scaling_pools`); the printed element counts turn the
+//! times into rates.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use hipmcl_comm::{MachineModel, MergeKernel};
@@ -16,11 +19,23 @@ fn slabs(k: usize) -> Vec<Csc<f64>> {
         .collect()
 }
 
+fn at_both_widths(c: &mut Criterion, bench: fn(&mut Criterion, usize)) {
+    for (width, pool) in hipmcl_bench::scaling_pools() {
+        pool.install(|| bench(c, width));
+    }
+}
+
 fn merging(c: &mut Criterion) {
-    let mut group = c.benchmark_group("merge");
+    at_both_widths(c, merging_at)
+}
+
+fn merging_at(c: &mut Criterion, width: usize) {
+    let mut group = c.benchmark_group(format!("merge/w{width}"));
     group.sample_size(10);
     for k in [4usize, 8, 16] {
         let mats = slabs(k);
+        let elems: usize = mats.iter().map(Csc::nnz).sum();
+        println!("merge: {elems} input elements at fan-in {k}");
         group.bench_with_input(BenchmarkId::new("multiway", k), &mats, |b, mats| {
             b.iter(|| kway_merge(mats, SHAPE))
         });
@@ -67,7 +82,11 @@ fn merging(c: &mut Criterion) {
 }
 
 fn kernels(c: &mut Criterion) {
-    let mut group = c.benchmark_group("merge_kernel");
+    at_both_widths(c, kernels_at)
+}
+
+fn kernels_at(c: &mut Criterion, width: usize) {
+    let mut group = c.benchmark_group(format!("merge_kernel/w{width}"));
     group.sample_size(10);
     let mats = slabs(8);
     for kernel in MergeKernel::all() {

@@ -650,6 +650,21 @@ pub fn run_merge_gap_probe(d: Dataset, k: usize, reps: usize) -> MergeGapReport 
     }
 }
 
+/// The pools the layer microbenchmarks time every case under: width 1,
+/// and the host's width (`std::thread::available_parallelism`) when that
+/// is more — a one-core host yields no scaling column.
+pub fn scaling_pools() -> Vec<(usize, rayon::ThreadPool)> {
+    let mut widths = vec![
+        1,
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
+    ];
+    widths.dedup();
+    let pool = |w| rayon::ThreadPoolBuilder::new().num_threads(w).build();
+    (widths.into_iter())
+        .map(|w| (w, pool(w).expect("spawn the pool's workers")))
+        .collect()
+}
+
 /// Prints an aligned table: `headers` then rows of strings.
 pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();

@@ -49,6 +49,7 @@ use crate::transport::{
     FRAME_HEADER_BYTES,
 };
 use crate::universe::{run_threads, UniverseConfig};
+use hipmcl_sparse::util::with_rank_threads;
 use hipmcl_sparse::wire::{WireDecode, WireEncode};
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -430,10 +431,11 @@ where
     );
 
     let endpoint = ShmEndpoint::open(&dir, rank, p, cfg.shm_ring_bytes);
-    let comm = Comm::new_world(rank, p, cfg.shared(), Box::new(endpoint));
-    let result = f(comm);
-
-    launch::write_result(&dir, rank, &result.encoded());
+    // All `p` ranks of a shared-memory universe are on this host.
+    let encoded = with_rank_threads(p, || {
+        f(Comm::new_world(rank, p, cfg.shared(), Box::new(endpoint))).encoded()
+    });
+    launch::write_result(&dir, rank, &encoded);
     std::process::exit(0);
 }
 

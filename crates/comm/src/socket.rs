@@ -54,6 +54,7 @@ use crate::transport::{
     FRAME_HEADER_BYTES,
 };
 use crate::universe::{run_threads, UniverseConfig};
+use hipmcl_sparse::util::with_rank_threads;
 use std::cell::RefCell;
 use std::io::{IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -838,9 +839,17 @@ where
         .clone()
         .expect("local socket child has a session dir");
     let endpoint = connect_mesh(cfg, id.rank, id.ranks, Some(&dir));
-    let comm = Comm::new_world(id.rank, id.ranks, cfg.shared(), Box::new(endpoint));
-    let result = f(comm);
-    launch::write_result(&dir, id.rank, &result.encoded());
+    // A local launch puts all `id.ranks` ranks on this host.
+    let encoded = with_rank_threads(id.ranks, || {
+        f(Comm::new_world(
+            id.rank,
+            id.ranks,
+            cfg.shared(),
+            Box::new(endpoint),
+        ))
+        .encoded()
+    });
+    launch::write_result(&dir, id.rank, &encoded);
     std::process::exit(0);
 }
 

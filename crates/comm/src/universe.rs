@@ -15,6 +15,7 @@ use crate::comm::{Comm, Shared};
 use crate::machine::MachineModel;
 use crate::packet::WirePayload;
 use crate::transport::{InProcessEndpoint, TransportKind};
+use hipmcl_sparse::util::with_rank_threads;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -245,11 +246,14 @@ impl Universe {
     /// the deterministic default mode: in-process transport, modeled
     /// time.
     ///
-    /// Rank bodies may use rayon internally for intra-rank threading (the
-    /// OpenMP analogue); the global rayon pool is shared by all ranks,
-    /// which matches the simulation's virtual-time accounting (intra-rank
-    /// parallel speedup is *modeled* via
-    /// [`MachineModel::thread_efficiency`], not measured).
+    /// Every rank body runs with its own share of the host's cores as the
+    /// width of its parallel kernels (the OpenMP analogue):
+    /// `max(1, available_parallelism ÷ p)` threads per rank, set where the
+    /// launcher builds the rank's [`Comm`] — here, and in the socket and
+    /// shared-memory children — by [`with_rank_threads`]. That is measured
+    /// wall-clock only: modeled clocks never read the host, and price
+    /// intra-rank threading from [`MachineModel::threads`] and
+    /// [`MachineModel::thread_efficiency`] as before.
     ///
     /// Panics in any rank propagate after all ranks are joined.
     pub fn run<R, F>(p: usize, model: MachineModel, f: F) -> Vec<R>
@@ -316,7 +320,9 @@ where
             .enumerate()
             .map(|(rank, ep)| {
                 let shared = Arc::clone(&shared);
-                scope.spawn(move || f(Comm::new_world(rank, p, shared, Box::new(ep))))
+                scope.spawn(move || {
+                    with_rank_threads(p, || f(Comm::new_world(rank, p, shared, Box::new(ep))))
+                })
             })
             .collect();
         // Join everyone before propagating, so a panicking rank cannot

@@ -6,6 +6,7 @@
 //! which is exactly why HipMCL parallelizes these steps trivially (§II).
 
 use crate::csc::Csc;
+use crate::util::split_by_colptr;
 use crate::Idx;
 use rayon::prelude::*;
 
@@ -94,12 +95,9 @@ pub struct PruneStats {
 /// Scales every column of `m` to sum to one (column stochastic). Columns
 /// that are entirely zero are left untouched.
 pub fn normalize_columns(m: &mut Csc<f64>) {
-    let colptr = m.colptr.clone();
-    let vals = &mut m.vals;
-    colptr
-        .par_windows(2)
-        .zip_eq(unsafe { par_col_chunks(vals, &colptr) })
-        .for_each(|(_, col)| {
+    split_by_colptr(&mut m.vals, &m.colptr)
+        .into_par_iter()
+        .for_each(|col| {
             let s: f64 = col.iter().sum();
             if s > 0.0 {
                 let inv = 1.0 / s;
@@ -110,31 +108,12 @@ pub fn normalize_columns(m: &mut Csc<f64>) {
         });
 }
 
-/// Splits `vals` into per-column mutable chunks according to `colptr`.
-///
-/// # Safety
-/// `colptr` must be a valid monotone pointer array for `vals` (which the
-/// `Csc` invariants guarantee); chunks are then disjoint.
-unsafe fn par_col_chunks<'a>(
-    vals: &'a mut [f64],
-    colptr: &'a [usize],
-) -> impl rayon::iter::IndexedParallelIterator<Item = &'a mut [f64]> {
-    let ptr = vals.as_mut_ptr() as usize;
-    colptr.par_windows(2).map(move |w| {
-        let (lo, hi) = (w[0], w[1]);
-        std::slice::from_raw_parts_mut((ptr as *mut f64).add(lo), hi - lo)
-    })
-}
-
 /// Raises every entry to `power` and renormalizes columns — the MCL
 /// inflation operator Γ_r (Algorithm 1, line 5; paper uses r = 2).
 pub fn inflate(m: &mut Csc<f64>, power: f64) {
-    let colptr = m.colptr.clone();
-    let vals = &mut m.vals;
-    colptr
-        .par_windows(2)
-        .zip_eq(unsafe { par_col_chunks(vals, &colptr) })
-        .for_each(|(_, col)| {
+    split_by_colptr(&mut m.vals, &m.colptr)
+        .into_par_iter()
+        .for_each(|col| {
             let mut s = 0.0;
             for v in col.iter_mut() {
                 *v = v.powf(power);

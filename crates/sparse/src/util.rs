@@ -1,4 +1,5 @@
-//! Small shared helpers: prefix sums, counting sort scaffolding.
+//! Small shared helpers: prefix sums, counting sort scaffolding, per-column
+//! slicing, and the per-rank thread width.
 
 /// Exclusive prefix sum in place: `v[i] := sum(v[..i])`, returns the total.
 ///
@@ -64,6 +65,38 @@ pub fn even_chunk(n: usize, parts: usize, i: usize) -> std::ops::Range<usize> {
     let start = i * base + i.min(extra);
     let len = base + usize::from(i < extra);
     start..start + len
+}
+
+/// Splits `data` into `colptr.len() - 1` disjoint mutable chunks, chunk
+/// `j` being `data[colptr[j]..colptr[j + 1]]` — the per-column output
+/// slices column-parallel kernels fill or update in place.
+pub fn split_by_colptr<'a, T>(data: &'a mut [T], colptr: &[usize]) -> Vec<&'a mut [T]> {
+    let mut chunks = Vec::with_capacity(colptr.len() - 1);
+    let mut rest = data;
+    let mut pos = 0usize;
+    for w in colptr.windows(2) {
+        let len = w[1] - w[0];
+        debug_assert_eq!(w[0], pos);
+        let (head, tail) = rest.split_at_mut(len);
+        chunks.push(head);
+        rest = tail;
+        pos += len;
+    }
+    chunks
+}
+
+/// Runs one rank's body with its share of the host's cores as the width
+/// of every parallel call inside it: `max(1, available_parallelism ÷
+/// colocated_ranks)`, the MPI+OpenMP binding. `colocated_ranks` is the
+/// number of ranks the launching universe put on this host. Code outside
+/// a universe runs `available_parallelism` wide.
+pub fn with_rank_threads<R: Send>(colocated_ranks: usize, body: impl FnOnce() -> R + Send) -> R {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    rayon::ThreadPoolBuilder::new()
+        .num_threads((cores / colocated_ranks.max(1)).max(1))
+        .build()
+        .expect("spawn the rank's worker threads")
+        .install(body)
 }
 
 #[cfg(test)]
@@ -134,6 +167,17 @@ mod tests {
             assert_eq!(inv[old], new);
         }
         assert_eq!(inverse_selection(3, &[]), vec![DROPPED; 3]);
+    }
+
+    #[test]
+    fn split_by_colptr_disjoint_cover() {
+        let mut data = vec![0u32; 6];
+        let colptr = vec![0usize, 2, 2, 6];
+        let chunks = split_by_colptr(&mut data, &colptr);
+        assert_eq!(chunks.len(), 3);
+        assert_eq!(chunks[0].len(), 2);
+        assert_eq!(chunks[1].len(), 0);
+        assert_eq!(chunks[2].len(), 4);
     }
 
     #[test]

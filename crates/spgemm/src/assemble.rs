@@ -6,6 +6,7 @@
 //! allocation or copying.
 
 use hipmcl_sparse::csc::counts_to_colptr;
+use hipmcl_sparse::util::split_by_colptr;
 use hipmcl_sparse::{Csc, Idx, Value};
 use rayon::prelude::*;
 
@@ -48,35 +49,97 @@ where
     Csc::from_parts(nrows, ncols, colptr, rowidx, vals)
 }
 
-/// Splits `data` into `colptr.len() - 1` disjoint mutable chunks.
-fn split_by_colptr<'a, T>(data: &'a mut [T], colptr: &[usize]) -> Vec<&'a mut [T]> {
-    let mut chunks = Vec::with_capacity(colptr.len() - 1);
-    let mut rest = data;
-    let mut pos = 0usize;
-    for w in colptr.windows(2) {
-        let len = w[1] - w[0];
-        debug_assert_eq!(w[0], pos);
-        let (head, tail) = rest.split_at_mut(len);
-        chunks.push(head);
-        rest = tail;
-        pos += len;
-    }
-    chunks
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hipmcl_sparse::Semiring;
+    use std::sync::{Condvar, Mutex};
+    use std::thread::ThreadId;
 
+    /// The submitting thread of the run in progress, and whether a worker
+    /// has reached the marked column yet.
+    static GATE: (Mutex<(Option<ThreadId>, bool)>, Condvar) =
+        (Mutex::new((None, false)), Condvar::new());
+    const MARK: f64 = 7.0;
+
+    /// `(+, ×)` on `f64` that keeps the submitting thread inside its first
+    /// product until another thread multiplies by [`MARK`]: the column of
+    /// `B` holding the mark provably runs on a pool worker.
+    #[derive(Clone, Copy, Debug, Default)]
+    struct Gated;
+
+    impl Semiring for Gated {
+        type Elem = f64;
+        const ZERO: f64 = 0.0;
+        const ONE: f64 = 1.0;
+        fn add(a: f64, b: f64) -> f64 {
+            a + b
+        }
+        fn mul(a: f64, b: f64) -> f64 {
+            let (state, opened) = &GATE;
+            let mut st = state.lock().unwrap();
+            let submitter = st.0 == Some(std::thread::current().id());
+            if b == MARK {
+                assert!(!submitter, "the marked column ran on the submitter");
+                st.1 = true;
+                opened.notify_all();
+            } else if submitter {
+                drop(opened.wait_while(st, |st| !st.1).unwrap());
+            }
+            a * b
+        }
+    }
+
+    /// A wrong count is reported by the kernel's own assertion inside the
+    /// parallel body. Here that body runs on a worker, so the message must
+    /// cross to the submitting thread intact.
     #[test]
-    fn split_by_colptr_disjoint_cover() {
-        let mut data = vec![0u32; 6];
-        let colptr = vec![0usize, 2, 2, 6];
-        let chunks = split_by_colptr(&mut data, &colptr);
-        assert_eq!(chunks.len(), 3);
-        assert_eq!(chunks[0].len(), 2);
-        assert_eq!(chunks[1].len(), 0);
-        assert_eq!(chunks[2].len(), 4);
+    fn a_wrong_count_found_on_a_worker_panics_on_the_caller_with_the_kernels_message() {
+        use crate::hash::Addressing::{Direct, Hashed};
+        // `I · B`, every column of `B` holding rows {0, 2}; the last one,
+        // many blocks away from where the submitter starts, is marked and
+        // has count 3.
+        let n = 65;
+        let a = Csc::<f64>::identity(4);
+        let mut t = hipmcl_sparse::Triples::new(4, n);
+        for j in 0..n {
+            let v = if j == n - 1 { MARK } else { 1.0 };
+            t.push(0, j as Idx, v);
+            t.push(2, j as Idx, v);
+        }
+        let b = Csc::from_triples(&t);
+        let mut counts = vec![2; n];
+        counts[n - 1] = 3;
+
+        type Kernel<'a> = &'a (dyn Fn() -> Csc<f64> + Sync);
+        let kernels: [(Kernel<'_>, &str); 3] = [
+            (
+                &|| crate::hash::multiply_with_counts_as(Direct, Gated, &a, &b, &counts),
+                "column 64: count 3 but 2 distinct rows",
+            ),
+            (
+                &|| crate::hash::multiply_with_counts_as(Hashed, Gated, &a, &b, &counts),
+                "column 64: count 3 but 2 distinct rows",
+            ),
+            (
+                &|| crate::heap::multiply_with_counts_in(Gated, &a, &b, &counts),
+                "column 64: count does not match",
+            ),
+        ];
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(2)
+            .build()
+            .unwrap();
+        for (kernel, message) in kernels {
+            *GATE.0.lock().unwrap() = (Some(std::thread::current().id()), false);
+            let caught = pool
+                .install(|| std::panic::catch_unwind(std::panic::AssertUnwindSafe(kernel)))
+                .expect_err("a wrong count must panic");
+            let got = caught
+                .downcast_ref::<String>()
+                .expect("a formatted message");
+            assert!(got.contains(message), "{got:?} lacks {message:?}");
+        }
     }
 
     #[test]

@@ -615,28 +615,6 @@ mod tests {
         s.count_distinct(100, [&[100][..]].into_iter());
     }
 
-    /// `I · B` with `B` = one column of rows {0, 2}, under a wrong count.
-    fn count_three_for_two_rows(mode: Addressing) {
-        let a = Csc::<f64>::identity(4);
-        let mut t = hipmcl_sparse::Triples::new(4, 2);
-        t.push(0, 1, 1.0);
-        t.push(2, 1, 1.0);
-        let b = Csc::from_triples(&t);
-        let _ = multiply_with_counts_as(mode, PT, &a, &b, &[0, 3]);
-    }
-
-    #[test]
-    #[should_panic(expected = "column 1: count 3 but 2 distinct rows")]
-    fn count_too_large_panics() {
-        count_three_for_two_rows(Hashed);
-    }
-
-    #[test]
-    #[should_panic(expected = "column 1: count 3 but 2 distinct rows")]
-    fn count_too_large_panics_direct() {
-        count_three_for_two_rows(Direct);
-    }
-
     #[test]
     fn identity_times_identity() {
         let i = Csc::<f64>::identity(5);
