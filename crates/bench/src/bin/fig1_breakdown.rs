@@ -44,12 +44,7 @@ fn main() {
         totals.push(r.total_time);
         let mut row = vec![name.to_string()];
         for s in STAGES {
-            let t = r
-                .stage_times
-                .iter()
-                .find(|(n, _)| n == s)
-                .map_or(0.0, |(_, t)| *t);
-            row.push(format!("{:.3}", t));
+            row.push(format!("{:.3}", r.stage(s)));
         }
         row.push(format!("{:.3}", r.total_time));
         rows.push(row);

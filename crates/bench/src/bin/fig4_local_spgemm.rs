@@ -7,8 +7,8 @@
 
 use hipmcl_bench::*;
 use hipmcl_comm::{GpuLib, MachineModel, SpgemmKernel};
+use hipmcl_core::serial::mcl_iteration;
 use hipmcl_core::MclConfig;
-use hipmcl_sparse::colops;
 use hipmcl_sparse::Csc;
 use hipmcl_workloads::Dataset;
 
@@ -17,11 +17,8 @@ fn mcl_iterates(graph: &Csc<f64>, cfg: &MclConfig) -> Vec<Csc<f64>> {
     let mut a = graph.clone();
     let mut iterates = vec![a.clone()];
     for _ in 0..cfg.max_iters {
-        let b = hipmcl_spgemm::hash::multiply(&a, &a);
-        let (c, _) = colops::prune(&b, &cfg.prune);
-        a = c;
-        colops::inflate(&mut a, cfg.inflation);
-        if colops::chaos(&a) < cfg.chaos_epsilon {
+        let (_analysis, chaos) = mcl_iteration(&mut a, cfg);
+        if chaos < cfg.chaos_epsilon {
             break;
         }
         iterates.push(a.clone());

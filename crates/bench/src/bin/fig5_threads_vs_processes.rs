@@ -6,14 +6,15 @@
 
 use hipmcl_bench::*;
 use hipmcl_comm::{MachineModel, Universe};
-use hipmcl_core::dist::STAGES;
+use hipmcl_core::dist::{DistMclReport, STAGES};
 use hipmcl_core::MclConfig;
 use hipmcl_workloads::Dataset;
 
-fn run(d: Dataset, ranks: usize, model: MachineModel, cfg: &MclConfig) -> Vec<(String, f64)> {
-    let cfg = *cfg;
-    let reports = Universe::run(ranks, model, move |comm| run_scattered_on(comm, d, &cfg));
-    reports[0].stage_times.clone()
+fn run(d: Dataset, ranks: usize, model: MachineModel, cfg: &MclConfig) -> DistMclReport {
+    let reports = Universe::run(ranks, model, |comm| {
+        run_scattered_on(comm, d, cfg, |_, _| {})
+    });
+    reports.into_iter().next().unwrap()
 }
 
 fn main() {
@@ -38,8 +39,7 @@ fn main() {
         let headers = ["stage", "process-based", "thread-based", "thread wins by"];
         let mut rows = Vec::new();
         for s in STAGES {
-            let tt = t.iter().find(|(n, _)| n == s).map_or(0.0, |(_, x)| *x);
-            let pt = p.iter().find(|(n, _)| n == s).map_or(0.0, |(_, x)| *x);
+            let (tt, pt) = (t.stage(s), p.stage(s));
             if tt == 0.0 && pt == 0.0 {
                 continue;
             }

@@ -8,8 +8,8 @@
 
 use hipmcl_bench::*;
 use hipmcl_comm::{MachineModel, SpgemmKernel};
+use hipmcl_core::serial::mcl_iteration;
 use hipmcl_core::MclConfig;
-use hipmcl_sparse::colops;
 use hipmcl_spgemm::estimate::relative_error;
 use hipmcl_spgemm::CohenEstimator;
 use hipmcl_workloads::Dataset;
@@ -62,12 +62,8 @@ fn main() {
             row.push(format!("{cf:.1}"));
             rows.push(row);
 
-            // Advance the MCL iteration.
-            let b = hipmcl_spgemm::hash::multiply(&a, &a);
-            let (c, _) = colops::prune(&b, &cfg.prune);
-            a = c;
-            colops::inflate(&mut a, cfg.inflation);
-            if colops::chaos(&a) < cfg.chaos_epsilon {
+            let (_analysis, chaos) = mcl_iteration(&mut a, &cfg);
+            if chaos < cfg.chaos_epsilon {
                 break;
             }
         }

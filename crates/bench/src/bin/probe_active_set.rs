@@ -21,14 +21,6 @@ use hipmcl_core::dist::DistMclReport;
 use hipmcl_summa::ActiveSetPolicy;
 use hipmcl_workloads::Dataset;
 
-fn max_ranks() -> usize {
-    std::env::var("HIPMCL_MAX_RANKS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(usize::MAX)
-        .max(1)
-}
-
 fn policy_name(p: &ActiveSetPolicy) -> &'static str {
     match p {
         ActiveSetPolicy::Off => "off",
@@ -53,8 +45,9 @@ fn main() {
     ];
     let mut rows: Vec<Vec<String>> = Vec::new();
 
+    let cap = max_ranks(usize::MAX);
     for d in [Dataset::Archaea, Dataset::Isom100_3] {
-        for p in [4usize, 9].into_iter().filter(|&p| p <= max_ranks()) {
+        for p in [4usize, 9].into_iter().filter(|&p| p <= cap) {
             println!("== {} at {p} ranks", d.name());
             let mut baseline: Option<DistMclReport> = None;
             for policy in [ActiveSetPolicy::Off, ActiveSetPolicy::shrink()] {

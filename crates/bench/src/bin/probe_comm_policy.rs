@@ -15,19 +15,12 @@ use hipmcl_bench::*;
 use hipmcl_summa::spgemm::CommPolicy;
 use hipmcl_workloads::Dataset;
 
-fn ranks() -> usize {
+fn main() {
+    println!("Comm-policy ablation: modeled panel comm per workload x policy\n");
     // 9 ranks (a 3×3 grid) by default: the smallest grid on which the
     // two modes' modeled costs differ (on 2×2 subcommunicators one tree
     // round and one flat copy cost the same).
-    std::env::var("HIPMCL_MAX_RANKS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(9)
-}
-
-fn main() {
-    println!("Comm-policy ablation: modeled panel comm per workload x policy\n");
-    let p = ranks();
+    let p = max_ranks(9);
     let iters = 3;
 
     let headers = [

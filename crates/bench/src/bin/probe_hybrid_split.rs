@@ -10,13 +10,6 @@ use hipmcl_bench::*;
 use hipmcl_summa::executor::{SplitPolicy, DEFAULT_GPU_FRACTION};
 use hipmcl_workloads::Dataset;
 
-fn ranks() -> usize {
-    std::env::var("HIPMCL_MAX_RANKS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4)
-}
-
 fn frac_stats(fracs: &[f64]) -> (f64, f64, f64) {
     if fracs.is_empty() {
         return (0.0, 0.0, 0.0);
@@ -36,7 +29,7 @@ fn main() {
         ("model", SplitPolicy::ModelDerived),
         ("adaptive", SplitPolicy::Adaptive),
     ];
-    let p = ranks();
+    let p = max_ranks(4);
     let iters = 6;
 
     let headers = [

@@ -24,14 +24,8 @@ use hipmcl_bench::*;
 use hipmcl_workloads::Dataset;
 
 fn fan_ins() -> Vec<usize> {
-    let cap: usize = std::env::var("HIPMCL_MAX_RANKS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(8);
-    [4usize, 8]
-        .into_iter()
-        .filter(|&k| k <= cap.max(4))
-        .collect()
+    let cap = max_ranks(8).max(4);
+    [4usize, 8].into_iter().filter(|&k| k <= cap).collect()
 }
 
 fn main() {

@@ -16,13 +16,6 @@ use hipmcl_summa::estimate::PhasePlanner;
 use hipmcl_summa::merge::MergeKernelPolicy;
 use hipmcl_workloads::Dataset;
 
-fn ranks() -> usize {
-    std::env::var("HIPMCL_MAX_RANKS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4)
-}
-
 fn phase_span(phases: &[usize]) -> String {
     let min = phases.iter().min().copied().unwrap_or(0);
     let max = phases.iter().max().copied().unwrap_or(0);
@@ -50,7 +43,7 @@ fn main() {
             },
         ),
     ];
-    let p = ranks();
+    let p = max_ranks(4);
     let iters = 3;
     let budget = 3u64 << 20;
 

@@ -30,14 +30,6 @@ use hipmcl_core::dist::DistMclReport;
 use hipmcl_core::MclConfig;
 use hipmcl_workloads::Dataset;
 
-fn max_ranks() -> usize {
-    std::env::var("HIPMCL_MAX_RANKS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(usize::MAX)
-        .max(1)
-}
-
 fn panic_message(cause: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = cause.downcast_ref::<String>() {
         s.clone()
@@ -62,7 +54,7 @@ fn panic_message(cause: &(dyn std::any::Any + Send)) -> String {
 fn kill_one_rank_check() {
     use std::time::{Duration, Instant};
 
-    if max_ranks() < 2 {
+    if max_ranks(usize::MAX) < 2 {
         println!("note: HIPMCL_MAX_RANKS < 2; kill-one-rank check skipped\n");
         return;
     }
@@ -140,12 +132,11 @@ fn kill_one_rank_check() {
 /// One (transport, time) arm of the ablation. The universe config is the
 /// only thing that varies — the rank body is byte-for-byte the same.
 fn run_arm(p: usize, transport: TransportKind, time: TimeModel, cfg: &MclConfig) -> DistMclReport {
-    let cfg = *cfg;
     let ucfg = UniverseConfig::new(p, MachineModel::summit_bench())
         .with_transport(transport)
         .with_time(time);
-    let reports = Universe::run_with(ucfg, move |comm| {
-        run_scattered_on(comm, Dataset::Archaea, &cfg)
+    let reports = Universe::run_with(ucfg, |comm| {
+        run_scattered_on(comm, Dataset::Archaea, cfg, |_, _| {})
     });
     reports.into_iter().next().unwrap()
 }
@@ -181,7 +172,8 @@ fn main() {
     ];
     let mut rows: Vec<Vec<String>> = Vec::new();
 
-    for p in [4usize, 9].into_iter().filter(|&p| p <= max_ranks()) {
+    let cap = max_ranks(usize::MAX);
+    for p in [4usize, 9].into_iter().filter(|&p| p <= cap) {
         let cfg = bench_mcl_config_for(Dataset::Archaea, MclConfig::optimized(4 << 30));
         println!("== {p} ranks");
         let mut baseline: Option<DistMclReport> = None;

@@ -33,19 +33,13 @@ fn main() {
             eprintln!("running {} on {} nodes ...", d.name(), nodes);
             // Components, unoverlapped (each stage's cost visible).
             let ri = run_scattered(nodes, d, &isolated);
-            let get = |r: &hipmcl_core::dist::DistMclReport, s: &str| {
-                r.stage_times
-                    .iter()
-                    .find(|(n, _)| n == s)
-                    .map_or(0.0, |(_, t)| *t)
-            };
-            let spgemm = get(&ri, "local_spgemm");
-            let bcast = get(&ri, "summa_bcast");
-            let merge = get(&ri, "merge");
+            let spgemm = ri.stage("local_spgemm");
+            let bcast = ri.stage("summa_bcast");
+            let merge = ri.stage("merge");
             // Overall, with overlap: the wall time of the SUMMA pipeline
             // section itself (Table II isolates exactly these stages).
             let rp = run_scattered(nodes, d, &pipelined);
-            let overall = get(&rp, "expansion");
+            let overall = rp.stage("expansion");
             rows.push(vec![
                 d.name().to_string(),
                 nodes.to_string(),

@@ -49,8 +49,7 @@ fn main() {
         }
 
         // §VII-C: total merge runtime comparison.
-        let tm = rm.stage_times.iter().find(|(n, _)| n == "merge").unwrap().1;
-        let tb = rb.stage_times.iter().find(|(n, _)| n == "merge").unwrap().1;
+        let (tm, tb) = (rm.stage("merge"), rb.stage("merge"));
         runtime_rows.push(vec![
             d.name().to_string(),
             format!("{tm:.4}"),

@@ -12,16 +12,9 @@ use hipmcl_bench::*;
 use hipmcl_core::MclConfig;
 use hipmcl_workloads::Dataset;
 
-fn max_ranks() -> usize {
-    std::env::var("HIPMCL_MAX_RANKS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(256)
-}
-
 /// Largest perfect square ≤ min(want, cap).
 fn clamp_square(want: usize) -> usize {
-    let cap = want.min(max_ranks());
+    let cap = want.min(max_ranks(256));
     let side = (cap as f64).sqrt() as usize;
     (side * side).max(1)
 }

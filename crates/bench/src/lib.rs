@@ -1,26 +1,24 @@
 //! Shared infrastructure for the experiment harness binaries.
 //!
-//! Each `src/bin/*.rs` regenerates one table or figure of the paper's
+//! The `src/bin/*.rs` regenerate the tables and figures of the paper's
 //! evaluation (see DESIGN.md's per-experiment index). This library holds
-//! what they share: scaled workload selection, the memory-frugal
-//! scatter-based distributed MCL runner, and table/CSV output.
+//! what they share: scaled workload selection, the scatter-based runner
+//! of the library's distributed MCL driver, and table/CSV output.
 //!
 //! All reported times are **modeled Summit times** from the virtual
 //! clocks (see `hipmcl-comm`); absolute values are not expected to match
 //! the paper's, but the *shape* — who wins, by what factor, where the
 //! crossovers sit — is.
 
-use hipmcl_comm::collectives::{allreduce, allreduce_sum_vec};
-use hipmcl_comm::ProcGrid;
-use hipmcl_core::dist::{cluster_distributed_from, dist_inflate_and_chaos, DistMclReport};
+use hipmcl_comm::{Comm, MachineModel, ProcGrid, Universe};
+use hipmcl_core::dist::{cluster_distributed_with, DistMclReport};
 use hipmcl_core::MclConfig;
 use hipmcl_gpu::multi::MultiGpu;
 use hipmcl_sparse::Csc;
 use hipmcl_summa::estimate::{PhaseDecision, PhasePlanner};
 use hipmcl_summa::executor::{ExecutorKind, SplitPolicy};
 use hipmcl_summa::merge::MergeKernelPolicy;
-use hipmcl_summa::spgemm::CommPolicy;
-use hipmcl_summa::topk::prune_local_slab;
+use hipmcl_summa::spgemm::{CommPolicy, SummaOutput};
 use hipmcl_summa::DistMatrix;
 use hipmcl_workloads::Dataset;
 use std::io::Write;
@@ -32,6 +30,15 @@ pub fn extra_scale() -> u64 {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(1)
+}
+
+/// The simulated rank-count cap from the environment
+/// (`HIPMCL_MAX_RANKS`), or `default` when unset or unparsable.
+pub fn max_ranks(default: usize) -> usize {
+    std::env::var("HIPMCL_MAX_RANKS")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(default)
 }
 
 /// Reduction factor used for each paper network in the harness, chosen so
@@ -92,18 +99,21 @@ pub fn bench_mcl_config(mut base: MclConfig) -> MclConfig {
 /// so `HIPMCL_TRANSPORT` / `HIPMCL_TIME` select the transport and time
 /// model without code changes.
 pub fn run_scattered(p: usize, d: Dataset, cfg: &MclConfig) -> DistMclReport {
-    let cfg = *cfg;
-    let reports = hipmcl_comm::Universe::run_dist(
-        p,
-        hipmcl_comm::MachineModel::summit_bench(),
-        move |comm| run_scattered_on(comm, d, &cfg),
-    );
+    let reports = Universe::run_dist(p, MachineModel::summit_bench(), |comm| {
+        run_scattered_on(comm, d, cfg, |_, _| {})
+    });
     reports.into_iter().next().unwrap()
 }
 
 /// Rank body of [`run_scattered`], reusable by binaries that need custom
-/// machine models.
-pub fn run_scattered_on(comm: hipmcl_comm::Comm, d: Dataset, cfg: &MclConfig) -> DistMclReport {
+/// machine models, under the library driver's per-iteration observer
+/// ([`cluster_distributed_with`]; `|_, _| {}` to just run).
+pub fn run_scattered_on(
+    comm: Comm,
+    d: Dataset,
+    cfg: &MclConfig,
+    observe: impl FnMut(usize, &SummaOutput),
+) -> DistMclReport {
     let grid = ProcGrid::new(comm);
     let mut gpus = MultiGpu::summit_node(grid.world.model());
     let global = if grid.world.rank() == 0 {
@@ -115,25 +125,56 @@ pub fn run_scattered_on(comm: hipmcl_comm::Comm, d: Dataset, cfg: &MclConfig) ->
     // Clock starts after setup: distribution is not part of any measured
     // stage in the paper either.
     grid.world.reset_instrumentation();
-    cluster_distributed_from(&grid, &mut gpus, a, cfg)
+    cluster_distributed_with(&grid, &mut gpus, a, cfg, observe)
 }
+
+/// Runs the scattered workload on `p` in-process ranks and keeps, per
+/// rank and iteration, what `pick` reads off the raw [`SummaOutput`] —
+/// what a probe adds to the library's report. Returns that report and
+/// the picks as `[rank][iteration]`; the probes reduce them host-side,
+/// so an observed run makes exactly the collectives an unobserved one
+/// does.
+fn run_observed<R: Send>(
+    p: usize,
+    model: MachineModel,
+    d: Dataset,
+    cfg: &MclConfig,
+    pick: impl Fn(&SummaOutput) -> R + Sync,
+) -> (DistMclReport, Vec<Vec<R>>) {
+    let results = Universe::run(p, model, |comm| {
+        let mut seen = Vec::new();
+        let report = run_scattered_on(comm, d, cfg, |_, out| seen.push(pick(out)));
+        (report, seen)
+    });
+    let (reports, seen): (Vec<_>, Vec<_>) = results.into_iter().unzip();
+    (reports.into_iter().next().unwrap(), seen)
+}
+
+/// The three probe reports read as the run's [`DistMclReport`] (idle
+/// times, `total_time`, `iterations`, … — a full MCL run through the
+/// library driver, comparable with every table's `overall`) plus the
+/// fields the probe's observer added.
+macro_rules! reads_as_mcl_report {
+    ($($probe:ty),*) => {$(
+        impl std::ops::Deref for $probe {
+            type Target = DistMclReport;
+            fn deref(&self) -> &DistMclReport {
+                &self.mcl
+            }
+        }
+    )*};
+}
+reads_as_mcl_report!(SplitProbeReport, MergeProbeReport, CommPolicyReport);
 
 /// One split policy's outcome in the hybrid split ablation
 /// (`probe_hybrid_split`).
 #[derive(Clone, Debug)]
 pub struct SplitProbeReport {
-    /// Mean over ranks of host idle time, summed over iterations.
-    pub cpu_idle: f64,
-    /// Mean over ranks of device + worker-pool idle time (the unified
-    /// hybrid timelines), summed over iterations.
-    pub gpu_idle: f64,
-    /// Max over ranks of the final virtual clock.
-    pub total_time: f64,
+    /// The library driver's report of the run.
+    pub mcl: DistMclReport,
     /// Rank 0's realized GPU share per hybrid submission, in submission
     /// order across all iterations.
     pub fractions: Vec<f64>,
-    /// Iterations executed.
-    pub iterations: usize,
 }
 
 impl SplitProbeReport {
@@ -144,11 +185,8 @@ impl SplitProbeReport {
     }
 }
 
-/// Runs a multi-iteration distributed MCL expansion loop with the hybrid
-/// executor under the given split policy and reports idle times and the
-/// realized per-stage GPU shares. This is the MCL loop of
-/// `hipmcl_core::dist` run through [`hipmcl_summa::spgemm::summa_spgemm_with`]
-/// directly, so the per-submission `hybrid_fractions` stay observable —
+/// Runs distributed MCL with the hybrid executor under the given split
+/// policy and reports the run plus the realized per-stage GPU shares —
 /// the stage mix (density and `cf` change every iteration as expansion
 /// and pruning fight) is exactly the heterogeneous sequence a static
 /// split handles badly.
@@ -158,76 +196,27 @@ pub fn run_hybrid_split_probe(
     split: SplitPolicy,
     max_iters: usize,
 ) -> SplitProbeReport {
-    let results =
-        hipmcl_comm::Universe::run(p, hipmcl_comm::MachineModel::summit_bench(), move |comm| {
-            let grid = ProcGrid::new(comm);
-            let mut gpus = MultiGpu::summit_node(grid.world.model());
-            let mut cfg = bench_mcl_config_for(d, MclConfig::optimized(4 << 30));
-            cfg.summa.executor = ExecutorKind::Hybrid { split };
-            cfg.max_iters = max_iters;
-            let global = (grid.world.rank() == 0).then(|| bench_graph(d, &cfg).to_triples());
-            let mut a = DistMatrix::scatter_from_root(&grid, global.as_ref());
-            grid.world.reset_instrumentation();
-
-            let mut cpu_idle = 0.0f64;
-            let mut gpu_idle = 0.0f64;
-            let mut fractions = Vec::new();
-            let mut iterations = 0usize;
-            for _ in 0..cfg.max_iters {
-                iterations += 1;
-                let prune_params = cfg.prune;
-                let out = {
-                    let col_comm = &grid.col_comm;
-                    hipmcl_summa::spgemm::summa_spgemm_with(
-                        &grid,
-                        &mut gpus,
-                        &a,
-                        &a,
-                        &cfg.summa,
-                        |_, slab| {
-                            let (pruned, _stats) = prune_local_slab(col_comm, &slab, &prune_params);
-                            col_comm.advance_clock(
-                                col_comm.model().elementwise_time(slab.nnz() as u64),
-                            );
-                            pruned
-                        },
-                    )
-                };
-                cpu_idle += out.cpu_idle;
-                gpu_idle += out.gpu_idle;
-                fractions.extend_from_slice(&out.hybrid_fractions);
-                a = out.c;
-                let chaos = dist_inflate_and_chaos(&grid, &mut a.local, cfg.inflation);
-                if chaos < cfg.chaos_epsilon {
-                    break;
-                }
-            }
-
-            let idle = allreduce_sum_vec(&grid.world, vec![cpu_idle, gpu_idle]);
-            let total_time = allreduce(&grid.world, grid.world.now(), f64::max);
-            SplitProbeReport {
-                cpu_idle: idle[0] / p as f64,
-                gpu_idle: idle[1] / p as f64,
-                total_time,
-                fractions,
-                iterations,
-            }
-        });
-    results.into_iter().next().unwrap()
+    let mut cfg = bench_mcl_config_for(d, MclConfig::optimized(4 << 30));
+    cfg.summa.executor = ExecutorKind::Hybrid { split };
+    cfg.max_iters = max_iters;
+    let pick = |out: &SummaOutput| out.hybrid_fractions.clone();
+    let (mcl, seen) = run_observed(p, MachineModel::summit_bench(), d, &cfg, pick);
+    SplitProbeReport {
+        mcl,
+        fractions: seen[0].concat(),
+    }
 }
 
 /// One configuration's outcome in the merge/phase-overlap ablation
 /// (`probe_merge_overlap`).
 #[derive(Clone, Debug)]
 pub struct MergeProbeReport {
-    /// Mean over ranks of host idle time, summed over iterations.
-    pub cpu_idle: f64,
-    /// Mean over ranks of device/pool idle time, summed over iterations.
-    pub gpu_idle: f64,
+    /// The library driver's report of the run.
+    pub mcl: DistMclReport,
     /// Mean over ranks of merge-lane idle time, summed over iterations.
     pub merge_lane_idle: f64,
-    /// Max over ranks of the peak merge working set (elements), over all
-    /// iterations — the Table III memory proxy.
+    /// Max over iterations of the report's `merge_peaks` — the Table III
+    /// memory proxy.
     pub peak_merge_elems: u64,
     /// Phases executed per iteration (rank 0's view).
     pub phases: Vec<usize>,
@@ -236,10 +225,6 @@ pub struct MergeProbeReport {
     /// Planner decisions per iteration (rank 0), present only under the
     /// overlap-aware planner.
     pub decisions: Vec<PhaseDecision>,
-    /// Max over ranks of the final virtual clock.
-    pub total_time: f64,
-    /// Iterations executed.
-    pub iterations: usize,
 }
 
 impl MergeProbeReport {
@@ -251,14 +236,14 @@ impl MergeProbeReport {
     }
 }
 
-/// Runs a multi-iteration distributed MCL expansion loop under the given
-/// phase planner and merge-kernel policy, reporting the unified-timeline
-/// idle decomposition, the peak merge working set, and the planner's
-/// scored decisions. The per-rank memory budget is deliberately small so
-/// `plan_phases` lands above one phase and the overlap-aware planner has
-/// real headroom to search. Runs on the CPU-pipelined preset: with the
-/// worker pool's slower kernels the broadcasts hide under compute, which
-/// is the regime where trading re-broadcast for smaller merges pays.
+/// Runs distributed MCL under the given phase planner and merge-kernel
+/// policy, reporting the run plus the merge-lane idle, the merge counts
+/// and the planner's scored decisions. The per-rank memory budget is
+/// deliberately small so `plan_phases` lands above one phase and the
+/// overlap-aware planner has real headroom to search. Runs on the
+/// CPU-pipelined preset: with the worker pool's slower kernels the
+/// broadcasts hide under compute, which is the regime where trading
+/// re-broadcast for smaller merges pays.
 pub fn run_merge_overlap_probe(
     p: usize,
     d: Dataset,
@@ -267,82 +252,34 @@ pub fn run_merge_overlap_probe(
     per_rank_budget: u64,
     max_iters: usize,
 ) -> MergeProbeReport {
-    let results =
-        hipmcl_comm::Universe::run(p, hipmcl_comm::MachineModel::summit_bench(), move |comm| {
-            let grid = ProcGrid::new(comm);
-            let mut gpus = MultiGpu::summit_node(grid.world.model());
-            let mut cfg = bench_mcl_config_for(d, MclConfig::cpu_pipelined(per_rank_budget));
-            cfg.summa.merge_kernel = kernel;
-            cfg.summa.planner = planner;
-            cfg.max_iters = max_iters;
-            let global = (grid.world.rank() == 0).then(|| bench_graph(d, &cfg).to_triples());
-            let mut a = DistMatrix::scatter_from_root(&grid, global.as_ref());
-            grid.world.reset_instrumentation();
-
-            let mut cpu_idle = 0.0f64;
-            let mut gpu_idle = 0.0f64;
-            let mut lane_idle = 0.0f64;
-            let mut peak = 0u64;
-            let mut merge_ops = 0u64;
-            let mut phases = Vec::new();
-            let mut decisions = Vec::new();
-            let mut iterations = 0usize;
-            for _ in 0..cfg.max_iters {
-                iterations += 1;
-                let prune_params = cfg.prune;
-                let out = {
-                    let col_comm = &grid.col_comm;
-                    hipmcl_summa::spgemm::summa_spgemm_with(
-                        &grid,
-                        &mut gpus,
-                        &a,
-                        &a,
-                        &cfg.summa,
-                        |_, slab| {
-                            let (pruned, _stats) = prune_local_slab(col_comm, &slab, &prune_params);
-                            col_comm.advance_clock(
-                                col_comm.model().elementwise_time(slab.nnz() as u64),
-                            );
-                            pruned
-                        },
-                    )
-                };
-                cpu_idle += out.cpu_idle;
-                gpu_idle += out.gpu_idle;
-                lane_idle += out.merge_lane_idle;
-                peak = peak.max(out.merge_stats.peak_merge_elems as u64);
-                merge_ops += out.merge_stats.merge_ops as u64;
-                phases.push(out.phases);
-                decisions.extend(out.planner_decision.clone());
-                a = out.c;
-                let chaos = dist_inflate_and_chaos(&grid, &mut a.local, cfg.inflation);
-                if chaos < cfg.chaos_epsilon {
-                    break;
-                }
-            }
-
-            let idle = allreduce_sum_vec(&grid.world, vec![cpu_idle, gpu_idle, lane_idle]);
-            let peak = allreduce(&grid.world, peak as f64, f64::max) as u64;
-            let total_time = allreduce(&grid.world, grid.world.now(), f64::max);
-            MergeProbeReport {
-                cpu_idle: idle[0] / p as f64,
-                gpu_idle: idle[1] / p as f64,
-                merge_lane_idle: idle[2] / p as f64,
-                peak_merge_elems: peak,
-                phases,
-                merge_ops,
-                decisions,
-                total_time,
-                iterations,
-            }
-        });
-    results.into_iter().next().unwrap()
+    let mut cfg = bench_mcl_config_for(d, MclConfig::cpu_pipelined(per_rank_budget));
+    cfg.summa.merge_kernel = kernel;
+    cfg.summa.planner = planner;
+    cfg.max_iters = max_iters;
+    // Per iteration: (lane idle, merge ops, phases, planner decision).
+    let pick = |out: &SummaOutput| {
+        let ops = out.merge_stats.merge_ops as u64;
+        let decision = out.planner_decision.clone();
+        (out.merge_lane_idle, ops, out.phases, decision)
+    };
+    let (mcl, seen) = run_observed(p, MachineModel::summit_bench(), d, &cfg, pick);
+    let lane_idle: f64 = seen.iter().flatten().map(|it| it.0).sum();
+    MergeProbeReport {
+        merge_lane_idle: lane_idle / p as f64,
+        peak_merge_elems: mcl.merge_peaks.iter().copied().max().unwrap_or(0),
+        phases: seen[0].iter().map(|it| it.2).collect(),
+        merge_ops: seen[0].iter().map(|it| it.1).sum(),
+        decisions: seen[0].iter().filter_map(|it| it.3.clone()).collect(),
+        mcl,
+    }
 }
 
 /// One comm policy's outcome in the broadcast/gather ablation
 /// (`probe_comm_policy`).
 #[derive(Clone, Debug)]
 pub struct CommPolicyReport {
+    /// The library driver's report of the run.
+    pub mcl: DistMclReport,
     /// Sum over ranks and iterations of the modeled comm time of the
     /// panels as actually moved (each panel priced at its chosen mode).
     pub modeled_comm: f64,
@@ -354,18 +291,13 @@ pub struct CommPolicyReport {
     pub gather_panels: u64,
     /// Stage panels moved in total, summed over ranks and iterations.
     pub total_panels: u64,
-    /// Max over ranks of the final virtual clock.
-    pub total_time: f64,
-    /// Iterations executed.
-    pub iterations: usize,
 }
 
-/// Runs a multi-iteration distributed MCL expansion loop under the given
-/// comm policy, reporting the modeled per-panel communication costs and
-/// how many panels crossed to flat sends. Same loop shape as the other
-/// probes; only how stage panels travel varies with `policy` — payloads
-/// never change, so the product (and the clustering) is identical under
-/// both policies.
+/// Runs distributed MCL under the given comm policy, reporting the run
+/// plus the modeled per-panel communication costs and how many panels
+/// crossed to flat sends. Only how stage panels travel varies with
+/// `policy` — payloads never change, so the product (and the clustering)
+/// is identical under both policies.
 ///
 /// Unlike the other probes this one runs on the *unscaled* Summit model:
 /// `summit_bench` shrinks `α` by four orders of magnitude to match the
@@ -379,75 +311,29 @@ pub fn run_comm_policy_probe(
     policy: CommPolicy,
     max_iters: usize,
 ) -> CommPolicyReport {
-    let results = hipmcl_comm::Universe::run(p, hipmcl_comm::MachineModel::summit(), move |comm| {
-        let grid = ProcGrid::new(comm);
-        let mut gpus = MultiGpu::summit_node(grid.world.model());
-        let mut cfg = bench_mcl_config_for(d, MclConfig::optimized(4 << 30));
-        cfg.summa.comm = policy;
-        cfg.max_iters = max_iters;
-        let global = (grid.world.rank() == 0).then(|| bench_graph(d, &cfg).to_triples());
-        let mut a = DistMatrix::scatter_from_root(&grid, global.as_ref());
-        grid.world.reset_instrumentation();
-
-        let mut modeled = 0.0f64;
-        let mut modeled_bcast = 0.0f64;
-        let mut gather_panels = 0u64;
-        let mut total_panels = 0u64;
-        let mut iterations = 0usize;
-        for _ in 0..cfg.max_iters {
-            iterations += 1;
-            let prune_params = cfg.prune;
-            let out = {
-                let col_comm = &grid.col_comm;
-                hipmcl_summa::spgemm::summa_spgemm_with(
-                    &grid,
-                    &mut gpus,
-                    &a,
-                    &a,
-                    &cfg.summa,
-                    |_, slab| {
-                        let (pruned, _stats) = prune_local_slab(col_comm, &slab, &prune_params);
-                        col_comm
-                            .advance_clock(col_comm.model().elementwise_time(slab.nnz() as u64));
-                        pruned
-                    },
-                )
-            };
-            modeled += out.modeled_comm_time();
-            modeled_bcast += out.modeled_comm_time_broadcast();
-            gather_panels += out
-                .comm_choices
-                .iter()
-                .filter(|c| c.mode == hipmcl_comm::CommMode::Gather)
-                .count() as u64;
-            total_panels += out.comm_choices.len() as u64;
-            a = out.c;
-            let chaos = dist_inflate_and_chaos(&grid, &mut a.local, cfg.inflation);
-            if chaos < cfg.chaos_epsilon {
-                break;
-            }
-        }
-
-        let sums = allreduce_sum_vec(
-            &grid.world,
-            vec![
-                modeled,
-                modeled_bcast,
-                gather_panels as f64,
-                total_panels as f64,
-            ],
-        );
-        let total_time = allreduce(&grid.world, grid.world.now(), f64::max);
-        CommPolicyReport {
-            modeled_comm: sums[0],
-            modeled_comm_broadcast: sums[1],
-            gather_panels: sums[2] as u64,
-            total_panels: sums[3] as u64,
-            total_time,
-            iterations,
-        }
-    });
-    results.into_iter().next().unwrap()
+    let mut cfg = bench_mcl_config_for(d, MclConfig::optimized(4 << 30));
+    cfg.summa.comm = policy;
+    cfg.max_iters = max_iters;
+    // Per iteration: as-moved and all-broadcast seconds, flat and all panels.
+    let pick = |out: &SummaOutput| {
+        let flat = (out.comm_choices.iter()).filter(|c| c.mode == hipmcl_comm::CommMode::Gather);
+        let (moved, tree) = (out.modeled_comm_time(), out.modeled_comm_time_broadcast());
+        (
+            moved,
+            tree,
+            flat.count() as u64,
+            out.comm_choices.len() as u64,
+        )
+    };
+    let (mcl, seen) = run_observed(p, MachineModel::summit(), d, &cfg, pick);
+    let all = || seen.iter().flatten();
+    CommPolicyReport {
+        modeled_comm: all().map(|it| it.0).sum(),
+        modeled_comm_broadcast: all().map(|it| it.1).sum(),
+        gather_panels: all().map(|it| it.2).sum(),
+        total_panels: all().map(|it| it.3).sum(),
+        mcl,
+    }
 }
 
 /// One (network, fan-in) row of the merge-gap ablation

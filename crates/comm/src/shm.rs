@@ -559,19 +559,27 @@ mod tests {
     fn shm_measured_time_reports_wall_seconds() {
         let cfg = shm_cfg(2).with_time(TimeModel::Measured);
         let results = Universe::run_with(cfg, |comm| {
-            if comm.rank() == 0 {
+            // Both rank processes are live before the sleep starts: a
+            // late spawn must not eat into the receiver's blocking time.
+            // The barrier (reduce to 0, broadcast back) releases rank 0
+            // first, so rank 0 receives and rank 1 sleeps; the counters
+            // are a delta from after the barrier, so time blocked in the
+            // barrier cannot pass for blocking here.
+            crate::collectives::barrier(&comm);
+            let before = comm.stats();
+            if comm.rank() == 1 {
                 std::thread::sleep(Duration::from_millis(5));
-                comm.send(1, 0, vec![0u8; 1 << 16]);
+                comm.send(0, 0, vec![0u8; 1 << 16]);
             } else {
-                let _: Vec<u8> = comm.recv(0, 0);
+                let _: Vec<u8> = comm.recv(1, 0);
             }
-            comm.stats()
+            comm.stats().delta_since(&before)
         });
-        assert!(results[1].modeled_comm_s > 0.0);
+        assert!(results[0].modeled_comm_s > 0.0);
         assert!(
-            results[1].measured_comm_s >= 0.004,
+            results[0].measured_comm_s >= 0.004,
             "receiver measurably blocked, got {}",
-            results[1].measured_comm_s
+            results[0].measured_comm_s
         );
     }
 

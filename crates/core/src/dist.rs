@@ -24,7 +24,7 @@ use hipmcl_gpu::multi::MultiGpu;
 use hipmcl_sparse::Csc;
 use hipmcl_summa::active::{ActiveSet, ActiveSetPolicy};
 use hipmcl_summa::estimate::MemoryEstimate;
-use hipmcl_summa::spgemm::summa_spgemm_with;
+use hipmcl_summa::spgemm::{summa_spgemm_with, SummaOutput};
 use hipmcl_summa::topk::prune_local_slab;
 use hipmcl_summa::DistMatrix;
 
@@ -92,6 +92,18 @@ pub struct DistMclReport {
     /// Total modeled seconds spent in the active-set step (settle mask +
     /// freeze + reshard exchange), mean over ranks.
     pub reshard_time: f64,
+}
+
+impl DistMclReport {
+    /// Modeled seconds of the named stage (one of [`STAGES`]), mean over
+    /// ranks, summed over iterations; `0.0` for a name the report does
+    /// not carry.
+    pub fn stage(&self, name: &str) -> f64 {
+        self.stage_times
+            .iter()
+            .find(|(n, _)| n == name)
+            .map_or(0.0, |(_, t)| *t)
+    }
 }
 
 // The report is what a `process-shm` rank ships back to the parent, so
@@ -165,8 +177,26 @@ pub fn cluster_distributed(
 pub fn cluster_distributed_from(
     grid: &ProcGrid,
     gpus: &mut MultiGpu,
+    a: DistMatrix,
+    cfg: &MclConfig,
+) -> DistMclReport {
+    cluster_distributed_with(grid, gpus, a, cfg, |_, _| {})
+}
+
+/// [`cluster_distributed_from`] with an observer: on every rank,
+/// `observe(iter, &out)` sees iteration `iter`'s (1-based) raw
+/// [`SummaOutput`] — this rank's, before any cross-rank rollup — once its
+/// stage accounting is done and before the driver consumes `out.c`. The
+/// hook is purely additive: the driver makes the same collectives and
+/// clock charges in the same order whatever the observer does, so an
+/// observer that stays off the communicator leaves the run (and its
+/// report) bit-identical to the unobserved one.
+pub fn cluster_distributed_with(
+    grid: &ProcGrid,
+    gpus: &mut MultiGpu,
     mut a: DistMatrix,
     cfg: &MclConfig,
+    mut observe: impl FnMut(usize, &SummaOutput),
 ) -> DistMclReport {
     cfg.validate()
         .unwrap_or_else(|e| panic!("invalid MclConfig: {e}"));
@@ -228,6 +258,7 @@ pub fn cluster_distributed_from(
         gpu_idle += out.gpu_idle;
         merge_peaks.push(out.merge_stats.peak_merge_elems as u64);
         estimates.push(out.estimate);
+        observe(iterations, &out);
 
         let mut nnz_pruned = out.c.nnz_global(grid);
         let flops = out.estimate.map_or(0, |e| e.flops);
@@ -440,11 +471,6 @@ fn scale_columns(m: &mut Csc<f64>, sums: &[f64], mut visit: impl FnMut(usize, f6
             visit(j, *v);
         }
     }
-}
-
-/// [`dist_inflate_and_chaos_cols`] when only the global chaos is wanted.
-pub fn dist_inflate_and_chaos(grid: &ProcGrid, m: &mut Csc<f64>, power: f64) -> f64 {
-    dist_inflate_and_chaos_cols(grid, m, power).1
 }
 
 /// Distributed column normalization (used to prepare an already
@@ -660,7 +686,7 @@ mod tests {
             move |comm| {
                 let grid = ProcGrid::new(comm);
                 let mut local = DistMatrix::from_global(&grid, &t).local;
-                dist_inflate_and_chaos(&grid, &mut local, 2.0)
+                dist_inflate_and_chaos_cols(&grid, &mut local, 2.0).1
             }
         })[0];
         assert!(reference.is_finite() && reference > 0.0);
@@ -792,7 +818,7 @@ mod tests {
             let grid = ProcGrid::new(comm);
             let idm = DistMatrix::from_global(&grid, &Csc::<f64>::identity(8).to_triples());
             let mut local = idm.local.clone();
-            dist_inflate_and_chaos(&grid, &mut local, 2.0)
+            dist_inflate_and_chaos_cols(&grid, &mut local, 2.0).1
         });
         assert!(results.iter().all(|&c| c == 0.0));
     }

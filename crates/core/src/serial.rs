@@ -10,6 +10,7 @@ use hipmcl_sparse::colops;
 use hipmcl_sparse::components::{clusters_from_labels, connected_components};
 use hipmcl_sparse::wire::{WireDecode, WireEncode, WireError, WireReader};
 use hipmcl_sparse::Csc;
+use hipmcl_spgemm::MultAnalysis;
 
 /// Per-iteration trace entry of a serial run.
 #[derive(Clone, Copy, Debug)]
@@ -121,14 +122,7 @@ pub fn cluster_serial(adjacency: &Csc<f64>, cfg: &MclConfig) -> MclResult {
 
     for _ in 0..cfg.max_iters {
         iterations += 1;
-        // Expansion: B = A·A with the cf-selected kernel (§VI).
-        let (b, analysis, _algo) = hipmcl_spgemm::hybrid::multiply_auto(&a, &a);
-        // Pruning (threshold + selection + recovery).
-        let (pruned, _stats) = colops::prune(&b, &cfg.prune);
-        a = pruned;
-        // Inflation (Hadamard power + renormalize).
-        colops::inflate(&mut a, cfg.inflation);
-        let chaos = colops::chaos(&a);
+        let (analysis, chaos) = mcl_iteration(&mut a, cfg);
         trace.push(IterTrace {
             flops: analysis.flops,
             nnz_expanded: analysis.nnz_out,
@@ -158,6 +152,20 @@ pub fn cluster_serial(adjacency: &Csc<f64>, cfg: &MclConfig) -> MclResult {
         converged,
         trace,
     }
+}
+
+/// One MCL iteration on a column-stochastic `a`, in place: expansion
+/// `A·A` with the cf-selected kernel (§VI), pruning (threshold +
+/// selection + recovery), inflation (Hadamard power + renormalize).
+/// Returns the expansion's analysis and the chaos after inflation — the
+/// loop body of [`cluster_serial`], for harnesses that walk the serial
+/// iterates themselves.
+pub fn mcl_iteration(a: &mut Csc<f64>, cfg: &MclConfig) -> (MultAnalysis, f64) {
+    let (b, analysis, _algo) = hipmcl_spgemm::hybrid::multiply_auto(a, a);
+    let (pruned, _stats) = colops::prune(&b, &cfg.prune);
+    *a = pruned;
+    colops::inflate(a, cfg.inflation);
+    (analysis, colops::chaos(a))
 }
 
 /// Symmetrize / self-loop / column-normalize the input per `cfg`.

@@ -43,9 +43,16 @@ impl CohenEstimator {
     /// Draws the first-layer key matrix: `r` keys per row of `A`,
     /// stored row-major (`keys[row * r + t]`).
     pub fn draw_keys(&self, nrows: usize) -> Vec<f32> {
+        self.draw_keys_for(0..nrows)
+    }
+
+    /// [`draw_keys`](Self::draw_keys) for the vertex ids in `ids` only
+    /// (`keys[(id - ids.start) * r + t]`). A vertex's keys depend on
+    /// `(seed, id)` alone, so ranks holding different row ranges of one
+    /// distributed matrix agree on every key without communication.
+    pub fn draw_keys_for(&self, ids: std::ops::Range<usize>) -> Vec<f32> {
         let r = self.r;
-        (0..nrows)
-            .into_par_iter()
+        ids.into_par_iter()
             .flat_map_iter(|i| {
                 let mut rng = rand::rngs::SmallRng::seed_from_u64(
                     self.seed ^ (i as u64).wrapping_mul(0x9E3779B97F4A7C15),
@@ -164,6 +171,16 @@ mod tests {
         // Exp(1) has mean 1; the sample mean over 500 draws should be close.
         let mean: f64 = k1.iter().map(|&k| k as f64).sum::<f64>() / 500.0;
         assert!((mean - 1.0).abs() < 0.2, "mean {mean} far from 1.0");
+    }
+
+    #[test]
+    fn draw_keys_deterministic_across_ranges() {
+        // Keys for id 5 must be identical whether drawn in 0..10 or 5..6.
+        let e = CohenEstimator::new(3, 42);
+        let a = e.draw_keys_for(0..10);
+        let b = e.draw_keys_for(5..6);
+        assert_eq!(&a[15..18], &b[..]);
+        assert_eq!(a, e.draw_keys(10));
     }
 
     #[test]

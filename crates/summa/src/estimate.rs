@@ -27,8 +27,7 @@ use hipmcl_comm::{
     Comm, ProcGrid, SpgemmKernel, WireDecode, WireEncode, WireError, WireReader, WireSize,
 };
 use hipmcl_sparse::{Csc, PlusTimes, Semiring, Value};
-use rand::SeedableRng;
-use rand_distr::Distribution;
+use hipmcl_spgemm::CohenEstimator;
 
 /// Which estimator to run.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -337,15 +336,14 @@ fn probabilistic<T: Value>(
 
     // Layer 1: keys for this block's global rows, drawn deterministically
     // from (seed, global row id) — identical across ranks, zero comm.
-    let row_range = a.row_range(grid);
-    let row_keys = draw_keys_range(row_range.clone(), r, seed);
+    // Built literally: `r = 1` is legal here (the clamp below turns it
+    // into the per-column lower bound) but not for `CohenEstimator::new`.
+    let sketch = CohenEstimator { r, seed };
+    let row_keys = sketch.draw_keys_for(a.row_range(grid));
 
-    // Propagate through A: per local column, min over present rows.
-    let col_range = a.col_range(grid);
-    let mut mid_partial = vec![f32::INFINITY; col_range.len() * r];
-    propagate_block(&a.local, &row_keys, &mut mid_partial, r);
-    // Combine partial mins down the process column.
-    let mid_keys = allreduce_min_vec_f32(&grid.col_comm, mid_partial);
+    // Propagate through A: per local column, min over present rows;
+    // combine the partial mins down the process column.
+    let mid_keys = allreduce_min_vec_f32(&grid.col_comm, sketch.propagate(&a.local, &row_keys));
 
     // Transpose exchange: this rank holds mid keys for its *column* range
     // but needs them for its *row* range (B's rows). The grid transpose
@@ -361,15 +359,13 @@ fn probabilistic<T: Value>(
 
     // Propagate through B.
     let out_range = b.col_range(grid);
-    let mut out_partial = vec![f32::INFINITY; out_range.len() * r];
-    propagate_block(&b.local, &my_rows_mid, &mut out_partial, r);
-    let out_keys = allreduce_min_vec_f32(&grid.col_comm, out_partial);
+    let out_keys = allreduce_min_vec_f32(&grid.col_comm, sketch.propagate(&b.local, &my_rows_mid));
 
     // Charge the sketch's compute: r·(nnz A + nnz B) local key ops. On
     // the GPU path (§VIII future work) the key propagation runs at the
     // aggregate device key-op rate after staging the operand structures
     // over the link; the collectives above are unchanged.
-    let ops = r as u64 * (a.local.nnz() as u64 + b.local.nnz() as u64);
+    let ops = sketch.op_count(&a.local, &b.local);
     let model = grid.world.model();
     if on_gpu && model.gpus > 0 {
         let structure_bytes =
@@ -413,22 +409,8 @@ fn probabilistic<T: Value>(
     // Per-column estimates for this rank's slab, clamped into the bracket;
     // identical across the process column, so divide the global sum by
     // `side`.
-    let slab_total: f64 = (0..out_range.len())
-        .map(|j| {
-            let keys = &out_keys[j * r..(j + 1) * r];
-            let raw = if keys.iter().any(|k| k.is_infinite()) {
-                0.0
-            } else {
-                let sum: f64 = keys.iter().map(|&k| k as f64).sum();
-                if sum <= 0.0 {
-                    0.0
-                } else {
-                    (r as f64 - 1.0) / sum
-                }
-            };
-            raw.clamp(lo[j], hi[j])
-        })
-        .sum();
+    let raw = sketch.estimates_from_keys(&out_keys, out_range.len());
+    let slab_total: f64 = (0..raw.len()).map(|j| raw[j].clamp(lo[j], hi[j])).sum();
     let total = allreduce(&grid.world, slab_total, |x, y| x + y) / grid.side as f64;
 
     MemoryEstimate {
@@ -444,39 +426,6 @@ fn probabilistic<T: Value>(
         } else {
             "probabilistic"
         },
-    }
-}
-
-/// Keys for global vertex ids in `range`: `r` per vertex, deterministic in
-/// `(seed, id)` so every rank agrees without communication.
-fn draw_keys_range(range: std::ops::Range<usize>, r: usize, seed: u64) -> Vec<f32> {
-    let mut keys = Vec::with_capacity(range.len() * r);
-    for id in range {
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(
-            seed ^ (id as u64).wrapping_mul(0x9E3779B97F4A7C15),
-        );
-        for _ in 0..r {
-            let e: f64 = rand_distr::Exp1.sample(&mut rng);
-            keys.push(e as f32);
-        }
-    }
-    keys
-}
-
-/// `out[j·r + t] = min(out[j·r + t], min over rows i of col j of keys[i·r + t])`.
-fn propagate_block<T: Value>(m: &Csc<T>, row_keys: &[f32], out: &mut [f32], r: usize) {
-    debug_assert_eq!(row_keys.len(), m.nrows() * r);
-    debug_assert_eq!(out.len(), m.ncols() * r);
-    for j in 0..m.ncols() {
-        for &i in m.col_rows(j) {
-            let src = &row_keys[i as usize * r..(i as usize + 1) * r];
-            let dst = &mut out[j * r..(j + 1) * r];
-            for t in 0..r {
-                if src[t] < dst[t] {
-                    dst[t] = src[t];
-                }
-            }
-        }
     }
 }
 
@@ -675,7 +624,7 @@ mod tests {
     use super::*;
     use hipmcl_comm::{MachineModel, Universe};
     use hipmcl_sparse::{Idx, Triples};
-    use rand::Rng;
+    use rand::{Rng, SeedableRng};
 
     fn random_global(n: usize, nnz: usize, seed: u64) -> Triples<f64> {
         let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
@@ -1045,13 +994,5 @@ mod tests {
     #[test]
     fn planner_default_is_memory_only() {
         assert_eq!(PhasePlanner::default(), PhasePlanner::MemoryOnly);
-    }
-
-    #[test]
-    fn draw_keys_deterministic_across_ranges() {
-        // Keys for id 5 must be identical whether drawn in 0..10 or 5..6.
-        let a = draw_keys_range(0..10, 3, 42);
-        let b = draw_keys_range(5..6, 3, 42);
-        assert_eq!(&a[15..18], &b[..]);
     }
 }

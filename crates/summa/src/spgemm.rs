@@ -686,6 +686,40 @@ mod tests {
     }
 
     #[test]
+    fn pipelined_timeline_covers_device_quiescence_and_kernel_time() {
+        // On every rank of a 2×2 grid under the pipelined GPU config,
+        // measured from the SUMMA section's start: the host leaves no
+        // earlier than its devices go quiet (it waits on every launch's
+        // output), and the devices go quiet no earlier than the kernel
+        // time charged to `local_spgemm` (launches queue on the streams).
+        let cfg = SummaConfig {
+            policy: SelectionPolicy::always_gpu(),
+            merge: MergeStrategy::Binary,
+            pipelined: true,
+            ..base_cfg()
+        };
+        let timelines = Universe::run(4, MachineModel::summit_bench(), move |comm| {
+            let grid = ProcGrid::new(comm);
+            let a = DistMatrix::from_global(&grid, &random_global(400, 40_000, 1));
+            let mut gpus = MultiGpu::summit_node(grid.world.model());
+            let t0 = grid.world.now();
+            let out = summa_spgemm(&grid, &mut gpus, &a, &a, &cfg);
+            let host = grid.world.now() - t0;
+            let quiescent_at = gpus.devices.iter().map(|d| d.quiescent_at());
+            let quiescent = quiescent_at.fold(t0, f64::max) - t0;
+            (host, quiescent, out.timers.get("local_spgemm"))
+        });
+        for (rank, (host, quiescent, kernels)) in timelines.into_iter().enumerate() {
+            assert!(kernels > 0.0, "rank {rank}: no kernel ran");
+            assert!(
+                host >= quiescent && quiescent >= kernels,
+                "rank {rank}: host wall {host} >= device quiescence {quiescent} \
+                 >= kernel time {kernels} must hold"
+            );
+        }
+    }
+
+    #[test]
     fn gpu_unpipelined_matches() {
         let want = serial_product(26, 200, 5);
         let cfg = SummaConfig {

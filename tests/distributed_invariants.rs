@@ -90,12 +90,11 @@ fn instrumentation_is_internally_consistent() {
     let r = &reports[0];
     // Every stage time is finite and non-negative; the expansion wall
     // covers the kernel time it contains.
-    let get = |s: &str| r.stage_times.iter().find(|(n, _)| n == s).unwrap().1;
     for (name, t) in &r.stage_times {
         assert!(t.is_finite() && *t >= 0.0, "{name}: {t}");
     }
     assert!(
-        r.total_time >= get("expansion"),
+        r.total_time >= r.stage("expansion"),
         "total covers the SUMMA section"
     );
     assert!(r.cpu_idle >= 0.0 && r.gpu_idle >= 0.0);
@@ -141,5 +140,76 @@ fn label_propagation_agrees_with_union_find_on_mcl_output() {
     });
     for (dist_k, serial_k) in reports {
         assert_eq!(dist_k, serial_k);
+    }
+}
+
+#[test]
+fn observer_sees_every_iteration_and_reconciles_with_the_report() {
+    use hipmcl::core::dist::{cluster_distributed_from, cluster_distributed_with};
+    const SUMMA_STAGES: [&str; 4] = ["local_spgemm", "summa_bcast", "merge", "mem_estimation"];
+    // Per rank: the report and, per iteration, what the observer read off
+    // the raw `SummaOutput`: [cpu idle, gpu idle, SUMMA_STAGES.., merge peak].
+    let run = |observed: bool| {
+        Universe::run(4, MachineModel::summit(), move |comm| {
+            let grid = ProcGrid::new(comm);
+            let mut gpus = MultiGpu::summit_node(grid.world.model());
+            let mut cfg = MclConfig::optimized(u64::MAX);
+            cfg.prune.select = 20;
+            let prepared = hipmcl::core::serial::prepare_matrix(&net_graph(27, 150), &cfg);
+            let a = DistMatrix::from_global(&grid, &prepared.to_triples());
+            let mut seen: Vec<[f64; 7]> = Vec::new();
+            let report = if observed {
+                cluster_distributed_with(&grid, &mut gpus, a, &cfg, |iter, out| {
+                    assert_eq!(iter, seen.len() + 1, "iterations arrive in order, from 1");
+                    let t = |s| out.timers.get(s);
+                    let [sp, bc, mg, est] = SUMMA_STAGES.map(t);
+                    let peak = out.merge_stats.peak_merge_elems as f64;
+                    seen.push([out.cpu_idle, out.gpu_idle, sp, bc, mg, est, peak]);
+                })
+            } else {
+                cluster_distributed_from(&grid, &mut gpus, a, &cfg)
+            };
+            (report, seen)
+        })
+    };
+    let (plain, observed) = (run(false), run(true));
+
+    // The hook is purely additive: the report is the unobserved one, bit
+    // for bit.
+    let (want, report) = (&plain[0].0, &observed[0].0);
+    let stage_bits = |r: &hipmcl::core::DistMclReport| -> Vec<u64> {
+        r.stage_times.iter().map(|(_, t)| t.to_bits()).collect()
+    };
+    assert_eq!(report.labels, want.labels);
+    assert_eq!(report.iterations, want.iterations);
+    assert_eq!(report.total_time.to_bits(), want.total_time.to_bits());
+    assert_eq!(stage_bits(report), stage_bits(want));
+    assert_eq!(report.merge_peaks, want.merge_peaks);
+
+    // Every rank saw every iteration once, and what the ranks saw rolls up
+    // to what the report says.
+    for (_, seen) in &observed {
+        assert_eq!(seen.len(), report.iterations);
+    }
+    let rank_mean = |k: usize| -> f64 {
+        let per_rank = |(_, seen): &(_, Vec<[f64; 7]>)| seen.iter().map(|row| row[k]).sum::<f64>();
+        observed.iter().map(per_rank).sum::<f64>() / observed.len() as f64
+    };
+    let reconciles = |k: usize, want: f64, what: &str| {
+        let got = rank_mean(k);
+        assert!(
+            (got - want).abs() <= 1e-12 * want.abs(),
+            "{what}: the observers' rank mean {got} vs the report's {want}"
+        );
+    };
+    reconciles(0, report.cpu_idle, "cpu_idle");
+    reconciles(1, report.gpu_idle, "gpu_idle");
+    for (k, s) in SUMMA_STAGES.into_iter().enumerate() {
+        assert!(report.stage(s) > 0.0, "{s} must be exercised");
+        reconciles(2 + k, report.stage(s), s);
+    }
+    for (i, &peak) in report.merge_peaks.iter().enumerate() {
+        let rank_max = observed.iter().map(|(_, seen)| seen[i][6] as u64).max();
+        assert_eq!(rank_max, Some(peak), "merge peak of iteration {}", i + 1);
     }
 }
