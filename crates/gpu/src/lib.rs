@@ -12,17 +12,19 @@
 //!   key property of §III is preserved: the host blocks only for the
 //!   transfer, never for the kernel.
 //! * [`libs`] — real Rust re-implementations of the three libraries'
-//!   algorithmic cores, all row-parallel over CSR like their CUDA
-//!   originals: expand–sort–compress (`bhsparse`), binned hash
-//!   accumulation (`nsparse`), iterative row merging (`rmerge2`).
+//!   algorithmic cores, column-parallel over CSC: expand–sort–compress
+//!   (`bhsparse`), binned hash accumulation (`nsparse`), iterative row
+//!   merging (`rmerge2`).
 //! * [`multi`] — multi-GPU work splitting (§III-A): copy A to every
 //!   device, split B's columns evenly, concatenate the partial outputs.
 //! * [`select`] — the paper's kernel-selection recipe: `flops` decides
 //!   CPU vs GPU, `cf` picks the library.
 //!
-//! The §III-B storage-format observation is honoured throughout: CSC
-//! operands are handed to the CSR kernels as their transposes
-//! (`Cᵀ = Bᵀ·Aᵀ`), so no physical format conversion ever happens.
+//! The §III-B storage-format observation — a CSC matrix *is* its transpose
+//! in CSR, so the row-parallel CUDA libraries can be fed `Cᵀ = Bᵀ·Aᵀ`
+//! unconverted — is honoured by construction: column-parallel over CSC *is*
+//! the row-parallel CSR algorithm on `Cᵀ = Bᵀ·Aᵀ`, so the trick costs
+//! nothing here, not even a type.
 
 pub mod device;
 pub mod libs;

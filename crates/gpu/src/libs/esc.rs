@@ -2,135 +2,113 @@
 //! (Liu & Vinter, IPDPS 2014; Dalton/Olson/Bell, ACM TOMS 2015).
 //!
 //! Phase 1 *expands* every nontrivial product `a_ik · b_kj` of an output
-//! row into an explicit `(col, val)` list (size = the row's flops); phase 2
-//! *sorts* the list by column; phase 3 *compresses* runs of equal columns
+//! column into an explicit `(row, val)` list (size = the column's flops);
+//! phase 2 *sorts* the list by row; phase 3 *compresses* runs of equal rows
 //! by summation. On a GPU the three phases map onto massively parallel
-//! primitives (scans, bitonic/radix sorts); here each output row runs the
-//! three phases in a rayon task, with the expansion buffer reused per
-//! worker. Work per row is `O(flops · lg flops)` — the sort makes ESC the
-//! most memory-hungry and (at high `cf`) slowest of the three libraries,
-//! matching its mid-pack showing in the paper's Fig. 4.
+//! primitives (scans, bitonic/radix sorts); here each output column runs
+//! the three phases in a rayon task, with the expansion buffer reused per
+//! worker. Work per column is `O(flops · lg flops)` — the sort makes ESC
+//! the most memory-hungry and (at high `cf`) slowest of the three
+//! libraries, matching its mid-pack showing in the paper's Fig. 4.
 
-use super::{build_csr_from_rows, RowOut};
-use hipmcl_sparse::{Csr, Idx, PlusTimes, Semiring, Value};
+use super::ColOut;
+use hipmcl_sparse::{Csc, Idx, Semiring};
 use rayon::prelude::*;
+use std::ops::Range;
 
-/// Multiplies `C = A · B` (CSR) with expand–sort–compress rows, in the
+/// Columns `cols` of `A · B` with expand–sort–compress columns, in the
 /// given semiring.
-pub fn multiply_in<S: Semiring>(s: S, a: &Csr<S::Elem>, b: &Csr<S::Elem>) -> Csr<S::Elem> {
-    let rows: Vec<RowOut<S::Elem>> = (0..a.nrows())
+pub(crate) fn multiply_in<S: Semiring>(
+    s: S,
+    a: &Csc<S::Elem>,
+    b: &Csc<S::Elem>,
+    cols: Range<usize>,
+) -> Csc<S::Elem> {
+    let out: Vec<ColOut<S::Elem>> = cols
         .into_par_iter()
-        .map_with(Vec::<(Idx, S::Elem)>::new(), |expand_buf, i| {
-            expand_row(s, a, b, i, expand_buf);
+        .map_with(Vec::<(Idx, S::Elem)>::new(), |expand_buf, j| {
+            expand_column(s, a, b, j, expand_buf);
             sort_compress(s, expand_buf)
         })
         .collect();
-    build_csr_from_rows(a.nrows(), b.ncols(), rows)
+    Csc::from_columns(a.nrows(), out)
 }
 
-/// [`multiply_in`] with the plus-times semiring.
-pub fn multiply<T: Value>(a: &Csr<T>, b: &Csr<T>) -> Csr<T>
-where
-    PlusTimes<T>: Semiring<Elem = T>,
-{
-    multiply_in(PlusTimes::new(), a, b)
-}
-
-/// Expansion: materializes all products contributing to output row `i`.
-fn expand_row<S: Semiring>(
+/// Expansion: materializes all products contributing to output column `j`.
+fn expand_column<S: Semiring>(
     _s: S,
-    a: &Csr<S::Elem>,
-    b: &Csr<S::Elem>,
-    i: usize,
+    a: &Csc<S::Elem>,
+    b: &Csc<S::Elem>,
+    j: usize,
     buf: &mut Vec<(Idx, S::Elem)>,
 ) {
     buf.clear();
-    let (acols, avals) = (a.row_cols(i), a.row_vals(i));
-    for (idx, &k) in acols.iter().enumerate() {
-        let av = avals[idx];
+    for (&k, &bv) in b.col_rows(j).iter().zip(b.col_vals(j)) {
         let k = k as usize;
-        let (bcols, bvals) = (b.row_cols(k), b.row_vals(k));
-        for (bi, &c) in bcols.iter().enumerate() {
-            buf.push((c, S::mul(av, bvals[bi])));
+        for (&r, &av) in a.col_rows(k).iter().zip(a.col_vals(k)) {
+            buf.push((r, S::mul(av, bv)));
         }
     }
 }
 
-/// Sort + compress: orders products by column and combines duplicate runs
+/// Sort + compress: orders products by row and combines duplicate runs
 /// with the semiring's addition.
-fn sort_compress<S: Semiring>(_s: S, buf: &mut [(Idx, S::Elem)]) -> RowOut<S::Elem> {
-    buf.sort_unstable_by_key(|&(c, _)| c);
-    let mut cols: Vec<Idx> = Vec::new();
+fn sort_compress<S: Semiring>(_s: S, buf: &mut [(Idx, S::Elem)]) -> ColOut<S::Elem> {
+    buf.sort_unstable_by_key(|&(r, _)| r);
+    let mut rows: Vec<Idx> = Vec::new();
     let mut vals: Vec<S::Elem> = Vec::new();
-    for &(c, v) in buf.iter() {
-        if cols.last() == Some(&c) {
+    for &(r, v) in buf.iter() {
+        if rows.last() == Some(&r) {
             let last = vals.last_mut().unwrap();
             *last = S::add(*last, v);
         } else {
-            cols.push(c);
+            rows.push(r);
             vals.push(v);
         }
     }
-    (cols, vals)
-}
-
-/// Peak expansion memory of the multiplication: the largest per-row flops
-/// times the entry size — what bhsparse must stage per workgroup.
-pub fn expansion_bytes<T: Value>(a: &Csr<T>, b: &Csr<T>) -> usize {
-    super::row_flops(a, b)
-        .iter()
-        .map(|&f| f as usize * std::mem::size_of::<(Idx, T)>())
-        .max()
-        .unwrap_or(0)
+    (rows, vals)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::testutil::{random_csr, reference_csr};
     use super::*;
+    use hipmcl_sparse::PlusTimes;
+    use hipmcl_spgemm::testutil::random_csc;
 
     #[test]
     fn sort_compress_sums_runs() {
         let mut buf = vec![(3u32, 1.0), (1, 2.0), (3, 0.5), (1, 1.0)];
-        let (cols, vals) = sort_compress(PlusTimes::<f64>::new(), &mut buf);
-        assert_eq!(cols, vec![1, 3]);
+        let (rows, vals) = sort_compress(PlusTimes::<f64>::new(), &mut buf);
+        assert_eq!(rows, vec![1, 3]);
         assert_eq!(vals, vec![3.0, 1.5]);
     }
 
     #[test]
     fn sort_compress_empty() {
         let mut buf: Vec<(Idx, f64)> = Vec::new();
-        let (cols, vals) = sort_compress(PlusTimes::<f64>::new(), &mut buf);
-        assert!(cols.is_empty() && vals.is_empty());
+        let (rows, vals) = sort_compress(PlusTimes::<f64>::new(), &mut buf);
+        assert!(rows.is_empty() && vals.is_empty());
     }
 
     #[test]
-    fn expand_row_materializes_flops() {
-        let a = random_csr(8, 8, 24, 1);
+    fn expand_column_materializes_flops() {
+        let a = random_csc(8, 8, 24, 1);
+        let flops = hipmcl_spgemm::flops_per_column(&a, &a);
         let mut buf = Vec::new();
-        for i in 0..8 {
-            expand_row(PlusTimes::<f64>::new(), &a, &a, i, &mut buf);
-            let flops: usize = a.row_cols(i).iter().map(|&k| a.row_nnz(k as usize)).sum();
-            assert_eq!(buf.len(), flops, "row {i}");
+        for (j, &f) in flops.iter().enumerate() {
+            expand_column(PlusTimes::<f64>::new(), &a, &a, j, &mut buf);
+            assert_eq!(buf.len() as u64, f, "column {j}");
         }
     }
 
     #[test]
     fn matches_reference() {
-        let a = random_csr(15, 12, 60, 4);
-        let b = random_csr(12, 10, 50, 5);
-        let got = multiply(&a, &b);
-        let want = reference_csr(&a, &b);
+        let a = random_csc(15, 12, 60, 4);
+        let b = random_csc(12, 10, 50, 5);
+        let got = multiply_in(PlusTimes::<f64>::new(), &a, &b, 0..10);
+        let want = hipmcl_spgemm::hash::multiply(&a, &b);
         got.assert_valid();
-        assert_eq!(got.rowptr, want.rowptr);
-        assert_eq!(got.colidx, want.colidx);
-    }
-
-    #[test]
-    fn expansion_bytes_positive_when_work_exists() {
-        let a = random_csr(10, 10, 40, 9);
-        assert!(expansion_bytes(&a, &a) > 0);
-        let z = Csr::<f64>::zero(3, 3);
-        assert_eq!(expansion_bytes(&z, &z), 0);
+        assert_eq!(got.colptr, want.colptr);
+        assert_eq!(got.rowidx, want.rowidx);
     }
 }

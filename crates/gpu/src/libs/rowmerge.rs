@@ -1,50 +1,53 @@
 //! `rmerge2` analogue: SpGEMM by iterative row merging
 //! (Gremse, Küpper, Naumann — SIAM J. Sci. Comput. 2018).
 //!
-//! Each output row `C_{i*} = Σ_k a_ik · B_{k*}` is formed by repeatedly
+//! rmerge2 forms each output row `C_{i*} = Σ_k a_ik · B_{k*}` by repeatedly
 //! merging *pairs* of sorted scaled rows — a balanced binary merge tree —
-//! instead of accumulating into a table. Merging is branch-predictable and
+//! instead of accumulating into a table. On `Cᵀ = Bᵀ·Aᵀ` that is each
+//! output column `C_{*j} = Σ_k A_{*k} · b_kj` from sorted scaled columns
+//! of `A`, which is what runs here. Merging is branch-predictable and
 //! memory-lean (rmerge2's selling point: "memory-efficient"), but the tree
-//! revisits elements `lg(nnz(A_{i*}))` times, so its advantage fades as
+//! revisits elements `lg(nnz(B_{*j}))` times, so its advantage fades as
 //! `cf` grows; the paper measures it at ~1.1× `cpu-hash` overall and best
 //! among the GPU libraries only at small `cf`.
 
-use super::{build_csr_from_rows, RowOut};
-use hipmcl_sparse::{Csr, PlusTimes, Semiring, Value};
+use super::ColOut;
+use hipmcl_sparse::{Csc, Semiring};
 use rayon::prelude::*;
+use std::ops::Range;
 
-/// Multiplies `C = A · B` (CSR) by per-row binary merge trees, in the
+/// Columns `cols` of `A · B` by per-column binary merge trees, in the
 /// given semiring.
-pub fn multiply_in<S: Semiring>(s: S, a: &Csr<S::Elem>, b: &Csr<S::Elem>) -> Csr<S::Elem> {
-    let rows: Vec<RowOut<S::Elem>> = (0..a.nrows())
+pub(crate) fn multiply_in<S: Semiring>(
+    s: S,
+    a: &Csc<S::Elem>,
+    b: &Csc<S::Elem>,
+    cols: Range<usize>,
+) -> Csc<S::Elem> {
+    let out: Vec<ColOut<S::Elem>> = cols
         .into_par_iter()
-        .map(|i| merge_row(s, a, b, i))
+        .map(|j| merge_column(s, a, b, j))
         .collect();
-    build_csr_from_rows(a.nrows(), b.ncols(), rows)
+    Csc::from_columns(a.nrows(), out)
 }
 
-/// [`multiply_in`] with the plus-times semiring.
-pub fn multiply<T: Value>(a: &Csr<T>, b: &Csr<T>) -> Csr<T>
-where
-    PlusTimes<T>: Semiring<Elem = T>,
-{
-    multiply_in(PlusTimes::new(), a, b)
-}
-
-/// Builds output row `i` by a balanced tree of two-way merges.
-fn merge_row<S: Semiring>(s: S, a: &Csr<S::Elem>, b: &Csr<S::Elem>, i: usize) -> RowOut<S::Elem> {
-    let (acols, avals) = (a.row_cols(i), a.row_vals(i));
-    // Leaves: the selected B rows, scaled by the A entry.
-    let mut lists: Vec<RowOut<S::Elem>> = acols
-        .iter()
-        .zip(avals)
-        .map(|(&k, &av)| {
+/// Builds output column `j` by a balanced tree of two-way merges.
+fn merge_column<S: Semiring>(
+    s: S,
+    a: &Csc<S::Elem>,
+    b: &Csc<S::Elem>,
+    j: usize,
+) -> ColOut<S::Elem> {
+    // Leaves: the selected A columns, scaled by the B entry.
+    let mut lists: Vec<ColOut<S::Elem>> = (b.col_rows(j).iter())
+        .zip(b.col_vals(j))
+        .map(|(&k, &bv)| {
             let k = k as usize;
-            let cols = b.row_cols(k).to_vec();
-            let vals = b.row_vals(k).iter().map(|&v| S::mul(av, v)).collect();
-            (cols, vals)
+            let rows = a.col_rows(k).to_vec();
+            let vals = a.col_vals(k).iter().map(|&av| S::mul(av, bv)).collect();
+            (rows, vals)
         })
-        .filter(|(c, _): &RowOut<S::Elem>| !c.is_empty())
+        .filter(|(r, _): &ColOut<S::Elem>| !r.is_empty())
         .collect();
 
     // Balanced reduction: merge adjacent pairs until one list remains.
@@ -62,84 +65,68 @@ fn merge_row<S: Semiring>(s: S, a: &Csr<S::Elem>, b: &Csr<S::Elem>, i: usize) ->
     lists.pop().unwrap_or_default()
 }
 
-/// Two-way merge of sorted `(cols, vals)` runs, combining equal columns
-/// with the semiring's addition.
-pub(crate) fn merge_two<S: Semiring>(
-    _s: S,
-    x: &RowOut<S::Elem>,
-    y: &RowOut<S::Elem>,
-) -> RowOut<S::Elem> {
-    let (xc, xv) = x;
-    let (yc, yv) = y;
-    let mut cols = Vec::with_capacity(xc.len() + yc.len());
-    let mut vals = Vec::with_capacity(xc.len() + yc.len());
+/// Two-way merge of sorted `(rows, vals)` runs, combining equal rows with
+/// the semiring's addition.
+fn merge_two<S: Semiring>(_s: S, x: &ColOut<S::Elem>, y: &ColOut<S::Elem>) -> ColOut<S::Elem> {
+    let (xr, xv) = x;
+    let (yr, yv) = y;
+    let mut rows = Vec::with_capacity(xr.len() + yr.len());
+    let mut vals = Vec::with_capacity(xr.len() + yr.len());
     let (mut i, mut j) = (0usize, 0usize);
-    while i < xc.len() || j < yc.len() {
-        let take_x = j >= yc.len() || (i < xc.len() && xc[i] < yc[j]);
-        let take_both = i < xc.len() && j < yc.len() && xc[i] == yc[j];
+    while i < xr.len() || j < yr.len() {
+        let take_x = j >= yr.len() || (i < xr.len() && xr[i] < yr[j]);
+        let take_both = i < xr.len() && j < yr.len() && xr[i] == yr[j];
         if take_both {
-            cols.push(xc[i]);
+            rows.push(xr[i]);
             vals.push(S::add(xv[i], yv[j]));
             i += 1;
             j += 1;
         } else if take_x {
-            cols.push(xc[i]);
+            rows.push(xr[i]);
             vals.push(xv[i]);
             i += 1;
         } else {
-            cols.push(yc[j]);
+            rows.push(yr[j]);
             vals.push(yv[j]);
             j += 1;
         }
     }
-    (cols, vals)
-}
-
-/// Total number of element visits across the merge trees — the quantity
-/// that explains rmerge2's `lg` overhead relative to hash accumulation.
-pub fn merge_work<T: Value>(a: &Csr<T>, b: &Csr<T>) -> u64 {
-    (0..a.nrows())
-        .into_par_iter()
-        .map(|i| {
-            let lists = a.row_cols(i).len().max(1);
-            let flops: u64 = a
-                .row_cols(i)
-                .iter()
-                .map(|&k| b.row_nnz(k as usize) as u64)
-                .sum();
-            flops * (lists as f64).log2().ceil().max(1.0) as u64
-        })
-        .sum()
+    (rows, vals)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::testutil::{random_csr, reference_csr};
     use super::*;
-    type R = RowOut<f64>;
+    use hipmcl_sparse::PlusTimes;
+    use hipmcl_spgemm::testutil::random_csc;
+    type C = ColOut<f64>;
+
+    fn multiply(a: &Csc<f64>, b: &Csc<f64>) -> Csc<f64> {
+        multiply_in(PlusTimes::<f64>::new(), a, b, 0..b.ncols())
+    }
 
     #[test]
     fn merge_two_disjoint() {
-        let x: R = (vec![1, 5], vec![1.0, 2.0]);
-        let y: R = (vec![2, 9], vec![3.0, 4.0]);
-        let (c, v) = merge_two(PlusTimes::<f64>::new(), &x, &y);
-        assert_eq!(c, vec![1, 2, 5, 9]);
+        let x: C = (vec![1, 5], vec![1.0, 2.0]);
+        let y: C = (vec![2, 9], vec![3.0, 4.0]);
+        let (r, v) = merge_two(PlusTimes::<f64>::new(), &x, &y);
+        assert_eq!(r, vec![1, 2, 5, 9]);
         assert_eq!(v, vec![1.0, 3.0, 2.0, 4.0]);
     }
 
     #[test]
     fn merge_two_overlapping_sums() {
-        let x: R = (vec![1, 3], vec![1.0, 1.0]);
-        let y: R = (vec![1, 3], vec![0.5, 0.25]);
-        let (c, v) = merge_two(PlusTimes::<f64>::new(), &x, &y);
-        assert_eq!(c, vec![1, 3]);
+        let x: C = (vec![1, 3], vec![1.0, 1.0]);
+        let y: C = (vec![1, 3], vec![0.5, 0.25]);
+        let (r, v) = merge_two(PlusTimes::<f64>::new(), &x, &y);
+        assert_eq!(r, vec![1, 3]);
         assert_eq!(v, vec![1.5, 1.25]);
     }
 
     #[test]
     fn merge_two_with_empty() {
-        let x: R = (vec![], vec![]);
-        let y: R = (vec![7], vec![1.0]);
+        let x: C = (vec![], vec![]);
+        let y: C = (vec![7], vec![1.0]);
         assert_eq!(
             merge_two(PlusTimes::<f64>::new(), &x, &y),
             (vec![7], vec![1.0])
@@ -148,36 +135,22 @@ mod tests {
 
     #[test]
     fn matches_reference() {
-        let a = random_csr(16, 13, 70, 10);
-        let b = random_csr(13, 17, 65, 11);
+        let a = random_csc(16, 13, 70, 10);
+        let b = random_csc(13, 17, 65, 11);
         let got = multiply(&a, &b);
-        let want = reference_csr(&a, &b);
+        let want = hipmcl_spgemm::hash::multiply(&a, &b);
         got.assert_valid();
-        assert_eq!(got.rowptr, want.rowptr);
-        assert_eq!(got.colidx, want.colidx);
-        let diff: f64 = got
-            .vals
-            .iter()
-            .zip(&want.vals)
-            .map(|(x, y)| (x - y).abs())
-            .fold(0.0, f64::max);
-        assert!(diff < 1e-9);
+        assert_eq!(got.colptr, want.colptr);
+        assert_eq!(got.rowidx, want.rowidx);
+        assert!(got.max_abs_diff(&want) < 1e-9);
     }
 
     #[test]
-    fn merge_work_exceeds_flops_for_wide_rows() {
-        let a = random_csr(20, 20, 200, 12);
-        let flops: u64 = super::super::row_flops(&a, &a).iter().sum();
-        assert!(merge_work(&a, &a) >= flops);
-    }
-
-    #[test]
-    fn single_entry_rows() {
-        // A = diagonal: C = scaled B rows, exercised via the identity.
-        let b = random_csr(6, 6, 18, 13);
-        let i = Csr::from_csc(&hipmcl_sparse::Csc::identity(6));
-        let got = multiply(&i, &b);
-        assert_eq!(got.rowptr, b.rowptr);
-        assert_eq!(got.colidx, b.colidx);
+    fn identity_on_either_side() {
+        // I·B: every leaf holds a single entry; B·I: every tree is one leaf.
+        let b = random_csc(6, 6, 18, 13);
+        let i = Csc::identity(6);
+        assert_eq!(multiply(&i, &b), b);
+        assert_eq!(multiply(&b, &i), b);
     }
 }

@@ -5,6 +5,8 @@
 //! `C = A · B` is split by *copying `A` to every device and dividing the
 //! columns of `B` evenly* — each GPU computes a column slab of `C`, so
 //! assembling the final output is a trivial horizontal concatenation.
+//! Those copies are what the model charges; on the host every device's
+//! kernel reads `A` and its column range of `B` in place.
 //!
 //! Virtual-time semantics per §III: the host blocks until the *input
 //! transfers* complete (all devices, which transfer in parallel over their
@@ -14,7 +16,16 @@
 use crate::device::{Device, DeviceError};
 use hipmcl_comm::{GpuLib, MachineModel};
 use hipmcl_sparse::util::even_chunk;
-use hipmcl_sparse::{Csc, Csr, PlusTimes, Semiring, Value};
+use hipmcl_sparse::{Csc, Idx, PlusTimes, Semiring, Value};
+use std::ops::Range;
+
+/// [`Csc::bytes`] of columns `cols` of `b` held as a matrix of their own,
+/// without building one: what the device's share of `B` occupies.
+fn slab_bytes<T: Value>(b: &Csc<T>, cols: &Range<usize>) -> usize {
+    let nnz = b.colptr[cols.end] - b.colptr[cols.start];
+    (cols.len() + 1) * std::mem::size_of::<usize>()
+        + nnz * (std::mem::size_of::<Idx>() + std::mem::size_of::<T>())
+}
 
 /// The set of devices owned by one rank.
 pub struct MultiGpu {
@@ -101,21 +112,20 @@ impl MultiGpu {
         let mut total_flops = 0u64;
         let mut total_out = 0u64;
 
-        // `A` goes to every device; its CSR reinterpretation is built once.
-        let at = Csr::from_csc_transpose(a.clone());
+        let fpc = hipmcl_spgemm::flops_per_column(a, b);
         for (d, dev) in self.devices.iter_mut().enumerate() {
             let cols = even_chunk(n, g, d);
-            let b_slab = b.column_slice(cols);
-            let flops = hipmcl_spgemm::flops(a, &b_slab);
+            let flops: u64 = fpc[cols.clone()].iter().sum();
 
-            // Input transfer: A + the B slab. Devices transfer in parallel
-            // (independent links); each starts when the host initiates.
-            let in_bytes = a.bytes() + b_slab.bytes();
+            // Input transfer: A + the B slab (columns `cols` as a matrix of
+            // their own). Devices transfer in parallel (independent links);
+            // each starts when the host initiates.
+            let in_bytes = a.bytes() + slab_bytes(b, &cols);
             let t_in = dev.h2d(host_now, in_bytes)?;
             inputs_done = inputs_done.max(t_in);
 
             // Real kernel execution (host-side, verified), modeled duration.
-            let c_slab = crate::libs::multiply_csc_with_at_in(s, &at, b_slab, lib);
+            let c_slab = crate::libs::multiply_cols_in(s, a, b, cols, &fpc, lib);
             let cf = if c_slab.nnz() == 0 {
                 1.0
             } else {
@@ -217,6 +227,29 @@ mod tests {
         // One device: its inputs are `A` and all of `B` (= `A`).
         let (requested, free) = (2 * a.bytes(), 64);
         assert_eq!(err, DeviceError::OutOfMemory { requested, free });
+    }
+
+    #[test]
+    fn ragged_slabs_charge_a_copied_slab_and_hold_its_columns() {
+        // 20 columns over 3 devices (7, 7, 6); the first three and the last
+        // two columns of B are empty.
+        let a = random_csc(16, 16, 90, 26);
+        let inner = random_csc(16, 15, 70, 27);
+        let b = Csc::hcat(&[Csc::zero(16, 3), inner, Csc::zero(16, 2)]);
+        let fpc = hipmcl_spgemm::flops_per_column(&a, &b);
+        let s = PlusTimes::<f64>::new();
+        for lib in GpuLib::all() {
+            let whole = crate::libs::multiply_csc(&a, &b, lib);
+            let mut m = multi(3);
+            assert_eq!(m.multiply(0.0, &a, &b, lib).unwrap().c, whole);
+            for (d, dev) in m.devices.iter().enumerate() {
+                let cols = even_chunk(20, 3, d);
+                let slab = crate::libs::multiply_cols_in(s, &a, &b, cols.clone(), &fpc, lib);
+                assert_eq!(slab, whole.column_slice(cols.clone()), "{}", lib.name());
+                let in_bytes = a.bytes() + b.column_slice(cols).bytes();
+                assert_eq!(dev.peak_mem(), in_bytes + slab.bytes(), "{}", lib.name());
+            }
+        }
     }
 
     #[test]

@@ -142,6 +142,24 @@ impl<T: Value> Csc<T> {
         m
     }
 
+    /// Assembles per-column `(rows, vals)` outputs — what a column-parallel
+    /// kernel collects — into an `nrows × cols.len()` matrix, validating
+    /// invariants.
+    pub fn from_columns(nrows: usize, cols: Vec<(Vec<Idx>, Vec<T>)>) -> Self {
+        let ncols = cols.len();
+        let nnz = cols.iter().map(|(r, _)| r.len()).sum();
+        let mut colptr = Vec::with_capacity(ncols + 1);
+        colptr.push(0usize);
+        let mut rowidx = Vec::with_capacity(nnz);
+        let mut vals = Vec::with_capacity(nnz);
+        for (r, v) in cols {
+            rowidx.extend_from_slice(&r);
+            vals.extend_from_slice(&v);
+            colptr.push(rowidx.len());
+        }
+        Self::from_parts(nrows, ncols, colptr, rowidx, vals)
+    }
+
     /// Converts to COO (column-major order).
     pub fn to_triples(&self) -> Triples<T> {
         let mut t = Triples::with_capacity(self.nrows, self.ncols, self.nnz());
@@ -593,6 +611,20 @@ mod tests {
         let m = Csc::from_triples(&t);
         assert_eq!(m.nnz(), 1);
         assert_eq!(m.get(1, 1), Some(4.0));
+    }
+
+    #[test]
+    fn from_columns_assembles() {
+        let cols = vec![
+            (vec![1, 3], vec![1.0, 2.0]),
+            (vec![], vec![]),
+            (vec![0], vec![5.0]),
+        ];
+        let m = Csc::from_columns(4, cols);
+        m.assert_valid();
+        assert_eq!((m.nrows(), m.ncols(), m.nnz()), (4, 3, 3));
+        assert_eq!(m.col_rows(0), &[1, 3]);
+        assert_eq!(m.col_vals(2), &[5.0]);
     }
 
     #[test]

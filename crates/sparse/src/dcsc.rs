@@ -7,10 +7,13 @@
 //! Gilbert, IPDPS 2008) stores only the non-empty columns: `jc` holds their
 //! column indices and `cp` their pointer ranges into `ir`/`num`.
 //!
-//! HipMCL stores distributed blocks in DCSC; the GPU path decompresses to
-//! CSC (`O(nzc)` — cheap) and applies the §III-B transpose trick instead of
-//! a full CSR conversion. [`Dcsc::to_csc`] / [`Dcsc::from_csc`] implement
-//! exactly that decompression/compression.
+//! HipMCL stores distributed blocks in DCSC. Here a block is held, and
+//! computed on, as CSC and only *shipped* in DCSC form: [`crate::wire`]
+//! writes a CSC block's DCSC encoding directly and decodes it straight back
+//! into CSC. This type is that wire form's reference implementation — its
+//! own `encode`/`decode` pin the bytes the direct paths must produce and
+//! accept — and the definition of a block's hypersparse size,
+//! [`Dcsc::bytes_of_csc`].
 
 use crate::csc::Csc;
 use crate::semiring::Value;
@@ -183,57 +186,6 @@ impl<T: Value> Dcsc<T> {
         self.jc.len()
     }
 
-    /// `true` if the matrix is hypersparse (`nnz < ncols`), the regime DCSC
-    /// is designed for.
-    pub fn is_hypersparse(&self) -> bool {
-        self.nnz() < self.ncols
-    }
-
-    /// Iterates non-empty columns as `(col, rows, vals)`.
-    pub fn iter_cols(&self) -> impl Iterator<Item = (Idx, &[Idx], &[T])> + '_ {
-        self.jc.iter().enumerate().map(move |(k, &j)| {
-            let range = self.cp[k]..self.cp[k + 1];
-            (j, &self.ir[range.clone()], &self.num[range])
-        })
-    }
-
-    /// Extracts the columns listed in `cols` (strictly increasing old
-    /// indices) with columns relabelled `0..cols.len()` — the DCSC
-    /// counterpart of [`Csc::select_cols`]. Non-empty selected columns are
-    /// found by merging `cols` against `jc`; `O(nzc + cols + nnz of the
-    /// selection)`, never touching the dropped columns' data.
-    pub fn select_cols(&self, cols: &[usize]) -> Self {
-        debug_assert!(crate::util::is_strictly_increasing(cols));
-        if let Some(&last) = cols.last() {
-            assert!(last < self.ncols, "selected column {last} out of range");
-        }
-        let mut jc = Vec::new();
-        let mut cp = vec![0usize];
-        let mut ir = Vec::new();
-        let mut num = Vec::new();
-        let mut k = 0usize; // cursor into self.jc (both lists increasing)
-        for (new, &old) in cols.iter().enumerate() {
-            while k < self.jc.len() && (self.jc[k] as usize) < old {
-                k += 1;
-            }
-            if k < self.jc.len() && self.jc[k] as usize == old {
-                let range = self.cp[k]..self.cp[k + 1];
-                jc.push(new as Idx);
-                ir.extend_from_slice(&self.ir[range.clone()]);
-                num.extend_from_slice(&self.num[range]);
-                cp.push(ir.len());
-            }
-        }
-        Self {
-            nrows: self.nrows,
-            ncols: cols.len(),
-            jc,
-            cp,
-            ir,
-            num,
-        }
-    }
-
     /// Approximate heap footprint in bytes. For a hypersparse block this is
     /// `O(nnz + nzc)` versus CSC's `O(nnz + ncols)`.
     pub fn bytes(&self) -> usize {
@@ -339,7 +291,6 @@ mod tests {
         d.assert_valid();
         assert_eq!(d.nzc(), 3);
         assert_eq!(d.nnz(), 5);
-        assert!(d.is_hypersparse());
         assert_eq!(d.to_csc(), csc);
     }
 
@@ -351,36 +302,6 @@ mod tests {
             d.bytes() < csc.bytes(),
             "DCSC must be smaller when hypersparse"
         );
-    }
-
-    #[test]
-    fn iter_cols_yields_nonempty_columns() {
-        let d = Dcsc::from_csc(&hypersparse_sample());
-        let cols: Vec<Idx> = d.iter_cols().map(|(j, _, _)| j).collect();
-        assert_eq!(cols, vec![7, 20, 99]);
-        let (j, rows, vals) = d.iter_cols().next().unwrap();
-        assert_eq!(j, 7);
-        assert_eq!(rows, &[3, 50]);
-        assert_eq!(vals, &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn select_cols_agrees_with_csc_selection() {
-        let csc = hypersparse_sample();
-        let d = Dcsc::from_csc(&csc);
-        // Mix of non-empty (7, 99), empty (0, 42) and dropped columns.
-        let keep = [0usize, 7, 42, 99];
-        let picked = d.select_cols(&keep);
-        picked.assert_valid();
-        assert_eq!(picked.ncols(), keep.len());
-        assert_eq!(picked.to_csc(), csc.select_cols(&keep));
-        // Only the genuinely non-empty survivors are listed.
-        assert_eq!(picked.jc, vec![1, 3]);
-        // Empty selection degenerates to a zero-width matrix.
-        let none = d.select_cols(&[]);
-        none.assert_valid();
-        assert_eq!(none.nzc(), 0);
-        assert_eq!(none.ncols(), 0);
     }
 
     #[test]
@@ -396,7 +317,6 @@ mod tests {
         let csc = Csc::<f64>::identity(8);
         let d = Dcsc::from_csc(&csc);
         d.assert_valid();
-        assert!(!d.is_hypersparse());
         assert_eq!(d.to_csc(), csc);
     }
 }

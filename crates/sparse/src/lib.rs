@@ -7,15 +7,19 @@
 //!
 //! * [`Triples`] — coordinate (COO) form, the interchange format used for
 //!   graph construction, I/O and the merge stages of Sparse SUMMA.
-//! * [`Csc`] — compressed sparse column, the workhorse format. MCL is a
-//!   column-stochastic algorithm, so columnwise access dominates.
-//! * [`Csr`] — compressed sparse row, used by the GPU SpGEMM kernels
-//!   (bhsparse/nsparse/rmerge2 analogues are row-parallel).
+//! * [`Csc`] — compressed sparse column, the one format the library
+//!   computes on. MCL is a column-stochastic algorithm, so columnwise
+//!   access dominates; there is no CSR type, because a CSC matrix *is* its
+//!   transpose in CSR (§III-B) and the GPU SpGEMM analogues
+//!   (bhsparse/nsparse/rmerge2, row-parallel in CUDA) run column-parallel
+//!   over it.
 //! * [`Dcsc`] — doubly compressed sparse column for hypersparse submatrices,
 //!   as used by 2D-distributed blocks (Buluç & Gilbert, IPDPS'08). When a
 //!   matrix is split over `√P × √P` processes, each block has on average
 //!   `nnz/P` nonzeros over `n/√P` columns; most columns are empty and plain
-//!   CSC wastes `O(n/√P)` pointer space. DCSC compresses the column pointers.
+//!   CSC wastes `O(n/√P)` pointer space. DCSC compresses the column
+//!   pointers. Here it is the form blocks are *shipped* in and sized by
+//!   ([`wire`], [`Dcsc::bytes_of_csc`]), not one kernels run on.
 //!
 //! Columnwise MCL kernels (normalization, pruning, top-k selection,
 //! inflation) live in [`colops`]; connected components for the final
@@ -29,7 +33,6 @@ pub mod colops;
 pub mod components;
 pub mod convert;
 pub mod csc;
-pub mod csr;
 pub mod dcsc;
 pub mod io;
 pub mod labels;
@@ -39,7 +42,6 @@ pub mod util;
 pub mod wire;
 
 pub use csc::Csc;
-pub use csr::Csr;
 pub use dcsc::Dcsc;
 pub use semiring::{Boolean, MaxMin, MinPlus, PlusTimes, Semiring, Value};
 pub use triples::Triples;

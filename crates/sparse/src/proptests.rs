@@ -4,7 +4,6 @@ use crate::colops::{self, PruneParams};
 use crate::components::connected_components;
 use crate::convert::{gather_2d, split_2d};
 use crate::csc::Csc;
-use crate::csr::Csr;
 use crate::dcsc::Dcsc;
 use crate::triples::Triples;
 use crate::wire::{WireDecode, WireEncode};
@@ -122,14 +121,6 @@ proptest! {
         d.assert_valid();
         prop_assert_eq!(d.to_csc(), m);
         prop_assert_eq!(d.nnz(), d.cp[d.nzc()]);
-    }
-
-    #[test]
-    fn csr_roundtrip(t in arb_triples(20, 80)) {
-        let m = Csc::from_triples(&t);
-        let r = Csr::from_csc(&m);
-        r.assert_valid();
-        prop_assert_eq!(r.to_csc(), m);
     }
 
     #[test]

@@ -321,8 +321,7 @@ impl<T: Value> HashScratch<T> {
     /// Drains `(key, val)` pairs sorted by key into the output slices of
     /// column `col` and resets the accumulator. Panics if the slices are not
     /// exactly [`HashScratch::len`] long — a wrong count must not become a
-    /// malformed column. `col` only labels the panic (`hipmcl_gpu`'s
-    /// row-wise `hashgpu` passes its row id).
+    /// malformed column. `col` only labels the panic.
     pub fn drain_sorted_into(&mut self, col: usize, rows: &mut [Idx], vals: &mut [T]) {
         assert!(
             rows.len() == self.len() && vals.len() == self.len(),

@@ -3,15 +3,15 @@
 //! An `m × n` matrix on a `√P × √P` grid is split into balanced row and
 //! column stripes ([`hipmcl_sparse::util::even_chunk`]); the process at
 //! grid `(i, j)` owns block `(i, j)` with local indices. Blocks are stored
-//! as CSC for compute and shipped as CSC too; [`DistMatrix::dcsc_bytes`]
-//! reports what the hypersparse DCSC representation would occupy, which is
-//! what the broadcast payloads are charged as (HipMCL broadcasts DCSC).
+//! as CSC for compute; the broadcast payloads are written in, and charged
+//! as, the hypersparse DCSC form (HipMCL broadcasts DCSC) —
+//! [`hipmcl_sparse::Dcsc::bytes_of_csc`] of the local block.
 
 use hipmcl_comm::collectives::{allreduce, gather};
 use hipmcl_comm::ProcGrid;
 use hipmcl_sparse::convert::{gather_2d, split_2d};
 use hipmcl_sparse::util::even_chunk;
-use hipmcl_sparse::{Csc, Dcsc, PlusTimes, Semiring, Triples, Value};
+use hipmcl_sparse::{Csc, PlusTimes, Semiring, Triples, Value};
 
 /// One rank's block of a 2D-distributed sparse matrix.
 ///
@@ -110,12 +110,6 @@ impl<T: Value> DistMatrix<T> {
     /// Global column range of this rank's block.
     pub fn col_range(&self, grid: &ProcGrid) -> std::ops::Range<usize> {
         even_chunk(self.ncols_global, grid.side, grid.col)
-    }
-
-    /// Bytes of the local block in hypersparse DCSC form — the size
-    /// HipMCL's SUMMA broadcasts actually move (§III-B).
-    pub fn dcsc_bytes(&self) -> usize {
-        Dcsc::from_csc(&self.local).bytes()
     }
 }
 
@@ -223,19 +217,5 @@ mod tests {
         // 11 rows over 2 stripes: 6 + 5.
         assert_eq!(results[0], (0, 6, 0, 6));
         assert_eq!(results[3], (6, 11, 6, 11));
-    }
-
-    #[test]
-    fn dcsc_bytes_smaller_for_hypersparse_blocks() {
-        let results = Universe::run(9, MachineModel::summit(), |comm| {
-            let grid = ProcGrid::new(comm);
-            // 90x90 with only 40 nonzeros: blocks are hypersparse.
-            let dm = DistMatrix::from_global(&grid, &random_global(90, 40, 5));
-            (dm.dcsc_bytes(), dm.local.bytes())
-        });
-        let (d, c): (usize, usize) = results
-            .iter()
-            .fold((0, 0), |(d, c), &(dd, cc)| (d + dd, c + cc));
-        assert!(d < c, "DCSC total {d} should beat CSC total {c}");
     }
 }

@@ -78,7 +78,6 @@
 //! type the pipeline surfaces per merge.
 
 use hipmcl_comm::{MachineModel, MergeKernel};
-use hipmcl_sparse::csc::counts_to_colptr;
 use hipmcl_sparse::{Csc, Idx, PlusTimes, Semiring, Value};
 use rayon::prelude::*;
 
@@ -667,15 +666,15 @@ pub(crate) fn merge_into<S: Semiring>(
         assert_eq!((mat.nrows(), mat.ncols()), shape, "merge shape mismatch");
     }
     match kernel {
-        MergeKernel::Heap => MergeSlab::Mat(assemble(
-            shape,
+        MergeKernel::Heap => MergeSlab::Mat(Csc::from_columns(
+            shape.0,
             (0..shape.1)
                 .into_par_iter()
                 .map(|j| merge_column(s, mats, j))
                 .collect(),
         )),
-        MergeKernel::Hash => MergeSlab::Mat(assemble(
-            shape,
+        MergeKernel::Hash => MergeSlab::Mat(Csc::from_columns(
+            shape.0,
             (0..shape.1)
                 .into_par_iter()
                 .map(|j| hash_column(s, mats, j))
@@ -694,21 +693,6 @@ pub(crate) fn merge_into<S: Semiring>(
         MergeKernel::BrMerge => MergeSlab::Buf(brmerge_into(s, mats, shape, arena)),
         MergeKernel::SpAdd => MergeSlab::Buf(spadd_into(s, mats, shape, arena)),
     }
-}
-
-/// Assembles per-column `(rows, vals)` outputs into a CSC matrix.
-fn assemble<T: Value>(shape: (usize, usize), cols: Vec<(Vec<Idx>, Vec<T>)>) -> Csc<T> {
-    let (m, n) = shape;
-    let counts: Vec<usize> = cols.iter().map(|(r, _)| r.len()).collect();
-    let colptr = counts_to_colptr(&counts);
-    let nnz = colptr[n];
-    let mut rowidx = Vec::with_capacity(nnz);
-    let mut vals = Vec::with_capacity(nnz);
-    for (r, v) in cols {
-        rowidx.extend_from_slice(&r);
-        vals.extend_from_slice(&v);
-    }
-    Csc::from_parts(m, n, colptr, rowidx, vals)
 }
 
 /// K-way merges equally-shaped CSC matrices with the heap kernel (kept as
@@ -818,7 +802,7 @@ fn two_way_merge<S: Semiring>(
             (rows, vals)
         })
         .collect();
-    assemble(shape, cols)
+    Csc::from_columns(shape.0, cols)
 }
 
 /// Hash-accumulates column `j` across all matrices, strictly in list

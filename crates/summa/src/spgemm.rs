@@ -487,8 +487,8 @@ where
                     let inputs = OverlapInputs {
                         side: grid.side,
                         flops_per_rank: est.flops / grid.size().max(1) as u64,
-                        bytes_a: Dcsc::from_csc(&a.local).bytes(),
-                        bytes_b: Dcsc::from_csc(&b.local).bytes(),
+                        bytes_a: Dcsc::bytes_of_csc(&a.local),
+                        bytes_b: Dcsc::bytes_of_csc(&b.local),
                         cf,
                         kernel: if gpu_capable {
                             SpgemmKernel::Gpu(GpuLib::Nsparse)

@@ -154,6 +154,40 @@ fn min_plus_max_min_boolean_and_empty_operands() {
     assert_identical(PlusTimes::<f64>::new(), &Csc::zero(12, 40), &a, true);
 }
 
+/// `(max, left)` over `u64`: `⊗` returns its left operand unless either is
+/// the zero. It does not commute, so a kernel that evaluates
+/// `mul(b_kj, a_ik)` shows.
+#[derive(Clone, Copy, Debug, Default)]
+struct MaxLeft;
+
+impl Semiring for MaxLeft {
+    type Elem = u64;
+    const ZERO: u64 = 0;
+    /// Required by the trait and read by no kernel (a left projection has
+    /// no two-sided identity).
+    const ONE: u64 = 1;
+    fn add(a: u64, b: u64) -> u64 {
+        a.max(b)
+    }
+    fn mul(a: u64, b: u64) -> u64 {
+        if a == 0 || b == 0 {
+            0
+        } else {
+            a
+        }
+    }
+}
+
+#[test]
+fn the_left_operand_of_mul_comes_from_a() {
+    // Disjoint value ranges — `A` holds 1..=64, `B` 1000..=1063 — so which
+    // operand a product kept is readable off the output.
+    let a = operand(40, 32, 90, 11, |x| 1 + x % 64);
+    let b = operand(32, 48, 70, 12, |x| 1000 + x % 64);
+    let (_, rows, vals) = assert_identical(MaxLeft, &a, &b, true);
+    assert!(!rows.is_empty() && vals.iter().all(|&v| f64::from_bits(v) <= 64.0));
+}
+
 #[test]
 fn rounding_sums_match_the_fixture_of_pr_12() {
     // Values whose sums round, so the fold order shows in the low bits
