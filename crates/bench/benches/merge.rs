@@ -45,8 +45,8 @@ fn merging_at(c: &mut Criterion, width: usize) {
         // that rematerialize a CSC block each time, fresh merger per
         // iteration); "binary-arena" is today's Auto — BRMerge k-cursor
         // merges into recycled arena slack, with the merger (and so its arena)
-        // persisting across iterations like the pipeline's per-lane
-        // pool does across phases.
+        // persisting across iterations like the pipeline's per-rank
+        // arena does across phases.
         group.bench_with_input(BenchmarkId::new("binary-legacy", k), &mats, |b, mats| {
             b.iter_batched(
                 || mats.to_vec(),

@@ -36,12 +36,7 @@ fn main() {
     ];
     let planners: [(&str, PhasePlanner); 2] = [
         ("memory", PhasePlanner::MemoryOnly),
-        (
-            "overlap",
-            PhasePlanner::OverlapAware {
-                max_extra_phases: 4,
-            },
-        ),
+        ("overlap", PhasePlanner::OverlapAware),
     ];
     let p = max_ranks(4);
     let iters = 3;

@@ -364,7 +364,7 @@ pub struct MergeGapReport {
     pub t_binary_legacy: f64,
     /// Best-of-reps wall time of the binary stack under `Auto` — BRMerge
     /// folds into recycled arena slack (the merger persists across reps,
-    /// modeling the pipeline's [`hipmcl_summa::merge::ArenaPool`] living
+    /// modeling the pipeline's [`hipmcl_summa::merge::MergeArena`] living
     /// across phases).
     pub t_binary_arena: f64,
     /// Elements of slab capacity the persistent arena retained at the
@@ -475,7 +475,7 @@ pub fn run_merge_gap_probe(d: Dataset, k: usize, reps: usize) -> MergeGapReport 
     // Binary stacks: pushes consume their inputs, so clone outside the
     // timed region. The legacy form rebuilds the merger every rep (it
     // kept no reusable state); the arena form keeps one merger alive so
-    // its arena stays warm, as the pipeline's per-lane pool does. The
+    // its arena stays warm, as the pipeline's per-rank arena does. The
     // two forms' reps are interleaved so that, when the probe runs
     // inside a parallel test harness, CPU contention windows hit both
     // sides of the comparison instead of skewing one.
@@ -696,9 +696,7 @@ mod tests {
                 4,
                 d,
                 MergeKernelPolicy::Auto,
-                PhasePlanner::OverlapAware {
-                    max_extra_phases: 4,
-                },
+                PhasePlanner::OverlapAware,
                 budget,
                 iters,
             );
@@ -869,28 +867,15 @@ mod tests {
     }
 
     #[test]
-    fn merge_gap_arena_stack_not_slower_than_legacy() {
-        // The probe_merge_gap acceptance check, in its robust in-test
-        // form: the arena-backed binary stack (Auto → BRMerge into
-        // recycled slack) must not lose to the legacy rematerializing
-        // pairwise stack on the same stage products. The committed CSV
-        // additionally holds the absolute arena_ratio ≤ 1.2 bar; here we
-        // gate on the relative comparison, which is stable across hosts.
+    fn merge_gap_probe_agrees_and_keeps_the_arena_bound() {
         // Bit-identity of all four configurations is asserted inside
-        // run_merge_gap_probe itself.
+        // run_merge_gap_probe itself. No wall-clock inequality here: the
+        // arena-vs-legacy comparison is `summa.merge_stack_melems` against
+        // `summa.merge_pairwise_melems` in every `BENCH_*.json`, measured
+        // outside a parallel test harness.
         let r = run_merge_gap_probe(Dataset::Archaea, 4, 5);
         assert!(r.out_nnz > 0);
         assert!(r.total_in_elems >= r.out_nnz);
-        // Standalone the arena stack measures ~0.85× legacy here; the
-        // 15% allowance absorbs scheduler noise from the parallel test
-        // harness on small hosts (reps are interleaved inside the probe
-        // for the same reason).
-        assert!(
-            r.t_binary_arena <= r.t_binary_legacy * 1.15,
-            "arena binary stack {}s must not exceed legacy binary stack {}s by >15%",
-            r.t_binary_arena,
-            r.t_binary_legacy
-        );
         // The persistent arena obeys the no-leak bound: retained slab
         // capacity stays within twice its peak request.
         assert!(r.arena_peak_request > 0);

@@ -3,7 +3,7 @@
 //!
 //! The reproduction separates *what happens* (real data movement, real
 //! kernels — correctness) from *how long it takes on Summit* (the virtual
-//! clock). Each rank advances its own [`VClock`]: compute sections add
+//! clock). Each rank advances its own [`RankClock`]: compute sections add
 //! modeled kernel durations, message receipt synchronizes with the
 //! sender's clock plus the α–β transfer cost. The per-stage timers
 //! ([`StageTimers`]) that feed every paper table accumulate out of these
@@ -67,12 +67,13 @@ impl std::fmt::Display for TimeModel {
     }
 }
 
-/// A rank's clock pair: the modeled [`VClock`] plus, under
-/// [`TimeModel::Measured`], a monotonic wall-clock origin.
+/// A rank's clock pair: the virtual clock, in seconds of modeled machine
+/// time, plus, under [`TimeModel::Measured`], a monotonic wall-clock
+/// origin.
 #[derive(Clone, Copy, Debug)]
 pub struct RankClock {
     time: TimeModel,
-    vclock: VClock,
+    now: f64,
     origin: std::time::Instant,
 }
 
@@ -81,7 +82,7 @@ impl RankClock {
     pub fn new(time: TimeModel) -> Self {
         Self {
             time,
-            vclock: VClock::new(),
+            now: 0.0,
             origin: std::time::Instant::now(),
         }
     }
@@ -95,19 +96,29 @@ impl RankClock {
     /// Current *modeled* time — authoritative for all scheduling.
     #[inline]
     pub fn now(&self) -> f64 {
-        self.vclock.now()
+        self.now
     }
 
-    /// Advances the modeled clock by `dt` seconds.
+    /// Advances the modeled clock by `dt` seconds (compute or transfer
+    /// cost).
     #[inline]
     pub fn advance(&mut self, dt: f64) {
-        self.vclock.advance(dt);
+        debug_assert!(dt >= 0.0, "negative duration {dt}");
+        self.now += dt;
     }
 
-    /// Jumps the modeled clock to `t` if later; returns modeled idle.
+    /// Waits until `t` on the modeled clock: jumps forward if `t` is in
+    /// the future, otherwise no-op. Returns the idle time spent waiting
+    /// (0 if none) — the quantity Table V reports for CPUs and GPUs.
     #[inline]
     pub fn wait_until(&mut self, t: f64) -> f64 {
-        self.vclock.wait_until(t)
+        if t > self.now {
+            let idle = t - self.now;
+            self.now = t;
+            idle
+        } else {
+            0.0
+        }
     }
 
     /// Wall seconds since this rank started, or `0.0` under
@@ -125,53 +136,8 @@ impl RankClock {
 
     /// Resets modeled time to zero and re-anchors the wall origin.
     pub fn reset(&mut self) {
-        self.vclock.reset();
-        self.origin = std::time::Instant::now();
-    }
-}
-
-/// A virtual clock, in seconds of modeled machine time.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct VClock {
-    now: f64,
-}
-
-impl VClock {
-    /// A clock at time zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Current virtual time in seconds.
-    #[inline]
-    pub fn now(&self) -> f64 {
-        self.now
-    }
-
-    /// Advances by `dt` seconds (compute or transfer cost).
-    #[inline]
-    pub fn advance(&mut self, dt: f64) {
-        debug_assert!(dt >= 0.0, "negative duration {dt}");
-        self.now += dt;
-    }
-
-    /// Waits until `t`: jumps forward if `t` is in the future, otherwise
-    /// no-op. Returns the idle time spent waiting (0 if none) — the
-    /// quantity Table V reports for CPUs and GPUs.
-    #[inline]
-    pub fn wait_until(&mut self, t: f64) -> f64 {
-        if t > self.now {
-            let idle = t - self.now;
-            self.now = t;
-            idle
-        } else {
-            0.0
-        }
-    }
-
-    /// Resets to zero (between experiments).
-    pub fn reset(&mut self) {
         self.now = 0.0;
+        self.origin = std::time::Instant::now();
     }
 }
 
@@ -450,7 +416,7 @@ mod tests {
 
     #[test]
     fn clock_advances_and_waits() {
-        let mut c = VClock::new();
+        let mut c = RankClock::new(TimeModel::Modeled);
         c.advance(1.5);
         assert_eq!(c.now(), 1.5);
         let idle = c.wait_until(2.0);
@@ -462,7 +428,7 @@ mod tests {
 
     #[test]
     fn clock_reset() {
-        let mut c = VClock::new();
+        let mut c = RankClock::new(TimeModel::Modeled);
         c.advance(3.0);
         c.reset();
         assert_eq!(c.now(), 0.0);

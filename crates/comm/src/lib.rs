@@ -71,7 +71,7 @@ pub mod socket;
 pub mod transport;
 pub mod universe;
 
-pub use clock::{CommStats, Event, RankClock, StageTimers, TimeModel, Timeline, VClock};
+pub use clock::{CommStats, Event, RankClock, StageTimers, TimeModel, Timeline};
 pub use comm::Comm;
 pub use grid::ProcGrid;
 pub use hipmcl_sparse::wire::{WireDecode, WireEncode, WireError, WireReader};

@@ -445,16 +445,12 @@ pub enum PhasePlanner {
     #[default]
     MemoryOnly,
     /// Bi-objective: memory first, then overlap. Every candidate
-    /// `h ∈ [h_min, h_min + max_extra_phases]` already satisfies the
+    /// `h ∈ [h_min, h_min + OVERLAP_EXTRA_PHASES]` already satisfies the
     /// memory budget (slabs only shrink as `h` grows); among them the
     /// planner picks the one minimizing the *modeled pipeline idle* of a
     /// mini-simulation of the phase's broadcast/kernel/merge event
     /// structure ([`modeled_pipeline_idle`]).
-    OverlapAware {
-        /// How many phases past the memory floor the search may consider
-        /// (validated to `1..=64` by `SummaConfig::validate`).
-        max_extra_phases: usize,
-    },
+    OverlapAware,
 }
 
 /// What the phase planner decided, kept for observability in
@@ -590,21 +586,24 @@ pub fn modeled_pipeline_idle(
     (makespan - host_busy) + (makespan - device_busy) + (makespan - lane_busy)
 }
 
+/// How many phases past the memory floor [`plan_phases_overlap`] scores.
+const OVERLAP_EXTRA_PHASES: usize = 4;
+
 /// Bi-objective phase planning: starts from the memory floor
-/// ([`plan_phases`]) and searches `h ∈ [h_min, h_min + max_extra]` for
-/// the candidate with the lowest [`modeled_pipeline_idle`]. Since slab
-/// memory shrinks monotonically in `h`, every candidate satisfies the
-/// memory budget the floor satisfies; ties go to the smallest `h`.
+/// ([`plan_phases`]) and searches
+/// `h ∈ [h_min, h_min + OVERLAP_EXTRA_PHASES]` for the candidate with the
+/// lowest [`modeled_pipeline_idle`]. Since slab memory shrinks
+/// monotonically in `h`, every candidate satisfies the memory budget the
+/// floor satisfies; ties go to the smallest `h`.
 pub fn plan_phases_overlap(
     estimate: &MemoryEstimate,
     ranks: usize,
     per_rank_budget_bytes: u64,
     model: &hipmcl_comm::MachineModel,
     inputs: &OverlapInputs,
-    max_extra: usize,
 ) -> PhaseDecision {
     let memory_floor = plan_phases(estimate, ranks, per_rank_budget_bytes);
-    let scores: Vec<(usize, f64)> = (memory_floor..=memory_floor + max_extra)
+    let scores: Vec<(usize, f64)> = (memory_floor..=memory_floor + OVERLAP_EXTRA_PHASES)
         .map(|h| (h, modeled_pipeline_idle(model, inputs, h)))
         .collect();
     let phases = scores
@@ -950,14 +949,18 @@ mod tests {
         let model = MachineModel::summit();
         for budget in [1u64 << 20, 4 << 20, 1 << 30] {
             let floor = plan_phases(&est, 16, budget);
-            let d = plan_phases_overlap(&est, 16, budget, &model, &inputs, 6);
+            let d = plan_phases_overlap(&est, 16, budget, &model, &inputs);
             assert_eq!(d.memory_floor, floor);
             assert!(
                 d.phases >= floor,
                 "chosen h {} under floor {floor}",
                 d.phases
             );
-            assert_eq!(d.scores.len(), 7, "floor..=floor+6 all scored");
+            assert_eq!(
+                d.scores.len(),
+                OVERLAP_EXTRA_PHASES + 1,
+                "floor..=floor+extra all scored"
+            );
             // The chosen candidate has the minimal modeled idle.
             let best = d
                 .scores
@@ -967,16 +970,6 @@ mod tests {
             let chosen = d.scores.iter().find(|&&(hh, _)| hh == d.phases).unwrap().1;
             assert_eq!(chosen, best);
         }
-    }
-
-    #[test]
-    fn overlap_planner_with_no_headroom_is_the_memory_plan() {
-        let (est, inputs) = workload();
-        let model = MachineModel::summit();
-        let d = plan_phases_overlap(&est, 16, 4 << 20, &model, &inputs, 0);
-        assert_eq!(d.phases, d.memory_floor);
-        assert_eq!(d.phases, plan_phases(&est, 16, 4 << 20));
-        assert_eq!(d.scores.len(), 1);
     }
 
     #[test]

@@ -23,14 +23,17 @@
 //! across all cores), so on a worker pool merges contend with SpGEMM for
 //! the same cores. Handing a job to the lanes is free for the host — that
 //! is what makes a CPU-only configuration pipelinable. A merge's cost
-//! shows up only as a [`MergeLaunch`] span on a lane; there is no private
-//! merge clock anywhere.
+//! shows up only as a [`MergeSpan`] on a lane; there is no private merge
+//! clock anywhere. The lanes are modeled sockets: they decide when a
+//! merge runs on the virtual clock and what it costs, never where the
+//! host keeps its buffers (one `MergeArena` per rank, in the pipeline).
 //!
 //! All timestamps are virtual seconds on the owning rank's clock; the
 //! executor only reads the clock value the scheduler passes in and never
 //! advances it — waiting (and therefore idle accounting) is the
 //! scheduler's job.
 
+use crate::merge::MergeSpan;
 use hipmcl_comm::{Event, GpuLib, MachineModel, MergeKernel, SpgemmKernel, TimeModel, Timeline};
 use hipmcl_gpu::multi::MultiGpu;
 use hipmcl_sparse::{Csc, Semiring, Value};
@@ -211,29 +214,6 @@ impl MergeTask {
     pub fn total_elems(&self) -> u64 {
         self.inputs.iter().map(|&(e, _)| e).sum()
     }
-}
-
-/// One merge operation as scheduled on an executor merge lane — the
-/// merge-side analogue of [`KernelLaunch`]. The real merging work is the
-/// pipeline's (the kernels in [`crate::merge`]); this records only the
-/// span.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct MergeLaunch {
-    /// Virtual time the merge began executing on its lane (≥ the
-    /// submission `ready_at`; later if the lane was still busy).
-    pub started_at: f64,
-    /// Virtual time the merged slab is available.
-    pub output_ready_at: f64,
-    /// Modeled duration, cross-socket penalty included.
-    pub duration: f64,
-    /// Index of the lane (socket) the merge occupied.
-    pub lane: usize,
-    /// The least-busy lane at submission — the queue a backlog-only pick
-    /// would have left the task in.
-    pub origin: usize,
-    /// Whether another lane took the task from its origin queue
-    /// (`lane != origin`).
-    pub stolen: bool,
 }
 
 /// Remote-homed input elements of `task` if it runs on `lane`.
@@ -541,8 +521,10 @@ impl<'g> Executor<'g> {
     }
 
     /// Places one merge operation, ready at virtual time `ready_at` (when
-    /// its last input slab exists), on a lane and returns the span. Like
-    /// [`submit`](Self::submit), never advances a rank clock.
+    /// its last input slab exists), on a lane and returns the span — the
+    /// merge-side analogue of [`KernelLaunch`], with `measured_s` left at
+    /// zero for the pipeline, which does the real merging, to fill in.
+    /// Like [`submit`](Self::submit), never advances a rank clock.
     ///
     /// **The placement rule.** Every lane competes for the task: lane `l`
     /// would finish it at `max(ready_at, busy_until(l)) + duration(l)`,
@@ -559,7 +541,7 @@ impl<'g> Executor<'g> {
     /// operands. The span also records the task's *origin* — the
     /// least-busy lane, which a pick blind to input homes and idle gaps
     /// would have taken — and whether the rule moved it off that lane.
-    pub fn submit_merge(&mut self, ready_at: f64, task: &MergeTask) -> MergeLaunch {
+    pub fn submit_merge(&mut self, ready_at: f64, task: &MergeTask) -> MergeSpan {
         let lanes = &self.lanes;
         let n = lanes.len();
         let dur_on = |lane: usize| {
@@ -597,13 +579,17 @@ impl<'g> Executor<'g> {
             .expect("an executor always has at least one lane");
         let dur = dur_on(lane);
         let done = self.lanes[lane].submit(ready_at, dur);
-        MergeLaunch {
-            started_at: done.at - dur,
-            output_ready_at: done.at,
-            duration: dur,
+        MergeSpan {
+            start: done.at - dur,
+            end: done.at,
+            kernel: task.kernel,
+            ways: task.ways(),
+            elems: task.total_elems(),
             lane,
             origin,
             stolen: lane != origin,
+            measured_s: 0.0,
+            dur,
         }
     }
 
@@ -632,14 +618,6 @@ impl<'g> Executor<'g> {
     /// shared with SpGEMM, so there this is the pool's share of it.
     pub fn merge_lane_idle(&self) -> f64 {
         self.lanes.iter().map(Timeline::idle_time).sum()
-    }
-
-    /// Number of lanes merges can be placed on. The pipeline sizes its
-    /// per-lane [`ArenaPool`](crate::merge::ArenaPool) from this, so every
-    /// lane's merges recycle buffers out of a lane-homed
-    /// [`MergeArena`](crate::merge::MergeArena).
-    pub fn merge_lane_count(&self) -> usize {
-        self.lanes.len()
     }
 
     /// Empties every timeline — device streams and lanes — which also
@@ -843,7 +821,7 @@ mod tests {
         let (m, a) = (model(), random_csc(30, 30, 260, 43));
         let mut gpus = MultiGpu::new(model(), 2, 1 << 30);
         let mut pool = Executor::new(ExecutorKind::CpuPool, &mut gpus, &m);
-        assert_eq!(pool.merge_lane_count(), m.sockets, "one lane per socket");
+        assert_eq!(pool.lanes.len(), m.sockets, "one lane per socket");
         assert_eq!(pool.gpus_available(), 0, "selection stays CPU-only");
         let l1 = pool.submit(pt(), 1.0, &a, &a, spec_for(&a, SpgemmKernel::CpuHash));
         assert!(l1.c.max_abs_diff(&want(&a)) < 1e-9);
@@ -1014,17 +992,17 @@ mod tests {
         let m = model();
         let mut gpus = MultiGpu::new(model(), 2, 1 << 30);
         let mut exec = Executor::new(ExecutorKind::Gpus, &mut gpus, &m);
-        assert_eq!(exec.merge_lane_count(), 2);
+        assert_eq!(exec.lanes.len(), 2);
         let t = merge_task(MergeKernel::Heap, vec![(50_000, None), (50_000, None)]);
         let l1 = exec.submit_merge(0.0, &t);
         let l2 = exec.submit_merge(0.0, &t);
         assert_ne!(l1.lane, l2.lane, "second merge takes the free lane");
-        assert_eq!(l1.started_at, 0.0);
-        assert_eq!(l2.started_at, 0.0);
-        assert!((l1.output_ready_at - l1.duration).abs() < 1e-12);
+        assert_eq!(l1.start, 0.0);
+        assert_eq!(l2.start, 0.0);
+        assert!((l1.end - l1.duration()).abs() < 1e-12);
         // A third merge must queue behind one of them.
         let l3 = exec.submit_merge(0.0, &t);
-        assert!(l3.started_at >= l1.output_ready_at.min(l2.output_ready_at) - 1e-12);
+        assert!(l3.start >= l1.end.min(l2.end) - 1e-12);
     }
 
     #[test]
@@ -1037,8 +1015,8 @@ mod tests {
         let mut exec = Executor::new(ExecutorKind::Gpus, &mut gpus, &m);
         let t = merge_task(MergeKernel::Hash, vec![(10_000, None); 4]);
         let l1 = exec.submit_merge(0.0, &t);
-        let l2 = exec.submit_merge(l1.output_ready_at + 0.25, &t);
-        assert!((l2.started_at - (l1.output_ready_at + 0.25)).abs() < 1e-12);
+        let l2 = exec.submit_merge(l1.end + 0.25, &t);
+        assert!((l2.start - (l1.end + 0.25)).abs() < 1e-12);
         assert!((exec.merge_lane_idle() - 0.25).abs() < 1e-12);
         assert_eq!(exec.device_idle(), 0.0, "device streams saw no merges");
         exec.reset_timelines();
@@ -1059,7 +1037,7 @@ mod tests {
             let t = merge_task(MergeKernel::Heap, vec![(40_000, Some(home)); 2]);
             let l = exec.submit_merge(0.0, &t);
             assert_eq!(l.lane, 0);
-            l.duration
+            l.duration()
         };
         let ratio = run(1) / run(0);
         assert!(
@@ -1087,9 +1065,9 @@ mod tests {
         assert!(l.stolen);
         let unpenalized = m.merge_lane_time_with(MergeKernel::Heap, 80_000, 2, 0, 2);
         assert!(
-            (l.duration - unpenalized).abs() < 1e-12,
+            (l.duration() - unpenalized).abs() < 1e-12,
             "the move pays no cross-socket penalty: {} vs {unpenalized}",
-            l.duration
+            l.duration()
         );
     }
 
@@ -1112,7 +1090,7 @@ mod tests {
         assert_eq!(ls.origin, 0);
         assert!(!ls.stolen);
         let penalized = m.merge_lane_time_with(MergeKernel::Heap, 80_000, 2, 80_000, 2);
-        assert!((ls.duration - penalized).abs() < 1e-12);
+        assert!((ls.duration() - penalized).abs() < 1e-12);
     }
 
     #[test]
@@ -1130,11 +1108,11 @@ mod tests {
         let a = exec.submit_merge(0.0, &t_long); // lane 0
         let b = exec.submit_merge(0.0, &t_short); // lane 1
         assert_eq!((a.lane, b.lane), (0, 1));
-        let l = exec.submit_merge(a.output_ready_at, &probe);
+        let l = exec.submit_merge(a.end, &probe);
         assert_eq!(l.origin, 1, "the shorter backlog");
         assert_eq!(l.lane, 0, "equal finish → prefer the gapless lane");
         assert!(l.stolen);
-        assert_eq!(l.started_at, a.output_ready_at, "no later than on lane 1");
+        assert_eq!(l.start, a.end, "no later than on lane 1");
         assert_eq!(exec.merge_lane_idle(), 0.0);
     }
 
@@ -1153,12 +1131,12 @@ mod tests {
             let l = exec.submit_merge(ready, &t);
             assert_eq!(l.lane, 0, "home lane always wins: lane 1 starves");
             spans.push(l);
-            ready = l.output_ready_at + 0.125; // open a real gap each time
+            ready = l.end + 0.125; // open a real gap each time
         }
         assert_eq!(exec.lanes[1].jobs(), 0, "lane 1 saw nothing");
         let gaps: f64 = spans
             .windows(2)
-            .map(|w| (w[1].started_at - w[0].output_ready_at).max(0.0))
+            .map(|w| (w[1].start - w[0].end).max(0.0))
             .sum();
         assert!(
             (exec.merge_lane_idle() - gaps).abs() < 1e-12,
@@ -1179,7 +1157,7 @@ mod tests {
         let t = merge_task(MergeKernel::Pairwise, vec![(1000, None), (1000, None)]);
         let l = pool.submit_merge(0.0, &t);
         assert!(
-            (l.started_at - k.output_ready_at).abs() < 1e-12,
+            (l.start - k.output_ready_at).abs() < 1e-12,
             "merge waited for the SpGEMM to release its lane"
         );
         assert_eq!(

@@ -54,12 +54,12 @@ pub use active::{ActiveSet, ActiveSetPolicy, InvalidActiveSet};
 pub use distmat::DistMatrix;
 pub use estimate::{EstimatorKind, MemoryEstimate, OverlapInputs, PhaseDecision, PhasePlanner};
 pub use executor::{
-    Executor, ExecutorKind, InvalidSplit, KernelLaunch, LaunchSpec, MergeLaunch, MergeTask,
-    SplitController, SplitPolicy,
+    Executor, ExecutorKind, InvalidSplit, KernelLaunch, LaunchSpec, MergeTask, SplitController,
+    SplitPolicy,
 };
 pub use merge::{
-    merge_with, ArenaPool, ColsRef, MergeArena, MergeKernelPolicy, MergeSlab, MergeSpan,
-    MergeStrategy, SlabBuf, StackMerger,
+    merge_with, ColsRef, MergeArena, MergeKernelPolicy, MergeSlab, MergeSpan, MergeStrategy,
+    SlabBuf, StackMerger,
 };
 pub use spgemm::{
     summa_spgemm, summa_spgemm_in, summa_spgemm_with, summa_spgemm_with_in, CommChoice, CommPolicy,

@@ -66,16 +66,17 @@
 //! plus the shared prefix/count/SPA scratch; every merge within a phase
 //! checks buffers out ([`MergeArena::acquire`]) and returns consumed
 //! inputs ([`MergeArena::release`]), so steady state allocates nothing.
-//! The pipeline holds one arena per merge lane in an [`ArenaPool`]
-//! (created once per SUMMA run, sized by `Executor::merge_lane_count`)
-//! and only materializes a real [`Csc`] once per phase at drain time.
+//! The pipeline holds one arena per rank, created once per SUMMA run —
+//! the executor's merge lanes are *modeled* sockets that price a merge's
+//! placement, not places the host keeps buffers — and only materializes a
+//! real [`Csc`] once per phase at drain time.
 //!
 //! Virtual-time accounting does **not** live here: a merge is an
 //! [`Executor`](crate::executor::Executor) task, submitted by the pipeline
 //! through `Executor::submit_merge` and timed on the executor's worker
 //! timelines like any kernel launch. This module only provides the real
 //! merging work, the Algorithm 2 schedule, and the [`MergeSpan`] record
-//! type the pipeline surfaces per merge.
+//! `submit_merge` returns and the pipeline surfaces per merge.
 
 use hipmcl_comm::{MachineModel, MergeKernel};
 use hipmcl_sparse::{Csc, Idx, PlusTimes, Semiring, Value};
@@ -159,12 +160,16 @@ pub struct MergeSpan {
     /// never reads the host clock). Independent of the modeled
     /// [`duration`](Self::duration) on the lane.
     pub measured_s: f64,
+    /// The modeled duration exactly as charged to the lane (`end − start`
+    /// rounds differently, and the stage timers sum this).
+    pub(crate) dur: f64,
 }
 
 impl MergeSpan {
-    /// Seconds the merge occupied its lane.
+    /// Modeled seconds the merge occupied its lane, cross-socket penalty
+    /// included.
     pub fn duration(&self) -> f64 {
-        self.end - self.start
+        self.dur
     }
 }
 
@@ -179,16 +184,12 @@ impl MergeSpan {
 #[derive(Clone, Copy)]
 pub struct ColsRef<'a, T: Value> {
     nrows: usize,
-    ncols: usize,
     nnz: usize,
-    /// Compact layout: column `j` spans `colptr[j]..colptr[j + 1]`.
-    /// Empty for staged views.
-    colptr: &'a [usize],
-    /// Ragged (staged) layout: column `j` spans
-    /// `start[j]..start[j] + cnt[j]`, with slack between runs. Empty for
-    /// compact views; exactly one of the two layouts is populated.
+    /// Column `j` spans `start[j]..end[j]` of `rowidx`/`vals`: the two
+    /// overlapping windows of `colptr` for an owned [`Csc`], the staged
+    /// runs (slack between chunks) for a [`SlabBuf`].
     start: &'a [usize],
-    cnt: &'a [usize],
+    end: &'a [usize],
     rowidx: &'a [Idx],
     vals: &'a [T],
 }
@@ -198,11 +199,9 @@ impl<'a, T: Value> ColsRef<'a, T> {
     pub fn of(m: &'a Csc<T>) -> Self {
         Self {
             nrows: m.nrows(),
-            ncols: m.ncols(),
             nnz: m.nnz(),
-            colptr: &m.colptr,
-            start: &[],
-            cnt: &[],
+            start: &m.colptr[..m.ncols()],
+            end: &m.colptr[1..],
             rowidx: &m.rowidx,
             vals: &m.vals,
         }
@@ -215,7 +214,7 @@ impl<'a, T: Value> ColsRef<'a, T> {
 
     /// Number of columns.
     pub fn ncols(&self) -> usize {
-        self.ncols
+        self.start.len()
     }
 
     /// Stored entries.
@@ -226,11 +225,7 @@ impl<'a, T: Value> ColsRef<'a, T> {
     /// Where column `j`'s entries live in `rowidx`/`vals`.
     #[inline]
     fn col_span(&self, j: usize) -> (usize, usize) {
-        if self.cnt.is_empty() {
-            (self.colptr[j], self.colptr[j + 1])
-        } else {
-            (self.start[j], self.start[j] + self.cnt[j])
-        }
+        (self.start[j], self.end[j])
     }
 
     /// Stored entries in column `j`.
@@ -253,32 +248,23 @@ impl<'a, T: Value> ColsRef<'a, T> {
 
     /// Materializes the view as an owned (compact) CSC matrix.
     pub fn to_csc(&self) -> Csc<T> {
-        if self.cnt.is_empty() {
-            return Csc::from_parts(
-                self.nrows,
-                self.ncols,
-                self.colptr.to_vec(),
-                self.rowidx.to_vec(),
-                self.vals.to_vec(),
-            );
-        }
-        let mut colptr = Vec::with_capacity(self.ncols + 1);
+        let mut colptr = Vec::with_capacity(self.ncols() + 1);
         colptr.push(0);
         let mut rowidx = Vec::with_capacity(self.nnz);
         let mut vals = Vec::with_capacity(self.nnz);
-        for j in 0..self.ncols {
+        for j in 0..self.ncols() {
             rowidx.extend_from_slice(self.col_rows(j));
             vals.extend_from_slice(self.col_vals(j));
             colptr.push(rowidx.len());
         }
-        Csc::from_parts(self.nrows, self.ncols, colptr, rowidx, vals)
+        Csc::from_parts(self.nrows, self.ncols(), colptr, rowidx, vals)
     }
 }
 
 /// A **staged** CSC-shaped buffer owned by a [`MergeArena`]: the output
 /// of an arena-backed merge. Each column is sorted, deduplicated and
 /// annihilator-free like a [`Csc`] column, but lives at an explicit
-/// offset (`start[j]`, run length `cnt[j]`) rather than at a prefix-sum
+/// span (`start[j]..end[j]`) rather than at a prefix-sum
 /// position: merge kernels write each parallel chunk's columns
 /// compactly from the chunk's base, leaving gaps only *between* chunks
 /// (none at all single-threaded). A merge never pays a compaction pass
@@ -286,7 +272,7 @@ impl<'a, T: Value> ColsRef<'a, T> {
 /// staged layout directly through [`SlabBuf::as_cols`], and the single
 /// compaction happens at materialization ([`SlabBuf::into_csc`]). The
 /// vectors keep their length and capacity between merges (grow-only raw
-/// storage; stale tails are unreachable because `start`/`cnt` are
+/// storage; stale tails are unreachable because `start`/`end` are
 /// re-recorded per merge): the whole point of the arena path is that
 /// these are reused, not reallocated or re-zeroed, across every merge
 /// op of a phase.
@@ -296,7 +282,7 @@ pub struct SlabBuf<T: Value> {
     ncols: usize,
     nnz: usize,
     start: Vec<usize>,
-    cnt: Vec<usize>,
+    end: Vec<usize>,
     rowidx: Vec<Idx>,
     vals: Vec<T>,
 }
@@ -311,11 +297,9 @@ impl<T: Value> SlabBuf<T> {
     pub fn as_cols(&self) -> ColsRef<'_, T> {
         ColsRef {
             nrows: self.nrows,
-            ncols: self.ncols,
             nnz: self.nnz,
-            colptr: &[],
             start: &self.start,
-            cnt: &self.cnt,
+            end: &self.end,
             rowidx: &self.rowidx,
             vals: &self.vals,
         }
@@ -327,8 +311,8 @@ impl<T: Value> SlabBuf<T> {
     fn set_staged(&mut self, ub: &[usize], counts: &[usize]) {
         self.start.clear();
         self.start.extend_from_slice(ub);
-        self.cnt.clear();
-        self.cnt.extend_from_slice(counts);
+        self.end.clear();
+        self.end.extend(ub.iter().zip(counts).map(|(s, c)| s + c));
         self.nnz = counts.iter().sum();
     }
 
@@ -342,7 +326,7 @@ impl<T: Value> SlabBuf<T> {
 
     /// Consumes the buffer into a CSC matrix, compacting the staged runs
     /// in place (safe left-to-right: the write cursor never passes a
-    /// run's staged start, since `Σ cnt[<j] ≤ start[j]`). The vectors
+    /// run's staged start, since `Σ (end − start)[<j] ≤ start[j]`). The vectors
     /// keep their slack capacity. Used where no arena outlives the
     /// merge.
     pub fn into_csc(mut self) -> Csc<T> {
@@ -350,7 +334,7 @@ impl<T: Value> SlabBuf<T> {
         colptr.push(0);
         let mut w = 0usize;
         for j in 0..self.ncols {
-            let (s, c) = (self.start[j], self.cnt[j]);
+            let (s, c) = (self.start[j], self.end[j] - self.start[j]);
             if s != w && c > 0 {
                 self.rowidx.copy_within(s..s + c, w);
                 self.vals.copy_within(s..s + c, w);
@@ -398,7 +382,7 @@ impl<T: Value> SpaScratch<T> {
     }
 }
 
-/// Reusable merge scratch for one merge lane: a free list of
+/// Reusable merge scratch for one rank: a free list of
 /// [`SlabBuf`]s plus the shared per-merge scratch (column upper-bound
 /// prefix, per-column counts, per-thread SPAs). Acquire/release is LIFO;
 /// nothing ever shrinks, so after the first merge of a phase the hot
@@ -438,7 +422,7 @@ impl<T: Value> MergeArena<T> {
     /// capacity previous merges grew them to — `rowidx`/`vals` also keep
     /// their *length*: they are raw storage the kernels grow-only-resize
     /// and overwrite per run, so steady state never pays a zero-fill
-    /// (stale content is unreachable — reads go through `start`/`cnt`,
+    /// (stale content is unreachable — reads go through `start`/`end`,
     /// which are reset here).
     pub fn acquire(&mut self, shape: (usize, usize)) -> SlabBuf<T> {
         let mut buf = self.free.pop().unwrap_or_default();
@@ -446,7 +430,7 @@ impl<T: Value> MergeArena<T> {
         buf.ncols = shape.1;
         buf.nnz = 0;
         buf.start.clear();
-        buf.cnt.clear();
+        buf.end.clear();
         buf
     }
 
@@ -513,55 +497,6 @@ impl<T: Value> MergeArena<T> {
                 s.pairs.capacity(),
                 bound
             );
-        }
-    }
-}
-
-/// One [`MergeArena`] per merge lane (socket): the pipeline creates a
-/// pool sized by `Executor::merge_lane_count` once per SUMMA run, and
-/// every merge op borrows the arena of the lane the scheduler placed it
-/// on — stolen merges included, since the output buffer lives wherever
-/// the merge actually ran.
-#[derive(Debug, Default)]
-pub struct ArenaPool<T: Value> {
-    lanes: Vec<MergeArena<T>>,
-}
-
-impl<T: Value> ArenaPool<T> {
-    /// A pool with one arena per merge lane.
-    pub fn with_lanes(n: usize) -> Self {
-        let mut lanes = Vec::with_capacity(n);
-        lanes.resize_with(n.max(1), MergeArena::new);
-        Self { lanes }
-    }
-
-    /// Number of lane arenas.
-    pub fn lanes(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// The arena of lane `lane`, growing the pool if an executor reports
-    /// more lanes than the pool was sized for.
-    pub fn lane_mut(&mut self, lane: usize) -> &mut MergeArena<T> {
-        if lane >= self.lanes.len() {
-            self.lanes.resize_with(lane + 1, MergeArena::new);
-        }
-        &mut self.lanes[lane]
-    }
-
-    /// Largest single-merge request over all lanes.
-    pub fn peak_request(&self) -> usize {
-        self.lanes
-            .iter()
-            .map(MergeArena::peak_request)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// [`MergeArena::assert_no_capacity_leak`] over every lane.
-    pub fn assert_no_capacity_leak(&self) {
-        for lane in &self.lanes {
-            lane.assert_no_capacity_leak();
         }
     }
 }

@@ -35,8 +35,8 @@
 use crate::distmat::DistMatrix;
 use crate::executor::{Executor, LaunchSpec, MergeTask};
 use crate::merge::{
-    algorithm2_merge_count, merge_into, select_merge_kernel, ArenaPool, ColsRef, MergeKernelPolicy,
-    MergeSlab, MergeSpan, MergeStats, MergeStrategy,
+    algorithm2_merge_count, merge_into, select_merge_kernel, ColsRef, MergeArena,
+    MergeKernelPolicy, MergeSlab, MergeSpan, MergeStats, MergeStrategy,
 };
 use crate::spgemm::{CommChoice, CommPolicy, SummaConfig};
 use hipmcl_comm::clock::StageTimers;
@@ -142,8 +142,9 @@ pub(crate) struct PipelineOutcome<T: Value = f64> {
 /// materialized kernel product or an arena buffer written by a previous
 /// merge), the virtual time it exists from, and the merge lane that
 /// produced it (`None` for kernel products, which have no socket
-/// affinity; arena buffers are always homed on the lane whose
-/// [`MergeArena`](crate::merge::MergeArena) owns them).
+/// affinity). The home is a *modeled* attribute — it prices the
+/// cross-socket penalty in `submit_merge`; the buffer itself belongs to
+/// the rank's one [`MergeArena`] wherever the merge was placed.
 struct Slab<T: Value> {
     m: MergeSlab<T>,
     ready: f64,
@@ -189,15 +190,14 @@ impl<S: Semiring> MergeEngine<S> {
     /// Merges the top `count` stack entries as one executor task: the
     /// task is ready when its last input is, the chosen kernel does the
     /// real work, and the result re-enters the stack homed on the lane
-    /// that produced it. Arena kernels write into the placed lane's
-    /// [`MergeArena`](crate::merge::MergeArena) from `pool`; consumed
-    /// arena inputs are released back to their home lanes, so within a
-    /// phase the hot loop recycles buffers instead of allocating.
+    /// the executor placed it on. Arena kernels write into a buffer from
+    /// `arena` and consumed arena inputs go back to it, so within a phase
+    /// the hot loop recycles buffers instead of allocating.
     fn do_merge(
         &mut self,
         comm: &Comm,
         exec: &mut Executor<'_>,
-        pool: &mut ArenaPool<S::Elem>,
+        arena: &mut MergeArena<S::Elem>,
         count: usize,
     ) {
         let tail: Vec<Slab<S::Elem>> = self.stack.split_off(self.stack.len() - count);
@@ -209,48 +209,30 @@ impl<S: Semiring> MergeEngine<S> {
             MergeKernelPolicy::Fixed(k) => k,
             MergeKernelPolicy::Auto => select_merge_kernel(comm.model(), total, count),
         };
-        let task = MergeTask { kernel, inputs };
-        let launch = exec.submit_merge(ready, &task);
+        let mut span = exec.submit_merge(ready, &MergeTask { kernel, inputs });
         // Wall sample of the real merge compute below; `measured_now`
         // is pinned to 0 under `Modeled`, so the delta costs nothing
         // there and the host clock stays untouched.
         let w0 = comm.measured_now();
         let merged = {
             let refs: Vec<ColsRef<'_, S::Elem>> = tail.iter().map(|s| s.m.as_cols()).collect();
-            merge_into(
-                self.sr,
-                kernel,
-                &refs,
-                self.shape,
-                pool.lane_mut(launch.lane),
-            )
+            merge_into(self.sr, kernel, &refs, self.shape, arena)
         };
-        let measured_s = comm.measured_now() - w0;
+        span.measured_s = comm.measured_now() - w0;
         for s in tail {
-            let home = s.home.unwrap_or(launch.lane);
-            s.m.recycle(pool.lane_mut(home));
+            s.m.recycle(arena);
         }
-        self.spans.push(MergeSpan {
-            start: launch.started_at,
-            end: launch.output_ready_at,
-            kernel,
-            ways: count,
-            elems: total,
-            lane: launch.lane,
-            origin: launch.origin,
-            stolen: launch.stolen,
-            measured_s,
-        });
         self.stats.peak_merge_elems = self.stats.peak_merge_elems.max(total as usize);
         self.stats.total_merged_elems += total;
         self.stats.merge_ops += 1;
-        self.stats.merge_time += launch.duration;
-        self.stats.measured_merge_s += measured_s;
+        self.stats.merge_time += span.duration();
+        self.stats.measured_merge_s += span.measured_s;
         self.stack.push(Slab {
             m: merged,
-            ready: launch.output_ready_at,
-            home: Some(launch.lane),
+            ready: span.end,
+            home: Some(span.lane),
         });
+        self.spans.push(span);
     }
 
     /// Stacks a slab and runs whatever merge Algorithm 2 triggers.
@@ -258,14 +240,14 @@ impl<S: Semiring> MergeEngine<S> {
         &mut self,
         comm: &Comm,
         exec: &mut Executor<'_>,
-        pool: &mut ArenaPool<S::Elem>,
+        arena: &mut MergeArena<S::Elem>,
         slab: Slab<S::Elem>,
     ) {
         self.stack.push(slab);
         self.pushed += 1;
         let count = algorithm2_merge_count(self.pushed);
         if count > 0 {
-            self.do_merge(comm, exec, pool, count);
+            self.do_merge(comm, exec, arena, count);
         }
     }
 
@@ -274,7 +256,7 @@ impl<S: Semiring> MergeEngine<S> {
         &mut self,
         comm: &Comm,
         exec: &mut Executor<'_>,
-        pool: &mut ArenaPool<S::Elem>,
+        arena: &mut MergeArena<S::Elem>,
         slab: Csc<S::Elem>,
         ready_at: f64,
     ) {
@@ -291,14 +273,14 @@ impl<S: Semiring> MergeEngine<S> {
                     // Algorithm 2 triggers one) overlaps this stage's
                     // kernel on the merge lane.
                     if let Some(prev) = self.pending.take() {
-                        self.push_binary(comm, exec, pool, prev);
+                        self.push_binary(comm, exec, arena, prev);
                     }
                     self.pending = Some(slab);
                 } else {
                     // Bulk synchronous: the host blocks until the merge
                     // (still a lane task) completes; the block is wait
                     // time, since the host does none of the merging.
-                    self.push_binary(comm, exec, pool, slab);
+                    self.push_binary(comm, exec, arena, slab);
                     let ready = self.stack.last().map_or(comm.now(), |s| s.ready);
                     self.stats.wait_time += comm.wait_clock_until(ready);
                 }
@@ -311,54 +293,49 @@ impl<S: Semiring> MergeEngine<S> {
     /// Algorithm 2's `finish` collapse of the remaining stack). All of it
     /// is async lane work — the host does not wait here; that is
     /// [`drain`](Self::drain)'s job, which pipelining defers one phase.
-    fn seal(&mut self, comm: &Comm, exec: &mut Executor<'_>, pool: &mut ArenaPool<S::Elem>) {
+    fn seal(&mut self, comm: &Comm, exec: &mut Executor<'_>, arena: &mut MergeArena<S::Elem>) {
         if let Some(prev) = self.pending.take() {
-            self.push_binary(comm, exec, pool, prev);
+            self.push_binary(comm, exec, arena, prev);
         }
         if self.stack.len() > 1 {
             let count = self.stack.len();
-            self.do_merge(comm, exec, pool, count);
+            self.do_merge(comm, exec, arena, count);
         }
     }
 
-    /// Waits for the sealed phase's merged slab and folds timing into the
-    /// accumulators. Under pipelining the scheduler calls this only after
-    /// the *next* phase's broadcasts and launches are issued, so the
-    /// closing merge's tail overlaps them instead of stalling the grid.
-    #[allow(clippy::too_many_arguments)]
+    /// Waits for the sealed phase's merged slab and folds its timing,
+    /// statistics and spans into `timers` and `out`. Under pipelining the
+    /// scheduler calls this only after the *next* phase's broadcasts and
+    /// launches are issued, so the closing merge's tail overlaps them
+    /// instead of stalling the grid.
     fn drain(
         mut self,
         comm: &Comm,
-        pool: &mut ArenaPool<S::Elem>,
+        arena: &mut MergeArena<S::Elem>,
         timers: &mut StageTimers,
-        timers_measured: &mut StageTimers,
-        merge_stats: &mut MergeStats,
-        merge_spans: &mut Vec<MergeSpan>,
-        cpu_idle: &mut f64,
+        out: &mut PipelineOutcome<S::Elem>,
     ) -> Csc<S::Elem> {
         let ready = self.stack.last().map_or(comm.now(), |s| s.ready);
         self.stats.wait_time += comm.wait_clock_until(ready);
 
         timers.add("merge", self.stats.merge_time);
-        timers_measured.add("merge", self.stats.measured_merge_s);
-        *cpu_idle += self.stats.wait_time;
-        merge_stats.absorb(&self.stats);
-        merge_spans.append(&mut self.spans);
+        out.timers_measured
+            .add("merge", self.stats.measured_merge_s);
+        out.cpu_idle += self.stats.wait_time;
+        out.merge_stats.absorb(&self.stats);
+        out.merge_spans.append(&mut self.spans);
         // The once-per-phase materialization: an arena-resident result is
         // copied out and its buffer recycled for the next phase. Reuse
         // must never ratchet capacity across phases — debug-checked here,
         // at the phase boundary.
-        let out = self.stack.pop().map_or_else(
+        let merged = self.stack.pop().map_or_else(
             || Csc::zero(self.shape.0, self.shape.1),
-            |s| {
-                let home = s.home.unwrap_or(0);
-                s.m.into_csc(pool.lane_mut(home))
-            },
+            |s| s.m.into_csc(arena),
         );
         if cfg!(debug_assertions) {
-            pool.assert_no_capacity_leak();
+            arena.assert_no_capacity_leak();
         }
-        out
+        merged
     }
 }
 
@@ -386,18 +363,21 @@ where
     let comm = &grid.world;
     let side = grid.side;
     let probe = CohenEstimator::new(4, cfg.seed ^ 0xABCD);
-    let mut kernels_used = Vec::with_capacity(phases * side);
-    let mut comm_choices: Vec<CommChoice> = Vec::with_capacity(2 * phases * side);
-    let mut timers_measured = StageTimers::new();
-    let mut merge_stats = MergeStats::default();
-    let mut merge_spans: Vec<MergeSpan> = Vec::new();
-    let mut cpu_idle = 0.0f64;
+    let mut out = PipelineOutcome {
+        slabs: Vec::with_capacity(phases),
+        merge_stats: MergeStats::default(),
+        merge_spans: Vec::new(),
+        cpu_idle: 0.0,
+        kernels_used: Vec::with_capacity(phases * side),
+        comm_choices: Vec::with_capacity(2 * phases * side),
+        timers_measured: StageTimers::new(),
+    };
     let local_cols = b.local.ncols();
-    let mut slabs: Vec<Csc<S::Elem>> = Vec::with_capacity(phases);
-    // One merge arena per executor merge lane, living across *all*
-    // phases: merges write into (and recycle) lane-homed slab buffers,
-    // so after warm-up the merge hot loop stops allocating.
-    let mut pool: ArenaPool<S::Elem> = ArenaPool::with_lanes(exec.merge_lane_count());
+    // The rank's one merge arena, living across *all* phases: merges
+    // write into (and recycle) its slab buffers, so after warm-up the
+    // merge hot loop stops allocating. The executor's lanes only model
+    // where a merge runs; the host has one pool of buffers.
+    let mut arena: MergeArena<S::Elem> = MergeArena::new();
     // Under pipelining the previous phase's sealed engine drains only
     // after this phase's stage loop, so its closing merge overlaps the
     // next round of broadcasts and launches (phases sliced from `B` are
@@ -430,9 +410,10 @@ where
                 (grid.row == k).then_some(&b_phase),
             );
             timers.add("summa_bcast", comm.now() - t0);
-            timers_measured.add("summa_bcast", comm.measured_now() - w0);
+            out.timers_measured
+                .add("summa_bcast", comm.measured_now() - w0);
             for (operand, bytes, mode) in [('A', a_bytes, a_mode), ('B', b_bytes, b_mode)] {
-                comm_choices.push(CommChoice {
+                out.comm_choices.push(CommChoice {
                     phase: ph,
                     stage: k,
                     operand,
@@ -453,7 +434,8 @@ where
                     flops: 0,
                     nnz_out: 1,
                 };
-                kernels_used.push(select_kernel(&analysis, &cfg.policy, exec.gpus_available()));
+                out.kernels_used
+                    .push(select_kernel(&analysis, &cfg.policy, exec.gpus_available()));
                 (Csc::zero(a_blk.nrows(), b_blk.ncols()), comm.now())
             } else {
                 // `nnz(C)` can never exceed `flops`: clamp the probe so a
@@ -474,7 +456,7 @@ where
                     nnz_out: nnz_probe.max(1),
                 };
                 let kernel = select_kernel(&analysis, &cfg.policy, exec.gpus_available());
-                kernels_used.push(kernel);
+                out.kernels_used.push(kernel);
 
                 // --- Submit to the executor; overlap off its events ----
                 // The probe's clamped cf estimate rides along so hybrid
@@ -494,58 +476,33 @@ where
                     // Bulk synchronous: wait for the output; inline host
                     // compute inside the wait is work, not idleness.
                     let waited = comm.wait_clock_until(launch.output_ready_at);
-                    cpu_idle += (waited - launch.host_compute).max(0.0);
+                    out.cpu_idle += (waited - launch.host_compute).max(0.0);
                 }
                 timers.add("local_spgemm", launch.kernel_time);
-                timers_measured.add("local_spgemm", launch.measured_s);
+                out.timers_measured.add("local_spgemm", launch.measured_s);
                 (launch.c, launch.output_ready_at)
             };
 
-            merge.accept(comm, exec, &mut pool, slab, ready_at);
+            merge.accept(comm, exec, &mut arena, slab, ready_at);
         }
 
         // --- Phase wrap-up: submit the closing merge ------------------
-        merge.seal(comm, exec, &mut pool);
+        merge.seal(comm, exec, &mut arena);
         let drain_now = if cfg.pipelined {
             sealed.replace((ph, merge))
         } else {
             Some((ph, merge))
         };
         if let Some((pph, eng)) = drain_now {
-            let merged = eng.drain(
-                comm,
-                &mut pool,
-                timers,
-                &mut timers_measured,
-                &mut merge_stats,
-                &mut merge_spans,
-                &mut cpu_idle,
-            );
-            slabs.push(on_slab(pph, merged));
+            let merged = eng.drain(comm, &mut arena, timers, &mut out);
+            out.slabs.push(on_slab(pph, merged));
         }
     }
     if let Some((pph, eng)) = sealed.take() {
-        let merged = eng.drain(
-            comm,
-            &mut pool,
-            timers,
-            &mut timers_measured,
-            &mut merge_stats,
-            &mut merge_spans,
-            &mut cpu_idle,
-        );
-        slabs.push(on_slab(pph, merged));
+        let merged = eng.drain(comm, &mut arena, timers, &mut out);
+        out.slabs.push(on_slab(pph, merged));
     }
-
-    PipelineOutcome {
-        slabs,
-        merge_stats,
-        merge_spans,
-        cpu_idle,
-        kernels_used,
-        comm_choices,
-        timers_measured,
-    }
+    out
 }
 
 #[cfg(test)]

@@ -31,9 +31,7 @@ use crate::executor::{Executor, ExecutorKind, InvalidSplit};
 use crate::merge::{MergeKernelPolicy, MergeSpan, MergeStats, MergeStrategy};
 use crate::pipeline::{self, PipelineOutcome};
 use hipmcl_comm::clock::StageTimers;
-use hipmcl_comm::{
-    CommMode, CommStats, GpuLib, MergeKernel, ProcGrid, SpgemmKernel, TimeModel, TransportKind,
-};
+use hipmcl_comm::{CommMode, GpuLib, MergeKernel, ProcGrid, SpgemmKernel};
 use hipmcl_gpu::multi::MultiGpu;
 use hipmcl_gpu::select::SelectionPolicy;
 use hipmcl_sparse::{Csc, Dcsc, PlusTimes, Semiring, Value};
@@ -226,18 +224,11 @@ impl SummaConfig {
     }
 
     /// Checks the configuration for values that would misbehave at run
-    /// time: a fixed hybrid split outside `[0, 1]`, or an overlap-aware
-    /// planner with a degenerate search headroom. Entry points call this
+    /// time: a fixed hybrid split outside `[0, 1]`. Entry points call this
     /// and panic with the error's message; callers that accept untrusted
     /// configuration should call it themselves first.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        self.executor.validate()?;
-        if let PhasePlanner::OverlapAware { max_extra_phases } = self.planner {
-            if max_extra_phases == 0 || max_extra_phases > 64 {
-                return Err(ConfigError::Planner { max_extra_phases });
-            }
-        }
-        Ok(())
+        Ok(self.executor.validate()?)
     }
 }
 
@@ -247,12 +238,6 @@ impl SummaConfig {
 pub enum ConfigError {
     /// A fixed hybrid split fraction outside `[0, 1]`.
     Split(InvalidSplit),
-    /// An overlap-aware planner whose search headroom is useless (0) or
-    /// unreasonably wide (> 64 phases past the memory floor).
-    Planner {
-        /// The offending headroom.
-        max_extra_phases: usize,
-    },
     /// An active-set shrinking parameter out of range (reported through
     /// `MclConfig::validate`, which owns the policy).
     ActiveSet(crate::active::InvalidActiveSet),
@@ -265,10 +250,6 @@ impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ConfigError::Split(e) => e.fmt(f),
-            ConfigError::Planner { max_extra_phases } => write!(
-                f,
-                "overlap-aware planner headroom must lie in 1..=64 phases, got {max_extra_phases}"
-            ),
             ConfigError::ActiveSet(e) => e.fmt(f),
             ConfigError::Prune(e) => e.fmt(f),
         }
@@ -343,23 +324,11 @@ pub struct SummaOutput<T: Value = f64> {
     /// model's price for both modes. Under [`CommPolicy::Broadcast`]
     /// every entry's mode is `Broadcast`.
     pub comm_choices: Vec<CommChoice>,
-    /// Which transport moved the panels (in-process channels or the
-    /// `process-shm` byte rings).
-    pub transport: TransportKind,
-    /// Which time model the run used. The modeled clock is authoritative
-    /// either way; `Measured` additionally fills the wall-clock rollups
-    /// below.
-    pub time: TimeModel,
     /// Wall-clock counterpart of [`timers`](Self::timers): real host
-    /// seconds per stage, sampled only under [`TimeModel::Measured`]
+    /// seconds per stage, sampled only under `TimeModel::Measured`
     /// (all durations are `0.0` under `Modeled`, which never reads the
     /// host clock).
     pub timers_measured: StageTimers,
-    /// This multiply's communication-counter delta on the world
-    /// communicator: messages, bytes, the modeled α–β receive wait, and
-    /// — under `Measured` — the wall seconds the rank actually spent
-    /// blocked in `recv`.
-    pub comm_stats: CommStats,
 }
 
 impl<T: Value> SummaOutput<T> {
@@ -450,7 +419,6 @@ where
         .unwrap_or_else(|e| panic!("invalid SummaConfig: {e}"));
     let comm = &grid.world;
     let mut timers = StageTimers::new();
-    let stats_before = comm.stats();
     let mut est_measured = 0.0f64;
 
     // Phase planning (memory estimation + optional overlap search).
@@ -471,7 +439,7 @@ where
                     Some(est),
                     None,
                 ),
-                PhasePlanner::OverlapAware { max_extra_phases } => {
+                PhasePlanner::OverlapAware => {
                     // Feed the overlap model the workload's shape: wire
                     // bytes of the blocks this rank re-broadcasts, its
                     // flop share, the estimator's cf, and the kernel the
@@ -503,7 +471,6 @@ where
                         per_rank_budget,
                         comm.model(),
                         &inputs,
-                        max_extra_phases,
                     );
                     (decision.phases, Some(est), Some(decision))
                 }
@@ -578,10 +545,7 @@ where
         kernels_used,
         hybrid_fractions,
         comm_choices,
-        transport: comm.transport(),
-        time: comm.time_model(),
         timers_measured,
-        comm_stats: comm.stats().delta_since(&stats_before),
     }
 }
 
@@ -1064,12 +1028,45 @@ mod tests {
     }
 
     #[test]
+    fn one_arena_serves_merges_placed_on_both_lanes() {
+        // 3×3 grid, two modeled sockets, four phases drained one phase
+        // late: a phase's closing merge is still on its lane when the
+        // next phase's first merge is placed, so that one lands on the
+        // other lane — and recycles buffers the first lane's merges
+        // wrote, through the rank's single arena (whose capacity checks
+        // are debug assertions, live here).
+        let want = serial_product(36, 700, 21);
+        let results = Universe::run(9, MachineModel::summit(), |comm| {
+            let grid = ProcGrid::new(comm);
+            let a = DistMatrix::from_global(&grid, &random_global(36, 700, 21));
+            let mut gpus = MultiGpu::summit_node(grid.world.model());
+            let cfg = SummaConfig {
+                phases: PhasePlan::Fixed(4),
+                policy: SelectionPolicy::always_gpu(),
+                merge: MergeStrategy::Binary,
+                pipelined: true,
+                ..base_cfg()
+            };
+            let out = summa_spgemm(&grid, &mut gpus, &a, &a, &cfg);
+            let lanes: Vec<usize> = out.merge_spans.iter().map(|s| s.lane).collect();
+            (out.c.gather_to_root(&grid), lanes)
+        });
+        for (_, lanes) in &results {
+            assert_eq!(lanes.len(), 8, "two merges a phase at fan-in 3");
+            assert!(lanes.contains(&0) && lanes.contains(&1), "{lanes:?}");
+        }
+        let got = results.into_iter().next().unwrap().0.unwrap();
+        assert!(got.max_abs_diff(&want) < 1e-9);
+        assert_eq!(got.nnz(), want.nnz());
+    }
+
+    #[test]
     fn merge_spans_reconcile_with_lane_timelines() {
         // The acceptance property: no merge charges time outside the
         // unified timelines, on both a balanced and a lane-starved skewed
         // workload. Per rank, the spans' durations must sum to the
         // recorded merge time, the span count must equal merge_ops, the
-        // peak must be the largest span, and the per-lane gaps
+        // peak must be the largest span, and the gaps on each lane
         // reconstructed from the spans must equal the executor's reported
         // merge-lane idle (Timeline semantics: a leading gap — and a lane
         // with zero tasks — counts as zero, so starved lanes add no
@@ -1146,9 +1143,7 @@ mod tests {
                     estimator: EstimatorKind::Probabilistic { r: 5 },
                     per_rank_budget: 500,
                 },
-                planner: PhasePlanner::OverlapAware {
-                    max_extra_phases: 4,
-                },
+                planner: PhasePlanner::OverlapAware,
                 merge: MergeStrategy::Binary,
                 pipelined: true,
                 seed: 1,
@@ -1185,33 +1180,6 @@ mod tests {
         for (no_decision, lane_ok) in results {
             assert!(no_decision && lane_ok);
         }
-    }
-
-    #[test]
-    fn validate_rejects_degenerate_planner_headroom() {
-        for bad in [0usize, 65] {
-            let cfg = SummaConfig {
-                planner: PhasePlanner::OverlapAware {
-                    max_extra_phases: bad,
-                },
-                ..base_cfg()
-            };
-            let err = cfg.validate().unwrap_err();
-            assert_eq!(
-                err,
-                ConfigError::Planner {
-                    max_extra_phases: bad
-                }
-            );
-            assert!(format!("{err}").contains("1..=64"));
-        }
-        let ok = SummaConfig {
-            planner: PhasePlanner::OverlapAware {
-                max_extra_phases: 64,
-            },
-            ..base_cfg()
-        };
-        assert!(ok.validate().is_ok());
     }
 
     #[test]

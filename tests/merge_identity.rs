@@ -139,20 +139,35 @@ fn exact_cancellation_drops_every_entry() {
 }
 
 /// The arena kernels leave their output staged in a recycled buffer; what
-/// that buffer materializes to is what the heap kernel builds afresh.
+/// that buffer materializes to is what the heap kernel builds afresh — on
+/// random sets, on the column view's edge shapes (no columns at all, every
+/// column empty), and when a staged buffer is itself an input at fan-in 3.
 #[test]
 fn arena_outputs_match_materialized_kernels_exactly() {
     let s = PlusTimes::<f64>::new();
     let mut arena = MergeArena::new();
-    for k in [2usize, 3, 5, 8] {
-        let mats = slabs(10, k);
+    let mut inputs: Vec<Vec<Csc<f64>>> = [2, 3, 5, 8].iter().map(|&k| slabs(10, k)).collect();
+    inputs.push(vec![Csc::zero(10, 0); 3]);
+    inputs.push(vec![Csc::zero(10, 10); 3]);
+    for mats in inputs {
+        let (k, shape) = (mats.len(), (10, mats[0].ncols()));
         let refs: Vec<ColsRef<'_, f64>> = mats.iter().map(ColsRef::of).collect();
-        let want = merge_with(s, MergeKernel::Heap, &mats, (10, 10));
-        let br = brmerge_into(s, &refs, (10, 10), &mut arena);
-        assert_eq!(br.to_csc(), want, "brmerge k={k}");
+        let want = assert_kernels_agree(s, &mats, shape).unwrap();
+        let br = brmerge_into(s, &refs, shape, &mut arena);
+        assert_eq!(br.to_csc(), want, "brmerge k={k} {shape:?}");
         arena.release(br);
-        let sp = spadd_into(s, &refs, (10, 10), &mut arena);
-        assert_eq!(sp.to_csc(), want, "spadd k={k}");
+        let sp = spadd_into(s, &refs, shape, &mut arena);
+        assert_eq!(sp.to_csc(), want, "spadd k={k} {shape:?}");
+
+        let fed = [sp.as_cols(), refs[0], refs[1]];
+        let owned = [want.clone(), mats[0].clone(), mats[1].clone()];
+        let want3 = merge_with(s, MergeKernel::Heap, &owned, shape);
+        let br3 = brmerge_into(s, &fed, shape, &mut arena);
+        assert_eq!(br3.to_csc(), want3, "brmerge over a staged input, k={k}");
+        arena.release(br3);
+        let sp3 = spadd_into(s, &fed, shape, &mut arena);
+        assert_eq!(sp3.to_csc(), want3, "spadd over a staged input, k={k}");
+        arena.release(sp3);
         arena.release(sp);
     }
 }
