@@ -90,15 +90,15 @@ mod tests {
         }
     }
 
-    /// A wrong count is reported by the kernel's own assertion inside the
-    /// parallel body. Here that body runs on a worker, so the message must
-    /// cross to the submitting thread intact.
+    /// A wrong count — too large or too small — is reported by the kernel's
+    /// own assertion inside the parallel body. Here that body runs on a
+    /// worker, so the message must cross to the submitting thread intact.
     #[test]
     fn a_wrong_count_found_on_a_worker_panics_on_the_caller_with_the_kernels_message() {
         use crate::hash::Addressing::{Direct, Hashed};
         // `I · B`, every column of `B` holding rows {0, 2}; the last one,
         // many blocks away from where the submitter starts, is marked and
-        // has count 3.
+        // has the wrong count.
         let n = 65;
         let a = Csc::<f64>::identity(4);
         let mut t = hipmcl_sparse::Triples::new(4, n);
@@ -108,37 +108,47 @@ mod tests {
             t.push(2, j as Idx, v);
         }
         let b = Csc::from_triples(&t);
-        let mut counts = vec![2; n];
-        counts[n - 1] = 3;
-
-        type Kernel<'a> = &'a (dyn Fn() -> Csc<f64> + Sync);
-        let kernels: [(Kernel<'_>, &str); 3] = [
-            (
-                &|| crate::hash::multiply_with_counts_as(Direct, Gated, &a, &b, &counts),
-                "column 64: count 3 but 2 distinct rows",
-            ),
-            (
-                &|| crate::hash::multiply_with_counts_as(Hashed, Gated, &a, &b, &counts),
-                "column 64: count 3 but 2 distinct rows",
-            ),
-            (
-                &|| crate::heap::multiply_with_counts_in(Gated, &a, &b, &counts),
-                "column 64: count does not match",
-            ),
-        ];
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(2)
             .build()
             .unwrap();
-        for (kernel, message) in kernels {
-            *GATE.0.lock().unwrap() = (Some(std::thread::current().id()), false);
-            let caught = pool
-                .install(|| std::panic::catch_unwind(std::panic::AssertUnwindSafe(kernel)))
-                .expect_err("a wrong count must panic");
-            let got = caught
-                .downcast_ref::<String>()
-                .expect("a formatted message");
-            assert!(got.contains(message), "{got:?} lacks {message:?}");
+        for wrong in [3, 1] {
+            let mut counts = vec![2; n];
+            counts[n - 1] = wrong;
+            let hash_message = format!("column 64: count {wrong} but 2 distinct rows");
+
+            type Kernel<'a> = &'a (dyn Fn() -> Csc<f64> + Sync);
+            let kernels: [(Kernel<'_>, &str); 3] = [
+                (
+                    &|| crate::hash::multiply_with_counts_as(Direct, Gated, &a, &b, &counts),
+                    &hash_message,
+                ),
+                (
+                    &|| crate::hash::multiply_with_counts_as(Hashed, Gated, &a, &b, &counts),
+                    &hash_message,
+                ),
+                (
+                    &|| crate::heap::multiply_with_counts_in(Gated, &a, &b, &counts),
+                    "column 64: count does not match",
+                ),
+            ];
+            // Too small, the hashed table overflows before the drain can
+            // compare counts; that side pins the heap kernel alone.
+            let pinned = if wrong > 2 {
+                &kernels[..]
+            } else {
+                &kernels[2..]
+            };
+            for &(kernel, message) in pinned {
+                *GATE.0.lock().unwrap() = (Some(std::thread::current().id()), false);
+                let caught = pool
+                    .install(|| std::panic::catch_unwind(std::panic::AssertUnwindSafe(kernel)))
+                    .expect_err("a wrong count must panic");
+                let got = caught
+                    .downcast_ref::<String>()
+                    .expect("a formatted message");
+                assert!(got.contains(message), "{got:?} lacks {message:?}");
+            }
         }
     }
 

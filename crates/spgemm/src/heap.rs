@@ -1,47 +1,22 @@
 //! Heap-assisted column-by-column SpGEMM — the kernel of *original* HipMCL.
 //!
-//! For each output column `C_{*j}`, a min-heap holds one cursor per column
-//! `A_{*k}` with `k ∈ inds(B_{*j})`. Popping the minimum row index merges
-//! the scaled columns in sorted order while accumulating duplicates; the
-//! output column is produced already sorted. Work is
-//! `O(flops · lg nnz(B_{*j}))` — excellent when columns of `B` are short
-//! (≈10 nonzeros, sparse graph processing) but the `lg` factor and the
-//! pointer-chasing heap hurt at MCL densities (≈1000 nonzeros per column),
-//! which is what §VI replaces with hash accumulation.
+//! For each output column `C_{*j}`, a priority structure holds the head of
+//! one list per column `A_{*k}` with `k ∈ inds(B_{*j})`. Taking the minimum
+//! row index merges the scaled columns in sorted order while accumulating
+//! duplicates; the output column is produced already sorted, with no
+//! accumulator table. Work is `O(flops · lg nnz(B_{*j}))` — excellent when
+//! columns of `B` are short (≈10 nonzeros, sparse graph processing), but at
+//! MCL densities (≈1000 nonzeros per column) every product pays `lg k`
+//! dependent comparisons, which is what §VI replaces with hash accumulation.
+//!
+//! The priority structure is a tournament tree over packed `(row, list)`
+//! keys ([`Tournament`]): the same comparisons as a binary heap's sift,
+//! without its data-dependent branches. DESIGN.md ("Local SpGEMM") has the
+//! measured rates against the hash kernel.
 
 use crate::assemble::build_csc_parallel_scratch;
-use hipmcl_sparse::{Csc, Idx, PlusTimes, Semiring, Value};
-use std::collections::binary_heap::{BinaryHeap, PeekMut};
-
-/// One merge cursor: the current head of a scaled column of `A`.
-/// Ordered by `row` (then list id for determinism) as a *min*-heap entry.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct Cursor {
-    row: Idx,
-    list: u32,
-}
-
-impl Ord for Cursor {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reverse for min-heap on BinaryHeap (which is a max-heap).
-        other.row.cmp(&self.row).then(other.list.cmp(&self.list))
-    }
-}
-
-impl PartialOrd for Cursor {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Per-worker merge state, reused across the columns a worker fills.
-#[derive(Clone, Default)]
-struct HeapScratch {
-    /// `positions[l]` = how far `A_{*k}` for the `l`-th entry of `B_{*j}`
-    /// has been consumed.
-    positions: Vec<usize>,
-    heap: BinaryHeap<Cursor>,
-}
+use hipmcl_sparse::util::Tournament;
+use hipmcl_sparse::{Csc, PlusTimes, Semiring, Value};
 
 /// Multiplies `C = A · B` with heap accumulation in the given semiring,
 /// column-parallel. Two-phase like CombBLAS's local multiply, so assembly
@@ -59,11 +34,14 @@ where
     multiply_in(PlusTimes::new(), a, b)
 }
 
-/// The numeric phase alone: heap-merges every output column into a CSC
-/// allocated from `counts` ([`crate::hash::symbolic_counts_with_flops`]).
-/// Panics on a count that does not match the column it describes.
+/// The numeric phase alone: merges the scaled A-columns selected by each
+/// `B_{*j}` through the worker's tournament into a CSC allocated from
+/// `counts` ([`crate::hash::symbolic_counts_with_flops`]). Rows arrive in
+/// increasing order and equal rows in ascending list order, so each entry
+/// folds its products in ascending position within `B_{*j}`. Panics on a
+/// count that does not match the column it describes.
 pub fn multiply_with_counts_in<S: Semiring>(
-    s: S,
+    _s: S,
     a: &Csc<S::Elem>,
     b: &Csc<S::Elem>,
     counts: &[usize],
@@ -74,90 +52,42 @@ pub fn multiply_with_counts_in<S: Semiring>(
         a.nrows(),
         b.ncols(),
         counts,
-        HeapScratch::default(),
-        |scratch, j, rows_out, vals_out| {
-            let mut w = 0usize;
-            merge_column(s, a, b, j, scratch, |r, v| {
-                rows_out[w] = r;
-                vals_out[w] = v;
-                w += 1;
+        Tournament::default(),
+        |tournament, j, rows_out, vals_out| {
+            let bv = b.col_vals(j);
+            let lists = b.col_rows(j).iter().map(|&k| {
+                let k = k as usize;
+                (a.colptr[k], a.colptr[k + 1])
             });
+            // `w` counts every distinct row, also past the end of slices
+            // that are too short, so a wrong count fails the one assertion
+            // below whichever way it is wrong.
+            let (mut w, mut open) = (0usize, None);
+            tournament.merge(
+                lists,
+                |_, pos| a.rowidx[pos],
+                |row, l, pos| {
+                    let product = S::mul(a.vals[pos], bv[l]);
+                    if open != Some(row) {
+                        open = Some(row);
+                        if w < rows_out.len() {
+                            (rows_out[w], vals_out[w]) = (row, product);
+                        }
+                        w += 1;
+                    } else if w <= vals_out.len() {
+                        vals_out[w - 1] = S::add(vals_out[w - 1], product);
+                    }
+                },
+            );
             assert_eq!(w, rows_out.len(), "column {j}: count does not match");
         },
     )
-}
-
-/// Heap-merges the scaled A-columns selected by `B_{*j}`, invoking `emit`
-/// once per distinct output row (in increasing row order) with the
-/// accumulated value. Equal rows pop in ascending list order, so each
-/// entry folds its products in ascending position within `B_{*j}`.
-fn merge_column<S: Semiring>(
-    _s: S,
-    a: &Csc<S::Elem>,
-    b: &Csc<S::Elem>,
-    j: usize,
-    scratch: &mut HeapScratch,
-    mut emit: impl FnMut(Idx, S::Elem),
-) {
-    let bk = b.col_rows(j);
-    let bv = b.col_vals(j);
-    let HeapScratch { positions, heap } = scratch;
-    positions.clear();
-    positions.resize(bk.len(), 0);
-    heap.clear();
-    heap.extend(bk.iter().enumerate().filter_map(|(l, &k)| {
-        let row = *a.col_rows(k as usize).first()?;
-        Some(Cursor {
-            row,
-            list: l as u32,
-        })
-    }));
-
-    let mut cur: Option<(Idx, S::Elem)> = None;
-    while let Some(mut top) = heap.peek_mut() {
-        let Cursor { row, list } = *top;
-        let l = list as usize;
-        let k = bk[l] as usize;
-        let pos = positions[l];
-        let contrib = S::mul(a.col_vals(k)[pos], bv[l]);
-        cur = match cur {
-            Some((r, acc)) if r == row => Some((r, S::add(acc, contrib))),
-            Some((r, acc)) => {
-                emit(r, acc);
-                Some((row, contrib))
-            }
-            None => Some((row, contrib)),
-        };
-        // Advance the top cursor in place: one sift when the guard drops,
-        // instead of a pop and a push.
-        positions[l] = pos + 1;
-        match a.col_rows(k).get(pos + 1) {
-            Some(&next) => top.row = next,
-            None => {
-                PeekMut::pop(top);
-            }
-        }
-    }
-    if let Some((r, acc)) = cur {
-        emit(r, acc);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::testutil::{dense_reference, random_csc};
-
-    #[test]
-    fn cursor_ordering_is_min_heap() {
-        let mut h = std::collections::BinaryHeap::new();
-        h.push(Cursor { row: 5, list: 0 });
-        h.push(Cursor { row: 1, list: 1 });
-        h.push(Cursor { row: 3, list: 2 });
-        assert_eq!(h.pop().unwrap().row, 1);
-        assert_eq!(h.pop().unwrap().row, 3);
-        assert_eq!(h.pop().unwrap().row, 5);
-    }
 
     #[test]
     fn identity_times_identity() {

@@ -95,10 +95,13 @@ impl CpuAlgo {
 /// The paper reports the qualitative crossover ("for small cf values, the
 /// heaps show themselves to be slightly more effective while for large cf
 /// values hash tables perform significantly better", §VII-B). Measured here
-/// it sits lower — EXPERIMENTS.md ("Two-phase local SpGEMM"): parity only
-/// at cf ≈ 1, heap behind from 1.5 up — but the constant moves kernel
-/// choice, hence modeled clocks and the committed probe CSVs, so it stays
-/// until the recalibration ROADMAP tracks.
+/// it sits lower — EXPERIMENTS.md ("Two-phase local SpGEMM", the table
+/// re-measured with the tournament heap of PR 22): heap ÷ hash is 0.91 at
+/// cf = 1, 0.49 at cf = 1.5, 0.21 at cf = 14 and 0.14 at cf ≈ 140, so on
+/// this host the heap never leads and the band 1 < cf < 2 goes to the
+/// slower kernel. The constant moves kernel choice, hence modeled clocks
+/// and the committed probe CSVs, so it stays until the recalibration
+/// ROADMAP item 5(b) tracks.
 pub const HEAP_HASH_CF_CROSSOVER: f64 = 2.0;
 
 /// Picks the CPU kernel for a multiplication with the given analysis.

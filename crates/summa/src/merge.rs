@@ -79,6 +79,7 @@
 //! `submit_merge` returns and the pipeline surfaces per merge.
 
 use hipmcl_comm::{MachineModel, MergeKernel};
+use hipmcl_sparse::util::Tournament;
 use hipmcl_sparse::{Csc, Idx, PlusTimes, Semiring, Value};
 use rayon::prelude::*;
 
@@ -605,7 +606,9 @@ pub(crate) fn merge_into<S: Semiring>(
             shape.0,
             (0..shape.1)
                 .into_par_iter()
-                .map(|j| merge_column(s, mats, j))
+                .map_with(Default::default(), |scratch, j| {
+                    merge_column(s, mats, j, scratch)
+                })
                 .collect(),
         )),
         MergeKernel::Hash => MergeSlab::Mat(Csc::from_columns(
@@ -637,54 +640,42 @@ pub fn kway_merge(mats: &[Csc<f64>], shape: (usize, usize)) -> Csc<f64> {
     merge_with(PlusTimes::<f64>::new(), MergeKernel::Heap, mats, shape)
 }
 
-/// Heap-merges column `j` across all matrices.
+/// Merges column `j` across all matrices in ascending `(row, list)` order
+/// and returns it exactly sized. The worker's scratch is the tournament
+/// over the lists' heads and the column being assembled.
 fn merge_column<S: Semiring>(
     _s: S,
     mats: &[ColsRef<'_, S::Elem>],
     j: usize,
+    (tournament, rows, vals): &mut (Tournament, Vec<Idx>, Vec<S::Elem>),
 ) -> (Vec<Idx>, Vec<S::Elem>) {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    let mut heap: BinaryHeap<Reverse<(Idx, usize)>> = BinaryHeap::with_capacity(mats.len());
-    let mut pos: Vec<usize> = vec![0; mats.len()];
-    for (l, mat) in mats.iter().enumerate() {
-        if let Some(&r) = mat.col_rows(j).first() {
-            heap.push(Reverse((r, l)));
-        }
-    }
-    let mut rows = Vec::new();
-    let mut vals: Vec<S::Elem> = Vec::new();
-    while let Some(Reverse((r, l))) = heap.pop() {
-        let v = mats[l].col_vals(j)[pos[l]];
-        if rows.last() == Some(&r) {
-            let acc = vals.last_mut().unwrap();
-            *acc = S::add(*acc, v);
-        } else {
-            // Drop a just-finished entry if it accumulated to the
-            // annihilator (plus-times: cancelled to zero).
-            if let Some(&last_v) = vals.last() {
-                if S::is_annihilator(last_v) {
-                    rows.pop();
-                    vals.pop();
-                }
-            }
-            rows.push(r);
-            vals.push(v);
-        }
-        pos[l] += 1;
-        let rcol = mats[l].col_rows(j);
-        if pos[l] < rcol.len() {
-            heap.push(Reverse((rcol[pos[l]], l)));
-        }
-    }
-    if let Some(&last_v) = vals.last() {
-        if S::is_annihilator(last_v) {
+    // Drops a just-finished entry if it accumulated to the annihilator
+    // (plus-times: cancelled to zero).
+    fn drop_annihilated<S: Semiring>(rows: &mut Vec<Idx>, vals: &mut Vec<S::Elem>) {
+        if vals.last().is_some_and(|&v| S::is_annihilator(v)) {
             rows.pop();
             vals.pop();
         }
     }
-    (rows, vals)
+    rows.clear();
+    vals.clear();
+    tournament.merge(
+        mats.iter().map(|m| m.col_span(j)),
+        |l, pos| mats[l].rowidx[pos],
+        |r, l, pos| {
+            let v = mats[l].vals[pos];
+            if rows.last() == Some(&r) {
+                let acc = vals.last_mut().expect("rows and vals grow together");
+                *acc = S::add(*acc, v);
+            } else {
+                drop_annihilated::<S>(rows, vals);
+                rows.push(r);
+                vals.push(v);
+            }
+        },
+    );
+    drop_annihilated::<S>(rows, vals);
+    (rows.clone(), vals.clone())
 }
 
 /// Two-way cursor merge with the shared annihilator-drop rule,

@@ -205,3 +205,102 @@ fn rounding_sums_match_the_fixture_of_pr_12() {
     });
     assert_eq!((rows.len(), digest), (8251, 13_248_103_670_861_671_210));
 }
+
+/// The sorted k-way merge against the accumulator table, and nothing else:
+/// for operands only those two kernels can take (4 G rows) or that are too
+/// large to put through all eleven.
+fn assert_heap_is_hash(a: &Csc<f64>, b: &Csc<f64>) -> Bits {
+    let want = bits(&hash::multiply(a, b));
+    assert_eq!(bits(&heap::multiply(a, b)), want, "heap differs from hash");
+    want
+}
+
+#[test]
+fn heap_is_hash_in_the_regime_the_baseline_benchmark_runs() {
+    // Archaea ÷ 2000 at select 300: about 100 lists per column and 130
+    // products per output entry from the third iterate on, where the
+    // `operand` fixtures stop at 56 columns.
+    let mut cfg = hipmcl::MclConfig::original_hipmcl(4 << 30);
+    cfg.prune.select = 300;
+    let graph = Csc::from_triples(&hipmcl::Dataset::Archaea.instance(2000).graph);
+    let mut a = hipmcl::core::serial::prepare_matrix(&graph, &cfg);
+    let mut regime = (0, 0.0f64);
+    for _ in 0..4 {
+        let (colptr, ..) = assert_heap_is_hash(&a, &a);
+        let flops = hipmcl::spgemm::flops(&a, &a) as f64;
+        regime = (a.nnz() / a.ncols(), flops / colptr[a.ncols()] as f64);
+        hipmcl::core::serial::mcl_iteration(&mut a, &cfg);
+    }
+    assert!(regime.0 >= 90 && regime.1 >= 100.0, "(k, cf) = {regime:?}");
+}
+
+#[test]
+fn fan_in_edges_lists_exhausted_at_birth_and_the_last_row_there_is() {
+    // `A`: 2^32 − 1 rows, 70 columns; every fifth column empty, the others
+    // hold rows {0, 1 + k % 7, 100 + k}, and column 64 the last row as well.
+    // Built from sorted triples: nothing here may allocate by `nrows`.
+    let nrows = u32::MAX as usize;
+    let mut ta = Triples::new(nrows, 70);
+    for k in (0..70u32).filter(|k| k % 5 != 0) {
+        ta.push(0, k, dyadic(k as u64));
+        ta.push(1 + k % 7, k, 1.0);
+        ta.push(100 + k, k, dyadic(k as u64 + 1));
+        if k == 64 {
+            ta.push(u32::MAX - 1, k, 0.5);
+        }
+    }
+    let a = Csc::from_sorted_dedup_triples(&ta);
+    // `B`: column `j` selects the first `fan_in[j]` columns of `A` — around
+    // every power of two up to 64 — and the last three select only empty
+    // columns, only column 64, and column 64 after an empty one.
+    let fan_in = [
+        0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65,
+    ];
+    let mut tb = Triples::new(70, fan_in.len() + 3);
+    for (j, &k) in fan_in.iter().enumerate() {
+        (0..k).for_each(|i| tb.push(i, j as Idx, dyadic((i + k) as u64)));
+    }
+    let j = fan_in.len() as Idx;
+    [(0, j), (5, j), (64, j + 1), (60, j + 2), (64, j + 2)]
+        .into_iter()
+        .for_each(|(i, j)| tb.push(i, j, 1.0));
+    let b = Csc::from_triples(&tb);
+    let (colptr, rows, _) = assert_heap_is_hash(&a, &b);
+    let counts: Vec<usize> = colptr.windows(2).map(|w| w[1] - w[0]).collect();
+    assert_eq!(counts[..4], [0, 0, 3, 5]);
+    assert_eq!(counts[fan_in.len()..], [0, 4, 4]);
+    assert_eq!(rows.last(), Some(&(u32::MAX - 1)));
+}
+
+#[test]
+fn inexact_sums_fold_in_ascending_position_of_b() {
+    // Every product lands in one of three rows, so each output entry is a
+    // sum of up to 24 terms that absorb or cancel depending on the order.
+    let terms = [1e16, 1.0 / 3.0, -1e16, 1.0, 3e-17, 1e-1, -1.0 / 3.0, 2e16];
+    let mut ta = Triples::new(3, 24);
+    let mut tb = Triples::new(24, 5);
+    for k in 0..24 {
+        for i in (0..3).filter(|i| (k + i) % 4 != 0) {
+            ta.push(i as Idx, k as Idx, terms[(k + 3 * i) % 8]);
+        }
+        for j in (0..5).filter(|j| (k * (j + 2)) % 3 != 1) {
+            tb.push(k as Idx, j as Idx, terms[(5 * k + j) % 8] / 1e16);
+        }
+    }
+    let (a, b) = (Csc::from_triples(&ta), Csc::from_triples(&tb));
+    let (colptr, rows, vals) = assert_identical(PlusTimes::<f64>::new(), &a, &b, false);
+    let mut reversed_differs = false;
+    for j in 0..5 {
+        for at in colptr[j]..colptr[j + 1] {
+            let products = || {
+                (b.col_rows(j).iter().zip(b.col_vals(j)))
+                    .filter_map(|(&k, &bv)| Some(a.get(rows[at] as usize, k as usize)? * bv))
+            };
+            let forward = products().reduce(|acc, p| acc + p).unwrap();
+            assert_eq!(vals[at], forward.to_bits(), "entry ({}, {j})", rows[at]);
+            let backward = products().rev().reduce(|acc, p| acc + p).unwrap();
+            reversed_differs |= backward.to_bits() != forward.to_bits();
+        }
+    }
+    assert!(reversed_differs, "the fixture does not show the fold order");
+}
