@@ -80,7 +80,7 @@ impl Device {
 
     /// Allocates `bytes` of device memory.
     pub fn alloc(&mut self, bytes: usize) -> Result<(), DeviceError> {
-        let free = self.mem_capacity - self.mem_used;
+        let free = self.mem_free();
         if bytes > free {
             return Err(DeviceError::OutOfMemory {
                 requested: bytes,
@@ -101,6 +101,11 @@ impl Device {
     /// Bytes currently allocated.
     pub fn mem_used(&self) -> usize {
         self.mem_used
+    }
+
+    /// Bytes an allocation can still take.
+    pub fn mem_free(&self) -> usize {
+        self.mem_capacity - self.mem_used
     }
 
     /// High-water mark of allocations.

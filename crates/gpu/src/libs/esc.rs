@@ -11,27 +11,33 @@
 //! the most memory-hungry and (at high `cf`) slowest of the three
 //! libraries, matching its mid-pack showing in the paper's Fig. 4.
 
-use super::ColOut;
-use hipmcl_sparse::{Csc, Idx, Semiring};
-use rayon::prelude::*;
+use hipmcl_sparse::{Csc, CscBuilder, Idx, Semiring};
 use std::ops::Range;
 
 /// Columns `cols` of `A · B` with expand–sort–compress columns, in the
-/// given semiring.
+/// given semiring; `reserve` sizes the output of a block of them.
 pub(crate) fn multiply_in<S: Semiring>(
     s: S,
     a: &Csc<S::Elem>,
     b: &Csc<S::Elem>,
     cols: Range<usize>,
+    reserve: impl Fn(Range<usize>) -> usize + Sync + Send,
 ) -> Csc<S::Elem> {
-    let out: Vec<ColOut<S::Elem>> = cols
-        .into_par_iter()
-        .map_with(Vec::<(Idx, S::Elem)>::new(), |expand_buf, j| {
-            expand_column(s, a, b, j, expand_buf);
-            sort_compress(s, expand_buf)
-        })
-        .collect();
-    Csc::from_columns(a.nrows(), out)
+    CscBuilder::build(
+        a.nrows(),
+        cols.len(),
+        reserve,
+        Vec::<(Idx, S::Elem)>::new(),
+        |expand_buf, j, out| {
+            expand_column(s, a, b, cols.start + j, expand_buf);
+            sort_compress(s, expand_buf);
+            out.push_column_with(expand_buf.len(), |rows, vals| {
+                for ((r, v), &entry) in rows.iter_mut().zip(vals).zip(&*expand_buf) {
+                    (*r, *v) = entry;
+                }
+            });
+        },
+    )
 }
 
 /// Expansion: materializes all products contributing to output column `j`.
@@ -52,21 +58,16 @@ fn expand_column<S: Semiring>(
 }
 
 /// Sort + compress: orders products by row and combines duplicate runs
-/// with the semiring's addition.
-fn sort_compress<S: Semiring>(_s: S, buf: &mut [(Idx, S::Elem)]) -> ColOut<S::Elem> {
+/// with the semiring's addition, in place.
+fn sort_compress<S: Semiring>(_s: S, buf: &mut Vec<(Idx, S::Elem)>) {
     buf.sort_unstable_by_key(|&(r, _)| r);
-    let mut rows: Vec<Idx> = Vec::new();
-    let mut vals: Vec<S::Elem> = Vec::new();
-    for &(r, v) in buf.iter() {
-        if rows.last() == Some(&r) {
-            let last = vals.last_mut().unwrap();
-            *last = S::add(*last, v);
-        } else {
-            rows.push(r);
-            vals.push(v);
+    buf.dedup_by(|next, kept| {
+        let same = next.0 == kept.0;
+        if same {
+            kept.1 = S::add(kept.1, next.1);
         }
-    }
-    (rows, vals)
+        same
+    });
 }
 
 #[cfg(test)]
@@ -78,16 +79,15 @@ mod tests {
     #[test]
     fn sort_compress_sums_runs() {
         let mut buf = vec![(3u32, 1.0), (1, 2.0), (3, 0.5), (1, 1.0)];
-        let (rows, vals) = sort_compress(PlusTimes::<f64>::new(), &mut buf);
-        assert_eq!(rows, vec![1, 3]);
-        assert_eq!(vals, vec![3.0, 1.5]);
+        sort_compress(PlusTimes::<f64>::new(), &mut buf);
+        assert_eq!(buf, vec![(1, 3.0), (3, 1.5)]);
     }
 
     #[test]
     fn sort_compress_empty() {
         let mut buf: Vec<(Idx, f64)> = Vec::new();
-        let (rows, vals) = sort_compress(PlusTimes::<f64>::new(), &mut buf);
-        assert!(rows.is_empty() && vals.is_empty());
+        sort_compress(PlusTimes::<f64>::new(), &mut buf);
+        assert!(buf.is_empty());
     }
 
     #[test]
@@ -105,7 +105,7 @@ mod tests {
     fn matches_reference() {
         let a = random_csc(15, 12, 60, 4);
         let b = random_csc(12, 10, 50, 5);
-        let got = multiply_in(PlusTimes::<f64>::new(), &a, &b, 0..10);
+        let got = multiply_in(PlusTimes::<f64>::new(), &a, &b, 0..10, |_| 0);
         let want = hipmcl_spgemm::hash::multiply(&a, &b);
         got.assert_valid();
         assert_eq!(got.colptr, want.colptr);

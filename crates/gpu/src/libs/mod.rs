@@ -20,15 +20,14 @@ pub mod hashgpu;
 pub mod rowmerge;
 
 use hipmcl_comm::GpuLib;
-use hipmcl_sparse::{Csc, Idx, PlusTimes, Semiring, Value};
+use hipmcl_sparse::{Csc, PlusTimes, Semiring, Value};
 use std::ops::Range;
 
-/// A materialized output column: `(rows, vals)`, sorted by row.
-pub(crate) type ColOut<T> = (Vec<Idx>, Vec<T>);
-
 /// Columns `cols` of `A · B` on the chosen library analogue, in the given
-/// semiring, as an `nrows(A) × cols.len()` matrix — one device's slab of a
-/// multi-GPU launch. `flops` is `flops_per_column(a, b)`.
+/// semiring, as an `nrows(A) × cols.len()` matrix. `flops` is
+/// `flops_per_column(a, b)`; it also sizes the output before a column is
+/// computed: a block of columns reserves its bound `Σ min(flops_j, nrows)`
+/// (address space until written) and is trimmed when done.
 pub(crate) fn multiply_cols_in<S: Semiring>(
     s: S,
     a: &Csc<S::Elem>,
@@ -37,10 +36,16 @@ pub(crate) fn multiply_cols_in<S: Semiring>(
     flops: &[u64],
     lib: GpuLib,
 ) -> Csc<S::Elem> {
+    let (nrows, first) = (a.nrows(), cols.start);
+    let bound = |block: Range<usize>| -> usize {
+        (flops[first + block.start..first + block.end].iter())
+            .map(|&f| (f as usize).min(nrows))
+            .sum()
+    };
     match lib {
-        GpuLib::Bhsparse => esc::multiply_in(s, a, b, cols),
-        GpuLib::Nsparse => hashgpu::multiply_in(s, a, b, cols, flops),
-        GpuLib::Rmerge2 => rowmerge::multiply_in(s, a, b, cols),
+        GpuLib::Bhsparse => esc::multiply_in(s, a, b, cols, bound),
+        GpuLib::Nsparse => hashgpu::multiply_in(s, a, b, cols, flops, bound),
+        GpuLib::Rmerge2 => rowmerge::multiply_in(s, a, b, cols, bound),
     }
 }
 

@@ -11,87 +11,116 @@
 //! `cf` grows; the paper measures it at ~1.1× `cpu-hash` overall and best
 //! among the GPU libraries only at small `cf`.
 
-use super::ColOut;
-use hipmcl_sparse::{Csc, Semiring};
-use rayon::prelude::*;
+use hipmcl_sparse::{Csc, CscBuilder, Idx, Semiring, Value};
 use std::ops::Range;
 
+/// One level of a column's merge tree: sorted runs laid end to end, run
+/// `i` ending at `ends[i]`. A worker keeps two — the level it reads and
+/// the level it writes — across all the columns it merges.
+#[derive(Clone, Debug, Default)]
+struct Runs<T> {
+    rows: Vec<Idx>,
+    vals: Vec<T>,
+    ends: Vec<usize>,
+}
+
+impl<T: Value> Runs<T> {
+    fn clear(&mut self) {
+        self.rows.clear();
+        self.vals.clear();
+        self.ends.clear();
+    }
+
+    fn run(&self, span: Range<usize>) -> (&[Idx], &[T]) {
+        (&self.rows[span.clone()], &self.vals[span])
+    }
+}
+
 /// Columns `cols` of `A · B` by per-column binary merge trees, in the
-/// given semiring.
+/// given semiring; `reserve` sizes the output of a block of columns.
 pub(crate) fn multiply_in<S: Semiring>(
     s: S,
     a: &Csc<S::Elem>,
     b: &Csc<S::Elem>,
     cols: Range<usize>,
+    reserve: impl Fn(Range<usize>) -> usize + Sync + Send,
 ) -> Csc<S::Elem> {
-    let out: Vec<ColOut<S::Elem>> = cols
-        .into_par_iter()
-        .map(|j| merge_column(s, a, b, j))
-        .collect();
-    Csc::from_columns(a.nrows(), out)
+    CscBuilder::build(
+        a.nrows(),
+        cols.len(),
+        reserve,
+        (Runs::default(), Runs::default()),
+        |(level, next), j, out| {
+            merge_column(s, a, b, cols.start + j, level, next);
+            out.push_column(&level.rows, &level.vals);
+        },
+    )
 }
 
-/// Builds output column `j` by a balanced tree of two-way merges.
+/// Builds output column `j` by a balanced tree of two-way merges and
+/// leaves it as the single run of `level`.
 fn merge_column<S: Semiring>(
     s: S,
     a: &Csc<S::Elem>,
     b: &Csc<S::Elem>,
     j: usize,
-) -> ColOut<S::Elem> {
-    // Leaves: the selected A columns, scaled by the B entry.
-    let mut lists: Vec<ColOut<S::Elem>> = (b.col_rows(j).iter())
-        .zip(b.col_vals(j))
-        .map(|(&k, &bv)| {
-            let k = k as usize;
-            let rows = a.col_rows(k).to_vec();
-            let vals = a.col_vals(k).iter().map(|&av| S::mul(av, bv)).collect();
-            (rows, vals)
-        })
-        .filter(|(r, _): &ColOut<S::Elem>| !r.is_empty())
-        .collect();
-
-    // Balanced reduction: merge adjacent pairs until one list remains.
-    while lists.len() > 1 {
-        let mut next = Vec::with_capacity(lists.len().div_ceil(2));
-        let mut it = lists.into_iter();
-        while let Some(first) = it.next() {
-            match it.next() {
-                Some(second) => next.push(merge_two(s, &first, &second)),
-                None => next.push(first),
-            }
+    level: &mut Runs<S::Elem>,
+    next: &mut Runs<S::Elem>,
+) {
+    // Leaves: the selected nonempty A columns, scaled by the B entry.
+    level.clear();
+    for (&k, &bv) in b.col_rows(j).iter().zip(b.col_vals(j)) {
+        let k = k as usize;
+        if a.col_nnz(k) > 0 {
+            level.rows.extend_from_slice(a.col_rows(k));
+            (level.vals).extend(a.col_vals(k).iter().map(|&av| S::mul(av, bv)));
+            level.ends.push(level.rows.len());
         }
-        lists = next;
     }
-    lists.pop().unwrap_or_default()
+
+    // Balanced reduction: merge adjacent pairs until one run remains; an
+    // odd last run merges with nothing.
+    while level.ends.len() > 1 {
+        next.clear();
+        let mut lo = 0;
+        for pair in level.ends.chunks(2) {
+            let (mid, hi) = (pair[0], pair[pair.len() - 1]);
+            merge_two(s, level.run(lo..mid), level.run(mid..hi), next);
+            next.ends.push(next.rows.len());
+            lo = hi;
+        }
+        std::mem::swap(level, next);
+    }
 }
 
-/// Two-way merge of sorted `(rows, vals)` runs, combining equal rows with
-/// the semiring's addition.
-fn merge_two<S: Semiring>(_s: S, x: &ColOut<S::Elem>, y: &ColOut<S::Elem>) -> ColOut<S::Elem> {
-    let (xr, xv) = x;
-    let (yr, yv) = y;
-    let mut rows = Vec::with_capacity(xr.len() + yr.len());
-    let mut vals = Vec::with_capacity(xr.len() + yr.len());
+/// Two-way merge of sorted `(rows, vals)` runs onto the end of `out`,
+/// combining equal rows with the semiring's addition.
+fn merge_two<S: Semiring>(
+    _s: S,
+    (xr, xv): (&[Idx], &[S::Elem]),
+    (yr, yv): (&[Idx], &[S::Elem]),
+    out: &mut Runs<S::Elem>,
+) {
     let (mut i, mut j) = (0usize, 0usize);
+    let mut push = |row, val| {
+        out.rows.push(row);
+        out.vals.push(val);
+    };
     while i < xr.len() || j < yr.len() {
         let take_x = j >= yr.len() || (i < xr.len() && xr[i] < yr[j]);
         let take_both = i < xr.len() && j < yr.len() && xr[i] == yr[j];
         if take_both {
-            rows.push(xr[i]);
-            vals.push(S::add(xv[i], yv[j]));
+            push(xr[i], S::add(xv[i], yv[j]));
             i += 1;
             j += 1;
         } else if take_x {
-            rows.push(xr[i]);
-            vals.push(xv[i]);
+            push(xr[i], xv[i]);
             i += 1;
         } else {
-            rows.push(yr[j]);
-            vals.push(yv[j]);
+            push(yr[j], yv[j]);
             j += 1;
         }
     }
-    (rows, vals)
 }
 
 #[cfg(test)]
@@ -99,38 +128,44 @@ mod tests {
     use super::*;
     use hipmcl_sparse::PlusTimes;
     use hipmcl_spgemm::testutil::random_csc;
-    type C = ColOut<f64>;
 
     fn multiply(a: &Csc<f64>, b: &Csc<f64>) -> Csc<f64> {
-        multiply_in(PlusTimes::<f64>::new(), a, b, 0..b.ncols())
+        multiply_in(PlusTimes::<f64>::new(), a, b, 0..b.ncols(), |_| 0)
+    }
+
+    fn merged(x: (&[Idx], &[f64]), y: (&[Idx], &[f64])) -> (Vec<Idx>, Vec<f64>) {
+        let mut out = Runs::default();
+        merge_two(PlusTimes::<f64>::new(), x, y, &mut out);
+        (out.rows, out.vals)
     }
 
     #[test]
     fn merge_two_disjoint() {
-        let x: C = (vec![1, 5], vec![1.0, 2.0]);
-        let y: C = (vec![2, 9], vec![3.0, 4.0]);
-        let (r, v) = merge_two(PlusTimes::<f64>::new(), &x, &y);
+        let (r, v) = merged((&[1, 5], &[1.0, 2.0]), (&[2, 9], &[3.0, 4.0]));
         assert_eq!(r, vec![1, 2, 5, 9]);
         assert_eq!(v, vec![1.0, 3.0, 2.0, 4.0]);
     }
 
     #[test]
     fn merge_two_overlapping_sums() {
-        let x: C = (vec![1, 3], vec![1.0, 1.0]);
-        let y: C = (vec![1, 3], vec![0.5, 0.25]);
-        let (r, v) = merge_two(PlusTimes::<f64>::new(), &x, &y);
+        let (r, v) = merged((&[1, 3], &[1.0, 1.0]), (&[1, 3], &[0.5, 0.25]));
         assert_eq!(r, vec![1, 3]);
         assert_eq!(v, vec![1.5, 1.25]);
     }
 
     #[test]
     fn merge_two_with_empty() {
-        let x: C = (vec![], vec![]);
-        let y: C = (vec![7], vec![1.0]);
-        assert_eq!(
-            merge_two(PlusTimes::<f64>::new(), &x, &y),
-            (vec![7], vec![1.0])
-        );
+        assert_eq!(merged((&[], &[]), (&[7], &[1.0])), (vec![7], vec![1.0]));
+    }
+
+    #[test]
+    fn an_odd_run_is_carried_to_the_next_level() {
+        // Three leaves: ((l0 ⊕ l1) ⊕ l2), the third carried once.
+        let a = Csc::from_dense(3, 3, &[1.0, 0.0, 2.0, 0.0, 3.0, 4.0, 5.0, 0.0, 0.0]);
+        let b = Csc::from_dense(3, 1, &[1.0, 1.0, 1.0]);
+        let got = multiply(&a, &b);
+        assert_eq!(got.rowidx, vec![0, 1, 2]);
+        assert_eq!(got.vals, vec![6.0, 3.0, 6.0]);
     }
 
     #[test]

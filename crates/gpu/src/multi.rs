@@ -5,8 +5,9 @@
 //! `C = A · B` is split by *copying `A` to every device and dividing the
 //! columns of `B` evenly* — each GPU computes a column slab of `C`, so
 //! assembling the final output is a trivial horizontal concatenation.
-//! Those copies are what the model charges; on the host every device's
-//! kernel reads `A` and its column range of `B` in place.
+//! Those copies and slabs are what the model charges; on the host the
+//! library reads `A` and `B` in place and writes the whole product once,
+//! and a device's slab is a column range of it.
 //!
 //! Virtual-time semantics per §III: the host blocks until the *input
 //! transfers* complete (all devices, which transfer in parallel over their
@@ -19,10 +20,11 @@ use hipmcl_sparse::util::even_chunk;
 use hipmcl_sparse::{Csc, Idx, PlusTimes, Semiring, Value};
 use std::ops::Range;
 
-/// [`Csc::bytes`] of columns `cols` of `b` held as a matrix of their own,
-/// without building one: what the device's share of `B` occupies.
-fn slab_bytes<T: Value>(b: &Csc<T>, cols: &Range<usize>) -> usize {
-    let nnz = b.colptr[cols.end] - b.colptr[cols.start];
+/// [`Csc::bytes`] of columns `cols` of `m` held as a matrix of their own,
+/// without building one: what a device's share of `B`, or its slab of
+/// the product, occupies.
+fn slab_bytes<T: Value>(m: &Csc<T>, cols: &Range<usize>) -> usize {
+    let nnz = m.colptr[cols.end] - m.colptr[cols.start];
     (cols.len() + 1) * std::mem::size_of::<usize>()
         + nnz * (std::mem::size_of::<Idx>() + std::mem::size_of::<T>())
 }
@@ -91,9 +93,17 @@ impl MultiGpu {
     /// time `host_now`, in the given semiring. See module docs for the
     /// timeline semantics.
     ///
+    /// The library forms the product once, over all of `B`'s columns, and
+    /// each device is charged the transfers, the kernel and the output
+    /// slab of its column range from `flops_per_column` and the product's
+    /// `colptr` — the slabs are never built.
+    ///
     /// Fails with [`DeviceError::OutOfMemory`] if any device cannot hold
     /// its inputs plus its output slab — callers fall back to the CPU
-    /// kernel or to more SUMMA phases.
+    /// kernel or to more SUMMA phases. The devices before the one that
+    /// fails have run their share by then, and a device whose output did
+    /// not fit still holds its inputs (a known bug the out-of-memory
+    /// schedule digests pin: ROADMAP item 6(e)).
     pub fn multiply_in<S: Semiring>(
         &mut self,
         s: S,
@@ -106,32 +116,42 @@ impl MultiGpu {
         let g = self.devices.len();
         let n = b.ncols();
 
-        let mut slabs: Vec<Csc<S::Elem>> = Vec::with_capacity(g);
+        // A + the B slab (columns `cols` as a matrix of their own).
+        let in_bytes = |d: usize| a.bytes() + slab_bytes(b, &even_chunk(n, g, d));
+        // The launch stops at the first device that cannot take its
+        // inputs, so the columns formed are those of the devices before
+        // it: all of them when every device can.
+        let admitted = (0..g)
+            .take_while(|&d| in_bytes(d) <= self.devices[d].mem_free())
+            .count();
+        let formed = match admitted {
+            d if d < g => even_chunk(n, g, d).start,
+            _ => n,
+        };
+
+        // Real kernel execution (host-side, verified), modeled durations.
+        let fpc = hipmcl_spgemm::flops_per_column(a, b);
+        let c = crate::libs::multiply_cols_in(s, a, b, 0..formed, &fpc, lib);
+
         let mut inputs_done = host_now;
         let mut outputs_done = host_now;
-        let mut total_flops = 0u64;
-        let mut total_out = 0u64;
-
-        let fpc = hipmcl_spgemm::flops_per_column(a, b);
         for (d, dev) in self.devices.iter_mut().enumerate() {
             let cols = even_chunk(n, g, d);
             let flops: u64 = fpc[cols.clone()].iter().sum();
 
-            // Input transfer: A + the B slab (columns `cols` as a matrix of
-            // their own). Devices transfer in parallel (independent links);
-            // each starts when the host initiates.
-            let in_bytes = a.bytes() + slab_bytes(b, &cols);
+            // Input transfer. Devices transfer in parallel (independent
+            // links); each starts when the host initiates.
+            let in_bytes = in_bytes(d);
             let t_in = dev.h2d(host_now, in_bytes)?;
             inputs_done = inputs_done.max(t_in);
 
-            // Real kernel execution (host-side, verified), modeled duration.
-            let c_slab = crate::libs::multiply_cols_in(s, a, b, cols, &fpc, lib);
-            let cf = if c_slab.nnz() == 0 {
+            let out_nnz = c.colptr[cols.end] - c.colptr[cols.start];
+            let cf = if out_nnz == 0 {
                 1.0
             } else {
-                flops as f64 / c_slab.nnz() as f64
+                flops as f64 / out_nnz as f64
             };
-            let out_bytes = c_slab.bytes();
+            let out_bytes = slab_bytes(&c, &cols);
             dev.alloc(out_bytes)?;
             let ev = dev.launch_spgemm(t_in, lib, flops, cf);
 
@@ -140,23 +160,19 @@ impl MultiGpu {
             let t_out = dev.d2h(t_in, ev, out_bytes);
             dev.free(in_bytes + out_bytes);
             outputs_done = outputs_done.max(t_out);
-
-            total_flops += flops;
-            total_out += c_slab.nnz() as u64;
-            slabs.push(c_slab);
         }
 
-        let c = Csc::hcat(&slabs);
-        let cf = if total_out == 0 {
+        let flops: u64 = fpc.iter().sum();
+        let cf = if c.nnz() == 0 {
             1.0
         } else {
-            total_flops as f64 / total_out as f64
+            flops as f64 / c.nnz() as f64
         };
         Ok(LaunchResult {
             c,
             inputs_transferred_at: inputs_done,
             output_ready_at: outputs_done,
-            flops: total_flops,
+            flops,
             cf,
         })
     }
@@ -227,6 +243,32 @@ mod tests {
         // One device: its inputs are `A` and all of `B` (= `A`).
         let (requested, free) = (2 * a.bytes(), 64);
         assert_eq!(err, DeviceError::OutOfMemory { requested, free });
+    }
+
+    #[test]
+    fn a_launch_that_runs_out_of_memory_has_run_the_devices_before() {
+        let a = random_csc(100, 100, 4000, 24);
+        let state = |d: &Device| (d.kernels_launched(), d.quiescent_at(), d.peak_mem());
+        let mut whole = multi(3);
+        let c = whole.multiply(0.0, &a, &a, GpuLib::Nsparse).unwrap().c;
+        let last = even_chunk(100, 3, 2);
+        let (in_last, out_last) = (a.bytes() + slab_bytes(&a, &last), slab_bytes(&c, &last));
+        // A ballast on the last device leaves it 64 bytes short of its
+        // inputs, then 64 bytes beyond them.
+        for (room, requested, free) in [
+            (in_last - 64, in_last, in_last - 64),
+            (in_last + 64, out_last, 64),
+        ] {
+            let mut m = multi(3);
+            m.devices[2].alloc((1 << 30) - room).unwrap();
+            let err = m.multiply(0.0, &a, &a, GpuLib::Nsparse).unwrap_err();
+            assert_eq!(err, DeviceError::OutOfMemory { requested, free });
+            for d in 0..2 {
+                assert_eq!(state(&m.devices[d]), state(&whole.devices[d]));
+                assert_eq!(m.devices[d].mem_used(), 0);
+            }
+            assert_eq!(m.devices[2].kernels_launched(), 0);
+        }
     }
 
     #[test]

@@ -8,8 +8,10 @@
 
 use crate::semiring::{PlusTimes, Semiring, Value};
 use crate::triples::Triples;
-use crate::util::is_strictly_increasing;
+use crate::util::{even_chunk, is_strictly_increasing};
 use crate::Idx;
+use rayon::prelude::*;
+use std::ops::Range;
 
 /// Sparse matrix in compressed sparse column form.
 ///
@@ -140,24 +142,6 @@ impl<T: Value> Csc<T> {
         };
         m.assert_valid();
         m
-    }
-
-    /// Assembles per-column `(rows, vals)` outputs — what a column-parallel
-    /// kernel collects — into an `nrows × cols.len()` matrix, validating
-    /// invariants.
-    pub fn from_columns(nrows: usize, cols: Vec<(Vec<Idx>, Vec<T>)>) -> Self {
-        let ncols = cols.len();
-        let nnz = cols.iter().map(|(r, _)| r.len()).sum();
-        let mut colptr = Vec::with_capacity(ncols + 1);
-        colptr.push(0usize);
-        let mut rowidx = Vec::with_capacity(nnz);
-        let mut vals = Vec::with_capacity(nnz);
-        for (r, v) in cols {
-            rowidx.extend_from_slice(&r);
-            vals.extend_from_slice(&v);
-            colptr.push(rowidx.len());
-        }
-        Self::from_parts(nrows, ncols, colptr, rowidx, vals)
     }
 
     /// Converts to COO (column-major order).
@@ -505,6 +489,110 @@ impl<T: Value> Csc<T> {
     }
 }
 
+/// A CSC matrix under construction, column by column: what a
+/// column-parallel kernel that learns a column's size by computing it (the
+/// GPU library analogues, the materializing merge kernels) writes into.
+/// Every element is written once, into the arrays the [`Csc`] will own.
+#[derive(Debug)]
+pub struct CscBuilder<T> {
+    nrows: usize,
+    colptr: Vec<usize>,
+    rowidx: Vec<Idx>,
+    vals: Vec<T>,
+}
+
+/// Most column blocks [`CscBuilder::build`] cuts — the pool's own cut, so
+/// a run of heavy columns leaves the rest to the other threads.
+const MAX_BLOCKS: usize = 64;
+
+impl<T: Value> CscBuilder<T> {
+    /// Room for `ncols` columns and, if the allocator grants it, `nnz`
+    /// entries — address space until written. A product that outgrows its
+    /// room, or was refused a bound far beyond memory, grows as it goes.
+    fn with_capacity(nrows: usize, ncols: usize, nnz: usize) -> Self {
+        let mut colptr = Vec::with_capacity(ncols + 1);
+        colptr.push(0);
+        let (mut rowidx, mut vals) = (Vec::new(), Vec::new());
+        let _ = rowidx.try_reserve_exact(nnz);
+        let _ = vals.try_reserve_exact(nnz);
+        Self {
+            nrows,
+            colptr,
+            rowidx,
+            vals,
+        }
+    }
+
+    /// Appends a finished column: strictly increasing rows, their values.
+    pub fn push_column(&mut self, rows: &[Idx], vals: &[T]) {
+        assert_eq!(rows.len(), vals.len(), "one value per row");
+        self.rowidx.extend_from_slice(rows);
+        self.vals.extend_from_slice(vals);
+        self.colptr.push(self.rowidx.len());
+    }
+
+    /// Appends a column of exactly `n` entries that `fill` writes in place
+    /// — for a kernel that drains an accumulator of known size.
+    pub fn push_column_with(&mut self, n: usize, fill: impl FnOnce(&mut [Idx], &mut [T])) {
+        let at = self.rowidx.len();
+        self.rowidx.resize(at + n, 0);
+        self.vals.resize(at + n, T::default());
+        fill(&mut self.rowidx[at..], &mut self.vals[at..]);
+        self.colptr.push(at + n);
+    }
+
+    /// The matrix, its arrays trimmed to what was written, validated.
+    fn finish(mut self) -> Csc<T> {
+        self.rowidx.shrink_to_fit();
+        self.vals.shrink_to_fit();
+        let ncols = self.colptr.len() - 1;
+        Csc::from_parts(self.nrows, ncols, self.colptr, self.rowidx, self.vals)
+    }
+
+    /// Builds an `nrows × ncols` matrix column-parallel: `column(scratch,
+    /// j, out)` appends column `j` to `out` with one `push_column*` call.
+    /// The columns are cut into contiguous blocks (one on a pool of width
+    /// 1), each filled in order into a builder of its own with room for
+    /// `reserve(block)` entries — what the caller knows of its size
+    /// beforehand — using one clone of `scratch` per thread. A single
+    /// block *is* the result; several are appended in block order into
+    /// arrays of the exact size, each released as it is appended. The cut
+    /// never shows in the result.
+    pub fn build<W, R, F>(nrows: usize, ncols: usize, reserve: R, scratch: W, column: F) -> Csc<T>
+    where
+        W: Clone + Send,
+        R: Fn(Range<usize>) -> usize + Sync + Send,
+        F: Fn(&mut W, usize, &mut Self) + Sync + Send,
+    {
+        let nblocks = match rayon::current_num_threads() {
+            1 => 1,
+            _ => ncols.clamp(1, MAX_BLOCKS),
+        };
+        let mut blocks: Vec<Self> = (0..nblocks)
+            .into_par_iter()
+            .map_with(scratch, |scratch, b| {
+                let cols = even_chunk(ncols, nblocks, b);
+                let mut out = Self::with_capacity(nrows, cols.len(), reserve(cols.clone()));
+                cols.clone().for_each(|j| column(scratch, j, &mut out));
+                assert_eq!(out.colptr.len(), cols.len() + 1, "one push per column");
+                out
+            })
+            .collect();
+        if blocks.len() == 1 {
+            return blocks.pop().expect("one block").finish();
+        }
+        let nnz = blocks.iter().map(|b| b.rowidx.len()).sum();
+        let mut out = Self::with_capacity(nrows, ncols, nnz);
+        for block in blocks {
+            let base = out.rowidx.len();
+            (out.colptr).extend(block.colptr[1..].iter().map(|&p| base + p));
+            out.rowidx.extend_from_slice(&block.rowidx);
+            out.vals.extend_from_slice(&block.vals);
+        }
+        out.finish()
+    }
+}
+
 /// Plus-times shorthands for numeric element types — the MCL default.
 /// Each forwards to its `*_in` counterpart with [`PlusTimes`].
 impl<T: Value> Csc<T>
@@ -613,18 +701,111 @@ mod tests {
         assert_eq!(m.get(1, 1), Some(4.0));
     }
 
+    /// The assembly the builder replaced: one `(rows, vals)` pair per
+    /// column, copied into a matrix.
+    fn from_columns(nrows: usize, cols: &[(Vec<Idx>, Vec<f64>)]) -> Csc<f64> {
+        let mut colptr = vec![0];
+        let (mut rowidx, mut vals) = (Vec::new(), Vec::new());
+        for (r, v) in cols {
+            rowidx.extend_from_slice(r);
+            vals.extend_from_slice(v);
+            colptr.push(rowidx.len());
+        }
+        Csc::from_parts(nrows, cols.len(), colptr, rowidx, vals)
+    }
+
     #[test]
-    fn from_columns_assembles() {
-        let cols = vec![
+    fn builder_assembles_pushed_and_filled_columns() {
+        let mut b = CscBuilder::with_capacity(4, 3, 0);
+        b.push_column(&[1, 3], &[1.0, 2.0]);
+        b.push_column(&[], &[]);
+        b.push_column_with(1, |rows, vals| (rows[0], vals[0]) = (0, 5.0));
+        let m = b.finish();
+        let cols = [
             (vec![1, 3], vec![1.0, 2.0]),
             (vec![], vec![]),
             (vec![0], vec![5.0]),
         ];
-        let m = Csc::from_columns(4, cols);
-        m.assert_valid();
-        assert_eq!((m.nrows(), m.ncols(), m.nnz()), (4, 3, 3));
-        assert_eq!(m.col_rows(0), &[1, 3]);
-        assert_eq!(m.col_vals(2), &[5.0]);
+        assert_eq!(m, from_columns(4, &cols));
+        assert_eq!(m.rowidx.capacity(), 3, "trimmed");
+    }
+
+    #[test]
+    fn block_joined_build_is_from_columns_then_hcat() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(23);
+        let nrows = 40;
+        // Zero columns, fewer columns than threads, one full cut, and more
+        // columns than the pool cuts blocks; a run of empty columns long
+        // enough that whole blocks are empty.
+        for ncols in [0usize, 2, 64, 150, 333] {
+            let cols: Vec<(Vec<Idx>, Vec<f64>)> = (0..ncols)
+                .map(|j| {
+                    let fill = if (60..130).contains(&j) || rng.gen_bool(0.3) {
+                        0.0
+                    } else {
+                        rng.gen_range(0.0..0.6)
+                    };
+                    let rows: Vec<Idx> = (0..nrows as Idx).filter(|_| rng.gen_bool(fill)).collect();
+                    let vals = rows.iter().map(|_| rng.gen_range(-1.0..1.0)).collect();
+                    (rows, vals)
+                })
+                .collect();
+            let want = from_columns(nrows, &cols);
+            for width in [1, 3] {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(width)
+                    .build()
+                    .unwrap();
+                let nblocks = if width == 1 {
+                    1
+                } else {
+                    ncols.clamp(1, MAX_BLOCKS)
+                };
+                let blocks: Vec<Csc<f64>> = (0..nblocks)
+                    .map(|b| from_columns(nrows, &cols[even_chunk(ncols, nblocks, b)]))
+                    .collect();
+                assert_eq!(Csc::hcat(&blocks), want);
+                // Reserving nothing, the exact size, too much and more
+                // than any allocator grants all build the same matrix,
+                // trimmed.
+                for reserve in [0usize, 1, 2, usize::MAX >> 8] {
+                    let got = pool.install(|| {
+                        CscBuilder::build(
+                            nrows,
+                            ncols,
+                            |block| reserve.saturating_mul(block.map(|j| cols[j].0.len()).sum()),
+                            (),
+                            |(), j, out| match j % 2 {
+                                0 => out.push_column(&cols[j].0, &cols[j].1),
+                                _ => out.push_column_with(cols[j].0.len(), |rows, vals| {
+                                    rows.copy_from_slice(&cols[j].0);
+                                    vals.copy_from_slice(&cols[j].1);
+                                }),
+                            },
+                        )
+                    });
+                    assert_eq!(got, want, "{ncols} columns, width {width}");
+                    assert_eq!(got.rowidx.capacity(), got.nnz());
+                    assert_eq!(got.vals.capacity(), got.nnz());
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one push per column")]
+    fn a_column_pushed_twice_is_caught() {
+        CscBuilder::<f64>::build(
+            3,
+            2,
+            |_| 0,
+            (),
+            |(), _, out| {
+                out.push_column(&[], &[]);
+                out.push_column(&[], &[]);
+            },
+        );
     }
 
     #[test]

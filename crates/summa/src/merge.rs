@@ -64,12 +64,16 @@
 //!
 //! The arena lifecycle: [`MergeArena`] owns a free list of [`SlabBuf`]s
 //! plus the shared prefix/count/SPA scratch; every merge within a phase
-//! checks buffers out ([`MergeArena::acquire`]) and returns consumed
-//! inputs ([`MergeArena::release`]), so steady state allocates nothing.
-//! The pipeline holds one arena per rank, created once per SUMMA run —
-//! the executor's merge lanes are *modeled* sockets that price a merge's
-//! placement, not places the host keeps buffers — and only materializes a
-//! real [`Csc`] once per phase at drain time.
+//! checks a buffer out ([`MergeArena::acquire`]) and returns consumed
+//! arena inputs ([`MergeArena::release`]), so a phase's intermediate
+//! merges (fan-in above two stages: 3×3 grids and up) recycle buffers.
+//! The phase's *final* merged slab is not copied out of its buffer: the
+//! buffer becomes the [`Csc`] ([`SlabBuf::into_csc`], compacted in place
+//! and trimmed) and leaves the arena for good, so the arena never holds
+//! a buffer idle while its content lives on elsewhere. The pipeline holds
+//! one arena per rank, created once per SUMMA run — the executor's merge
+//! lanes are *modeled* sockets that price a merge's placement, not places
+//! the host keeps buffers.
 //!
 //! Virtual-time accounting does **not** live here: a merge is an
 //! [`Executor`](crate::executor::Executor) task, submitted by the pipeline
@@ -80,8 +84,9 @@
 
 use hipmcl_comm::{MachineModel, MergeKernel};
 use hipmcl_sparse::util::Tournament;
-use hipmcl_sparse::{Csc, Idx, PlusTimes, Semiring, Value};
+use hipmcl_sparse::{Csc, CscBuilder, Idx, PlusTimes, Semiring, Value};
 use rayon::prelude::*;
+use std::ops::Range;
 
 /// Which merging schedule a SUMMA run uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -271,12 +276,11 @@ impl<'a, T: Value> ColsRef<'a, T> {
 /// (none at all single-threaded). A merge never pays a compaction pass
 /// just so the next merge can read it — downstream kernels consume the
 /// staged layout directly through [`SlabBuf::as_cols`], and the single
-/// compaction happens at materialization ([`SlabBuf::into_csc`]). The
-/// vectors keep their length and capacity between merges (grow-only raw
+/// compaction happens at materialization ([`SlabBuf::into_csc`]). A
+/// buffer released to its arena keeps its length and capacity (raw
 /// storage; stale tails are unreachable because `start`/`end` are
-/// re-recorded per merge): the whole point of the arena path is that
-/// these are reused, not reallocated or re-zeroed, across every merge
-/// op of a phase.
+/// re-recorded per merge) and serves the next merge it is long enough
+/// for without being reallocated or re-zeroed.
 #[derive(Debug, Default)]
 pub struct SlabBuf<T: Value> {
     nrows: usize,
@@ -306,6 +310,20 @@ impl<T: Value> SlabBuf<T> {
         }
     }
 
+    /// Makes the raw storage at least `ub` elements long. A recycled
+    /// buffer that is long enough is used as it is (stale content is
+    /// unreachable and overwritten per run); otherwise the storage is
+    /// obtained zeroed from the allocator, so a merge's upper bound costs
+    /// address space and only the pages the merge writes are touched.
+    fn ensure_len(&mut self, ub: usize) {
+        if self.rowidx.len() < ub {
+            // The short storage goes before its replacement comes.
+            (self.rowidx, self.vals) = (Vec::new(), Vec::new());
+            self.rowidx = vec![Idx::default(); ub];
+            self.vals = vec![T::default(); ub];
+        }
+    }
+
     /// Records the staged layout after a merge: column `j`'s run of
     /// `counts[j]` entries sits at offset `ub[j]`. Copies the slices —
     /// they are arena scratch the next merge is free to clobber.
@@ -318,18 +336,18 @@ impl<T: Value> SlabBuf<T> {
     }
 
     /// Copies the contents out as an owned, exactly-sized CSC matrix,
-    /// leaving the buffer (and its capacity) intact for reuse. This is
-    /// the once-per-phase materialization the pipeline performs at drain
-    /// time before releasing the buffer back to its arena.
+    /// leaving the buffer (and its capacity) intact for reuse — how a
+    /// test or a probe looks at a staged buffer it goes on merging from.
     pub fn to_csc(&self) -> Csc<T> {
         self.as_cols().to_csc()
     }
 
     /// Consumes the buffer into a CSC matrix, compacting the staged runs
     /// in place (safe left-to-right: the write cursor never passes a
-    /// run's staged start, since `Σ (end − start)[<j] ≤ start[j]`). The vectors
-    /// keep their slack capacity. Used where no arena outlives the
-    /// merge.
+    /// run's staged start, since `Σ (end − start)[<j] ≤ start[j]`) and
+    /// trimming the slack — how a merged slab leaves its arena: the
+    /// matrix owns the storage the merge wrote, nothing is copied out
+    /// and nothing stays behind.
     pub fn into_csc(mut self) -> Csc<T> {
         let mut colptr = Vec::with_capacity(self.ncols + 1);
         colptr.push(0);
@@ -345,6 +363,8 @@ impl<T: Value> SlabBuf<T> {
         }
         self.rowidx.truncate(w);
         self.vals.truncate(w);
+        self.rowidx.shrink_to_fit();
+        self.vals.shrink_to_fit();
         Csc::from_parts(self.nrows, self.ncols, colptr, self.rowidx, self.vals)
     }
 }
@@ -385,11 +405,13 @@ impl<T: Value> SpaScratch<T> {
 
 /// Reusable merge scratch for one rank: a free list of
 /// [`SlabBuf`]s plus the shared per-merge scratch (column upper-bound
-/// prefix, per-column counts, per-thread SPAs). Acquire/release is LIFO;
-/// nothing ever shrinks, so after the first merge of a phase the hot
-/// loop performs no allocation — and nothing ever grows past twice the
-/// largest single merge either ([`MergeArena::assert_no_capacity_leak`],
-/// debug-asserted on every release).
+/// prefix, per-column counts, per-thread SPAs). Acquire/release is LIFO.
+/// What the free list holds are the buffers of a phase's *consumed*
+/// intermediate merges — a merged slab that is materialized takes its
+/// buffer with it — and none of them exceeds twice the largest single
+/// merge ([`MergeArena::assert_no_capacity_leak`], debug-asserted on
+/// every release). A merge that finds no parked buffer long enough gets
+/// storage zeroed by the allocator, of which it touches what it writes.
 ///
 /// ```
 /// use hipmcl_summa::merge::MergeArena;
@@ -419,12 +441,10 @@ impl<T: Value> MergeArena<T> {
     }
 
     /// Checks a buffer out of the free list (or creates an empty one),
-    /// shaped for a `shape` output. The buffer's vectors keep whatever
-    /// capacity previous merges grew them to — `rowidx`/`vals` also keep
-    /// their *length*: they are raw storage the kernels grow-only-resize
-    /// and overwrite per run, so steady state never pays a zero-fill
-    /// (stale content is unreachable — reads go through `start`/`end`,
-    /// which are reset here).
+    /// shaped for a `shape` output. A recycled buffer's `rowidx`/`vals`
+    /// keep their *length*: they are raw storage the kernels overwrite
+    /// per run (stale content is unreachable — reads go through
+    /// `start`/`end`, which are reset here).
     pub fn acquire(&mut self, shape: (usize, usize)) -> SlabBuf<T> {
         let mut buf = self.free.pop().unwrap_or_default();
         buf.nrows = shape.0;
@@ -531,16 +551,12 @@ impl<T: Value> MergeSlab<T> {
         }
     }
 
-    /// Materializes into an owned CSC, releasing an arena buffer back to
-    /// `arena` (the once-per-phase drain step).
-    pub fn into_csc(self, arena: &mut MergeArena<T>) -> Csc<T> {
+    /// Materializes into an owned CSC. An arena buffer becomes the
+    /// matrix ([`SlabBuf::into_csc`]) and does not return to its arena.
+    pub fn into_csc(self) -> Csc<T> {
         match self {
             MergeSlab::Mat(m) => m,
-            MergeSlab::Buf(b) => {
-                let out = b.to_csc();
-                arena.release(b);
-                out
-            }
+            MergeSlab::Buf(b) => b.into_csc(),
         }
     }
 
@@ -580,10 +596,7 @@ pub fn merge_with<S: Semiring>(
         }
         _ => {
             let refs: Vec<ColsRef<'_, S::Elem>> = mats.iter().map(ColsRef::of).collect();
-            match merge_into(s, kernel, &refs, shape, &mut MergeArena::new()) {
-                MergeSlab::Mat(m) => m,
-                MergeSlab::Buf(b) => b.into_csc(),
-            }
+            merge_into(s, kernel, &refs, shape, &mut MergeArena::new()).into_csc()
         }
     }
 }
@@ -601,22 +614,28 @@ pub(crate) fn merge_into<S: Semiring>(
     for mat in mats {
         assert_eq!((mat.nrows(), mat.ncols()), shape, "merge shape mismatch");
     }
+    // What a block of output columns can hold at most: its inputs.
+    let bound = |cols: Range<usize>| -> usize {
+        cols.map(|j| mats.iter().map(|m| m.col_nnz(j)).sum::<usize>())
+            .sum()
+    };
     match kernel {
-        MergeKernel::Heap => MergeSlab::Mat(Csc::from_columns(
+        MergeKernel::Heap => MergeSlab::Mat(CscBuilder::build(
             shape.0,
-            (0..shape.1)
-                .into_par_iter()
-                .map_with(Default::default(), |scratch, j| {
-                    merge_column(s, mats, j, scratch)
-                })
-                .collect(),
+            shape.1,
+            bound,
+            Default::default(),
+            |scratch, j, out| merge_column(s, mats, j, scratch, out),
         )),
-        MergeKernel::Hash => MergeSlab::Mat(Csc::from_columns(
+        MergeKernel::Hash => MergeSlab::Mat(CscBuilder::build(
             shape.0,
-            (0..shape.1)
-                .into_par_iter()
-                .map(|j| hash_column(s, mats, j))
-                .collect(),
+            shape.1,
+            bound,
+            (),
+            |(), j, out| {
+                let (rows, vals) = hash_column(s, mats, j);
+                out.push_column(&rows, &vals);
+            },
         )),
         // The left fold keeps the accumulation order identical to the
         // heap's list-order tie-breaking: after i folds the accumulator
@@ -641,14 +660,15 @@ pub fn kway_merge(mats: &[Csc<f64>], shape: (usize, usize)) -> Csc<f64> {
 }
 
 /// Merges column `j` across all matrices in ascending `(row, list)` order
-/// and returns it exactly sized. The worker's scratch is the tournament
-/// over the lists' heads and the column being assembled.
+/// and appends it to `out`. The worker's scratch is the tournament over
+/// the lists' heads and the column being assembled.
 fn merge_column<S: Semiring>(
     _s: S,
     mats: &[ColsRef<'_, S::Elem>],
     j: usize,
     (tournament, rows, vals): &mut (Tournament, Vec<Idx>, Vec<S::Elem>),
-) -> (Vec<Idx>, Vec<S::Elem>) {
+    out: &mut CscBuilder<S::Elem>,
+) {
     // Drops a just-finished entry if it accumulated to the annihilator
     // (plus-times: cancelled to zero).
     fn drop_annihilated<S: Semiring>(rows: &mut Vec<Idx>, vals: &mut Vec<S::Elem>) {
@@ -675,60 +695,35 @@ fn merge_column<S: Semiring>(
         },
     );
     drop_annihilated::<S>(rows, vals);
-    (rows.clone(), vals.clone())
+    out.push_column(rows, vals);
 }
 
-/// Two-way cursor merge with the shared annihilator-drop rule,
-/// materializing a fresh CSC (the legacy pairwise building block).
+/// [`merge_two_cursors`] column by column into a fresh CSC (the legacy
+/// pairwise building block).
 fn two_way_merge<S: Semiring>(
     _s: S,
     a: ColsRef<'_, S::Elem>,
     b: ColsRef<'_, S::Elem>,
     shape: (usize, usize),
 ) -> Csc<S::Elem> {
-    let cols: Vec<(Vec<Idx>, Vec<S::Elem>)> = (0..shape.1)
-        .into_par_iter()
-        .map(|j| {
-            let (ar, av) = (a.col_rows(j), a.col_vals(j));
-            let (br, bv) = (b.col_rows(j), b.col_vals(j));
-            let mut rows = Vec::with_capacity(ar.len() + br.len());
-            let mut vals = Vec::with_capacity(ar.len() + br.len());
-            let mut push = |r: Idx, v: S::Elem| {
-                if !S::is_annihilator(v) {
-                    rows.push(r);
-                    vals.push(v);
-                }
-            };
-            let (mut i, mut k) = (0, 0);
-            while i < ar.len() && k < br.len() {
-                match ar[i].cmp(&br[k]) {
-                    std::cmp::Ordering::Less => {
-                        push(ar[i], av[i]);
-                        i += 1;
-                    }
-                    std::cmp::Ordering::Greater => {
-                        push(br[k], bv[k]);
-                        k += 1;
-                    }
-                    std::cmp::Ordering::Equal => {
-                        push(ar[i], S::add(av[i], bv[k]));
-                        i += 1;
-                        k += 1;
-                    }
-                }
-            }
-            while i < ar.len() {
-                push(ar[i], av[i]);
-                i += 1;
-            }
-            while k < br.len() {
-                push(br[k], bv[k]);
-                k += 1;
-            }
-            (rows, vals)
-        })
-        .collect();
-    Csc::from_columns(shape.0, cols)
+    let ub = |j| a.col_nnz(j) + b.col_nnz(j);
+    CscBuilder::build(
+        shape.0,
+        shape.1,
+        |cols| cols.map(ub).sum(),
+        (Vec::new(), Vec::new()),
+        |(rows, vals), j, out| {
+            rows.resize(ub(j), 0);
+            vals.resize(ub(j), S::Elem::default());
+            let w = merge_two_cursors::<S>(
+                (a.col_rows(j), a.col_vals(j)),
+                (b.col_rows(j), b.col_vals(j)),
+                rows,
+                vals,
+            );
+            out.push_column(&rows[..w], &vals[..w]);
+        },
+    )
 }
 
 /// Hash-accumulates column `j` across all matrices, strictly in list
@@ -1052,12 +1047,7 @@ pub fn brmerge_into<S: Semiring>(
         ub.push(run);
     }
     *peak_request = (*peak_request).max(run);
-    // Grow-only: the vectors are raw storage, overwritten per run — no
-    // zero-fill of the upper-bound span in steady state.
-    if out.rowidx.len() < run {
-        out.rowidx.resize(run, Idx::default());
-        out.vals.resize(run, S::Elem::default());
-    }
+    out.ensure_len(run);
     starts.clear();
     starts.resize(n, 0);
     counts.clear();
@@ -1147,11 +1137,7 @@ pub fn spadd_into<S: Semiring>(
         ub.push(run);
     }
     *peak_request = (*peak_request).max(run);
-    // Grow-only raw storage — see `brmerge_into`.
-    if out.rowidx.len() < run {
-        out.rowidx.resize(run, Idx::default());
-        out.vals.resize(run, S::Elem::default());
-    }
+    out.ensure_len(run);
     starts.clear();
     starts.resize(n, 0);
     counts.clear();
@@ -1308,16 +1294,17 @@ impl StackMerger {
 
     /// Final merge of whatever remains; empty input yields an empty
     /// matrix of the configured shape. The single materialization of the
-    /// arena path happens here. Also resets the Algorithm 2 push
-    /// counter, so the merger — and its now-warm arena — can be reused
-    /// for the next phase's stack.
+    /// arena path happens here: the last merge's buffer becomes the
+    /// matrix. Also resets the Algorithm 2 push counter, so the merger —
+    /// and what its arena recycled — can be reused for the next phase's
+    /// stack.
     pub fn finish(&mut self) -> Csc<f64> {
         if self.stack.len() > 1 {
             self.merge_top(self.stack.len());
         }
         self.pushed = 0;
         match self.stack.pop() {
-            Some(slab) => slab.into_csc(&mut self.arena),
+            Some(slab) => slab.into_csc(),
             None => Csc::zero(self.shape.0, self.shape.1),
         }
     }

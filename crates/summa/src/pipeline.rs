@@ -311,7 +311,7 @@ impl<S: Semiring> MergeEngine<S> {
     fn drain(
         mut self,
         comm: &Comm,
-        arena: &mut MergeArena<S::Elem>,
+        arena: &MergeArena<S::Elem>,
         timers: &mut StageTimers,
         out: &mut PipelineOutcome<S::Elem>,
     ) -> Csc<S::Elem> {
@@ -324,14 +324,15 @@ impl<S: Semiring> MergeEngine<S> {
         out.cpu_idle += self.stats.wait_time;
         out.merge_stats.absorb(&self.stats);
         out.merge_spans.append(&mut self.spans);
-        // The once-per-phase materialization: an arena-resident result is
-        // copied out and its buffer recycled for the next phase. Reuse
-        // must never ratchet capacity across phases — debug-checked here,
-        // at the phase boundary.
-        let merged = self.stack.pop().map_or_else(
-            || Csc::zero(self.shape.0, self.shape.1),
-            |s| s.m.into_csc(arena),
-        );
+        // The once-per-phase materialization: an arena-resident result
+        // leaves the arena as the matrix, compacted in place and trimmed
+        // — the hook gets the storage the merge wrote. What the phase's
+        // intermediate merges recycled must never ratchet capacity across
+        // phases — debug-checked here, at the phase boundary.
+        let merged = self
+            .stack
+            .pop()
+            .map_or_else(|| Csc::zero(self.shape.0, self.shape.1), |s| s.m.into_csc());
         if cfg!(debug_assertions) {
             arena.assert_no_capacity_leak();
         }
@@ -384,12 +385,19 @@ where
     // independent; only the per-phase hook needs the merged slab).
     let mut sealed: Option<(usize, MergeEngine<S>)> = None;
     // Broadcast roots hand out `Arc`s: `A`'s block is shared by every
-    // phase, `B`'s phase slice is a fresh matrix already.
+    // phase, `B`'s phase slice is a fresh matrix already — unless the one
+    // phase takes all of a `B` that is `A` (MCL's expansion squares one
+    // matrix), whose panel is then `A`'s.
     let a_local = Arc::new(a.local.clone());
+    let squaring = std::ptr::eq(a, b) && phases == 1;
 
     for ph in 0..phases {
         let cols = even_chunk(local_cols, phases, ph);
-        let b_phase = Arc::new(b.local.column_slice(cols));
+        let b_phase = if squaring {
+            Arc::clone(&a_local)
+        } else {
+            Arc::new(b.local.column_slice(cols))
+        };
         // Every stage product this phase has the same block shape.
         let mut merge = MergeEngine::new(s, cfg, (a.local.nrows(), b_phase.ncols()));
 
@@ -487,19 +495,27 @@ where
         }
 
         // --- Phase wrap-up: submit the closing merge ------------------
-        merge.seal(comm, exec, &mut arena);
-        let drain_now = if cfg.pipelined {
-            sealed.replace((ph, merge))
-        } else {
-            Some((ph, merge))
-        };
-        if let Some((pph, eng)) = drain_now {
-            let merged = eng.drain(comm, &mut arena, timers, &mut out);
+        // The previous phase's slab goes to the hook first, so it is
+        // pruned and gone before the closing merge of this phase obtains
+        // its output. The modeled schedule cannot tell the two orders
+        // apart: sealing times its merges from the slabs' ready times
+        // and the lanes, never the host clock the drain advances (a unit
+        // test below), and the hook cannot reach the lanes — `exec` is
+        // borrowed exclusively here.
+        if let Some((pph, eng)) = sealed.take() {
+            let merged = eng.drain(comm, &arena, timers, &mut out);
             out.slabs.push(on_slab(pph, merged));
+        }
+        merge.seal(comm, exec, &mut arena);
+        if cfg.pipelined {
+            sealed = Some((ph, merge));
+        } else {
+            let merged = merge.drain(comm, &arena, timers, &mut out);
+            out.slabs.push(on_slab(ph, merged));
         }
     }
     if let Some((pph, eng)) = sealed.take() {
-        let merged = eng.drain(comm, &mut arena, timers, &mut out);
+        let merged = eng.drain(comm, &arena, timers, &mut out);
         out.slabs.push(on_slab(pph, merged));
     }
     out
@@ -545,6 +561,40 @@ mod tests {
             m.encoded(),
             "values bit-exact, NaN included"
         );
+    }
+
+    #[test]
+    fn sealing_reads_no_host_clock() {
+        use crate::executor::ExecutorKind;
+        use hipmcl_comm::{MachineModel, Universe};
+        use hipmcl_gpu::multi::MultiGpu;
+        use hipmcl_sparse::PlusTimes;
+        // Three stage products under pipelined binary merging: the third
+        // is pending and one merged pair is stacked, so sealing submits
+        // the push and the closing merge.
+        let sealed_at = |host: f64| {
+            let spans = Universe::run(1, MachineModel::summit(), move |comm| {
+                let mut gpus = MultiGpu::new(comm.model().clone(), 1, 1 << 20);
+                let mut exec = Executor::new(ExecutorKind::Gpus, &mut gpus, comm.model());
+                let mut arena = MergeArena::new();
+                let cfg = SummaConfig::optimized(1 << 30);
+                let mut merge = MergeEngine::new(PlusTimes::<f64>::new(), &cfg, (4, 5));
+                for ready in [1.0, 2.0, 3.0] {
+                    merge.accept(&comm, &mut exec, &mut arena, panel(), ready);
+                }
+                comm.advance_clock(host);
+                let before = merge.spans.len();
+                merge.seal(&comm, &mut exec, &mut arena);
+                assert_eq!(comm.now(), host, "sealing waits for nothing");
+                merge.spans[before..]
+                    .iter()
+                    .map(|s| (s.start.to_bits(), s.end.to_bits(), s.lane))
+                    .collect::<Vec<_>>()
+            });
+            spans.into_iter().next().expect("one rank")
+        };
+        assert!(!sealed_at(0.0).is_empty());
+        assert_eq!(sealed_at(0.0), sealed_at(50.0));
     }
 
     #[test]

@@ -106,6 +106,30 @@ fn local_spgemm_kernels() {
     }
 }
 
+/// A multi-GPU launch forms its product once, over all of `B`'s columns:
+/// 20 ragged columns over 3 devices (7, 7, 6), the first three and the
+/// last two empty. The product, the launch's modeled instants and what
+/// each device was charged are the same at every width.
+#[test]
+fn multi_gpu_launch() {
+    let s = PlusTimes::<f64>::new();
+    let a = random_csc(16, 16, 90, 26);
+    let inner = random_csc(16, 15, 70, 27);
+    let b = Csc::hcat(&[Csc::zero(16, 3), inner, Csc::zero(16, 2)]);
+    let launches = same_at_every_width(|| {
+        GpuLib::all().map(|lib| {
+            let mut gpus = MultiGpu::new(MachineModel::summit(), 3, 1 << 30);
+            let r = gpus.multiply_in(s, 0.0, &a, &b, lib).unwrap();
+            let clocks = [r.inputs_transferred_at, r.output_ready_at, r.cf].map(f64::to_bits);
+            let charged: Vec<usize> = gpus.devices.iter().map(|d| d.peak_mem()).collect();
+            (bits(&r.c), clocks, r.flops, charged)
+        })
+    });
+    for (lib, launch) in GpuLib::all().into_iter().zip(&launches) {
+        assert_eq!(launch.0, bits(&multiply_csc_in(s, &a, &b, lib)));
+    }
+}
+
 #[test]
 fn merge_kernels_and_the_stack_merger() {
     let s = PlusTimes::<f64>::new();
