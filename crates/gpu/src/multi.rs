@@ -101,9 +101,8 @@ impl MultiGpu {
     /// Fails with [`DeviceError::OutOfMemory`] if any device cannot hold
     /// its inputs plus its output slab — callers fall back to the CPU
     /// kernel or to more SUMMA phases. The devices before the one that
-    /// fails have run their share by then, and a device whose output did
-    /// not fit still holds its inputs (a known bug the out-of-memory
-    /// schedule digests pin: ROADMAP item 6(e)).
+    /// fails have run their share by then; the failing device holds
+    /// nothing of the launch.
     pub fn multiply_in<S: Semiring>(
         &mut self,
         s: S,
@@ -152,7 +151,10 @@ impl MultiGpu {
                 flops as f64 / out_nnz as f64
             };
             let out_bytes = slab_bytes(&c, &cols);
-            dev.alloc(out_bytes)?;
+            if let Err(oom) = dev.alloc(out_bytes) {
+                dev.free(in_bytes);
+                return Err(oom);
+            }
             let ev = dev.launch_spgemm(t_in, lib, flops, cf);
 
             // Output transfer back, then the device buffers are freed
@@ -243,6 +245,22 @@ mod tests {
         // One device: its inputs are `A` and all of `B` (= `A`).
         let (requested, free) = (2 * a.bytes(), 64);
         assert_eq!(err, DeviceError::OutOfMemory { requested, free });
+    }
+
+    #[test]
+    fn a_device_whose_output_did_not_fit_keeps_nothing() {
+        // Room for `A` and `B` (= `A`) and 64 bytes more: the inputs go in,
+        // the output slab does not.
+        let a = random_csc(100, 100, 4000, 24);
+        let mut m = MultiGpu::new(MachineModel::summit(), 1, 2 * a.bytes() + 64);
+        let first = m.multiply(0.0, &a, &a, GpuLib::Nsparse).unwrap_err();
+        assert_eq!(m.devices[0].mem_used(), 0);
+        let second = m.multiply(0.0, &a, &a, GpuLib::Nsparse).unwrap_err();
+        assert_eq!(m.devices[0].mem_used(), 0);
+        assert_eq!(first, second);
+        assert!(matches!(first, DeviceError::OutOfMemory { free: 64, .. }));
+        let small = random_csc(10, 10, 30, 28);
+        m.multiply(0.0, &small, &small, GpuLib::Nsparse).unwrap();
     }
 
     #[test]

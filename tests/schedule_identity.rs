@@ -221,7 +221,9 @@ fn every_executor_kind_keeps_its_modeled_schedule() {
 /// and 3 some; under the half split rank 1 degrades all four and rank 2
 /// the three that follow its first. A degraded launch runs the host hash
 /// kernel instead — inline under `Gpus`, queued on the worker lanes under
-/// `Hybrid` — and a failed launch's allocations stay on the device.
+/// `Hybrid` — and a failed launch leaves nothing on its devices. (Captured
+/// again at the commit that freed the inputs of a device whose output did
+/// not fit: until then the two digests pinned that leak.)
 #[test]
 fn the_out_of_memory_fallback_keeps_its_modeled_schedule() {
     let hybrid = ExecutorKind::Hybrid {
@@ -243,8 +245,8 @@ fn the_out_of_memory_fallback_keeps_its_modeled_schedule() {
     check(
         got,
         &[
-            0x43f43a1655bab4de, // gpus 18624 B devices pipelined+binary p=4
-            0x27fddb5bb6c66f37, // hybrid-fixed-0.5 14336 B devices pipelined+binary p=4
+            0x846032f2fab12e3b, // gpus 18624 B devices pipelined+binary p=4
+            0x25cbbc890aefb3e8, // hybrid-fixed-0.5 14336 B devices pipelined+binary p=4
         ],
     );
 }
