@@ -1,13 +1,17 @@
 //! Criterion microbenchmark: the CPU SpGEMM accumulators (heap / hash /
-//! SPA), the shared symbolic pass, the post-expansion prune and the
-//! GPU-library kernel analogues across density regimes — the measured
-//! counterpart of the §VI selection recipe. Every case is timed at width 1
+//! SPA, and the hash kernel forced into hashed addressing, which no
+//! benchmark workload leaves direct addressing to reach), the exact
+//! estimator's symbolic pass, the post-expansion prune and the GPU-library
+//! kernel analogues across density regimes — the measured counterpart of
+//! the §VI selection recipe. Every case is timed at width 1
 //! and at the host's width (`hipmcl_bench::scaling_pools`); the printed
 //! flops and nnz turn the times into rates.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hipmcl_comm::GpuLib;
 use hipmcl_sparse::colops::{self, PruneParams};
+use hipmcl_sparse::PlusTimes;
+use hipmcl_spgemm::hash::Addressing::Hashed;
 use hipmcl_spgemm::testutil::random_csc;
 
 fn local_spgemm(c: &mut Criterion) {
@@ -48,6 +52,13 @@ fn local_spgemm_at(c: &mut Criterion, width: usize) {
         });
         group.bench_with_input(BenchmarkId::new("cpu-spa", label), input, |bch, (a, b)| {
             bch.iter(|| hipmcl_spgemm::spa::multiply(a, b))
+        });
+        let fpc = hipmcl_spgemm::flops_per_column(a, b);
+        let hashed = BenchmarkId::new("cpu-hash-hashed", label);
+        group.bench_with_input(hashed, input, |bch, (a, b)| {
+            bch.iter(|| {
+                hipmcl_spgemm::hash::multiply_as(Hashed, PlusTimes::<f64>::new(), a, b, &fpc)
+            })
         });
         group.bench_with_input(BenchmarkId::new("symbolic", label), input, |bch, (a, b)| {
             bch.iter(|| hipmcl_spgemm::hash::symbolic_counts(a, b))

@@ -12,8 +12,7 @@
 //! first hit is a pure accumulate — which is why nsparse dominates Fig. 4
 //! at MCL densities.
 
-use hipmcl_sparse::{Csc, CscBuilder, Semiring};
-use hipmcl_spgemm::hash::HashScratch;
+use hipmcl_sparse::{Csc, Semiring};
 use std::ops::Range;
 
 /// The table size of a column's bin: bin `b` holds columns with
@@ -23,39 +22,24 @@ fn bin_bound(flops: u64) -> usize {
 }
 
 /// Columns `cols` of `A · B` with binned hash accumulation, in the given
-/// semiring. `flops` is `flops_per_column(a, b)`; `reserve` sizes the
-/// output of a block of columns.
+/// semiring: the host hash kernel's column loop with each column's table
+/// opened at its bin's bound. `flops` is `flops_per_column(a, b)`;
+/// `reserve` sizes the output.
 pub(crate) fn multiply_in<S: Semiring>(
     sr: S,
     a: &Csc<S::Elem>,
     b: &Csc<S::Elem>,
     cols: Range<usize>,
     flops: &[u64],
-    reserve: impl Fn(Range<usize>) -> usize + Sync + Send,
+    reserve: usize,
 ) -> Csc<S::Elem> {
     let nrows = a.nrows();
-    CscBuilder::build(
-        nrows,
-        cols.len(),
-        reserve,
-        HashScratch::default(),
-        |table, j, out| {
-            let j = cols.start + j;
-            // The bin's table: its flops bound, capped by a column's
-            // possible rows — direct-addressed by row id when `nrows(A)`
-            // slots fit the accumulator's budget, a hash table of that
-            // many keys otherwise.
-            table.open(bin_bound(flops[j]).min(nrows), nrows);
-            for (&k, &bv) in b.col_rows(j).iter().zip(b.col_vals(j)) {
-                let k = k as usize;
-                let scaled = a.col_vals(k).iter().map(|&av| S::mul(av, bv));
-                table.extend(sr, a.col_rows(k).iter().copied().zip(scaled));
-            }
-            out.push_column_with(table.len(), |rows, vals| {
-                table.drain_sorted_into(j, rows, vals)
-            });
-        },
-    )
+    hipmcl_spgemm::hash::multiply_cols_with(sr, a, b, cols, reserve, |table, j| {
+        // The bin's table: its flops bound, capped by a column's possible
+        // rows — direct-addressed by row id when `nrows(A)` slots fit the
+        // accumulator's budget, a hash table of that many keys otherwise.
+        table.open(bin_bound(flops[j]).min(nrows), nrows)
+    })
 }
 
 #[cfg(test)]
@@ -66,7 +50,7 @@ mod tests {
 
     fn multiply(a: &Csc<f64>, b: &Csc<f64>) -> Csc<f64> {
         let flops = hipmcl_spgemm::flops_per_column(a, b);
-        multiply_in(PlusTimes::<f64>::new(), a, b, 0..b.ncols(), &flops, |_| 0)
+        multiply_in(PlusTimes::<f64>::new(), a, b, 0..b.ncols(), &flops, 0)
     }
 
     #[test]

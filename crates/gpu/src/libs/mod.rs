@@ -26,7 +26,7 @@ use std::ops::Range;
 /// Columns `cols` of `A · B` on the chosen library analogue, in the given
 /// semiring, as an `nrows(A) × cols.len()` matrix. `flops` is
 /// `flops_per_column(a, b)`; it also sizes the output before a column is
-/// computed: a block of columns reserves its bound `Σ min(flops_j, nrows)`
+/// computed: the product reserves its bound `Σ min(flops_j, nrows)`
 /// (address space until written) and is trimmed when done.
 pub(crate) fn multiply_cols_in<S: Semiring>(
     s: S,
@@ -36,12 +36,7 @@ pub(crate) fn multiply_cols_in<S: Semiring>(
     flops: &[u64],
     lib: GpuLib,
 ) -> Csc<S::Elem> {
-    let (nrows, first) = (a.nrows(), cols.start);
-    let bound = |block: Range<usize>| -> usize {
-        (flops[first + block.start..first + block.end].iter())
-            .map(|&f| (f as usize).min(nrows))
-            .sum()
-    };
+    let bound = hipmcl_spgemm::analysis::nnz_bound(&flops[cols.clone()], a.nrows());
     match lib {
         GpuLib::Bhsparse => esc::multiply_in(s, a, b, cols, bound),
         GpuLib::Nsparse => hashgpu::multiply_in(s, a, b, cols, flops, bound),

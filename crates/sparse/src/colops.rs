@@ -6,7 +6,6 @@
 //! which is exactly why HipMCL parallelizes these steps trivially (§II).
 
 use crate::csc::Csc;
-use crate::util::split_by_colptr;
 use crate::Idx;
 use rayon::prelude::*;
 
@@ -92,40 +91,49 @@ pub struct PruneStats {
     pub recovered: usize,
 }
 
+/// The values of every column of `m` as disjoint mutable slices, in column
+/// order — what the kernels that update a matrix in place run over.
+fn column_vals_mut(m: &mut Csc<f64>) -> Vec<&mut [f64]> {
+    let mut rest = m.vals.as_mut_slice();
+    (m.colptr.windows(2))
+        .map(|w| {
+            let (col, tail) = std::mem::take(&mut rest).split_at_mut(w[1] - w[0]);
+            rest = tail;
+            col
+        })
+        .collect()
+}
+
 /// Scales every column of `m` to sum to one (column stochastic). Columns
 /// that are entirely zero are left untouched.
 pub fn normalize_columns(m: &mut Csc<f64>) {
-    split_by_colptr(&mut m.vals, &m.colptr)
-        .into_par_iter()
-        .for_each(|col| {
-            let s: f64 = col.iter().sum();
-            if s > 0.0 {
-                let inv = 1.0 / s;
-                for v in col {
-                    *v *= inv;
-                }
+    column_vals_mut(m).into_par_iter().for_each(|col| {
+        let s: f64 = col.iter().sum();
+        if s > 0.0 {
+            let inv = 1.0 / s;
+            for v in col {
+                *v *= inv;
             }
-        });
+        }
+    });
 }
 
 /// Raises every entry to `power` and renormalizes columns — the MCL
 /// inflation operator Γ_r (Algorithm 1, line 5; paper uses r = 2).
 pub fn inflate(m: &mut Csc<f64>, power: f64) {
-    split_by_colptr(&mut m.vals, &m.colptr)
-        .into_par_iter()
-        .for_each(|col| {
-            let mut s = 0.0;
-            for v in col.iter_mut() {
-                *v = v.powf(power);
-                s += *v;
+    column_vals_mut(m).into_par_iter().for_each(|col| {
+        let mut s = 0.0;
+        for v in col.iter_mut() {
+            *v = v.powf(power);
+            s += *v;
+        }
+        if s > 0.0 {
+            let inv = 1.0 / s;
+            for v in col {
+                *v *= inv;
             }
-            if s > 0.0 {
-                let inv = 1.0 / s;
-                for v in col {
-                    *v *= inv;
-                }
-            }
-        });
+        }
+    });
 }
 
 /// Sum of each column.

@@ -11,7 +11,9 @@ use crate::triples::Triples;
 use crate::util::{even_chunk, is_strictly_increasing};
 use crate::Idx;
 use rayon::prelude::*;
+use std::collections::BTreeMap;
 use std::ops::Range;
+use std::sync::Mutex;
 
 /// Sparse matrix in compressed sparse column form.
 ///
@@ -491,7 +493,8 @@ impl<T: Value> Csc<T> {
 
 /// A CSC matrix under construction, column by column: what a
 /// column-parallel kernel that learns a column's size by computing it (the
-/// GPU library analogues, the materializing merge kernels) writes into.
+/// SpGEMM kernels and their GPU library analogues, the materializing merge
+/// kernels) writes into.
 /// Every element is written once, into the arrays the [`Csc`] will own.
 #[derive(Debug)]
 pub struct CscBuilder<T> {
@@ -541,6 +544,15 @@ impl<T: Value> CscBuilder<T> {
         self.colptr.push(at + n);
     }
 
+    /// Appends every column of `block`, which this builder's columns end
+    /// where `block`'s begin, and frees it.
+    fn append(&mut self, block: Self) {
+        let base = self.rowidx.len();
+        (self.colptr).extend(block.colptr[1..].iter().map(|&p| base + p));
+        self.rowidx.extend_from_slice(&block.rowidx);
+        self.vals.extend_from_slice(&block.vals);
+    }
+
     /// The matrix, its arrays trimmed to what was written, validated.
     fn finish(mut self) -> Csc<T> {
         self.rowidx.shrink_to_fit();
@@ -550,46 +562,74 @@ impl<T: Value> CscBuilder<T> {
     }
 
     /// Builds an `nrows × ncols` matrix column-parallel: `column(scratch,
-    /// j, out)` appends column `j` to `out` with one `push_column*` call.
-    /// The columns are cut into contiguous blocks (one on a pool of width
-    /// 1), each filled in order into a builder of its own with room for
-    /// `reserve(block)` entries — what the caller knows of its size
-    /// beforehand — using one clone of `scratch` per thread. A single
-    /// block *is* the result; several are appended in block order into
-    /// arrays of the exact size, each released as it is appended. The cut
-    /// never shows in the result.
-    pub fn build<W, R, F>(nrows: usize, ncols: usize, reserve: R, scratch: W, column: F) -> Csc<T>
+    /// j, out)` appends column `j` to `out` with one `push_column*` call,
+    /// using one clone of `scratch` per thread. The result has room for
+    /// `reserve` entries — what the caller knows of its size beforehand,
+    /// address space until written — and is trimmed when done.
+    ///
+    /// On a pool of width 1 the columns go straight into the result. On a
+    /// wider one they are cut into contiguous blocks, each filled in order
+    /// into a builder of its own that grows as it goes, and the blocks are
+    /// joined in block order *as they finish*: a finished block parks, and
+    /// whoever finds the result at rest and the block it waits for parked
+    /// appends that block — outside the lock, the others filling theirs
+    /// meanwhile — frees it and looks again. What is live beyond the
+    /// result is the blocks being filled and those waiting for a slower
+    /// one before them. The cut never shows in the result.
+    pub fn build<W, F>(nrows: usize, ncols: usize, reserve: usize, scratch: W, column: F) -> Csc<T>
     where
         W: Clone + Send,
-        R: Fn(Range<usize>) -> usize + Sync + Send,
         F: Fn(&mut W, usize, &mut Self) + Sync + Send,
     {
+        let fill = |scratch: &mut W, cols: Range<usize>, out: &mut Self| {
+            let want = out.colptr.len() + cols.len();
+            cols.for_each(|j| column(scratch, j, out));
+            assert_eq!(out.colptr.len(), want, "one push per column");
+        };
         let nblocks = match rayon::current_num_threads() {
             1 => 1,
             _ => ncols.clamp(1, MAX_BLOCKS),
         };
-        let mut blocks: Vec<Self> = (0..nblocks)
+        let mut out = Self::with_capacity(nrows, ncols, reserve);
+        if nblocks == 1 {
+            let mut scratch = scratch;
+            fill(&mut scratch, 0..ncols, &mut out);
+            return out.finish();
+        }
+        // The result so far — `None` while a thread is appending to it —
+        // and the finished blocks that wait for one before them, by first
+        // column. Nothing but the hand-over runs under the lock: a column
+        // that panics does so outside it, and the pool hands the panic to
+        // the caller.
+        let joined = Mutex::new((Some(out), BTreeMap::new()));
+        let lock = || joined.lock().expect("nothing panics under the lock");
+        (0..nblocks)
             .into_par_iter()
-            .map_with(scratch, |scratch, b| {
+            .for_each_with(scratch, |scratch, b| {
                 let cols = even_chunk(ncols, nblocks, b);
-                let mut out = Self::with_capacity(nrows, cols.len(), reserve(cols.clone()));
-                cols.clone().for_each(|j| column(scratch, j, &mut out));
-                assert_eq!(out.colptr.len(), cols.len() + 1, "one push per column");
-                out
-            })
-            .collect();
-        if blocks.len() == 1 {
-            return blocks.pop().expect("one block").finish();
-        }
-        let nnz = blocks.iter().map(|b| b.rowidx.len()).sum();
-        let mut out = Self::with_capacity(nrows, ncols, nnz);
-        for block in blocks {
-            let base = out.rowidx.len();
-            (out.colptr).extend(block.colptr[1..].iter().map(|&p| base + p));
-            out.rowidx.extend_from_slice(&block.rowidx);
-            out.vals.extend_from_slice(&block.vals);
-        }
-        out.finish()
+                let mut block = Self::with_capacity(nrows, cols.len(), 0);
+                fill(scratch, cols.clone(), &mut block);
+                let mut guard = lock();
+                guard.1.insert(cols.start, block);
+                // Whoever finds the result at rest and its next block
+                // parked appends that block, while the others go on
+                // filling theirs, and looks again. Every block holds a
+                // column, so the number of columns joined names the block
+                // that comes next.
+                while let Some(mut out) = guard.0.take() {
+                    let Some(next) = guard.1.remove(&(out.colptr.len() - 1)) else {
+                        guard.0 = Some(out);
+                        break;
+                    };
+                    drop(guard);
+                    out.append(next);
+                    guard = lock();
+                    guard.0 = Some(out);
+                }
+            });
+        let (out, parked) = joined.into_inner().expect("nothing panics under the lock");
+        assert!(parked.is_empty(), "every block joined");
+        out.expect("at rest once every thread has left").finish()
     }
 }
 
@@ -650,17 +690,6 @@ impl Csc<f64> {
         }
         Self::from_sorted_dedup_triples(&t)
     }
-}
-
-/// Converts per-column nonzero counts into a CSC column-pointer array
-/// (`ncols` counts → `ncols + 1` pointers). Shared by the SpGEMM kernels.
-pub fn counts_to_colptr(counts: &[usize]) -> Vec<usize> {
-    let mut colptr = Vec::with_capacity(counts.len() + 1);
-    colptr.push(0usize);
-    colptr.extend_from_slice(counts);
-    // Inclusive prefix over [0, c0, c1, ...] yields [0, c0, c0+c1, ...].
-    crate::util::inclusive_prefix_sum(&mut colptr);
-    colptr
 }
 
 #[cfg(test)]
@@ -774,7 +803,7 @@ mod tests {
                         CscBuilder::build(
                             nrows,
                             ncols,
-                            |block| reserve.saturating_mul(block.map(|j| cols[j].0.len()).sum()),
+                            reserve.saturating_mul(want.nnz()),
                             (),
                             |(), j, out| match j % 2 {
                                 0 => out.push_column(&cols[j].0, &cols[j].1),
@@ -794,18 +823,62 @@ mod tests {
     }
 
     #[test]
+    fn a_first_block_that_finishes_last_joins_every_block_parked_behind_it() {
+        use std::sync::Condvar;
+        use std::thread::ThreadId;
+        /// The threads that have run out of blocks. A thread drops its
+        /// scratch when the pool has no block left to hand it, after it
+        /// parked the last one it filled.
+        static DONE: (Mutex<Vec<ThreadId>>, Condvar) = (Mutex::new(Vec::new()), Condvar::new());
+        #[derive(Clone)]
+        struct Scratch;
+        impl Drop for Scratch {
+            fn drop(&mut self) {
+                if let Ok(mut done) = DONE.0.lock() {
+                    done.push(std::thread::current().id());
+                    DONE.1.notify_all();
+                }
+            }
+        }
+        // 150 columns in 64 blocks; column `j` holds rows `j % 7 .. 7`.
+        let (nrows, ncols) = (7, 150);
+        let push = |j: usize, out: &mut CscBuilder<f64>| {
+            let rows: Vec<Idx> = (j as Idx % 7..7).collect();
+            let vals: Vec<f64> = rows.iter().map(|&r| (j * 7) as f64 + r as f64).collect();
+            out.push_column(&rows, &vals);
+        };
+        let pool = |width| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(width)
+                .build()
+                .unwrap()
+        };
+        let want =
+            pool(1).install(|| CscBuilder::build(nrows, ncols, 0, (), |(), j, out| push(j, out)));
+        // Whoever fills block 0 stays in column 0 until the other thread
+        // is out of blocks: blocks 1..64 are all parked by then, and the
+        // join runs when block 0, the one they wait for, arrives last.
+        let got = pool(2).install(|| {
+            CscBuilder::build(nrows, ncols, 0, Scratch, |_, j, out| {
+                if j == 0 {
+                    let me = std::thread::current().id();
+                    let others_left = |done: &mut Vec<ThreadId>| done.iter().all(|&t| t == me);
+                    drop(DONE.1.wait_while(DONE.0.lock().unwrap(), others_left));
+                }
+                push(j, out)
+            })
+        });
+        assert_eq!(got, want);
+        assert_eq!(got.ncols(), ncols);
+    }
+
+    #[test]
     #[should_panic(expected = "one push per column")]
     fn a_column_pushed_twice_is_caught() {
-        CscBuilder::<f64>::build(
-            3,
-            2,
-            |_| 0,
-            (),
-            |(), _, out| {
-                out.push_column(&[], &[]);
-                out.push_column(&[], &[]);
-            },
-        );
+        CscBuilder::<f64>::build(3, 2, 0, (), |(), _, out| {
+            out.push_column(&[], &[]);
+            out.push_column(&[], &[]);
+        });
     }
 
     #[test]
@@ -936,12 +1009,6 @@ mod tests {
         assert_eq!(a.max_abs_diff(&b), 0.0);
         b.vals[3] += 0.25;
         assert!((a.max_abs_diff(&b) - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn counts_to_colptr_matches_manual() {
-        assert_eq!(counts_to_colptr(&[2, 0, 3]), vec![0, 2, 2, 5]);
-        assert_eq!(counts_to_colptr(&[]), vec![0]);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Small shared helpers: prefix sums, counting sort scaffolding, per-column
-//! slicing, the k-way merge tournament, and the per-rank thread width.
+//! Small shared helpers: prefix sums, counting sort scaffolding, the k-way
+//! merge tournament, and the per-rank thread width.
 
 /// Exclusive prefix sum in place: `v[i] := sum(v[..i])`, returns the total.
 ///
@@ -11,16 +11,6 @@ pub fn exclusive_prefix_sum(v: &mut [usize]) -> usize {
         let c = *x;
         *x = acc;
         acc += c;
-    }
-    acc
-}
-
-/// Inclusive prefix sum in place, returns the total (last element).
-pub fn inclusive_prefix_sum(v: &mut [usize]) -> usize {
-    let mut acc = 0usize;
-    for x in v.iter_mut() {
-        acc += *x;
-        *x = acc;
     }
     acc
 }
@@ -65,24 +55,6 @@ pub fn even_chunk(n: usize, parts: usize, i: usize) -> std::ops::Range<usize> {
     let start = i * base + i.min(extra);
     let len = base + usize::from(i < extra);
     start..start + len
-}
-
-/// Splits `data` into `colptr.len() - 1` disjoint mutable chunks, chunk
-/// `j` being `data[colptr[j]..colptr[j + 1]]` — the per-column output
-/// slices column-parallel kernels fill or update in place.
-pub fn split_by_colptr<'a, T>(data: &'a mut [T], colptr: &[usize]) -> Vec<&'a mut [T]> {
-    let mut chunks = Vec::with_capacity(colptr.len() - 1);
-    let mut rest = data;
-    let mut pos = 0usize;
-    for w in colptr.windows(2) {
-        let len = w[1] - w[0];
-        debug_assert_eq!(w[0], pos);
-        let (head, tail) = rest.split_at_mut(len);
-        chunks.push(head);
-        rest = tail;
-        pos += len;
-    }
-    chunks
 }
 
 /// A sorted k-way merge of row-index lists through a tournament (loser)
@@ -204,14 +176,6 @@ mod tests {
     }
 
     #[test]
-    fn inclusive_prefix_sum_basic() {
-        let mut v = vec![1, 2, 3];
-        let total = inclusive_prefix_sum(&mut v);
-        assert_eq!(total, 6);
-        assert_eq!(v, vec![1, 3, 6]);
-    }
-
-    #[test]
     fn strictly_increasing() {
         assert!(is_strictly_increasing(&[1, 2, 5]));
         assert!(!is_strictly_increasing(&[1, 1, 5]));
@@ -287,17 +251,6 @@ mod tests {
             );
             assert_eq!(got, want, "fan-in {k}");
         }
-    }
-
-    #[test]
-    fn split_by_colptr_disjoint_cover() {
-        let mut data = vec![0u32; 6];
-        let colptr = vec![0usize, 2, 2, 6];
-        let chunks = split_by_colptr(&mut data, &colptr);
-        assert_eq!(chunks.len(), 3);
-        assert_eq!(chunks[0].len(), 2);
-        assert_eq!(chunks[1].len(), 0);
-        assert_eq!(chunks[2].len(), 4);
     }
 
     #[test]

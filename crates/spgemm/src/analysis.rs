@@ -58,11 +58,12 @@ impl MultAnalysis {
     }
 }
 
-/// Upper bound on `nnz(A·B)`: `min(flops, nrows(A) · ncols(B))`. Used when
-/// neither an exact symbolic pass nor a probabilistic estimate is available.
-pub fn nnz_upper_bound<T: Value, U: Value>(a: &Csc<T>, b: &Csc<U>) -> u64 {
-    let f = flops(a, b);
-    f.min(a.nrows() as u64 * b.ncols() as u64)
+/// Upper bound on `nnz` of the output columns whose flops are `fpc`, in a
+/// product with `nrows` rows: a column holds at most its flops and at most
+/// every row, `Σ_j min(flops_j, nrows)`. What the one-pass kernels reserve
+/// for a product before they compute it.
+pub fn nnz_bound(fpc: &[u64], nrows: usize) -> usize {
+    fpc.iter().map(|&f| (f as usize).min(nrows)).sum()
 }
 
 #[cfg(test)]
@@ -128,9 +129,9 @@ mod tests {
     }
 
     #[test]
-    fn upper_bound_caps_at_dense() {
-        let (a, b) = ab();
-        assert!(nnz_upper_bound(&a, &b) <= 6);
+    fn the_bound_caps_each_column_at_its_flops_and_at_every_row() {
+        assert_eq!(nnz_bound(&[0, 2, 3, 9], 3), 2 + 3 + 3);
+        assert_eq!(nnz_bound(&[], 3), 0);
     }
 
     #[test]

@@ -2,12 +2,15 @@
 //! ICPP Workshops 2018, arXiv:1804.01698), the CPU kernel the paper
 //! integrates in §VI.
 //!
-//! Two phases, each run exactly once per product:
-//! [`symbolic_counts_with_flops`] counts the distinct rows of every output
-//! column (keys only, no values), and [`multiply_with_counts_in`] fills a
-//! CSC allocated from those counts. Each worker owns one accumulator,
-//! [`HashScratch`], whose storage only grows and which finds a row's slot
-//! in one of two ways ([`Addressing`]), chosen from the operands alone:
+//! One pass: [`multiply_cols_with`] walks the output columns, accumulates
+//! each in the worker's [`HashScratch`] opened at the column's bound
+//! `min(flops_j, nrows)`, and appends the drained column to a
+//! [`CscBuilder`] that reserved the product's bound — nothing is counted
+//! before it is computed. (The key-only pass of the two-phase formulation,
+//! [`symbolic_counts_with_flops`], is still here as what it now only is:
+//! the exact memory estimator.) The accumulator's storage only grows, and it
+//! finds a row's slot in one of two ways ([`Addressing`]), chosen from the
+//! operands alone:
 //!
 //! * **direct** while one slot per row of `A` fits a cache-resident budget
 //!   ([`DIRECT_BUDGET_BYTES`]): the slot is the row id — no hashing, no
@@ -16,13 +19,12 @@
 //!   it finds; the symbolic pass needs no drain and keeps a generation stamp
 //!   per row instead (one store and a branch-free count per product).
 //! * **hashed** above the budget — the hypersparse blocks §VI adopts hash
-//!   accumulation for — and for products with under one output row per 4096
-//!   rows of `A`: an open-addressing table opened per column at the
-//!   smallest power of two that holds the column at ≤ 50 % load (at most
-//!   `min(flops_j, nrows)` keys in the symbolic phase, exactly `counts[j]`
-//!   in the numeric one), so the hot table tracks the column, not the
-//!   largest column the worker ever saw; the drained column is radix-sorted
-//!   (MCL merges and prunes sorted columns).
+//!   accumulation for — and for products bounded under one output row per
+//!   4096 rows of `A`: an open-addressing table opened per column at the
+//!   smallest power of two that holds the column's bound at ≤ 50 % load,
+//!   so the hot table tracks the column, not the largest column the worker
+//!   ever saw; the drained column is radix-sorted (MCL merges and prunes
+//!   sorted columns).
 //!
 //! Either way accumulation is `O(1)` expected per product — no `lg` factor —
 //! which is why this kernel beats heaps when the compression factor
@@ -32,10 +34,10 @@
 //! `B_{*j}`; addressing, table size and pass count never touch that order,
 //! so values are bit-identical to the heap kernel in both modes.
 
-use crate::analysis::flops_per_column;
-use crate::assemble::build_csc_parallel_scratch;
-use hipmcl_sparse::{Csc, Idx, PlusTimes, Semiring, Value};
+use crate::analysis::{flops_per_column, nnz_bound};
+use hipmcl_sparse::{Csc, CscBuilder, Idx, PlusTimes, Semiring, Value};
 use rayon::prelude::*;
+use std::ops::Range;
 
 const EMPTY: Idx = Idx::MAX;
 
@@ -366,10 +368,10 @@ impl<T: Value> HashScratch<T> {
     }
 }
 
-/// Multiplies `C = A · B` with hash accumulation in the given semiring:
-/// one symbolic pass, one numeric pass.
+/// Multiplies `C = A · B` with hash accumulation in the given semiring, in
+/// one pass.
 pub fn multiply_in<S: Semiring>(s: S, a: &Csc<S::Elem>, b: &Csc<S::Elem>) -> Csc<S::Elem> {
-    multiply_with_counts_in(s, a, b, &symbolic_counts(a, b))
+    multiply_with_flops_in(s, a, b, &flops_per_column(a, b))
 }
 
 /// [`multiply_in`] with the numeric plus-times semiring — MCL's default.
@@ -380,55 +382,75 @@ where
     multiply_in(PlusTimes::new(), a, b)
 }
 
-/// The numeric phase alone: fills `C = A · B` given `counts[j] =
-/// nnz(C_{*j})` from [`symbolic_counts_with_flops`] (structural counts —
-/// entries that cancel to the semiring zero are kept). Panics on a count
-/// that does not match the column it describes.
-pub fn multiply_with_counts_in<S: Semiring>(
+/// [`multiply_in`] given `fpc = flops_per_column(a, b)`, for a caller that
+/// has it already.
+pub fn multiply_with_flops_in<S: Semiring>(
     sr: S,
     a: &Csc<S::Elem>,
     b: &Csc<S::Elem>,
-    counts: &[usize],
+    fpc: &[u64],
 ) -> Csc<S::Elem> {
-    // One mode per product, from the mean column: a direct column among
-    // hashed ones would find its slots evicted.
-    let mean = counts.iter().sum::<usize>().div_ceil(counts.len().max(1));
-    multiply_with_counts_as(Addressing::of::<S::Elem>(mean, a.nrows()), sr, a, b, counts)
+    // One mode per product, from the mean column's bound: a direct column
+    // among hashed ones would find its slots evicted.
+    let mean = nnz_bound(fpc, a.nrows()).div_ceil(fpc.len().max(1));
+    multiply_as(Addressing::of::<S::Elem>(mean, a.nrows()), sr, a, b, fpc)
 }
 
-/// [`multiply_with_counts_in`] with the addressing mode given instead of
+/// [`multiply_with_flops_in`] with the addressing mode given instead of
 /// derived from the operands.
-pub fn multiply_with_counts_as<S: Semiring>(
+pub fn multiply_as<S: Semiring>(
     mode: Addressing,
     sr: S,
     a: &Csc<S::Elem>,
     b: &Csc<S::Elem>,
-    counts: &[usize],
+    fpc: &[u64],
+) -> Csc<S::Elem> {
+    assert_eq!(fpc.len(), b.ncols(), "one flops entry per output column");
+    let nrows = a.nrows();
+    let reserve = nnz_bound(fpc, nrows);
+    multiply_cols_with(sr, a, b, 0..b.ncols(), reserve, |table, j| {
+        table.open_as(mode, (fpc[j] as usize).min(nrows), nrows)
+    })
+}
+
+/// The one-pass column loop of every hash kernel in the workspace (this
+/// module's, the SPA kernel, the `nsparse` analogue in `hipmcl-gpu`):
+/// columns `cols` of `A · B` as an `nrows(A) × cols.len()` matrix with
+/// room reserved for `reserve` entries. `open(table, j)` opens the
+/// worker's accumulator for output column `j` — it owns table size and
+/// addressing; a table opened too small for the column panics there.
+pub fn multiply_cols_with<S: Semiring>(
+    sr: S,
+    a: &Csc<S::Elem>,
+    b: &Csc<S::Elem>,
+    cols: Range<usize>,
+    reserve: usize,
+    open: impl Fn(&mut HashScratch<S::Elem>, usize) + Sync + Send,
 ) -> Csc<S::Elem> {
     assert_eq!(a.ncols(), b.nrows(), "inner dimensions must agree");
-    assert_eq!(counts.len(), b.ncols(), "one count per output column");
-    let nrows = a.nrows();
-    build_csc_parallel_scratch(
-        nrows,
-        b.ncols(),
-        counts,
-        HashScratch::<S::Elem>::default(),
-        |scratch, j, rows_out, vals_out| {
-            scratch.open_as(mode, rows_out.len(), nrows);
+    CscBuilder::build(
+        a.nrows(),
+        cols.len(),
+        reserve,
+        HashScratch::default(),
+        |table, j, out| {
+            let j = cols.start + j;
+            open(table, j);
             for (&k, &bv) in b.col_rows(j).iter().zip(b.col_vals(j)) {
                 let k = k as usize;
                 let scaled = a.col_vals(k).iter().map(|&av| S::mul(av, bv));
-                scratch.extend(sr, a.col_rows(k).iter().copied().zip(scaled));
+                table.extend(sr, a.col_rows(k).iter().copied().zip(scaled));
             }
-            scratch.drain_sorted_into(j, rows_out, vals_out);
+            out.push_column_with(table.len(), |rows, vals| {
+                table.drain_sorted_into(j, rows, vals)
+            });
         },
     )
 }
 
-/// The symbolic phase alone: exact `nnz(C_{*j})` per output column of
-/// `A · B`, given the per-column flops. `O(flops)`, no values touched — the
-/// one symbolic pass every two-phase kernel and the exact memory estimator
-/// share.
+/// Exact `nnz(C_{*j})` per output column of `A · B`, given the per-column
+/// flops. `O(flops)`, no values touched — the exact memory estimator's
+/// pass ([`crate::symbolic`]); no kernel runs it.
 pub fn symbolic_counts_with_flops<T: Value>(a: &Csc<T>, b: &Csc<T>, fpc: &[u64]) -> Vec<usize> {
     // No drain to walk, so no column is too sparse: ask as for a full one.
     symbolic_counts_as(Addressing::of::<T>(a.nrows(), a.nrows()), a, b, fpc)
@@ -477,6 +499,8 @@ pub fn symbolic_counts<T: Value>(a: &Csc<T>, b: &Csc<T>) -> Vec<usize> {
 mod tests {
     use super::*;
     use crate::testutil::{dense_reference, random_csc};
+    use std::sync::{Condvar, Mutex};
+    use std::thread::ThreadId;
     use Addressing::{Direct, Hashed};
 
     const PT: PlusTimes<f64> = PlusTimes::new();
@@ -614,6 +638,89 @@ mod tests {
         s.count_distinct(100, [&[100][..]].into_iter());
     }
 
+    /// The submitting thread of the run in progress, and whether a worker
+    /// has reached the marked column yet.
+    static GATE: (Mutex<(Option<ThreadId>, bool)>, Condvar) =
+        (Mutex::new((None, false)), Condvar::new());
+    const MARK: f64 = 7.0;
+
+    /// `(+, ×)` on `f64` that keeps the submitting thread inside its first
+    /// product until another thread multiplies by [`MARK`]: the column of
+    /// `B` holding the mark provably runs on a pool worker.
+    #[derive(Clone, Copy, Debug, Default)]
+    struct Gated;
+
+    impl Semiring for Gated {
+        type Elem = f64;
+        const ZERO: f64 = 0.0;
+        const ONE: f64 = 1.0;
+        fn add(a: f64, b: f64) -> f64 {
+            a + b
+        }
+        fn mul(a: f64, b: f64) -> f64 {
+            let (state, opened) = &GATE;
+            let mut st = state.lock().unwrap();
+            let submitter = st.0 == Some(std::thread::current().id());
+            if b == MARK {
+                assert!(!submitter, "the marked column ran on the submitter");
+                st.1 = true;
+                opened.notify_all();
+            } else if submitter {
+                drop(opened.wait_while(st, |st| !st.1).unwrap());
+            }
+            a * b
+        }
+    }
+
+    /// A column that outgrows the table it was opened with fails the
+    /// accumulator's own assertion inside the parallel body. Here that body
+    /// runs on a worker, so the message must cross to the submitting thread
+    /// intact.
+    #[test]
+    fn an_assertion_raised_on_a_worker_panics_on_the_caller_with_the_kernels_message() {
+        // `I · B`, every column of `B` holding rows {0, 2}; the last one,
+        // many blocks away from where the submitter starts, is marked and
+        // opens a table that cannot hold it.
+        let n = 65;
+        let a = Csc::<f64>::identity(4);
+        let mut t = hipmcl_sparse::Triples::new(4, n);
+        for j in 0..n {
+            let v = if j == n - 1 { MARK } else { 1.0 };
+            t.push(0, j as Idx, v);
+            t.push(2, j as Idx, v);
+        }
+        let b = Csc::from_triples(&t);
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(2)
+            .build()
+            .unwrap();
+        // A hashed table of two slots takes one key; a direct universe of
+        // two rows has no row 2.
+        for (mode, universe, message) in [
+            (
+                Hashed,
+                4,
+                "more distinct rows than its table was opened for",
+            ),
+            (Direct, 2, "index out of bounds"),
+        ] {
+            *GATE.0.lock().unwrap() = (Some(std::thread::current().id()), false);
+            let kernel = || {
+                multiply_cols_with(Gated, &a, &b, 0..n, 0, |table, j| match j {
+                    j if j == n - 1 => table.open_as(mode, 0, universe),
+                    _ => table.open_as(mode, 2, 4),
+                })
+            };
+            let caught = pool
+                .install(|| std::panic::catch_unwind(std::panic::AssertUnwindSafe(kernel)))
+                .expect_err("an overfull table must panic");
+            let got = (caught.downcast_ref::<String>().map(String::as_str))
+                .or(caught.downcast_ref::<&str>().copied())
+                .expect("a message");
+            assert!(got.contains(message), "{got:?} lacks {message:?}");
+        }
+    }
+
     #[test]
     fn identity_times_identity() {
         let i = Csc::<f64>::identity(5);
@@ -637,7 +744,7 @@ mod tests {
         assert_eq!(counts, symbolic_counts_as(Hashed, &a, &a, &fpc));
         let want = crate::heap::multiply(&a, &a);
         for mode in [Direct, Hashed] {
-            assert_eq!(multiply_with_counts_as(mode, PT, &a, &a, &counts), want);
+            assert_eq!(multiply_as(mode, PT, &a, &a, &fpc), want);
         }
     }
 

@@ -14,16 +14,49 @@
 //! without its data-dependent branches. DESIGN.md ("Local SpGEMM") has the
 //! measured rates against the hash kernel.
 
-use crate::assemble::build_csc_parallel_scratch;
+use crate::analysis::{flops_per_column, nnz_bound};
 use hipmcl_sparse::util::Tournament;
-use hipmcl_sparse::{Csc, PlusTimes, Semiring, Value};
+use hipmcl_sparse::{Csc, CscBuilder, PlusTimes, Semiring, Value};
 
 /// Multiplies `C = A · B` with heap accumulation in the given semiring,
-/// column-parallel. Two-phase like CombBLAS's local multiply, so assembly
-/// is allocation-exact: the shared hash symbolic pass sizes the output
-/// (`O(flops)`, no products, no `lg` factor), then one heap merge fills it.
-pub fn multiply_in<S: Semiring>(s: S, a: &Csc<S::Elem>, b: &Csc<S::Elem>) -> Csc<S::Elem> {
-    multiply_with_counts_in(s, a, b, &crate::hash::symbolic_counts(a, b))
+/// column-parallel, in one pass: each output column merges the scaled
+/// A-columns selected by `B_{*j}` through the worker's tournament into the
+/// worker's column buffer and is appended to a [`CscBuilder`] that
+/// reserved the product's bound `Σ_j min(flops_j, nrows)`. Rows arrive in
+/// increasing order and equal rows in ascending list order, so each entry
+/// folds its products in ascending position within `B_{*j}`.
+pub fn multiply_in<S: Semiring>(_s: S, a: &Csc<S::Elem>, b: &Csc<S::Elem>) -> Csc<S::Elem> {
+    let reserve = nnz_bound(&flops_per_column(a, b), a.nrows());
+    CscBuilder::build(
+        a.nrows(),
+        b.ncols(),
+        reserve,
+        (Tournament::default(), Vec::new(), Vec::new()),
+        |(tournament, rows, vals), j, out| {
+            let bv = b.col_vals(j);
+            let lists = b.col_rows(j).iter().map(|&k| {
+                let k = k as usize;
+                (a.colptr[k], a.colptr[k + 1])
+            });
+            rows.clear();
+            vals.clear();
+            tournament.merge(
+                lists,
+                |_, pos| a.rowidx[pos],
+                |row, l, pos| {
+                    let product = S::mul(a.vals[pos], bv[l]);
+                    if rows.last() == Some(&row) {
+                        let acc = vals.last_mut().expect("rows and vals grow together");
+                        *acc = S::add(*acc, product);
+                    } else {
+                        rows.push(row);
+                        vals.push(product);
+                    }
+                },
+            );
+            out.push_column(rows, vals);
+        },
+    )
 }
 
 /// [`multiply_in`] with the numeric plus-times semiring — MCL's default.
@@ -32,56 +65,6 @@ where
     PlusTimes<T>: Semiring<Elem = T>,
 {
     multiply_in(PlusTimes::new(), a, b)
-}
-
-/// The numeric phase alone: merges the scaled A-columns selected by each
-/// `B_{*j}` through the worker's tournament into a CSC allocated from
-/// `counts` ([`crate::hash::symbolic_counts_with_flops`]). Rows arrive in
-/// increasing order and equal rows in ascending list order, so each entry
-/// folds its products in ascending position within `B_{*j}`. Panics on a
-/// count that does not match the column it describes.
-pub fn multiply_with_counts_in<S: Semiring>(
-    _s: S,
-    a: &Csc<S::Elem>,
-    b: &Csc<S::Elem>,
-    counts: &[usize],
-) -> Csc<S::Elem> {
-    assert_eq!(a.ncols(), b.nrows(), "inner dimensions must agree");
-    assert_eq!(counts.len(), b.ncols(), "one count per output column");
-    build_csc_parallel_scratch(
-        a.nrows(),
-        b.ncols(),
-        counts,
-        Tournament::default(),
-        |tournament, j, rows_out, vals_out| {
-            let bv = b.col_vals(j);
-            let lists = b.col_rows(j).iter().map(|&k| {
-                let k = k as usize;
-                (a.colptr[k], a.colptr[k + 1])
-            });
-            // `w` counts every distinct row, also past the end of slices
-            // that are too short, so a wrong count fails the one assertion
-            // below whichever way it is wrong.
-            let (mut w, mut open) = (0usize, None);
-            tournament.merge(
-                lists,
-                |_, pos| a.rowidx[pos],
-                |row, l, pos| {
-                    let product = S::mul(a.vals[pos], bv[l]);
-                    if open != Some(row) {
-                        open = Some(row);
-                        if w < rows_out.len() {
-                            (rows_out[w], vals_out[w]) = (row, product);
-                        }
-                        w += 1;
-                    } else if w <= vals_out.len() {
-                        vals_out[w - 1] = S::add(vals_out[w - 1], product);
-                    }
-                },
-            );
-            assert_eq!(w, rows_out.len(), "column {j}: count does not match");
-        },
-    )
 }
 
 #[cfg(test)]

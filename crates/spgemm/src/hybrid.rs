@@ -1,14 +1,19 @@
-//! CPU kernel selection by `flops` and compression factor — the paper's
-//! "recipe" (§I, §VI): benchmark the candidates, find the density regimes
-//! where each dominates, then choose per multiplication instance.
+//! The CPU kernels by name, and the serial driver's multiply — the host
+//! end of the paper's "recipe" (§I, §VI): benchmark the candidates, find
+//! the density regimes where each dominates, then choose per
+//! multiplication instance.
 //!
-//! On CPU the rule reduces to: heaps win when `cf` is small (little
-//! accumulation, the heap's `lg` factor is paid on few elements and its
-//! cache behaviour is better), hash tables win when `cf` is large (every
-//! product hits an existing accumulator slot in `O(1)`). The GPU-inclusive
-//! selection — including the `flops` threshold that decides whether a
-//! multiplication is big enough to saturate a device at all — lives in
-//! `hipmcl-gpu::select`, layered on top of this.
+//! The paper's CPU rule is: heaps win when `cf` is small (little
+//! accumulation, the heap's `lg` factor is paid on few elements), hash
+//! tables win when `cf` is large (every product hits an existing
+//! accumulator slot in `O(1)`). Measured on this host the heap leads
+//! nowhere ([`HEAP_HASH_CF_CROSSOVER`]), and choosing needs `cf`, hence
+//! `nnz(C)`, hence a symbolic pass over all the flops before the numeric
+//! one — so [`multiply_auto_in`] runs the one-pass hash kernel and reports
+//! what it found. The modeled selection — CPU and GPU kernels priced from
+//! an estimated `cf`, including the `flops` threshold that decides whether
+//! a multiplication can saturate a device at all — lives in
+//! `hipmcl-gpu::select`.
 
 use crate::analysis::MultAnalysis;
 use hipmcl_sparse::{Csc, PlusTimes, Semiring, Value};
@@ -98,44 +103,29 @@ impl CpuAlgo {
 /// it sits lower — EXPERIMENTS.md ("Two-phase local SpGEMM", the table
 /// re-measured with the tournament heap of PR 22): heap ÷ hash is 0.91 at
 /// cf = 1, 0.49 at cf = 1.5, 0.21 at cf = 14 and 0.14 at cf ≈ 140, so on
-/// this host the heap never leads and the band 1 < cf < 2 goes to the
-/// slower kernel. The constant moves kernel choice, hence modeled clocks
-/// and the committed probe CSVs, so it stays until the recalibration
-/// ROADMAP item 5(b) tracks.
+/// this host the heap never leads and [`multiply_auto_in`] has no heap
+/// arm. The constant still moves `hipmcl-gpu::select`'s modeled kernel
+/// choice, hence modeled clocks and the committed probe CSVs, so it stays
+/// until the recalibration ROADMAP item 5(b) tracks.
 pub const HEAP_HASH_CF_CROSSOVER: f64 = 2.0;
 
-/// Picks the CPU kernel for a multiplication with the given analysis.
-pub fn select_cpu(analysis: &MultAnalysis) -> CpuAlgo {
-    if analysis.cf() < HEAP_HASH_CF_CROSSOVER {
-        CpuAlgo::Heap
-    } else {
-        CpuAlgo::Hash
-    }
-}
-
-/// Analyses `A·B` and multiplies with the selected kernel in the given
-/// semiring: per-column flops once, the shared symbolic pass once — which
-/// yields `flops`, `nnz_out` and hence `cf` — then the chosen kernel's
-/// numeric phase on the same counts. Returns the product and the analysis
-/// for instrumentation.
+/// Multiplies `A·B` in the given semiring the way the serial driver does:
+/// per-column flops once, then the one-pass hash kernel, which needs no
+/// `nnz(C)` beforehand. Returns the product, its analysis — `flops` from
+/// the per-column pass, `nnz_out` and hence `cf` read off the product —
+/// and the kernel that ran, for instrumentation.
 pub fn multiply_auto_in<S: Semiring>(
     s: S,
     a: &Csc<S::Elem>,
     b: &Csc<S::Elem>,
 ) -> (Csc<S::Elem>, MultAnalysis, CpuAlgo) {
     let fpc = crate::analysis::flops_per_column(a, b);
-    let counts = crate::hash::symbolic_counts_with_flops(a, b, &fpc);
+    let c = crate::hash::multiply_with_flops_in(s, a, b, &fpc);
     let analysis = MultAnalysis {
         flops: fpc.iter().sum(),
-        nnz_out: counts.iter().map(|&c| c as u64).sum(),
+        nnz_out: c.nnz() as u64,
     };
-    let algo = select_cpu(&analysis);
-    let c = match algo {
-        CpuAlgo::Heap => crate::heap::multiply_with_counts_in(s, a, b, &counts),
-        // `select_cpu` only ever answers heap or hash.
-        _ => crate::hash::multiply_with_counts_in(s, a, b, &counts),
-    };
-    (c, analysis, algo)
+    (c, analysis, CpuAlgo::Hash)
 }
 
 /// [`multiply_auto_in`] with the plus-times semiring.
@@ -150,24 +140,6 @@ where
 mod tests {
     use super::*;
     use crate::testutil::random_csc;
-
-    #[test]
-    fn low_cf_prefers_heap() {
-        let a = MultAnalysis {
-            flops: 100,
-            nnz_out: 90,
-        };
-        assert_eq!(select_cpu(&a), CpuAlgo::Heap);
-    }
-
-    #[test]
-    fn high_cf_prefers_hash() {
-        let a = MultAnalysis {
-            flops: 10_000,
-            nnz_out: 100,
-        };
-        assert_eq!(select_cpu(&a), CpuAlgo::Hash);
-    }
 
     #[test]
     fn all_algos_agree() {
@@ -206,19 +178,6 @@ mod tests {
         let (c7, cf7) = CpuAlgo::Heap.multiply_measured(&z, &z, 7);
         assert_eq!(c7.nnz(), 0);
         assert_eq!(cf7, 7.0);
-    }
-
-    #[test]
-    fn fully_cancelled_product_routes_auto_dispatch_to_hash() {
-        // flops > 0 with an empty output means infinite compression; the
-        // dispatch comparison must land on the high-cf side (hash), not
-        // default to the heap as the old cf = 1.0 convention did.
-        let a = MultAnalysis {
-            flops: 10,
-            nnz_out: 0,
-        };
-        assert!(a.cf().is_infinite());
-        assert_eq!(select_cpu(&a), CpuAlgo::Hash);
     }
 
     #[test]

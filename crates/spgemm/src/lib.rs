@@ -18,15 +18,15 @@
 //!   classic baseline: the same accumulator with direct addressing forced,
 //!   so memory-hungry on tall operands.
 //!
-//! Every kernel is two-phase, each phase run once per product: the shared
-//! symbolic pass [`hash::symbolic_counts_with_flops`] sizes the output, a
-//! kernel's `multiply_with_counts_in` fills it (DESIGN.md, "Local SpGEMM:
-//! the two-phase contract").
+//! Every kernel is one pass: it reserves the product's bound `Σ_j
+//! min(flops_j, nrows)` as address space, appends each column as it is
+//! computed (`hipmcl_sparse::CscBuilder`) and trims — nothing is counted
+//! first (DESIGN.md, "Local SpGEMM: the one-pass contract").
 //!
 //! [`symbolic`] computes exact output structure counts (the "exact" memory
 //! estimator), and [`estimate`] implements Cohen's probabilistic `nnz(AB)`
-//! estimator (§V). [`hybrid`] picks a CPU kernel from `flops`/`cf` the way
-//! the paper's recipe does; the full CPU/GPU selection lives in
+//! estimator (§V). [`hybrid`] names the CPU kernels and holds the serial
+//! driver's multiply; the modeled CPU/GPU selection lives in
 //! `hipmcl-gpu::select`.
 //!
 //! All kernels are column-parallel over the output with rayon and produce
@@ -40,8 +40,6 @@ pub mod heap;
 pub mod hybrid;
 pub mod spa;
 pub mod symbolic;
-
-mod assemble;
 
 pub use analysis::{flops, flops_per_column, MultAnalysis};
 pub use estimate::CohenEstimator;

@@ -59,7 +59,7 @@ proptest! {
         let want = heap::multiply(&a, &b);
         want.assert_valid();
         for mode in [Direct, Hashed] {
-            let got = hash::multiply_with_counts_as(mode, pt, &a, &b, &counts);
+            let got = hash::multiply_as(mode, pt, &a, &b, &fpc);
             // Bit-equal, explicit zeros of cancelled sums included.
             prop_assert_eq!(&got.colptr, &want.colptr);
             prop_assert_eq!(&got.rowidx, &want.rowidx);

@@ -10,14 +10,14 @@
 //! prefers heaps/hashes. Kept as the third candidate of the selection
 //! benchmarks.
 
-use crate::hash::{multiply_with_counts_as, symbolic_counts, Addressing};
+use crate::hash::{multiply_as, Addressing};
 use hipmcl_sparse::{Csc, PlusTimes, Semiring, Value};
 
 /// Multiplies `C = A · B` with a dense sparse accumulator per worker, in
-/// the given semiring: the shared symbolic pass, then the numeric phase
-/// direct-addressed.
+/// the given semiring: the one-pass hash kernel, direct-addressed.
 pub fn multiply_in<S: Semiring>(sr: S, a: &Csc<S::Elem>, b: &Csc<S::Elem>) -> Csc<S::Elem> {
-    multiply_with_counts_as(Addressing::Direct, sr, a, b, &symbolic_counts(a, b))
+    let fpc = crate::analysis::flops_per_column(a, b);
+    multiply_as(Addressing::Direct, sr, a, b, &fpc)
 }
 
 /// [`multiply_in`] with the numeric plus-times semiring — MCL's default.

@@ -86,7 +86,6 @@ use hipmcl_comm::{MachineModel, MergeKernel};
 use hipmcl_sparse::util::Tournament;
 use hipmcl_sparse::{Csc, CscBuilder, Idx, PlusTimes, Semiring, Value};
 use rayon::prelude::*;
-use std::ops::Range;
 
 /// Which merging schedule a SUMMA run uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -614,11 +613,8 @@ pub(crate) fn merge_into<S: Semiring>(
     for mat in mats {
         assert_eq!((mat.nrows(), mat.ncols()), shape, "merge shape mismatch");
     }
-    // What a block of output columns can hold at most: its inputs.
-    let bound = |cols: Range<usize>| -> usize {
-        cols.map(|j| mats.iter().map(|m| m.col_nnz(j)).sum::<usize>())
-            .sum()
-    };
+    // What the output can hold at most: its inputs.
+    let bound = mats.iter().map(|m| m.nnz()).sum();
     match kernel {
         MergeKernel::Heap => MergeSlab::Mat(CscBuilder::build(
             shape.0,
@@ -710,7 +706,7 @@ fn two_way_merge<S: Semiring>(
     CscBuilder::build(
         shape.0,
         shape.1,
-        |cols| cols.map(ub).sum(),
+        a.nnz() + b.nnz(),
         (Vec::new(), Vec::new()),
         |(rows, vals), j, out| {
             rows.resize(ub(j), 0);

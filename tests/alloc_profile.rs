@@ -1,8 +1,10 @@
 //! How an expansion asks the allocator for memory, counted by this
 //! binary's own `#[global_allocator]`: a product is written into arrays
-//! obtained once, not into two vectors per output column, and the merged
-//! slab the per-phase hook receives is the storage the merge wrote, not a
-//! copy of it. One test, so nothing else allocates while it counts.
+//! obtained once, not into two vectors per output column, the merged slab
+//! the per-phase hook receives is the storage the merge wrote, not a copy
+//! of it, and a product built by several threads never exists twice. The
+//! tests take turns ([`COUNTING`]), so nothing else allocates while one
+//! counts.
 
 use hipmcl::comm::collectives::barrier;
 use hipmcl::comm::{GpuLib, SpgemmKernel};
@@ -13,9 +15,18 @@ use hipmcl::workloads::rmat::{generate_rmat, RmatParams};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::Mutex;
+
+/// Held by the test that is counting.
+static COUNTING: Mutex<()> = Mutex::new(());
 
 /// Every request for memory, on any thread.
 static CALLS: AtomicUsize = AtomicUsize::new(0);
+
+/// Bytes obtained and not yet returned, on any thread, and the most that
+/// ever were since a test last lowered the mark.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
     /// Sizes of the storage this thread obtains while a log is open: every
@@ -27,6 +38,10 @@ thread_local! {
 struct Counting;
 
 impl Counting {
+    fn grew(by: usize) {
+        PEAK.fetch_max(LIVE.fetch_add(by, Relaxed) + by, Relaxed);
+    }
+
     fn fresh(size: usize) {
         CALLS.fetch_add(1, Relaxed);
         // A thread being torn down has no log any more; a log growing
@@ -47,16 +62,21 @@ impl Counting {
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         Self::fresh(layout.size());
+        Self::grew(layout.size());
         System.alloc(layout)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         Self::fresh(layout.size());
+        Self::grew(layout.size());
         System.alloc_zeroed(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size(), Relaxed);
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LIVE.fetch_sub(layout.size(), Relaxed);
+        Self::grew(new_size);
         let new = System.realloc(ptr, layout, new_size);
         if new == ptr {
             CALLS.fetch_add(1, Relaxed);
@@ -122,10 +142,52 @@ fn calls_of_one_expansion(scale: u32) -> usize {
 
 #[test]
 fn an_expansion_allocates_per_product_not_per_column() {
+    let _turn = COUNTING.lock().unwrap();
     let (small, large) = (calls_of_one_expansion(9), calls_of_one_expansion(10));
     println!("{small} allocator calls at scale 9, {large} at scale 10");
     assert!(
         large as f64 <= 1.25 * small as f64,
         "{small} allocator calls at scale 9, {large} at scale 10"
+    );
+}
+
+/// A product two threads build is joined as its blocks finish: beyond the
+/// room the result reserved (its bound `Σ_j min(flops_j, nrows)`, address
+/// space until written) the kernel holds the blocks being filled, those
+/// parked behind a slower one, the accumulators and the per-column flops —
+/// not a second copy of the product. How many blocks park is up to the
+/// scheduler: measured here, 0.12–0.17 of the product's bytes on two cores
+/// and 0.55–1.07 when the two threads share one (one is descheduled
+/// mid-block while the other runs ahead), where joining after the last
+/// block holds 1.48 in every run. So: the best of three runs stays below
+/// one product.
+#[test]
+fn a_product_built_by_two_threads_is_not_held_twice() {
+    let _turn = COUNTING.lock().unwrap();
+    let a = Csc::from_triples(&generate_rmat(&RmatParams::graph500(10, 16, 3)));
+    let fpc = hipmcl::spgemm::flops_per_column(&a, &a);
+    let entry = std::mem::size_of::<hipmcl::sparse::Idx>() + std::mem::size_of::<f64>();
+    let reserved = entry * hipmcl::spgemm::analysis::nnz_bound(&fpc, a.nrows());
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(2)
+        .build()
+        .unwrap();
+    let mut product = 0;
+    let beyond: Vec<usize> = (0..3)
+        .map(|_| {
+            let before = LIVE.load(Relaxed);
+            PEAK.store(before, Relaxed);
+            product = entry
+                * pool
+                    .install(|| hipmcl::spgemm::hash::multiply(&a, &a))
+                    .nnz();
+            (PEAK.load(Relaxed) - before).saturating_sub(reserved)
+        })
+        .collect();
+    println!("{beyond:?} B live beyond the {reserved} B reserved, product {product} B");
+    assert!(product > 1 << 20, "a product worth copying");
+    assert!(
+        beyond.iter().any(|&b| b <= product),
+        "{beyond:?} B live beyond the {reserved} B reserved, product {product} B"
     );
 }

@@ -50,14 +50,8 @@ fn assert_identical<S: Semiring>(s: S, a: &Csc<S::Elem>, b: &Csc<S::Elem>, gpu: 
         ("heap", heap::multiply_in(s, a, b)),
         ("spa", spa::multiply_in(s, a, b)),
         ("auto", hybrid::multiply_auto_in(s, a, b).0),
-        (
-            "direct",
-            hash::multiply_with_counts_as(Direct, s, a, b, &counts),
-        ),
-        (
-            "hashed",
-            hash::multiply_with_counts_as(Hashed, s, a, b, &counts),
-        ),
+        ("direct", hash::multiply_as(Direct, s, a, b, &fpc)),
+        ("hashed", hash::multiply_as(Hashed, s, a, b, &fpc)),
     ];
     if gpu {
         others.extend(GpuLib::all().map(|lib| (lib.name(), multiply_csc_in(s, a, b, lib))));
@@ -96,21 +90,25 @@ fn power_of_two_counts_and_flops_beyond_nrows() {
 
 #[test]
 fn a_wrong_count_panics_instead_of_padding_or_cutting_the_column() {
+    // The one count left is the length of the slices a column is drained
+    // into: the accumulated column of 8 rows goes into exactly 8 slots.
     let a = operand(8, 40, 256, 3, dyadic);
-    let b = operand(40, 24, 60, 4, dyadic);
     let pt = PlusTimes::<f64>::new();
-    for delta in [1, -1] {
-        let mut counts = hash::symbolic_counts(&a, &b);
-        let j = counts.iter().position(|&c| c == 8).unwrap();
-        counts[j] = counts[j].wrapping_add_signed(delta);
-        let hash = |mode| {
-            std::panic::catch_unwind(|| hash::multiply_with_counts_as(mode, pt, &a, &b, &counts))
-        };
-        let heap = std::panic::catch_unwind(|| heap::multiply_with_counts_in(pt, &a, &b, &counts));
-        assert!(
-            hash(Direct).is_err() && hash(Hashed).is_err() && heap.is_err(),
-            "delta {delta}"
-        );
+    for mode in [Direct, Hashed] {
+        for slots in [7, 8, 9] {
+            let drained = std::panic::catch_unwind(|| {
+                let mut table = hash::HashScratch::default();
+                table.open_as(mode, 8, 8);
+                table.extend(pt, a.col_rows(0).iter().copied().zip([1.0; 8]));
+                let (mut rows, mut vals) = (vec![0; slots], vec![0.0; slots]);
+                table.drain_sorted_into(0, &mut rows, &mut vals);
+                rows
+            });
+            match slots {
+                8 => assert_eq!(drained.unwrap(), [0, 1, 2, 3, 4, 5, 6, 7]),
+                _ => assert!(drained.is_err(), "{mode:?}, {slots} slots"),
+            }
+        }
     }
 }
 

@@ -74,8 +74,8 @@ fn local_spgemm_kernels() {
             let counts = hash::symbolic_counts_as(Direct, &a, &a, &fpc);
             assert_eq!(counts, hash::symbolic_counts_as(Hashed, &a, &a, &fpc));
             let cpu = [
-                hash::multiply_with_counts_as(Direct, s, &a, &a, &counts),
-                hash::multiply_with_counts_as(Hashed, s, &a, &a, &counts),
+                hash::multiply_as(Direct, s, &a, &a, &fpc),
+                hash::multiply_as(Hashed, s, &a, &a, &fpc),
                 heap::multiply_in(s, &a, &a),
                 hybrid::multiply_auto_in(s, &a, &a).0,
             ];
