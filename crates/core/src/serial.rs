@@ -1,16 +1,20 @@
 //! Single-process reference MCL.
 //!
-//! Runs Algorithm 1 of the paper with the hybrid local SpGEMM (heap/hash
-//! by `cf`), full pruning (cutoff, selection, recovery) and inflation.
-//! This is the oracle the distributed driver is validated against, and a
-//! practical way to cluster graphs that fit in one process.
+//! Runs Algorithm 1 of the paper with the one-pass hash SpGEMM of §VI
+//! (`hipmcl_spgemm::hash`), full pruning (cutoff, selection, recovery) and
+//! inflation — fused: each expanded column is pruned and inflated as the
+//! accumulator hands it over, so the unpruned product is never held (its
+//! size is counted, as `nnz_expanded`). This is the oracle the
+//! distributed driver is validated against, and a practical way to cluster
+//! graphs that fit in one process.
 
 use crate::config::MclConfig;
-use hipmcl_sparse::colops;
+use hipmcl_sparse::colops::{self, PruneScratch};
 use hipmcl_sparse::components::{clusters_from_labels, connected_components};
 use hipmcl_sparse::wire::{WireDecode, WireEncode, WireError, WireReader};
-use hipmcl_sparse::Csc;
-use hipmcl_spgemm::MultAnalysis;
+use hipmcl_sparse::{Csc, Idx, PlusTimes};
+use hipmcl_spgemm::{flops_per_column, hash, MultAnalysis};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// Per-iteration trace entry of a serial run.
 #[derive(Clone, Copy, Debug)]
@@ -155,16 +159,50 @@ pub fn cluster_serial(adjacency: &Csc<f64>, cfg: &MclConfig) -> MclResult {
 }
 
 /// One MCL iteration on a column-stochastic `a`, in place: expansion
-/// `A·A` with the cf-selected kernel (§VI), pruning (threshold +
-/// selection + recovery), inflation (Hadamard power + renormalize).
-/// Returns the expansion's analysis and the chaos after inflation — the
-/// loop body of [`cluster_serial`], for harnesses that walk the serial
-/// iterates themselves.
+/// `A·A`, pruning (threshold + selection + recovery), inflation (Hadamard
+/// power + renormalize). Returns the expansion's analysis and the chaos
+/// after inflation — the loop body of [`cluster_serial`], for harnesses
+/// that walk the serial iterates themselves.
+///
+/// One column pass: the one-pass hash kernel of `hybrid::multiply_auto`
+/// accumulates each column of `A·A`, which is drained into the worker's
+/// buffers, pruned by `colops::prune_column` and inflated by
+/// `colops::inflate_column` where it is appended. The result is
+/// bit-identical to `multiply_auto`, `colops::prune` and `colops::inflate`
+/// in turn, `nnz_out` included (the accumulators' lengths, summed), while
+/// no more than one unpruned column per worker exists at a time.
 pub fn mcl_iteration(a: &mut Csc<f64>, cfg: &MclConfig) -> (MultAnalysis, f64) {
-    let (b, analysis, _algo) = hipmcl_spgemm::hybrid::multiply_auto(a, a);
-    let (pruned, _stats) = colops::prune(&b, &cfg.prune);
-    *a = pruned;
-    colops::inflate(a, cfg.inflation);
+    let fpc = flops_per_column(a, a);
+    let (prune, inflation) = (&cfg.prune, cfg.inflation);
+    let nnz_out = &AtomicU64::new(0);
+    let (mut rows, mut vals) = (Vec::<Idx>::new(), Vec::<f64>::new());
+    let mut scratch = PruneScratch::default();
+    let keep = prune.select.max(prune.recover_num);
+    *a = hash::multiply_with_flops_in(
+        PlusTimes::<f64>::new(),
+        a,
+        a,
+        &fpc,
+        keep,
+        move |table, j, out| {
+            let n = table.len();
+            nnz_out.fetch_add(n as u64, Relaxed);
+            rows.resize(n, 0);
+            vals.resize(n, 0.0);
+            table.drain_sorted_into(j, &mut rows, &mut vals);
+            let (kept, _stats) = colops::prune_column(&vals, prune, &mut scratch);
+            out.push_column_with(kept.len(), |r, v| {
+                for ((r, v), &k) in r.iter_mut().zip(v.iter_mut()).zip(kept) {
+                    (*r, *v) = (rows[k], vals[k]);
+                }
+                colops::inflate_column(v, inflation);
+            });
+        },
+    );
+    let analysis = MultAnalysis {
+        flops: fpc.iter().sum(),
+        nnz_out: nnz_out.load(Relaxed),
+    };
     (analysis, colops::chaos(a))
 }
 

@@ -13,6 +13,7 @@
 //! at MCL densities.
 
 use hipmcl_sparse::{Csc, Semiring};
+use hipmcl_spgemm::hash::{self, HashScratch};
 use std::ops::Range;
 
 /// The table size of a column's bin: bin `b` holds columns with
@@ -34,12 +35,13 @@ pub(crate) fn multiply_in<S: Semiring>(
     reserve: usize,
 ) -> Csc<S::Elem> {
     let nrows = a.nrows();
-    hipmcl_spgemm::hash::multiply_cols_with(sr, a, b, cols, reserve, |table, j| {
+    let open = |table: &mut HashScratch<S::Elem>, j: usize| {
         // The bin's table: its flops bound, capped by a column's possible
         // rows — direct-addressed by row id when `nrows(A)` slots fit the
         // accumulator's budget, a hash table of that many keys otherwise.
         table.open(bin_bound(flops[j]).min(nrows), nrows)
-    })
+    };
+    hash::multiply_cols_with(sr, a, b, cols, reserve, open, hash::append)
 }
 
 #[cfg(test)]

@@ -4,10 +4,15 @@
 //!
 //! All kernels are column-parallel with rayon — columns are independent,
 //! which is exactly why HipMCL parallelizes these steps trivially (§II).
+//! For the same reason pruning and inflation are also offered one column
+//! at a time ([`prune_column`], [`inflate_column`]): the matrix forms are
+//! loops over them, and the serial driver applies them to each column of
+//! an expansion as the SpGEMM finishes it.
 
-use crate::csc::Csc;
+use crate::csc::{Csc, CscBuilder};
 use crate::Idx;
 use rayon::prelude::*;
+use std::sync::Mutex;
 
 /// Pruning policy applied after every expansion (Algorithm 1, line 4).
 ///
@@ -91,6 +96,14 @@ pub struct PruneStats {
     pub recovered: usize,
 }
 
+impl std::ops::AddAssign for PruneStats {
+    fn add_assign(&mut self, other: Self) {
+        self.pruned_by_cutoff += other.pruned_by_cutoff;
+        self.pruned_by_select += other.pruned_by_select;
+        self.recovered += other.recovered;
+    }
+}
+
 /// The values of every column of `m` as disjoint mutable slices, in column
 /// order — what the kernels that update a matrix in place run over.
 fn column_vals_mut(m: &mut Csc<f64>) -> Vec<&mut [f64]> {
@@ -121,19 +134,24 @@ pub fn normalize_columns(m: &mut Csc<f64>) {
 /// Raises every entry to `power` and renormalizes columns — the MCL
 /// inflation operator Γ_r (Algorithm 1, line 5; paper uses r = 2).
 pub fn inflate(m: &mut Csc<f64>, power: f64) {
-    column_vals_mut(m).into_par_iter().for_each(|col| {
-        let mut s = 0.0;
-        for v in col.iter_mut() {
-            *v = v.powf(power);
-            s += *v;
+    column_vals_mut(m)
+        .into_par_iter()
+        .for_each(|col| inflate_column(col, power));
+}
+
+/// [`inflate`] on the values of one column.
+pub fn inflate_column(col: &mut [f64], power: f64) {
+    let mut s = 0.0;
+    for v in col.iter_mut() {
+        *v = v.powf(power);
+        s += *v;
+    }
+    if s > 0.0 {
+        let inv = 1.0 / s;
+        for v in col {
+            *v *= inv;
         }
-        if s > 0.0 {
-            let inv = 1.0 / s;
-            for v in col {
-                *v *= inv;
-            }
-        }
-    });
+    }
 }
 
 /// Sum of each column.
@@ -176,122 +194,135 @@ pub fn chaos(m: &Csc<f64>) -> f64 {
 }
 
 /// Returns the `k`-th largest value of `vals` (1-indexed: `k = 1` gives the
-/// maximum). `k` must satisfy `1 ≤ k ≤ vals.len()`. `O(n)` via quickselect.
-pub fn kth_largest(vals: &[f64], k: usize) -> f64 {
+/// maximum), reordering `vals`. `k` must satisfy `1 ≤ k ≤ vals.len()`.
+/// `O(n)` via quickselect.
+pub fn kth_largest(vals: &mut [f64], k: usize) -> f64 {
     assert!(k >= 1 && k <= vals.len());
-    let mut buf: Vec<f64> = vals.to_vec();
-    let idx = k - 1;
-    let (_, kth, _) = buf.select_nth_unstable_by(idx, |a, b| b.partial_cmp(a).unwrap());
+    let (_, kth, _) = vals.select_nth_unstable_by(k - 1, |a, b| b.partial_cmp(a).unwrap());
     *kth
 }
 
 /// Applies [`PruneParams`] to every column of `m`, returning the pruned
-/// matrix and statistics. The input is expected column stochastic; column
-/// mass is *not* renormalized here (MCL renormalizes during inflation).
-///
-/// Per column: cutoff prune → top-`select` selection → recovery. A column
-/// whose entries are all below the cutoff keeps its single largest entry
-/// (a random-walk column must never become empty).
+/// matrix and statistics: [`prune_column`] on each column. The input is
+/// expected column stochastic; column mass is *not* renormalized here (MCL
+/// renormalizes during inflation).
 pub fn prune(m: &Csc<f64>, p: &PruneParams) -> (Csc<f64>, PruneStats) {
-    struct ColOut {
-        rows: Vec<Idx>,
-        vals: Vec<f64>,
-        stats: PruneStats,
-    }
-
-    let cols: Vec<ColOut> = (0..m.ncols())
-        .into_par_iter()
-        .map(|j| {
-            let rows = m.col_rows(j);
-            let vals = m.col_vals(j);
-            let mut stats = PruneStats::default();
-            if rows.is_empty() {
-                return ColOut {
-                    rows: Vec::new(),
-                    vals: Vec::new(),
-                    stats,
-                };
-            }
-            let total_mass: f64 = vals.iter().sum();
-
-            // Cutoff prune.
-            let mut kept: Vec<usize> = (0..rows.len()).filter(|&k| vals[k] >= p.cutoff).collect();
-            stats.pruned_by_cutoff = rows.len() - kept.len();
-            if kept.is_empty() {
-                // Keep the single largest entry.
-                let best = (0..vals.len())
-                    .max_by(|&a, &b| vals[a].partial_cmp(&vals[b]).unwrap())
-                    .unwrap();
-                kept.push(best);
-                stats.pruned_by_cutoff -= 1;
-            }
-
-            // Selection: keep top-`select` among survivors.
-            if kept.len() > p.select {
-                let thresh = {
-                    let surviving: Vec<f64> = kept.iter().map(|&k| vals[k]).collect();
-                    kth_largest(&surviving, p.select)
-                };
-                // Keep strictly-greater first, then fill ties up to `select`.
-                let mut top: Vec<usize> =
-                    kept.iter().copied().filter(|&k| vals[k] > thresh).collect();
-                for &k in &kept {
-                    if top.len() >= p.select {
-                        break;
-                    }
-                    if vals[k] == thresh {
-                        top.push(k);
-                    }
+    let keep = p.select.max(p.recover_num);
+    let bound = (0..m.ncols()).map(|j| m.col_nnz(j).min(keep)).sum();
+    let total = Mutex::new(PruneStats::default());
+    let pruned = CscBuilder::build(
+        m.nrows(),
+        m.ncols(),
+        bound,
+        PruneScratch::default(),
+        |scratch, j, out| {
+            let (rows, vals) = (m.col_rows(j), m.col_vals(j));
+            let (kept, stats) = prune_column(vals, p, scratch);
+            out.push_column_with(kept.len(), |r, v| {
+                for ((r, v), &k) in r.iter_mut().zip(v).zip(kept) {
+                    (*r, *v) = (rows[k], vals[k]);
                 }
-                stats.pruned_by_select = kept.len() - top.len();
-                kept = top;
-                kept.sort_unstable();
-            }
-
-            // Recovery: if too much mass was pruned and the column is small.
-            let kept_mass: f64 = kept.iter().map(|&k| vals[k]).sum();
-            if kept.len() < p.recover_num && kept_mass < p.recover_pct * total_mass {
-                let mut pruned: Vec<usize> =
-                    (0..rows.len()).filter(|k| !kept.contains(k)).collect();
-                pruned.sort_unstable_by(|&a, &b| vals[b].partial_cmp(&vals[a]).unwrap());
-                let mut mass = kept_mass;
-                for k in pruned {
-                    if kept.len() >= p.recover_num || mass >= p.recover_pct * total_mass {
-                        break;
-                    }
-                    kept.push(k);
-                    mass += vals[k];
-                    stats.recovered += 1;
-                }
-                kept.sort_unstable();
-            }
-
-            ColOut {
-                rows: kept.iter().map(|&k| rows[k]).collect(),
-                vals: kept.iter().map(|&k| vals[k]).collect(),
-                stats,
-            }
-        })
-        .collect();
-
-    let mut colptr = Vec::with_capacity(m.ncols() + 1);
-    colptr.push(0usize);
-    let nnz: usize = cols.iter().map(|c| c.rows.len()).sum();
-    let mut rowidx = Vec::with_capacity(nnz);
-    let mut vals = Vec::with_capacity(nnz);
-    let mut stats = PruneStats::default();
-    for c in cols {
-        rowidx.extend_from_slice(&c.rows);
-        vals.extend_from_slice(&c.vals);
-        colptr.push(rowidx.len());
-        stats.pruned_by_cutoff += c.stats.pruned_by_cutoff;
-        stats.pruned_by_select += c.stats.pruned_by_select;
-        stats.recovered += c.stats.recovered;
-    }
+            });
+            *total.lock().expect("nothing panics under the lock") += stats;
+        },
+    );
     (
-        Csc::from_parts(m.nrows(), m.ncols(), colptr, rowidx, vals),
-        stats,
+        pruned,
+        total.into_inner().expect("nothing panics under the lock"),
     )
+}
+
+/// The buffers [`prune_column`] works in, reused by one worker from column
+/// to column: it allocates only for a column larger than any before.
+#[derive(Clone, Debug, Default)]
+pub struct PruneScratch {
+    /// Positions kept, what [`prune_column`] returns.
+    kept: Vec<usize>,
+    /// Selection: the survivors' values, then the positions of the top.
+    surviving: Vec<f64>,
+    top: Vec<usize>,
+    /// Recovery: the positions pruned, largest value first.
+    pruned: Vec<usize>,
+}
+
+/// [`PruneParams`] applied to one column, given by its values: the
+/// positions of `vals` that stay, ascending, and what was done.
+///
+/// Cutoff prune → top-`select` selection → recovery. A column whose
+/// entries are all below the cutoff keeps its single largest entry (a
+/// random-walk column must never become empty), the last of equal maxima.
+/// A column keeps at most `max(select, recover_num)` entries.
+pub fn prune_column<'s>(
+    vals: &[f64],
+    p: &PruneParams,
+    scratch: &'s mut PruneScratch,
+) -> (&'s [usize], PruneStats) {
+    let PruneScratch {
+        kept,
+        surviving,
+        top,
+        pruned,
+    } = scratch;
+    let mut stats = PruneStats::default();
+    kept.clear();
+    if vals.is_empty() {
+        return (kept, stats);
+    }
+    let total_mass: f64 = vals.iter().sum();
+
+    // Cutoff prune.
+    kept.extend((0..vals.len()).filter(|&k| vals[k] >= p.cutoff));
+    stats.pruned_by_cutoff = vals.len() - kept.len();
+    if kept.is_empty() {
+        // Keep the single largest entry.
+        let best = (0..vals.len())
+            .max_by(|&a, &b| vals[a].partial_cmp(&vals[b]).unwrap())
+            .unwrap();
+        kept.push(best);
+        stats.pruned_by_cutoff -= 1;
+    }
+
+    // Selection: keep top-`select` among survivors.
+    if kept.len() > p.select {
+        surviving.clear();
+        surviving.extend(kept.iter().map(|&k| vals[k]));
+        let thresh = kth_largest(surviving, p.select);
+        // Keep strictly-greater first, then fill ties up to `select`.
+        top.clear();
+        top.extend(kept.iter().copied().filter(|&k| vals[k] > thresh));
+        for &k in kept.iter() {
+            if top.len() >= p.select {
+                break;
+            }
+            if vals[k] == thresh {
+                top.push(k);
+            }
+        }
+        stats.pruned_by_select = kept.len() - top.len();
+        std::mem::swap(kept, top);
+        kept.sort_unstable();
+    }
+
+    // Recovery: if too much mass was pruned and the column is small.
+    let kept_mass: f64 = kept.iter().map(|&k| vals[k]).sum();
+    if kept.len() < p.recover_num && kept_mass < p.recover_pct * total_mass {
+        // The complement of `kept`, which is ascending: one walk over it.
+        let mut next_kept = kept.iter().peekable();
+        pruned.clear();
+        pruned.extend((0..vals.len()).filter(|k| next_kept.next_if_eq(&k).is_none()));
+        pruned.sort_unstable_by(|&a, &b| vals[b].partial_cmp(&vals[a]).unwrap());
+        let mut mass = kept_mass;
+        for &k in pruned.iter() {
+            if kept.len() >= p.recover_num || mass >= p.recover_pct * total_mass {
+                break;
+            }
+            kept.push(k);
+            mass += vals[k];
+            stats.recovered += 1;
+        }
+        kept.sort_unstable();
+    }
+    (kept, stats)
 }
 
 /// Makes the nonzero pattern symmetric: `m ∨ mᵀ` with values `max(a, aᵀ)`.
@@ -395,10 +426,10 @@ mod tests {
 
     #[test]
     fn kth_largest_basic() {
-        let v = [0.1, 0.9, 0.5, 0.7];
-        assert_eq!(kth_largest(&v, 1), 0.9);
-        assert_eq!(kth_largest(&v, 2), 0.7);
-        assert_eq!(kth_largest(&v, 4), 0.1);
+        let mut v = [0.1, 0.9, 0.5, 0.7];
+        assert_eq!(kth_largest(&mut v, 1), 0.9);
+        assert_eq!(kth_largest(&mut v, 2), 0.7);
+        assert_eq!(kth_largest(&mut v, 4), 0.1);
     }
 
     #[test]

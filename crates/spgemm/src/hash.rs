@@ -5,12 +5,13 @@
 //! One pass: [`multiply_cols_with`] walks the output columns, accumulates
 //! each in the worker's [`HashScratch`] opened at the column's bound
 //! `min(flops_j, nrows)`, and appends the drained column to a
-//! [`CscBuilder`] that reserved the product's bound — nothing is counted
-//! before it is computed. (The key-only pass of the two-phase formulation,
-//! [`symbolic_counts_with_flops`], is still here as what it now only is:
-//! the exact memory estimator.) The accumulator's storage only grows, and it
-//! finds a row's slot in one of two ways ([`Addressing`]), chosen from the
-//! operands alone:
+//! [`CscBuilder`] that reserved the product's bound — or whatever the
+//! caller's `emit` makes of it: the serial MCL iteration appends it pruned
+//! and inflated. Nothing is counted before it is computed. (The key-only
+//! pass of the two-phase formulation, [`symbolic_counts_with_flops`], is
+//! still here as what it now only is: the exact memory estimator.) The
+//! accumulator's storage only grows, and it finds a row's slot in one of
+//! two ways ([`Addressing`]), chosen from the operands alone:
 //!
 //! * **direct** while one slot per row of `A` fits a cache-resident budget
 //!   ([`DIRECT_BUDGET_BYTES`]): the slot is the row id — no hashing, no
@@ -371,7 +372,7 @@ impl<T: Value> HashScratch<T> {
 /// Multiplies `C = A · B` with hash accumulation in the given semiring, in
 /// one pass.
 pub fn multiply_in<S: Semiring>(s: S, a: &Csc<S::Elem>, b: &Csc<S::Elem>) -> Csc<S::Elem> {
-    multiply_with_flops_in(s, a, b, &flops_per_column(a, b))
+    multiply_with_flops_in(s, a, b, &flops_per_column(a, b), usize::MAX, append)
 }
 
 /// [`multiply_in`] with the numeric plus-times semiring — MCL's default.
@@ -382,21 +383,26 @@ where
     multiply_in(PlusTimes::new(), a, b)
 }
 
-/// [`multiply_in`] given `fpc = flops_per_column(a, b)`, for a caller that
-/// has it already.
+/// [`multiply_in`] given `fpc = flops_per_column(a, b)`, with each
+/// finished column handed to `emit`, which appends at most `keep` entries
+/// of it (see [`multiply_cols_with`]; [`append`] and `usize::MAX` make it
+/// [`multiply_in`]).
 pub fn multiply_with_flops_in<S: Semiring>(
     sr: S,
     a: &Csc<S::Elem>,
     b: &Csc<S::Elem>,
     fpc: &[u64],
+    keep: usize,
+    emit: impl FnMut(&mut HashScratch<S::Elem>, usize, &mut CscBuilder<S::Elem>) + Clone + Send,
 ) -> Csc<S::Elem> {
     // One mode per product, from the mean column's bound: a direct column
     // among hashed ones would find its slots evicted.
     let mean = nnz_bound(fpc, a.nrows()).div_ceil(fpc.len().max(1));
-    multiply_as(Addressing::of::<S::Elem>(mean, a.nrows()), sr, a, b, fpc)
+    let mode = Addressing::of::<S::Elem>(mean, a.nrows());
+    multiply_kept_as(mode, sr, a, b, fpc, keep, emit)
 }
 
-/// [`multiply_with_flops_in`] with the addressing mode given instead of
+/// [`multiply_in`] given `fpc`, with the addressing mode given instead of
 /// derived from the operands.
 pub fn multiply_as<S: Semiring>(
     mode: Addressing,
@@ -405,20 +411,46 @@ pub fn multiply_as<S: Semiring>(
     b: &Csc<S::Elem>,
     fpc: &[u64],
 ) -> Csc<S::Elem> {
+    multiply_kept_as(mode, sr, a, b, fpc, usize::MAX, append)
+}
+
+/// Every output column opened at its bound `min(flops_j, nrows)` in `mode`,
+/// room reserved for `Σ_j min(flops_j, nrows, keep)` entries.
+fn multiply_kept_as<S: Semiring>(
+    mode: Addressing,
+    sr: S,
+    a: &Csc<S::Elem>,
+    b: &Csc<S::Elem>,
+    fpc: &[u64],
+    keep: usize,
+    emit: impl FnMut(&mut HashScratch<S::Elem>, usize, &mut CscBuilder<S::Elem>) + Clone + Send,
+) -> Csc<S::Elem> {
     assert_eq!(fpc.len(), b.ncols(), "one flops entry per output column");
     let nrows = a.nrows();
-    let reserve = nnz_bound(fpc, nrows);
-    multiply_cols_with(sr, a, b, 0..b.ncols(), reserve, |table, j| {
-        table.open_as(mode, (fpc[j] as usize).min(nrows), nrows)
-    })
+    let bound = |j: usize| (fpc[j] as usize).min(nrows);
+    let reserve = (0..fpc.len()).map(|j| bound(j).min(keep)).sum();
+    let open = |table: &mut HashScratch<S::Elem>, j| table.open_as(mode, bound(j), nrows);
+    multiply_cols_with(sr, a, b, 0..b.ncols(), reserve, open, emit)
+}
+
+/// What the column loop does with a finished column unless told
+/// otherwise: appends the drained accumulator to `out` as it is.
+pub fn append<T: Value>(table: &mut HashScratch<T>, j: usize, out: &mut CscBuilder<T>) {
+    out.push_column_with(table.len(), |rows, vals| {
+        table.drain_sorted_into(j, rows, vals)
+    });
 }
 
 /// The one-pass column loop of every hash kernel in the workspace (this
-/// module's, the SPA kernel, the `nsparse` analogue in `hipmcl-gpu`):
-/// columns `cols` of `A · B` as an `nrows(A) × cols.len()` matrix with
-/// room reserved for `reserve` entries. `open(table, j)` opens the
-/// worker's accumulator for output column `j` — it owns table size and
-/// addressing; a table opened too small for the column panics there.
+/// module's, the SPA kernel, the `nsparse` analogue in `hipmcl-gpu`, the
+/// serial MCL iteration): columns `cols` of `A · B` as an `nrows(A) ×
+/// cols.len()` matrix with room reserved for `reserve` entries.
+/// `open(table, j)` opens the worker's accumulator for output column `j` —
+/// it owns table size and addressing; a table opened too small for the
+/// column panics there. `emit(table, j, out)` then drains the accumulated
+/// column and pushes what it makes of it to `out`, once: [`append`] pushes
+/// it unchanged. Each worker runs its own clone of `emit`, so what `emit`
+/// owns — buffers a column is drained into, say — is per worker.
 pub fn multiply_cols_with<S: Semiring>(
     sr: S,
     a: &Csc<S::Elem>,
@@ -426,14 +458,15 @@ pub fn multiply_cols_with<S: Semiring>(
     cols: Range<usize>,
     reserve: usize,
     open: impl Fn(&mut HashScratch<S::Elem>, usize) + Sync + Send,
+    emit: impl FnMut(&mut HashScratch<S::Elem>, usize, &mut CscBuilder<S::Elem>) + Clone + Send,
 ) -> Csc<S::Elem> {
     assert_eq!(a.ncols(), b.nrows(), "inner dimensions must agree");
     CscBuilder::build(
         a.nrows(),
         cols.len(),
         reserve,
-        HashScratch::default(),
-        |table, j, out| {
+        (HashScratch::default(), emit),
+        |(table, emit), j, out| {
             let j = cols.start + j;
             open(table, j);
             for (&k, &bv) in b.col_rows(j).iter().zip(b.col_vals(j)) {
@@ -441,9 +474,7 @@ pub fn multiply_cols_with<S: Semiring>(
                 let scaled = a.col_vals(k).iter().map(|&av| S::mul(av, bv));
                 table.extend(sr, a.col_rows(k).iter().copied().zip(scaled));
             }
-            out.push_column_with(table.len(), |rows, vals| {
-                table.drain_sorted_into(j, rows, vals)
-            });
+            emit(table, j, out);
         },
     )
 }
@@ -706,10 +737,11 @@ mod tests {
         ] {
             *GATE.0.lock().unwrap() = (Some(std::thread::current().id()), false);
             let kernel = || {
-                multiply_cols_with(Gated, &a, &b, 0..n, 0, |table, j| match j {
+                let open = |table: &mut HashScratch<f64>, j| match j {
                     j if j == n - 1 => table.open_as(mode, 0, universe),
                     _ => table.open_as(mode, 2, 4),
-                })
+                };
+                multiply_cols_with(Gated, &a, &b, 0..n, 0, open, append)
             };
             let caught = pool
                 .install(|| std::panic::catch_unwind(std::panic::AssertUnwindSafe(kernel)))

@@ -120,7 +120,7 @@ pub fn multiply_auto_in<S: Semiring>(
     b: &Csc<S::Elem>,
 ) -> (Csc<S::Elem>, MultAnalysis, CpuAlgo) {
     let fpc = crate::analysis::flops_per_column(a, b);
-    let c = crate::hash::multiply_with_flops_in(s, a, b, &fpc);
+    let c = crate::hash::multiply_with_flops_in(s, a, b, &fpc, usize::MAX, crate::hash::append);
     let analysis = MultAnalysis {
         flops: fpc.iter().sum(),
         nnz_out: c.nnz() as u64,

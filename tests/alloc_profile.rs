@@ -2,7 +2,8 @@
 //! binary's own `#[global_allocator]`: a product is written into arrays
 //! obtained once, not into two vectors per output column, the merged slab
 //! the per-phase hook receives is the storage the merge wrote, not a copy
-//! of it, and a product built by several threads never exists twice. The
+//! of it, a product built by several threads never exists twice, and the
+//! serial MCL iteration never holds its unpruned product at all. The
 //! tests take turns ([`COUNTING`]), so nothing else allocates while one
 //! counts.
 
@@ -190,4 +191,46 @@ fn a_product_built_by_two_threads_is_not_held_twice() {
         beyond.iter().any(|&b| b <= product),
         "{beyond:?} B live beyond the {reserved} B reserved, product {product} B"
     );
+}
+
+/// The serial MCL iteration prunes and inflates each column of its
+/// expansion as the accumulator hands it over, so what it holds at its
+/// peak is the next iterate (reserved at `Σ_j min(flops_j, nrows,
+/// select)`), the per-column flops and one unpruned column per worker —
+/// never the unpruned product. On the first R-MAT scale-10 product at
+/// select 100 (436 k entries, 85 k kept) that peak measured 0.21 of the
+/// product's `12 · nnz_expanded` bytes at width 1 and 0.22–0.32 at width 2
+/// (blocks parked behind a slower one); expanding, then pruning held 1.52.
+#[test]
+fn an_mcl_iteration_never_holds_its_unpruned_product() {
+    let _turn = COUNTING.lock().unwrap();
+    let graph = Csc::from_triples(&generate_rmat(&RmatParams::graph500(10, 16, 3)));
+    let mut cfg = MclConfig::optimized(1 << 30);
+    cfg.prune.select = 100;
+    let a = hipmcl::core::serial::prepare_matrix(&graph, &cfg);
+    let entry = std::mem::size_of::<hipmcl::sparse::Idx>() + std::mem::size_of::<f64>();
+    for width in [1, 2] {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(width)
+            .build()
+            .unwrap();
+        let mut next = a.clone();
+        let before = LIVE.load(Relaxed);
+        PEAK.store(before, Relaxed);
+        let (analysis, _) = pool.install(|| hipmcl::core::serial::mcl_iteration(&mut next, &cfg));
+        let (peak, product) = (
+            PEAK.load(Relaxed) - before,
+            entry * analysis.nnz_out as usize,
+        );
+        let ratio = peak as f64 / product as f64;
+        println!("width {width}: peak {peak} B live, {ratio:.3} of the {product} B product");
+        assert!(
+            next.nnz() * 4 < analysis.nnz_out as usize,
+            "a prune worth having"
+        );
+        assert!(
+            peak < product,
+            "width {width}: {ratio:.3} of the product live"
+        );
+    }
 }
