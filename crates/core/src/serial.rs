@@ -190,10 +190,11 @@ pub fn mcl_iteration(a: &mut Csc<f64>, cfg: &MclConfig) -> (MultAnalysis, f64) {
             rows.resize(n, 0);
             vals.resize(n, 0.0);
             table.drain_sorted_into(j, &mut rows, &mut vals);
-            let (kept, _stats) = colops::prune_column(&vals, prune, &mut scratch);
-            out.push_column_with(kept.len(), |r, v| {
-                for ((r, v), &k) in r.iter_mut().zip(v.iter_mut()).zip(kept) {
-                    (*r, *v) = (rows[k], vals[k]);
+            let (rules, kept, _stats) = colops::prune_column(&vals, prune, &mut scratch);
+            out.push_column_with(kept, |r, v| {
+                let admitted = colops::admitted(&rows, &vals, rules);
+                for ((r, v), e) in r.iter_mut().zip(v.iter_mut()).zip(admitted) {
+                    (*r, *v) = e;
                 }
                 colops::inflate_column(v, inflation);
             });

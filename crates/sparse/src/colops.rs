@@ -7,7 +7,10 @@
 //! For the same reason pruning and inflation are also offered one column
 //! at a time ([`prune_column`], [`inflate_column`]): the matrix forms are
 //! loops over them, and the serial driver applies them to each column of
-//! an expansion as the SpGEMM finishes it.
+//! an expansion as the SpGEMM finishes it. Pruning decides through
+//! [`select_rule`] and [`recover_rule`], which see a column as *shares*,
+//! one per holder: [`prune_column`] is the case of one share, the
+//! distributed prune (`summa::topk`) that of one per grid row.
 
 use crate::csc::{Csc, CscBuilder};
 use crate::Idx;
@@ -62,6 +65,12 @@ impl PruneParams {
             return bad("recover_pct", self.recover_pct);
         }
         Ok(())
+    }
+
+    /// Whether a column holding `count` entries of mass `mass`, of `total`
+    /// before pruning, recovers one more (MCL `-R`).
+    pub fn recovers(&self, count: usize, mass: f64, total: f64) -> bool {
+        count < self.recover_num && mass < self.recover_pct * total
     }
 }
 
@@ -162,14 +171,6 @@ pub fn col_sums(m: &Csc<f64>) -> Vec<f64> {
         .collect()
 }
 
-/// Maximum of each column (0 for empty columns).
-pub fn col_maxes(m: &Csc<f64>) -> Vec<f64> {
-    (0..m.ncols())
-        .into_par_iter()
-        .map(|j| m.col_vals(j).iter().copied().fold(0.0f64, f64::max))
-        .collect()
-}
-
 /// The MCL *chaos* statistic: `max_j (max_i m_ij − Σ_i m_ij²)` over
 /// non-empty columns of a column-stochastic matrix. Zero exactly when every
 /// column is an indicator vector (fully converged); HipMCL stops when chaos
@@ -194,12 +195,25 @@ pub fn chaos(m: &Csc<f64>) -> f64 {
 }
 
 /// Returns the `k`-th largest value of `vals` (1-indexed: `k = 1` gives the
-/// maximum), reordering `vals`. `k` must satisfy `1 ≤ k ≤ vals.len()`.
-/// `O(n)` via quickselect.
+/// maximum) in the order of `f64::total_cmp`, by selection: afterwards
+/// `vals[..k]` holds the `k` largest, the `k`-th last. `k` must satisfy
+/// `1 ≤ k ≤ vals.len()`.
 pub fn kth_largest(vals: &mut [f64], k: usize) -> f64 {
-    assert!(k >= 1 && k <= vals.len());
-    let (_, kth, _) = vals.select_nth_unstable_by(k - 1, |a, b| b.partial_cmp(a).unwrap());
-    *kth
+    *vals.select_nth_unstable_by(k - 1, |a, b| b.total_cmp(a)).1
+}
+
+/// Appends the `keep` largest of `vals` to `flat` and returns how many
+/// `vals` held. The run is unordered, except that when some were cut the
+/// `keep`-th largest ends it.
+pub fn push_largest(flat: &mut Vec<f64>, vals: impl Iterator<Item = f64>, keep: usize) -> usize {
+    let start = flat.len();
+    flat.extend(vals);
+    let n = flat.len() - start;
+    if n > keep {
+        kth_largest(&mut flat[start..], keep);
+        flat.truncate(start + keep);
+    }
+    n
 }
 
 /// Applies [`PruneParams`] to every column of `m`, returning the pruned
@@ -217,10 +231,10 @@ pub fn prune(m: &Csc<f64>, p: &PruneParams) -> (Csc<f64>, PruneStats) {
         PruneScratch::default(),
         |scratch, j, out| {
             let (rows, vals) = (m.col_rows(j), m.col_vals(j));
-            let (kept, stats) = prune_column(vals, p, scratch);
-            out.push_column_with(kept.len(), |r, v| {
-                for ((r, v), &k) in r.iter_mut().zip(v).zip(kept) {
-                    (*r, *v) = (rows[k], vals[k]);
+            let (rules, kept, stats) = prune_column(vals, p, scratch);
+            out.push_column_with(kept, |r, v| {
+                for ((r, v), e) in r.iter_mut().zip(v).zip(admitted(rows, vals, rules)) {
+                    (*r, *v) = e;
                 }
             });
             *total.lock().expect("nothing panics under the lock") += stats;
@@ -232,97 +246,202 @@ pub fn prune(m: &Csc<f64>, p: &PruneParams) -> (Csc<f64>, PruneStats) {
     )
 }
 
+/// Which entries of one column a prune keeps: every value above `thr`,
+/// and — of the values equal to it, in row order — the `ties` that follow
+/// the first `skip`. Cutoff, selection and the never-empty rule make one
+/// per column ([`select_rule`]); recovery makes a second over the entries
+/// the first rejects ([`recover_rule`]).
+#[derive(Clone, Copy, Debug)]
+pub struct Keep {
+    thr: f64,
+    skip: usize,
+    ties: usize,
+}
+
+impl Keep {
+    /// Keeps nothing.
+    pub const NOTHING: Keep = Keep::new(f64::INFINITY, 0, 0);
+
+    const fn new(thr: f64, skip: usize, ties: usize) -> Keep {
+        Keep { thr, skip, ties }
+    }
+
+    /// Decides the column's next entry; call in row order.
+    #[inline]
+    pub fn admits(&mut self, v: f64) -> bool {
+        if v != self.thr {
+            v > self.thr
+        } else if self.skip > 0 {
+            self.skip -= 1;
+            false
+        } else if self.ties > 0 {
+            self.ties -= 1;
+            true
+        } else {
+            false
+        }
+    }
+}
+
+/// The entries of one column, given by `rows` and `vals`, that the first
+/// of `rules` admits or, failing it, the second — in row order: what a
+/// prune writes.
+pub fn admitted<'c>(
+    rows: &'c [Idx],
+    vals: &'c [f64],
+    [mut keep, mut back]: [Keep; 2],
+) -> impl Iterator<Item = (Idx, f64)> + 'c {
+    (rows.iter().copied().zip(vals.iter().copied()))
+        .filter(move |&(_, v)| keep.admits(v) || back.admits(v))
+}
+
+/// One holder's part of a column: the whole column in the serial prune,
+/// the block of one grid row in the distributed one.
+#[derive(Clone, Copy, Debug)]
+pub struct Share<'a> {
+    /// Its largest value (`-∞` if it holds none).
+    pub max: f64,
+    /// How many of its values pass the cutoff.
+    pub passing: usize,
+    /// The `min(passing, select)` largest of those, as [`push_largest`]
+    /// leaves them.
+    pub run: &'a [f64],
+}
+
+/// The rule of share `me`, whose values are `col`, of a column whose shares
+/// in row order are `shares`, and how many entries it keeps. Every holder
+/// derives its rule from the same `shares`, so together they keep what one
+/// holder of the whole column would: the cutoff survivors, at most the
+/// `select` largest with ties granted share by share, then row by row; if
+/// none survives, the last copy of the maximum, as no column may become
+/// empty. Adds what it prunes to `stats`; `merged` is scratch.
+pub fn select_rule(
+    shares: &[Share],
+    me: usize,
+    col: &[f64],
+    p: &PruneParams,
+    stats: &mut PruneStats,
+    merged: &mut Vec<f64>,
+) -> (Keep, usize) {
+    let mine = shares[me].passing;
+    let passing: usize = shares.iter().map(|s| s.passing).sum();
+    stats.pruned_by_cutoff += col.len() - mine;
+    if passing == 0 {
+        let max = shares.iter().fold(f64::NEG_INFINITY, |m, s| m.max(s.max));
+        if max == f64::NEG_INFINITY || shares.iter().rposition(|s| s.max == max) != Some(me) {
+            return (Keep::NOTHING, 0);
+        }
+        stats.pruned_by_cutoff -= 1;
+        let copies = col.iter().filter(|&&v| v == max).count();
+        return (Keep::new(max, copies - 1, 1), 1);
+    }
+    if passing <= p.select {
+        return (Keep::new(p.cutoff, 0, mine), mine);
+    }
+    let runs = shares.iter().map(|s| s.run);
+    let top = match shares {
+        // `push_largest` left the `select`-th largest last.
+        [one] => one.run,
+        _ => {
+            merged.clear();
+            runs.clone().for_each(|run| merged.extend_from_slice(run));
+            kth_largest(merged, p.select);
+            &merged[..p.select]
+        }
+    };
+    let (keep, kept) = grant(runs, me, top);
+    stats.pruned_by_select += mine - kept;
+    (keep, kept)
+}
+
+/// Recovery (MCL `-R`) for share `me` of a column that kept `count` entries
+/// of mass `mass`, of `total`: the rule that brings back its part of the
+/// largest pruned values (value descending, then share, then row) while
+/// [`PruneParams::recovers`]. `runs` are the shares' `recover_num` largest
+/// pruned values. Adds what it restores to `stats`; `merged` is scratch.
+pub fn recover_rule(
+    runs: &[&[f64]],
+    me: usize,
+    (count, mut mass, total): (usize, f64, f64),
+    p: &PruneParams,
+    stats: &mut PruneStats,
+    merged: &mut Vec<f64>,
+) -> Keep {
+    merged.clear();
+    runs.iter().for_each(|run| merged.extend_from_slice(run));
+    merged.sort_unstable_by(|a, b| b.total_cmp(a));
+    let mut n = 0;
+    while n < merged.len() && p.recovers(count + n, mass, total) {
+        mass += merged[n];
+        n += 1;
+    }
+    let (back, restored) = grant(runs.iter().copied(), me, &merged[..n]);
+    stats.recovered += restored;
+    back
+}
+
+/// Share `me`'s part of the `n` largest values of `runs`' union, given
+/// those `n` as `top` with the smallest last, and how many that is: every
+/// value above the smallest and, of the places left for the values equal
+/// to it, what the shares before `me` leave. Nothing if `n` is 0.
+fn grant<'a>(runs: impl Iterator<Item = &'a [f64]>, me: usize, top: &[f64]) -> (Keep, usize) {
+    let Some((&thr, larger)) = top.split_last() else {
+        return (Keep::NOTHING, 0);
+    };
+    let mut quota = top.len() - larger.iter().filter(|&&v| v > thr).count();
+    for (r, run) in runs.enumerate() {
+        let ties = run.iter().filter(|&&v| v == thr).count().min(quota);
+        if r == me {
+            let above = run.iter().filter(|&&v| v > thr).count();
+            return (Keep::new(thr, 0, ties), above + ties);
+        }
+        quota -= ties;
+    }
+    unreachable!("share {me} holds a run")
+}
+
 /// The buffers [`prune_column`] works in, reused by one worker from column
 /// to column: it allocates only for a column larger than any before.
 #[derive(Clone, Debug, Default)]
 pub struct PruneScratch {
-    /// Positions kept, what [`prune_column`] returns.
-    kept: Vec<usize>,
-    /// Selection: the survivors' values, then the positions of the top.
-    surviving: Vec<f64>,
-    top: Vec<usize>,
-    /// Recovery: the positions pruned, largest value first.
-    pruned: Vec<usize>,
+    /// The column's one run: its largest survivors, then its largest
+    /// pruned values.
+    run: Vec<f64>,
+    /// Recovery's candidates in order.
+    merged: Vec<f64>,
 }
 
-/// [`PruneParams`] applied to one column, given by its values: the
-/// positions of `vals` that stay, ascending, and what was done.
-///
-/// Cutoff prune → top-`select` selection → recovery. A column whose
-/// entries are all below the cutoff keeps its single largest entry (a
-/// random-walk column must never become empty), the last of equal maxima.
-/// A column keeps at most `max(select, recover_num)` entries.
-pub fn prune_column<'s>(
+/// [`PruneParams`] applied to one column, given by its values: the rules
+/// that decide in row order which entries stay ([`admitted`]), how many
+/// stay, and what was done. The column is the one share of a grid of one:
+/// [`select_rule`], then [`recover_rule`] if it kept too few entries.
+pub fn prune_column(
     vals: &[f64],
     p: &PruneParams,
-    scratch: &'s mut PruneScratch,
-) -> (&'s [usize], PruneStats) {
-    let PruneScratch {
-        kept,
-        surviving,
-        top,
-        pruned,
-    } = scratch;
+    scratch: &mut PruneScratch,
+) -> ([Keep; 2], usize, PruneStats) {
+    let PruneScratch { run, merged } = scratch;
     let mut stats = PruneStats::default();
-    kept.clear();
-    if vals.is_empty() {
-        return (kept, stats);
+    let mut max = f64::NEG_INFINITY;
+    let passing = vals.iter().copied().filter(|&v| {
+        max = max.max(v);
+        v >= p.cutoff
+    });
+    run.clear();
+    let passing = push_largest(run, passing, p.select);
+    let share = Share { max, passing, run };
+    let (keep, kept) = select_rule(&[share], 0, vals, p, &mut stats, merged);
+    let mut back = Keep::NOTHING;
+    if kept < p.recover_num {
+        let (mut rule, total) = (keep, vals.iter().sum());
+        let mass = vals.iter().filter(|&&v| rule.admits(v)).sum();
+        let mut rule = keep;
+        let pruned = vals.iter().copied().filter(|&v| !rule.admits(v));
+        run.clear();
+        push_largest(run, pruned, p.recover_num);
+        back = recover_rule(&[run], 0, (kept, mass, total), p, &mut stats, merged);
     }
-    let total_mass: f64 = vals.iter().sum();
-
-    // Cutoff prune.
-    kept.extend((0..vals.len()).filter(|&k| vals[k] >= p.cutoff));
-    stats.pruned_by_cutoff = vals.len() - kept.len();
-    if kept.is_empty() {
-        // Keep the single largest entry.
-        let best = (0..vals.len())
-            .max_by(|&a, &b| vals[a].partial_cmp(&vals[b]).unwrap())
-            .unwrap();
-        kept.push(best);
-        stats.pruned_by_cutoff -= 1;
-    }
-
-    // Selection: keep top-`select` among survivors.
-    if kept.len() > p.select {
-        surviving.clear();
-        surviving.extend(kept.iter().map(|&k| vals[k]));
-        let thresh = kth_largest(surviving, p.select);
-        // Keep strictly-greater first, then fill ties up to `select`.
-        top.clear();
-        top.extend(kept.iter().copied().filter(|&k| vals[k] > thresh));
-        for &k in kept.iter() {
-            if top.len() >= p.select {
-                break;
-            }
-            if vals[k] == thresh {
-                top.push(k);
-            }
-        }
-        stats.pruned_by_select = kept.len() - top.len();
-        std::mem::swap(kept, top);
-        kept.sort_unstable();
-    }
-
-    // Recovery: if too much mass was pruned and the column is small.
-    let kept_mass: f64 = kept.iter().map(|&k| vals[k]).sum();
-    if kept.len() < p.recover_num && kept_mass < p.recover_pct * total_mass {
-        // The complement of `kept`, which is ascending: one walk over it.
-        let mut next_kept = kept.iter().peekable();
-        pruned.clear();
-        pruned.extend((0..vals.len()).filter(|k| next_kept.next_if_eq(&k).is_none()));
-        pruned.sort_unstable_by(|&a, &b| vals[b].partial_cmp(&vals[a]).unwrap());
-        let mut mass = kept_mass;
-        for &k in pruned.iter() {
-            if kept.len() >= p.recover_num || mass >= p.recover_pct * total_mass {
-                break;
-            }
-            kept.push(k);
-            mass += vals[k];
-            stats.recovered += 1;
-        }
-        kept.sort_unstable();
-    }
-    (kept, stats)
+    ([keep, back], kept + stats.recovered, stats)
 }
 
 /// Makes the nonzero pattern symmetric: `m ∨ mᵀ` with values `max(a, aᵀ)`.
@@ -536,14 +655,5 @@ mod tests {
         let m = add_self_loops(&Csc::from_triples(&t), 1.0);
         assert_eq!(m.get(0, 0), Some(3.0), "existing loop untouched");
         assert_eq!(m.get(1, 1), Some(1.0), "missing loop added");
-    }
-
-    #[test]
-    fn col_maxes_and_sums() {
-        let m = stochastic_sample();
-        let maxes = col_maxes(&m);
-        assert_eq!(maxes, vec![0.5, 0.9, 1.0]);
-        let sums = col_sums(&m);
-        assert!((sums[0] - 1.0).abs() < 1e-12);
     }
 }

@@ -84,10 +84,10 @@ pub fn read_matrix_market<R: Read>(reader: R) -> Result<Triples<f64>, IoError> {
         let mut toks = trimmed.split_whitespace();
         let i: usize = parse_tok(toks.next(), trimmed)?;
         let j: usize = parse_tok(toks.next(), trimmed)?;
-        let v: f64 = if pattern {
-            1.0
-        } else {
-            parse_tok(toks.next(), trimmed)?
+        let v = match toks.next() {
+            _ if pattern => 1.0,
+            Some(tok) => weight(tok, trimmed)?,
+            None => return Err(IoError::Parse(format!("short line: {trimmed}"))),
         };
         if i == 0 || j == 0 || i > m || j > n {
             return Err(IoError::Parse(format!("index out of range: {trimmed}")));
@@ -113,6 +113,16 @@ where
     tok.ok_or_else(|| IoError::Parse(format!("short line: {line}")))?
         .parse::<T>()
         .map_err(|e| IoError::Parse(format!("bad token in '{line}': {e}")))
+}
+
+/// The weight `tok` of `line`, which must be finite: `"NaN".parse::<f64>()`
+/// succeeds, but no prune can rank a NaN or an infinite weight.
+pub(crate) fn weight(tok: &str, line: &str) -> Result<f64, IoError> {
+    match tok.parse::<f64>() {
+        Ok(w) if w.is_finite() => Ok(w),
+        Ok(_) => Err(IoError::Parse(format!("non-finite weight in '{line}'"))),
+        Err(e) => Err(IoError::Parse(format!("bad weight in '{line}': {e}"))),
+    }
 }
 
 /// Writes a matrix as Matrix Market `coordinate real general`.
@@ -142,12 +152,7 @@ pub fn read_edge_list<R: Read>(reader: R) -> Result<Triples<f64>, IoError> {
         let mut toks = trimmed.split_whitespace();
         let s: usize = parse_tok(toks.next(), trimmed)?;
         let d: usize = parse_tok(toks.next(), trimmed)?;
-        let w: f64 = match toks.next() {
-            Some(tok) => tok
-                .parse()
-                .map_err(|e| IoError::Parse(format!("bad weight in '{trimmed}': {e}")))?,
-            None => 1.0,
-        };
+        let w = toks.next().map_or(Ok(1.0), |tok| weight(tok, trimmed))?;
         max_id = max_id.max(s).max(d);
         rows.push(s as Idx);
         cols.push(d as Idx);
@@ -236,6 +241,24 @@ mod tests {
         let entries: Vec<_> = t.iter().collect();
         assert_eq!(entries[0], (0, 1, 0.5));
         assert_eq!(entries[1], (1, 2, 1.0));
+    }
+
+    #[test]
+    fn matrix_market_rejects_non_finite_weights() {
+        for w in ["NaN", "inf", "-inf"] {
+            let text = format!("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 2 {w}\n");
+            let err = read_matrix_market(text.as_bytes()).unwrap_err().to_string();
+            assert!(err.contains(&format!("'1 2 {w}'")), "{err}");
+        }
+    }
+
+    #[test]
+    fn edge_list_rejects_non_finite_weights() {
+        for w in ["NaN", "inf", "-inf"] {
+            let text = format!("0 1 0.5\n1 2 {w}\n");
+            let err = read_edge_list(text.as_bytes()).unwrap_err().to_string();
+            assert!(err.contains(&format!("'1 2 {w}'")), "{err}");
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! dictionary layer: [`LabelMap`] interns labels to dense ids, and
 //! [`read_labelled_edge_list`] parses the HipMCL-style input format.
 
-use crate::io::IoError;
+use crate::io::{weight, IoError};
 use crate::triples::Triples;
 use crate::Idx;
 use std::collections::HashMap;
@@ -77,12 +77,7 @@ pub fn read_labelled_edge_list<R: Read>(reader: R) -> Result<(Triples<f64>, Labe
         let b = toks
             .next()
             .ok_or_else(|| IoError::Parse(format!("short line: {t}")))?;
-        let w: f64 = match toks.next() {
-            Some(tok) => tok
-                .parse()
-                .map_err(|e| IoError::Parse(format!("bad weight in '{t}': {e}")))?,
-            None => 1.0,
-        };
+        let w = toks.next().map_or(Ok(1.0), |tok| weight(tok, t))?;
         let (ia, ib) = (map.intern(a), map.intern(b));
         entries.push((ia, ib, w));
     }
@@ -150,8 +145,9 @@ mod tests {
 
     #[test]
     fn labelled_edge_list_rejects_garbage_weight() {
-        let text = "a b notanumber\n";
-        assert!(read_labelled_edge_list(text.as_bytes()).is_err());
+        for text in ["a b notanumber\n", "a b NaN\n", "a b inf\n"] {
+            assert!(read_labelled_edge_list(text.as_bytes()).is_err(), "{text}");
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 use hipmcl::prelude::*;
 use hipmcl::sparse::colops::{self, PruneParams, PruneStats};
 use hipmcl::sparse::Idx;
-use hipmcl::summa::topk::distributed_prune;
+use hipmcl::summa::topk::prune_local_slab;
 use proptest::prelude::*;
 
 /// `n × n` matrix with about `fill`/256 of the entries present, values
@@ -56,8 +56,9 @@ fn prune_on_grid(p: usize, t: &Triples<f64>, params: PruneParams) -> GridRun {
         let grid = ProcGrid::new(comm);
         let c = DistMatrix::from_global(&grid, t);
         let sent0 = grid.world.stats().msgs_sent;
-        let (pruned, stats) = distributed_prune(&grid, &c, &params);
+        let (local, stats) = prune_local_slab(&grid.col_comm, &c.local, &params);
         let sent = grid.world.stats().msgs_sent - sent0;
+        let pruned = DistMatrix { local, ..c };
         let global = pruned.gather_to_root(&grid);
         (pruned.local, stats, sent, global)
     });
@@ -114,6 +115,11 @@ fn cutoff_and_selection_match_serial_entry_for_entry() {
     );
     // Every column falls below the cutoff and keeps exactly its maximum.
     assert_matches_serial("all below cutoff", &dense, params(100.0, 5, 0, 0.0));
+    // About a third of the columns hold no 0.8 and fall below the cutoff
+    // whole, with their maximum duplicated across ranks: the last copy
+    // stays.
+    let thin = seeded(120, 12, 8, tied);
+    assert_matches_serial("duplicated maximum", &thin, params(0.5, 7, 0, 0.0));
     // About half the columns (and many local blocks) are empty.
     let mut sparse = Triples::new(24, 24);
     for (i, j, v) in seeded(24, 120, 3, distinct).iter() {
@@ -135,25 +141,14 @@ fn recovery_matches_serial() {
     assert_matches_serial("recovery after cutoff", &dense, params(0.6, 50, 4, 0.8));
     assert_matches_serial("recovery after selection", &dense, params(0.01, 3, 6, 0.9));
     assert_matches_serial("recovery of lone maxima", &dense, params(100.0, 5, 3, 0.9));
-
-    // With ties among the restored values the serial driver's unstable
-    // sort leaves *which* equal entry returns unspecified: compare counts,
-    // stats and per-column value multisets.
-    let t = seeded(30, 150, 6, tied);
-    let params = params(0.3, 3, 6, 0.9);
-    let (want, want_stats) = colops::prune(&Csc::from_triples(&t), &params);
-    for p in [1usize, 4, 9] {
-        let got = prune_on_grid(p, &t, params);
-        assert_eq!(summed(&got.blocks), want_stats, "stats at p={p}");
-        assert_eq!(got.global.colptr, want.colptr, "column counts at p={p}");
-        for j in 0..want.ncols() {
-            let sorted = |m: &Csc<f64>| {
-                let mut v: Vec<u64> = m.col_vals(j).iter().map(|x| x.to_bits()).collect();
-                v.sort_unstable();
-                v
-            };
-            assert_eq!(sorted(&got.global), sorted(&want), "col {j} at p={p}");
-        }
+    // Ties among the restored values return in row order on every grid.
+    let tied_recovery = [
+        (seeded(30, 150, 6, tied), params(0.3, 3, 6, 0.9)),
+        (seeded(36, 200, 9, tied), params(0.3, 3, 8, 0.9)),
+        (seeded(120, 140, 11, tied), params(0.3, 7, 12, 0.27)),
+    ];
+    for (t, params) in &tied_recovery {
+        assert_matches_serial("recovery ties", t, *params);
     }
 }
 
@@ -180,9 +175,9 @@ fn digest(blocks: &[(Csc<f64>, PruneStats)]) -> u64 {
 /// Digests captured from the sort-based `prune_local_slab` this function
 /// replaced (commit edef299), so the rewrite is pinned bit for bit —
 /// entries, tie grants and stats on every rank — without keeping the old
-/// body around. The recovery fixture keeps local columns within the 20
-/// entries up to which the old body's unstable sort was an insertion
-/// sort, i.e. within the range where its tie order was defined.
+/// body around. The lone-maxima digests were re-captured when a column
+/// below the cutoff everywhere started keeping the last copy of its
+/// maximum, as the serial prune does.
 #[test]
 fn pruned_slabs_and_stats_are_bit_identical_to_the_sorting_implementation() {
     let big = seeded(120, 140, 7, tied);
@@ -276,29 +271,27 @@ proptest! {
     // Each case spins up two universes; keep the count modest.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Top-k selection with threshold-straddling duplicate values must
-    /// keep the *identical* (row, value) entry set on a 1×1 and a 2×2
-    /// grid — not merely equal counts or value multisets. Values are
+    /// Top-k selection with threshold-straddling duplicate values keeps
+    /// the serial prune's *identical* (row, value) entries and stats on
+    /// every grid — not merely equal counts or value multisets. Values are
     /// drawn from a four-element set, so with a small `select` the
-    /// selection threshold lands on a duplicated value in most columns
-    /// and the tie-grant path decides who survives; grid-row-order grants
-    /// walk global rows in ascending order exactly like the serial scan,
-    /// so distribution must not change the outcome.
+    /// selection threshold lands on a duplicated value in most columns and
+    /// the tie grants decide who survives. The cutoff sends some columns
+    /// below it whole, and recovery, when on, restores tied values as well.
     #[test]
     fn threshold_straddling_ties_keep_identical_entries_across_grids(
         entries in proptest::collection::vec((0..12usize, 0..12usize, 0..4u8), 30..90),
         select in 1..4usize,
+        cutoff in 0.1..0.9f64,
+        recover_num in 2..7usize,
     ) {
         let mut t = Triples::new(12, 12);
         for &(i, j, v) in &entries {
-            // {0.2, 0.4, 0.6, 0.8}: heavy duplicates, all above the
-            // cutoff so selection (not cutoff) does the work.
+            // {0.2, 0.4, 0.6, 0.8}: heavy duplicates.
             t.push(i as Idx, j as Idx, 0.2 + 0.2 * v as f64);
         }
         t.sum_duplicates();
-        let params = params(0.1, select, 0, 0.0);
-        let serial = prune_on_grid(1, &t, params).global;
-        let dist = prune_on_grid(4, &t, params).global;
-        prop_assert_eq!(bits(&serial), bits(&dist));
+        assert_matches_serial("selection", &t, params(cutoff, select, 0, 0.0));
+        assert_matches_serial("recovery", &t, params(cutoff, select, recover_num, 0.9));
     }
 }
