@@ -207,14 +207,14 @@ fn pruned_slabs_and_stats_are_bit_identical_to_the_sorting_implementation() {
             4,
             &thin,
             params(0.5, 7, 0, 0.0),
-            0xfb15_730a_3263_f995,
+            0xd7ad_1efb_7079_d676,
         ),
         (
             "lone maxima p=9",
             9,
             &thin,
             params(0.5, 7, 0, 0.0),
-            0x6168_5a78_1240_5f5d,
+            0xe588_8bc1_46cc_9ace,
         ),
         (
             "recovery p=4",
