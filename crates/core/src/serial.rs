@@ -192,10 +192,7 @@ pub fn mcl_iteration(a: &mut Csc<f64>, cfg: &MclConfig) -> (MultAnalysis, f64) {
             table.drain_sorted_into(j, &mut rows, &mut vals);
             let (rules, kept, _stats) = colops::prune_column(&vals, prune, &mut scratch);
             out.push_column_with(kept, |r, v| {
-                let admitted = colops::admitted(&rows, &vals, rules);
-                for ((r, v), e) in r.iter_mut().zip(v.iter_mut()).zip(admitted) {
-                    (*r, *v) = e;
-                }
+                colops::write_admitted(&rows, &vals, rules, r, v);
                 colops::inflate_column(v, inflation);
             });
         },

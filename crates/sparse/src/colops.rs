@@ -232,11 +232,7 @@ pub fn prune(m: &Csc<f64>, p: &PruneParams) -> (Csc<f64>, PruneStats) {
         |scratch, j, out| {
             let (rows, vals) = (m.col_rows(j), m.col_vals(j));
             let (rules, kept, stats) = prune_column(vals, p, scratch);
-            out.push_column_with(kept, |r, v| {
-                for ((r, v), e) in r.iter_mut().zip(v).zip(admitted(rows, vals, rules)) {
-                    (*r, *v) = e;
-                }
-            });
+            out.push_column_with(kept, |r, v| write_admitted(rows, vals, rules, r, v));
             *total.lock().expect("nothing panics under the lock") += stats;
         },
     );
@@ -283,16 +279,32 @@ impl Keep {
     }
 }
 
-/// The entries of one column, given by `rows` and `vals`, that the first
-/// of `rules` admits or, failing it, the second — in row order: what a
-/// prune writes.
-pub fn admitted<'c>(
-    rows: &'c [Idx],
-    vals: &'c [f64],
+/// Writes the entries of one column, given by `rows` and `vals`, that the
+/// first of `rules` admits or, failing it, the second — in row order, what
+/// a prune keeps — to `r` and `v`, which hold exactly as many.
+pub fn write_admitted(
+    rows: &[Idx],
+    vals: &[f64],
     [mut keep, mut back]: [Keep; 2],
-) -> impl Iterator<Item = (Idx, f64)> + 'c {
-    (rows.iter().copied().zip(vals.iter().copied()))
-        .filter(move |&(_, v)| keep.admits(v) || back.admits(v))
+    r: &mut [Idx],
+    v: &mut [f64],
+) {
+    let mut k = 0;
+    for (&i, &x) in rows.iter().zip(vals) {
+        if k == r.len() {
+            break;
+        }
+        // Every entry is written and only an admitted one advances `k`; off
+        // the thresholds the decision is `&`/`|` arithmetic, so no branch
+        // waits on an outcome that is as good as random.
+        (r[k], v[k]) = (i, x);
+        let admitted = if (x != keep.thr) & (x != back.thr) {
+            (x > keep.thr) | (x > back.thr)
+        } else {
+            keep.admits(x) || back.admits(x)
+        };
+        k += admitted as usize;
+    }
 }
 
 /// One holder's part of a column: the whole column in the serial prune,
@@ -338,18 +350,17 @@ pub fn select_rule(
     if passing <= p.select {
         return (Keep::new(p.cutoff, 0, mine), mine);
     }
-    let runs = shares.iter().map(|s| s.run);
     let top = match shares {
         // `push_largest` left the `select`-th largest last.
         [one] => one.run,
         _ => {
             merged.clear();
-            runs.clone().for_each(|run| merged.extend_from_slice(run));
+            shares.iter().for_each(|s| merged.extend_from_slice(s.run));
             kth_largest(merged, p.select);
             &merged[..p.select]
         }
     };
-    let (keep, kept) = grant(runs, me, top);
+    let (keep, kept) = grant(|r| shares[r].run, me, top);
     stats.pruned_by_select += mine - kept;
     (keep, kept)
 }
@@ -357,8 +368,9 @@ pub fn select_rule(
 /// Recovery (MCL `-R`) for share `me` of a column that kept `count` entries
 /// of mass `mass`, of `total`: the rule that brings back its part of the
 /// largest pruned values (value descending, then share, then row) while
-/// [`PruneParams::recovers`]. `runs` are the shares' `recover_num` largest
-/// pruned values. Adds what it restores to `stats`; `merged` is scratch.
+/// [`PruneParams::recovers`], and how many that is. `runs` are the shares'
+/// `recover_num` largest pruned values. Adds what it restores to `stats`;
+/// `merged` is scratch.
 pub fn recover_rule(
     runs: &[&[f64]],
     me: usize,
@@ -366,7 +378,7 @@ pub fn recover_rule(
     p: &PruneParams,
     stats: &mut PruneStats,
     merged: &mut Vec<f64>,
-) -> Keep {
+) -> (Keep, usize) {
     merged.clear();
     runs.iter().for_each(|run| merged.extend_from_slice(run));
     merged.sort_unstable_by(|a, b| b.total_cmp(a));
@@ -375,44 +387,38 @@ pub fn recover_rule(
         mass += merged[n];
         n += 1;
     }
-    let (back, restored) = grant(runs.iter().copied(), me, &merged[..n]);
+    let (back, restored) = grant(|r| runs[r], me, &merged[..n]);
     stats.recovered += restored;
-    back
+    (back, restored)
 }
 
 /// Share `me`'s part of the `n` largest values of `runs`' union, given
 /// those `n` as `top` with the smallest last, and how many that is: every
 /// value above the smallest and, of the places left for the values equal
 /// to it, what the shares before `me` leave. Nothing if `n` is 0.
-fn grant<'a>(runs: impl Iterator<Item = &'a [f64]>, me: usize, top: &[f64]) -> (Keep, usize) {
+fn grant<'a>(run: impl Fn(usize) -> &'a [f64], me: usize, top: &[f64]) -> (Keep, usize) {
     let Some((&thr, larger)) = top.split_last() else {
         return (Keep::NOTHING, 0);
     };
-    let mut quota = top.len() - larger.iter().filter(|&&v| v > thr).count();
-    for (r, run) in runs.enumerate() {
-        let ties = run.iter().filter(|&&v| v == thr).count().min(quota);
-        if r == me {
-            let above = run.iter().filter(|&&v| v > thr).count();
-            return (Keep::new(thr, 0, ties), above + ties);
-        }
-        quota -= ties;
-    }
-    unreachable!("share {me} holds a run")
+    let above = |vals: &[f64]| vals.iter().filter(|&&v| v > thr).count();
+    let equal = |vals: &[f64]| vals.iter().filter(|&&v| v == thr).count();
+    let quota = (0..me).fold(top.len() - above(larger), |q, r| q - equal(run(r)).min(q));
+    let ties = equal(run(me)).min(quota);
+    (Keep::new(thr, 0, ties), above(run(me)) + ties)
 }
 
 /// The buffers [`prune_column`] works in, reused by one worker from column
 /// to column: it allocates only for a column larger than any before.
 #[derive(Clone, Debug, Default)]
 pub struct PruneScratch {
-    /// The column's one run: its largest survivors, then its largest
-    /// pruned values.
+    /// The column's run: its largest survivors, then its largest pruned.
     run: Vec<f64>,
     /// Recovery's candidates in order.
     merged: Vec<f64>,
 }
 
 /// [`PruneParams`] applied to one column, given by its values: the rules
-/// that decide in row order which entries stay ([`admitted`]), how many
+/// that decide in row order which entries stay ([`write_admitted`]), how many
 /// stay, and what was done. The column is the one share of a grid of one:
 /// [`select_rule`], then [`recover_rule`] if it kept too few entries.
 pub fn prune_column(
@@ -422,16 +428,15 @@ pub fn prune_column(
 ) -> ([Keep; 2], usize, PruneStats) {
     let PruneScratch { run, merged } = scratch;
     let mut stats = PruneStats::default();
-    let mut max = f64::NEG_INFINITY;
-    let passing = vals.iter().copied().filter(|&v| {
-        max = max.max(v);
-        v >= p.cutoff
-    });
+    let passing = vals.iter().copied().filter(|&v| v >= p.cutoff);
     run.clear();
     let passing = push_largest(run, passing, p.select);
+    // A survivor exceeds every entry that does not survive.
+    let max = (if passing > 0 { &run[..] } else { vals }).iter();
+    let max = max.fold(f64::NEG_INFINITY, |m, &v| m.max(v));
     let share = Share { max, passing, run };
     let (keep, kept) = select_rule(&[share], 0, vals, p, &mut stats, merged);
-    let mut back = Keep::NOTHING;
+    let (mut back, mut restored) = (Keep::NOTHING, 0);
     if kept < p.recover_num {
         let (mut rule, total) = (keep, vals.iter().sum());
         let mass = vals.iter().filter(|&&v| rule.admits(v)).sum();
@@ -439,9 +444,9 @@ pub fn prune_column(
         let pruned = vals.iter().copied().filter(|&v| !rule.admits(v));
         run.clear();
         push_largest(run, pruned, p.recover_num);
-        back = recover_rule(&[run], 0, (kept, mass, total), p, &mut stats, merged);
+        (back, restored) = recover_rule(&[run], 0, (kept, mass, total), p, &mut stats, merged);
     }
-    ([keep, back], kept + stats.recovered, stats)
+    ([keep, back], kept + restored, stats)
 }
 
 /// Makes the nonzero pattern symmetric: `m ∨ mᵀ` with values `max(a, aᵀ)`.

@@ -26,9 +26,9 @@
 use hipmcl_comm::collectives::{allgather, allreduce_sum_vec};
 use hipmcl_comm::Comm;
 use hipmcl_sparse::colops::{
-    admitted, push_largest, recover_rule, select_rule, Keep, PruneParams, PruneStats, Share,
+    push_largest, recover_rule, select_rule, write_admitted, Keep, PruneParams, PruneStats, Share,
 };
-use hipmcl_sparse::Csc;
+use hipmcl_sparse::{Csc, CscBuilder};
 
 /// Slab-level distributed prune: operates on a column slab whose columns
 /// are aligned across the ranks of `col_comm` (each rank holds a block of
@@ -63,10 +63,9 @@ pub fn prune_local_slab(
     // Per-column rule from the exchanged vectors alone: column `j`'s
     // shares, one per grid row, walked with one cursor per rank.
     let mut stats = PruneStats::default();
-    let mut kept = 0usize;
     let mut at = vec![0usize; all.len()];
     let (mut shares, mut merged) = (Vec::with_capacity(all.len()), Vec::new());
-    let rules: Vec<Keep> = (0..ncols)
+    let (rules, mut counts): (Vec<Keep>, Vec<usize>) = (0..ncols)
         .map(|j| {
             shares.clear();
             for ((maxes, passing, cands), at) in all.iter().zip(&mut at) {
@@ -75,38 +74,32 @@ pub fn prune_local_slab(
                 *at += run.len();
                 shares.push(Share { max, passing, run });
             }
-            let col = m.col_vals(j);
-            let (rule, n) = select_rule(&shares, me, col, params, &mut stats, &mut merged);
-            kept += n;
-            rule
+            select_rule(&shares, me, m.col_vals(j), params, &mut stats, &mut merged)
         })
-        .collect();
+        .unzip();
 
-    let restore = recover(col_comm, m, params, &rules, &mut stats);
+    let restore = recover(col_comm, m, params, &rules, &mut counts, &mut stats);
 
-    // Apply pass: kept entries leave in ascending row order, so the CSC
-    // arrays are written directly.
-    let mut colptr = Vec::with_capacity(ncols + 1);
-    let cap = kept + stats.recovered;
-    let mut out = (Vec::with_capacity(cap), Vec::with_capacity(cap));
-    colptr.push(0);
-    for (j, (&keep, &back)) in rules.iter().zip(&restore).enumerate() {
-        out.extend(admitted(m.col_rows(j), m.col_vals(j), [keep, back]));
-        colptr.push(out.0.len());
-    }
-    let pruned = Csc::from_parts(m.nrows(), ncols, colptr, out.0, out.1);
+    // Apply pass: every column's count is known, so its kept entries are
+    // written where they land.
+    let kept = counts.iter().sum();
+    let pruned = CscBuilder::build(m.nrows(), ncols, kept, (), |_, j, out| {
+        let (rows, vals, rules) = (m.col_rows(j), m.col_vals(j), [rules[j], restore[j]]);
+        out.push_column_with(counts[j], |r, v| write_admitted(rows, vals, rules, r, v));
+    });
     (pruned, stats)
 }
 
 /// Recovery (MCL `-R`): for columns that kept too few entries *and* too
 /// little mass under `rules`, the rule that brings back this rank's share
-/// of the largest pruned entries until either bound is met. Two
-/// collectives on `col_comm`, none if recovery is off.
+/// of the largest pruned entries until either bound is met, counted into
+/// `counts`. Two collectives on `col_comm`, none if recovery is off.
 fn recover(
     col_comm: &Comm,
     m: &Csc<f64>,
     params: &PruneParams,
     rules: &[Keep],
+    counts: &mut [usize],
     stats: &mut PruneStats,
 ) -> Vec<Keep> {
     let ncols = m.ncols();
@@ -154,7 +147,8 @@ fn recover(
             &pruned[*at - lens[q] as usize..*at]
         }));
         let tally = (count[j] as usize, mass[j], total[j]);
-        restore[j] = recover_rule(&runs, me, tally, params, stats, &mut merged);
+        let (back, restored) = recover_rule(&runs, me, tally, params, stats, &mut merged);
+        (restore[j], counts[j]) = (back, counts[j] + restored);
     }
     restore
 }
