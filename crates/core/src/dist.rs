@@ -5,9 +5,12 @@
 //! 1. **Memory estimation** (§V) — inside the SUMMA phase planner,
 //!    exact-symbolic or probabilistic per the config.
 //! 2. **Expansion** `B = A·A` via (Pipelined) Sparse SUMMA, with pruning
-//!    *fused into the phases*: each phase's merged column slab is pruned
+//!    *fused into the phases*: each phase's closing merge packs every
+//!    column it finishes into the candidates the distributed top-k can
+//!    keep (`summa::topk::PruneSink`), and the phase's hook prunes them
 //!    (cutoff + distributed top-k selection) before the next phase runs,
-//!    so the unpruned matrix never exists at once (§II).
+//!    so neither the unpruned matrix nor a phase's unpruned slab ever
+//!    exists (§II).
 //! 3. **Inflation** — local Hadamard power, then column renormalization
 //!    with sums reduced down the process columns.
 //! 4. **Chaos** — distributed convergence statistic.
@@ -21,11 +24,11 @@ use crate::serial::IterTrace;
 use hipmcl_comm::collectives::{allreduce, allreduce_sum_vec};
 use hipmcl_comm::{ProcGrid, WireDecode, WireEncode, WireError, WireReader};
 use hipmcl_gpu::multi::MultiGpu;
-use hipmcl_sparse::Csc;
+use hipmcl_sparse::{Csc, PlusTimes};
 use hipmcl_summa::active::{ActiveSet, ActiveSetPolicy};
 use hipmcl_summa::estimate::MemoryEstimate;
-use hipmcl_summa::spgemm::{summa_spgemm_with, SummaOutput};
-use hipmcl_summa::topk::prune_local_slab;
+use hipmcl_summa::spgemm::{summa_spgemm_with_in, SummaOutput};
+use hipmcl_summa::topk::{prune_packed, PruneSink};
 use hipmcl_summa::DistMatrix;
 
 /// Canonical stage order for reports (matches the paper's Fig. 1 legend).
@@ -228,12 +231,15 @@ pub fn cluster_distributed_with(
         let w_expand = comm.measured_now();
         let out = {
             let col_comm = &grid.col_comm;
-            summa_spgemm_with(grid, gpus, &a, &a, &cfg.summa, |_ph, slab| {
+            let (s, sink) = (PlusTimes::<f64>::new(), &PruneSink(prune_params));
+            summa_spgemm_with_in(s, grid, gpus, &a, &a, &cfg.summa, sink, |_ph, packed| {
                 let t0 = col_comm.now();
                 let w0 = col_comm.measured_now();
-                let (pruned, _stats) = prune_local_slab(col_comm, &slab, &prune_params);
-                // Charge the columnwise scan + selection work.
-                col_comm.advance_clock(col_comm.model().elementwise_time(slab.nnz() as u64));
+                let (pruned, _stats) = prune_packed(col_comm, &packed, &prune_params);
+                // Charge the columnwise scan + selection work on the
+                // merged slab the sink counted.
+                let merged = packed.merged_nnz() as u64;
+                col_comm.advance_clock(col_comm.model().elementwise_time(merged));
                 prune_time += col_comm.now() - t0;
                 prune_measured += col_comm.measured_now() - w0;
                 pruned

@@ -320,24 +320,27 @@ pub struct Share<'a> {
     pub run: &'a [f64],
 }
 
-/// The rule of share `me`, whose values are `col`, of a column whose shares
-/// in row order are `shares`, and how many entries it keeps. Every holder
-/// derives its rule from the same `shares`, so together they keep what one
-/// holder of the whole column would: the cutoff survivors, at most the
-/// `select` largest with ties granted share by share, then row by row; if
-/// none survives, the last copy of the maximum, as no column may become
-/// empty. Adds what it prunes to `stats`; `merged` is scratch.
+/// The rule of share `me`, which holds `len` entries, of a column whose
+/// shares in row order are `shares`, and how many entries it keeps. `col`
+/// holds the values of the share's entries that can stay: all of them, or
+/// at least every one at or above its `select` largest survivors and every
+/// copy of its maximum. Every holder derives its rule from the same
+/// `shares`, so together they keep what one holder of the whole column
+/// would: the cutoff survivors, at most the `select` largest with ties
+/// granted share by share, then row by row; if none survives, the last copy
+/// of the maximum, as no column may become empty. Adds what it prunes to
+/// `stats`; `merged` is scratch.
 pub fn select_rule(
     shares: &[Share],
     me: usize,
-    col: &[f64],
+    (col, len): (&[f64], usize),
     p: &PruneParams,
     stats: &mut PruneStats,
     merged: &mut Vec<f64>,
 ) -> (Keep, usize) {
     let mine = shares[me].passing;
     let passing: usize = shares.iter().map(|s| s.passing).sum();
-    stats.pruned_by_cutoff += col.len() - mine;
+    stats.pruned_by_cutoff += len - mine;
     if passing == 0 {
         let max = shares.iter().fold(f64::NEG_INFINITY, |m, s| m.max(s.max));
         if max == f64::NEG_INFINITY || shares.iter().rposition(|s| s.max == max) != Some(me) {
@@ -435,7 +438,8 @@ pub fn prune_column(
     let max = (if passing > 0 { &run[..] } else { vals }).iter();
     let max = max.fold(f64::NEG_INFINITY, |m, &v| m.max(v));
     let share = Share { max, passing, run };
-    let (keep, kept) = select_rule(&[share], 0, vals, p, &mut stats, merged);
+    let col = (vals, vals.len());
+    let (keep, kept) = select_rule(&[share], 0, col, p, &mut stats, merged);
     let (mut back, mut restored) = (Keep::NOTHING, 0);
     if kept < p.recover_num {
         let (mut rule, total) = (keep, vals.iter().sum());

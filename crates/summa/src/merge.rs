@@ -70,7 +70,9 @@
 //! The phase's *final* merged slab is not copied out of its buffer: the
 //! buffer becomes the [`Csc`] ([`SlabBuf::into_csc`], compacted in place
 //! and trimmed) and leaves the arena for good, so the arena never holds
-//! a buffer idle while its content lives on elsewhere. The pipeline holds
+//! a buffer idle while its content lives on elsewhere. Unless the phase's
+//! closing merge has a [`ColumnSink`] other than [`Whole`]: then it writes
+//! no slab at all, only what the sink packs of each column. The pipeline holds
 //! one arena per rank, created once per SUMMA run — the executor's merge
 //! lanes are *modeled* sockets that price a merge's placement, not places
 //! the host keeps buffers.
@@ -86,6 +88,7 @@ use hipmcl_comm::{MachineModel, MergeKernel};
 use hipmcl_sparse::util::Tournament;
 use hipmcl_sparse::{Csc, CscBuilder, Idx, PlusTimes, Semiring, Value};
 use rayon::prelude::*;
+use std::sync::Mutex;
 
 /// Which merging schedule a SUMMA run uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -312,8 +315,12 @@ impl<T: Value> SlabBuf<T> {
     /// Makes the raw storage at least `ub` elements long. A recycled
     /// buffer that is long enough is used as it is (stale content is
     /// unreachable and overwritten per run); otherwise the storage is
-    /// obtained zeroed from the allocator, so a merge's upper bound costs
-    /// address space and only the pages the merge writes are touched.
+    /// obtained zeroed from the allocator. That costs only address space
+    /// while glibc maps the block fresh, which it does above its mmap
+    /// threshold — and that threshold rises (to 32 MiB) once a large block
+    /// is freed. Below it, `calloc` clears reused heap memory, so every
+    /// page of the upper bound becomes resident, written by the merge or
+    /// not. A sunk merge ([`ColumnSink`]) never asks for one.
     fn ensure_len(&mut self, ub: usize) {
         if self.rowidx.len() < ub {
             // The short storage goes before its replacement comes.
@@ -373,7 +380,7 @@ impl<T: Value> SlabBuf<T> {
 /// live in the current column with its entry at `pairs[slot[r]]`;
 /// bumping `epoch` clears the whole SPA in O(1). All three vectors are
 /// reused across columns, merges and phases.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 struct SpaScratch<T: Value> {
     stamp: Vec<u32>,
     slot: Vec<u32>,
@@ -410,7 +417,8 @@ impl<T: Value> SpaScratch<T> {
 /// buffer with it — and none of them exceeds twice the largest single
 /// merge ([`MergeArena::assert_no_capacity_leak`], debug-asserted on
 /// every release). A merge that finds no parked buffer long enough gets
-/// storage zeroed by the allocator, of which it touches what it writes.
+/// storage zeroed by the allocator, which under glibc's defaults is as
+/// resident as its upper bound is long ([`SlabBuf`]'s `ensure_len`).
 ///
 /// ```
 /// use hipmcl_summa::merge::MergeArena;
@@ -572,6 +580,81 @@ impl<T: Value> MergeSlab<T> {
 // Kernels
 // ---------------------------------------------------------------------------
 
+/// What a merge makes of each output column it finishes. The identity
+/// sink, [`Whole`], keeps every column as the kernel wrote it — the arena
+/// kernels into their upper-bound buffer. Any other sink packs each
+/// column the moment it is merged into storage sized for what it keeps,
+/// with a tally of the rest, so the merged slab itself never exists: the
+/// pipeline sinks a phase's closing merge this way, and the distributed
+/// prune's sink (`topk::PruneSink`) keeps only what the prune reads.
+pub trait ColumnSink<T: Value>: Sync {
+    /// What the sink records of a column besides the entries it keeps.
+    type Tally: Copy + Default + Send;
+    /// Whether the sink keeps every column whole, where its kernel wrote it.
+    const WHOLE: bool = false;
+    /// At most how many entries of an `n`-entry column it keeps, as far as
+    /// it knows beforehand — what a packed slab reserves room for.
+    fn room(&self, n: usize) -> usize;
+    /// Appends what stays of a finished column, `rows` and `vals`, to `out`
+    /// with one push, and returns its tally. `scratch` is the worker's.
+    fn pack(
+        &self,
+        rows: &[Idx],
+        vals: &[T],
+        scratch: &mut Vec<T>,
+        out: &mut CscBuilder<T>,
+    ) -> Self::Tally;
+}
+
+/// The identity sink: every column whole.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Whole;
+
+impl<T: Value> ColumnSink<T> for Whole {
+    type Tally = ();
+    const WHOLE: bool = true;
+    fn room(&self, n: usize) -> usize {
+        n
+    }
+    fn pack(&self, rows: &[Idx], vals: &[T], _: &mut Vec<T>, out: &mut CscBuilder<T>) {
+        out.push_column(rows, vals);
+    }
+}
+
+/// A slab as a sink left it: the entries it kept, and its tally of every
+/// column — what the pipeline hands a phase's hook.
+#[derive(Debug)]
+pub struct Packed<T: Value, A> {
+    /// The kept entries, column by column.
+    pub cols: Csc<T>,
+    /// One tally per column.
+    pub tally: Vec<A>,
+}
+
+impl<T: Value> MergeSlab<T> {
+    /// The slab through `sink`: itself under the identity sink, otherwise
+    /// [`sink_slab`] of it — the closing step of a phase whose one product
+    /// needed no merge.
+    pub(crate) fn packed<K: ColumnSink<T>>(self, sink: &K) -> Packed<T, K::Tally> {
+        if !K::WHOLE {
+            return sink_slab(self.as_cols(), sink);
+        }
+        let tally = vec![K::Tally::default(); self.as_cols().ncols()];
+        Packed {
+            cols: self.into_csc(),
+            tally,
+        }
+    }
+}
+
+/// What `sink` packs of every column of `m`: the sunk merge of one matrix.
+pub fn sink_slab<T: Value, K: ColumnSink<T>>(m: ColsRef<'_, T>, sink: &K) -> Packed<T, K::Tally> {
+    let bounds = (0..m.ncols()).map(|j| m.col_nnz(j));
+    sink_columns(m.nrows(), m.ncols(), bounds, sink, (), |(), j, emit| {
+        emit(m.col_rows(j), m.col_vals(j))
+    })
+}
+
 /// Runs the selected merge kernel in the given semiring — the one public
 /// entry for merging owned matrices. All five kernels accumulate
 /// coincident entries strictly in list order with [`Semiring::add`] and
@@ -595,57 +678,76 @@ pub fn merge_with<S: Semiring>(
         }
         _ => {
             let refs: Vec<ColsRef<'_, S::Elem>> = mats.iter().map(ColsRef::of).collect();
-            merge_into(s, kernel, &refs, shape, &mut MergeArena::new()).into_csc()
+            let arena = &mut MergeArena::new();
+            merge_into(s, kernel, &refs, shape, arena, &Whole)
+                .0
+                .into_csc()
         }
     }
 }
 
 /// The one kernel dispatch: merges `mats` (fan-in ≥ 2, all of `shape`)
-/// with `kernel`. The arena kernels write into a buffer checked out of
-/// `arena` and leave it staged; the others materialize a fresh matrix.
-pub(crate) fn merge_into<S: Semiring>(
+/// with `kernel`, each finished column through `sink`, and returns the
+/// result with the sink's tally of every column. Under the identity sink
+/// the arena kernels write into a buffer checked out of `arena` and leave
+/// it staged; every other case packs through [`sink_columns`], one column
+/// of the kernel at a time.
+pub(crate) fn merge_into<S: Semiring, K: ColumnSink<S::Elem>>(
     s: S,
     kernel: MergeKernel,
     mats: &[ColsRef<'_, S::Elem>],
     shape: (usize, usize),
     arena: &mut MergeArena<S::Elem>,
-) -> MergeSlab<S::Elem> {
+    sink: &K,
+) -> (MergeSlab<S::Elem>, Vec<K::Tally>) {
     for mat in mats {
         assert_eq!((mat.nrows(), mat.ncols()), shape, "merge shape mismatch");
     }
-    // What the output can hold at most: its inputs.
-    let bound = mats.iter().map(|m| m.nnz()).sum();
-    match kernel {
-        MergeKernel::Heap => MergeSlab::Mat(CscBuilder::build(
-            shape.0,
-            shape.1,
-            bound,
-            Default::default(),
-            |scratch, j, out| merge_column(s, mats, j, scratch, out),
-        )),
-        MergeKernel::Hash => MergeSlab::Mat(CscBuilder::build(
-            shape.0,
-            shape.1,
-            bound,
-            (),
-            |(), j, out| {
-                let (rows, vals) = hash_column(s, mats, j);
-                out.push_column(&rows, &vals);
-            },
-        )),
-        // The left fold keeps the accumulation order identical to the
-        // heap's list-order tie-breaking: after i folds the accumulator
-        // holds `v_0 ⊕ v_1 ⊕ … ⊕ v_i` exactly as the heap combines it.
-        MergeKernel::Pairwise => {
-            let mut acc = two_way_merge(s, mats[0], mats[1], shape);
-            for m in &mats[2..] {
-                acc = two_way_merge(s, ColsRef::of(&acc), *m, shape);
-            }
-            MergeSlab::Mat(acc)
+    let slab = match kernel {
+        MergeKernel::BrMerge if K::WHOLE => MergeSlab::Buf(brmerge_into(s, mats, shape, arena)),
+        MergeKernel::SpAdd if K::WHOLE => MergeSlab::Buf(spadd_into(s, mats, shape, arena)),
+        _ => {
+            // What each output column can hold at most: its inputs.
+            let bounds = (0..shape.1).map(|j| mats.iter().map(|m| m.col_nnz(j)).sum());
+            let scratch = ColumnScratch::default();
+            let packed = sink_columns(shape.0, shape.1, bounds, sink, scratch, |w, j, emit| {
+                let n = merge_column::<S>(kernel, mats, j, w);
+                emit(&w.rows[..n], &w.vals[..n])
+            });
+            return (MergeSlab::Mat(packed.cols), packed.tally);
         }
-        MergeKernel::BrMerge => MergeSlab::Buf(brmerge_into(s, mats, shape, arena)),
-        MergeKernel::SpAdd => MergeSlab::Buf(spadd_into(s, mats, shape, arena)),
-    }
+    };
+    (slab, vec![K::Tally::default(); shape.1])
+}
+
+/// Builds an `nrows × ncols` matrix of what `sink` keeps of each column
+/// `column(scratch, j, emit)` finishes and hands to `emit`, with the sink's
+/// tally of every column; `bounds` are the columns' most entries. Column
+/// parallel, on one clone of `scratch` per worker ([`CscBuilder::build`]).
+fn sink_columns<T: Value, K: ColumnSink<T>, W: Clone + Send>(
+    nrows: usize,
+    ncols: usize,
+    bounds: impl Iterator<Item = usize>,
+    sink: &K,
+    scratch: W,
+    column: impl Fn(&mut W, usize, &mut dyn FnMut(&[Idx], &[T])) + Sync + Send,
+) -> Packed<T, K::Tally> {
+    let reserve = bounds.map(|n| sink.room(n)).sum();
+    let tally = Mutex::new(vec![K::Tally::default(); ncols]);
+    let cols = CscBuilder::build(
+        nrows,
+        ncols,
+        reserve,
+        (scratch, Vec::new()),
+        |(w, spare), j, out| {
+            column(w, j, &mut |rows, vals| {
+                let t = sink.pack(rows, vals, spare, out);
+                tally.lock().expect("nothing panics under the lock")[j] = t;
+            })
+        },
+    );
+    let tally = tally.into_inner().expect("nothing panics under the lock");
+    Packed { cols, tally }
 }
 
 /// K-way merges equally-shaped CSC matrices with the heap kernel (kept as
@@ -655,16 +757,80 @@ pub fn kway_merge(mats: &[Csc<f64>], shape: (usize, usize)) -> Csc<f64> {
     merge_with(PlusTimes::<f64>::new(), MergeKernel::Heap, mats, shape)
 }
 
+/// One worker's buffers for merging one column at a time, whatever the
+/// kernel: the column being assembled, pairwise's second buffer, the heap's
+/// tournament, the SpAdd accumulator and the k-cursor merge's cursors.
+#[derive(Clone, Default)]
+struct ColumnScratch<'m, T: Value> {
+    rows: Vec<Idx>,
+    vals: Vec<T>,
+    spare: (Vec<Idx>, Vec<T>),
+    tournament: Tournament,
+    spa: SpaScratch<T>,
+    cursors: Cursors<'m, T>,
+}
+
+/// Grows `rows` and `vals` to at least `n` entries (never shrinks).
+fn grow<T: Value>(rows: &mut Vec<Idx>, vals: &mut Vec<T>, n: usize) {
+    if rows.len() < n {
+        rows.resize(n, 0);
+        vals.resize(n, T::default());
+    }
+}
+
+/// Merges column `j` of `mats` (fan-in ≥ 2) with `kernel` into
+/// `w.rows`/`w.vals` and returns how many entries it has.
+fn merge_column<'m, S: Semiring>(
+    kernel: MergeKernel,
+    mats: &[ColsRef<'m, S::Elem>],
+    j: usize,
+    w: &mut ColumnScratch<'m, S::Elem>,
+) -> usize {
+    let ub: usize = mats.iter().map(|m| m.col_nnz(j)).sum();
+    match kernel {
+        MergeKernel::Heap => heap_column::<S>(mats, j, &mut w.tournament, &mut w.rows, &mut w.vals),
+        MergeKernel::Hash => hash_column::<S>(mats, j, &mut w.rows, &mut w.vals),
+        // The left fold keeps the accumulation order identical to the
+        // heap's list-order tie-breaking: after i folds the accumulator
+        // holds `v_0 ⊕ v_1 ⊕ … ⊕ v_i` exactly as the heap combines it.
+        MergeKernel::Pairwise => {
+            let col = |m: &ColsRef<'m, S::Elem>| (m.col_rows(j), m.col_vals(j));
+            grow(&mut w.rows, &mut w.vals, ub);
+            let mut n =
+                merge_two_cursors::<S>(col(&mats[0]), col(&mats[1]), &mut w.rows, &mut w.vals);
+            for m in &mats[2..] {
+                let (rows, vals) = &mut w.spare;
+                grow(rows, vals, ub);
+                n = merge_two_cursors::<S>((&w.rows[..n], &w.vals[..n]), col(m), rows, vals);
+                std::mem::swap(&mut w.rows, rows);
+                std::mem::swap(&mut w.vals, vals);
+            }
+            n
+        }
+        MergeKernel::BrMerge => {
+            grow(&mut w.rows, &mut w.vals, ub);
+            let (rows, vals) = (&mut w.rows[..ub], &mut w.vals[..ub]);
+            brmerge_column::<S>(mats, j, &mut w.cursors, rows, vals)
+        }
+        MergeKernel::SpAdd => {
+            grow(&mut w.rows, &mut w.vals, ub);
+            w.spa.ensure_rows(mats[0].nrows());
+            let (rows, vals) = (&mut w.rows[..ub], &mut w.vals[..ub]);
+            spadd_column::<S>(mats, j, &mut w.spa, rows, vals)
+        }
+    }
+}
+
 /// Merges column `j` across all matrices in ascending `(row, list)` order
-/// and appends it to `out`. The worker's scratch is the tournament over
-/// the lists' heads and the column being assembled.
-fn merge_column<S: Semiring>(
-    _s: S,
+/// into `rows`/`vals` and returns its length, with `tournament` over the
+/// lists' heads.
+fn heap_column<S: Semiring>(
     mats: &[ColsRef<'_, S::Elem>],
     j: usize,
-    (tournament, rows, vals): &mut (Tournament, Vec<Idx>, Vec<S::Elem>),
-    out: &mut CscBuilder<S::Elem>,
-) {
+    tournament: &mut Tournament,
+    rows: &mut Vec<Idx>,
+    vals: &mut Vec<S::Elem>,
+) -> usize {
     // Drops a just-finished entry if it accumulated to the annihilator
     // (plus-times: cancelled to zero).
     fn drop_annihilated<S: Semiring>(rows: &mut Vec<Idx>, vals: &mut Vec<S::Elem>) {
@@ -691,44 +857,18 @@ fn merge_column<S: Semiring>(
         },
     );
     drop_annihilated::<S>(rows, vals);
-    out.push_column(rows, vals);
-}
-
-/// [`merge_two_cursors`] column by column into a fresh CSC (the legacy
-/// pairwise building block).
-fn two_way_merge<S: Semiring>(
-    _s: S,
-    a: ColsRef<'_, S::Elem>,
-    b: ColsRef<'_, S::Elem>,
-    shape: (usize, usize),
-) -> Csc<S::Elem> {
-    let ub = |j| a.col_nnz(j) + b.col_nnz(j);
-    CscBuilder::build(
-        shape.0,
-        shape.1,
-        a.nnz() + b.nnz(),
-        (Vec::new(), Vec::new()),
-        |(rows, vals), j, out| {
-            rows.resize(ub(j), 0);
-            vals.resize(ub(j), S::Elem::default());
-            let w = merge_two_cursors::<S>(
-                (a.col_rows(j), a.col_vals(j)),
-                (b.col_rows(j), b.col_vals(j)),
-                rows,
-                vals,
-            );
-            out.push_column(&rows[..w], &vals[..w]);
-        },
-    )
+    rows.len()
 }
 
 /// Hash-accumulates column `j` across all matrices, strictly in list
-/// order, then sorts by row and drops annihilator entries.
+/// order, then sorts by row and drops annihilator entries, into
+/// `rows`/`vals`; returns the column's length.
 fn hash_column<S: Semiring>(
-    _s: S,
     mats: &[ColsRef<'_, S::Elem>],
     j: usize,
-) -> (Vec<Idx>, Vec<S::Elem>) {
+    rows: &mut Vec<Idx>,
+    vals: &mut Vec<S::Elem>,
+) -> usize {
     use std::collections::HashMap;
     let cap: usize = mats.iter().map(|m| m.col_nnz(j)).sum();
     let mut slot: HashMap<Idx, usize> = HashMap::with_capacity(cap);
@@ -749,7 +889,13 @@ fn hash_column<S: Semiring>(
     }
     entries.sort_unstable_by_key(|&(r, _)| r);
     entries.retain(|&(_, v)| !S::is_annihilator(v));
-    entries.into_iter().unzip()
+    rows.clear();
+    vals.clear();
+    for (r, v) in entries {
+        rows.push(r);
+        vals.push(v);
+    }
+    rows.len()
 }
 
 // ---------------------------------------------------------------------------
@@ -1005,26 +1151,45 @@ fn merge_k_cursors_body<S: Semiring>(
 }
 
 /// BRMerge-style merge of `mats` (fan-in ≥ 2) into an arena buffer, in
-/// **one pass**: prefix-sums per-column upper bounds
-/// (`ub_j = Σ_l nnz_l(j)`) to carve disjoint per-thread regions, then
-/// cursor-merges each column's sorted runs — a two-cursor merge at
-/// fan-in 2, a linear min-scan over k cursors above that. Each chunk
-/// writes its columns compactly from its region base, so write traffic
-/// is the actual output, not the upper bound. Coincident rows
-/// accumulate strictly in list order, so the result is bit-identical to
-/// the heap/pairwise kernels. The output stays staged (no compaction
-/// pass — downstream merges read the runs directly; only
-/// materialization compacts the inter-chunk gaps), and all scratch
-/// comes from `arena`, so the hot loop never allocates. The returned
-/// buffer belongs to `arena`; release or materialize it when done.
+/// **one pass** ([`merge_staged`]): each column's sorted runs are
+/// cursor-merged — a two-cursor merge at fan-in 2, a linear min-scan over
+/// k cursors above that. Coincident rows accumulate strictly in list
+/// order, so the result is bit-identical to the heap/pairwise kernels.
+/// The output stays staged (no compaction pass — downstream merges read
+/// the runs directly; only materialization compacts the inter-chunk
+/// gaps). The returned buffer belongs to `arena`; release or materialize
+/// it when done.
 pub fn brmerge_into<S: Semiring>(
     _s: S,
     mats: &[ColsRef<'_, S::Elem>],
     shape: (usize, usize),
     arena: &mut MergeArena<S::Elem>,
 ) -> SlabBuf<S::Elem> {
-    let k = mats.len();
-    assert!(k >= 2, "brmerge needs fan-in >= 2");
+    let mut cursors = vec![Cursors::default(); partition_count(shape.1)];
+    merge_staged(
+        mats,
+        shape,
+        arena,
+        &mut cursors,
+        |cursors, j, rows, vals| brmerge_column::<S>(mats, j, cursors, rows, vals),
+    )
+}
+
+/// Merges `mats` into a buffer checked out of `arena`, column-parallel:
+/// prefix-sums the per-column upper bounds (`ub_j = Σ_l nnz_l(j)`) to carve
+/// disjoint per-thread regions, and each thread writes its columns
+/// compactly from its region's base — so write traffic is the actual
+/// output, not the upper bound — column `j` by `column(scratch, j, rows,
+/// vals)`, which merges it into `rows`/`vals` of its upper bound and
+/// returns its length. One of `scratch` per thread; the hot loop never
+/// allocates.
+fn merge_staged<T: Value, W: Send>(
+    mats: &[ColsRef<'_, T>],
+    shape: (usize, usize),
+    arena: &mut MergeArena<T>,
+    scratch: &mut [W],
+    column: impl Fn(&mut W, usize, &mut [Idx], &mut [T]) -> usize + Sync,
+) -> SlabBuf<T> {
     let n = shape.1;
     let mut out = arena.acquire(shape);
     let MergeArena {
@@ -1059,53 +1224,76 @@ pub fn brmerge_into<S: Semiring>(
         starts,
         counts,
     );
-    debug_assert!((shape.0 as u64) < Idx::MAX as u64, "Idx::MAX sentinel");
     let ub = &*ub;
-    chunks.into_par_iter().for_each(|ch| {
-        let mut cur: Vec<(&[Idx], &[S::Elem])> = Vec::with_capacity(k);
-        let mut pos = vec![0usize; k];
-        let mut head = vec![0 as Idx; k];
-        let mut cursor = 0usize;
-        for j in ch.cols.clone() {
-            let width = ub[j + 1] - ub[j];
-            let rows = &mut ch.rows[cursor..cursor + width];
-            let vals = &mut ch.vals[cursor..cursor + width];
-            let w = if k == 2 {
-                merge_two_cursors::<S>(
-                    (mats[0].col_rows(j), mats[0].col_vals(j)),
-                    (mats[1].col_rows(j), mats[1].col_vals(j)),
-                    rows,
-                    vals,
-                )
-            } else {
-                cur.clear();
-                cur.extend(mats.iter().map(|m| (m.col_rows(j), m.col_vals(j))));
-                // Auto only selects this kernel at fan-in <= 5, so the
-                // register-resident fixed variants cover the hot path;
-                // the slice-backed loop serves Fixed(BrMerge) beyond.
-                match k {
-                    3 => merge_k_cursors_fixed::<S, 3>(&cur, rows, vals),
-                    4 => merge_k_cursors_fixed::<S, 4>(&cur, rows, vals),
-                    5 => merge_k_cursors_fixed::<S, 5>(&cur, rows, vals),
-                    _ => merge_k_cursors::<S>(&cur, &mut pos, &mut head, rows, vals),
-                }
-            };
-            ch.starts[j - ch.cols.start] = ch.base + cursor;
-            ch.counts[j - ch.cols.start] = w;
-            cursor += w;
-        }
-    });
+    chunks
+        .into_par_iter()
+        .zip(scratch[..nchunks].par_iter_mut())
+        .for_each(|(ch, scratch)| {
+            let mut cursor = 0usize;
+            for j in ch.cols.clone() {
+                let width = ub[j + 1] - ub[j];
+                let rows = &mut ch.rows[cursor..cursor + width];
+                let vals = &mut ch.vals[cursor..cursor + width];
+                let w = column(scratch, j, rows, vals);
+                ch.starts[j - ch.cols.start] = ch.base + cursor;
+                ch.counts[j - ch.cols.start] = w;
+                cursor += w;
+            }
+        });
     out.set_staged(starts, counts);
     out
 }
 
+/// The k-cursor merge's state for one worker: the cursors' columns,
+/// positions and head rows.
+#[derive(Clone, Default)]
+struct Cursors<'m, T> {
+    cur: Vec<(&'m [Idx], &'m [T])>,
+    pos: Vec<usize>,
+    head: Vec<Idx>,
+}
+
+/// Column `j` of [`brmerge_into`]: merges it across `mats` into `rows` and
+/// `vals`, which hold at least its upper bound, and returns its length.
+fn brmerge_column<'m, S: Semiring>(
+    mats: &[ColsRef<'m, S::Elem>],
+    j: usize,
+    Cursors { cur, pos, head }: &mut Cursors<'m, S::Elem>,
+    rows: &mut [Idx],
+    vals: &mut [S::Elem],
+) -> usize {
+    let k = mats.len();
+    assert!(k >= 2, "brmerge needs fan-in >= 2");
+    debug_assert!(
+        (mats[0].nrows() as u64) < Idx::MAX as u64,
+        "Idx::MAX sentinel"
+    );
+    if k == 2 {
+        let col = |m: &ColsRef<'m, S::Elem>| (m.col_rows(j), m.col_vals(j));
+        return merge_two_cursors::<S>(col(&mats[0]), col(&mats[1]), rows, vals);
+    }
+    cur.clear();
+    cur.extend(mats.iter().map(|m| (m.col_rows(j), m.col_vals(j))));
+    // Auto only selects this kernel at fan-in <= 5, so the
+    // register-resident fixed variants cover the hot path;
+    // the slice-backed loop serves Fixed(BrMerge) beyond.
+    match k {
+        3 => merge_k_cursors_fixed::<S, 3>(cur, rows, vals),
+        4 => merge_k_cursors_fixed::<S, 4>(cur, rows, vals),
+        5 => merge_k_cursors_fixed::<S, 5>(cur, rows, vals),
+        _ => {
+            pos.resize(k, 0);
+            head.resize(k, 0);
+            merge_k_cursors::<S>(cur, pos, head, rows, vals)
+        }
+    }
+}
+
 /// Hussain-style parallel SpAdd of `mats` (fan-in ≥ 2) into an arena
-/// buffer: columns are split into contiguous per-thread partitions; each
-/// thread accumulates its columns through an epoch-stamped dense SPA
-/// sized from the column-nnz upper bracket (`ub_j = Σ_l nnz_l(j)`, the
-/// same bracket the Cohen estimator clamps against), strictly in list
-/// order, then sorts each column by row, drops annihilators, and writes
-/// the column compactly at its chunk's write cursor; the result stays
+/// buffer ([`merge_staged`]): each thread accumulates its columns through
+/// an epoch-stamped dense SPA, kept in `arena` across merges, strictly in
+/// list order, then sorts each column by row, drops annihilators, and
+/// writes it compactly at its chunk's write cursor; the result stays
 /// staged (inter-chunk gaps only) until materialization.
 pub fn spadd_into<S: Semiring>(
     _s: S,
@@ -1114,79 +1302,49 @@ pub fn spadd_into<S: Semiring>(
     arena: &mut MergeArena<S::Elem>,
 ) -> SlabBuf<S::Elem> {
     assert!(mats.len() >= 2, "spadd needs fan-in >= 2");
-    let (nrows, n) = shape;
-    let mut out = arena.acquire(shape);
-    let MergeArena {
-        ub,
-        starts,
-        counts,
-        spa,
-        peak_request,
-        ..
-    } = arena;
-    ub.clear();
-    ub.reserve(n + 1);
-    ub.push(0);
-    let mut run = 0usize;
-    for j in 0..n {
-        run += mats.iter().map(|m| m.col_nnz(j)).sum::<usize>();
-        ub.push(run);
+    let mut spa = std::mem::take(&mut arena.spa);
+    if spa.len() < partition_count(shape.1) {
+        spa.resize_with(partition_count(shape.1), SpaScratch::default);
     }
-    *peak_request = (*peak_request).max(run);
-    out.ensure_len(run);
-    starts.clear();
-    starts.resize(n, 0);
-    counts.clear();
-    counts.resize(n, 0);
-
-    let nchunks = partition_count(n);
-    if spa.len() < nchunks {
-        spa.resize_with(nchunks, SpaScratch::default);
-    }
-    let chunks = carve_chunks(
-        n,
-        nchunks,
-        ub,
-        &mut out.rowidx,
-        &mut out.vals,
-        starts,
-        counts,
-    );
-    chunks
-        .into_par_iter()
-        .zip(spa[..nchunks].par_iter_mut())
-        .for_each(|(ch, spa)| {
-            spa.ensure_rows(nrows);
-            let mut cursor = 0usize;
-            for j in ch.cols.clone() {
-                spa.begin_column();
-                for mat in mats {
-                    for (&r, &v) in mat.col_rows(j).iter().zip(mat.col_vals(j)) {
-                        let ri = r as usize;
-                        if spa.stamp[ri] == spa.epoch {
-                            let at = spa.slot[ri] as usize;
-                            spa.pairs[at].1 = S::add(spa.pairs[at].1, v);
-                        } else {
-                            spa.stamp[ri] = spa.epoch;
-                            spa.slot[ri] = spa.pairs.len() as u32;
-                            spa.pairs.push((r, v));
-                        }
-                    }
-                }
-                spa.pairs.sort_unstable_by_key(|&(r, _)| r);
-                let rows = &mut ch.rows[cursor..cursor + spa.pairs.len()];
-                let vals = &mut ch.vals[cursor..cursor + spa.pairs.len()];
-                let mut w = 0usize;
-                for &(r, v) in &spa.pairs {
-                    put_staged::<S>(rows, vals, &mut w, r, v);
-                }
-                ch.starts[j - ch.cols.start] = ch.base + cursor;
-                ch.counts[j - ch.cols.start] = w;
-                cursor += w;
-            }
-        });
-    out.set_staged(starts, counts);
+    let out = merge_staged(mats, shape, arena, &mut spa, |spa, j, rows, vals| {
+        spa.ensure_rows(shape.0);
+        spadd_column::<S>(mats, j, spa, rows, vals)
+    });
+    arena.spa = spa;
     out
+}
+
+/// Column `j` of [`spadd_into`]: accumulates it across `mats` through
+/// `spa` (covering every row), then writes it sorted, annihilators dropped,
+/// into `rows` and `vals`, which hold at least its upper bound; returns its
+/// length.
+fn spadd_column<S: Semiring>(
+    mats: &[ColsRef<'_, S::Elem>],
+    j: usize,
+    spa: &mut SpaScratch<S::Elem>,
+    rows: &mut [Idx],
+    vals: &mut [S::Elem],
+) -> usize {
+    spa.begin_column();
+    for mat in mats {
+        for (&r, &v) in mat.col_rows(j).iter().zip(mat.col_vals(j)) {
+            let ri = r as usize;
+            if spa.stamp[ri] == spa.epoch {
+                let at = spa.slot[ri] as usize;
+                spa.pairs[at].1 = S::add(spa.pairs[at].1, v);
+            } else {
+                spa.stamp[ri] = spa.epoch;
+                spa.slot[ri] = spa.pairs.len() as u32;
+                spa.pairs.push((r, v));
+            }
+        }
+    }
+    spa.pairs.sort_unstable_by_key(|&(r, _)| r);
+    let mut w = 0usize;
+    for &(r, v) in &spa.pairs {
+        put_staged::<S>(rows, vals, &mut w, r, v);
+    }
+    w
 }
 
 // ---------------------------------------------------------------------------
@@ -1319,7 +1477,7 @@ impl StackMerger {
         self.stats.merge_ops += 1;
         let merged = {
             let refs: Vec<ColsRef<'_, f64>> = tail.iter().map(MergeSlab::as_cols).collect();
-            merge_into(s, kernel, &refs, self.shape, &mut self.arena)
+            merge_into(s, kernel, &refs, self.shape, &mut self.arena, &Whole).0
         };
         for slab in tail {
             slab.recycle(&mut self.arena);

@@ -35,8 +35,8 @@
 use crate::distmat::DistMatrix;
 use crate::executor::{Executor, LaunchSpec, MergeTask};
 use crate::merge::{
-    algorithm2_merge_count, merge_into, select_merge_kernel, ColsRef, MergeArena,
-    MergeKernelPolicy, MergeSlab, MergeSpan, MergeStats, MergeStrategy,
+    algorithm2_merge_count, merge_into, select_merge_kernel, ColsRef, ColumnSink, MergeArena,
+    MergeKernelPolicy, MergeSlab, MergeSpan, MergeStats, MergeStrategy, Packed, Whole,
 };
 use crate::spgemm::{CommChoice, CommPolicy, SummaConfig};
 use hipmcl_comm::clock::StageTimers;
@@ -119,7 +119,7 @@ fn exchange_block<T: Value>(
 
 /// What one pipeline run produced, besides the stage timers it filled in.
 pub(crate) struct PipelineOutcome<T: Value = f64> {
-    /// Per-phase merged output slabs (post `on_slab` hook).
+    /// Per-phase output slabs, as the `on_slab` hook returned them.
     pub slabs: Vec<Csc<T>>,
     /// Accumulated merge statistics.
     pub merge_stats: MergeStats,
@@ -157,31 +157,41 @@ struct Slab<T: Value> {
 /// engine holds no clock of its own. Binary merging under pipelining
 /// holds each slab back one stage so its merge (which Algorithm 2 may
 /// trigger) overlaps the next launch; because the merge is an async task
-/// the host never blocks on it mid-phase.
-struct MergeEngine<S: Semiring> {
+/// the host never blocks on it mid-phase. The phase's closing merge — the
+/// one that takes the whole stack once every stage product is in — passes
+/// each column it finishes through `sink`, whose tally it keeps.
+struct MergeEngine<'k, S: Semiring, K: ColumnSink<S::Elem>> {
     sr: S,
     strategy: MergeStrategy,
     policy: MergeKernelPolicy,
     pipelined: bool,
     shape: (usize, usize),
+    sink: &'k K,
+    /// Stage products still to come.
+    due: usize,
     stack: Vec<Slab<S::Elem>>,
     pushed: usize,
     pending: Option<Slab<S::Elem>>,
+    /// The closing merge's tally, once it ran.
+    tally: Option<Vec<K::Tally>>,
     spans: Vec<MergeSpan>,
     stats: MergeStats,
 }
 
-impl<S: Semiring> MergeEngine<S> {
-    fn new(sr: S, cfg: &SummaConfig, shape: (usize, usize)) -> Self {
+impl<'k, S: Semiring, K: ColumnSink<S::Elem>> MergeEngine<'k, S, K> {
+    fn new(sr: S, cfg: &SummaConfig, shape: (usize, usize), stages: usize, sink: &'k K) -> Self {
         Self {
             sr,
             strategy: cfg.merge,
             policy: cfg.merge_kernel,
             pipelined: cfg.pipelined,
             shape,
+            sink,
+            due: stages,
             stack: Vec::new(),
             pushed: 0,
             pending: None,
+            tally: None,
             spans: Vec::new(),
             stats: MergeStats::default(),
         }
@@ -192,7 +202,8 @@ impl<S: Semiring> MergeEngine<S> {
     /// real work, and the result re-enters the stack homed on the lane
     /// the executor placed it on. Arena kernels write into a buffer from
     /// `arena` and consumed arena inputs go back to it, so within a phase
-    /// the hot loop recycles buffers instead of allocating.
+    /// the hot loop recycles buffers instead of allocating. The closing
+    /// merge goes through the sink instead.
     fn do_merge(
         &mut self,
         comm: &Comm,
@@ -200,6 +211,7 @@ impl<S: Semiring> MergeEngine<S> {
         arena: &mut MergeArena<S::Elem>,
         count: usize,
     ) {
+        let closing = self.due == 0 && self.pending.is_none() && count == self.stack.len();
         let tail: Vec<Slab<S::Elem>> = self.stack.split_off(self.stack.len() - count);
         let inputs: Vec<(u64, Option<usize>)> =
             tail.iter().map(|s| (s.m.nnz() as u64, s.home)).collect();
@@ -216,7 +228,14 @@ impl<S: Semiring> MergeEngine<S> {
         let w0 = comm.measured_now();
         let merged = {
             let refs: Vec<ColsRef<'_, S::Elem>> = tail.iter().map(|s| s.m.as_cols()).collect();
-            merge_into(self.sr, kernel, &refs, self.shape, arena)
+            if closing {
+                let (merged, tally) =
+                    merge_into(self.sr, kernel, &refs, self.shape, arena, self.sink);
+                self.tally = Some(tally);
+                merged
+            } else {
+                merge_into(self.sr, kernel, &refs, self.shape, arena, &Whole).0
+            }
         };
         span.measured_s = comm.measured_now() - w0;
         for s in tail {
@@ -260,6 +279,7 @@ impl<S: Semiring> MergeEngine<S> {
         slab: Csc<S::Elem>,
         ready_at: f64,
     ) {
+        self.due -= 1;
         let slab = Slab {
             m: MergeSlab::Mat(slab),
             ready: ready_at,
@@ -272,10 +292,9 @@ impl<S: Semiring> MergeEngine<S> {
                     // Push the *previous* stage's slab: its merge (if
                     // Algorithm 2 triggers one) overlaps this stage's
                     // kernel on the merge lane.
-                    if let Some(prev) = self.pending.take() {
+                    if let Some(prev) = self.pending.replace(slab) {
                         self.push_binary(comm, exec, arena, prev);
                     }
-                    self.pending = Some(slab);
                 } else {
                     // Bulk synchronous: the host blocks until the merge
                     // (still a lane task) completes; the block is wait
@@ -303,7 +322,7 @@ impl<S: Semiring> MergeEngine<S> {
         }
     }
 
-    /// Waits for the sealed phase's merged slab and folds its timing,
+    /// Waits for the sealed phase's packed slab and folds its timing,
     /// statistics and spans into `timers` and `out`. Under pipelining the
     /// scheduler calls this only after the *next* phase's broadcasts and
     /// launches are issued, so the closing merge's tail overlaps them
@@ -314,7 +333,7 @@ impl<S: Semiring> MergeEngine<S> {
         arena: &MergeArena<S::Elem>,
         timers: &mut StageTimers,
         out: &mut PipelineOutcome<S::Elem>,
-    ) -> Csc<S::Elem> {
+    ) -> Packed<S::Elem, K::Tally> {
         let ready = self.stack.last().map_or(comm.now(), |s| s.ready);
         self.stats.wait_time += comm.wait_clock_until(ready);
 
@@ -326,26 +345,36 @@ impl<S: Semiring> MergeEngine<S> {
         out.merge_spans.append(&mut self.spans);
         // The once-per-phase materialization: an arena-resident result
         // leaves the arena as the matrix, compacted in place and trimmed
-        // — the hook gets the storage the merge wrote. What the phase's
-        // intermediate merges recycled must never ratchet capacity across
-        // phases — debug-checked here, at the phase boundary.
-        let merged = self
-            .stack
-            .pop()
-            .map_or_else(|| Csc::zero(self.shape.0, self.shape.1), |s| s.m.into_csc());
+        // — the hook gets the storage the merge wrote. A phase whose one
+        // product needed no merge packs it here, through the same sink.
+        // What the phase's intermediate merges recycled must never
+        // ratchet capacity across phases — debug-checked here, at the
+        // phase boundary.
+        let last = self.stack.pop().map_or_else(
+            || MergeSlab::Mat(Csc::zero(self.shape.0, self.shape.1)),
+            |s| s.m,
+        );
+        let packed = match self.tally {
+            Some(tally) => Packed {
+                cols: last.into_csc(),
+                tally,
+            },
+            None => last.packed(self.sink),
+        };
         if cfg!(debug_assertions) {
             arena.assert_no_capacity_leak();
         }
-        merged
+        packed
     }
 }
 
 /// Runs all phases and stages of one distributed multiplication through
-/// `exec`, in semiring `s`. Fills `timers`; returns the per-phase output
-/// slabs and the idle/instrumentation accumulators. Collective over the
-/// grid.
+/// `exec`, in semiring `s`, each phase's closing merge through `sink` and
+/// what it packed through `on_slab`. Fills `timers`; returns the per-phase
+/// output slabs and the idle/instrumentation accumulators. Collective over
+/// the grid.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run<S, F>(
+pub(crate) fn run<S, K, F>(
     s: S,
     grid: &ProcGrid,
     exec: &mut Executor<'_>,
@@ -355,11 +384,13 @@ pub(crate) fn run<S, F>(
     phases: usize,
     cf_hint: Option<f64>,
     timers: &mut StageTimers,
+    sink: &K,
     mut on_slab: F,
 ) -> PipelineOutcome<S::Elem>
 where
     S: Semiring,
-    F: FnMut(usize, Csc<S::Elem>) -> Csc<S::Elem>,
+    K: ColumnSink<S::Elem>,
+    F: FnMut(usize, Packed<S::Elem, K::Tally>) -> Csc<S::Elem>,
 {
     let comm = &grid.world;
     let side = grid.side;
@@ -383,7 +414,7 @@ where
     // after this phase's stage loop, so its closing merge overlaps the
     // next round of broadcasts and launches (phases sliced from `B` are
     // independent; only the per-phase hook needs the merged slab).
-    let mut sealed: Option<(usize, MergeEngine<S>)> = None;
+    let mut sealed: Option<(usize, MergeEngine<S, K>)> = None;
     // Broadcast roots hand out `Arc`s: `A`'s block is shared by every
     // phase, `B`'s phase slice is a fresh matrix already — unless the one
     // phase takes all of a `B` that is `A` (MCL's expansion squares one
@@ -399,7 +430,8 @@ where
             Arc::new(b.local.column_slice(cols))
         };
         // Every stage product this phase has the same block shape.
-        let mut merge = MergeEngine::new(s, cfg, (a.local.nrows(), b_phase.ncols()));
+        let shape = (a.local.nrows(), b_phase.ncols());
+        let mut merge = MergeEngine::new(s, cfg, shape, side, sink);
 
         for k in 0..side {
             // --- SUMMA exchanges (mode per panel, §III-B) -------------
@@ -503,20 +535,20 @@ where
         // test below), and the hook cannot reach the lanes — `exec` is
         // borrowed exclusively here.
         if let Some((pph, eng)) = sealed.take() {
-            let merged = eng.drain(comm, &arena, timers, &mut out);
-            out.slabs.push(on_slab(pph, merged));
+            let packed = eng.drain(comm, &arena, timers, &mut out);
+            out.slabs.push(on_slab(pph, packed));
         }
         merge.seal(comm, exec, &mut arena);
         if cfg.pipelined {
             sealed = Some((ph, merge));
         } else {
-            let merged = merge.drain(comm, &arena, timers, &mut out);
-            out.slabs.push(on_slab(ph, merged));
+            let packed = merge.drain(comm, &arena, timers, &mut out);
+            out.slabs.push(on_slab(ph, packed));
         }
     }
     if let Some((pph, eng)) = sealed.take() {
-        let merged = eng.drain(comm, &arena, timers, &mut out);
-        out.slabs.push(on_slab(pph, merged));
+        let packed = eng.drain(comm, &arena, timers, &mut out);
+        out.slabs.push(on_slab(pph, packed));
     }
     out
 }
@@ -578,7 +610,8 @@ mod tests {
                 let mut exec = Executor::new(ExecutorKind::Gpus, &mut gpus, comm.model());
                 let mut arena = MergeArena::new();
                 let cfg = SummaConfig::optimized(1 << 30);
-                let mut merge = MergeEngine::new(PlusTimes::<f64>::new(), &cfg, (4, 5));
+                let shape = (4, 5);
+                let mut merge = MergeEngine::new(PlusTimes::<f64>::new(), &cfg, shape, 3, &Whole);
                 for ready in [1.0, 2.0, 3.0] {
                     merge.accept(&comm, &mut exec, &mut arena, panel(), ready);
                 }

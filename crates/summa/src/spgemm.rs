@@ -28,7 +28,9 @@ use crate::estimate::{
     OverlapInputs, PhaseDecision, PhasePlanner,
 };
 use crate::executor::{Executor, ExecutorKind, InvalidSplit};
-use crate::merge::{MergeKernelPolicy, MergeSpan, MergeStats, MergeStrategy};
+use crate::merge::{
+    ColumnSink, MergeKernelPolicy, MergeSpan, MergeStats, MergeStrategy, Packed, Whole,
+};
 use crate::pipeline::{self, PipelineOutcome};
 use hipmcl_comm::clock::StageTimers;
 use hipmcl_comm::{CommMode, GpuLib, MergeKernel, ProcGrid, SpgemmKernel};
@@ -372,44 +374,57 @@ pub fn summa_spgemm_in<S: Semiring>(
     b: &DistMatrix<S::Elem>,
     cfg: &SummaConfig,
 ) -> SummaOutput<S::Elem> {
-    summa_spgemm_with_in(s, grid, gpus, a, b, cfg, |_, c| c)
+    summa_spgemm_with_in(s, grid, gpus, a, b, cfg, &Whole, |_, c| c.cols)
 }
 
 /// Distributed `C = A·B` with a per-phase output hook.
 ///
-/// `on_slab(phase, slab)` receives each phase's merged (unpruned) output
-/// slab and returns what should be kept — the MCL driver prunes here, so
-/// the full unpruned matrix never exists at once (the fused
-/// expansion+pruning of §II). The hook's virtual cost must be charged by
-/// the caller (the driver charges the pruning stage).
+/// `on_slab(phase, slab)` receives each phase's merged output slab whole
+/// and returns what should be kept — the identity-sink case of
+/// [`summa_spgemm_with_in`], whose sink the MCL driver uses to prune
+/// without ever holding the slab (the fused expansion+pruning of §II). The
+/// hook's virtual cost must be charged by the caller.
 pub fn summa_spgemm_with<F>(
     grid: &ProcGrid,
     gpus: &mut MultiGpu,
     a: &DistMatrix,
     b: &DistMatrix,
     cfg: &SummaConfig,
-    on_slab: F,
+    mut on_slab: F,
 ) -> SummaOutput
 where
     F: FnMut(usize, Csc<f64>) -> Csc<f64>,
 {
-    summa_spgemm_with_in(PlusTimes::<f64>::new(), grid, gpus, a, b, cfg, on_slab)
+    let s = PlusTimes::<f64>::new();
+    summa_spgemm_with_in(s, grid, gpus, a, b, cfg, &Whole, |ph, c| {
+        on_slab(ph, c.cols)
+    })
 }
 
-/// Distributed `C = A ⊕.⊗ B` over an arbitrary semiring with a per-phase
-/// output hook — the generic engine behind every other entry point.
-pub fn summa_spgemm_with_in<S, F>(
+/// Distributed `C = A ⊕.⊗ B` over an arbitrary semiring — the generic
+/// engine behind every other entry point. Each phase's closing merge
+/// passes every column it finishes through `sink`, and
+/// `on_slab(phase, packed)` receives what the sink packed and returns what
+/// the phase keeps. Under [`Whole`] that is the merged slab itself; under
+/// the MCL driver's prune sink it is each column's top-`select` candidates
+/// and tally, so the unpruned slab never exists (§II). The hook's virtual
+/// cost must be charged by the caller (the driver charges the pruning
+/// stage).
+#[allow(clippy::too_many_arguments)]
+pub fn summa_spgemm_with_in<S, K, F>(
     s: S,
     grid: &ProcGrid,
     gpus: &mut MultiGpu,
     a: &DistMatrix<S::Elem>,
     b: &DistMatrix<S::Elem>,
     cfg: &SummaConfig,
+    sink: &K,
     on_slab: F,
 ) -> SummaOutput<S::Elem>
 where
     S: Semiring,
-    F: FnMut(usize, Csc<S::Elem>) -> Csc<S::Elem>,
+    K: ColumnSink<S::Elem>,
+    F: FnMut(usize, Packed<S::Elem, K::Tally>) -> Csc<S::Elem>,
 {
     assert_eq!(
         a.ncols_global, b.nrows_global,
@@ -505,6 +520,7 @@ where
         phases,
         cf_hint,
         &mut timers,
+        sink,
         on_slab,
     );
     let gpu_idle = exec.device_idle();

@@ -1,5 +1,5 @@
 //! Distributed column pruning: the exchange around `sparse::colops`'s
-//! prune rule, in one pass over the slab, one exchange and one apply pass.
+//! prune rule, over what a column sink packed of a rank's block of a slab.
 //!
 //! After expansion, MCL prunes each column of the distributed product.
 //! The cutoff is embarrassingly local, but *selection* (keep only the
@@ -7,56 +7,185 @@
 //! column's entries are spread over the `√P` blocks of one process
 //! column. HipMCL "identifies top-k entries in every column by selecting
 //! top-k entries in each process and then exchanging these entries with
-//! other processes" (§II) — here a single allgather on the column
-//! subcommunicator of three flat vectors per rank: every local column's
-//! maximum (for the never-empty guarantee), its count of cutoff
+//! other processes" (§II). Every global top-`select` entry lies in its
+//! rank's local top-`select`, so each rank's share of a column can be cut
+//! to that the moment the column is merged: [`PruneSink`] packs every
+//! column a phase's closing merge finishes into its *candidates* — the
+//! entries at or above its local `select`-th largest survivor, ties and
+//! all — and a [`Tally`] of the rest (merged length, cutoff survivors, and
+//! with recovery the mass), so the unpruned slab never exists.
+//!
+//! [`prune_packed`] then walks the candidates once: a single allgather on
+//! the column subcommunicator of three flat vectors per rank — every local
+//! column's maximum (for the never-empty guarantee), its count of cutoff
 //! survivors, and the local top-`select` survivors of all columns back to
 //! back, unordered. Column `j`'s run is `min(survivors[j], select)` long,
-//! so no offsets travel.
-//!
-//! What a rank holds of a column is one `colops::Share`, and every rank
-//! hands the same shares, in grid-row order, to `colops::select_rule` —
-//! the rule the serial prune applies to its single share — which returns
-//! the rule for the rank's own block. MCL's *recovery* step (`-R`) adds two
-//! rounds: a fused allreduce of the kept count, kept mass and total mass
-//! per column, and an allgather of the largest pruned values of the
-//! columns that kept too little of both, which `colops::recover_rule`
-//! turns into a second rule.
+//! so no offsets travel. What a rank holds of a column is one
+//! `colops::Share`, and every rank hands the same shares, in grid-row
+//! order, to `colops::select_rule` — the rule the serial prune applies to
+//! its single share — which returns the rule for the rank's own block.
+//! MCL's *recovery* step (`-R`) adds two rounds: a fused allreduce of the
+//! kept count, kept mass and total mass per column, and an allgather of
+//! the largest pruned values of the columns that kept too little of both,
+//! which `colops::recover_rule` turns into a second rule; it needs the
+//! `select + recover_num` largest entries, so that is how many its
+//! candidates hold. [`prune_local_slab`] is the same path for a slab that
+//! arrived whole: it packs it first.
 
+use crate::merge::{sink_slab, ColsRef, ColumnSink, Packed};
 use hipmcl_comm::collectives::{allgather, allreduce_sum_vec};
 use hipmcl_comm::Comm;
 use hipmcl_sparse::colops::{
-    push_largest, recover_rule, select_rule, write_admitted, Keep, PruneParams, PruneStats, Share,
+    kth_largest, push_largest, recover_rule, select_rule, write_admitted, Keep, PruneParams,
+    PruneStats, Share,
 };
-use hipmcl_sparse::{Csc, CscBuilder};
+use hipmcl_sparse::{Csc, CscBuilder, Idx};
+
+/// The distributed prune's column sink: what [`prune_packed`] reads of a
+/// column, packed from the column alone.
+#[derive(Clone, Copy, Debug)]
+pub struct PruneSink(pub PruneParams);
+
+/// What a [`PruneSink`] records of a column besides its candidates.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Tally {
+    /// Entries the column held.
+    len: usize,
+    /// How many of them pass the cutoff.
+    passing: usize,
+    /// Their row-order sum, with recovery on (`0.0` otherwise).
+    total: f64,
+}
+
+impl PruneSink {
+    /// Whether recovery runs, so that the largest entries below the cutoff
+    /// are candidates too.
+    fn recovering(&self) -> bool {
+        self.0.recover_num > 0 || self.0.recover_pct > 0.0
+    }
+
+    /// How many of a column's largest entries the prune can read
+    /// (`recover_num` is 0 unless recovery runs).
+    fn keep(&self) -> usize {
+        self.0.select + self.0.recover_num
+    }
+}
+
+impl ColumnSink<f64> for PruneSink {
+    type Tally = Tally;
+
+    fn room(&self, n: usize) -> usize {
+        n.min(self.keep())
+    }
+
+    /// The candidates are the entries at or above the `keep`-th largest of
+    /// those at or above the floor — the cutoff, or nothing with recovery
+    /// on — with every tie; if none reaches the floor, every copy of the
+    /// maximum.
+    fn pack(
+        &self,
+        rows: &[Idx],
+        vals: &[f64],
+        scratch: &mut Vec<f64>,
+        out: &mut CscBuilder<f64>,
+    ) -> Tally {
+        let (cutoff, keep) = (self.0.cutoff, self.keep());
+        let floor = if self.recovering() {
+            f64::NEG_INFINITY
+        } else {
+            cutoff
+        };
+        let (mut passing, mut max) = (0, f64::NEG_INFINITY);
+        scratch.clear();
+        for &v in vals {
+            max = max.max(v);
+            passing += (v >= cutoff) as usize;
+            if v >= floor {
+                scratch.push(v);
+            }
+        }
+        let thr = match scratch.len() {
+            0 => max,
+            n if n <= keep => floor,
+            _ => kth_largest(scratch, keep),
+        };
+        let n = vals.iter().filter(|&&v| v >= thr).count();
+        out.push_column_with(n, |r, v| {
+            let mut k = 0;
+            for (&i, &x) in rows.iter().zip(vals) {
+                if k == r.len() {
+                    break;
+                }
+                (r[k], v[k]) = (i, x);
+                k += (x >= thr) as usize;
+            }
+        });
+        let total = if self.recovering() {
+            vals.iter().sum()
+        } else {
+            0.0
+        };
+        Tally {
+            len: vals.len(),
+            passing,
+            total,
+        }
+    }
+}
+
+impl Packed<f64, Tally> {
+    /// Entries the packed columns held when merged: what pruning them is
+    /// charged for.
+    pub fn merged_nnz(&self) -> usize {
+        self.tally.iter().map(|t| t.len).sum()
+    }
+}
 
 /// Slab-level distributed prune: operates on a column slab whose columns
 /// are aligned across the ranks of `col_comm` (each rank holds a block of
-/// the same global columns). This is what the MCL driver calls from the
-/// per-phase SUMMA hook so expansion and pruning stay fused (§II).
+/// the same global columns) — [`prune_packed`] of the slab packed by a
+/// [`PruneSink`].
 pub fn prune_local_slab(
     col_comm: &Comm,
     m: &Csc<f64>,
     params: &PruneParams,
 ) -> (Csc<f64>, PruneStats) {
+    let packed = sink_slab(ColsRef::of(m), &PruneSink(*params));
+    prune_packed(col_comm, &packed, params)
+}
+
+/// The distributed prune of a slab a [`PruneSink`] packed with `params`:
+/// what the MCL driver's per-phase hook calls, so expansion and pruning
+/// stay fused (§II). Returns the pruned block and what this rank pruned.
+pub fn prune_packed(
+    col_comm: &Comm,
+    packed: &Packed<f64, Tally>,
+    params: &PruneParams,
+) -> (Csc<f64>, PruneStats) {
     let (cutoff, select) = (params.cutoff, params.select);
     assert!(select >= 1, "prune.select must be at least 1");
+    let (m, tally) = (&packed.cols, &packed.tally);
     let ncols = m.ncols();
     let me = col_comm.rank();
 
-    // Streaming pass: maximum, cutoff survivors and the local top-`select`
-    // of every column.
+    // Streaming pass: maximum and local top-`select` survivors of every
+    // column. The candidates may hold exactly `select` survivors of more,
+    // so the `select`-th largest is put last, as `select_rule` reads it.
     let mut maxes = Vec::with_capacity(ncols);
-    let mut survivors: Vec<u32> = Vec::with_capacity(ncols);
+    let survivors: Vec<u32> = tally.iter().map(|t| t.passing as u32).collect();
     let mut cands: Vec<f64> = Vec::new();
-    for j in 0..ncols {
-        let mut max = f64::NEG_INFINITY;
-        let passing = m.col_vals(j).iter().copied().filter(|&v| {
-            max = max.max(v);
-            v >= cutoff
-        });
-        survivors.push(push_largest(&mut cands, passing, select) as u32);
-        maxes.push(max);
+    for (j, t) in tally.iter().enumerate() {
+        let vals = m.col_vals(j);
+        maxes.push(vals.iter().fold(f64::NEG_INFINITY, |m, &v| m.max(v)));
+        let start = cands.len();
+        push_largest(
+            &mut cands,
+            vals.iter().copied().filter(|&v| v >= cutoff),
+            select,
+        );
+        if t.passing > select {
+            kth_largest(&mut cands[start..], select);
+        }
     }
     let all: Vec<(Vec<f64>, Vec<u32>, Vec<f64>)> = allgather(col_comm, (maxes, survivors, cands));
 
@@ -74,11 +203,12 @@ pub fn prune_local_slab(
                 *at += run.len();
                 shares.push(Share { max, passing, run });
             }
-            select_rule(&shares, me, m.col_vals(j), params, &mut stats, &mut merged)
+            let col = (m.col_vals(j), tally[j].len);
+            select_rule(&shares, me, col, params, &mut stats, &mut merged)
         })
         .unzip();
 
-    let restore = recover(col_comm, m, params, &rules, &mut counts, &mut stats);
+    let restore = recover(col_comm, packed, params, &rules, &mut counts, &mut stats);
 
     // Apply pass: every column's count is known, so its kept entries are
     // written where they land.
@@ -96,14 +226,15 @@ pub fn prune_local_slab(
 /// `counts`. Two collectives on `col_comm`, none if recovery is off.
 fn recover(
     col_comm: &Comm,
-    m: &Csc<f64>,
+    packed: &Packed<f64, Tally>,
     params: &PruneParams,
     rules: &[Keep],
     counts: &mut [usize],
     stats: &mut PruneStats,
 ) -> Vec<Keep> {
+    let m = &packed.cols;
     let ncols = m.ncols();
-    if params.recover_num == 0 && params.recover_pct <= 0.0 {
+    if !PruneSink(*params).recovering() {
         return vec![Keep::NOTHING; ncols];
     }
     let me = col_comm.rank();
@@ -117,7 +248,7 @@ fn recover(
         let kept = m.col_vals(j).iter().filter(|&&v| keep.admits(v));
         tally[ncols + j] = kept.inspect(|_| n += 1).sum();
         tally[j] = n as f64;
-        tally[2 * ncols + j] = m.col_vals(j).iter().sum();
+        tally[2 * ncols + j] = packed.tally[j].total;
     }
     let tally = allreduce_sum_vec(col_comm, tally);
     let (count, rest) = tally.split_at(ncols);
@@ -155,4 +286,5 @@ fn recover(
 
 // The differential tests against `colops::prune` (entry for entry, every
 // grid, recovery included) are `tests/topk_identity.rs` at the workspace
-// root, where tier-1 runs them.
+// root, where tier-1 runs them; the sunk path against this one is
+// `tests/iteration_identity.rs`.

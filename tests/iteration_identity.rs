@@ -4,12 +4,26 @@
 //! `colops::inflate` in turn — same `colptr`, `rowidx`, value bits, chaos
 //! bits and `MultAnalysis` — at pool widths 1 and 2, on a fixture of the
 //! columns pruning treats specially and on real MCL iterates.
+//!
+//! Likewise the distributed iteration, whose closing merges pack each column
+//! into the candidates the prune reads: every iteration of
+//! `cluster_distributed_with` equals `summa_spgemm_with` +
+//! `prune_local_slab` on the same operand, on grids of 1, 4 and 9 ranks and
+//! every merge arm. Its test dispatches through `Universe::run_dist`, so
+//! `HIPMCL_TRANSPORT=tcp` runs it over TCP loopback; `HIPMCL_MAX_RANKS=k`
+//! skips the grids above `k` ranks.
 
+use hipmcl::comm::collectives::allreduce_sum_vec;
+use hipmcl::comm::MergeKernel;
+use hipmcl::core::dist::{cluster_distributed_with, dist_inflate_and_chaos_cols};
 use hipmcl::core::serial::{mcl_iteration, prepare_matrix};
 use hipmcl::prelude::*;
 use hipmcl::sparse::colops::{self, PruneParams, PruneStats};
-use hipmcl::sparse::Idx;
+use hipmcl::sparse::{Idx, PlusTimes};
 use hipmcl::spgemm::hybrid::multiply_auto;
+use hipmcl::summa::merge::{MergeKernelPolicy, MergeStrategy};
+use hipmcl::summa::spgemm::{summa_spgemm_with, summa_spgemm_with_in, PhasePlan};
+use hipmcl::summa::topk::{prune_local_slab, prune_packed, PruneSink};
 use hipmcl::workloads::rmat::{generate_rmat, RmatParams};
 use rayon::ThreadPoolBuilder;
 
@@ -156,5 +170,184 @@ fn the_columns_pruning_treats_specially() {
         }
         assert_eq!(column(&out, 3), [0, 1, diag(3)]);
         assert_eq!(column(&out, 4), [5, 6, 7, diag(4)]);
+    }
+}
+
+/// Every iteration of `cluster_distributed_with` on this rank, `a` on
+/// `grid`, against `summa_spgemm_with` + `prune_local_slab` on the same
+/// operand: the driver's product (the observer's `out.c`) and the sunk
+/// expansion's product and stats equal the unsunk ones bit for bit, and
+/// gathered, summed over the ranks, what `colops::prune` makes of the
+/// gathered unpruned product. Returns what this rank pruned, summed.
+fn sunk_is_unsunk(grid: &ProcGrid, a: DistMatrix, cfg: &MclConfig) -> PruneStats {
+    let (model, col) = (grid.world.model(), &grid.col_comm);
+    let (mut gpus, mut spare) = (MultiGpu::summit_node(model), MultiGpu::summit_node(model));
+    let mut operand = a.clone();
+    let mut total = PruneStats::default();
+    cluster_distributed_with(grid, &mut gpus, a, cfg, |iter, out| {
+        let (mut want_stats, mut got_stats) = (PruneStats::default(), PruneStats::default());
+        let mut slabs = Vec::new();
+        let want = summa_spgemm_with(
+            grid,
+            &mut spare,
+            &operand,
+            &operand,
+            &cfg.summa,
+            |_, slab| {
+                let (pruned, stats) = prune_local_slab(col, &slab, &cfg.prune);
+                want_stats += stats;
+                slabs.push(slab);
+                pruned
+            },
+        );
+        let (s, sink) = (PlusTimes::<f64>::new(), &PruneSink(cfg.prune));
+        let b = &operand;
+        let got = summa_spgemm_with_in(s, grid, &mut spare, b, b, &cfg.summa, sink, |_, packed| {
+            let (pruned, stats) = prune_packed(col, &packed, &cfg.prune);
+            got_stats += stats;
+            pruned
+        });
+        let want_bits = bits(&want.c.local);
+        assert_eq!(
+            bits(&out.c.local),
+            want_bits,
+            "iteration {iter}: the driver's product"
+        );
+        assert_eq!(
+            bits(&got.c.local),
+            want_bits,
+            "iteration {iter}: the sunk product"
+        );
+        assert_eq!(got_stats, want_stats, "iteration {iter}: what was pruned");
+
+        let unpruned = DistMatrix {
+            local: Csc::hcat(&slabs),
+            ..want.c
+        };
+        let stats = [
+            want_stats.pruned_by_cutoff,
+            want_stats.pruned_by_select,
+            want_stats.recovered,
+        ];
+        let stats = allreduce_sum_vec(&grid.world, stats.map(|x| x as f64).to_vec());
+        let serial = unpruned
+            .gather_to_root(grid)
+            .map(|m| colops::prune(&m, &cfg.prune));
+        if let (Some((serial, serial_stats)), Some(got)) = (serial, out.c.gather_to_root(grid)) {
+            assert_eq!(
+                bits(&got),
+                bits(&serial),
+                "iteration {iter}: the serial prune"
+            );
+            let serial_stats = [
+                serial_stats.pruned_by_cutoff,
+                serial_stats.pruned_by_select,
+                serial_stats.recovered,
+            ];
+            assert_eq!(
+                stats,
+                serial_stats.map(|x| x as f64),
+                "iteration {iter}: its stats"
+            );
+        }
+        total += want_stats;
+        operand = out.c.clone();
+        dist_inflate_and_chaos_cols(grid, &mut operand.local, cfg.inflation);
+    });
+    total
+}
+
+/// The grids, as rank counts, up to `HIPMCL_MAX_RANKS`.
+fn grids() -> impl Iterator<Item = usize> {
+    let max = std::env::var("HIPMCL_MAX_RANKS")
+        .ok()
+        .and_then(|s| s.parse().ok());
+    [1, 4, 9]
+        .into_iter()
+        .filter(move |&p| p <= max.unwrap_or(usize::MAX))
+}
+
+/// Every merge arm: both strategies under the cost rule and every fixed
+/// kernel, binary merging pipelined.
+fn merge_arms() -> Vec<(MergeStrategy, MergeKernelPolicy)> {
+    let policies = MergeKernel::all().map(MergeKernelPolicy::Fixed);
+    let policies = [MergeKernelPolicy::Auto].into_iter().chain(policies);
+    let strategies =
+        policies.flat_map(|k| [(MergeStrategy::Binary, k), (MergeStrategy::Multiway, k)]);
+    strategies.collect()
+}
+
+/// The columns the sink treats specially, as columns `M + j` of the
+/// fixture's square (rows `0..M` and `M + j`; on the 3×3 grid rows from 45
+/// on belong to the second block, on the 2×2 grid from 68 on). Every other
+/// column is empty.
+fn special_columns() -> Csc<f64> {
+    let spread: Vec<(Idx, f64)> = (10..40).chain(50..58).map(|r| (r, 0.015)).collect();
+    let cols: [(f64, &[(Idx, f64)]); 4] = [
+        // Below the cutoff of 1e-3 everywhere, the maximum in rows 0 and
+        // 50: the global last copy stays.
+        (1.0 / 256.0, &[(0, 0.2), (1, 0.1), (50, 0.2), (60, 0.05)]),
+        // The first block's four largest are 0.5 and three of four 0.3s; a
+        // fifth 0.3 sits in the second block.
+        (
+            1.0,
+            &[
+                (0, 0.5),
+                (1, 0.3),
+                (2, 0.3),
+                (3, 0.3),
+                (4, 0.3),
+                (50, 0.3),
+                (51, 0.2),
+            ],
+        ),
+        // Exactly `select` = 4 entries pass the cutoff.
+        (1.0, &[(5, 0.4), (6, 0.3), (55, 0.2)]),
+        // One entry above the cutoff and most of the mass below it, in
+        // both blocks: what recovery restores is below the cutoff.
+        (1.0 / 16.0, &spread),
+    ];
+    fixture(&cols)
+}
+
+#[test]
+fn the_distributed_iteration_prunes_what_its_merges_pack() {
+    let rmat = Csc::from_triples(&generate_rmat(&RmatParams::graph500(7, 16, 3)));
+    let special = special_columns();
+    let mut base = MclConfig::testing(4);
+    base.prune.cutoff = 1e-3;
+    let cases = [(prepare_matrix(&rmat, &base), 3), (special, 2)];
+    for p in grids() {
+        let per_rank = Universe::run_dist(p, MachineModel::summit(), |comm| {
+            let grid = ProcGrid::new(comm);
+            // What each case pruned by cutoff, by selection and restored.
+            let mut stats = vec![0usize; 3 * cases.len()];
+            for ((m, iters), stats) in cases.iter().zip(stats.chunks_mut(3)) {
+                let a = DistMatrix::from_global(&grid, &m.to_triples());
+                for (arm, (merge, merge_kernel)) in merge_arms().into_iter().enumerate() {
+                    for recover_num in [0, 2 + arm % 5] {
+                        let mut cfg = base;
+                        cfg.max_iters = *iters;
+                        cfg.prune.recover_num = recover_num;
+                        cfg.prune.recover_pct = if recover_num > 0 { 0.9 } else { 0.0 };
+                        cfg.summa.phases = PhasePlan::Fixed(2);
+                        cfg.summa.merge = merge;
+                        cfg.summa.merge_kernel = merge_kernel;
+                        cfg.summa.pipelined = merge == MergeStrategy::Binary;
+                        let s = sunk_is_unsunk(&grid, a.clone(), &cfg);
+                        stats[0] += s.pruned_by_cutoff;
+                        stats[1] += s.pruned_by_select;
+                        stats[2] += s.recovered;
+                    }
+                }
+            }
+            stats
+        });
+        // Cutoff, selection and recovery each did something in each case.
+        for (i, sum) in
+            (0..3 * cases.len()).map(|i| (i, per_rank.iter().map(|s| s[i]).sum::<usize>()))
+        {
+            assert!(sum > 0, "p={p}: case {}, stat {}", i / 3, i % 3);
+        }
     }
 }
