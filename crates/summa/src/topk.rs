@@ -104,12 +104,14 @@ impl ColumnSink<f64> for PruneSink {
                 scratch.push(v);
             }
         }
-        let thr = match scratch.len() {
-            0 => max,
-            n if n <= keep => floor,
-            _ => kth_largest(scratch, keep),
+        let (thr, n) = match scratch.len() {
+            0 => (max, vals.iter().filter(|&&v| v == max).count()),
+            n if n <= keep => (floor, n),
+            _ => {
+                let thr = kth_largest(scratch, keep);
+                (thr, scratch.iter().filter(|&&v| v >= thr).count())
+            }
         };
-        let n = vals.iter().filter(|&&v| v >= thr).count();
         out.push_column_with(n, |r, v| {
             let mut k = 0;
             for (&i, &x) in rows.iter().zip(vals) {
