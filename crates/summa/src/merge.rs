@@ -1151,7 +1151,7 @@ fn merge_k_cursors_body<S: Semiring>(
 }
 
 /// BRMerge-style merge of `mats` (fan-in ≥ 2) into an arena buffer, in
-/// **one pass** ([`merge_staged`]): each column's sorted runs are
+/// **one pass** (`merge_staged`): each column's sorted runs are
 /// cursor-merged — a two-cursor merge at fan-in 2, a linear min-scan over
 /// k cursors above that. Coincident rows accumulate strictly in list
 /// order, so the result is bit-identical to the heap/pairwise kernels.
@@ -1290,7 +1290,7 @@ fn brmerge_column<'m, S: Semiring>(
 }
 
 /// Hussain-style parallel SpAdd of `mats` (fan-in ≥ 2) into an arena
-/// buffer ([`merge_staged`]): each thread accumulates its columns through
+/// buffer (`merge_staged`): each thread accumulates its columns through
 /// an epoch-stamped dense SPA, kept in `arena` across merges, strictly in
 /// list order, then sorts each column by row, drops annihilators, and
 /// writes it compactly at its chunk's write cursor; the result stays

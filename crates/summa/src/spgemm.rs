@@ -381,7 +381,7 @@ pub fn summa_spgemm_in<S: Semiring>(
 ///
 /// `on_slab(phase, slab)` receives each phase's merged output slab whole
 /// and returns what should be kept — the identity-sink case of
-/// [`summa_spgemm_with_in`], whose sink the MCL driver uses to prune
+/// [`summa_spgemm_with_in`], whose sink `core::dist` uses to prune
 /// without ever holding the slab (the fused expansion+pruning of §II). The
 /// hook's virtual cost must be charged by the caller.
 pub fn summa_spgemm_with<F>(
@@ -406,9 +406,9 @@ where
 /// passes every column it finishes through `sink`, and
 /// `on_slab(phase, packed)` receives what the sink packed and returns what
 /// the phase keeps. Under [`Whole`] that is the merged slab itself; under
-/// the MCL driver's prune sink it is each column's top-`select` candidates
+/// `core::dist`'s prune sink it is each column's top-`select` candidates
 /// and tally, so the unpruned slab never exists (§II). The hook's virtual
-/// cost must be charged by the caller (the driver charges the pruning
+/// cost must be charged by the caller (`core::dist` charges the pruning
 /// stage).
 #[allow(clippy::too_many_arguments)]
 pub fn summa_spgemm_with_in<S, K, F>(

@@ -157,7 +157,7 @@ pub fn prune_local_slab(
 }
 
 /// The distributed prune of a slab a [`PruneSink`] packed with `params`:
-/// what the MCL driver's per-phase hook calls, so expansion and pruning
+/// what `core::dist`'s per-phase hook calls, so expansion and pruning
 /// stay fused (§II). Returns the pruned block and what this rank pruned.
 pub fn prune_packed(
     col_comm: &Comm,

@@ -175,7 +175,7 @@ fn the_columns_pruning_treats_specially() {
 
 /// Every iteration of `cluster_distributed_with` on this rank, `a` on
 /// `grid`, against `summa_spgemm_with` + `prune_local_slab` on the same
-/// operand: the driver's product (the observer's `out.c`) and the sunk
+/// operand: the MCL loop's product (the observer's `out.c`) and the sunk
 /// expansion's product and stats equal the unsunk ones bit for bit, and
 /// gathered, summed over the ranks, what `colops::prune` makes of the
 /// gathered unpruned product. Returns what this rank pruned, summed.
@@ -211,7 +211,7 @@ fn sunk_is_unsunk(grid: &ProcGrid, a: DistMatrix, cfg: &MclConfig) -> PruneStats
         assert_eq!(
             bits(&out.c.local),
             want_bits,
-            "iteration {iter}: the driver's product"
+            "iteration {iter}: the MCL loop's product"
         );
         assert_eq!(
             bits(&got.c.local),
