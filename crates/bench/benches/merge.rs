@@ -41,42 +41,29 @@ fn merging_at(c: &mut Criterion, width: usize) {
         });
         // The merger consumes its inputs; clone them in setup so the
         // measurement covers merging only (comparable to multiway).
-        // "binary-legacy" pins the pre-arena behavior (pairwise merges
-        // that rematerialize a CSC block each time, fresh merger per
-        // iteration); "binary-arena" is today's Auto — BRMerge k-cursor
-        // merges into recycled arena slack, with the merger (and so its arena)
-        // persisting across iterations like the pipeline's per-rank
-        // arena does across phases.
-        group.bench_with_input(BenchmarkId::new("binary-legacy", k), &mats, |b, mats| {
-            b.iter_batched(
-                || mats.to_vec(),
-                |mats| {
-                    let mut bm = StackMerger::new(
-                        MachineModel::summit(),
-                        MergeKernelPolicy::Fixed(MergeKernel::Pairwise),
-                        SHAPE,
-                    );
-                    for m in mats {
-                        bm.push(m);
-                    }
-                    bm.finish()
-                },
-                BatchSize::LargeInput,
-            )
-        });
-        let mut bm = StackMerger::new(MachineModel::summit(), MergeKernelPolicy::Auto, SHAPE);
-        group.bench_with_input(BenchmarkId::new("binary-arena", k), &mats, |b, mats| {
-            b.iter_batched(
-                || mats.to_vec(),
-                |mats| {
-                    for m in mats {
-                        bm.push(m);
-                    }
-                    bm.finish()
-                },
-                BatchSize::LargeInput,
-            )
-        });
+        // "binary-legacy" is the stack under `Fixed(Pairwise)`, the old
+        // `Auto` at fan-in 2; "binary-auto" is today's `Auto`.
+        for (name, policy) in [
+            (
+                "binary-legacy",
+                MergeKernelPolicy::Fixed(MergeKernel::Pairwise),
+            ),
+            ("binary-auto", MergeKernelPolicy::Auto),
+        ] {
+            group.bench_with_input(BenchmarkId::new(name, k), &mats, |b, mats| {
+                b.iter_batched(
+                    || mats.to_vec(),
+                    |mats| {
+                        let mut bm = StackMerger::new(MachineModel::summit(), policy, SHAPE);
+                        for m in mats {
+                            bm.push(m);
+                        }
+                        bm.finish()
+                    },
+                    BatchSize::LargeInput,
+                )
+            });
+        }
     }
     group.finish();
 }

@@ -1,21 +1,19 @@
 //! **Merge-gap ablation** — measures, in real wall-clock, how much the
 //! binary (Algorithm 2) merge schedule costs over one k-way merge of the
-//! same SUMMA stage products, before and after the arena accumulators:
+//! same SUMMA stage products:
 //!
 //! * *k-way heap* — original HipMCL's cursor heap, the pre-PR baseline.
-//! * *k-way spadd* — Hussain-style parallel SpAdd (arXiv:2112.10223)
-//!   through a persistent [`hipmcl_summa::merge::MergeArena`]; what
-//!   `MergeKernelPolicy::Auto` now picks at fan-in ≥ 6.
+//! * *k-way spadd* — Hussain-style SpAdd (arXiv:2112.10223), what
+//!   `MergeKernelPolicy::Auto` picks at fan-in ≥ 6.
 //! * *binary legacy* — the Algorithm 2 stack with `Fixed(Pairwise)`,
-//!   which is what the old `Auto` table ran at fan-in 2: every two-way
-//!   merge allocated and materialized a fresh CSC block.
-//! * *binary arena* — the same stack under the new `Auto`:
-//!   BRMerge-style single-pass k-cursor merges (arXiv:2206.06611)
-//!   appending into recycled arena slack.
+//!   which is what the old `Auto` table ran at fan-in 2: every merge a
+//!   left fold of two-way merges.
+//! * *binary auto* — the same stack under today's `Auto`: BRMerge-style
+//!   single-pass k-cursor merges (arXiv:2206.06611).
 //!
 //! EXPERIMENTS.md's criterion numbers put the legacy binary schedule at
 //! ~1.6× one k-way merge (the paper's CombBLAS version pays only
-//! +3–4%); the acceptance bar for this probe is the arena stack landing
+//! +3–4%); the acceptance bar for this probe is the `Auto` stack landing
 //! at ≤ 1.2× on Archaea and Isom100_3. All four configurations merge the
 //! *same* stage products and the probe asserts their outputs are
 //! bit-identical before timing is reported.
@@ -39,9 +37,9 @@ fn main() {
         "kway heap",
         "kway spadd",
         "binary legacy",
-        "binary arena",
+        "binary auto",
         "legacy ratio",
-        "arena ratio",
+        "auto ratio",
     ];
     let mut rows = Vec::new();
     for d in [Dataset::Archaea, Dataset::Isom100_3] {
@@ -56,9 +54,9 @@ fn main() {
                 fmt_time(r.t_kway_heap),
                 fmt_time(r.t_kway_spadd),
                 fmt_time(r.t_binary_legacy),
-                fmt_time(r.t_binary_arena),
+                fmt_time(r.t_binary_auto),
                 format!("{:.2}", r.legacy_ratio()),
-                format!("{:.2}", r.arena_ratio()),
+                format!("{:.2}", r.auto_ratio()),
             ]);
         }
     }
@@ -70,9 +68,9 @@ fn main() {
         "§IV measures binary merging slightly slower than multiway in",
         "isolation, worth it because it hides behind the GPU and caps",
         "peak memory. Our legacy stack paid ~1.6x one k-way merge because",
-        "each two-way merge rematerialized a CSC block; the BRMerge/SpAdd",
-        "arena accumulators are expected to bring the binary stack to",
-        "<= 1.2x the k-way baseline (arena ratio column) while staying",
-        "bit-identical to every other kernel.",
+        "each merge folded two-way merges; the BRMerge/SpAdd kernels are",
+        "expected to bring the binary stack to <= 1.2x the k-way baseline",
+        "(auto ratio column) while staying bit-identical to every other",
+        "kernel.",
     ]);
 }

@@ -355,23 +355,15 @@ pub struct MergeGapReport {
     /// accumulator — the pre-PR `kway_merge` baseline).
     pub t_kway_heap: f64,
     /// Best-of-reps wall time of one k-way Hussain-style SpAdd merge
-    /// through a persistent [`MergeArena`](hipmcl_summa::merge::MergeArena)
-    /// (what `Auto` now picks at this fan-in).
+    /// (what `Auto` picks at fan-in ≥ 6).
     pub t_kway_spadd: f64,
     /// Best-of-reps wall time of the binary (Algorithm 2) stack under
-    /// `Fixed(Pairwise)` — the pre-arena behavior, where every two-way
-    /// merge allocated and materialized a fresh CSC block.
+    /// `Fixed(Pairwise)`, the old `Auto` at fan-in 2: every merge a left
+    /// fold of two-way merges.
     pub t_binary_legacy: f64,
-    /// Best-of-reps wall time of the binary stack under `Auto` — BRMerge
-    /// folds into recycled arena slack (the merger persists across reps,
-    /// modeling the pipeline's [`hipmcl_summa::merge::MergeArena`] living
-    /// across phases).
-    pub t_binary_arena: f64,
-    /// Elements of slab capacity the persistent arena retained at the
-    /// end — bounded by twice its peak request (the no-leak invariant).
-    pub arena_capacity_elems: usize,
-    /// Largest single buffer request the arena ever served.
-    pub arena_peak_request: usize,
+    /// Best-of-reps wall time of the binary stack under `Auto` (BRMerge
+    /// at every fan-in the stack reaches here).
+    pub t_binary_auto: f64,
 }
 
 impl MergeGapReport {
@@ -387,10 +379,10 @@ impl MergeGapReport {
         self.t_binary_legacy / self.t_kway()
     }
 
-    /// Binary-vs-k-way gap after: arena-backed BRMerge stack over the
-    /// same k-way baseline. The acceptance bar is ≤ 1.2.
-    pub fn arena_ratio(&self) -> f64 {
-        self.t_binary_arena / self.t_kway()
+    /// Binary-vs-k-way gap after: the `Auto` stack over the same k-way
+    /// baseline. The acceptance bar is ≤ 1.2.
+    pub fn auto_ratio(&self) -> f64 {
+        self.t_binary_auto / self.t_kway()
     }
 }
 
@@ -431,16 +423,15 @@ fn assert_pattern_eq_values_close(a: &Csc<f64>, b: &Csc<f64>) {
 }
 
 /// Measures the real-time merge gap on one network at one fan-in: k-way
-/// heap and k-way arena SpAdd against the binary stack in its legacy
-/// (pairwise, rematerializing) and arena (`Auto`, BRMerge-into-slack)
-/// forms. Each configuration merges the *same* stage products; the probe
+/// heap and k-way SpAdd against the binary stack in its legacy (pairwise)
+/// and `Auto` forms. Each configuration merges the *same* stage products; the probe
 /// asserts outputs are bit-identical within each schedule and
 /// pattern-identical (values equal to roundoff) across schedules before
 /// reporting times (best of `reps`).
 pub fn run_merge_gap_probe(d: Dataset, k: usize, reps: usize) -> MergeGapReport {
     use hipmcl_comm::{MachineModel, MergeKernel};
     use hipmcl_sparse::PlusTimes;
-    use hipmcl_summa::merge::{kway_merge, spadd_into, ColsRef, MergeArena, StackMerger};
+    use hipmcl_summa::merge::{kway_merge, merge_with, StackMerger};
 
     let (slabs, shape) = merge_gap_stage_products(d, k);
     let total_in_elems: u64 = slabs.iter().map(|m| m.nnz() as u64).sum();
@@ -460,57 +451,35 @@ pub fn run_merge_gap_probe(d: Dataset, k: usize, reps: usize) -> MergeGapReport 
 
     let (t_kway_heap, c_heap) = best_of(Box::new(|| kway_merge(&slabs, shape)));
 
-    // k-way SpAdd through a persistent arena: after the first rep the
-    // epoch-stamped SPAs and the output slab come back from the free
-    // list, which is exactly how the pipeline runs it across phases.
-    let refs: Vec<ColsRef<'_, f64>> = slabs.iter().map(ColsRef::of).collect();
-    let mut arena: MergeArena<f64> = MergeArena::new();
     let (t_kway_spadd, c_spadd) = best_of(Box::new(|| {
-        let buf = spadd_into(PlusTimes::<f64>::new(), &refs, shape, &mut arena);
-        let c = buf.to_csc();
-        arena.release(buf);
-        c
+        merge_with(PlusTimes::<f64>::new(), MergeKernel::SpAdd, &slabs, shape)
     }));
 
     // Binary stacks: pushes consume their inputs, so clone outside the
-    // timed region. The legacy form rebuilds the merger every rep (it
-    // kept no reusable state); the arena form keeps one merger alive so
-    // its arena stays warm, as the pipeline's per-rank arena does. The
-    // two forms' reps are interleaved so that, when the probe runs
-    // inside a parallel test harness, CPU contention windows hit both
-    // sides of the comparison instead of skewing one.
-    let mut bm = StackMerger::new(MachineModel::summit(), MergeKernelPolicy::Auto, shape);
-    let mut t_binary_legacy = f64::INFINITY;
-    let mut t_binary_arena = f64::INFINITY;
-    let mut c_legacy = None;
-    let mut c_arena = None;
+    // timed region. The two forms' reps are interleaved so that, when the
+    // probe runs inside a parallel test harness, CPU contention windows
+    // hit both sides of the comparison instead of skewing one.
+    let policies = [
+        MergeKernelPolicy::Fixed(MergeKernel::Pairwise),
+        MergeKernelPolicy::Auto,
+    ];
+    let mut best = [f64::INFINITY; 2];
+    let mut merged = [None, None];
     for _ in 0..reps {
-        let mats = slabs.clone();
-        let mut lm = StackMerger::new(
-            MachineModel::summit(),
-            MergeKernelPolicy::Fixed(MergeKernel::Pairwise),
-            shape,
-        );
-        let t0 = std::time::Instant::now();
-        for m in mats {
-            lm.push(m);
+        for (i, policy) in policies.into_iter().enumerate() {
+            let mats = slabs.clone();
+            let mut stack = StackMerger::new(MachineModel::summit(), policy, shape);
+            let t0 = std::time::Instant::now();
+            for m in mats {
+                stack.push(m);
+            }
+            let c = stack.finish();
+            best[i] = best[i].min(t0.elapsed().as_secs_f64());
+            merged[i] = Some(c);
         }
-        let c = lm.finish();
-        t_binary_legacy = t_binary_legacy.min(t0.elapsed().as_secs_f64());
-        c_legacy = Some(c);
-
-        let mats = slabs.clone();
-        let t0 = std::time::Instant::now();
-        for m in mats {
-            bm.push(m);
-        }
-        let c = bm.finish();
-        t_binary_arena = t_binary_arena.min(t0.elapsed().as_secs_f64());
-        c_arena = Some(c);
     }
-    bm.arena().assert_no_capacity_leak();
-
-    let (c_legacy, c_arena) = (c_legacy.unwrap(), c_arena.unwrap());
+    let [t_binary_legacy, t_binary_auto] = best;
+    let [c_legacy, c_auto] = merged.map(Option::unwrap);
     // Bit-identity is a *kernel* contract: on the same merge inputs any
     // kernel produces the same bits. Across the two schedules the merge
     // *tree* differs (Algorithm 2 folds e.g. (s1..4 + s5..6) + s7 + s8),
@@ -518,8 +487,8 @@ pub fn run_merge_gap_probe(d: Dataset, k: usize, reps: usize) -> MergeGapReport 
     // equal to roundoff.
     assert_eq!(c_heap, c_spadd, "k-way SpAdd diverged from k-way heap");
     assert_eq!(
-        c_legacy, c_arena,
-        "binary arena kernels diverged from binary pairwise"
+        c_legacy, c_auto,
+        "binary auto kernels diverged from binary pairwise"
     );
     assert_pattern_eq_values_close(&c_heap, &c_legacy);
 
@@ -530,9 +499,7 @@ pub fn run_merge_gap_probe(d: Dataset, k: usize, reps: usize) -> MergeGapReport 
         t_kway_heap,
         t_kway_spadd,
         t_binary_legacy,
-        t_binary_arena,
-        arena_capacity_elems: bm.arena().capacity_elems(),
-        arena_peak_request: bm.arena().peak_request(),
+        t_binary_auto,
     }
 }
 
@@ -867,29 +834,23 @@ mod tests {
     }
 
     #[test]
-    fn merge_gap_probe_agrees_and_keeps_the_arena_bound() {
+    fn merge_gap_probe_agrees() {
         // Bit-identity of all four configurations is asserted inside
         // run_merge_gap_probe itself. No wall-clock inequality here: the
-        // arena-vs-legacy comparison is `summa.merge_stack_melems` against
+        // auto-vs-legacy comparison is `summa.merge_stack_melems` against
         // `summa.merge_pairwise_melems` in every `BENCH_*.json`, measured
         // outside a parallel test harness.
         let r = run_merge_gap_probe(Dataset::Archaea, 4, 5);
         assert!(r.out_nnz > 0);
         assert!(r.total_in_elems >= r.out_nnz);
-        // The persistent arena obeys the no-leak bound: retained slab
-        // capacity stays within twice its peak request.
-        assert!(r.arena_peak_request > 0);
-        assert!(r.arena_capacity_elems <= 2 * r.arena_peak_request);
     }
 
     #[test]
     fn merge_peak_elems_is_schedule_not_kernel_determined() {
         // The peak merge working set is a property of the binary
         // *schedule* (how many slabs coexist), not of which accumulator
-        // runs each merge — so Auto (BRMerge/SpAdd arena kernels) must
-        // report exactly the peak that the heap kernel does on the same
-        // run. Guards against the arena staging buffers ever leaking
-        // into the memory accounting.
+        // runs each merge — so Auto (BRMerge/SpAdd) must report exactly
+        // the peak that the heap kernel does on the same run.
         let planner = PhasePlanner::MemoryOnly;
         let budget = 3u64 << 20;
         let heap = run_merge_overlap_probe(

@@ -86,19 +86,17 @@ pub enum MergeKernel {
     /// per element regardless of fan-in, but a worse constant plus a
     /// table-setup cost that small merges cannot amortize.
     Hash,
-    /// BRMerge-style two-way row merge (arXiv:2206.06611) appending into
-    /// reusable arena slabs: same left-fold shape as `Pairwise` but each
-    /// fold writes into pre-sized upper-bound slack instead of
-    /// materializing a fresh CSC, so the per-element constant drops below
-    /// the pairwise cursor merge. The fold re-scan still makes its work
-    /// linear in the fan-in, so it owns the small-fan-in regime.
+    /// BRMerge-style row merge (arXiv:2206.06611): one pass of k cursors
+    /// per column instead of `Pairwise`'s fold of two-way merges, so the
+    /// per-element constant drops below the pairwise cursor merge. The
+    /// min-scan over the cursor heads still makes its work linear in the
+    /// fan-in, so it owns the small-fan-in regime.
     BrMerge,
-    /// Hussain-style parallel SpAdd (arXiv:2112.10223): contiguous
-    /// per-thread column partitions, each thread accumulating through an
-    /// epoch-stamped dense sparse accumulator sized from the column-nnz
-    /// upper bracket. Fan-in independent like `Hash` but with a cheaper
+    /// Hussain-style parallel SpAdd (arXiv:2112.10223): each thread
+    /// accumulates its columns through an epoch-stamped dense sparse
+    /// accumulator. Fan-in independent like `Hash` but with a cheaper
     /// per-element constant and a smaller setup (the SPA is reused across
-    /// columns and merges), so it owns the large-fan-in regime.
+    /// columns), so it owns the large-fan-in regime.
     SpAdd,
 }
 
@@ -165,8 +163,7 @@ pub const HASH_MERGE_FACTOR: f64 = 1.6;
 /// even at large fan-in.
 pub const HASH_MERGE_SETUP_OPS: f64 = 4096.0;
 /// Per-element cost multiplier of [`MergeKernel::BrMerge`]: a
-/// single-pass k-cursor merge appending into pre-sized arena slack does
-/// no per-merge allocation, copy-out, sorting or hashing — only the
+/// single-pass k-cursor merge does no sorting or hashing — only the
 /// linear min-scan over the cursor heads, whose per-element cost grows
 /// with fan-in: `total · 0.3 · (k − 1)`. Beats everything through
 /// fan-in 5 (calibrated against `probe_merge_gap` wall-clock); the
@@ -458,8 +455,8 @@ impl MachineModel {
     ///   beyond);
     /// * `Hash` — `total · HASH_MERGE_FACTOR + HASH_MERGE_SETUP_OPS`
     ///   (fan-in independent accumulation plus table setup);
-    /// * `BrMerge` — `total · BRMERGE_MERGE_FACTOR · (k − 1)` (arena-backed
-    ///   single-pass k-cursor merge; pairwise's fan-in shape with a much
+    /// * `BrMerge` — `total · BRMERGE_MERGE_FACTOR · (k − 1)` (single-pass
+    ///   k-cursor merge; pairwise's fan-in shape with a much
     ///   smaller constant);
     /// * `SpAdd` — `total · SPADD_MERGE_FACTOR + SPADD_SETUP_OPS`
     ///   (parallel epoch-SPA accumulation; hash's shape, cheaper terms).
@@ -663,7 +660,7 @@ mod tests {
     fn merge_kernel_crossovers_match_the_documented_rule() {
         let m = MachineModel::summit();
         let t = |k, total, ways| m.merge_time_with(k, total, ways);
-        // Fan-in 2: the arena-backed k-cursor merge beats every cursor or
+        // Fan-in 2: the k-cursor merge beats every cursor or
         // table alternative (0.3 < 0.8 < lg 2 = 1).
         for other in [MergeKernel::Heap, MergeKernel::Pairwise, MergeKernel::Hash] {
             assert!(t(MergeKernel::BrMerge, 100_000, 2) < t(other, 100_000, 2));

@@ -25,8 +25,8 @@
 //! is what makes a CPU-only configuration pipelinable. A merge's cost
 //! shows up only as a [`MergeSpan`] on a lane; there is no private merge
 //! clock anywhere. The lanes are modeled sockets: they decide when a
-//! merge runs on the virtual clock and what it costs, never where the
-//! host keeps its buffers (one `MergeArena` per rank, in the pipeline).
+//! merge runs on the virtual clock and what it costs, never how the host
+//! computes it (column-parallel on the rank's one thread pool).
 //!
 //! All timestamps are virtual seconds on the owning rank's clock; the
 //! executor only reads the clock value the scheduler passes in and never

@@ -57,10 +57,7 @@ pub use executor::{
     Executor, ExecutorKind, InvalidSplit, KernelLaunch, LaunchSpec, MergeTask, SplitController,
     SplitPolicy,
 };
-pub use merge::{
-    merge_with, ColsRef, MergeArena, MergeKernelPolicy, MergeSlab, MergeSpan, MergeStrategy,
-    SlabBuf, StackMerger,
-};
+pub use merge::{merge_with, MergeKernelPolicy, MergeSpan, MergeStrategy, StackMerger};
 pub use spgemm::{
     summa_spgemm, summa_spgemm_in, summa_spgemm_with, summa_spgemm_with_in, CommChoice, CommPolicy,
     ConfigError, SummaConfig, SummaOutput,

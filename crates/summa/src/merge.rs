@@ -21,22 +21,16 @@
 //! element count (the merge-side analogue of the `cf`-based SpGEMM kernel
 //! selector):
 //!
-//! * [`MergeKernel::Heap`] / [`MergeKernel::Pairwise`] /
-//!   [`MergeKernel::Hash`] — the original trio, each materializing a
-//!   fresh [`Csc`] per merge op (kept as ablation baselines);
+//! * [`MergeKernel::Heap`] — a tournament over the lists' heads, original
+//!   HipMCL's multiway merge;
+//! * [`MergeKernel::Pairwise`] / [`MergeKernel::Hash`] — a left fold of
+//!   two-way merges and a hash accumulator (kept as ablation baselines);
 //! * [`MergeKernel::BrMerge`] — BRMerge-style single-pass k-cursor
-//!   merge (arXiv:2206.06611) appending into a reusable [`SlabBuf`]
-//!   checked out of a [`MergeArena`]: per-column upper bounds are
-//!   prefix-summed to carve disjoint per-thread regions, columns merge
-//!   in parallel (two cursors at fan-in 2, a register-resident min-scan
-//!   over k cursor heads above) writing compactly at each region's
-//!   cursor, and the result stays staged until materialization — no
-//!   per-op allocation or compaction pass;
-//! * [`MergeKernel::SpAdd`] — Hussain-style parallel SpAdd
-//!   (arXiv:2112.10223): contiguous per-thread column partitions, each
-//!   thread accumulating through an epoch-stamped dense sparse
-//!   accumulator (`SpaScratch`) sized from the column-nnz upper bracket,
-//!   also writing into arena slack.
+//!   merge (arXiv:2206.06611): two cursors at fan-in 2, a
+//!   register-resident min-scan over k cursor heads above;
+//! * [`MergeKernel::SpAdd`] — Hussain-style SpAdd (arXiv:2112.10223):
+//!   each worker accumulates its columns through an epoch-stamped dense
+//!   sparse accumulator (`SpaScratch`).
 //!
 //! All five produce **bit-identical** output: they accumulate coincident
 //! entries strictly in list order with the semiring's `⊕` and drop
@@ -46,7 +40,7 @@
 //! for plus-times, min-plus and boolean in the workspace root's
 //! `tests/merge_identity.rs`). [`merge_with`] is the one entry for all
 //! five; [`StackMerger`] and the pipeline reach them through the same
-//! crate-private dispatch with a persistent arena:
+//! crate-private dispatch:
 //!
 //! ```
 //! use hipmcl_comm::MergeKernel;
@@ -62,20 +56,14 @@
 //! }
 //! ```
 //!
-//! The arena lifecycle: [`MergeArena`] owns a free list of [`SlabBuf`]s
-//! plus the shared prefix/count/SPA scratch; every merge within a phase
-//! checks a buffer out ([`MergeArena::acquire`]) and returns consumed
-//! arena inputs ([`MergeArena::release`]), so a phase's intermediate
-//! merges (fan-in above two stages: 3×3 grids and up) recycle buffers.
-//! The phase's *final* merged slab is not copied out of its buffer: the
-//! buffer becomes the [`Csc`] ([`SlabBuf::into_csc`], compacted in place
-//! and trimmed) and leaves the arena for good, so the arena never holds
-//! a buffer idle while its content lives on elsewhere. Unless the phase's
-//! closing merge has a [`ColumnSink`] other than [`Whole`]: then it writes
-//! no slab at all, only what the sink packs of each column. The pipeline holds
-//! one arena per rank, created once per SUMMA run — the executor's merge
-//! lanes are *modeled* sockets that price a merge's placement, not places
-//! the host keeps buffers.
+//! Every kernel is a function of one output column, and every merge writes
+//! its result one column at a time through a `CscBuilder`, column-parallel
+//! on the rank's pool, reserved at what its [`ColumnSink`] can keep of each
+//! column's inputs and trimmed when done. Under [`Whole`] it keeps every
+//! column, and the result is the merged slab. The pipeline passes a
+//! phase's closing merge through its caller's sink instead, and the
+//! distributed prune's sink keeps only what the prune reads, so that slab
+//! never exists.
 //!
 //! Virtual-time accounting does **not** live here: a merge is an
 //! [`Executor`](crate::executor::Executor) task, submitted by the pipeline
@@ -87,7 +75,6 @@
 use hipmcl_comm::{MachineModel, MergeKernel};
 use hipmcl_sparse::util::Tournament;
 use hipmcl_sparse::{Csc, CscBuilder, Idx, PlusTimes, Semiring, Value};
-use rayon::prelude::*;
 use std::sync::Mutex;
 
 /// Which merging schedule a SUMMA run uses.
@@ -114,8 +101,8 @@ pub enum MergeKernelPolicy {
 /// `total_elems` elements by evaluating the machine model's cost curves
 /// ([`MachineModel::merge_time_with`]) — the documented selection rule:
 ///
-/// * fan-in 2–5 → [`MergeKernel::BrMerge`] (the arena-backed
-///   single-pass k-cursor merge's `0.3 · (k − 1)` beats every
+/// * fan-in 2–5 → [`MergeKernel::BrMerge`] (the single-pass
+///   k-cursor merge's `0.3 · (k − 1)` beats every
 ///   alternative until the linear min-scan over the cursor heads
 ///   catches up);
 /// * fan-in ≥ 6 with enough elements → [`MergeKernel::SpAdd`]
@@ -127,7 +114,7 @@ pub enum MergeKernelPolicy {
 ///   (cache-resident cursors, no setup).
 ///
 /// [`MergeKernel::Pairwise`] and [`MergeKernel::Hash`] are dominated by
-/// their arena-backed successors at every `(total, ways)` point and are
+/// their successors at every `(total, ways)` point and are
 /// never auto-selected — they survive as `Fixed(...)` ablation baselines.
 /// Ties resolve toward the heap (the listed order).
 pub fn select_merge_kernel(model: &MachineModel, total_elems: u64, ways: usize) -> MergeKernel {
@@ -182,204 +169,14 @@ impl MergeSpan {
 }
 
 // ---------------------------------------------------------------------------
-// Column views and arena buffers
+// Kernels
 // ---------------------------------------------------------------------------
 
-/// A borrowed CSC-shaped column view — the common input face of every
-/// merge kernel, constructible from both an owned [`Csc`] and an
-/// arena-resident [`SlabBuf`], so one kernel implementation serves the
-/// materialized and the arena paths alike.
-#[derive(Clone, Copy)]
-pub struct ColsRef<'a, T: Value> {
-    nrows: usize,
-    nnz: usize,
-    /// Column `j` spans `start[j]..end[j]` of `rowidx`/`vals`: the two
-    /// overlapping windows of `colptr` for an owned [`Csc`], the staged
-    /// runs (slack between chunks) for a [`SlabBuf`].
-    start: &'a [usize],
-    end: &'a [usize],
-    rowidx: &'a [Idx],
-    vals: &'a [T],
-}
-
-impl<'a, T: Value> ColsRef<'a, T> {
-    /// Views an owned CSC matrix.
-    pub fn of(m: &'a Csc<T>) -> Self {
-        Self {
-            nrows: m.nrows(),
-            nnz: m.nnz(),
-            start: &m.colptr[..m.ncols()],
-            end: &m.colptr[1..],
-            rowidx: &m.rowidx,
-            vals: &m.vals,
-        }
-    }
-
-    /// Number of rows.
-    pub fn nrows(&self) -> usize {
-        self.nrows
-    }
-
-    /// Number of columns.
-    pub fn ncols(&self) -> usize {
-        self.start.len()
-    }
-
-    /// Stored entries.
-    pub fn nnz(&self) -> usize {
-        self.nnz
-    }
-
-    /// Where column `j`'s entries live in `rowidx`/`vals`.
-    #[inline]
-    fn col_span(&self, j: usize) -> (usize, usize) {
-        (self.start[j], self.end[j])
-    }
-
-    /// Stored entries in column `j`.
-    pub fn col_nnz(&self, j: usize) -> usize {
-        let (lo, hi) = self.col_span(j);
-        hi - lo
-    }
-
-    /// Row indices of column `j`.
-    pub fn col_rows(&self, j: usize) -> &'a [Idx] {
-        let (lo, hi) = self.col_span(j);
-        &self.rowidx[lo..hi]
-    }
-
-    /// Values of column `j`.
-    pub fn col_vals(&self, j: usize) -> &'a [T] {
-        let (lo, hi) = self.col_span(j);
-        &self.vals[lo..hi]
-    }
-
-    /// Materializes the view as an owned (compact) CSC matrix.
-    pub fn to_csc(&self) -> Csc<T> {
-        let mut colptr = Vec::with_capacity(self.ncols() + 1);
-        colptr.push(0);
-        let mut rowidx = Vec::with_capacity(self.nnz);
-        let mut vals = Vec::with_capacity(self.nnz);
-        for j in 0..self.ncols() {
-            rowidx.extend_from_slice(self.col_rows(j));
-            vals.extend_from_slice(self.col_vals(j));
-            colptr.push(rowidx.len());
-        }
-        Csc::from_parts(self.nrows, self.ncols(), colptr, rowidx, vals)
-    }
-}
-
-/// A **staged** CSC-shaped buffer owned by a [`MergeArena`]: the output
-/// of an arena-backed merge. Each column is sorted, deduplicated and
-/// annihilator-free like a [`Csc`] column, but lives at an explicit
-/// span (`start[j]..end[j]`) rather than at a prefix-sum
-/// position: merge kernels write each parallel chunk's columns
-/// compactly from the chunk's base, leaving gaps only *between* chunks
-/// (none at all single-threaded). A merge never pays a compaction pass
-/// just so the next merge can read it — downstream kernels consume the
-/// staged layout directly through [`SlabBuf::as_cols`], and the single
-/// compaction happens at materialization ([`SlabBuf::into_csc`]). A
-/// buffer released to its arena keeps its length and capacity (raw
-/// storage; stale tails are unreachable because `start`/`end` are
-/// re-recorded per merge) and serves the next merge it is long enough
-/// for without being reallocated or re-zeroed.
-#[derive(Debug, Default)]
-pub struct SlabBuf<T: Value> {
-    nrows: usize,
-    ncols: usize,
-    nnz: usize,
-    start: Vec<usize>,
-    end: Vec<usize>,
-    rowidx: Vec<Idx>,
-    vals: Vec<T>,
-}
-
-impl<T: Value> SlabBuf<T> {
-    /// Stored entries (excluding staging slack).
-    pub fn nnz(&self) -> usize {
-        self.nnz
-    }
-
-    /// Views the buffer's columns (the merge-kernel input face).
-    pub fn as_cols(&self) -> ColsRef<'_, T> {
-        ColsRef {
-            nrows: self.nrows,
-            nnz: self.nnz,
-            start: &self.start,
-            end: &self.end,
-            rowidx: &self.rowidx,
-            vals: &self.vals,
-        }
-    }
-
-    /// Makes the raw storage at least `ub` elements long. A recycled
-    /// buffer that is long enough is used as it is (stale content is
-    /// unreachable and overwritten per run); otherwise the storage is
-    /// obtained zeroed from the allocator. That costs only address space
-    /// while glibc maps the block fresh, which it does above its mmap
-    /// threshold — and that threshold rises (to 32 MiB) once a large block
-    /// is freed. Below it, `calloc` clears reused heap memory, so every
-    /// page of the upper bound becomes resident, written by the merge or
-    /// not. A sunk merge ([`ColumnSink`]) never asks for one.
-    fn ensure_len(&mut self, ub: usize) {
-        if self.rowidx.len() < ub {
-            // The short storage goes before its replacement comes.
-            (self.rowidx, self.vals) = (Vec::new(), Vec::new());
-            self.rowidx = vec![Idx::default(); ub];
-            self.vals = vec![T::default(); ub];
-        }
-    }
-
-    /// Records the staged layout after a merge: column `j`'s run of
-    /// `counts[j]` entries sits at offset `ub[j]`. Copies the slices —
-    /// they are arena scratch the next merge is free to clobber.
-    fn set_staged(&mut self, ub: &[usize], counts: &[usize]) {
-        self.start.clear();
-        self.start.extend_from_slice(ub);
-        self.end.clear();
-        self.end.extend(ub.iter().zip(counts).map(|(s, c)| s + c));
-        self.nnz = counts.iter().sum();
-    }
-
-    /// Copies the contents out as an owned, exactly-sized CSC matrix,
-    /// leaving the buffer (and its capacity) intact for reuse — how a
-    /// test or a probe looks at a staged buffer it goes on merging from.
-    pub fn to_csc(&self) -> Csc<T> {
-        self.as_cols().to_csc()
-    }
-
-    /// Consumes the buffer into a CSC matrix, compacting the staged runs
-    /// in place (safe left-to-right: the write cursor never passes a
-    /// run's staged start, since `Σ (end − start)[<j] ≤ start[j]`) and
-    /// trimming the slack — how a merged slab leaves its arena: the
-    /// matrix owns the storage the merge wrote, nothing is copied out
-    /// and nothing stays behind.
-    pub fn into_csc(mut self) -> Csc<T> {
-        let mut colptr = Vec::with_capacity(self.ncols + 1);
-        colptr.push(0);
-        let mut w = 0usize;
-        for j in 0..self.ncols {
-            let (s, c) = (self.start[j], self.end[j] - self.start[j]);
-            if s != w && c > 0 {
-                self.rowidx.copy_within(s..s + c, w);
-                self.vals.copy_within(s..s + c, w);
-            }
-            w += c;
-            colptr.push(w);
-        }
-        self.rowidx.truncate(w);
-        self.vals.truncate(w);
-        self.rowidx.shrink_to_fit();
-        self.vals.shrink_to_fit();
-        Csc::from_parts(self.nrows, self.ncols, colptr, self.rowidx, self.vals)
-    }
-}
-
-/// Per-thread scratch of the parallel SpAdd kernel: an epoch-stamped
-/// dense sparse accumulator (SPA). `stamp[r] == epoch` marks row `r` as
-/// live in the current column with its entry at `pairs[slot[r]]`;
-/// bumping `epoch` clears the whole SPA in O(1). All three vectors are
-/// reused across columns, merges and phases.
+/// One worker's scratch of the SpAdd kernel: an epoch-stamped dense
+/// sparse accumulator (SPA). `stamp[r] == epoch` marks row `r` as live in
+/// the current column with its entry at `pairs[slot[r]]`; bumping `epoch`
+/// clears the whole SPA in O(1). All three vectors are reused across the
+/// worker's columns.
 #[derive(Clone, Debug, Default)]
 struct SpaScratch<T: Value> {
     stamp: Vec<u32>,
@@ -409,188 +206,17 @@ impl<T: Value> SpaScratch<T> {
     }
 }
 
-/// Reusable merge scratch for one rank: a free list of
-/// [`SlabBuf`]s plus the shared per-merge scratch (column upper-bound
-/// prefix, per-column counts, per-thread SPAs). Acquire/release is LIFO.
-/// What the free list holds are the buffers of a phase's *consumed*
-/// intermediate merges — a merged slab that is materialized takes its
-/// buffer with it — and none of them exceeds twice the largest single
-/// merge ([`MergeArena::assert_no_capacity_leak`], debug-asserted on
-/// every release). A merge that finds no parked buffer long enough gets
-/// storage zeroed by the allocator, which under glibc's defaults is as
-/// resident as its upper bound is long ([`SlabBuf`]'s `ensure_len`).
-///
-/// ```
-/// use hipmcl_summa::merge::MergeArena;
-///
-/// let mut arena: MergeArena<f64> = MergeArena::new();
-/// let a = arena.acquire((4, 4));
-/// arena.release(a);
-/// // The released buffer is recycled, not reallocated.
-/// assert_eq!(arena.free_bufs(), 1);
-/// let _b = arena.acquire((4, 4));
-/// assert_eq!(arena.free_bufs(), 0);
-/// ```
-#[derive(Debug, Default)]
-pub struct MergeArena<T: Value> {
-    free: Vec<SlabBuf<T>>,
-    ub: Vec<usize>,
-    starts: Vec<usize>,
-    counts: Vec<usize>,
-    spa: Vec<SpaScratch<T>>,
-    peak_request: usize,
-}
-
-impl<T: Value> MergeArena<T> {
-    /// An empty arena; everything is grown lazily by the first merges.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Checks a buffer out of the free list (or creates an empty one),
-    /// shaped for a `shape` output. A recycled buffer's `rowidx`/`vals`
-    /// keep their *length*: they are raw storage the kernels overwrite
-    /// per run (stale content is unreachable — reads go through
-    /// `start`/`end`, which are reset here).
-    pub fn acquire(&mut self, shape: (usize, usize)) -> SlabBuf<T> {
-        let mut buf = self.free.pop().unwrap_or_default();
-        buf.nrows = shape.0;
-        buf.ncols = shape.1;
-        buf.nnz = 0;
-        buf.start.clear();
-        buf.end.clear();
-        buf
-    }
-
-    /// Returns a consumed buffer to the free list for reuse. In debug
-    /// builds this asserts the no-capacity-leak invariant: amortized
-    /// `Vec` growth bounds every buffer by twice the largest single
-    /// merge request this arena ever served.
-    pub fn release(&mut self, buf: SlabBuf<T>) {
-        debug_assert!(
-            buf.rowidx.capacity() <= self.capacity_bound(),
-            "arena buffer capacity {} leaked past the 2×peak bound {}",
-            buf.rowidx.capacity(),
-            self.capacity_bound(),
-        );
-        self.free.push(buf);
-    }
-
-    /// Largest upper-bound element count any single merge requested from
-    /// this arena — the capacity high-water mark the no-leak invariant
-    /// is phrased against.
-    pub fn peak_request(&self) -> usize {
-        self.peak_request
-    }
-
-    /// Number of buffers currently parked in the free list.
-    pub fn free_bufs(&self) -> usize {
-        self.free.len()
-    }
-
-    /// Largest element capacity held by any parked buffer.
-    pub fn capacity_elems(&self) -> usize {
-        self.free
-            .iter()
-            .map(|b| b.rowidx.capacity())
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// The bound the no-leak invariant allows: amortized doubling means
-    /// a `Vec` grown only by requests `≤ peak` stays `< 2 · peak` (with
-    /// a small floor for tiny arenas).
-    fn capacity_bound(&self) -> usize {
-        2 * self.peak_request.max(32)
-    }
-
-    /// Asserts (in all build profiles) that no parked buffer or scratch
-    /// vector outgrew the 2×-peak bound — reuse across phases must not
-    /// ratchet capacity. The pipeline debug-asserts this after every
-    /// phase drain; tests call it directly.
-    pub fn assert_no_capacity_leak(&self) {
-        let bound = self.capacity_bound();
-        for b in &self.free {
-            assert!(
-                b.rowidx.capacity() <= bound && b.vals.capacity() <= bound,
-                "parked buffer capacity {} exceeds 2×peak bound {}",
-                b.rowidx.capacity().max(b.vals.capacity()),
-                bound
-            );
-        }
-        for s in &self.spa {
-            assert!(
-                s.pairs.capacity() <= bound,
-                "SPA pair capacity {} exceeds 2×peak bound {}",
-                s.pairs.capacity(),
-                bound
-            );
-        }
-    }
-}
-
-/// A slab on a merge stack: either a stage product still in its
-/// materialized [`Csc`] form (as produced by the SpGEMM kernels) or an
-/// arena-resident [`SlabBuf`] written by a previous arena-backed merge.
-/// Both expose the same [`ColsRef`] face to the kernels.
-#[derive(Debug)]
-pub enum MergeSlab<T: Value> {
-    /// An owned, exactly-sized CSC matrix.
-    Mat(Csc<T>),
-    /// An arena buffer with slack capacity, to be released after use.
-    Buf(SlabBuf<T>),
-}
-
-impl<T: Value> MergeSlab<T> {
-    /// Stored entries.
-    pub fn nnz(&self) -> usize {
-        match self {
-            MergeSlab::Mat(m) => m.nnz(),
-            MergeSlab::Buf(b) => b.nnz(),
-        }
-    }
-
-    /// The kernels' input view.
-    pub fn as_cols(&self) -> ColsRef<'_, T> {
-        match self {
-            MergeSlab::Mat(m) => ColsRef::of(m),
-            MergeSlab::Buf(b) => b.as_cols(),
-        }
-    }
-
-    /// Materializes into an owned CSC. An arena buffer becomes the
-    /// matrix ([`SlabBuf::into_csc`]) and does not return to its arena.
-    pub fn into_csc(self) -> Csc<T> {
-        match self {
-            MergeSlab::Mat(m) => m,
-            MergeSlab::Buf(b) => b.into_csc(),
-        }
-    }
-
-    /// Releases an arena-resident slab back to `arena`; materialized
-    /// slabs just drop.
-    pub fn recycle(self, arena: &mut MergeArena<T>) {
-        if let MergeSlab::Buf(b) = self {
-            arena.release(b);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Kernels
-// ---------------------------------------------------------------------------
-
 /// What a merge makes of each output column it finishes. The identity
-/// sink, [`Whole`], keeps every column as the kernel wrote it — the arena
-/// kernels into their upper-bound buffer. Any other sink packs each
-/// column the moment it is merged into storage sized for what it keeps,
-/// with a tally of the rest, so the merged slab itself never exists: the
+/// sink, [`Whole`], keeps every column. Any other sink packs each column
+/// the moment it is merged into storage sized for what it keeps, with a
+/// tally of the rest, so the merged slab itself never exists: the
 /// pipeline sinks a phase's closing merge this way, and the distributed
 /// prune's sink (`topk::PruneSink`) keeps only what the prune reads.
 pub trait ColumnSink<T: Value>: Sync {
     /// What the sink records of a column besides the entries it keeps.
     type Tally: Copy + Default + Send;
-    /// Whether the sink keeps every column whole, where its kernel wrote it.
+    /// Whether the sink keeps every column whole, so that a matrix it
+    /// sinks is kept as it is, by move.
     const WHOLE: bool = false;
     /// At most how many entries of an `n`-entry column it keeps, as far as
     /// it knows beforehand — what a packed slab reserves room for.
@@ -631,24 +257,8 @@ pub struct Packed<T: Value, A> {
     pub tally: Vec<A>,
 }
 
-impl<T: Value> MergeSlab<T> {
-    /// The slab through `sink`: itself under the identity sink, otherwise
-    /// [`sink_slab`] of it — the closing step of a phase whose one product
-    /// needed no merge.
-    pub(crate) fn packed<K: ColumnSink<T>>(self, sink: &K) -> Packed<T, K::Tally> {
-        if !K::WHOLE {
-            return sink_slab(self.as_cols(), sink);
-        }
-        let tally = vec![K::Tally::default(); self.as_cols().ncols()];
-        Packed {
-            cols: self.into_csc(),
-            tally,
-        }
-    }
-}
-
 /// What `sink` packs of every column of `m`: the sunk merge of one matrix.
-pub fn sink_slab<T: Value, K: ColumnSink<T>>(m: ColsRef<'_, T>, sink: &K) -> Packed<T, K::Tally> {
+pub fn sink_slab<T: Value, K: ColumnSink<T>>(m: &Csc<T>, sink: &K) -> Packed<T, K::Tally> {
     let bounds = (0..m.ncols()).map(|j| m.col_nnz(j));
     sink_columns(m.nrows(), m.ncols(), bounds, sink, (), |(), j, emit| {
         emit(m.col_rows(j), m.col_vals(j))
@@ -660,8 +270,7 @@ pub fn sink_slab<T: Value, K: ColumnSink<T>>(m: ColsRef<'_, T>, sink: &K) -> Pac
 /// coincident entries strictly in list order with [`Semiring::add`] and
 /// drop entries whose final value is the annihilator
 /// ([`Semiring::is_annihilator`]), so for any semiring the kernel choice
-/// never changes the result. The arena kernels run against a throwaway
-/// arena here; the pipeline and [`StackMerger`] keep a persistent one.
+/// never changes the result.
 pub fn merge_with<S: Semiring>(
     s: S,
     kernel: MergeKernel,
@@ -676,48 +285,30 @@ pub fn merge_with<S: Semiring>(
             assert_eq!((one.nrows(), one.ncols()), shape, "merge shape mismatch");
             one.clone()
         }
-        _ => {
-            let refs: Vec<ColsRef<'_, S::Elem>> = mats.iter().map(ColsRef::of).collect();
-            let arena = &mut MergeArena::new();
-            merge_into(s, kernel, &refs, shape, arena, &Whole)
-                .0
-                .into_csc()
-        }
+        _ => merge_into(s, kernel, mats, shape, &Whole).cols,
     }
 }
 
 /// The one kernel dispatch: merges `mats` (fan-in ≥ 2, all of `shape`)
-/// with `kernel`, each finished column through `sink`, and returns the
-/// result with the sink's tally of every column. Under the identity sink
-/// the arena kernels write into a buffer checked out of `arena` and leave
-/// it staged; every other case packs through [`sink_columns`], one column
-/// of the kernel at a time.
+/// with `kernel`, one column at a time, each finished column through
+/// `sink`, and returns what it packed with its tally of every column.
 pub(crate) fn merge_into<S: Semiring, K: ColumnSink<S::Elem>>(
-    s: S,
+    _: S,
     kernel: MergeKernel,
-    mats: &[ColsRef<'_, S::Elem>],
+    mats: &[Csc<S::Elem>],
     shape: (usize, usize),
-    arena: &mut MergeArena<S::Elem>,
     sink: &K,
-) -> (MergeSlab<S::Elem>, Vec<K::Tally>) {
+) -> Packed<S::Elem, K::Tally> {
     for mat in mats {
         assert_eq!((mat.nrows(), mat.ncols()), shape, "merge shape mismatch");
     }
-    let slab = match kernel {
-        MergeKernel::BrMerge if K::WHOLE => MergeSlab::Buf(brmerge_into(s, mats, shape, arena)),
-        MergeKernel::SpAdd if K::WHOLE => MergeSlab::Buf(spadd_into(s, mats, shape, arena)),
-        _ => {
-            // What each output column can hold at most: its inputs.
-            let bounds = (0..shape.1).map(|j| mats.iter().map(|m| m.col_nnz(j)).sum());
-            let scratch = ColumnScratch::default();
-            let packed = sink_columns(shape.0, shape.1, bounds, sink, scratch, |w, j, emit| {
-                let n = merge_column::<S>(kernel, mats, j, w);
-                emit(&w.rows[..n], &w.vals[..n])
-            });
-            return (MergeSlab::Mat(packed.cols), packed.tally);
-        }
-    };
-    (slab, vec![K::Tally::default(); shape.1])
+    // What each output column can hold at most: its inputs.
+    let bounds = (0..shape.1).map(|j| mats.iter().map(|m| m.col_nnz(j)).sum());
+    let scratch = ColumnScratch::default();
+    sink_columns(shape.0, shape.1, bounds, sink, scratch, |w, j, emit| {
+        let n = merge_column::<S>(kernel, mats, j, w);
+        emit(&w.rows[..n], &w.vals[..n])
+    })
 }
 
 /// Builds an `nrows × ncols` matrix of what `sink` keeps of each column
@@ -782,7 +373,7 @@ fn grow<T: Value>(rows: &mut Vec<Idx>, vals: &mut Vec<T>, n: usize) {
 /// `w.rows`/`w.vals` and returns how many entries it has.
 fn merge_column<'m, S: Semiring>(
     kernel: MergeKernel,
-    mats: &[ColsRef<'m, S::Elem>],
+    mats: &'m [Csc<S::Elem>],
     j: usize,
     w: &mut ColumnScratch<'m, S::Elem>,
 ) -> usize {
@@ -794,7 +385,7 @@ fn merge_column<'m, S: Semiring>(
         // heap's list-order tie-breaking: after i folds the accumulator
         // holds `v_0 ⊕ v_1 ⊕ … ⊕ v_i` exactly as the heap combines it.
         MergeKernel::Pairwise => {
-            let col = |m: &ColsRef<'m, S::Elem>| (m.col_rows(j), m.col_vals(j));
+            let col = |m: &'m Csc<S::Elem>| (m.col_rows(j), m.col_vals(j));
             grow(&mut w.rows, &mut w.vals, ub);
             let mut n =
                 merge_two_cursors::<S>(col(&mats[0]), col(&mats[1]), &mut w.rows, &mut w.vals);
@@ -825,7 +416,7 @@ fn merge_column<'m, S: Semiring>(
 /// into `rows`/`vals` and returns its length, with `tournament` over the
 /// lists' heads.
 fn heap_column<S: Semiring>(
-    mats: &[ColsRef<'_, S::Elem>],
+    mats: &[Csc<S::Elem>],
     j: usize,
     tournament: &mut Tournament,
     rows: &mut Vec<Idx>,
@@ -842,7 +433,7 @@ fn heap_column<S: Semiring>(
     rows.clear();
     vals.clear();
     tournament.merge(
-        mats.iter().map(|m| m.col_span(j)),
+        mats.iter().map(|m| (m.colptr[j], m.colptr[j + 1])),
         |l, pos| mats[l].rowidx[pos],
         |r, l, pos| {
             let v = mats[l].vals[pos];
@@ -864,7 +455,7 @@ fn heap_column<S: Semiring>(
 /// order, then sorts by row and drops annihilator entries, into
 /// `rows`/`vals`; returns the column's length.
 fn hash_column<S: Semiring>(
-    mats: &[ColsRef<'_, S::Elem>],
+    mats: &[Csc<S::Elem>],
     j: usize,
     rows: &mut Vec<Idx>,
     vals: &mut Vec<S::Elem>,
@@ -898,80 +489,10 @@ fn hash_column<S: Semiring>(
     rows.len()
 }
 
-// ---------------------------------------------------------------------------
-// Arena-backed kernels (BRMerge + parallel SpAdd)
-// ---------------------------------------------------------------------------
-
-/// One thread's contiguous slice of the upper-bound staging area: columns
-/// `cols`, whose elements occupy `rows`/`vals` (offset by `base` in the
-/// global upper-bound layout). Within its slice a chunk writes columns
-/// **compactly** from offset 0 — the upper bound only sizes the slice —
-/// recording each column's produced start offset (global) in `starts`
-/// and its size in `counts`. Compact-within-chunk staging means the
-/// write traffic of a merge is its actual output, not the upper bound,
-/// and a single-chunk merge comes out fully compact.
-struct ColChunk<'s, T> {
-    cols: std::ops::Range<usize>,
-    base: usize,
-    rows: &'s mut [Idx],
-    vals: &'s mut [T],
-    starts: &'s mut [usize],
-    counts: &'s mut [usize],
-}
-
-/// Carves the staging buffers into per-thread chunks along column
-/// boundaries of the upper-bound prefix `ub`.
-fn carve_chunks<'s, T>(
-    ncols: usize,
-    nchunks: usize,
-    ub: &[usize],
-    mut rows: &'s mut [Idx],
-    mut vals: &'s mut [T],
-    mut starts: &'s mut [usize],
-    mut counts: &'s mut [usize],
-) -> Vec<ColChunk<'s, T>> {
-    let mut out = Vec::with_capacity(nchunks);
-    let mut c0 = 0;
-    for w in 0..nchunks {
-        let c1 = ((w + 1) * ncols) / nchunks;
-        let elems = ub[c1] - ub[c0];
-        let (r, rr) = rows.split_at_mut(elems);
-        let (v, vr) = vals.split_at_mut(elems);
-        let (s, sr) = starts.split_at_mut(c1 - c0);
-        let (c, cr) = counts.split_at_mut(c1 - c0);
-        out.push(ColChunk {
-            cols: c0..c1,
-            base: ub[c0],
-            rows: r,
-            vals: v,
-            starts: s,
-            counts: c,
-        });
-        rows = rr;
-        vals = vr;
-        starts = sr;
-        counts = cr;
-        c0 = c1;
-    }
-    out
-}
-
-/// Number of column partitions for the parallel arena kernels: one per
-/// rayon worker, never more than there are columns.
-fn partition_count(ncols: usize) -> usize {
-    rayon::current_num_threads().max(1).min(ncols.max(1))
-}
-
-/// Appends `(r, v)` at write cursor `w` unless `v` is the annihilator —
-/// the shared drop rule, applied to staged arena writes.
+/// Writes `(r, v)` at cursor `w` of `rows`/`vals` and advances it, unless
+/// `v` is the annihilator — the shared drop rule.
 #[inline]
-fn put_staged<S: Semiring>(
-    rows: &mut [Idx],
-    vals: &mut [S::Elem],
-    w: &mut usize,
-    r: Idx,
-    v: S::Elem,
-) {
+fn put<S: Semiring>(rows: &mut [Idx], vals: &mut [S::Elem], w: &mut usize, r: Idx, v: S::Elem) {
     if !S::is_annihilator(v) {
         rows[*w] = r;
         vals[*w] = v;
@@ -979,8 +500,8 @@ fn put_staged<S: Semiring>(
     }
 }
 
-/// Two-cursor column merge into staged output — the fan-in-2 fast path
-/// of [`brmerge_into`].
+/// Two-cursor column merge into `rows`/`vals`, returning its length — the
+/// fan-in-2 case of [`brmerge_column`] and the step of the pairwise fold.
 #[inline]
 fn merge_two_cursors<S: Semiring>(
     (ar, av): (&[Idx], &[S::Elem]),
@@ -1008,36 +529,36 @@ fn merge_two_cursors<S: Semiring>(
             std::cmp::Ordering::Less => {
                 let b = br[k];
                 while i < ar.len() && ar[i] < b {
-                    put_staged::<S>(rows, vals, &mut w, ar[i], av[i]);
+                    put::<S>(rows, vals, &mut w, ar[i], av[i]);
                     i += 1;
                 }
             }
             std::cmp::Ordering::Greater => {
                 let a = ar[i];
                 while k < br.len() && br[k] < a {
-                    put_staged::<S>(rows, vals, &mut w, br[k], bv[k]);
+                    put::<S>(rows, vals, &mut w, br[k], bv[k]);
                     k += 1;
                 }
             }
             std::cmp::Ordering::Equal => {
-                put_staged::<S>(rows, vals, &mut w, ar[i], S::add(av[i], bv[k]));
+                put::<S>(rows, vals, &mut w, ar[i], S::add(av[i], bv[k]));
                 i += 1;
                 k += 1;
             }
         }
     }
     while i < ar.len() {
-        put_staged::<S>(rows, vals, &mut w, ar[i], av[i]);
+        put::<S>(rows, vals, &mut w, ar[i], av[i]);
         i += 1;
     }
     while k < br.len() {
-        put_staged::<S>(rows, vals, &mut w, br[k], bv[k]);
+        put::<S>(rows, vals, &mut w, br[k], bv[k]);
         k += 1;
     }
     w
 }
 
-/// k-cursor column merge into staged output: one linear scan over the
+/// k-cursor column merge into `rows`/`vals`: one linear scan over the
 /// cursor heads per step (cheaper than a heap for the small fan-ins this
 /// kernel is selected at), accumulating coincident rows in list order.
 /// `head[i]` caches cursor i's current row — `Idx::MAX` when exhausted
@@ -1124,7 +645,7 @@ fn merge_k_cursors_body<S: Semiring>(
             let (r, v) = cur[arg];
             let mut p = pos[arg];
             while p < r.len() && r[p] < min2 {
-                put_staged::<S>(rows, vals, &mut w, r[p], v[p]);
+                put::<S>(rows, vals, &mut w, r[p], v[p]);
                 p += 1;
             }
             pos[arg] = p;
@@ -1144,104 +665,10 @@ fn merge_k_cursors_body<S: Semiring>(
                     head[i] = r.get(pos[i]).copied().unwrap_or(Idx::MAX);
                 }
             }
-            put_staged::<S>(rows, vals, &mut w, min, acc.unwrap());
+            put::<S>(rows, vals, &mut w, min, acc.unwrap());
         }
     }
     w
-}
-
-/// BRMerge-style merge of `mats` (fan-in ≥ 2) into an arena buffer, in
-/// **one pass** (`merge_staged`): each column's sorted runs are
-/// cursor-merged — a two-cursor merge at fan-in 2, a linear min-scan over
-/// k cursors above that. Coincident rows accumulate strictly in list
-/// order, so the result is bit-identical to the heap/pairwise kernels.
-/// The output stays staged (no compaction pass — downstream merges read
-/// the runs directly; only materialization compacts the inter-chunk
-/// gaps). The returned buffer belongs to `arena`; release or materialize
-/// it when done.
-pub fn brmerge_into<S: Semiring>(
-    _s: S,
-    mats: &[ColsRef<'_, S::Elem>],
-    shape: (usize, usize),
-    arena: &mut MergeArena<S::Elem>,
-) -> SlabBuf<S::Elem> {
-    let mut cursors = vec![Cursors::default(); partition_count(shape.1)];
-    merge_staged(
-        mats,
-        shape,
-        arena,
-        &mut cursors,
-        |cursors, j, rows, vals| brmerge_column::<S>(mats, j, cursors, rows, vals),
-    )
-}
-
-/// Merges `mats` into a buffer checked out of `arena`, column-parallel:
-/// prefix-sums the per-column upper bounds (`ub_j = Σ_l nnz_l(j)`) to carve
-/// disjoint per-thread regions, and each thread writes its columns
-/// compactly from its region's base — so write traffic is the actual
-/// output, not the upper bound — column `j` by `column(scratch, j, rows,
-/// vals)`, which merges it into `rows`/`vals` of its upper bound and
-/// returns its length. One of `scratch` per thread; the hot loop never
-/// allocates.
-fn merge_staged<T: Value, W: Send>(
-    mats: &[ColsRef<'_, T>],
-    shape: (usize, usize),
-    arena: &mut MergeArena<T>,
-    scratch: &mut [W],
-    column: impl Fn(&mut W, usize, &mut [Idx], &mut [T]) -> usize + Sync,
-) -> SlabBuf<T> {
-    let n = shape.1;
-    let mut out = arena.acquire(shape);
-    let MergeArena {
-        ub,
-        starts,
-        counts,
-        peak_request,
-        ..
-    } = arena;
-    ub.clear();
-    ub.reserve(n + 1);
-    ub.push(0);
-    let mut run = 0usize;
-    for j in 0..n {
-        run += mats.iter().map(|m| m.col_nnz(j)).sum::<usize>();
-        ub.push(run);
-    }
-    *peak_request = (*peak_request).max(run);
-    out.ensure_len(run);
-    starts.clear();
-    starts.resize(n, 0);
-    counts.clear();
-    counts.resize(n, 0);
-
-    let nchunks = partition_count(n);
-    let chunks = carve_chunks(
-        n,
-        nchunks,
-        ub,
-        &mut out.rowidx,
-        &mut out.vals,
-        starts,
-        counts,
-    );
-    let ub = &*ub;
-    chunks
-        .into_par_iter()
-        .zip(scratch[..nchunks].par_iter_mut())
-        .for_each(|(ch, scratch)| {
-            let mut cursor = 0usize;
-            for j in ch.cols.clone() {
-                let width = ub[j + 1] - ub[j];
-                let rows = &mut ch.rows[cursor..cursor + width];
-                let vals = &mut ch.vals[cursor..cursor + width];
-                let w = column(scratch, j, rows, vals);
-                ch.starts[j - ch.cols.start] = ch.base + cursor;
-                ch.counts[j - ch.cols.start] = w;
-                cursor += w;
-            }
-        });
-    out.set_staged(starts, counts);
-    out
 }
 
 /// The k-cursor merge's state for one worker: the cursors' columns,
@@ -1253,10 +680,12 @@ struct Cursors<'m, T> {
     head: Vec<Idx>,
 }
 
-/// Column `j` of [`brmerge_into`]: merges it across `mats` into `rows` and
-/// `vals`, which hold at least its upper bound, and returns its length.
+/// BRMerge-style merge of column `j` of `mats` (fan-in ≥ 2) in one pass
+/// into `rows` and `vals`, which hold at least its upper bound; returns
+/// its length. Coincident rows accumulate strictly in list order, so the
+/// result is bit-identical to the heap kernel's.
 fn brmerge_column<'m, S: Semiring>(
-    mats: &[ColsRef<'m, S::Elem>],
+    mats: &'m [Csc<S::Elem>],
     j: usize,
     Cursors { cur, pos, head }: &mut Cursors<'m, S::Elem>,
     rows: &mut [Idx],
@@ -1269,7 +698,7 @@ fn brmerge_column<'m, S: Semiring>(
         "Idx::MAX sentinel"
     );
     if k == 2 {
-        let col = |m: &ColsRef<'m, S::Elem>| (m.col_rows(j), m.col_vals(j));
+        let col = |m: &'m Csc<S::Elem>| (m.col_rows(j), m.col_vals(j));
         return merge_two_cursors::<S>(col(&mats[0]), col(&mats[1]), rows, vals);
     }
     cur.clear();
@@ -1289,37 +718,12 @@ fn brmerge_column<'m, S: Semiring>(
     }
 }
 
-/// Hussain-style parallel SpAdd of `mats` (fan-in ≥ 2) into an arena
-/// buffer (`merge_staged`): each thread accumulates its columns through
-/// an epoch-stamped dense SPA, kept in `arena` across merges, strictly in
-/// list order, then sorts each column by row, drops annihilators, and
-/// writes it compactly at its chunk's write cursor; the result stays
-/// staged (inter-chunk gaps only) until materialization.
-pub fn spadd_into<S: Semiring>(
-    _s: S,
-    mats: &[ColsRef<'_, S::Elem>],
-    shape: (usize, usize),
-    arena: &mut MergeArena<S::Elem>,
-) -> SlabBuf<S::Elem> {
-    assert!(mats.len() >= 2, "spadd needs fan-in >= 2");
-    let mut spa = std::mem::take(&mut arena.spa);
-    if spa.len() < partition_count(shape.1) {
-        spa.resize_with(partition_count(shape.1), SpaScratch::default);
-    }
-    let out = merge_staged(mats, shape, arena, &mut spa, |spa, j, rows, vals| {
-        spa.ensure_rows(shape.0);
-        spadd_column::<S>(mats, j, spa, rows, vals)
-    });
-    arena.spa = spa;
-    out
-}
-
-/// Column `j` of [`spadd_into`]: accumulates it across `mats` through
-/// `spa` (covering every row), then writes it sorted, annihilators dropped,
-/// into `rows` and `vals`, which hold at least its upper bound; returns its
-/// length.
+/// Hussain-style SpAdd of column `j` of `mats`: accumulates it strictly in
+/// list order through `spa` (covering every row), then writes it sorted,
+/// annihilators dropped, into `rows` and `vals`, which hold at least its
+/// upper bound; returns its length.
 fn spadd_column<S: Semiring>(
-    mats: &[ColsRef<'_, S::Elem>],
+    mats: &[Csc<S::Elem>],
     j: usize,
     spa: &mut SpaScratch<S::Elem>,
     rows: &mut [Idx],
@@ -1342,7 +746,7 @@ fn spadd_column<S: Semiring>(
     spa.pairs.sort_unstable_by_key(|&(r, _)| r);
     let mut w = 0usize;
     for &(r, v) in &spa.pairs {
-        put_staged::<S>(rows, vals, &mut w, r, v);
+        put::<S>(rows, vals, &mut w, r, v);
     }
     w
 }
@@ -1406,16 +810,13 @@ pub fn algorithm2_merge_count(pushed: usize) -> usize {
 /// statistics (`peak_merge_elems`, `total_merged_elems`, `merge_ops`)
 /// with **no** time accounting — timing belongs to the executor layer.
 /// Used by the ablation/bench harnesses; the pipeline drives the same
-/// schedule through `Executor::submit_merge` instead. The merger owns a
-/// [`MergeArena`], so under the default `Auto` policy its intermediate
-/// merges stay arena-resident ([`MergeSlab::Buf`]) and only
-/// [`StackMerger::finish`] materializes a `Csc`.
+/// schedule through `Executor::submit_merge` instead. Every merge, with
+/// whatever kernel, writes a fresh `Csc` and frees its inputs.
 pub struct StackMerger {
     model: MachineModel,
     policy: MergeKernelPolicy,
     shape: (usize, usize),
-    stack: Vec<MergeSlab<f64>>,
-    arena: MergeArena<f64>,
+    stack: Vec<Csc<f64>>,
     pushed: usize,
     stats: MergeStats,
 }
@@ -1429,7 +830,6 @@ impl StackMerger {
             policy,
             shape,
             stack: Vec::new(),
-            arena: MergeArena::new(),
             pushed: 0,
             stats: MergeStats::default(),
         }
@@ -1438,7 +838,7 @@ impl StackMerger {
     /// Pushes the next stage's slab, running any merges Algorithm 2
     /// triggers.
     pub fn push(&mut self, slab: Csc<f64>) {
-        self.stack.push(MergeSlab::Mat(slab));
+        self.stack.push(slab);
         self.pushed += 1;
         let count = algorithm2_merge_count(self.pushed);
         if count > 0 {
@@ -1447,27 +847,23 @@ impl StackMerger {
     }
 
     /// Final merge of whatever remains; empty input yields an empty
-    /// matrix of the configured shape. The single materialization of the
-    /// arena path happens here: the last merge's buffer becomes the
-    /// matrix. Also resets the Algorithm 2 push counter, so the merger —
-    /// and what its arena recycled — can be reused for the next phase's
-    /// stack.
+    /// matrix of the configured shape. Also resets the Algorithm 2 push
+    /// counter, so the merger can be reused for the next phase's stack.
     pub fn finish(&mut self) -> Csc<f64> {
         if self.stack.len() > 1 {
             self.merge_top(self.stack.len());
         }
         self.pushed = 0;
-        match self.stack.pop() {
-            Some(slab) => slab.into_csc(),
-            None => Csc::zero(self.shape.0, self.shape.1),
-        }
+        self.stack
+            .pop()
+            .unwrap_or_else(|| Csc::zero(self.shape.0, self.shape.1))
     }
 
     fn merge_top(&mut self, count: usize) {
         let s = PlusTimes::<f64>::new();
         let at = self.stack.len() - count;
-        let tail: Vec<MergeSlab<f64>> = self.stack.split_off(at);
-        let elems: usize = tail.iter().map(MergeSlab::nnz).sum();
+        let tail = self.stack.split_off(at);
+        let elems: usize = tail.iter().map(Csc::nnz).sum();
         let kernel = match self.policy {
             MergeKernelPolicy::Fixed(k) => k,
             MergeKernelPolicy::Auto => select_merge_kernel(&self.model, elems as u64, count),
@@ -1475,13 +871,7 @@ impl StackMerger {
         self.stats.peak_merge_elems = self.stats.peak_merge_elems.max(elems);
         self.stats.total_merged_elems += elems as u64;
         self.stats.merge_ops += 1;
-        let merged = {
-            let refs: Vec<ColsRef<'_, f64>> = tail.iter().map(MergeSlab::as_cols).collect();
-            merge_into(s, kernel, &refs, self.shape, &mut self.arena, &Whole).0
-        };
-        for slab in tail {
-            slab.recycle(&mut self.arena);
-        }
+        let merged = merge_into(s, kernel, &tail, self.shape, &Whole).cols;
         self.stack.push(merged);
     }
 
@@ -1493,11 +883,6 @@ impl StackMerger {
     /// Number of slabs currently on the stack.
     pub fn stack_len(&self) -> usize {
         self.stack.len()
-    }
-
-    /// The merger's arena (peak/capacity observability for the probes).
-    pub fn arena(&self) -> &MergeArena<f64> {
-        &self.arena
     }
 }
 
@@ -1580,7 +965,7 @@ mod tests {
     #[test]
     fn selection_rule_follows_model_crossovers() {
         let m = MachineModel::summit();
-        // Fan-in 2–5: the arena-backed single-pass k-cursor merge.
+        // Fan-in 2–5: the single-pass k-cursor merge.
         for ways in [2usize, 3, 4, 5] {
             assert_eq!(select_merge_kernel(&m, 100_000, ways), MergeKernel::BrMerge);
         }
@@ -1602,35 +987,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn arena_reuses_buffers_without_capacity_leak() {
-        let s = PlusTimes::<f64>::new();
-        let mut arena = MergeArena::new();
-        // Many merges of varying size through one arena: capacity must
-        // stay bounded by twice the largest single request.
-        for round in 0..20 {
-            let k = 2 + round % 4;
-            let mats = slabs(16, k);
-            let refs: Vec<ColsRef<'_, f64>> = mats.iter().map(ColsRef::of).collect();
-            let buf = if k == 2 || k == 3 {
-                brmerge_into(s, &refs, (16, 16), &mut arena)
-            } else {
-                spadd_into(s, &refs, (16, 16), &mut arena)
-            };
-            let want = reference_sum(&mats);
-            assert!(buf.to_csc().max_abs_diff(&want) < 1e-9, "round={round}");
-            arena.release(buf);
-        }
-        assert!(arena.peak_request() > 0);
-        arena.assert_no_capacity_leak();
-        assert!(
-            arena.capacity_elems() <= 2 * arena.peak_request().max(32),
-            "steady-state capacity {} vs peak request {}",
-            arena.capacity_elems(),
-            arena.peak_request()
-        );
     }
 
     #[test]
@@ -1662,17 +1018,6 @@ mod tests {
             let got = sm.finish();
             assert!(got.max_abs_diff(&want) < 1e-9, "k={k}");
         }
-    }
-
-    #[test]
-    fn stack_merger_arena_stays_bounded() {
-        let mut sm = StackMerger::new(MachineModel::summit(), MergeKernelPolicy::Auto, (20, 20));
-        for m in slabs(20, 16) {
-            sm.push(m);
-        }
-        let _ = sm.finish();
-        assert!(sm.arena().peak_request() > 0, "auto path used the arena");
-        sm.arena().assert_no_capacity_leak();
     }
 
     #[test]

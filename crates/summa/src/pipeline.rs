@@ -35,8 +35,8 @@
 use crate::distmat::DistMatrix;
 use crate::executor::{Executor, LaunchSpec, MergeTask};
 use crate::merge::{
-    algorithm2_merge_count, merge_into, select_merge_kernel, ColsRef, ColumnSink, MergeArena,
-    MergeKernelPolicy, MergeSlab, MergeSpan, MergeStats, MergeStrategy, Packed, Whole,
+    algorithm2_merge_count, merge_into, select_merge_kernel, sink_slab, ColumnSink,
+    MergeKernelPolicy, MergeSpan, MergeStats, MergeStrategy, Packed, Whole,
 };
 use crate::spgemm::{CommChoice, CommPolicy, SummaConfig};
 use hipmcl_comm::clock::StageTimers;
@@ -138,15 +138,14 @@ pub(crate) struct PipelineOutcome<T: Value = f64> {
     pub timers_measured: StageTimers,
 }
 
-/// A stage product waiting on the merge stack: the real matrix (a
-/// materialized kernel product or an arena buffer written by a previous
-/// merge), the virtual time it exists from, and the merge lane that
-/// produced it (`None` for kernel products, which have no socket
-/// affinity). The home is a *modeled* attribute — it prices the
-/// cross-socket penalty in `submit_merge`; the buffer itself belongs to
-/// the rank's one [`MergeArena`] wherever the merge was placed.
+/// A stage product waiting on the merge stack: the real matrix (a kernel
+/// product or what a previous merge wrote), the virtual time it exists
+/// from, and the merge lane that produced it (`None` for kernel products,
+/// which have no socket affinity). The home is a *modeled* attribute — it
+/// prices the cross-socket penalty in `submit_merge`; the matrix itself is
+/// the rank's wherever the merge was placed.
 struct Slab<T: Value> {
-    m: MergeSlab<T>,
+    m: Csc<T>,
     ready: f64,
     home: Option<usize>,
 }
@@ -200,17 +199,9 @@ impl<'k, S: Semiring, K: ColumnSink<S::Elem>> MergeEngine<'k, S, K> {
     /// Merges the top `count` stack entries as one executor task: the
     /// task is ready when its last input is, the chosen kernel does the
     /// real work, and the result re-enters the stack homed on the lane
-    /// the executor placed it on. Arena kernels write into a buffer from
-    /// `arena` and consumed arena inputs go back to it, so within a phase
-    /// the hot loop recycles buffers instead of allocating. The closing
-    /// merge goes through the sink instead.
-    fn do_merge(
-        &mut self,
-        comm: &Comm,
-        exec: &mut Executor<'_>,
-        arena: &mut MergeArena<S::Elem>,
-        count: usize,
-    ) {
+    /// the executor placed it on; its inputs are freed. The closing merge
+    /// goes through the sink.
+    fn do_merge(&mut self, comm: &Comm, exec: &mut Executor<'_>, count: usize) {
         let closing = self.due == 0 && self.pending.is_none() && count == self.stack.len();
         let tail: Vec<Slab<S::Elem>> = self.stack.split_off(self.stack.len() - count);
         let inputs: Vec<(u64, Option<usize>)> =
@@ -226,21 +217,15 @@ impl<'k, S: Semiring, K: ColumnSink<S::Elem>> MergeEngine<'k, S, K> {
         // is pinned to 0 under `Modeled`, so the delta costs nothing
         // there and the host clock stays untouched.
         let w0 = comm.measured_now();
-        let merged = {
-            let refs: Vec<ColsRef<'_, S::Elem>> = tail.iter().map(|s| s.m.as_cols()).collect();
-            if closing {
-                let (merged, tally) =
-                    merge_into(self.sr, kernel, &refs, self.shape, arena, self.sink);
-                self.tally = Some(tally);
-                merged
-            } else {
-                merge_into(self.sr, kernel, &refs, self.shape, arena, &Whole).0
-            }
+        let mats: Vec<Csc<S::Elem>> = tail.into_iter().map(|s| s.m).collect();
+        let merged = if closing {
+            let packed = merge_into(self.sr, kernel, &mats, self.shape, self.sink);
+            self.tally = Some(packed.tally);
+            packed.cols
+        } else {
+            merge_into(self.sr, kernel, &mats, self.shape, &Whole).cols
         };
         span.measured_s = comm.measured_now() - w0;
-        for s in tail {
-            s.m.recycle(arena);
-        }
         self.stats.peak_merge_elems = self.stats.peak_merge_elems.max(total as usize);
         self.stats.total_merged_elems += total;
         self.stats.merge_ops += 1;
@@ -255,33 +240,20 @@ impl<'k, S: Semiring, K: ColumnSink<S::Elem>> MergeEngine<'k, S, K> {
     }
 
     /// Stacks a slab and runs whatever merge Algorithm 2 triggers.
-    fn push_binary(
-        &mut self,
-        comm: &Comm,
-        exec: &mut Executor<'_>,
-        arena: &mut MergeArena<S::Elem>,
-        slab: Slab<S::Elem>,
-    ) {
+    fn push_binary(&mut self, comm: &Comm, exec: &mut Executor<'_>, slab: Slab<S::Elem>) {
         self.stack.push(slab);
         self.pushed += 1;
         let count = algorithm2_merge_count(self.pushed);
         if count > 0 {
-            self.do_merge(comm, exec, arena, count);
+            self.do_merge(comm, exec, count);
         }
     }
 
     /// Accepts a stage product that is mergeable from `ready_at`.
-    fn accept(
-        &mut self,
-        comm: &Comm,
-        exec: &mut Executor<'_>,
-        arena: &mut MergeArena<S::Elem>,
-        slab: Csc<S::Elem>,
-        ready_at: f64,
-    ) {
+    fn accept(&mut self, comm: &Comm, exec: &mut Executor<'_>, slab: Csc<S::Elem>, ready_at: f64) {
         self.due -= 1;
         let slab = Slab {
-            m: MergeSlab::Mat(slab),
+            m: slab,
             ready: ready_at,
             home: None,
         };
@@ -293,13 +265,13 @@ impl<'k, S: Semiring, K: ColumnSink<S::Elem>> MergeEngine<'k, S, K> {
                     // Algorithm 2 triggers one) overlaps this stage's
                     // kernel on the merge lane.
                     if let Some(prev) = self.pending.replace(slab) {
-                        self.push_binary(comm, exec, arena, prev);
+                        self.push_binary(comm, exec, prev);
                     }
                 } else {
                     // Bulk synchronous: the host blocks until the merge
                     // (still a lane task) completes; the block is wait
                     // time, since the host does none of the merging.
-                    self.push_binary(comm, exec, arena, slab);
+                    self.push_binary(comm, exec, slab);
                     let ready = self.stack.last().map_or(comm.now(), |s| s.ready);
                     self.stats.wait_time += comm.wait_clock_until(ready);
                 }
@@ -312,13 +284,13 @@ impl<'k, S: Semiring, K: ColumnSink<S::Elem>> MergeEngine<'k, S, K> {
     /// Algorithm 2's `finish` collapse of the remaining stack). All of it
     /// is async lane work — the host does not wait here; that is
     /// [`drain`](Self::drain)'s job, which pipelining defers one phase.
-    fn seal(&mut self, comm: &Comm, exec: &mut Executor<'_>, arena: &mut MergeArena<S::Elem>) {
+    fn seal(&mut self, comm: &Comm, exec: &mut Executor<'_>) {
         if let Some(prev) = self.pending.take() {
-            self.push_binary(comm, exec, arena, prev);
+            self.push_binary(comm, exec, prev);
         }
         if self.stack.len() > 1 {
             let count = self.stack.len();
-            self.do_merge(comm, exec, arena, count);
+            self.do_merge(comm, exec, count);
         }
     }
 
@@ -330,7 +302,6 @@ impl<'k, S: Semiring, K: ColumnSink<S::Elem>> MergeEngine<'k, S, K> {
     fn drain(
         mut self,
         comm: &Comm,
-        arena: &MergeArena<S::Elem>,
         timers: &mut StageTimers,
         out: &mut PipelineOutcome<S::Elem>,
     ) -> Packed<S::Elem, K::Tally> {
@@ -343,28 +314,21 @@ impl<'k, S: Semiring, K: ColumnSink<S::Elem>> MergeEngine<'k, S, K> {
         out.cpu_idle += self.stats.wait_time;
         out.merge_stats.absorb(&self.stats);
         out.merge_spans.append(&mut self.spans);
-        // The once-per-phase materialization: an arena-resident result
-        // leaves the arena as the matrix, compacted in place and trimmed
-        // — the hook gets the storage the merge wrote. A phase whose one
-        // product needed no merge packs it here, through the same sink.
-        // What the phase's intermediate merges recycled must never
-        // ratchet capacity across phases — debug-checked here, at the
-        // phase boundary.
-        let last = self.stack.pop().map_or_else(
-            || MergeSlab::Mat(Csc::zero(self.shape.0, self.shape.1)),
-            |s| s.m,
-        );
-        let packed = match self.tally {
-            Some(tally) => Packed {
-                cols: last.into_csc(),
-                tally,
+        // The hook gets the storage the closing merge wrote. A phase whose
+        // one product needed no merge packs it here, through the same sink
+        // — or, under one that keeps every column whole, hands it over.
+        let last = self
+            .stack
+            .pop()
+            .map_or_else(|| Csc::zero(self.shape.0, self.shape.1), |s| s.m);
+        match self.tally {
+            Some(tally) => Packed { cols: last, tally },
+            None if K::WHOLE => Packed {
+                tally: vec![K::Tally::default(); last.ncols()],
+                cols: last,
             },
-            None => last.packed(self.sink),
-        };
-        if cfg!(debug_assertions) {
-            arena.assert_no_capacity_leak();
+            None => sink_slab(&last, self.sink),
         }
-        packed
     }
 }
 
@@ -405,11 +369,6 @@ where
         timers_measured: StageTimers::new(),
     };
     let local_cols = b.local.ncols();
-    // The rank's one merge arena, living across *all* phases: merges
-    // write into (and recycle) its slab buffers, so after warm-up the
-    // merge hot loop stops allocating. The executor's lanes only model
-    // where a merge runs; the host has one pool of buffers.
-    let mut arena: MergeArena<S::Elem> = MergeArena::new();
     // Under pipelining the previous phase's sealed engine drains only
     // after this phase's stage loop, so its closing merge overlaps the
     // next round of broadcasts and launches (phases sliced from `B` are
@@ -523,7 +482,7 @@ where
                 (launch.c, launch.output_ready_at)
             };
 
-            merge.accept(comm, exec, &mut arena, slab, ready_at);
+            merge.accept(comm, exec, slab, ready_at);
         }
 
         // --- Phase wrap-up: submit the closing merge ------------------
@@ -535,19 +494,19 @@ where
         // test below), and the hook cannot reach the lanes — `exec` is
         // borrowed exclusively here.
         if let Some((pph, eng)) = sealed.take() {
-            let packed = eng.drain(comm, &arena, timers, &mut out);
+            let packed = eng.drain(comm, timers, &mut out);
             out.slabs.push(on_slab(pph, packed));
         }
-        merge.seal(comm, exec, &mut arena);
+        merge.seal(comm, exec);
         if cfg.pipelined {
             sealed = Some((ph, merge));
         } else {
-            let packed = merge.drain(comm, &arena, timers, &mut out);
+            let packed = merge.drain(comm, timers, &mut out);
             out.slabs.push(on_slab(ph, packed));
         }
     }
     if let Some((pph, eng)) = sealed.take() {
-        let packed = eng.drain(comm, &arena, timers, &mut out);
+        let packed = eng.drain(comm, timers, &mut out);
         out.slabs.push(on_slab(pph, packed));
     }
     out
@@ -608,16 +567,15 @@ mod tests {
             let spans = Universe::run(1, MachineModel::summit(), move |comm| {
                 let mut gpus = MultiGpu::new(comm.model().clone(), 1, 1 << 20);
                 let mut exec = Executor::new(ExecutorKind::Gpus, &mut gpus, comm.model());
-                let mut arena = MergeArena::new();
                 let cfg = SummaConfig::optimized(1 << 30);
                 let shape = (4, 5);
                 let mut merge = MergeEngine::new(PlusTimes::<f64>::new(), &cfg, shape, 3, &Whole);
                 for ready in [1.0, 2.0, 3.0] {
-                    merge.accept(&comm, &mut exec, &mut arena, panel(), ready);
+                    merge.accept(&comm, &mut exec, panel(), ready);
                 }
                 comm.advance_clock(host);
                 let before = merge.spans.len();
-                merge.seal(&comm, &mut exec, &mut arena);
+                merge.seal(&comm, &mut exec);
                 assert_eq!(comm.now(), host, "sealing waits for nothing");
                 merge.spans[before..]
                     .iter()

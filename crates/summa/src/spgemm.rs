@@ -1044,13 +1044,11 @@ mod tests {
     }
 
     #[test]
-    fn one_arena_serves_merges_placed_on_both_lanes() {
+    fn merges_placed_on_both_lanes_build_the_product() {
         // 3×3 grid, two modeled sockets, four phases drained one phase
         // late: a phase's closing merge is still on its lane when the
         // next phase's first merge is placed, so that one lands on the
-        // other lane — and recycles buffers the first lane's merges
-        // wrote, through the rank's single arena (whose capacity checks
-        // are debug assertions, live here).
+        // other lane.
         let want = serial_product(36, 700, 21);
         let results = Universe::run(9, MachineModel::summit(), |comm| {
             let grid = ProcGrid::new(comm);

@@ -32,7 +32,7 @@
 //! candidates hold. [`prune_local_slab`] is the same path for a slab that
 //! arrived whole: it packs it first.
 
-use crate::merge::{sink_slab, ColsRef, ColumnSink, Packed};
+use crate::merge::{sink_slab, ColumnSink, Packed};
 use hipmcl_comm::collectives::{allgather, allreduce_sum_vec};
 use hipmcl_comm::Comm;
 use hipmcl_sparse::colops::{
@@ -43,6 +43,12 @@ use hipmcl_sparse::{Csc, CscBuilder, Idx};
 
 /// The distributed prune's column sink: what [`prune_packed`] reads of a
 /// column, packed from the column alone.
+///
+/// # Panics
+///
+/// Packing with parameters [`PruneParams::validate`] rejects panics before
+/// the first column, with the message `invalid PruneParams: ` and the
+/// reason.
 #[derive(Clone, Copy, Debug)]
 pub struct PruneSink(pub PruneParams);
 
@@ -74,7 +80,10 @@ impl PruneSink {
 impl ColumnSink<f64> for PruneSink {
     type Tally = Tally;
 
+    /// Every merge asks this of each column before it packs any, so this is
+    /// where invalid parameters are refused.
     fn room(&self, n: usize) -> usize {
+        checked(&self.0);
         n.min(self.keep())
     }
 
@@ -143,16 +152,30 @@ impl Packed<f64, Tally> {
     }
 }
 
+/// Panics on parameters no prune can honour, with [`PruneParams::validate`]'s
+/// reason.
+fn checked(params: &PruneParams) {
+    if let Err(e) = params.validate() {
+        panic!("invalid PruneParams: {e}");
+    }
+}
+
 /// Slab-level distributed prune: operates on a column slab whose columns
 /// are aligned across the ranks of `col_comm` (each rank holds a block of
 /// the same global columns) — [`prune_packed`] of the slab packed by a
 /// [`PruneSink`].
+///
+/// # Panics
+///
+/// On parameters [`PruneParams::validate`] rejects, with the message
+/// `invalid PruneParams: ` and the reason, as [`PruneSink`] does.
 pub fn prune_local_slab(
     col_comm: &Comm,
     m: &Csc<f64>,
     params: &PruneParams,
 ) -> (Csc<f64>, PruneStats) {
-    let packed = sink_slab(ColsRef::of(m), &PruneSink(*params));
+    checked(params);
+    let packed = sink_slab(m, &PruneSink(*params));
     prune_packed(col_comm, &packed, params)
 }
 
@@ -165,7 +188,6 @@ pub fn prune_packed(
     params: &PruneParams,
 ) -> (Csc<f64>, PruneStats) {
     let (cutoff, select) = (params.cutoff, params.select);
-    assert!(select >= 1, "prune.select must be at least 1");
     let (m, tally) = (&packed.cols, &packed.tally);
     let ncols = m.ncols();
     let me = col_comm.rank();

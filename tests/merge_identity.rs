@@ -3,14 +3,12 @@
 //! semiring's `⊕`, and an entry whose final value is the annihilator is
 //! dropped. So the per-merge kernel choice — `MergeKernelPolicy::Auto`'s
 //! or a fixed one — can never change a result. Checked through the public
-//! entries only: `merge_with`, `brmerge_into`, `spadd_into`, `StackMerger`.
+//! entries only: `merge_with` and `StackMerger`.
 
 use hipmcl::comm::{MachineModel, MergeKernel};
 use hipmcl::sparse::{Boolean, Csc, MinPlus, PlusTimes, Semiring};
 use hipmcl::spgemm::testutil::random_csc;
-use hipmcl::summa::merge::{
-    brmerge_into, merge_with, spadd_into, ColsRef, MergeArena, MergeKernelPolicy, StackMerger,
-};
+use hipmcl::summa::merge::{merge_with, MergeKernelPolicy, StackMerger};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
@@ -54,7 +52,8 @@ fn assert_kernels_agree<S: Semiring>(
 
 proptest! {
     /// Plus-times: values AND sparsity structure agree, including entries
-    /// removed by exact-zero cancellation.
+    /// removed by exact-zero cancellation — also at fan-in 3 with the
+    /// merged result as an input.
     #[test]
     fn merge_kernels_are_bit_identical(
         n in 4usize..24,
@@ -62,8 +61,11 @@ proptest! {
         seed in 0u64..32,
         with_cancel in any::<bool>(),
     ) {
+        let s = PlusTimes::<f64>::new();
         let mats = product_set(n, k, seed, with_cancel);
-        assert_kernels_agree(PlusTimes::<f64>::new(), &mats, (n, n))?;
+        let merged = assert_kernels_agree(s, &mats, (n, n))?;
+        let fed = [merged, mats[0].clone(), mats[1].clone()];
+        assert_kernels_agree(s, &fed, (n, n))?;
     }
 
     /// Min-plus: `⊕` is `min`, the annihilator `+∞`. One slab carries
@@ -113,13 +115,17 @@ proptest! {
     }
 }
 
+/// Also for matrices without columns, or with every column empty.
 #[test]
 fn every_kernel_returns_an_empty_matrix_of_the_shape_for_an_empty_slice() {
-    for kernel in MergeKernel::all() {
-        let merged = merge_with(PlusTimes::<f64>::new(), kernel, &[], (7, 9));
-        merged.assert_valid();
-        assert_eq!((merged.nrows(), merged.ncols()), (7, 9), "{kernel:?}");
-        assert_eq!(merged.nnz(), 0, "{kernel:?}");
+    let empty = [vec![], vec![Csc::zero(7, 0); 3], vec![Csc::zero(7, 9); 3]];
+    for (mats, shape) in empty.iter().zip([(7, 9), (7, 0), (7, 9)]) {
+        for kernel in MergeKernel::all() {
+            let merged = merge_with(PlusTimes::<f64>::new(), kernel, mats, shape);
+            merged.assert_valid();
+            assert_eq!((merged.nrows(), merged.ncols()), shape, "{kernel:?}");
+            assert_eq!(merged.nnz(), 0, "{kernel:?}");
+        }
     }
 }
 
@@ -138,42 +144,8 @@ fn exact_cancellation_drops_every_entry() {
     }
 }
 
-/// The arena kernels leave their output staged in a recycled buffer; what
-/// that buffer materializes to is what the heap kernel builds afresh — on
-/// random sets, on the column view's edge shapes (no columns at all, every
-/// column empty), and when a staged buffer is itself an input at fan-in 3.
-#[test]
-fn arena_outputs_match_materialized_kernels_exactly() {
-    let s = PlusTimes::<f64>::new();
-    let mut arena = MergeArena::new();
-    let mut inputs: Vec<Vec<Csc<f64>>> = [2, 3, 5, 8].iter().map(|&k| slabs(10, k)).collect();
-    inputs.push(vec![Csc::zero(10, 0); 3]);
-    inputs.push(vec![Csc::zero(10, 10); 3]);
-    for mats in inputs {
-        let (k, shape) = (mats.len(), (10, mats[0].ncols()));
-        let refs: Vec<ColsRef<'_, f64>> = mats.iter().map(ColsRef::of).collect();
-        let want = assert_kernels_agree(s, &mats, shape).unwrap();
-        let br = brmerge_into(s, &refs, shape, &mut arena);
-        assert_eq!(br.to_csc(), want, "brmerge k={k} {shape:?}");
-        arena.release(br);
-        let sp = spadd_into(s, &refs, shape, &mut arena);
-        assert_eq!(sp.to_csc(), want, "spadd k={k} {shape:?}");
-
-        let fed = [sp.as_cols(), refs[0], refs[1]];
-        let owned = [want.clone(), mats[0].clone(), mats[1].clone()];
-        let want3 = merge_with(s, MergeKernel::Heap, &owned, shape);
-        let br3 = brmerge_into(s, &fed, shape, &mut arena);
-        assert_eq!(br3.to_csc(), want3, "brmerge over a staged input, k={k}");
-        arena.release(br3);
-        let sp3 = spadd_into(s, &fed, shape, &mut arena);
-        assert_eq!(sp3.to_csc(), want3, "spadd over a staged input, k={k}");
-        arena.release(sp3);
-        arena.release(sp);
-    }
-}
-
 /// Algorithm 2's schedule and accumulation order are kernel-independent:
-/// the arena-backed `Auto` stack produces the exact matrix every fixed
+/// the `Auto` stack produces the exact matrix every fixed
 /// kernel produces.
 #[test]
 fn stack_merger_result_is_policy_invariant() {

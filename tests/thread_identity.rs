@@ -2,8 +2,7 @@
 //! kernel that runs column-parallel, the generators, and both MCL drivers
 //! return the same bits under pools of width 1, 2, 3 and 5 — and so does
 //! every modeled clock, which never reads the host. (Odd widths leave
-//! ragged last blocks; what may differ with the width is only the layout
-//! of a merge arena, never what it materializes to.)
+//! ragged last blocks.)
 
 use hipmcl::comm::{GpuLib, MergeKernel};
 use hipmcl::gpu::libs::multiply_csc_in;
@@ -13,9 +12,7 @@ use hipmcl::sparse::{Idx, PlusTimes};
 use hipmcl::spgemm::hash::Addressing::{Direct, Hashed};
 use hipmcl::spgemm::testutil::random_csc;
 use hipmcl::spgemm::{flops_per_column, hash, heap, hybrid, CohenEstimator};
-use hipmcl::summa::merge::{
-    brmerge_into, merge_with, spadd_into, ColsRef, MergeArena, MergeKernelPolicy, StackMerger,
-};
+use hipmcl::summa::merge::{merge_with, MergeKernelPolicy, StackMerger};
 use hipmcl::workloads::er::generate_er;
 use hipmcl::workloads::protein::generate_protein_net;
 use hipmcl::workloads::rmat::{generate_rmat, RmatParams};
@@ -140,14 +137,6 @@ fn merge_kernels_and_the_stack_merger() {
             .map(|kernel| bits(&merge_with(s, kernel, &mats, shape)))
             .into_iter()
             .collect();
-        // The arena kernels carve one partition per thread; only what the
-        // staged buffer materializes to is compared.
-        let refs: Vec<ColsRef<'_, f64>> = mats.iter().map(ColsRef::of).collect();
-        let mut arena = MergeArena::new();
-        let staged = brmerge_into(s, &refs, shape, &mut arena);
-        out.push(bits(&staged.to_csc()));
-        arena.release(staged);
-        out.push(bits(&spadd_into(s, &refs, shape, &mut arena).to_csc()));
         let mut stack = StackMerger::new(MachineModel::summit(), MergeKernelPolicy::Auto, shape);
         mats.iter().for_each(|m| stack.push(m.clone()));
         out.push(bits(&stack.finish()));

@@ -6,7 +6,8 @@
 use hipmcl::prelude::*;
 use hipmcl::sparse::colops::{self, PruneParams, PruneStats};
 use hipmcl::sparse::Idx;
-use hipmcl::summa::topk::prune_local_slab;
+use hipmcl::summa::merge::sink_slab;
+use hipmcl::summa::topk::{prune_local_slab, PruneSink};
 use proptest::prelude::*;
 
 /// `n × n` matrix with about `fill`/256 of the entries present, values
@@ -265,6 +266,22 @@ fn one_collective_per_slab_and_three_with_recovery() {
             recovering.rounds
         );
     }
+}
+
+/// Parameters no prune can honour are refused with their reason before a
+/// column is packed — not by an index out of range inside the selection.
+#[test]
+#[should_panic(expected = "invalid PruneParams: prune select = 0 out of range")]
+fn a_zero_select_is_refused_before_packing() {
+    prune_on_grid(1, &seeded(8, 150, 12, distinct), params(0.1, 0, 0, 0.0));
+}
+
+/// The same for a slab a merge sinks into the prune's candidates.
+#[test]
+#[should_panic(expected = "invalid PruneParams: prune select = 0 out of range")]
+fn a_prune_sink_refuses_a_zero_select_before_packing() {
+    let m = Csc::from_triples(&seeded(8, 150, 12, distinct));
+    sink_slab(&m, &PruneSink(params(0.1, 0, 0, 0.0)));
 }
 
 proptest! {
