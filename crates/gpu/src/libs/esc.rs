@@ -12,30 +12,33 @@
 //! libraries, matching its mid-pack showing in the paper's Fig. 4.
 
 use hipmcl_sparse::{Csc, CscBuilder, Idx, Semiring};
+use hipmcl_spgemm::emit::Emit;
 use std::ops::Range;
 
 /// Columns `cols` of `A · B` with expand–sort–compress columns, in the
-/// given semiring; `reserve` sizes the output.
-pub(crate) fn multiply_in<S: Semiring>(
+/// given semiring, each handed to `emit`; `reserve` sizes the output.
+pub(crate) fn multiply_in<S: Semiring, E: Emit<S::Elem>>(
     s: S,
     a: &Csc<S::Elem>,
     b: &Csc<S::Elem>,
     cols: Range<usize>,
     reserve: usize,
+    emit: E,
 ) -> Csc<S::Elem> {
     CscBuilder::build(
         a.nrows(),
         cols.len(),
         reserve,
-        Vec::<(Idx, S::Elem)>::new(),
-        |expand_buf, j, out| {
-            expand_column(s, a, b, cols.start + j, expand_buf);
+        (Vec::<(Idx, S::Elem)>::new(), Vec::new(), Vec::new(), emit),
+        |(expand_buf, rows, vals, emit), j, out| {
+            let j = cols.start + j;
+            expand_column(s, a, b, j, expand_buf);
             sort_compress(s, expand_buf);
-            out.push_column_with(expand_buf.len(), |rows, vals| {
-                for ((r, v), &entry) in rows.iter_mut().zip(vals).zip(&*expand_buf) {
-                    (*r, *v) = entry;
-                }
-            });
+            rows.clear();
+            vals.clear();
+            rows.extend(expand_buf.iter().map(|&(r, _)| r));
+            vals.extend(expand_buf.iter().map(|&(_, v)| v));
+            emit.emit(j, rows, vals, out);
         },
     )
 }
@@ -74,6 +77,7 @@ fn sort_compress<S: Semiring>(_s: S, buf: &mut Vec<(Idx, S::Elem)>) {
 mod tests {
     use super::*;
     use hipmcl_sparse::PlusTimes;
+    use hipmcl_spgemm::emit::Push;
     use hipmcl_spgemm::testutil::random_csc;
 
     #[test]
@@ -105,7 +109,7 @@ mod tests {
     fn matches_reference() {
         let a = random_csc(15, 12, 60, 4);
         let b = random_csc(12, 10, 50, 5);
-        let got = multiply_in(PlusTimes::<f64>::new(), &a, &b, 0..10, 0);
+        let got = multiply_in(PlusTimes::<f64>::new(), &a, &b, 0..10, 0, Push);
         let want = hipmcl_spgemm::hash::multiply(&a, &b);
         got.assert_valid();
         assert_eq!(got.colptr, want.colptr);

@@ -13,6 +13,7 @@
 //! at MCL densities.
 
 use hipmcl_sparse::{Csc, Semiring};
+use hipmcl_spgemm::emit::Emit;
 use hipmcl_spgemm::hash::{self, HashScratch};
 use std::ops::Range;
 
@@ -24,15 +25,16 @@ fn bin_bound(flops: u64) -> usize {
 
 /// Columns `cols` of `A · B` with binned hash accumulation, in the given
 /// semiring: the host hash kernel's column loop with each column's table
-/// opened at its bin's bound. `flops` is `flops_per_column(a, b)`;
-/// `reserve` sizes the output.
-pub(crate) fn multiply_in<S: Semiring>(
+/// opened at its bin's bound and handed to `emit`. `flops` is
+/// `flops_per_column(a, b)`; `reserve` sizes the output.
+pub(crate) fn multiply_in<S: Semiring, E: Emit<S::Elem>>(
     sr: S,
     a: &Csc<S::Elem>,
     b: &Csc<S::Elem>,
     cols: Range<usize>,
     flops: &[u64],
     reserve: usize,
+    mut emit: E,
 ) -> Csc<S::Elem> {
     let nrows = a.nrows();
     let open = |table: &mut HashScratch<S::Elem>, j: usize| {
@@ -41,18 +43,22 @@ pub(crate) fn multiply_in<S: Semiring>(
         // accumulator's budget, a hash table of that many keys otherwise.
         table.open(bin_bound(flops[j]).min(nrows), nrows)
     };
-    hash::multiply_cols_with(sr, a, b, cols, reserve, open, hash::append)
+    let mut buf = (Vec::new(), Vec::new());
+    hash::multiply_cols_with(sr, a, b, cols, reserve, open, move |table, j, out| {
+        emit.emit_table(table, j, out, &mut buf)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use hipmcl_sparse::PlusTimes;
+    use hipmcl_spgemm::emit::Push;
     use hipmcl_spgemm::testutil::random_csc;
 
     fn multiply(a: &Csc<f64>, b: &Csc<f64>) -> Csc<f64> {
         let flops = hipmcl_spgemm::flops_per_column(a, b);
-        multiply_in(PlusTimes::<f64>::new(), a, b, 0..b.ncols(), &flops, 0)
+        multiply_in(PlusTimes::<f64>::new(), a, b, 0..b.ncols(), &flops, 0, Push)
     }
 
     #[test]

@@ -21,26 +21,30 @@ pub mod rowmerge;
 
 use hipmcl_comm::GpuLib;
 use hipmcl_sparse::{Csc, PlusTimes, Semiring, Value};
+use hipmcl_spgemm::emit::{Emit, Push};
 use std::ops::Range;
 
 /// Columns `cols` of `A · B` on the chosen library analogue, in the given
-/// semiring, as an `nrows(A) × cols.len()` matrix. `flops` is
+/// semiring, each handed to `emit` as it is finished, into an `nrows(A) ×
+/// cols.len()` matrix (the product itself under [`Push`]). `flops` is
 /// `flops_per_column(a, b)`; it also sizes the output before a column is
-/// computed: the product reserves its bound `Σ min(flops_j, nrows)`
-/// (address space until written) and is trimmed when done.
-pub(crate) fn multiply_cols_in<S: Semiring>(
+/// computed: the output reserves what `emit` keeps of the bound
+/// `Σ min(flops_j, nrows)` (address space until written) and is trimmed
+/// when done.
+pub(crate) fn multiply_cols_in<S: Semiring, E: Emit<S::Elem>>(
     s: S,
     a: &Csc<S::Elem>,
     b: &Csc<S::Elem>,
     cols: Range<usize>,
     flops: &[u64],
     lib: GpuLib,
+    emit: E,
 ) -> Csc<S::Elem> {
-    let bound = hipmcl_spgemm::analysis::nnz_bound(&flops[cols.clone()], a.nrows());
+    let reserve = hipmcl_spgemm::emit::reserve(&emit, cols.clone(), flops, a.nrows());
     match lib {
-        GpuLib::Bhsparse => esc::multiply_in(s, a, b, cols, bound),
-        GpuLib::Nsparse => hashgpu::multiply_in(s, a, b, cols, flops, bound),
-        GpuLib::Rmerge2 => rowmerge::multiply_in(s, a, b, cols, bound),
+        GpuLib::Bhsparse => esc::multiply_in(s, a, b, cols, reserve, emit),
+        GpuLib::Nsparse => hashgpu::multiply_in(s, a, b, cols, flops, reserve, emit),
+        GpuLib::Rmerge2 => rowmerge::multiply_in(s, a, b, cols, reserve, emit),
     }
 }
 
@@ -53,7 +57,7 @@ pub fn multiply_csc_in<S: Semiring>(
     lib: GpuLib,
 ) -> Csc<S::Elem> {
     let flops = hipmcl_spgemm::flops_per_column(a, b);
-    multiply_cols_in(s, a, b, 0..b.ncols(), &flops, lib)
+    multiply_cols_in(s, a, b, 0..b.ncols(), &flops, lib, Push)
 }
 
 /// [`multiply_csc_in`] with the plus-times semiring.

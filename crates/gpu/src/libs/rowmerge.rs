@@ -12,6 +12,7 @@
 //! among the GPU libraries only at small `cf`.
 
 use hipmcl_sparse::{Csc, CscBuilder, Idx, Semiring, Value};
+use hipmcl_spgemm::emit::Emit;
 use std::ops::Range;
 
 /// One level of a column's merge tree: sorted runs laid end to end, run
@@ -37,22 +38,24 @@ impl<T: Value> Runs<T> {
 }
 
 /// Columns `cols` of `A · B` by per-column binary merge trees, in the
-/// given semiring; `reserve` sizes the output.
-pub(crate) fn multiply_in<S: Semiring>(
+/// given semiring, each handed to `emit`; `reserve` sizes the output.
+pub(crate) fn multiply_in<S: Semiring, E: Emit<S::Elem>>(
     s: S,
     a: &Csc<S::Elem>,
     b: &Csc<S::Elem>,
     cols: Range<usize>,
     reserve: usize,
+    emit: E,
 ) -> Csc<S::Elem> {
     CscBuilder::build(
         a.nrows(),
         cols.len(),
         reserve,
-        (Runs::default(), Runs::default()),
-        |(level, next), j, out| {
-            merge_column(s, a, b, cols.start + j, level, next);
-            out.push_column(&level.rows, &level.vals);
+        (Runs::default(), Runs::default(), emit),
+        |(level, next, emit), j, out| {
+            let j = cols.start + j;
+            merge_column(s, a, b, j, level, next);
+            emit.emit(j, &level.rows, &level.vals, out);
         },
     )
 }
@@ -127,10 +130,11 @@ fn merge_two<S: Semiring>(
 mod tests {
     use super::*;
     use hipmcl_sparse::PlusTimes;
+    use hipmcl_spgemm::emit::Push;
     use hipmcl_spgemm::testutil::random_csc;
 
     fn multiply(a: &Csc<f64>, b: &Csc<f64>) -> Csc<f64> {
-        multiply_in(PlusTimes::<f64>::new(), a, b, 0..b.ncols(), 0)
+        multiply_in(PlusTimes::<f64>::new(), a, b, 0..b.ncols(), 0, Push)
     }
 
     fn merged(x: (&[Idx], &[f64]), y: (&[Idx], &[f64])) -> (Vec<Idx>, Vec<f64>) {

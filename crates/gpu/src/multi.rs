@@ -18,15 +18,19 @@ use crate::device::{Device, DeviceError};
 use hipmcl_comm::{GpuLib, MachineModel};
 use hipmcl_sparse::util::even_chunk;
 use hipmcl_sparse::{Csc, Idx, PlusTimes, Semiring, Value};
+use hipmcl_spgemm::emit::{counted, counters, Counted, Emit, Push};
 use std::ops::Range;
 
-/// [`Csc::bytes`] of columns `cols` of `m` held as a matrix of their own,
-/// without building one: what a device's share of `B`, or its slab of
-/// the product, occupies.
-fn slab_bytes<T: Value>(m: &Csc<T>, cols: &Range<usize>) -> usize {
-    let nnz = m.colptr[cols.end] - m.colptr[cols.start];
-    (cols.len() + 1) * std::mem::size_of::<usize>()
+/// [`Csc::bytes`] of a matrix of `ncols` columns and `nnz` entries.
+fn cols_bytes<T: Value>(ncols: usize, nnz: usize) -> usize {
+    (ncols + 1) * std::mem::size_of::<usize>()
         + nnz * (std::mem::size_of::<Idx>() + std::mem::size_of::<T>())
+}
+
+/// [`Csc::bytes`] of columns `cols` of `m` held as a matrix of their own,
+/// without building one: what a device's share of `B` occupies.
+fn slab_bytes<T: Value>(m: &Csc<T>, cols: &Range<usize>) -> usize {
+    cols_bytes::<T>(cols.len(), m.colptr[cols.end] - m.colptr[cols.start])
 }
 
 /// The set of devices owned by one rank.
@@ -38,8 +42,11 @@ pub struct MultiGpu {
 /// Outcome of one multi-GPU local multiplication.
 #[derive(Debug)]
 pub struct LaunchResult<T: Value = f64> {
-    /// The (real, verified) product `A · B`.
+    /// The (real, verified) product `A · B` — or, from
+    /// [`MultiGpu::launch_in`], what its emit made of the product's columns.
     pub c: Csc<T>,
+    /// Entries of the product.
+    pub nnz: usize,
     /// Virtual time at which all input transfers completed — the host may
     /// proceed (to the next SUMMA broadcast) from this moment.
     pub inputs_transferred_at: f64,
@@ -89,20 +96,25 @@ impl MultiGpu {
         }
     }
 
+    /// Whether every device can hold its share of `A · B` at the product's
+    /// bound — its inputs plus a slab of `Σ min(flops_j, nrows)` entries
+    /// over its columns, `fpc` being `flops_per_column(a, b)` — so that no
+    /// part of the launch can run out of memory.
+    pub fn fits<T: Value>(&self, a: &Csc<T>, b: &Csc<T>, fpc: &[u64]) -> bool {
+        let (g, n) = (self.devices.len(), b.ncols());
+        self.devices.iter().enumerate().all(|(d, dev)| {
+            let cols = even_chunk(n, g, d);
+            let bound = fpc[cols.clone()]
+                .iter()
+                .map(|&f| (f as usize).min(a.nrows()));
+            let out = cols_bytes::<T>(cols.len(), bound.sum());
+            a.bytes() + slab_bytes(b, &cols) + out <= dev.mem_free()
+        })
+    }
+
     /// Runs `C = A · B` split across all devices, starting at host virtual
     /// time `host_now`, in the given semiring. See module docs for the
-    /// timeline semantics.
-    ///
-    /// The library forms the product once, over all of `B`'s columns, and
-    /// each device is charged the transfers, the kernel and the output
-    /// slab of its column range from `flops_per_column` and the product's
-    /// `colptr` — the slabs are never built.
-    ///
-    /// Fails with [`DeviceError::OutOfMemory`] if any device cannot hold
-    /// its inputs plus its output slab — callers fall back to the CPU
-    /// kernel or to more SUMMA phases. The devices before the one that
-    /// fails have run their share by then; the failing device holds
-    /// nothing of the launch.
+    /// timeline semantics, and [`MultiGpu::launch_in`] for what fails.
     pub fn multiply_in<S: Semiring>(
         &mut self,
         s: S,
@@ -110,6 +122,36 @@ impl MultiGpu {
         a: &Csc<S::Elem>,
         b: &Csc<S::Elem>,
         lib: GpuLib,
+    ) -> Result<LaunchResult<S::Elem>, DeviceError> {
+        let fpc = hipmcl_spgemm::flops_per_column(a, b);
+        self.launch_in(s, host_now, a, b, &fpc, lib, Push)
+    }
+
+    /// [`MultiGpu::multiply_in`] given `fpc = flops_per_column(a, b)`, with
+    /// each column of the product handed to `emit` as the library finishes
+    /// it: [`LaunchResult::c`] is what `emit` made of the columns.
+    ///
+    /// The library forms the product once, over all of `B`'s columns, and
+    /// each device is charged the transfers, the kernel and the output
+    /// slab of its column range from `fpc` and the number of entries each
+    /// product column had — the slabs are never built.
+    ///
+    /// Fails with [`DeviceError::OutOfMemory`] if any device cannot hold
+    /// its inputs plus its output slab — callers fall back to the CPU
+    /// kernel or to more SUMMA phases. The devices before the one that
+    /// fails have run their share by then, and the columns of their share
+    /// have been emitted; the failing device holds nothing of the launch.
+    /// A launch that [`fits`](MultiGpu::fits) cannot fail.
+    #[allow(clippy::too_many_arguments)]
+    pub fn launch_in<S: Semiring, E: Emit<S::Elem>>(
+        &mut self,
+        s: S,
+        host_now: f64,
+        a: &Csc<S::Elem>,
+        b: &Csc<S::Elem>,
+        fpc: &[u64],
+        lib: GpuLib,
+        emit: E,
     ) -> Result<LaunchResult<S::Elem>, DeviceError> {
         assert!(!self.is_empty(), "no devices on this rank");
         let g = self.devices.len();
@@ -129,8 +171,16 @@ impl MultiGpu {
         };
 
         // Real kernel execution (host-side, verified), modeled durations.
-        let fpc = hipmcl_spgemm::flops_per_column(a, b);
-        let c = crate::libs::multiply_cols_in(s, a, b, 0..formed, &fpc, lib);
+        let counts = counters(formed);
+        let c = crate::libs::multiply_cols_in(
+            s,
+            a,
+            b,
+            0..formed,
+            fpc,
+            lib,
+            Counted::new(emit, &counts),
+        );
 
         let mut inputs_done = host_now;
         let mut outputs_done = host_now;
@@ -144,13 +194,13 @@ impl MultiGpu {
             let t_in = dev.h2d(host_now, in_bytes)?;
             inputs_done = inputs_done.max(t_in);
 
-            let out_nnz = c.colptr[cols.end] - c.colptr[cols.start];
+            let out_nnz = counted(&counts, cols.clone());
             let cf = if out_nnz == 0 {
                 1.0
             } else {
                 flops as f64 / out_nnz as f64
             };
-            let out_bytes = slab_bytes(&c, &cols);
+            let out_bytes = cols_bytes::<S::Elem>(cols.len(), out_nnz);
             if let Err(oom) = dev.alloc(out_bytes) {
                 dev.free(in_bytes);
                 return Err(oom);
@@ -165,13 +215,15 @@ impl MultiGpu {
         }
 
         let flops: u64 = fpc.iter().sum();
-        let cf = if c.nnz() == 0 {
+        let nnz = counted(&counts, 0..n);
+        let cf = if nnz == 0 {
             1.0
         } else {
-            flops as f64 / c.nnz() as f64
+            flops as f64 / nnz as f64
         };
         Ok(LaunchResult {
             c,
+            nnz,
             inputs_transferred_at: inputs_done,
             output_ready_at: outputs_done,
             flops,
@@ -304,7 +356,7 @@ mod tests {
             assert_eq!(m.multiply(0.0, &a, &b, lib).unwrap().c, whole);
             for (d, dev) in m.devices.iter().enumerate() {
                 let cols = even_chunk(20, 3, d);
-                let slab = crate::libs::multiply_cols_in(s, &a, &b, cols.clone(), &fpc, lib);
+                let slab = crate::libs::multiply_cols_in(s, &a, &b, cols.clone(), &fpc, lib, Push);
                 assert_eq!(slab, whole.column_slice(cols.clone()), "{}", lib.name());
                 let in_bytes = a.bytes() + b.column_slice(cols).bytes();
                 assert_eq!(dev.peak_mem(), in_bytes + slab.bytes(), "{}", lib.name());

@@ -7,7 +7,8 @@
 //! `min(flops_j, nrows)`, and appends the drained column to a
 //! [`CscBuilder`] that reserved the product's bound — or whatever the
 //! caller's `emit` makes of it: the serial MCL iteration appends it pruned
-//! and inflated. Nothing is counted before it is computed. (The key-only
+//! and inflated, and [`multiply_emit`] hands it to an [`Emit`], the hook
+//! every kernel of the workspace shares. Nothing is counted before it is computed. (The key-only
 //! pass of the two-phase formulation, [`symbolic_counts_with_flops`], is
 //! still here as what it now only is: the exact memory estimator.) The
 //! accumulator's storage only grows, and it finds a row's slot in one of
@@ -36,6 +37,7 @@
 //! so values are bit-identical to the heap kernel in both modes.
 
 use crate::analysis::{flops_per_column, nnz_bound};
+use crate::emit::{Emit, Push};
 use hipmcl_sparse::{Csc, CscBuilder, Idx, PlusTimes, Semiring, Value};
 use rayon::prelude::*;
 use std::ops::Range;
@@ -372,7 +374,7 @@ impl<T: Value> HashScratch<T> {
 /// Multiplies `C = A · B` with hash accumulation in the given semiring, in
 /// one pass.
 pub fn multiply_in<S: Semiring>(s: S, a: &Csc<S::Elem>, b: &Csc<S::Elem>) -> Csc<S::Elem> {
-    multiply_with_flops_in(s, a, b, &flops_per_column(a, b), usize::MAX, append)
+    multiply_emit(s, a, b, 0..b.ncols(), &flops_per_column(a, b), None, Push)
 }
 
 /// [`multiply_in`] with the numeric plus-times semiring — MCL's default.
@@ -381,6 +383,14 @@ where
     PlusTimes<T>: Semiring<Elem = T>,
 {
     multiply_in(PlusTimes::new(), a, b)
+}
+
+/// The one addressing mode of a product with `fpc` flops per column and
+/// `nrows` rows, from the mean column's bound: a direct column among hashed
+/// ones would find its slots evicted.
+fn mode_of<T>(fpc: &[u64], nrows: usize) -> Addressing {
+    let mean = nnz_bound(fpc, nrows).div_ceil(fpc.len().max(1));
+    Addressing::of::<T>(mean, nrows)
 }
 
 /// [`multiply_in`] given `fpc = flops_per_column(a, b)`, with each
@@ -395,11 +405,13 @@ pub fn multiply_with_flops_in<S: Semiring>(
     keep: usize,
     emit: impl FnMut(&mut HashScratch<S::Elem>, usize, &mut CscBuilder<S::Elem>) + Clone + Send,
 ) -> Csc<S::Elem> {
-    // One mode per product, from the mean column's bound: a direct column
-    // among hashed ones would find its slots evicted.
-    let mean = nnz_bound(fpc, a.nrows()).div_ceil(fpc.len().max(1));
-    let mode = Addressing::of::<S::Elem>(mean, a.nrows());
-    multiply_kept_as(mode, sr, a, b, fpc, keep, emit)
+    assert_eq!(fpc.len(), b.ncols(), "one flops entry per output column");
+    let nrows = a.nrows();
+    let mode = mode_of::<S::Elem>(fpc, nrows);
+    let bound = |j: usize| (fpc[j] as usize).min(nrows);
+    let reserve = (0..fpc.len()).map(|j| bound(j).min(keep)).sum();
+    let open = |table: &mut HashScratch<S::Elem>, j| table.open_as(mode, bound(j), nrows);
+    multiply_cols_with(sr, a, b, 0..b.ncols(), reserve, open, emit)
 }
 
 /// [`multiply_in`] given `fpc`, with the addressing mode given instead of
@@ -411,26 +423,33 @@ pub fn multiply_as<S: Semiring>(
     b: &Csc<S::Elem>,
     fpc: &[u64],
 ) -> Csc<S::Elem> {
-    multiply_kept_as(mode, sr, a, b, fpc, usize::MAX, append)
+    multiply_emit(sr, a, b, 0..b.ncols(), fpc, Some(mode), Push)
 }
 
-/// Every output column opened at its bound `min(flops_j, nrows)` in `mode`,
-/// room reserved for `Σ_j min(flops_j, nrows, keep)` entries.
-fn multiply_kept_as<S: Semiring>(
-    mode: Addressing,
+/// Columns `cols` of `A · B`, each opened at its bound `min(flops_j, nrows)`
+/// in `mode` (by default the product's, from `fpc[cols]`) and handed to
+/// `emit` when finished, with room reserved for what `emit` keeps. `fpc` is
+/// `flops_per_column(a, b)`.
+pub fn multiply_emit<S: Semiring, E: Emit<S::Elem>>(
     sr: S,
     a: &Csc<S::Elem>,
     b: &Csc<S::Elem>,
+    cols: Range<usize>,
     fpc: &[u64],
-    keep: usize,
-    emit: impl FnMut(&mut HashScratch<S::Elem>, usize, &mut CscBuilder<S::Elem>) + Clone + Send,
+    mode: Option<Addressing>,
+    mut emit: E,
 ) -> Csc<S::Elem> {
     assert_eq!(fpc.len(), b.ncols(), "one flops entry per output column");
     let nrows = a.nrows();
-    let bound = |j: usize| (fpc[j] as usize).min(nrows);
-    let reserve = (0..fpc.len()).map(|j| bound(j).min(keep)).sum();
-    let open = |table: &mut HashScratch<S::Elem>, j| table.open_as(mode, bound(j), nrows);
-    multiply_cols_with(sr, a, b, 0..b.ncols(), reserve, open, emit)
+    let mode = mode.unwrap_or_else(|| mode_of::<S::Elem>(&fpc[cols.clone()], nrows));
+    let reserve = crate::emit::reserve(&emit, cols.clone(), fpc, nrows);
+    let open = |table: &mut HashScratch<S::Elem>, j: usize| {
+        table.open_as(mode, (fpc[j] as usize).min(nrows), nrows)
+    };
+    let mut buf = (Vec::new(), Vec::new());
+    multiply_cols_with(sr, a, b, cols, reserve, open, move |table, j, out| {
+        emit.emit_table(table, j, out, &mut buf)
+    })
 }
 
 /// What the column loop does with a finished column unless told

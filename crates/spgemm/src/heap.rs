@@ -14,25 +14,43 @@
 //! without its data-dependent branches. DESIGN.md ("Local SpGEMM") has the
 //! measured rates against the hash kernel.
 
-use crate::analysis::{flops_per_column, nnz_bound};
+use crate::analysis::flops_per_column;
+use crate::emit::{Emit, Push};
 use hipmcl_sparse::util::Tournament;
 use hipmcl_sparse::{Csc, CscBuilder, PlusTimes, Semiring, Value};
+use std::ops::Range;
 
 /// Multiplies `C = A · B` with heap accumulation in the given semiring,
 /// column-parallel, in one pass: each output column merges the scaled
 /// A-columns selected by `B_{*j}` through the worker's tournament into the
 /// worker's column buffer and is appended to a [`CscBuilder`] that
-/// reserved the product's bound `Σ_j min(flops_j, nrows)`. Rows arrive in
+/// reserved the product's bound `Σ_j min(flops_j, nrows)` (every column's
+/// [`Push`] through [`multiply_cols_in`]). Rows arrive in
 /// increasing order and equal rows in ascending list order, so each entry
 /// folds its products in ascending position within `B_{*j}`.
-pub fn multiply_in<S: Semiring>(_s: S, a: &Csc<S::Elem>, b: &Csc<S::Elem>) -> Csc<S::Elem> {
-    let reserve = nnz_bound(&flops_per_column(a, b), a.nrows());
+pub fn multiply_in<S: Semiring>(s: S, a: &Csc<S::Elem>, b: &Csc<S::Elem>) -> Csc<S::Elem> {
+    multiply_cols_in(s, a, b, 0..b.ncols(), &flops_per_column(a, b), Push)
+}
+
+/// Columns `cols` of `A · B`, each handed to `emit` as it is finished,
+/// with room reserved for what `emit` keeps of the bound `min(flops_j,
+/// nrows)`. `fpc` is `flops_per_column(a, b)`.
+pub fn multiply_cols_in<S: Semiring, E: Emit<S::Elem>>(
+    _s: S,
+    a: &Csc<S::Elem>,
+    b: &Csc<S::Elem>,
+    cols: Range<usize>,
+    fpc: &[u64],
+    emit: E,
+) -> Csc<S::Elem> {
+    let reserve = crate::emit::reserve(&emit, cols.clone(), fpc, a.nrows());
     CscBuilder::build(
         a.nrows(),
-        b.ncols(),
+        cols.len(),
         reserve,
-        (Tournament::default(), Vec::new(), Vec::new()),
-        |(tournament, rows, vals), j, out| {
+        (Tournament::default(), Vec::new(), Vec::new(), emit),
+        |(tournament, rows, vals, emit), j, out| {
+            let j = cols.start + j;
             let bv = b.col_vals(j);
             let lists = b.col_rows(j).iter().map(|&k| {
                 let k = k as usize;
@@ -54,7 +72,7 @@ pub fn multiply_in<S: Semiring>(_s: S, a: &Csc<S::Elem>, b: &Csc<S::Elem>) -> Cs
                     }
                 },
             );
-            out.push_column(rows, vals);
+            emit.emit(j, rows, vals, out);
         },
     )
 }

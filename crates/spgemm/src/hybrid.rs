@@ -16,7 +16,10 @@
 //! `hipmcl-gpu::select`.
 
 use crate::analysis::MultAnalysis;
+use crate::emit::{Emit, Push};
+use crate::hash::Addressing;
 use hipmcl_sparse::{Csc, PlusTimes, Semiring, Value};
+use std::ops::Range;
 
 /// CPU-side SpGEMM kernels available to the selector.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -61,37 +64,39 @@ impl CpuAlgo {
         self.multiply_in(PlusTimes::new(), a, b)
     }
 
-    /// Runs the kernel and reports the realized compression factor
-    /// `flops / nnz(C)` — the quantity the cost models price the launch
-    /// with. Async executors wrap this to turn a CPU kernel into a timed
-    /// launch without re-deriving `cf`. An empty product with zero flops
-    /// reports 1 (nothing happened, by convention); an empty product with
-    /// `flops > 0` means *every* partial product cancelled — compression
-    /// is effectively infinite, reported as `flops` itself (the largest
-    /// finite value the ratio could have taken at `nnz = 1`) so the value
-    /// stays usable in the rate models' denominators.
-    pub fn multiply_measured<T: Value>(self, a: &Csc<T>, b: &Csc<T>, flops: u64) -> (Csc<T>, f64)
-    where
-        PlusTimes<T>: Semiring<Elem = T>,
-    {
-        self.multiply_measured_in(PlusTimes::new(), a, b, flops)
-    }
-
-    /// [`CpuAlgo::multiply_measured`] in an arbitrary semiring.
-    pub fn multiply_measured_in<S: Semiring>(
+    /// Columns `cols` of `A · B` on the selected kernel, each handed to
+    /// `emit` as it is finished. `fpc` is `flops_per_column(a, b)`.
+    pub fn multiply_cols_in<S: Semiring, E: Emit<S::Elem>>(
         self,
         s: S,
         a: &Csc<S::Elem>,
         b: &Csc<S::Elem>,
-        flops: u64,
-    ) -> (Csc<S::Elem>, f64) {
-        let c = self.multiply_in(s, a, b);
-        let cf = match (c.nnz(), flops) {
-            (0, 0) => 1.0,
-            (0, f) => f as f64,
-            (nnz, f) => f as f64 / nnz as f64,
-        };
-        (c, cf)
+        cols: Range<usize>,
+        fpc: &[u64],
+        emit: E,
+    ) -> Csc<S::Elem> {
+        match self {
+            CpuAlgo::Heap => crate::heap::multiply_cols_in(s, a, b, cols, fpc, emit),
+            CpuAlgo::Hash => crate::hash::multiply_emit(s, a, b, cols, fpc, None, emit),
+            CpuAlgo::Spa => {
+                crate::hash::multiply_emit(s, a, b, cols, fpc, Some(Addressing::Direct), emit)
+            }
+        }
+    }
+}
+
+/// The compression factor `flops / nnz(C)` a multiplication realized — the
+/// quantity the cost models price a launch with. An empty product with
+/// zero flops reports 1 (nothing happened, by convention); an empty product
+/// with `flops > 0` means *every* partial product cancelled — compression
+/// is effectively infinite, reported as `flops` itself (the largest finite
+/// value the ratio could have taken at `nnz = 1`) so the value stays usable
+/// in the rate models' denominators.
+pub fn realized_cf(flops: u64, nnz: usize) -> f64 {
+    match (nnz, flops) {
+        (0, 0) => 1.0,
+        (0, f) => f as f64,
+        (nnz, f) => f as f64 / nnz as f64,
     }
 }
 
@@ -120,7 +125,7 @@ pub fn multiply_auto_in<S: Semiring>(
     b: &Csc<S::Elem>,
 ) -> (Csc<S::Elem>, MultAnalysis, CpuAlgo) {
     let fpc = crate::analysis::flops_per_column(a, b);
-    let c = crate::hash::multiply_with_flops_in(s, a, b, &fpc, usize::MAX, crate::hash::append);
+    let c = crate::hash::multiply_emit(s, a, b, 0..b.ncols(), &fpc, None, Push);
     let analysis = MultAnalysis {
         flops: fpc.iter().sum(),
         nnz_out: c.nnz() as u64,
@@ -160,24 +165,24 @@ mod tests {
     }
 
     #[test]
-    fn multiply_measured_reports_realized_cf() {
+    fn realized_cf_of_a_product() {
         let a = random_csc(18, 18, 120, 5);
-        let flops = crate::analysis::flops(&a, &a);
-        let (c, cf) = CpuAlgo::Hash.multiply_measured(&a, &a, flops);
-        assert!(c.max_abs_diff(&CpuAlgo::Heap.multiply(&a, &a)) < 1e-9);
-        assert!((cf - flops as f64 / c.nnz() as f64).abs() < 1e-12);
+        let fpc = crate::flops_per_column(&a, &a);
+        let flops = fpc.iter().sum();
+        let s = PlusTimes::<f64>::new();
+        for algo in [CpuAlgo::Hash, CpuAlgo::Heap, CpuAlgo::Spa] {
+            let c = algo.multiply_cols_in(s, &a, &a, 0..a.ncols(), &fpc, Push);
+            assert_eq!(c, CpuAlgo::Heap.multiply(&a, &a), "{}", algo.name());
+        }
+        let nnz = CpuAlgo::Hash.multiply(&a, &a).nnz();
+        assert!((realized_cf(flops, nnz) - flops as f64 / nnz as f64).abs() < 1e-12);
         // Empty product with zero flops: cf defaults to 1.
-        let z = Csc::<f64>::zero(4, 4);
-        let (c0, cf0) = CpuAlgo::Heap.multiply_measured(&z, &z, 0);
-        assert_eq!(c0.nnz(), 0);
-        assert_eq!(cf0, 1.0);
+        assert_eq!(realized_cf(0, 0), 1.0);
         // Empty product with positive flops (every partial product
         // cancelled): compression is effectively infinite — reported as
         // the finite stand-in `flops`, never 1.0 (the old bug, which
         // polluted realized-cf stats toward the heap regime).
-        let (c7, cf7) = CpuAlgo::Heap.multiply_measured(&z, &z, 7);
-        assert_eq!(c7.nnz(), 0);
-        assert_eq!(cf7, 7.0);
+        assert_eq!(realized_cf(7, 0), 7.0);
     }
 
     #[test]

@@ -19,9 +19,11 @@
 //!   so memory-hungry on tall operands.
 //!
 //! Every kernel is one pass: it reserves the product's bound `Σ_j
-//! min(flops_j, nrows)` as address space, appends each column as it is
-//! computed (`hipmcl_sparse::CscBuilder`) and trims — nothing is counted
-//! first (DESIGN.md, "Local SpGEMM: the one-pass contract").
+//! min(flops_j, nrows)` as address space, hands each column as it is
+//! computed to an [`emit::Emit`], which appends it to a
+//! `hipmcl_sparse::CscBuilder` or whatever it makes of it, and trims —
+//! nothing is counted first (DESIGN.md, "Local SpGEMM: the one-pass
+//! contract").
 //!
 //! [`symbolic`] computes exact output structure counts (the "exact" memory
 //! estimator), and [`estimate`] implements Cohen's probabilistic `nnz(AB)`
@@ -34,6 +36,7 @@
 //! dense reference and against each other).
 
 pub mod analysis;
+pub mod emit;
 pub mod estimate;
 pub mod hash;
 pub mod heap;

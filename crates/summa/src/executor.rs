@@ -37,6 +37,8 @@ use crate::merge::MergeSpan;
 use hipmcl_comm::{Event, GpuLib, MachineModel, MergeKernel, SpgemmKernel, TimeModel, Timeline};
 use hipmcl_gpu::multi::MultiGpu;
 use hipmcl_sparse::{Csc, Semiring, Value};
+use hipmcl_spgemm::emit::{counted, counters, Counted, Emit, Push};
+use hipmcl_spgemm::hybrid::realized_cf;
 use hipmcl_spgemm::CpuAlgo;
 
 /// How [`ExecutorKind::Hybrid`] chooses the GPU share of each column split.
@@ -163,8 +165,17 @@ pub struct LaunchSpec {
 /// is work, not waiting).
 #[derive(Debug)]
 pub struct KernelLaunch<T: Value = f64> {
-    /// The (real) product `A ⊗ B` in the submitted semiring.
+    /// The (real) product `A ⊗ B` in the submitted semiring — or, when
+    /// [`streamed`](Self::streamed), what the launch's emit made of its
+    /// columns.
     pub c: Csc<T>,
+    /// Whether the product's columns went through the submitted emit as
+    /// the kernel finished them, so that the product itself was never
+    /// built. Only a launch that cannot run out of device memory streams;
+    /// any other materializes its product in `c`.
+    pub streamed: bool,
+    /// Entries of the product.
+    pub nnz: usize,
     /// The kernel that produced it.
     pub kernel: SpgemmKernel,
     /// Virtual time from which the host may issue the next stage's
@@ -264,13 +275,15 @@ enum GpuShare {
 /// use hipmcl_gpu::multi::MultiGpu;
 /// use hipmcl_sparse::PlusTimes;
 /// use hipmcl_summa::executor::{Executor, ExecutorKind, LaunchSpec};
+/// use hipmcl_spgemm::emit::Push;
 /// use hipmcl_spgemm::testutil::random_csc;
 ///
 /// let model = MachineModel::summit();
 /// let a = random_csc(20, 20, 120, 7);
+/// let fpc = hipmcl_spgemm::flops_per_column(&a, &a);
 /// let spec = LaunchSpec {
 ///     kernel: SpgemmKernel::CpuHash,
-///     flops: hipmcl_spgemm::flops(&a, &a),
+///     flops: fpc.iter().sum(),
 ///     cf_est: 1.0,
 ///     time: TimeModel::Modeled,
 /// };
@@ -278,13 +291,13 @@ enum GpuShare {
 /// let mut gpus = MultiGpu::summit_node(&model);
 /// let mut pool = Executor::new(ExecutorKind::CpuPool, &mut gpus, &model);
 /// let pt = PlusTimes::<f64>::new();
-/// let l1 = pool.submit(pt, 0.0, &a, &a, spec);
+/// let l1 = pool.submit(pt, 0.0, &a, &a, &fpc, spec, Push);
 /// assert_eq!(l1.inputs_ready_at, 0.0, "handoff is free for the host");
 ///
 /// // Ready 1 s after the first launch completed: each of the pool's
 /// // lanes (one per socket) sat idle in between, and the gaps are
 /// // exactly what `device_idle` reports.
-/// let l2 = pool.submit(pt, l1.output_ready_at + 1.0, &a, &a, spec);
+/// let l2 = pool.submit(pt, l1.output_ready_at + 1.0, &a, &a, &fpc, spec, Push);
 /// assert!(l2.output_ready_at > l1.output_ready_at);
 /// assert!((pool.device_idle() - model.sockets as f64).abs() < 1e-9);
 /// ```
@@ -339,21 +352,37 @@ impl<'g> Executor<'g> {
     }
 
     /// Submits `C = A ⊗ B` in semiring `s` as described by `spec`,
-    /// starting at host virtual time `host_now`. Never advances a rank
-    /// clock — the scheduler decides what to wait on.
-    pub fn submit<S: Semiring>(
+    /// starting at host virtual time `host_now`, with each column of the
+    /// product handed to `emit` as the kernel finishes it ([`Push`] builds
+    /// the product). `fpc` is `flops_per_column(a, b)`, counted once per
+    /// launch by the scheduler. Never advances a rank clock — the
+    /// scheduler decides what to wait on.
+    ///
+    /// What the modeled bookkeeping reads of the product — device slab
+    /// sizes, `cf`, transfer bytes — is its column counts, so a streamed
+    /// launch is charged exactly as a materialized one. A GPU launch
+    /// streams only if no device can run out of memory
+    /// ([`MultiGpu::fits`]): the out-of-memory fallback recomputes the
+    /// product on the host hash kernel, whose sums may round differently
+    /// from the library's, after columns would already have gone. Any
+    /// other launch that would stream builds its product instead
+    /// ([`KernelLaunch::streamed`]).
+    #[allow(clippy::too_many_arguments)]
+    pub fn submit<S: Semiring, E: Emit<S::Elem>>(
         &mut self,
         s: S,
         host_now: f64,
         a: &Csc<S::Elem>,
         b: &Csc<S::Elem>,
+        fpc: &[u64],
         spec: LaunchSpec,
+        emit: E,
     ) -> KernelLaunch<S::Elem> {
         let w0 = spec.time.is_measured().then(std::time::Instant::now);
         let (mut launch, gpu_share) = match spec.kernel {
-            SpgemmKernel::Gpu(lib) => self.submit_gpu(s, host_now, a, b, lib, &spec),
+            SpgemmKernel::Gpu(lib) => self.submit_gpu(s, host_now, a, b, fpc, lib, &spec, emit),
             cpu_kernel => (
-                self.submit_cpu(s, host_now, a, b, cpu_kernel, spec.flops),
+                self.submit_cpu(s, host_now, a, b, fpc, cpu_kernel, spec.flops, emit),
                 0.0,
             ),
         };
@@ -370,16 +399,23 @@ impl<'g> Executor<'g> {
     /// an executor without a pool — inline on the host, which is busy (not
     /// idle) for the whole duration and cannot issue the next broadcast
     /// meanwhile.
-    fn submit_cpu<S: Semiring>(
+    #[allow(clippy::too_many_arguments)]
+    fn submit_cpu<S: Semiring, E: Emit<S::Elem>>(
         &mut self,
         s: S,
         host_now: f64,
         a: &Csc<S::Elem>,
         b: &Csc<S::Elem>,
+        fpc: &[u64],
         kernel: SpgemmKernel,
         flops: u64,
+        emit: E,
     ) -> KernelLaunch<S::Elem> {
-        let (c, cf) = cpu_algo(kernel).multiply_measured_in(s, a, b, flops);
+        let (n, counts) = (b.ncols(), counters(b.ncols()));
+        let emit = Counted::new(emit, &counts);
+        let c = cpu_algo(kernel).multiply_cols_in(s, a, b, 0..n, fpc, emit);
+        let nnz = counted(&counts, 0..n);
+        let cf = realized_cf(flops, nnz);
         let dur = self.model.spgemm_time(kernel, flops, cf);
         let (inputs_ready_at, output_ready_at, host_compute) = if self.pooled {
             (host_now, self.node_job(host_now, dur).at, 0.0)
@@ -388,6 +424,8 @@ impl<'g> Executor<'g> {
         };
         KernelLaunch {
             c,
+            streamed: !E::PUSH,
+            nnz,
             kernel,
             inputs_ready_at,
             output_ready_at,
@@ -404,14 +442,17 @@ impl<'g> Executor<'g> {
     /// trailing slab — if any — as a hash-kernel job on the worker lanes,
     /// the output a trivial `hcat`. Returns the launch and the share of
     /// `B`'s columns the devices really took.
-    fn submit_gpu<S: Semiring>(
+    #[allow(clippy::too_many_arguments)]
+    fn submit_gpu<S: Semiring, E: Emit<S::Elem>>(
         &mut self,
         s: S,
         host_now: f64,
         a: &Csc<S::Elem>,
         b: &Csc<S::Elem>,
+        fpc: &[u64],
         lib: GpuLib,
         spec: &LaunchSpec,
+        emit: E,
     ) -> (KernelLaunch<S::Elem>, f64) {
         let n = b.ncols();
         let gcols = match self.share {
@@ -422,12 +463,10 @@ impl<'g> Executor<'g> {
             }
             _ => 0,
         };
-        let on_cpu = |exec: &mut Self| {
-            let hash = SpgemmKernel::CpuHash;
-            (exec.submit_cpu(s, host_now, a, b, hash, spec.flops), 0.0)
-        };
+        let hash = SpgemmKernel::CpuHash;
         if gcols == 0 {
-            return on_cpu(self);
+            let launch = self.submit_cpu(s, host_now, a, b, fpc, hash, spec.flops, emit);
+            return (launch, 0.0);
         }
 
         let b_lead;
@@ -437,7 +476,32 @@ impl<'g> Executor<'g> {
         } else {
             b
         };
-        let r = match self.gpus.multiply_in(s, host_now, a, b_gpu, lib) {
+        if !E::PUSH && !self.gpus.fits(a, b_gpu, &fpc[..gcols]) {
+            return self.launch_gpu(s, host_now, a, b, b_gpu, fpc, lib, spec, Push);
+        }
+        self.launch_gpu(s, host_now, a, b, b_gpu, fpc, lib, spec, emit)
+    }
+
+    /// [`submit_gpu`](Self::submit_gpu) once the devices' columns, those
+    /// of `b_gpu`, are settled.
+    #[allow(clippy::too_many_arguments)]
+    fn launch_gpu<S: Semiring, E: Emit<S::Elem>>(
+        &mut self,
+        s: S,
+        host_now: f64,
+        a: &Csc<S::Elem>,
+        b: &Csc<S::Elem>,
+        b_gpu: &Csc<S::Elem>,
+        fpc: &[u64],
+        lib: GpuLib,
+        spec: &LaunchSpec,
+        emit: E,
+    ) -> (KernelLaunch<S::Elem>, f64) {
+        let (n, gcols, hash) = (b.ncols(), b_gpu.ncols(), SpgemmKernel::CpuHash);
+        let launched = self
+            .gpus
+            .launch_in(s, host_now, a, b_gpu, &fpc[..gcols], lib, emit.clone());
+        let r = match launched {
             Ok(r) => r,
             // The devices cannot take this phase (out of memory): a busy
             // or undersized engine degrades the launch to the host hash
@@ -445,18 +509,22 @@ impl<'g> Executor<'g> {
             // charges the CPU duration, so the slowdown shows up in
             // reports rather than vanishing, and the share reported is
             // the fallback's 0, not the intent, which keeps the adaptive
-            // fraction honest.
+            // fraction honest. (Only a launch that builds its product
+            // gets here: one that streams fits its devices.)
             Err(e) => {
                 eprintln!(
                     "gpu launch degraded to CpuHash: {e} (increase phases or use a CPU \
                      policy to avoid the fallback)"
                 );
-                return on_cpu(self);
+                let launch = self.submit_cpu(s, host_now, a, b, fpc, hash, spec.flops, emit);
+                return (launch, 0.0);
             }
         };
 
         let mut launch = KernelLaunch {
             c: r.c,
+            streamed: !E::PUSH,
+            nnz: r.nnz,
             kernel: spec.kernel,
             inputs_ready_at: r.inputs_transferred_at,
             output_ready_at: r.output_ready_at,
@@ -467,12 +535,12 @@ impl<'g> Executor<'g> {
             measured_s: 0.0,
         };
         if gcols < n {
-            let b_cpu = b.column_slice(gcols..n);
-            let flops_cpu = hipmcl_spgemm::flops(a, &b_cpu);
-            let (c_cpu, cf_cpu) = CpuAlgo::Hash.multiply_measured_in(s, a, &b_cpu, flops_cpu);
-            let dur = self
-                .model
-                .spgemm_time(SpgemmKernel::CpuHash, flops_cpu, cf_cpu);
+            let counts = counters(n);
+            let emit = Counted::new(emit, &counts);
+            let c_cpu = CpuAlgo::Hash.multiply_cols_in(s, a, b, gcols..n, fpc, emit);
+            let (flops_cpu, nnz_cpu) = (fpc[gcols..].iter().sum(), counted(&counts, gcols..n));
+            let cf_cpu = realized_cf(flops_cpu, nnz_cpu);
+            let dur = self.model.spgemm_time(hash, flops_cpu, cf_cpu);
             let done = self.node_job(host_now, dur);
             // Online feedback: the two sides' finish latencies from this
             // submission instant are exactly the imbalance the adaptive
@@ -483,11 +551,11 @@ impl<'g> Executor<'g> {
             launch.output_ready_at = r.output_ready_at.max(done.at);
             launch.kernel_time = launch.output_ready_at - r.inputs_transferred_at;
             launch.flops += flops_cpu;
-            let nnz = launch.c.nnz() + c_cpu.nnz();
-            launch.cf = if nnz == 0 {
+            launch.nnz += nnz_cpu;
+            launch.cf = if launch.nnz == 0 {
                 1.0
             } else {
-                launch.flops as f64 / nnz as f64
+                launch.flops as f64 / launch.nnz as f64
             };
             launch.c = Csc::hcat(&[launch.c, c_cpu]);
         }
@@ -716,7 +784,7 @@ impl SplitController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hipmcl_sparse::PlusTimes;
+    use hipmcl_sparse::{CscBuilder, Idx, PlusTimes};
     use hipmcl_spgemm::testutil::random_csc;
     use proptest::prelude::*;
 
@@ -732,10 +800,14 @@ mod tests {
         hipmcl_spgemm::hash::multiply(a, a)
     }
 
+    fn fpc(a: &Csc<f64>) -> Vec<u64> {
+        hipmcl_spgemm::flops_per_column(a, a)
+    }
+
     fn spec_for(a: &Csc<f64>, kernel: SpgemmKernel) -> LaunchSpec {
         LaunchSpec {
             kernel,
-            flops: hipmcl_spgemm::flops(a, a),
+            flops: fpc(a).iter().sum(),
             cf_est: 1.0,
             time: TimeModel::Modeled,
         }
@@ -752,7 +824,7 @@ mod tests {
         let (m, a) = (model(), random_csc(30, 30, 260, 41));
         let mut gpus = MultiGpu::new(model(), 2, 1 << 30);
         let mut exec = Executor::new(ExecutorKind::Gpus, &mut gpus, &m);
-        let l = exec.submit(pt(), 1.0, &a, &a, spec_for(&a, NSPARSE));
+        let l = exec.submit(pt(), 1.0, &a, &a, &fpc(&a), spec_for(&a, NSPARSE), Push);
         assert!(l.c.max_abs_diff(&want(&a)) < 1e-9);
         assert!(l.inputs_ready_at > 1.0);
         assert!(
@@ -772,7 +844,15 @@ mod tests {
         let (m, a) = (model(), random_csc(30, 30, 260, 42));
         let mut gpus = MultiGpu::new(model(), 2, 1 << 30);
         let mut exec = Executor::new(ExecutorKind::Gpus, &mut gpus, &m);
-        let l = exec.submit(pt(), 1.0, &a, &a, spec_for(&a, SpgemmKernel::CpuHash));
+        let l = exec.submit(
+            pt(),
+            1.0,
+            &a,
+            &a,
+            &fpc(&a),
+            spec_for(&a, SpgemmKernel::CpuHash),
+            Push,
+        );
         assert!(l.c.max_abs_diff(&want(&a)) < 1e-9);
         assert_eq!(
             l.inputs_ready_at, l.output_ready_at,
@@ -789,7 +869,7 @@ mod tests {
         // Devices far too small for the operands: every launch OOMs.
         let mut gpus = MultiGpu::new(model(), 2, 64);
         let mut exec = Executor::new(ExecutorKind::Gpus, &mut gpus, &m);
-        let l = exec.submit(pt(), 1.0, &a, &a, spec_for(&a, NSPARSE));
+        let l = exec.submit(pt(), 1.0, &a, &a, &fpc(&a), spec_for(&a, NSPARSE), Push);
         assert!(l.c.max_abs_diff(&want(&a)) < 1e-9, "result still correct");
         assert_eq!(
             l.kernel,
@@ -805,7 +885,7 @@ mod tests {
         let (m, a) = (model(), random_csc(30, 30, 260, 46));
         let mut gpus = MultiGpu::new(model(), 2, 64);
         let mut h = Executor::new(hybrid(SplitPolicy::Fixed(0.5)), &mut gpus, &m);
-        let l = h.submit(pt(), 1.0, &a, &a, spec_for(&a, NSPARSE));
+        let l = h.submit(pt(), 1.0, &a, &a, &fpc(&a), spec_for(&a, NSPARSE), Push);
         assert!(l.c.max_abs_diff(&want(&a)) < 1e-9, "result still correct");
         assert_eq!(l.kernel, SpgemmKernel::CpuHash);
         assert_eq!(l.inputs_ready_at, 1.0, "queued on the pool, not inline");
@@ -816,6 +896,69 @@ mod tests {
         );
     }
 
+    /// Keeps the first entry of every column.
+    #[derive(Clone)]
+    struct First;
+
+    impl Emit<f64> for First {
+        fn room(&self, _: usize, bound: usize) -> usize {
+            bound.min(1)
+        }
+        fn emit(&mut self, _: usize, rows: &[Idx], vals: &[f64], out: &mut CscBuilder<f64>) {
+            let n = rows.len().min(1);
+            out.push_column(&rows[..n], &vals[..n]);
+        }
+    }
+
+    #[test]
+    fn a_launch_streams_only_where_no_device_can_run_out_of_memory() {
+        let (m, a) = (model(), random_csc(30, 30, 260, 51));
+        let (product, fpc) = (want(&a), fpc(&a));
+        fn first(c: &Csc<f64>) -> impl Iterator<Item = Option<Idx>> + '_ {
+            (0..c.ncols()).map(|j| c.col_rows(j).first().copied())
+        }
+        // Devices that hold every launch, the product but not its bound,
+        // and nothing.
+        let one = |ncols: usize, nnz: usize| (ncols + 1) * 8 + nnz * 12;
+        let bound = fpc.iter().map(|&f| (f as usize).min(30)).sum();
+        let (fits, tight) = (
+            2 * a.bytes() + one(30, bound),
+            2 * a.bytes() + one(30, product.nnz()),
+        );
+        assert!(tight < fits);
+        for (kernel, mem, streams) in [
+            (NSPARSE, fits, true),
+            (NSPARSE, tight, false),
+            (NSPARSE, 64, false),
+            (SpgemmKernel::CpuHeap, 64, true),
+        ] {
+            let launch = |emit: bool| {
+                let mut gpus = MultiGpu::new(model(), 1, mem);
+                let mut exec = Executor::new(ExecutorKind::Gpus, &mut gpus, &m);
+                let spec = spec_for(&a, kernel);
+                match emit {
+                    true => exec.submit(pt(), 1.0, &a, &a, &fpc, spec, First),
+                    false => exec.submit(pt(), 1.0, &a, &a, &fpc, spec, Push),
+                }
+            };
+            let (got, built) = (launch(true), launch(false));
+            assert_eq!(got.streamed, streams, "{kernel:?} on {mem} B");
+            assert_eq!(built.c, product);
+            assert!(first(&got.c).eq(first(&product)), "{kernel:?} on {mem} B");
+            let kept = match streams {
+                true => first(&product).flatten().count(),
+                false => product.nnz(),
+            };
+            assert_eq!(got.c.nnz(), kept, "{kernel:?} on {mem} B");
+            // Charged as if built: same nnz, cf, label and instants.
+            let charged = |l: &KernelLaunch| {
+                let t = [l.cf, l.inputs_ready_at, l.output_ready_at, l.kernel_time];
+                (l.nnz, l.kernel, t.map(f64::to_bits))
+            };
+            assert_eq!(charged(&got), charged(&built), "{kernel:?} on {mem} B");
+        }
+    }
+
     #[test]
     fn cpu_pool_launches_are_async_and_fifo() {
         let (m, a) = (model(), random_csc(30, 30, 260, 43));
@@ -823,7 +966,15 @@ mod tests {
         let mut pool = Executor::new(ExecutorKind::CpuPool, &mut gpus, &m);
         assert_eq!(pool.lanes.len(), m.sockets, "one lane per socket");
         assert_eq!(pool.gpus_available(), 0, "selection stays CPU-only");
-        let l1 = pool.submit(pt(), 1.0, &a, &a, spec_for(&a, SpgemmKernel::CpuHash));
+        let l1 = pool.submit(
+            pt(),
+            1.0,
+            &a,
+            &a,
+            &fpc(&a),
+            spec_for(&a, SpgemmKernel::CpuHash),
+            Push,
+        );
         assert!(l1.c.max_abs_diff(&want(&a)) < 1e-9);
         assert_eq!(
             l1.inputs_ready_at, 1.0,
@@ -832,7 +983,15 @@ mod tests {
         assert!(l1.output_ready_at > 1.0);
         assert_eq!(l1.host_compute, 0.0);
         // Second job ready immediately queues behind the first.
-        let l2 = pool.submit(pt(), 1.0, &a, &a, spec_for(&a, SpgemmKernel::CpuHeap));
+        let l2 = pool.submit(
+            pt(),
+            1.0,
+            &a,
+            &a,
+            &fpc(&a),
+            spec_for(&a, SpgemmKernel::CpuHeap),
+            Push,
+        );
         assert!(l2.output_ready_at > l1.output_ready_at);
         assert!(
             pool.lanes.iter().all(|lane| lane.jobs() == 2),
@@ -846,7 +1005,7 @@ mod tests {
         let (m, a) = (model(), random_csc(20, 20, 120, 44));
         let mut gpus = MultiGpu::new(model(), 2, 1 << 30);
         let mut pool = Executor::new(ExecutorKind::CpuPool, &mut gpus, &m);
-        let l = pool.submit(pt(), 0.0, &a, &a, spec_for(&a, NSPARSE));
+        let l = pool.submit(pt(), 0.0, &a, &a, &fpc(&a), spec_for(&a, NSPARSE), Push);
         assert_eq!(l.kernel, SpgemmKernel::CpuHash);
         assert!(l.c.max_abs_diff(&want(&a)) < 1e-9);
     }
@@ -867,7 +1026,7 @@ mod tests {
         for policy in policies {
             let mut gpus = MultiGpu::new(model(), 3, 1 << 30);
             let mut h = Executor::new(hybrid(policy), &mut gpus, &m);
-            let l = h.submit(pt(), 0.0, &a, &a, spec_for(&a, NSPARSE));
+            let l = h.submit(pt(), 0.0, &a, &a, &fpc(&a), spec_for(&a, NSPARSE), Push);
             assert!(l.c.max_abs_diff(&w) < 1e-9, "{policy:?}");
             assert_eq!(l.c.nnz(), w.nnz(), "{policy:?}");
             assert_eq!(l.flops, spec_for(&a, NSPARSE).flops, "{policy:?}");
@@ -883,7 +1042,15 @@ mod tests {
         let (m, a) = (model(), random_csc(25, 25, 180, 46));
         let mut gpus = MultiGpu::new(model(), 2, 1 << 30);
         let mut h = Executor::new(hybrid(SplitPolicy::Fixed(0.85)), &mut gpus, &m);
-        let l = h.submit(pt(), 2.0, &a, &a, spec_for(&a, SpgemmKernel::CpuHeap));
+        let l = h.submit(
+            pt(),
+            2.0,
+            &a,
+            &a,
+            &fpc(&a),
+            spec_for(&a, SpgemmKernel::CpuHeap),
+            Push,
+        );
         assert!(l.c.max_abs_diff(&want(&a)) < 1e-9);
         assert_eq!(
             l.inputs_ready_at, 2.0,
@@ -898,13 +1065,8 @@ mod tests {
         let (m, a) = (model(), random_csc(20, 20, 140, 47));
         let mut gpus = MultiGpu::new(model(), 0, 1 << 30);
         let mut h = Executor::new(hybrid(SplitPolicy::Adaptive), &mut gpus, &m);
-        let l = h.submit(
-            pt(),
-            0.0,
-            &a,
-            &a,
-            spec_for(&a, SpgemmKernel::Gpu(GpuLib::Rmerge2)),
-        );
+        let spec = spec_for(&a, SpgemmKernel::Gpu(GpuLib::Rmerge2));
+        let l = h.submit(pt(), 0.0, &a, &a, &fpc(&a), spec, Push);
         assert!(l.c.max_abs_diff(&want(&a)) < 1e-9);
         assert_eq!(l.kernel, SpgemmKernel::CpuHash);
     }
@@ -964,7 +1126,7 @@ mod tests {
         let mut gaps = Vec::new();
         let mut now = 0.0;
         for _ in 0..12 {
-            let l = h.submit(pt(), now, &a, &a, spec);
+            let l = h.submit(pt(), now, &a, &a, &fpc(&a), spec, Push);
             now = l.output_ready_at;
             let gpu_done = h
                 .gpus
@@ -1151,7 +1313,15 @@ mod tests {
         let a = random_csc(30, 30, 260, 50);
         let mut gpus = MultiGpu::new(model(), 2, 1 << 30);
         let mut pool = Executor::new(ExecutorKind::CpuPool, &mut gpus, &m);
-        let k = pool.submit(pt(), 0.0, &a, &a, spec_for(&a, SpgemmKernel::CpuHash));
+        let k = pool.submit(
+            pt(),
+            0.0,
+            &a,
+            &a,
+            &fpc(&a),
+            spec_for(&a, SpgemmKernel::CpuHash),
+            Push,
+        );
         // The whole-node kernel holds every lane; a merge ready at 0 can
         // only start once a lane frees up.
         let t = merge_task(MergeKernel::Pairwise, vec![(1000, None), (1000, None)]);
@@ -1183,8 +1353,8 @@ mod tests {
         let spec = spec_for(&a, SpgemmKernel::CpuHash);
         let mut gpus = MultiGpu::new(model(), 2, 1 << 30);
         let mut pool = Executor::new(ExecutorKind::CpuPool, &mut gpus, &m);
-        pool.submit(pt(), 0.0, &a, &a, spec);
-        pool.submit(pt(), 1e9, &a, &a, spec);
+        pool.submit(pt(), 0.0, &a, &a, &fpc(&a), spec, Push);
+        pool.submit(pt(), 1e9, &a, &a, &fpc(&a), spec, Push);
         assert!(pool.device_idle() > 0.0);
         pool.reset_timelines();
         assert_eq!(pool.device_idle(), 0.0);

@@ -63,7 +63,11 @@
 //! column, and the result is the merged slab. The pipeline passes a
 //! phase's closing merge through its caller's sink instead, and the
 //! distributed prune's sink keeps only what the prune reads, so that slab
-//! never exists.
+//! never exists. A kernel's columns reach a merge as views, so one input
+//! can be the column a kernel just finished: the merge that takes a
+//! phase's last stage product is that kernel's emit (`MergeEmit`), and the
+//! product is never built either. Its lane task is still submitted where a
+//! built product's merge would be, from the product's column counts.
 //!
 //! Virtual-time accounting does **not** live here: a merge is an
 //! [`Executor`](crate::executor::Executor) task, submitted by the pipeline
@@ -75,6 +79,7 @@
 use hipmcl_comm::{MachineModel, MergeKernel};
 use hipmcl_sparse::util::Tournament;
 use hipmcl_sparse::{Csc, CscBuilder, Idx, PlusTimes, Semiring, Value};
+use hipmcl_spgemm::emit::Emit;
 use std::sync::Mutex;
 
 /// Which merging schedule a SUMMA run uses.
@@ -285,7 +290,10 @@ pub fn merge_with<S: Semiring>(
             assert_eq!((one.nrows(), one.ncols()), shape, "merge shape mismatch");
             one.clone()
         }
-        _ => merge_into(s, kernel, mats, shape, &Whole).cols,
+        _ => {
+            let mats: Vec<&Csc<S::Elem>> = mats.iter().collect();
+            merge_into(s, kernel, &mats, shape, &Whole).cols
+        }
     }
 }
 
@@ -295,7 +303,7 @@ pub fn merge_with<S: Semiring>(
 pub(crate) fn merge_into<S: Semiring, K: ColumnSink<S::Elem>>(
     _: S,
     kernel: MergeKernel,
-    mats: &[Csc<S::Elem>],
+    mats: &[&Csc<S::Elem>],
     shape: (usize, usize),
     sink: &K,
 ) -> Packed<S::Elem, K::Tally> {
@@ -306,9 +314,80 @@ pub(crate) fn merge_into<S: Semiring, K: ColumnSink<S::Elem>>(
     let bounds = (0..shape.1).map(|j| mats.iter().map(|m| m.col_nnz(j)).sum());
     let scratch = ColumnScratch::default();
     sink_columns(shape.0, shape.1, bounds, sink, scratch, |w, j, emit| {
-        let n = merge_column::<S>(kernel, mats, j, w);
+        let n = merge_views::<S>(kernel, mats, j, None, shape.0, w);
         emit(&w.rows[..n], &w.vals[..n])
     })
+}
+
+/// The merge that takes a kernel's product column by column: each column
+/// the kernel finishes is merged with column `j` of `inputs`, as the last
+/// list, and what `sink` keeps of the result goes to the kernel's output,
+/// with its tally in `tally[j]` — so the product is never built. With no
+/// inputs the column goes to the sink as it is. The pipeline hands the
+/// phase's last stage launch one of these ([`Emit`]), and the result is
+/// bit-identical to merging the built product: a merged column depends on
+/// its inputs' columns alone.
+pub(crate) struct MergeEmit<'a, S: Semiring, K: ColumnSink<S::Elem>> {
+    kernel: MergeKernel,
+    inputs: Vec<&'a Csc<S::Elem>>,
+    nrows: usize,
+    sink: &'a K,
+    tally: &'a Mutex<Vec<K::Tally>>,
+    scratch: ColumnScratch<S::Elem>,
+    spare: Vec<S::Elem>,
+}
+
+impl<'a, S: Semiring, K: ColumnSink<S::Elem>> MergeEmit<'a, S, K> {
+    /// Merges with `kernel` into `sink`, its tallies in `tally`, one per
+    /// column of a product of `nrows` rows.
+    pub(crate) fn new(
+        kernel: MergeKernel,
+        inputs: Vec<&'a Csc<S::Elem>>,
+        nrows: usize,
+        sink: &'a K,
+        tally: &'a Mutex<Vec<K::Tally>>,
+    ) -> Self {
+        Self {
+            kernel,
+            inputs,
+            nrows,
+            sink,
+            tally,
+            scratch: ColumnScratch::default(),
+            spare: Vec::new(),
+        }
+    }
+}
+
+impl<S: Semiring, K: ColumnSink<S::Elem>> Clone for MergeEmit<'_, S, K> {
+    fn clone(&self) -> Self {
+        Self::new(
+            self.kernel,
+            self.inputs.clone(),
+            self.nrows,
+            self.sink,
+            self.tally,
+        )
+    }
+}
+
+impl<S: Semiring, K: ColumnSink<S::Elem>> Emit<S::Elem> for MergeEmit<'_, S, K> {
+    fn room(&self, j: usize, bound: usize) -> usize {
+        let inputs: usize = self.inputs.iter().map(|m| m.col_nnz(j)).sum();
+        self.sink.room(bound + inputs)
+    }
+
+    fn emit(&mut self, j: usize, rows: &[Idx], vals: &[S::Elem], out: &mut CscBuilder<S::Elem>) {
+        let tally = if self.inputs.is_empty() {
+            self.sink.pack(rows, vals, &mut self.spare, out)
+        } else {
+            let (w, last) = (&mut self.scratch, Some((rows, vals)));
+            let n = merge_views::<S>(self.kernel, &self.inputs, j, last, self.nrows, w);
+            self.sink
+                .pack(&w.rows[..n], &w.vals[..n], &mut self.spare, out)
+        };
+        self.tally.lock().expect("nothing panics under the lock")[j] = tally;
+    }
 }
 
 /// Builds an `nrows × ncols` matrix of what `sink` keeps of each column
@@ -350,16 +429,24 @@ pub fn kway_merge(mats: &[Csc<f64>], shape: (usize, usize)) -> Csc<f64> {
 
 /// One worker's buffers for merging one column at a time, whatever the
 /// kernel: the column being assembled, pairwise's second buffer, the heap's
-/// tournament, the SpAdd accumulator and the k-cursor merge's cursors.
+/// tournament, the SpAdd accumulator and the k-cursor merge's positions and
+/// head rows.
 #[derive(Clone, Default)]
-struct ColumnScratch<'m, T: Value> {
+struct ColumnScratch<T: Value> {
     rows: Vec<Idx>,
     vals: Vec<T>,
     spare: (Vec<Idx>, Vec<T>),
     tournament: Tournament,
     spa: SpaScratch<T>,
-    cursors: Cursors<'m, T>,
+    cursors: (Vec<usize>, Vec<Idx>),
 }
+
+/// One input column of a merge: its rows and their values.
+type View<'a, T> = (&'a [Idx], &'a [T]);
+
+/// Most inputs a merge collects the column views of on the stack; a wider
+/// merge (a grid side beyond it) collects them into a vector per column.
+const STACK_FAN_IN: usize = 16;
 
 /// Grows `rows` and `vals` to at least `n` entries (never shrinks).
 fn grow<T: Value>(rows: &mut Vec<Idx>, vals: &mut Vec<T>, n: usize) {
@@ -369,30 +456,53 @@ fn grow<T: Value>(rows: &mut Vec<Idx>, vals: &mut Vec<T>, n: usize) {
     }
 }
 
-/// Merges column `j` of `mats` (fan-in ≥ 2) with `kernel` into
-/// `w.rows`/`w.vals` and returns how many entries it has.
-fn merge_column<'m, S: Semiring>(
+/// Merges column `j` of `mats`, then `last` if given, as the lists of one
+/// merge (fan-in ≥ 2) of `nrows`-row columns with `kernel` into
+/// `w.rows`/`w.vals`, and returns how many entries it has.
+fn merge_views<S: Semiring>(
     kernel: MergeKernel,
-    mats: &'m [Csc<S::Elem>],
+    mats: &[&Csc<S::Elem>],
     j: usize,
-    w: &mut ColumnScratch<'m, S::Elem>,
+    last: Option<View<'_, S::Elem>>,
+    nrows: usize,
+    w: &mut ColumnScratch<S::Elem>,
 ) -> usize {
-    let ub: usize = mats.iter().map(|m| m.col_nnz(j)).sum();
+    let ways = mats.len() + usize::from(last.is_some());
+    let views = mats
+        .iter()
+        .map(|m| (m.col_rows(j), m.col_vals(j)))
+        .chain(last);
+    if ways <= STACK_FAN_IN {
+        let mut held: [View<S::Elem>; STACK_FAN_IN] = [(&[], &[]); STACK_FAN_IN];
+        held.iter_mut().zip(views).for_each(|(slot, v)| *slot = v);
+        merge_column::<S>(kernel, &held[..ways], nrows, w)
+    } else {
+        merge_column::<S>(kernel, &views.collect::<Vec<_>>(), nrows, w)
+    }
+}
+
+/// Merges the columns `cols` (fan-in ≥ 2) of `nrows` rows with `kernel`
+/// into `w.rows`/`w.vals` and returns how many entries the result has.
+fn merge_column<S: Semiring>(
+    kernel: MergeKernel,
+    cols: &[View<'_, S::Elem>],
+    nrows: usize,
+    w: &mut ColumnScratch<S::Elem>,
+) -> usize {
+    let ub: usize = cols.iter().map(|c| c.0.len()).sum();
     match kernel {
-        MergeKernel::Heap => heap_column::<S>(mats, j, &mut w.tournament, &mut w.rows, &mut w.vals),
-        MergeKernel::Hash => hash_column::<S>(mats, j, &mut w.rows, &mut w.vals),
+        MergeKernel::Heap => heap_column::<S>(cols, &mut w.tournament, &mut w.rows, &mut w.vals),
+        MergeKernel::Hash => hash_column::<S>(cols, &mut w.rows, &mut w.vals),
         // The left fold keeps the accumulation order identical to the
         // heap's list-order tie-breaking: after i folds the accumulator
         // holds `v_0 ⊕ v_1 ⊕ … ⊕ v_i` exactly as the heap combines it.
         MergeKernel::Pairwise => {
-            let col = |m: &'m Csc<S::Elem>| (m.col_rows(j), m.col_vals(j));
             grow(&mut w.rows, &mut w.vals, ub);
-            let mut n =
-                merge_two_cursors::<S>(col(&mats[0]), col(&mats[1]), &mut w.rows, &mut w.vals);
-            for m in &mats[2..] {
+            let mut n = merge_two_cursors::<S>(cols[0], cols[1], &mut w.rows, &mut w.vals);
+            for &col in &cols[2..] {
                 let (rows, vals) = &mut w.spare;
                 grow(rows, vals, ub);
-                n = merge_two_cursors::<S>((&w.rows[..n], &w.vals[..n]), col(m), rows, vals);
+                n = merge_two_cursors::<S>((&w.rows[..n], &w.vals[..n]), col, rows, vals);
                 std::mem::swap(&mut w.rows, rows);
                 std::mem::swap(&mut w.vals, vals);
             }
@@ -401,23 +511,22 @@ fn merge_column<'m, S: Semiring>(
         MergeKernel::BrMerge => {
             grow(&mut w.rows, &mut w.vals, ub);
             let (rows, vals) = (&mut w.rows[..ub], &mut w.vals[..ub]);
-            brmerge_column::<S>(mats, j, &mut w.cursors, rows, vals)
+            brmerge_column::<S>(cols, nrows, &mut w.cursors, rows, vals)
         }
         MergeKernel::SpAdd => {
             grow(&mut w.rows, &mut w.vals, ub);
-            w.spa.ensure_rows(mats[0].nrows());
+            w.spa.ensure_rows(nrows);
             let (rows, vals) = (&mut w.rows[..ub], &mut w.vals[..ub]);
-            spadd_column::<S>(mats, j, &mut w.spa, rows, vals)
+            spadd_column::<S>(cols, &mut w.spa, rows, vals)
         }
     }
 }
 
-/// Merges column `j` across all matrices in ascending `(row, list)` order
-/// into `rows`/`vals` and returns its length, with `tournament` over the
-/// lists' heads.
+/// Merges the columns `cols` in ascending `(row, list)` order into
+/// `rows`/`vals` and returns its length, with `tournament` over the lists'
+/// heads.
 fn heap_column<S: Semiring>(
-    mats: &[Csc<S::Elem>],
-    j: usize,
+    cols: &[View<'_, S::Elem>],
     tournament: &mut Tournament,
     rows: &mut Vec<Idx>,
     vals: &mut Vec<S::Elem>,
@@ -433,10 +542,10 @@ fn heap_column<S: Semiring>(
     rows.clear();
     vals.clear();
     tournament.merge(
-        mats.iter().map(|m| (m.colptr[j], m.colptr[j + 1])),
-        |l, pos| mats[l].rowidx[pos],
+        cols.iter().map(|c| (0, c.0.len())),
+        |l, pos| cols[l].0[pos],
         |r, l, pos| {
-            let v = mats[l].vals[pos];
+            let v = cols[l].1[pos];
             if rows.last() == Some(&r) {
                 let acc = vals.last_mut().expect("rows and vals grow together");
                 *acc = S::add(*acc, v);
@@ -451,21 +560,20 @@ fn heap_column<S: Semiring>(
     rows.len()
 }
 
-/// Hash-accumulates column `j` across all matrices, strictly in list
-/// order, then sorts by row and drops annihilator entries, into
-/// `rows`/`vals`; returns the column's length.
+/// Hash-accumulates the columns `cols`, strictly in list order, then sorts
+/// by row and drops annihilator entries, into `rows`/`vals`; returns the
+/// merged column's length.
 fn hash_column<S: Semiring>(
-    mats: &[Csc<S::Elem>],
-    j: usize,
+    cols: &[View<'_, S::Elem>],
     rows: &mut Vec<Idx>,
     vals: &mut Vec<S::Elem>,
 ) -> usize {
     use std::collections::HashMap;
-    let cap: usize = mats.iter().map(|m| m.col_nnz(j)).sum();
+    let cap: usize = cols.iter().map(|c| c.0.len()).sum();
     let mut slot: HashMap<Idx, usize> = HashMap::with_capacity(cap);
     let mut entries: Vec<(Idx, S::Elem)> = Vec::with_capacity(cap);
-    for mat in mats {
-        for (&r, &v) in mat.col_rows(j).iter().zip(mat.col_vals(j)) {
+    for &(col_rows, col_vals) in cols {
+        for (&r, &v) in col_rows.iter().zip(col_vals) {
             match slot.entry(r) {
                 std::collections::hash_map::Entry::Occupied(e) => {
                     let at = *e.get();
@@ -671,67 +779,50 @@ fn merge_k_cursors_body<S: Semiring>(
     w
 }
 
-/// The k-cursor merge's state for one worker: the cursors' columns,
-/// positions and head rows.
-#[derive(Clone, Default)]
-struct Cursors<'m, T> {
-    cur: Vec<(&'m [Idx], &'m [T])>,
-    pos: Vec<usize>,
-    head: Vec<Idx>,
-}
-
-/// BRMerge-style merge of column `j` of `mats` (fan-in ≥ 2) in one pass
-/// into `rows` and `vals`, which hold at least its upper bound; returns
-/// its length. Coincident rows accumulate strictly in list order, so the
+/// BRMerge-style merge of the columns `cols` (fan-in ≥ 2) of `nrows` rows
+/// in one pass into `rows` and `vals`, which hold at least its upper
+/// bound, with `pos`/`head` the slice-backed cursors' state; returns its
+/// length. Coincident rows accumulate strictly in list order, so the
 /// result is bit-identical to the heap kernel's.
-fn brmerge_column<'m, S: Semiring>(
-    mats: &'m [Csc<S::Elem>],
-    j: usize,
-    Cursors { cur, pos, head }: &mut Cursors<'m, S::Elem>,
+fn brmerge_column<S: Semiring>(
+    cols: &[View<'_, S::Elem>],
+    nrows: usize,
+    (pos, head): &mut (Vec<usize>, Vec<Idx>),
     rows: &mut [Idx],
     vals: &mut [S::Elem],
 ) -> usize {
-    let k = mats.len();
+    let k = cols.len();
     assert!(k >= 2, "brmerge needs fan-in >= 2");
-    debug_assert!(
-        (mats[0].nrows() as u64) < Idx::MAX as u64,
-        "Idx::MAX sentinel"
-    );
-    if k == 2 {
-        let col = |m: &'m Csc<S::Elem>| (m.col_rows(j), m.col_vals(j));
-        return merge_two_cursors::<S>(col(&mats[0]), col(&mats[1]), rows, vals);
-    }
-    cur.clear();
-    cur.extend(mats.iter().map(|m| (m.col_rows(j), m.col_vals(j))));
+    debug_assert!((nrows as u64) < Idx::MAX as u64, "Idx::MAX sentinel");
     // Auto only selects this kernel at fan-in <= 5, so the
     // register-resident fixed variants cover the hot path;
     // the slice-backed loop serves Fixed(BrMerge) beyond.
     match k {
-        3 => merge_k_cursors_fixed::<S, 3>(cur, rows, vals),
-        4 => merge_k_cursors_fixed::<S, 4>(cur, rows, vals),
-        5 => merge_k_cursors_fixed::<S, 5>(cur, rows, vals),
+        2 => merge_two_cursors::<S>(cols[0], cols[1], rows, vals),
+        3 => merge_k_cursors_fixed::<S, 3>(cols, rows, vals),
+        4 => merge_k_cursors_fixed::<S, 4>(cols, rows, vals),
+        5 => merge_k_cursors_fixed::<S, 5>(cols, rows, vals),
         _ => {
             pos.resize(k, 0);
             head.resize(k, 0);
-            merge_k_cursors::<S>(cur, pos, head, rows, vals)
+            merge_k_cursors::<S>(cols, pos, head, rows, vals)
         }
     }
 }
 
-/// Hussain-style SpAdd of column `j` of `mats`: accumulates it strictly in
-/// list order through `spa` (covering every row), then writes it sorted,
-/// annihilators dropped, into `rows` and `vals`, which hold at least its
-/// upper bound; returns its length.
+/// Hussain-style SpAdd of the columns `cols`: accumulates them strictly in
+/// list order through `spa` (covering every row), then writes the result
+/// sorted, annihilators dropped, into `rows` and `vals`, which hold at
+/// least its upper bound; returns its length.
 fn spadd_column<S: Semiring>(
-    mats: &[Csc<S::Elem>],
-    j: usize,
+    cols: &[View<'_, S::Elem>],
     spa: &mut SpaScratch<S::Elem>,
     rows: &mut [Idx],
     vals: &mut [S::Elem],
 ) -> usize {
     spa.begin_column();
-    for mat in mats {
-        for (&r, &v) in mat.col_rows(j).iter().zip(mat.col_vals(j)) {
+    for &(col_rows, col_vals) in cols {
+        for (&r, &v) in col_rows.iter().zip(col_vals) {
             let ri = r as usize;
             if spa.stamp[ri] == spa.epoch {
                 let at = spa.slot[ri] as usize;
@@ -871,6 +962,7 @@ impl StackMerger {
         self.stats.peak_merge_elems = self.stats.peak_merge_elems.max(elems);
         self.stats.total_merged_elems += elems as u64;
         self.stats.merge_ops += 1;
+        let tail: Vec<&Csc<f64>> = tail.iter().collect();
         let merged = merge_into(s, kernel, &tail, self.shape, &Whole).cols;
         self.stack.push(merged);
     }

@@ -17,6 +17,23 @@
 //! runs is the executor's business, and the pipelined/bulk-sync
 //! distinction is a property of this scheduler, not of the kernel.
 //!
+//! # The last stage product is not built
+//!
+//! A phase's last kernel hands each column it finishes to the merge that
+//! first takes its product (the closing merge on a 2×2 grid, through the
+//! caller's sink; straight into the sink when a 1×1 phase has nothing to
+//! merge), which merges it with the same column of the stack's entries on
+//! the spot: the output columns of a sum of sparse matrices are
+//! independent. Any merge Algorithm 2 triggers among earlier slabs when
+//! that product arrives runs for real before the kernel, so the stack
+//! holds what the streaming merge reads. Only a launch that cannot run out
+//! of device memory streams (`Executor::submit`); any other builds its
+//! product, which then merges as every earlier one does. Either way every
+//! modeled submission — launch, merge task, wait — happens where and when
+//! it did for a built product, from the product's column counts alone, and
+//! every merge kernel is bit-identical, so results and modeled schedules
+//! cannot tell streaming from building.
+//!
 //! # Per-stage communication selection
 //!
 //! Under [`CommPolicy::Hybrid`] each stage operand panel is moved by
@@ -33,22 +50,24 @@
 //! hidden constant.
 
 use crate::distmat::DistMatrix;
-use crate::executor::{Executor, LaunchSpec, MergeTask};
+use crate::executor::{Executor, KernelLaunch, LaunchSpec, MergeTask};
 use crate::merge::{
-    algorithm2_merge_count, merge_into, select_merge_kernel, sink_slab, ColumnSink,
+    algorithm2_merge_count, merge_into, select_merge_kernel, sink_slab, ColumnSink, MergeEmit,
     MergeKernelPolicy, MergeSpan, MergeStats, MergeStrategy, Packed, Whole,
 };
 use crate::spgemm::{CommChoice, CommPolicy, SummaConfig};
 use hipmcl_comm::clock::StageTimers;
 use hipmcl_comm::collectives::{bcast, flat_bcast};
 use hipmcl_comm::{
-    Comm, CommMode, ProcGrid, SpgemmKernel, WireDecode, WireEncode, WireError, WireReader, WireSize,
+    Comm, CommMode, MergeKernel, ProcGrid, SpgemmKernel, WireDecode, WireEncode, WireError,
+    WireReader, WireSize,
 };
 use hipmcl_gpu::select::select_kernel;
 use hipmcl_sparse::util::even_chunk;
 use hipmcl_sparse::{Csc, Dcsc, Semiring, Value};
+use hipmcl_spgemm::emit::Push;
 use hipmcl_spgemm::{CohenEstimator, MultAnalysis};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Broadcast payload: a shared block plus its hypersparse wire size.
 /// HipMCL broadcasts DCSC; an `Arc` keeps the in-process copy free while
@@ -139,15 +158,36 @@ pub(crate) struct PipelineOutcome<T: Value = f64> {
 }
 
 /// A stage product waiting on the merge stack: the real matrix (a kernel
-/// product or what a previous merge wrote), the virtual time it exists
-/// from, and the merge lane that produced it (`None` for kernel products,
-/// which have no socket affinity). The home is a *modeled* attribute — it
-/// prices the cross-socket penalty in `submit_merge`; the matrix itself is
-/// the rank's wherever the merge was placed.
+/// product or what a previous merge wrote — `None` for the phase's last
+/// product, whose kernel streamed it into the merge that takes it), its
+/// entries, the virtual time it exists from, and the merge lane that
+/// produced it (`None` for kernel products, which have no socket
+/// affinity). The home is a *modeled* attribute — it prices the
+/// cross-socket penalty in `submit_merge`; the matrix itself is the rank's
+/// wherever the merge was placed.
 struct Slab<T: Value> {
-    m: Csc<T>,
+    m: Option<Csc<T>>,
+    nnz: usize,
     ready: f64,
     home: Option<usize>,
+}
+
+/// What the phase's last kernel streamed into the merge that first takes
+/// its product.
+enum Streamed<T: Value, A> {
+    /// That merge closes the phase: what the sink packed.
+    Closing(Packed<T, A>),
+    /// An intermediate merge (Algorithm 2 on a wide grid): its slab.
+    Inner(Csc<T>),
+}
+
+/// A merge whose real work is done and whose lane task is still to be
+/// submitted: the task, when its inputs are ready, and the wall seconds
+/// the real work took.
+struct Job {
+    task: MergeTask,
+    ready: f64,
+    measured_s: f64,
 }
 
 /// Sinks stage products into the configured merge scheme. Every merge
@@ -159,6 +199,13 @@ struct Slab<T: Value> {
 /// the host never blocks on it mid-phase. The phase's closing merge — the
 /// one that takes the whole stack once every stage product is in — passes
 /// each column it finishes through `sink`, whose tally it keeps.
+///
+/// The phase's last stage product is never built when its launch can
+/// stream ([`stream_last`](Self::stream_last)): its kernel hands each
+/// column to the merge that first takes the product, which merges it with
+/// the same column of the other inputs on the spot. The lane tasks are
+/// submitted exactly where they would be for a built product, so the
+/// modeled schedule cannot tell the two apart.
 struct MergeEngine<'k, S: Semiring, K: ColumnSink<S::Elem>> {
     sr: S,
     strategy: MergeStrategy,
@@ -171,6 +218,12 @@ struct MergeEngine<'k, S: Semiring, K: ColumnSink<S::Elem>> {
     stack: Vec<Slab<S::Elem>>,
     pushed: usize,
     pending: Option<Slab<S::Elem>>,
+    /// Set when the pending slab was pushed before the last kernel ran:
+    /// the lane task of the merge that push triggered, if any, which
+    /// `accept` submits where the push used to happen.
+    early: Option<Option<Job>>,
+    /// What the last kernel streamed, until the merge that takes it.
+    streamed: Option<Streamed<S::Elem, K::Tally>>,
     /// The closing merge's tally, once it ran.
     tally: Option<Vec<K::Tally>>,
     spans: Vec<MergeSpan>,
@@ -190,9 +243,19 @@ impl<'k, S: Semiring, K: ColumnSink<S::Elem>> MergeEngine<'k, S, K> {
             stack: Vec::new(),
             pushed: 0,
             pending: None,
+            early: None,
+            streamed: None,
             tally: None,
             spans: Vec::new(),
             stats: MergeStats::default(),
+        }
+    }
+
+    /// The kernel of a `ways`-way merge of `total` elements.
+    fn kernel(&self, comm: &Comm, total: u64, ways: usize) -> MergeKernel {
+        match self.policy {
+            MergeKernelPolicy::Fixed(k) => k,
+            MergeKernelPolicy::Auto => select_merge_kernel(comm.model(), total, ways),
         }
     }
 
@@ -202,40 +265,69 @@ impl<'k, S: Semiring, K: ColumnSink<S::Elem>> MergeEngine<'k, S, K> {
     /// the executor placed it on; its inputs are freed. The closing merge
     /// goes through the sink.
     fn do_merge(&mut self, comm: &Comm, exec: &mut Executor<'_>, count: usize) {
+        let job = self.merge_now(comm, count);
+        self.submit(exec, job);
+    }
+
+    /// The real work of merging the top `count` stack entries — or, if the
+    /// last of them is the streamed product, what its kernel merged — with
+    /// the result stacked in their place; its lane task is `submit`'s.
+    fn merge_now(&mut self, comm: &Comm, count: usize) -> Job {
         let closing = self.due == 0 && self.pending.is_none() && count == self.stack.len();
         let tail: Vec<Slab<S::Elem>> = self.stack.split_off(self.stack.len() - count);
         let inputs: Vec<(u64, Option<usize>)> =
-            tail.iter().map(|s| (s.m.nnz() as u64, s.home)).collect();
+            tail.iter().map(|s| (s.nnz as u64, s.home)).collect();
         let ready = tail.iter().map(|s| s.ready).fold(0.0, f64::max);
         let total: u64 = inputs.iter().map(|&(e, _)| e).sum();
-        let kernel = match self.policy {
-            MergeKernelPolicy::Fixed(k) => k,
-            MergeKernelPolicy::Auto => select_merge_kernel(comm.model(), total, count),
-        };
-        let mut span = exec.submit_merge(ready, &MergeTask { kernel, inputs });
+        let kernel = self.kernel(comm, total, count);
         // Wall sample of the real merge compute below; `measured_now`
         // is pinned to 0 under `Modeled`, so the delta costs nothing
         // there and the host clock stays untouched.
         let w0 = comm.measured_now();
-        let mats: Vec<Csc<S::Elem>> = tail.into_iter().map(|s| s.m).collect();
-        let merged = if closing {
-            let packed = merge_into(self.sr, kernel, &mats, self.shape, self.sink);
-            self.tally = Some(packed.tally);
-            packed.cols
-        } else {
-            merge_into(self.sr, kernel, &mats, self.shape, &Whole).cols
+        let mats: Option<Vec<&Csc<S::Elem>>> = tail.iter().map(|s| s.m.as_ref()).collect();
+        let merged = match (mats, closing) {
+            (Some(mats), true) => {
+                let packed = merge_into(self.sr, kernel, &mats, self.shape, self.sink);
+                self.tally = Some(packed.tally);
+                packed.cols
+            }
+            (Some(mats), false) => merge_into(self.sr, kernel, &mats, self.shape, &Whole).cols,
+            (None, _) => match self.streamed.take().expect("the last kernel streamed here") {
+                Streamed::Closing(packed) => {
+                    self.tally = Some(packed.tally);
+                    packed.cols
+                }
+                Streamed::Inner(merged) => merged,
+            },
         };
-        span.measured_s = comm.measured_now() - w0;
+        let measured_s = comm.measured_now() - w0;
+        drop(tail);
+        self.stack.push(Slab {
+            nnz: merged.nnz(),
+            m: Some(merged),
+            ready: f64::NAN,
+            home: None,
+        });
+        Job {
+            task: MergeTask { kernel, inputs },
+            ready,
+            measured_s,
+        }
+    }
+
+    /// Submits `job`'s lane task and dates the slab it stacked, which is
+    /// still the top one, by it.
+    fn submit(&mut self, exec: &mut Executor<'_>, job: Job) {
+        let mut span = exec.submit_merge(job.ready, &job.task);
+        span.measured_s = job.measured_s;
+        let total = job.task.total_elems();
         self.stats.peak_merge_elems = self.stats.peak_merge_elems.max(total as usize);
         self.stats.total_merged_elems += total;
         self.stats.merge_ops += 1;
         self.stats.merge_time += span.duration();
         self.stats.measured_merge_s += span.measured_s;
-        self.stack.push(Slab {
-            m: merged,
-            ready: span.end,
-            home: Some(span.lane),
-        });
+        let top = self.stack.last_mut().expect("the merge's slab");
+        (top.ready, top.home) = (span.end, Some(span.lane));
         self.spans.push(span);
     }
 
@@ -249,11 +341,89 @@ impl<'k, S: Semiring, K: ColumnSink<S::Elem>> MergeEngine<'k, S, K> {
         }
     }
 
-    /// Accepts a stage product that is mergeable from `ready_at`.
-    fn accept(&mut self, comm: &Comm, exec: &mut Executor<'_>, slab: Csc<S::Elem>, ready_at: f64) {
+    /// Submits the phase's last stage launch with its columns streamed
+    /// into the merge that first takes its product, and returns the launch
+    /// — whose `c` is the product if the launch built it instead.
+    ///
+    /// Under pipelined binary merging, accepting the last product pushes
+    /// the pending slab first; that push, and the merge it may trigger
+    /// among earlier slabs, run for real here, before the kernel, and
+    /// their lane task is submitted in `accept` as before. The merge that
+    /// takes the last product then reads the stack as it is now: the
+    /// entries it merges besides the product, and whether it closes the
+    /// phase — through the sink — follow from Algorithm 2 and the stack's
+    /// depth. With nothing to merge it with (one stage), the product's
+    /// columns go to the sink as they are.
+    #[allow(clippy::too_many_arguments)]
+    fn stream_last(
+        &mut self,
+        comm: &Comm,
+        exec: &mut Executor<'_>,
+        host_now: f64,
+        a: &Csc<S::Elem>,
+        b: &Csc<S::Elem>,
+        fpc: &[u64],
+        spec: LaunchSpec,
+    ) -> KernelLaunch<S::Elem> {
+        if let Some(prev) = self.pending.take() {
+            self.stack.push(prev);
+            self.pushed += 1;
+            let count = algorithm2_merge_count(self.pushed);
+            self.early = Some((count > 0).then(|| self.merge_now(comm, count)));
+        }
+        let count = match self.strategy {
+            MergeStrategy::Binary => algorithm2_merge_count(self.pushed + 1),
+            MergeStrategy::Multiway => 0,
+        };
+        let (with, closing) = match count {
+            0 => (self.stack.len(), true),
+            c => (c - 1, c - 1 == self.stack.len()),
+        };
+        let others = &self.stack[self.stack.len() - with..];
+        let inputs: Vec<&Csc<S::Elem>> = others
+            .iter()
+            .map(|s| s.m.as_ref().expect("earlier products are built"))
+            .collect();
+        let bound: usize = fpc.iter().map(|&f| (f as usize).min(a.nrows())).sum();
+        let total = others.iter().map(|s| s.nnz).sum::<usize>() + bound;
+        let kernel = self.kernel(comm, total as u64, with + 1);
+        let (nrows, ncols) = self.shape;
+        let mut launch;
+        if closing {
+            let tally = Mutex::new(vec![K::Tally::default(); ncols]);
+            let emit = MergeEmit::<S, K>::new(kernel, inputs, nrows, self.sink, &tally);
+            launch = exec.submit(self.sr, host_now, a, b, fpc, spec, emit);
+            if launch.streamed {
+                let cols = std::mem::replace(&mut launch.c, Csc::zero(nrows, 0));
+                let tally = tally.into_inner().expect("nothing panics under the lock");
+                self.streamed = Some(Streamed::Closing(Packed { cols, tally }));
+            }
+        } else {
+            let tally = Mutex::new(vec![(); ncols]);
+            let emit = MergeEmit::<S, Whole>::new(kernel, inputs, nrows, &Whole, &tally);
+            launch = exec.submit(self.sr, host_now, a, b, fpc, spec, emit);
+            if launch.streamed {
+                let merged = std::mem::replace(&mut launch.c, Csc::zero(nrows, 0));
+                self.streamed = Some(Streamed::Inner(merged));
+            }
+        }
+        launch
+    }
+
+    /// Accepts a stage product of `nnz` entries that is mergeable from
+    /// `ready_at`: `m`, or nothing if its kernel streamed it.
+    fn accept(
+        &mut self,
+        comm: &Comm,
+        exec: &mut Executor<'_>,
+        m: Option<Csc<S::Elem>>,
+        nnz: usize,
+        ready_at: f64,
+    ) {
         self.due -= 1;
         let slab = Slab {
-            m: slab,
+            m,
+            nnz,
             ready: ready_at,
             home: None,
         };
@@ -263,9 +433,20 @@ impl<'k, S: Semiring, K: ColumnSink<S::Elem>> MergeEngine<'k, S, K> {
                 if self.pipelined {
                     // Push the *previous* stage's slab: its merge (if
                     // Algorithm 2 triggers one) overlaps this stage's
-                    // kernel on the merge lane.
-                    if let Some(prev) = self.pending.replace(slab) {
-                        self.push_binary(comm, exec, prev);
+                    // kernel on the merge lane. Before the phase's last
+                    // kernel the push ran already; its task goes here.
+                    match self.early.take() {
+                        Some(job) => {
+                            if let Some(job) = job {
+                                self.submit(exec, job);
+                            }
+                            self.pending = Some(slab);
+                        }
+                        None => {
+                            if let Some(prev) = self.pending.replace(slab) {
+                                self.push_binary(comm, exec, prev);
+                            }
+                        }
                     }
                 } else {
                     // Bulk synchronous: the host blocks until the merge
@@ -316,18 +497,23 @@ impl<'k, S: Semiring, K: ColumnSink<S::Elem>> MergeEngine<'k, S, K> {
         out.merge_spans.append(&mut self.spans);
         // The hook gets the storage the closing merge wrote. A phase whose
         // one product needed no merge packs it here, through the same sink
-        // — or, under one that keeps every column whole, hands it over.
-        let last = self
-            .stack
-            .pop()
-            .map_or_else(|| Csc::zero(self.shape.0, self.shape.1), |s| s.m);
-        match self.tally {
-            Some(tally) => Packed { cols: last, tally },
-            None if K::WHOLE => Packed {
+        // — or, under one that keeps every column whole, hands it over;
+        // if its kernel streamed it, the sink packed it already.
+        let last = match self.stack.pop() {
+            Some(slab) => slab.m,
+            None => Some(Csc::zero(self.shape.0, self.shape.1)),
+        };
+        match (last, self.tally) {
+            (Some(cols), Some(tally)) => Packed { cols, tally },
+            (Some(last), None) if K::WHOLE => Packed {
                 tally: vec![K::Tally::default(); last.ncols()],
                 cols: last,
             },
-            None => sink_slab(&last, self.sink),
+            (Some(last), None) => sink_slab(&last, self.sink),
+            (None, _) => match self.streamed.take() {
+                Some(Streamed::Closing(packed)) => packed,
+                _ => unreachable!("a streamed phase product is packed"),
+            },
         }
     }
 }
@@ -424,8 +610,12 @@ where
             }
 
             // --- Kernel selection (flops + Cohen cf probe, §III/VI) ----
-            let flops = hipmcl_spgemm::flops(&a_blk, &b_blk);
-            let (slab, ready_at) = if flops == 0 {
+            // The stage's flops are counted once, per column: selection,
+            // the kernel's reservation and the devices' shares read them,
+            // and a streamed product's room in the merge that takes it.
+            let fpc = hipmcl_spgemm::flops_per_column(&a_blk, &b_blk);
+            let flops: u64 = fpc.iter().sum();
+            let (slab, nnz, ready_at) = if flops == 0 {
                 // Nothing to multiply, but instrumentation still records
                 // the selector's degenerate choice so per-stage counts
                 // stay `phases × √P`.
@@ -435,7 +625,7 @@ where
                 };
                 out.kernels_used
                     .push(select_kernel(&analysis, &cfg.policy, exec.gpus_available()));
-                (Csc::zero(a_blk.nrows(), b_blk.ncols()), comm.now())
+                (Some(Csc::zero(a_blk.nrows(), b_blk.ncols())), 0, comm.now())
             } else {
                 // `nnz(C)` can never exceed `flops`: clamp the probe so a
                 // stale global cf hint (or an overshooting estimate) on a
@@ -460,14 +650,20 @@ where
                 // --- Submit to the executor; overlap off its events ----
                 // The probe's clamped cf estimate rides along so hybrid
                 // split policies can evaluate the machine model's rate
-                // curves before the realized cf exists.
+                // curves before the realized cf exists. The phase's last
+                // product streams into the merge that takes it.
                 let spec = LaunchSpec {
                     kernel,
                     flops,
                     cf_est: flops as f64 / nnz_probe.max(1) as f64,
                     time: comm.time_model(),
                 };
-                let launch = exec.submit(s, comm.now(), &a_blk, &b_blk, spec);
+                let (now, blocks) = (comm.now(), (&*a_blk, &*b_blk));
+                let launch = if k + 1 == side {
+                    merge.stream_last(comm, exec, now, blocks.0, blocks.1, &fpc, spec)
+                } else {
+                    exec.submit(s, now, blocks.0, blocks.1, &fpc, spec, Push)
+                };
                 if cfg.pipelined {
                     // Host resumes as soon as the inputs are handed off.
                     comm.wait_clock_until(launch.inputs_ready_at);
@@ -479,10 +675,11 @@ where
                 }
                 timers.add("local_spgemm", launch.kernel_time);
                 out.timers_measured.add("local_spgemm", launch.measured_s);
-                (launch.c, launch.output_ready_at)
+                let slab = (!launch.streamed).then_some(launch.c);
+                (slab, launch.nnz, launch.output_ready_at)
             };
 
-            merge.accept(comm, exec, slab, ready_at);
+            merge.accept(comm, exec, slab, nnz, ready_at);
         }
 
         // --- Phase wrap-up: submit the closing merge ------------------
@@ -571,7 +768,7 @@ mod tests {
                 let shape = (4, 5);
                 let mut merge = MergeEngine::new(PlusTimes::<f64>::new(), &cfg, shape, 3, &Whole);
                 for ready in [1.0, 2.0, 3.0] {
-                    merge.accept(&comm, &mut exec, panel(), ready);
+                    merge.accept(&comm, &mut exec, Some(panel()), 3, ready);
                 }
                 comm.advance_clock(host);
                 let before = merge.spans.len();

@@ -5,18 +5,25 @@
 //! of it, a product built by several threads never exists twice, a merge
 //! frees what it took in, the serial MCL iteration never holds its
 //! unpruned product at all, and the distributed one never a phase's merged
-//! slab. The tests take turns ([`COUNTING`]), so nothing else allocates
+//! slab, nor both of a phase's stage products. The tests take turns ([`COUNTING`]), so nothing else allocates
 //! while one counts.
 
 use hipmcl::comm::collectives::barrier;
 use hipmcl::comm::{GpuLib, MergeKernel, SpgemmKernel};
 use hipmcl::gpu::select::SelectionPolicy;
 use hipmcl::prelude::*;
-use hipmcl::summa::merge::MergeStrategy;
-use hipmcl::summa::spgemm::{summa_spgemm, summa_spgemm_with, PhasePlan, SummaConfig};
+use hipmcl::sparse::util::even_chunk;
+use hipmcl::sparse::{Idx, PlusTimes};
+use hipmcl::spgemm::hash;
+use hipmcl::summa::merge::{sink_slab, MergeStrategy};
+use hipmcl::summa::spgemm::{
+    summa_spgemm, summa_spgemm_with, summa_spgemm_with_in, PhasePlan, SummaConfig,
+};
+use hipmcl::summa::topk::{prune_packed, PruneSink};
 use hipmcl::workloads::rmat::{generate_rmat, RmatParams};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Mutex;
 
@@ -36,6 +43,10 @@ thread_local! {
     /// allocation, and a `realloc` that moved (one that trims in place
     /// keeps its storage).
     static FRESH: RefCell<Option<Vec<usize>>> = const { RefCell::new(None) };
+
+    /// While this thread keeps its own account: the bytes it obtained less
+    /// those it returned, and the most that ever were.
+    static OWN: Cell<Option<(isize, isize)>> = const { Cell::new(None) };
 }
 
 struct Counting;
@@ -43,6 +54,14 @@ struct Counting;
 impl Counting {
     fn grew(by: usize) {
         PEAK.fetch_max(LIVE.fetch_add(by, Relaxed) + by, Relaxed);
+    }
+
+    fn own(by: isize) {
+        let _ = OWN.try_with(|own| {
+            if let Some((live, peak)) = own.get() {
+                own.set(Some((live + by, peak.max(live + by))));
+            }
+        });
     }
 
     fn fresh(size: usize) {
@@ -66,20 +85,24 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         Self::fresh(layout.size());
         Self::grew(layout.size());
+        Self::own(layout.size() as isize);
         System.alloc(layout)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         Self::fresh(layout.size());
         Self::grew(layout.size());
+        Self::own(layout.size() as isize);
         System.alloc_zeroed(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         LIVE.fetch_sub(layout.size(), Relaxed);
+        Self::own(-(layout.size() as isize));
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         LIVE.fetch_sub(layout.size(), Relaxed);
         Self::grew(new_size);
+        Self::own(new_size as isize - layout.size() as isize);
         let new = System.realloc(ptr, layout, new_size);
         if new == ptr {
             CALLS.fetch_add(1, Relaxed);
@@ -290,6 +313,107 @@ fn a_distributed_iteration_never_holds_its_merged_slab() {
     assert!(
         ratio < 1.0,
         "{ratio:.3} of the phases' products and half their slabs"
+    );
+}
+
+/// Block `(rows, cols)` of `m` as a matrix of its own.
+fn block(m: &Csc<f64>, rows: Range<usize>, cols: Range<usize>) -> Csc<f64> {
+    m.column_slice(cols)
+        .transposed()
+        .column_slice(rows)
+        .transposed()
+}
+
+/// One distributed MCL iteration never holds both stage products of a
+/// phase: the last stage's kernel hands each column it finishes to the
+/// phase's closing merge, which packs it with the same column of the first
+/// product into the candidates the prune reads, so the last product is
+/// never built. Merging a built last product holds both products and the
+/// candidates being packed at once, so each rank's live peak is at least
+/// their sum; streaming it must stay below. On R-MAT scale 11 with its
+/// vertex order reversed (the dense quadrant meets in the last stage of
+/// the 2×2 grid) in two phases at select 100, each rank expanding and
+/// pruning on its own thread, counted on its own account, against its
+/// largest phase's two stage products plus candidates (in `Idx` + `f64`
+/// bytes; the products sized by multiplying the blocks, the candidates by
+/// packing the slabs of an unpruned expansion): 1.35–1.53 building the
+/// last product, 0.68–0.91 streaming it. What streaming holds beyond the
+/// first product and the candidates is the previous phase's candidates,
+/// which a pipelined phase prunes after its stage loop, the reservations
+/// of the first product and of the packed columns, and the operand blocks.
+#[test]
+fn a_distributed_iteration_never_holds_both_stage_products_of_a_phase() {
+    let _turn = COUNTING.lock().unwrap();
+    let rmat = generate_rmat(&RmatParams::graph500(11, 16, 3));
+    let n = rmat.ncols() as Idx;
+    let mut reversed = Triples::new(rmat.nrows(), rmat.ncols());
+    rmat.iter()
+        .for_each(|(i, j, v)| reversed.push(n - 1 - i, n - 1 - j, v));
+    let mut cfg = MclConfig::optimized(1 << 30);
+    cfg.prune.select = 100;
+    cfg.summa.phases = PhasePlan::Fixed(2);
+    let prepared = hipmcl::core::serial::prepare_matrix(&Csc::from_triples(&reversed), &cfg);
+    let entry = std::mem::size_of::<Idx>() + std::mem::size_of::<f64>();
+    let per_rank = Universe::run(4, MachineModel::summit(), |comm| {
+        let grid = ProcGrid::new(comm);
+        let mut gpus = MultiGpu::summit_node(grid.world.model());
+        let a = DistMatrix::from_global(&grid, &prepared.to_triples());
+        let (rows, cols) = (a.row_range(&grid), a.col_range(&grid));
+        let sink = PruneSink(cfg.prune);
+        let mut candidates = Vec::new();
+        let out = summa_spgemm_with(&grid, &mut gpus, &a, &a, &cfg.summa, |_, slab| {
+            candidates.push(sink_slab(&slab, &sink).cols.nnz());
+            slab
+        });
+        drop(out);
+        // Per phase: the stage products, `A_{i0} · B_{0j}` and `A_{i1} ·
+        // B_{1j}` over the phase's columns `j`, and the candidates.
+        let stages = (0..2).map(|k| {
+            let inner = even_chunk(prepared.ncols(), grid.side, k);
+            (block(&prepared, rows.clone(), inner.clone()), inner)
+        });
+        let stages: Vec<_> = stages.collect();
+        let largest = (0..2).map(|ph| {
+            let phase = even_chunk(cols.len(), 2, ph);
+            let phase = cols.start + phase.start..cols.start + phase.end;
+            let products = stages.iter().map(|(a_ik, inner)| {
+                hash::multiply(a_ik, &block(&prepared, inner.clone(), phase.clone())).nnz()
+            });
+            entry * (products.sum::<usize>() + candidates[ph])
+        });
+        let largest = largest.max().expect("two phases");
+        drop(stages);
+        // The iteration's expansion and prune, as the MCL loop runs them.
+        let (col, params) = (&grid.col_comm, &cfg.prune);
+        let inline = rayon::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .unwrap();
+        let peak = inline.install(|| {
+            OWN.set(Some((0, 0)));
+            let s = PlusTimes::<f64>::new();
+            let out = summa_spgemm_with_in(
+                s,
+                &grid,
+                &mut gpus,
+                &a,
+                &a,
+                &cfg.summa,
+                &sink,
+                |_, packed| prune_packed(col, &packed, params).0,
+            );
+            drop(out);
+            OWN.replace(None).expect("an account").1
+        });
+        (largest, peak as usize)
+    });
+    let ratios: Vec<f64> = (per_rank.iter())
+        .map(|&(bound, peak)| peak as f64 / bound as f64)
+        .collect();
+    println!("per rank, peak live over both stage products + candidates: {ratios:.3?}");
+    assert!(
+        ratios.iter().all(|&r| r < 1.0),
+        "{ratios:.3?} of the largest phase's stage products and candidates"
     );
 }
 

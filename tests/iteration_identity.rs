@@ -9,18 +9,27 @@
 //! into the candidates the prune reads: every iteration of
 //! `cluster_distributed_with` equals `summa_spgemm_with` +
 //! `prune_local_slab` on the same operand, on grids of 1, 4 and 9 ranks and
-//! every merge arm. Its test dispatches through `Universe::run_dist`, so
-//! `HIPMCL_TRANSPORT=tcp` runs it over TCP loopback; `HIPMCL_MAX_RANKS=k`
+//! every merge arm. The phase's last stage product streams into the merge
+//! that takes it, column by column, wherever its launch cannot run out of
+//! memory: one expansion of each arm — merge strategy, pipelining, merge
+//! kernel, executor, kernel policy, and devices that hold every launch or
+//! too few that send some to the host fallback — equals the slab-holding
+//! path and the serial prune of the gathered unpruned product, and the
+//! digest of what all of them pruned is the one captured before the last
+//! product streamed. Both tests dispatch through `Universe::run_dist`, so
+//! `HIPMCL_TRANSPORT=tcp` runs them over TCP loopback; `HIPMCL_MAX_RANKS=k`
 //! skips the grids above `k` ranks.
 
 use hipmcl::comm::collectives::allreduce_sum_vec;
 use hipmcl::comm::MergeKernel;
 use hipmcl::core::dist::{cluster_distributed_with, dist_inflate_and_chaos_cols};
 use hipmcl::core::serial::{mcl_iteration, prepare_matrix};
+use hipmcl::gpu::select::SelectionPolicy;
 use hipmcl::prelude::*;
 use hipmcl::sparse::colops::{self, PruneParams, PruneStats};
 use hipmcl::sparse::{Idx, PlusTimes};
 use hipmcl::spgemm::hybrid::multiply_auto;
+use hipmcl::summa::executor::{ExecutorKind, SplitPolicy};
 use hipmcl::summa::merge::{MergeKernelPolicy, MergeStrategy};
 use hipmcl::summa::spgemm::{summa_spgemm_with, summa_spgemm_with_in, PhasePlan};
 use hipmcl::summa::topk::{prune_local_slab, prune_packed, PruneSink};
@@ -350,4 +359,152 @@ fn the_distributed_iteration_prunes_what_its_merges_pack() {
             assert!(sum > 0, "p={p}: case {}, stat {}", i / 3, i % 3);
         }
     }
+}
+
+/// One expansion of `a` on `grid` under `cfg`, on two devices of
+/// `device_mem` bytes a rank, pruned as the MCL loop prunes it (the sink
+/// packs each merged column, the last stage product streams into its merge
+/// where it can): equal, bit for bit and stats included, to
+/// `summa_spgemm_with` + `prune_local_slab` and, gathered and summed over
+/// the ranks, to what `colops::prune` makes of the gathered unpruned
+/// product. Returns this rank's pruned block and stats.
+fn streamed_is_whole(
+    grid: &ProcGrid,
+    a: &DistMatrix,
+    cfg: &MclConfig,
+    device_mem: usize,
+) -> (Bits, PruneStats) {
+    let (col, params) = (&grid.col_comm, &cfg.prune);
+    let gpus = || MultiGpu::new(grid.world.model().clone(), 2, device_mem);
+    let (mut want_stats, mut got_stats) = (PruneStats::default(), PruneStats::default());
+    let mut slabs = Vec::new();
+    let want = summa_spgemm_with(grid, &mut gpus(), a, a, &cfg.summa, |_, slab| {
+        let (pruned, stats) = prune_local_slab(col, &slab, params);
+        want_stats += stats;
+        slabs.push(slab);
+        pruned
+    });
+    let (s, sink) = (PlusTimes::<f64>::new(), &PruneSink(*params));
+    let got = summa_spgemm_with_in(s, grid, &mut gpus(), a, a, &cfg.summa, sink, |_, packed| {
+        let (pruned, stats) = prune_packed(col, &packed, params);
+        got_stats += stats;
+        pruned
+    });
+    assert_eq!(bits(&got.c.local), bits(&want.c.local), "the pruned block");
+    assert_eq!(got_stats, want_stats, "what was pruned");
+
+    let unpruned = DistMatrix {
+        local: Csc::hcat(&slabs),
+        ..want.c
+    };
+    let counts = [
+        got_stats.pruned_by_cutoff,
+        got_stats.pruned_by_select,
+        got_stats.recovered,
+    ];
+    let counts = allreduce_sum_vec(&grid.world, counts.map(|x| x as f64).to_vec());
+    let serial = (unpruned.gather_to_root(grid)).map(|m| colops::prune(&m, params));
+    if let (Some((serial, stats)), Some(got)) = (serial, got.c.gather_to_root(grid)) {
+        assert_eq!(bits(&got), bits(&serial), "the serial prune");
+        let stats = [
+            stats.pruned_by_cutoff,
+            stats.pruned_by_select,
+            stats.recovered,
+        ];
+        assert_eq!(counts, stats.map(|x| x as f64), "its stats");
+    }
+    (bits(&got.c.local), got_stats)
+}
+
+/// FNV-1a over 64-bit words.
+fn fnv(h: u64, words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(h, |h, w| {
+        w.to_le_bytes().iter().fold(h, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    })
+}
+
+/// What each launch runs on, and on what devices: the paper's executor
+/// with devices that hold every launch, with devices too small for some
+/// (those build their product and fall back to the host), and with CPU
+/// kernels only (inline); the worker pool; the hybrid split, fixed and
+/// adaptive. Each arm of [`merge_arms`] runs two of them, in turn.
+fn launch_setups() -> [(ExecutorKind, SelectionPolicy, usize); 6] {
+    let (gpu, big, small) = (SelectionPolicy::always_gpu(), 1 << 30, 24 << 10);
+    let hybrid = |split| ExecutorKind::Hybrid { split };
+    [
+        (ExecutorKind::Gpus, gpu, big),
+        (ExecutorKind::Gpus, gpu, small),
+        (ExecutorKind::Gpus, SelectionPolicy::original_heap(), big),
+        (ExecutorKind::CpuPool, SelectionPolicy::cpu_only(), big),
+        (hybrid(SplitPolicy::Fixed(0.5)), gpu, big),
+        (hybrid(SplitPolicy::Adaptive), gpu, small),
+    ]
+}
+
+#[test]
+fn the_distributed_iteration_streams_its_last_stage_product() {
+    let rmat = Csc::from_triples(&generate_rmat(&RmatParams::graph500(7, 16, 3)));
+    let mut base = MclConfig::testing(4);
+    base.prune.cutoff = 1e-3;
+    let cases = [prepare_matrix(&rmat, &base), special_columns()];
+    // One digest per grid of every arm's pruned blocks and stats, rank by
+    // rank, captured before the last stage product streamed.
+    let want = [
+        (1, 0xfa63402df03b10fau64),
+        (4, 0x14e2bd8722fa97f4),
+        (9, 0x5d0c8aa40fdae75c),
+    ];
+    let mut got = Vec::new();
+    for p in grids() {
+        let per_rank = Universe::run_dist(p, MachineModel::summit(), |comm| {
+            let grid = ProcGrid::new(comm);
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            for m in &cases {
+                let a = DistMatrix::from_global(&grid, &m.to_triples());
+                for (arm, (merge, merge_kernel)) in merge_arms().into_iter().enumerate() {
+                    for pipelined in [true, false] {
+                        let turn = 2 * arm + usize::from(pipelined);
+                        let setups = launch_setups();
+                        for (executor, policy, device_mem) in [0, 3].map(|i| setups[(turn + i) % 6])
+                        {
+                            let mut cfg = base;
+                            let recover_num = if pipelined { 2 + arm % 5 } else { 0 };
+                            cfg.prune.recover_num = recover_num;
+                            cfg.prune.recover_pct = if recover_num > 0 { 0.9 } else { 0.0 };
+                            cfg.summa.phases = PhasePlan::Fixed(2);
+                            cfg.summa.merge = merge;
+                            cfg.summa.merge_kernel = merge_kernel;
+                            cfg.summa.pipelined = pipelined;
+                            cfg.summa.executor = executor;
+                            cfg.summa.policy = policy;
+                            let ((colptr, rows, vals), stats) =
+                                streamed_is_whole(&grid, &a, &cfg, device_mem);
+                            let stats = [
+                                stats.pruned_by_cutoff,
+                                stats.pruned_by_select,
+                                stats.recovered,
+                            ];
+                            let words = (colptr.into_iter().map(|x| x as u64))
+                                .chain(rows.into_iter().map(u64::from))
+                                .chain(vals)
+                                .chain(stats.map(|x| x as u64));
+                            h = fnv(h, words);
+                        }
+                    }
+                }
+            }
+            h
+        });
+        got.push((p, fnv(0xcbf2_9ce4_8422_2325, per_rank)));
+    }
+    let table: String = (got.iter())
+        .map(|(p, d)| format!("        ({p}, {d:#018x}),\n"))
+        .collect();
+    let expected = want.iter().filter(|(p, _)| got.iter().any(|(q, _)| q == p));
+    assert!(
+        expected.copied().eq(got.iter().copied()),
+        "pruned digests moved; computed now:\n{table}"
+    );
 }
