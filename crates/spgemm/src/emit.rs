@@ -75,7 +75,9 @@ impl<T: Value> Emit<T> for Push {
 
 /// An emit that notes how many entries each product column has before
 /// handing it on: what a launch's modeled bookkeeping reads, whatever the
-/// kernel's output became.
+/// kernel's output became. The counters publish nothing else and are read
+/// once the kernel returned, after its workers joined, so they are
+/// relaxed.
 #[derive(Clone, Debug)]
 pub struct Counted<'c, E> {
     inner: E,

@@ -7,7 +7,7 @@
 //! `min(flops_j, nrows)`, and appends the drained column to a
 //! [`CscBuilder`] that reserved the product's bound — or whatever the
 //! caller's `emit` makes of it: the serial MCL iteration appends it pruned
-//! and inflated, and [`multiply_emit`] hands it to an [`Emit`], the hook
+//! and inflated, and `multiply_emit` hands it to an [`Emit`], the hook
 //! every kernel of the workspace shares. Nothing is counted before it is computed. (The key-only
 //! pass of the two-phase formulation, [`symbolic_counts_with_flops`], is
 //! still here as what it now only is: the exact memory estimator.) The
@@ -430,7 +430,7 @@ pub fn multiply_as<S: Semiring>(
 /// in `mode` (by default the product's, from `fpc[cols]`) and handed to
 /// `emit` when finished, with room reserved for what `emit` keeps. `fpc` is
 /// `flops_per_column(a, b)`.
-pub fn multiply_emit<S: Semiring, E: Emit<S::Elem>>(
+pub(crate) fn multiply_emit<S: Semiring, E: Emit<S::Elem>>(
     sr: S,
     a: &Csc<S::Elem>,
     b: &Csc<S::Elem>,

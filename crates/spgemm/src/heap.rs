@@ -25,7 +25,7 @@ use std::ops::Range;
 /// A-columns selected by `B_{*j}` through the worker's tournament into the
 /// worker's column buffer and is appended to a [`CscBuilder`] that
 /// reserved the product's bound `Σ_j min(flops_j, nrows)` (every column's
-/// [`Push`] through [`multiply_cols_in`]). Rows arrive in
+/// `Push` through `multiply_cols_in`). Rows arrive in
 /// increasing order and equal rows in ascending list order, so each entry
 /// folds its products in ascending position within `B_{*j}`.
 pub fn multiply_in<S: Semiring>(s: S, a: &Csc<S::Elem>, b: &Csc<S::Elem>) -> Csc<S::Elem> {
@@ -35,7 +35,7 @@ pub fn multiply_in<S: Semiring>(s: S, a: &Csc<S::Elem>, b: &Csc<S::Elem>) -> Csc
 /// Columns `cols` of `A · B`, each handed to `emit` as it is finished,
 /// with room reserved for what `emit` keeps of the bound `min(flops_j,
 /// nrows)`. `fpc` is `flops_per_column(a, b)`.
-pub fn multiply_cols_in<S: Semiring, E: Emit<S::Elem>>(
+pub(crate) fn multiply_cols_in<S: Semiring, E: Emit<S::Elem>>(
     _s: S,
     a: &Csc<S::Elem>,
     b: &Csc<S::Elem>,

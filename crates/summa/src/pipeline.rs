@@ -172,15 +172,6 @@ struct Slab<T: Value> {
     home: Option<usize>,
 }
 
-/// What the phase's last kernel streamed into the merge that first takes
-/// its product.
-enum Streamed<T: Value, A> {
-    /// That merge closes the phase: what the sink packed.
-    Closing(Packed<T, A>),
-    /// An intermediate merge (Algorithm 2 on a wide grid): its slab.
-    Inner(Csc<T>),
-}
-
 /// A merge whose real work is done and whose lane task is still to be
 /// submitted: the task, when its inputs are ready, and the wall seconds
 /// the real work took.
@@ -218,12 +209,14 @@ struct MergeEngine<'k, S: Semiring, K: ColumnSink<S::Elem>> {
     stack: Vec<Slab<S::Elem>>,
     pushed: usize,
     pending: Option<Slab<S::Elem>>,
-    /// Set when the pending slab was pushed before the last kernel ran:
-    /// the lane task of the merge that push triggered, if any, which
-    /// `accept` submits where the push used to happen.
-    early: Option<Option<Job>>,
-    /// What the last kernel streamed, until the merge that takes it.
-    streamed: Option<Streamed<S::Elem, K::Tally>>,
+    /// The lane task of the merge that pushing the pending slab triggered
+    /// before the last kernel ran, which `accept` submits where the push
+    /// used to happen.
+    early: Option<Job>,
+    /// What the last kernel streamed into the merge that first takes its
+    /// product, until that merge (whose tally, if it closes the phase, is
+    /// in `tally` already).
+    streamed: Option<Csc<S::Elem>>,
     /// The closing merge's tally, once it ran.
     tally: Option<Vec<K::Tally>>,
     spans: Vec<MergeSpan>,
@@ -292,13 +285,7 @@ impl<'k, S: Semiring, K: ColumnSink<S::Elem>> MergeEngine<'k, S, K> {
                 packed.cols
             }
             (Some(mats), false) => merge_into(self.sr, kernel, &mats, self.shape, &Whole).cols,
-            (None, _) => match self.streamed.take().expect("the last kernel streamed here") {
-                Streamed::Closing(packed) => {
-                    self.tally = Some(packed.tally);
-                    packed.cols
-                }
-                Streamed::Inner(merged) => merged,
-            },
+            (None, _) => self.streamed.take().expect("the last kernel streamed here"),
         };
         let measured_s = comm.measured_now() - w0;
         drop(tail);
@@ -369,7 +356,9 @@ impl<'k, S: Semiring, K: ColumnSink<S::Elem>> MergeEngine<'k, S, K> {
             self.stack.push(prev);
             self.pushed += 1;
             let count = algorithm2_merge_count(self.pushed);
-            self.early = Some((count > 0).then(|| self.merge_now(comm, count)));
+            if count > 0 {
+                self.early = Some(self.merge_now(comm, count));
+            }
         }
         let count = match self.strategy {
             MergeStrategy::Binary => algorithm2_merge_count(self.pushed + 1),
@@ -394,17 +383,16 @@ impl<'k, S: Semiring, K: ColumnSink<S::Elem>> MergeEngine<'k, S, K> {
             let emit = MergeEmit::<S, K>::new(kernel, inputs, nrows, self.sink, &tally);
             launch = exec.submit(self.sr, host_now, a, b, fpc, spec, emit);
             if launch.streamed {
-                let cols = std::mem::replace(&mut launch.c, Csc::zero(nrows, 0));
                 let tally = tally.into_inner().expect("nothing panics under the lock");
-                self.streamed = Some(Streamed::Closing(Packed { cols, tally }));
+                self.tally = Some(tally);
+                self.streamed = Some(std::mem::replace(&mut launch.c, Csc::zero(nrows, 0)));
             }
         } else {
             let tally = Mutex::new(vec![(); ncols]);
             let emit = MergeEmit::<S, Whole>::new(kernel, inputs, nrows, &Whole, &tally);
             launch = exec.submit(self.sr, host_now, a, b, fpc, spec, emit);
             if launch.streamed {
-                let merged = std::mem::replace(&mut launch.c, Csc::zero(nrows, 0));
-                self.streamed = Some(Streamed::Inner(merged));
+                self.streamed = Some(std::mem::replace(&mut launch.c, Csc::zero(nrows, 0)));
             }
         }
         launch
@@ -433,20 +421,14 @@ impl<'k, S: Semiring, K: ColumnSink<S::Elem>> MergeEngine<'k, S, K> {
                 if self.pipelined {
                     // Push the *previous* stage's slab: its merge (if
                     // Algorithm 2 triggers one) overlaps this stage's
-                    // kernel on the merge lane. Before the phase's last
-                    // kernel the push ran already; its task goes here.
-                    match self.early.take() {
-                        Some(job) => {
-                            if let Some(job) = job {
-                                self.submit(exec, job);
-                            }
-                            self.pending = Some(slab);
-                        }
-                        None => {
-                            if let Some(prev) = self.pending.replace(slab) {
-                                self.push_binary(comm, exec, prev);
-                            }
-                        }
+                    // kernel on the merge lane. If the phase's last kernel
+                    // streamed, the push ran before it, and the task of
+                    // the merge it triggered goes here.
+                    if let Some(job) = self.early.take() {
+                        self.submit(exec, job);
+                    }
+                    if let Some(prev) = self.pending.replace(slab) {
+                        self.push_binary(comm, exec, prev);
                     }
                 } else {
                     // Bulk synchronous: the host blocks until the merge
@@ -500,7 +482,7 @@ impl<'k, S: Semiring, K: ColumnSink<S::Elem>> MergeEngine<'k, S, K> {
         // — or, under one that keeps every column whole, hands it over;
         // if its kernel streamed it, the sink packed it already.
         let last = match self.stack.pop() {
-            Some(slab) => slab.m,
+            Some(slab) => slab.m.or_else(|| self.streamed.take()),
             None => Some(Csc::zero(self.shape.0, self.shape.1)),
         };
         match (last, self.tally) {
@@ -510,10 +492,7 @@ impl<'k, S: Semiring, K: ColumnSink<S::Elem>> MergeEngine<'k, S, K> {
                 cols: last,
             },
             (Some(last), None) => sink_slab(&last, self.sink),
-            (None, _) => match self.streamed.take() {
-                Some(Streamed::Closing(packed)) => packed,
-                _ => unreachable!("a streamed phase product is packed"),
-            },
+            (None, _) => unreachable!("every stacked slab is built or streamed"),
         }
     }
 }
