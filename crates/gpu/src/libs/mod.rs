@@ -90,6 +90,31 @@ mod tests {
     }
 
     #[test]
+    fn every_lib_hands_each_column_of_its_range_to_the_emit_by_index() {
+        use hipmcl_spgemm::emit::{counters, Counted};
+        use std::sync::atomic::Ordering::Relaxed;
+        let (a, b) = (random_csc(20, 15, 80, 2), random_csc(15, 18, 70, 3));
+        let fpc = hipmcl_spgemm::flops_per_column(&a, &b);
+        let cols = 4..b.ncols();
+        for lib in GpuLib::all() {
+            let want = multiply_csc(&a, &b, lib);
+            let counts = counters(b.ncols());
+            let emit = Counted::new(Push, &counts);
+            let s = PlusTimes::<f64>::new();
+            let got = multiply_cols_in(s, &a, &b, cols.clone(), &fpc, lib, emit);
+            assert_eq!(got, want.column_slice(cols.clone()), "{}", lib.name());
+            for (j, count) in counts.iter().enumerate() {
+                let n = if cols.contains(&j) {
+                    want.col_nnz(j)
+                } else {
+                    0
+                };
+                assert_eq!(count.load(Relaxed), n, "{} column {j}", lib.name());
+            }
+        }
+    }
+
+    #[test]
     fn empty_product_all_libs() {
         let a = Csc::<f64>::zero(4, 4);
         for lib in GpuLib::all() {
