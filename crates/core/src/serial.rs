@@ -9,11 +9,12 @@
 //! graphs that fit in one process.
 
 use crate::config::MclConfig;
-use hipmcl_sparse::colops::{self, PruneScratch};
+use hipmcl_sparse::colops::{self, PruneParams, PruneScratch};
 use hipmcl_sparse::components::{clusters_from_labels, connected_components};
 use hipmcl_sparse::wire::{WireDecode, WireEncode, WireError, WireReader};
-use hipmcl_sparse::{Csc, Idx, PlusTimes};
-use hipmcl_spgemm::{flops_per_column, hash, MultAnalysis};
+use hipmcl_sparse::{Csc, CscBuilder, Idx, PlusTimes};
+use hipmcl_spgemm::emit::Emit;
+use hipmcl_spgemm::{flops_per_column, CpuAlgo, MultAnalysis};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// Per-iteration trace entry of a serial run.
@@ -173,35 +174,44 @@ pub fn cluster_serial(adjacency: &Csc<f64>, cfg: &MclConfig) -> MclResult {
 /// no more than one unpruned column per worker exists at a time.
 pub fn mcl_iteration(a: &mut Csc<f64>, cfg: &MclConfig) -> (MultAnalysis, f64) {
     let fpc = flops_per_column(a, a);
-    let (prune, inflation) = (&cfg.prune, cfg.inflation);
-    let nnz_out = &AtomicU64::new(0);
-    let (mut rows, mut vals) = (Vec::<Idx>::new(), Vec::<f64>::new());
-    let mut scratch = PruneScratch::default();
-    let keep = prune.select.max(prune.recover_num);
-    *a = hash::multiply_with_flops_in(
-        PlusTimes::<f64>::new(),
-        a,
-        a,
-        &fpc,
-        keep,
-        move |table, j, out| {
-            let n = table.len();
-            nnz_out.fetch_add(n as u64, Relaxed);
-            rows.resize(n, 0);
-            vals.resize(n, 0.0);
-            table.drain_sorted_into(j, &mut rows, &mut vals);
-            let (rules, kept, _stats) = colops::prune_column(&vals, prune, &mut scratch);
-            out.push_column_with(kept, |r, v| {
-                colops::write_admitted(&rows, &vals, rules, r, v);
-                colops::inflate_column(v, inflation);
-            });
-        },
-    );
+    let nnz_out = AtomicU64::new(0);
+    let step = PruneInflate {
+        prune: &cfg.prune,
+        inflation: cfg.inflation,
+        nnz_out: &nnz_out,
+        scratch: PruneScratch::default(),
+    };
+    *a = CpuAlgo::Hash.multiply_cols_in(PlusTimes::<f64>::new(), a, a, 0..a.ncols(), &fpc, step);
     let analysis = MultAnalysis {
         flops: fpc.iter().sum(),
         nnz_out: nnz_out.load(Relaxed),
     };
     (analysis, colops::chaos(a))
+}
+
+/// The serial iteration's column step: counts each expanded column's
+/// entries into `nnz_out`, then prunes and inflates it where it is pushed.
+#[derive(Clone)]
+struct PruneInflate<'a> {
+    prune: &'a PruneParams,
+    inflation: f64,
+    nnz_out: &'a AtomicU64,
+    scratch: PruneScratch,
+}
+
+impl Emit<f64> for PruneInflate<'_> {
+    fn room(&self, _: usize, bound: usize) -> usize {
+        bound.min(self.prune.select.max(self.prune.recover_num))
+    }
+
+    fn emit(&mut self, _: usize, rows: &[Idx], vals: &[f64], out: &mut CscBuilder<f64>) {
+        self.nnz_out.fetch_add(rows.len() as u64, Relaxed);
+        let (rules, kept, _stats) = colops::prune_column(vals, self.prune, &mut self.scratch);
+        out.push_column_with(kept, |r, v| {
+            colops::write_admitted(rows, vals, rules, r, v);
+            colops::inflate_column(v, self.inflation);
+        });
+    }
 }
 
 /// Symmetrize / self-loop / column-normalize the input per `cfg`.

@@ -96,22 +96,6 @@ impl MultiGpu {
         }
     }
 
-    /// Whether every device can hold its share of `A · B` at the product's
-    /// bound — its inputs plus a slab of `Σ min(flops_j, nrows)` entries
-    /// over its columns, `fpc` being `flops_per_column(a, b)` — so that no
-    /// part of the launch can run out of memory.
-    pub fn fits<T: Value>(&self, a: &Csc<T>, b: &Csc<T>, fpc: &[u64]) -> bool {
-        let (g, n) = (self.devices.len(), b.ncols());
-        self.devices.iter().enumerate().all(|(d, dev)| {
-            let cols = even_chunk(n, g, d);
-            let bound = fpc[cols.clone()]
-                .iter()
-                .map(|&f| (f as usize).min(a.nrows()));
-            let out = cols_bytes::<T>(cols.len(), bound.sum());
-            a.bytes() + slab_bytes(b, &cols) + out <= dev.mem_free()
-        })
-    }
-
     /// Runs `C = A · B` split across all devices, starting at host virtual
     /// time `host_now`, in the given semiring. See module docs for the
     /// timeline semantics, and [`MultiGpu::launch_in`] for what fails.
@@ -141,7 +125,6 @@ impl MultiGpu {
     /// kernel or to more SUMMA phases. The devices before the one that
     /// fails have run their share by then, and the columns of their share
     /// have been emitted; the failing device holds nothing of the launch.
-    /// A launch that [`fits`](MultiGpu::fits) cannot fail.
     #[allow(clippy::too_many_arguments)]
     pub fn launch_in<S: Semiring, E: Emit<S::Elem>>(
         &mut self,

@@ -16,12 +16,11 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 /// The one column hook of every kernel. Each worker runs its own clone, so
-/// what an emit owns is per worker.
+/// what an emit owns is per worker. A column may reach an emit twice: a GPU
+/// launch that runs out of device memory drops the output of the columns
+/// its devices had emitted and recomputes them all on the host, so what an
+/// emit records of column `j` outside the output is overwritten, not added.
 pub trait Emit<T: Value>: Clone + Send {
-    /// Whether every column goes to the output unchanged, so that what the
-    /// kernel returns is the product itself.
-    const PUSH: bool = false;
-
     /// At most how many entries the output takes for column `j` of a
     /// product that holds at most `bound` there — what the kernel reserves.
     fn room(&self, j: usize, bound: usize) -> usize;
@@ -51,8 +50,6 @@ pub trait Emit<T: Value>: Clone + Send {
 pub struct Push;
 
 impl<T: Value> Emit<T> for Push {
-    const PUSH: bool = true;
-
     fn room(&self, _: usize, bound: usize) -> usize {
         bound
     }
@@ -92,8 +89,6 @@ impl<'c, E> Counted<'c, E> {
 }
 
 impl<T: Value, E: Emit<T>> Emit<T> for Counted<'_, E> {
-    const PUSH: bool = E::PUSH;
-
     fn room(&self, j: usize, bound: usize) -> usize {
         self.inner.room(j, bound)
     }

@@ -393,27 +393,6 @@ fn mode_of<T>(fpc: &[u64], nrows: usize) -> Addressing {
     Addressing::of::<T>(mean, nrows)
 }
 
-/// [`multiply_in`] given `fpc = flops_per_column(a, b)`, with each
-/// finished column handed to `emit`, which appends at most `keep` entries
-/// of it (see [`multiply_cols_with`]; [`append`] and `usize::MAX` make it
-/// [`multiply_in`]).
-pub fn multiply_with_flops_in<S: Semiring>(
-    sr: S,
-    a: &Csc<S::Elem>,
-    b: &Csc<S::Elem>,
-    fpc: &[u64],
-    keep: usize,
-    emit: impl FnMut(&mut HashScratch<S::Elem>, usize, &mut CscBuilder<S::Elem>) + Clone + Send,
-) -> Csc<S::Elem> {
-    assert_eq!(fpc.len(), b.ncols(), "one flops entry per output column");
-    let nrows = a.nrows();
-    let mode = mode_of::<S::Elem>(fpc, nrows);
-    let bound = |j: usize| (fpc[j] as usize).min(nrows);
-    let reserve = (0..fpc.len()).map(|j| bound(j).min(keep)).sum();
-    let open = |table: &mut HashScratch<S::Elem>, j| table.open_as(mode, bound(j), nrows);
-    multiply_cols_with(sr, a, b, 0..b.ncols(), reserve, open, emit)
-}
-
 /// [`multiply_in`] given `fpc`, with the addressing mode given instead of
 /// derived from the operands.
 pub fn multiply_as<S: Semiring>(

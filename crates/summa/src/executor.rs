@@ -37,7 +37,7 @@ use crate::merge::MergeSpan;
 use hipmcl_comm::{Event, GpuLib, MachineModel, MergeKernel, SpgemmKernel, TimeModel, Timeline};
 use hipmcl_gpu::multi::MultiGpu;
 use hipmcl_sparse::{Csc, Semiring, Value};
-use hipmcl_spgemm::emit::{counted, counters, Counted, Emit, Push};
+use hipmcl_spgemm::emit::{counted, counters, Counted, Emit};
 use hipmcl_spgemm::hybrid::realized_cf;
 use hipmcl_spgemm::CpuAlgo;
 
@@ -165,16 +165,11 @@ pub struct LaunchSpec {
 /// is work, not waiting).
 #[derive(Debug)]
 pub struct KernelLaunch<T: Value = f64> {
-    /// The (real) product `A ⊗ B` in the submitted semiring — or, when
-    /// [`streamed`](Self::streamed), what the launch's emit made of its
-    /// columns.
+    /// What the submitted emit made of the columns of the (real) product
+    /// `A ⊗ B` in the submitted semiring: the product itself under
+    /// [`Push`](hipmcl_spgemm::emit::Push).
     pub c: Csc<T>,
-    /// Whether the product's columns went through the submitted emit as
-    /// the kernel finished them, so that the product itself was never
-    /// built. Only a launch that cannot run out of device memory streams;
-    /// any other materializes its product in `c`.
-    pub streamed: bool,
-    /// Entries of the product.
+    /// Entries of the product, whatever the emit kept of it.
     pub nnz: usize,
     /// The kernel that produced it.
     pub kernel: SpgemmKernel,
@@ -353,20 +348,19 @@ impl<'g> Executor<'g> {
 
     /// Submits `C = A ⊗ B` in semiring `s` as described by `spec`,
     /// starting at host virtual time `host_now`, with each column of the
-    /// product handed to `emit` as the kernel finishes it ([`Push`] builds
-    /// the product). `fpc` is `flops_per_column(a, b)`, counted once per
-    /// launch by the scheduler. Never advances a rank clock — the
-    /// scheduler decides what to wait on.
+    /// product handed to `emit` as the kernel finishes it
+    /// ([`Push`](hipmcl_spgemm::emit::Push) builds the product). `fpc` is
+    /// `flops_per_column(a, b)`, counted once per launch by the scheduler.
+    /// Never advances a rank clock — the scheduler decides what to wait
+    /// on.
     ///
     /// What the modeled bookkeeping reads of the product — device slab
-    /// sizes, `cf`, transfer bytes — is its column counts, so a streamed
-    /// launch is charged exactly as a materialized one. A GPU launch
-    /// streams only if no device can run out of memory
-    /// ([`MultiGpu::fits`]): the out-of-memory fallback recomputes the
-    /// product on the host hash kernel, whose sums may round differently
-    /// from the library's, after columns would already have gone. Any
-    /// other launch that would stream builds its product instead
-    /// ([`KernelLaunch::streamed`]).
+    /// sizes, `cf`, transfer bytes — is its column counts, so a launch is
+    /// charged the same whatever `emit` makes of the columns. A GPU launch
+    /// that runs out of device memory drops the output of the columns its
+    /// devices had emitted and hands `emit` every column again from the
+    /// host hash kernel's product, so `c` is what `emit` makes of the
+    /// fallback's product, as if that had been built first.
     #[allow(clippy::too_many_arguments)]
     pub fn submit<S: Semiring, E: Emit<S::Elem>>(
         &mut self,
@@ -424,7 +418,6 @@ impl<'g> Executor<'g> {
         };
         KernelLaunch {
             c,
-            streamed: !E::PUSH,
             nnz,
             kernel,
             inputs_ready_at,
@@ -476,28 +469,6 @@ impl<'g> Executor<'g> {
         } else {
             b
         };
-        if !E::PUSH && !self.gpus.fits(a, b_gpu, &fpc[..gcols]) {
-            return self.launch_gpu(s, host_now, a, b, b_gpu, fpc, lib, spec, Push);
-        }
-        self.launch_gpu(s, host_now, a, b, b_gpu, fpc, lib, spec, emit)
-    }
-
-    /// [`submit_gpu`](Self::submit_gpu) once the devices' columns, those
-    /// of `b_gpu`, are settled.
-    #[allow(clippy::too_many_arguments)]
-    fn launch_gpu<S: Semiring, E: Emit<S::Elem>>(
-        &mut self,
-        s: S,
-        host_now: f64,
-        a: &Csc<S::Elem>,
-        b: &Csc<S::Elem>,
-        b_gpu: &Csc<S::Elem>,
-        fpc: &[u64],
-        lib: GpuLib,
-        spec: &LaunchSpec,
-        emit: E,
-    ) -> (KernelLaunch<S::Elem>, f64) {
-        let (n, gcols, hash) = (b.ncols(), b_gpu.ncols(), SpgemmKernel::CpuHash);
         let launched = self
             .gpus
             .launch_in(s, host_now, a, b_gpu, &fpc[..gcols], lib, emit.clone());
@@ -509,8 +480,9 @@ impl<'g> Executor<'g> {
             // charges the CPU duration, so the slowdown shows up in
             // reports rather than vanishing, and the share reported is
             // the fallback's 0, not the intent, which keeps the adaptive
-            // fraction honest. (Only a launch that builds its product
-            // gets here: one that streams fits its devices.)
+            // fraction honest. What the devices before the one that ran
+            // out had emitted is dropped with their output; the fallback
+            // emits every column again.
             Err(e) => {
                 eprintln!(
                     "gpu launch degraded to CpuHash: {e} (increase phases or use a CPU \
@@ -523,7 +495,6 @@ impl<'g> Executor<'g> {
 
         let mut launch = KernelLaunch {
             c: r.c,
-            streamed: !E::PUSH,
             nnz: r.nnz,
             kernel: spec.kernel,
             inputs_ready_at: r.inputs_transferred_at,
@@ -785,6 +756,7 @@ impl SplitController {
 mod tests {
     use super::*;
     use hipmcl_sparse::{CscBuilder, Idx, PlusTimes};
+    use hipmcl_spgemm::emit::Push;
     use hipmcl_spgemm::testutil::random_csc;
     use proptest::prelude::*;
 
@@ -911,51 +883,55 @@ mod tests {
     }
 
     #[test]
-    fn a_launch_streams_only_where_no_device_can_run_out_of_memory() {
+    fn a_launch_emits_what_it_would_make_of_its_built_product() {
         let (m, a) = (model(), random_csc(30, 30, 260, 51));
         let (product, fpc) = (want(&a), fpc(&a));
-        fn first(c: &Csc<f64>) -> impl Iterator<Item = Option<Idx>> + '_ {
-            (0..c.ncols()).map(|j| c.col_rows(j).first().copied())
+        fn first(c: &Csc<f64>) -> Vec<Option<Idx>> {
+            (0..c.ncols())
+                .map(|j| c.col_rows(j).first().copied())
+                .collect()
         }
-        // Devices that hold every launch, the product but not its bound,
-        // and nothing.
-        let one = |ncols: usize, nnz: usize| (ncols + 1) * 8 + nnz * 12;
-        let bound = fpc.iter().map(|&f| (f as usize).min(30)).sum();
-        let (fits, tight) = (
-            2 * a.bytes() + one(30, bound),
-            2 * a.bytes() + one(30, product.nnz()),
-        );
-        assert!(tight < fits);
-        for (kernel, mem, streams) in [
-            (NSPARSE, fits, true),
-            (NSPARSE, tight, false),
-            (NSPARSE, 64, false),
-            (SpgemmKernel::CpuHeap, 64, true),
+        let split = hybrid(SplitPolicy::Fixed(0.5));
+        // Devices that hold every launch; two whose second is full, so
+        // that the first has emitted its columns when the launch runs out
+        // of memory; devices that hold nothing; a CPU kernel inline; and a
+        // column split, with and without running out.
+        for (kind, kernel, mem, full) in [
+            (ExecutorKind::Gpus, NSPARSE, 1 << 30, false),
+            (ExecutorKind::Gpus, NSPARSE, 1 << 30, true),
+            (ExecutorKind::Gpus, NSPARSE, 64, false),
+            (ExecutorKind::Gpus, SpgemmKernel::CpuHeap, 64, false),
+            (split, NSPARSE, 1 << 30, false),
+            (split, NSPARSE, 1 << 30, true),
         ] {
+            let case = format!("{kind:?} {kernel:?} on {mem} B, second full: {full}");
             let launch = |emit: bool| {
-                let mut gpus = MultiGpu::new(model(), 1, mem);
-                let mut exec = Executor::new(ExecutorKind::Gpus, &mut gpus, &m);
+                let mut gpus = MultiGpu::new(model(), 2, mem);
+                if full {
+                    gpus.devices[1].alloc(mem).unwrap();
+                }
+                let mut exec = Executor::new(kind, &mut gpus, &m);
                 let spec = spec_for(&a, kernel);
-                match emit {
+                let l = match emit {
                     true => exec.submit(pt(), 1.0, &a, &a, &fpc, spec, First),
                     false => exec.submit(pt(), 1.0, &a, &a, &fpc, spec, Push),
-                }
+                };
+                (l, gpus.devices[0].kernels_launched())
             };
-            let (got, built) = (launch(true), launch(false));
-            assert_eq!(got.streamed, streams, "{kernel:?} on {mem} B");
-            assert_eq!(built.c, product);
-            assert!(first(&got.c).eq(first(&product)), "{kernel:?} on {mem} B");
-            let kept = match streams {
-                true => first(&product).flatten().count(),
-                false => product.nnz(),
-            };
-            assert_eq!(got.c.nnz(), kept, "{kernel:?} on {mem} B");
+            let ((got, ran), (built, _)) = (launch(true), launch(false));
+            if full && kind == ExecutorKind::Gpus {
+                assert_eq!(ran, 1, "{case}: the first device ran its share");
+            }
+            assert!(built.c.max_abs_diff(&product) < 1e-9, "{case}");
+            assert_eq!(first(&got.c), first(&built.c), "{case}");
+            let kept = first(&product).into_iter().flatten().count();
+            assert_eq!(got.c.nnz(), kept, "{case}: each column emitted once");
             // Charged as if built: same nnz, cf, label and instants.
             let charged = |l: &KernelLaunch| {
                 let t = [l.cf, l.inputs_ready_at, l.output_ready_at, l.kernel_time];
                 (l.nnz, l.kernel, t.map(f64::to_bits))
             };
-            assert_eq!(charged(&got), charged(&built), "{kernel:?} on {mem} B");
+            assert_eq!(charged(&got), charged(&built), "{case}");
         }
     }
 

@@ -142,7 +142,10 @@ pub struct MergeSpan {
     pub start: f64,
     /// Virtual time the merged slab became available.
     pub end: f64,
-    /// The kernel that ran it.
+    /// The kernel the task is timed with, chosen from its real input
+    /// size: the one that ran it, except that under `Auto` a phase's merge
+    /// of its streamed last product ran the one its estimated size chose
+    /// (every kernel gives the same bits).
     pub kernel: MergeKernel,
     /// Fan-in (number of lists merged).
     pub ways: usize,
@@ -428,11 +431,13 @@ pub fn kway_merge(mats: &[Csc<f64>], shape: (usize, usize)) -> Csc<f64> {
 }
 
 /// One worker's buffers for merging one column at a time, whatever the
-/// kernel: the column being assembled, pairwise's second buffer, the heap's
-/// tournament, the SpAdd accumulator and the k-cursor merge's positions and
-/// head rows.
+/// kernel: the inputs' column views (empty between columns, see
+/// [`recycle`]), the column being assembled, pairwise's second buffer, the
+/// heap's tournament, the SpAdd accumulator and the k-cursor merge's
+/// positions and head rows.
 #[derive(Clone, Default)]
 struct ColumnScratch<T: Value> {
+    views: Vec<View<'static, T>>,
     rows: Vec<Idx>,
     vals: Vec<T>,
     spare: (Vec<Idx>, Vec<T>),
@@ -444,9 +449,14 @@ struct ColumnScratch<T: Value> {
 /// One input column of a merge: its rows and their values.
 type View<'a, T> = (&'a [Idx], &'a [T]);
 
-/// Most inputs a merge collects the column views of on the stack; a wider
-/// merge (a grid side beyond it) collects them into a vector per column.
-const STACK_FAN_IN: usize = 16;
+/// `views` emptied, as a vector of views of any lifetime on the same
+/// allocation: collecting a vector's mapped `IntoIter` into a vector of an
+/// element of the same layout reuses its buffer, so a worker's views cost
+/// no allocation past its widest merge.
+fn recycle<'b, T: Value>(mut views: Vec<View<'_, T>>) -> Vec<View<'b, T>> {
+    views.clear();
+    views.into_iter().map(|_| unreachable!("emptied")).collect()
+}
 
 /// Grows `rows` and `vals` to at least `n` entries (never shrinks).
 fn grow<T: Value>(rows: &mut Vec<Idx>, vals: &mut Vec<T>, n: usize) {
@@ -467,18 +477,12 @@ fn merge_views<S: Semiring>(
     nrows: usize,
     w: &mut ColumnScratch<S::Elem>,
 ) -> usize {
-    let ways = mats.len() + usize::from(last.is_some());
-    let views = mats
-        .iter()
-        .map(|m| (m.col_rows(j), m.col_vals(j)))
-        .chain(last);
-    if ways <= STACK_FAN_IN {
-        let mut held: [View<S::Elem>; STACK_FAN_IN] = [(&[], &[]); STACK_FAN_IN];
-        held.iter_mut().zip(views).for_each(|(slot, v)| *slot = v);
-        merge_column::<S>(kernel, &held[..ways], nrows, w)
-    } else {
-        merge_column::<S>(kernel, &views.collect::<Vec<_>>(), nrows, w)
-    }
+    let mut views = recycle(std::mem::take(&mut w.views));
+    views.extend(mats.iter().map(|m| (m.col_rows(j), m.col_vals(j))));
+    views.extend(last);
+    let n = merge_column::<S>(kernel, &views, nrows, w);
+    w.views = recycle(views);
+    n
 }
 
 /// Merges the columns `cols` (fan-in ≥ 2) of `nrows` rows with `kernel`
@@ -1042,7 +1046,8 @@ mod tests {
 
     #[test]
     fn all_kernels_match_elementwise_sum() {
-        for k in [2usize, 3, 5, 8] {
+        // Fan-in 20: wider than any grid side the workloads run.
+        for k in [2usize, 3, 5, 8, 20] {
             let mats = slabs(10, k);
             let want = reference_sum(&mats);
             for kernel in hipmcl_comm::MergeKernel::all() {
@@ -1052,6 +1057,17 @@ mod tests {
                 assert_eq!(got.nnz(), want.nnz(), "{kernel:?} k={k}");
             }
         }
+    }
+
+    #[test]
+    fn recycled_views_keep_their_allocation() {
+        let (rows, vals) = ([1 as Idx, 2], [0.5, 0.25]);
+        let mut views: Vec<View<f64>> = Vec::with_capacity(24);
+        views.extend([(&rows[..], &vals[..]); 20]);
+        let at = views.as_ptr() as usize;
+        let again: Vec<View<f64>> = recycle(views);
+        assert!(again.is_empty());
+        assert_eq!((again.as_ptr() as usize, again.capacity()), (at, 24));
     }
 
     #[test]

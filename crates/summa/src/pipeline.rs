@@ -26,13 +26,13 @@
 //! the spot: the output columns of a sum of sparse matrices are
 //! independent. Any merge Algorithm 2 triggers among earlier slabs when
 //! that product arrives runs for real before the kernel, so the stack
-//! holds what the streaming merge reads. Only a launch that cannot run out
-//! of device memory streams (`Executor::submit`); any other builds its
-//! product, which then merges as every earlier one does. Either way every
-//! modeled submission — launch, merge task, wait — happens where and when
-//! it did for a built product, from the product's column counts alone, and
-//! every merge kernel is bit-identical, so results and modeled schedules
-//! cannot tell streaming from building.
+//! holds what the streaming merge reads. A launch that runs out of device
+//! memory hands the merge every column again from its host fallback
+//! (`Executor::submit`), as that fallback's built product would be merged.
+//! Every modeled submission — launch, merge task, wait — happens where and
+//! when it would for a built product, from the product's column counts
+//! alone, and every merge kernel is bit-identical, so results and modeled
+//! schedules cannot tell streaming from building.
 //!
 //! # Per-stage communication selection
 //!
@@ -191,12 +191,12 @@ struct Job {
 /// one that takes the whole stack once every stage product is in — passes
 /// each column it finishes through `sink`, whose tally it keeps.
 ///
-/// The phase's last stage product is never built when its launch can
-/// stream ([`stream_last`](Self::stream_last)): its kernel hands each
-/// column to the merge that first takes the product, which merges it with
-/// the same column of the other inputs on the spot. The lane tasks are
-/// submitted exactly where they would be for a built product, so the
-/// modeled schedule cannot tell the two apart.
+/// The phase's last stage product is never built
+/// ([`stream_last`](Self::stream_last)): its kernel hands each column to
+/// the merge that first takes the product, which merges it with the same
+/// column of the other inputs on the spot. The lane tasks are submitted
+/// exactly where they would be for a built product, so the modeled
+/// schedule cannot tell the two apart.
 struct MergeEngine<'k, S: Semiring, K: ColumnSink<S::Elem>> {
     sr: S,
     strategy: MergeStrategy,
@@ -329,8 +329,8 @@ impl<'k, S: Semiring, K: ColumnSink<S::Elem>> MergeEngine<'k, S, K> {
     }
 
     /// Submits the phase's last stage launch with its columns streamed
-    /// into the merge that first takes its product, and returns the launch
-    /// — whose `c` is the product if the launch built it instead.
+    /// into the merge that first takes its product, and returns the launch,
+    /// whose output that merge keeps.
     ///
     /// Under pipelined binary merging, accepting the last product pushes
     /// the pending slab first; that push, and the merge it may trigger
@@ -340,7 +340,11 @@ impl<'k, S: Semiring, K: ColumnSink<S::Elem>> MergeEngine<'k, S, K> {
     /// entries it merges besides the product, and whether it closes the
     /// phase — through the sink — follow from Algorithm 2 and the stack's
     /// depth. With nothing to merge it with (one stage), the product's
-    /// columns go to the sink as they are.
+    /// columns go to the sink as they are. Under `Auto` its real kernel is
+    /// chosen from the launch's estimated product size, the only one known
+    /// before the kernel runs; its lane task is labeled and timed with the
+    /// kernel the real size selects (`merge_now`), and every kernel gives
+    /// the same bits.
     #[allow(clippy::too_many_arguments)]
     fn stream_last(
         &mut self,
@@ -373,33 +377,28 @@ impl<'k, S: Semiring, K: ColumnSink<S::Elem>> MergeEngine<'k, S, K> {
             .iter()
             .map(|s| s.m.as_ref().expect("earlier products are built"))
             .collect();
-        let bound: usize = fpc.iter().map(|&f| (f as usize).min(a.nrows())).sum();
-        let total = others.iter().map(|s| s.nnz).sum::<usize>() + bound;
+        let estimate = (spec.flops as f64 / spec.cf_est) as usize;
+        let total = others.iter().map(|s| s.nnz).sum::<usize>() + estimate;
         let kernel = self.kernel(comm, total as u64, with + 1);
         let (nrows, ncols) = self.shape;
-        let mut launch;
-        if closing {
+        let mut launch = if closing {
             let tally = Mutex::new(vec![K::Tally::default(); ncols]);
             let emit = MergeEmit::<S, K>::new(kernel, inputs, nrows, self.sink, &tally);
-            launch = exec.submit(self.sr, host_now, a, b, fpc, spec, emit);
-            if launch.streamed {
-                let tally = tally.into_inner().expect("nothing panics under the lock");
-                self.tally = Some(tally);
-                self.streamed = Some(std::mem::replace(&mut launch.c, Csc::zero(nrows, 0)));
-            }
+            let launch = exec.submit(self.sr, host_now, a, b, fpc, spec, emit);
+            self.tally = Some(tally.into_inner().expect("nothing panics under the lock"));
+            launch
         } else {
             let tally = Mutex::new(vec![(); ncols]);
             let emit = MergeEmit::<S, Whole>::new(kernel, inputs, nrows, &Whole, &tally);
-            launch = exec.submit(self.sr, host_now, a, b, fpc, spec, emit);
-            if launch.streamed {
-                self.streamed = Some(std::mem::replace(&mut launch.c, Csc::zero(nrows, 0)));
-            }
-        }
+            exec.submit(self.sr, host_now, a, b, fpc, spec, emit)
+        };
+        self.streamed = Some(std::mem::replace(&mut launch.c, Csc::zero(nrows, 0)));
         launch
     }
 
     /// Accepts a stage product of `nnz` entries that is mergeable from
-    /// `ready_at`: `m`, or nothing if its kernel streamed it.
+    /// `ready_at`: `m`, or nothing for the last one, which its kernel
+    /// streamed.
     fn accept(
         &mut self,
         comm: &Comm,
@@ -421,9 +420,9 @@ impl<'k, S: Semiring, K: ColumnSink<S::Elem>> MergeEngine<'k, S, K> {
                 if self.pipelined {
                     // Push the *previous* stage's slab: its merge (if
                     // Algorithm 2 triggers one) overlaps this stage's
-                    // kernel on the merge lane. If the phase's last kernel
-                    // streamed, the push ran before it, and the task of
-                    // the merge it triggered goes here.
+                    // kernel on the merge lane. Before the phase's last
+                    // kernel the push ran ahead of it, and the task of the
+                    // merge it triggered goes here.
                     if let Some(job) = self.early.take() {
                         self.submit(exec, job);
                     }
@@ -480,7 +479,7 @@ impl<'k, S: Semiring, K: ColumnSink<S::Elem>> MergeEngine<'k, S, K> {
         // The hook gets the storage the closing merge wrote. A phase whose
         // one product needed no merge packs it here, through the same sink
         // — or, under one that keeps every column whole, hands it over;
-        // if its kernel streamed it, the sink packed it already.
+        // the sink packed a product the last kernel streamed already.
         let last = match self.stack.pop() {
             Some(slab) => slab.m.or_else(|| self.streamed.take()),
             None => Some(Csc::zero(self.shape.0, self.shape.1)),
@@ -654,7 +653,7 @@ where
                 }
                 timers.add("local_spgemm", launch.kernel_time);
                 out.timers_measured.add("local_spgemm", launch.measured_s);
-                let slab = (!launch.streamed).then_some(launch.c);
+                let slab = (k + 1 < side).then_some(launch.c);
                 (slab, launch.nnz, launch.output_ready_at)
             };
 

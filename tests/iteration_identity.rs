@@ -10,10 +10,10 @@
 //! `cluster_distributed_with` equals `summa_spgemm_with` +
 //! `prune_local_slab` on the same operand, on grids of 1, 4 and 9 ranks and
 //! every merge arm. The phase's last stage product streams into the merge
-//! that takes it, column by column, wherever its launch cannot run out of
-//! memory: one expansion of each arm — merge strategy, pipelining, merge
-//! kernel, executor, kernel policy, and devices that hold every launch or
-//! too few that send some to the host fallback — equals the slab-holding
+//! that takes it, column by column: one expansion of each arm — merge
+//! strategy, pipelining, merge kernel, executor, kernel policy, and devices
+//! that hold every launch or too few, whose launches run out of memory and
+//! stream again from the host fallback — equals the slab-holding
 //! path and the serial prune of the gathered unpruned product, and the
 //! digest of what all of them pruned is the one captured before the last
 //! product streamed. Both tests dispatch through `Universe::run_dist`, so
@@ -363,8 +363,8 @@ fn the_distributed_iteration_prunes_what_its_merges_pack() {
 
 /// One expansion of `a` on `grid` under `cfg`, on two devices of
 /// `device_mem` bytes a rank, pruned as the MCL loop prunes it (the sink
-/// packs each merged column, the last stage product streams into its merge
-/// where it can): equal, bit for bit and stats included, to
+/// packs each merged column, the last stage product streams into its
+/// merge): equal, bit for bit and stats included, to
 /// `summa_spgemm_with` + `prune_local_slab` and, gathered and summed over
 /// the ranks, to what `colops::prune` makes of the gathered unpruned
 /// product. Returns this rank's pruned block and stats.
@@ -427,7 +427,7 @@ fn fnv(h: u64, words: impl IntoIterator<Item = u64>) -> u64 {
 
 /// What each launch runs on, and on what devices: the paper's executor
 /// with devices that hold every launch, with devices too small for some
-/// (those build their product and fall back to the host), and with CPU
+/// (those fall back to the host, which emits every column again), and with CPU
 /// kernels only (inline); the worker pool; the hybrid split, fixed and
 /// adaptive. Each arm of [`merge_arms`] runs two of them, in turn.
 fn launch_setups() -> [(ExecutorKind, SelectionPolicy, usize); 6] {
