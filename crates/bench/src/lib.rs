@@ -569,31 +569,6 @@ pub fn fmt_time(s: f64) -> String {
     }
 }
 
-/// Runs the scattered MCL workload for `d` with the given active-set
-/// policy on the fully optimized bench configuration — one arm of the
-/// `probe_active_set` ablation.
-pub fn run_active_set_probe(
-    p: usize,
-    d: Dataset,
-    policy: hipmcl_summa::ActiveSetPolicy,
-) -> DistMclReport {
-    let mut cfg = bench_mcl_config_for(d, MclConfig::optimized(4 << 30));
-    cfg.active_set = policy;
-    run_scattered(p, d, &cfg)
-}
-
-/// Summed modeled expansion + merge seconds over the final third of the
-/// iterations — the tail where active-set shrinking should collapse the
-/// expansion cost (the `probe_active_set` acceptance quantity).
-pub fn final_third_expand_merge(r: &DistMclReport) -> f64 {
-    let n = r.trace.len();
-    let start = n - n.div_ceil(3);
-    r.trace[start..]
-        .iter()
-        .map(|t| t.expansion_time + t.merge_time)
-        .sum()
-}
-
 /// Paper-vs-measured footer used by every harness binary.
 pub fn print_paper_note(lines: &[&str]) {
     println!();
@@ -778,37 +753,6 @@ mod tests {
         assert_eq!(bcast.labels, hybrid.labels);
         assert_eq!(bcast.num_clusters, hybrid.num_clusters);
         assert_eq!(bcast.iterations, hybrid.iterations);
-    }
-
-    #[test]
-    fn active_set_shrinks_the_tail_without_changing_clusters() {
-        // The probe_active_set acceptance check: on Archaea at 9 ranks
-        // the dual settle criterion (chaos AND feedback row mass below
-        // epsilon) must leave the cluster labels bit-identical, and the
-        // summed modeled expansion + merge time over the final third of
-        // the iterations must be strictly lower with shrinking on — the
-        // frozen columns stop paying SpGEMM cost.
-        use hipmcl_summa::ActiveSetPolicy;
-        let off = run_active_set_probe(9, Dataset::Archaea, ActiveSetPolicy::Off);
-        let on = run_active_set_probe(9, Dataset::Archaea, ActiveSetPolicy::shrink());
-        assert_eq!(off.labels, on.labels, "shrinking changed the clusters");
-        assert_eq!(off.num_clusters, on.num_clusters);
-        assert!(on.frozen_cols > 0, "the workload must actually shrink");
-        assert_eq!(on.frozen_cols + on.active_cols, off.active_cols);
-        let full = final_third_expand_merge(&off);
-        let shrunk = final_third_expand_merge(&on);
-        assert!(
-            shrunk < full,
-            "final-third expansion+merge must strictly win: {shrunk} vs {full}"
-        );
-        // The trace accounts for every column on every iteration.
-        for it in &on.trace {
-            assert_eq!(
-                it.active_cols + it.frozen_cols,
-                off.active_cols as u64,
-                "active + frozen must partition the columns"
-            );
-        }
     }
 
     #[test]

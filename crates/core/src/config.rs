@@ -2,7 +2,6 @@
 
 use hipmcl_gpu::select::SelectionPolicy;
 use hipmcl_sparse::colops::PruneParams;
-use hipmcl_summa::active::ActiveSetPolicy;
 use hipmcl_summa::estimate::{EstimatorKind, PhasePlanner};
 use hipmcl_summa::executor::ExecutorKind;
 use hipmcl_summa::merge::{MergeKernelPolicy, MergeStrategy};
@@ -31,10 +30,6 @@ pub struct MclConfig {
     pub max_iters: usize,
     /// Distributed expansion settings (ignored by the serial driver).
     pub summa: SummaConfig,
-    /// Convergence-aware active-set shrinking of the SUMMA operand
-    /// (ignored by the serial driver). Every preset ships with
-    /// [`ActiveSetPolicy::Off`]; opt in with [`ActiveSetPolicy::shrink`].
-    pub active_set: ActiveSetPolicy,
 }
 
 impl Default for MclConfig {
@@ -60,7 +55,6 @@ impl MclConfig {
             chaos_epsilon: 1e-3,
             max_iters: 100,
             summa: SummaConfig::original_hipmcl(per_rank_budget),
-            active_set: ActiveSetPolicy::Off,
         }
     }
 
@@ -133,15 +127,12 @@ impl MclConfig {
     }
 
     /// Checks the configuration for values that would misbehave at run
-    /// time — a fixed hybrid split fraction outside `[0, 1]`, a
-    /// degenerate overlap-planner headroom, an out-of-range active-set
-    /// shrinking parameter, or pruning parameters no prune can honour
-    /// (`select == 0` used to panic mid-collective) — which is reported
-    /// here (and by the distributed driver, which calls this on entry)
-    /// rather than silently clamped.
+    /// time — a fixed hybrid split fraction outside `[0, 1]`, or pruning
+    /// parameters no prune can honour (`select == 0` used to panic
+    /// mid-collective) — which is reported here (and by the distributed
+    /// driver, which calls this on entry) rather than silently clamped.
     pub fn validate(&self) -> Result<(), ConfigError> {
         self.summa.validate()?;
-        self.active_set.validate()?;
         Ok(self.prune.validate()?)
     }
 }
@@ -222,7 +213,7 @@ mod tests {
     }
 
     #[test]
-    fn active_set_defaults_off_everywhere_and_validates() {
+    fn every_preset_validates() {
         for c in [
             MclConfig::original_hipmcl(1 << 30),
             MclConfig::optimized(1 << 30),
@@ -230,20 +221,7 @@ mod tests {
             MclConfig::cpu_pipelined(1 << 30),
             MclConfig::testing(8),
         ] {
-            assert_eq!(c.active_set, ActiveSetPolicy::Off);
             assert!(c.validate().is_ok());
-        }
-        let mut c = MclConfig::testing(8);
-        c.active_set = ActiveSetPolicy::shrink();
-        assert!(c.validate().is_ok());
-        c.active_set = ActiveSetPolicy::Shrink {
-            epsilon: f64::NAN,
-            min_shrink_frac: 0.1,
-            reshard_every: 1,
-        };
-        match c.validate().unwrap_err() {
-            ConfigError::ActiveSet(e) => assert_eq!(e.field, "epsilon"),
-            other => panic!("expected an active-set error, got {other:?}"),
         }
     }
 

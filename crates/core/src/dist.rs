@@ -25,7 +25,7 @@ use hipmcl_comm::collectives::{allreduce, allreduce_sum_vec};
 use hipmcl_comm::{ProcGrid, WireDecode, WireEncode, WireError, WireReader};
 use hipmcl_gpu::multi::MultiGpu;
 use hipmcl_sparse::{Csc, PlusTimes};
-use hipmcl_summa::active::{ActiveSet, ActiveSetPolicy};
+use hipmcl_summa::components::gathered_components;
 use hipmcl_summa::estimate::MemoryEstimate;
 use hipmcl_summa::spgemm::{summa_spgemm_with_in, SummaOutput};
 use hipmcl_summa::topk::{prune_packed, PruneSink};
@@ -34,10 +34,8 @@ use hipmcl_summa::DistMatrix;
 /// Canonical stage order for reports (matches the paper's Fig. 1 legend).
 /// `expansion` is the wall time of the whole SUMMA pipeline section
 /// (broadcasts + kernels + merging + synchronization waits, excluding the
-/// fused pruning) — the quantity Table II calls "overall". `reshard` is
-/// the active-set step (settle mask + freeze + operand exchange); always
-/// zero when [`ActiveSetPolicy::Off`].
-pub const STAGES: [&str; 8] = [
+/// fused pruning) — the quantity Table II calls "overall".
+pub const STAGES: [&str; 7] = [
     "local_spgemm",
     "mem_estimation",
     "summa_bcast",
@@ -45,7 +43,6 @@ pub const STAGES: [&str; 8] = [
     "pruning",
     "other",
     "expansion",
-    "reshard",
 ];
 
 /// Result of a distributed MCL run, identical on every rank.
@@ -87,14 +84,6 @@ pub struct DistMclReport {
     pub estimates: Vec<Option<MemoryEstimate>>,
     /// Per-iteration algorithmic trace (global quantities).
     pub trace: Vec<IterTrace>,
-    /// Columns still in the operand when the loop ended (the full
-    /// dimension unless active-set shrinking removed some).
-    pub active_cols: usize,
-    /// Columns frozen out of the operand over the whole run.
-    pub frozen_cols: usize,
-    /// Total modeled seconds spent in the active-set step (settle mask +
-    /// freeze + reshard exchange), mean over ranks.
-    pub reshard_time: f64,
 }
 
 impl DistMclReport {
@@ -132,9 +121,6 @@ impl WireEncode for DistMclReport {
         self.merge_peaks.encode(out);
         self.estimates.encode(out);
         self.trace.encode(out);
-        self.active_cols.encode(out);
-        self.frozen_cols.encode(out);
-        self.reshard_time.encode(out);
     }
 }
 
@@ -153,9 +139,6 @@ impl WireDecode for DistMclReport {
             merge_peaks: Vec::<u64>::decode(r)?,
             estimates: Vec::<Option<MemoryEstimate>>::decode(r)?,
             trace: Vec::<IterTrace>::decode(r)?,
-            active_cols: usize::decode(r)?,
-            frozen_cols: usize::decode(r)?,
-            reshard_time: f64::decode(r)?,
         })
     }
 }
@@ -213,11 +196,8 @@ pub fn cluster_distributed_with(
     let mut gpu_idle = 0.0;
     let mut converged = false;
     let mut iterations = 0;
-    let mut active = ActiveSet::full(a.ncols_global);
-    let mut since_reshard = 0usize;
-    // Per-iteration local [expansion, merge, reshard] seconds, flattened;
-    // averaged over ranks once after the loop (a single collective keeps
-    // the modeled clock comparable between Off and Shrink runs).
+    // Per-iteration local [expansion, merge] seconds, flattened; averaged
+    // over ranks once after the loop, in a single collective.
     let mut iter_stage_local: Vec<f64> = Vec::new();
 
     for _ in 0..cfg.max_iters {
@@ -253,6 +233,7 @@ pub fn cluster_distributed_with(
         }
         let it_expand = comm.now() - t_expand - prune_time;
         let it_merge = out.timers.get("merge");
+        iter_stage_local.extend([it_expand, it_merge]);
         stage.add("pruning", prune_time);
         stage.add("expansion", it_expand);
         stage_measured.add("pruning", prune_measured);
@@ -266,7 +247,7 @@ pub fn cluster_distributed_with(
         estimates.push(out.estimate);
         observe(iterations, &out);
 
-        let mut nnz_pruned = out.c.nnz_global(grid);
+        let nnz_pruned = out.c.nnz_global(grid);
         let flops = out.estimate.map_or(0, |e| e.flops);
         let nnz_expanded = out
             .estimate
@@ -276,45 +257,9 @@ pub fn cluster_distributed_with(
         // Inflation + chaos (distributed, per column).
         let t0 = comm.now();
         let w0 = comm.measured_now();
-        let (col_chaos, chaos) = dist_inflate_and_chaos_cols(grid, &mut a.local, cfg.inflation);
+        let (_, chaos) = dist_inflate_and_chaos_cols(grid, &mut a.local, cfg.inflation);
         stage.add("other", comm.now() - t0);
         stage_measured.add("other", comm.measured_now() - w0);
-
-        // Active-set step: settle, freeze, reshard. Skipped entirely when
-        // the loop is about to stop (the full convergence check below
-        // subsumes per-column settlement).
-        let mut it_reshard = 0.0f64;
-        if let ActiveSetPolicy::Shrink {
-            epsilon,
-            min_shrink_frac,
-            reshard_every,
-        } = cfg.active_set
-        {
-            since_reshard += 1;
-            if chaos >= cfg.chaos_epsilon && since_reshard >= reshard_every {
-                let t0 = comm.now();
-                let w0 = comm.measured_now();
-                let settled = active.settled_columns(grid, &a, &col_chaos, epsilon);
-                let n_settle = settled.iter().filter(|&&s| s).count();
-                let n_cur = a.ncols_global;
-                // min_shrink_frac suppresses the reshard for small
-                // batches: the settled columns simply stay active and are
-                // retried at the next settle point. Shrinking to an empty
-                // operand is likewise refused.
-                if n_settle > 0
-                    && n_settle < n_cur
-                    && (n_settle as f64) >= min_shrink_frac * n_cur as f64
-                {
-                    a = active.shrink(grid, &a, &settled);
-                    nnz_pruned = a.nnz_global(grid);
-                    since_reshard = 0;
-                }
-                it_reshard = comm.now() - t0;
-                stage.add("reshard", it_reshard);
-                stage_measured.add("reshard", (comm.measured_now() - w0).max(0.0));
-            }
-        }
-        iter_stage_local.extend([it_expand, it_merge, it_reshard]);
 
         trace.push(IterTrace {
             flops,
@@ -326,10 +271,7 @@ pub fn cluster_distributed_with(
                 flops as f64 / nnz_expanded as f64
             },
             chaos,
-            active_cols: a.ncols_global as u64,
-            frozen_cols: active.frozen_cols() as u64,
             // Rank means filled in after the loop.
-            reshard_time: 0.0,
             expansion_time: 0.0,
             merge_time: 0.0,
         });
@@ -344,15 +286,12 @@ pub fn cluster_distributed_with(
     let p_f = grid.size() as f64;
     let iter_stage_mean = allreduce_sum_vec(&grid.world, iter_stage_local);
     for (i, tr) in trace.iter_mut().enumerate() {
-        tr.expansion_time = iter_stage_mean[3 * i] / p_f;
-        tr.merge_time = iter_stage_mean[3 * i + 1] / p_f;
-        tr.reshard_time = iter_stage_mean[3 * i + 2] / p_f;
+        tr.expansion_time = iter_stage_mean[2 * i] / p_f;
+        tr.merge_time = iter_stage_mean[2 * i + 1] / p_f;
     }
 
-    // Cluster extraction: scatter the active results back through the
-    // index map and union with the frozen store (the identity path while
-    // nothing is frozen — bit-identical to plain gathered components).
-    let (labels, num_clusters) = active.final_components(grid, &a);
+    // Cluster extraction: connected components of the converged matrix.
+    let (labels, num_clusters) = gathered_components(grid, &a);
 
     // Aggregate instrumentation across ranks (mean per stage).
     let my_stage_vec: Vec<f64> = STAGES.iter().map(|s| stage.get(s)).collect();
@@ -395,9 +334,6 @@ pub fn cluster_distributed_with(
         gpu_idle: idle[1] / p,
         merge_peaks,
         estimates,
-        reshard_time: trace.iter().map(|t| t.reshard_time).sum(),
-        active_cols: active.active_cols(),
-        frozen_cols: active.frozen_cols(),
         trace,
     }
 }
@@ -407,8 +343,7 @@ pub fn cluster_distributed_with(
 /// per-column chaos vector (one entry per local panel column, identical
 /// across the ranks of a process column because it is computed from the
 /// column-reduced max and sum of squares) and the global chaos — the max
-/// over all columns. The per-column vector is what active-set shrinking
-/// feeds to [`ActiveSet::settled_columns`].
+/// over all columns.
 pub fn dist_inflate_and_chaos_cols(
     grid: &ProcGrid,
     m: &mut Csc<f64>,
@@ -711,62 +646,6 @@ mod tests {
     }
 
     #[test]
-    fn shrinking_preserves_serial_clusters() {
-        let g = planted(4, 6, 15, 11);
-        let cfg = MclConfig::testing(12);
-        let serial = crate::serial::cluster_serial(&g, &cfg);
-        for p in [1usize, 4, 9] {
-            let results = Universe::run(p, MachineModel::summit(), |comm| {
-                let grid = ProcGrid::new(comm);
-                let mut gpus = MultiGpu::summit_node(grid.world.model());
-                let g = planted(4, 6, 15, 11);
-                let mut cfg = MclConfig::testing(12);
-                cfg.active_set = hipmcl_summa::ActiveSetPolicy::shrink();
-                cluster_distributed(&grid, &mut gpus, &g, &cfg)
-            });
-            for r in &results {
-                assert_eq!(r.num_clusters, serial.num_clusters, "p={p}");
-                assert!(same_partition(&r.labels, &serial.labels), "p={p}");
-                assert!(r.converged);
-                // The trace exposes the shrink trajectory: active never
-                // grows, active + frozen always covers the graph.
-                let n = g.ncols() as u64;
-                let mut prev = n;
-                for it in &r.trace {
-                    assert!(it.active_cols <= prev);
-                    assert_eq!(it.active_cols + it.frozen_cols, n);
-                    prev = it.active_cols;
-                }
-                assert_eq!(r.active_cols + r.frozen_cols, g.ncols());
-            }
-        }
-    }
-
-    #[test]
-    fn shrink_with_zero_epsilon_is_bit_identical_to_off() {
-        let run = |policy: hipmcl_summa::ActiveSetPolicy| {
-            let results = Universe::run(4, MachineModel::summit(), move |comm| {
-                let grid = ProcGrid::new(comm);
-                let mut gpus = MultiGpu::summit_node(grid.world.model());
-                let g = planted(3, 7, 12, 13);
-                let mut cfg = MclConfig::testing(12);
-                cfg.active_set = policy;
-                cluster_distributed(&grid, &mut gpus, &g, &cfg)
-            });
-            results.into_iter().next().unwrap()
-        };
-        let off = run(hipmcl_summa::ActiveSetPolicy::Off);
-        let zero = run(hipmcl_summa::ActiveSetPolicy::Shrink {
-            epsilon: 0.0,
-            min_shrink_frac: 0.0,
-            reshard_every: 1,
-        });
-        assert_eq!(off.labels, zero.labels);
-        assert_eq!(off.iterations, zero.iterations);
-        assert_eq!(zero.frozen_cols, 0);
-    }
-
-    #[test]
     fn iter_trace_wire_round_trip_and_old_bytes_rejected() {
         let it = IterTrace {
             flops: 123,
@@ -774,20 +653,15 @@ mod tests {
             nnz_pruned: 70,
             cf: 1.76,
             chaos: 0.25,
-            active_cols: 40,
-            frozen_cols: 8,
-            reshard_time: 0.125,
             expansion_time: 1.5,
             merge_time: 0.5,
         };
         let bytes = it.encoded();
         let back = IterTrace::decode_all(&bytes).unwrap();
         assert_eq!(back.encoded(), bytes);
-        assert_eq!(back.active_cols, 40);
-        assert_eq!(back.frozen_cols, 8);
-        assert_eq!(back.reshard_time.to_bits(), 0.125f64.to_bits());
-        // Pre-active-set bytes (flops..chaos only) no longer decode: the
-        // reader runs out before the new fields and must error, not
+        assert_eq!(back.expansion_time.to_bits(), 1.5f64.to_bits());
+        // Bytes without the stage times (flops..chaos only) do not decode:
+        // the reader runs out before the last fields and must error, not
         // fabricate defaults.
         let mut old = Vec::new();
         it.flops.encode(&mut old);
@@ -810,11 +684,11 @@ mod tests {
         let bytes = r.encoded();
         let back = DistMclReport::decode_all(&bytes).unwrap();
         assert_eq!(back.encoded(), bytes);
-        assert_eq!(back.active_cols, r.active_cols);
-        assert_eq!(back.frozen_cols, r.frozen_cols);
-        // A buffer without the trailing active-set fields (the pre-shrink
-        // report layout) is rejected as truncated.
-        let old = &bytes[..bytes.len() - 3 * 8];
+        assert_eq!(back.labels, r.labels);
+        assert_eq!(back.trace.len(), r.trace.len());
+        // A buffer cut inside the last trace entry is rejected as
+        // truncated.
+        let old = &bytes[..bytes.len() - 8];
         assert!(DistMclReport::decode_all(old).is_err());
     }
 

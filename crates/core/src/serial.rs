@@ -28,17 +28,8 @@ pub struct IterTrace {
     pub nnz_pruned: u64,
     /// Compression factor of the expansion.
     pub cf: f64,
-    /// Chaos after inflation (over the active columns).
+    /// Chaos after inflation.
     pub chaos: f64,
-    /// Columns still in the operand after this iteration's active-set
-    /// step (always the full dimension when shrinking is off).
-    pub active_cols: u64,
-    /// Columns checkpointed into the frozen store so far.
-    pub frozen_cols: u64,
-    /// Modeled seconds of this iteration's active-set step (settle mask +
-    /// freeze + reshard exchange), mean over ranks; `0.0` when shrinking
-    /// is off or the step was skipped.
-    pub reshard_time: f64,
     /// Modeled seconds of this iteration's expansion (SUMMA minus fused
     /// pruning), mean over ranks; `0.0` in serial runs.
     pub expansion_time: f64,
@@ -54,9 +45,6 @@ impl WireEncode for IterTrace {
         self.nnz_pruned.encode(out);
         self.cf.encode(out);
         self.chaos.encode(out);
-        self.active_cols.encode(out);
-        self.frozen_cols.encode(out);
-        self.reshard_time.encode(out);
         self.expansion_time.encode(out);
         self.merge_time.encode(out);
     }
@@ -70,9 +58,6 @@ impl WireDecode for IterTrace {
             nnz_pruned: u64::decode(r)?,
             cf: f64::decode(r)?,
             chaos: f64::decode(r)?,
-            active_cols: u64::decode(r)?,
-            frozen_cols: u64::decode(r)?,
-            reshard_time: f64::decode(r)?,
             expansion_time: f64::decode(r)?,
             merge_time: f64::decode(r)?,
         })
@@ -107,9 +92,8 @@ pub struct MclResult {
 ///
 /// On pruning parameters no prune can honour (`select == 0`, a negative
 /// or NaN `cutoff`, `recover_pct` outside `[0, 1]`), with the distributed
-/// driver's message. Only `cfg.prune` is checked: the serial driver reads
-/// neither `cfg.summa` nor `cfg.active_set`, so a fault there cannot
-/// affect it.
+/// driver's message. Only `cfg.prune` is checked: the serial driver does
+/// not read `cfg.summa`, so a fault there cannot affect it.
 pub fn cluster_serial(adjacency: &Csc<f64>, cfg: &MclConfig) -> MclResult {
     assert_eq!(
         adjacency.nrows(),
@@ -134,10 +118,7 @@ pub fn cluster_serial(adjacency: &Csc<f64>, cfg: &MclConfig) -> MclResult {
             nnz_pruned: a.nnz() as u64,
             cf: analysis.cf(),
             chaos,
-            // The serial driver never shrinks and has no modeled clock.
-            active_cols: a.ncols() as u64,
-            frozen_cols: 0,
-            reshard_time: 0.0,
+            // The serial driver has no modeled clock.
             expansion_time: 0.0,
             merge_time: 0.0,
         });

@@ -26,23 +26,6 @@ pub fn round_up(x: usize, m: usize) -> usize {
     x.div_ceil(m) * m
 }
 
-/// The sentinel [`inverse_selection`] stores for indices that were dropped
-/// from a selection.
-pub const DROPPED: usize = usize::MAX;
-
-/// Inverts a sorted index selection: given `keep` (strictly increasing old
-/// indices, the new→old map produced alongside `Csc::select_cols`), returns
-/// the old→new map of length `n_old` where kept indices map to their compact
-/// position and dropped indices map to [`DROPPED`].
-pub fn inverse_selection(n_old: usize, keep: &[usize]) -> Vec<usize> {
-    debug_assert!(is_strictly_increasing(keep));
-    let mut inv = vec![DROPPED; n_old];
-    for (new, &old) in keep.iter().enumerate() {
-        inv[old] = new;
-    }
-    inv
-}
-
 /// Splits `n` items into `parts` contiguous chunks as evenly as possible and
 /// returns the half-open range of chunk `i`.
 ///
@@ -206,17 +189,6 @@ mod tests {
                 assert_eq!(prev_end, n);
             }
         }
-    }
-
-    #[test]
-    fn inverse_selection_round_trips() {
-        let keep = [1usize, 3, 4];
-        let inv = inverse_selection(6, &keep);
-        assert_eq!(inv, vec![DROPPED, 0, DROPPED, 1, 2, DROPPED]);
-        for (new, &old) in keep.iter().enumerate() {
-            assert_eq!(inv[old], new);
-        }
-        assert_eq!(inverse_selection(3, &[]), vec![DROPPED; 3]);
     }
 
     #[test]

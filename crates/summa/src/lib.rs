@@ -1,9 +1,6 @@
 //! Distributed SpGEMM for `hipmcl-rs`: the Sparse SUMMA algorithm and the
 //! paper's optimizations on top of it.
 //!
-//! * [`active`] — convergence-aware active-set shrinking: per-column
-//!   settlement tracking, the frozen store of converged columns, and the
-//!   reshard that rebuilds the SUMMA operand over the surviving columns.
 //! * [`distmat`] — 2D block-distributed matrices on the
 //!   [`hipmcl_comm::ProcGrid`] (CombBLAS-style layout, DCSC-aware sizing).
 //! * [`merge`] — merging the per-stage intermediate products: the
@@ -40,7 +37,6 @@
 //! are validated against single-process kernels) while virtual clocks
 //! produce the Summit-shaped timings (see `hipmcl-comm` docs).
 
-pub mod active;
 pub mod components;
 pub mod distmat;
 pub mod estimate;
@@ -50,7 +46,6 @@ pub mod pipeline;
 pub mod spgemm;
 pub mod topk;
 
-pub use active::{ActiveSet, ActiveSetPolicy, InvalidActiveSet};
 pub use distmat::DistMatrix;
 pub use estimate::{EstimatorKind, MemoryEstimate, OverlapInputs, PhaseDecision, PhasePlanner};
 pub use executor::{

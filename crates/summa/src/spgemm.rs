@@ -240,9 +240,6 @@ impl SummaConfig {
 pub enum ConfigError {
     /// A fixed hybrid split fraction outside `[0, 1]`.
     Split(InvalidSplit),
-    /// An active-set shrinking parameter out of range (reported through
-    /// `MclConfig::validate`, which owns the policy).
-    ActiveSet(crate::active::InvalidActiveSet),
     /// A pruning parameter out of range (reported through
     /// `MclConfig::validate`, which owns the parameters).
     Prune(hipmcl_sparse::colops::InvalidPrune),
@@ -252,7 +249,6 @@ impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ConfigError::Split(e) => e.fmt(f),
-            ConfigError::ActiveSet(e) => e.fmt(f),
             ConfigError::Prune(e) => e.fmt(f),
         }
     }
@@ -263,12 +259,6 @@ impl std::error::Error for ConfigError {}
 impl From<InvalidSplit> for ConfigError {
     fn from(e: InvalidSplit) -> Self {
         ConfigError::Split(e)
-    }
-}
-
-impl From<crate::active::InvalidActiveSet> for ConfigError {
-    fn from(e: crate::active::InvalidActiveSet) -> Self {
-        ConfigError::ActiveSet(e)
     }
 }
 

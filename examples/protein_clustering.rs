@@ -25,14 +25,11 @@ fn main() {
         dataset.paper_size().1,
     );
 
-    // 16 simulated Summit nodes (4x4 grid), optimized HipMCL with
-    // convergence-aware active-set shrinking: settled columns freeze out
-    // of the SUMMA operand, so late iterations multiply a smaller matrix.
+    // 16 simulated Summit nodes (4x4 grid), optimized HipMCL.
     let p = 16;
     let mut mcl_cfg = MclConfig::optimized(2 << 30);
     mcl_cfg.prune.select = 200;
     mcl_cfg.summa.policy = hipmcl::gpu::select::SelectionPolicy::always_gpu();
-    mcl_cfg.active_set = hipmcl::summa::ActiveSetPolicy::shrink();
 
     let reports = Universe::run(p, MachineModel::summit(), |comm| {
         let grid = ProcGrid::new(comm);
@@ -52,7 +49,7 @@ fn main() {
         "modeled wall time on {p} Summit nodes: {:.3} s",
         report.total_time
     );
-    println!("\nstage breakdown (max over ranks, summed over iterations):");
+    println!("\nstage breakdown (mean over ranks, summed over iterations):");
     for (name, t) in &report.stage_times {
         println!("  {name:<16} {:>10.4} s", t);
     }
@@ -60,22 +57,15 @@ fn main() {
     println!("  {:<16} {:>10.4} s", "gpu idle", report.gpu_idle);
 
     println!("\nper-iteration trace:");
-    println!("  iter   flops        nnz(pruned)  cf      chaos      active  frozen");
+    println!("  iter   flops        nnz(pruned)  cf      chaos");
     for (i, it) in report.trace.iter().enumerate() {
         println!(
-            "  {:<6} {:<12} {:<12} {:<7.2} {:<10.5} {:<7} {}",
+            "  {:<6} {:<12} {:<12} {:<7.2} {:.5}",
             i + 1,
             it.flops,
             it.nnz_pruned,
             it.cf,
-            it.chaos,
-            it.active_cols,
-            it.frozen_cols
+            it.chaos
         );
     }
-    println!(
-        "\nactive set at convergence: {} columns still live, {} frozen \
-         (reshard overhead {:.4} s)",
-        report.active_cols, report.frozen_cols, report.reshard_time
-    );
 }

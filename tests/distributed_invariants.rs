@@ -124,18 +124,14 @@ fn gpu_estimator_variant_runs_end_to_end() {
 }
 
 #[test]
-fn label_propagation_agrees_with_union_find_on_mcl_output() {
+fn gathered_components_count_the_serial_clusters_on_mcl_output() {
     let reports = Universe::run(4, MachineModel::summit(), |comm| {
         let grid = ProcGrid::new(comm);
         let mut gpus = MultiGpu::summit_node(grid.world.model());
         let graph = net_graph(26, 120);
         let cfg = MclConfig::testing(16);
         let r = hipmcl::core::dist::cluster_distributed(&grid, &mut gpus, &graph, &cfg);
-        // Re-run the final component extraction with label propagation on
-        // the converged matrix reconstructed from another full run.
-        let prepared = hipmcl::core::serial::prepare_matrix(&graph, &cfg);
         let serial = hipmcl::core::cluster_serial(&graph, &cfg);
-        let _ = prepared;
         (r.num_clusters, serial.num_clusters)
     });
     for (dist_k, serial_k) in reports {

@@ -22,6 +22,45 @@ fn same_partition(a: &[u32], b: &[u32]) -> bool {
         && (0..a.len()).all(|i| ((i + 1)..a.len()).all(|j| (a[i] == a[j]) == (b[i] == b[j])))
 }
 
+/// `HIPMCL_MAX_RANKS=k` caps the rank count of the `run_dist` test below.
+fn max_ranks() -> usize {
+    std::env::var("HIPMCL_MAX_RANKS")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(usize::MAX)
+        .max(1)
+}
+
+/// The whole driver dispatched through [`Universe::run_dist`], so the
+/// transport comes from the environment (`HIPMCL_TRANSPORT=tcp`, or
+/// `process-shm` with that feature built): the labels must be bit-equal
+/// to the serial oracle's on every transport.
+#[test]
+fn the_distributed_driver_matches_serial_on_any_transport() {
+    let net = generate_protein_net(&ProteinNetConfig {
+        n: 120,
+        avg_degree: 12.0,
+        min_cluster: 8,
+        max_cluster: 24,
+        noise_frac: 0.05,
+        seed: 97,
+        ..Default::default()
+    });
+    let graph = Csc::from_triples(&net.graph);
+    let cfg = MclConfig::testing(12);
+    let serial = hipmcl::core::cluster_serial(&graph, &cfg);
+
+    let reports = Universe::run_dist(4.min(max_ranks()), MachineModel::summit(), move |comm| {
+        let grid = ProcGrid::new(comm);
+        let mut gpus = MultiGpu::summit_node(grid.world.model());
+        hipmcl::core::dist::cluster_distributed(&grid, &mut gpus, &graph, &cfg)
+    });
+    let r = &reports[0];
+    assert_eq!(r.labels, serial.labels, "distributed diverged from serial");
+    assert_eq!(r.num_clusters, serial.num_clusters);
+    assert!(r.converged);
+}
+
 #[test]
 fn serial_and_distributed_agree_across_grids() {
     let (graph, _, _) = small_net(5);
