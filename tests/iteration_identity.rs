@@ -29,7 +29,7 @@ use hipmcl::prelude::*;
 use hipmcl::sparse::colops::{self, PruneParams, PruneStats};
 use hipmcl::sparse::{Idx, PlusTimes};
 use hipmcl::spgemm::hybrid::multiply_auto;
-use hipmcl::summa::executor::{ExecutorKind, SplitPolicy};
+use hipmcl::summa::executor::ExecutorKind;
 use hipmcl::summa::merge::{MergeKernelPolicy, MergeStrategy};
 use hipmcl::summa::spgemm::{summa_spgemm_with, summa_spgemm_with_in, PhasePlan};
 use hipmcl::summa::topk::{prune_local_slab, prune_packed, PruneSink};
@@ -428,18 +428,18 @@ fn fnv(h: u64, words: impl IntoIterator<Item = u64>) -> u64 {
 /// What each launch runs on, and on what devices: the paper's executor
 /// with devices that hold every launch, with devices too small for some
 /// (those fall back to the host, which emits every column again), and with CPU
-/// kernels only (inline); the worker pool; the hybrid split, fixed and
-/// adaptive. Each arm of [`merge_arms`] runs two of them, in turn.
-fn launch_setups() -> [(ExecutorKind, SelectionPolicy, usize); 6] {
+/// kernels only (inline); and the worker pool. Each arm of [`merge_arms`]
+/// runs two of them, in turn. Which two an arm gets is part of the digest:
+/// at p = 9 the GPU setups' bhsparse and rmerge2 analogues round some sums
+/// differently from the CPU kernels, so a different rotation hashes
+/// different bits.
+fn launch_setups() -> [(ExecutorKind, SelectionPolicy, usize); 4] {
     let (gpu, big, small) = (SelectionPolicy::always_gpu(), 1 << 30, 24 << 10);
-    let hybrid = |split| ExecutorKind::Hybrid { split };
     [
         (ExecutorKind::Gpus, gpu, big),
         (ExecutorKind::Gpus, gpu, small),
         (ExecutorKind::Gpus, SelectionPolicy::original_heap(), big),
         (ExecutorKind::CpuPool, SelectionPolicy::cpu_only(), big),
-        (hybrid(SplitPolicy::Fixed(0.5)), gpu, big),
-        (hybrid(SplitPolicy::Adaptive), gpu, small),
     ]
 }
 
@@ -450,11 +450,12 @@ fn the_distributed_iteration_streams_its_last_stage_product() {
     base.prune.cutoff = 1e-3;
     let cases = [prepare_matrix(&rmat, &base), special_columns()];
     // One digest per grid of every arm's pruned blocks and stats, rank by
-    // rank, captured before the last stage product streamed.
+    // rank, captured before the last stage product streamed; p = 9 again
+    // when the rotation went from six setups to four.
     let want = [
         (1, 0xfa63402df03b10fau64),
         (4, 0x14e2bd8722fa97f4),
-        (9, 0x5d0c8aa40fdae75c),
+        (9, 0x12d9c0fe56f79650),
     ];
     let mut got = Vec::new();
     for p in grids() {
@@ -467,7 +468,7 @@ fn the_distributed_iteration_streams_its_last_stage_product() {
                     for pipelined in [true, false] {
                         let turn = 2 * arm + usize::from(pipelined);
                         let setups = launch_setups();
-                        for (executor, policy, device_mem) in [0, 3].map(|i| setups[(turn + i) % 6])
+                        for (executor, policy, device_mem) in [0, 2].map(|i| setups[(turn + i) % 4])
                         {
                             let mut cfg = base;
                             let recover_num = if pipelined { 2 + arm % 5 } else { 0 };
