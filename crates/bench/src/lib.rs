@@ -16,7 +16,6 @@ use hipmcl_core::MclConfig;
 use hipmcl_gpu::multi::MultiGpu;
 use hipmcl_sparse::Csc;
 use hipmcl_summa::estimate::{PhaseDecision, PhasePlanner};
-use hipmcl_summa::executor::{ExecutorKind, SplitPolicy};
 use hipmcl_summa::merge::MergeKernelPolicy;
 use hipmcl_summa::spgemm::{CommPolicy, SummaOutput};
 use hipmcl_summa::DistMatrix;
@@ -150,7 +149,7 @@ fn run_observed<R: Send>(
     (reports.into_iter().next().unwrap(), seen)
 }
 
-/// The three probe reports read as the run's [`DistMclReport`] (idle
+/// The two probe reports read as the run's [`DistMclReport`] (idle
 /// times, `total_time`, `iterations`, … — a full MCL run through the
 /// library driver, comparable with every table's `overall`) plus the
 /// fields the probe's observer added.
@@ -164,48 +163,7 @@ macro_rules! reads_as_mcl_report {
         }
     )*};
 }
-reads_as_mcl_report!(SplitProbeReport, MergeProbeReport, CommPolicyReport);
-
-/// One split policy's outcome in the hybrid split ablation
-/// (`probe_hybrid_split`).
-#[derive(Clone, Debug)]
-pub struct SplitProbeReport {
-    /// The library driver's report of the run.
-    pub mcl: DistMclReport,
-    /// Rank 0's realized GPU share per hybrid submission, in submission
-    /// order across all iterations.
-    pub fractions: Vec<f64>,
-}
-
-impl SplitProbeReport {
-    /// The quantity the ablation compares: CPU idle + GPU idle off the
-    /// unified timelines.
-    pub fn total_idle(&self) -> f64 {
-        self.cpu_idle + self.gpu_idle
-    }
-}
-
-/// Runs distributed MCL with the hybrid executor under the given split
-/// policy and reports the run plus the realized per-stage GPU shares —
-/// the stage mix (density and `cf` change every iteration as expansion
-/// and pruning fight) is exactly the heterogeneous sequence a static
-/// split handles badly.
-pub fn run_hybrid_split_probe(
-    p: usize,
-    d: Dataset,
-    split: SplitPolicy,
-    max_iters: usize,
-) -> SplitProbeReport {
-    let mut cfg = bench_mcl_config_for(d, MclConfig::optimized(4 << 30));
-    cfg.summa.executor = ExecutorKind::Hybrid { split };
-    cfg.max_iters = max_iters;
-    let pick = |out: &SummaOutput| out.hybrid_fractions.clone();
-    let (mcl, seen) = run_observed(p, MachineModel::summit_bench(), d, &cfg, pick);
-    SplitProbeReport {
-        mcl,
-        fractions: seen[0].concat(),
-    }
-}
+reads_as_mcl_report!(MergeProbeReport, CommPolicyReport);
 
 /// One configuration's outcome in the merge/phase-overlap ablation
 /// (`probe_merge_overlap`).
@@ -753,28 +711,6 @@ mod tests {
         assert_eq!(bcast.labels, hybrid.labels);
         assert_eq!(bcast.num_clusters, hybrid.num_clusters);
         assert_eq!(bcast.iterations, hybrid.iterations);
-    }
-
-    #[test]
-    fn adaptive_split_idle_no_worse_than_fixed() {
-        // The probe_hybrid_split acceptance check: on a multi-iteration
-        // MCL run whose stage densities vary (expansion densifies, pruning
-        // thins), the adaptive policy's total hybrid idle time — CPU idle
-        // plus device+pool idle off the unified timelines — must not
-        // exceed the legacy fixed-0.85 split's.
-        let iters = 4;
-        let fixed = run_hybrid_split_probe(4, Dataset::Archaea, SplitPolicy::Fixed(0.85), iters);
-        let adaptive = run_hybrid_split_probe(4, Dataset::Archaea, SplitPolicy::Adaptive, iters);
-        assert!(!fixed.fractions.is_empty());
-        assert!(fixed.fractions.iter().all(|&f| (f - 0.85).abs() < 0.05));
-        assert!(!adaptive.fractions.is_empty());
-        assert!(adaptive.fractions.iter().all(|&f| (0.0..=1.0).contains(&f)));
-        assert!(
-            adaptive.total_idle() <= fixed.total_idle() * (1.0 + 1e-9),
-            "adaptive idle {} must be <= fixed-0.85 idle {}",
-            adaptive.total_idle(),
-            fixed.total_idle()
-        );
     }
 
     #[test]

@@ -350,44 +350,6 @@ impl MachineModel {
         }
     }
 
-    /// Model-derived GPU share of a hybrid CPU/GPU column split.
-    ///
-    /// Extends the §III-A multi-GPU column split by one more "device" (the
-    /// CPU worker pool): a fraction `f` of the stage's `flops` goes to the
-    /// devices, the rest to the pool, and the split is profitable exactly
-    /// when both sides finish together. With aggregate device rate
-    /// `R_G = gpus · gpu_spgemm_rate(lib, cf)`, pool rate
-    /// `R_C = cpu_spgemm_rate(CpuHash, cf)` (the pool always runs the hash
-    /// kernel on its slab), work `W = flops`, and the one-off device
-    /// launch/transfer latency `link_alpha`, the balance condition
-    ///
-    /// ```text
-    /// link_alpha + f·W/R_G = (1 − f)·W/R_C
-    /// ```
-    ///
-    /// solves to
-    ///
-    /// ```text
-    /// f* = (W/R_C − link_alpha) / (W·(1/R_G + 1/R_C))
-    /// ```
-    ///
-    /// clamped to `[0, 1]`. Both rates are evaluated at the stage's
-    /// estimated `cf` — the same quantity that flips the profitable kernel
-    /// in Fig. 4 — so the split tracks per-stage density instead of a
-    /// fixed constant. Degenerate cases: no devices or zero work → `0`
-    /// (everything stays on the pool); a multiplication too small to
-    /// amortize `link_alpha` also collapses to `0`.
-    pub fn hybrid_gpu_fraction(&self, lib: GpuLib, flops: u64, cf: f64) -> f64 {
-        if self.gpus == 0 || flops == 0 {
-            return 0.0;
-        }
-        let rg = self.gpu_spgemm_rate(lib, cf) * self.gpus as f64;
-        let rc = self.cpu_spgemm_rate(SpgemmKernel::CpuHash, cf);
-        let w = flops as f64;
-        let f = (w / rc - self.link_alpha) / (w * (1.0 / rg + 1.0 / rc));
-        f.clamp(0.0, 1.0)
-    }
-
     /// Point-to-point transfer time for `bytes`.
     pub fn p2p_time(&self, bytes: usize) -> f64 {
         self.alpha + bytes as f64 * self.beta
@@ -751,49 +713,5 @@ mod tests {
     #[should_panic(expected = "GPU kernel")]
     fn cpu_rate_rejects_gpu_kernel() {
         MachineModel::summit().cpu_spgemm_rate(SpgemmKernel::Gpu(GpuLib::Nsparse), 1.0);
-    }
-
-    #[test]
-    fn hybrid_fraction_grows_with_cf() {
-        // nsparse needs density to out-rate the host (Fig. 4), so the
-        // model-derived GPU share must grow with cf.
-        let m = MachineModel::summit();
-        let w = 1 << 30;
-        let lo = m.hybrid_gpu_fraction(GpuLib::Nsparse, w, 1.0);
-        let hi = m.hybrid_gpu_fraction(GpuLib::Nsparse, w, 100.0);
-        assert!(lo < hi, "lo={lo} hi={hi}");
-        // At high cf the share approaches R_G/(R_G + R_C).
-        let rg = m.gpu_spgemm_rate(GpuLib::Nsparse, 100.0) * m.gpus as f64;
-        let rc = m.cpu_spgemm_rate(SpgemmKernel::CpuHash, 100.0);
-        assert!((hi - rg / (rg + rc)).abs() < 0.01, "hi={hi}");
-    }
-
-    #[test]
-    fn hybrid_fraction_bounds_and_degenerate_cases() {
-        let m = MachineModel::summit();
-        for cf in [0.5, 2.0, 10.0, 200.0] {
-            for flops in [1u64, 1000, 1 << 20, 1 << 40] {
-                for lib in GpuLib::all() {
-                    let f = m.hybrid_gpu_fraction(lib, flops, cf);
-                    assert!(
-                        (0.0..=1.0).contains(&f),
-                        "{lib:?} cf={cf} flops={flops}: {f}"
-                    );
-                }
-            }
-        }
-        // No devices or no work: everything stays on the pool.
-        let no_gpus = MachineModel {
-            gpus: 0,
-            gpu_node_rate: 0.0,
-            ..MachineModel::summit()
-        };
-        assert_eq!(
-            no_gpus.hybrid_gpu_fraction(GpuLib::Nsparse, 1 << 30, 50.0),
-            0.0
-        );
-        assert_eq!(m.hybrid_gpu_fraction(GpuLib::Nsparse, 0, 50.0), 0.0);
-        // Too small to amortize the launch latency: stay on the CPU.
-        assert_eq!(m.hybrid_gpu_fraction(GpuLib::Nsparse, 1, 50.0), 0.0);
     }
 }

@@ -1,11 +1,11 @@
 //! MCL / HipMCL configuration.
 
 use hipmcl_gpu::select::SelectionPolicy;
-use hipmcl_sparse::colops::PruneParams;
+use hipmcl_sparse::colops::{InvalidPrune, PruneParams};
 use hipmcl_summa::estimate::{EstimatorKind, PhasePlanner};
 use hipmcl_summa::executor::ExecutorKind;
 use hipmcl_summa::merge::{MergeKernelPolicy, MergeStrategy};
-use hipmcl_summa::spgemm::{CommPolicy, ConfigError, PhasePlan, SummaConfig};
+use hipmcl_summa::spgemm::{CommPolicy, PhasePlan, SummaConfig};
 
 /// Complete configuration of an MCL run.
 #[derive(Clone, Copy, Debug)]
@@ -119,21 +119,19 @@ impl MclConfig {
         self
     }
 
-    /// Overrides where local multiplications execute (devices, CPU worker
-    /// pool, or a hybrid column split) while keeping everything else.
+    /// Overrides where local multiplications execute (devices or CPU
+    /// worker pool) while keeping everything else.
     pub fn with_executor(mut self, executor: ExecutorKind) -> Self {
         self.summa.executor = executor;
         self
     }
 
     /// Checks the configuration for values that would misbehave at run
-    /// time — a fixed hybrid split fraction outside `[0, 1]`, or pruning
-    /// parameters no prune can honour (`select == 0` used to panic
-    /// mid-collective) — which is reported here (and by the distributed
-    /// driver, which calls this on entry) rather than silently clamped.
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        self.summa.validate()?;
-        Ok(self.prune.validate()?)
+    /// time — pruning parameters no prune can honour (`select == 0` used
+    /// to panic mid-collective) — which are reported here (and by both
+    /// drivers, which call this on entry) rather than silently clamped.
+    pub fn validate(&self) -> Result<(), InvalidPrune> {
+        self.prune.validate()
     }
 }
 
@@ -175,41 +173,9 @@ mod tests {
 
     #[test]
     fn with_executor_overrides_only_the_executor() {
-        let c = MclConfig::testing(8).with_executor(ExecutorKind::hybrid());
-        assert!(matches!(c.summa.executor, ExecutorKind::Hybrid { .. }));
+        let c = MclConfig::testing(8).with_executor(ExecutorKind::CpuPool);
+        assert_eq!(c.summa.executor, ExecutorKind::CpuPool);
         assert!(matches!(c.summa.phases, PhasePlan::Fixed(1)));
-    }
-
-    #[test]
-    fn hybrid_default_split_is_adaptive() {
-        use hipmcl_summa::executor::SplitPolicy;
-        assert_eq!(
-            ExecutorKind::hybrid(),
-            ExecutorKind::Hybrid {
-                split: SplitPolicy::Adaptive
-            }
-        );
-    }
-
-    #[test]
-    fn validate_rejects_out_of_range_fixed_split_at_both_bounds() {
-        use hipmcl_summa::executor::SplitPolicy;
-        let hybrid = |f| {
-            MclConfig::testing(8).with_executor(ExecutorKind::Hybrid {
-                split: SplitPolicy::Fixed(f),
-            })
-        };
-        assert!(hybrid(0.0).validate().is_ok(), "0.0 is a legal share");
-        assert!(hybrid(1.0).validate().is_ok(), "1.0 is a legal share");
-        match hybrid(-0.01).validate().unwrap_err() {
-            ConfigError::Split(e) => assert_eq!(e.fraction, -0.01),
-            other => panic!("expected a split error, got {other:?}"),
-        }
-        match hybrid(1.01).validate().unwrap_err() {
-            ConfigError::Split(e) => assert_eq!(e.fraction, 1.01),
-            other => panic!("expected a split error, got {other:?}"),
-        }
-        assert!(MclConfig::optimized(1 << 30).validate().is_ok());
     }
 
     #[test]
@@ -229,10 +195,7 @@ mod tests {
     fn validate_rejects_zero_select() {
         let mut c = MclConfig::testing(8);
         c.prune.select = 0;
-        match c.validate().unwrap_err() {
-            ConfigError::Prune(e) => assert_eq!(e.field, "select"),
-            other => panic!("expected a prune error, got {other:?}"),
-        }
+        assert_eq!(c.validate().unwrap_err().field, "select");
     }
 
     #[test]
@@ -240,10 +203,7 @@ mod tests {
         for cutoff in [-1e-9, f64::NAN] {
             let mut c = MclConfig::testing(8);
             c.prune.cutoff = cutoff;
-            match c.validate().unwrap_err() {
-                ConfigError::Prune(e) => assert_eq!(e.field, "cutoff"),
-                other => panic!("expected a prune error, got {other:?}"),
-            }
+            assert_eq!(c.validate().unwrap_err().field, "cutoff");
         }
         let mut c = MclConfig::testing(8);
         c.prune.cutoff = 0.0;
@@ -255,10 +215,7 @@ mod tests {
         for pct in [-0.1, 1.1, f64::NAN] {
             let mut c = MclConfig::testing(8);
             c.prune.recover_pct = pct;
-            match c.validate().unwrap_err() {
-                ConfigError::Prune(e) => assert_eq!(e.field, "recover_pct"),
-                other => panic!("expected a prune error, got {other:?}"),
-            }
+            assert_eq!(c.validate().unwrap_err().field, "recover_pct");
         }
         let mut c = MclConfig::testing(8);
         (c.prune.recover_num, c.prune.recover_pct) = (10, 1.0);

@@ -525,11 +525,7 @@ mod tests {
         let g = planted(3, 6, 10, 29);
         let cfg = MclConfig::testing(12);
         let serial = crate::serial::cluster_serial(&g, &cfg);
-        for exec in [
-            ExecutorKind::Gpus,
-            ExecutorKind::CpuPool,
-            ExecutorKind::hybrid(),
-        ] {
+        for exec in [ExecutorKind::Gpus, ExecutorKind::CpuPool] {
             let results = Universe::run(4, MachineModel::summit(), move |comm| {
                 let grid = ProcGrid::new(comm);
                 let mut gpus = MultiGpu::summit_node(grid.world.model());

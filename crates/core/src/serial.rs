@@ -91,17 +91,15 @@ pub struct MclResult {
 /// # Panics
 ///
 /// On pruning parameters no prune can honour (`select == 0`, a negative
-/// or NaN `cutoff`, `recover_pct` outside `[0, 1]`), with the distributed
-/// driver's message. Only `cfg.prune` is checked: the serial driver does
-/// not read `cfg.summa`, so a fault there cannot affect it.
+/// or NaN `cutoff`, `recover_pct` outside `[0, 1]`), checked by
+/// [`MclConfig::validate`] with the distributed driver's message.
 pub fn cluster_serial(adjacency: &Csc<f64>, cfg: &MclConfig) -> MclResult {
     assert_eq!(
         adjacency.nrows(),
         adjacency.ncols(),
         "MCL needs a square matrix"
     );
-    cfg.prune
-        .validate()
+    cfg.validate()
         .unwrap_or_else(|e| panic!("invalid MclConfig: {e}"));
     let mut a = prepare_matrix(adjacency, cfg);
 
@@ -346,18 +344,6 @@ mod tests {
         let mut cfg = MclConfig::testing(8);
         cfg.prune.recover_pct = 1.5;
         cluster_serial(&planted(2, 4, 0, 8), &cfg);
-    }
-
-    #[test]
-    fn a_fault_in_the_summa_settings_alone_does_not_stop_the_serial_driver() {
-        use hipmcl_summa::executor::{ExecutorKind, SplitPolicy};
-        let mut cfg = MclConfig::testing(10);
-        cfg.summa.executor = ExecutorKind::Hybrid {
-            split: SplitPolicy::Fixed(1.5),
-        };
-        assert!(cfg.validate().is_err(), "the distributed driver refuses it");
-        let r = cluster_serial(&planted(2, 5, 0, 2), &cfg);
-        assert_eq!(r.num_clusters, 2);
     }
 
     #[test]

@@ -5,13 +5,12 @@
 //! local multiplication runs — it submits the selected kernel to the
 //! rank's [`Executor`] and overlaps against the returned [`KernelLaunch`]
 //! events. There is one executor type; an [`ExecutorKind`] fixes the three
-//! facts in which the configurations differ:
+//! facts in which the two configurations differ:
 //!
 //! | kind | GPU-selected multiply | CPU-side multiply | the lanes hold |
 //! |---|---|---|---|
 //! | [`Gpus`](ExecutorKind::Gpus) — the paper's setup (§III-A) | all of `B` on the devices | inline on the host, as original HipMCL runs it | merges only |
 //! | [`CpuPool`](ExecutorKind::CpuPool) — nodes without accelerators | none (selection stays CPU-only) | a whole-node job on the worker lanes | merges *and* multiplies |
-//! | [`Hybrid`](ExecutorKind::Hybrid) — §III-A's column split taken one device further | the [`SplitPolicy`]'s leading share; the trailing slab is a worker job | a whole-node job on the worker lanes | merges *and* multiplies |
 //!
 //! A *CPU-side* multiply is one whose selected kernel is a CPU kernel, or
 //! a GPU launch the devices could not hold (out of memory), which
@@ -41,57 +40,6 @@ use hipmcl_spgemm::emit::{counted, counters, Counted, Emit};
 use hipmcl_spgemm::hybrid::realized_cf;
 use hipmcl_spgemm::CpuAlgo;
 
-/// How [`ExecutorKind::Hybrid`] chooses the GPU share of each column split.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum SplitPolicy {
-    /// The same fraction of `B`'s columns goes to the devices in every
-    /// stage (must lie in `[0, 1]` — see [`SplitPolicy::validate`]).
-    Fixed(f64),
-    /// Each stage's fraction comes from
-    /// [`MachineModel::hybrid_gpu_fraction`], evaluated at the stage's
-    /// exact `flops` and its estimated compression factor.
-    ModelDerived,
-    /// Model-derived initial fraction, then a damped online feedback
-    /// update per stage from the realized CPU/GPU finish-time imbalance
-    /// (see [`SplitController`]).
-    Adaptive,
-}
-
-/// Error returned by [`SplitPolicy::validate`] for a [`SplitPolicy::Fixed`]
-/// fraction outside `[0, 1]` (or not finite).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct InvalidSplit {
-    /// The offending fraction.
-    pub fraction: f64,
-}
-
-impl std::fmt::Display for InvalidSplit {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "hybrid gpu fraction must be a finite value in [0, 1], got {}",
-            self.fraction
-        )
-    }
-}
-
-impl std::error::Error for InvalidSplit {}
-
-impl SplitPolicy {
-    /// Checks that a [`SplitPolicy::Fixed`] fraction is a valid share.
-    /// Out-of-range values are a configuration error (surfaced by
-    /// `MclConfig`/[`SummaConfig`](crate::spgemm::SummaConfig) validation),
-    /// never silently clamped.
-    pub fn validate(self) -> Result<(), InvalidSplit> {
-        match self {
-            SplitPolicy::Fixed(f) if !f.is_finite() || !(0.0..=1.0).contains(&f) => {
-                Err(InvalidSplit { fraction: f })
-            }
-            _ => Ok(()),
-        }
-    }
-}
-
 /// Which configuration of the [`Executor`] a SUMMA run submits its local
 /// multiplications to (see the module docs for what each one fixes).
 #[derive(Clone, Copy, Debug, PartialEq, Default)]
@@ -102,36 +50,6 @@ pub enum ExecutorKind {
     Gpus,
     /// Every kernel is an async launch on the per-rank CPU worker pool.
     CpuPool,
-    /// Column-split each multiplication across the GPUs and the pool.
-    Hybrid {
-        /// How the per-stage GPU share is chosen.
-        split: SplitPolicy,
-    },
-}
-
-/// GPU share of the fixed hybrid column split the adaptive policies are
-/// measured against (`probe_hybrid_split`). Summit's six V100s out-rate
-/// the host cores by a wide margin at high `cf` (Fig. 4), so the pool only
-/// takes a sliver.
-pub const DEFAULT_GPU_FRACTION: f64 = 0.85;
-
-impl ExecutorKind {
-    /// Hybrid execution with the adaptive split (the recommended default:
-    /// model-derived start, online feedback thereafter).
-    pub fn hybrid() -> Self {
-        ExecutorKind::Hybrid {
-            split: SplitPolicy::Adaptive,
-        }
-    }
-
-    /// Validates the executor choice (currently: a `Fixed` hybrid split
-    /// must lie in `[0, 1]`).
-    pub fn validate(self) -> Result<(), InvalidSplit> {
-        match self {
-            ExecutorKind::Hybrid { split } => split.validate(),
-            _ => Ok(()),
-        }
-    }
 }
 
 /// The scheduler-side description of one local multiplication, passed to
@@ -143,9 +61,9 @@ pub struct LaunchSpec {
     /// Exact flop count the scheduler already derived for selection.
     pub flops: u64,
     /// Estimated compression factor `flops / nnz(C)` from the stage's
-    /// Cohen probe (already clamped so `cf_est ≥ 1`); the split policies
-    /// evaluate the machine model's rate curves at it before the realized
-    /// `cf` is known.
+    /// Cohen probe (already clamped so `cf_est ≥ 1`); the merge engine
+    /// sizes the streamed closing merge from it before the realized `cf`
+    /// is known.
     pub cf_est: f64,
     /// The universe's time model. The executor keys its timelines off the
     /// modeled clock either way; under [`TimeModel::Measured`] it
@@ -240,22 +158,11 @@ fn cpu_algo(kernel: SpgemmKernel) -> CpuAlgo {
     }
 }
 
-/// What share of a GPU-selected multiply goes to the devices.
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum GpuShare {
-    /// All of `B`'s columns.
-    All,
-    /// None: the multiply runs on the CPU side whole.
-    None,
-    /// The leading columns the policy picks; the rest is a worker job.
-    Split(SplitPolicy),
-}
-
 /// The target a rank's local SpGEMM launches and merge operations are
 /// submitted to: its devices plus one host-side lane per socket.
 ///
-/// Scheduling (timelines, lanes, split policies) is element-type-free;
-/// only [`submit`](Self::submit) names the semiring, per call, so the same
+/// Scheduling (timelines, lanes) is element-type-free; only
+/// [`submit`](Self::submit) names the semiring, per call, so the same
 /// executor serves shortest paths exactly as it does MCL.
 ///
 /// # Example
@@ -301,46 +208,24 @@ pub struct Executor<'g> {
     model: &'g MachineModel,
     /// One lane per socket. Merges always land here.
     lanes: Vec<Timeline>,
-    /// What share of a GPU-selected multiply the devices take.
-    share: GpuShare,
-    /// Whether the lanes are a worker pool: CPU-side multiplies queue on
-    /// them as whole-node jobs and their idle counts as device idle. When
-    /// not, CPU-side multiplies run inline on the host and the lanes are
-    /// dedicated to merges — one set of lanes, so "where CPU multiplies
-    /// run" and "what merges share their lanes with" are the same bit.
+    /// Whether the lanes are a worker pool ([`ExecutorKind::CpuPool`]):
+    /// selection stays CPU-only, CPU-side multiplies queue on the lanes as
+    /// whole-node jobs and their idle counts as device idle. When not,
+    /// GPU-selected multiplies run on the devices, CPU-side ones inline on
+    /// the host, and the lanes are dedicated to merges — so the kind's
+    /// three facts are this one bit.
     pooled: bool,
-    /// Feedback state of [`SplitPolicy::Adaptive`], seeded by the first
-    /// split.
-    controller: Option<SplitController>,
-    /// Realized GPU share of every submission (split kinds only).
-    fractions: Vec<f64>,
 }
 
 impl<'g> Executor<'g> {
     /// Builds the rank's executor of the given kind over its devices, with
     /// one lane per socket of `model` and every timeline empty.
-    ///
-    /// # Panics
-    ///
-    /// On a [`SplitPolicy::Fixed`] fraction outside `[0, 1]` — such values
-    /// are a configuration error that `MclConfig`/`SummaConfig` validation
-    /// reports before any executor is built; they are never clamped.
     pub fn new(kind: ExecutorKind, gpus: &'g mut MultiGpu, model: &'g MachineModel) -> Self {
-        kind.validate()
-            .unwrap_or_else(|e| panic!("invalid hybrid split: {e}"));
-        let (share, pooled) = match kind {
-            ExecutorKind::Gpus => (GpuShare::All, false),
-            ExecutorKind::CpuPool => (GpuShare::None, true),
-            ExecutorKind::Hybrid { split } => (GpuShare::Split(split), true),
-        };
         let mut exec = Self {
             gpus,
             model,
             lanes: vec![Timeline::new(); model.sockets.max(1)],
-            share,
-            pooled,
-            controller: None,
-            fractions: Vec::new(),
+            pooled: kind == ExecutorKind::CpuPool,
         };
         exec.reset_timelines();
         exec
@@ -373,16 +258,10 @@ impl<'g> Executor<'g> {
         emit: E,
     ) -> KernelLaunch<S::Elem> {
         let w0 = spec.time.is_measured().then(std::time::Instant::now);
-        let (mut launch, gpu_share) = match spec.kernel {
-            SpgemmKernel::Gpu(lib) => self.submit_gpu(s, host_now, a, b, fpc, lib, &spec, emit),
-            cpu_kernel => (
-                self.submit_cpu(s, host_now, a, b, fpc, cpu_kernel, spec.flops, emit),
-                0.0,
-            ),
+        let mut launch = match spec.kernel {
+            SpgemmKernel::Gpu(lib) => self.submit_gpu(s, host_now, a, b, fpc, lib, spec, emit),
+            cpu_kernel => self.submit_cpu(s, host_now, a, b, fpc, cpu_kernel, spec.flops, emit),
         };
-        if matches!(self.share, GpuShare::Split(_)) {
-            self.fractions.push(gpu_share);
-        }
         // The modeled path never touches the host clock: this sample is
         // the executor's only `Instant` read.
         launch.measured_s = w0.map_or(0.0, |t| t.elapsed().as_secs_f64());
@@ -430,11 +309,9 @@ impl<'g> Executor<'g> {
         }
     }
 
-    /// A GPU-selected multiply: the leading `share` of `B`'s columns on
-    /// the devices (the host resumes after the input transfers), the
-    /// trailing slab — if any — as a hash-kernel job on the worker lanes,
-    /// the output a trivial `hcat`. Returns the launch and the share of
-    /// `B`'s columns the devices really took.
+    /// A GPU-selected multiply: all of `B` on the devices (the host
+    /// resumes after the input transfers), or the host hash kernel on a
+    /// worker pool.
     #[allow(clippy::too_many_arguments)]
     fn submit_gpu<S: Semiring, E: Emit<S::Elem>>(
         &mut self,
@@ -444,107 +321,43 @@ impl<'g> Executor<'g> {
         b: &Csc<S::Elem>,
         fpc: &[u64],
         lib: GpuLib,
-        spec: &LaunchSpec,
+        spec: LaunchSpec,
         emit: E,
-    ) -> (KernelLaunch<S::Elem>, f64) {
-        let n = b.ncols();
-        let gcols = match self.share {
-            GpuShare::All => n,
-            GpuShare::Split(policy) if !self.gpus.is_empty() => {
-                let frac = self.pick_fraction(policy, lib, spec);
-                ((n as f64 * frac).round() as usize).min(n)
-            }
-            _ => 0,
-        };
+    ) -> KernelLaunch<S::Elem> {
         let hash = SpgemmKernel::CpuHash;
-        if gcols == 0 {
-            let launch = self.submit_cpu(s, host_now, a, b, fpc, hash, spec.flops, emit);
-            return (launch, 0.0);
+        if self.pooled {
+            return self.submit_cpu(s, host_now, a, b, fpc, hash, spec.flops, emit);
         }
-
-        let b_lead;
-        let b_gpu = if gcols < n {
-            b_lead = b.column_slice(0..gcols);
-            &b_lead
-        } else {
-            b
-        };
-        let launched = self
+        match self
             .gpus
-            .launch_in(s, host_now, a, b_gpu, &fpc[..gcols], lib, emit.clone());
-        let r = match launched {
-            Ok(r) => r,
+            .launch_in(s, host_now, a, b, fpc, lib, emit.clone())
+        {
+            Ok(r) => KernelLaunch {
+                c: r.c,
+                nnz: r.nnz,
+                kernel: spec.kernel,
+                inputs_ready_at: r.inputs_transferred_at,
+                output_ready_at: r.output_ready_at,
+                host_compute: 0.0,
+                kernel_time: r.output_ready_at - r.inputs_transferred_at,
+                flops: r.flops,
+                cf: r.cf,
+                measured_s: 0.0,
+            },
             // The devices cannot take this phase (out of memory): a busy
             // or undersized engine degrades the launch to the host hash
             // kernel instead of killing the rank. The modeled clock
             // charges the CPU duration, so the slowdown shows up in
-            // reports rather than vanishing, and the share reported is
-            // the fallback's 0, not the intent, which keeps the adaptive
-            // fraction honest. What the devices before the one that ran
-            // out had emitted is dropped with their output; the fallback
-            // emits every column again.
+            // reports rather than vanishing. What the devices before the
+            // one that ran out had emitted is dropped with their output;
+            // the fallback emits every column again.
             Err(e) => {
                 eprintln!(
                     "gpu launch degraded to CpuHash: {e} (increase phases or use a CPU \
                      policy to avoid the fallback)"
                 );
-                let launch = self.submit_cpu(s, host_now, a, b, fpc, hash, spec.flops, emit);
-                return (launch, 0.0);
+                self.submit_cpu(s, host_now, a, b, fpc, hash, spec.flops, emit)
             }
-        };
-
-        let mut launch = KernelLaunch {
-            c: r.c,
-            nnz: r.nnz,
-            kernel: spec.kernel,
-            inputs_ready_at: r.inputs_transferred_at,
-            output_ready_at: r.output_ready_at,
-            host_compute: 0.0,
-            kernel_time: r.output_ready_at - r.inputs_transferred_at,
-            flops: r.flops,
-            cf: r.cf,
-            measured_s: 0.0,
-        };
-        if gcols < n {
-            let counts = counters(n);
-            let emit = Counted::new(emit, &counts);
-            let c_cpu = CpuAlgo::Hash.multiply_cols_in(s, a, b, gcols..n, fpc, emit);
-            let (flops_cpu, nnz_cpu) = (fpc[gcols..].iter().sum(), counted(&counts, gcols..n));
-            let cf_cpu = realized_cf(flops_cpu, nnz_cpu);
-            let dur = self.model.spgemm_time(hash, flops_cpu, cf_cpu);
-            let done = self.node_job(host_now, dur);
-            // Online feedback: the two sides' finish latencies from this
-            // submission instant are exactly the imbalance the adaptive
-            // policy drives to zero.
-            if let Some(ctl) = self.controller.as_mut() {
-                ctl.observe(r.output_ready_at - host_now, done.at - host_now);
-            }
-            launch.output_ready_at = r.output_ready_at.max(done.at);
-            launch.kernel_time = launch.output_ready_at - r.inputs_transferred_at;
-            launch.flops += flops_cpu;
-            launch.nnz += nnz_cpu;
-            launch.cf = if launch.nnz == 0 {
-                1.0
-            } else {
-                launch.flops as f64 / launch.nnz as f64
-            };
-            launch.c = Csc::hcat(&[launch.c, c_cpu]);
-        }
-        debug_assert_eq!(launch.flops, spec.flops, "split must cover all columns");
-        (launch, gcols as f64 / n as f64)
-    }
-
-    /// The GPU share `policy` picks for this launch.
-    fn pick_fraction(&mut self, policy: SplitPolicy, lib: GpuLib, spec: &LaunchSpec) -> f64 {
-        let model = self.model;
-        let derived = || model.hybrid_gpu_fraction(lib, spec.flops, spec.cf_est);
-        match policy {
-            SplitPolicy::Fixed(f) => f,
-            SplitPolicy::ModelDerived => derived(),
-            SplitPolicy::Adaptive => self
-                .controller
-                .get_or_insert_with(|| SplitController::new(derived(), SPLIT_GAIN))
-                .fraction(),
         }
     }
 
@@ -634,9 +447,10 @@ impl<'g> Executor<'g> {
 
     /// GPUs visible to kernel selection (0 keeps selection CPU-only).
     pub fn gpus_available(&self) -> usize {
-        match self.share {
-            GpuShare::None => 0,
-            _ => self.gpus.len(),
+        if self.pooled {
+            0
+        } else {
+            self.gpus.len()
         }
     }
 
@@ -667,89 +481,6 @@ impl<'g> Executor<'g> {
             lane.reset();
         }
     }
-
-    /// The realized GPU share of every submission so far, in order (0 for
-    /// multiplications that ran on the CPU side whole); empty unless the
-    /// kind splits. Every share is recorded so the split decision is an
-    /// observable part of the pipeline, not a hidden constant.
-    pub fn fractions(&self) -> &[f64] {
-        &self.fractions
-    }
-}
-
-/// Interior clamp of the adaptive fraction: both sides always keep a
-/// sliver of work so the controller keeps receiving two-sided finish-time
-/// observations (a share pinned at 0 or 1 could never measure the silent
-/// side's rate again).
-pub const ADAPTIVE_MIN_FRACTION: f64 = 0.05;
-/// Upper interior clamp of the adaptive fraction (see
-/// [`ADAPTIVE_MIN_FRACTION`]).
-pub const ADAPTIVE_MAX_FRACTION: f64 = 0.95;
-/// Default damping gain `γ` of the [`SplitController`] update.
-pub const SPLIT_GAIN: f64 = 0.5;
-
-/// Damped online feedback controller for [`SplitPolicy::Adaptive`].
-///
-/// After a stage splits its work `f : (1 − f)` between the devices and
-/// the pool, the two sides' finish latencies `t_G` and `t_C` (virtual
-/// seconds from submission to each side's completion event) imply
-/// realized per-share rates `r_G = f / t_G` and `r_C = (1 − f) / t_C`.
-/// The fraction that would have balanced the stage is
-///
-/// ```text
-/// f* = r_G / (r_G + r_C)
-/// ```
-///
-/// and the controller nudges the next stage's fraction toward it with a
-/// damped, clamped update
-///
-/// ```text
-/// f ← clamp(f + γ·(f* − f), ADAPTIVE_MIN_FRACTION, ADAPTIVE_MAX_FRACTION)
-/// ```
-///
-/// With `γ ∈ (0, 1]` the fraction always stays in `[0, 1]`, and a
-/// constant imbalance (fixed underlying rates) drives it monotonically
-/// toward the balance point — the geometric convergence the property
-/// tests below pin down.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SplitController {
-    fraction: f64,
-    gain: f64,
-}
-
-impl SplitController {
-    /// A controller starting at `initial` (clamped into the interior
-    /// band) with damping gain `gain` (clamped into `(0, 1]`).
-    pub fn new(initial: f64, gain: f64) -> Self {
-        Self {
-            fraction: initial.clamp(ADAPTIVE_MIN_FRACTION, ADAPTIVE_MAX_FRACTION),
-            gain: gain.clamp(f64::MIN_POSITIVE, 1.0),
-        }
-    }
-
-    /// The fraction the next stage should use.
-    pub fn fraction(&self) -> f64 {
-        self.fraction
-    }
-
-    /// Feeds back one stage's finish latencies: `gpu_time` for the device
-    /// share, `cpu_time` for the pool share, both measured from the
-    /// submission instant. Non-positive latencies (a side with no work)
-    /// are skipped — there is no two-sided observation to learn from.
-    pub fn observe(&mut self, gpu_time: f64, cpu_time: f64) {
-        if !(gpu_time > 0.0 && cpu_time > 0.0) {
-            return;
-        }
-        let f = self.fraction;
-        let rg = f / gpu_time;
-        let rc = (1.0 - f) / cpu_time;
-        if rg + rc <= 0.0 || !(rg + rc).is_finite() {
-            return;
-        }
-        let target = rg / (rg + rc);
-        self.fraction =
-            (f + self.gain * (target - f)).clamp(ADAPTIVE_MIN_FRACTION, ADAPTIVE_MAX_FRACTION);
-    }
 }
 
 #[cfg(test)]
@@ -758,7 +489,6 @@ mod tests {
     use hipmcl_sparse::{CscBuilder, Idx, PlusTimes};
     use hipmcl_spgemm::emit::Push;
     use hipmcl_spgemm::testutil::random_csc;
-    use proptest::prelude::*;
 
     fn model() -> MachineModel {
         MachineModel::summit()
@@ -787,10 +517,6 @@ mod tests {
 
     const NSPARSE: SpgemmKernel = SpgemmKernel::Gpu(GpuLib::Nsparse);
 
-    fn hybrid(split: SplitPolicy) -> ExecutorKind {
-        ExecutorKind::Hybrid { split }
-    }
-
     #[test]
     fn gpu_kernel_on_the_devices_is_async() {
         let (m, a) = (model(), random_csc(30, 30, 260, 41));
@@ -805,10 +531,7 @@ mod tests {
         );
         assert_eq!(l.host_compute, 0.0);
         assert!((l.kernel_time - (l.output_ready_at - l.inputs_ready_at)).abs() < 1e-12);
-        assert!(
-            exec.fractions().is_empty(),
-            "only split kinds record shares"
-        );
+        assert_eq!(ExecutorKind::default(), ExecutorKind::Gpus);
     }
 
     #[test]
@@ -852,22 +575,6 @@ mod tests {
         assert_eq!(l.flops, hipmcl_spgemm::flops(&a, &a));
     }
 
-    #[test]
-    fn hybrid_oom_hands_the_whole_multiply_to_the_pool() {
-        let (m, a) = (model(), random_csc(30, 30, 260, 46));
-        let mut gpus = MultiGpu::new(model(), 2, 64);
-        let mut h = Executor::new(hybrid(SplitPolicy::Fixed(0.5)), &mut gpus, &m);
-        let l = h.submit(pt(), 1.0, &a, &a, &fpc(&a), spec_for(&a, NSPARSE), Push);
-        assert!(l.c.max_abs_diff(&want(&a)) < 1e-9, "result still correct");
-        assert_eq!(l.kernel, SpgemmKernel::CpuHash);
-        assert_eq!(l.inputs_ready_at, 1.0, "queued on the pool, not inline");
-        assert_eq!(
-            h.fractions(),
-            &[0.0],
-            "the realized GPU share records the fallback, not the intent"
-        );
-    }
-
     /// Keeps the first entry of every column.
     #[derive(Clone)]
     struct First;
@@ -891,26 +598,22 @@ mod tests {
                 .map(|j| c.col_rows(j).first().copied())
                 .collect()
         }
-        let split = hybrid(SplitPolicy::Fixed(0.5));
         // Devices that hold every launch; two whose second is full, so
         // that the first has emitted its columns when the launch runs out
-        // of memory; devices that hold nothing; a CPU kernel inline; and a
-        // column split, with and without running out.
-        for (kind, kernel, mem, full) in [
-            (ExecutorKind::Gpus, NSPARSE, 1 << 30, false),
-            (ExecutorKind::Gpus, NSPARSE, 1 << 30, true),
-            (ExecutorKind::Gpus, NSPARSE, 64, false),
-            (ExecutorKind::Gpus, SpgemmKernel::CpuHeap, 64, false),
-            (split, NSPARSE, 1 << 30, false),
-            (split, NSPARSE, 1 << 30, true),
+        // of memory; devices that hold nothing; and a CPU kernel inline.
+        for (kernel, mem, full) in [
+            (NSPARSE, 1 << 30, false),
+            (NSPARSE, 1 << 30, true),
+            (NSPARSE, 64, false),
+            (SpgemmKernel::CpuHeap, 64, false),
         ] {
-            let case = format!("{kind:?} {kernel:?} on {mem} B, second full: {full}");
+            let case = format!("{kernel:?} on {mem} B, second full: {full}");
             let launch = |emit: bool| {
                 let mut gpus = MultiGpu::new(model(), 2, mem);
                 if full {
                     gpus.devices[1].alloc(mem).unwrap();
                 }
-                let mut exec = Executor::new(kind, &mut gpus, &m);
+                let mut exec = Executor::new(ExecutorKind::Gpus, &mut gpus, &m);
                 let spec = spec_for(&a, kernel);
                 let l = match emit {
                     true => exec.submit(pt(), 1.0, &a, &a, &fpc, spec, First),
@@ -919,7 +622,7 @@ mod tests {
                 (l, gpus.devices[0].kernels_launched())
             };
             let ((got, ran), (built, _)) = (launch(true), launch(false));
-            if full && kind == ExecutorKind::Gpus {
+            if full {
                 assert_eq!(ran, 1, "{case}: the first device ran its share");
             }
             assert!(built.c.max_abs_diff(&product) < 1e-9, "{case}");
@@ -984,139 +687,6 @@ mod tests {
         let l = pool.submit(pt(), 0.0, &a, &a, &fpc(&a), spec_for(&a, NSPARSE), Push);
         assert_eq!(l.kernel, SpgemmKernel::CpuHash);
         assert!(l.c.max_abs_diff(&want(&a)) < 1e-9);
-    }
-
-    #[test]
-    fn hybrid_splits_and_matches_reference() {
-        let (m, a) = (model(), random_csc(40, 40, 500, 45));
-        let w = want(&a);
-        let policies = [
-            SplitPolicy::Fixed(0.0),
-            SplitPolicy::Fixed(0.3),
-            SplitPolicy::Fixed(0.5),
-            SplitPolicy::Fixed(0.85),
-            SplitPolicy::Fixed(1.0),
-            SplitPolicy::ModelDerived,
-            SplitPolicy::Adaptive,
-        ];
-        for policy in policies {
-            let mut gpus = MultiGpu::new(model(), 3, 1 << 30);
-            let mut h = Executor::new(hybrid(policy), &mut gpus, &m);
-            let l = h.submit(pt(), 0.0, &a, &a, &fpc(&a), spec_for(&a, NSPARSE), Push);
-            assert!(l.c.max_abs_diff(&w) < 1e-9, "{policy:?}");
-            assert_eq!(l.c.nnz(), w.nnz(), "{policy:?}");
-            assert_eq!(l.flops, spec_for(&a, NSPARSE).flops, "{policy:?}");
-            assert!(l.output_ready_at >= l.inputs_ready_at, "{policy:?}");
-            assert_eq!(h.fractions().len(), 1, "{policy:?}");
-            let f = h.fractions()[0];
-            assert!((0.0..=1.0).contains(&f), "{policy:?}: {f}");
-        }
-    }
-
-    #[test]
-    fn hybrid_sends_cpu_kernels_to_the_pool() {
-        let (m, a) = (model(), random_csc(25, 25, 180, 46));
-        let mut gpus = MultiGpu::new(model(), 2, 1 << 30);
-        let mut h = Executor::new(hybrid(SplitPolicy::Fixed(0.85)), &mut gpus, &m);
-        let l = h.submit(
-            pt(),
-            2.0,
-            &a,
-            &a,
-            &fpc(&a),
-            spec_for(&a, SpgemmKernel::CpuHeap),
-            Push,
-        );
-        assert!(l.c.max_abs_diff(&want(&a)) < 1e-9);
-        assert_eq!(
-            l.inputs_ready_at, 2.0,
-            "pool handoff frees the host immediately"
-        );
-        assert_eq!(h.gpus_available(), 2);
-        assert_eq!(h.fractions(), &[0.0], "whole multiply on the pool");
-    }
-
-    #[test]
-    fn hybrid_without_devices_runs_entirely_on_pool() {
-        let (m, a) = (model(), random_csc(20, 20, 140, 47));
-        let mut gpus = MultiGpu::new(model(), 0, 1 << 30);
-        let mut h = Executor::new(hybrid(SplitPolicy::Adaptive), &mut gpus, &m);
-        let spec = spec_for(&a, SpgemmKernel::Gpu(GpuLib::Rmerge2));
-        let l = h.submit(pt(), 0.0, &a, &a, &fpc(&a), spec, Push);
-        assert!(l.c.max_abs_diff(&want(&a)) < 1e-9);
-        assert_eq!(l.kernel, SpgemmKernel::CpuHash);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid hybrid split")]
-    fn hybrid_rejects_fraction_above_one() {
-        let mut gpus = MultiGpu::new(model(), 2, 1 << 30);
-        let _ = Executor::new(hybrid(SplitPolicy::Fixed(1.5)), &mut gpus, &model());
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid hybrid split")]
-    fn hybrid_rejects_negative_fraction() {
-        let mut gpus = MultiGpu::new(model(), 2, 1 << 30);
-        let _ = Executor::new(hybrid(SplitPolicy::Fixed(-0.1)), &mut gpus, &model());
-    }
-
-    #[test]
-    fn split_policy_validation_accepts_bounds_rejects_outside() {
-        assert!(SplitPolicy::Fixed(0.0).validate().is_ok());
-        assert!(SplitPolicy::Fixed(1.0).validate().is_ok());
-        assert!(SplitPolicy::ModelDerived.validate().is_ok());
-        assert!(SplitPolicy::Adaptive.validate().is_ok());
-        let below = SplitPolicy::Fixed(-1e-9).validate().unwrap_err();
-        assert_eq!(below.fraction, -1e-9);
-        let above = SplitPolicy::Fixed(1.0 + 1e-9).validate().unwrap_err();
-        assert!(above.fraction > 1.0);
-        assert!(SplitPolicy::Fixed(f64::NAN).validate().is_err());
-        assert!(hybrid(SplitPolicy::Fixed(2.0)).validate().is_err());
-        assert!(ExecutorKind::Gpus.validate().is_ok());
-        // The error is displayable (surfaced by MclConfig validation).
-        let msg = format!("{}", above);
-        assert!(msg.contains("[0, 1]"), "{msg}");
-    }
-
-    #[test]
-    fn executor_kind_default_and_hybrid_preset() {
-        assert_eq!(ExecutorKind::default(), ExecutorKind::Gpus);
-        assert_eq!(ExecutorKind::hybrid(), hybrid(SplitPolicy::Adaptive));
-    }
-
-    #[test]
-    fn adaptive_converges_toward_balanced_finish_times() {
-        // Repeated identical multiplications from a deliberately bad
-        // initial fraction (the model seed already starts near balance):
-        // the controller must walk toward the point where devices and pool
-        // finish together, shrinking the finish-time gap.
-        // Big enough that split work dwarfs the fixed launch/transfer
-        // overheads — otherwise the gap floor is the overhead, not the
-        // imbalance.
-        let (m, a) = (model(), random_csc(300, 300, 24000, 49));
-        let spec = spec_for(&a, NSPARSE);
-        let mut gpus = MultiGpu::new(model(), 6, 1 << 30);
-        let mut h = Executor::new(hybrid(SplitPolicy::Adaptive), &mut gpus, &m);
-        h.controller = Some(SplitController::new(0.2, SPLIT_GAIN));
-        let mut gaps = Vec::new();
-        let mut now = 0.0;
-        for _ in 0..12 {
-            let l = h.submit(pt(), now, &a, &a, &fpc(&a), spec, Push);
-            now = l.output_ready_at;
-            let gpu_done = h
-                .gpus
-                .devices
-                .iter()
-                .map(|d| d.quiescent_at())
-                .fold(0.0, f64::max);
-            let pool_done = h.lanes[0].busy_until();
-            gaps.push((gpu_done - pool_done).abs());
-        }
-        assert!(
-            gaps.last().unwrap() < &(0.5 * gaps[0]).max(1e-12),
-            "finish-time gap must shrink: {gaps:?}"
-        );
     }
 
     fn merge_task(kernel: MergeKernel, inputs: Vec<(u64, Option<usize>)>) -> MergeTask {
@@ -1334,77 +904,5 @@ mod tests {
         assert!(pool.device_idle() > 0.0);
         pool.reset_timelines();
         assert_eq!(pool.device_idle(), 0.0);
-    }
-
-    #[test]
-    fn controller_constant_rates_converge_monotonically() {
-        // Closed loop against fixed true rates: |f - f*| must never grow,
-        // and the fraction must land on the balance point.
-        let (rg, rc) = (3.0, 1.0);
-        let target = rg / (rg + rc);
-        let mut c = SplitController::new(0.1, 0.5);
-        let mut err = (c.fraction() - target).abs();
-        for _ in 0..64 {
-            let f = c.fraction();
-            c.observe(f / rg, (1.0 - f) / rc);
-            let e = (c.fraction() - target).abs();
-            assert!(e <= err + 1e-12, "error grew: {e} > {err}");
-            err = e;
-        }
-        assert!(err < 1e-6, "did not converge: {err}");
-    }
-
-    #[test]
-    fn controller_skips_one_sided_observations() {
-        let mut c = SplitController::new(0.5, 0.5);
-        c.observe(0.0, 1.0);
-        c.observe(1.0, 0.0);
-        c.observe(-1.0, 2.0);
-        assert_eq!(c.fraction(), 0.5, "no two-sided signal, no update");
-    }
-
-    proptest! {
-        /// Any sequence of stage imbalances keeps the fraction in [0, 1].
-        #[test]
-        fn controller_fraction_always_in_unit_interval(
-            initial in -1.0f64..2.0,
-            gain in 0.01f64..1.0,
-            times in proptest::collection::vec((1e-9f64..1e6, 1e-9f64..1e6), 1..40),
-        ) {
-            let mut c = SplitController::new(initial, gain);
-            prop_assert!((0.0..=1.0).contains(&c.fraction()));
-            for (tg, tc) in times {
-                c.observe(tg, tc);
-                prop_assert!(
-                    (0.0..=1.0).contains(&c.fraction()),
-                    "fraction escaped: {}", c.fraction()
-                );
-            }
-        }
-
-        /// A constant imbalance (fixed underlying rates) drives the
-        /// fraction monotonically toward the balance point.
-        #[test]
-        fn controller_constant_imbalance_is_monotone(
-            initial in 0.0f64..1.0,
-            gain in 0.01f64..1.0,
-            rg in 0.1f64..100.0,
-            rc in 0.1f64..100.0,
-        ) {
-            let target = (rg / (rg + rc))
-                .clamp(ADAPTIVE_MIN_FRACTION, ADAPTIVE_MAX_FRACTION);
-            let mut c = SplitController::new(initial, gain);
-            let mut prev = (c.fraction() - target).abs();
-            // Error contracts by (1 − gain) per step; 2000 steps suffice
-            // for even the smallest gain in range.
-            for _ in 0..2000 {
-                let f = c.fraction();
-                c.observe(f / rg, (1.0 - f) / rc);
-                let err = (c.fraction() - target).abs();
-                prop_assert!(err <= prev + 1e-12, "diverged: {err} > {prev}");
-                prev = err;
-            }
-            prop_assert!(prev < 1e-3, "not converged: {prev}");
-        }
     }
 }

@@ -17,11 +17,9 @@
 //!   an asynchronous [`executor::KernelLaunch`] submitted to the rank's
 //!   [`executor::Executor`], one struct whose [`executor::ExecutorKind`]
 //!   says whether GPU-selected multiplies go to the devices
-//!   ([`hipmcl_gpu::multi::MultiGpu`]) whole, not at all, or in the share
-//!   a [`executor::SplitPolicy`] picks (fixed, model-derived, or
-//!   adaptively controlled from the realized finish-time imbalance), and
-//!   whether CPU-side multiplies run inline on the host or queue on the
-//!   per-socket worker lanes that also carry the merges.
+//!   ([`hipmcl_gpu::multi::MultiGpu`]) while CPU-side multiplies run
+//!   inline on the host, or everything queues on the per-socket worker
+//!   lanes that also carry the merges.
 //! * [`pipeline`] — the single stage scheduler of Pipelined Sparse SUMMA:
 //!   issues broadcasts, submits launches, and drives merging off the
 //!   launches' completion events.
@@ -48,12 +46,9 @@ pub mod topk;
 
 pub use distmat::DistMatrix;
 pub use estimate::{EstimatorKind, MemoryEstimate, OverlapInputs, PhaseDecision, PhasePlanner};
-pub use executor::{
-    Executor, ExecutorKind, InvalidSplit, KernelLaunch, LaunchSpec, MergeTask, SplitController,
-    SplitPolicy,
-};
+pub use executor::{Executor, ExecutorKind, KernelLaunch, LaunchSpec, MergeTask};
 pub use merge::{merge_with, MergeKernelPolicy, MergeSpan, MergeStrategy, StackMerger};
 pub use spgemm::{
     summa_spgemm, summa_spgemm_in, summa_spgemm_with, summa_spgemm_with_in, CommChoice, CommPolicy,
-    ConfigError, SummaConfig, SummaOutput,
+    SummaConfig, SummaOutput,
 };

@@ -626,10 +626,9 @@ where
                 out.kernels_used.push(kernel);
 
                 // --- Submit to the executor; overlap off its events ----
-                // The probe's clamped cf estimate rides along so hybrid
-                // split policies can evaluate the machine model's rate
-                // curves before the realized cf exists. The phase's last
-                // product streams into the merge that takes it.
+                // The probe's clamped cf estimate rides along so the merge
+                // that takes the phase's last product, which streams into
+                // it, can be sized before the realized cf exists.
                 let spec = LaunchSpec {
                     kernel,
                     flops,

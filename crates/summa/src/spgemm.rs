@@ -27,7 +27,7 @@ use crate::estimate::{
     estimate_memory_in, plan_phases, plan_phases_overlap, EstimatorKind, MemoryEstimate,
     OverlapInputs, PhaseDecision, PhasePlanner,
 };
-use crate::executor::{Executor, ExecutorKind, InvalidSplit};
+use crate::executor::{Executor, ExecutorKind};
 use crate::merge::{
     ColumnSink, MergeKernelPolicy, MergeSpan, MergeStats, MergeStrategy, Packed, Whole,
 };
@@ -138,8 +138,7 @@ pub struct SummaConfig {
     /// Without it the host waits for every kernel's output (bulk
     /// synchronous, like original HipMCL even when kernels run on GPU).
     pub pipelined: bool,
-    /// Where local multiplications execute (devices, CPU worker pool, or
-    /// a hybrid column split across both).
+    /// Where local multiplications execute (devices or CPU worker pool).
     pub executor: ExecutorKind,
     /// How stage operand panels are communicated (tree broadcast always,
     /// or the per-stage modeled broadcast/gather choice). Never changes
@@ -224,48 +223,6 @@ impl SummaConfig {
             ..Self::optimized(per_rank_budget)
         }
     }
-
-    /// Checks the configuration for values that would misbehave at run
-    /// time: a fixed hybrid split outside `[0, 1]`. Entry points call this
-    /// and panic with the error's message; callers that accept untrusted
-    /// configuration should call it themselves first.
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        Ok(self.executor.validate()?)
-    }
-}
-
-/// Error returned by [`SummaConfig::validate`] (and `MclConfig`'s, which
-/// delegates here).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum ConfigError {
-    /// A fixed hybrid split fraction outside `[0, 1]`.
-    Split(InvalidSplit),
-    /// A pruning parameter out of range (reported through
-    /// `MclConfig::validate`, which owns the parameters).
-    Prune(hipmcl_sparse::colops::InvalidPrune),
-}
-
-impl std::fmt::Display for ConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ConfigError::Split(e) => e.fmt(f),
-            ConfigError::Prune(e) => e.fmt(f),
-        }
-    }
-}
-
-impl std::error::Error for ConfigError {}
-
-impl From<InvalidSplit> for ConfigError {
-    fn from(e: InvalidSplit) -> Self {
-        ConfigError::Split(e)
-    }
-}
-
-impl From<hipmcl_sparse::colops::InvalidPrune> for ConfigError {
-    fn from(e: hipmcl_sparse::colops::InvalidPrune) -> Self {
-        ConfigError::Prune(e)
-    }
 }
 
 /// Result of a distributed multiplication on one rank.
@@ -282,8 +239,7 @@ pub struct SummaOutput<T: Value = f64> {
     pub merge_stats: MergeStats,
     /// Every merge operation's timeline span — start/end on its merge
     /// lane, chosen kernel, fan-in, elements — in submission order. The
-    /// merge-side counterpart of
-    /// [`hybrid_fractions`](Self::hybrid_fractions).
+    /// merge-side counterpart of [`kernels_used`](Self::kernels_used).
     pub merge_spans: Vec<MergeSpan>,
     /// Host idle time spent waiting on launch events (Table V, CPU).
     pub cpu_idle: f64,
@@ -306,11 +262,6 @@ pub struct SummaOutput<T: Value = f64> {
     /// `phases × √P` entries (zero-flops stages record the selector's
     /// degenerate choice).
     pub kernels_used: Vec<SpgemmKernel>,
-    /// Realized GPU share of every hybrid submission, in submission order
-    /// (0 for multiplications that ran entirely on the worker pool; empty
-    /// for non-hybrid executors). The observable trace of the
-    /// [`SplitPolicy`](crate::executor::SplitPolicy) decisions.
-    pub hybrid_fractions: Vec<f64>,
     /// Per-stage communication record: two entries per executed stage
     /// (operand `A` then `B`), with the panel bytes, chosen mode and the
     /// model's price for both modes. Under [`CommPolicy::Broadcast`]
@@ -420,8 +371,6 @@ where
         a.ncols_global, b.nrows_global,
         "global inner dims must agree"
     );
-    cfg.validate()
-        .unwrap_or_else(|e| panic!("invalid SummaConfig: {e}"));
     let comm = &grid.world;
     let mut timers = StageTimers::new();
     let mut est_measured = 0.0f64;
@@ -515,7 +464,6 @@ where
     );
     let gpu_idle = exec.device_idle();
     let merge_lane_idle = exec.merge_lane_idle();
-    let hybrid_fractions = exec.fractions().to_vec();
 
     let PipelineOutcome {
         mut slabs,
@@ -549,7 +497,6 @@ where
         estimate,
         phases,
         kernels_used,
-        hybrid_fractions,
         comm_choices,
         timers_measured,
     }
@@ -558,7 +505,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::SplitPolicy;
     use hipmcl_comm::{MachineModel, Universe};
     use hipmcl_sparse::{Idx, Triples};
     use rand::{Rng, SeedableRng};
@@ -716,98 +662,6 @@ mod tests {
     }
 
     #[test]
-    fn hybrid_executor_matches() {
-        let want = serial_product(28, 240, 11);
-        let splits = [
-            SplitPolicy::Fixed(0.0),
-            SplitPolicy::Fixed(0.5),
-            SplitPolicy::Fixed(0.85),
-            SplitPolicy::Fixed(1.0),
-            SplitPolicy::ModelDerived,
-            SplitPolicy::Adaptive,
-        ];
-        for split in splits {
-            let cfg = SummaConfig {
-                executor: ExecutorKind::Hybrid { split },
-                policy: SelectionPolicy::always_gpu(),
-                merge: MergeStrategy::Binary,
-                pipelined: true,
-                ..base_cfg()
-            };
-            let got = run_config(28, 240, 11, 4, cfg);
-            assert!(got.max_abs_diff(&want) < 1e-9, "split={split:?}");
-        }
-    }
-
-    #[test]
-    fn hybrid_fractions_recorded_per_stage() {
-        for split in [SplitPolicy::Fixed(0.85), SplitPolicy::Adaptive] {
-            let results = Universe::run(4, MachineModel::summit(), move |comm| {
-                let grid = ProcGrid::new(comm);
-                let g = random_global(28, 300, 13);
-                let a = DistMatrix::from_global(&grid, &g);
-                let mut gpus = MultiGpu::summit_node(grid.world.model());
-                let cfg = SummaConfig {
-                    executor: ExecutorKind::Hybrid { split },
-                    policy: SelectionPolicy::always_gpu(),
-                    merge: MergeStrategy::Binary,
-                    pipelined: true,
-                    ..base_cfg()
-                };
-                let out = summa_spgemm(&grid, &mut gpus, &a, &a, &cfg);
-                (out.hybrid_fractions, out.kernels_used.len())
-            });
-            for (fracs, stages) in results {
-                assert!(
-                    fracs.len() <= stages,
-                    "at most one split per stage (zero-flops stages skip)"
-                );
-                assert!(!fracs.is_empty(), "split={split:?}");
-                assert!(
-                    fracs.iter().all(|f| (0.0..=1.0).contains(f)),
-                    "split={split:?}: {fracs:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn non_hybrid_runs_record_no_fractions() {
-        let results = Universe::run(1, MachineModel::summit(), |comm| {
-            let grid = ProcGrid::new(comm);
-            let g = random_global(20, 150, 14);
-            let a = DistMatrix::from_global(&grid, &g);
-            let mut gpus = MultiGpu::summit_node(grid.world.model());
-            let out = summa_spgemm(&grid, &mut gpus, &a, &a, &base_cfg());
-            out.hybrid_fractions.len()
-        });
-        assert_eq!(results, vec![0]);
-    }
-
-    #[test]
-    fn invalid_fixed_split_is_rejected_by_validation() {
-        for bad in [-0.25, 1.25, f64::NAN] {
-            let cfg = SummaConfig {
-                executor: ExecutorKind::Hybrid {
-                    split: SplitPolicy::Fixed(bad),
-                },
-                ..base_cfg()
-            };
-            assert!(cfg.validate().is_err(), "bad={bad}");
-        }
-        assert!(base_cfg().validate().is_ok());
-        for ok in [0.0, 1.0] {
-            let cfg = SummaConfig {
-                executor: ExecutorKind::Hybrid {
-                    split: SplitPolicy::Fixed(ok),
-                },
-                ..base_cfg()
-            };
-            assert!(cfg.validate().is_ok(), "ok={ok}");
-        }
-    }
-
-    #[test]
     fn auto_phases_run_estimator() {
         let results = Universe::run(4, MachineModel::summit(), |comm| {
             let grid = ProcGrid::new(comm);
@@ -951,17 +805,7 @@ mod tests {
     fn idle_times_are_nonnegative_across_configs() {
         // Property-style sweep over executors, overlap modes and seeds:
         // Table V's idle quantities must never go negative.
-        let execs = [
-            ExecutorKind::Gpus,
-            ExecutorKind::CpuPool,
-            ExecutorKind::Hybrid {
-                split: SplitPolicy::Fixed(0.7),
-            },
-            ExecutorKind::Hybrid {
-                split: SplitPolicy::Adaptive,
-            },
-        ];
-        for exec in execs {
+        for exec in [ExecutorKind::Gpus, ExecutorKind::CpuPool] {
             for pipelined in [false, true] {
                 for seed in [1u64, 9, 23] {
                     let results = Universe::run(4, MachineModel::summit(), move |comm| {

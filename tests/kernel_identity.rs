@@ -1,8 +1,12 @@
-//! Every local SpGEMM kernel produces the same matrix, bit for bit: same
-//! `colptr`, same `rowidx`, `to_bits()`-equal values. The only thing that
-//! fixes a value is the order its products are folded in — ascending
-//! position within `B_{*j}` on every CPU kernel — so addressing modes, table
-//! sizes, pass counts and heap mechanics must never show here.
+//! Every CPU SpGEMM kernel and the nsparse analogue produce the same
+//! matrix, bit for bit: same `colptr`, same `rowidx`, `to_bits()`-equal
+//! values. The only thing that fixes a value is the order its products are
+//! folded in — ascending position within `B_{*j}` on every CPU kernel — so
+//! addressing modes, table sizes, pass counts and heap mechanics must never
+//! show here. The bhsparse and rmerge2 analogues fold in other orders: they
+//! return the same bits only on the dyadic operands below, on which every
+//! sum is exact; on generic values they keep the pattern and round some
+//! sums differently.
 
 use hipmcl::comm::GpuLib;
 use hipmcl::gpu::libs::multiply_csc_in;
@@ -301,4 +305,35 @@ fn inexact_sums_fold_in_ascending_position_of_b() {
         }
     }
     assert!(reversed_differs, "the fixture does not show the fold order");
+}
+
+#[test]
+fn generic_values_round_only_in_bhsparse_and_rmerge2() {
+    use hipmcl::spgemm::testutil::random_csc;
+    let pt = PlusTimes::<f64>::new();
+    for seed in 0..10 {
+        let a = random_csc(60, 60, 900, seed);
+        let want = bits(&hash::multiply_in(pt, &a, &a));
+        let fpc = flops_per_column(&a, &a);
+        let exact = [
+            ("heap", heap::multiply_in(pt, &a, &a)),
+            ("spa", spa::multiply_in(pt, &a, &a)),
+            ("auto", hybrid::multiply_auto_in(pt, &a, &a).0),
+            ("direct", hash::multiply_as(Direct, pt, &a, &a, &fpc)),
+            ("hashed", hash::multiply_as(Hashed, pt, &a, &a, &fpc)),
+            ("nsparse", multiply_csc_in(pt, &a, &a, GpuLib::Nsparse)),
+        ];
+        for (name, got) in exact {
+            assert_eq!(bits(&got), want, "seed {seed}: {name} differs from hash");
+        }
+        for lib in [GpuLib::Bhsparse, GpuLib::Rmerge2] {
+            let (colptr, rows, vals) = bits(&multiply_csc_in(pt, &a, &a, lib));
+            let case = format!("seed {seed}: {}", lib.name());
+            assert_eq!((colptr, rows), (want.0.clone(), want.1.clone()), "{case}");
+            for (&got, &w) in vals.iter().zip(&want.2) {
+                let (got, w) = (f64::from_bits(got), f64::from_bits(w));
+                assert!((got - w).abs() <= 1e-12 * w.abs(), "{case}: {got} vs {w}");
+            }
+        }
+    }
 }

@@ -1,7 +1,6 @@
 //! The modeled schedule of a distributed multiply is pinned bit for bit:
 //! per rank the product, every stage timer, the three idle totals, every
-//! merge span, the kernels and hybrid shares chosen and the clock the rank
-//! leaves with. Other tests hold inequalities between schedules; these
+//! merge span, the kernels chosen and the clock the rank leaves with. Other tests hold inequalities between schedules; these
 //! digests hold the schedules themselves, so a change to the executor,
 //! the lane placement rule or the stage scheduler that moves one virtual
 //! timestamp on one rank shows here.
@@ -11,7 +10,7 @@ use hipmcl::gpu::multi::MultiGpu;
 use hipmcl::gpu::select::SelectionPolicy;
 use hipmcl::sparse::{Idx, Triples};
 use hipmcl::summa::estimate::PhasePlanner;
-use hipmcl::summa::executor::{ExecutorKind, SplitPolicy};
+use hipmcl::summa::executor::ExecutorKind;
 use hipmcl::summa::merge::{MergeKernelPolicy, MergeStrategy};
 use hipmcl::summa::spgemm::{summa_spgemm, CommPolicy, PhasePlan, SummaConfig, SummaOutput};
 use hipmcl::summa::DistMatrix;
@@ -110,9 +109,6 @@ fn rank_digest(out: &SummaOutput, exit_clock: f64) -> u64 {
         h.word(s.stolen as u64);
     }
     out.kernels_used.iter().for_each(|k| h.text(k.name()));
-    out.hybrid_fractions
-        .iter()
-        .for_each(|f| h.word(f.to_bits()));
     h.word(exit_clock.to_bits());
     h.0
 }
@@ -153,24 +149,6 @@ fn every_executor_kind_keeps_its_modeled_schedule() {
     let executors = [
         ("gpus", ExecutorKind::Gpus),
         ("cpu-pool", ExecutorKind::CpuPool),
-        (
-            "hybrid-fixed-0.5",
-            ExecutorKind::Hybrid {
-                split: SplitPolicy::Fixed(0.5),
-            },
-        ),
-        (
-            "hybrid-model",
-            ExecutorKind::Hybrid {
-                split: SplitPolicy::ModelDerived,
-            },
-        ),
-        (
-            "hybrid-adaptive",
-            ExecutorKind::Hybrid {
-                split: SplitPolicy::Adaptive,
-            },
-        ),
     ];
     let mut got = Vec::new();
     for (name, executor) in executors {
@@ -199,18 +177,6 @@ fn every_executor_kind_keeps_its_modeled_schedule() {
             0x266c0ee357c2d7f3, // cpu-pool pipelined+binary p=9
             0xf222fb93334559c8, // cpu-pool bulk-sync+multiway p=4
             0x870dc0e719044156, // cpu-pool bulk-sync+multiway p=9
-            0x90ade2941aa56ae6, // hybrid-fixed-0.5 pipelined+binary p=4
-            0x36860c67222d7442, // hybrid-fixed-0.5 pipelined+binary p=9
-            0x6cd0a8b05cebe89f, // hybrid-fixed-0.5 bulk-sync+multiway p=4
-            0x6be1d07c5fa83634, // hybrid-fixed-0.5 bulk-sync+multiway p=9
-            0x0614b55a88141bc0, // hybrid-model pipelined+binary p=4
-            0x151365aa801eaeff, // hybrid-model pipelined+binary p=9
-            0x0f370ab7ca266e87, // hybrid-model bulk-sync+multiway p=4
-            0x03b8b7e63eec5797, // hybrid-model bulk-sync+multiway p=9
-            0xf48f1f584a981567, // hybrid-adaptive pipelined+binary p=4
-            0x7a65c62fc16fad22, // hybrid-adaptive pipelined+binary p=9
-            0xa3be8cb986bfd1fa, // hybrid-adaptive bulk-sync+multiway p=4
-            0xff656250a4fa0395, // hybrid-adaptive bulk-sync+multiway p=9
         ],
     );
 }
@@ -218,35 +184,21 @@ fn every_executor_kind_keeps_its_modeled_schedule() {
 /// Devices sized between the footprints of this fixture's GPU-selected
 /// launches, so some fit and some run out of memory: under `Gpus` (all of
 /// `B` on the devices) rank 0 degrades every launch, rank 1 none, ranks 2
-/// and 3 some; under the half split rank 1 degrades all four and rank 2
-/// the three that follow its first. A degraded launch runs the host hash
-/// kernel instead — inline under `Gpus`, queued on the worker lanes under
-/// `Hybrid` — and a failed launch leaves nothing on its devices. (Captured
-/// again at the commit that freed the inputs of a device whose output did
-/// not fit: until then the two digests pinned that leak.)
+/// and 3 some. A degraded launch runs the host hash kernel inline instead,
+/// and a failed launch leaves nothing on its devices. (Captured again at
+/// the commit that freed the inputs of a device whose output did not fit:
+/// until then the digest pinned that leak.)
 #[test]
 fn the_out_of_memory_fallback_keeps_its_modeled_schedule() {
-    let hybrid = ExecutorKind::Hybrid {
-        split: SplitPolicy::Fixed(0.5),
-    };
-    let arms = [
-        ("gpus", ExecutorKind::Gpus, 18_624),
-        ("hybrid-fixed-0.5", hybrid, 14 << 10),
-    ];
-    let got = arms
-        .into_iter()
-        .map(|(name, executor, device_mem)| {
-            (
-                format!("{name} {device_mem} B devices pipelined+binary p=4"),
-                grid_digest(4, config(executor, true), device_mem),
-            )
-        })
-        .collect();
+    let device_mem = 18_624;
+    let got = vec![(
+        format!("gpus {device_mem} B devices pipelined+binary p=4"),
+        grid_digest(4, config(ExecutorKind::Gpus, true), device_mem),
+    )];
     check(
         got,
         &[
             0x846032f2fab12e3b, // gpus 18624 B devices pipelined+binary p=4
-            0x25cbbc890aefb3e8, // hybrid-fixed-0.5 14336 B devices pipelined+binary p=4
         ],
     );
 }
