@@ -15,7 +15,6 @@ use hipmcl_core::dist::{cluster_distributed_with, DistMclReport};
 use hipmcl_core::MclConfig;
 use hipmcl_gpu::multi::MultiGpu;
 use hipmcl_sparse::Csc;
-use hipmcl_summa::estimate::{PhaseDecision, PhasePlanner};
 use hipmcl_summa::merge::MergeKernelPolicy;
 use hipmcl_summa::spgemm::{CommPolicy, SummaOutput};
 use hipmcl_summa::DistMatrix;
@@ -149,89 +148,6 @@ fn run_observed<R: Send>(
     (reports.into_iter().next().unwrap(), seen)
 }
 
-/// The two probe reports read as the run's [`DistMclReport`] (idle
-/// times, `total_time`, `iterations`, … — a full MCL run through the
-/// library driver, comparable with every table's `overall`) plus the
-/// fields the probe's observer added.
-macro_rules! reads_as_mcl_report {
-    ($($probe:ty),*) => {$(
-        impl std::ops::Deref for $probe {
-            type Target = DistMclReport;
-            fn deref(&self) -> &DistMclReport {
-                &self.mcl
-            }
-        }
-    )*};
-}
-reads_as_mcl_report!(MergeProbeReport, CommPolicyReport);
-
-/// One configuration's outcome in the merge/phase-overlap ablation
-/// (`probe_merge_overlap`).
-#[derive(Clone, Debug)]
-pub struct MergeProbeReport {
-    /// The library driver's report of the run.
-    pub mcl: DistMclReport,
-    /// Mean over ranks of merge-lane idle time, summed over iterations.
-    pub merge_lane_idle: f64,
-    /// Max over iterations of the report's `merge_peaks` — the Table III
-    /// memory proxy.
-    pub peak_merge_elems: u64,
-    /// Phases executed per iteration (rank 0's view).
-    pub phases: Vec<usize>,
-    /// Merge operations submitted, summed over iterations (rank 0).
-    pub merge_ops: u64,
-    /// Planner decisions per iteration (rank 0), present only under the
-    /// overlap-aware planner.
-    pub decisions: Vec<PhaseDecision>,
-}
-
-impl MergeProbeReport {
-    /// The quantity the phase-planner gate compares: host idle plus
-    /// device idle plus merge-lane idle — total pipeline idle off the
-    /// unified timelines.
-    pub fn total_idle(&self) -> f64 {
-        self.cpu_idle + self.gpu_idle + self.merge_lane_idle
-    }
-}
-
-/// Runs distributed MCL under the given phase planner and merge-kernel
-/// policy, reporting the run plus the merge-lane idle, the merge counts
-/// and the planner's scored decisions. The per-rank memory budget is
-/// deliberately small so `plan_phases` lands above one phase and the
-/// overlap-aware planner has real headroom to search. Runs on the
-/// CPU-pipelined preset: with the worker pool's slower kernels the
-/// broadcasts hide under compute, which is the regime where trading
-/// re-broadcast for smaller merges pays.
-pub fn run_merge_overlap_probe(
-    p: usize,
-    d: Dataset,
-    kernel: MergeKernelPolicy,
-    planner: PhasePlanner,
-    per_rank_budget: u64,
-    max_iters: usize,
-) -> MergeProbeReport {
-    let mut cfg = bench_mcl_config_for(d, MclConfig::cpu_pipelined(per_rank_budget));
-    cfg.summa.merge_kernel = kernel;
-    cfg.summa.planner = planner;
-    cfg.max_iters = max_iters;
-    // Per iteration: (lane idle, merge ops, phases, planner decision).
-    let pick = |out: &SummaOutput| {
-        let ops = out.merge_stats.merge_ops as u64;
-        let decision = out.planner_decision.clone();
-        (out.merge_lane_idle, ops, out.phases, decision)
-    };
-    let (mcl, seen) = run_observed(p, MachineModel::summit_bench(), d, &cfg, pick);
-    let lane_idle: f64 = seen.iter().flatten().map(|it| it.0).sum();
-    MergeProbeReport {
-        merge_lane_idle: lane_idle / p as f64,
-        peak_merge_elems: mcl.merge_peaks.iter().copied().max().unwrap_or(0),
-        phases: seen[0].iter().map(|it| it.2).collect(),
-        merge_ops: seen[0].iter().map(|it| it.1).sum(),
-        decisions: seen[0].iter().filter_map(|it| it.3.clone()).collect(),
-        mcl,
-    }
-}
-
 /// One comm policy's outcome in the broadcast/gather ablation
 /// (`probe_comm_policy`).
 #[derive(Clone, Debug)]
@@ -249,6 +165,17 @@ pub struct CommPolicyReport {
     pub gather_panels: u64,
     /// Stage panels moved in total, summed over ranks and iterations.
     pub total_panels: u64,
+}
+
+/// The probe's report reads as the run's [`DistMclReport`] (idle times,
+/// `total_time`, `iterations`, … — a full MCL run through the library
+/// driver, comparable with every table's `overall`) plus the fields the
+/// probe's observer added.
+impl std::ops::Deref for CommPolicyReport {
+    type Target = DistMclReport;
+    fn deref(&self) -> &DistMclReport {
+        &self.mcl
+    }
 }
 
 /// Runs distributed MCL under the given comm policy, reporting the run
@@ -572,70 +499,6 @@ mod tests {
     }
 
     #[test]
-    fn overlap_planner_idle_no_worse_than_memory_only() {
-        // The probe_merge_overlap acceptance check: with a constrained
-        // per-rank budget (so the memory floor sits above one phase), the
-        // overlap-aware planner must (a) never pick fewer phases than the
-        // memory floor — same peak-memory guarantee — and (b) end the run
-        // with total pipeline idle (host + device + merge lanes) no worse
-        // than the memory-only plan on both reference workloads, strictly
-        // better in the planner's own objective where it deviates.
-        let budget = 3 << 20;
-        let iters = 3;
-        let mut deviated = false;
-        for d in [Dataset::Archaea, Dataset::Isom100_3] {
-            let mem = run_merge_overlap_probe(
-                4,
-                d,
-                MergeKernelPolicy::Auto,
-                PhasePlanner::MemoryOnly,
-                budget,
-                iters,
-            );
-            let ovl = run_merge_overlap_probe(
-                4,
-                d,
-                MergeKernelPolicy::Auto,
-                PhasePlanner::OverlapAware,
-                budget,
-                iters,
-            );
-            assert_eq!(mem.iterations, ovl.iterations);
-            assert!(mem.decisions.is_empty(), "memory-only records no decision");
-            assert_eq!(ovl.decisions.len(), ovl.iterations);
-            for (dec, mem_phases) in ovl.decisions.iter().zip(&mem.phases) {
-                assert_eq!(dec.memory_floor, *mem_phases, "same floor both ways");
-                assert!(dec.phases >= dec.memory_floor, "never below the floor");
-                let score_of = |h: usize| {
-                    dec.scores
-                        .iter()
-                        .find(|(hh, _)| *hh == h)
-                        .map(|(_, s)| *s)
-                        .unwrap()
-                };
-                if dec.phases != dec.memory_floor {
-                    deviated = true;
-                    assert!(
-                        score_of(dec.phases) < score_of(dec.memory_floor),
-                        "deviating from the floor must strictly reduce modeled idle"
-                    );
-                }
-            }
-            assert!(
-                ovl.total_idle() <= mem.total_idle() * (1.0 + 1e-9),
-                "{}: overlap-aware idle {} must be <= memory-only idle {}",
-                d.name(),
-                ovl.total_idle(),
-                mem.total_idle()
-            );
-        }
-        assert!(
-            deviated,
-            "the budget should leave the planner real headroom on at least one workload"
-        );
-    }
-
-    #[test]
     fn merge_kernel_choice_preserves_clusters() {
         // Satellite of the merge-task refactor: the per-merge kernel is a
         // performance choice only — all four policies must produce the
@@ -730,27 +593,23 @@ mod tests {
         // The peak merge working set is a property of the binary
         // *schedule* (how many slabs coexist), not of which accumulator
         // runs each merge — so Auto (BRMerge/SpAdd) must report exactly
-        // the peak that the heap kernel does on the same run.
-        let planner = PhasePlanner::MemoryOnly;
-        let budget = 3u64 << 20;
-        let heap = run_merge_overlap_probe(
-            4,
-            Dataset::Archaea,
-            MergeKernelPolicy::Fixed(hipmcl_comm::MergeKernel::Heap),
-            planner,
-            budget,
-            2,
+        // the per-iteration peaks, merge counts and phases that the heap
+        // kernel does on the same run.
+        use hipmcl_comm::MergeKernel;
+        let d = Dataset::Archaea;
+        let run = |kernel: MergeKernelPolicy| {
+            let mut cfg = bench_mcl_config_for(d, MclConfig::cpu_pipelined(3 << 20));
+            cfg.summa.merge_kernel = kernel;
+            cfg.max_iters = 2;
+            let pick = |out: &SummaOutput| (out.merge_stats.merge_ops, out.phases);
+            run_observed(4, MachineModel::summit_bench(), d, &cfg, pick)
+        };
+        let (heap, heap_seen) = run(MergeKernelPolicy::Fixed(MergeKernel::Heap));
+        let (auto, auto_seen) = run(MergeKernelPolicy::Auto);
+        assert_eq!(heap.merge_peaks, auto.merge_peaks);
+        assert_eq!(
+            heap_seen, auto_seen,
+            "merge ops and phases per rank and iteration"
         );
-        let auto = run_merge_overlap_probe(
-            4,
-            Dataset::Archaea,
-            MergeKernelPolicy::Auto,
-            planner,
-            budget,
-            2,
-        );
-        assert_eq!(heap.peak_merge_elems, auto.peak_merge_elems);
-        assert_eq!(heap.merge_ops, auto.merge_ops);
-        assert_eq!(heap.phases, auto.phases);
     }
 }

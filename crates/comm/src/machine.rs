@@ -452,7 +452,7 @@ impl MachineModel {
     /// of the threads (`threads / sockets` cores, re-evaluating the
     /// thread-scaling efficiency at the smaller count). This is what a
     /// merge task occupying one lane of a NUMA-sized worker pool costs.
-    pub fn socket_merge_time_with(&self, kernel: MergeKernel, total: u64, ways: usize) -> f64 {
+    fn socket_merge_time_with(&self, kernel: MergeKernel, total: u64, ways: usize) -> f64 {
         let threads = (self.threads / self.sockets.max(1)).max(1) as f64;
         let factor = threads / (1.0 + self.thread_overhead * threads);
         self.merge_ops_with(kernel, total, ways) / (self.core_merge_rate * factor)
@@ -463,7 +463,7 @@ impl MachineModel {
     /// different socket than the chosen lane — the steal-cost model the
     /// lane scheduler evaluates per candidate lane. A multi-lane node runs
     /// the merge at the per-socket rate
-    /// ([`socket_merge_time_with`](Self::socket_merge_time_with)); a
+    /// (`socket_merge_time_with`); a
     /// single-lane node at the whole-node rate
     /// ([`merge_time_with`](Self::merge_time_with)). Remote-homed input
     /// elements scale the duration by up to `1 + xsocket_penalty` (all

@@ -2,7 +2,7 @@
 
 use hipmcl_gpu::select::SelectionPolicy;
 use hipmcl_sparse::colops::{InvalidPrune, PruneParams};
-use hipmcl_summa::estimate::{EstimatorKind, PhasePlanner};
+use hipmcl_summa::estimate::EstimatorKind;
 use hipmcl_summa::executor::ExecutorKind;
 use hipmcl_summa::merge::{MergeKernelPolicy, MergeStrategy};
 use hipmcl_summa::spgemm::{CommPolicy, PhasePlan, SummaConfig};
@@ -97,7 +97,6 @@ impl MclConfig {
             },
             summa: SummaConfig {
                 phases: PhasePlan::Fixed(1),
-                planner: PhasePlanner::MemoryOnly,
                 policy: SelectionPolicy::cpu_only(),
                 merge: MergeStrategy::Multiway,
                 merge_kernel: MergeKernelPolicy::Auto,

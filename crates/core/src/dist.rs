@@ -2,8 +2,10 @@
 //!
 //! One MCL iteration on the `√P × √P` grid:
 //!
-//! 1. **Memory estimation** (§V) — inside the SUMMA phase planner,
-//!    exact-symbolic or probabilistic per the config.
+//! 1. **Memory estimation** (§V) — inside the SUMMA driver's `Auto`
+//!    phase plan, exact-symbolic or probabilistic per the config; the
+//!    phase count is the fewest phases whose unpruned slab fits the
+//!    per-rank budget.
 //! 2. **Expansion** `B = A·A` via (Pipelined) Sparse SUMMA, with pruning
 //!    *fused into the phases*: each phase's closing merge packs every
 //!    column it finishes into the candidates the distributed top-k can

@@ -47,14 +47,6 @@ pub enum EstimatorKind {
         /// `cf` below which the exact scheme is cheaper and is rerun.
         cf_threshold: f64,
     },
-    /// The paper's stated future work (§VIII): the Cohen sketch with its
-    /// key propagation offloaded to the GPUs. Identical estimates; the
-    /// key-op compute is charged at the device rate plus the H2D staging
-    /// of the operand structures.
-    ProbabilisticGpu {
-        /// Keys per vertex.
-        r: usize,
-    },
 }
 
 /// Result of a memory estimation.
@@ -75,12 +67,7 @@ pub struct MemoryEstimate {
 /// Every scheme name a [`MemoryEstimate`] can carry — the decode side
 /// interns against this list so `scheme` stays `&'static str` across a
 /// process boundary.
-const SCHEME_NAMES: [&str; 4] = [
-    "exact-symbolic",
-    "probabilistic",
-    "probabilistic-gpu",
-    "x", // test fixtures
-];
+const SCHEME_NAMES: [&str; 2] = ["exact-symbolic", "probabilistic"];
 
 impl WireEncode for MemoryEstimate {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -183,10 +170,9 @@ pub fn estimate_memory_in<S: Semiring>(
 ) -> MemoryEstimate {
     match kind {
         EstimatorKind::ExactSymbolic => exact_symbolic_in(s, grid, a, b),
-        EstimatorKind::Probabilistic { r } => probabilistic(grid, a, b, r, seed, false),
-        EstimatorKind::ProbabilisticGpu { r } => probabilistic(grid, a, b, r, seed, true),
+        EstimatorKind::Probabilistic { r } => probabilistic(grid, a, b, r, seed),
         EstimatorKind::Hybrid { r, cf_threshold } => {
-            let prob = probabilistic(grid, a, b, r, seed, false);
+            let prob = probabilistic(grid, a, b, r, seed);
             let cf_est = if prob.nnz_estimate > 0.0 {
                 prob.flops as f64 / prob.nnz_estimate
             } else {
@@ -324,7 +310,6 @@ fn probabilistic<T: Value>(
     b: &DistMatrix<T>,
     r: usize,
     seed: u64,
-    on_gpu: bool,
 ) -> MemoryEstimate {
     assert!(r >= 1, "need at least one key");
     assert_eq!(
@@ -361,24 +346,11 @@ fn probabilistic<T: Value>(
     let out_range = b.col_range(grid);
     let out_keys = allreduce_min_vec_f32(&grid.col_comm, sketch.propagate(&b.local, &my_rows_mid));
 
-    // Charge the sketch's compute: r·(nnz A + nnz B) local key ops. On
-    // the GPU path (§VIII future work) the key propagation runs at the
-    // aggregate device key-op rate after staging the operand structures
-    // over the link; the collectives above are unchanged.
+    // Charge the sketch's compute: r·(nnz A + nnz B) local key ops on the
+    // host cores.
     let ops = sketch.op_count(&a.local, &b.local);
-    let model = grid.world.model();
-    if on_gpu && model.gpus > 0 {
-        let structure_bytes =
-            (a.local.nnz() + b.local.nnz()) * std::mem::size_of::<hipmcl_sparse::Idx>();
-        // Device key-op rate: scale the CPU estimate rate by the same
-        // GPU:CPU throughput ratio the SpGEMM kernels enjoy at high cf.
-        let gpu_ratio =
-            model.gpu_node_rate / (model.core_spgemm_rate * 40.0 / (1.0 + 0.007 * 40.0));
-        let gpu_time = model.link_time(structure_bytes) + model.estimate_time(ops) / gpu_ratio;
-        grid.world.advance_clock(gpu_time);
-    } else {
-        grid.world.advance_clock(model.estimate_time(ops));
-    }
+    grid.world
+        .advance_clock(grid.world.model().estimate_time(ops));
 
     // Provable per-column bracket for `nnz(C_{*j})`: the column is the
     // union of the A-columns selected by `B_{*j}`, so it holds at least
@@ -421,11 +393,7 @@ fn probabilistic<T: Value>(
         ),
         flops,
         time: grid.world.now() - t0,
-        scheme: if on_gpu {
-            "probabilistic-gpu"
-        } else {
-            "probabilistic"
-        },
+        scheme: "probabilistic",
     }
 }
 
@@ -434,188 +402,6 @@ fn probabilistic<T: Value>(
 pub fn plan_phases(estimate: &MemoryEstimate, ranks: usize, per_rank_budget_bytes: u64) -> usize {
     let per_rank = estimate.bytes_estimate / ranks as u64;
     (per_rank.div_ceil(per_rank_budget_bytes.max(1)) as usize).max(1)
-}
-
-/// How `Auto` phase planning picks the phase count `h`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum PhasePlanner {
-    /// The memory floor alone: the smallest `h` whose unpruned output
-    /// slab fits each rank's budget ([`plan_phases`], §V — the original
-    /// HipMCL rule).
-    #[default]
-    MemoryOnly,
-    /// Bi-objective: memory first, then overlap. Every candidate
-    /// `h ∈ [h_min, h_min + OVERLAP_EXTRA_PHASES]` already satisfies the
-    /// memory budget (slabs only shrink as `h` grows); among them the
-    /// planner picks the one minimizing the *modeled pipeline idle* of a
-    /// mini-simulation of the phase's broadcast/kernel/merge event
-    /// structure ([`modeled_pipeline_idle`]).
-    OverlapAware,
-}
-
-/// What the phase planner decided, kept for observability in
-/// `SummaOutput`.
-#[derive(Clone, Debug, PartialEq)]
-pub struct PhaseDecision {
-    /// The phase count the run uses.
-    pub phases: usize,
-    /// The memory floor `h_min` ([`plan_phases`]); `phases ≥ memory_floor`
-    /// always, so the chosen plan never exceeds the memory-only plan's
-    /// per-rank budget.
-    pub memory_floor: usize,
-    /// `(candidate h, modeled pipeline idle)` for every candidate scored
-    /// (empty for [`PhasePlanner::MemoryOnly`]).
-    pub scores: Vec<(usize, f64)>,
-}
-
-/// Per-rank workload shape fed to the overlap model, extracted from the
-/// operands by the SUMMA driver before phases are fixed.
-#[derive(Clone, Copy, Debug)]
-pub struct OverlapInputs {
-    /// Grid side `√P`.
-    pub side: usize,
-    /// This multiplication's flops per rank.
-    pub flops_per_rank: u64,
-    /// Wire bytes of the local `A` block (re-broadcast every phase).
-    pub bytes_a: usize,
-    /// Wire bytes of the local `B` block (split across phases).
-    pub bytes_b: usize,
-    /// Estimated compression factor of the product.
-    pub cf: f64,
-    /// The kernel the selector is expected to pick for the stages.
-    pub kernel: SpgemmKernel,
-    /// Whether the scheduler runs pipelined: if so, each phase's closing
-    /// merge drains one phase late (its tail overlaps the next phase's
-    /// broadcasts); bulk synchronous blocks the host at every phase end.
-    pub pipelined: bool,
-}
-
-/// Models one rank's pipeline idle for a candidate phase count `h`: a
-/// mini-simulation replaying the event structure of `pipeline::run` —
-/// the host issues the per-stage `A`/`B` broadcasts (a `⌈lg √P⌉`-hop
-/// tree each), the device timeline takes the kernels, and the merge lane
-/// runs Algorithm 2's merge cadence with the model-selected kernel per
-/// merge; the host blocks on each phase's final merge — one phase late
-/// when pipelined, mirroring the scheduler's deferred drain. Returns the
-/// summed idle of the three actors against the makespan — the quantity
-/// [`PhasePlanner::OverlapAware`] minimizes.
-///
-/// The tension: more phases re-broadcast `A` once per phase (host busy
-/// grows `∝ h`, and with it the makespan once broadcasts stop hiding
-/// under kernels), but under the pipelined drain only the *last* phase's
-/// closing merge stalls the end of the run, and that tail shrinks
-/// `∝ 1/h` — so in kernel-bound regimes the modeled idle falls with `h`
-/// before the broadcast cost catches up, and the minimum is genuinely
-/// interior.
-pub fn modeled_pipeline_idle(
-    model: &hipmcl_comm::MachineModel,
-    inputs: &OverlapInputs,
-    h: usize,
-) -> f64 {
-    use crate::merge::{algorithm2_merge_count, select_merge_kernel};
-    use hipmcl_comm::Timeline;
-
-    let side = inputs.side.max(1);
-    let hops = (side as f64).log2().ceil();
-    let t_bcast_a = hops * model.p2p_time(inputs.bytes_a);
-    let t_bcast_b = hops * model.p2p_time(inputs.bytes_b / h.max(1));
-    let stage_flops = inputs.flops_per_rank / (h.max(1) as u64 * side as u64);
-    let cf = inputs.cf.max(1.0);
-    let dur_kernel = model.spgemm_time(inputs.kernel, stage_flops, cf);
-    let slab_elems = ((stage_flops as f64 / cf) as u64).max(1);
-    let merge_rate = |kernel, elems, ways| {
-        if model.sockets > 1 {
-            model.socket_merge_time_with(kernel, elems, ways)
-        } else {
-            model.merge_time_with(kernel, elems, ways)
-        }
-    };
-
-    let mut host = 0.0f64;
-    let mut host_busy = 0.0f64;
-    let mut device = Timeline::new();
-    let mut device_busy = 0.0f64;
-    let mut lane = Timeline::new();
-    let mut lane_busy = 0.0f64;
-    let mut sealed_ready: Option<f64> = None;
-
-    for _ in 0..h {
-        let mut stack: Vec<(u64, f64)> = Vec::new();
-        let merge_all = |stack: &mut Vec<(u64, f64)>, count: usize, lane: &mut Timeline| {
-            let tail: Vec<(u64, f64)> = stack.split_off(stack.len() - count);
-            let elems: u64 = tail.iter().map(|&(e, _)| e).sum();
-            let ready = tail.iter().map(|&(_, r)| r).fold(0.0, f64::max);
-            let kernel = select_merge_kernel(model, elems, count);
-            let dur = merge_rate(kernel, elems, count);
-            let done = lane.submit(ready, dur);
-            stack.push((elems, done.at));
-            dur
-        };
-        for k in 0..side {
-            host += t_bcast_a + t_bcast_b;
-            host_busy += t_bcast_a + t_bcast_b;
-            let done = device.submit(host, dur_kernel);
-            device_busy += dur_kernel;
-            stack.push((slab_elems, done.at));
-            let count = algorithm2_merge_count(k + 1);
-            if count > 0 {
-                lane_busy += merge_all(&mut stack, count, &mut lane);
-            }
-        }
-        if stack.len() > 1 {
-            let count = stack.len();
-            lane_busy += merge_all(&mut stack, count, &mut lane);
-        }
-        // The host needs the phase's merged slab — right away when bulk
-        // synchronous, one phase late (after the next phase's issue work)
-        // when pipelined.
-        let ready = stack.last().map_or(host, |&(_, r)| r);
-        if inputs.pipelined {
-            if let Some(prev) = sealed_ready.replace(ready) {
-                host = host.max(prev);
-            }
-        } else {
-            host = host.max(ready);
-        }
-    }
-    if let Some(prev) = sealed_ready {
-        host = host.max(prev);
-    }
-
-    let makespan = host.max(device.busy_until()).max(lane.busy_until());
-    (makespan - host_busy) + (makespan - device_busy) + (makespan - lane_busy)
-}
-
-/// How many phases past the memory floor [`plan_phases_overlap`] scores.
-const OVERLAP_EXTRA_PHASES: usize = 4;
-
-/// Bi-objective phase planning: starts from the memory floor
-/// ([`plan_phases`]) and searches
-/// `h ∈ [h_min, h_min + OVERLAP_EXTRA_PHASES]` for the candidate with the
-/// lowest [`modeled_pipeline_idle`]. Since slab memory shrinks
-/// monotonically in `h`, every candidate satisfies the memory budget the
-/// floor satisfies; ties go to the smallest `h`.
-pub fn plan_phases_overlap(
-    estimate: &MemoryEstimate,
-    ranks: usize,
-    per_rank_budget_bytes: u64,
-    model: &hipmcl_comm::MachineModel,
-    inputs: &OverlapInputs,
-) -> PhaseDecision {
-    let memory_floor = plan_phases(estimate, ranks, per_rank_budget_bytes);
-    let scores: Vec<(usize, f64)> = (memory_floor..=memory_floor + OVERLAP_EXTRA_PHASES)
-        .map(|h| (h, modeled_pipeline_idle(model, inputs, h)))
-        .collect();
-    let phases = scores
-        .iter()
-        .min_by(|a, b| a.1.partial_cmp(&b.1).expect("modeled idle is finite"))
-        .map(|&(h, _)| h)
-        .unwrap_or(memory_floor);
-    PhaseDecision {
-        phases,
-        memory_floor,
-        scores,
-    }
 }
 
 #[cfg(test)]
@@ -887,35 +673,13 @@ mod tests {
     }
 
     #[test]
-    fn gpu_estimator_matches_cpu_estimate_and_is_faster() {
-        // summit_bench + a dense instance: offload only pays once the key
-        // work amortizes the transfer, like any device offload.
-        let results = Universe::run(4, MachineModel::summit_bench(), |comm| {
-            let grid = ProcGrid::new(comm);
-            let g = random_global(300, 30_000, 31);
-            let a = DistMatrix::from_global(&grid, &g);
-            let cpu = estimate_memory(&grid, &a, &a, EstimatorKind::Probabilistic { r: 7 }, 9);
-            let gpu = estimate_memory(&grid, &a, &a, EstimatorKind::ProbabilisticGpu { r: 7 }, 9);
-            (cpu, gpu)
-        });
-        for (cpu, gpu) in results {
-            assert_eq!(
-                cpu.nnz_estimate, gpu.nnz_estimate,
-                "same sketch, same estimate"
-            );
-            assert_eq!(gpu.scheme, "probabilistic-gpu");
-            assert!(gpu.time < cpu.time, "gpu {} vs cpu {}", gpu.time, cpu.time);
-        }
-    }
-
-    #[test]
     fn plan_phases_divides_budget() {
         let est = MemoryEstimate {
             nnz_estimate: 0.0,
             bytes_estimate: 1000,
             flops: 0,
             time: 0.0,
-            scheme: "x",
+            scheme: "exact-symbolic",
         };
         assert_eq!(plan_phases(&est, 4, 250), 1);
         assert_eq!(plan_phases(&est, 4, 100), 3);
@@ -923,69 +687,31 @@ mod tests {
         assert_eq!(plan_phases(&est, 1, u64::MAX), 1);
     }
 
-    fn workload() -> (MemoryEstimate, OverlapInputs) {
-        let est = MemoryEstimate {
-            nnz_estimate: 4e6,
-            bytes_estimate: 64 << 20,
-            flops: 40_000_000,
-            time: 0.0,
-            scheme: "x",
-        };
-        let inputs = OverlapInputs {
-            side: 4,
-            flops_per_rank: est.flops / 16,
-            bytes_a: 2 << 20,
-            bytes_b: 2 << 20,
-            cf: 4.0,
-            kernel: SpgemmKernel::CpuHash,
-            pipelined: true,
-        };
-        (est, inputs)
-    }
-
     #[test]
-    fn overlap_planner_never_goes_below_the_memory_floor() {
-        let (est, inputs) = workload();
-        let model = MachineModel::summit();
-        for budget in [1u64 << 20, 4 << 20, 1 << 30] {
-            let floor = plan_phases(&est, 16, budget);
-            let d = plan_phases_overlap(&est, 16, budget, &model, &inputs);
-            assert_eq!(d.memory_floor, floor);
-            assert!(
-                d.phases >= floor,
-                "chosen h {} under floor {floor}",
-                d.phases
-            );
-            assert_eq!(
-                d.scores.len(),
-                OVERLAP_EXTRA_PHASES + 1,
-                "floor..=floor+extra all scored"
-            );
-            // The chosen candidate has the minimal modeled idle.
-            let best = d
-                .scores
-                .iter()
-                .map(|&(_, s)| s)
-                .fold(f64::INFINITY, f64::min);
-            let chosen = d.scores.iter().find(|&&(hh, _)| hh == d.phases).unwrap().1;
-            assert_eq!(chosen, best);
+    fn every_scheme_round_trips_and_unknown_names_are_refused() {
+        let estimates = Universe::run(1, MachineModel::summit(), |comm| {
+            let grid = ProcGrid::new(comm);
+            let a = DistMatrix::from_global(&grid, &random_global(20, 120, 8));
+            [
+                EstimatorKind::ExactSymbolic,
+                EstimatorKind::Probabilistic { r: 5 },
+            ]
+            .map(|kind| estimate_memory(&grid, &a, &a, kind, 3))
+        })
+        .remove(0);
+        assert_eq!(estimates.map(|e| e.scheme), SCHEME_NAMES);
+        for e in estimates {
+            assert_eq!(MemoryEstimate::decode_all(&e.encoded()), Ok(e));
         }
-    }
-
-    #[test]
-    fn modeled_idle_is_finite_and_nonnegative_across_phase_counts() {
-        let (_, inputs) = workload();
-        let model = MachineModel::summit();
-        let idles: Vec<f64> = (1..=12)
-            .map(|h| modeled_pipeline_idle(&model, &inputs, h))
-            .collect();
-        for (h, idle) in idles.iter().enumerate() {
-            assert!(idle.is_finite() && *idle >= -1e-9, "h={}: {idle}", h + 1);
+        // The retired GPU-offloaded estimator's name and the old test
+        // fixture name no longer decode.
+        for scheme in [concat!("probabilistic", "-gpu"), "x"] {
+            let forged = MemoryEstimate {
+                scheme,
+                ..estimates[1]
+            };
+            let err = MemoryEstimate::decode_all(&forged.encoded()).unwrap_err();
+            assert_eq!(err.what, "unknown MemoryEstimate scheme name");
         }
-    }
-
-    #[test]
-    fn planner_default_is_memory_only() {
-        assert_eq!(PhasePlanner::default(), PhasePlanner::MemoryOnly);
     }
 }

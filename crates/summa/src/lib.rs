@@ -45,7 +45,7 @@ pub mod spgemm;
 pub mod topk;
 
 pub use distmat::DistMatrix;
-pub use estimate::{EstimatorKind, MemoryEstimate, OverlapInputs, PhaseDecision, PhasePlanner};
+pub use estimate::{EstimatorKind, MemoryEstimate};
 pub use executor::{Executor, ExecutorKind, KernelLaunch, LaunchSpec, MergeTask};
 pub use merge::{merge_with, MergeKernelPolicy, MergeSpan, MergeStrategy, StackMerger};
 pub use spgemm::{

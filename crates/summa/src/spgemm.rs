@@ -23,20 +23,17 @@
 //! idle times come from the virtual clocks and executor timelines.
 
 use crate::distmat::DistMatrix;
-use crate::estimate::{
-    estimate_memory_in, plan_phases, plan_phases_overlap, EstimatorKind, MemoryEstimate,
-    OverlapInputs, PhaseDecision, PhasePlanner,
-};
+use crate::estimate::{estimate_memory_in, plan_phases, EstimatorKind, MemoryEstimate};
 use crate::executor::{Executor, ExecutorKind};
 use crate::merge::{
     ColumnSink, MergeKernelPolicy, MergeSpan, MergeStats, MergeStrategy, Packed, Whole,
 };
 use crate::pipeline::{self, PipelineOutcome};
 use hipmcl_comm::clock::StageTimers;
-use hipmcl_comm::{CommMode, GpuLib, MergeKernel, ProcGrid, SpgemmKernel};
+use hipmcl_comm::{CommMode, MergeKernel, ProcGrid, SpgemmKernel};
 use hipmcl_gpu::multi::MultiGpu;
 use hipmcl_gpu::select::SelectionPolicy;
-use hipmcl_sparse::{Csc, Dcsc, PlusTimes, Semiring, Value};
+use hipmcl_sparse::{Csc, PlusTimes, Semiring, Value};
 
 /// How the number of SUMMA phases is chosen.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -124,9 +121,6 @@ impl CommChoice {
 pub struct SummaConfig {
     /// Phase selection.
     pub phases: PhasePlan,
-    /// How `Auto` phase planning picks within the memory-feasible phase
-    /// counts (memory floor only, or overlap-aware search above it).
-    pub planner: PhasePlanner,
     /// CPU/GPU kernel selection thresholds.
     pub policy: SelectionPolicy,
     /// Merging scheme for the stage intermediates.
@@ -157,7 +151,6 @@ impl SummaConfig {
                 estimator: EstimatorKind::ExactSymbolic,
                 per_rank_budget,
             },
-            planner: PhasePlanner::MemoryOnly,
             policy: SelectionPolicy::original_heap(),
             merge: MergeStrategy::Multiway,
             merge_kernel: MergeKernelPolicy::Fixed(MergeKernel::Heap),
@@ -180,7 +173,6 @@ impl SummaConfig {
                 },
                 per_rank_budget,
             },
-            planner: PhasePlanner::MemoryOnly,
             policy: SelectionPolicy::always_gpu(),
             merge: MergeStrategy::Multiway,
             merge_kernel: MergeKernelPolicy::Fixed(MergeKernel::Heap),
@@ -202,7 +194,6 @@ impl SummaConfig {
                 },
                 per_rank_budget,
             },
-            planner: PhasePlanner::MemoryOnly,
             policy: SelectionPolicy::always_gpu(),
             merge: MergeStrategy::Binary,
             merge_kernel: MergeKernelPolicy::Auto,
@@ -251,9 +242,6 @@ pub struct SummaOutput<T: Value = f64> {
     /// pool-backed executors share worker timelines with SpGEMM, so this
     /// overlaps the pool's share of `gpu_idle`.
     pub merge_lane_idle: f64,
-    /// What the phase planner decided (candidates scored, memory floor),
-    /// when `PhasePlan::Auto` ran with the overlap-aware planner.
-    pub planner_decision: Option<PhaseDecision>,
     /// The memory estimate, when `PhasePlan::Auto` ran.
     pub estimate: Option<MemoryEstimate>,
     /// Number of phases executed.
@@ -375,9 +363,10 @@ where
     let mut timers = StageTimers::new();
     let mut est_measured = 0.0f64;
 
-    // Phase planning (memory estimation + optional overlap search).
-    let (phases, estimate, planner_decision) = match cfg.phases {
-        PhasePlan::Fixed(h) => (h.max(1), None, None),
+    // Phase planning (§V): estimate the unpruned output, then take the
+    // fewest phases whose slab fits each rank's budget.
+    let (phases, estimate) = match cfg.phases {
+        PhasePlan::Fixed(h) => (h.max(1), None),
         PhasePlan::Auto {
             estimator,
             per_rank_budget,
@@ -387,54 +376,13 @@ where
             let est = estimate_memory_in(s, grid, a, b, estimator, cfg.seed);
             timers.add("mem_estimation", comm.now() - t0);
             est_measured = comm.measured_now() - w0;
-            match cfg.planner {
-                PhasePlanner::MemoryOnly => (
-                    plan_phases(&est, grid.size(), per_rank_budget),
-                    Some(est),
-                    None,
-                ),
-                PhasePlanner::OverlapAware => {
-                    // Feed the overlap model the workload's shape: wire
-                    // bytes of the blocks this rank re-broadcasts, its
-                    // flop share, the estimator's cf, and the kernel the
-                    // selector is expected to pick.
-                    let cf = if est.nnz_estimate > 0.0 {
-                        (est.flops as f64 / est.nnz_estimate).max(1.0)
-                    } else {
-                        1.0
-                    };
-                    let gpu_capable = !gpus.is_empty()
-                        && cfg.policy.gpu_flops_threshold < u64::MAX
-                        && cfg.executor != ExecutorKind::CpuPool;
-                    let inputs = OverlapInputs {
-                        side: grid.side,
-                        flops_per_rank: est.flops / grid.size().max(1) as u64,
-                        bytes_a: Dcsc::bytes_of_csc(&a.local),
-                        bytes_b: Dcsc::bytes_of_csc(&b.local),
-                        cf,
-                        kernel: if gpu_capable {
-                            SpgemmKernel::Gpu(GpuLib::Nsparse)
-                        } else {
-                            SpgemmKernel::CpuHash
-                        },
-                        pipelined: cfg.pipelined,
-                    };
-                    let decision = plan_phases_overlap(
-                        &est,
-                        grid.size(),
-                        per_rank_budget,
-                        comm.model(),
-                        &inputs,
-                    );
-                    (decision.phases, Some(est), Some(decision))
-                }
-            }
+            (plan_phases(&est, grid.size(), per_rank_budget), Some(est))
         }
     };
 
-    // Kernel selection needs a cf estimate per local multiply. When the
-    // phase planner ran an estimator, reuse its global cf (the paper's
-    // recipe: the selection metrics come from the iteration's memory
+    // Kernel selection needs a cf estimate per local multiply. Under
+    // `Auto`, reuse the memory estimate's global cf (the paper's recipe:
+    // the selection metrics come from the iteration's memory
     // estimation); only Fixed-phase runs pay for a per-stage Cohen probe.
     let cf_hint: Option<f64> = estimate.as_ref().map(|e| {
         if e.nnz_estimate > 0.0 {
@@ -493,7 +441,6 @@ where
         cpu_idle,
         gpu_idle,
         merge_lane_idle,
-        planner_decision,
         estimate,
         phases,
         kernels_used,
@@ -543,7 +490,6 @@ mod tests {
     fn base_cfg() -> SummaConfig {
         SummaConfig {
             phases: PhasePlan::Fixed(1),
-            planner: PhasePlanner::MemoryOnly,
             policy: SelectionPolicy::cpu_only(),
             merge: MergeStrategy::Multiway,
             merge_kernel: MergeKernelPolicy::Auto,
@@ -980,7 +926,8 @@ mod tests {
     }
 
     #[test]
-    fn overlap_planner_runs_and_respects_the_memory_floor() {
+    fn auto_phase_count_is_the_memory_floor() {
+        const BUDGET: u64 = 500;
         let results = Universe::run(4, MachineModel::summit(), |comm| {
             let grid = ProcGrid::new(comm);
             let g = random_global(30, 400, 6);
@@ -989,44 +936,19 @@ mod tests {
             let cfg = SummaConfig {
                 phases: PhasePlan::Auto {
                     estimator: EstimatorKind::Probabilistic { r: 5 },
-                    per_rank_budget: 500,
+                    per_rank_budget: BUDGET,
                 },
-                planner: PhasePlanner::OverlapAware,
                 merge: MergeStrategy::Binary,
                 pipelined: true,
                 seed: 1,
                 ..base_cfg()
             };
             let out = summa_spgemm(&grid, &mut gpus, &a, &a, &cfg);
-            (out.phases, out.planner_decision)
+            (out.phases, out.estimate.unwrap())
         });
-        for (phases, decision) in results {
-            let d = decision.expect("overlap planner records its decision");
-            assert_eq!(d.phases, phases);
-            assert!(d.phases >= d.memory_floor);
-            assert_eq!(d.scores.len(), 5, "floor..=floor+4 scored");
-        }
-    }
-
-    #[test]
-    fn memory_only_planner_records_no_decision() {
-        let results = Universe::run(1, MachineModel::summit(), |comm| {
-            let grid = ProcGrid::new(comm);
-            let g = random_global(20, 150, 14);
-            let a = DistMatrix::from_global(&grid, &g);
-            let mut gpus = MultiGpu::summit_node(grid.world.model());
-            let cfg = SummaConfig {
-                phases: PhasePlan::Auto {
-                    estimator: EstimatorKind::Probabilistic { r: 5 },
-                    per_rank_budget: 1 << 30,
-                },
-                ..base_cfg()
-            };
-            let out = summa_spgemm(&grid, &mut gpus, &a, &a, &cfg);
-            (out.planner_decision.is_none(), out.merge_lane_idle >= 0.0)
-        });
-        for (no_decision, lane_ok) in results {
-            assert!(no_decision && lane_ok);
+        for (phases, est) in results {
+            assert!(phases >= 2, "budget must force a multi-phase run");
+            assert_eq!(phases, plan_phases(&est, 4, BUDGET));
         }
     }
 

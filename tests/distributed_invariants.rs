@@ -103,14 +103,14 @@ fn instrumentation_is_internally_consistent() {
 }
 
 #[test]
-fn gpu_estimator_variant_runs_end_to_end() {
+fn probabilistic_estimator_runs_end_to_end() {
     use hipmcl::summa::estimate::EstimatorKind;
     let reports = Universe::run(4, MachineModel::summit(), |comm| {
         let grid = ProcGrid::new(comm);
         let mut gpus = MultiGpu::summit_node(grid.world.model());
         let graph = net_graph(25, 140);
-        let mut cfg = MclConfig::testing(20)
-            .with_estimator(EstimatorKind::ProbabilisticGpu { r: 5 }, 1 << 30);
+        let mut cfg =
+            MclConfig::testing(20).with_estimator(EstimatorKind::Probabilistic { r: 5 }, 1 << 30);
         cfg.summa.policy = hipmcl::gpu::select::SelectionPolicy::always_gpu();
         hipmcl::core::dist::cluster_distributed(&grid, &mut gpus, &graph, &cfg)
     });
@@ -120,7 +120,7 @@ fn gpu_estimator_variant_runs_end_to_end() {
         .estimates
         .iter()
         .flatten()
-        .all(|e| e.scheme == "probabilistic-gpu"));
+        .all(|e| e.scheme == "probabilistic"));
 }
 
 #[test]

@@ -9,7 +9,6 @@ use hipmcl::comm::{MachineModel, ProcGrid, Universe};
 use hipmcl::gpu::multi::MultiGpu;
 use hipmcl::gpu::select::SelectionPolicy;
 use hipmcl::sparse::{Idx, Triples};
-use hipmcl::summa::estimate::PhasePlanner;
 use hipmcl::summa::executor::ExecutorKind;
 use hipmcl::summa::merge::{MergeKernelPolicy, MergeStrategy};
 use hipmcl::summa::spgemm::{summa_spgemm, CommPolicy, PhasePlan, SummaConfig, SummaOutput};
@@ -50,7 +49,6 @@ fn policy() -> SelectionPolicy {
 fn config(executor: ExecutorKind, pipelined: bool) -> SummaConfig {
     SummaConfig {
         phases: PhasePlan::Fixed(3),
-        planner: PhasePlanner::MemoryOnly,
         policy: policy(),
         merge: if pipelined {
             MergeStrategy::Binary
