@@ -276,7 +276,7 @@ impl MergeGapReport {
 /// contributes `A(:, J_i) · A(J_i, :)`, so the products share output
 /// support and sum to `A²`. Returned with the common output shape.
 pub fn merge_gap_stage_products(d: Dataset, k: usize) -> (Vec<Csc<f64>>, (usize, usize)) {
-    let cfg = bench_mcl_config_for(d, MclConfig::cpu_pipelined(3 << 20));
+    let cfg = bench_mcl_config_for(d, MclConfig::optimized(3 << 20));
     let a = bench_graph(d, &cfg);
     let n = a.ncols();
     let at = a.transposed();
@@ -596,9 +596,11 @@ mod tests {
         // the per-iteration peaks, merge counts and phases that the heap
         // kernel does on the same run.
         use hipmcl_comm::MergeKernel;
+        use hipmcl_gpu::select::SelectionPolicy;
         let d = Dataset::Archaea;
         let run = |kernel: MergeKernelPolicy| {
-            let mut cfg = bench_mcl_config_for(d, MclConfig::cpu_pipelined(3 << 20));
+            let mut cfg = bench_mcl_config_for(d, MclConfig::optimized(3 << 20));
+            cfg.summa.policy = SelectionPolicy::cpu_only();
             cfg.summa.merge_kernel = kernel;
             cfg.max_iters = 2;
             let pick = |out: &SummaOutput| (out.merge_stats.merge_ops, out.phases);

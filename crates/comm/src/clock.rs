@@ -9,8 +9,8 @@
 //! ([`StageTimers`]) that feed every paper table accumulate out of these
 //! clocks.
 //!
-//! Asynchronous resources — GPU kernel queues, copy engines, the per-rank
-//! CPU worker pool — are modeled by the [`Timeline`]/[`Event`] pair: a
+//! Asynchronous resources — GPU kernel queues, copy engines, the per-socket
+//! merge lanes — are modeled by the [`Timeline`]/[`Event`] pair: a
 //! FIFO queue in virtual time whose gaps between jobs are the idle times
 //! Table V reports. Whoever holds a returned [`Event`] decides what to
 //! overlap against it; the timeline itself never blocks anyone.
@@ -154,7 +154,7 @@ pub struct Event {
 /// starting no earlier than both its `ready` time and the end of the
 /// previous job. This is the shared backbone of every asynchronous
 /// executor in the pipeline — GPU kernel queues, copy engines, and the
-/// per-rank CPU worker pool all advance one of these — so idle-time
+/// per-socket merge lanes all advance one of these — so idle-time
 /// accounting (Table V) reads identically off any of them.
 ///
 /// ```

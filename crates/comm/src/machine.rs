@@ -23,8 +23,6 @@ pub enum SpgemmKernel {
     CpuHeap,
     /// CPU, hash accumulation (§VI).
     CpuHash,
-    /// CPU, dense sparse accumulator.
-    CpuSpa,
     /// One of the GPU libraries.
     Gpu(GpuLib),
 }
@@ -62,7 +60,6 @@ impl SpgemmKernel {
         match self {
             SpgemmKernel::CpuHeap => "cpu-heap",
             SpgemmKernel::CpuHash => "cpu-hash",
-            SpgemmKernel::CpuSpa => "cpu-spa",
             SpgemmKernel::Gpu(lib) => lib.name(),
         }
     }
@@ -307,8 +304,6 @@ impl MachineModel {
             // steepness follows the Nagasaka et al. ICPP'18 measurements
             // (hash 2-4x faster at MCL densities).
             SpgemmKernel::CpuHeap => hash * 1.15 / (0.9 + 0.5 * (1.0 + cf).ln()),
-            // SPA: competitive at high density, pays dense-scratch traffic.
-            SpgemmKernel::CpuSpa => hash * 0.9,
             SpgemmKernel::Gpu(_) => panic!("GPU kernel asked for CPU rate"),
         }
     }
@@ -451,7 +446,7 @@ impl MachineModel {
     /// Virtual duration of the same merge run on a single socket's share
     /// of the threads (`threads / sockets` cores, re-evaluating the
     /// thread-scaling efficiency at the smaller count). This is what a
-    /// merge task occupying one lane of a NUMA-sized worker pool costs.
+    /// merge task occupying one socket's merge lane costs.
     fn socket_merge_time_with(&self, kernel: MergeKernel, total: u64, ways: usize) -> f64 {
         let threads = (self.threads / self.sockets.max(1)).max(1) as f64;
         let factor = threads / (1.0 + self.thread_overhead * threads);

@@ -3,7 +3,6 @@
 use hipmcl_gpu::select::SelectionPolicy;
 use hipmcl_sparse::colops::{InvalidPrune, PruneParams};
 use hipmcl_summa::estimate::EstimatorKind;
-use hipmcl_summa::executor::ExecutorKind;
 use hipmcl_summa::merge::{MergeKernelPolicy, MergeStrategy};
 use hipmcl_summa::spgemm::{CommPolicy, PhasePlan, SummaConfig};
 
@@ -75,16 +74,6 @@ impl MclConfig {
         }
     }
 
-    /// Optimized HipMCL on nodes without accelerators: CPU kernels run as
-    /// asynchronous launches on the per-rank worker pool, keeping the
-    /// §III broadcast/merge overlap.
-    pub fn cpu_pipelined(per_rank_budget: u64) -> Self {
-        Self {
-            summa: SummaConfig::cpu_pipelined(per_rank_budget),
-            ..Self::original_hipmcl(per_rank_budget)
-        }
-    }
-
     /// Small-graph testing preset: keep at most `select` entries per
     /// column, single fixed phase, deterministic seed.
     pub fn testing(select: usize) -> Self {
@@ -101,7 +90,6 @@ impl MclConfig {
                 merge: MergeStrategy::Multiway,
                 merge_kernel: MergeKernelPolicy::Auto,
                 pipelined: false,
-                executor: ExecutorKind::Gpus,
                 comm: CommPolicy::Hybrid,
                 seed: 42,
             },
@@ -115,13 +103,6 @@ impl MclConfig {
             estimator,
             per_rank_budget,
         };
-        self
-    }
-
-    /// Overrides where local multiplications execute (devices or CPU
-    /// worker pool) while keeping everything else.
-    pub fn with_executor(mut self, executor: ExecutorKind) -> Self {
-        self.summa.executor = executor;
         self
     }
 
@@ -163,27 +144,11 @@ mod tests {
     }
 
     #[test]
-    fn cpu_pipelined_preset_uses_worker_pool() {
-        let c = MclConfig::cpu_pipelined(1 << 30);
-        assert_eq!(c.summa.executor, ExecutorKind::CpuPool);
-        assert!(c.summa.pipelined, "the pool exists to overlap");
-        assert_eq!(c.summa.merge, MergeStrategy::Binary);
-    }
-
-    #[test]
-    fn with_executor_overrides_only_the_executor() {
-        let c = MclConfig::testing(8).with_executor(ExecutorKind::CpuPool);
-        assert_eq!(c.summa.executor, ExecutorKind::CpuPool);
-        assert!(matches!(c.summa.phases, PhasePlan::Fixed(1)));
-    }
-
-    #[test]
     fn every_preset_validates() {
         for c in [
             MclConfig::original_hipmcl(1 << 30),
             MclConfig::optimized(1 << 30),
             MclConfig::optimized_no_overlap(1 << 30),
-            MclConfig::cpu_pipelined(1 << 30),
             MclConfig::testing(8),
         ] {
             assert!(c.validate().is_ok());

@@ -75,9 +75,9 @@ pub struct DistMclReport {
     /// Mean over ranks of host idle time waiting on launch events
     /// (Table V).
     pub cpu_idle: f64,
-    /// Mean over ranks of device/worker idle time, read off the
-    /// executor's unified timelines (Table V's GPU column; the CPU
-    /// worker pool's idle when no devices are configured).
+    /// Mean over ranks of device idle time, read off the executor's
+    /// device streams (Table V's GPU column; zero when no devices are
+    /// configured).
     pub gpu_idle: f64,
     /// Per-iteration peak single-merge element count, max over ranks
     /// (Table III's peak-memory proxy).
@@ -428,6 +428,7 @@ pub fn dist_normalize(grid: &ProcGrid, m: &mut Csc<f64>) {
 mod tests {
     use super::*;
     use hipmcl_comm::{MachineModel, Universe};
+    use hipmcl_gpu::select::SelectionPolicy;
     use hipmcl_sparse::{Idx, Triples};
     use rand::{Rng, SeedableRng};
 
@@ -522,24 +523,47 @@ mod tests {
     }
 
     #[test]
-    fn every_executor_choice_matches_serial_clusters() {
-        use hipmcl_summa::executor::ExecutorKind;
+    fn both_kernel_sides_match_serial_clusters() {
         let g = planted(3, 6, 10, 29);
         let cfg = MclConfig::testing(12);
         let serial = crate::serial::cluster_serial(&g, &cfg);
-        for exec in [ExecutorKind::Gpus, ExecutorKind::CpuPool] {
+        for policy in [SelectionPolicy::always_gpu(), SelectionPolicy::cpu_only()] {
             let results = Universe::run(4, MachineModel::summit(), move |comm| {
                 let grid = ProcGrid::new(comm);
                 let mut gpus = MultiGpu::summit_node(grid.world.model());
                 let g = planted(3, 6, 10, 29);
-                let cfg = MclConfig::testing(12).with_executor(exec);
+                let mut cfg = MclConfig::testing(12);
+                cfg.summa.policy = policy;
                 cluster_distributed(&grid, &mut gpus, &g, &cfg)
             });
             for r in &results {
-                assert_eq!(r.num_clusters, serial.num_clusters, "{exec:?}");
-                assert!(same_partition(&r.labels, &serial.labels), "{exec:?}");
-                assert!(r.cpu_idle >= 0.0 && r.gpu_idle >= 0.0, "{exec:?}");
+                assert_eq!(r.num_clusters, serial.num_clusters, "{policy:?}");
+                assert!(same_partition(&r.labels, &serial.labels), "{policy:?}");
+                assert!(r.cpu_idle >= 0.0 && r.gpu_idle >= 0.0, "{policy:?}");
             }
+        }
+    }
+
+    #[test]
+    fn a_node_without_accelerators_runs_every_multiply_on_the_host() {
+        let g = planted(3, 6, 10, 31);
+        let cfg = MclConfig::optimized(u64::MAX);
+        let serial = crate::serial::cluster_serial(&g, &cfg);
+        let model = MachineModel {
+            gpus: 0,
+            ..MachineModel::summit()
+        };
+        let results = Universe::run(4, model, |comm| {
+            let grid = ProcGrid::new(comm);
+            let mut gpus = MultiGpu::summit_node(grid.world.model());
+            let g = planted(3, 6, 10, 31);
+            let r = cluster_distributed(&grid, &mut gpus, &g, &cfg);
+            (gpus.is_empty(), r)
+        });
+        for (no_devices, r) in &results {
+            assert!(no_devices);
+            assert_eq!(r.labels, serial.labels);
+            assert_eq!(r.gpu_idle, 0.0);
         }
     }
 

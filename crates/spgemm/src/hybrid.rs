@@ -17,7 +17,6 @@
 
 use crate::analysis::MultAnalysis;
 use crate::emit::{Emit, Push};
-use crate::hash::Addressing;
 use hipmcl_sparse::{Csc, PlusTimes, Semiring, Value};
 use std::ops::Range;
 
@@ -28,8 +27,6 @@ pub enum CpuAlgo {
     Heap,
     /// Hash-table accumulation — Nagasaka et al., the §VI replacement.
     Hash,
-    /// Dense sparse accumulator — benchmark baseline.
-    Spa,
 }
 
 impl CpuAlgo {
@@ -38,7 +35,6 @@ impl CpuAlgo {
         match self {
             CpuAlgo::Heap => "cpu-heap",
             CpuAlgo::Hash => "cpu-hash",
-            CpuAlgo::Spa => "cpu-spa",
         }
     }
 
@@ -52,7 +48,6 @@ impl CpuAlgo {
         match self {
             CpuAlgo::Heap => crate::heap::multiply_in(s, a, b),
             CpuAlgo::Hash => crate::hash::multiply_in(s, a, b),
-            CpuAlgo::Spa => crate::spa::multiply_in(s, a, b),
         }
     }
 
@@ -78,9 +73,6 @@ impl CpuAlgo {
         match self {
             CpuAlgo::Heap => crate::heap::multiply_cols_in(s, a, b, cols, fpc, emit),
             CpuAlgo::Hash => crate::hash::multiply_emit(s, a, b, cols, fpc, None, emit),
-            CpuAlgo::Spa => {
-                crate::hash::multiply_emit(s, a, b, cols, fpc, Some(Addressing::Direct), emit)
-            }
         }
     }
 }
@@ -111,7 +103,7 @@ pub fn realized_cf(flops: u64, nnz: usize) -> f64 {
 /// this host the heap never leads and [`multiply_auto_in`] has no heap
 /// arm. The constant still moves `hipmcl-gpu::select`'s modeled kernel
 /// choice, hence modeled clocks and the committed probe CSVs, so it stays
-/// until the recalibration ROADMAP item 5(b) tracks.
+/// until the recalibration ROADMAP item 8 tracks.
 pub const HEAP_HASH_CF_CROSSOVER: f64 = 2.0;
 
 /// Multiplies `A·B` in the given semiring the way the serial driver does:
@@ -151,7 +143,6 @@ mod tests {
         let a = random_csc(20, 20, 150, 2);
         let heap = CpuAlgo::Heap.multiply(&a, &a);
         assert_eq!(heap, CpuAlgo::Hash.multiply(&a, &a));
-        assert_eq!(heap, CpuAlgo::Spa.multiply(&a, &a));
         let (auto, _, _) = multiply_auto(&a, &a);
         assert_eq!(heap, auto);
     }
@@ -170,7 +161,7 @@ mod tests {
         let fpc = crate::flops_per_column(&a, &a);
         let flops = fpc.iter().sum();
         let s = PlusTimes::<f64>::new();
-        for algo in [CpuAlgo::Hash, CpuAlgo::Heap, CpuAlgo::Spa] {
+        for algo in [CpuAlgo::Hash, CpuAlgo::Heap] {
             let c = algo.multiply_cols_in(s, &a, &a, 0..a.ncols(), &fpc, Push);
             assert_eq!(c, CpuAlgo::Heap.multiply(&a, &a), "{}", algo.name());
         }

@@ -1,31 +1,26 @@
-//! The kernel-execution layer: every local SpGEMM is an asynchronous
-//! launch, every merge a task on a host-side lane.
+//! The kernel-execution layer: every local SpGEMM is a launch, every
+//! merge a task on a host-side lane.
 //!
 //! The Pipelined Sparse SUMMA scheduler (`pipeline`) never cares *where* a
 //! local multiplication runs — it submits the selected kernel to the
 //! rank's [`Executor`] and overlaps against the returned [`KernelLaunch`]
-//! events. There is one executor type; an [`ExecutorKind`] fixes the three
-//! facts in which the two configurations differ:
-//!
-//! | kind | GPU-selected multiply | CPU-side multiply | the lanes hold |
-//! |---|---|---|---|
-//! | [`Gpus`](ExecutorKind::Gpus) — the paper's setup (§III-A) | all of `B` on the devices | inline on the host, as original HipMCL runs it | merges only |
-//! | [`CpuPool`](ExecutorKind::CpuPool) — nodes without accelerators | none (selection stays CPU-only) | a whole-node job on the worker lanes | merges *and* multiplies |
+//! events. A GPU-selected multiply runs all of `B` on the devices, as in
+//! the paper's setup (§III-A); a CPU-side multiply runs inline on the
+//! host, as original HipMCL runs it; the lanes hold merges only. A node
+//! without accelerators (a model with `gpus: 0`) has no devices, so kernel
+//! selection stays CPU-only and every multiply runs inline.
 //!
 //! A *CPU-side* multiply is one whose selected kernel is a CPU kernel, or
 //! a GPU launch the devices could not hold (out of memory), which
 //! degrades to the host hash kernel instead of killing the rank. The
 //! lanes are one [`Timeline`] per socket of the machine model. A merge
 //! ([`MergeTask`]) occupies one lane at the per-socket rate and pays the
-//! model's cross-socket penalty for inputs produced on another socket; a
-//! queued multiply occupies every lane (the kernels are row-parallel
-//! across all cores), so on a worker pool merges contend with SpGEMM for
-//! the same cores. Handing a job to the lanes is free for the host — that
-//! is what makes a CPU-only configuration pipelinable. A merge's cost
-//! shows up only as a [`MergeSpan`] on a lane; there is no private merge
-//! clock anywhere. The lanes are modeled sockets: they decide when a
-//! merge runs on the virtual clock and what it costs, never how the host
-//! computes it (column-parallel on the rank's one thread pool).
+//! model's cross-socket penalty for inputs produced on another socket. A
+//! merge's cost shows up only as a [`MergeSpan`] on a lane; there is no
+//! private merge clock anywhere. The lanes are modeled sockets: they
+//! decide when a merge runs on the virtual clock and what it costs, never
+//! how the host computes it (column-parallel on the rank's one thread
+//! pool).
 //!
 //! All timestamps are virtual seconds on the owning rank's clock; the
 //! executor only reads the clock value the scheduler passes in and never
@@ -33,24 +28,12 @@
 //! scheduler's job.
 
 use crate::merge::MergeSpan;
-use hipmcl_comm::{Event, GpuLib, MachineModel, MergeKernel, SpgemmKernel, TimeModel, Timeline};
+use hipmcl_comm::{GpuLib, MachineModel, MergeKernel, SpgemmKernel, TimeModel, Timeline};
 use hipmcl_gpu::multi::MultiGpu;
 use hipmcl_sparse::{Csc, Semiring, Value};
 use hipmcl_spgemm::emit::{counted, counters, Counted, Emit};
 use hipmcl_spgemm::hybrid::realized_cf;
 use hipmcl_spgemm::CpuAlgo;
-
-/// Which configuration of the [`Executor`] a SUMMA run submits its local
-/// multiplications to (see the module docs for what each one fixes).
-#[derive(Clone, Copy, Debug, PartialEq, Default)]
-pub enum ExecutorKind {
-    /// GPU kernels async on the devices, CPU kernels inline on the host
-    /// (the paper's setup).
-    #[default]
-    Gpus,
-    /// Every kernel is an async launch on the per-rank CPU worker pool.
-    CpuPool,
-}
 
 /// The scheduler-side description of one local multiplication, passed to
 /// [`Executor::submit`].
@@ -153,7 +136,6 @@ fn remote_elems(task: &MergeTask, lane: usize) -> u64 {
 fn cpu_algo(kernel: SpgemmKernel) -> CpuAlgo {
     match kernel {
         SpgemmKernel::CpuHeap => CpuAlgo::Heap,
-        SpgemmKernel::CpuSpa => CpuAlgo::Spa,
         _ => CpuAlgo::Hash,
     }
 }
@@ -167,16 +149,16 @@ fn cpu_algo(kernel: SpgemmKernel) -> CpuAlgo {
 ///
 /// # Example
 ///
-/// On a worker pool two launches submitted back-to-back queue FIFO; a
-/// launch that only becomes ready after the previous one finished leaves a
-/// measurable idle gap on every lane (the Table V "GPU idle" analogue for
-/// accelerator-less nodes):
+/// A GPU launch is asynchronous: the host resumes once the inputs are on
+/// the devices, and the product is mergeable only later. A launch that
+/// becomes ready long after the previous one finished leaves the devices
+/// idle in between (the Table V "GPU idle" column):
 ///
 /// ```
-/// use hipmcl_comm::{MachineModel, SpgemmKernel, TimeModel};
+/// use hipmcl_comm::{GpuLib, MachineModel, SpgemmKernel, TimeModel};
 /// use hipmcl_gpu::multi::MultiGpu;
 /// use hipmcl_sparse::PlusTimes;
-/// use hipmcl_summa::executor::{Executor, ExecutorKind, LaunchSpec};
+/// use hipmcl_summa::executor::{Executor, LaunchSpec};
 /// use hipmcl_spgemm::emit::Push;
 /// use hipmcl_spgemm::testutil::random_csc;
 ///
@@ -184,48 +166,39 @@ fn cpu_algo(kernel: SpgemmKernel) -> CpuAlgo {
 /// let a = random_csc(20, 20, 120, 7);
 /// let fpc = hipmcl_spgemm::flops_per_column(&a, &a);
 /// let spec = LaunchSpec {
-///     kernel: SpgemmKernel::CpuHash,
+///     kernel: SpgemmKernel::Gpu(GpuLib::Nsparse),
 ///     flops: fpc.iter().sum(),
 ///     cf_est: 1.0,
 ///     time: TimeModel::Modeled,
 /// };
 ///
 /// let mut gpus = MultiGpu::summit_node(&model);
-/// let mut pool = Executor::new(ExecutorKind::CpuPool, &mut gpus, &model);
+/// let mut exec = Executor::new(&mut gpus, &model);
 /// let pt = PlusTimes::<f64>::new();
-/// let l1 = pool.submit(pt, 0.0, &a, &a, &fpc, spec, Push);
-/// assert_eq!(l1.inputs_ready_at, 0.0, "handoff is free for the host");
+/// let l1 = exec.submit(pt, 0.0, &a, &a, &fpc, spec, Push);
+/// assert!(l1.output_ready_at > l1.inputs_ready_at, "the host resumes first");
+/// assert_eq!(l1.host_compute, 0.0);
 ///
-/// // Ready 1 s after the first launch completed: each of the pool's
-/// // lanes (one per socket) sat idle in between, and the gaps are
-/// // exactly what `device_idle` reports.
-/// let l2 = pool.submit(pt, l1.output_ready_at + 1.0, &a, &a, &fpc, spec, Push);
+/// // Ready 1 s after the first launch completed: the devices sat idle.
+/// let l2 = exec.submit(pt, l1.output_ready_at + 1.0, &a, &a, &fpc, spec, Push);
 /// assert!(l2.output_ready_at > l1.output_ready_at);
-/// assert!((pool.device_idle() - model.sockets as f64).abs() < 1e-9);
+/// assert!(exec.device_idle() > 0.0);
 /// ```
 pub struct Executor<'g> {
     gpus: &'g mut MultiGpu,
     model: &'g MachineModel,
-    /// One lane per socket. Merges always land here.
+    /// One lane per socket, holding merges only.
     lanes: Vec<Timeline>,
-    /// Whether the lanes are a worker pool ([`ExecutorKind::CpuPool`]):
-    /// selection stays CPU-only, CPU-side multiplies queue on the lanes as
-    /// whole-node jobs and their idle counts as device idle. When not,
-    /// GPU-selected multiplies run on the devices, CPU-side ones inline on
-    /// the host, and the lanes are dedicated to merges — so the kind's
-    /// three facts are this one bit.
-    pooled: bool,
 }
 
 impl<'g> Executor<'g> {
-    /// Builds the rank's executor of the given kind over its devices, with
-    /// one lane per socket of `model` and every timeline empty.
-    pub fn new(kind: ExecutorKind, gpus: &'g mut MultiGpu, model: &'g MachineModel) -> Self {
+    /// Builds the rank's executor over its devices, with one lane per
+    /// socket of `model` and every timeline empty.
+    pub fn new(gpus: &'g mut MultiGpu, model: &'g MachineModel) -> Self {
         let mut exec = Self {
             gpus,
             model,
             lanes: vec![Timeline::new(); model.sockets.max(1)],
-            pooled: kind == ExecutorKind::CpuPool,
         };
         exec.reset_timelines();
         exec
@@ -268,9 +241,8 @@ impl<'g> Executor<'g> {
         launch
     }
 
-    /// A CPU-side multiply: a whole-node job on the worker lanes, or — on
-    /// an executor without a pool — inline on the host, which is busy (not
-    /// idle) for the whole duration and cannot issue the next broadcast
+    /// A CPU-side multiply, inline on the host, which is busy (not idle)
+    /// for the whole duration and cannot issue the next broadcast
     /// meanwhile.
     #[allow(clippy::too_many_arguments)]
     fn submit_cpu<S: Semiring, E: Emit<S::Elem>>(
@@ -290,18 +262,13 @@ impl<'g> Executor<'g> {
         let nnz = counted(&counts, 0..n);
         let cf = realized_cf(flops, nnz);
         let dur = self.model.spgemm_time(kernel, flops, cf);
-        let (inputs_ready_at, output_ready_at, host_compute) = if self.pooled {
-            (host_now, self.node_job(host_now, dur).at, 0.0)
-        } else {
-            (host_now + dur, host_now + dur, dur)
-        };
         KernelLaunch {
             c,
             nnz,
             kernel,
-            inputs_ready_at,
-            output_ready_at,
-            host_compute,
+            inputs_ready_at: host_now + dur,
+            output_ready_at: host_now + dur,
+            host_compute: dur,
             kernel_time: dur,
             flops,
             cf,
@@ -310,8 +277,7 @@ impl<'g> Executor<'g> {
     }
 
     /// A GPU-selected multiply: all of `B` on the devices (the host
-    /// resumes after the input transfers), or the host hash kernel on a
-    /// worker pool.
+    /// resumes after the input transfers).
     #[allow(clippy::too_many_arguments)]
     fn submit_gpu<S: Semiring, E: Emit<S::Elem>>(
         &mut self,
@@ -324,10 +290,6 @@ impl<'g> Executor<'g> {
         spec: LaunchSpec,
         emit: E,
     ) -> KernelLaunch<S::Elem> {
-        let hash = SpgemmKernel::CpuHash;
-        if self.pooled {
-            return self.submit_cpu(s, host_now, a, b, fpc, hash, spec.flops, emit);
-        }
         match self
             .gpus
             .launch_in(s, host_now, a, b, fpc, lib, emit.clone())
@@ -356,20 +318,10 @@ impl<'g> Executor<'g> {
                     "gpu launch degraded to CpuHash: {e} (increase phases or use a CPU \
                      policy to avoid the fallback)"
                 );
-                self.submit_cpu(s, host_now, a, b, fpc, hash, spec.flops, emit)
+                let kernel = SpgemmKernel::CpuHash;
+                self.submit_cpu(s, host_now, a, b, fpc, kernel, spec.flops, emit)
             }
         }
-    }
-
-    /// Queues a whole-node job (all lanes busy for `dur`, the machine
-    /// model's whole-node rate already being baked into `dur`); returns
-    /// the completion event, which is the slowest lane's.
-    fn node_job(&mut self, ready: f64, dur: f64) -> Event {
-        self.lanes
-            .iter_mut()
-            .map(|lane| lane.submit(ready, dur))
-            .max_by(|a, b| a.at.partial_cmp(&b.at).unwrap())
-            .expect("an executor always has at least one lane")
     }
 
     /// Places one merge operation, ready at virtual time `ready_at` (when
@@ -447,28 +399,17 @@ impl<'g> Executor<'g> {
 
     /// GPUs visible to kernel selection (0 keeps selection CPU-only).
     pub fn gpus_available(&self) -> usize {
-        if self.pooled {
-            0
-        } else {
-            self.gpus.len()
-        }
+        self.gpus.len()
     }
 
-    /// Accumulated device/worker idle time — the Table V "GPU idle"
-    /// column, read uniformly off the device streams and, on a worker
-    /// pool, the lanes.
+    /// Accumulated device idle time — the Table V "GPU idle" column, read
+    /// off the device streams.
     pub fn device_idle(&self) -> f64 {
-        let workers = if self.pooled {
-            self.merge_lane_idle()
-        } else {
-            0.0
-        };
-        self.gpus.total_idle() + workers
+        self.gpus.total_idle()
     }
 
-    /// Accumulated idle on the lanes. Dedicated merge lanes are disjoint
-    /// from [`device_idle`](Self::device_idle); a worker pool's lanes are
-    /// shared with SpGEMM, so there this is the pool's share of it.
+    /// Accumulated idle on the merge lanes, disjoint from
+    /// [`device_idle`](Self::device_idle).
     pub fn merge_lane_idle(&self) -> f64 {
         self.lanes.iter().map(Timeline::idle_time).sum()
     }
@@ -521,7 +462,7 @@ mod tests {
     fn gpu_kernel_on_the_devices_is_async() {
         let (m, a) = (model(), random_csc(30, 30, 260, 41));
         let mut gpus = MultiGpu::new(model(), 2, 1 << 30);
-        let mut exec = Executor::new(ExecutorKind::Gpus, &mut gpus, &m);
+        let mut exec = Executor::new(&mut gpus, &m);
         let l = exec.submit(pt(), 1.0, &a, &a, &fpc(&a), spec_for(&a, NSPARSE), Push);
         assert!(l.c.max_abs_diff(&want(&a)) < 1e-9);
         assert!(l.inputs_ready_at > 1.0);
@@ -531,14 +472,13 @@ mod tests {
         );
         assert_eq!(l.host_compute, 0.0);
         assert!((l.kernel_time - (l.output_ready_at - l.inputs_ready_at)).abs() < 1e-12);
-        assert_eq!(ExecutorKind::default(), ExecutorKind::Gpus);
     }
 
     #[test]
-    fn cpu_kernel_without_a_pool_is_host_synchronous() {
+    fn cpu_kernel_is_host_synchronous() {
         let (m, a) = (model(), random_csc(30, 30, 260, 42));
         let mut gpus = MultiGpu::new(model(), 2, 1 << 30);
-        let mut exec = Executor::new(ExecutorKind::Gpus, &mut gpus, &m);
+        let mut exec = Executor::new(&mut gpus, &m);
         let l = exec.submit(
             pt(),
             1.0,
@@ -563,7 +503,7 @@ mod tests {
         let (m, a) = (model(), random_csc(30, 30, 260, 45));
         // Devices far too small for the operands: every launch OOMs.
         let mut gpus = MultiGpu::new(model(), 2, 64);
-        let mut exec = Executor::new(ExecutorKind::Gpus, &mut gpus, &m);
+        let mut exec = Executor::new(&mut gpus, &m);
         let l = exec.submit(pt(), 1.0, &a, &a, &fpc(&a), spec_for(&a, NSPARSE), Push);
         assert!(l.c.max_abs_diff(&want(&a)) < 1e-9, "result still correct");
         assert_eq!(
@@ -613,7 +553,7 @@ mod tests {
                 if full {
                     gpus.devices[1].alloc(mem).unwrap();
                 }
-                let mut exec = Executor::new(ExecutorKind::Gpus, &mut gpus, &m);
+                let mut exec = Executor::new(&mut gpus, &m);
                 let spec = spec_for(&a, kernel);
                 let l = match emit {
                     true => exec.submit(pt(), 1.0, &a, &a, &fpc, spec, First),
@@ -638,57 +578,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn cpu_pool_launches_are_async_and_fifo() {
-        let (m, a) = (model(), random_csc(30, 30, 260, 43));
-        let mut gpus = MultiGpu::new(model(), 2, 1 << 30);
-        let mut pool = Executor::new(ExecutorKind::CpuPool, &mut gpus, &m);
-        assert_eq!(pool.lanes.len(), m.sockets, "one lane per socket");
-        assert_eq!(pool.gpus_available(), 0, "selection stays CPU-only");
-        let l1 = pool.submit(
-            pt(),
-            1.0,
-            &a,
-            &a,
-            &fpc(&a),
-            spec_for(&a, SpgemmKernel::CpuHash),
-            Push,
-        );
-        assert!(l1.c.max_abs_diff(&want(&a)) < 1e-9);
-        assert_eq!(
-            l1.inputs_ready_at, 1.0,
-            "handoff is free — host resumes at once"
-        );
-        assert!(l1.output_ready_at > 1.0);
-        assert_eq!(l1.host_compute, 0.0);
-        // Second job ready immediately queues behind the first.
-        let l2 = pool.submit(
-            pt(),
-            1.0,
-            &a,
-            &a,
-            &fpc(&a),
-            spec_for(&a, SpgemmKernel::CpuHeap),
-            Push,
-        );
-        assert!(l2.output_ready_at > l1.output_ready_at);
-        assert!(
-            pool.lanes.iter().all(|lane| lane.jobs() == 2),
-            "a whole-node job occupies every lane"
-        );
-        assert_eq!(pool.device_idle(), 0.0, "back-to-back jobs leave no gap");
-    }
-
-    #[test]
-    fn cpu_pool_degrades_gpu_requests_to_hash() {
-        let (m, a) = (model(), random_csc(20, 20, 120, 44));
-        let mut gpus = MultiGpu::new(model(), 2, 1 << 30);
-        let mut pool = Executor::new(ExecutorKind::CpuPool, &mut gpus, &m);
-        let l = pool.submit(pt(), 0.0, &a, &a, &fpc(&a), spec_for(&a, NSPARSE), Push);
-        assert_eq!(l.kernel, SpgemmKernel::CpuHash);
-        assert!(l.c.max_abs_diff(&want(&a)) < 1e-9);
-    }
-
     fn merge_task(kernel: MergeKernel, inputs: Vec<(u64, Option<usize>)>) -> MergeTask {
         MergeTask { kernel, inputs }
     }
@@ -699,7 +588,7 @@ mod tests {
         // ready at the same instant run socket-parallel, not queued.
         let m = model();
         let mut gpus = MultiGpu::new(model(), 2, 1 << 30);
-        let mut exec = Executor::new(ExecutorKind::Gpus, &mut gpus, &m);
+        let mut exec = Executor::new(&mut gpus, &m);
         assert_eq!(exec.lanes.len(), 2);
         let t = merge_task(MergeKernel::Heap, vec![(50_000, None), (50_000, None)]);
         let l1 = exec.submit_merge(0.0, &t);
@@ -720,7 +609,7 @@ mod tests {
         let m = MachineModel::summit_ranks_per_node(4);
         assert_eq!(m.sockets, 1);
         let mut gpus = MultiGpu::new(m.clone(), 2, 1 << 30);
-        let mut exec = Executor::new(ExecutorKind::Gpus, &mut gpus, &m);
+        let mut exec = Executor::new(&mut gpus, &m);
         let t = merge_task(MergeKernel::Hash, vec![(10_000, None); 4]);
         let l1 = exec.submit_merge(0.0, &t);
         let l2 = exec.submit_merge(l1.end + 0.25, &t);
@@ -739,7 +628,7 @@ mod tests {
         let m = model();
         let run = |home: usize| {
             let mut gpus = MultiGpu::new(m.clone(), 2, 1 << 30);
-            let mut exec = Executor::new(ExecutorKind::Gpus, &mut gpus, &m);
+            let mut exec = Executor::new(&mut gpus, &m);
             let big = merge_task(MergeKernel::Heap, vec![(50_000_000, Some(1)); 2]);
             assert_eq!(exec.submit_merge(0.0, &big).lane, 1);
             let t = merge_task(MergeKernel::Heap, vec![(40_000, Some(home)); 2]);
@@ -762,7 +651,7 @@ mod tests {
         // span records the move.
         let m = model();
         let mut gpus = MultiGpu::new(m.clone(), 2, 1 << 30);
-        let mut exec = Executor::new(ExecutorKind::Gpus, &mut gpus, &m);
+        let mut exec = Executor::new(&mut gpus, &m);
         let remote = merge_task(
             MergeKernel::Heap,
             vec![(40_000, Some(1)), (40_000, Some(1))],
@@ -787,7 +676,7 @@ mod tests {
         // not affinity-greedy.
         let m = model();
         let mut gpus = MultiGpu::new(m.clone(), 2, 1 << 30);
-        let mut exec = Executor::new(ExecutorKind::Gpus, &mut gpus, &m);
+        let mut exec = Executor::new(&mut gpus, &m);
         // Backlog lane 1 with a huge merge homed there.
         let big = merge_task(MergeKernel::Heap, vec![(50_000_000, Some(1)); 2]);
         let lb = exec.submit_merge(0.0, &big);
@@ -812,7 +701,7 @@ mod tests {
         let t_long = merge_task(MergeKernel::Heap, vec![(80_000, None); 2]);
         let probe = merge_task(MergeKernel::Heap, vec![(20_000, None); 2]);
         let mut gpus = MultiGpu::new(m.clone(), 2, 1 << 30);
-        let mut exec = Executor::new(ExecutorKind::Gpus, &mut gpus, &m);
+        let mut exec = Executor::new(&mut gpus, &m);
         let a = exec.submit_merge(0.0, &t_long); // lane 0
         let b = exec.submit_merge(0.0, &t_short); // lane 1
         assert_eq!((a.lane, b.lane), (0, 1));
@@ -831,7 +720,7 @@ mod tests {
         // to merge_lane_idle — neither under- nor double-counted.
         let m = model();
         let mut gpus = MultiGpu::new(m.clone(), 2, 1 << 30);
-        let mut exec = Executor::new(ExecutorKind::Gpus, &mut gpus, &m);
+        let mut exec = Executor::new(&mut gpus, &m);
         let t = merge_task(MergeKernel::Heap, vec![(30_000, Some(0)); 2]);
         let mut ready = 0.0;
         let mut spans = Vec::new();
@@ -854,36 +743,6 @@ mod tests {
     }
 
     #[test]
-    fn pool_merges_contend_with_spgemm_for_the_lanes() {
-        let m = model();
-        let a = random_csc(30, 30, 260, 50);
-        let mut gpus = MultiGpu::new(model(), 2, 1 << 30);
-        let mut pool = Executor::new(ExecutorKind::CpuPool, &mut gpus, &m);
-        let k = pool.submit(
-            pt(),
-            0.0,
-            &a,
-            &a,
-            &fpc(&a),
-            spec_for(&a, SpgemmKernel::CpuHash),
-            Push,
-        );
-        // The whole-node kernel holds every lane; a merge ready at 0 can
-        // only start once a lane frees up.
-        let t = merge_task(MergeKernel::Pairwise, vec![(1000, None), (1000, None)]);
-        let l = pool.submit_merge(0.0, &t);
-        assert!(
-            (l.start - k.output_ready_at).abs() < 1e-12,
-            "merge waited for the SpGEMM to release its lane"
-        );
-        assert_eq!(
-            pool.merge_lane_idle(),
-            pool.device_idle(),
-            "shared lanes: merge-lane idle is the pool idle"
-        );
-    }
-
-    #[test]
     fn merge_task_accessors() {
         let t = merge_task(
             MergeKernel::Hash,
@@ -896,13 +755,13 @@ mod tests {
     #[test]
     fn reset_timelines_clears_idle_accounting() {
         let (m, a) = (model(), random_csc(20, 20, 120, 48));
-        let spec = spec_for(&a, SpgemmKernel::CpuHash);
+        let spec = spec_for(&a, NSPARSE);
         let mut gpus = MultiGpu::new(model(), 2, 1 << 30);
-        let mut pool = Executor::new(ExecutorKind::CpuPool, &mut gpus, &m);
-        pool.submit(pt(), 0.0, &a, &a, &fpc(&a), spec, Push);
-        pool.submit(pt(), 1e9, &a, &a, &fpc(&a), spec, Push);
-        assert!(pool.device_idle() > 0.0);
-        pool.reset_timelines();
-        assert_eq!(pool.device_idle(), 0.0);
+        let mut exec = Executor::new(&mut gpus, &m);
+        exec.submit(pt(), 0.0, &a, &a, &fpc(&a), spec, Push);
+        exec.submit(pt(), 1e9, &a, &a, &fpc(&a), spec, Push);
+        assert!(exec.device_idle() > 0.0);
+        exec.reset_timelines();
+        assert_eq!(exec.device_idle(), 0.0);
     }
 }

@@ -14,12 +14,10 @@
 //!   Cohen-sketch estimator (§V), plus the hybrid rule (exact when `cf` is
 //!   small).
 //! * [`executor`] — the kernel-execution layer: every local multiply is
-//!   an asynchronous [`executor::KernelLaunch`] submitted to the rank's
-//!   [`executor::Executor`], one struct whose [`executor::ExecutorKind`]
-//!   says whether GPU-selected multiplies go to the devices
-//!   ([`hipmcl_gpu::multi::MultiGpu`]) while CPU-side multiplies run
-//!   inline on the host, or everything queues on the per-socket worker
-//!   lanes that also carry the merges.
+//!   a [`executor::KernelLaunch`] submitted to the rank's
+//!   [`executor::Executor`]: GPU-selected multiplies go to the devices
+//!   ([`hipmcl_gpu::multi::MultiGpu`]), CPU-side multiplies run inline on
+//!   the host, and the per-socket lanes carry the merges.
 //! * [`pipeline`] — the single stage scheduler of Pipelined Sparse SUMMA:
 //!   issues broadcasts, submits launches, and drives merging off the
 //!   launches' completion events.
@@ -46,7 +44,7 @@ pub mod topk;
 
 pub use distmat::DistMatrix;
 pub use estimate::{EstimatorKind, MemoryEstimate};
-pub use executor::{Executor, ExecutorKind, KernelLaunch, LaunchSpec, MergeTask};
+pub use executor::{Executor, KernelLaunch, LaunchSpec, MergeTask};
 pub use merge::{merge_with, MergeKernelPolicy, MergeSpan, MergeStrategy, StackMerger};
 pub use spgemm::{
     summa_spgemm, summa_spgemm_in, summa_spgemm_with, summa_spgemm_with_in, CommChoice, CommPolicy,

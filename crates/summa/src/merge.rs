@@ -151,7 +151,7 @@ pub struct MergeSpan {
     pub ways: usize,
     /// Total input elements passing through the merge.
     pub elems: u64,
-    /// Index of the worker lane (socket) it occupied.
+    /// Index of the merge lane (socket) it occupied.
     pub lane: usize,
     /// The least-busy lane at submission (the task's origin queue; equals
     /// `lane` unless the placement rule moved the merge).

@@ -7,9 +7,10 @@
 //!
 //! * **pipelined** — the host resumes at `inputs_ready_at`, so the next
 //!   stage's broadcasts (and the one-stage-late binary merge) overlap the
-//!   kernel, whether it runs on the devices or the CPU worker pool; the
-//!   phase's closing merge is likewise drained one *phase* late, so its
-//!   tail overlaps the next phase's broadcasts and launches;
+//!   kernel when it runs on the devices (an inline CPU kernel keeps the
+//!   host busy until it is done); the phase's closing merge is likewise
+//!   drained one *phase* late, so its tail overlaps the next phase's
+//!   broadcasts and launches;
 //! * **bulk synchronous** — the host waits for `output_ready_at`, and the
 //!   wait minus any inline host compute is charged as CPU idle (Table V).
 //!
@@ -730,7 +731,6 @@ mod tests {
 
     #[test]
     fn sealing_reads_no_host_clock() {
-        use crate::executor::ExecutorKind;
         use hipmcl_comm::{MachineModel, Universe};
         use hipmcl_gpu::multi::MultiGpu;
         use hipmcl_sparse::PlusTimes;
@@ -740,7 +740,7 @@ mod tests {
         let sealed_at = |host: f64| {
             let spans = Universe::run(1, MachineModel::summit(), move |comm| {
                 let mut gpus = MultiGpu::new(comm.model().clone(), 1, 1 << 20);
-                let mut exec = Executor::new(ExecutorKind::Gpus, &mut gpus, comm.model());
+                let mut exec = Executor::new(&mut gpus, comm.model());
                 let cfg = SummaConfig::optimized(1 << 30);
                 let shape = (4, 5);
                 let mut merge = MergeEngine::new(PlusTimes::<f64>::new(), &cfg, shape, 3, &Whole);

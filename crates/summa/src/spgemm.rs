@@ -17,14 +17,14 @@
 //!
 //! This module holds the configuration and entry points; the stage loop
 //! itself lives in [`crate::pipeline`] and submits every kernel — GPU
-//! *and* CPU — to the configured [`Executor`] (see [`crate::executor`]).
+//! *and* CPU — to the rank's [`Executor`] (see [`crate::executor`]).
 //! Execution is real (the returned distributed product is validated
 //! against single-process kernels); the stage timers, CPU idle and device
 //! idle times come from the virtual clocks and executor timelines.
 
 use crate::distmat::DistMatrix;
 use crate::estimate::{estimate_memory_in, plan_phases, EstimatorKind, MemoryEstimate};
-use crate::executor::{Executor, ExecutorKind};
+use crate::executor::Executor;
 use crate::merge::{
     ColumnSink, MergeKernelPolicy, MergeSpan, MergeStats, MergeStrategy, Packed, Whole,
 };
@@ -132,8 +132,6 @@ pub struct SummaConfig {
     /// Without it the host waits for every kernel's output (bulk
     /// synchronous, like original HipMCL even when kernels run on GPU).
     pub pipelined: bool,
-    /// Where local multiplications execute (devices or CPU worker pool).
-    pub executor: ExecutorKind,
     /// How stage operand panels are communicated (tree broadcast always,
     /// or the per-stage modeled broadcast/gather choice). Never changes
     /// numeric results, only the virtual comm schedule.
@@ -155,7 +153,6 @@ impl SummaConfig {
             merge: MergeStrategy::Multiway,
             merge_kernel: MergeKernelPolicy::Fixed(MergeKernel::Heap),
             pipelined: false,
-            executor: ExecutorKind::Gpus,
             comm: CommPolicy::Broadcast,
             seed: 0,
         }
@@ -177,7 +174,6 @@ impl SummaConfig {
             merge: MergeStrategy::Multiway,
             merge_kernel: MergeKernelPolicy::Fixed(MergeKernel::Heap),
             pipelined: false,
-            executor: ExecutorKind::Gpus,
             comm: CommPolicy::Hybrid,
             seed: 0,
         }
@@ -198,20 +194,8 @@ impl SummaConfig {
             merge: MergeStrategy::Binary,
             merge_kernel: MergeKernelPolicy::Auto,
             pipelined: true,
-            executor: ExecutorKind::Gpus,
             comm: CommPolicy::Hybrid,
             seed: 0,
-        }
-    }
-
-    /// Optimized HipMCL on nodes without accelerators: CPU kernels become
-    /// asynchronous launches on the per-rank worker pool, so the §III
-    /// broadcast/merge overlap applies without any GPU.
-    pub fn cpu_pipelined(per_rank_budget: u64) -> Self {
-        Self {
-            policy: SelectionPolicy::cpu_only(),
-            executor: ExecutorKind::CpuPool,
-            ..Self::optimized(per_rank_budget)
         }
     }
 }
@@ -234,13 +218,11 @@ pub struct SummaOutput<T: Value = f64> {
     pub merge_spans: Vec<MergeSpan>,
     /// Host idle time spent waiting on launch events (Table V, CPU).
     pub cpu_idle: f64,
-    /// Device/worker idle time off the executor's timelines (Table V,
-    /// GPU column; the pool's idle for CPU-only executors).
+    /// Device idle time off the executor's device streams (Table V, GPU
+    /// column; zero on a node without accelerators).
     pub gpu_idle: f64,
-    /// Idle accumulated on the executor's merge lanes. Dedicated lanes
-    /// (GPU executor) are disjoint from [`gpu_idle`](Self::gpu_idle);
-    /// pool-backed executors share worker timelines with SpGEMM, so this
-    /// overlaps the pool's share of `gpu_idle`.
+    /// Idle accumulated on the executor's merge lanes, disjoint from
+    /// [`gpu_idle`](Self::gpu_idle).
     pub merge_lane_idle: f64,
     /// The memory estimate, when `PhasePlan::Auto` ran.
     pub estimate: Option<MemoryEstimate>,
@@ -396,7 +378,7 @@ where
     // the previous expansion's last kernel and this one's first is not
     // pipeline idle (Table V measures idleness *within* the Pipelined
     // Sparse SUMMA) — so what its timelines hold afterwards is this run's.
-    let mut exec = Executor::new(cfg.executor, gpus, comm.model());
+    let mut exec = Executor::new(gpus, comm.model());
     let outcome = pipeline::run(
         s,
         grid,
@@ -494,7 +476,6 @@ mod tests {
             merge: MergeStrategy::Multiway,
             merge_kernel: MergeKernelPolicy::Auto,
             pipelined: false,
-            executor: ExecutorKind::Gpus,
             comm: CommPolicy::Hybrid,
             seed: 7,
         }
@@ -593,11 +574,10 @@ mod tests {
     }
 
     #[test]
-    fn cpu_pool_executor_matches() {
+    fn cpu_kernels_with_binary_merge_match() {
         let want = serial_product(27, 210, 10);
         for pipelined in [false, true] {
             let cfg = SummaConfig {
-                executor: ExecutorKind::CpuPool,
                 merge: MergeStrategy::Binary,
                 pipelined,
                 ..base_cfg()
@@ -699,31 +679,6 @@ mod tests {
     }
 
     #[test]
-    fn cpu_only_pipelined_beats_bulk_synchronous() {
-        // The new capability: with the worker-pool executor, the same
-        // overlap shows up without any GPU (Table II's effect on
-        // accelerator-less nodes).
-        let run = |pipelined: bool| {
-            let cfg = SummaConfig {
-                phases: PhasePlan::Fixed(2),
-                policy: SelectionPolicy::cpu_only(),
-                merge: MergeStrategy::Binary,
-                pipelined,
-                executor: ExecutorKind::CpuPool,
-                seed: 2,
-                ..base_cfg()
-            };
-            elapsed(120, 7000, 8, cfg)
-        };
-        let with = run(true);
-        let without = run(false);
-        assert!(
-            with < without,
-            "cpu pipelined {with} must beat bulk-sync {without}"
-        );
-    }
-
-    #[test]
     fn kernels_used_counts_every_stage() {
         // Sparse enough that some stage blocks are empty (zero flops):
         // the fast path must still record an entry, keeping the count at
@@ -749,9 +704,9 @@ mod tests {
 
     #[test]
     fn idle_times_are_nonnegative_across_configs() {
-        // Property-style sweep over executors, overlap modes and seeds:
+        // Property-style sweep over kernel sides, overlap modes and seeds:
         // Table V's idle quantities must never go negative.
-        for exec in [ExecutorKind::Gpus, ExecutorKind::CpuPool] {
+        for policy in [SelectionPolicy::always_gpu(), SelectionPolicy::cpu_only()] {
             for pipelined in [false, true] {
                 for seed in [1u64, 9, 23] {
                     let results = Universe::run(4, MachineModel::summit(), move |comm| {
@@ -760,18 +715,18 @@ mod tests {
                         let a = DistMatrix::from_global(&grid, &g);
                         let mut gpus = MultiGpu::summit_node(grid.world.model());
                         let cfg = SummaConfig {
-                            policy: SelectionPolicy::always_gpu(),
+                            policy,
                             merge: MergeStrategy::Binary,
                             pipelined,
-                            executor: exec,
                             ..base_cfg()
                         };
                         let out = summa_spgemm(&grid, &mut gpus, &a, &a, &cfg);
                         (out.cpu_idle, out.gpu_idle)
                     });
+                    let case = format!("{policy:?} pipelined={pipelined} seed={seed}");
                     for (cpu, gpu) in results {
-                        assert!(cpu >= 0.0, "{exec:?} pipelined={pipelined} seed={seed}");
-                        assert!(gpu >= 0.0, "{exec:?} pipelined={pipelined} seed={seed}");
+                        assert!(cpu >= 0.0, "{case}");
+                        assert!(gpu >= 0.0, "{case}");
                     }
                 }
             }

@@ -29,7 +29,6 @@ use hipmcl::prelude::*;
 use hipmcl::sparse::colops::{self, PruneParams, PruneStats};
 use hipmcl::sparse::{Idx, PlusTimes};
 use hipmcl::spgemm::hybrid::multiply_auto;
-use hipmcl::summa::executor::ExecutorKind;
 use hipmcl::summa::merge::{MergeKernelPolicy, MergeStrategy};
 use hipmcl::summa::spgemm::{summa_spgemm_with, summa_spgemm_with_in, PhasePlan};
 use hipmcl::summa::topk::{prune_local_slab, prune_packed, PruneSink};
@@ -425,21 +424,21 @@ fn fnv(h: u64, words: impl IntoIterator<Item = u64>) -> u64 {
     })
 }
 
-/// What each launch runs on, and on what devices: the paper's executor
-/// with devices that hold every launch, with devices too small for some
-/// (those fall back to the host, which emits every column again), and with CPU
-/// kernels only (inline); and the worker pool. Each arm of [`merge_arms`]
-/// runs two of them, in turn. Which two an arm gets is part of the digest:
-/// at p = 9 the GPU setups' bhsparse and rmerge2 analogues round some sums
-/// differently from the CPU kernels, so a different rotation hashes
-/// different bits.
-fn launch_setups() -> [(ExecutorKind, SelectionPolicy, usize); 4] {
+/// What each launch runs on, and on what devices: GPU kernels on devices
+/// that hold every launch and on devices too small for some (those fall
+/// back to the host, which emits every column again); and CPU kernels
+/// only, inline: the baseline's heap kernel, and hash or heap by `cf`.
+/// Each arm of [`merge_arms`] runs two of them, in turn. Which two an arm
+/// gets is part of the digest: at p = 9 the GPU setups' bhsparse and
+/// rmerge2 analogues round some sums differently from the CPU kernels, so
+/// a different rotation hashes different bits.
+fn launch_setups() -> [(SelectionPolicy, usize); 4] {
     let (gpu, big, small) = (SelectionPolicy::always_gpu(), 1 << 30, 24 << 10);
     [
-        (ExecutorKind::Gpus, gpu, big),
-        (ExecutorKind::Gpus, gpu, small),
-        (ExecutorKind::Gpus, SelectionPolicy::original_heap(), big),
-        (ExecutorKind::CpuPool, SelectionPolicy::cpu_only(), big),
+        (gpu, big),
+        (gpu, small),
+        (SelectionPolicy::original_heap(), big),
+        (SelectionPolicy::cpu_only(), big),
     ]
 }
 
@@ -468,8 +467,7 @@ fn the_distributed_iteration_streams_its_last_stage_product() {
                     for pipelined in [true, false] {
                         let turn = 2 * arm + usize::from(pipelined);
                         let setups = launch_setups();
-                        for (executor, policy, device_mem) in [0, 2].map(|i| setups[(turn + i) % 4])
-                        {
+                        for (policy, device_mem) in [0, 2].map(|i| setups[(turn + i) % 4]) {
                             let mut cfg = base;
                             let recover_num = if pipelined { 2 + arm % 5 } else { 0 };
                             cfg.prune.recover_num = recover_num;
@@ -478,7 +476,6 @@ fn the_distributed_iteration_streams_its_last_stage_product() {
                             cfg.summa.merge = merge;
                             cfg.summa.merge_kernel = merge_kernel;
                             cfg.summa.pipelined = pipelined;
-                            cfg.summa.executor = executor;
                             cfg.summa.policy = policy;
                             let ((colptr, rows, vals), stats) =
                                 streamed_is_whole(&grid, &a, &cfg, device_mem);

@@ -9,7 +9,6 @@ use hipmcl::comm::{MachineModel, ProcGrid, Universe};
 use hipmcl::gpu::multi::MultiGpu;
 use hipmcl::gpu::select::SelectionPolicy;
 use hipmcl::sparse::{Idx, Triples};
-use hipmcl::summa::executor::ExecutorKind;
 use hipmcl::summa::merge::{MergeKernelPolicy, MergeStrategy};
 use hipmcl::summa::spgemm::{summa_spgemm, CommPolicy, PhasePlan, SummaConfig, SummaOutput};
 use hipmcl::summa::DistMatrix;
@@ -46,7 +45,7 @@ fn policy() -> SelectionPolicy {
     }
 }
 
-fn config(executor: ExecutorKind, pipelined: bool) -> SummaConfig {
+fn config(pipelined: bool) -> SummaConfig {
     SummaConfig {
         phases: PhasePlan::Fixed(3),
         policy: policy(),
@@ -57,7 +56,6 @@ fn config(executor: ExecutorKind, pipelined: bool) -> SummaConfig {
         },
         merge_kernel: MergeKernelPolicy::Auto,
         pipelined,
-        executor,
         comm: CommPolicy::Hybrid,
         seed: 7,
     }
@@ -141,27 +139,21 @@ fn check(got: Vec<(String, u64)>, want: &[u64]) {
 /// executors into one struct and made cost-aware lane placement the only
 /// rule (captured there with the cost-aware arm of the since-deleted
 /// steal knob set explicitly in every arm, so they pin the rule that
-/// survived).
+/// survived). The CPU worker pool's four arms went with the pool.
 #[test]
-fn every_executor_kind_keeps_its_modeled_schedule() {
-    let executors = [
-        ("gpus", ExecutorKind::Gpus),
-        ("cpu-pool", ExecutorKind::CpuPool),
-    ];
+fn the_executor_keeps_its_modeled_schedule() {
     let mut got = Vec::new();
-    for (name, executor) in executors {
-        for pipelined in [true, false] {
-            for p in [4usize, 9] {
-                let mode = if pipelined {
-                    "pipelined+binary"
-                } else {
-                    "bulk-sync+multiway"
-                };
-                got.push((
-                    format!("{name} {mode} p={p}"),
-                    grid_digest(p, config(executor, pipelined), 1 << 30),
-                ));
-            }
+    for pipelined in [true, false] {
+        for p in [4usize, 9] {
+            let mode = if pipelined {
+                "pipelined+binary"
+            } else {
+                "bulk-sync+multiway"
+            };
+            got.push((
+                format!("gpus {mode} p={p}"),
+                grid_digest(p, config(pipelined), 1 << 30),
+            ));
         }
     }
     check(
@@ -171,10 +163,6 @@ fn every_executor_kind_keeps_its_modeled_schedule() {
             0x685b32ffacd13979, // gpus pipelined+binary p=9
             0xfc8e66cdac9af689, // gpus bulk-sync+multiway p=4
             0xa48ab11482239301, // gpus bulk-sync+multiway p=9
-            0x688f51aba0aa8c70, // cpu-pool pipelined+binary p=4
-            0x266c0ee357c2d7f3, // cpu-pool pipelined+binary p=9
-            0xf222fb93334559c8, // cpu-pool bulk-sync+multiway p=4
-            0x870dc0e719044156, // cpu-pool bulk-sync+multiway p=9
         ],
     );
 }
@@ -191,7 +179,7 @@ fn the_out_of_memory_fallback_keeps_its_modeled_schedule() {
     let device_mem = 18_624;
     let got = vec![(
         format!("gpus {device_mem} B devices pipelined+binary p=4"),
-        grid_digest(4, config(ExecutorKind::Gpus, true), device_mem),
+        grid_digest(4, config(true), device_mem),
     )];
     check(
         got,

@@ -17,6 +17,7 @@
 
 use hipmcl::comm::{MachineModel, ProcGrid, Universe};
 use hipmcl::gpu::multi::MultiGpu;
+use hipmcl::gpu::select::SelectionPolicy;
 use hipmcl::sparse::{Boolean, Csc, MinPlus, Semiring, Value};
 use hipmcl::summa::spgemm::{summa_spgemm_in, SummaConfig};
 use hipmcl::summa::DistMatrix;
@@ -81,7 +82,10 @@ fn min_plus_apsp_matches_bellman_ford_exactly() {
     let g = generate_apsp_digraph(n, 4 * n, 31);
     let want = bellman_ford_apsp(&g);
     for p in [1usize, 4].into_iter().filter(|&p| p <= max_ranks()) {
-        let cfg = SummaConfig::cpu_pipelined(1 << 30);
+        let cfg = SummaConfig {
+            policy: SelectionPolicy::cpu_only(),
+            ..SummaConfig::optimized(1 << 30)
+        };
         let (got, hybrid, bcast) = distributed_closure(MinPlus, p, cfg, g.clone());
         assert_eq!(got, want, "p={p}: APSP must be bit-identical");
         assert!(hybrid <= bcast, "p={p}: hybrid comm {hybrid} vs {bcast}");
@@ -97,8 +101,11 @@ fn min_plus_apsp_survives_phased_execution() {
     if max_ranks() < 4 {
         return; // the fixed 4-rank grid exceeds HIPMCL_MAX_RANKS
     }
-    let mut cfg = SummaConfig::cpu_pipelined(1 << 30);
-    cfg.phases = PhasePlan::Fixed(3);
+    let cfg = SummaConfig {
+        phases: PhasePlan::Fixed(3),
+        policy: SelectionPolicy::cpu_only(),
+        ..SummaConfig::optimized(1 << 30)
+    };
     let (got, _, _) = distributed_closure(MinPlus, 4, cfg, g);
     assert_eq!(got, want, "phased min-plus SUMMA must be bit-identical");
 }
@@ -117,15 +124,20 @@ fn boolean_reachability_matches_bfs_closure_exactly() {
 }
 
 #[test]
-fn boolean_reachability_on_the_gpu_executor_matches_cpu_pool() {
+fn boolean_reachability_on_gpu_kernels_matches_cpu_kernels() {
     if max_ranks() < 4 {
         return; // the fixed 4-rank grid exceeds HIPMCL_MAX_RANKS
     }
     let n = (64 / scale()).max(20);
     let g = generate_reach_digraph(n, 3 * n, 34);
     let want = bfs_closure(&g);
-    let (gpu, _, _) = distributed_closure(Boolean, 4, SummaConfig::optimized(1 << 30), g.clone());
-    let (cpu, _, _) = distributed_closure(Boolean, 4, SummaConfig::cpu_pipelined(1 << 30), g);
+    let gpu_cfg = SummaConfig::optimized(1 << 30);
+    let cpu_cfg = SummaConfig {
+        policy: SelectionPolicy::cpu_only(),
+        ..gpu_cfg
+    };
+    let (gpu, _, _) = distributed_closure(Boolean, 4, gpu_cfg, g.clone());
+    let (cpu, _, _) = distributed_closure(Boolean, 4, cpu_cfg, g);
     assert_eq!(gpu, want);
     assert_eq!(cpu, want);
 }
