@@ -1,10 +1,21 @@
 //! Criterion microbenchmark: Cohen probabilistic nnz estimation vs exact
 //! symbolic SpGEMM (§V) — the wall-clock counterpart of Fig. 6's bottom
-//! row.
+//! row — and the exact count of a 2×2 grid rank's output block: its two
+//! stage products and their union, counted in one traversal.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use hipmcl_sparse::Csc;
 use hipmcl_spgemm::testutil::random_csc;
 use hipmcl_spgemm::CohenEstimator;
+use std::ops::Range;
+
+/// Block `(rows, cols)` of `m` as a matrix of its own.
+fn block(m: &Csc<f64>, rows: Range<usize>, cols: Range<usize>) -> Csc<f64> {
+    m.column_slice(cols)
+        .transposed()
+        .column_slice(rows)
+        .transposed()
+}
 
 fn estimation(c: &mut Criterion) {
     let mut group = c.benchmark_group("estimator");
@@ -24,6 +35,17 @@ fn estimation(c: &mut Criterion) {
                 },
             );
         }
+        // Rank (0, 0) of `A · A` on a 2×2 grid: `A₀₀·A₀₀ + A₀₁·A₁₀`.
+        let (lo, hi) = (0..n / 2, n / 2..n);
+        let a00 = block(&a, lo.clone(), lo.clone());
+        let terms = [
+            (a00.clone(), a00),
+            (block(&a, lo.clone(), hi.clone()), block(&a, hi, lo)),
+        ];
+        group.bench_with_input(BenchmarkId::new("exact-sum-2x2", label), &terms, |b, t| {
+            let patterns: Vec<_> = t.iter().map(|(x, y)| (x.pattern(), y.pattern())).collect();
+            b.iter(|| hipmcl_spgemm::symbolic::sum_counts(&patterns))
+        });
     }
     group.finish();
 }

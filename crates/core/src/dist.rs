@@ -214,6 +214,8 @@ pub fn cluster_distributed_with(
         let out = {
             let col_comm = &grid.col_comm;
             let (s, sink) = (PlusTimes::<f64>::new(), &PruneSink(prune_params));
+            // The iterate moves into the `Arc` the broadcasts share.
+            let a = std::sync::Arc::new(a);
             summa_spgemm_with_in(s, grid, gpus, &a, &a, &cfg.summa, sink, |_ph, packed| {
                 let t0 = col_comm.now();
                 let w0 = col_comm.measured_now();

@@ -193,18 +193,10 @@ impl Emit<f64> for PruneInflate<'_> {
     }
 }
 
-/// Symmetrize / self-loop / column-normalize the input per `cfg`.
+/// Symmetrize / self-loop / column-normalize the input per `cfg`, in one
+/// pass that writes the result once ([`colops::prepare`]).
 pub fn prepare_matrix(adjacency: &Csc<f64>, cfg: &MclConfig) -> Csc<f64> {
-    let mut a = if cfg.symmetrize {
-        colops::symmetrize_max(adjacency)
-    } else {
-        adjacency.clone()
-    };
-    if cfg.add_self_loops {
-        a = colops::add_self_loops(&a, 1.0);
-    }
-    colops::normalize_columns(&mut a);
-    a
+    colops::prepare(adjacency, cfg.symmetrize, cfg.add_self_loops, true)
 }
 
 #[cfg(test)]

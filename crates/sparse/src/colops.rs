@@ -129,15 +129,20 @@ fn column_vals_mut(m: &mut Csc<f64>) -> Vec<&mut [f64]> {
 /// Scales every column of `m` to sum to one (column stochastic). Columns
 /// that are entirely zero are left untouched.
 pub fn normalize_columns(m: &mut Csc<f64>) {
-    column_vals_mut(m).into_par_iter().for_each(|col| {
-        let s: f64 = col.iter().sum();
-        if s > 0.0 {
-            let inv = 1.0 / s;
-            for v in col {
-                *v *= inv;
-            }
+    column_vals_mut(m)
+        .into_par_iter()
+        .for_each(normalize_column);
+}
+
+/// [`normalize_columns`] on the values of one column.
+fn normalize_column(col: &mut [f64]) {
+    let s: f64 = col.iter().sum();
+    if s > 0.0 {
+        let inv = 1.0 / s;
+        for v in col {
+            *v *= inv;
         }
-    });
+    }
 }
 
 /// Raises every entry to `power` and renormalizes columns — the MCL
@@ -456,41 +461,79 @@ pub fn prune_column(
 /// Makes the nonzero pattern symmetric: `m ∨ mᵀ` with values `max(a, aᵀ)`.
 /// MCL inputs are similarity graphs and are symmetrized before clustering.
 pub fn symmetrize_max(m: &Csc<f64>) -> Csc<f64> {
-    assert_eq!(m.nrows(), m.ncols());
-    let t = m.transposed();
-    let mut out = crate::triples::Triples::new(m.nrows(), m.ncols());
-    for j in 0..m.ncols() {
+    prepare(m, true, false, false)
+}
+
+/// MCL's input preparation in one column-parallel pass that writes each
+/// output column once: column `j` of `m`, merged by max with column `j`
+/// of `mᵀ` if `symmetrize`; with a `1.0` on the diagonal where it has no
+/// entry if `self_loops` (so the random walk is aperiodic), which also
+/// drops stored zeros; scaled to sum to one if `normalize`. A counting
+/// pass sizes every column first, so the result is allocated once, at
+/// its size.
+pub fn prepare(m: &Csc<f64>, symmetrize: bool, self_loops: bool, normalize: bool) -> Csc<f64> {
+    if symmetrize || self_loops {
+        assert_eq!(m.nrows(), m.ncols(), "needs a square matrix");
+    }
+    let t = symmetrize.then(|| m.transposed());
+    // Column `j`'s entries in row order, each handed to `f`.
+    let entries = |j: usize, f: &mut dyn FnMut(Idx, f64)| {
         let (ra, va) = (m.col_rows(j), m.col_vals(j));
-        let (rb, vb) = (t.col_rows(j), t.col_vals(j));
+        let (rb, vb) = t
+            .as_ref()
+            .map_or((&[][..], &[][..]), |t| (t.col_rows(j), t.col_vals(j)));
+        // The diagonal is settled once a row at or past it went by.
+        let (diag, mut settled) = (j as Idx, !self_loops);
+        let mut put = |r: Idx, v: f64| {
+            if !settled && r >= diag {
+                if r > diag {
+                    f(diag, 1.0);
+                }
+                settled = true;
+            }
+            if !(self_loops && v == 0.0) {
+                f(r, v);
+            }
+        };
         let (mut a, mut b) = (0usize, 0usize);
         while a < ra.len() || b < rb.len() {
             if b >= rb.len() || (a < ra.len() && ra[a] < rb[b]) {
-                out.push(ra[a], j as Idx, va[a]);
+                put(ra[a], va[a]);
                 a += 1;
             } else if a >= ra.len() || rb[b] < ra[a] {
-                out.push(rb[b], j as Idx, vb[b]);
+                put(rb[b], vb[b]);
                 b += 1;
             } else {
-                out.push(ra[a], j as Idx, va[a].max(vb[b]));
+                put(ra[a], va[a].max(vb[b]));
                 a += 1;
                 b += 1;
             }
         }
-    }
-    Csc::from_sorted_dedup_triples(&out)
-}
-
-/// Adds self-loops of weight `w` to any diagonal position that lacks one.
-/// MCL adds self-loops so the random walk is aperiodic.
-pub fn add_self_loops(m: &Csc<f64>, w: f64) -> Csc<f64> {
-    assert_eq!(m.nrows(), m.ncols());
-    let mut t = m.to_triples();
-    for j in 0..m.ncols() {
-        if m.get(j, j).is_none() {
-            t.push(j as Idx, j as Idx, w);
+        if !settled {
+            f(diag, 1.0);
         }
-    }
-    Csc::from_triples(&t)
+    };
+    let counts: Vec<usize> = (0..m.ncols())
+        .into_par_iter()
+        .map(|j| {
+            let mut n = 0;
+            entries(j, &mut |_, _| n += 1);
+            n
+        })
+        .collect();
+    let reserve = counts.iter().sum();
+    CscBuilder::build(m.nrows(), m.ncols(), reserve, (), |_, j, out| {
+        out.push_column_with(counts[j], |rows, vals| {
+            let mut k = 0;
+            entries(j, &mut |r, v| {
+                (rows[k], vals[k]) = (r, v);
+                k += 1;
+            });
+            if normalize {
+                normalize_column(vals);
+            }
+        })
+    })
 }
 
 #[cfg(test)]
@@ -657,11 +700,11 @@ mod tests {
     }
 
     #[test]
-    fn add_self_loops_only_where_missing() {
+    fn self_loops_only_where_missing() {
         let mut t = Triples::new(2, 2);
         t.push(0, 0, 3.0);
         t.push(1, 0, 1.0);
-        let m = add_self_loops(&Csc::from_triples(&t), 1.0);
+        let m = prepare(&Csc::from_triples(&t), false, true, false);
         assert_eq!(m.get(0, 0), Some(3.0), "existing loop untouched");
         assert_eq!(m.get(1, 1), Some(1.0), "missing loop added");
     }

@@ -187,6 +187,15 @@ impl<T: Value> Csc<T> {
         &self.rowidx[self.colptr[j]..self.colptr[j + 1]]
     }
 
+    /// The structure without the values, as a symbolic pass reads it.
+    pub fn pattern(&self) -> Pattern<'_> {
+        Pattern {
+            nrows: self.nrows,
+            colptr: &self.colptr,
+            rowidx: &self.rowidx,
+        }
+    }
+
     /// Values of column `j`, parallel to [`Csc::col_rows`].
     #[inline]
     pub fn col_vals(&self, j: usize) -> &[T] {
@@ -487,6 +496,30 @@ impl<T: Value> Csc<T> {
             }
         }
         worst
+    }
+}
+
+/// A borrowed CSC structure, [`Csc::pattern`]: no values.
+#[derive(Clone, Copy, Debug)]
+pub struct Pattern<'a> {
+    /// Number of rows.
+    pub nrows: usize,
+    /// `colptr[j]..colptr[j+1]` is the index range of column `j`.
+    pub colptr: &'a [usize],
+    /// Row index of each nonzero, sorted within each column.
+    pub rowidx: &'a [Idx],
+}
+
+impl<'a> Pattern<'a> {
+    /// Number of columns.
+    pub fn ncols(&self) -> usize {
+        self.colptr.len() - 1
+    }
+
+    /// Row indices of column `j` (sorted).
+    #[inline]
+    pub fn col_rows(&self, j: usize) -> &'a [Idx] {
+        &self.rowidx[self.colptr[j]..self.colptr[j + 1]]
     }
 }
 

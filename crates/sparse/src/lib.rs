@@ -41,7 +41,7 @@ pub mod triples;
 pub mod util;
 pub mod wire;
 
-pub use csc::{Csc, CscBuilder};
+pub use csc::{Csc, CscBuilder, Pattern};
 pub use dcsc::Dcsc;
 pub use semiring::{Boolean, MaxMin, MinPlus, PlusTimes, Semiring, Value};
 pub use triples::Triples;

@@ -84,6 +84,66 @@ fn arb_square_positive(max_dim: usize, max_nnz: usize) -> impl Strategy<Value = 
     })
 }
 
+/// Strategy: a square CSC whose stored values come from [`arb_wire_f64`],
+/// explicit zeros included (built without `from_triples`, which drops
+/// them).
+fn arb_square_wire(max_dim: usize, max_nnz: usize) -> impl Strategy<Value = Csc<f64>> {
+    (1..=max_dim).prop_flat_map(move |n| {
+        let entry = (0..n as Idx, 0..n as Idx, arb_wire_f64());
+        proptest::collection::vec(entry, 0..=max_nnz).prop_map(move |entries| {
+            let by_col: std::collections::BTreeMap<_, _> =
+                entries.into_iter().map(|(r, c, v)| ((c, r), v)).collect();
+            let mut t = Triples::new(n, n);
+            by_col.into_iter().for_each(|((c, r), v)| t.push(r, c, v));
+            Csc::from_sorted_dedup_triples(&t)
+        })
+    })
+}
+
+/// The preparation `colops::prepare` replaces, step by step: a transposed
+/// merge through `Triples`, self-loops through a `to_triples` /
+/// `from_triples` round trip (which drops stored zeros), then
+/// normalization.
+fn prepare_by_triples(m: &Csc<f64>, symmetrize: bool, loops: bool, normalize: bool) -> Csc<f64> {
+    let mut a = m.clone();
+    if symmetrize {
+        let t = m.transposed();
+        let mut out = Triples::new(m.nrows(), m.ncols());
+        for j in 0..m.ncols() {
+            let (ra, va) = (m.col_rows(j), m.col_vals(j));
+            let (rb, vb) = (t.col_rows(j), t.col_vals(j));
+            let (mut a, mut b) = (0usize, 0usize);
+            while a < ra.len() || b < rb.len() {
+                if b >= rb.len() || (a < ra.len() && ra[a] < rb[b]) {
+                    out.push(ra[a], j as Idx, va[a]);
+                    a += 1;
+                } else if a >= ra.len() || rb[b] < ra[a] {
+                    out.push(rb[b], j as Idx, vb[b]);
+                    b += 1;
+                } else {
+                    out.push(ra[a], j as Idx, va[a].max(vb[b]));
+                    a += 1;
+                    b += 1;
+                }
+            }
+        }
+        a = Csc::from_sorted_dedup_triples(&out);
+    }
+    if loops {
+        let mut t = a.to_triples();
+        for j in 0..a.ncols() {
+            if a.get(j, j).is_none() {
+                t.push(j as Idx, j as Idx, 1.0);
+            }
+        }
+        a = Csc::from_triples(&t);
+    }
+    if normalize {
+        colops::normalize_columns(&mut a);
+    }
+    a
+}
+
 proptest! {
     #[test]
     fn csc_from_triples_is_always_valid(t in arb_triples(24, 120)) {
@@ -183,6 +243,18 @@ proptest! {
             if m.col_nnz(j) > 0 {
                 prop_assert!(out.col_nnz(j) >= 1, "columns never emptied");
             }
+        }
+    }
+
+    #[test]
+    fn one_pass_prepare_is_bit_equal_to_the_triples_composition(m in arb_square_wire(12, 60)) {
+        for flags in 0..8 {
+            let (sym, loops, norm) = (flags & 1 != 0, flags & 2 != 0, flags & 4 != 0);
+            let got = colops::prepare(&m, sym, loops, norm);
+            let want = prepare_by_triples(&m, sym, loops, norm);
+            prop_assert_eq!(&got.colptr, &want.colptr, "flags {}", flags);
+            prop_assert_eq!(&got.rowidx, &want.rowidx, "flags {}", flags);
+            prop_assert!(bits_eq(&got.vals, &want.vals), "flags {}", flags);
         }
     }
 

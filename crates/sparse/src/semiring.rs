@@ -58,6 +58,14 @@ macro_rules! impl_value_num {
 
 impl_value_num!(f64, f32, u32, u64, i64);
 
+/// A pattern's element: a [`Csc`](crate::Csc)`<()>` holds structure alone,
+/// with no value array behind it.
+impl Value for () {
+    fn to_f64(self) -> f64 {
+        1.0
+    }
+}
+
 impl Value for bool {
     #[inline(always)]
     fn to_f64(self) -> f64 {

@@ -9,8 +9,9 @@
 //! caller's `emit` makes of it: the serial MCL iteration appends it pruned
 //! and inflated, and `multiply_emit` hands it to an [`Emit`], the hook
 //! every kernel of the workspace shares. Nothing is counted before it is computed. (The key-only
-//! pass of the two-phase formulation, [`symbolic_counts_with_flops`], is
-//! still here as what it now only is: the exact memory estimator.) The
+//! pass of the two-phase formulation, [`symbolic_counts`], is
+//! still here as what it now only is: an exact count, whose stamps
+//! [`crate::symbolic::sum_counts`] runs the exact memory estimator on.) The
 //! accumulator's storage only grows, and it finds a row's slot in one of
 //! two ways ([`Addressing`]), chosen from the operands alone:
 //!
@@ -82,41 +83,55 @@ impl Addressing {
     }
 }
 
-/// Direct-addressed key counter of the symbolic pass: `marks[key] == gen`
-/// says the current column has the key. One store per key and a branch-free
-/// count; nothing to reset between columns until `gen` wraps.
+/// Direct-addressed key counter of the symbolic passes: `marks[key] == gen`
+/// says the current term of the current column has the key, `marks[key] >
+/// base` that some term of the column has. One store and two branch-free
+/// counts per key; nothing to reset between columns until the generations
+/// wrap.
 #[derive(Clone, Default)]
-struct Stamps {
+pub(crate) struct Stamps {
     marks: Vec<u8>,
     gen: u8,
 }
 
 impl Stamps {
-    /// Number of distinct keys in `columns`, all below `universe`. Panics on
-    /// a key outside the universe.
-    fn count_distinct<'a>(
+    /// One output column of a sum of terms: adds the number of distinct
+    /// keys of each term's key lists to `per_term`, and returns that of
+    /// their union. Every key is below `universe`; panics on one outside
+    /// it, or on 255 terms or more.
+    pub(crate) fn count_terms<'a, C: Iterator<Item = &'a [Idx]>>(
         &mut self,
         universe: usize,
-        columns: impl Iterator<Item = &'a [Idx]>,
+        terms: impl Iterator<Item = C>,
+        per_term: &mut [usize],
     ) -> usize {
+        let n = per_term.len();
+        assert!(
+            n < u8::MAX as usize,
+            "{n} terms: a column stamps at most 254"
+        );
         if self.marks.len() < universe {
             self.marks.resize(universe, 0);
         }
-        if self.gen == u8::MAX {
+        if self.gen as usize + n > u8::MAX as usize {
             self.marks.fill(0);
             self.gen = 0;
         }
-        self.gen += 1;
-        let (marks, gen) = (&mut self.marks[..universe], self.gen);
-        let mut count = 0;
-        for keys in columns {
-            for &key in keys {
-                let mark = &mut marks[key as usize];
-                count += (*mark != gen) as usize;
-                *mark = gen;
+        let (marks, base) = (&mut self.marks[..universe], self.gen);
+        let mut union = 0;
+        for (t, (columns, count)) in terms.zip(per_term.iter_mut()).enumerate() {
+            let gen = base + 1 + t as u8;
+            for keys in columns {
+                for &key in keys {
+                    let mark = &mut marks[key as usize];
+                    *count += (*mark != gen) as usize;
+                    union += (*mark <= base) as usize;
+                    *mark = gen;
+                }
             }
         }
-        count
+        self.gen = base + n as u8;
+        union
     }
 }
 
@@ -477,16 +492,16 @@ pub fn multiply_cols_with<S: Semiring>(
     )
 }
 
-/// Exact `nnz(C_{*j})` per output column of `A · B`, given the per-column
-/// flops. `O(flops)`, no values touched — the exact memory estimator's
-/// pass ([`crate::symbolic`]); no kernel runs it.
-pub fn symbolic_counts_with_flops<T: Value>(a: &Csc<T>, b: &Csc<T>, fpc: &[u64]) -> Vec<usize> {
+/// Exact `nnz(C_{*j})` per output column of `A · B`. `O(flops)`, no values
+/// touched — [`crate::symbolic::output_counts`]'s pass; no kernel runs it.
+pub fn symbolic_counts<T: Value>(a: &Csc<T>, b: &Csc<T>) -> Vec<usize> {
     // No drain to walk, so no column is too sparse: ask as for a full one.
-    symbolic_counts_as(Addressing::of::<T>(a.nrows(), a.nrows()), a, b, fpc)
+    let mode = Addressing::of::<T>(a.nrows(), a.nrows());
+    symbolic_counts_as(mode, a, b, &flops_per_column(a, b))
 }
 
-/// [`symbolic_counts_with_flops`] with the addressing mode given instead of
-/// derived from `nrows(A)`.
+/// [`symbolic_counts`] given the per-column flops `fpc`, with the
+/// addressing mode given instead of derived from `nrows(A)`.
 pub fn symbolic_counts_as<T: Value>(
     mode: Addressing,
     a: &Csc<T>,
@@ -503,7 +518,9 @@ pub fn symbolic_counts_as<T: Value>(
             |(set, stamps), j| {
                 let columns = b.col_rows(j).iter().map(|&k| a.col_rows(k as usize));
                 match mode {
-                    Addressing::Direct => stamps.count_distinct(nrows, columns),
+                    Addressing::Direct => {
+                        stamps.count_terms(nrows, std::iter::once(columns), &mut [0])
+                    }
                     Addressing::Hashed => {
                         set.open((fpc[j] as usize).min(nrows));
                         columns.flatten().for_each(|&r| {
@@ -517,11 +534,6 @@ pub fn symbolic_counts_as<T: Value>(
             },
         )
         .collect()
-}
-
-/// [`symbolic_counts_with_flops`], computing the flops first.
-pub fn symbolic_counts<T: Value>(a: &Csc<T>, b: &Csc<T>) -> Vec<usize> {
-    symbolic_counts_with_flops(a, b, &flops_per_column(a, b))
 }
 
 #[cfg(test)]
@@ -593,12 +605,26 @@ mod tests {
     #[test]
     fn stamps_count_distinct_across_generation_wraps() {
         let mut s = Stamps::default();
-        let cols: [&[Idx]; 2] = [&[0, 3, 5], &[3, 4]];
+        let count = |s: &mut Stamps, universe, cols: &[&[Idx]]| {
+            s.count_terms(universe, std::iter::once(cols.iter().copied()), &mut [0])
+        };
         for _ in 0..600 {
-            assert_eq!(s.count_distinct(6, cols.into_iter()), 4);
+            assert_eq!(count(&mut s, 6, &[&[0, 3, 5], &[3, 4]]), 4);
         }
         // A wider universe later: stale marks below it must not count.
-        assert_eq!(s.count_distinct(9, [&[8, 0][..]].into_iter()), 2);
+        assert_eq!(count(&mut s, 9, &[&[8, 0]]), 2);
+    }
+
+    #[test]
+    fn stamps_count_terms_and_their_union_across_generation_wraps() {
+        let mut s = Stamps::default();
+        let terms: [&[&[Idx]]; 3] = [&[&[0, 3], &[3]], &[&[3, 5]], &[&[1]]];
+        for _ in 0..300 {
+            let mut per_term = [0; 3];
+            let columns = terms.iter().map(|t| t.iter().copied());
+            let union = s.count_terms(6, columns, &mut per_term);
+            assert_eq!((per_term, union), ([2, 2, 1], 4));
+        }
     }
 
     #[test]
@@ -663,8 +689,8 @@ mod tests {
     #[should_panic(expected = "index out of bounds")]
     fn symbolic_direct_key_outside_the_universe_panics() {
         let mut s = Stamps::default();
-        s.count_distinct(4096, std::iter::empty());
-        s.count_distinct(100, [&[100][..]].into_iter());
+        s.count_terms(4096, std::iter::once([].into_iter()), &mut [0]);
+        s.count_terms(100, std::iter::once([&[100][..]].into_iter()), &mut [0]);
     }
 
     /// The submitting thread of the run in progress, and whether a worker

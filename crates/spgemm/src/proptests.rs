@@ -5,8 +5,9 @@
 use crate::hash::Addressing::{Direct, Hashed};
 use crate::testutil::dense_reference;
 use crate::{hash, heap, spa, symbolic};
-use hipmcl_sparse::{Csc, Idx, Triples};
+use hipmcl_sparse::{Boolean, Csc, Idx, MinPlus, PlusTimes, Semiring, Triples};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 /// Strategy: a pair of multiplicable random matrices with positive values.
 fn arb_mult_pair() -> impl Strategy<Value = (Csc<f64>, Csc<f64>)> {
@@ -49,6 +50,48 @@ fn arb_tall_pair() -> impl Strategy<Value = (Csc<f64>, Csc<f64>)> {
     })
 }
 
+/// Strategy: 1–3 terms `(A_t, B_t)` of one output shape, inner dimensions
+/// of their own, signed values whose products can cancel exactly.
+fn arb_sum() -> impl Strategy<Value = Vec<(Csc<f64>, Csc<f64>)>> {
+    let csc = |m: usize, n: usize, entries: Vec<(Idx, Idx, i32)>| {
+        let mut t = Triples::new(m, n);
+        entries
+            .into_iter()
+            .for_each(|(r, c, v)| t.push(r, c, v as f64 / 4.0));
+        Csc::from_triples(&t)
+    };
+    (1usize..16, 1usize..16).prop_flat_map(move |(m, n)| {
+        let term = (1usize..16).prop_flat_map(move |k| {
+            let a = proptest::collection::vec((0..m as Idx, 0..k as Idx, -8i32..8), 0..60);
+            let b = proptest::collection::vec((0..k as Idx, 0..n as Idx, -8i32..8), 0..60);
+            (a, b).prop_map(move |(ea, eb)| (csc(m, k, ea), csc(k, n, eb)))
+        });
+        proptest::collection::vec(term, 1..=3)
+    })
+}
+
+/// The terms `(A_t, B_t)` of a sum of products.
+type Terms<T> = [(Csc<T>, Csc<T>)];
+
+/// [`symbolic::sum_counts`] against what the exact estimator built before
+/// it: each term multiplied in `s`, its pattern valued 1.0, the patterns
+/// summed.
+fn sum_counts_match<S: Semiring>(s: S, terms: &Terms<S::Elem>) -> Result<(), TestCaseError> {
+    let patterns: Vec<_> = terms
+        .iter()
+        .map(|(a, b)| (a.pattern(), b.pattern()))
+        .collect();
+    let got = symbolic::sum_counts(&patterns);
+    let products: Vec<Csc<f64>> = (terms.iter())
+        .map(|(a, b)| hash::multiply_in(s, a, b).map_values(|_| 1.0))
+        .collect();
+    let want: Vec<u64> = products.iter().map(|p| p.nnz() as u64).collect();
+    prop_assert_eq!(&got.terms, &want);
+    let sum = (products[1..].iter()).fold(products[0].clone(), |sum, p| sum.add_elementwise(p));
+    prop_assert_eq!(got.union, sum.nnz() as u64);
+    Ok(())
+}
+
 proptest! {
     #[test]
     fn addressing_modes_agree_over_random_universes((a, b) in arb_tall_pair()) {
@@ -87,6 +130,16 @@ proptest! {
         let c1 = heap::multiply(&a, &b);
         prop_assert_eq!(&c1, &hash::multiply(&a, &b));
         prop_assert_eq!(&c1, &spa::multiply(&a, &b));
+    }
+
+    #[test]
+    fn sum_counts_are_the_terms_and_their_merged_sum(terms in arb_sum()) {
+        sum_counts_match(PlusTimes::<f64>::new(), &terms)?;
+        sum_counts_match(MinPlus, &terms)?;
+        let boolean: Vec<_> = (terms.iter())
+            .map(|(a, b)| (a.map_values(|v| v > 0.0), b.map_values(|v| v > 0.0)))
+            .collect();
+        sum_counts_match(Boolean, &boolean)?;
     }
 
     #[test]

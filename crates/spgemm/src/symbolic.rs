@@ -1,12 +1,21 @@
-//! Exact symbolic SpGEMM: the structure (or just the size) of `A·B` without
-//! materializing values.
+//! Exact symbolic SpGEMM: the size of `A·B`, or of a sum `Σ_t A_t·B_t`,
+//! without materializing values or structure.
 //!
 //! This is the *exact* memory estimator of original HipMCL (§V): it costs
 //! `O(flops)` — as much arithmetic as the numeric multiply minus the value
 //! work — which is why the paper replaces it with Cohen's probabilistic
 //! estimator for high-`cf` iterations and keeps it only when `cf` is small.
+//! The distributed estimator (`summa::estimate`) runs [`sum_counts`] over a
+//! rank's SUMMA panels: the rank's output block is the sum of its stage
+//! products, and its output columns are independent (arXiv:2112.10223), so
+//! one traversal per column counts every stage product and their union at
+//! once — the symbolic phase of hash SpGEMM (arXiv:1804.01698) over all
+//! stages, with no stage product built.
 
-use hipmcl_sparse::{Csc, Value};
+use crate::hash::Stamps;
+use hipmcl_sparse::{Csc, Pattern, Value};
+use rayon::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// Exact `nnz(A·B)` per output column. Hash-based, `O(flops)` total.
 pub fn output_counts<T: Value>(a: &Csc<T>, b: &Csc<T>) -> Vec<usize> {
@@ -16,6 +25,50 @@ pub fn output_counts<T: Value>(a: &Csc<T>, b: &Csc<T>) -> Vec<usize> {
 /// Exact `nnz(A·B)`.
 pub fn output_nnz<T: Value>(a: &Csc<T>, b: &Csc<T>) -> u64 {
     output_counts(a, b).iter().map(|&c| c as u64).sum()
+}
+
+/// Exact sizes of a sum of products `Σ_t A_t·B_t`, whatever the semiring
+/// (no entry is ever dropped as zero).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct SumCounts {
+    /// `nnz(A_t·B_t)` of every term, in order.
+    pub terms: Vec<u64>,
+    /// `nnz(Σ_t A_t·B_t)`, the union of the terms' structures.
+    pub union: u64,
+}
+
+/// [`SumCounts`] of the terms `(A_t, B_t)`, which share `nrows(A_t)` and
+/// `ncols(B_t)`: one traversal of each output column's products, stamped
+/// per row, no values read, `O(flops)` time and one byte per row per
+/// worker. Panics on mismatched shapes or 255 terms or more.
+pub fn sum_counts(terms: &[(Pattern<'_>, Pattern<'_>)]) -> SumCounts {
+    let Some((a0, b0)) = terms.first() else {
+        return SumCounts::default();
+    };
+    let (nrows, ncols) = (a0.nrows, b0.ncols());
+    for (a, b) in terms {
+        assert_eq!((a.nrows, b.ncols()), (nrows, ncols), "terms of one shape");
+        assert_eq!(a.ncols(), b.nrows, "inner dimensions must agree");
+    }
+    let per_term: Vec<AtomicU64> = terms.iter().map(|_| AtomicU64::new(0)).collect();
+    let scratch = (Stamps::default(), vec![0; terms.len()]);
+    let union = (0..ncols)
+        .into_par_iter()
+        .map_with(scratch, |(stamps, counts), j| {
+            counts.fill(0);
+            let columns =
+                (terms.iter()).map(|(a, b)| b.col_rows(j).iter().map(|&k| a.col_rows(k as usize)));
+            let union = stamps.count_terms(nrows, columns, counts);
+            for (total, &c) in per_term.iter().zip(counts.iter()) {
+                total.fetch_add(c as u64, Relaxed);
+            }
+            union as u64
+        })
+        .sum();
+    SumCounts {
+        terms: per_term.into_iter().map(AtomicU64::into_inner).collect(),
+        union,
+    }
 }
 
 /// CSC memory footprint for a given `nnz` and column count (f64 values,

@@ -12,6 +12,7 @@ use hipmcl_comm::ProcGrid;
 use hipmcl_sparse::convert::{gather_2d, split_2d};
 use hipmcl_sparse::util::even_chunk;
 use hipmcl_sparse::{Csc, PlusTimes, Semiring, Triples, Value};
+use std::sync::Arc;
 
 /// One rank's block of a 2D-distributed sparse matrix.
 ///
@@ -25,6 +26,58 @@ pub struct DistMatrix<T: Value = f64> {
     pub nrows_global: usize,
     /// Global column count.
     pub ncols_global: usize,
+}
+
+/// A distributed operand as SUMMA reads it: a [`DistMatrix`], or an `Arc`
+/// of one. A broadcast root hands its block out as a [`Panel`], which a
+/// `DistMatrix` copies its block into and an `Arc` shares as it is.
+pub trait Operand {
+    /// Element type.
+    type Elem: Value;
+    /// The matrix.
+    fn matrix(&self) -> &DistMatrix<Self::Elem>;
+    /// This rank's block as a broadcast root hands it out.
+    fn panel(&self) -> Panel<Self::Elem>;
+}
+
+impl<T: Value> Operand for DistMatrix<T> {
+    type Elem = T;
+    fn matrix(&self) -> &DistMatrix<T> {
+        self
+    }
+    fn panel(&self) -> Panel<T> {
+        Panel::Block(Arc::new(self.local.clone()))
+    }
+}
+
+impl<T: Value> Operand for Arc<DistMatrix<T>> {
+    type Elem = T;
+    fn matrix(&self) -> &DistMatrix<T> {
+        self
+    }
+    fn panel(&self) -> Panel<T> {
+        Panel::Operand(Arc::clone(self))
+    }
+}
+
+/// A block a broadcast hands out, shared, never copied: one of its own, or
+/// a shared operand's.
+#[derive(Clone, Debug)]
+pub enum Panel<T: Value> {
+    /// A block of its own.
+    Block(Arc<Csc<T>>),
+    /// The local block of a shared operand.
+    Operand(Arc<DistMatrix<T>>),
+}
+
+impl<T: Value> std::ops::Deref for Panel<T> {
+    type Target = Csc<T>;
+    fn deref(&self) -> &Csc<T> {
+        match self {
+            Panel::Block(m) => m,
+            Panel::Operand(d) => &d.local,
+        }
+    }
 }
 
 impl<T: Value> DistMatrix<T> {

@@ -5,10 +5,10 @@
 //! keeps every process inside its memory budget. Two estimators:
 //!
 //! * **Exact symbolic SUMMA** (original HipMCL): replays the whole SUMMA
-//!   stage structure, computing output structure without values. Cost is
-//!   `O(flops)` — nearly as expensive as the numeric multiplication, which
-//!   is why Fig. 1 shows memory estimation consuming ~½ of the original
-//!   runtime.
+//!   stage structure, broadcasting block structures, and counts the
+//!   output without building it. Cost is `O(flops)` — nearly as expensive
+//!   as the numeric multiplication, which is why Fig. 1 shows memory
+//!   estimation consuming ~½ of the original runtime.
 //! * **Probabilistic** (the paper's contribution): the distributed form of
 //!   Cohen's min-key sketch. Keys are drawn *deterministically from global
 //!   row ids*, so the first layer needs no communication; propagation
@@ -21,13 +21,15 @@
 //! The hybrid rule (§VII-D, last paragraph): when the estimated `cf` is
 //! below a threshold the exact scheme is actually cheaper, so use it.
 
-use crate::distmat::DistMatrix;
+use crate::distmat::{DistMatrix, Operand, Panel};
 use hipmcl_comm::collectives::{allreduce, allreduce_min_vec_f32};
 use hipmcl_comm::{
     Comm, ProcGrid, SpgemmKernel, WireDecode, WireEncode, WireError, WireReader, WireSize,
 };
-use hipmcl_sparse::{Csc, PlusTimes, Semiring, Value};
+use hipmcl_sparse::{Csc, Idx, Pattern, Value};
+use hipmcl_spgemm::symbolic::sum_counts;
 use hipmcl_spgemm::CohenEstimator;
+use std::sync::Arc;
 
 /// Which estimator to run.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -144,42 +146,29 @@ pub fn distributed_flops_with_counts<T: Value>(
     (flops, counts)
 }
 
-/// Runs the requested estimator under plus-times `f64` (the MCL path).
-/// Collective over the grid. Returns an identical estimate on every rank.
-pub fn estimate_memory(
+/// Runs the requested estimator. Collective over the grid. Returns an
+/// identical estimate on every rank. The estimators are structural — the
+/// sketch never touches values, and the exact scheme counts structure
+/// only — so the same schemes price min-plus or boolean SUMMA phases too.
+pub fn estimate_memory<O: Operand>(
     grid: &ProcGrid,
-    a: &DistMatrix,
-    b: &DistMatrix,
-    kind: EstimatorKind,
-    seed: u64,
-) -> MemoryEstimate {
-    estimate_memory_in(PlusTimes::<f64>::new(), grid, a, b, kind, seed)
-}
-
-/// Runs the requested estimator for operands in semiring `s`. The
-/// estimators are structural — the sketch never touches values, and the
-/// exact scheme multiplies in `s` only to discover the output pattern —
-/// so the same schemes price min-plus or boolean SUMMA phases too.
-pub fn estimate_memory_in<S: Semiring>(
-    s: S,
-    grid: &ProcGrid,
-    a: &DistMatrix<S::Elem>,
-    b: &DistMatrix<S::Elem>,
+    a: &O,
+    b: &O,
     kind: EstimatorKind,
     seed: u64,
 ) -> MemoryEstimate {
     match kind {
-        EstimatorKind::ExactSymbolic => exact_symbolic_in(s, grid, a, b),
-        EstimatorKind::Probabilistic { r } => probabilistic(grid, a, b, r, seed),
+        EstimatorKind::ExactSymbolic => exact_symbolic(grid, a, b),
+        EstimatorKind::Probabilistic { r } => probabilistic(grid, a.matrix(), b.matrix(), r, seed),
         EstimatorKind::Hybrid { r, cf_threshold } => {
-            let prob = probabilistic(grid, a, b, r, seed);
+            let prob = probabilistic(grid, a.matrix(), b.matrix(), r, seed);
             let cf_est = if prob.nnz_estimate > 0.0 {
                 prob.flops as f64 / prob.nnz_estimate
             } else {
                 1.0
             };
             if cf_est < cf_threshold {
-                let mut exact = exact_symbolic_in(s, grid, a, b);
+                let mut exact = exact_symbolic(grid, a, b);
                 exact.time += prob.time; // the probabilistic probe was paid too
                 exact
             } else {
@@ -189,105 +178,108 @@ pub fn estimate_memory_in<S: Semiring>(
     }
 }
 
-/// Pattern-only broadcast payload: structure bytes, no values (what a
-/// symbolic SUMMA actually moves).
+/// Pattern-only broadcast payload, what a symbolic SUMMA moves: the
+/// root's block, shared as it is (in-process ranks receive it so), or a
+/// block's structure off the wire, which allocates no value array.
 #[derive(Clone)]
-struct PatternBlock<T: Value>(std::sync::Arc<Csc<T>>);
+enum PatternBlock<T: Value> {
+    Shared(Panel<T>),
+    Received(Arc<Csc<()>>),
+}
 
-impl<T: Value> WireSize for PatternBlock<T> {
-    fn wire_bytes(&self) -> usize {
-        self.0.rowidx.len() * std::mem::size_of::<hipmcl_sparse::Idx>()
-            + self.0.colptr.len() * std::mem::size_of::<usize>()
+impl<T: Value> PatternBlock<T> {
+    fn pattern(&self) -> Pattern<'_> {
+        match self {
+            PatternBlock::Shared(m) => m.pattern(),
+            PatternBlock::Received(m) => m.pattern(),
+        }
     }
 }
 
-// The byte transport ships the full block (values included): the stage's
-// symbolic product runs through the semiring, so dropping values could
-// change exact-zero cancellation and break bit-identity across
-// transports. The *modeled* cost above stays structure-only — that is
-// what a dedicated symbolic SUMMA would move.
+impl<T: Value> WireSize for PatternBlock<T> {
+    fn wire_bytes(&self) -> usize {
+        let p = self.pattern();
+        std::mem::size_of_val(p.rowidx) + std::mem::size_of_val(p.colptr)
+    }
+}
+
+/// On a byte transport the structure travels alone: dimensions, column
+/// pointers and row indices.
 impl<T: Value> WireEncode for PatternBlock<T> {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.0.encode(out);
+        let p = self.pattern();
+        p.nrows.encode(out);
+        p.ncols().encode(out);
+        p.colptr.encode(out);
+        p.rowidx.encode(out);
     }
 }
 
 impl<T: Value> WireDecode for PatternBlock<T> {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(PatternBlock(std::sync::Arc::new(Csc::decode(r)?)))
+        let (nrows, ncols) = (usize::decode(r)?, usize::decode(r)?);
+        let colptr: Vec<usize> = Vec::decode(r)?;
+        let rowidx: Vec<Idx> = Vec::decode(r)?;
+        let vals = vec![(); rowidx.len()];
+        let m = Csc::try_from_parts(nrows, ncols, colptr, rowidx, vals);
+        m.map(|m| PatternBlock::Received(Arc::new(m)))
+            .map_err(|what| WireError { what, pos: r.pos() })
     }
 }
 
 /// Exact symbolic SUMMA: replays the stage loop, broadcasting block
-/// *structures* and computing per-stage symbolic products, then merges the
-/// patterns to the exact output nnz.
-fn exact_symbolic_in<S: Semiring>(
-    s: S,
-    grid: &ProcGrid,
-    a: &DistMatrix<S::Elem>,
-    b: &DistMatrix<S::Elem>,
-) -> MemoryEstimate {
-    let t0 = grid.world.now();
+/// structures, then counts every stage product and their union, the exact
+/// local output nnz, in one traversal of the panels
+/// ([`sum_counts`]) — no stage product is built.
+fn exact_symbolic<O: Operand>(grid: &ProcGrid, a: &O, b: &O) -> MemoryEstimate {
+    let (t0, model) = (grid.world.now(), grid.world.model());
     let side = grid.side;
-    let mut stage_patterns: Vec<Csc<f64>> = Vec::with_capacity(side);
+    let mut panels = Vec::with_capacity(side);
     let mut flops_total = 0u64;
 
     for k in 0..side {
         // Broadcast A_{i,k} along rows and B_{k,j} along columns.
-        let a_blk = bcast_pattern(&grid.row_comm, k, &a.local, grid.col == k);
-        let b_blk = bcast_pattern(&grid.col_comm, k, &b.local, grid.row == k);
-
-        let flops = hipmcl_spgemm::flops(&a_blk, &b_blk);
+        let a_blk = bcast_pattern(&grid.row_comm, k, (grid.col == k).then(|| a.panel()));
+        let b_blk = bcast_pattern(&grid.col_comm, k, (grid.row == k).then(|| b.panel()));
+        let (ap, bp) = (a_blk.pattern(), b_blk.pattern());
+        let flops: u64 = (0..bp.ncols())
+            .flat_map(|j| bp.col_rows(j))
+            .map(|&l| ap.col_rows(l as usize).len() as u64)
+            .sum();
         flops_total += flops;
-        // Real symbolic pass; pattern materialized (values=1) so stage
-        // patterns can be union-merged exactly whatever the semiring.
-        let pattern = hipmcl_spgemm::hash::multiply_in(s, &a_blk, &b_blk).map_values(|_| 1.0f64);
-        let cf = if pattern.nnz() == 0 {
-            1.0
-        } else {
-            flops as f64 / pattern.nnz() as f64
-        };
-        grid.world.advance_clock(
-            grid.world
-                .model()
-                .spgemm_time(SpgemmKernel::CpuHash, flops, cf),
-        );
-        stage_patterns.push(pattern);
+        // The hash kernel's modeled rate is flat in `cf`, so the stage is
+        // charged here, between the broadcasts, before anything is counted.
+        grid.world
+            .advance_clock(model.spgemm_time(SpgemmKernel::CpuHash, flops, 1.0));
+        panels.push((a_blk, b_blk));
     }
 
-    // Union of stage patterns = exact local output structure.
-    let merged = crate::merge::kway_merge(&stage_patterns, (a.local.nrows(), b.local.ncols()));
-    let merged_elems: usize = stage_patterns.iter().map(|p| p.nnz()).sum();
-    grid.world.advance_clock(
-        grid.world
-            .model()
-            .merge_time(merged_elems as u64, side.max(2)),
-    );
+    // Every stage product and their union: the local output structure.
+    let terms = panels.iter().map(|(a, b)| (a.pattern(), b.pattern()));
+    let counts = sum_counts(&terms.collect::<Vec<_>>());
+    drop(panels);
+    let merged_elems = counts.terms.iter().sum();
+    grid.world
+        .advance_clock(model.merge_time(merged_elems, side.max(2)));
 
-    let local_nnz = merged.nnz() as u64;
-    let global_nnz = allreduce(&grid.world, local_nnz, |x, y| x + y);
+    let global_nnz = allreduce(&grid.world, counts.union, |x, y| x + y);
     let flops = allreduce(&grid.world, flops_total, |x, y| x + y);
     MemoryEstimate {
         nnz_estimate: global_nnz as f64,
-        bytes_estimate: hipmcl_spgemm::symbolic::csc_bytes(global_nnz, b.ncols_global as u64),
+        bytes_estimate: hipmcl_spgemm::symbolic::csc_bytes(
+            global_nnz,
+            b.matrix().ncols_global as u64,
+        ),
         flops,
         time: grid.world.now() - t0,
         scheme: "exact-symbolic",
     }
 }
 
-/// Broadcasts a block's pattern within `comm` from `root`; `is_root` says
-/// whether this rank supplies `local`.
-fn bcast_pattern<T: Value>(
-    comm: &Comm,
-    root: usize,
-    local: &Csc<T>,
-    is_root: bool,
-) -> std::sync::Arc<Csc<T>> {
-    // The operands are borrowed, so the root pays one copy to share its
-    // block; nobody copies it again on arrival.
-    let payload = is_root.then(|| PatternBlock(std::sync::Arc::new(local.clone())));
-    hipmcl_comm::collectives::bcast(comm, root, payload).0
+/// Broadcasts a block's pattern within `comm` from `root`, which supplies
+/// its block as `local`.
+fn bcast_pattern<T: Value>(comm: &Comm, root: usize, local: Option<Panel<T>>) -> PatternBlock<T> {
+    hipmcl_comm::collectives::bcast(comm, root, local.map(PatternBlock::Shared))
 }
 
 /// Distributed Cohen estimation. Requires square operands distributed on
@@ -670,6 +662,34 @@ mod tests {
             assert_eq!(lo, "exact-symbolic");
             assert_eq!(hi, "probabilistic");
         }
+    }
+
+    #[test]
+    fn the_exact_schemes_stage_charge_needs_no_output_count() {
+        // Each stage is charged before its product is counted: the hash
+        // kernel's modeled time must not read `cf`.
+        let m = MachineModel::summit();
+        let t = |cf| m.spgemm_time(SpgemmKernel::CpuHash, 12_345, cf);
+        assert_eq!(t(1.0), t(130.0));
+    }
+
+    #[test]
+    fn a_pattern_travels_as_structure_alone() {
+        let g = Csc::from_triples(&random_global(20, 120, 8));
+        let sent = PatternBlock::Shared(Panel::Block(Arc::new(g.clone())));
+        let wire = sent.encoded();
+        // Two dims and two length prefixes around the modeled bytes.
+        assert_eq!(wire.len(), sent.wire_bytes() + 32);
+        let Ok(PatternBlock::Received(got)) = PatternBlock::<f64>::decode_all(&wire) else {
+            panic!("a pattern decodes to a received structure");
+        };
+        assert_eq!((&got.colptr, &got.rowidx), (&g.colptr, &g.rowidx));
+        assert_eq!((got.nrows(), got.ncols()), (g.nrows(), g.ncols()));
+        // A row past the last is a decode error, not a panic later.
+        let mut bad = g.clone();
+        bad.rowidx[0] = 20;
+        let bad = PatternBlock::Shared(Panel::Block(Arc::new(bad))).encoded();
+        assert!(PatternBlock::<f64>::decode_all(&bad).is_err());
     }
 
     #[test]

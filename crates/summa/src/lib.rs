@@ -42,7 +42,7 @@ pub mod pipeline;
 pub mod spgemm;
 pub mod topk;
 
-pub use distmat::DistMatrix;
+pub use distmat::{DistMatrix, Operand, Panel};
 pub use estimate::{EstimatorKind, MemoryEstimate};
 pub use executor::{Executor, KernelLaunch, LaunchSpec, MergeTask};
 pub use merge::{merge_with, MergeKernelPolicy, MergeSpan, MergeStrategy, StackMerger};

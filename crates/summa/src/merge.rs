@@ -424,8 +424,8 @@ fn sink_columns<T: Value, K: ColumnSink<T>, W: Clone + Send>(
 }
 
 /// K-way merges equally-shaped CSC matrices with the heap kernel (kept as
-/// a named entry point: the exact symbolic estimator and the benches call
-/// it directly). An empty slice returns an empty matrix of `shape`.
+/// a named entry point: the benches call it directly). An empty slice
+/// returns an empty matrix of `shape`.
 pub fn kway_merge(mats: &[Csc<f64>], shape: (usize, usize)) -> Csc<f64> {
     merge_with(PlusTimes::<f64>::new(), MergeKernel::Heap, mats, shape)
 }

@@ -50,7 +50,7 @@
 //! [`CommChoice`] in the output, so the policy is observable, not a
 //! hidden constant.
 
-use crate::distmat::DistMatrix;
+use crate::distmat::{Operand, Panel};
 use crate::executor::{Executor, KernelLaunch, LaunchSpec, MergeTask};
 use crate::merge::{
     algorithm2_merge_count, merge_into, select_merge_kernel, sink_slab, ColumnSink, MergeEmit,
@@ -74,7 +74,7 @@ use std::sync::{Arc, Mutex};
 /// HipMCL broadcasts DCSC; an `Arc` keeps the in-process copy free while
 /// the virtual cost reflects the real payload (§III-B).
 #[derive(Clone)]
-struct BlockMsg<T: Value>(Arc<Csc<T>>, usize);
+struct BlockMsg<T: Value>(Panel<T>, usize);
 
 impl<T: Value> WireSize for BlockMsg<T> {
     fn wire_bytes(&self) -> usize {
@@ -99,7 +99,7 @@ impl<T: Value> WireDecode for BlockMsg<T> {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let block = Dcsc::<T>::decode_csc(r)?;
         let bytes = Dcsc::bytes_of_csc(&block);
-        Ok(BlockMsg(Arc::new(block), bytes))
+        Ok(BlockMsg(Panel::Block(Arc::new(block)), bytes))
     }
 }
 
@@ -113,10 +113,10 @@ fn exchange_block<T: Value>(
     comm: &Comm,
     policy: CommPolicy,
     root: usize,
-    local: Option<&Arc<Csc<T>>>,
-) -> (Arc<Csc<T>>, usize, CommMode) {
+    local: Option<&Panel<T>>,
+) -> (Panel<T>, usize, CommMode) {
     // The root shares its panel, it does not copy it.
-    let payload = local.map(|m| BlockMsg(Arc::clone(m), Dcsc::bytes_of_csc(m)));
+    let payload = local.map(|m| BlockMsg(m.clone(), Dcsc::bytes_of_csc(m)));
     match policy {
         CommPolicy::Broadcast => {
             let msg = bcast(comm, root, payload);
@@ -503,12 +503,12 @@ impl<'k, S: Semiring, K: ColumnSink<S::Elem>> MergeEngine<'k, S, K> {
 /// output slabs and the idle/instrumentation accumulators. Collective over
 /// the grid.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run<S, K, F>(
+pub(crate) fn run<S, O, K, F>(
     s: S,
     grid: &ProcGrid,
     exec: &mut Executor<'_>,
-    a: &DistMatrix<S::Elem>,
-    b: &DistMatrix<S::Elem>,
+    a: &O,
+    b: &O,
     cfg: &SummaConfig,
     phases: usize,
     cf_hint: Option<f64>,
@@ -518,6 +518,7 @@ pub(crate) fn run<S, K, F>(
 ) -> PipelineOutcome<S::Elem>
 where
     S: Semiring,
+    O: Operand<Elem = S::Elem>,
     K: ColumnSink<S::Elem>,
     F: FnMut(usize, Packed<S::Elem, K::Tally>) -> Csc<S::Elem>,
 {
@@ -533,28 +534,28 @@ where
         comm_choices: Vec::with_capacity(2 * phases * side),
         timers_measured: StageTimers::new(),
     };
-    let local_cols = b.local.ncols();
+    let local_cols = b.matrix().local.ncols();
     // Under pipelining the previous phase's sealed engine drains only
     // after this phase's stage loop, so its closing merge overlaps the
     // next round of broadcasts and launches (phases sliced from `B` are
     // independent; only the per-phase hook needs the merged slab).
     let mut sealed: Option<(usize, MergeEngine<S, K>)> = None;
-    // Broadcast roots hand out `Arc`s: `A`'s block is shared by every
-    // phase, `B`'s phase slice is a fresh matrix already — unless the one
-    // phase takes all of a `B` that is `A` (MCL's expansion squares one
-    // matrix), whose panel is then `A`'s.
-    let a_local = Arc::new(a.local.clone());
+    // Broadcast roots hand out `Arc`s: `A`'s block, as the caller shares
+    // it, serves every phase; `B`'s phase slice is a fresh matrix already
+    // — unless the one phase takes all of a `B` that is `A` (MCL's
+    // expansion squares one matrix), whose panel is then `A`'s.
+    let a_local = a.panel();
     let squaring = std::ptr::eq(a, b) && phases == 1;
 
     for ph in 0..phases {
         let cols = even_chunk(local_cols, phases, ph);
         let b_phase = if squaring {
-            Arc::clone(&a_local)
+            a_local.clone()
         } else {
-            Arc::new(b.local.column_slice(cols))
+            Panel::Block(Arc::new(b.matrix().local.column_slice(cols)))
         };
         // Every stage product this phase has the same block shape.
-        let shape = (a.local.nrows(), b_phase.ncols());
+        let shape = (a_local.nrows(), b_phase.ncols());
         let mut merge = MergeEngine::new(s, cfg, shape, side, sink);
 
         for k in 0..side {
@@ -706,7 +707,7 @@ mod tests {
         // Hex captured when `BlockMsg` still built a `Dcsc` to encode:
         // panels must stay readable across builds.
         let m = panel();
-        let msg = BlockMsg(Arc::new(m.clone()), Dcsc::bytes_of_csc(&m));
+        let msg = BlockMsg(Panel::Block(Arc::new(m.clone())), Dcsc::bytes_of_csc(&m));
         assert_eq!(msg.wire_bytes(), 80);
         let wire = msg.encoded();
         let hex: String = wire.iter().map(|b| format!("{b:02x}")).collect();
@@ -764,7 +765,7 @@ mod tests {
 
     #[test]
     fn corrupt_block_msgs_are_decode_errors() {
-        let wire = BlockMsg(Arc::new(panel()), 80).encoded();
+        let wire = BlockMsg(Panel::Block(Arc::new(panel())), 80).encoded();
         for cut in 0..wire.len() {
             assert!(BlockMsg::<f64>::decode_all(&wire[..cut]).is_err());
         }

@@ -22,8 +22,8 @@
 //! against single-process kernels); the stage timers, CPU idle and device
 //! idle times come from the virtual clocks and executor timelines.
 
-use crate::distmat::DistMatrix;
-use crate::estimate::{estimate_memory_in, plan_phases, EstimatorKind, MemoryEstimate};
+use crate::distmat::{DistMatrix, Operand};
+use crate::estimate::{estimate_memory, plan_phases, EstimatorKind, MemoryEstimate};
 use crate::executor::Executor;
 use crate::merge::{
     ColumnSink, MergeKernelPolicy, MergeSpan, MergeStats, MergeStrategy, Packed, Whole,
@@ -320,25 +320,28 @@ where
 /// `core::dist`'s prune sink it is each column's top-`select` candidates
 /// and tally, so the unpruned slab never exists (§II). The hook's virtual
 /// cost must be charged by the caller (`core::dist` charges the pruning
-/// stage).
+/// stage). An operand shared as an `Arc` is broadcast without a copy of its
+/// block ([`Operand`]); the MCL driver hands its iterate over so.
 #[allow(clippy::too_many_arguments)]
-pub fn summa_spgemm_with_in<S, K, F>(
+pub fn summa_spgemm_with_in<S, O, K, F>(
     s: S,
     grid: &ProcGrid,
     gpus: &mut MultiGpu,
-    a: &DistMatrix<S::Elem>,
-    b: &DistMatrix<S::Elem>,
+    a: &O,
+    b: &O,
     cfg: &SummaConfig,
     sink: &K,
     on_slab: F,
 ) -> SummaOutput<S::Elem>
 where
     S: Semiring,
+    O: Operand<Elem = S::Elem>,
     K: ColumnSink<S::Elem>,
     F: FnMut(usize, Packed<S::Elem, K::Tally>) -> Csc<S::Elem>,
 {
     assert_eq!(
-        a.ncols_global, b.nrows_global,
+        a.matrix().ncols_global,
+        b.matrix().nrows_global,
         "global inner dims must agree"
     );
     let comm = &grid.world;
@@ -355,7 +358,7 @@ where
         } => {
             let t0 = comm.now();
             let w0 = comm.measured_now();
-            let est = estimate_memory_in(s, grid, a, b, estimator, cfg.seed);
+            let est = estimate_memory(grid, a, b, estimator, cfg.seed);
             timers.add("mem_estimation", comm.now() - t0);
             est_measured = comm.measured_now() - w0;
             (plan_phases(&est, grid.size(), per_rank_budget), Some(est))
@@ -414,8 +417,8 @@ where
     SummaOutput {
         c: DistMatrix {
             local,
-            nrows_global: a.nrows_global,
-            ncols_global: b.ncols_global,
+            nrows_global: a.matrix().nrows_global,
+            ncols_global: b.matrix().ncols_global,
         },
         timers,
         merge_stats,

@@ -5,8 +5,10 @@
 //! of it, a product built by several threads never exists twice, a merge
 //! frees what it took in, the serial MCL iteration never holds its
 //! unpruned product at all, and the distributed one never a phase's merged
-//! slab, nor both of a phase's stage products. The tests take turns ([`COUNTING`]), so nothing else allocates
-//! while one counts.
+//! slab, nor both of a phase's stage products; the exact memory estimate
+//! builds no stage product, and the input is prepared in one write. The
+//! tests take turns ([`COUNTING`]), so nothing else allocates while one
+//! counts.
 
 use hipmcl::comm::collectives::barrier;
 use hipmcl::comm::{GpuLib, MergeKernel, SpgemmKernel};
@@ -15,6 +17,7 @@ use hipmcl::prelude::*;
 use hipmcl::sparse::util::even_chunk;
 use hipmcl::sparse::{Idx, PlusTimes};
 use hipmcl::spgemm::hash;
+use hipmcl::summa::estimate::{estimate_memory, EstimatorKind};
 use hipmcl::summa::merge::{sink_slab, MergeStrategy};
 use hipmcl::summa::spgemm::{
     summa_spgemm, summa_spgemm_with, summa_spgemm_with_in, PhasePlan, SummaConfig,
@@ -465,4 +468,84 @@ fn intermediate_merges_hold_their_products_and_slab_once() {
     let ratio = peak as f64 / bound as f64;
     println!("peak {peak} B live, {ratio:.3} of {bound} B (stage products + slabs)");
     assert!(ratio < 1.0, "{ratio:.3} of the stage products and slabs");
+}
+
+/// The exact estimator counts a rank's output block from its panels, one
+/// traversal per output column over every stage's products, stamped per
+/// row: no stage product is built. So what a rank allocates while it
+/// estimates, on its own account on its own thread, is at most the panels
+/// it holds (its row panel of `A` and column panel of `B`, in CSC bytes
+/// with values, though only their structure travels) plus `O(rows + cols)`
+/// words. On R-MAT scale 10 on a 2×2 grid the four ranks held 0.33–0.72 of
+/// their panels' bytes; building each stage's pattern and merging the
+/// patterns held 10.3–14.1 times them.
+#[test]
+fn an_exact_estimate_never_holds_a_stage_product() {
+    let _turn = COUNTING.lock().unwrap();
+    let graph = generate_rmat(&RmatParams::graph500(10, 16, 3));
+    let global = Csc::from_triples(&graph);
+    let per_rank = Universe::run(4, MachineModel::summit(), |comm| {
+        let grid = ProcGrid::new(comm);
+        let a = DistMatrix::from_global(&grid, &graph);
+        let (rows, cols) = (a.row_range(&grid), a.col_range(&grid));
+        let panels: usize = (0..grid.side)
+            .map(|k| {
+                let inner = even_chunk(global.ncols(), grid.side, k);
+                block(&global, rows.clone(), inner.clone()).bytes()
+                    + block(&global, inner, cols.clone()).bytes()
+            })
+            .sum();
+        let inline = rayon::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .unwrap();
+        barrier(&grid.world);
+        let peak = inline.install(|| {
+            OWN.set(Some((0, 0)));
+            let e = estimate_memory(&grid, &a, &a, EstimatorKind::ExactSymbolic, 0);
+            assert_eq!(e.scheme, "exact-symbolic");
+            OWN.replace(None).expect("an account").1
+        });
+        (peak as usize, panels, rows.len() + cols.len())
+    });
+    println!("per rank (peak B, panels B, rows + cols): {per_rank:?}");
+    for (peak, panels, lines) in per_rank {
+        assert!(
+            peak <= panels + 4 * 8 * lines,
+            "{peak} B held estimating, {panels} B of panels, {lines} rows + cols"
+        );
+    }
+}
+
+/// `prepare_matrix` counts every column of `A ∨ Aᵀ` with its self-loop
+/// first, then writes each once, normalized, into storage of the result's
+/// size: beside `Aᵀ` and the result it holds `O(n)` words (the column
+/// counts and pointers). On R-MAT scale 10 that held `Aᵀ` + the result +
+/// `8n` bytes exactly; going through `Triples` and `from_triples` twice
+/// held 4.27 times `Aᵀ` + the result.
+#[test]
+fn prepare_matrix_writes_the_prepared_matrix_once() {
+    let _turn = COUNTING.lock().unwrap();
+    let graph = Csc::from_triples(&generate_rmat(&RmatParams::graph500(10, 16, 3)));
+    let cfg = MclConfig::optimized(1 << 30);
+    let inline = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .unwrap();
+    let (peak, prepared) = inline.install(|| {
+        OWN.set(Some((0, 0)));
+        let prepared = hipmcl::core::serial::prepare_matrix(&graph, &cfg);
+        (OWN.replace(None).expect("an account").1 as usize, prepared)
+    });
+    let (transposed, n) = (graph.transposed().bytes(), graph.ncols());
+    let bound = transposed + prepared.bytes() + 4 * 8 * n;
+    println!(
+        "peak {peak} B; Aᵀ {transposed} B, result {} B, n {n}",
+        prepared.bytes()
+    );
+    assert!(
+        prepared.nnz() > graph.nnz(),
+        "a symmetrization worth having"
+    );
+    assert!(peak <= bound, "{peak} B held, bound {bound} B");
 }

@@ -1,6 +1,7 @@
 //! Cross-crate integration tests: the whole stack, exercised through the
 //! public umbrella API exactly the way `examples/` use it.
 
+use hipmcl::core::DistMclReport;
 use hipmcl::prelude::*;
 use hipmcl::workloads::protein::generate_protein_net;
 
@@ -37,6 +38,32 @@ fn max_ranks() -> usize {
 /// to the serial oracle's on every transport.
 #[test]
 fn the_distributed_driver_matches_serial_on_any_transport() {
+    driver_matches_serial(MclConfig::testing(12));
+}
+
+/// The same under the original-HipMCL preset, whose exact estimator sends
+/// structure-only pattern frames — bytes on a socket transport — and
+/// whose small budget plans several phases from them.
+#[test]
+fn the_distributed_driver_matches_serial_under_original_hipmcl() {
+    let budget = 4 << 10;
+    let mut cfg = MclConfig::original_hipmcl(budget);
+    cfg.prune.select = 12;
+    let (r, p) = driver_matches_serial(cfg);
+    let estimates = r
+        .estimates
+        .iter()
+        .map(|e| e.expect("an estimate every iteration"));
+    let phases: Vec<usize> = estimates
+        .inspect(|e| assert_eq!(e.scheme, "exact-symbolic"))
+        .map(|e| hipmcl::summa::estimate::plan_phases(&e, p, budget))
+        .collect();
+    assert!(phases[0] > 1, "phases per iteration {phases:?}");
+}
+
+/// Runs `cfg` serially and on up to four ranks; returns rank 0's report
+/// and the rank count.
+fn driver_matches_serial(cfg: MclConfig) -> (DistMclReport, usize) {
     let net = generate_protein_net(&ProteinNetConfig {
         n: 120,
         avg_degree: 12.0,
@@ -47,18 +74,19 @@ fn the_distributed_driver_matches_serial_on_any_transport() {
         ..Default::default()
     });
     let graph = Csc::from_triples(&net.graph);
-    let cfg = MclConfig::testing(12);
     let serial = hipmcl::core::cluster_serial(&graph, &cfg);
 
-    let reports = Universe::run_dist(4.min(max_ranks()), MachineModel::summit(), move |comm| {
+    let p = 4.min(max_ranks());
+    let reports = Universe::run_dist(p, MachineModel::summit(), move |comm| {
         let grid = ProcGrid::new(comm);
         let mut gpus = MultiGpu::summit_node(grid.world.model());
         hipmcl::core::dist::cluster_distributed(&grid, &mut gpus, &graph, &cfg)
     });
-    let r = &reports[0];
+    let r = reports.into_iter().next().expect("rank 0's report");
     assert_eq!(r.labels, serial.labels, "distributed diverged from serial");
     assert_eq!(r.num_clusters, serial.num_clusters);
     assert!(r.converged);
+    (r, p)
 }
 
 #[test]
