@@ -1,14 +1,15 @@
 //! Criterion microbenchmark: the CPU SpGEMM accumulators (heap / hash /
 //! SPA, and the hash kernel forced into hashed addressing, which no
 //! benchmark workload leaves direct addressing to reach), the exact
-//! estimator's symbolic pass, the post-expansion prune and the GPU-library
-//! kernel analogues across density regimes — the measured counterpart of
-//! the §VI selection recipe. Every case is timed at width 1
+//! estimator's symbolic pass, the post-expansion prune and a multi-GPU
+//! launch (one case: every library label runs the hash kernel) across
+//! density regimes — the measured counterpart of the §VI selection recipe. Every case is timed at width 1
 //! and at the host's width (`hipmcl_bench::scaling_pools`); the printed
 //! flops and nnz turn the times into rates.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hipmcl_comm::GpuLib;
+use hipmcl_comm::{GpuLib, MachineModel};
+use hipmcl_gpu::multi::MultiGpu;
 use hipmcl_sparse::colops::{self, PruneParams};
 use hipmcl_sparse::PlusTimes;
 use hipmcl_spgemm::hash::Addressing::Hashed;
@@ -70,11 +71,17 @@ fn local_spgemm_at(c: &mut Criterion, width: usize) {
         group.bench_with_input(BenchmarkId::new("prune", label), &product, |bch, m| {
             bch.iter(|| colops::prune(m, &PruneParams::default()))
         });
-        for lib in GpuLib::all() {
-            group.bench_with_input(BenchmarkId::new(lib.name(), label), input, |bch, (a, b)| {
-                bch.iter(|| hipmcl_gpu::libs::multiply_csc(a, b, lib))
-            });
-        }
+        let mut gpus = MultiGpu::summit_node(&MachineModel::summit());
+        group.bench_with_input(
+            BenchmarkId::new("multi-gpu", label),
+            input,
+            |bch, (a, b)| {
+                bch.iter(|| {
+                    gpus.multiply(0.0, a, b, GpuLib::Nsparse)
+                        .expect("fits a V100")
+                })
+            },
+        );
     }
     group.finish();
 }

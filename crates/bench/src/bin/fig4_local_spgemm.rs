@@ -9,6 +9,7 @@ use hipmcl_bench::*;
 use hipmcl_comm::{GpuLib, MachineModel, SpgemmKernel};
 use hipmcl_core::serial::mcl_iteration;
 use hipmcl_core::MclConfig;
+use hipmcl_gpu::multi::MultiGpu;
 use hipmcl_sparse::Csc;
 use hipmcl_workloads::Dataset;
 
@@ -33,6 +34,7 @@ fn kernel_time(model: &MachineModel, k: SpgemmKernel, flops: u64, cf: f64) -> f6
 
 fn main() {
     let model = MachineModel::summit();
+    let mut gpus = MultiGpu::summit_node(&model);
 
     let kernels: Vec<(&str, SpgemmKernel)> = vec![
         ("cpu-hash", SpgemmKernel::CpuHash),
@@ -62,18 +64,16 @@ fn main() {
         let mut totals = vec![0.0f64; kernels.len()];
         let mut hybrid_total = 0.0f64;
         for a in &iterates {
-            // Verify all kernels agree on this iterate — pattern and
-            // values: nsparse folds in cpu-hash's order, so bit for bit;
-            // bhsparse and rmerge2 fold in their own — while measuring the
-            // real product's flops/cf for the model.
+            // Verify every library label's launch gives cpu-hash's product
+            // on this iterate, bit for bit, while measuring the real
+            // product's flops/cf for the model.
             let flops = hipmcl_spgemm::flops(a, a);
             let c = hipmcl_spgemm::hash::multiply(a, a);
             for lib in GpuLib::all() {
-                let g = hipmcl_gpu::libs::multiply_csc(a, a, lib);
-                assert_eq!(g.colptr, c.colptr, "{}: pattern", lib.name());
-                assert_eq!(g.rowidx, c.rowidx, "{}: pattern", lib.name());
-                let tol = if lib == GpuLib::Nsparse { 0.0 } else { 1e-9 };
-                assert!(g.max_abs_diff(&c) <= tol, "{}: values", lib.name());
+                let (g, _) = gpus.multiply(0.0, a, a, lib).expect("fits a V100");
+                let same = g.colptr == c.colptr && g.rowidx == c.rowidx;
+                let bits = |m: &Csc<f64>| m.vals.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert!(same && bits(&g) == bits(&c), "{}: product", lib.name());
             }
             let cf = if c.nnz() == 0 {
                 1.0

@@ -11,23 +11,17 @@
 //!   timestamps are what the Pipelined Sparse SUMMA overlaps against. The
 //!   key property of §III is preserved: the host blocks only for the
 //!   transfer, never for the kernel.
-//! * [`libs`] — real Rust re-implementations of the three libraries'
-//!   algorithmic cores, column-parallel over CSC: expand–sort–compress
-//!   (`bhsparse`), binned hash accumulation (`nsparse`), iterative row
-//!   merging (`rmerge2`).
 //! * [`multi`] — multi-GPU work splitting (§III-A): copy A to every
 //!   device, split B's columns evenly, concatenate the partial outputs.
+//!   Every launch forms its product with the hash kernel of
+//!   `hipmcl-spgemm` (Nagasaka et al.'s, which nsparse runs), whatever
+//!   library label it carries: the three libraries are reproduced by their
+//!   modeled rates (Fig. 4) and their place in the schedule, not by three
+//!   arithmetics, so every label gives the same bits.
 //! * [`select`] — the paper's kernel-selection recipe: `flops` decides
-//!   CPU vs GPU, `cf` picks the library.
-//!
-//! The §III-B storage-format observation — a CSC matrix *is* its transpose
-//! in CSR, so the row-parallel CUDA libraries can be fed `Cᵀ = Bᵀ·Aᵀ`
-//! unconverted — is honoured by construction: column-parallel over CSC *is*
-//! the row-parallel CSR algorithm on `Cᵀ = Bᵀ·Aᵀ`, so the trick costs
-//! nothing here, not even a type.
+//!   CPU vs GPU, `cf` picks the library label.
 
 pub mod device;
-pub mod libs;
 pub mod multi;
 pub mod select;
 

@@ -28,12 +28,13 @@
 //! scheduler's job.
 
 use crate::merge::MergeSpan;
-use hipmcl_comm::{GpuLib, MachineModel, MergeKernel, SpgemmKernel, TimeModel, Timeline};
-use hipmcl_gpu::multi::MultiGpu;
+use hipmcl_comm::{MachineModel, MergeKernel, SpgemmKernel, TimeModel, Timeline};
+use hipmcl_gpu::multi::{Launch, MultiGpu};
 use hipmcl_sparse::{Csc, Semiring, Value};
 use hipmcl_spgemm::emit::{counted, counters, Counted, Emit};
 use hipmcl_spgemm::hybrid::realized_cf;
 use hipmcl_spgemm::CpuAlgo;
+use std::sync::atomic::AtomicUsize;
 
 /// The scheduler-side description of one local multiplication, passed to
 /// [`Executor::submit`].
@@ -56,20 +57,16 @@ pub struct LaunchSpec {
     pub time: TimeModel,
 }
 
-/// One asynchronous local multiplication, as seen by the scheduler.
+/// One asynchronous local multiplication, as seen by the scheduler: what
+/// the model charged for it.
 ///
-/// The product is real (verified against serial kernels); the timestamps
-/// are virtual. A pipelined scheduler resumes the host at
+/// The timestamps are virtual. A pipelined scheduler resumes the host at
 /// [`inputs_ready_at`](Self::inputs_ready_at); a bulk-synchronous one
 /// waits for [`output_ready_at`](Self::output_ready_at) and counts only
 /// `waited − host_compute` as idle (time the host spent computing inline
 /// is work, not waiting).
-#[derive(Debug)]
-pub struct KernelLaunch<T: Value = f64> {
-    /// What the submitted emit made of the columns of the (real) product
-    /// `A ⊗ B` in the submitted semiring: the product itself under
-    /// [`Push`](hipmcl_spgemm::emit::Push).
-    pub c: Csc<T>,
+#[derive(Clone, Copy, Debug)]
+pub struct KernelLaunch {
     /// Entries of the product, whatever the emit kept of it.
     pub nnz: usize,
     /// The kernel that produced it.
@@ -132,11 +129,28 @@ fn remote_elems(task: &MergeTask, lane: usize) -> u64 {
         .sum()
 }
 
-/// The CPU algorithm behind a CPU-side kernel selection.
+/// The host kernel that forms a launch's product: the heap for the heap,
+/// the hash kernel for every other label, the devices' included.
 fn cpu_algo(kernel: SpgemmKernel) -> CpuAlgo {
     match kernel {
         SpgemmKernel::CpuHeap => CpuAlgo::Heap,
         _ => CpuAlgo::Hash,
+    }
+}
+
+/// What the scheduler sees of a launch the devices ran: the host resumes
+/// once the inputs are transferred.
+fn device_launch(kernel: SpgemmKernel, r: Launch) -> KernelLaunch {
+    KernelLaunch {
+        nnz: r.nnz,
+        kernel,
+        inputs_ready_at: r.inputs_transferred_at,
+        output_ready_at: r.output_ready_at,
+        host_compute: 0.0,
+        kernel_time: r.output_ready_at - r.inputs_transferred_at,
+        flops: r.flops,
+        cf: r.cf,
+        measured_s: 0.0,
     }
 }
 
@@ -155,7 +169,7 @@ fn cpu_algo(kernel: SpgemmKernel) -> CpuAlgo {
 /// idle in between (the Table V "GPU idle" column):
 ///
 /// ```
-/// use hipmcl_comm::{GpuLib, MachineModel, SpgemmKernel, TimeModel};
+/// use hipmcl_comm::{MachineModel, SpgemmKernel, TimeModel};
 /// use hipmcl_gpu::multi::MultiGpu;
 /// use hipmcl_sparse::PlusTimes;
 /// use hipmcl_summa::executor::{Executor, LaunchSpec};
@@ -175,12 +189,12 @@ fn cpu_algo(kernel: SpgemmKernel) -> CpuAlgo {
 /// let mut gpus = MultiGpu::summit_node(&model);
 /// let mut exec = Executor::new(&mut gpus, &model);
 /// let pt = PlusTimes::<f64>::new();
-/// let l1 = exec.submit(pt, 0.0, &a, &a, &fpc, spec, Push);
+/// let (_, l1) = exec.submit(pt, 0.0, &a, &a, &fpc, spec, Push);
 /// assert!(l1.output_ready_at > l1.inputs_ready_at, "the host resumes first");
 /// assert_eq!(l1.host_compute, 0.0);
 ///
 /// // Ready 1 s after the first launch completed: the devices sat idle.
-/// let l2 = exec.submit(pt, l1.output_ready_at + 1.0, &a, &a, &fpc, spec, Push);
+/// let (_, l2) = exec.submit(pt, l1.output_ready_at + 1.0, &a, &a, &fpc, spec, Push);
 /// assert!(l2.output_ready_at > l1.output_ready_at);
 /// assert!(exec.device_idle() > 0.0);
 /// ```
@@ -207,18 +221,17 @@ impl<'g> Executor<'g> {
     /// Submits `C = A ⊗ B` in semiring `s` as described by `spec`,
     /// starting at host virtual time `host_now`, with each column of the
     /// product handed to `emit` as the kernel finishes it
-    /// ([`Push`](hipmcl_spgemm::emit::Push) builds the product). `fpc` is
+    /// ([`Push`](hipmcl_spgemm::emit::Push) builds the product): what
+    /// `emit` made of the columns, and the launch
+    /// [`charge`](Self::charge) charged from their counts. `fpc` is
     /// `flops_per_column(a, b)`, counted once per launch by the scheduler.
     /// Never advances a rank clock — the scheduler decides what to wait
     /// on.
     ///
-    /// What the modeled bookkeeping reads of the product — device slab
-    /// sizes, `cf`, transfer bytes — is its column counts, so a launch is
-    /// charged the same whatever `emit` makes of the columns. A GPU launch
-    /// that runs out of device memory drops the output of the columns its
-    /// devices had emitted and hands `emit` every column again from the
-    /// host hash kernel's product, so `c` is what `emit` makes of the
-    /// fallback's product, as if that had been built first.
+    /// A GPU-selected launch forms its product with the host hash kernel,
+    /// whatever its library label, as its out-of-memory fallback does: so
+    /// the fallback's product is the one formed, and only the charges
+    /// differ.
     #[allow(clippy::too_many_arguments)]
     pub fn submit<S: Semiring, E: Emit<S::Elem>>(
         &mut self,
@@ -229,41 +242,72 @@ impl<'g> Executor<'g> {
         fpc: &[u64],
         spec: LaunchSpec,
         emit: E,
-    ) -> KernelLaunch<S::Elem> {
+    ) -> (Csc<S::Elem>, KernelLaunch) {
         let w0 = spec.time.is_measured().then(std::time::Instant::now);
-        let mut launch = match spec.kernel {
-            SpgemmKernel::Gpu(lib) => self.submit_gpu(s, host_now, a, b, fpc, lib, spec, emit),
-            cpu_kernel => self.submit_cpu(s, host_now, a, b, fpc, cpu_kernel, spec.flops, emit),
-        };
+        let counts = counters(b.ncols());
+        let emit = Counted::new(emit, &counts);
+        let c = cpu_algo(spec.kernel).multiply_cols_in(s, a, b, 0..b.ncols(), fpc, emit);
         // The modeled path never touches the host clock: this sample is
         // the executor's only `Instant` read.
-        launch.measured_s = w0.map_or(0.0, |t| t.elapsed().as_secs_f64());
-        launch
+        let measured_s = w0.map_or(0.0, |t| t.elapsed().as_secs_f64());
+        let launch = self.charge(host_now, a, b, fpc, spec, &counts);
+        (
+            c,
+            KernelLaunch {
+                measured_s,
+                ..launch
+            },
+        )
+    }
+
+    /// Charges `C = A ⊗ B`, described by `spec` and started at host virtual
+    /// time `host_now`, from the product's column counts `counts` (one per
+    /// column of `B`), whenever and however the product was formed. A GPU
+    /// launch runs on the devices; one they cannot hold (out of memory) is
+    /// charged as the host hash kernel instead of killing the rank.
+    #[allow(clippy::too_many_arguments)]
+    pub fn charge<T: Value>(
+        &mut self,
+        host_now: f64,
+        a: &Csc<T>,
+        b: &Csc<T>,
+        fpc: &[u64],
+        spec: LaunchSpec,
+        counts: &[AtomicUsize],
+    ) -> KernelLaunch {
+        let SpgemmKernel::Gpu(lib) = spec.kernel else {
+            return self.charge_cpu(host_now, spec.kernel, spec.flops, counts);
+        };
+        match self.gpus.charge(host_now, a, b, fpc, lib, counts) {
+            Ok(r) => device_launch(spec.kernel, r),
+            // The devices cannot take this phase (out of memory): a busy
+            // or undersized engine degrades the launch to the host hash
+            // kernel. The modeled clock charges the CPU duration, so the
+            // slowdown shows up in reports rather than vanishing.
+            Err(e) => {
+                eprintln!(
+                    "gpu launch degraded to CpuHash: {e} (increase phases or use a CPU \
+                     policy to avoid the fallback)"
+                );
+                self.charge_cpu(host_now, SpgemmKernel::CpuHash, spec.flops, counts)
+            }
+        }
     }
 
     /// A CPU-side multiply, inline on the host, which is busy (not idle)
     /// for the whole duration and cannot issue the next broadcast
     /// meanwhile.
-    #[allow(clippy::too_many_arguments)]
-    fn submit_cpu<S: Semiring, E: Emit<S::Elem>>(
-        &mut self,
-        s: S,
+    fn charge_cpu(
+        &self,
         host_now: f64,
-        a: &Csc<S::Elem>,
-        b: &Csc<S::Elem>,
-        fpc: &[u64],
         kernel: SpgemmKernel,
         flops: u64,
-        emit: E,
-    ) -> KernelLaunch<S::Elem> {
-        let (n, counts) = (b.ncols(), counters(b.ncols()));
-        let emit = Counted::new(emit, &counts);
-        let c = cpu_algo(kernel).multiply_cols_in(s, a, b, 0..n, fpc, emit);
-        let nnz = counted(&counts, 0..n);
+        counts: &[AtomicUsize],
+    ) -> KernelLaunch {
+        let nnz = counted(counts, 0..counts.len());
         let cf = realized_cf(flops, nnz);
         let dur = self.model.spgemm_time(kernel, flops, cf);
         KernelLaunch {
-            c,
             nnz,
             kernel,
             inputs_ready_at: host_now + dur,
@@ -273,54 +317,6 @@ impl<'g> Executor<'g> {
             flops,
             cf,
             measured_s: 0.0,
-        }
-    }
-
-    /// A GPU-selected multiply: all of `B` on the devices (the host
-    /// resumes after the input transfers).
-    #[allow(clippy::too_many_arguments)]
-    fn submit_gpu<S: Semiring, E: Emit<S::Elem>>(
-        &mut self,
-        s: S,
-        host_now: f64,
-        a: &Csc<S::Elem>,
-        b: &Csc<S::Elem>,
-        fpc: &[u64],
-        lib: GpuLib,
-        spec: LaunchSpec,
-        emit: E,
-    ) -> KernelLaunch<S::Elem> {
-        match self
-            .gpus
-            .launch_in(s, host_now, a, b, fpc, lib, emit.clone())
-        {
-            Ok(r) => KernelLaunch {
-                c: r.c,
-                nnz: r.nnz,
-                kernel: spec.kernel,
-                inputs_ready_at: r.inputs_transferred_at,
-                output_ready_at: r.output_ready_at,
-                host_compute: 0.0,
-                kernel_time: r.output_ready_at - r.inputs_transferred_at,
-                flops: r.flops,
-                cf: r.cf,
-                measured_s: 0.0,
-            },
-            // The devices cannot take this phase (out of memory): a busy
-            // or undersized engine degrades the launch to the host hash
-            // kernel instead of killing the rank. The modeled clock
-            // charges the CPU duration, so the slowdown shows up in
-            // reports rather than vanishing. What the devices before the
-            // one that ran out had emitted is dropped with their output;
-            // the fallback emits every column again.
-            Err(e) => {
-                eprintln!(
-                    "gpu launch degraded to CpuHash: {e} (increase phases or use a CPU \
-                     policy to avoid the fallback)"
-                );
-                let kernel = SpgemmKernel::CpuHash;
-                self.submit_cpu(s, host_now, a, b, fpc, kernel, spec.flops, emit)
-            }
         }
     }
 
@@ -427,6 +423,7 @@ impl<'g> Executor<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hipmcl_comm::GpuLib;
     use hipmcl_sparse::{CscBuilder, Idx, PlusTimes};
     use hipmcl_spgemm::emit::Push;
     use hipmcl_spgemm::testutil::random_csc;
@@ -463,8 +460,8 @@ mod tests {
         let (m, a) = (model(), random_csc(30, 30, 260, 41));
         let mut gpus = MultiGpu::new(model(), 2, 1 << 30);
         let mut exec = Executor::new(&mut gpus, &m);
-        let l = exec.submit(pt(), 1.0, &a, &a, &fpc(&a), spec_for(&a, NSPARSE), Push);
-        assert!(l.c.max_abs_diff(&want(&a)) < 1e-9);
+        let (c, l) = exec.submit(pt(), 1.0, &a, &a, &fpc(&a), spec_for(&a, NSPARSE), Push);
+        assert_eq!(c, want(&a));
         assert!(l.inputs_ready_at > 1.0);
         assert!(
             l.output_ready_at > l.inputs_ready_at,
@@ -479,7 +476,7 @@ mod tests {
         let (m, a) = (model(), random_csc(30, 30, 260, 42));
         let mut gpus = MultiGpu::new(model(), 2, 1 << 30);
         let mut exec = Executor::new(&mut gpus, &m);
-        let l = exec.submit(
+        let (c, l) = exec.submit(
             pt(),
             1.0,
             &a,
@@ -488,7 +485,7 @@ mod tests {
             spec_for(&a, SpgemmKernel::CpuHash),
             Push,
         );
-        assert!(l.c.max_abs_diff(&want(&a)) < 1e-9);
+        assert_eq!(c, want(&a));
         assert_eq!(
             l.inputs_ready_at, l.output_ready_at,
             "host blocked for the whole kernel"
@@ -504,8 +501,8 @@ mod tests {
         // Devices far too small for the operands: every launch OOMs.
         let mut gpus = MultiGpu::new(model(), 2, 64);
         let mut exec = Executor::new(&mut gpus, &m);
-        let l = exec.submit(pt(), 1.0, &a, &a, &fpc(&a), spec_for(&a, NSPARSE), Push);
-        assert!(l.c.max_abs_diff(&want(&a)) < 1e-9, "result still correct");
+        let (c, l) = exec.submit(pt(), 1.0, &a, &a, &fpc(&a), spec_for(&a, NSPARSE), Push);
+        assert_eq!(c, want(&a), "result still correct");
         assert_eq!(
             l.kernel,
             SpgemmKernel::CpuHash,
@@ -539,8 +536,8 @@ mod tests {
                 .collect()
         }
         // Devices that hold every launch; two whose second is full, so
-        // that the first has emitted its columns when the launch runs out
-        // of memory; devices that hold nothing; and a CPU kernel inline.
+        // that the first has run its share when the launch runs out of
+        // memory; devices that hold nothing; and a CPU kernel inline.
         for (kernel, mem, full) in [
             (NSPARSE, 1 << 30, false),
             (NSPARSE, 1 << 30, true),
@@ -561,14 +558,14 @@ mod tests {
                 };
                 (l, gpus.devices[0].kernels_launched())
             };
-            let ((got, ran), (built, _)) = (launch(true), launch(false));
+            let (((got_c, got), ran), ((built_c, built), _)) = (launch(true), launch(false));
             if full {
                 assert_eq!(ran, 1, "{case}: the first device ran its share");
             }
-            assert!(built.c.max_abs_diff(&product) < 1e-9, "{case}");
-            assert_eq!(first(&got.c), first(&built.c), "{case}");
+            assert_eq!(built_c, product, "{case}");
+            assert_eq!(first(&got_c), first(&built_c), "{case}");
             let kept = first(&product).into_iter().flatten().count();
-            assert_eq!(got.c.nnz(), kept, "{case}: each column emitted once");
+            assert_eq!(got_c.nnz(), kept, "{case}: each column emitted once");
             // Charged as if built: same nnz, cf, label and instants.
             let charged = |l: &KernelLaunch| {
                 let t = [l.cf, l.inputs_ready_at, l.output_ready_at, l.kernel_time];

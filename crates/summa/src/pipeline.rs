@@ -356,7 +356,7 @@ impl<'k, S: Semiring, K: ColumnSink<S::Elem>> MergeEngine<'k, S, K> {
         b: &Csc<S::Elem>,
         fpc: &[u64],
         spec: LaunchSpec,
-    ) -> KernelLaunch<S::Elem> {
+    ) -> KernelLaunch {
         if let Some(prev) = self.pending.take() {
             self.stack.push(prev);
             self.pushed += 1;
@@ -382,7 +382,7 @@ impl<'k, S: Semiring, K: ColumnSink<S::Elem>> MergeEngine<'k, S, K> {
         let total = others.iter().map(|s| s.nnz).sum::<usize>() + estimate;
         let kernel = self.kernel(comm, total as u64, with + 1);
         let (nrows, ncols) = self.shape;
-        let mut launch = if closing {
+        let (streamed, launch) = if closing {
             let tally = Mutex::new(vec![K::Tally::default(); ncols]);
             let emit = MergeEmit::<S, K>::new(kernel, inputs, nrows, self.sink, &tally);
             let launch = exec.submit(self.sr, host_now, a, b, fpc, spec, emit);
@@ -393,7 +393,7 @@ impl<'k, S: Semiring, K: ColumnSink<S::Elem>> MergeEngine<'k, S, K> {
             let emit = MergeEmit::<S, Whole>::new(kernel, inputs, nrows, &Whole, &tally);
             exec.submit(self.sr, host_now, a, b, fpc, spec, emit)
         };
-        self.streamed = Some(std::mem::replace(&mut launch.c, Csc::zero(nrows, 0)));
+        self.streamed = Some(streamed);
         launch
     }
 
@@ -638,8 +638,9 @@ where
                     time: comm.time_model(),
                 };
                 let (now, blocks) = (comm.now(), (&*a_blk, &*b_blk));
-                let launch = if k + 1 == side {
-                    merge.stream_last(comm, exec, now, blocks.0, blocks.1, &fpc, spec)
+                let (c, launch) = if k + 1 == side {
+                    let l = merge.stream_last(comm, exec, now, blocks.0, blocks.1, &fpc, spec);
+                    (Csc::zero(0, 0), l)
                 } else {
                     exec.submit(s, now, blocks.0, blocks.1, &fpc, spec, Push)
                 };
@@ -654,7 +655,7 @@ where
                 }
                 timers.add("local_spgemm", launch.kernel_time);
                 out.timers_measured.add("local_spgemm", launch.measured_s);
-                let slab = (k + 1 < side).then_some(launch.c);
+                let slab = (k + 1 < side).then_some(c);
                 (slab, launch.nnz, launch.output_ready_at)
             };
 

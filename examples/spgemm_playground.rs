@@ -5,6 +5,7 @@
 //! Run with: `cargo run --release --example spgemm_playground`
 
 use hipmcl::comm::{GpuLib, MachineModel, SpgemmKernel};
+use hipmcl::gpu::multi::MultiGpu;
 use hipmcl::spgemm::estimate::relative_error;
 use hipmcl::spgemm::CohenEstimator;
 use hipmcl::workloads::er::generate_er_symmetric;
@@ -17,8 +18,8 @@ fn main() {
 
     println!("C = A·A on Erdos-Renyi graphs of growing density (n = {n})\n");
     println!(
-        "{:<10} {:>10} {:>8} | {:>10} {:>10} {:>10} | est(r=5) err",
-        "avg deg", "flops", "cf", "heap ms", "hash ms", "spa ms"
+        "{:<10} {:>10} {:>8} | {:>10} {:>10} {:>10} {:>10} | est(r=5) err",
+        "avg deg", "flops", "cf", "heap ms", "hash ms", "spa ms", "gpus ms"
     );
 
     for avg_deg in [4usize, 16, 64, 128] {
@@ -37,18 +38,33 @@ fn main() {
         let t_heap = time_ms(&|| hipmcl::spgemm::heap::multiply(&a, &a));
         let t_hash = time_ms(&|| hipmcl::spgemm::hash::multiply(&a, &a));
         let t_spa = time_ms(&|| hipmcl::spgemm::spa::multiply(&a, &a));
+        // A device launch forms the hash kernel's product whatever library
+        // label it carries; only the modeled rate differs.
+        let want = hipmcl::spgemm::hash::multiply(&a, &a);
+        let mut gpus = MultiGpu::summit_node(&model);
+        for lib in GpuLib::all() {
+            let (c, _) = gpus.multiply(0.0, &a, &a, lib).expect("fits a V100");
+            assert_eq!(c, want, "{} differs from cpu-hash", lib.name());
+        }
+        let t_gpu = time_ms(&|| {
+            MultiGpu::summit_node(&model)
+                .multiply(0.0, &a, &a, GpuLib::Nsparse)
+                .expect("fits")
+                .0
+        });
 
         let est = CohenEstimator::new(5, 7).estimate_total(&a, &a);
         let err = relative_error(est, exact as f64);
 
         println!(
-            "{:<10} {:>10} {:>8.2} | {:>10.2} {:>10.2} {:>10.2} | {:>10.1}%",
+            "{:<10} {:>10} {:>8.2} | {:>10.2} {:>10.2} {:>10.2} {:>10.2} | {:>10.1}%",
             avg_deg,
             flops,
             cf,
             t_heap,
             t_hash,
             t_spa,
+            t_gpu,
             err * 100.0
         );
     }

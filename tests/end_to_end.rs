@@ -231,8 +231,9 @@ fn gpu_and_cpu_paths_produce_identical_products() {
     let (graph, _, _) = small_net(10);
     let want = hipmcl::spgemm::hash::multiply(&graph, &graph);
     for lib in GpuLib::all() {
-        let got = hipmcl::gpu::libs::multiply_csc(&graph, &graph, lib);
-        assert_eq!(got.nnz(), want.nnz(), "{}", lib.name());
-        assert!(got.max_abs_diff(&want) < 1e-9, "{}", lib.name());
+        let mut gpus = MultiGpu::summit_node(&MachineModel::summit());
+        let (got, launch) = gpus.multiply(0.0, &graph, &graph, lib).unwrap();
+        assert_eq!(got, want, "{}", lib.name());
+        assert_eq!(launch.nnz, want.nnz(), "{}", lib.name());
     }
 }

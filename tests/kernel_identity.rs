@@ -1,15 +1,13 @@
-//! Every CPU SpGEMM kernel and the nsparse analogue produce the same
+//! Every CPU SpGEMM kernel and every GPU library label produce the same
 //! matrix, bit for bit: same `colptr`, same `rowidx`, `to_bits()`-equal
 //! values. The only thing that fixes a value is the order its products are
-//! folded in — ascending position within `B_{*j}` on every CPU kernel — so
-//! addressing modes, table sizes, pass counts and heap mechanics must never
-//! show here. The bhsparse and rmerge2 analogues fold in other orders: they
-//! return the same bits only on the dyadic operands below, on which every
-//! sum is exact; on generic values they keep the pattern and round some
-//! sums differently.
+//! folded in — ascending position within `B_{*j}` on every kernel — so
+//! addressing modes, table sizes, pass counts, heap mechanics and the
+//! label a device launch carries must never show here, on exact sums and
+//! on rounding ones alike.
 
-use hipmcl::comm::GpuLib;
-use hipmcl::gpu::libs::multiply_csc_in;
+use hipmcl::comm::{GpuLib, MachineModel};
+use hipmcl::gpu::multi::MultiGpu;
 use hipmcl::sparse::{Boolean, Csc, Idx, MaxMin, MinPlus, PlusTimes, Semiring, Triples, Value};
 use hipmcl::spgemm::hash::Addressing::{self, Direct, Hashed};
 use hipmcl::spgemm::{flops_per_column, hash, heap, hybrid, spa};
@@ -42,9 +40,17 @@ fn bits<T: Value>(c: &Csc<T>) -> Bits {
     (c.colptr.clone(), c.rowidx.clone(), vals)
 }
 
+/// `A ⊗ B` as a launch labeled `lib` on two devices returns it.
+fn on_devices<S: Semiring>(s: S, a: &Csc<S::Elem>, b: &Csc<S::Elem>, lib: GpuLib) -> Csc<S::Elem> {
+    let mut gpus = MultiGpu::new(MachineModel::summit(), 2, 1 << 30);
+    gpus.multiply_in(s, 0.0, a, b, lib)
+        .expect("devices of 1 GiB")
+        .0
+}
+
 /// Asserts the four CPU entry points, the hash kernel forced into each
-/// addressing mode — and, with `gpu`, the three GPU library analogues —
-/// return the same bits; returns them.
+/// addressing mode — and, with `gpu`, a device launch under each of the
+/// three GPU library labels — return the same bits; returns them.
 fn assert_identical<S: Semiring>(s: S, a: &Csc<S::Elem>, b: &Csc<S::Elem>, gpu: bool) -> Bits {
     let want = bits(&hash::multiply_in(s, a, b));
     let fpc = flops_per_column(a, b);
@@ -58,7 +64,7 @@ fn assert_identical<S: Semiring>(s: S, a: &Csc<S::Elem>, b: &Csc<S::Elem>, gpu: 
         ("hashed", hash::multiply_as(Hashed, s, a, b, &fpc)),
     ];
     if gpu {
-        others.extend(GpuLib::all().map(|lib| (lib.name(), multiply_csc_in(s, a, b, lib))));
+        others.extend(GpuLib::all().map(|lib| (lib.name(), on_devices(s, a, b, lib))));
     }
     for (name, got) in others {
         assert_eq!(bits(&got), want, "{name} differs from hash");
@@ -308,32 +314,23 @@ fn inexact_sums_fold_in_ascending_position_of_b() {
 }
 
 #[test]
-fn generic_values_round_only_in_bhsparse_and_rmerge2() {
+fn generic_values_round_alike_under_every_gpu_label() {
     use hipmcl::spgemm::testutil::random_csc;
     let pt = PlusTimes::<f64>::new();
     for seed in 0..10 {
         let a = random_csc(60, 60, 900, seed);
         let want = bits(&hash::multiply_in(pt, &a, &a));
         let fpc = flops_per_column(&a, &a);
-        let exact = [
+        let mut exact = vec![
             ("heap", heap::multiply_in(pt, &a, &a)),
             ("spa", spa::multiply_in(pt, &a, &a)),
             ("auto", hybrid::multiply_auto_in(pt, &a, &a).0),
             ("direct", hash::multiply_as(Direct, pt, &a, &a, &fpc)),
             ("hashed", hash::multiply_as(Hashed, pt, &a, &a, &fpc)),
-            ("nsparse", multiply_csc_in(pt, &a, &a, GpuLib::Nsparse)),
         ];
+        exact.extend(GpuLib::all().map(|lib| (lib.name(), on_devices(pt, &a, &a, lib))));
         for (name, got) in exact {
             assert_eq!(bits(&got), want, "seed {seed}: {name} differs from hash");
-        }
-        for lib in [GpuLib::Bhsparse, GpuLib::Rmerge2] {
-            let (colptr, rows, vals) = bits(&multiply_csc_in(pt, &a, &a, lib));
-            let case = format!("seed {seed}: {}", lib.name());
-            assert_eq!((colptr, rows), (want.0.clone(), want.1.clone()), "{case}");
-            for (&got, &w) in vals.iter().zip(&want.2) {
-                let (got, w) = (f64::from_bits(got), f64::from_bits(w));
-                assert!((got - w).abs() <= 1e-12 * w.abs(), "{case}: {got} vs {w}");
-            }
         }
     }
 }

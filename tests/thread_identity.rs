@@ -5,7 +5,6 @@
 //! ragged last blocks.)
 
 use hipmcl::comm::{GpuLib, MergeKernel};
-use hipmcl::gpu::libs::multiply_csc_in;
 use hipmcl::prelude::*;
 use hipmcl::sparse::colops::{self, PruneParams};
 use hipmcl::sparse::{Idx, PlusTimes};
@@ -76,11 +75,14 @@ fn local_spgemm_kernels() {
                 heap::multiply_in(s, &a, &a),
                 hybrid::multiply_auto_in(s, &a, &a).0,
             ];
-            let gpu = GpuLib::all().map(|lib| multiply_csc_in(s, &a, &a, lib));
+            let gpu = GpuLib::all().map(|lib| {
+                let mut gpus = MultiGpu::new(MachineModel::summit(), 2, 1 << 30);
+                gpus.multiply_in(s, 0.0, &a, &a, lib).unwrap().0
+            });
             let products: Vec<Bits> = cpu.iter().chain(&gpu).map(bits).collect();
             (counts, products)
         });
-        assert!(products[1..4].iter().all(|p| *p == products[0]));
+        assert!(products[1..].iter().all(|p| *p == products[0]));
         assert_eq!(
             products[0]
                 .0
@@ -116,14 +118,19 @@ fn multi_gpu_launch() {
     let launches = same_at_every_width(|| {
         GpuLib::all().map(|lib| {
             let mut gpus = MultiGpu::new(MachineModel::summit(), 3, 1 << 30);
-            let r = gpus.multiply_in(s, 0.0, &a, &b, lib).unwrap();
+            let (c, r) = gpus.multiply_in(s, 0.0, &a, &b, lib).unwrap();
             let clocks = [r.inputs_transferred_at, r.output_ready_at, r.cf].map(f64::to_bits);
             let charged: Vec<usize> = gpus.devices.iter().map(|d| d.peak_mem()).collect();
-            (bits(&r.c), clocks, r.flops, charged)
+            (bits(&c), clocks, r.flops, charged)
         })
     });
     for (lib, launch) in GpuLib::all().into_iter().zip(&launches) {
-        assert_eq!(launch.0, bits(&multiply_csc_in(s, &a, &b, lib)));
+        assert_eq!(
+            launch.0,
+            bits(&hash::multiply_in(s, &a, &b)),
+            "{}",
+            lib.name()
+        );
     }
 }
 
