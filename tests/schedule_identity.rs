@@ -188,3 +188,33 @@ fn the_out_of_memory_fallback_keeps_its_modeled_schedule() {
         ],
     );
 }
+
+/// Every launch on the devices, pipelined with binary merging, on devices
+/// that hold every launch: the schedules a phase runs without stage
+/// products. At p = 16 each phase merges its first two stage products,
+/// then those of stages 2 and 3 with that merge (Algorithm 2's 3-way merge
+/// at the 4th push). Captured before any phase ran without its stage
+/// products.
+#[test]
+fn every_launch_on_the_devices_keeps_its_modeled_schedule() {
+    let cfg = SummaConfig {
+        policy: SelectionPolicy::always_gpu(),
+        ..config(true)
+    };
+    let got = [4usize, 9, 16]
+        .map(|p| {
+            (
+                format!("always gpu pipelined+binary p={p}"),
+                grid_digest(p, cfg, 1 << 30),
+            )
+        })
+        .to_vec();
+    check(
+        got,
+        &[
+            0xb41d420e4ae4e906, // always gpu pipelined+binary p=4
+            0x781f4972de1ce455, // always gpu pipelined+binary p=9
+            0x039b29fbac973fb3, // always gpu pipelined+binary p=16
+        ],
+    );
+}
