@@ -525,8 +525,7 @@ impl<'a> Pattern<'a> {
 
 /// A CSC matrix under construction, column by column: what a
 /// column-parallel kernel that learns a column's size by computing it (the
-/// SpGEMM kernels and their GPU library analogues, the materializing merge
-/// kernels) writes into.
+/// SpGEMM kernels, the materializing merge kernels) writes into.
 /// Every element is written once, into the arrays the [`Csc`] will own.
 #[derive(Debug)]
 pub struct CscBuilder<T> {

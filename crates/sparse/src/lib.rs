@@ -10,9 +10,8 @@
 //! * [`Csc`] — compressed sparse column, the one format the library
 //!   computes on. MCL is a column-stochastic algorithm, so columnwise
 //!   access dominates; there is no CSR type, because a CSC matrix *is* its
-//!   transpose in CSR (§III-B) and the GPU SpGEMM analogues
-//!   (bhsparse/nsparse/rmerge2, row-parallel in CUDA) run column-parallel
-//!   over it.
+//!   transpose in CSR (§III-B) and the row-parallel CUDA SpGEMM libraries'
+//!   kernels are column-parallel over it.
 //! * [`Dcsc`] — doubly compressed sparse column for hypersparse submatrices,
 //!   as used by 2D-distributed blocks (Buluç & Gilbert, IPDPS'08). When a
 //!   matrix is split over `√P × √P` processes, each block has on average

@@ -95,8 +95,8 @@ pub trait Semiring: Copy + Send + Sync + Default + std::fmt::Debug + 'static {
     /// Semiring addition `a ⊕ b`.
     fn add(a: Self::Elem, b: Self::Elem) -> Self::Elem;
     /// Semiring multiplication `a ⊗ b`. Need not commute: every SpGEMM
-    /// kernel, CPU or GPU analogue, evaluates `mul(a_ik, b_kj)` — the left
-    /// operand comes from `A`.
+    /// kernel evaluates `mul(a_ik, b_kj)` — the left operand comes from
+    /// `A`.
     fn mul(a: Self::Elem, b: Self::Elem) -> Self::Elem;
     /// `true` if `v` equals the annihilator — such entries are dropped
     /// after accumulation instead of being stored.

@@ -1,14 +1,14 @@
 //! What a kernel does with each output column it finishes.
 //!
 //! Every local SpGEMM kernel of the workspace — the CPU hash, heap and SPA
-//! kernels here and the three GPU-library analogues in `hipmcl-gpu` — is a
+//! kernels, which every device launch in `hipmcl-gpu` runs too — is a
 //! per-column producer: it computes output column `j` in a worker's buffers
 //! and hands it to an [`Emit`], which pushes what it makes of the column to
 //! the [`CscBuilder`] the kernel returns. [`Push`] appends every column
 //! unchanged, so the kernel returns the product. An emit that merges each
-//! column into something else the moment it is finished — the last SUMMA
-//! stage's merge in `hipmcl-summa` — makes the kernel return that instead,
-//! and the product never exists.
+//! column into something else the moment it is finished — the merge that
+//! takes a SUMMA phase's stage products in `hipmcl-summa` — makes the
+//! kernel return that instead, and the product never exists.
 
 use crate::hash::{append, HashScratch};
 use hipmcl_sparse::{CscBuilder, Idx, Value};
@@ -16,10 +16,7 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 /// The one column hook of every kernel. Each worker runs its own clone, so
-/// what an emit owns is per worker. A column may reach an emit twice: a GPU
-/// launch that runs out of device memory drops the output of the columns
-/// its devices had emitted and recomputes them all on the host, so what an
-/// emit records of column `j` outside the output is overwritten, not added.
+/// what an emit owns is per worker; each column reaches one of them once.
 pub trait Emit<T: Value>: Clone + Send {
     /// At most how many entries the output takes for column `j` of a
     /// product that holds at most `bound` there — what the kernel reserves.

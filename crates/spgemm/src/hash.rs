@@ -228,8 +228,9 @@ fn sort_by_key(words: &mut Vec<u64>, spare: &mut Vec<u64>) {
 /// Accumulator reused across columns by one worker, in either addressing
 /// mode: one value per slot, found by key ([`Addressing::Direct`]) or by a
 /// `KeySet` probe ([`Addressing::Hashed`]). The one accumulator of the
-/// workspace — the CPU hash and SPA kernels and the `nsparse` analogue in
-/// `hipmcl-gpu` all run on it.
+/// workspace — the CPU hash and SPA kernels, every device launch in
+/// `hipmcl-gpu` and the stage products a SUMMA phase forms column by
+/// column all run on it.
 ///
 /// Between columns the key set is empty and every bitmap word is zero, so
 /// any prefix of the storage is a valid empty accumulator: opening only
@@ -455,7 +456,7 @@ pub fn append<T: Value>(table: &mut HashScratch<T>, j: usize, out: &mut CscBuild
 }
 
 /// The one-pass column loop of every hash kernel in the workspace (this
-/// module's, the SPA kernel, the `nsparse` analogue in `hipmcl-gpu`, the
+/// module's, the SPA kernel, every device launch in `hipmcl-gpu`, the
 /// serial MCL iteration): columns `cols` of `A · B` as an `nrows(A) ×
 /// cols.len()` matrix with room reserved for `reserve` entries.
 /// `open(table, j)` opens the worker's accumulator for output column `j` —
@@ -482,14 +483,28 @@ pub fn multiply_cols_with<S: Semiring>(
         |(table, emit), j, out| {
             let j = cols.start + j;
             open(table, j);
-            for (&k, &bv) in b.col_rows(j).iter().zip(b.col_vals(j)) {
-                let k = k as usize;
-                let scaled = a.col_vals(k).iter().map(|&av| S::mul(av, bv));
-                table.extend(sr, a.col_rows(k).iter().copied().zip(scaled));
-            }
+            accumulate(sr, table, a, b, j);
             emit(table, j, out);
         },
     )
+}
+
+/// The column body of every hash kernel: folds column `j` of `A ⊗ B` into
+/// `table`, opened for it, one product `a_ik ⊗ b_kj` at a time in
+/// ascending position `l` within `B_{*j}` — the order that fixes every
+/// value.
+pub fn accumulate<S: Semiring>(
+    sr: S,
+    table: &mut HashScratch<S::Elem>,
+    a: &Csc<S::Elem>,
+    b: &Csc<S::Elem>,
+    j: usize,
+) {
+    for (&k, &bv) in b.col_rows(j).iter().zip(b.col_vals(j)) {
+        let k = k as usize;
+        let scaled = a.col_vals(k).iter().map(|&av| S::mul(av, bv));
+        table.extend(sr, a.col_rows(k).iter().copied().zip(scaled));
+    }
 }
 
 /// Exact `nnz(C_{*j})` per output column of `A · B`. `O(flops)`, no values

@@ -12,7 +12,11 @@
 //!
 //! A *CPU-side* multiply is one whose selected kernel is a CPU kernel, or
 //! a GPU launch the devices could not hold (out of memory), which
-//! degrades to the host hash kernel instead of killing the rank. The
+//! degrades to the host hash kernel instead of killing the rank. Every
+//! launch is charged from its product's column counts ([`Executor::charge`]),
+//! so what the model sees does not depend on when or how the product was
+//! formed; a GPU launch the devices certainly hold can be charged in two
+//! halves around it ([`Executor::admit`], [`Executor::complete`]). The
 //! lanes are one [`Timeline`] per socket of the machine model. A merge
 //! ([`MergeTask`]) occupies one lane at the per-socket rate and pays the
 //! model's cross-socket penalty for inputs produced on another socket. A
@@ -28,8 +32,8 @@
 //! scheduler's job.
 
 use crate::merge::MergeSpan;
-use hipmcl_comm::{MachineModel, MergeKernel, SpgemmKernel, TimeModel, Timeline};
-use hipmcl_gpu::multi::{Launch, MultiGpu};
+use hipmcl_comm::{GpuLib, MachineModel, MergeKernel, SpgemmKernel, TimeModel, Timeline};
+use hipmcl_gpu::multi::{Admission, Launch, MultiGpu};
 use hipmcl_sparse::{Csc, Semiring, Value};
 use hipmcl_spgemm::emit::{counted, counters, Counted, Emit};
 use hipmcl_spgemm::hybrid::realized_cf;
@@ -46,8 +50,8 @@ pub struct LaunchSpec {
     pub flops: u64,
     /// Estimated compression factor `flops / nnz(C)` from the stage's
     /// Cohen probe (already clamped so `cf_est ≥ 1`); the merge engine
-    /// sizes the streamed closing merge from it before the realized `cf`
-    /// is known.
+    /// picks the kernel of the merge that takes the product as it is formed
+    /// from it, before the realized `cf` is known.
     pub cf_est: f64,
     /// The universe's time model. The executor keys its timelines off the
     /// modeled clock either way; under [`TimeModel::Measured`] it
@@ -131,10 +135,27 @@ fn remote_elems(task: &MergeTask, lane: usize) -> u64 {
 
 /// The host kernel that forms a launch's product: the heap for the heap,
 /// the hash kernel for every other label, the devices' included.
-fn cpu_algo(kernel: SpgemmKernel) -> CpuAlgo {
+pub fn host_algo(kernel: SpgemmKernel) -> CpuAlgo {
     match kernel {
         SpgemmKernel::CpuHeap => CpuAlgo::Heap,
         _ => CpuAlgo::Hash,
+    }
+}
+
+/// A GPU launch whose inputs are on its devices and whose product may be
+/// formed before [`Executor::complete`] charges the rest.
+#[derive(Debug)]
+pub struct Admitted {
+    kernel: SpgemmKernel,
+    lib: GpuLib,
+    admission: Admission,
+}
+
+impl Admitted {
+    /// Virtual time from which the host may issue the next stage's
+    /// broadcasts.
+    pub fn inputs_ready_at(&self) -> f64 {
+        self.admission.inputs_transferred_at()
     }
 }
 
@@ -169,7 +190,7 @@ fn device_launch(kernel: SpgemmKernel, r: Launch) -> KernelLaunch {
 /// idle in between (the Table V "GPU idle" column):
 ///
 /// ```
-/// use hipmcl_comm::{MachineModel, SpgemmKernel, TimeModel};
+/// use hipmcl_comm::{GpuLib, MachineModel, SpgemmKernel, TimeModel};
 /// use hipmcl_gpu::multi::MultiGpu;
 /// use hipmcl_sparse::PlusTimes;
 /// use hipmcl_summa::executor::{Executor, LaunchSpec};
@@ -246,7 +267,7 @@ impl<'g> Executor<'g> {
         let w0 = spec.time.is_measured().then(std::time::Instant::now);
         let counts = counters(b.ncols());
         let emit = Counted::new(emit, &counts);
-        let c = cpu_algo(spec.kernel).multiply_cols_in(s, a, b, 0..b.ncols(), fpc, emit);
+        let c = host_algo(spec.kernel).multiply_cols_in(s, a, b, 0..b.ncols(), fpc, emit);
         // The modeled path never touches the host clock: this sample is
         // the executor's only `Instant` read.
         let measured_s = w0.map_or(0.0, |t| t.elapsed().as_secs_f64());
@@ -292,6 +313,49 @@ impl<'g> Executor<'g> {
                 self.charge_cpu(host_now, SpgemmKernel::CpuHash, spec.flops, counts)
             }
         }
+    }
+
+    /// Admits `C = A ⊗ B`, described by `spec` and started at host virtual
+    /// time `host_now`, if it is a GPU launch its devices certainly hold
+    /// ([`MultiGpu::admit`]): its inputs are transferred, and the host may
+    /// resume at [`Admitted::inputs_ready_at`], before the product is
+    /// formed. [`complete`](Self::complete) charges the rest once it is.
+    /// Anything else is not admitted, and nothing is charged.
+    pub fn admit<T: Value>(
+        &mut self,
+        host_now: f64,
+        a: &Csc<T>,
+        b: &Csc<T>,
+        fpc: &[u64],
+        spec: LaunchSpec,
+    ) -> Option<Admitted> {
+        let SpgemmKernel::Gpu(lib) = spec.kernel else {
+            return None;
+        };
+        let admission = self.gpus.admit(host_now, a, b, fpc)?;
+        Some(Admitted {
+            kernel: spec.kernel,
+            lib,
+            admission,
+        })
+    }
+
+    /// Charges the rest of an admitted launch from the product's column
+    /// counts `counts`: as [`charge`](Self::charge) would have charged the
+    /// whole launch at the instant it was admitted. `T` is the product's
+    /// element type.
+    pub fn complete<T: Value>(
+        &mut self,
+        admitted: Admitted,
+        fpc: &[u64],
+        counts: &[AtomicUsize],
+    ) -> KernelLaunch {
+        let Admitted {
+            kernel,
+            lib,
+            admission,
+        } = admitted;
+        device_launch(kernel, self.gpus.complete::<T>(admission, fpc, lib, counts))
     }
 
     /// A CPU-side multiply, inline on the host, which is busy (not idle)
@@ -423,7 +487,6 @@ impl<'g> Executor<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hipmcl_comm::GpuLib;
     use hipmcl_sparse::{CscBuilder, Idx, PlusTimes};
     use hipmcl_spgemm::emit::Push;
     use hipmcl_spgemm::testutil::random_csc;

@@ -63,11 +63,12 @@
 //! column, and the result is the merged slab. The pipeline passes a
 //! phase's closing merge through its caller's sink instead, and the
 //! distributed prune's sink keeps only what the prune reads, so that slab
-//! never exists. A kernel's columns reach a merge as views, so one input
-//! can be the column a kernel just finished: the merge that takes a
-//! phase's last stage product is that kernel's emit (`MergeEmit`), and the
-//! product is never built either. Its lane task is still submitted where a
-//! built product's merge would be, from the product's column counts.
+//! never exists. A kernel's columns reach a merge as views, so the inputs
+//! of a merge can be columns just formed: the merge that takes a group of
+//! a phase's stage products is the emit (`MergeEmit`) of the kernel that
+//! forms the group's last one, and forms the other on the spot, so no
+//! stage product is built either. Its lane task is still submitted where a
+//! built product's merge would be, from the products' column counts.
 //!
 //! Virtual-time accounting does **not** live here: a merge is an
 //! [`Executor`](crate::executor::Executor) task, submitted by the pipeline
@@ -80,6 +81,8 @@ use hipmcl_comm::{MachineModel, MergeKernel};
 use hipmcl_sparse::util::Tournament;
 use hipmcl_sparse::{Csc, CscBuilder, Idx, PlusTimes, Semiring, Value};
 use hipmcl_spgemm::emit::Emit;
+use hipmcl_spgemm::hash::HashScratch;
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Mutex;
 
 /// Which merging schedule a SUMMA run uses.
@@ -143,9 +146,9 @@ pub struct MergeSpan {
     /// Virtual time the merged slab became available.
     pub end: f64,
     /// The kernel the task is timed with, chosen from its real input
-    /// size: the one that ran it, except that under `Auto` a phase's merge
-    /// of its streamed last product ran the one its estimated size chose
-    /// (every kernel gives the same bits).
+    /// size: the one that ran it, except that under `Auto` the merge that
+    /// takes a group of stage products ran the one their estimated size
+    /// chose (every kernel gives the same bits).
     pub kernel: MergeKernel,
     /// Fan-in (number of lists merged).
     pub ways: usize,
@@ -223,9 +226,6 @@ impl<T: Value> SpaScratch<T> {
 pub trait ColumnSink<T: Value>: Sync {
     /// What the sink records of a column besides the entries it keeps.
     type Tally: Copy + Default + Send;
-    /// Whether the sink keeps every column whole, so that a matrix it
-    /// sinks is kept as it is, by move.
-    const WHOLE: bool = false;
     /// At most how many entries of an `n`-entry column it keeps, as far as
     /// it knows beforehand — what a packed slab reserves room for.
     fn room(&self, n: usize) -> usize;
@@ -246,7 +246,6 @@ pub struct Whole;
 
 impl<T: Value> ColumnSink<T> for Whole {
     type Tally = ();
-    const WHOLE: bool = true;
     fn room(&self, n: usize) -> usize {
         n
     }
@@ -317,79 +316,126 @@ pub(crate) fn merge_into<S: Semiring, K: ColumnSink<S::Elem>>(
     let bounds = (0..shape.1).map(|j| mats.iter().map(|m| m.col_nnz(j)).sum());
     let scratch = ColumnScratch::default();
     sink_columns(shape.0, shape.1, bounds, sink, scratch, |w, j, emit| {
-        let n = merge_views::<S>(kernel, mats, j, None, shape.0, w);
+        let n = merge_views::<S>(kernel, mats, j, &[], shape.0, w);
         emit(&w.rows[..n], &w.vals[..n])
     })
 }
 
 /// The merge that takes a kernel's product column by column: each column
-/// the kernel finishes is merged with column `j` of `inputs`, as the last
-/// list, and what `sink` keeps of the result goes to the kernel's output,
-/// with its tally in `tally[j]` — so the product is never built. With no
-/// inputs the column goes to the sink as it is. The pipeline hands the
-/// phase's last stage launch one of these ([`Emit`]), and the result is
-/// bit-identical to merging the built product: a merged column depends on
-/// its inputs' columns alone.
+/// the kernel finishes is merged with column `j` of `inputs`, then of the
+/// `spot` stage, which it forms on the spot, then the kernel's column as
+/// the last list, and what the sink keeps of the result goes to the
+/// kernel's output, with its tally in `tally[j]` — without a sink, the
+/// merged column whole. So neither product is built. A column with nothing
+/// to merge it with goes to the sink as it is. The pipeline hands the
+/// merge that takes a group of a phase's stages one of these ([`Emit`]),
+/// and the result is bit-identical to merging built products: a merged
+/// column depends on its inputs' columns alone.
 pub(crate) struct MergeEmit<'a, S: Semiring, K: ColumnSink<S::Elem>> {
     kernel: MergeKernel,
     inputs: Vec<&'a Csc<S::Elem>>,
+    spot: Option<Spot<'a, S::Elem>>,
     nrows: usize,
-    sink: &'a K,
+    sink: Option<&'a K>,
     tally: &'a Mutex<Vec<K::Tally>>,
     scratch: ColumnScratch<S::Elem>,
     spare: Vec<S::Elem>,
+    table: HashScratch<S::Elem>,
+    formed: (Vec<Idx>, Vec<S::Elem>),
+}
+
+/// A stage product a [`MergeEmit`] forms column by column as it merges:
+/// `A · B` given `fpc = flops_per_column(a, b)`, with each column's length
+/// noted in `counts` — what the launch is charged from.
+#[derive(Clone, Copy)]
+pub(crate) struct Spot<'a, T: Value> {
+    pub a: &'a Csc<T>,
+    pub b: &'a Csc<T>,
+    pub fpc: &'a [u64],
+    pub counts: &'a [AtomicUsize],
 }
 
 impl<'a, S: Semiring, K: ColumnSink<S::Elem>> MergeEmit<'a, S, K> {
-    /// Merges with `kernel` into `sink`, its tallies in `tally`, one per
-    /// column of a product of `nrows` rows.
+    /// Merges with `kernel` into `sink` (the merged columns whole without
+    /// one), its tallies in `tally`, one per column of a product of
+    /// `nrows` rows.
     pub(crate) fn new(
         kernel: MergeKernel,
         inputs: Vec<&'a Csc<S::Elem>>,
+        spot: Option<Spot<'a, S::Elem>>,
         nrows: usize,
-        sink: &'a K,
+        sink: Option<&'a K>,
         tally: &'a Mutex<Vec<K::Tally>>,
     ) -> Self {
         Self {
             kernel,
             inputs,
+            spot,
             nrows,
             sink,
             tally,
             scratch: ColumnScratch::default(),
             spare: Vec::new(),
+            table: HashScratch::default(),
+            formed: (Vec::new(), Vec::new()),
         }
+    }
+
+    /// What is kept of a column of `n` entries at most.
+    fn room_for(&self, n: usize) -> usize {
+        self.sink.map_or(n, |k| k.room(n))
     }
 }
 
 impl<S: Semiring, K: ColumnSink<S::Elem>> Clone for MergeEmit<'_, S, K> {
     fn clone(&self) -> Self {
-        Self::new(
-            self.kernel,
-            self.inputs.clone(),
-            self.nrows,
-            self.sink,
-            self.tally,
-        )
+        let (inputs, spot) = (self.inputs.clone(), self.spot);
+        Self::new(self.kernel, inputs, spot, self.nrows, self.sink, self.tally)
     }
 }
 
 impl<S: Semiring, K: ColumnSink<S::Elem>> Emit<S::Elem> for MergeEmit<'_, S, K> {
     fn room(&self, j: usize, bound: usize) -> usize {
         let inputs: usize = self.inputs.iter().map(|m| m.col_nnz(j)).sum();
-        self.sink.room(bound + inputs)
+        let spot = self.spot.map_or(0, |p| (p.fpc[j] as usize).min(self.nrows));
+        self.room_for(bound + inputs + spot)
     }
 
     fn emit(&mut self, j: usize, rows: &[Idx], vals: &[S::Elem], out: &mut CscBuilder<S::Elem>) {
-        let tally = if self.inputs.is_empty() {
-            self.sink.pack(rows, vals, &mut self.spare, out)
-        } else {
-            let (w, last) = (&mut self.scratch, Some((rows, vals)));
-            let n = merge_views::<S>(self.kernel, &self.inputs, j, last, self.nrows, w);
-            self.sink
-                .pack(&w.rows[..n], &w.vals[..n], &mut self.spare, out)
+        if let Some(p) = self.spot {
+            let table = &mut self.table;
+            table.open((p.fpc[j] as usize).min(self.nrows), self.nrows);
+            hipmcl_spgemm::hash::accumulate(S::default(), table, p.a, p.b, j);
+            p.counts[j].store(table.len(), Relaxed);
+            let (f_rows, f_vals) = &mut self.formed;
+            f_rows.resize(table.len(), 0);
+            f_vals.resize(table.len(), S::Elem::default());
+            table.drain_sorted_into(j, f_rows, f_vals);
+        }
+        let (kernel_col, both);
+        kernel_col = (rows, vals);
+        let last: &[View<S::Elem>] = match self.spot {
+            Some(_) => {
+                both = [(&self.formed.0[..], &self.formed.1[..]), kernel_col];
+                &both
+            }
+            None => std::slice::from_ref(&kernel_col),
         };
-        self.tally.lock().expect("nothing panics under the lock")[j] = tally;
+        let (rows, vals) = match (self.inputs.is_empty(), last) {
+            (true, [only]) => *only,
+            _ => {
+                let w = &mut self.scratch;
+                let n = merge_views::<S>(self.kernel, &self.inputs, j, last, self.nrows, w);
+                (&w.rows[..n], &w.vals[..n])
+            }
+        };
+        match self.sink {
+            Some(sink) => {
+                let tally = sink.pack(rows, vals, &mut self.spare, out);
+                self.tally.lock().expect("nothing panics under the lock")[j] = tally;
+            }
+            None => out.push_column(rows, vals),
+        }
     }
 }
 
@@ -466,20 +512,20 @@ fn grow<T: Value>(rows: &mut Vec<Idx>, vals: &mut Vec<T>, n: usize) {
     }
 }
 
-/// Merges column `j` of `mats`, then `last` if given, as the lists of one
-/// merge (fan-in ≥ 2) of `nrows`-row columns with `kernel` into
+/// Merges column `j` of `mats`, then the columns `last`, as the lists of
+/// one merge (fan-in ≥ 2) of `nrows`-row columns with `kernel` into
 /// `w.rows`/`w.vals`, and returns how many entries it has.
 fn merge_views<S: Semiring>(
     kernel: MergeKernel,
     mats: &[&Csc<S::Elem>],
     j: usize,
-    last: Option<View<'_, S::Elem>>,
+    last: &[View<'_, S::Elem>],
     nrows: usize,
     w: &mut ColumnScratch<S::Elem>,
 ) -> usize {
     let mut views = recycle(std::mem::take(&mut w.views));
     views.extend(mats.iter().map(|m| (m.col_rows(j), m.col_vals(j))));
-    views.extend(last);
+    views.extend_from_slice(last);
     let n = merge_column::<S>(kernel, &views, nrows, w);
     w.views = recycle(views);
     n

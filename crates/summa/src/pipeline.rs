@@ -18,23 +18,40 @@
 //! runs is the executor's business, and the pipelined/bulk-sync
 //! distinction is a property of this scheduler, not of the kernel.
 //!
-//! # The last stage product is not built
+//! # No stage product is built
 //!
-//! A phase's last kernel hands each column it finishes to the merge that
-//! first takes its product (the closing merge on a 2×2 grid, through the
-//! caller's sink; straight into the sink when a 1×1 phase has nothing to
-//! merge), which merges it with the same column of the stack's entries on
-//! the spot: the output columns of a sum of sparse matrices are
-//! independent. Any merge Algorithm 2 triggers among earlier slabs when
-//! that product arrives runs for real before the kernel, so the stack
-//! holds what the streaming merge reads. A launch that runs out of device
-//! memory hands the merge every column again from its host fallback
-//! (`Executor::submit`), as that fallback's built product would be merged.
-//! Every modeled submission — launch, merge task, wait — happens where and
-//! when it would for a built product, from the product's column counts
-//! alone, and every merge kernel is bit-identical, so results and modeled
-//! schedules cannot tell streaming from building.
+//! The stage products that one Algorithm 2 merge takes first form a
+//! *group*: under `Binary` stages `2j` and `2j + 1` (an odd last stage
+//! alone), under `Multiway` all of them. The output columns of a sum of
+//! sparse products are independent (arXiv:2112.10223), so that merge runs
+//! column by column as the group's products are formed: each column of
+//! each stage is accumulated by the hash kernel's column body, merged on
+//! the spot with the same column of the stack entries the merge takes
+//! besides, and packed through the caller's sink if the merge closes the
+//! phase. Only the results of merges that do not close the phase (grids of
+//! side ≥ 3) are built.
 //!
+//! A group of at most two stages whose first launch the devices certainly
+//! hold (`Executor::admit`) is formed in one pass after both stages'
+//! panels arrived, and this reorders nothing on the modeled clock. After a
+//! device launch the host resumes at `inputs_ready_at`, which depends only
+//! on the input bytes and on the copy engine's queue, and that queue holds
+//! only the *previous* launch's transfer back. So the first launch's real
+//! compute may move past the next exchange, whose sends go out at the
+//! clock they always did — but not past the one after it, which waits for
+//! the second launch's inputs, queued behind the first launch's output.
+//! Hence groups of at most two stages: each panel exchange is followed by
+//! its launch's admission, then one column pass forms the group and notes
+//! each stage's column counts, and then the launches are completed
+//! (`Executor::complete`, `Executor::charge`) and the lane tasks submitted
+//! in stage order, from those counts. Every other group — a CPU-side first
+//! launch, bulk synchronous, devices the bound does not show to hold it,
+//! `Multiway` with `√P ≥ 3` — runs in stage order: each launch in turn,
+//! the earlier products built and the last one formed into the group's
+//! merge. Every merge kernel and every launch label give the same bits,
+//! so results and modeled schedules cannot tell either way from building
+//! every product.
+
 //! # Per-stage communication selection
 //!
 //! Under [`CommPolicy::Hybrid`] each stage operand panel is moved by
@@ -51,10 +68,10 @@
 //! hidden constant.
 
 use crate::distmat::{Operand, Panel};
-use crate::executor::{Executor, KernelLaunch, LaunchSpec, MergeTask};
+use crate::executor::{host_algo, Executor, KernelLaunch, LaunchSpec, MergeTask};
 use crate::merge::{
     algorithm2_merge_count, merge_into, select_merge_kernel, sink_slab, ColumnSink, MergeEmit,
-    MergeKernelPolicy, MergeSpan, MergeStats, MergeStrategy, Packed, Whole,
+    MergeKernelPolicy, MergeSpan, MergeStats, MergeStrategy, Packed, Spot, Whole,
 };
 use crate::spgemm::{CommChoice, CommPolicy, SummaConfig};
 use hipmcl_comm::clock::StageTimers;
@@ -66,8 +83,9 @@ use hipmcl_comm::{
 use hipmcl_gpu::select::select_kernel;
 use hipmcl_sparse::util::even_chunk;
 use hipmcl_sparse::{Csc, Dcsc, Semiring, Value};
-use hipmcl_spgemm::emit::Push;
+use hipmcl_spgemm::emit::{counters, Counted, Push};
 use hipmcl_spgemm::{CohenEstimator, MultAnalysis};
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 /// Broadcast payload: a shared block plus its hypersparse wire size.
@@ -158,12 +176,11 @@ pub(crate) struct PipelineOutcome<T: Value = f64> {
     pub timers_measured: StageTimers,
 }
 
-/// A stage product waiting on the merge stack: the real matrix (a kernel
-/// product or what a previous merge wrote — `None` for the phase's last
-/// product, whose kernel streamed it into the merge that takes it), its
-/// entries, the virtual time it exists from, and the merge lane that
-/// produced it (`None` for kernel products, which have no socket
-/// affinity). The home is a *modeled* attribute — it prices the
+/// An entry of the merge stack: what a merge wrote (`None` for a stage
+/// product, which is never built: the merge that takes its group formed
+/// its columns), its entries, the virtual time it exists from, and the
+/// merge lane that produced it (`None` for kernel products, which have no
+/// socket affinity). The home is a *modeled* attribute — it prices the
 /// cross-socket penalty in `submit_merge`; the matrix itself is the rank's
 /// wherever the merge was placed.
 struct Slab<T: Value> {
@@ -173,13 +190,16 @@ struct Slab<T: Value> {
     home: Option<usize>,
 }
 
-/// A merge whose real work is done and whose lane task is still to be
-/// submitted: the task, when its inputs are ready, and the wall seconds
-/// the real work took.
-struct Job {
-    task: MergeTask,
-    ready: f64,
-    measured_s: f64,
+/// The stages whose products one merge takes first: under `Binary` stages
+/// `2j` and `2j + 1` (an odd last stage alone), under `Multiway` all.
+fn groups(side: usize, strategy: MergeStrategy) -> impl Iterator<Item = Range<usize>> {
+    let width = match strategy {
+        MergeStrategy::Binary => 2,
+        MergeStrategy::Multiway => side.max(1),
+    };
+    (0..side)
+        .step_by(width)
+        .map(move |k| k..side.min(k + width))
 }
 
 /// Sinks stage products into the configured merge scheme. Every merge
@@ -192,14 +212,12 @@ struct Job {
 /// one that takes the whole stack once every stage product is in — passes
 /// each column it finishes through `sink`, whose tally it keeps.
 ///
-/// The phase's last stage product is never built
-/// ([`stream_last`](Self::stream_last)): its kernel hands each column to
-/// the merge that first takes the product, which merges it with the same
-/// column of the other inputs on the spot. The lane tasks are submitted
-/// exactly where they would be for a built product, so the modeled
-/// schedule cannot tell the two apart.
+/// No stage product is built. The merge that takes a group of stages
+/// first runs as their columns are formed ([`group_emit`](Self::group_emit)),
+/// and its result waits in `formed` until Algorithm 2 triggers that merge;
+/// its lane task is submitted then, exactly where it would be for built
+/// products, so the modeled schedule cannot tell the two apart.
 struct MergeEngine<'k, S: Semiring, K: ColumnSink<S::Elem>> {
-    sr: S,
     strategy: MergeStrategy,
     policy: MergeKernelPolicy,
     pipelined: bool,
@@ -210,14 +228,9 @@ struct MergeEngine<'k, S: Semiring, K: ColumnSink<S::Elem>> {
     stack: Vec<Slab<S::Elem>>,
     pushed: usize,
     pending: Option<Slab<S::Elem>>,
-    /// The lane task of the merge that pushing the pending slab triggered
-    /// before the last kernel ran, which `accept` submits where the push
-    /// used to happen.
-    early: Option<Job>,
-    /// What the last kernel streamed into the merge that first takes its
-    /// product, until that merge (whose tally, if it closes the phase, is
-    /// in `tally` already).
-    streamed: Option<Csc<S::Elem>>,
+    /// What the merge that takes the current group made of it, until that
+    /// merge.
+    formed: Option<Csc<S::Elem>>,
     /// The closing merge's tally, once it ran.
     tally: Option<Vec<K::Tally>>,
     spans: Vec<MergeSpan>,
@@ -225,9 +238,8 @@ struct MergeEngine<'k, S: Semiring, K: ColumnSink<S::Elem>> {
 }
 
 impl<'k, S: Semiring, K: ColumnSink<S::Elem>> MergeEngine<'k, S, K> {
-    fn new(sr: S, cfg: &SummaConfig, shape: (usize, usize), stages: usize, sink: &'k K) -> Self {
+    fn new(cfg: &SummaConfig, shape: (usize, usize), stages: usize, sink: &'k K) -> Self {
         Self {
-            sr,
             strategy: cfg.merge,
             policy: cfg.merge_kernel,
             pipelined: cfg.pipelined,
@@ -237,8 +249,7 @@ impl<'k, S: Semiring, K: ColumnSink<S::Elem>> MergeEngine<'k, S, K> {
             stack: Vec::new(),
             pushed: 0,
             pending: None,
-            early: None,
-            streamed: None,
+            formed: None,
             tally: None,
             spans: Vec::new(),
             stats: MergeStats::default(),
@@ -253,20 +264,62 @@ impl<'k, S: Semiring, K: ColumnSink<S::Elem>> MergeEngine<'k, S, K> {
         }
     }
 
+    /// The emit of the merge that takes the stages `group` of a phase of
+    /// `stages`, with `built` the products of the group's stages formed
+    /// already, in stage order, and `spot` one the emit forms itself; the
+    /// kernel it is handed to forms the group's last. Its other inputs are
+    /// the stack's merge results that Algorithm 2 merges with the group,
+    /// and it packs through the sink (with its tallies in `tally`) if it
+    /// closes the phase, which the flag says; [`formed`](Self::formed)
+    /// takes what it made. Under `Auto` its real kernel is chosen from the
+    /// estimated entries `estimate` of the stage products it forms; its
+    /// lane task is labeled and timed with the kernel the real size
+    /// selects (`merge_now`), and every kernel gives the same bits.
+    #[allow(clippy::too_many_arguments)]
+    fn group_emit<'e>(
+        &'e self,
+        comm: &Comm,
+        group: &Range<usize>,
+        stages: usize,
+        built: &'e [Csc<S::Elem>],
+        spot: Option<Spot<'e, S::Elem>>,
+        estimate: usize,
+        tally: &'e Mutex<Vec<K::Tally>>,
+    ) -> (MergeEmit<'e, S, K>, bool) {
+        let results: Vec<&Csc<S::Elem>> = self.stack.iter().filter_map(|s| s.m.as_ref()).collect();
+        let with = match (self.strategy, group.len()) {
+            (MergeStrategy::Binary, 2) => algorithm2_merge_count(group.end) - 2,
+            _ => results.len(),
+        };
+        let closing = group.end == stages && with == results.len();
+        let mut inputs = results[results.len() - with..].to_vec();
+        inputs.extend(built);
+        let total = inputs.iter().map(|m| m.nnz()).sum::<usize>() + estimate;
+        let kernel = self.kernel(comm, total as u64, inputs.len() + group.len() - built.len());
+        let sink = closing.then(|| {
+            *tally.lock().expect("nothing panics under the lock") =
+                vec![K::Tally::default(); self.shape.1];
+            self.sink
+        });
+        let emit = MergeEmit::new(kernel, inputs, spot, self.shape.0, sink, tally);
+        (emit, closing)
+    }
+
+    /// Takes what the emit of [`group_emit`](Self::group_emit) made, with
+    /// the tally it kept if it closed the phase.
+    fn formed(&mut self, merged: Csc<S::Elem>, tally: Option<Vec<K::Tally>>) {
+        self.formed = Some(merged);
+        if tally.is_some() {
+            self.tally = tally;
+        }
+    }
+
     /// Merges the top `count` stack entries as one executor task: the
     /// task is ready when its last input is, the chosen kernel does the
     /// real work, and the result re-enters the stack homed on the lane
     /// the executor placed it on; its inputs are freed. The closing merge
     /// goes through the sink.
     fn do_merge(&mut self, comm: &Comm, exec: &mut Executor<'_>, count: usize) {
-        let job = self.merge_now(comm, count);
-        self.submit(exec, job);
-    }
-
-    /// The real work of merging the top `count` stack entries — or, if the
-    /// last of them is the streamed product, what its kernel merged — with
-    /// the result stacked in their place; its lane task is `submit`'s.
-    fn merge_now(&mut self, comm: &Comm, count: usize) -> Job {
         let closing = self.due == 0 && self.pending.is_none() && count == self.stack.len();
         let tail: Vec<Slab<S::Elem>> = self.stack.split_off(self.stack.len() - count);
         let inputs: Vec<(u64, Option<usize>)> =
@@ -281,41 +334,29 @@ impl<'k, S: Semiring, K: ColumnSink<S::Elem>> MergeEngine<'k, S, K> {
         let mats: Option<Vec<&Csc<S::Elem>>> = tail.iter().map(|s| s.m.as_ref()).collect();
         let merged = match (mats, closing) {
             (Some(mats), true) => {
-                let packed = merge_into(self.sr, kernel, &mats, self.shape, self.sink);
+                let packed = merge_into(S::default(), kernel, &mats, self.shape, self.sink);
                 self.tally = Some(packed.tally);
                 packed.cols
             }
-            (Some(mats), false) => merge_into(self.sr, kernel, &mats, self.shape, &Whole).cols,
-            (None, _) => self.streamed.take().expect("the last kernel streamed here"),
+            (Some(mats), false) => merge_into(S::default(), kernel, &mats, self.shape, &Whole).cols,
+            (None, _) => self.formed.take().expect("the group's merge formed it"),
         };
         let measured_s = comm.measured_now() - w0;
         drop(tail);
-        self.stack.push(Slab {
-            nnz: merged.nnz(),
-            m: Some(merged),
-            ready: f64::NAN,
-            home: None,
-        });
-        Job {
-            task: MergeTask { kernel, inputs },
-            ready,
-            measured_s,
-        }
-    }
-
-    /// Submits `job`'s lane task and dates the slab it stacked, which is
-    /// still the top one, by it.
-    fn submit(&mut self, exec: &mut Executor<'_>, job: Job) {
-        let mut span = exec.submit_merge(job.ready, &job.task);
-        span.measured_s = job.measured_s;
-        let total = job.task.total_elems();
+        let task = MergeTask { kernel, inputs };
+        let mut span = exec.submit_merge(ready, &task);
+        span.measured_s = measured_s;
         self.stats.peak_merge_elems = self.stats.peak_merge_elems.max(total as usize);
         self.stats.total_merged_elems += total;
         self.stats.merge_ops += 1;
         self.stats.merge_time += span.duration();
         self.stats.measured_merge_s += span.measured_s;
-        let top = self.stack.last_mut().expect("the merge's slab");
-        (top.ready, top.home) = (span.end, Some(span.lane));
+        self.stack.push(Slab {
+            nnz: merged.nnz(),
+            m: Some(merged),
+            ready: span.end,
+            home: Some(span.lane),
+        });
         self.spans.push(span);
     }
 
@@ -329,115 +370,38 @@ impl<'k, S: Semiring, K: ColumnSink<S::Elem>> MergeEngine<'k, S, K> {
         }
     }
 
-    /// Submits the phase's last stage launch with its columns streamed
-    /// into the merge that first takes its product, and returns the launch,
-    /// whose output that merge keeps.
-    ///
-    /// Under pipelined binary merging, accepting the last product pushes
-    /// the pending slab first; that push, and the merge it may trigger
-    /// among earlier slabs, run for real here, before the kernel, and
-    /// their lane task is submitted in `accept` as before. The merge that
-    /// takes the last product then reads the stack as it is now: the
-    /// entries it merges besides the product, and whether it closes the
-    /// phase — through the sink — follow from Algorithm 2 and the stack's
-    /// depth. With nothing to merge it with (one stage), the product's
-    /// columns go to the sink as they are. Under `Auto` its real kernel is
-    /// chosen from the launch's estimated product size, the only one known
-    /// before the kernel runs; its lane task is labeled and timed with the
-    /// kernel the real size selects (`merge_now`), and every kernel gives
-    /// the same bits.
-    #[allow(clippy::too_many_arguments)]
-    fn stream_last(
-        &mut self,
-        comm: &Comm,
-        exec: &mut Executor<'_>,
-        host_now: f64,
-        a: &Csc<S::Elem>,
-        b: &Csc<S::Elem>,
-        fpc: &[u64],
-        spec: LaunchSpec,
-    ) -> KernelLaunch {
+    /// Under pipelined binary merging, pushes the slab held back one stage:
+    /// its merge (if Algorithm 2 triggers one) overlaps this stage's
+    /// kernel on the merge lane.
+    fn flush_pending(&mut self, comm: &Comm, exec: &mut Executor<'_>) {
         if let Some(prev) = self.pending.take() {
-            self.stack.push(prev);
-            self.pushed += 1;
-            let count = algorithm2_merge_count(self.pushed);
-            if count > 0 {
-                self.early = Some(self.merge_now(comm, count));
-            }
+            self.push_binary(comm, exec, prev);
         }
-        let count = match self.strategy {
-            MergeStrategy::Binary => algorithm2_merge_count(self.pushed + 1),
-            MergeStrategy::Multiway => 0,
-        };
-        let (with, closing) = match count {
-            0 => (self.stack.len(), true),
-            c => (c - 1, c - 1 == self.stack.len()),
-        };
-        let others = &self.stack[self.stack.len() - with..];
-        let inputs: Vec<&Csc<S::Elem>> = others
-            .iter()
-            .map(|s| s.m.as_ref().expect("earlier products are built"))
-            .collect();
-        let estimate = (spec.flops as f64 / spec.cf_est) as usize;
-        let total = others.iter().map(|s| s.nnz).sum::<usize>() + estimate;
-        let kernel = self.kernel(comm, total as u64, with + 1);
-        let (nrows, ncols) = self.shape;
-        let (streamed, launch) = if closing {
-            let tally = Mutex::new(vec![K::Tally::default(); ncols]);
-            let emit = MergeEmit::<S, K>::new(kernel, inputs, nrows, self.sink, &tally);
-            let launch = exec.submit(self.sr, host_now, a, b, fpc, spec, emit);
-            self.tally = Some(tally.into_inner().expect("nothing panics under the lock"));
-            launch
-        } else {
-            let tally = Mutex::new(vec![(); ncols]);
-            let emit = MergeEmit::<S, Whole>::new(kernel, inputs, nrows, &Whole, &tally);
-            exec.submit(self.sr, host_now, a, b, fpc, spec, emit)
-        };
-        self.streamed = Some(streamed);
-        launch
     }
 
     /// Accepts a stage product of `nnz` entries that is mergeable from
-    /// `ready_at`: `m`, or nothing for the last one, which its kernel
-    /// streamed.
-    fn accept(
-        &mut self,
-        comm: &Comm,
-        exec: &mut Executor<'_>,
-        m: Option<Csc<S::Elem>>,
-        nnz: usize,
-        ready_at: f64,
-    ) {
+    /// `ready_at`.
+    fn accept(&mut self, comm: &Comm, exec: &mut Executor<'_>, nnz: usize, ready_at: f64) {
         self.due -= 1;
         let slab = Slab {
-            m,
+            m: None,
             nnz,
             ready: ready_at,
             home: None,
         };
         match self.strategy {
             MergeStrategy::Multiway => self.stack.push(slab),
+            MergeStrategy::Binary if self.pipelined => {
+                self.flush_pending(comm, exec);
+                self.pending = Some(slab);
+            }
             MergeStrategy::Binary => {
-                if self.pipelined {
-                    // Push the *previous* stage's slab: its merge (if
-                    // Algorithm 2 triggers one) overlaps this stage's
-                    // kernel on the merge lane. Before the phase's last
-                    // kernel the push ran ahead of it, and the task of the
-                    // merge it triggered goes here.
-                    if let Some(job) = self.early.take() {
-                        self.submit(exec, job);
-                    }
-                    if let Some(prev) = self.pending.replace(slab) {
-                        self.push_binary(comm, exec, prev);
-                    }
-                } else {
-                    // Bulk synchronous: the host blocks until the merge
-                    // (still a lane task) completes; the block is wait
-                    // time, since the host does none of the merging.
-                    self.push_binary(comm, exec, slab);
-                    let ready = self.stack.last().map_or(comm.now(), |s| s.ready);
-                    self.stats.wait_time += comm.wait_clock_until(ready);
-                }
+                // Bulk synchronous: the host blocks until the merge
+                // (still a lane task) completes; the block is wait
+                // time, since the host does none of the merging.
+                self.push_binary(comm, exec, slab);
+                let ready = self.stack.last().map_or(comm.now(), |s| s.ready);
+                self.stats.wait_time += comm.wait_clock_until(ready);
             }
         }
     }
@@ -448,9 +412,7 @@ impl<'k, S: Semiring, K: ColumnSink<S::Elem>> MergeEngine<'k, S, K> {
     /// is async lane work — the host does not wait here; that is
     /// [`drain`](Self::drain)'s job, which pipelining defers one phase.
     fn seal(&mut self, comm: &Comm, exec: &mut Executor<'_>) {
-        if let Some(prev) = self.pending.take() {
-            self.push_binary(comm, exec, prev);
-        }
+        self.flush_pending(comm, exec);
         if self.stack.len() > 1 {
             let count = self.stack.len();
             self.do_merge(comm, exec, count);
@@ -477,24 +439,165 @@ impl<'k, S: Semiring, K: ColumnSink<S::Elem>> MergeEngine<'k, S, K> {
         out.cpu_idle += self.stats.wait_time;
         out.merge_stats.absorb(&self.stats);
         out.merge_spans.append(&mut self.spans);
-        // The hook gets the storage the closing merge wrote. A phase whose
-        // one product needed no merge packs it here, through the same sink
-        // — or, under one that keeps every column whole, hands it over;
-        // the sink packed a product the last kernel streamed already.
-        let last = match self.stack.pop() {
-            Some(slab) => slab.m.or_else(|| self.streamed.take()),
-            None => Some(Csc::zero(self.shape.0, self.shape.1)),
+        // The hook gets the storage the closing merge wrote — or, when a
+        // phase's one product needed no merge, what its emit packed.
+        let cols = match self.stack.pop() {
+            Some(slab) => slab
+                .m
+                .or(self.formed)
+                .expect("every slab is merged or formed"),
+            None => Csc::zero(self.shape.0, self.shape.1),
         };
-        match (last, self.tally) {
-            (Some(cols), Some(tally)) => Packed { cols, tally },
-            (Some(last), None) if K::WHOLE => Packed {
-                tally: vec![K::Tally::default(); last.ncols()],
-                cols: last,
-            },
-            (Some(last), None) => sink_slab(&last, self.sink),
-            (None, _) => unreachable!("every stacked slab is built or streamed"),
+        match self.tally {
+            Some(tally) => Packed { cols, tally },
+            None => sink_slab(&cols, self.sink),
         }
     }
+}
+
+/// One stage's panels, its flops per output column and the launch
+/// selected for it (`None` when it has no flops).
+struct Stage<T: Value> {
+    a: Panel<T>,
+    b: Panel<T>,
+    fpc: Vec<u64>,
+    spec: Option<LaunchSpec>,
+}
+
+impl<T: Value> Stage<T> {
+    /// Its product's estimated entries.
+    fn estimate(&self) -> usize {
+        self.spec
+            .map_or(0, |s| (s.flops as f64 / s.cf_est) as usize)
+    }
+}
+
+/// Exchanges stage `k`'s panels of phase `ph` (mode per panel, §III-B) and
+/// selects the stage's kernel from its flops and a Cohen cf probe
+/// (§III/VI), recording both in `out` and timing the exchange.
+#[allow(clippy::too_many_arguments)]
+fn stage<T: Value>(
+    grid: &ProcGrid,
+    cfg: &SummaConfig,
+    (ph, k): (usize, usize),
+    (a_local, b_phase): (&Panel<T>, &Panel<T>),
+    cf_hint: Option<f64>,
+    gpus: usize,
+    timers: &mut StageTimers,
+    out: &mut PipelineOutcome<T>,
+) -> Stage<T> {
+    let (comm, side) = (&grid.world, grid.side);
+    let t0 = comm.now();
+    let w0 = comm.measured_now();
+    let row_root = (grid.col == k).then_some(a_local);
+    let (a, a_bytes, a_mode) = exchange_block(&grid.row_comm, cfg.comm, k, row_root);
+    let col_root = (grid.row == k).then_some(b_phase);
+    let (b, b_bytes, b_mode) = exchange_block(&grid.col_comm, cfg.comm, k, col_root);
+    timers.add("summa_bcast", comm.now() - t0);
+    out.timers_measured
+        .add("summa_bcast", comm.measured_now() - w0);
+    for (operand, bytes, mode) in [('A', a_bytes, a_mode), ('B', b_bytes, b_mode)] {
+        out.comm_choices.push(CommChoice {
+            phase: ph,
+            stage: k,
+            operand,
+            bytes,
+            mode,
+            t_tree: comm.model().tree_bcast_time(side, bytes),
+            t_flat: comm.model().flat_bcast_time(side, bytes),
+        });
+    }
+
+    // The stage's flops are counted once, per column: selection, the
+    // kernel's reservation and the devices' shares read them, and the
+    // merge that takes the product sizes its room by them.
+    let fpc = hipmcl_spgemm::flops_per_column(&a, &b);
+    let flops: u64 = fpc.iter().sum();
+    if flops == 0 {
+        // Nothing to multiply, but instrumentation still records the
+        // selector's degenerate choice so per-stage counts stay
+        // `phases × √P`.
+        let analysis = MultAnalysis {
+            flops: 0,
+            nnz_out: 1,
+        };
+        out.kernels_used
+            .push(select_kernel(&analysis, &cfg.policy, gpus));
+        return Stage {
+            a,
+            b,
+            fpc,
+            spec: None,
+        };
+    }
+    // `nnz(C)` can never exceed `flops`: clamp the probe so a stale global
+    // cf hint (or an overshooting estimate) on a local block never shows
+    // the selector `cf < 1`.
+    let nnz_probe = match cf_hint {
+        Some(cf) => (((flops as f64 / cf).max(1.0)) as u64).min(flops),
+        None => {
+            let probe = CohenEstimator::new(4, cfg.seed ^ 0xABCD);
+            comm.advance_clock(comm.model().estimate_time(probe.op_count(&a, &b)));
+            (probe.estimate_total(&a, &b).max(1.0) as u64).min(flops)
+        }
+    };
+    let analysis = MultAnalysis {
+        flops,
+        nnz_out: nnz_probe.max(1),
+    };
+    let kernel = select_kernel(&analysis, &cfg.policy, gpus);
+    out.kernels_used.push(kernel);
+    // The probe's clamped cf estimate rides along so the merge that takes
+    // the product can be sized before the realized cf exists.
+    let spec = LaunchSpec {
+        kernel,
+        flops,
+        cf_est: flops as f64 / nnz_probe.max(1) as f64,
+        time: comm.time_model(),
+    };
+    Stage {
+        a,
+        b,
+        fpc,
+        spec: Some(spec),
+    }
+}
+
+/// Lands a stage's launch — `None` when the stage had no flops — on the
+/// host and the merge stack: the host resumes at `inputs_ready_at`
+/// (pipelined) or waits for the output, counting what it did not compute
+/// inline as idle (bulk synchronous); the launch's modeled and measured
+/// seconds go to the `local_spgemm` timers, and the product to the merge
+/// engine.
+#[allow(clippy::too_many_arguments)]
+fn land<S: Semiring, K: ColumnSink<S::Elem>>(
+    comm: &Comm,
+    exec: &mut Executor<'_>,
+    merge: &mut MergeEngine<S, K>,
+    pipelined: bool,
+    launch: Option<KernelLaunch>,
+    measured_s: f64,
+    timers: &mut StageTimers,
+    out: &mut PipelineOutcome<S::Elem>,
+) {
+    let (nnz, ready) = match launch {
+        None => (0, comm.now()),
+        Some(l) => {
+            if pipelined {
+                // Host resumes as soon as the inputs are handed off.
+                comm.wait_clock_until(l.inputs_ready_at);
+            } else {
+                // Bulk synchronous: wait for the output; inline host
+                // compute inside the wait is work, not idleness.
+                let waited = comm.wait_clock_until(l.output_ready_at);
+                out.cpu_idle += (waited - l.host_compute).max(0.0);
+            }
+            timers.add("local_spgemm", l.kernel_time);
+            out.timers_measured.add("local_spgemm", measured_s);
+            (l.nnz, l.output_ready_at)
+        }
+    };
+    merge.accept(comm, exec, nnz, ready);
 }
 
 /// Runs all phases and stages of one distributed multiplication through
@@ -524,7 +627,6 @@ where
 {
     let comm = &grid.world;
     let side = grid.side;
-    let probe = CohenEstimator::new(4, cfg.seed ^ 0xABCD);
     let mut out = PipelineOutcome {
         slabs: Vec::with_capacity(phases),
         merge_stats: MergeStats::default(),
@@ -546,6 +648,7 @@ where
     // expansion squares one matrix), whose panel is then `A`'s.
     let a_local = a.panel();
     let squaring = std::ptr::eq(a, b) && phases == 1;
+    let gpus = exec.gpus_available();
 
     for ph in 0..phases {
         let cols = even_chunk(local_cols, phases, ph);
@@ -556,110 +659,109 @@ where
         };
         // Every stage product this phase has the same block shape.
         let shape = (a_local.nrows(), b_phase.ncols());
-        let mut merge = MergeEngine::new(s, cfg, shape, side, sink);
-
-        for k in 0..side {
-            // --- SUMMA exchanges (mode per panel, §III-B) -------------
-            let t0 = comm.now();
-            let w0 = comm.measured_now();
-            let (a_blk, a_bytes, a_mode) = exchange_block(
-                &grid.row_comm,
-                cfg.comm,
-                k,
-                (grid.col == k).then_some(&a_local),
-            );
-            let (b_blk, b_bytes, b_mode) = exchange_block(
-                &grid.col_comm,
-                cfg.comm,
-                k,
-                (grid.row == k).then_some(&b_phase),
-            );
-            timers.add("summa_bcast", comm.now() - t0);
-            out.timers_measured
-                .add("summa_bcast", comm.measured_now() - w0);
-            for (operand, bytes, mode) in [('A', a_bytes, a_mode), ('B', b_bytes, b_mode)] {
-                out.comm_choices.push(CommChoice {
-                    phase: ph,
-                    stage: k,
-                    operand,
-                    bytes,
-                    mode,
-                    t_tree: comm.model().tree_bcast_time(side, bytes),
-                    t_flat: comm.model().flat_bcast_time(side, bytes),
-                });
-            }
-
-            // --- Kernel selection (flops + Cohen cf probe, §III/VI) ----
-            // The stage's flops are counted once, per column: selection,
-            // the kernel's reservation and the devices' shares read them,
-            // and a streamed product's room in the merge that takes it.
-            let fpc = hipmcl_spgemm::flops_per_column(&a_blk, &b_blk);
-            let flops: u64 = fpc.iter().sum();
-            let (slab, nnz, ready_at) = if flops == 0 {
-                // Nothing to multiply, but instrumentation still records
-                // the selector's degenerate choice so per-stage counts
-                // stay `phases × √P`.
-                let analysis = MultAnalysis {
-                    flops: 0,
-                    nnz_out: 1,
-                };
-                out.kernels_used
-                    .push(select_kernel(&analysis, &cfg.policy, exec.gpus_available()));
-                (Some(Csc::zero(a_blk.nrows(), b_blk.ncols())), 0, comm.now())
-            } else {
-                // `nnz(C)` can never exceed `flops`: clamp the probe so a
-                // stale global cf hint (or an overshooting estimate) on a
-                // local block never shows the selector `cf < 1`.
-                let nnz_cap = flops;
-                let nnz_probe = match cf_hint {
-                    Some(cf) => (((flops as f64 / cf).max(1.0)) as u64).min(nnz_cap),
-                    None => {
-                        comm.advance_clock(
-                            comm.model().estimate_time(probe.op_count(&a_blk, &b_blk)),
-                        );
-                        (probe.estimate_total(&a_blk, &b_blk).max(1.0) as u64).min(nnz_cap)
-                    }
-                };
-                let analysis = MultAnalysis {
-                    flops,
-                    nnz_out: nnz_probe.max(1),
-                };
-                let kernel = select_kernel(&analysis, &cfg.policy, exec.gpus_available());
-                out.kernels_used.push(kernel);
-
-                // --- Submit to the executor; overlap off its events ----
-                // The probe's clamped cf estimate rides along so the merge
-                // that takes the phase's last product, which streams into
-                // it, can be sized before the realized cf exists.
-                let spec = LaunchSpec {
-                    kernel,
-                    flops,
-                    cf_est: flops as f64 / nnz_probe.max(1) as f64,
-                    time: comm.time_model(),
-                };
-                let (now, blocks) = (comm.now(), (&*a_blk, &*b_blk));
-                let (c, launch) = if k + 1 == side {
-                    let l = merge.stream_last(comm, exec, now, blocks.0, blocks.1, &fpc, spec);
-                    (Csc::zero(0, 0), l)
-                } else {
-                    exec.submit(s, now, blocks.0, blocks.1, &fpc, spec, Push)
-                };
-                if cfg.pipelined {
-                    // Host resumes as soon as the inputs are handed off.
-                    comm.wait_clock_until(launch.inputs_ready_at);
-                } else {
-                    // Bulk synchronous: wait for the output; inline host
-                    // compute inside the wait is work, not idleness.
-                    let waited = comm.wait_clock_until(launch.output_ready_at);
-                    out.cpu_idle += (waited - launch.host_compute).max(0.0);
-                }
-                timers.add("local_spgemm", launch.kernel_time);
-                out.timers_measured.add("local_spgemm", launch.measured_s);
-                let slab = (k + 1 < side).then_some(c);
-                (slab, launch.nnz, launch.output_ready_at)
+        let mut merge = MergeEngine::new(cfg, shape, side, sink);
+        let next_stage =
+            |k: usize, timers: &mut StageTimers, out: &mut PipelineOutcome<S::Elem>| {
+                let panels = (&a_local, &b_phase);
+                stage(grid, cfg, (ph, k), panels, cf_hint, gpus, timers, out)
             };
 
-            merge.accept(comm, exec, slab, nnz, ready_at);
+        for group in groups(side, cfg.merge) {
+            // The previous group's merge runs before this group's products
+            // are formed: its lane task goes where it always went, beside
+            // the next launch, which it does not touch.
+            merge.flush_pending(comm, exec);
+            // The group's first stage, then in stage order each next one.
+            let mut st = next_stage(group.start, timers, &mut out);
+            // A group of at most two stages whose first launch the devices
+            // certainly hold is tiled (module docs).
+            let admitted = match st.spec {
+                Some(spec) if cfg.pipelined && group.len() <= 2 => {
+                    exec.admit(comm.now(), &st.a, &st.b, &st.fpc, spec)
+                }
+                _ => None,
+            };
+            // Any other group runs its launches in stage order, each product
+            // built, up to the last.
+            let mut built = Vec::with_capacity(group.len() - 1);
+            for k in (group.start + 1..group.end).filter(|_| admitted.is_none()) {
+                let (a, b, fpc) = (&*st.a, &*st.b, &st.fpc[..]);
+                let launch = st
+                    .spec
+                    .map(|spec| exec.submit(s, comm.now(), a, b, fpc, spec, Push));
+                let (c, launch) = match launch {
+                    Some((c, l)) => (c, Some(l)),
+                    None => (Csc::zero(shape.0, shape.1), None),
+                };
+                built.push(c);
+                let measured_s = launch.map_or(0.0, |l| l.measured_s);
+                land(
+                    comm,
+                    exec,
+                    &mut merge,
+                    cfg.pipelined,
+                    launch,
+                    measured_s,
+                    timers,
+                    &mut out,
+                );
+                st = next_stage(k, timers, &mut out);
+            }
+            // One column pass forms the rest of the group into its merge:
+            // a tiled group's first product on the spot beside its second,
+            // once the host resumed at the first launch's admission and the
+            // second's panels arrived.
+            let second = admitted.as_ref().and_then(|adm| {
+                comm.wait_clock_until(adm.inputs_ready_at());
+                (group.len() == 2).then(|| next_stage(group.start + 1, timers, &mut out))
+            });
+            let counts = [counters(shape.1), counters(shape.1)];
+            let spot = second.as_ref().map(|_| Spot {
+                a: &*st.a,
+                b: &*st.b,
+                fpc: &st.fpc[..],
+                counts: &counts[0],
+            });
+            let last = second.as_ref().unwrap_or(&st);
+            let estimate = st.estimate() + second.as_ref().map_or(0, Stage::estimate);
+            let tally = Mutex::new(Vec::new());
+            let (emit, closing) =
+                merge.group_emit(comm, &group, side, &built, spot, estimate, &tally);
+            let emit = Counted::new(emit, &counts[usize::from(second.is_some())]);
+            let kernel = last.spec.map_or(SpgemmKernel::CpuHash, |spec| spec.kernel);
+            let w0 = comm.measured_now();
+            let (a, b) = (&*last.a, &*last.b);
+            let formed = host_algo(kernel).multiply_cols_in(s, a, b, 0..shape.1, &last.fpc, emit);
+            let measured_s = comm.measured_now() - w0;
+            let tally = closing.then(|| tally.into_inner().expect("nothing panics under the lock"));
+            merge.formed(formed, tally);
+            drop(built);
+            // The launches are charged in stage order from the counts the
+            // pass noted.
+            let (a, b, fpc) = (&*st.a, &*st.b, &st.fpc[..]);
+            let launch = match admitted {
+                Some(adm) => Some(exec.complete::<S::Elem>(adm, fpc, &counts[0])),
+                None => st
+                    .spec
+                    .map(|spec| exec.charge(comm.now(), a, b, fpc, spec, &counts[0])),
+            };
+            land(
+                comm,
+                exec,
+                &mut merge,
+                cfg.pipelined,
+                launch,
+                measured_s,
+                timers,
+                &mut out,
+            );
+            if let Some(two) = second {
+                let (a, b, fpc) = (&*two.a, &*two.b, &two.fpc[..]);
+                let launch = two
+                    .spec
+                    .map(|spec| exec.charge(comm.now(), a, b, fpc, spec, &counts[1]));
+                land(comm, exec, &mut merge, true, launch, 0.0, timers, &mut out);
+            }
         }
 
         // --- Phase wrap-up: submit the closing merge ------------------
@@ -738,17 +840,20 @@ mod tests {
         use hipmcl_sparse::PlusTimes;
         // Three stage products under pipelined binary merging: the third
         // is pending and one merged pair is stacked, so sealing submits
-        // the push and the closing merge.
+        // the push and the closing merge. Each group's merge formed its
+        // result before its lane task.
         let sealed_at = |host: f64| {
             let spans = Universe::run(1, MachineModel::summit(), move |comm| {
                 let mut gpus = MultiGpu::new(comm.model().clone(), 1, 1 << 20);
                 let mut exec = Executor::new(&mut gpus, comm.model());
                 let cfg = SummaConfig::optimized(1 << 30);
                 let shape = (4, 5);
-                let mut merge = MergeEngine::new(PlusTimes::<f64>::new(), &cfg, shape, 3, &Whole);
+                let mut merge = MergeEngine::<PlusTimes<f64>, _>::new(&cfg, shape, 3, &Whole);
                 for ready in [1.0, 2.0, 3.0] {
-                    merge.accept(&comm, &mut exec, Some(panel()), 3, ready);
+                    merge.formed(panel(), None);
+                    merge.accept(&comm, &mut exec, 3, ready);
                 }
+                merge.formed(panel(), Some(vec![(); 5]));
                 comm.advance_clock(host);
                 let before = merge.spans.len();
                 merge.seal(&comm, &mut exec);

@@ -420,6 +420,94 @@ fn a_distributed_iteration_never_holds_both_stage_products_of_a_phase() {
     );
 }
 
+/// A pipelined phase whose launches all run on the devices builds no stage
+/// product and no merged slab: each output column of both stages is formed
+/// and merged on the spot into the candidates the prune reads. So what a
+/// rank allocates while it expands, on its own account on its own thread,
+/// is at most its four panels (its row panels of `A` and column panels of
+/// `B`, in CSC bytes), both phases' candidates (in `Idx` + `f64` bytes,
+/// which the hook here keeps as they are and the prune would read) and
+/// `O(rows + cols)` words. Same fixture as the test above. (The prune's
+/// own exchange of candidate values is not what this bounds.) Measured
+/// per rank: 8–17 words per row and column *below* the panels and
+/// candidates (the operand's own block and the panels received from other
+/// ranks are allocated elsewhere); 13–114 words above them with the first
+/// stage product built before the second stage's panels arrive.
+#[test]
+fn a_tiled_phase_holds_no_stage_product() {
+    let _turn = COUNTING.lock().unwrap();
+    let rmat = generate_rmat(&RmatParams::graph500(11, 16, 3));
+    let n = rmat.ncols() as Idx;
+    let mut reversed = Triples::new(rmat.nrows(), rmat.ncols());
+    rmat.iter()
+        .for_each(|(i, j, v)| reversed.push(n - 1 - i, n - 1 - j, v));
+    let mut cfg = MclConfig::optimized(1 << 30);
+    cfg.prune.select = 100;
+    cfg.summa.phases = PhasePlan::Fixed(2);
+    let prepared = hipmcl::core::serial::prepare_matrix(&Csc::from_triples(&reversed), &cfg);
+    let entry = std::mem::size_of::<Idx>() + std::mem::size_of::<f64>();
+    let per_rank = Universe::run(4, MachineModel::summit(), |comm| {
+        let grid = ProcGrid::new(comm);
+        let mut gpus = MultiGpu::summit_node(grid.world.model());
+        let a = DistMatrix::from_global(&grid, &prepared.to_triples());
+        let (rows, cols) = (a.row_range(&grid), a.col_range(&grid));
+        let panels: usize = (0..grid.side)
+            .map(|k| {
+                let inner = even_chunk(prepared.ncols(), grid.side, k);
+                block(&prepared, rows.clone(), inner.clone()).bytes()
+                    + block(&prepared, inner, cols.clone()).bytes()
+            })
+            .sum();
+        let sink = PruneSink(cfg.prune);
+        let mut candidates = 0;
+        let out = summa_spgemm_with(&grid, &mut gpus, &a, &a, &cfg.summa, |_, slab| {
+            candidates += entry * sink_slab(&slab, &sink).cols.nnz();
+            slab
+        });
+        assert!(out
+            .kernels_used
+            .iter()
+            .all(|k| matches!(k, SpgemmKernel::Gpu(_))));
+        drop(out);
+        let inline = rayon::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .unwrap();
+        let peak = inline.install(|| {
+            OWN.set(Some((0, 0)));
+            let (s, mut kept) = (PlusTimes::<f64>::new(), Vec::new());
+            let out = summa_spgemm_with_in(
+                s,
+                &grid,
+                &mut gpus,
+                &a,
+                &a,
+                &cfg.summa,
+                &sink,
+                |_, packed| {
+                    let shape = (packed.cols.nrows(), packed.cols.ncols());
+                    kept.push(packed);
+                    Csc::zero(shape.0, shape.1)
+                },
+            );
+            let held: usize = kept.iter().map(|p| p.cols.nnz()).sum();
+            assert_eq!(entry * held, candidates, "the hook kept the candidates");
+            drop((out, kept));
+            OWN.replace(None).expect("an account").1
+        });
+        (peak as usize, panels, candidates, rows.len() + cols.len())
+    });
+    println!("per rank (peak B, panels B, candidates B, rows + cols): {per_rank:?}");
+    for (peak, panels, candidates, lines) in per_rank {
+        let words = (peak as f64 - (panels + candidates) as f64) / (8 * lines) as f64;
+        println!("  {words:.2} words per row and column beyond panels and candidates");
+        assert!(
+            peak <= panels + candidates + 4 * 8 * lines,
+            "{peak} B held, {panels} B of panels, {candidates} B of candidates, {lines} rows + cols"
+        );
+    }
+}
+
 /// On a 3×3 grid a phase merges twice: the first two stage products, then
 /// that with the third. Each merge writes a fresh slab, reserved at its
 /// inputs' size and trimmed, and frees its inputs. On R-MAT scale 10 in

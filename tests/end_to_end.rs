@@ -61,6 +61,26 @@ fn the_distributed_driver_matches_serial_under_original_hipmcl() {
     assert!(phases[0] > 1, "phases per iteration {phases:?}");
 }
 
+/// The same under the optimized preset: pipelined, binary merging, every
+/// launch on the devices, so each phase's stage pairs are formed column by
+/// column into their merge — and a budget that plans several phases from
+/// the probabilistic estimate.
+#[test]
+fn the_distributed_driver_matches_serial_under_the_optimized_preset() {
+    let budget = 4 << 10;
+    let mut cfg = MclConfig::optimized(budget);
+    cfg.prune.select = 12;
+    let (r, p) = driver_matches_serial(cfg);
+    let estimates = r
+        .estimates
+        .iter()
+        .map(|e| e.expect("an estimate every iteration"));
+    let phases: Vec<usize> = estimates
+        .map(|e| hipmcl::summa::estimate::plan_phases(&e, p, budget))
+        .collect();
+    assert!(phases[0] > 1, "phases per iteration {phases:?}");
+}
+
 /// Runs `cfg` serially and on up to four ranks; returns rank 0's report
 /// and the rank count.
 fn driver_matches_serial(cfg: MclConfig) -> (DistMclReport, usize) {
