@@ -412,13 +412,12 @@ impl<S: Semiring, K: ColumnSink<S::Elem>> Emit<S::Elem> for MergeEmit<'_, S, K> 
             f_vals.resize(table.len(), S::Elem::default());
             table.drain_sorted_into(j, f_rows, f_vals);
         }
-        let (kernel_col, both);
-        kernel_col = (rows, vals);
+        let (kernel_col, both) = (
+            (rows, vals),
+            [(&self.formed.0[..], &self.formed.1[..]), (rows, vals)],
+        );
         let last: &[View<S::Elem>] = match self.spot {
-            Some(_) => {
-                both = [(&self.formed.0[..], &self.formed.1[..]), kernel_col];
-                &both
-            }
+            Some(_) => &both,
             None => std::slice::from_ref(&kernel_col),
         };
         let (rows, vals) = match (self.inputs.is_empty(), last) {

@@ -70,7 +70,7 @@
 use crate::distmat::{Operand, Panel};
 use crate::executor::{host_algo, Executor, KernelLaunch, LaunchSpec, MergeTask};
 use crate::merge::{
-    algorithm2_merge_count, merge_into, select_merge_kernel, sink_slab, ColumnSink, MergeEmit,
+    algorithm2_merge_count, merge_into, select_merge_kernel, ColumnSink, MergeEmit,
     MergeKernelPolicy, MergeSpan, MergeStats, MergeStrategy, Packed, Spot, Whole,
 };
 use crate::spgemm::{CommChoice, CommPolicy, SummaConfig};
@@ -441,16 +441,15 @@ impl<'k, S: Semiring, K: ColumnSink<S::Elem>> MergeEngine<'k, S, K> {
         out.merge_spans.append(&mut self.spans);
         // The hook gets the storage the closing merge wrote — or, when a
         // phase's one product needed no merge, what its emit packed.
-        let cols = match self.stack.pop() {
-            Some(slab) => slab
+        let last = self.stack.pop().expect("a phase has a stage");
+        Packed {
+            cols: last
                 .m
                 .or(self.formed)
                 .expect("every slab is merged or formed"),
-            None => Csc::zero(self.shape.0, self.shape.1),
-        };
-        match self.tally {
-            Some(tally) => Packed { cols, tally },
-            None => sink_slab(&cols, self.sink),
+            tally: self
+                .tally
+                .expect("the closing merge packed through the sink"),
         }
     }
 }
