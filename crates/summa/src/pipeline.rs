@@ -274,7 +274,7 @@ impl<'k, S: Semiring, K: ColumnSink<S::Elem>> MergeEngine<'k, S, K> {
     /// takes what it made. Under `Auto` its real kernel is chosen from the
     /// estimated entries `estimate` of the stage products it forms; its
     /// lane task is labeled and timed with the kernel the real size
-    /// selects (`merge_now`), and every kernel gives the same bits.
+    /// selects (`do_merge`), and every kernel gives the same bits.
     #[allow(clippy::too_many_arguments)]
     fn group_emit<'e>(
         &'e self,
