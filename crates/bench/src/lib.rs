@@ -15,7 +15,6 @@ use hipmcl_core::dist::{cluster_distributed_with, DistMclReport};
 use hipmcl_core::MclConfig;
 use hipmcl_gpu::multi::MultiGpu;
 use hipmcl_sparse::Csc;
-use hipmcl_summa::merge::MergeKernelPolicy;
 use hipmcl_summa::spgemm::{CommPolicy, SummaOutput};
 use hipmcl_summa::DistMatrix;
 use hipmcl_workloads::Dataset;
@@ -221,173 +220,6 @@ pub fn run_comm_policy_probe(
     }
 }
 
-/// One (network, fan-in) row of the merge-gap ablation
-/// (`probe_merge_gap`): **real wall-clock** times, not virtual-clock
-/// model times. This is the one probe that measures the merge kernels as
-/// host code — the gap it tracks is the host-side accumulator gap the
-/// BRMerge/SpAdd rewrite closes, which the Summit model cannot observe.
-#[derive(Clone, Debug)]
-pub struct MergeGapReport {
-    /// Stage fan-in: how many overlapping SUMMA stage products merge.
-    pub k: usize,
-    /// Total input elements across the `k` stage products.
-    pub total_in_elems: u64,
-    /// Output nonzeros — identical across every configuration: kernels
-    /// are bit-identical within a schedule, and the two schedules agree
-    /// on sparsity structure exactly (asserted inside the probe).
-    pub out_nnz: u64,
-    /// Best-of-reps wall time of one k-way heap merge (original HipMCL's
-    /// accumulator — the pre-PR `kway_merge` baseline).
-    pub t_kway_heap: f64,
-    /// Best-of-reps wall time of one k-way Hussain-style SpAdd merge
-    /// (what `Auto` picks at fan-in ≥ 6).
-    pub t_kway_spadd: f64,
-    /// Best-of-reps wall time of the binary (Algorithm 2) stack under
-    /// `Fixed(Pairwise)`, the old `Auto` at fan-in 2: every merge a left
-    /// fold of two-way merges.
-    pub t_binary_legacy: f64,
-    /// Best-of-reps wall time of the binary stack under `Auto` (BRMerge
-    /// at every fan-in the stack reaches here).
-    pub t_binary_auto: f64,
-}
-
-impl MergeGapReport {
-    /// The k-way baseline the engine actually runs: the faster of the
-    /// heap and SpAdd k-way merges.
-    pub fn t_kway(&self) -> f64 {
-        self.t_kway_heap.min(self.t_kway_spadd)
-    }
-
-    /// Binary-vs-k-way gap before this PR: pairwise rematerializing
-    /// stack over the k-way baseline (the ~1.6× EXPERIMENTS.md cites).
-    pub fn legacy_ratio(&self) -> f64 {
-        self.t_binary_legacy / self.t_kway()
-    }
-
-    /// Binary-vs-k-way gap after: the `Auto` stack over the same k-way
-    /// baseline. The acceptance bar is ≤ 1.2.
-    pub fn auto_ratio(&self) -> f64 {
-        self.t_binary_auto / self.t_kway()
-    }
-}
-
-/// Builds `k` genuine overlapping stage products of the scaled network's
-/// expansion, exactly as Sparse SUMMA produces them: stage `i`
-/// contributes `A(:, J_i) · A(J_i, :)`, so the products share output
-/// support and sum to `A²`. Returned with the common output shape.
-pub fn merge_gap_stage_products(d: Dataset, k: usize) -> (Vec<Csc<f64>>, (usize, usize)) {
-    let cfg = bench_mcl_config_for(d, MclConfig::optimized(3 << 20));
-    let a = bench_graph(d, &cfg);
-    let n = a.ncols();
-    let at = a.transposed();
-    let slabs = (0..k)
-        .map(|i| {
-            let cols = n * i / k..n * (i + 1) / k;
-            let a_stage = a.column_slice(cols.clone());
-            let b_stage = at.column_slice(cols).transposed();
-            hipmcl_spgemm::hash::multiply(&a_stage, &b_stage)
-        })
-        .collect();
-    (slabs, (n, n))
-}
-
-/// Asserts two merged results have identical sparsity structure and
-/// values equal up to f64 roundoff — the cross-schedule guarantee (the
-/// binary tree associates sums differently than one k-way pass; within
-/// a schedule, kernels are bit-identical and checked with `==`).
-fn assert_pattern_eq_values_close(a: &Csc<f64>, b: &Csc<f64>) {
-    assert_eq!(a.colptr, b.colptr, "cross-schedule sparsity diverged");
-    assert_eq!(a.rowidx, b.rowidx, "cross-schedule sparsity diverged");
-    for (x, y) in a.vals.iter().zip(&b.vals) {
-        let tol = 1e-12 * x.abs().max(y.abs()).max(1.0);
-        assert!(
-            (x - y).abs() <= tol,
-            "cross-schedule value {x} vs {y} beyond roundoff"
-        );
-    }
-}
-
-/// Measures the real-time merge gap on one network at one fan-in: k-way
-/// heap and k-way SpAdd against the binary stack in its legacy (pairwise)
-/// and `Auto` forms. Each configuration merges the *same* stage products; the probe
-/// asserts outputs are bit-identical within each schedule and
-/// pattern-identical (values equal to roundoff) across schedules before
-/// reporting times (best of `reps`).
-pub fn run_merge_gap_probe(d: Dataset, k: usize, reps: usize) -> MergeGapReport {
-    use hipmcl_comm::{MachineModel, MergeKernel};
-    use hipmcl_sparse::PlusTimes;
-    use hipmcl_summa::merge::{kway_merge, merge_with, StackMerger};
-
-    let (slabs, shape) = merge_gap_stage_products(d, k);
-    let total_in_elems: u64 = slabs.iter().map(|m| m.nnz() as u64).sum();
-    let reps = reps.max(1);
-
-    let best_of = |mut f: Box<dyn FnMut() -> Csc<f64> + '_>| {
-        let mut best = f64::INFINITY;
-        let mut out = None;
-        for _ in 0..reps {
-            let t0 = std::time::Instant::now();
-            let c = f();
-            best = best.min(t0.elapsed().as_secs_f64());
-            out = Some(c);
-        }
-        (best, out.unwrap())
-    };
-
-    let (t_kway_heap, c_heap) = best_of(Box::new(|| kway_merge(&slabs, shape)));
-
-    let (t_kway_spadd, c_spadd) = best_of(Box::new(|| {
-        merge_with(PlusTimes::<f64>::new(), MergeKernel::SpAdd, &slabs, shape)
-    }));
-
-    // Binary stacks: pushes consume their inputs, so clone outside the
-    // timed region. The two forms' reps are interleaved so that, when the
-    // probe runs inside a parallel test harness, CPU contention windows
-    // hit both sides of the comparison instead of skewing one.
-    let policies = [
-        MergeKernelPolicy::Fixed(MergeKernel::Pairwise),
-        MergeKernelPolicy::Auto,
-    ];
-    let mut best = [f64::INFINITY; 2];
-    let mut merged = [None, None];
-    for _ in 0..reps {
-        for (i, policy) in policies.into_iter().enumerate() {
-            let mats = slabs.clone();
-            let mut stack = StackMerger::new(MachineModel::summit(), policy, shape);
-            let t0 = std::time::Instant::now();
-            for m in mats {
-                stack.push(m);
-            }
-            let c = stack.finish();
-            best[i] = best[i].min(t0.elapsed().as_secs_f64());
-            merged[i] = Some(c);
-        }
-    }
-    let [t_binary_legacy, t_binary_auto] = best;
-    let [c_legacy, c_auto] = merged.map(Option::unwrap);
-    // Bit-identity is a *kernel* contract: on the same merge inputs any
-    // kernel produces the same bits. Across the two schedules the merge
-    // *tree* differs (Algorithm 2 folds e.g. (s1..4 + s5..6) + s7 + s8),
-    // so coincident f64 sums associate differently — pattern-identical,
-    // equal to roundoff.
-    assert_eq!(c_heap, c_spadd, "k-way SpAdd diverged from k-way heap");
-    assert_eq!(
-        c_legacy, c_auto,
-        "binary auto kernels diverged from binary pairwise"
-    );
-    assert_pattern_eq_values_close(&c_heap, &c_legacy);
-
-    MergeGapReport {
-        k,
-        total_in_elems,
-        out_nnz: c_heap.nnz() as u64,
-        t_kway_heap,
-        t_kway_spadd,
-        t_binary_legacy,
-        t_binary_auto,
-    }
-}
-
 /// The pools the layer microbenchmarks time every case under: width 1,
 /// and the host's width (`std::thread::available_parallelism`) when that
 /// is more — a one-core host yields no scaling column.
@@ -466,6 +298,7 @@ pub fn print_paper_note(lines: &[&str]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hipmcl_summa::merge::MergeKernelPolicy;
 
     #[test]
     fn fmt_time_units() {
@@ -496,26 +329,6 @@ mod tests {
         let r = run_scattered(4, Dataset::Archaea, &cfg);
         assert!(r.total_time > 0.0);
         assert!(r.iterations <= 2);
-    }
-
-    #[test]
-    fn merge_kernel_choice_preserves_clusters() {
-        // Satellite of the merge-task refactor: the per-merge kernel is a
-        // performance choice only — all four policies must produce the
-        // same clustering on the archaea workload end-to-end.
-        use hipmcl_comm::MergeKernel;
-        let run = |kernel: MergeKernelPolicy| {
-            let mut cfg = bench_mcl_config(MclConfig::optimized(u64::MAX));
-            cfg.summa.merge_kernel = kernel;
-            cfg.max_iters = 3;
-            run_scattered(4, Dataset::Archaea, &cfg)
-        };
-        let auto = run(MergeKernelPolicy::Auto);
-        for kernel in MergeKernel::all() {
-            let fixed = run(MergeKernelPolicy::Fixed(kernel));
-            assert_eq!(auto.labels, fixed.labels, "{} diverged", kernel.name());
-            assert_eq!(auto.num_clusters, fixed.num_clusters);
-        }
     }
 
     #[test]
@@ -574,18 +387,6 @@ mod tests {
         assert_eq!(bcast.labels, hybrid.labels);
         assert_eq!(bcast.num_clusters, hybrid.num_clusters);
         assert_eq!(bcast.iterations, hybrid.iterations);
-    }
-
-    #[test]
-    fn merge_gap_probe_agrees() {
-        // Bit-identity of all four configurations is asserted inside
-        // run_merge_gap_probe itself. No wall-clock inequality here: the
-        // auto-vs-legacy comparison is `summa.merge_stack_melems` against
-        // `summa.merge_pairwise_melems` in every `BENCH_*.json`, measured
-        // outside a parallel test harness.
-        let r = run_merge_gap_probe(Dataset::Archaea, 4, 5);
-        assert!(r.out_nnz > 0);
-        assert!(r.total_in_elems >= r.out_nnz);
     }
 
     #[test]

@@ -65,10 +65,13 @@ impl SpgemmKernel {
     }
 }
 
-/// Which algorithm a single k-way merge operation runs (the merge-side
-/// analogue of [`SpgemmKernel`]). Rates are modeled by
-/// [`MachineModel::merge_time_with`]; the per-merge selection rule lives
-/// in `hipmcl_summa::merge::select_merge_kernel`.
+/// The kernel label of a single k-way merge operation (the merge-side
+/// analogue of [`SpgemmKernel`]): the rate key its lane task is timed
+/// with. Rates are modeled by [`MachineModel::merge_time_with`]; the
+/// per-merge selection rule lives in
+/// `hipmcl_summa::merge::select_merge_kernel`. The accumulators below are
+/// reproduced by their modeled rates: every label runs the same merge, a
+/// list-order fold of two-cursor merges (`hipmcl_summa::merge`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum MergeKernel {
     /// Cursor-based k-way heap merge (original HipMCL's accumulator):
@@ -163,7 +166,8 @@ pub const HASH_MERGE_SETUP_OPS: f64 = 4096.0;
 /// single-pass k-cursor merge does no sorting or hashing — only the
 /// linear min-scan over the cursor heads, whose per-element cost grows
 /// with fan-in: `total · 0.3 · (k − 1)`. Beats everything through
-/// fan-in 5 (calibrated against `probe_merge_gap` wall-clock); the
+/// fan-in 5 (calibrated in commit `9470963` against the wall-clock of
+/// the BRMerge accumulator it added); the
 /// min-scan loses to the fan-in-independent SpAdd from fan-in 6 up
 /// (`0.3 · 5 > 1.2`).
 pub const BRMERGE_MERGE_FACTOR: f64 = 0.3;

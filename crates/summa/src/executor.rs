@@ -48,11 +48,6 @@ pub struct LaunchSpec {
     pub kernel: SpgemmKernel,
     /// Exact flop count the scheduler already derived for selection.
     pub flops: u64,
-    /// Estimated compression factor `flops / nnz(C)` from the stage's
-    /// Cohen probe (already clamped so `cf_est ≥ 1`); the merge engine
-    /// picks the kernel of the merge that takes the product as it is formed
-    /// from it, before the realized `cf` is known.
-    pub cf_est: f64,
     /// The universe's time model. The executor keys its timelines off the
     /// modeled clock either way; under [`TimeModel::Measured`] it
     /// additionally stamps each launch's real host compute with wall
@@ -98,11 +93,12 @@ pub struct KernelLaunch {
 
 /// The scheduler-side description of one merge operation, passed to
 /// [`Executor::submit_merge`]. The pipeline has already chosen the kernel
-/// (see `merge::select_merge_kernel`); the executor only decides *where*
-/// and *when* it runs.
+/// label (see `merge::select_merge_kernel`); the executor only decides
+/// *where* and *when* it runs, and what it costs at the label's rate.
 #[derive(Clone, Debug)]
 pub struct MergeTask {
-    /// The pre-selected merge kernel.
+    /// The pre-selected merge kernel label: the rate the task is timed
+    /// at (every label merges alike).
     pub kernel: MergeKernel,
     /// Per input list: its element count and, if it was produced by an
     /// earlier merge, the lane (socket) that produced it — `None` for
@@ -203,7 +199,6 @@ fn device_launch(kernel: SpgemmKernel, r: Launch) -> KernelLaunch {
 /// let spec = LaunchSpec {
 ///     kernel: SpgemmKernel::Gpu(GpuLib::Nsparse),
 ///     flops: fpc.iter().sum(),
-///     cf_est: 1.0,
 ///     time: TimeModel::Modeled,
 /// };
 ///
@@ -511,7 +506,6 @@ mod tests {
         LaunchSpec {
             kernel,
             flops: fpc(a).iter().sum(),
-            cf_est: 1.0,
             time: TimeModel::Modeled,
         }
     }

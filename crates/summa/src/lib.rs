@@ -4,11 +4,11 @@
 //! * [`distmat`] — 2D block-distributed matrices on the
 //!   [`hipmcl_comm::ProcGrid`] (CombBLAS-style layout, DCSC-aware sizing).
 //! * [`merge`] — merging the per-stage intermediate products: the
-//!   multiway and **binary** (§IV, Algorithm 2) schedules, and five
-//!   bit-identical per-merge kernels behind one entry
-//!   ([`merge::merge_with`]), selected by a machine-model cost rule
-//!   ([`merge::select_merge_kernel`]). Merges themselves execute as
-//!   executor tasks ([`executor::MergeTask`]) on per-socket lanes.
+//!   multiway and **binary** (§IV, Algorithm 2) schedules, and one
+//!   list-order merge behind one entry ([`merge::merge_with`]). Each
+//!   merge's kernel label, its modeled rate, is picked by a machine-model
+//!   cost rule ([`merge::select_merge_kernel`]). Merges themselves execute
+//!   as executor tasks ([`executor::MergeTask`]) on per-socket lanes.
 //! * [`estimate`] — distributed memory-requirement estimation: the exact
 //!   symbolic SUMMA of original HipMCL and the paper's **probabilistic**
 //!   Cohen-sketch estimator (§V), plus the hybrid rule (exact when `cf` is

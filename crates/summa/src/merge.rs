@@ -15,32 +15,25 @@
 //!   elements than the multiway merge's all-at-once set (the 15–25 %
 //!   peak-memory win of Table III).
 //!
-//! Orthogonally, each individual merge *operation* runs one of five
-//! kernels, selected per merge by [`select_merge_kernel`], which
-//! evaluates [`MachineModel::merge_time_with`] for the merge's fan-in and
-//! element count (the merge-side analogue of the `cf`-based SpGEMM kernel
-//! selector):
+//! Each merge operation carries a kernel *label*, a [`MergeKernel`] picked
+//! by [`select_merge_kernel`] from the machine model's rate curves
+//! ([`MachineModel::merge_time_with`]) for the merge's fan-in and element
+//! count, or fixed by [`MergeKernelPolicy::Fixed`]. The label is the rate
+//! key a merge's lane task is timed with — heap tournament (original
+//! HipMCL), pairwise fold, hash accumulator, BRMerge (arXiv:2206.06611),
+//! SpAdd (arXiv:2112.10223) — as the GPU library labels are for a launch.
+//! It does not choose the code: every merge runs one algorithm, a left
+//! fold of two-cursor merges over its lists in list order.
 //!
-//! * [`MergeKernel::Heap`] — a tournament over the lists' heads, original
-//!   HipMCL's multiway merge;
-//! * [`MergeKernel::Pairwise`] / [`MergeKernel::Hash`] — a left fold of
-//!   two-way merges and a hash accumulator (kept as ablation baselines);
-//! * [`MergeKernel::BrMerge`] — BRMerge-style single-pass k-cursor
-//!   merge (arXiv:2206.06611): two cursors at fan-in 2, a
-//!   register-resident min-scan over k cursor heads above;
-//! * [`MergeKernel::SpAdd`] — Hussain-style SpAdd (arXiv:2112.10223):
-//!   each worker accumulates its columns through an epoch-stamped dense
-//!   sparse accumulator (`SpaScratch`).
-//!
-//! All five produce **bit-identical** output: they accumulate coincident
-//! entries strictly in list order with the semiring's `⊕` and drop
-//! entries whose final value is the semiring's annihilator (exactly `0.0`
-//! for plus-times, `+∞` for min-plus, `false` for boolean), so kernel
-//! choice can never change a result — in any semiring (property-tested
-//! for plus-times, min-plus and boolean in the workspace root's
-//! `tests/merge_identity.rs`). [`merge_with`] is the one entry for all
-//! five; [`StackMerger`] and the pipeline reach them through the same
-//! crate-private dispatch:
+//! That fold gives what a list-order accumulation gives, bit for bit, in
+//! any semiring: after `i` steps a row's value is `v_0 ⊕ v_1 ⊕ … ⊕ v_i`,
+//! added in list order with [`Semiring::add`], and an entry whose value is
+//! the annihilator ([`Semiring::is_annihilator`]: exactly `0.0` for
+//! plus-times, `+∞` for min-plus, `false` for boolean) is dropped. Because
+//! the annihilator is `⊕`'s identity, dropping such an entry between two
+//! steps leaves every later sum as it would be, so dropping at every step
+//! is dropping at the end. The workspace root's `tests/merge_identity.rs`
+//! checks every label against a reference in all three semirings.
 //!
 //! ```
 //! use hipmcl_comm::MergeKernel;
@@ -49,21 +42,21 @@
 //!
 //! let s = PlusTimes::<f64>::new();
 //! let a = Csc::from_parts(2, 2, vec![0, 1, 2], vec![0, 1], vec![1.0, 2.0]);
-//! let b = Csc::from_parts(2, 2, vec![0, 2, 2], vec![0, 1], vec![3.0, 4.0]);
-//! let want = merge_with(s, MergeKernel::Heap, &[a.clone(), b.clone()], (2, 2));
+//! let b = Csc::from_parts(2, 2, vec![0, 1, 2], vec![0, 1], vec![3.0, -2.0]);
+//! let want = Csc::from_parts(2, 2, vec![0, 1, 1], vec![0], vec![4.0]);
 //! for kernel in MergeKernel::all() {
 //!     assert_eq!(merge_with(s, kernel, &[a.clone(), b.clone()], (2, 2)), want);
 //! }
 //! ```
 //!
-//! Every kernel is a function of one output column, and every merge writes
+//! Every merge is a function of one output column at a time, and writes
 //! its result one column at a time through a `CscBuilder`, column-parallel
 //! on the rank's pool, reserved at what its [`ColumnSink`] can keep of each
 //! column's inputs and trimmed when done. Under [`Whole`] it keeps every
 //! column, and the result is the merged slab. The pipeline passes a
 //! phase's closing merge through its caller's sink instead, and the
 //! distributed prune's sink keeps only what the prune reads, so that slab
-//! never exists. A kernel's columns reach a merge as views, so the inputs
+//! never exists. A merge reads its inputs' columns as slices, so the inputs
 //! of a merge can be columns just formed: the merge that takes a group of
 //! a phase's stage products is the emit (`MergeEmit`) of the kernel that
 //! forms the group's last one, and forms the other on the spot, so no
@@ -78,7 +71,6 @@
 //! `submit_merge` returns and the pipeline surfaces per merge.
 
 use hipmcl_comm::{MachineModel, MergeKernel};
-use hipmcl_sparse::util::Tournament;
 use hipmcl_sparse::{Csc, CscBuilder, Idx, PlusTimes, Semiring, Value};
 use hipmcl_spgemm::emit::Emit;
 use hipmcl_spgemm::hash::HashScratch;
@@ -94,18 +86,18 @@ pub enum MergeStrategy {
     Binary,
 }
 
-/// How the kernel of each individual merge operation is chosen.
+/// How the kernel label of each individual merge operation is chosen.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum MergeKernelPolicy {
-    /// Per merge, pick the kernel the machine model rates cheapest for
-    /// the merge's fan-in and element count ([`select_merge_kernel`]).
+    /// Per merge, the label the machine model rates cheapest for the
+    /// merge's fan-in and element count ([`select_merge_kernel`]).
     #[default]
     Auto,
-    /// Force one kernel for every merge (ablations and baselines).
+    /// One label for every merge (ablations and baselines).
     Fixed(MergeKernel),
 }
 
-/// Picks the cheapest merge kernel for a `ways`-way merge of
+/// Picks the cheapest merge kernel label for a `ways`-way merge of
 /// `total_elems` elements by evaluating the machine model's cost curves
 /// ([`MachineModel::merge_time_with`]) — the documented selection rule:
 ///
@@ -124,7 +116,8 @@ pub enum MergeKernelPolicy {
 /// [`MergeKernel::Pairwise`] and [`MergeKernel::Hash`] are dominated by
 /// their successors at every `(total, ways)` point and are
 /// never auto-selected — they survive as `Fixed(...)` ablation baselines.
-/// Ties resolve toward the heap (the listed order).
+/// Ties resolve toward the heap (the listed order). The label only keys
+/// the modeled rate; every merge runs the same fold.
 pub fn select_merge_kernel(model: &MachineModel, total_elems: u64, ways: usize) -> MergeKernel {
     MergeKernel::all()
         .into_iter()
@@ -145,10 +138,8 @@ pub struct MergeSpan {
     pub start: f64,
     /// Virtual time the merged slab became available.
     pub end: f64,
-    /// The kernel the task is timed with, chosen from its real input
-    /// size: the one that ran it, except that under `Auto` the merge that
-    /// takes a group of stage products ran the one their estimated size
-    /// chose (every kernel gives the same bits).
+    /// The kernel label the task is timed with, chosen from its real input
+    /// size.
     pub kernel: MergeKernel,
     /// Fan-in (number of lists merged).
     pub ways: usize,
@@ -180,42 +171,8 @@ impl MergeSpan {
 }
 
 // ---------------------------------------------------------------------------
-// Kernels
+// The merge
 // ---------------------------------------------------------------------------
-
-/// One worker's scratch of the SpAdd kernel: an epoch-stamped dense
-/// sparse accumulator (SPA). `stamp[r] == epoch` marks row `r` as live in
-/// the current column with its entry at `pairs[slot[r]]`; bumping `epoch`
-/// clears the whole SPA in O(1). All three vectors are reused across the
-/// worker's columns.
-#[derive(Clone, Debug, Default)]
-struct SpaScratch<T: Value> {
-    stamp: Vec<u32>,
-    slot: Vec<u32>,
-    epoch: u32,
-    pairs: Vec<(Idx, T)>,
-}
-
-impl<T: Value> SpaScratch<T> {
-    /// Grows the dense arrays to cover `nrows` rows (never shrinks).
-    fn ensure_rows(&mut self, nrows: usize) {
-        if self.stamp.len() < nrows {
-            self.stamp.resize(nrows, 0);
-            self.slot.resize(nrows, 0);
-        }
-    }
-
-    /// Opens a new column: O(1) clear via epoch bump, with a full reset
-    /// at the (astronomically rare) wraparound.
-    fn begin_column(&mut self) {
-        if self.epoch == u32::MAX {
-            self.stamp.iter_mut().for_each(|s| *s = 0);
-            self.epoch = 0;
-        }
-        self.epoch += 1;
-        self.pairs.clear();
-    }
-}
 
 /// What a merge makes of each output column it finishes. The identity
 /// sink, [`Whole`], keeps every column. Any other sink packs each column
@@ -272,15 +229,12 @@ pub fn sink_slab<T: Value, K: ColumnSink<T>>(m: &Csc<T>, sink: &K) -> Packed<T, 
     })
 }
 
-/// Runs the selected merge kernel in the given semiring — the one public
-/// entry for merging owned matrices. All five kernels accumulate
-/// coincident entries strictly in list order with [`Semiring::add`] and
-/// drop entries whose final value is the annihilator
-/// ([`Semiring::is_annihilator`]), so for any semiring the kernel choice
-/// never changes the result.
+/// Merges owned matrices in the given semiring — the one public entry. The
+/// kernel label is unused: every label runs the same list-order fold
+/// (module docs), so no label can change the result.
 pub fn merge_with<S: Semiring>(
     s: S,
-    kernel: MergeKernel,
+    _kernel: MergeKernel,
     mats: &[Csc<S::Elem>],
     shape: (usize, usize),
 ) -> Csc<S::Elem> {
@@ -294,17 +248,16 @@ pub fn merge_with<S: Semiring>(
         }
         _ => {
             let mats: Vec<&Csc<S::Elem>> = mats.iter().collect();
-            merge_into(s, kernel, &mats, shape, &Whole).cols
+            merge_into(s, &mats, shape, &Whole).cols
         }
     }
 }
 
-/// The one kernel dispatch: merges `mats` (fan-in ≥ 2, all of `shape`)
-/// with `kernel`, one column at a time, each finished column through
-/// `sink`, and returns what it packed with its tally of every column.
+/// Merges `mats` (fan-in ≥ 2, all of `shape`) one column at a time, each
+/// finished column through `sink`, and returns what it packed with its
+/// tally of every column.
 pub(crate) fn merge_into<S: Semiring, K: ColumnSink<S::Elem>>(
     _: S,
-    kernel: MergeKernel,
     mats: &[&Csc<S::Elem>],
     shape: (usize, usize),
     sink: &K,
@@ -316,7 +269,7 @@ pub(crate) fn merge_into<S: Semiring, K: ColumnSink<S::Elem>>(
     let bounds = (0..shape.1).map(|j| mats.iter().map(|m| m.col_nnz(j)).sum());
     let scratch = ColumnScratch::default();
     sink_columns(shape.0, shape.1, bounds, sink, scratch, |w, j, emit| {
-        let n = merge_views::<S>(kernel, mats, j, &[], shape.0, w);
+        let n = merge_column::<S>(mats, j, &[], w);
         emit(&w.rows[..n], &w.vals[..n])
     })
 }
@@ -332,7 +285,6 @@ pub(crate) fn merge_into<S: Semiring, K: ColumnSink<S::Elem>>(
 /// and the result is bit-identical to merging built products: a merged
 /// column depends on its inputs' columns alone.
 pub(crate) struct MergeEmit<'a, S: Semiring, K: ColumnSink<S::Elem>> {
-    kernel: MergeKernel,
     inputs: Vec<&'a Csc<S::Elem>>,
     spot: Option<Spot<'a, S::Elem>>,
     nrows: usize,
@@ -356,11 +308,9 @@ pub(crate) struct Spot<'a, T: Value> {
 }
 
 impl<'a, S: Semiring, K: ColumnSink<S::Elem>> MergeEmit<'a, S, K> {
-    /// Merges with `kernel` into `sink` (the merged columns whole without
-    /// one), its tallies in `tally`, one per column of a product of
-    /// `nrows` rows.
+    /// Merges into `sink` (the merged columns whole without one), its
+    /// tallies in `tally`, one per column of a product of `nrows` rows.
     pub(crate) fn new(
-        kernel: MergeKernel,
         inputs: Vec<&'a Csc<S::Elem>>,
         spot: Option<Spot<'a, S::Elem>>,
         nrows: usize,
@@ -368,7 +318,6 @@ impl<'a, S: Semiring, K: ColumnSink<S::Elem>> MergeEmit<'a, S, K> {
         tally: &'a Mutex<Vec<K::Tally>>,
     ) -> Self {
         Self {
-            kernel,
             inputs,
             spot,
             nrows,
@@ -390,7 +339,7 @@ impl<'a, S: Semiring, K: ColumnSink<S::Elem>> MergeEmit<'a, S, K> {
 impl<S: Semiring, K: ColumnSink<S::Elem>> Clone for MergeEmit<'_, S, K> {
     fn clone(&self) -> Self {
         let (inputs, spot) = (self.inputs.clone(), self.spot);
-        Self::new(self.kernel, inputs, spot, self.nrows, self.sink, self.tally)
+        Self::new(inputs, spot, self.nrows, self.sink, self.tally)
     }
 }
 
@@ -424,7 +373,7 @@ impl<S: Semiring, K: ColumnSink<S::Elem>> Emit<S::Elem> for MergeEmit<'_, S, K> 
             (true, [only]) => *only,
             _ => {
                 let w = &mut self.scratch;
-                let n = merge_views::<S>(self.kernel, &self.inputs, j, last, self.nrows, w);
+                let n = merge_column::<S>(&self.inputs, j, last, w);
                 (&w.rows[..n], &w.vals[..n])
             }
         };
@@ -468,40 +417,24 @@ fn sink_columns<T: Value, K: ColumnSink<T>, W: Clone + Send>(
     Packed { cols, tally }
 }
 
-/// K-way merges equally-shaped CSC matrices with the heap kernel (kept as
-/// a named entry point: the benches call it directly). An empty slice
-/// returns an empty matrix of `shape`.
+/// K-way merges equally-shaped CSC matrices (kept as a named entry point:
+/// the benches call it directly). An empty slice returns an empty matrix
+/// of `shape`.
 pub fn kway_merge(mats: &[Csc<f64>], shape: (usize, usize)) -> Csc<f64> {
     merge_with(PlusTimes::<f64>::new(), MergeKernel::Heap, mats, shape)
 }
 
-/// One worker's buffers for merging one column at a time, whatever the
-/// kernel: the inputs' column views (empty between columns, see
-/// [`recycle`]), the column being assembled, pairwise's second buffer, the
-/// heap's tournament, the SpAdd accumulator and the k-cursor merge's
-/// positions and head rows.
+/// One worker's buffers for merging one column at a time: the column being
+/// assembled and the fold's second buffer, which swap at every step.
 #[derive(Clone, Default)]
 struct ColumnScratch<T: Value> {
-    views: Vec<View<'static, T>>,
     rows: Vec<Idx>,
     vals: Vec<T>,
     spare: (Vec<Idx>, Vec<T>),
-    tournament: Tournament,
-    spa: SpaScratch<T>,
-    cursors: (Vec<usize>, Vec<Idx>),
 }
 
 /// One input column of a merge: its rows and their values.
 type View<'a, T> = (&'a [Idx], &'a [T]);
-
-/// `views` emptied, as a vector of views of any lifetime on the same
-/// allocation: collecting a vector's mapped `IntoIter` into a vector of an
-/// element of the same layout reuses its buffer, so a worker's views cost
-/// no allocation past its widest merge.
-fn recycle<'b, T: Value>(mut views: Vec<View<'_, T>>) -> Vec<View<'b, T>> {
-    views.clear();
-    views.into_iter().map(|_| unreachable!("emptied")).collect()
-}
 
 /// Grows `rows` and `vals` to at least `n` entries (never shrinks).
 fn grow<T: Value>(rows: &mut Vec<Idx>, vals: &mut Vec<T>, n: usize) {
@@ -512,142 +445,36 @@ fn grow<T: Value>(rows: &mut Vec<Idx>, vals: &mut Vec<T>, n: usize) {
 }
 
 /// Merges column `j` of `mats`, then the columns `last`, as the lists of
-/// one merge (fan-in ≥ 2) of `nrows`-row columns with `kernel` into
-/// `w.rows`/`w.vals`, and returns how many entries it has.
-fn merge_views<S: Semiring>(
-    kernel: MergeKernel,
+/// one merge (fan-in ≥ 2) into `w.rows`/`w.vals`, and returns how many
+/// entries it has: a left fold of two-cursor merges in list order, so a
+/// row's value accumulates `v_0 ⊕ v_1 ⊕ …` in list order (module docs).
+fn merge_column<S: Semiring>(
     mats: &[&Csc<S::Elem>],
     j: usize,
     last: &[View<'_, S::Elem>],
-    nrows: usize,
     w: &mut ColumnScratch<S::Elem>,
 ) -> usize {
-    let mut views = recycle(std::mem::take(&mut w.views));
-    views.extend(mats.iter().map(|m| (m.col_rows(j), m.col_vals(j))));
-    views.extend_from_slice(last);
-    let n = merge_column::<S>(kernel, &views, nrows, w);
-    w.views = recycle(views);
+    let mut cols = mats
+        .iter()
+        .map(|m| (m.col_rows(j), m.col_vals(j)))
+        .chain(last.iter().copied());
+    let ub = cols.clone().map(|c| c.0.len()).sum();
+    let (first, second) = (cols.next(), cols.next());
+    let (first, second) = first.zip(second).expect("a merge has fan-in >= 2");
+    grow(&mut w.rows, &mut w.vals, ub);
+    let mut n = merge_two_cursors::<S>(first, second, &mut w.rows, &mut w.vals);
+    for col in cols {
+        let (rows, vals) = &mut w.spare;
+        grow(rows, vals, ub);
+        n = merge_two_cursors::<S>((&w.rows[..n], &w.vals[..n]), col, rows, vals);
+        std::mem::swap(&mut w.rows, rows);
+        std::mem::swap(&mut w.vals, vals);
+    }
     n
 }
 
-/// Merges the columns `cols` (fan-in ≥ 2) of `nrows` rows with `kernel`
-/// into `w.rows`/`w.vals` and returns how many entries the result has.
-fn merge_column<S: Semiring>(
-    kernel: MergeKernel,
-    cols: &[View<'_, S::Elem>],
-    nrows: usize,
-    w: &mut ColumnScratch<S::Elem>,
-) -> usize {
-    let ub: usize = cols.iter().map(|c| c.0.len()).sum();
-    match kernel {
-        MergeKernel::Heap => heap_column::<S>(cols, &mut w.tournament, &mut w.rows, &mut w.vals),
-        MergeKernel::Hash => hash_column::<S>(cols, &mut w.rows, &mut w.vals),
-        // The left fold keeps the accumulation order identical to the
-        // heap's list-order tie-breaking: after i folds the accumulator
-        // holds `v_0 ⊕ v_1 ⊕ … ⊕ v_i` exactly as the heap combines it.
-        MergeKernel::Pairwise => {
-            grow(&mut w.rows, &mut w.vals, ub);
-            let mut n = merge_two_cursors::<S>(cols[0], cols[1], &mut w.rows, &mut w.vals);
-            for &col in &cols[2..] {
-                let (rows, vals) = &mut w.spare;
-                grow(rows, vals, ub);
-                n = merge_two_cursors::<S>((&w.rows[..n], &w.vals[..n]), col, rows, vals);
-                std::mem::swap(&mut w.rows, rows);
-                std::mem::swap(&mut w.vals, vals);
-            }
-            n
-        }
-        MergeKernel::BrMerge => {
-            grow(&mut w.rows, &mut w.vals, ub);
-            let (rows, vals) = (&mut w.rows[..ub], &mut w.vals[..ub]);
-            brmerge_column::<S>(cols, nrows, &mut w.cursors, rows, vals)
-        }
-        MergeKernel::SpAdd => {
-            grow(&mut w.rows, &mut w.vals, ub);
-            w.spa.ensure_rows(nrows);
-            let (rows, vals) = (&mut w.rows[..ub], &mut w.vals[..ub]);
-            spadd_column::<S>(cols, &mut w.spa, rows, vals)
-        }
-    }
-}
-
-/// Merges the columns `cols` in ascending `(row, list)` order into
-/// `rows`/`vals` and returns its length, with `tournament` over the lists'
-/// heads.
-fn heap_column<S: Semiring>(
-    cols: &[View<'_, S::Elem>],
-    tournament: &mut Tournament,
-    rows: &mut Vec<Idx>,
-    vals: &mut Vec<S::Elem>,
-) -> usize {
-    // Drops a just-finished entry if it accumulated to the annihilator
-    // (plus-times: cancelled to zero).
-    fn drop_annihilated<S: Semiring>(rows: &mut Vec<Idx>, vals: &mut Vec<S::Elem>) {
-        if vals.last().is_some_and(|&v| S::is_annihilator(v)) {
-            rows.pop();
-            vals.pop();
-        }
-    }
-    rows.clear();
-    vals.clear();
-    tournament.merge(
-        cols.iter().map(|c| (0, c.0.len())),
-        |l, pos| cols[l].0[pos],
-        |r, l, pos| {
-            let v = cols[l].1[pos];
-            if rows.last() == Some(&r) {
-                let acc = vals.last_mut().expect("rows and vals grow together");
-                *acc = S::add(*acc, v);
-            } else {
-                drop_annihilated::<S>(rows, vals);
-                rows.push(r);
-                vals.push(v);
-            }
-        },
-    );
-    drop_annihilated::<S>(rows, vals);
-    rows.len()
-}
-
-/// Hash-accumulates the columns `cols`, strictly in list order, then sorts
-/// by row and drops annihilator entries, into `rows`/`vals`; returns the
-/// merged column's length.
-fn hash_column<S: Semiring>(
-    cols: &[View<'_, S::Elem>],
-    rows: &mut Vec<Idx>,
-    vals: &mut Vec<S::Elem>,
-) -> usize {
-    use std::collections::HashMap;
-    let cap: usize = cols.iter().map(|c| c.0.len()).sum();
-    let mut slot: HashMap<Idx, usize> = HashMap::with_capacity(cap);
-    let mut entries: Vec<(Idx, S::Elem)> = Vec::with_capacity(cap);
-    for &(col_rows, col_vals) in cols {
-        for (&r, &v) in col_rows.iter().zip(col_vals) {
-            match slot.entry(r) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    let at = *e.get();
-                    entries[at].1 = S::add(entries[at].1, v);
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(entries.len());
-                    entries.push((r, v));
-                }
-            }
-        }
-    }
-    entries.sort_unstable_by_key(|&(r, _)| r);
-    entries.retain(|&(_, v)| !S::is_annihilator(v));
-    rows.clear();
-    vals.clear();
-    for (r, v) in entries {
-        rows.push(r);
-        vals.push(v);
-    }
-    rows.len()
-}
-
 /// Writes `(r, v)` at cursor `w` of `rows`/`vals` and advances it, unless
-/// `v` is the annihilator — the shared drop rule.
+/// `v` is the annihilator — the drop rule.
 #[inline]
 fn put<S: Semiring>(rows: &mut [Idx], vals: &mut [S::Elem], w: &mut usize, r: Idx, v: S::Elem) {
     if !S::is_annihilator(v) {
@@ -657,8 +484,9 @@ fn put<S: Semiring>(rows: &mut [Idx], vals: &mut [S::Elem], w: &mut usize, r: Id
     }
 }
 
-/// Two-cursor column merge into `rows`/`vals`, returning its length — the
-/// fan-in-2 case of [`brmerge_column`] and the step of the pairwise fold.
+/// Two-cursor column merge of `a` then `b` into `rows`/`vals`, returning
+/// its length — the step of the fold. A coincident row adds `a`'s value
+/// then `b`'s.
 #[inline]
 fn merge_two_cursors<S: Semiring>(
     (ar, av): (&[Idx], &[S::Elem]),
@@ -679,8 +507,7 @@ fn merge_two_cursors<S: Semiring>(
     // would do anyway, and the stream stays prefetch-friendly (a
     // binary search for the run end adds serially-dependent loads for
     // no saved work, since every element is touched by the copy).
-    // Each element still passes the annihilator drop rule, preserving
-    // bit-identity with the heap kernel.
+    // Each element still passes the annihilator drop rule.
     while i < ar.len() && k < br.len() {
         match ar[i].cmp(&br[k]) {
             std::cmp::Ordering::Less => {
@@ -711,182 +538,6 @@ fn merge_two_cursors<S: Semiring>(
     while k < br.len() {
         put::<S>(rows, vals, &mut w, br[k], bv[k]);
         k += 1;
-    }
-    w
-}
-
-/// k-cursor column merge into `rows`/`vals`: one linear scan over the
-/// cursor heads per step (cheaper than a heap for the small fan-ins this
-/// kernel is selected at), accumulating coincident rows in list order.
-/// `head[i]` caches cursor i's current row — `Idx::MAX` when exhausted
-/// (a safe sentinel: row indices are < nrows < `Idx::MAX`) — so the scan
-/// is a tight compare loop over a small array. The scan also tracks the
-/// runner-up row: when a single cursor owns the minimum, its whole run
-/// of rows below the runner-up is emitted without re-scanning the heads
-/// (the BRMerge run-copy idea), which collapses the per-element cost to
-/// one compare on low-overlap inputs. Each emitted element still passes
-/// the annihilator drop rule, so the output stays bit-identical to the
-/// heap kernel even for inputs carrying explicit annihilators.
-#[inline]
-fn merge_k_cursors<S: Semiring>(
-    cur: &[(&[Idx], &[S::Elem])],
-    pos: &mut [usize],
-    head: &mut [Idx],
-    rows: &mut [Idx],
-    vals: &mut [S::Elem],
-) -> usize {
-    let k = cur.len();
-    assert_eq!(rows.len(), vals.len());
-    for i in 0..k {
-        assert_eq!(cur[i].0.len(), cur[i].1.len());
-        pos[i] = 0;
-        head[i] = cur[i].0.first().copied().unwrap_or(Idx::MAX);
-    }
-    merge_k_cursors_body::<S>(cur, pos, head, rows, vals, k)
-}
-
-/// Fixed-fan-in front end of [`merge_k_cursors`]: `pos`/`head` are
-/// const-sized arrays the compiler keeps in registers and the min-scan
-/// fully unrolls, which is worth ~10% on the stack merger's dominant
-/// 3- and 4-way merges. Same algorithm, bit-identical output.
-#[inline]
-fn merge_k_cursors_fixed<S: Semiring, const K: usize>(
-    cur: &[(&[Idx], &[S::Elem])],
-    rows: &mut [Idx],
-    vals: &mut [S::Elem],
-) -> usize {
-    assert_eq!(cur.len(), K);
-    assert_eq!(rows.len(), vals.len());
-    let mut pos = [0usize; K];
-    let mut head = [Idx::MAX; K];
-    for i in 0..K {
-        assert_eq!(cur[i].0.len(), cur[i].1.len());
-        head[i] = cur[i].0.first().copied().unwrap_or(Idx::MAX);
-    }
-    merge_k_cursors_body::<S>(cur, &mut pos, &mut head, rows, vals, K)
-}
-
-#[inline(always)]
-fn merge_k_cursors_body<S: Semiring>(
-    cur: &[(&[Idx], &[S::Elem])],
-    pos: &mut [usize],
-    head: &mut [Idx],
-    rows: &mut [Idx],
-    vals: &mut [S::Elem],
-    k: usize,
-) -> usize {
-    let mut w = 0usize;
-    loop {
-        // One pass: minimum, its owner, and the runner-up row. A tie for
-        // the minimum leaves `min2 == min`, flagging coincident heads.
-        let mut min = head[0];
-        let mut arg = 0usize;
-        let mut min2 = Idx::MAX;
-        for (i, &h) in head.iter().enumerate().take(k).skip(1) {
-            if h < min {
-                min2 = min;
-                min = h;
-                arg = i;
-            } else if h < min2 {
-                min2 = h;
-            }
-        }
-        if min == Idx::MAX {
-            break;
-        }
-        if min < min2 {
-            // Unique owner: every row of cursor `arg` below `min2` is
-            // absent from all other lists — emit the run with a fused
-            // linear scan-and-copy (the run-end compare doubles as the
-            // copy-loop condition; no binary search).
-            let (r, v) = cur[arg];
-            let mut p = pos[arg];
-            while p < r.len() && r[p] < min2 {
-                put::<S>(rows, vals, &mut w, r[p], v[p]);
-                p += 1;
-            }
-            pos[arg] = p;
-            head[arg] = r.get(p).copied().unwrap_or(Idx::MAX);
-        } else {
-            // Coincident heads: accumulate in list order.
-            let mut acc: Option<S::Elem> = None;
-            for i in 0..k {
-                if head[i] == min {
-                    let (r, v) = cur[i];
-                    let x = v[pos[i]];
-                    acc = Some(match acc {
-                        None => x,
-                        Some(a) => S::add(a, x),
-                    });
-                    pos[i] += 1;
-                    head[i] = r.get(pos[i]).copied().unwrap_or(Idx::MAX);
-                }
-            }
-            put::<S>(rows, vals, &mut w, min, acc.unwrap());
-        }
-    }
-    w
-}
-
-/// BRMerge-style merge of the columns `cols` (fan-in ≥ 2) of `nrows` rows
-/// in one pass into `rows` and `vals`, which hold at least its upper
-/// bound, with `pos`/`head` the slice-backed cursors' state; returns its
-/// length. Coincident rows accumulate strictly in list order, so the
-/// result is bit-identical to the heap kernel's.
-fn brmerge_column<S: Semiring>(
-    cols: &[View<'_, S::Elem>],
-    nrows: usize,
-    (pos, head): &mut (Vec<usize>, Vec<Idx>),
-    rows: &mut [Idx],
-    vals: &mut [S::Elem],
-) -> usize {
-    let k = cols.len();
-    assert!(k >= 2, "brmerge needs fan-in >= 2");
-    debug_assert!((nrows as u64) < Idx::MAX as u64, "Idx::MAX sentinel");
-    // Auto only selects this kernel at fan-in <= 5, so the
-    // register-resident fixed variants cover the hot path;
-    // the slice-backed loop serves Fixed(BrMerge) beyond.
-    match k {
-        2 => merge_two_cursors::<S>(cols[0], cols[1], rows, vals),
-        3 => merge_k_cursors_fixed::<S, 3>(cols, rows, vals),
-        4 => merge_k_cursors_fixed::<S, 4>(cols, rows, vals),
-        5 => merge_k_cursors_fixed::<S, 5>(cols, rows, vals),
-        _ => {
-            pos.resize(k, 0);
-            head.resize(k, 0);
-            merge_k_cursors::<S>(cols, pos, head, rows, vals)
-        }
-    }
-}
-
-/// Hussain-style SpAdd of the columns `cols`: accumulates them strictly in
-/// list order through `spa` (covering every row), then writes the result
-/// sorted, annihilators dropped, into `rows` and `vals`, which hold at
-/// least its upper bound; returns its length.
-fn spadd_column<S: Semiring>(
-    cols: &[View<'_, S::Elem>],
-    spa: &mut SpaScratch<S::Elem>,
-    rows: &mut [Idx],
-    vals: &mut [S::Elem],
-) -> usize {
-    spa.begin_column();
-    for &(col_rows, col_vals) in cols {
-        for (&r, &v) in col_rows.iter().zip(col_vals) {
-            let ri = r as usize;
-            if spa.stamp[ri] == spa.epoch {
-                let at = spa.slot[ri] as usize;
-                spa.pairs[at].1 = S::add(spa.pairs[at].1, v);
-            } else {
-                spa.stamp[ri] = spa.epoch;
-                spa.slot[ri] = spa.pairs.len() as u32;
-                spa.pairs.push((r, v));
-            }
-        }
-    }
-    spa.pairs.sort_unstable_by_key(|&(r, _)| r);
-    let mut w = 0usize;
-    for &(r, v) in &spa.pairs {
-        put::<S>(rows, vals, &mut w, r, v);
     }
     w
 }
@@ -950,11 +601,9 @@ pub fn algorithm2_merge_count(pushed: usize) -> usize {
 /// statistics (`peak_merge_elems`, `total_merged_elems`, `merge_ops`)
 /// with **no** time accounting — timing belongs to the executor layer.
 /// Used by the ablation/bench harnesses; the pipeline drives the same
-/// schedule through `Executor::submit_merge` instead. Every merge, with
-/// whatever kernel, writes a fresh `Csc` and frees its inputs.
+/// schedule through `Executor::submit_merge` instead. Every merge writes
+/// a fresh `Csc` and frees its inputs.
 pub struct StackMerger {
-    model: MachineModel,
-    policy: MergeKernelPolicy,
     shape: (usize, usize),
     stack: Vec<Csc<f64>>,
     pushed: usize,
@@ -962,12 +611,11 @@ pub struct StackMerger {
 }
 
 impl StackMerger {
-    /// New merger for slabs of the given shape. The model only feeds the
-    /// `Auto` kernel selection rule; no durations are charged.
-    pub fn new(model: MachineModel, policy: MergeKernelPolicy, shape: (usize, usize)) -> Self {
+    /// New merger for slabs of the given shape. The model and the label
+    /// policy are unused: no durations are charged, and every label runs
+    /// the same fold.
+    pub fn new(_: MachineModel, _: MergeKernelPolicy, shape: (usize, usize)) -> Self {
         Self {
-            model,
-            policy,
             shape,
             stack: Vec::new(),
             pushed: 0,
@@ -1004,15 +652,11 @@ impl StackMerger {
         let at = self.stack.len() - count;
         let tail = self.stack.split_off(at);
         let elems: usize = tail.iter().map(Csc::nnz).sum();
-        let kernel = match self.policy {
-            MergeKernelPolicy::Fixed(k) => k,
-            MergeKernelPolicy::Auto => select_merge_kernel(&self.model, elems as u64, count),
-        };
         self.stats.peak_merge_elems = self.stats.peak_merge_elems.max(elems);
         self.stats.total_merged_elems += elems as u64;
         self.stats.merge_ops += 1;
         let tail: Vec<&Csc<f64>> = tail.iter().collect();
-        let merged = merge_into(s, kernel, &tail, self.shape, &Whole).cols;
+        let merged = merge_into(s, &tail, self.shape, &Whole).cols;
         self.stack.push(merged);
     }
 
@@ -1079,7 +723,8 @@ mod tests {
 
     #[test]
     fn kway_merge_matches_elementwise_sum() {
-        for k in [1usize, 2, 3, 4, 7, 8] {
+        // Fan-in 20: wider than any grid side the workloads run.
+        for k in [1usize, 2, 3, 4, 5, 7, 8, 20] {
             let mats = slabs(12, k);
             let got = kway_merge(&mats, (12, 12));
             got.assert_valid();
@@ -1087,32 +732,6 @@ mod tests {
             assert!(got.max_abs_diff(&want) < 1e-9, "k={k}");
             assert_eq!(got.nnz(), want.nnz(), "k={k}");
         }
-    }
-
-    #[test]
-    fn all_kernels_match_elementwise_sum() {
-        // Fan-in 20: wider than any grid side the workloads run.
-        for k in [2usize, 3, 5, 8, 20] {
-            let mats = slabs(10, k);
-            let want = reference_sum(&mats);
-            for kernel in hipmcl_comm::MergeKernel::all() {
-                let got = merge_with(PlusTimes::<f64>::new(), kernel, &mats, (10, 10));
-                got.assert_valid();
-                assert!(got.max_abs_diff(&want) < 1e-9, "{kernel:?} k={k}");
-                assert_eq!(got.nnz(), want.nnz(), "{kernel:?} k={k}");
-            }
-        }
-    }
-
-    #[test]
-    fn recycled_views_keep_their_allocation() {
-        let (rows, vals) = ([1 as Idx, 2], [0.5, 0.25]);
-        let mut views: Vec<View<f64>> = Vec::with_capacity(24);
-        views.extend([(&rows[..], &vals[..]); 20]);
-        let at = views.as_ptr() as usize;
-        let again: Vec<View<f64>> = recycle(views);
-        assert!(again.is_empty());
-        assert_eq!((again.as_ptr() as usize, again.capacity()), (at, 24));
     }
 
     #[test]

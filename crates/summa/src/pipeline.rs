@@ -48,7 +48,7 @@
 //! launch, bulk synchronous, devices the bound does not show to hold it,
 //! `Multiway` with `√P ≥ 3` — runs in stage order: each launch in turn,
 //! the earlier products built and the last one formed into the group's
-//! merge. Every merge kernel and every launch label give the same bits,
+//! merge. Every merge label and every launch label give the same bits,
 //! so results and modeled schedules cannot tell either way from building
 //! every product.
 
@@ -256,7 +256,7 @@ impl<'k, S: Semiring, K: ColumnSink<S::Elem>> MergeEngine<'k, S, K> {
         }
     }
 
-    /// The kernel of a `ways`-way merge of `total` elements.
+    /// The kernel label of a `ways`-way merge of `total` elements.
     fn kernel(&self, comm: &Comm, total: u64, ways: usize) -> MergeKernel {
         match self.policy {
             MergeKernelPolicy::Fixed(k) => k,
@@ -271,19 +271,14 @@ impl<'k, S: Semiring, K: ColumnSink<S::Elem>> MergeEngine<'k, S, K> {
     /// the stack's merge results that Algorithm 2 merges with the group,
     /// and it packs through the sink (with its tallies in `tally`) if it
     /// closes the phase, which the flag says; [`formed`](Self::formed)
-    /// takes what it made. Under `Auto` its real kernel is chosen from the
-    /// estimated entries `estimate` of the stage products it forms; its
-    /// lane task is labeled and timed with the kernel the real size
-    /// selects (`do_merge`), and every kernel gives the same bits.
-    #[allow(clippy::too_many_arguments)]
+    /// takes what it made. Its lane task is labeled and timed with the
+    /// kernel label the real size selects (`do_merge`).
     fn group_emit<'e>(
         &'e self,
-        comm: &Comm,
         group: &Range<usize>,
         stages: usize,
         built: &'e [Csc<S::Elem>],
         spot: Option<Spot<'e, S::Elem>>,
-        estimate: usize,
         tally: &'e Mutex<Vec<K::Tally>>,
     ) -> (MergeEmit<'e, S, K>, bool) {
         let results: Vec<&Csc<S::Elem>> = self.stack.iter().filter_map(|s| s.m.as_ref()).collect();
@@ -294,14 +289,12 @@ impl<'k, S: Semiring, K: ColumnSink<S::Elem>> MergeEngine<'k, S, K> {
         let closing = group.end == stages && with == results.len();
         let mut inputs = results[results.len() - with..].to_vec();
         inputs.extend(built);
-        let total = inputs.iter().map(|m| m.nnz()).sum::<usize>() + estimate;
-        let kernel = self.kernel(comm, total as u64, inputs.len() + group.len() - built.len());
         let sink = closing.then(|| {
             *tally.lock().expect("nothing panics under the lock") =
                 vec![K::Tally::default(); self.shape.1];
             self.sink
         });
-        let emit = MergeEmit::new(kernel, inputs, spot, self.shape.0, sink, tally);
+        let emit = MergeEmit::new(inputs, spot, self.shape.0, sink, tally);
         (emit, closing)
     }
 
@@ -315,8 +308,8 @@ impl<'k, S: Semiring, K: ColumnSink<S::Elem>> MergeEngine<'k, S, K> {
     }
 
     /// Merges the top `count` stack entries as one executor task: the
-    /// task is ready when its last input is, the chosen kernel does the
-    /// real work, and the result re-enters the stack homed on the lane
+    /// task is ready when its last input is and timed with the label its
+    /// size selects, and the result re-enters the stack homed on the lane
     /// the executor placed it on; its inputs are freed. The closing merge
     /// goes through the sink.
     fn do_merge(&mut self, comm: &Comm, exec: &mut Executor<'_>, count: usize) {
@@ -334,11 +327,11 @@ impl<'k, S: Semiring, K: ColumnSink<S::Elem>> MergeEngine<'k, S, K> {
         let mats: Option<Vec<&Csc<S::Elem>>> = tail.iter().map(|s| s.m.as_ref()).collect();
         let merged = match (mats, closing) {
             (Some(mats), true) => {
-                let packed = merge_into(S::default(), kernel, &mats, self.shape, self.sink);
+                let packed = merge_into(S::default(), &mats, self.shape, self.sink);
                 self.tally = Some(packed.tally);
                 packed.cols
             }
-            (Some(mats), false) => merge_into(S::default(), kernel, &mats, self.shape, &Whole).cols,
+            (Some(mats), false) => merge_into(S::default(), &mats, self.shape, &Whole).cols,
             (None, _) => self.formed.take().expect("the group's merge formed it"),
         };
         let measured_s = comm.measured_now() - w0;
@@ -463,14 +456,6 @@ struct Stage<T: Value> {
     spec: Option<LaunchSpec>,
 }
 
-impl<T: Value> Stage<T> {
-    /// Its product's estimated entries.
-    fn estimate(&self) -> usize {
-        self.spec
-            .map_or(0, |s| (s.flops as f64 / s.cf_est) as usize)
-    }
-}
-
 /// Exchanges stage `k`'s panels of phase `ph` (mode per panel, §III-B) and
 /// selects the stage's kernel from its flops and a Cohen cf probe
 /// (§III/VI), recording both in `out` and timing the exchange.
@@ -546,12 +531,9 @@ fn stage<T: Value>(
     };
     let kernel = select_kernel(&analysis, &cfg.policy, gpus);
     out.kernels_used.push(kernel);
-    // The probe's clamped cf estimate rides along so the merge that takes
-    // the product can be sized before the realized cf exists.
     let spec = LaunchSpec {
         kernel,
         flops,
-        cf_est: flops as f64 / nnz_probe.max(1) as f64,
         time: comm.time_model(),
     };
     Stage {
@@ -722,10 +704,8 @@ where
                 counts: &counts[0],
             });
             let last = second.as_ref().unwrap_or(&st);
-            let estimate = st.estimate() + second.as_ref().map_or(0, Stage::estimate);
             let tally = Mutex::new(Vec::new());
-            let (emit, closing) =
-                merge.group_emit(comm, &group, side, &built, spot, estimate, &tally);
+            let (emit, closing) = merge.group_emit(&group, side, &built, spot, &tally);
             let emit = Counted::new(emit, &counts[usize::from(second.is_some())]);
             let kernel = last.spec.map_or(SpgemmKernel::CpuHash, |spec| spec.kernel);
             let w0 = comm.measured_now();

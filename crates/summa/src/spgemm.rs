@@ -125,8 +125,9 @@ pub struct SummaConfig {
     pub policy: SelectionPolicy,
     /// Merging scheme for the stage intermediates.
     pub merge: MergeStrategy,
-    /// How each individual merge operation's kernel is chosen (the
-    /// model-cost `Auto` rule, or a fixed kernel for ablations).
+    /// How each individual merge operation's kernel label, the rate its
+    /// lane task is timed at, is chosen (the model-cost `Auto` rule, or a
+    /// fixed label for ablations).
     pub merge_kernel: MergeKernelPolicy,
     /// Overlap local multiplications with broadcasts and merging (§III).
     /// Without it the host waits for every kernel's output (bulk
@@ -213,7 +214,7 @@ pub struct SummaOutput<T: Value = f64> {
     /// Merge statistics (peak elements feed Table III).
     pub merge_stats: MergeStats,
     /// Every merge operation's timeline span — start/end on its merge
-    /// lane, chosen kernel, fan-in, elements — in submission order. The
+    /// lane, kernel label, fan-in, elements — in submission order. The
     /// merge-side counterpart of [`kernels_used`](Self::kernels_used).
     pub merge_spans: Vec<MergeSpan>,
     /// Host idle time spent waiting on launch events (Table V, CPU).
