@@ -392,10 +392,10 @@ mod tests {
     #[test]
     fn merge_peak_elems_is_schedule_not_kernel_determined() {
         // The peak merge working set is a property of the binary
-        // *schedule* (how many slabs coexist), not of which accumulator
-        // runs each merge — so Auto (BRMerge/SpAdd) must report exactly
-        // the per-iteration peaks, merge counts and phases that the heap
-        // kernel does on the same run.
+        // *schedule* (how many slabs coexist), not of the label each
+        // merge is timed under — so Auto (BRMerge/SpAdd labels) must
+        // report exactly the per-iteration peaks, merge counts and phases
+        // that the heap label does on the same run.
         use hipmcl_comm::MergeKernel;
         use hipmcl_gpu::select::SelectionPolicy;
         let d = Dataset::Archaea;

@@ -162,12 +162,12 @@ pub fn estimate_memory<O: Operand>(
         EstimatorKind::Probabilistic { r } => probabilistic(grid, a.matrix(), b.matrix(), r, seed),
         EstimatorKind::Hybrid { r, cf_threshold } => {
             let prob = probabilistic(grid, a.matrix(), b.matrix(), r, seed);
-            let cf_est = if prob.nnz_estimate > 0.0 {
+            let cf = if prob.nnz_estimate > 0.0 {
                 prob.flops as f64 / prob.nnz_estimate
             } else {
                 1.0
             };
-            if cf_est < cf_threshold {
+            if cf < cf_threshold {
                 let mut exact = exact_symbolic(grid, a, b);
                 exact.time += prob.time; // the probabilistic probe was paid too
                 exact

@@ -459,8 +459,9 @@ fn merge_column<S: Semiring>(
         .map(|m| (m.col_rows(j), m.col_vals(j)))
         .chain(last.iter().copied());
     let ub = cols.clone().map(|c| c.0.len()).sum();
-    let (first, second) = (cols.next(), cols.next());
-    let (first, second) = first.zip(second).expect("a merge has fan-in >= 2");
+    let (Some(first), Some(second)) = (cols.next(), cols.next()) else {
+        panic!("a merge has fan-in >= 2");
+    };
     grow(&mut w.rows, &mut w.vals, ub);
     let mut n = merge_two_cursors::<S>(first, second, &mut w.rows, &mut w.vals);
     for col in cols {
