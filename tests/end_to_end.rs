@@ -81,6 +81,47 @@ fn the_distributed_driver_matches_serial_under_the_optimized_preset() {
     assert!(phases[0] > 1, "phases per iteration {phases:?}");
 }
 
+/// The driver on four ranks under both time models, with the transport
+/// from the environment: measuring wall time moves no label and no
+/// modeled second, and only the `Measured` run samples the local
+/// multiplies' wall time. `original_hipmcl` runs every phase's stages in
+/// stage order, `optimized` forms its launches in tiled pairs.
+#[test]
+fn the_distributed_driver_keeps_its_modeled_clock_under_measured_time() {
+    use hipmcl::comm::{TimeModel, UniverseConfig};
+    let (graph, _, _) = small_net(31);
+    let budget = 4 << 10;
+    for cfg in [
+        MclConfig::original_hipmcl(budget),
+        MclConfig::optimized(budget),
+    ] {
+        let run = |time: TimeModel| {
+            let ucfg = UniverseConfig::from_env(4, MachineModel::summit()).with_time(time);
+            let (graph, cfg) = (&graph, &cfg);
+            let reports = Universe::run_with(ucfg, move |comm| {
+                let grid = ProcGrid::new(comm);
+                let mut gpus = MultiGpu::summit_node(grid.world.model());
+                cluster_distributed(&grid, &mut gpus, graph, cfg)
+            });
+            reports.into_iter().next().expect("rank 0's report")
+        };
+        let (modeled, measured) = (run(TimeModel::Modeled), run(TimeModel::Measured));
+        assert_eq!(measured.labels, modeled.labels);
+        assert_eq!(measured.total_time.to_bits(), modeled.total_time.to_bits());
+        let bits = |r: &DistMclReport| -> Vec<(String, u64)> {
+            let times = r.stage_times.iter();
+            times.map(|(n, t)| (n.clone(), t.to_bits())).collect()
+        };
+        assert_eq!(bits(&measured), bits(&modeled));
+        let spgemm_wall = |r: &DistMclReport| {
+            let mut times = r.stage_times_measured.iter();
+            times.find(|(n, _)| n == "local_spgemm").map(|&(_, t)| t)
+        };
+        assert!(spgemm_wall(&measured) > Some(0.0));
+        assert_eq!(spgemm_wall(&modeled), Some(0.0));
+    }
+}
+
 /// Runs `cfg` serially and on up to four ranks; returns rank 0's report
 /// and the rank count.
 fn driver_matches_serial(cfg: MclConfig) -> (DistMclReport, usize) {
