@@ -1,14 +1,17 @@
-//! The kernel-execution layer: every local SpGEMM is a launch, every
-//! merge a task on a host-side lane.
+//! The kernel-execution layer: every local SpGEMM is a charged launch,
+//! every merge a task on a host-side lane.
 //!
-//! The Pipelined Sparse SUMMA scheduler (`pipeline`) never cares *where* a
-//! local multiplication runs — it submits the selected kernel to the
-//! rank's [`Executor`] and overlaps against the returned [`KernelLaunch`]
-//! events. A GPU-selected multiply runs all of `B` on the devices, as in
-//! the paper's setup (§III-A); a CPU-side multiply runs inline on the
-//! host, as original HipMCL runs it; the lanes hold merges only. A node
-//! without accelerators (a model with `gpus: 0`) has no devices, so kernel
-//! selection stays CPU-only and every multiply runs inline.
+//! The executor charges and places; it forms nothing and reads no clock.
+//! The Pipelined Sparse SUMMA scheduler (`pipeline`) forms each stage
+//! product and samples its wall time, then hands the executor the
+//! selected kernel label, the operands (for their byte sizes), the flops
+//! per column and the product's column counts, and overlaps against the
+//! returned [`KernelLaunch`] events. A GPU-selected multiply runs all of
+//! `B` on the devices, as in the paper's setup (§III-A); a CPU-side
+//! multiply runs inline on the host, as original HipMCL runs it; the lanes
+//! hold merges only. A node without accelerators (a model with `gpus: 0`)
+//! has no devices, so kernel selection stays CPU-only and every multiply
+//! runs inline.
 //!
 //! A *CPU-side* multiply is one whose selected kernel is a CPU kernel, or
 //! a GPU launch the devices could not hold (out of memory), which
@@ -32,29 +35,12 @@
 //! scheduler's job.
 
 use crate::merge::MergeSpan;
-use hipmcl_comm::{GpuLib, MachineModel, MergeKernel, SpgemmKernel, TimeModel, Timeline};
+use hipmcl_comm::{GpuLib, MachineModel, MergeKernel, SpgemmKernel, Timeline};
 use hipmcl_gpu::multi::{Admission, Launch, MultiGpu};
-use hipmcl_sparse::{Csc, Semiring, Value};
-use hipmcl_spgemm::emit::{counted, counters, Counted, Emit};
+use hipmcl_sparse::{Csc, Value};
+use hipmcl_spgemm::emit::counted;
 use hipmcl_spgemm::hybrid::realized_cf;
-use hipmcl_spgemm::CpuAlgo;
 use std::sync::atomic::AtomicUsize;
-
-/// The scheduler-side description of one local multiplication, passed to
-/// [`Executor::submit`].
-#[derive(Clone, Copy, Debug)]
-pub struct LaunchSpec {
-    /// The pre-selected kernel.
-    pub kernel: SpgemmKernel,
-    /// Exact flop count the scheduler already derived for selection.
-    pub flops: u64,
-    /// The universe's time model. The executor keys its timelines off the
-    /// modeled clock either way; under [`TimeModel::Measured`] it
-    /// additionally stamps each launch's real host compute with wall
-    /// seconds ([`KernelLaunch::measured_s`]). Under
-    /// [`TimeModel::Modeled`] the host clock is never read.
-    pub time: TimeModel,
-}
 
 /// One asynchronous local multiplication, as seen by the scheduler: what
 /// the model charged for it.
@@ -84,11 +70,6 @@ pub struct KernelLaunch {
     pub flops: u64,
     /// Realized compression factor.
     pub cf: f64,
-    /// Wall seconds the real kernel compute took on the host, sampled
-    /// only when the launch was submitted under
-    /// [`TimeModel::Measured`]; `0.0` under [`TimeModel::Modeled`],
-    /// which never reads the host clock.
-    pub measured_s: f64,
 }
 
 /// The scheduler-side description of one merge operation, passed to
@@ -129,15 +110,6 @@ fn remote_elems(task: &MergeTask, lane: usize) -> u64 {
         .sum()
 }
 
-/// The host kernel that forms a launch's product: the heap for the heap,
-/// the hash kernel for every other label, the devices' included.
-pub fn host_algo(kernel: SpgemmKernel) -> CpuAlgo {
-    match kernel {
-        SpgemmKernel::CpuHeap => CpuAlgo::Heap,
-        _ => CpuAlgo::Hash,
-    }
-}
-
 /// A GPU launch whose inputs are on its devices and whose product may be
 /// formed before [`Executor::complete`] charges the rest.
 #[derive(Debug)]
@@ -167,16 +139,15 @@ fn device_launch(kernel: SpgemmKernel, r: Launch) -> KernelLaunch {
         kernel_time: r.output_ready_at - r.inputs_transferred_at,
         flops: r.flops,
         cf: r.cf,
-        measured_s: 0.0,
     }
 }
 
 /// The target a rank's local SpGEMM launches and merge operations are
-/// submitted to: its devices plus one host-side lane per socket.
+/// charged to: its devices plus one host-side lane per socket.
 ///
-/// Scheduling (timelines, lanes) is element-type-free; only
-/// [`submit`](Self::submit) names the semiring, per call, so the same
-/// executor serves shortest paths exactly as it does MCL.
+/// Everything here is element-type-free and semiring-free: the caller
+/// forms a product however it likes and passes its column counts, so the
+/// same executor serves shortest paths exactly as it does MCL.
 ///
 /// # Example
 ///
@@ -186,31 +157,28 @@ fn device_launch(kernel: SpgemmKernel, r: Launch) -> KernelLaunch {
 /// idle in between (the Table V "GPU idle" column):
 ///
 /// ```
-/// use hipmcl_comm::{GpuLib, MachineModel, SpgemmKernel, TimeModel};
+/// use hipmcl_comm::{GpuLib, MachineModel, SpgemmKernel};
 /// use hipmcl_gpu::multi::MultiGpu;
-/// use hipmcl_sparse::PlusTimes;
-/// use hipmcl_summa::executor::{Executor, LaunchSpec};
-/// use hipmcl_spgemm::emit::Push;
+/// use hipmcl_summa::executor::Executor;
 /// use hipmcl_spgemm::testutil::random_csc;
+/// use std::sync::atomic::AtomicUsize;
 ///
 /// let model = MachineModel::summit();
 /// let a = random_csc(20, 20, 120, 7);
 /// let fpc = hipmcl_spgemm::flops_per_column(&a, &a);
-/// let spec = LaunchSpec {
-///     kernel: SpgemmKernel::Gpu(GpuLib::Nsparse),
-///     flops: fpc.iter().sum(),
-///     time: TimeModel::Modeled,
-/// };
+/// // Whoever formed the product hands over its column counts.
+/// let c = hipmcl_spgemm::hash::multiply(&a, &a);
+/// let counts: Vec<_> = (0..c.ncols()).map(|j| AtomicUsize::new(c.col_nnz(j))).collect();
 ///
+/// let nsparse = SpgemmKernel::Gpu(GpuLib::Nsparse);
 /// let mut gpus = MultiGpu::summit_node(&model);
 /// let mut exec = Executor::new(&mut gpus, &model);
-/// let pt = PlusTimes::<f64>::new();
-/// let (_, l1) = exec.submit(pt, 0.0, &a, &a, &fpc, spec, Push);
+/// let l1 = exec.charge(0.0, nsparse, &a, &a, &fpc, &counts);
 /// assert!(l1.output_ready_at > l1.inputs_ready_at, "the host resumes first");
 /// assert_eq!(l1.host_compute, 0.0);
 ///
 /// // Ready 1 s after the first launch completed: the devices sat idle.
-/// let (_, l2) = exec.submit(pt, l1.output_ready_at + 1.0, &a, &a, &fpc, spec, Push);
+/// let l2 = exec.charge(l1.output_ready_at + 1.0, nsparse, &a, &a, &fpc, &counts);
 /// assert!(l2.output_ready_at > l1.output_ready_at);
 /// assert!(exec.device_idle() > 0.0);
 /// ```
@@ -234,68 +202,28 @@ impl<'g> Executor<'g> {
         exec
     }
 
-    /// Submits `C = A ⊗ B` in semiring `s` as described by `spec`,
-    /// starting at host virtual time `host_now`, with each column of the
-    /// product handed to `emit` as the kernel finishes it
-    /// ([`Push`](hipmcl_spgemm::emit::Push) builds the product): what
-    /// `emit` made of the columns, and the launch
-    /// [`charge`](Self::charge) charged from their counts. `fpc` is
-    /// `flops_per_column(a, b)`, counted once per launch by the scheduler.
-    /// Never advances a rank clock — the scheduler decides what to wait
-    /// on.
-    ///
-    /// A GPU-selected launch forms its product with the host hash kernel,
-    /// whatever its library label, as its out-of-memory fallback does: so
-    /// the fallback's product is the one formed, and only the charges
-    /// differ.
-    #[allow(clippy::too_many_arguments)]
-    pub fn submit<S: Semiring, E: Emit<S::Elem>>(
-        &mut self,
-        s: S,
-        host_now: f64,
-        a: &Csc<S::Elem>,
-        b: &Csc<S::Elem>,
-        fpc: &[u64],
-        spec: LaunchSpec,
-        emit: E,
-    ) -> (Csc<S::Elem>, KernelLaunch) {
-        let w0 = spec.time.is_measured().then(std::time::Instant::now);
-        let counts = counters(b.ncols());
-        let emit = Counted::new(emit, &counts);
-        let c = host_algo(spec.kernel).multiply_cols_in(s, a, b, 0..b.ncols(), fpc, emit);
-        // The modeled path never touches the host clock: this sample is
-        // the executor's only `Instant` read.
-        let measured_s = w0.map_or(0.0, |t| t.elapsed().as_secs_f64());
-        let launch = self.charge(host_now, a, b, fpc, spec, &counts);
-        (
-            c,
-            KernelLaunch {
-                measured_s,
-                ..launch
-            },
-        )
-    }
-
-    /// Charges `C = A ⊗ B`, described by `spec` and started at host virtual
-    /// time `host_now`, from the product's column counts `counts` (one per
-    /// column of `B`), whenever and however the product was formed. A GPU
-    /// launch runs on the devices; one they cannot hold (out of memory) is
-    /// charged as the host hash kernel instead of killing the rank.
-    #[allow(clippy::too_many_arguments)]
+    /// Charges `C = A ⊗ B` on `kernel`, started at host virtual time
+    /// `host_now`, from `fpc = flops_per_column(a, b)` and the product's
+    /// column counts `counts` (one per column of `B`), whenever and however
+    /// the product was formed. A GPU launch runs on the devices; one they
+    /// cannot hold (out of memory) is charged as the host hash kernel
+    /// instead of killing the rank. Never advances a rank clock — the
+    /// scheduler decides what to wait on.
     pub fn charge<T: Value>(
         &mut self,
         host_now: f64,
+        kernel: SpgemmKernel,
         a: &Csc<T>,
         b: &Csc<T>,
         fpc: &[u64],
-        spec: LaunchSpec,
         counts: &[AtomicUsize],
     ) -> KernelLaunch {
-        let SpgemmKernel::Gpu(lib) = spec.kernel else {
-            return self.charge_cpu(host_now, spec.kernel, spec.flops, counts);
+        let flops = fpc.iter().sum();
+        let SpgemmKernel::Gpu(lib) = kernel else {
+            return self.charge_cpu(host_now, kernel, flops, counts);
         };
         match self.gpus.charge(host_now, a, b, fpc, lib, counts) {
-            Ok(r) => device_launch(spec.kernel, r),
+            Ok(r) => device_launch(kernel, r),
             // The devices cannot take this phase (out of memory): a busy
             // or undersized engine degrades the launch to the host hash
             // kernel. The modeled clock charges the CPU duration, so the
@@ -305,13 +233,13 @@ impl<'g> Executor<'g> {
                     "gpu launch degraded to CpuHash: {e} (increase phases or use a CPU \
                      policy to avoid the fallback)"
                 );
-                self.charge_cpu(host_now, SpgemmKernel::CpuHash, spec.flops, counts)
+                self.charge_cpu(host_now, SpgemmKernel::CpuHash, flops, counts)
             }
         }
     }
 
-    /// Admits `C = A ⊗ B`, described by `spec` and started at host virtual
-    /// time `host_now`, if it is a GPU launch its devices certainly hold
+    /// Admits `C = A ⊗ B` on `kernel`, started at host virtual time
+    /// `host_now`, if it is a GPU launch its devices certainly hold
     /// ([`MultiGpu::admit`]): its inputs are transferred, and the host may
     /// resume at [`Admitted::inputs_ready_at`], before the product is
     /// formed. [`complete`](Self::complete) charges the rest once it is.
@@ -319,17 +247,17 @@ impl<'g> Executor<'g> {
     pub fn admit<T: Value>(
         &mut self,
         host_now: f64,
+        kernel: SpgemmKernel,
         a: &Csc<T>,
         b: &Csc<T>,
         fpc: &[u64],
-        spec: LaunchSpec,
     ) -> Option<Admitted> {
-        let SpgemmKernel::Gpu(lib) = spec.kernel else {
+        let SpgemmKernel::Gpu(lib) = kernel else {
             return None;
         };
         let admission = self.gpus.admit(host_now, a, b, fpc)?;
         Some(Admitted {
-            kernel: spec.kernel,
+            kernel,
             lib,
             admission,
         })
@@ -375,7 +303,6 @@ impl<'g> Executor<'g> {
             kernel_time: dur,
             flops,
             cf,
-            measured_s: 0.0,
         }
     }
 
@@ -383,7 +310,7 @@ impl<'g> Executor<'g> {
     /// its last input slab exists), on a lane and returns the span — the
     /// merge-side analogue of [`KernelLaunch`], with `measured_s` left at
     /// zero for the pipeline, which does the real merging, to fill in.
-    /// Like [`submit`](Self::submit), never advances a rank clock.
+    /// Like [`charge`](Self::charge), never advances a rank clock.
     ///
     /// **The placement rule.** Every lane competes for the task: lane `l`
     /// would finish it at `max(ready_at, busy_until(l)) + duration(l)`,
@@ -483,8 +410,9 @@ impl<'g> Executor<'g> {
 mod tests {
     use super::*;
     use hipmcl_sparse::{CscBuilder, Idx, PlusTimes};
-    use hipmcl_spgemm::emit::Push;
+    use hipmcl_spgemm::emit::{counters, Counted, Emit, Push};
     use hipmcl_spgemm::testutil::random_csc;
+    use hipmcl_spgemm::CpuAlgo;
 
     fn model() -> MachineModel {
         MachineModel::summit()
@@ -502,12 +430,20 @@ mod tests {
         hipmcl_spgemm::flops_per_column(a, a)
     }
 
-    fn spec_for(a: &Csc<f64>, kernel: SpgemmKernel) -> LaunchSpec {
-        LaunchSpec {
-            kernel,
-            flops: fpc(a).iter().sum(),
-            time: TimeModel::Modeled,
-        }
+    /// Forms `A · A` with the hash kernel, each column handed to `emit`,
+    /// then charges a `kernel` launch at `host_now` from the columns'
+    /// counts: what `emit` made, and the launch.
+    fn launch<E: Emit<f64>>(
+        exec: &mut Executor<'_>,
+        host_now: f64,
+        a: &Csc<f64>,
+        kernel: SpgemmKernel,
+        emit: E,
+    ) -> (Csc<f64>, KernelLaunch) {
+        let (fpc, counts) = (fpc(a), counters(a.ncols()));
+        let emit = Counted::new(emit, &counts);
+        let c = CpuAlgo::Hash.multiply_cols_in(pt(), a, a, 0..a.ncols(), &fpc, emit);
+        (c, exec.charge(host_now, kernel, a, a, &fpc, &counts))
     }
 
     const NSPARSE: SpgemmKernel = SpgemmKernel::Gpu(GpuLib::Nsparse);
@@ -517,7 +453,7 @@ mod tests {
         let (m, a) = (model(), random_csc(30, 30, 260, 41));
         let mut gpus = MultiGpu::new(model(), 2, 1 << 30);
         let mut exec = Executor::new(&mut gpus, &m);
-        let (c, l) = exec.submit(pt(), 1.0, &a, &a, &fpc(&a), spec_for(&a, NSPARSE), Push);
+        let (c, l) = launch(&mut exec, 1.0, &a, NSPARSE, Push);
         assert_eq!(c, want(&a));
         assert!(l.inputs_ready_at > 1.0);
         assert!(
@@ -533,15 +469,7 @@ mod tests {
         let (m, a) = (model(), random_csc(30, 30, 260, 42));
         let mut gpus = MultiGpu::new(model(), 2, 1 << 30);
         let mut exec = Executor::new(&mut gpus, &m);
-        let (c, l) = exec.submit(
-            pt(),
-            1.0,
-            &a,
-            &a,
-            &fpc(&a),
-            spec_for(&a, SpgemmKernel::CpuHash),
-            Push,
-        );
+        let (c, l) = launch(&mut exec, 1.0, &a, SpgemmKernel::CpuHash, Push);
         assert_eq!(c, want(&a));
         assert_eq!(
             l.inputs_ready_at, l.output_ready_at,
@@ -558,7 +486,7 @@ mod tests {
         // Devices far too small for the operands: every launch OOMs.
         let mut gpus = MultiGpu::new(model(), 2, 64);
         let mut exec = Executor::new(&mut gpus, &m);
-        let (c, l) = exec.submit(pt(), 1.0, &a, &a, &fpc(&a), spec_for(&a, NSPARSE), Push);
+        let (c, l) = launch(&mut exec, 1.0, &a, NSPARSE, Push);
         assert_eq!(c, want(&a), "result still correct");
         assert_eq!(
             l.kernel,
@@ -586,7 +514,7 @@ mod tests {
     #[test]
     fn a_launch_emits_what_it_would_make_of_its_built_product() {
         let (m, a) = (model(), random_csc(30, 30, 260, 51));
-        let (product, fpc) = (want(&a), fpc(&a));
+        let product = want(&a);
         fn first(c: &Csc<f64>) -> Vec<Option<Idx>> {
             (0..c.ncols())
                 .map(|j| c.col_rows(j).first().copied())
@@ -602,20 +530,19 @@ mod tests {
             (SpgemmKernel::CpuHeap, 64, false),
         ] {
             let case = format!("{kernel:?} on {mem} B, second full: {full}");
-            let launch = |emit: bool| {
+            let run = |emit: bool| {
                 let mut gpus = MultiGpu::new(model(), 2, mem);
                 if full {
                     gpus.devices[1].alloc(mem).unwrap();
                 }
                 let mut exec = Executor::new(&mut gpus, &m);
-                let spec = spec_for(&a, kernel);
                 let l = match emit {
-                    true => exec.submit(pt(), 1.0, &a, &a, &fpc, spec, First),
-                    false => exec.submit(pt(), 1.0, &a, &a, &fpc, spec, Push),
+                    true => launch(&mut exec, 1.0, &a, kernel, First),
+                    false => launch(&mut exec, 1.0, &a, kernel, Push),
                 };
                 (l, gpus.devices[0].kernels_launched())
             };
-            let (((got_c, got), ran), ((built_c, built), _)) = (launch(true), launch(false));
+            let (((got_c, got), ran), ((built_c, built), _)) = (run(true), run(false));
             if full {
                 assert_eq!(ran, 1, "{case}: the first device ran its share");
             }
@@ -809,11 +736,10 @@ mod tests {
     #[test]
     fn reset_timelines_clears_idle_accounting() {
         let (m, a) = (model(), random_csc(20, 20, 120, 48));
-        let spec = spec_for(&a, NSPARSE);
         let mut gpus = MultiGpu::new(model(), 2, 1 << 30);
         let mut exec = Executor::new(&mut gpus, &m);
-        exec.submit(pt(), 0.0, &a, &a, &fpc(&a), spec, Push);
-        exec.submit(pt(), 1e9, &a, &a, &fpc(&a), spec, Push);
+        launch(&mut exec, 0.0, &a, NSPARSE, Push);
+        launch(&mut exec, 1e9, &a, NSPARSE, Push);
         assert!(exec.device_idle() > 0.0);
         exec.reset_timelines();
         assert_eq!(exec.device_idle(), 0.0);

@@ -14,13 +14,15 @@
 //!   Cohen-sketch estimator (§V), plus the hybrid rule (exact when `cf` is
 //!   small).
 //! * [`executor`] — the kernel-execution layer: every local multiply is
-//!   a [`executor::KernelLaunch`] submitted to the rank's
-//!   [`executor::Executor`]: GPU-selected multiplies go to the devices
-//!   ([`hipmcl_gpu::multi::MultiGpu`]), CPU-side multiplies run inline on
-//!   the host, and the per-socket lanes carry the merges.
+//!   a [`executor::KernelLaunch`] that the rank's [`executor::Executor`]
+//!   charges from its product's column counts: GPU-selected multiplies on
+//!   the devices ([`hipmcl_gpu::multi::MultiGpu`]), CPU-side multiplies
+//!   inline on the host, and the per-socket lanes carry the merges. It
+//!   forms no product and reads no clock.
 //! * [`pipeline`] — the single stage scheduler of Pipelined Sparse SUMMA:
-//!   issues broadcasts, submits launches, and drives merging off the
-//!   launches' completion events.
+//!   issues broadcasts, forms every stage product (timing it on the wall
+//!   clock under measured time), has the executor charge its launch, and
+//!   drives merging off the launches' completion events.
 //! * [`spgemm`] — distributed `C = A·B`: configuration and entry points
 //!   for plain Sparse SUMMA (bulk synchronous, original HipMCL) and
 //!   **Pipelined Sparse SUMMA** (§III) overlapping local multiplications
@@ -44,7 +46,7 @@ pub mod topk;
 
 pub use distmat::{DistMatrix, Operand, Panel};
 pub use estimate::{EstimatorKind, MemoryEstimate};
-pub use executor::{Executor, KernelLaunch, LaunchSpec, MergeTask};
+pub use executor::{Executor, KernelLaunch, MergeTask};
 pub use merge::{merge_with, MergeKernelPolicy, MergeSpan, MergeStrategy, StackMerger};
 pub use spgemm::{
     summa_spgemm, summa_spgemm_in, summa_spgemm_with, summa_spgemm_with_in, CommChoice, CommPolicy,

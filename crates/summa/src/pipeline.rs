@@ -2,8 +2,9 @@
 //!
 //! One code path drives every configuration: for each phase and each of
 //! the `√P` stages the scheduler exchanges the `A` and `B` blocks,
-//! selects a kernel, submits it to the [`Executor`], and decides what to
-//! overlap purely from the launch's completion events:
+//! selects a kernel, forms the stage product, has the [`Executor`] charge
+//! the launch, and decides what to overlap purely from the launch's
+//! completion events:
 //!
 //! * **pipelined** — the host resumes at `inputs_ready_at`, so the next
 //!   stage's broadcasts (and the one-stage-late binary merge) overlap the
@@ -51,6 +52,13 @@
 //! merge. Every merge label and every launch label give the same bits,
 //! so results and modeled schedules cannot tell either way from building
 //! every product.
+//!
+//! Whichever way, each product is formed here, by `form`: the host
+//! kernel its label selects writes it into `Push` (a built product) or
+//! into the group's merge, noting each column's count, between two reads
+//! of the wall clock (both 0 under `TimeModel::Modeled`). The executor
+//! only charges the launch from those counts; it forms nothing and reads
+//! no clock.
 
 //! # Per-stage communication selection
 //!
@@ -68,7 +76,7 @@
 //! hidden constant.
 
 use crate::distmat::{Operand, Panel};
-use crate::executor::{host_algo, Executor, KernelLaunch, LaunchSpec, MergeTask};
+use crate::executor::{Executor, KernelLaunch, MergeTask};
 use crate::merge::{
     algorithm2_merge_count, merge_into, select_merge_kernel, ColumnSink, MergeEmit,
     MergeKernelPolicy, MergeSpan, MergeStats, MergeStrategy, Packed, Spot, Whole,
@@ -83,9 +91,10 @@ use hipmcl_comm::{
 use hipmcl_gpu::select::select_kernel;
 use hipmcl_sparse::util::even_chunk;
 use hipmcl_sparse::{Csc, Dcsc, Semiring, Value};
-use hipmcl_spgemm::emit::{counters, Counted, Push};
-use hipmcl_spgemm::{CohenEstimator, MultAnalysis};
+use hipmcl_spgemm::emit::{counters, Counted, Emit, Push};
+use hipmcl_spgemm::{CohenEstimator, CpuAlgo, MultAnalysis};
 use std::ops::Range;
+use std::sync::atomic::AtomicUsize;
 use std::sync::{Arc, Mutex};
 
 /// Broadcast payload: a shared block plus its hypersparse wire size.
@@ -447,13 +456,50 @@ impl<'k, S: Semiring, K: ColumnSink<S::Elem>> MergeEngine<'k, S, K> {
     }
 }
 
-/// One stage's panels, its flops per output column and the launch
-/// selected for it (`None` when it has no flops).
+/// One stage's panels, its flops per output column and the kernel
+/// selected for its launch (`None` when it has no flops).
 struct Stage<T: Value> {
     a: Panel<T>,
     b: Panel<T>,
     fpc: Vec<u64>,
-    spec: Option<LaunchSpec>,
+    kernel: Option<SpgemmKernel>,
+}
+
+/// Forms stage `st`'s product, each column handed to `emit` and its count
+/// noted in `counts`: what `emit` made of it, and the wall seconds the
+/// host took (0 under `TimeModel::Modeled`, which reads no host clock).
+/// The heap forms the heap's product, the hash kernel every other label's,
+/// the devices' included: so a GPU launch's product is the one its
+/// out-of-memory fallback forms, and only the charges differ. A stage
+/// without flops is formed like any other: its product is empty.
+fn form<S: Semiring, E: Emit<S::Elem>>(
+    s: S,
+    comm: &Comm,
+    st: &Stage<S::Elem>,
+    counts: &[AtomicUsize],
+    emit: E,
+) -> (Csc<S::Elem>, f64) {
+    let algo = match st.kernel {
+        Some(SpgemmKernel::CpuHeap) => CpuAlgo::Heap,
+        _ => CpuAlgo::Hash,
+    };
+    let (a, b, emit) = (&*st.a, &*st.b, Counted::new(emit, counts));
+    let w0 = comm.measured_now();
+    let c = algo.multiply_cols_in(s, a, b, 0..b.ncols(), &st.fpc, emit);
+    (c, comm.measured_now() - w0)
+}
+
+/// Charges stage `st`'s launch at the host's virtual time from its
+/// product's column counts (`None` when the stage has no flops).
+fn charge<T: Value>(
+    comm: &Comm,
+    exec: &mut Executor<'_>,
+    st: &Stage<T>,
+    counts: &[AtomicUsize],
+) -> Option<KernelLaunch> {
+    let (a, b, now) = (&*st.a, &*st.b, comm.now());
+    st.kernel
+        .map(|k| exec.charge(now, k, a, b, &st.fpc, counts))
 }
 
 /// Exchanges stage `k`'s panels of phase `ph` (mode per panel, §III-B) and
@@ -511,7 +557,7 @@ fn stage<T: Value>(
             a,
             b,
             fpc,
-            spec: None,
+            kernel: None,
         };
     }
     // `nnz(C)` can never exceed `flops`: clamp the probe so a stale global
@@ -531,16 +577,11 @@ fn stage<T: Value>(
     };
     let kernel = select_kernel(&analysis, &cfg.policy, gpus);
     out.kernels_used.push(kernel);
-    let spec = LaunchSpec {
-        kernel,
-        flops,
-        time: comm.time_model(),
-    };
     Stage {
         a,
         b,
         fpc,
-        spec: Some(spec),
+        kernel: Some(kernel),
     }
 }
 
@@ -656,26 +697,20 @@ where
             let mut st = next_stage(group.start, timers, &mut out);
             // A group of at most two stages whose first launch the devices
             // certainly hold is tiled (module docs).
-            let admitted = match st.spec {
-                Some(spec) if cfg.pipelined && group.len() <= 2 => {
-                    exec.admit(comm.now(), &st.a, &st.b, &st.fpc, spec)
+            let admitted = match st.kernel {
+                Some(k) if cfg.pipelined && group.len() <= 2 => {
+                    exec.admit(comm.now(), k, &st.a, &st.b, &st.fpc)
                 }
                 _ => None,
             };
             // Any other group runs its launches in stage order, each product
-            // built, up to the last.
+            // built and charged, up to the last.
             let mut built = Vec::with_capacity(group.len() - 1);
             for k in (group.start + 1..group.end).filter(|_| admitted.is_none()) {
-                let (a, b, fpc) = (&*st.a, &*st.b, &st.fpc[..]);
-                let launch = st
-                    .spec
-                    .map(|spec| exec.submit(s, comm.now(), a, b, fpc, spec, Push));
-                let (c, launch) = match launch {
-                    Some((c, l)) => (c, Some(l)),
-                    None => (Csc::zero(shape.0, shape.1), None),
-                };
+                let counts = counters(shape.1);
+                let (c, measured_s) = form(s, comm, &st, &counts, Push);
                 built.push(c);
-                let measured_s = launch.map_or(0.0, |l| l.measured_s);
+                let launch = charge(comm, exec, &st, &counts);
                 land(
                     comm,
                     exec,
@@ -706,23 +741,16 @@ where
             let last = second.as_ref().unwrap_or(&st);
             let tally = Mutex::new(Vec::new());
             let (emit, closing) = merge.group_emit(&group, side, &built, spot, &tally);
-            let emit = Counted::new(emit, &counts[usize::from(second.is_some())]);
-            let kernel = last.spec.map_or(SpgemmKernel::CpuHash, |spec| spec.kernel);
-            let w0 = comm.measured_now();
-            let (a, b) = (&*last.a, &*last.b);
-            let formed = host_algo(kernel).multiply_cols_in(s, a, b, 0..shape.1, &last.fpc, emit);
-            let measured_s = comm.measured_now() - w0;
+            let last_counts = &counts[usize::from(second.is_some())];
+            let (formed, measured_s) = form(s, comm, last, last_counts, emit);
             let tally = closing.then(|| tally.into_inner().expect("nothing panics under the lock"));
             merge.formed(formed, tally);
             drop(built);
             // The launches are charged in stage order from the counts the
             // pass noted.
-            let (a, b, fpc) = (&*st.a, &*st.b, &st.fpc[..]);
             let launch = match admitted {
-                Some(adm) => Some(exec.complete::<S::Elem>(adm, fpc, &counts[0])),
-                None => st
-                    .spec
-                    .map(|spec| exec.charge(comm.now(), a, b, fpc, spec, &counts[0])),
+                Some(adm) => Some(exec.complete::<S::Elem>(adm, &st.fpc, &counts[0])),
+                None => charge(comm, exec, &st, &counts[0]),
             };
             land(
                 comm,
@@ -735,10 +763,7 @@ where
                 &mut out,
             );
             if let Some(two) = second {
-                let (a, b, fpc) = (&*two.a, &*two.b, &two.fpc[..]);
-                let launch = two
-                    .spec
-                    .map(|spec| exec.charge(comm.now(), a, b, fpc, spec, &counts[1]));
+                let launch = charge(comm, exec, &two, &counts[1]);
                 land(comm, exec, &mut merge, true, launch, 0.0, timers, &mut out);
             }
         }
