@@ -146,10 +146,21 @@ pub(crate) fn child_identity() -> Option<ChildIdentity> {
                 .unwrap_or_else(|_| panic!("{TCP_ENV_RANK}: not a number")),
             ranks: env_usize(TCP_ENV_RANKS),
             universe,
-            dir: std::env::var(TCP_ENV_DIR).ok().map(PathBuf::from),
+            dir: socket_dir(std::env::var(TCP_ENV_DIR).ok()).unwrap_or_else(|msg| panic!("{msg}")),
         });
     }
     None
+}
+
+/// A socket child's session directory from the value of `HIPMCL_TCP_DIR`:
+/// none when unset, an error when empty.
+fn socket_dir(value: Option<String>) -> Result<Option<PathBuf>, String> {
+    match value {
+        Some(s) if s.is_empty() => Err(format!(
+            "{TCP_ENV_DIR}: empty path (unset the variable to use a fresh /dev/shm dir)"
+        )),
+        value => Ok(value.map(PathBuf::from)),
+    }
 }
 
 /// Process-unique suffix for session directories (two tests running
@@ -246,6 +257,18 @@ mod tests {
         std::thread::spawn(|| assert_eq!(next_ordinal(), 0))
             .join()
             .unwrap();
+    }
+
+    #[test]
+    fn a_socket_session_dir_must_not_be_empty() {
+        assert_eq!(socket_dir(None), Ok(None));
+        let dir = socket_dir(Some("/tmp/mcl-session".into()));
+        assert_eq!(dir, Ok(Some(PathBuf::from("/tmp/mcl-session"))));
+        let err = socket_dir(Some(String::new())).unwrap_err();
+        assert!(
+            err.contains(TCP_ENV_DIR) && err.contains("empty path"),
+            "{err}"
+        );
     }
 
     #[test]

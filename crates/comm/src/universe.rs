@@ -40,9 +40,6 @@ pub struct SocketConfig {
     /// Defaults to `0.0.0.0:0`; set it when the host is multi-homed and
     /// peers must dial a specific interface.
     pub bind: Option<String>,
-    /// Session directory: Unix-domain socket names and (local launches)
-    /// result files. Defaults to a fresh directory under `/dev/shm`.
-    pub dir: Option<std::path::PathBuf>,
     /// Total budget for the rendezvous: dialing with retry/backoff and
     /// waiting for all peers to accept.
     pub dial_timeout: Duration,
@@ -53,7 +50,6 @@ impl Default for SocketConfig {
         Self {
             root: None,
             bind: None,
-            dir: None,
             dial_timeout: Duration::from_secs(20),
         }
     }
@@ -97,7 +93,7 @@ pub struct UniverseConfig {
     pub recv_deadline: Option<Option<Duration>>,
     /// Per-directed-pair ring capacity for the `process-shm` transport.
     pub shm_ring_bytes: usize,
-    /// Socket-transport settings (addresses, session dir, dial budget).
+    /// Socket-transport settings (addresses, dial budget).
     pub socket: SocketConfig,
 }
 
@@ -120,8 +116,8 @@ impl UniverseConfig {
     /// `HIPMCL_TRANSPORT` (`in-process` | `process-shm` | `tcp` | `uds`),
     /// `HIPMCL_TIME` (`modeled` | `measured`), `HIPMCL_RECV_DEADLINE_MS`
     /// (`0` = off), `HIPMCL_SHM_RING_BYTES`, and the socket settings
-    /// `HIPMCL_TCP_ROOT` / `HIPMCL_TCP_BIND` (`HOST:PORT`),
-    /// `HIPMCL_TCP_DIR`, `HIPMCL_TCP_DIAL_TIMEOUT_MS`. Unset variables
+    /// `HIPMCL_TCP_ROOT` / `HIPMCL_TCP_BIND` (`HOST:PORT`) and
+    /// `HIPMCL_TCP_DIAL_TIMEOUT_MS`. Unset variables
     /// keep the defaults; malformed values panic with the variable name
     /// and the accepted forms.
     pub fn from_env(ranks: usize, model: MachineModel) -> Self {
@@ -164,15 +160,6 @@ impl UniverseConfig {
         }
         if let Some(s) = get("HIPMCL_TCP_BIND") {
             self.socket.bind = Some(parse_host_port("HIPMCL_TCP_BIND", &s)?);
-        }
-        if let Some(s) = get("HIPMCL_TCP_DIR") {
-            if s.is_empty() {
-                return Err(
-                    "HIPMCL_TCP_DIR: empty path (unset the variable to use a fresh /dev/shm dir)"
-                        .into(),
-                );
-            }
-            self.socket.dir = Some(std::path::PathBuf::from(s));
         }
         if let Some(s) = get("HIPMCL_TCP_DIAL_TIMEOUT_MS") {
             let ms: u64 = s.parse().map_err(|_| {
@@ -468,17 +455,12 @@ mod tests {
                 ("HIPMCL_TRANSPORT", "tcp"),
                 ("HIPMCL_TCP_ROOT", "10.0.0.1:7177"),
                 ("HIPMCL_TCP_BIND", "0.0.0.0:0"),
-                ("HIPMCL_TCP_DIR", "/tmp/mcl-session"),
                 ("HIPMCL_TCP_DIAL_TIMEOUT_MS", "1500"),
             ]))
             .unwrap();
         assert_eq!(cfg.transport, TransportKind::Tcp);
         assert_eq!(cfg.socket.root.as_deref(), Some("10.0.0.1:7177"));
         assert_eq!(cfg.socket.bind.as_deref(), Some("0.0.0.0:0"));
-        assert_eq!(
-            cfg.socket.dir.as_deref(),
-            Some(std::path::Path::new("/tmp/mcl-session"))
-        );
         assert_eq!(cfg.socket.dial_timeout, Duration::from_millis(1500));
     }
 
@@ -495,7 +477,6 @@ mod tests {
             ("HIPMCL_TCP_ROOT", ":7177", "empty host"),
             ("HIPMCL_TCP_ROOT", "host:70000", "not a u16"),
             ("HIPMCL_TCP_BIND", "host:port", "not a u16"),
-            ("HIPMCL_TCP_DIR", "", "empty path"),
             ("HIPMCL_TCP_DIAL_TIMEOUT_MS", "soon", "not a number"),
             ("HIPMCL_TCP_DIAL_TIMEOUT_MS", "0", "must be > 0"),
             ("HIPMCL_RECV_DEADLINE_MS", "1e3", "not a number"),
