@@ -107,12 +107,6 @@ impl<T: hipmcl_sparse::Value> WireSize for hipmcl_sparse::Triples<T> {
     }
 }
 
-impl<T: hipmcl_sparse::Value> WireSize for hipmcl_sparse::Dcsc<T> {
-    fn wire_bytes(&self) -> usize {
-        self.bytes()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

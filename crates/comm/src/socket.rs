@@ -556,7 +556,6 @@ fn bind_root(
     publish: bool,
     deadline: Instant,
 ) -> Listener {
-    let mut last: Option<std::io::Error> = None;
     let listener = loop {
         let res = match kind {
             TransportKind::Tcp => TcpListener::bind(addr).map(Listener::Tcp),
@@ -572,12 +571,10 @@ fn bind_root(
                          {e} (another process holding it? stale HIPMCL_TCP_ROOT?)",
                     );
                 }
-                last = Some(e);
                 std::thread::sleep(POLL * 10);
             }
         }
     };
-    let _ = last;
     if publish {
         let dir = dir.expect("publishing the root address requires a session dir");
         let bound = match &listener {

@@ -31,7 +31,6 @@ pub mod protein;
 pub mod reach;
 pub mod registry;
 pub mod rmat;
-pub mod stats;
 
 pub use apsp::{bellman_ford_apsp, generate_apsp_digraph};
 pub use protein::{generate_protein_net, ProteinNetConfig};
