@@ -161,12 +161,12 @@ pub struct Event {
 /// use hipmcl_comm::Timeline;
 ///
 /// let mut t = Timeline::new();
-/// let first = t.submit(0.0, 2.0); // ready at 0, takes 2s
+/// let first = t.enqueue(0.0, 2.0); // ready at 0, takes 2s
 /// assert_eq!(first.at, 2.0);
 /// // Ready before the first job ends: queues FIFO, no gap.
-/// assert_eq!(t.submit(1.0, 1.0).at, 3.0);
+/// assert_eq!(t.enqueue(1.0, 1.0).at, 3.0);
 /// // Ready 2s after the queue drained: the gap is idle time.
-/// let third = t.submit(5.0, 1.0);
+/// let third = t.enqueue(5.0, 1.0);
 /// assert_eq!(third.at, 6.0);
 /// assert_eq!(t.idle_time(), 2.0);
 /// assert_eq!(t.busy_until(), 6.0);
@@ -180,7 +180,7 @@ pub struct Timeline {
     idle: f64,
     /// End of the last job (to measure the next gap).
     last_end: f64,
-    /// Jobs submitted so far.
+    /// Jobs enqueued so far.
     jobs: usize,
 }
 
@@ -195,7 +195,7 @@ impl Timeline {
     /// end and this job's start counts as idle time — except before the
     /// first job, which mirrors how Table V measures idleness *within* a
     /// pipeline section rather than from time zero.
-    pub fn submit(&mut self, ready: f64, dur: f64) -> Event {
+    pub fn enqueue(&mut self, ready: f64, dur: f64) -> Event {
         debug_assert!(dur >= 0.0, "negative job duration {dur}");
         let start = ready.max(self.busy_until);
         if self.jobs > 0 {
@@ -218,7 +218,7 @@ impl Timeline {
         self.idle
     }
 
-    /// Number of jobs submitted.
+    /// Number of jobs enqueued.
     pub fn jobs(&self) -> usize {
         self.jobs
     }
@@ -382,14 +382,14 @@ mod tests {
     #[test]
     fn timeline_queues_fifo_and_tracks_idle() {
         let mut t = Timeline::new();
-        let e1 = t.submit(0.0, 1.0);
+        let e1 = t.enqueue(0.0, 1.0);
         assert_eq!(e1.at, 1.0);
         // Ready before the previous job ends: queues behind it, no gap.
-        let e2 = t.submit(0.5, 2.0);
+        let e2 = t.enqueue(0.5, 2.0);
         assert_eq!(e2.at, 3.0);
         assert_eq!(t.idle_time(), 0.0);
         // Ready after a gap: the gap is idle.
-        let e3 = t.submit(5.0, 1.0);
+        let e3 = t.enqueue(5.0, 1.0);
         assert_eq!(e3.at, 6.0);
         assert!((t.idle_time() - 2.0).abs() < 1e-12);
         assert_eq!(t.jobs(), 3);
@@ -399,15 +399,15 @@ mod tests {
     #[test]
     fn timeline_leading_gap_is_not_idle() {
         let mut t = Timeline::new();
-        t.submit(10.0, 1.0);
+        t.enqueue(10.0, 1.0);
         assert_eq!(t.idle_time(), 0.0, "time before the first job is not idle");
     }
 
     #[test]
     fn timeline_reset() {
         let mut t = Timeline::new();
-        t.submit(0.0, 1.0);
-        t.submit(3.0, 1.0);
+        t.enqueue(0.0, 1.0);
+        t.enqueue(3.0, 1.0);
         t.reset();
         assert_eq!(t.busy_until(), 0.0);
         assert_eq!(t.idle_time(), 0.0);

@@ -121,7 +121,7 @@ impl Device {
         self.alloc(bytes)?;
         Ok(self
             .copy_engine
-            .submit(host_now, self.model.link_time(bytes))
+            .enqueue(host_now, self.model.link_time(bytes))
             .at)
     }
 
@@ -133,12 +133,12 @@ impl Device {
         // a full rank (all `gpus` devices); scale back to one device.
         let rate = self.model.gpu_spgemm_rate(lib, cf);
         let dur = self.model.link_alpha + flops as f64 / rate;
-        self.kernel_queue.submit(ready, dur)
+        self.kernel_queue.enqueue(ready, dur)
     }
 
     /// Generic kernel occupying the queue for `dur` seconds from `ready`.
     pub fn launch_generic(&mut self, ready: f64, dur: f64) -> Event {
-        self.kernel_queue.submit(ready, dur)
+        self.kernel_queue.enqueue(ready, dur)
     }
 
     /// Device→host transfer of `bytes`, gated on `after` (the producing
@@ -146,7 +146,7 @@ impl Device {
     /// the caller frees the buffers explicitly.
     pub fn d2h(&mut self, host_now: f64, after: Event, bytes: usize) -> f64 {
         self.copy_engine
-            .submit(host_now.max(after.at), self.model.link_time(bytes))
+            .enqueue(host_now.max(after.at), self.model.link_time(bytes))
             .at
     }
 

@@ -1,9 +1,9 @@
 //! The kernel-execution layer: every local SpGEMM is a charged launch,
 //! every merge a task on a host-side lane.
 //!
-//! The executor charges and places; it forms nothing and reads no clock.
-//! The Pipelined Sparse SUMMA scheduler (`pipeline`) forms each stage
-//! product and samples its wall time, then hands the executor the
+//! The executor charges and places; it forms nothing and reads no host
+//! clock. The Pipelined Sparse SUMMA scheduler (`pipeline`) forms each
+//! stage product and samples its wall time, then hands the executor the
 //! selected kernel label, the operands (for their byte sizes), the flops
 //! per column and the product's column counts, and overlaps against the
 //! returned [`KernelLaunch`] events. A GPU-selected multiply runs all of
@@ -364,7 +364,7 @@ impl<'g> Executor<'g> {
             })
             .expect("an executor always has at least one lane");
         let dur = dur_on(lane);
-        let done = self.lanes[lane].submit(ready_at, dur);
+        let done = self.lanes[lane].enqueue(ready_at, dur);
         MergeSpan {
             start: done.at - dur,
             end: done.at,
