@@ -209,3 +209,63 @@ fn observer_sees_every_iteration_and_reconciles_with_the_report() {
         assert_eq!(rank_max, Some(peak), "merge peak of iteration {}", i + 1);
     }
 }
+
+/// On a 6×6 grid under `Binary`, Algorithm 2 leaves `R0..3` and `R45` on
+/// the stack once the sixth stage is in, and the phase's closing merge
+/// takes those two merge results alone: the only SUMMA merge whose inputs
+/// are all built slabs. Sunk through the prune's sink it equals the
+/// identity-sink merge pruned afterwards, bit for bit and stats included,
+/// pipelined and bulk synchronous. In process, so no transport spawns 36
+/// ranks.
+#[test]
+fn the_closing_merge_of_merge_results_prunes_what_the_whole_slab_prunes() {
+    use hipmcl::sparse::colops::PruneStats;
+    use hipmcl::sparse::PlusTimes;
+    use hipmcl::summa::merge::MergeStrategy;
+    use hipmcl::summa::spgemm::{summa_spgemm_with, summa_spgemm_with_in, PhasePlan};
+    use hipmcl::summa::topk::{prune_local_slab, prune_packed, PruneSink};
+    use hipmcl::workloads::rmat::{generate_rmat, RmatParams};
+    let rmat = Csc::from_triples(&generate_rmat(&RmatParams::graph500(7, 16, 3)));
+    let mut base = MclConfig::testing(4);
+    base.prune.cutoff = 1e-3;
+    let prepared = hipmcl::core::serial::prepare_matrix(&rmat, &base);
+    Universe::run(36, MachineModel::summit(), |comm| {
+        let grid = ProcGrid::new(comm);
+        let (col, params) = (&grid.col_comm, &base.prune);
+        let a = DistMatrix::from_global(&grid, &prepared.to_triples());
+        for pipelined in [true, false] {
+            let mut cfg = base;
+            cfg.summa.phases = PhasePlan::Fixed(2);
+            cfg.summa.merge = MergeStrategy::Binary;
+            cfg.summa.pipelined = pipelined;
+            let mut gpus = MultiGpu::summit_node(grid.world.model());
+            let (mut want_stats, mut got_stats) = (PruneStats::default(), PruneStats::default());
+            let want = summa_spgemm_with(&grid, &mut gpus, &a, &a, &cfg.summa, |_, slab| {
+                let (pruned, stats) = prune_local_slab(col, &slab, params);
+                want_stats += stats;
+                pruned
+            });
+            let (s, sink) = (PlusTimes::<f64>::new(), &PruneSink(*params));
+            let got =
+                summa_spgemm_with_in(s, &grid, &mut gpus, &a, &a, &cfg.summa, sink, |_, p| {
+                    let (pruned, stats) = prune_packed(col, &p, params);
+                    got_stats += stats;
+                    pruned
+                });
+            let bits = |c: &Csc<f64>| {
+                let vals: Vec<u64> = c.vals.iter().map(|v| v.to_bits()).collect();
+                (c.colptr.clone(), c.rowidx.clone(), vals)
+            };
+            assert_eq!(bits(&got.c.local), bits(&want.c.local), "{pipelined}");
+            assert_eq!(got_stats, want_stats, "{pipelined}");
+            for out in [&want, &got] {
+                let ways: Vec<usize> = out.merge_spans.iter().map(|s| s.ways).collect();
+                assert_eq!(
+                    ways,
+                    [2, 3, 2, 2].repeat(2),
+                    "{pipelined}: fan-ins per phase"
+                );
+            }
+        }
+    });
+}
