@@ -49,19 +49,20 @@
 //! }
 //! ```
 //!
-//! Every merge is a function of one output column at a time, and writes
-//! its result one column at a time through a `CscBuilder`, column-parallel
-//! on the rank's pool, reserved at what its [`ColumnSink`] can keep of each
-//! column's inputs and trimmed when done. Under [`Whole`] it keeps every
-//! column, and the result is the merged slab. The pipeline passes a
-//! phase's closing merge through its caller's sink instead, and the
+//! Every merge is a function of one output column at a time, and one step
+//! does it, the emit `MergeEmit`: it folds column `j` of its lists and
+//! packs the result through its [`ColumnSink`] into a `CscBuilder`,
+//! column-parallel on the rank's pool, reserved at what the sink can keep
+//! of each column's inputs and trimmed when done. Under [`Whole`], or
+//! without a sink, it keeps every column: the merged slab. The pipeline
+//! passes a phase's closing merge through its caller's sink, and the
 //! distributed prune's sink keeps only what the prune reads, so that slab
-//! never exists. A merge reads its inputs' columns as slices, so the inputs
-//! of a merge can be columns just formed: the merge that takes a group of
-//! a phase's stage products is the emit (`MergeEmit`) of the kernel that
-//! forms the group's last one, and forms the other on the spot, so no
-//! stage product is built either. Its lane task is still submitted where a
-//! built product's merge would be, from the products' column counts.
+//! never exists. The merge that takes a group of a phase's stage products
+//! is the emit of the kernel that forms the group's last one, and forms
+//! the other on the spot, so no stage product is built either; its lane
+//! task is still submitted where a built product's merge would be. A merge
+//! of built slabs feeds its last slab's columns to the emit of the others,
+//! as a kernel would.
 //!
 //! Virtual-time accounting does **not** live here: a merge is an
 //! [`Executor`](crate::executor::Executor) task, submitted by the pipeline
@@ -221,12 +222,14 @@ pub struct Packed<T: Value, A> {
     pub tally: Vec<A>,
 }
 
-/// What `sink` packs of every column of `m`: the sunk merge of one matrix.
-pub fn sink_slab<T: Value, K: ColumnSink<T>>(m: &Csc<T>, sink: &K) -> Packed<T, K::Tally> {
-    let bounds = (0..m.ncols()).map(|j| m.col_nnz(j));
-    sink_columns(m.nrows(), m.ncols(), bounds, sink, (), |(), j, emit| {
-        emit(m.col_rows(j), m.col_vals(j))
-    })
+/// What `sink` packs of every column of `m`: the merge of one slab, which
+/// adds nothing, so plus-times serves any element type.
+pub fn sink_slab<T: Value, K: ColumnSink<T>>(m: &Csc<T>, sink: &K) -> Packed<T, K::Tally>
+where
+    PlusTimes<T>: Semiring<Elem = T>,
+{
+    let shape = (m.nrows(), m.ncols());
+    merge_into(PlusTimes::<T>::new(), &[m], shape, Some(sink))
 }
 
 /// Merges owned matrices in the given semiring — the one public entry. The
@@ -248,30 +251,33 @@ pub fn merge_with<S: Semiring>(
         }
         _ => {
             let mats: Vec<&Csc<S::Elem>> = mats.iter().collect();
-            merge_into(s, &mats, shape, &Whole).cols
+            merge_into(s, &mats, shape, None::<&Whole>).cols
         }
     }
 }
 
-/// Merges `mats` (fan-in ≥ 2, all of `shape`) one column at a time, each
-/// finished column through `sink`, and returns what it packed with its
-/// tally of every column.
+/// Merges `mats` (all of `shape`) one column at a time, each finished
+/// column through `sink` (whole without one), and returns what it packed
+/// with its tally of every column: the last input's columns go to the
+/// [`MergeEmit`] of the others, as a kernel's columns would.
 pub(crate) fn merge_into<S: Semiring, K: ColumnSink<S::Elem>>(
     _: S,
     mats: &[&Csc<S::Elem>],
     shape: (usize, usize),
-    sink: &K,
+    sink: Option<&K>,
 ) -> Packed<S::Elem, K::Tally> {
     for mat in mats {
         assert_eq!((mat.nrows(), mat.ncols()), shape, "merge shape mismatch");
     }
-    // What each output column can hold at most: its inputs.
-    let bounds = (0..shape.1).map(|j| mats.iter().map(|m| m.col_nnz(j)).sum());
-    let scratch = ColumnScratch::default();
-    sink_columns(shape.0, shape.1, bounds, sink, scratch, |w, j, emit| {
-        let n = merge_column::<S>(mats, j, &[], w);
-        emit(&w.rows[..n], &w.vals[..n])
-    })
+    let (last, inputs) = mats.split_last().expect("a merge has an input");
+    let tally = Mutex::new(vec![K::Tally::default(); shape.1]);
+    let emit = MergeEmit::<S, K>::new(inputs.to_vec(), None, shape.0, sink, &tally);
+    let reserve = (0..shape.1).map(|j| emit.room(j, last.col_nnz(j))).sum();
+    let cols = CscBuilder::build(shape.0, shape.1, reserve, emit, |emit, j, out| {
+        emit.emit(j, last.col_rows(j), last.col_vals(j), out)
+    });
+    let tally = tally.into_inner().expect("nothing panics under the lock");
+    Packed { cols, tally }
 }
 
 /// The merge that takes a kernel's product column by column: each column
@@ -280,9 +286,10 @@ pub(crate) fn merge_into<S: Semiring, K: ColumnSink<S::Elem>>(
 /// the last list, and what the sink keeps of the result goes to the
 /// kernel's output, with its tally in `tally[j]` — without a sink, the
 /// merged column whole. So neither product is built. A column with nothing
-/// to merge it with goes to the sink as it is. The pipeline hands the
-/// merge that takes a group of a phase's stages one of these ([`Emit`]),
-/// and the result is bit-identical to merging built products: a merged
+/// to merge it with goes to the sink as it is. This is the one column step
+/// of every merge: the pipeline hands the merge that takes a group of a
+/// phase's stages one of these ([`Emit`]), and [`merge_into`] feeds one a
+/// built input's columns. The result is bit-identical either way: a merged
 /// column depends on its inputs' columns alone.
 pub(crate) struct MergeEmit<'a, S: Semiring, K: ColumnSink<S::Elem>> {
     inputs: Vec<&'a Csc<S::Elem>>,
@@ -329,11 +336,6 @@ impl<'a, S: Semiring, K: ColumnSink<S::Elem>> MergeEmit<'a, S, K> {
             formed: (Vec::new(), Vec::new()),
         }
     }
-
-    /// What is kept of a column of `n` entries at most.
-    fn room_for(&self, n: usize) -> usize {
-        self.sink.map_or(n, |k| k.room(n))
-    }
 }
 
 impl<S: Semiring, K: ColumnSink<S::Elem>> Clone for MergeEmit<'_, S, K> {
@@ -347,7 +349,8 @@ impl<S: Semiring, K: ColumnSink<S::Elem>> Emit<S::Elem> for MergeEmit<'_, S, K> 
     fn room(&self, j: usize, bound: usize) -> usize {
         let inputs: usize = self.inputs.iter().map(|m| m.col_nnz(j)).sum();
         let spot = self.spot.map_or(0, |p| (p.fpc[j] as usize).min(self.nrows));
-        self.room_for(bound + inputs + spot)
+        let n = bound + inputs + spot;
+        self.sink.map_or(n, |k| k.room(n))
     }
 
     fn emit(&mut self, j: usize, rows: &[Idx], vals: &[S::Elem], out: &mut CscBuilder<S::Elem>) {
@@ -385,36 +388,6 @@ impl<S: Semiring, K: ColumnSink<S::Elem>> Emit<S::Elem> for MergeEmit<'_, S, K> 
             None => out.push_column(rows, vals),
         }
     }
-}
-
-/// Builds an `nrows × ncols` matrix of what `sink` keeps of each column
-/// `column(scratch, j, emit)` finishes and hands to `emit`, with the sink's
-/// tally of every column; `bounds` are the columns' most entries. Column
-/// parallel, on one clone of `scratch` per worker ([`CscBuilder::build`]).
-fn sink_columns<T: Value, K: ColumnSink<T>, W: Clone + Send>(
-    nrows: usize,
-    ncols: usize,
-    bounds: impl Iterator<Item = usize>,
-    sink: &K,
-    scratch: W,
-    column: impl Fn(&mut W, usize, &mut dyn FnMut(&[Idx], &[T])) + Sync + Send,
-) -> Packed<T, K::Tally> {
-    let reserve = bounds.map(|n| sink.room(n)).sum();
-    let tally = Mutex::new(vec![K::Tally::default(); ncols]);
-    let cols = CscBuilder::build(
-        nrows,
-        ncols,
-        reserve,
-        (scratch, Vec::new()),
-        |(w, spare), j, out| {
-            column(w, j, &mut |rows, vals| {
-                let t = sink.pack(rows, vals, spare, out);
-                tally.lock().expect("nothing panics under the lock")[j] = t;
-            })
-        },
-    );
-    let tally = tally.into_inner().expect("nothing panics under the lock");
-    Packed { cols, tally }
 }
 
 /// K-way merges equally-shaped CSC matrices (kept as a named entry point:
@@ -657,7 +630,7 @@ impl StackMerger {
         self.stats.total_merged_elems += elems as u64;
         self.stats.merge_ops += 1;
         let tail: Vec<&Csc<f64>> = tail.iter().collect();
-        let merged = merge_into(s, &tail, self.shape, &Whole).cols;
+        let merged = merge_into(s, &tail, self.shape, None::<&Whole>).cols;
         self.stack.push(merged);
     }
 

@@ -79,7 +79,7 @@ use crate::distmat::{Operand, Panel};
 use crate::executor::{Executor, KernelLaunch, MergeTask};
 use crate::merge::{
     algorithm2_merge_count, merge_into, select_merge_kernel, ColumnSink, MergeEmit,
-    MergeKernelPolicy, MergeSpan, MergeStats, MergeStrategy, Packed, Spot, Whole,
+    MergeKernelPolicy, MergeSpan, MergeStats, MergeStrategy, Packed, Spot,
 };
 use crate::spgemm::{CommChoice, CommPolicy, SummaConfig};
 use hipmcl_comm::clock::StageTimers;
@@ -322,7 +322,6 @@ impl<'k, S: Semiring, K: ColumnSink<S::Elem>> MergeEngine<'k, S, K> {
     /// the executor placed it on; its inputs are freed. The closing merge
     /// goes through the sink.
     fn do_merge(&mut self, comm: &Comm, exec: &mut Executor<'_>, count: usize) {
-        let closing = self.due == 0 && self.pending.is_none() && count == self.stack.len();
         let tail: Vec<Slab<S::Elem>> = self.stack.split_off(self.stack.len() - count);
         let inputs: Vec<(u64, Option<usize>)> =
             tail.iter().map(|s| (s.nnz as u64, s.home)).collect();
@@ -334,14 +333,17 @@ impl<'k, S: Semiring, K: ColumnSink<S::Elem>> MergeEngine<'k, S, K> {
         // there and the host clock stays untouched.
         let w0 = comm.measured_now();
         let mats: Option<Vec<&Csc<S::Elem>>> = tail.iter().map(|s| s.m.as_ref()).collect();
-        let merged = match (mats, closing) {
-            (Some(mats), true) => {
-                let packed = merge_into(S::default(), &mats, self.shape, self.sink);
+        let merged = match mats {
+            // Merge results alone: only a phase's closing merge takes those
+            // (grid sides 6, 10, 12, … under `Binary`); every other merge
+            // takes the group its `MergeEmit` just formed.
+            Some(mats) => {
+                debug_assert!(self.due == 0 && self.pending.is_none() && self.stack.is_empty());
+                let packed = merge_into(S::default(), &mats, self.shape, Some(self.sink));
                 self.tally = Some(packed.tally);
                 packed.cols
             }
-            (Some(mats), false) => merge_into(S::default(), &mats, self.shape, &Whole).cols,
-            (None, _) => self.formed.take().expect("the group's merge formed it"),
+            None => self.formed.take().expect("the group's merge formed it"),
         };
         let measured_s = comm.measured_now() - w0;
         drop(tail);
@@ -798,6 +800,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::merge::Whole;
     use hipmcl_sparse::Triples;
 
     /// 4×5, three entries, columns 0 and 2 empty.
