@@ -87,12 +87,6 @@ impl RankClock {
         }
     }
 
-    /// The time model in force.
-    #[inline]
-    pub fn time_model(&self) -> TimeModel {
-        self.time
-    }
-
     /// Current *modeled* time — authoritative for all scheduling.
     #[inline]
     pub fn now(&self) -> f64 {

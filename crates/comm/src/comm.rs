@@ -117,11 +117,6 @@ impl Comm {
         &self.shared.model
     }
 
-    /// The time model in force.
-    pub fn time_model(&self) -> TimeModel {
-        self.shared.time
-    }
-
     /// The transport this universe runs on.
     pub fn transport(&self) -> TransportKind {
         self.mailbox.endpoint.kind()

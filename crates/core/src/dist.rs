@@ -418,14 +418,6 @@ fn scale_columns(m: &mut Csc<f64>, sums: &[f64], mut visit: impl FnMut(usize, f6
     }
 }
 
-/// Distributed column normalization (used to prepare an already
-/// distributed matrix): divides each column by its global sum.
-pub fn dist_normalize(grid: &ProcGrid, m: &mut Csc<f64>) {
-    let local_sums: Vec<f64> = (0..m.ncols()).map(|j| m.col_vals(j).iter().sum()).collect();
-    let sums = allreduce_sum_vec(&grid.col_comm, local_sums);
-    scale_columns(m, &sums, |_, _| {});
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -617,22 +609,6 @@ mod tests {
             assert_eq!(other.num_clusters, r.num_clusters);
             assert_eq!(other.total_time, r.total_time);
         }
-    }
-
-    #[test]
-    fn dist_normalize_makes_global_columns_stochastic() {
-        let results = Universe::run(4, MachineModel::summit(), |comm| {
-            let grid = ProcGrid::new(comm);
-            let g = planted(2, 5, 8, 23);
-            let mut dm = DistMatrix::from_global(&grid, &g.to_triples());
-            dist_normalize(&grid, &mut dm.local);
-            let local_sums: Vec<f64> = (0..dm.local.ncols())
-                .map(|j| dm.local.col_vals(j).iter().sum())
-                .collect();
-            let sums = allreduce_sum_vec(&grid.col_comm, local_sums);
-            sums.iter().all(|&s| s == 0.0 || (s - 1.0).abs() < 1e-9)
-        });
-        assert!(results.iter().all(|&ok| ok));
     }
 
     #[test]

@@ -333,25 +333,6 @@ impl<T: Value> Csc<T> {
         }
     }
 
-    /// Removes stored entries equal to the semiring's annihilator.
-    pub fn drop_zeros_in<S: Semiring<Elem = T>>(&mut self, _s: S) {
-        let mut w = 0usize;
-        let mut new_colptr = vec![0usize; self.ncols + 1];
-        for j in 0..self.ncols {
-            for k in self.colptr[j]..self.colptr[j + 1] {
-                if !S::is_annihilator(self.vals[k]) {
-                    self.rowidx[w] = self.rowidx[k];
-                    self.vals[w] = self.vals[k];
-                    w += 1;
-                }
-            }
-            new_colptr[j + 1] = w;
-        }
-        self.rowidx.truncate(w);
-        self.vals.truncate(w);
-        self.colptr = new_colptr;
-    }
-
     /// Approximate heap footprint in bytes.
     pub fn bytes(&self) -> usize {
         self.colptr.len() * std::mem::size_of::<usize>()
@@ -406,34 +387,6 @@ impl<T: Value> Csc<T> {
             }
         }
         Ok(())
-    }
-
-    /// Elementwise (Hadamard) product in the given semiring, restricted to
-    /// the intersection of the two nonzero patterns.
-    pub fn hadamard_in<S: Semiring<Elem = T>>(&self, _s: S, other: &Self) -> Self {
-        assert_eq!(self.nrows, other.nrows);
-        assert_eq!(self.ncols, other.ncols);
-        let mut t = Triples::new(self.nrows, self.ncols);
-        for j in 0..self.ncols {
-            let (ra, va) = (self.col_rows(j), self.col_vals(j));
-            let (rb, vb) = (other.col_rows(j), other.col_vals(j));
-            let (mut a, mut b) = (0usize, 0usize);
-            while a < ra.len() && b < rb.len() {
-                match ra[a].cmp(&rb[b]) {
-                    std::cmp::Ordering::Less => a += 1,
-                    std::cmp::Ordering::Greater => b += 1,
-                    std::cmp::Ordering::Equal => {
-                        let v = S::mul(va[a], vb[b]);
-                        if !S::is_annihilator(v) {
-                            t.push(ra[a], j as Idx, v);
-                        }
-                        a += 1;
-                        b += 1;
-                    }
-                }
-            }
-        }
-        Self::from_sorted_dedup_triples(&t)
     }
 
     /// Elementwise semiring sum over the union of the two nonzero patterns.
@@ -678,16 +631,6 @@ where
     /// Converts from COO, collapsing duplicates with numeric `+`.
     pub fn from_triples(t: &Triples<T>) -> Self {
         Self::from_triples_in(PlusTimes::new(), t)
-    }
-
-    /// Removes stored entries equal to numeric zero.
-    pub fn drop_zeros(&mut self) {
-        self.drop_zeros_in(PlusTimes::new());
-    }
-
-    /// Elementwise numeric product over the pattern intersection.
-    pub fn hadamard(&self, other: &Self) -> Self {
-        self.hadamard_in(PlusTimes::new(), other)
     }
 
     /// Elementwise numeric sum over the pattern union.
@@ -983,21 +926,6 @@ mod tests {
     }
 
     #[test]
-    fn hadamard_intersects_patterns() {
-        let a = sample();
-        let mut t = Triples::new(3, 4);
-        t.push(0, 0, 10.0);
-        t.push(1, 1, 2.0);
-        t.push(2, 2, 9.0);
-        let b = Csc::from_triples(&t);
-        let h = a.hadamard(&b);
-        h.assert_valid();
-        assert_eq!(h.nnz(), 2);
-        assert_eq!(h.get(0, 0), Some(20.0));
-        assert_eq!(h.get(1, 1), Some(6.0));
-    }
-
-    #[test]
     fn add_elementwise_unions_patterns() {
         let a = sample();
         let mut t = Triples::new(3, 4);
@@ -1009,16 +937,6 @@ mod tests {
         assert_eq!(s.get(0, 0), None, "cancellation drops entry");
         assert_eq!(s.get(2, 2), Some(9.0));
         assert_eq!(s.get(2, 0), Some(5.0));
-    }
-
-    #[test]
-    fn drop_zeros_removes_explicit_zeros() {
-        let mut m = sample();
-        m.vals[0] = 0.0;
-        m.drop_zeros();
-        m.assert_valid();
-        assert_eq!(m.nnz(), 4);
-        assert_eq!(m.get(0, 0), None);
     }
 
     #[test]

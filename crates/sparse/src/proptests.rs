@@ -365,16 +365,4 @@ proptest! {
         prop_assert_eq!(back.nrows(), m);
         prop_assert_eq!(back.ncols(), n);
     }
-
-    #[test]
-    fn hadamard_pattern_is_intersection(a in arb_triples(12, 50)) {
-        let m = Csc::from_triples(&a);
-        let h = m.hadamard(&m);
-        // Squaring never grows the pattern; zero values may shrink it.
-        prop_assert!(h.nnz() <= m.nnz());
-        for (r, c, v) in h.iter() {
-            let orig = m.get(r as usize, c as usize).unwrap();
-            prop_assert!((v - orig * orig).abs() < 1e-12);
-        }
-    }
 }

@@ -20,12 +20,6 @@ pub fn is_strictly_increasing<T: PartialOrd>(s: &[T]) -> bool {
     s.windows(2).all(|w| w[0] < w[1])
 }
 
-/// Rounds `x` up to the next multiple of `m` (`m > 0`).
-pub fn round_up(x: usize, m: usize) -> usize {
-    debug_assert!(m > 0);
-    x.div_ceil(m) * m
-}
-
 /// Splits `n` items into `parts` contiguous chunks as evenly as possible and
 /// returns the half-open range of chunk `i`.
 ///
@@ -164,13 +158,6 @@ mod tests {
         assert!(!is_strictly_increasing(&[1, 1, 5]));
         assert!(is_strictly_increasing::<u32>(&[]));
         assert!(is_strictly_increasing(&[7]));
-    }
-
-    #[test]
-    fn round_up_basic() {
-        assert_eq!(round_up(0, 4), 0);
-        assert_eq!(round_up(1, 4), 4);
-        assert_eq!(round_up(8, 4), 8);
     }
 
     #[test]

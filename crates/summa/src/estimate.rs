@@ -106,19 +106,14 @@ impl WireDecode for MemoryEstimate {
     }
 }
 
-/// Exact `flops(A·B)` for 2D-distributed operands: each rank needs the
-/// global column counts of `A`, obtained with one allreduce, then counts
-/// locally against its `B` block. Purely structural, so it holds in any
-/// semiring.
-pub fn distributed_flops<T: Value>(grid: &ProcGrid, a: &DistMatrix<T>, b: &DistMatrix<T>) -> u64 {
-    distributed_flops_with_counts(grid, a, b).0
-}
-
-/// [`distributed_flops`] plus the replicated global per-column nnz vector
-/// of `A` it is computed from (indexed by global column id). The counts
-/// double as the raw material for the sketch clamp's per-column output
-/// bounds, so the probabilistic estimator reuses them instead of paying
-/// the allreduce twice.
+/// Exact `flops(A·B)` for 2D-distributed operands, with the replicated
+/// global per-column nnz vector of `A` it is computed from (indexed by
+/// global column id): each rank needs the global column counts of `A`,
+/// obtained with one allreduce, then counts locally against its `B` block.
+/// Purely structural, so it holds in any semiring. The counts double as
+/// the raw material for the sketch clamp's per-column output bounds, so
+/// the probabilistic estimator reuses them instead of paying the allreduce
+/// twice.
 pub fn distributed_flops_with_counts<T: Value>(
     grid: &ProcGrid,
     a: &DistMatrix<T>,
@@ -432,7 +427,7 @@ mod tests {
                 let grid = ProcGrid::new(comm);
                 let g = random_global(24, 160, 7);
                 let a = DistMatrix::from_global(&grid, &g);
-                distributed_flops(&grid, &a, &a)
+                distributed_flops_with_counts(&grid, &a, &a).0
             });
             assert!(
                 results.iter().all(|&f| f == want_flops),
