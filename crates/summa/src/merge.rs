@@ -245,10 +245,6 @@ pub fn merge_with<S: Semiring>(
         // A zero-flops phase produces nothing to merge; the configured
         // output shape keeps the pipeline alive instead of panicking.
         [] => Csc::zero(shape.0, shape.1),
-        [one] => {
-            assert_eq!((one.nrows(), one.ncols()), shape, "merge shape mismatch");
-            one.clone()
-        }
         _ => {
             let mats: Vec<&Csc<S::Elem>> = mats.iter().collect();
             merge_into(s, &mats, shape, None::<&Whole>).cols
