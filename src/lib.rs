@@ -38,7 +38,9 @@ pub use hipmcl_spgemm as spgemm;
 /// Simulated-MPI runtime, process grids, machine models, virtual clocks.
 pub use hipmcl_comm as comm;
 
-/// Simulated GPUs and the bhsparse/nsparse/rmerge2 kernel analogues.
+/// Simulated GPUs: devices that charge each launch at its library label's
+/// modeled rate (bhsparse/nsparse/rmerge2), one hash kernel behind every
+/// label.
 pub use hipmcl_gpu as gpu;
 
 /// Distributed SpGEMM: Sparse SUMMA, pipelining, merging, estimation.
