@@ -62,7 +62,7 @@ fn local_spgemm_at(c: &mut Criterion, width: usize) {
             })
         });
         group.bench_with_input(BenchmarkId::new("symbolic", label), input, |bch, (a, b)| {
-            bch.iter(|| hipmcl_spgemm::hash::symbolic_counts(a, b))
+            bch.iter(|| hipmcl_spgemm::symbolic::output_counts(a, b))
         });
         let mut product = hipmcl_spgemm::hash::multiply(a, b);
         let (flops, nnz) = (hipmcl_spgemm::flops(a, b), product.nnz());

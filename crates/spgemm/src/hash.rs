@@ -8,10 +8,9 @@
 //! [`CscBuilder`] that reserved the product's bound — or whatever the
 //! caller's `emit` makes of it: the serial MCL iteration appends it pruned
 //! and inflated, and `multiply_emit` hands it to an [`Emit`], the hook
-//! every kernel of the workspace shares. Nothing is counted before it is computed. (The key-only
-//! pass of the two-phase formulation, [`symbolic_counts`], is
-//! still here as what it now only is: an exact count, whose stamps
-//! [`crate::symbolic::sum_counts`] runs the exact memory estimator on.) The
+//! every kernel of the workspace shares. Nothing is counted before it is
+//! computed: the key-only pass of the two-phase formulation survives only
+//! as the exact count of [`crate::symbolic`], on this module's stamps. The
 //! accumulator's storage only grows, and it finds a row's slot in one of
 //! two ways ([`Addressing`]), chosen from the operands alone:
 //!
@@ -40,7 +39,6 @@
 use crate::analysis::{flops_per_column, nnz_bound};
 use crate::emit::{Emit, Push};
 use hipmcl_sparse::{Csc, CscBuilder, Idx, PlusTimes, Semiring, Value};
-use rayon::prelude::*;
 use std::ops::Range;
 
 const EMPTY: Idx = Idx::MAX;
@@ -507,50 +505,6 @@ pub fn accumulate<S: Semiring>(
     }
 }
 
-/// Exact `nnz(C_{*j})` per output column of `A · B`. `O(flops)`, no values
-/// touched — [`crate::symbolic::output_counts`]'s pass; no kernel runs it.
-pub fn symbolic_counts<T: Value>(a: &Csc<T>, b: &Csc<T>) -> Vec<usize> {
-    // No drain to walk, so no column is too sparse: ask as for a full one.
-    let mode = Addressing::of::<T>(a.nrows(), a.nrows());
-    symbolic_counts_as(mode, a, b, &flops_per_column(a, b))
-}
-
-/// [`symbolic_counts`] given the per-column flops `fpc`, with the
-/// addressing mode given instead of derived from `nrows(A)`.
-pub fn symbolic_counts_as<T: Value>(
-    mode: Addressing,
-    a: &Csc<T>,
-    b: &Csc<T>,
-    fpc: &[u64],
-) -> Vec<usize> {
-    assert_eq!(a.ncols(), b.nrows(), "inner dimensions must agree");
-    assert_eq!(fpc.len(), b.ncols(), "one flops entry per output column");
-    let nrows = a.nrows();
-    (0..b.ncols())
-        .into_par_iter()
-        .map_with(
-            (KeySet::default(), Stamps::default()),
-            |(set, stamps), j| {
-                let columns = b.col_rows(j).iter().map(|&k| a.col_rows(k as usize));
-                match mode {
-                    Addressing::Direct => {
-                        stamps.count_terms(nrows, std::iter::once(columns), &mut [0])
-                    }
-                    Addressing::Hashed => {
-                        set.open((fpc[j] as usize).min(nrows));
-                        columns.flatten().for_each(|&r| {
-                            set.probe(r);
-                        });
-                        let n = set.touched.len();
-                        set.reset();
-                        n
-                    }
-                }
-            },
-        )
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -811,21 +765,12 @@ mod tests {
     fn direct_hashed_and_heap_agree() {
         let a = random_csc(30, 30, 300, 9);
         let fpc = flops_per_column(&a, &a);
-        let counts = symbolic_counts_as(Direct, &a, &a, &fpc);
-        assert_eq!(counts, symbolic_counts_as(Hashed, &a, &a, &fpc));
         let want = crate::heap::multiply(&a, &a);
+        let counts: Vec<usize> = (0..want.ncols()).map(|j| want.col_nnz(j)).collect();
+        assert_eq!(crate::symbolic::output_counts(&a, &a), counts);
         for mode in [Direct, Hashed] {
             assert_eq!(multiply_as(mode, PT, &a, &a, &fpc), want);
         }
-    }
-
-    #[test]
-    fn symbolic_counts_match_numeric() {
-        let a = random_csc(20, 20, 120, 4);
-        let counts = symbolic_counts(&a, &a);
-        let c = multiply(&a, &a);
-        let got: Vec<usize> = (0..c.ncols()).map(|j| c.col_nnz(j)).collect();
-        assert_eq!(counts, got);
     }
 
     #[test]

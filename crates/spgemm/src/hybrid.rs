@@ -38,27 +38,6 @@ impl CpuAlgo {
         }
     }
 
-    /// Runs the selected kernel in the given semiring.
-    pub fn multiply_in<S: Semiring>(
-        self,
-        s: S,
-        a: &Csc<S::Elem>,
-        b: &Csc<S::Elem>,
-    ) -> Csc<S::Elem> {
-        match self {
-            CpuAlgo::Heap => crate::heap::multiply_in(s, a, b),
-            CpuAlgo::Hash => crate::hash::multiply_in(s, a, b),
-        }
-    }
-
-    /// Runs the selected kernel with the plus-times semiring.
-    pub fn multiply<T: Value>(self, a: &Csc<T>, b: &Csc<T>) -> Csc<T>
-    where
-        PlusTimes<T>: Semiring<Elem = T>,
-    {
-        self.multiply_in(PlusTimes::new(), a, b)
-    }
-
     /// Columns `cols` of `A · B` on the selected kernel, each handed to
     /// `emit` as it is finished. `fpc` is `flops_per_column(a, b)`.
     pub fn multiply_cols_in<S: Semiring, E: Emit<S::Elem>>(
@@ -141,10 +120,8 @@ mod tests {
     #[test]
     fn all_algos_agree() {
         let a = random_csc(20, 20, 150, 2);
-        let heap = CpuAlgo::Heap.multiply(&a, &a);
-        assert_eq!(heap, CpuAlgo::Hash.multiply(&a, &a));
         let (auto, _, _) = multiply_auto(&a, &a);
-        assert_eq!(heap, auto);
+        assert_eq!(crate::heap::multiply(&a, &a), auto);
     }
 
     #[test]
@@ -163,9 +140,9 @@ mod tests {
         let s = PlusTimes::<f64>::new();
         for algo in [CpuAlgo::Hash, CpuAlgo::Heap] {
             let c = algo.multiply_cols_in(s, &a, &a, 0..a.ncols(), &fpc, Push);
-            assert_eq!(c, CpuAlgo::Heap.multiply(&a, &a), "{}", algo.name());
+            assert_eq!(c, crate::heap::multiply(&a, &a), "{}", algo.name());
         }
-        let nnz = CpuAlgo::Hash.multiply(&a, &a).nnz();
+        let nnz = crate::hash::multiply(&a, &a).nnz();
         assert!((realized_cf(flops, nnz) - flops as f64 / nnz as f64).abs() < 1e-12);
         // Empty product with zero flops: cf defaults to 1.
         assert_eq!(realized_cf(0, 0), 1.0);

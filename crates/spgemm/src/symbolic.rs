@@ -17,9 +17,17 @@ use hipmcl_sparse::{Csc, Pattern, Value};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
-/// Exact `nnz(A·B)` per output column. Hash-based, `O(flops)` total.
+/// Exact `nnz(A·B)` per output column: [`sum_counts`]' column step with
+/// one term, `O(flops)` time and one byte per row per worker.
 pub fn output_counts<T: Value>(a: &Csc<T>, b: &Csc<T>) -> Vec<usize> {
-    crate::hash::symbolic_counts(a, b)
+    assert_eq!(a.ncols(), b.nrows(), "inner dimensions must agree");
+    (0..b.ncols())
+        .into_par_iter()
+        .map_with(Stamps::default(), |stamps, j| {
+            let columns = b.col_rows(j).iter().map(|&k| a.col_rows(k as usize));
+            stamps.count_terms(a.nrows(), std::iter::once(columns), &mut [0])
+        })
+        .collect()
 }
 
 /// Exact `nnz(A·B)`.

@@ -10,7 +10,7 @@ use hipmcl::comm::{GpuLib, MachineModel};
 use hipmcl::gpu::multi::MultiGpu;
 use hipmcl::sparse::{Boolean, Csc, Idx, MaxMin, MinPlus, PlusTimes, Semiring, Triples, Value};
 use hipmcl::spgemm::hash::Addressing::{self, Direct, Hashed};
-use hipmcl::spgemm::{flops_per_column, hash, heap, hybrid, spa};
+use hipmcl::spgemm::{flops_per_column, hash, heap, hybrid, spa, symbolic};
 
 /// `m × n` operand with about `fill`/256 of the entries present, values
 /// `val(x)` of a per-entry pseudo-random `x` (splitmix64).
@@ -54,8 +54,8 @@ fn on_devices<S: Semiring>(s: S, a: &Csc<S::Elem>, b: &Csc<S::Elem>, lib: GpuLib
 fn assert_identical<S: Semiring>(s: S, a: &Csc<S::Elem>, b: &Csc<S::Elem>, gpu: bool) -> Bits {
     let want = bits(&hash::multiply_in(s, a, b));
     let fpc = flops_per_column(a, b);
-    let counts = hash::symbolic_counts_as(Direct, a, b, &fpc);
-    assert_eq!(counts, hash::symbolic_counts_as(Hashed, a, b, &fpc));
+    let counts: Vec<usize> = want.0.windows(2).map(|w| w[1] - w[0]).collect();
+    assert_eq!(symbolic::output_counts(a, b), counts);
     let mut others = vec![
         ("heap", heap::multiply_in(s, a, b)),
         ("spa", spa::multiply_in(s, a, b)),
@@ -88,7 +88,7 @@ fn power_of_two_counts_and_flops_beyond_nrows() {
     // then what sizes the symbolic table.
     let a = operand(8, 40, 256, 3, dyadic);
     let b = operand(40, 24, 60, 4, dyadic);
-    let counts = hash::symbolic_counts(&a, &b);
+    let counts = symbolic::output_counts(&a, &b);
     assert!(counts.iter().all(|&c| c == 8 || c == 0) && counts.contains(&8));
     assert!(flops_per_column(&a, &b).iter().any(|&f| f > 8));
     let (colptr, ..) = assert_identical(PlusTimes::<f64>::new(), &a, &b, true);
