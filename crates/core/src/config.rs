@@ -17,12 +17,6 @@ pub struct MclConfig {
     /// disabled because the paper's evaluation parameters rarely trigger
     /// it and the harness calibration assumes the selection-only regime.
     pub prune: PruneParams,
-    /// Add missing self-loops (weight = 1) before normalizing — MCL's
-    /// standard aperiodicity fix.
-    pub add_self_loops: bool,
-    /// Symmetrize the input pattern with `max(a, aᵀ)` first (similarity
-    /// graphs are logically undirected).
-    pub symmetrize: bool,
     /// Stop when the chaos statistic falls below this.
     pub chaos_epsilon: f64,
     /// Hard iteration cap.
@@ -49,8 +43,6 @@ impl MclConfig {
                 recover_pct: 0.0,
                 ..PruneParams::default()
             },
-            add_self_loops: true,
-            symmetrize: true,
             chaos_epsilon: 1e-3,
             max_iters: 100,
             summa: SummaConfig::original_hipmcl(per_rank_budget),

@@ -84,7 +84,7 @@ pub struct MclResult {
 /// Clusters `adjacency` with the Markov Cluster algorithm.
 ///
 /// The input is interpreted as a weighted similarity graph; it is
-/// symmetrized and self-looped according to `cfg`, made column stochastic,
+/// symmetrized and self-looped ([`prepare_matrix`]), made column stochastic,
 /// then iterated until the chaos statistic drops below
 /// `cfg.chaos_epsilon`.
 ///
@@ -193,10 +193,13 @@ impl Emit<f64> for PruneInflate<'_> {
     }
 }
 
-/// Symmetrize / self-loop / column-normalize the input per `cfg`, in one
-/// pass that writes the result once ([`colops::prepare`]).
-pub fn prepare_matrix(adjacency: &Csc<f64>, cfg: &MclConfig) -> Csc<f64> {
-    colops::prepare(adjacency, cfg.symmetrize, cfg.add_self_loops, true)
+/// Symmetrizes the input with `max(a, aᵀ)` (similarity graphs are
+/// logically undirected), adds a weight-1 self-loop where one is missing
+/// (MCL's aperiodicity fix) and column-normalizes, in one pass that writes
+/// the result once ([`colops::prepare`]). Every configuration prepares
+/// alike; `_cfg` only keeps the callers' signature.
+pub fn prepare_matrix(adjacency: &Csc<f64>, _cfg: &MclConfig) -> Csc<f64> {
+    colops::prepare(adjacency, true, true, true)
 }
 
 #[cfg(test)]
