@@ -1,7 +1,7 @@
 //! Shared infrastructure for the experiment harness binaries.
 //!
 //! The `src/bin/*.rs` regenerate the tables and figures of the paper's
-//! evaluation (see DESIGN.md's per-experiment index). This library holds
+//! evaluation (EXPERIMENTS.md, "Paper figures and tables"). This library holds
 //! what they share: scaled workload selection, the scatter-based runner
 //! of the library's distributed MCL driver, and table/CSV output.
 //!

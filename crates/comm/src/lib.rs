@@ -1,8 +1,8 @@
 //! Simulated-MPI communication substrate for `hipmcl-rs`.
 //!
 //! HipMCL is an MPI + OpenMP code; this reproduction has no MPI cluster, so
-//! the distributed algorithms run on a message-passing runtime instead (see
-//! DESIGN.md, substitution table). The substrate is built from two
+//! the distributed algorithms run on a message-passing runtime instead
+//! (DESIGN.md, "Substitutions"). The substrate is built from two
 //! *orthogonal* axes, chosen per universe and invisible to algorithm code:
 //!
 //! **Transport** ([`transport::Endpoint`], [`TransportKind`]) — how frames

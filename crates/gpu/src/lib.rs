@@ -2,7 +2,7 @@
 //!
 //! The paper offloads HipMCL's local SpGEMM to NVIDIA V100s through three
 //! CUDA libraries (`bhsparse`, `nsparse`, `rmerge2`). This reproduction has
-//! no GPUs, so the crate provides (DESIGN.md substitution table):
+//! no GPUs, so the crate provides (DESIGN.md, "Substitutions"):
 //!
 //! * [`device::Device`] — a virtual-timeline device: 16 GB tracked memory,
 //!   a FIFO kernel queue and a copy engine, H2D/D2H transfers charged at

@@ -150,8 +150,9 @@ struct KeySet {
 impl KeySet {
     /// Opens an empty table for a column of at most `n` distinct keys:
     /// `2^k ≥ 2n` slots, so a column that keeps its promise never loads it
-    /// past 50 %. (Nagasaka's `2^k > n` probes at up to 100 % load, 20–40 %
-    /// slower here; `2^k ≥ 4n` leaves L1 in the symbolic pass: EXPERIMENTS.md.)
+    /// past 50 %. Nagasaka's `2^k > n` probes at up to 100 % load, 20–40 %
+    /// slower here, and `2^k ≥ 4n` leaves L1
+    /// (EXPERIMENTS.md, "Two-phase local SpGEMM").
     fn open(&mut self, n: usize) {
         assert!(self.touched.is_empty(), "previous column was not drained");
         let size = (2 * n).next_power_of_two().max(2);

@@ -11,8 +11,8 @@
 //!
 //! The priority structure is a tournament tree over packed `(row, list)`
 //! keys ([`Tournament`]): the same comparisons as a binary heap's sift,
-//! without its data-dependent branches. DESIGN.md ("Local SpGEMM") has the
-//! measured rates against the hash kernel.
+//! without its data-dependent branches. Its measured rates against the
+//! hash kernel: DESIGN.md, "Local SpGEMM: the one-pass contract".
 
 use crate::analysis::flops_per_column;
 use crate::emit::{Emit, Push};

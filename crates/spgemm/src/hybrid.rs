@@ -76,13 +76,13 @@ pub fn realized_cf(flops: u64, nnz: usize) -> f64 {
 /// The paper reports the qualitative crossover ("for small cf values, the
 /// heaps show themselves to be slightly more effective while for large cf
 /// values hash tables perform significantly better", §VII-B). Measured here
-/// it sits lower — EXPERIMENTS.md ("Two-phase local SpGEMM", the table
-/// re-measured with the tournament heap of PR 22): heap ÷ hash is 0.91 at
-/// cf = 1, 0.49 at cf = 1.5, 0.21 at cf = 14 and 0.14 at cf ≈ 140, so on
-/// this host the heap never leads and [`multiply_auto_in`] has no heap
-/// arm. The constant still moves `hipmcl-gpu::select`'s modeled kernel
-/// choice, hence modeled clocks and the committed probe CSVs, so it stays
-/// until the recalibration ROADMAP item 8 tracks.
+/// it sits lower: with the tournament heap, heap ÷ hash is 0.91 at cf = 1,
+/// 0.49 at cf = 1.5, 0.21 at cf = 14 and 0.14 at cf ≈ 140
+/// (EXPERIMENTS.md, "Two-phase local SpGEMM"), so on this host the heap
+/// never leads and [`multiply_auto_in`] has no heap arm. The constant
+/// still moves `hipmcl-gpu::select`'s modeled kernel choice, hence modeled
+/// clocks and the committed probe CSVs, so it stays until the
+/// recalibration ROADMAP item 8 tracks.
 pub const HEAP_HASH_CF_CROSSOVER: f64 = 2.0;
 
 /// Multiplies `A·B` in the given semiring the way the serial driver does:

@@ -22,8 +22,8 @@
 //! min(flops_j, nrows)` as address space, hands each column as it is
 //! computed to an [`emit::Emit`], which appends it to a
 //! `hipmcl_sparse::CscBuilder` or whatever it makes of it, and trims —
-//! nothing is counted first (DESIGN.md, "Local SpGEMM: the one-pass
-//! contract").
+//! nothing is counted first
+//! (DESIGN.md, "Local SpGEMM: the one-pass contract").
 //!
 //! [`symbolic`] computes exact output structure counts (the "exact" memory
 //! estimator), and [`estimate`] implements Cohen's probabilistic `nnz(AB)`

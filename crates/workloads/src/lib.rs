@@ -3,7 +3,7 @@
 //! The paper evaluates on protein-similarity networks from the IMG
 //! database (archaea, eukarya, the isom100 family) and Metaclust50 —
 //! none of which can ship with this reproduction. This crate provides
-//! (per the DESIGN.md substitution table):
+//! (DESIGN.md, "Substitutions"):
 //!
 //! * [`protein`] — a planted-partition "protein similarity" generator:
 //!   power-law cluster sizes, dense high-weight intra-cluster blocks,

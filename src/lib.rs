@@ -6,8 +6,7 @@
 //! Cluster algorithm plus the paper's four optimizations — Pipelined
 //! Sparse SUMMA with CPU–GPU overlap, binary merge, probabilistic memory
 //! estimation, and hash-based CPU SpGEMM — on top of simulated-MPI and
-//! simulated-GPU substrates (see `DESIGN.md` for the substitution
-//! rationale).
+//! simulated-GPU substrates (rationale: DESIGN.md, "Substitutions").
 //!
 //! ## Quick start
 //!
