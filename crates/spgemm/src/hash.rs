@@ -81,11 +81,11 @@ impl Addressing {
     }
 }
 
-/// Direct-addressed key counter of the symbolic passes: `marks[key] == gen`
-/// says the current term of the current column has the key, `marks[key] >
-/// base` that some term of the column has. One store and two branch-free
-/// counts per key; nothing to reset between columns until the generations
-/// wrap.
+/// Direct-addressed key counter of the exact counts (`crate::symbolic`):
+/// `marks[key] == gen` says the current term of the current column has the
+/// key, `marks[key] > base` that some term of the column has. One store and
+/// two branch-free counts per key; nothing to reset between columns until
+/// the generations wrap.
 #[derive(Clone, Default)]
 pub(crate) struct Stamps {
     marks: Vec<u8>,
