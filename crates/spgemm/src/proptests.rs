@@ -143,7 +143,7 @@ proptest! {
     }
 
     #[test]
-    fn symbolic_counts_are_exact((a, b) in arb_mult_pair()) {
+    fn output_counts_are_exact((a, b) in arb_mult_pair()) {
         let c = hash::multiply(&a, &b);
         let counts = symbolic::output_counts(&a, &b);
         prop_assert_eq!(counts.len(), c.ncols());
