@@ -59,12 +59,10 @@ fn kill_one_rank_check() {
         return;
     }
     // The two child processes of the real TCP kill universe see
-    // HIPMCL_TCP_UNIVERSE=0; children of later arms see a later ordinal
-    // (or the shm env) and take the replay path above.
-    let is_kill_child = std::env::var("HIPMCL_TCP_RANK").is_ok()
-        && std::env::var("HIPMCL_TCP_UNIVERSE").as_deref() == Ok("0");
-    let in_any_child =
-        std::env::var("HIPMCL_TCP_RANK").is_ok() || std::env::var("HIPMCL_SHM_RANK").is_ok();
+    // HIPMCL_LAUNCH_UNIVERSE=0; children of later arms see a later
+    // ordinal and take the replay path above.
+    let is_kill_child = std::env::var("HIPMCL_LAUNCH_UNIVERSE").as_deref() == Ok("0");
+    let in_any_child = std::env::var("HIPMCL_LAUNCH_RANK").is_ok();
     let t0 = Instant::now();
     let ucfg = UniverseConfig::new(2, MachineModel::summit_bench())
         .with_transport(TransportKind::Tcp)

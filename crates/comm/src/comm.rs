@@ -178,7 +178,7 @@ impl Comm {
     /// usual LogP-style accounting.
     pub fn send<T: WirePayload>(&self, dst: usize, tag: u64, value: T) {
         let bytes = value.wire_bytes();
-        if self.mailbox.endpoint.byte_oriented() {
+        if self.mailbox.endpoint.kind().is_remote() {
             self.send_payload(dst, tag, bytes, SendPayload::Bytes(&value.encoded()));
         } else {
             self.send_payload(dst, tag, bytes, SendPayload::Typed(Box::new(value)));
@@ -236,7 +236,7 @@ impl Comm {
     /// transport it is encoded here, once, however many peers it goes to.
     pub(crate) fn relay_from<T: WirePayload>(&self, value: T) -> Relay<T> {
         let bytes = value.wire_bytes();
-        let body = if self.mailbox.endpoint.byte_oriented() {
+        let body = if self.mailbox.endpoint.kind().is_remote() {
             let wire = value.encoded();
             RelayBody::Encoded(value, wire)
         } else {

@@ -25,9 +25,13 @@
 //!   only transport that spans *machines* (hand-launch ranks with
 //!   `HIPMCL_TCP_RANK` / `HIPMCL_TCP_RANKS` / `HIPMCL_TCP_ROOT`); the
 //!   Unix-domain variant is the same backend without the TCP/IP stack.
-//!   Remote transports get a receive deadline by default under every
-//!   time model, and a dead peer surfaces as a rank/tag/peer diagnostic
-//!   instead of a hang.
+//!
+//! The three process transports start, replay and collect their ranks
+//! through one launcher (the private `launch` module): the parent
+//! re-executes the binary once per rank, and each child replays the
+//! program up to its own universe. Remote transports get a receive
+//! deadline by default under every time model, and a dead peer surfaces
+//! as a rank/tag/peer diagnostic instead of a hang.
 //!
 //! **Time model** ([`TimeModel`], [`clock`]) — how time is charged.
 //!

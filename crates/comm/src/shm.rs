@@ -1,30 +1,10 @@
 //! The `process-shm` transport: ranks as OS processes exchanging
 //! wire-encoded frames over shared-memory rings. Pure `std` (unix).
 //!
-//! # How a universe becomes processes
-//!
-//! [`Universe::run_with`](crate::Universe::run_with) cannot ship a
-//! closure to another process, so this backend re-executes the current
-//! binary, `mpirun`-style: the parent creates a session directory of
-//! ring files under `/dev/shm` (tmpfs — file pages *are* shared
-//! memory), then spawns `P` copies of `current_exe()` with
-//! `HIPMCL_SHM_{DIR,RANK,RANKS,UNIVERSE}` set. Each child runs the same
-//! program from the top; when it reaches the `run_with` call identified
-//! by its `UNIVERSE` ordinal it becomes rank `RANK` over a
-//! [`ShmEndpoint`], runs the rank closure, wire-encodes its result into
-//! `result_<rank>.bin`, and exits. The parent collects and decodes the
-//! per-rank results, so the caller sees exactly the `Vec<R>` the
-//! in-process transport would return.
-//!
-//! Earlier `process-shm` universes in the same program are *replayed*
-//! in-process by the child to reach the target call site with identical
-//! state — which is sound precisely because results are bit-identical
-//! across transports. The consequence is a determinism contract: code
-//! executed before a `process-shm` universe must be deterministic
-//! (no RNG without fixed seeds, no branching on wall-clock or
-//! process-id values). Under `cargo test`, the test thread's name is
-//! the test's own path, which is how a child re-runs just the right
-//! test (`<name> --exact --test-threads=1`).
+//! Ranks are started, replayed and collected by the one process launcher
+//! in `launch.rs` (see its module docs); the parent calls
+//! `create_rings` in the session directory, and each child opens its
+//! [`ShmEndpoint`] there.
 //!
 //! # The rings
 //!
@@ -38,19 +18,10 @@
 //! ring keeps draining its own incoming rings meanwhile, so cyclic
 //! exchanges larger than the ring capacity cannot deadlock.
 
-use crate::comm::Comm;
-use crate::launch::{
-    self, ChildIdentity, LaunchFamily, SessionGuard, SHM_ENV_DIR, SHM_ENV_RANK, SHM_ENV_RANKS,
-    SHM_ENV_UNIVERSE,
-};
-use crate::packet::WirePayload;
 use crate::transport::{
     Endpoint, Frame, FrameHeader, FramePayload, RecvError, SendPayload, TransportKind,
     FRAME_HEADER_BYTES,
 };
-use crate::universe::{run_threads, UniverseConfig};
-use hipmcl_sparse::util::with_rank_threads;
-use hipmcl_sparse::wire::{WireDecode, WireEncode};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
@@ -69,6 +40,17 @@ const POLL: Duration = Duration::from_micros(50);
 
 fn ring_path(dir: &Path, src: usize, dst: usize) -> PathBuf {
     dir.join(format!("ring_{src}_{dst}.bin"))
+}
+
+/// Creates the ring file of every ordered pair of `p` ranks in `dir`:
+/// zero-initialized counters, data area left sparse.
+pub(crate) fn create_rings(dir: &Path, p: usize, ring_bytes: usize) {
+    for s in 0..p {
+        for d in (0..p).filter(|&d| d != s) {
+            let f = File::create(ring_path(dir, s, d)).expect("create ring");
+            f.set_len(DATA_OFF + ring_bytes as u64).expect("size ring");
+        }
+    }
 }
 
 /// One mapped ring file (either end).
@@ -290,10 +272,6 @@ impl Endpoint for ShmEndpoint {
         TransportKind::ProcessShm
     }
 
-    fn byte_oriented(&self) -> bool {
-        true
-    }
-
     fn send_frame(&self, dst_world: usize, header: FrameHeader, payload: SendPayload<'_>) {
         let payload = match payload {
             SendPayload::Bytes(b) => b,
@@ -325,127 +303,15 @@ impl Endpoint for ShmEndpoint {
     }
 }
 
-/// Dispatcher for a `process-shm` universe: parent orchestration or
-/// child rank execution, decided by the environment. The launch ordinal
-/// is shared with the socket backend ([`launch::next_ordinal`]), so a
-/// child of *either* family replays universes that are not its target
-/// in-process — bit-identical by construction — and program state
-/// evolves exactly as in the parent.
-pub(crate) fn run_processes<R, F>(cfg: &UniverseConfig, f: &F) -> Vec<R>
-where
-    R: WirePayload,
-    F: Fn(Comm) -> R + Sync,
-{
-    assert!(cfg.ranks > 0, "need at least one rank");
-    let ordinal = launch::next_ordinal();
-    match launch::child_identity() {
-        Some(id) if id.family == LaunchFamily::Shm && id.serves(ordinal) => {
-            child_rank(cfg, f, &id, ordinal)
-        }
-        Some(_) => run_threads(cfg, f),
-        None => parent(cfg, f, ordinal),
-    }
-}
-
-/// The parent side: session setup, spawn, result collection.
-fn parent<R, F>(cfg: &UniverseConfig, _f: &F, ordinal: u64) -> Vec<R>
-where
-    R: WirePayload,
-    F: Fn(Comm) -> R + Sync,
-{
-    let p = cfg.ranks;
-    let dir = launch::create_session_dir("hipmcl-shm");
-    let _guard = SessionGuard(dir.clone());
-
-    // Ring files, zero-initialized counters, data area left sparse.
-    for s in 0..p {
-        for d in 0..p {
-            if s != d {
-                let f = File::create(ring_path(&dir, s, d)).expect("create ring");
-                f.set_len(DATA_OFF + cfg.shm_ring_bytes as u64)
-                    .expect("size ring");
-            }
-        }
-    }
-    // Session metadata lets children detect divergent replays early.
-    {
-        let mut meta = Vec::new();
-        (p as u64).encode(&mut meta);
-        (cfg.shm_ring_bytes as u64).encode(&mut meta);
-        std::fs::write(dir.join("meta.bin"), meta).expect("write meta");
-    }
-
-    let exe = std::env::current_exe().expect("current_exe for rank spawn");
-    let args = launch::child_args();
-    let children: Vec<_> = (0..p)
-        .map(|rank| {
-            std::process::Command::new(&exe)
-                .args(&args)
-                .env(SHM_ENV_DIR, &dir)
-                .env(SHM_ENV_RANK, rank.to_string())
-                .env(SHM_ENV_RANKS, p.to_string())
-                .env(SHM_ENV_UNIVERSE, ordinal.to_string())
-                .stdout(std::process::Stdio::null())
-                .spawn()
-                .unwrap_or_else(|e| panic!("spawn rank {rank}: {e}"))
-        })
-        .collect();
-
-    let mut failures = Vec::new();
-    for (rank, child) in children.into_iter().enumerate() {
-        let mut child = child;
-        let status = child.wait().expect("wait for rank");
-        if !status.success() {
-            failures.push(format!("rank {rank} exited with {status}"));
-        }
-    }
-    assert!(
-        failures.is_empty(),
-        "process-shm universe {ordinal} failed: {}",
-        failures.join("; ")
-    );
-
-    launch::collect_results(&dir, p)
-}
-
-/// The child side: become the rank in `id`, run the closure, persist the
-/// result, exit without returning.
-fn child_rank<R, F>(cfg: &UniverseConfig, f: &F, id: &ChildIdentity, ordinal: u64) -> !
-where
-    R: WirePayload,
-    F: Fn(Comm) -> R + Sync,
-{
-    let dir = id.dir.clone().expect("shm child always has a session dir");
-    let (rank, p) = (id.rank, id.ranks);
-    // Replay-divergence tripwire: the child's config at the target call
-    // site must match what the parent set up.
-    let meta = std::fs::read(dir.join("meta.bin")).expect("read session meta");
-    let (meta_p, meta_ring) = <(u64, u64)>::decode_all(&meta).expect("decode session meta");
-    assert!(
-        p == cfg.ranks && meta_p as usize == cfg.ranks && meta_ring as usize == cfg.shm_ring_bytes,
-        "universe {ordinal} diverged between parent and child replay \
-         (parent: {meta_p} ranks / {meta_ring} B rings; child: {} ranks / {} B rings). \
-         Code before a process-shm universe must be deterministic.",
-        cfg.ranks,
-        cfg.shm_ring_bytes,
-    );
-
-    let endpoint = ShmEndpoint::open(&dir, rank, p, cfg.shm_ring_bytes);
-    // All `p` ranks of a shared-memory universe are on this host.
-    let encoded = with_rank_threads(p, || {
-        f(Comm::new_world(rank, p, cfg.shared(), Box::new(endpoint))).encoded()
-    });
-    launch::write_result(&dir, rank, &encoded);
-    std::process::exit(0);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::clock::TimeModel;
     use crate::collectives::{allgather, allreduce, barrier};
+    use crate::comm::Comm;
+    use crate::launch::{self, SessionGuard};
     use crate::machine::MachineModel;
-    use crate::universe::Universe;
+    use crate::universe::{Universe, UniverseConfig};
 
     fn shm_cfg(p: usize) -> UniverseConfig {
         UniverseConfig::new(p, MachineModel::summit())

@@ -26,35 +26,22 @@
 //! the ordering deadlock-free). All rendezvous failures panic with the
 //! rank, phase, and address involved.
 //!
-//! # Launch modes
+//! # Launch
 //!
-//! *Local* (the default, mirroring the `process-shm` re-exec path): the
-//! `run_with` caller becomes the parent, spawns `P` copies of
-//! `current_exe()` with `HIPMCL_TCP_{DIR,RANK,RANKS,UNIVERSE}` set, rank
-//! 0 binds an ephemeral port and publishes it as `root_addr.txt` in the
-//! session directory, and results come back as files, exactly like shm.
-//!
-//! *Hand-launched / multi-host*: the user starts one process per rank —
-//! on as many machines as they like — with `HIPMCL_TCP_RANK`,
-//! `HIPMCL_TCP_RANKS`, and `HIPMCL_TCP_ROOT=HOST:PORT` set (no
-//! `HIPMCL_TCP_UNIVERSE`, no session dir). Every rank runs the same
-//! binary; each socket universe it reaches runs over the wire, and the
-//! per-rank results are exchanged *through the sockets themselves* so
-//! every rank returns the identical `Vec<R>` the in-process transport
-//! would produce.
+//! The one process launcher (`launch.rs` module docs) starts, replays and
+//! collects socket ranks, hand-launched ones included. A launched rank
+//! rendezvouses in the session directory: rank 0 of a local TCP universe
+//! publishes its ephemeral port there as `root_addr.txt`, and Unix-domain
+//! ranks bind their sockets there.
 
 use crate::comm::{Comm, Mailbox};
-use crate::launch::{
-    self, ChildIdentity, LaunchFamily, SessionGuard, TCP_ENV_DIR, TCP_ENV_RANK, TCP_ENV_RANKS,
-    TCP_ENV_UNIVERSE,
-};
+use crate::launch::ChildIdentity;
 use crate::packet::WirePayload;
 use crate::transport::{
     Endpoint, Frame, FrameHeader, FramePayload, RecvError, SendPayload, TransportKind,
     FRAME_HEADER_BYTES,
 };
-use crate::universe::{run_threads, UniverseConfig};
-use hipmcl_sparse::util::with_rank_threads;
+use crate::universe::UniverseConfig;
 use std::cell::RefCell;
 use std::io::{IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -383,10 +370,6 @@ impl Endpoint for SocketEndpoint {
         self.kind
     }
 
-    fn byte_oriented(&self) -> bool {
-        true
-    }
-
     fn send_frame(&self, dst_world: usize, header: FrameHeader, payload: SendPayload<'_>) {
         let payload = match payload {
             SendPayload::Bytes(b) => b,
@@ -636,7 +619,12 @@ fn advertised_addr(
 
 /// Builds the fully-connected mesh for `rank` of `p` and wraps it in an
 /// endpoint with one reader thread per peer.
-fn connect_mesh(cfg: &UniverseConfig, rank: usize, p: usize, dir: Option<&Path>) -> SocketEndpoint {
+pub(crate) fn connect_mesh(
+    cfg: &UniverseConfig,
+    rank: usize,
+    p: usize,
+    dir: Option<&Path>,
+) -> SocketEndpoint {
     let kind = cfg.transport;
     let (tx, rx) = crossbeam_channel::unbounded::<Incoming>();
     let mut conns: Vec<Option<Stream>> = (0..p).map(|_| None).collect();
@@ -749,115 +737,21 @@ fn connect_mesh(cfg: &UniverseConfig, rank: usize, p: usize, dir: Option<&Path>)
     }
 }
 
-/// Dispatcher for a socket universe: parent orchestration, local child,
-/// hand-launched rank, or in-process replay — decided by the environment
-/// (see [`launch::child_identity`] and the module docs).
-pub(crate) fn run_sockets<R, F>(cfg: &UniverseConfig, f: &F) -> Vec<R>
-where
-    R: WirePayload,
-    F: Fn(Comm) -> R + Sync,
-{
-    assert!(cfg.ranks > 0, "need at least one rank");
-    let ordinal = launch::next_ordinal();
-    match launch::child_identity() {
-        Some(id) if id.family == LaunchFamily::Socket && id.serves(ordinal) => {
-            assert_eq!(
-                id.ranks, cfg.ranks,
-                "socket universe {ordinal} diverged between launcher and rank \
-                 (launcher: {} ranks, rank: {} ranks); code before a socket universe \
-                 must be deterministic",
-                id.ranks, cfg.ranks
-            );
-            if id.universe.is_some() {
-                local_child(cfg, f, &id)
-            } else {
-                standalone_rank(cfg, f, &id)
-            }
-        }
-        Some(_) => run_threads(cfg, f),
-        None => parent(cfg, f, ordinal),
-    }
-}
-
-/// The local-launch parent: spawn `P` re-execs of ourselves, wait,
-/// collect result files — the socket twin of the shm parent.
-fn parent<R, F>(cfg: &UniverseConfig, _f: &F, ordinal: u64) -> Vec<R>
-where
-    R: WirePayload,
-    F: Fn(Comm) -> R + Sync,
-{
-    let p = cfg.ranks;
-    let dir = launch::create_session_dir("hipmcl-sock");
-    let _guard = SessionGuard(dir.clone());
-
-    let exe = std::env::current_exe().expect("current_exe for rank spawn");
-    let args = launch::child_args();
-    let children: Vec<_> = (0..p)
-        .map(|rank| {
-            std::process::Command::new(&exe)
-                .args(&args)
-                .env(TCP_ENV_DIR, &dir)
-                .env(TCP_ENV_RANK, rank.to_string())
-                .env(TCP_ENV_RANKS, p.to_string())
-                .env(TCP_ENV_UNIVERSE, ordinal.to_string())
-                .stdout(std::process::Stdio::null())
-                .spawn()
-                .unwrap_or_else(|e| panic!("spawn rank {rank}: {e}"))
-        })
-        .collect();
-
-    let mut failures = Vec::new();
-    for (rank, child) in children.into_iter().enumerate() {
-        let mut child = child;
-        let status = child.wait().expect("wait for rank");
-        if !status.success() {
-            failures.push(format!("rank {rank} exited with {status}"));
-        }
-    }
-    assert!(
-        failures.is_empty(),
-        "{} universe {ordinal} failed: {} (peer diagnostics on the failing ranks' stderr)",
-        cfg.transport,
-        failures.join("; ")
-    );
-
-    launch::collect_results(&dir, p)
-}
-
-/// A parent-launched child: connect, run the closure, publish the result
-/// file, exit.
-fn local_child<R, F>(cfg: &UniverseConfig, f: &F, id: &ChildIdentity) -> !
-where
-    R: WirePayload,
-    F: Fn(Comm) -> R + Sync,
-{
-    let dir = id
-        .dir
-        .clone()
-        .expect("local socket child has a session dir");
-    let endpoint = connect_mesh(cfg, id.rank, id.ranks, Some(&dir));
-    // A local launch puts all `id.ranks` ranks on this host.
-    let encoded = with_rank_threads(id.ranks, || {
-        f(Comm::new_world(
-            id.rank,
-            id.ranks,
-            cfg.shared(),
-            Box::new(endpoint),
-        ))
-        .encoded()
-    });
-    launch::write_result(&dir, id.rank, &encoded);
-    std::process::exit(0);
-}
-
 /// A hand-launched (multi-host) rank: connect, run the closure, then
 /// exchange the per-rank results over the same connections so every rank
 /// returns the full rank-ordered `Vec<R>` and the program continues.
-fn standalone_rank<R, F>(cfg: &UniverseConfig, f: &F, id: &ChildIdentity) -> Vec<R>
+pub(crate) fn standalone_rank<R, F>(cfg: &UniverseConfig, f: &F, id: &ChildIdentity) -> Vec<R>
 where
     R: WirePayload,
     F: Fn(Comm) -> R + Sync,
 {
+    assert_eq!(
+        id.ranks, cfg.ranks,
+        "socket universe diverged between launcher and rank \
+         (launcher: {} ranks, rank: {} ranks); code before a socket universe \
+         must be deterministic",
+        id.ranks, cfg.ranks
+    );
     let endpoint = connect_mesh(cfg, id.rank, id.ranks, id.dir.as_deref());
     let shared = cfg.shared();
     // The two communicators (universe body, result exchange) must share
@@ -914,6 +808,7 @@ mod tests {
     use super::*;
     use crate::clock::TimeModel;
     use crate::collectives::{allgather, allreduce, barrier, bcast};
+    use crate::launch::{self, TCP_ENV_RANK, TCP_ENV_RANKS};
     use crate::machine::MachineModel;
     use crate::packet::WireSize;
     use crate::universe::Universe;

@@ -74,7 +74,8 @@ impl TransportKind {
     /// peer can die *independently* (crash, OOM-kill, unplugged cable)
     /// while this rank keeps running. Remote transports get a receive
     /// deadline by default under **every** time model — a dead peer must
-    /// surface as a diagnostic, never as an infinite hang.
+    /// surface as a diagnostic, never as an infinite hang. Their payloads
+    /// cross as wire-encoded [`FramePayload::Bytes`].
     pub fn is_remote(self) -> bool {
         match self {
             Self::InProcess => false,
@@ -217,10 +218,6 @@ pub trait Endpoint {
     /// Which transport this endpoint belongs to.
     fn kind(&self) -> TransportKind;
 
-    /// `true` if payloads must travel as [`FramePayload::Bytes`].
-    /// Senders consult this to decide whether to wire-encode.
-    fn byte_oriented(&self) -> bool;
-
     /// Delivers a frame to `dst_world`'s incoming queue. May block on
     /// transport backpressure but never on the receiver's progress
     /// through unrelated tags.
@@ -267,10 +264,6 @@ impl InProcessEndpoint {
 impl Endpoint for InProcessEndpoint {
     fn kind(&self) -> TransportKind {
         TransportKind::InProcess
-    }
-
-    fn byte_oriented(&self) -> bool {
-        false
     }
 
     fn send_frame(&self, dst_world: usize, header: FrameHeader, payload: SendPayload<'_>) {

@@ -91,7 +91,8 @@ pub struct UniverseConfig {
     /// ([`DEFAULT_RECV_DEADLINE`] on remote transports and under
     /// Measured time, otherwise off).
     pub recv_deadline: Option<Option<Duration>>,
-    /// Per-directed-pair ring capacity for the `process-shm` transport.
+    /// Per-directed-pair ring capacity for the `process-shm` transport
+    /// (bytes, > 0).
     pub shm_ring_bytes: usize,
     /// Socket-transport settings (addresses, dial budget).
     pub socket: SocketConfig,
@@ -154,6 +155,12 @@ impl UniverseConfig {
             self.shm_ring_bytes = s.parse().map_err(|_| {
                 format!("HIPMCL_SHM_RING_BYTES: not a number: {s:?} (ring capacity in bytes)")
             })?;
+            if self.shm_ring_bytes == 0 {
+                return Err(format!(
+                    "HIPMCL_SHM_RING_BYTES: must be > 0, got {s:?} \
+                     (a zero-byte ring can never carry a frame)"
+                ));
+            }
         }
         if let Some(s) = get("HIPMCL_TCP_ROOT") {
             self.socket.root = Some(parse_host_port("HIPMCL_TCP_ROOT", &s)?);
@@ -235,9 +242,9 @@ impl Universe {
     ///
     /// Every rank body runs with its own share of the host's cores as the
     /// width of its parallel kernels (the OpenMP analogue):
-    /// `max(1, available_parallelism ÷ p)` threads per rank, set where the
-    /// launcher builds the rank's [`Comm`] — here, and in the socket and
-    /// shared-memory children — by [`with_rank_threads`]. That is measured
+    /// `max(1, available_parallelism ÷ p)` threads per rank, set where a
+    /// rank's [`Comm`] is built — here, and in a launched child process —
+    /// by [`with_rank_threads`]. That is measured
     /// wall-clock only: modeled clocks never read the host, and price
     /// intra-rank threading from [`MachineModel::threads`] and
     /// [`MachineModel::thread_efficiency`] as before.
@@ -252,9 +259,8 @@ impl Universe {
     }
 
     /// Runs `f` under an explicit [`UniverseConfig`] — any transport,
-    /// any time model. Results must be wire-encodable because the
-    /// `process-shm` transport ships them back from child processes as
-    /// bytes.
+    /// any time model. Results must be wire-encodable because the process
+    /// transports ship them back from child processes as bytes.
     pub fn run_with<R, F>(cfg: UniverseConfig, f: F) -> Vec<R>
     where
         R: WirePayload,
@@ -262,14 +268,12 @@ impl Universe {
     {
         match cfg.transport {
             TransportKind::InProcess => run_threads(&cfg, &f),
-            #[cfg(feature = "process-shm")]
-            TransportKind::ProcessShm => crate::shm::run_processes(&cfg, &f),
             #[cfg(not(feature = "process-shm"))]
             TransportKind::ProcessShm => panic!(
                 "transport process-shm requested but the `process-shm` cargo feature \
                  is not enabled; rebuild with --features process-shm"
             ),
-            TransportKind::Tcp | TransportKind::Uds => crate::socket::run_sockets(&cfg, &f),
+            _ => crate::launch::run_processes(&cfg, &f),
         }
     }
 
@@ -288,7 +292,7 @@ impl Universe {
 
 /// The in-process engine: one scoped thread per rank over typed
 /// channels. Used directly by [`Universe::run`] and for the
-/// `InProcess` arm of [`Universe::run_with`]; the shm backend also
+/// `InProcess` arm of [`Universe::run_with`]; the process launcher also
 /// reuses it to deterministically replay earlier universes inside child
 /// processes.
 pub(crate) fn run_threads<R, F>(cfg: &UniverseConfig, f: &F) -> Vec<R>
@@ -480,6 +484,7 @@ mod tests {
             ("HIPMCL_TCP_DIAL_TIMEOUT_MS", "soon", "not a number"),
             ("HIPMCL_TCP_DIAL_TIMEOUT_MS", "0", "must be > 0"),
             ("HIPMCL_RECV_DEADLINE_MS", "1e3", "not a number"),
+            ("HIPMCL_SHM_RING_BYTES", "0", "must be > 0"),
         ];
         for (var, value, expect) in cases {
             let err = UniverseConfig::new(2, m())
