@@ -27,7 +27,8 @@
 //! branching on wall-clock or process-id values); `meta.bin` is the
 //! tripwire for a replay that diverged. Under `cargo test`, the test
 //! thread's name is the test's own path, which is how a child re-runs
-//! just the right test (`<name> --exact --test-threads=1`).
+//! just the right test (`<name> --exact --include-ignored
+//! --test-threads=1`), `#[ignore]`d or not.
 //!
 //! # Hand-launched ranks
 //!
@@ -192,12 +193,7 @@ where
     let encoded = with_rank_threads(p, || {
         let endpoint: Box<dyn Endpoint> = match cfg.transport {
             #[cfg(feature = "process-shm")]
-            TransportKind::ProcessShm => Box::new(crate::shm::ShmEndpoint::open(
-                dir,
-                rank,
-                p,
-                cfg.shm_ring_bytes,
-            )),
+            TransportKind::ProcessShm => Box::new(crate::shm::ShmEndpoint::open(dir, rank, p, cfg)),
             _ => Box::new(crate::socket::connect_mesh(cfg, rank, p, Some(dir))),
         };
         f(Comm::new_world(rank, p, cfg.shared(), endpoint)).encoded()
@@ -302,10 +298,12 @@ impl Drop for SessionGuard {
 pub(crate) fn child_args() -> Vec<String> {
     match std::thread::current().name() {
         // Under `cargo test`, libtest names each test thread after the
-        // test's full path — rerun exactly that test, serially.
+        // test's full path — rerun exactly that test, serially, also if it
+        // is `#[ignore]`d.
         Some(name) if name != "main" => vec![
             name.to_string(),
             "--exact".into(),
+            "--include-ignored".into(),
             "--test-threads=1".into(),
             "--nocapture".into(),
         ],

@@ -16,12 +16,14 @@
 //! offset 64, indexed modulo the capacity. Frames are
 //! `[total_len u64][header 40 B][payload]`. A sender blocked on a full
 //! ring keeps draining its own incoming rings meanwhile, so cyclic
-//! exchanges larger than the ring capacity cannot deadlock.
+//! exchanges larger than the ring capacity cannot deadlock, and panics
+//! once its ring has taken nothing for the universe's receive deadline.
 
 use crate::transport::{
     Endpoint, Frame, FrameHeader, FramePayload, RecvError, SendPayload, TransportKind,
     FRAME_HEADER_BYTES,
 };
+use crate::universe::UniverseConfig;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
@@ -197,12 +199,14 @@ pub struct ShmEndpoint {
     writers: RefCell<Vec<Option<RingWriter>>>,
     readers: RefCell<Vec<Option<RingReader>>>,
     inbox: RefCell<VecDeque<Frame>>,
+    deadline: Option<Duration>,
 }
 
 impl ShmEndpoint {
-    /// Opens all rings touching `rank` in an existing session directory.
-    pub fn open(dir: &Path, rank: usize, p: usize, ring_bytes: usize) -> Self {
-        let cap = ring_bytes as u64;
+    /// Opens all rings touching `rank` in an existing session directory of
+    /// a universe of `p` ranks configured by `cfg`.
+    pub fn open(dir: &Path, rank: usize, p: usize, cfg: &UniverseConfig) -> Self {
+        let cap = cfg.shm_ring_bytes as u64;
         let writers = (0..p)
             .map(|dst| {
                 (dst != rank).then(|| RingWriter {
@@ -224,13 +228,14 @@ impl ShmEndpoint {
             writers: RefCell::new(writers),
             readers: RefCell::new(readers),
             inbox: RefCell::new(VecDeque::new()),
+            deadline: cfg.resolved_recv_deadline(),
         }
     }
 
     /// Pushes all of `buf` into the ring towards `dst_world`, waiting out
-    /// backpressure.
+    /// backpressure; panics if the ring takes nothing for the deadline.
     fn push_all(&self, dst_world: usize, buf: &[u8]) {
-        let mut written = 0;
+        let (mut written, mut stalled) = (0, Instant::now());
         while written < buf.len() {
             let n = {
                 let mut writers = self.writers.borrow_mut();
@@ -240,12 +245,20 @@ impl ShmEndpoint {
                     .push(&buf[written..])
             };
             written += n;
-            if written < buf.len() && n == 0 {
+            if n > 0 {
+                stalled = Instant::now();
+            } else if self.drain_incoming() == 0 {
                 // Ring full: keep consuming our own traffic so a cyclic
-                // exchange larger than the ring capacity cannot deadlock.
-                if self.drain_incoming() == 0 {
-                    std::thread::sleep(POLL);
+                // exchange larger than the ring capacity cannot deadlock,
+                // but not past the deadline, or a dead reader hangs us.
+                if let Some(d) = self.deadline.filter(|&d| stalled.elapsed() >= d) {
+                    let (left, len) = (buf.len() - written, buf.len());
+                    panic!(
+                        "send deadline exceeded after {d:.1?}: the ring towards world rank \
+                         {dst_world} stayed full with {left} of {len} bytes left [transport shm]"
+                    );
                 }
+                std::thread::sleep(POLL);
             }
         }
     }
@@ -363,6 +376,30 @@ mod tests {
             assert_eq!(r.staging, expect);
             writer.join().unwrap();
         });
+    }
+
+    #[test]
+    fn a_send_into_a_ring_nobody_drains_panics_at_the_deadline() {
+        let dir = launch::create_session_dir("hipmcl-ringfull");
+        let _guard = SessionGuard(dir.clone());
+        create_rings(&dir, 2, 64);
+        let deadline = Duration::from_millis(200);
+        let mut cfg = shm_cfg(2).with_recv_deadline(Some(deadline));
+        cfg.shm_ring_bytes = 64;
+        let endpoint = ShmEndpoint::open(&dir, 0, 2, &cfg);
+        let started = Instant::now();
+        let push = || endpoint.push_all(1, &[7; 1000]);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(push))
+            .expect_err("a ring nobody drains must not be waited on forever");
+        let got = caught
+            .downcast_ref::<String>()
+            .expect("a formatted message");
+        assert!(got.contains("send deadline exceeded"), "{got}");
+        assert!(
+            got.contains("world rank 1 stayed full with 936 of 1000 bytes left"),
+            "{got}"
+        );
+        assert!((deadline..Duration::from_secs(2)).contains(&started.elapsed()));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! takes a SUMMA phase's stage products in `hipmcl-summa` — makes the
 //! kernel return that instead, and the product never exists.
 
-use crate::hash::{append, HashScratch};
+use crate::hash::{append, Column};
 use hipmcl_sparse::{CscBuilder, Idx, Value};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
@@ -26,19 +26,24 @@ pub trait Emit<T: Value>: Clone + Send {
     /// `out`, with one push.
     fn emit(&mut self, j: usize, rows: &[Idx], vals: &[T], out: &mut CscBuilder<T>);
 
-    /// [`emit`](Self::emit) for column `j` still in the accumulator `table`,
-    /// drained into the worker's `buf` first.
-    fn emit_table(
+    /// [`emit`](Self::emit) for column `j` from the hash kernel's loop; one
+    /// still in the accumulator is drained into the worker's `buf` first.
+    fn emit_column(
         &mut self,
-        table: &mut HashScratch<T>,
+        col: Column<'_, T>,
         j: usize,
         out: &mut CscBuilder<T>,
         (rows, vals): &mut (Vec<Idx>, Vec<T>),
     ) {
-        rows.resize(table.len(), 0);
-        vals.resize(table.len(), T::default());
-        table.drain_sorted_into(j, rows, vals);
-        self.emit(j, rows, vals, out);
+        match col {
+            Column::Table(table) => {
+                rows.resize(table.len(), 0);
+                vals.resize(table.len(), T::default());
+                table.drain_sorted_into(j, rows, vals);
+                self.emit(j, rows, vals, out);
+            }
+            Column::Formed(rows, vals) => self.emit(j, rows, vals, out),
+        }
     }
 }
 
@@ -56,14 +61,14 @@ impl<T: Value> Emit<T> for Push {
     }
 
     /// Drains the accumulator straight into the output.
-    fn emit_table(
+    fn emit_column(
         &mut self,
-        table: &mut HashScratch<T>,
+        col: Column<'_, T>,
         j: usize,
         out: &mut CscBuilder<T>,
         _: &mut (Vec<Idx>, Vec<T>),
     ) {
-        append(table, j, out);
+        append(col, j, out);
     }
 }
 
@@ -95,15 +100,19 @@ impl<T: Value, E: Emit<T>> Emit<T> for Counted<'_, E> {
         self.inner.emit(j, rows, vals, out);
     }
 
-    fn emit_table(
+    fn emit_column(
         &mut self,
-        table: &mut HashScratch<T>,
+        col: Column<'_, T>,
         j: usize,
         out: &mut CscBuilder<T>,
         buf: &mut (Vec<Idx>, Vec<T>),
     ) {
-        self.counts[j].store(table.len(), Relaxed);
-        self.inner.emit_table(table, j, out, buf);
+        let len = match &col {
+            Column::Table(table) => table.len(),
+            Column::Formed(rows, _) => rows.len(),
+        };
+        self.counts[j].store(len, Relaxed);
+        self.inner.emit_column(col, j, out, buf);
     }
 }
 

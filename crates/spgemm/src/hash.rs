@@ -32,9 +32,13 @@
 //! which is why this kernel beats heaps when the compression factor
 //! `cf = flops/nnz(C)` is large, the regime of the expensive MCL iterations.
 //!
+//! A column whose `A_{*k}`, `k ∈ B_{*j}`, all have one row pattern — every
+//! column of a clustered MCL iterate from iteration 2 on — needs no table:
+//! [`shared_column`] forms it as an axpy chain over the shared rows.
+//!
 //! Every output entry folds its products in ascending position `l` within
-//! `B_{*j}`; addressing, table size and pass count never touch that order,
-//! so values are bit-identical to the heap kernel in both modes.
+//! `B_{*j}`; addressing, table size, pass count and the shared-pattern path
+//! never touch that order, so values are bit-identical to the heap kernel.
 
 use crate::analysis::{flops_per_column, nnz_bound};
 use crate::emit::{Emit, Push};
@@ -441,29 +445,42 @@ pub(crate) fn multiply_emit<S: Semiring, E: Emit<S::Elem>>(
         table.open_as(mode, (fpc[j] as usize).min(nrows), nrows)
     };
     let mut buf = (Vec::new(), Vec::new());
-    multiply_cols_with(sr, a, b, cols, reserve, open, move |table, j, out| {
-        emit.emit_table(table, j, out, &mut buf)
+    multiply_cols_with(sr, a, b, cols, reserve, open, move |col, j, out| {
+        emit.emit_column(col, j, out, &mut buf)
     })
 }
 
+/// A finished output column: still in the worker's accumulator, or formed
+/// by [`shared_column`] as rows and values.
+pub enum Column<'a, T> {
+    /// Accumulated, not yet drained.
+    Table(&'a mut HashScratch<T>),
+    /// Rows and values, in ascending row order.
+    Formed(&'a [Idx], &'a [T]),
+}
+
 /// What the column loop does with a finished column unless told
-/// otherwise: appends the drained accumulator to `out` as it is.
-pub fn append<T: Value>(table: &mut HashScratch<T>, j: usize, out: &mut CscBuilder<T>) {
-    out.push_column_with(table.len(), |rows, vals| {
-        table.drain_sorted_into(j, rows, vals)
-    });
+/// otherwise: appends it to `out` as it is, draining the accumulator.
+pub fn append<T: Value>(col: Column<'_, T>, j: usize, out: &mut CscBuilder<T>) {
+    match col {
+        Column::Table(table) => out.push_column_with(table.len(), |rows, vals| {
+            table.drain_sorted_into(j, rows, vals)
+        }),
+        Column::Formed(rows, vals) => out.push_column(rows, vals),
+    }
 }
 
 /// The one-pass column loop of every hash kernel in the workspace (this
 /// module's, the SPA kernel, every device launch in `hipmcl-gpu`, the
 /// serial MCL iteration): columns `cols` of `A · B` as an `nrows(A) ×
 /// cols.len()` matrix with room reserved for `reserve` entries.
-/// `open(table, j)` opens the worker's accumulator for output column `j` —
-/// it owns table size and addressing; a table opened too small for the
-/// column panics there. `emit(table, j, out)` then drains the accumulated
-/// column and pushes what it makes of it to `out`, once: [`append`] pushes
-/// it unchanged. Each worker runs its own clone of `emit`, so what `emit`
-/// owns — buffers a column is drained into, say — is per worker.
+/// `open(table, j)` opens the worker's accumulator for output column `j`
+/// unless [`shared_column`] forms the column without one — `open` owns
+/// table size and addressing; a table opened too small panics there.
+/// `emit(column, j, out)` then pushes what it makes of the finished column
+/// to `out`, once: [`append`] pushes it unchanged. Each worker runs its
+/// own clone of `emit`, so what `emit` owns — buffers a column is drained
+/// into, say — is per worker.
 pub fn multiply_cols_with<S: Semiring>(
     sr: S,
     a: &Csc<S::Elem>,
@@ -471,21 +488,57 @@ pub fn multiply_cols_with<S: Semiring>(
     cols: Range<usize>,
     reserve: usize,
     open: impl Fn(&mut HashScratch<S::Elem>, usize) + Sync + Send,
-    emit: impl FnMut(&mut HashScratch<S::Elem>, usize, &mut CscBuilder<S::Elem>) + Clone + Send,
+    emit: impl FnMut(Column<'_, S::Elem>, usize, &mut CscBuilder<S::Elem>) + Clone + Send,
 ) -> Csc<S::Elem> {
     assert_eq!(a.ncols(), b.nrows(), "inner dimensions must agree");
     CscBuilder::build(
         a.nrows(),
         cols.len(),
         reserve,
-        (HashScratch::default(), emit),
-        |(table, emit), j, out| {
+        (HashScratch::default(), Vec::new(), emit),
+        |(table, formed, emit), j, out| {
             let j = cols.start + j;
+            if let Some(rows) = shared_column(sr, a, b, j, formed) {
+                return emit(Column::Formed(rows, formed), j, out);
+            }
             open(table, j);
             accumulate(sr, table, a, b, j);
-            emit(table, j, out);
+            emit(Column::Table(table), j, out);
         },
     )
+}
+
+/// Column `j` of `A ⊗ B` without a table when every `A_{*k}` that `B_{*j}`
+/// reads has one nonempty row pattern `R`, which it returns: `vals` becomes
+/// `A_{*k₀} ⊗ b_{k₀j}`, then `⊕ A_{*k} ⊗ b_{kj}` in ascending position —
+/// [`accumulate`]'s fold, entry by entry. `None` for any other column,
+/// rejected by length, first and last row, then an exact compare.
+pub fn shared_column<'a, S: Semiring>(
+    _: S,
+    a: &'a Csc<S::Elem>,
+    b: &Csc<S::Elem>,
+    j: usize,
+    vals: &mut Vec<S::Elem>,
+) -> Option<&'a [Idx]> {
+    let (ks, bvs) = (b.col_rows(j), b.col_vals(j));
+    let rows = a.col_rows(*ks.first()? as usize);
+    let ends = (*rows.first()?, *rows.last()?);
+    let same_ends = |&k: &Idx| {
+        let r = a.col_rows(k as usize);
+        r.len() == rows.len() && (r[0], r[r.len() - 1]) == ends
+    };
+    if !ks.iter().all(same_ends) || !ks.iter().all(|&k| a.col_rows(k as usize) == rows) {
+        return None;
+    }
+    vals.clear();
+    let (k0, b0) = (ks[0] as usize, bvs[0]);
+    vals.extend(a.col_vals(k0).iter().map(|&av| S::mul(av, b0)));
+    for (&k, &bv) in ks.iter().zip(bvs).skip(1) {
+        for (c, &av) in vals.iter_mut().zip(a.col_vals(k as usize)) {
+            *c = S::add(*c, S::mul(av, bv));
+        }
+    }
+    Some(rows)
 }
 
 /// The column body of every hash kernel: folds column `j` of `A ⊗ B` into
@@ -745,6 +798,79 @@ mod tests {
                 .expect("a message");
             assert!(got.contains(message), "{got:?} lacks {message:?}");
         }
+    }
+
+    /// `A` (16 × 8) in three blocks of columns, each with one pattern of
+    /// every other row: {0, 2, 4, 6} but column 3 near-shared at
+    /// {0, 3, 4, 6}, {8, 10, 12} but column 6 empty, {14}. `B` (8 × 7)
+    /// reads them so that columns 0 (one block) and 2 (one entry) share a
+    /// pattern, while 1 (the near-shared column), 3 (the empty one), 4
+    /// (nothing), 5 (two blocks) and 6 (the empty one alone) do not.
+    fn clique_blocks() -> (Csc<f64>, Csc<f64>) {
+        let patterns: [&[Idx]; 8] = [
+            &[0, 2, 4, 6],
+            &[0, 2, 4, 6],
+            &[0, 2, 4, 6],
+            &[0, 3, 4, 6],
+            &[8, 10, 12],
+            &[8, 10, 12],
+            &[],
+            &[14],
+        ];
+        let mut ta = hipmcl_sparse::Triples::new(16, 8);
+        for (k, rows) in patterns.iter().enumerate() {
+            for &r in rows.iter() {
+                ta.push(r, k as Idx, 0.1 + (r as f64 * 0.37 + k as f64 * 0.71) % 1.0);
+            }
+        }
+        let reads: [&[Idx]; 7] = [&[0, 1, 2], &[0, 3], &[5], &[4, 6], &[], &[1, 7], &[6]];
+        let mut tb = hipmcl_sparse::Triples::new(8, 7);
+        for (j, ks) in reads.iter().enumerate() {
+            for &k in ks.iter() {
+                tb.push(k, j as Idx, 1.3 - (k as f64 * 0.53 + j as f64 * 0.29) % 1.0);
+            }
+        }
+        (Csc::from_triples(&ta), Csc::from_triples(&tb))
+    }
+
+    /// The columns of the fixture that share a pattern.
+    const SHARED: [usize; 2] = [0, 2];
+
+    #[test]
+    fn shared_pattern_columns_are_bit_identical_to_the_table_in_three_semirings() {
+        fn agree<S: Semiring>(s: S, a: &Csc<S::Elem>, b: &Csc<S::Elem>) {
+            let shared =
+                (0..b.ncols()).filter(|&j| shared_column(s, a, b, j, &mut vec![]).is_some());
+            assert_eq!(shared.collect::<Vec<_>>(), SHARED);
+            let bits = |c: Csc<S::Elem>| {
+                let vals: Vec<u64> = c.vals.iter().map(|v| v.to_f64().to_bits()).collect();
+                (c.colptr, c.rowidx, vals)
+            };
+            let want = bits(crate::heap::multiply_in(s, a, b));
+            let fpc = flops_per_column(a, b);
+            assert_eq!(bits(multiply_in(s, a, b)), want, "hash");
+            for mode in [Direct, Hashed] {
+                assert_eq!(bits(multiply_as(mode, s, a, b, &fpc)), want, "{mode:?}");
+            }
+        }
+        let (a, b) = clique_blocks();
+        agree(PT, &a, &b);
+        agree(hipmcl_sparse::MinPlus, &a, &b);
+        let pattern = |m: &Csc<f64>| m.map_values(|v| v > 0.0);
+        agree(hipmcl_sparse::Boolean, &pattern(&a), &pattern(&b));
+    }
+
+    #[test]
+    fn shared_pattern_columns_never_open_the_table() {
+        let (a, b) = clique_blocks();
+        let fpc = flops_per_column(&a, &b);
+        let open = |table: &mut HashScratch<f64>, j: usize| {
+            assert!(!SHARED.contains(&j), "column {j} opened a table");
+            table.open((fpc[j] as usize).min(16), 16);
+        };
+        let got = multiply_cols_with(PT, &a, &b, 0..b.ncols(), 0, open, append);
+        assert_eq!(got, crate::heap::multiply(&a, &b));
+        assert!(SHARED.iter().all(|&j| got.col_nnz(j) > 0));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use crate::hash::Addressing::{Direct, Hashed};
 use crate::testutil::dense_reference;
 use crate::{hash, heap, spa, symbolic};
-use hipmcl_sparse::{Boolean, Csc, Idx, MinPlus, PlusTimes, Semiring, Triples};
+use hipmcl_sparse::{Boolean, Csc, Idx, MinPlus, PlusTimes, Semiring, Triples, Value};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
@@ -70,6 +70,79 @@ fn arb_sum() -> impl Strategy<Value = Vec<(Csc<f64>, Csc<f64>)>> {
     })
 }
 
+/// Strategy: clique-block `A` — each block of columns has one pattern,
+/// every other row of its range, so that a column can differ in a middle
+/// row alone — with, per block, one column near-shared (a middle row moved
+/// by one: same length, first and last row), one empty, or none; and `B`
+/// whose columns read a subset of one block, one entry, two blocks' first
+/// columns, or nothing. Weights random.
+fn arb_clique_blocks() -> impl Strategy<Value = (Csc<f64>, Csc<f64>)> {
+    let blocks = proptest::collection::vec((1usize..7, 0u8..4), 1..6);
+    let reads = proptest::collection::vec((0usize..10, 0u32..64), 0..24);
+    let weights = proptest::collection::vec(1u32..64, 97);
+    (blocks, reads, weights).prop_map(|(blocks, reads, weights)| {
+        let w = |i: usize, j: usize| weights[(i * 31 + j * 7) % 97] as f64 / 10.0;
+        let n: usize = blocks.iter().map(|b| b.0).sum();
+        let (mut ta, mut starts) = (Triples::new(2 * n, n), vec![]);
+        for &(size, perturb) in &blocks {
+            let s = starts.last().map_or(0, |&(s, z): &(usize, usize)| s + z);
+            starts.push((s, size));
+            for k in s..s + size {
+                for i in s..s + size {
+                    let r = match (perturb, k - s, i - s) {
+                        (1, 0, 1) if size > 2 => 2 * i - 1,
+                        (2, 0, _) => continue,
+                        _ => 2 * i,
+                    };
+                    ta.push(r as Idx, k as Idx, w(r, k));
+                }
+            }
+        }
+        let mut tb = Triples::new(n, reads.len());
+        for (j, &(pick, mask)) in reads.iter().enumerate() {
+            let (s, size) = starts[pick % starts.len()];
+            let ks: Vec<usize> = match pick {
+                0..=5 => (0..size)
+                    .filter(|i| mask >> i & 1 == 1)
+                    .map(|i| s + i)
+                    .collect(),
+                6 => vec![mask as usize % n],
+                7 => vec![s, starts[mask as usize % starts.len()].0],
+                _ => vec![],
+            };
+            for k in ks {
+                tb.push(k as Idx, j as Idx, w(k, j) - 2.0);
+            }
+        }
+        (Csc::from_triples(&ta), Csc::from_triples(&tb))
+    })
+}
+
+/// Every hash path — the rule's and both forced modes — against the heap,
+/// bit for bit.
+fn hash_paths_match_the_heap<S: Semiring>(
+    s: S,
+    a: &Csc<S::Elem>,
+    b: &Csc<S::Elem>,
+) -> Result<(), TestCaseError> {
+    let bits = |c: Csc<S::Elem>| {
+        let vals: Vec<u64> = c.vals.iter().map(|v| v.to_f64().to_bits()).collect();
+        (c.colptr, c.rowidx, vals)
+    };
+    let want = bits(heap::multiply_in(s, a, b));
+    let fpc = crate::analysis::flops_per_column(a, b);
+    prop_assert_eq!(bits(hash::multiply_in(s, a, b)), want.clone());
+    for mode in [Direct, Hashed] {
+        prop_assert_eq!(
+            bits(hash::multiply_as(mode, s, a, b, &fpc)),
+            want.clone(),
+            "{:?}",
+            mode
+        );
+    }
+    Ok(())
+}
+
 /// The terms `(A_t, B_t)` of a sum of products.
 type Terms<T> = [(Csc<T>, Csc<T>)];
 
@@ -109,6 +182,14 @@ proptest! {
             let bits = |c: &Csc<f64>| c.vals.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             prop_assert_eq!(bits(&got), bits(&want), "{:?}", mode);
         }
+    }
+
+    #[test]
+    fn shared_pattern_columns_match_the_heap_in_three_semirings((a, b) in arb_clique_blocks()) {
+        hash_paths_match_the_heap(PlusTimes::<f64>::new(), &a, &b)?;
+        hash_paths_match_the_heap(MinPlus, &a, &b)?;
+        let (ba, bb) = (a.map_values(|v| v > 0.5), b.map_values(|v| v > 0.0));
+        hash_paths_match_the_heap(Boolean, &ba, &bb)?;
     }
 
     #[test]

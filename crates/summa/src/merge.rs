@@ -74,7 +74,7 @@
 use hipmcl_comm::{MachineModel, MergeKernel};
 use hipmcl_sparse::{Csc, CscBuilder, Idx, PlusTimes, Semiring, Value};
 use hipmcl_spgemm::emit::Emit;
-use hipmcl_spgemm::hash::HashScratch;
+use hipmcl_spgemm::hash::{self, HashScratch};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Mutex;
 
@@ -350,20 +350,27 @@ impl<S: Semiring, K: ColumnSink<S::Elem>> Emit<S::Elem> for MergeEmit<'_, S, K> 
     }
 
     fn emit(&mut self, j: usize, rows: &[Idx], vals: &[S::Elem], out: &mut CscBuilder<S::Elem>) {
-        if let Some(p) = self.spot {
-            let table = &mut self.table;
-            table.open((p.fpc[j] as usize).min(self.nrows), self.nrows);
-            hipmcl_spgemm::hash::accumulate(S::default(), table, p.a, p.b, j);
-            p.counts[j].store(table.len(), Relaxed);
-            let (f_rows, f_vals) = &mut self.formed;
-            f_rows.resize(table.len(), 0);
-            f_vals.resize(table.len(), S::Elem::default());
-            table.drain_sorted_into(j, f_rows, f_vals);
-        }
-        let (kernel_col, both) = (
-            (rows, vals),
-            [(&self.formed.0[..], &self.formed.1[..]), (rows, vals)],
-        );
+        let (f_rows, f_vals) = (&mut self.formed.0, &mut self.formed.1);
+        let spot: View<S::Elem> = match self.spot {
+            None => (&[], &[]),
+            Some(p) => {
+                let rows = match hash::shared_column(S::default(), p.a, p.b, j, f_vals) {
+                    Some(shared) => shared,
+                    None => {
+                        let table = &mut self.table;
+                        table.open((p.fpc[j] as usize).min(self.nrows), self.nrows);
+                        hash::accumulate(S::default(), table, p.a, p.b, j);
+                        f_rows.resize(table.len(), 0);
+                        f_vals.resize(table.len(), S::Elem::default());
+                        table.drain_sorted_into(j, f_rows, f_vals);
+                        f_rows
+                    }
+                };
+                p.counts[j].store(rows.len(), Relaxed);
+                (rows, f_vals)
+            }
+        };
+        let (kernel_col, both) = ((rows, vals), [spot, (rows, vals)]);
         let last: &[View<S::Elem>] = match self.spot {
             Some(_) => &both,
             None => std::slice::from_ref(&kernel_col),

@@ -26,7 +26,7 @@
 //! alone), under `Multiway` all of them. The output columns of a sum of
 //! sparse products are independent (arXiv:2112.10223), so that merge runs
 //! column by column as the group's products are formed: each column of
-//! each stage is accumulated by the hash kernel's column body, merged on
+//! each stage is formed by the hash kernel's column step, merged on
 //! the spot with the same column of the stack entries the merge takes
 //! besides, and packed through the caller's sink if the merge closes the
 //! phase. Only the results of merges that do not close the phase (grids of

@@ -99,6 +99,31 @@ fn power_of_two_counts_and_flops_beyond_nrows() {
 }
 
 #[test]
+fn power_of_two_counts_through_the_table() {
+    // The fixture above has one pattern in every column of `A`, so each of
+    // its columns is formed without a table. Here column `k` lacks row
+    // `k mod 8`, so every column of `B` reads at least two patterns: the
+    // table takes each column, and holds exactly 8 rows in most.
+    let full = operand(8, 40, 256, 3, dyadic);
+    let mut t = Triples::new(8, 40);
+    for k in 0..40 {
+        let rows = full.col_rows(k).iter().zip(full.col_vals(k));
+        for (&i, &v) in rows.filter(|&(&i, _)| i as usize != k % 8) {
+            t.push(i, k as Idx, v);
+        }
+    }
+    let a = Csc::from_nodup_triples(&t);
+    let b = operand(40, 24, 60, 4, dyadic);
+    let pt = PlusTimes::<f64>::new();
+    let shared = (0..24).filter(|&j| hash::shared_column(pt, &a, &b, j, &mut vec![]).is_some());
+    assert_eq!(shared.count(), 0);
+    let counts = symbolic::output_counts(&a, &b);
+    assert!(counts.iter().filter(|&&c| c == 8).count() > 12);
+    assert!(flops_per_column(&a, &b).iter().any(|&f| f > 8));
+    assert_identical(pt, &a, &b, true);
+}
+
+#[test]
 fn a_wrong_count_panics_instead_of_padding_or_cutting_the_column() {
     // The one count left is the length of the slices a column is drained
     // into: the accumulated column of 8 rows goes into exactly 8 slots.
