@@ -3,25 +3,56 @@
 //! benchmark workload leaves direct addressing to reach), the exact
 //! estimator's symbolic pass, the post-expansion prune and a multi-GPU
 //! launch (one case: every library label runs the hash kernel) across
-//! density regimes — the measured counterpart of the §VI selection recipe. Every case is timed at width 1
-//! and at the host's width (`hipmcl_bench::scaling_pools`); the printed
-//! flops and nnz turn the times into rates.
+//! density regimes — the measured counterpart of the §VI selection recipe —
+//! and the hash and heap kernels on clustered MCL iterates, whose columns
+//! share `B`-patterns. Every case is timed at width 1 and at the host's
+//! width (`hipmcl_bench::scaling_pools`); the printed flops and nnz turn
+//! the times into rates.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hipmcl_comm::{GpuLib, MachineModel};
+use hipmcl_core::MclConfig;
 use hipmcl_gpu::multi::MultiGpu;
 use hipmcl_sparse::colops::{self, PruneParams};
-use hipmcl_sparse::PlusTimes;
+use hipmcl_sparse::{Csc, Idx, PlusTimes, Triples};
 use hipmcl_spgemm::hash::Addressing::Hashed;
 use hipmcl_spgemm::testutil::random_csc;
 
 fn local_spgemm(c: &mut Criterion) {
+    let clustered = clustered_iterates();
     for (width, pool) in hipmcl_bench::scaling_pools() {
-        pool.install(|| local_spgemm_at(c, width));
+        pool.install(|| local_spgemm_at(c, width, &clustered));
     }
 }
 
-fn local_spgemm_at(c: &mut Criterion, width: usize) {
+/// The operands of `protein_serial`'s size (`Dataset::Archaea` at
+/// n = 3 288, select 300, ids permuted as the benchmark permutes them)
+/// after one and two serial MCL iterations: nearly every column reads a
+/// `B`-pattern other columns read too, which the hash kernel forms
+/// together; from the second on every `A_{*k}` of a pattern also shares
+/// one row pattern.
+fn clustered_iterates() -> Vec<(String, Csc<f64>)> {
+    let net = Csc::from_triples(&hipmcl_workloads::Dataset::Archaea.instance(500).graph);
+    let n = net.ncols();
+    let p = |v: usize| ((v * 7919 + 13) % n) as Idx;
+    let mut t = Triples::new(n, n);
+    for j in 0..n {
+        for (&i, &v) in net.col_rows(j).iter().zip(net.col_vals(j)) {
+            t.push(p(i as usize), p(j), v);
+        }
+    }
+    let mut cfg = MclConfig::optimized(1 << 30);
+    cfg.prune.select = 300;
+    let mut a = hipmcl_core::serial::prepare_matrix(&Csc::from_triples(&t), &cfg);
+    (1..=2)
+        .map(|it| {
+            hipmcl_core::serial::mcl_iteration(&mut a, &cfg);
+            (format!("clustered_it{it}"), a.clone())
+        })
+        .collect()
+}
+
+fn local_spgemm_at(c: &mut Criterion, width: usize, clustered: &[(String, Csc<f64>)]) {
     let mut group = c.benchmark_group(format!("local_spgemm/w{width}"));
     group.sample_size(10);
     // (label, nrows, n, nnz) of `A · B`, `A` nrows × n: sparse -> low cf,
@@ -82,6 +113,17 @@ fn local_spgemm_at(c: &mut Criterion, width: usize) {
                 })
             },
         );
+    }
+    for (label, a) in clustered {
+        group.bench_with_input(BenchmarkId::new("cpu-heap", label), a, |bch, a| {
+            bch.iter(|| hipmcl_spgemm::heap::multiply(a, a))
+        });
+        group.bench_with_input(BenchmarkId::new("cpu-hash", label), a, |bch, a| {
+            bch.iter(|| hipmcl_spgemm::hash::multiply(a, a))
+        });
+        let nnz = hipmcl_spgemm::hash::multiply(a, a).nnz();
+        let flops = hipmcl_spgemm::flops(a, a);
+        println!("local_spgemm/{label}: {flops} flops, nnz(C) {nnz}");
     }
     group.finish();
 }

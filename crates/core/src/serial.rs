@@ -17,16 +17,21 @@ use hipmcl_spgemm::emit::Emit;
 use hipmcl_spgemm::{flops_per_column, CpuAlgo, MultAnalysis};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
-/// Per-iteration trace entry of a serial run.
+/// Per-iteration trace entry of a serial run, and of a distributed one
+/// (`crate::dist`), which reads `flops`, `nnz_expanded` and `cf` off the
+/// iteration's memory estimate — and under `PhasePlan::Fixed`, which
+/// estimates nothing, records placeholders in them.
 #[derive(Clone, Copy, Debug)]
 pub struct IterTrace {
-    /// `flops` of the expansion.
+    /// `flops` of the expansion. Distributed under `PhasePlan::Fixed`: 0.
     pub flops: u64,
-    /// `nnz` before pruning.
+    /// `nnz` before pruning (distributed: the estimator's count). Under
+    /// `PhasePlan::Fixed`: the pruned count, `nnz_pruned`.
     pub nnz_expanded: u64,
     /// `nnz` after pruning.
     pub nnz_pruned: u64,
-    /// Compression factor of the expansion.
+    /// Compression factor of the expansion, `flops / nnz_expanded`. Under
+    /// `PhasePlan::Fixed`: 0 (1 when nothing is kept).
     pub cf: f64,
     /// Chaos after inflation.
     pub chaos: f64,
@@ -150,7 +155,10 @@ pub fn cluster_serial(adjacency: &Csc<f64>, cfg: &MclConfig) -> MclResult {
 /// `colops::inflate_column` where it is appended. The result is
 /// bit-identical to `multiply_auto`, `colops::prune` and `colops::inflate`
 /// in turn, `nnz_out` included (the accumulators' lengths, summed), while
-/// no more than one unpruned column per worker exists at a time.
+/// the unpruned columns that exist at a time are one per worker and those
+/// a worker formed with its own for another's block (columns whose
+/// `B_{*j}` share a pattern are formed a group at a time) until that
+/// worker reaches them — never the unpruned product.
 pub fn mcl_iteration(a: &mut Csc<f64>, cfg: &MclConfig) -> (MultAnalysis, f64) {
     let fpc = flops_per_column(a, a);
     let nnz_out = AtomicU64::new(0);

@@ -4,8 +4,11 @@
 //! kernels, which every device launch in `hipmcl-gpu` runs too — is a
 //! per-column producer: it computes output column `j` in a worker's buffers
 //! and hands it to an [`Emit`], which pushes what it makes of the column to
-//! the [`CscBuilder`] the kernel returns. [`Push`] appends every column
-//! unchanged, so the kernel returns the product. An emit that merges each
+//! the [`CscBuilder`] the kernel returns. The hash kernel may form a column
+//! whose `B_{*j}` shares its pattern with others on another worker, with
+//! them (`hash::Formation`); it still reaches the emit of the worker whose
+//! block holds it, once, in column order, as rows and values. [`Push`]
+//! appends every column unchanged, so the kernel returns the product. An emit that merges each
 //! column into something else the moment it is finished — the merge that
 //! takes a SUMMA phase's stage products in `hipmcl-summa` — makes the
 //! kernel return that instead, and the product never exists.
@@ -33,17 +36,10 @@ pub trait Emit<T: Value>: Clone + Send {
         col: Column<'_, T>,
         j: usize,
         out: &mut CscBuilder<T>,
-        (rows, vals): &mut (Vec<Idx>, Vec<T>),
+        buf: &mut (Vec<Idx>, Vec<T>),
     ) {
-        match col {
-            Column::Table(table) => {
-                rows.resize(table.len(), 0);
-                vals.resize(table.len(), T::default());
-                table.drain_sorted_into(j, rows, vals);
-                self.emit(j, rows, vals, out);
-            }
-            Column::Formed(rows, vals) => self.emit(j, rows, vals, out),
-        }
+        let (rows, vals) = col.rows_vals(j, buf);
+        self.emit(j, rows, vals, out);
     }
 }
 

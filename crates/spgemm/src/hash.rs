@@ -34,14 +34,22 @@
 //!
 //! A column whose `A_{*k}`, `k ∈ B_{*j}`, all have one row pattern — every
 //! column of a clustered MCL iterate from iteration 2 on — needs no table:
-//! [`shared_column`] forms it as an axpy chain over the shared rows.
+//! [`shared_column`] forms it as a register tile over the shared rows.
+//! Columns whose `B_{*j}` share one pattern — nearly every column of a
+//! clustered iterate from iteration 1 on — are formed up to [`LANES`] at a
+//! time by the first worker to reach one, through the same tile or the
+//! accumulator with one value lane per column, and handed to the workers
+//! whose blocks hold them ([`Formation`]).
 //!
 //! Every output entry folds its products in ascending position `l` within
-//! `B_{*j}`; addressing, table size, pass count and the shared-pattern path
-//! never touch that order, so values are bit-identical to the heap kernel.
+//! `B_{*j}`; addressing, table size, pass count, lanes and the
+//! shared-pattern tile never touch that order, so values are bit-identical
+//! to the heap kernel.
 
 use crate::analysis::{flops_per_column, nnz_bound};
 use crate::emit::{Emit, Push};
+pub use crate::groups::LANES;
+use crate::groups::{Groups, Reached};
 use hipmcl_sparse::{Csc, CscBuilder, Idx, PlusTimes, Semiring, Value};
 use std::ops::Range;
 
@@ -76,7 +84,13 @@ impl Addressing {
     /// [`DIRECT_BUDGET_BYTES`] and the column is not hypersparse in its
     /// universe.
     pub fn of<T>(n: usize, universe: usize) -> Self {
-        let fits = universe.saturating_mul(std::mem::size_of::<T>()) <= DIRECT_BUDGET_BYTES;
+        Self::of_slots(n, universe, std::mem::size_of::<T>())
+    }
+
+    /// [`Addressing::of`] for slots of `slot` bytes: a slot of `lanes`
+    /// values costs `lanes` values of the budget.
+    fn of_slots(n: usize, universe: usize, slot: usize) -> Self {
+        let fits = universe.saturating_mul(slot) <= DIRECT_BUDGET_BYTES;
         if fits && n.saturating_mul(SUMMARY_SPAN) >= universe {
             Addressing::Direct
         } else {
@@ -229,8 +243,10 @@ fn sort_by_key(words: &mut Vec<u64>, spare: &mut Vec<u64>) {
 }
 
 /// Accumulator reused across columns by one worker, in either addressing
-/// mode: one value per slot, found by key ([`Addressing::Direct`]) or by a
-/// `KeySet` probe ([`Addressing::Hashed`]). The one accumulator of the
+/// mode: one slot per key, found by key ([`Addressing::Direct`]) or by a
+/// `KeySet` probe ([`Addressing::Hashed`]), holding one value per *lane* —
+/// one lane per output column accumulated at once, all with the same keys
+/// (columns whose `B_{*j}` share a pattern). The one accumulator of the
 /// workspace — the CPU hash and SPA kernels, every device launch in
 /// `hipmcl-gpu` and the stage products a SUMMA phase forms column by
 /// column all run on it.
@@ -243,6 +259,8 @@ fn sort_by_key(words: &mut Vec<u64>, spare: &mut Vec<u64>) {
 pub struct HashScratch<T> {
     mode: Addressing,
     universe: usize,
+    /// Values per slot, slot by slot.
+    lanes: usize,
     vals: Vec<T>,
     /// Hashed: slot finder, and the drain's `key << 32 | slot` words with
     /// the radix sort's spare.
@@ -267,8 +285,15 @@ impl<T: Value> HashScratch<T> {
 
     /// [`HashScratch::open`] with the addressing mode given.
     pub fn open_as(&mut self, mode: Addressing, n: usize, universe: usize) {
+        self.open_lanes(mode, 1, n, universe);
+    }
+
+    /// [`HashScratch::open_as`] for `lanes` columns (at most [`LANES`]) of
+    /// the same keys at once.
+    pub fn open_lanes(&mut self, mode: Addressing, lanes: usize, n: usize, universe: usize) {
         assert!(self.is_empty(), "previous column was not drained");
-        (self.mode, self.universe) = (mode, universe);
+        assert!((1..=LANES).contains(&lanes), "{lanes} lanes");
+        (self.mode, self.universe, self.lanes) = (mode, universe, lanes);
         let slots = match mode {
             Addressing::Direct => {
                 let words = universe.div_ceil(64);
@@ -283,10 +308,10 @@ impl<T: Value> HashScratch<T> {
                 self.set.keys.len()
             }
         };
-        if self.vals.len() < slots {
+        if self.vals.len() < slots * lanes {
             // Placeholder only: every slot's value is overwritten on first
             // touch, so no semiring identity is needed here.
-            self.vals.resize(slots, T::default());
+            self.vals.resize(slots * lanes, T::default());
         }
     }
 
@@ -297,20 +322,38 @@ impl<T: Value> HashScratch<T> {
     #[inline]
     pub fn extend<S: Semiring<Elem = T>>(
         &mut self,
-        _sr: S,
+        sr: S,
         entries: impl IntoIterator<Item = (Idx, T)>,
     ) {
+        self.extend_lanes(sr, entries.into_iter().map(|(key, val)| (key, [val])));
+    }
+
+    /// [`HashScratch::extend`] for an accumulator opened with `L` lanes:
+    /// lane `l` of `key`'s slot adds `vals[l]`, so one probe serves every
+    /// lane.
+    #[inline]
+    fn extend_lanes<S: Semiring<Elem = T>, const L: usize>(
+        &mut self,
+        _sr: S,
+        entries: impl IntoIterator<Item = (Idx, [T; L])>,
+    ) {
+        assert_eq!(self.lanes, L, "opened for {} lanes", self.lanes);
+        let add = |slot: &mut [T; L], vals: [T; L]| {
+            for (s, v) in slot.iter_mut().zip(vals) {
+                *s = S::add(*s, v);
+            }
+        };
         match self.mode {
             Addressing::Direct => {
                 // Slices as long as the universe: indexing is the key check.
-                let slots = &mut self.vals[..self.universe];
+                let slots = self.vals[..self.universe * L].as_chunks_mut::<L>().0;
                 let bits = &mut self.bits[..self.universe.div_ceil(64)];
                 for (key, val) in entries {
                     let slot = &mut slots[key as usize];
                     let w = key as usize >> 6;
                     let (word, bit) = (bits[w], 1u64 << (key & 63));
                     if word & bit != 0 {
-                        *slot = S::add(*slot, val);
+                        add(slot, val);
                     } else {
                         *slot = val;
                         bits[w] = word | bit;
@@ -320,13 +363,14 @@ impl<T: Value> HashScratch<T> {
                 }
             }
             Addressing::Hashed => {
+                let slots = self.vals.as_chunks_mut::<L>().0;
                 for (key, val) in entries {
                     let (s, inserted) = self.set.probe(key);
-                    self.vals[s] = if inserted {
-                        val
+                    if inserted {
+                        slots[s] = val;
                     } else {
-                        S::add(self.vals[s], val)
-                    };
+                        add(&mut slots[s], val);
+                    }
                 }
             }
         }
@@ -343,31 +387,53 @@ impl<T: Value> HashScratch<T> {
     }
 
     /// Drains `(key, val)` pairs sorted by key into the output slices of
-    /// column `col` and resets the accumulator. Panics if the slices are not
-    /// exactly [`HashScratch::len`] long — a wrong count must not become a
-    /// malformed column. `col` only labels the panic.
+    /// column `col` and resets the accumulator: `rows` once, `vals` lane by
+    /// lane (lane `l` at `vals[l · len..][..len]`). Panics if `rows` is not
+    /// exactly [`HashScratch::len`] long, or `vals` that times the lanes — a
+    /// wrong count must not become a malformed column. `col` only labels
+    /// the panic.
     pub fn drain_sorted_into(&mut self, col: usize, rows: &mut [Idx], vals: &mut [T]) {
         assert!(
-            rows.len() == self.len() && vals.len() == self.len(),
+            rows.len() == self.len() && vals.len() == self.lanes * self.len(),
             "column {col}: count {} but {} distinct rows accumulated",
             rows.len(),
             self.len()
         );
+        match self.lanes {
+            1 => self.drain::<1>(rows, vals),
+            2 => self.drain::<2>(rows, vals),
+            3 => self.drain::<3>(rows, vals),
+            _ => self.drain::<LANES>(rows, vals),
+        }
+    }
+
+    /// [`HashScratch::drain_sorted_into`] for `L` lanes, checked.
+    fn drain<const L: usize>(&mut self, rows: &mut [Idx], vals: &mut [T]) {
+        let n = rows.len();
+        let (first, others) = vals.split_at_mut(n);
+        let slots = self.vals.as_chunks::<L>().0;
+        let mut out = rows.iter_mut().zip(first).enumerate();
+        let mut put = |key: usize, slot: usize| {
+            let (i, (r, v)) = out.next().expect("as many slots as keys");
+            let slot = &slots[slot];
+            (*r, *v) = (key as Idx, slot[0]);
+            for l in 1..L {
+                others[(l - 1) * n + i] = slot[l];
+            }
+        };
         match self.mode {
             Addressing::Direct => {
-                let mut out = rows.iter_mut().zip(vals);
                 let nsummary = self.universe.div_ceil(64).div_ceil(64);
-                for (i, summary) in self.summary[..nsummary].iter_mut().enumerate() {
+                for (s, summary) in self.summary[..nsummary].iter_mut().enumerate() {
                     let mut nonzero = std::mem::take(summary);
                     while nonzero != 0 {
-                        let w = i << 6 | nonzero.trailing_zeros() as usize;
+                        let w = s << 6 | nonzero.trailing_zeros() as usize;
                         nonzero &= nonzero - 1;
                         let mut word = std::mem::take(&mut self.bits[w]);
                         while word != 0 {
                             let key = w << 6 | word.trailing_zeros() as usize;
                             word &= word - 1;
-                            let (r, v) = out.next().expect("as many slots as bits set");
-                            (*r, *v) = (key as Idx, self.vals[key]);
+                            put(key, key);
                         }
                     }
                 }
@@ -380,9 +446,8 @@ impl<T: Value> HashScratch<T> {
                     (self.set.touched.iter()).map(|&s| (keys[s as usize] as u64) << 32 | s as u64),
                 );
                 sort_by_key(&mut self.order, &mut self.spare);
-                for (i, &w) in self.order.iter().enumerate() {
-                    rows[i] = (w >> 32) as Idx;
-                    vals[i] = self.vals[w as u32 as usize];
+                for &w in &self.order {
+                    put((w >> 32) as usize, w as u32 as usize);
                 }
                 self.set.reset();
             }
@@ -404,14 +469,6 @@ where
     multiply_in(PlusTimes::new(), a, b)
 }
 
-/// The one addressing mode of a product with `fpc` flops per column and
-/// `nrows` rows, from the mean column's bound: a direct column among hashed
-/// ones would find its slots evicted.
-fn mode_of<T>(fpc: &[u64], nrows: usize) -> Addressing {
-    let mean = nnz_bound(fpc, nrows).div_ceil(fpc.len().max(1));
-    Addressing::of::<T>(mean, nrows)
-}
-
 /// [`multiply_in`] given `fpc`, with the addressing mode given instead of
 /// derived from the operands.
 pub fn multiply_as<S: Semiring>(
@@ -424,10 +481,23 @@ pub fn multiply_as<S: Semiring>(
     multiply_emit(sr, a, b, 0..b.ncols(), fpc, Some(mode), Push)
 }
 
+/// The addressing mode of every column of a product with `fpc` flops per
+/// column and `nrows` rows, accumulated one to [`LANES`] columns at once:
+/// `mode` if given, else [`Addressing::of`] the mean column's bound, for
+/// slots of as many values as lanes — a direct column among hashed ones
+/// would find its slots evicted.
+pub fn modes<T>(fpc: &[u64], nrows: usize, mode: Option<Addressing>) -> [Addressing; LANES] {
+    let mean = nnz_bound(fpc, nrows).div_ceil(fpc.len().max(1));
+    let value = std::mem::size_of::<T>();
+    std::array::from_fn(|l| {
+        mode.unwrap_or_else(|| Addressing::of_slots(mean, nrows, (l + 1) * value))
+    })
+}
+
 /// Columns `cols` of `A · B`, each opened at its bound `min(flops_j, nrows)`
-/// in `mode` (by default the product's, from `fpc[cols]`) and handed to
-/// `emit` when finished, with room reserved for what `emit` keeps. `fpc` is
-/// `flops_per_column(a, b)`.
+/// in `mode` (by default the product's, [`modes`] of `fpc[cols]`) and
+/// handed to `emit` when finished, with room reserved for what `emit`
+/// keeps. `fpc` is `flops_per_column(a, b)`.
 pub(crate) fn multiply_emit<S: Semiring, E: Emit<S::Elem>>(
     sr: S,
     a: &Csc<S::Elem>,
@@ -439,10 +509,10 @@ pub(crate) fn multiply_emit<S: Semiring, E: Emit<S::Elem>>(
 ) -> Csc<S::Elem> {
     assert_eq!(fpc.len(), b.ncols(), "one flops entry per output column");
     let nrows = a.nrows();
-    let mode = mode.unwrap_or_else(|| mode_of::<S::Elem>(&fpc[cols.clone()], nrows));
+    let modes = modes::<S::Elem>(&fpc[cols.clone()], nrows, mode);
     let reserve = crate::emit::reserve(&emit, cols.clone(), fpc, nrows);
-    let open = |table: &mut HashScratch<S::Elem>, j: usize| {
-        table.open_as(mode, (fpc[j] as usize).min(nrows), nrows)
+    let open = |table: &mut HashScratch<S::Elem>, j: usize, lanes: usize| {
+        table.open_lanes(modes[lanes - 1], lanes, (fpc[j] as usize).min(nrows), nrows)
     };
     let mut buf = (Vec::new(), Vec::new());
     multiply_cols_with(sr, a, b, cols, reserve, open, move |col, j, out| {
@@ -451,12 +521,33 @@ pub(crate) fn multiply_emit<S: Semiring, E: Emit<S::Elem>>(
 }
 
 /// A finished output column: still in the worker's accumulator, or formed
-/// by [`shared_column`] as rows and values.
+/// as rows and values — by [`shared_column`], or with other columns of its
+/// `B`-pattern.
 pub enum Column<'a, T> {
     /// Accumulated, not yet drained.
     Table(&'a mut HashScratch<T>),
     /// Rows and values, in ascending row order.
     Formed(&'a [Idx], &'a [T]),
+}
+
+impl<'a, T: Value> Column<'a, T> {
+    /// Column `j`'s rows and values, drained into `buf` if it is still in
+    /// the accumulator.
+    pub fn rows_vals<'b>(self, j: usize, buf: &'b mut (Vec<Idx>, Vec<T>)) -> (&'b [Idx], &'b [T])
+    where
+        'a: 'b,
+    {
+        match self {
+            Column::Formed(rows, vals) => (rows, vals),
+            Column::Table(table) => {
+                let (rows, vals) = buf;
+                rows.resize(table.len(), 0);
+                vals.resize(table.len(), T::default());
+                table.drain_sorted_into(j, rows, vals);
+                (rows, vals)
+            }
+        }
+    }
 }
 
 /// What the column loop does with a finished column unless told
@@ -473,46 +564,163 @@ pub fn append<T: Value>(col: Column<'_, T>, j: usize, out: &mut CscBuilder<T>) {
 /// The one-pass column loop of every hash kernel in the workspace (this
 /// module's, the SPA kernel, every device launch in `hipmcl-gpu`, the
 /// serial MCL iteration): columns `cols` of `A · B` as an `nrows(A) ×
-/// cols.len()` matrix with room reserved for `reserve` entries.
-/// `open(table, j)` opens the worker's accumulator for output column `j`
-/// unless [`shared_column`] forms the column without one — `open` owns
-/// table size and addressing; a table opened too small panics there.
-/// `emit(column, j, out)` then pushes what it makes of the finished column
-/// to `out`, once: [`append`] pushes it unchanged. Each worker runs its
-/// own clone of `emit`, so what `emit` owns — buffers a column is drained
-/// into, say — is per worker.
+/// cols.len()` matrix with room reserved for `reserve` entries, each
+/// formed by a [`Formation`] of them. `open(table, j, lanes)` opens the
+/// worker's accumulator for output column `j` and `lanes − 1` more of its
+/// group — `open` owns table size and addressing; a table opened too small
+/// panics there.
+///
+/// `emit(column, j, out)` then pushes what it makes of finished column `j`
+/// to `out`, once, from the worker whose block holds `j`, in column order:
+/// [`append`] pushes it unchanged. Each worker runs its own clone of
+/// `emit`, so what `emit` owns — buffers a column is drained into, say —
+/// is per worker.
 pub fn multiply_cols_with<S: Semiring>(
     sr: S,
     a: &Csc<S::Elem>,
     b: &Csc<S::Elem>,
     cols: Range<usize>,
     reserve: usize,
-    open: impl Fn(&mut HashScratch<S::Elem>, usize) + Sync + Send,
+    open: impl Fn(&mut HashScratch<S::Elem>, usize, usize) + Sync + Send,
     emit: impl FnMut(Column<'_, S::Elem>, usize, &mut CscBuilder<S::Elem>) + Clone + Send,
 ) -> Csc<S::Elem> {
-    assert_eq!(a.ncols(), b.nrows(), "inner dimensions must agree");
+    let formation = Formation::new(sr, a, b, cols.clone());
+    let scratch = (Former::default(), emit);
     CscBuilder::build(
         a.nrows(),
         cols.len(),
         reserve,
-        (HashScratch::default(), Vec::new(), emit),
-        |(table, formed, emit), j, out| {
-            let j = cols.start + j;
-            if let Some(rows) = shared_column(sr, a, b, j, formed) {
-                return emit(Column::Formed(rows, formed), j, out);
-            }
-            open(table, j);
-            accumulate(sr, table, a, b, j);
-            emit(Column::Table(table), j, out);
+        scratch,
+        |(w, emit), c, out| {
+            let j = cols.start + c;
+            formation.column(w, j, &open, |col| emit(col, j, out))
         },
     )
 }
 
+/// How the columns `cols` of one product `A ⊗ B` are formed, each once, by
+/// whichever worker asks for it first — the one routine behind the hash
+/// kernels' column loop ([`multiply_cols_with`]) and the stage product a
+/// SUMMA merge forms on the spot.
+///
+/// Columns whose `B_{*j}` share one row pattern `K` of two rows or more
+/// form a group, and the first worker to ask for a member forms it with up
+/// to [`LANES`]` − 1` more free members of its group, wherever they lie:
+/// as a register tile over `R` when every `A_{*k}`, `k ∈ K`, has the one
+/// row pattern `R` ([`shared_column`] is its one-column case), else in the
+/// accumulator with one value lane per column. It keeps its own column and
+/// publishes the others for whoever asks for them. Every other column
+/// takes [`shared_column`] or the accumulator alone.
+pub struct Formation<'a, S: Semiring> {
+    sr: S,
+    a: &'a Csc<S::Elem>,
+    b: &'a Csc<S::Elem>,
+    groups: Groups<S::Elem>,
+    start: usize,
+}
+
+/// One worker's buffers for forming columns: its accumulator and the rows
+/// and values of the last columns it formed without draining into `emit`.
+#[derive(Clone, Default)]
+pub struct Former<T> {
+    table: HashScratch<T>,
+    rows: Vec<Idx>,
+    vals: Vec<T>,
+}
+
+impl<'a, S: Semiring> Formation<'a, S> {
+    /// Columns `cols` of `a ⊗ b`, grouped by the row patterns of `B`.
+    pub fn new(sr: S, a: &'a Csc<S::Elem>, b: &'a Csc<S::Elem>, cols: Range<usize>) -> Self {
+        assert_eq!(a.ncols(), b.nrows(), "inner dimensions must agree");
+        let (groups, start) = (Groups::of(b, cols.clone()), cols.start);
+        Self {
+            sr,
+            a,
+            b,
+            groups,
+            start,
+        }
+    }
+
+    /// Forms output column `j` with worker `w`'s buffers and hands it to
+    /// `take` — from `w`'s accumulator, opened by `open(table, j, lanes)`,
+    /// or formed, by `w` or by the worker that formed its group.
+    pub fn column<R>(
+        &self,
+        w: &mut Former<S::Elem>,
+        j: usize,
+        open: &impl Fn(&mut HashScratch<S::Elem>, usize, usize),
+        take: impl FnOnce(Column<'_, S::Elem>) -> R,
+    ) -> R {
+        let (sr, a, b, groups) = (self.sr, self.a, self.b, &self.groups);
+        let claim = match groups.member(j - self.start).map(|m| groups.reach(m)) {
+            Some(Reached::Published(formed)) => {
+                let taken = take(Column::Formed(&formed.0, &formed.1));
+                groups.give_back(formed);
+                return taken;
+            }
+            Some(Reached::Claimed(claim)) if claim.len() > 1 => claim,
+            _ => {
+                if let Some(rows) = shared_column(sr, a, b, j, &mut w.vals) {
+                    return take(Column::Formed(rows, &w.vals));
+                }
+                open(&mut w.table, j, 1);
+                accumulate(sr, &mut w.table, a, b, j);
+                return take(Column::Table(&mut w.table));
+            }
+        };
+        let one = groups.one_pattern(claim.reached(), || one_pattern(a, b.col_rows(j)).is_some());
+        if !one {
+            open(&mut w.table, j, claim.len());
+        }
+        let js = claim.cols().map(|c| self.start + c);
+        let (table, formed) = (&mut w.table, (&mut w.rows, &mut w.vals));
+        let n = match claim.len() {
+            2 => form_group::<S, 2>(sr, a, b, js, one, table, formed),
+            3 => form_group::<S, 3>(sr, a, b, js, one, table, formed),
+            _ => form_group::<S, LANES>(sr, a, b, js, one, table, formed),
+        };
+        for i in 1..claim.len() {
+            claim.publish(i, &w.rows, &w.vals[i * n..][..n]);
+        }
+        take(Column::Formed(&w.rows, &w.vals[..n]))
+    }
+}
+
+/// Forms the `L` columns `js` of `A ⊗ B`, whose `B_{*j}` share one pattern
+/// `K`, into `rows` and, lane by lane, `vals`, and returns how many rows
+/// they have: a [`tile`] over `R` when every `A_{*k}`, `k ∈ K`, has the
+/// one row pattern `R` (`one`), else in `table`, opened with `L` lanes.
+fn form_group<S: Semiring, const L: usize>(
+    sr: S,
+    a: &Csc<S::Elem>,
+    b: &Csc<S::Elem>,
+    mut js: impl Iterator<Item = usize>,
+    one: bool,
+    table: &mut HashScratch<S::Elem>,
+    (rows, vals): (&mut Vec<Idx>, &mut Vec<S::Elem>),
+) -> usize {
+    let js: [usize; L] = std::array::from_fn(|_| js.next().expect("L members"));
+    let ks = b.col_rows(js[0]);
+    let bvs = js.map(|j| b.col_vals(j));
+    if one {
+        rows.clear();
+        rows.extend_from_slice(a.col_rows(ks[0] as usize));
+        tile::<S, L>(a, ks, bvs, rows.len(), vals);
+    } else {
+        accumulate_lanes(sr, table, a, ks, bvs);
+        rows.resize(table.len(), 0);
+        vals.resize(L * table.len(), S::Elem::default());
+        table.drain_sorted_into(js[0], rows, vals);
+    }
+    rows.len()
+}
+
 /// Column `j` of `A ⊗ B` without a table when every `A_{*k}` that `B_{*j}`
-/// reads has one nonempty row pattern `R`, which it returns: `vals` becomes
-/// `A_{*k₀} ⊗ b_{k₀j}`, then `⊕ A_{*k} ⊗ b_{kj}` in ascending position —
-/// [`accumulate`]'s fold, entry by entry. `None` for any other column,
-/// rejected by length, first and last row, then an exact compare.
+/// reads has one nonempty row pattern `R`, which it returns with the
+/// values in `vals`: the one-column case of the register tile a
+/// [`Formation`] forms a group's columns with. `None` for any other
+/// column, rejected by length, first and last row, then an exact compare.
 pub fn shared_column<'a, S: Semiring>(
     _: S,
     a: &'a Csc<S::Elem>,
@@ -520,25 +728,113 @@ pub fn shared_column<'a, S: Semiring>(
     j: usize,
     vals: &mut Vec<S::Elem>,
 ) -> Option<&'a [Idx]> {
-    let (ks, bvs) = (b.col_rows(j), b.col_vals(j));
+    let ks = b.col_rows(j);
+    let rows = one_pattern(a, ks)?;
+    tile::<S, 1>(a, ks, [b.col_vals(j)], rows.len(), vals);
+    Some(rows)
+}
+
+/// The one nonempty row pattern of every `A_{*k}`, `k ∈ ks`, if they have
+/// one: rejected by length, first and last row, then an exact compare.
+fn one_pattern<'a, T: Value>(a: &'a Csc<T>, ks: &[Idx]) -> Option<&'a [Idx]> {
     let rows = a.col_rows(*ks.first()? as usize);
     let ends = (*rows.first()?, *rows.last()?);
     let same_ends = |&k: &Idx| {
         let r = a.col_rows(k as usize);
         r.len() == rows.len() && (r[0], r[r.len() - 1]) == ends
     };
-    if !ks.iter().all(same_ends) || !ks.iter().all(|&k| a.col_rows(k as usize) == rows) {
-        return None;
-    }
+    let same = |&k: &Idx| a.col_rows(k as usize) == rows;
+    (ks.iter().all(same_ends) && ks.iter().all(same)).then_some(rows)
+}
+
+/// Positions of `K` a [`tile`] streams past its registers between two
+/// visits to memory.
+const TILE_KS: usize = 64;
+
+/// The `L` columns of `A ⊗ B` whose `B_{*j}` read `ks` with values
+/// `bvs[l]`, when every `A_{*k}`, `k ∈ ks`, has the one row pattern `R` of
+/// `nr` rows, into `vals` lane by lane: entry `p` of lane `l` is
+/// `a_{R_p k₀} ⊗ bvs[l][0]`, then `⊕ a_{R_p k} ⊗ bvs[l][i]` in ascending
+/// position `i` — [`accumulate`]'s fold, entry by entry. A register tile:
+/// a few rows of all `L` columns stay in registers while up to
+/// [`TILE_KS`] positions of `ks` stream past, so `A`'s values are read
+/// once for all `L` columns.
+fn tile<S: Semiring, const L: usize>(
+    a: &Csc<S::Elem>,
+    ks: &[Idx],
+    bvs: [&[S::Elem]; L],
+    nr: usize,
+    vals: &mut Vec<S::Elem>,
+) {
     vals.clear();
-    let (k0, b0) = (ks[0] as usize, bvs[0]);
-    vals.extend(a.col_vals(k0).iter().map(|&av| S::mul(av, b0)));
-    for (&k, &bv) in ks.iter().zip(bvs).skip(1) {
-        for (c, &av) in vals.iter_mut().zip(a.col_vals(k as usize)) {
-            *c = S::add(*c, S::mul(av, bv));
+    vals.resize(L * nr, S::Elem::default());
+    for (c, chunk) in ks.chunks(TILE_KS).enumerate() {
+        // Where each `A_{*k}`'s values start, and each position's `L`
+        // values of `B`, side by side.
+        let mut at = [0; TILE_KS];
+        let mut bt = [[S::Elem::default(); L]; TILE_KS];
+        for (i, &k) in chunk.iter().enumerate() {
+            at[i] = a.colptr[k as usize];
+            bt[i] = bvs.map(|bv| bv[c * TILE_KS + i]);
+        }
+        let (at, bt, first) = (&at[..chunk.len()], &bt[..chunk.len()], c == 0);
+        // Rows at once: enough independent sums to hide `⊕`'s latency.
+        match L {
+            1 => tile_rows::<S, L, 8>(&a.vals, at, bt, first, vals),
+            _ => tile_rows::<S, L, 4>(&a.vals, at, bt, first, vals),
         }
     }
-    Some(rows)
+}
+
+/// One pass of a [`tile`] over positions whose `A_{*k}` values start at
+/// `at` in `avals` and whose `B` values are `bt`, `P` rows at a time, then
+/// the rows left one at a time. The first pass starts each sum with its
+/// first product; a later one resumes the sums in `vals`.
+#[inline(always)]
+fn tile_rows<S: Semiring, const L: usize, const P: usize>(
+    avals: &[S::Elem],
+    at: &[usize],
+    bt: &[[S::Elem; L]],
+    first: bool,
+    vals: &mut [S::Elem],
+) {
+    let nr = vals.len() / L;
+    let rows = |vals: &[S::Elem], p: usize, n: usize| {
+        let mut acc = [[S::Elem::default(); L]; P];
+        let load = |i: usize| &avals[at[i] + p..][..n];
+        let from = if first {
+            for (acc, &av) in acc.iter_mut().zip(load(0)) {
+                *acc = bt[0].map(|bv| S::mul(av, bv));
+            }
+            1
+        } else {
+            for (r, acc) in acc[..n].iter_mut().enumerate() {
+                *acc = std::array::from_fn(|l| vals[l * nr + p + r]);
+            }
+            0
+        };
+        for (&bv, i) in bt[from..].iter().zip(from..) {
+            for (acc, &av) in acc.iter_mut().zip(load(i)) {
+                for (c, &bv) in acc.iter_mut().zip(&bv) {
+                    *c = S::add(*c, S::mul(av, bv));
+                }
+            }
+        }
+        acc
+    };
+    let full = nr - nr % P;
+    for (p, n) in (0..full)
+        .step_by(P)
+        .map(|p| (p, P))
+        .chain((full..nr).map(|p| (p, 1)))
+    {
+        let acc = rows(vals, p, n);
+        for (r, acc) in acc[..n].iter().enumerate() {
+            for (l, &c) in acc.iter().enumerate() {
+                vals[l * nr + p + r] = c;
+            }
+        }
+    }
 }
 
 /// The column body of every hash kernel: folds column `j` of `A ⊗ B` into
@@ -552,10 +848,23 @@ pub fn accumulate<S: Semiring>(
     b: &Csc<S::Elem>,
     j: usize,
 ) {
-    for (&k, &bv) in b.col_rows(j).iter().zip(b.col_vals(j)) {
-        let k = k as usize;
-        let scaled = a.col_vals(k).iter().map(|&av| S::mul(av, bv));
-        table.extend(sr, a.col_rows(k).iter().copied().zip(scaled));
+    accumulate_lanes(sr, table, a, b.col_rows(j), [b.col_vals(j)]);
+}
+
+/// [`accumulate`] for `L` columns whose `B_{*j}` read `ks` with values
+/// `bvs[l]`, into `table` opened with `L` lanes: one probe per product
+/// row, and lane `l` folds exactly what column `l` alone would.
+fn accumulate_lanes<S: Semiring, const L: usize>(
+    sr: S,
+    table: &mut HashScratch<S::Elem>,
+    a: &Csc<S::Elem>,
+    ks: &[Idx],
+    bvs: [&[S::Elem]; L],
+) {
+    for (i, &k) in ks.iter().enumerate() {
+        let (k, bv) = (k as usize, bvs.map(|bv| bv[i]));
+        let scaled = a.col_vals(k).iter().map(|&av| bv.map(|bv| S::mul(av, bv)));
+        table.extend_lanes(sr, a.col_rows(k).iter().copied().zip(scaled));
     }
 }
 
@@ -756,17 +1065,19 @@ mod tests {
     /// intact.
     #[test]
     fn an_assertion_raised_on_a_worker_panics_on_the_caller_with_the_kernels_message() {
-        // `I · B`, every column of `B` holding rows {0, 2}; the last one,
-        // many blocks away from where the submitter starts, is marked and
-        // opens a table that cannot hold it.
+        // `I · B`, every column of `B` holding row 0 but the last one, many
+        // blocks away from where the submitter starts, which holds rows
+        // {0, 2}, is marked and opens a table that cannot hold it. (Columns
+        // of one shared pattern would be formed by whoever claims them
+        // first, so the marked one has a pattern of its own.)
         let n = 65;
         let a = Csc::<f64>::identity(4);
         let mut t = hipmcl_sparse::Triples::new(4, n);
-        for j in 0..n {
-            let v = if j == n - 1 { MARK } else { 1.0 };
-            t.push(0, j as Idx, v);
-            t.push(2, j as Idx, v);
+        for j in 0..n - 1 {
+            t.push(0, j as Idx, 1.0);
         }
+        t.push(0, n as Idx - 1, MARK);
+        t.push(2, n as Idx - 1, MARK);
         let b = Csc::from_triples(&t);
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(2)
@@ -784,9 +1095,9 @@ mod tests {
         ] {
             *GATE.0.lock().unwrap() = (Some(std::thread::current().id()), false);
             let kernel = || {
-                let open = |table: &mut HashScratch<f64>, j| match j {
+                let open = |table: &mut HashScratch<f64>, j, lanes| match j {
                     j if j == n - 1 => table.open_as(mode, 0, universe),
-                    _ => table.open_as(mode, 2, 4),
+                    _ => table.open_lanes(mode, lanes, 2, 4),
                 };
                 multiply_cols_with(Gated, &a, &b, 0..n, 0, open, append)
             };
@@ -864,9 +1175,10 @@ mod tests {
     fn shared_pattern_columns_never_open_the_table() {
         let (a, b) = clique_blocks();
         let fpc = flops_per_column(&a, &b);
-        let open = |table: &mut HashScratch<f64>, j: usize| {
+        let open = |table: &mut HashScratch<f64>, j: usize, lanes| {
             assert!(!SHARED.contains(&j), "column {j} opened a table");
-            table.open((fpc[j] as usize).min(16), 16);
+            let bound = (fpc[j] as usize).min(16);
+            table.open_lanes(Addressing::of::<f64>(bound, 16), lanes, bound, 16);
         };
         let got = multiply_cols_with(PT, &a, &b, 0..b.ncols(), 0, open, append);
         assert_eq!(got, crate::heap::multiply(&a, &b));

@@ -38,6 +38,7 @@
 pub mod analysis;
 pub mod emit;
 pub mod estimate;
+mod groups;
 pub mod hash;
 pub mod heap;
 pub mod hybrid;

@@ -82,39 +82,102 @@ fn arb_clique_blocks() -> impl Strategy<Value = (Csc<f64>, Csc<f64>)> {
     let weights = proptest::collection::vec(1u32..64, 97);
     (blocks, reads, weights).prop_map(|(blocks, reads, weights)| {
         let w = |i: usize, j: usize| weights[(i * 31 + j * 7) % 97] as f64 / 10.0;
-        let n: usize = blocks.iter().map(|b| b.0).sum();
-        let (mut ta, mut starts) = (Triples::new(2 * n, n), vec![]);
-        for &(size, perturb) in &blocks {
-            let s = starts.last().map_or(0, |&(s, z): &(usize, usize)| s + z);
-            starts.push((s, size));
-            for k in s..s + size {
-                for i in s..s + size {
-                    let r = match (perturb, k - s, i - s) {
-                        (1, 0, 1) if size > 2 => 2 * i - 1,
-                        (2, 0, _) => continue,
-                        _ => 2 * i,
-                    };
-                    ta.push(r as Idx, k as Idx, w(r, k));
-                }
-            }
-        }
-        let mut tb = Triples::new(n, reads.len());
+        let (a, starts) = clique_blocks(&blocks, w);
+        let mut tb = Triples::new(a.ncols(), reads.len());
         for (j, &(pick, mask)) in reads.iter().enumerate() {
-            let (s, size) = starts[pick % starts.len()];
-            let ks: Vec<usize> = match pick {
-                0..=5 => (0..size)
-                    .filter(|i| mask >> i & 1 == 1)
-                    .map(|i| s + i)
-                    .collect(),
-                6 => vec![mask as usize % n],
-                7 => vec![s, starts[mask as usize % starts.len()].0],
-                _ => vec![],
-            };
-            for k in ks {
+            for k in clique_read(&starts, a.ncols(), pick, mask) {
                 tb.push(k as Idx, j as Idx, w(k, j) - 2.0);
             }
         }
-        (Csc::from_triples(&ta), Csc::from_triples(&tb))
+        (a, Csc::from_triples(&tb))
+    })
+}
+
+/// `A` of [`arb_clique_blocks`] from its blocks' `(size, perturb)`, and
+/// each block's `(first column, size)`.
+fn clique_blocks(
+    blocks: &[(usize, u8)],
+    w: impl Fn(usize, usize) -> f64,
+) -> (Csc<f64>, Vec<(usize, usize)>) {
+    let n: usize = blocks.iter().map(|b| b.0).sum();
+    let (mut ta, mut starts) = (Triples::new(2 * n, n), vec![]);
+    for &(size, perturb) in blocks {
+        let s = starts.last().map_or(0, |&(s, z): &(usize, usize)| s + z);
+        starts.push((s, size));
+        for k in s..s + size {
+            for i in s..s + size {
+                let r = match (perturb, k - s, i - s) {
+                    (1, 0, 1) if size > 2 => 2 * i - 1,
+                    (2, 0, _) => continue,
+                    _ => 2 * i,
+                };
+                ta.push(r as Idx, k as Idx, w(r, k));
+            }
+        }
+    }
+    (Csc::from_triples(&ta), starts)
+}
+
+/// The `k` a column of `B` reads in [`arb_clique_blocks`]: a subset of one
+/// block (`pick` 0–5, by `mask`), one entry (6), two blocks' first columns
+/// (7), or nothing.
+fn clique_read(starts: &[(usize, usize)], n: usize, pick: usize, mask: u32) -> Vec<usize> {
+    let (s, size) = starts[pick % starts.len()];
+    match pick {
+        0..=5 => (0..size)
+            .filter(|i| mask >> i & 1 == 1)
+            .map(|i| s + i)
+            .collect(),
+        6 => vec![mask as usize % n],
+        7 => vec![s, starts[mask as usize % starts.len()].0],
+        _ => vec![],
+    }
+}
+
+/// Strategy: `B` whose columns come in pattern groups of 1–9 copies of a
+/// [`clique_read`] — or of the previous pattern with its last `k` moved
+/// (same first row and length, one row different) — spread over 64–160
+/// columns among empty and single-entry columns, so that groups straddle
+/// the column blocks of the kernel's workers; `A` of [`clique_blocks`].
+/// Every column's values are its own.
+fn arb_grouped() -> impl Strategy<Value = (Csc<f64>, Csc<f64>)> {
+    let blocks = proptest::collection::vec((1usize..7, 0u8..4), 1..6);
+    let groups = proptest::collection::vec((0usize..11, 0u32..64, 1usize..10), 1..12);
+    let fill = (64usize..160, proptest::collection::vec(1u32..64, 97));
+    (blocks, groups, fill).prop_map(|(blocks, groups, (ncols, weights))| {
+        let w = |i: usize, j: usize| weights[(i * 31 + j * 7) % 97] as f64 / 10.0;
+        let (a, starts) = clique_blocks(&blocks, w);
+        let n = a.ncols();
+        let mut cols: Vec<Vec<usize>> = vec![];
+        let mut last = vec![0];
+        for &(pick, mask, copies) in &groups {
+            let ks = match pick {
+                10 => {
+                    let mut ks: Vec<usize> = last;
+                    let free = (1..n).find(|k| *k > ks[0] && !ks.contains(k));
+                    if let (true, Some(k)) = (ks.len() > 1, free) {
+                        *ks.last_mut().expect("two") = k;
+                        ks.sort_unstable();
+                    }
+                    ks
+                }
+                _ => clique_read(&starts, n, pick, mask),
+            };
+            cols.extend(std::iter::repeat_n(ks.clone(), copies));
+            last = if ks.is_empty() { vec![0] } else { ks };
+        }
+        // Empty and single-entry columns up to `ncols`, then a shuffle.
+        let pad = ncols.saturating_sub(cols.len());
+        cols.extend((0..pad).map(|i| if i % 3 == 0 { vec![] } else { vec![i % n] }));
+        let mut order: Vec<usize> = (0..cols.len()).collect();
+        order.sort_by_key(|&i| (weights[i * 13 % 97], i));
+        let mut tb = Triples::new(n, cols.len());
+        for (j, &i) in order.iter().enumerate() {
+            for &k in &cols[i] {
+                tb.push(k as Idx, j as Idx, w(k, j) - 2.0);
+            }
+        }
+        (a, Csc::from_triples(&tb))
     })
 }
 
@@ -186,6 +249,14 @@ proptest! {
 
     #[test]
     fn shared_pattern_columns_match_the_heap_in_three_semirings((a, b) in arb_clique_blocks()) {
+        hash_paths_match_the_heap(PlusTimes::<f64>::new(), &a, &b)?;
+        hash_paths_match_the_heap(MinPlus, &a, &b)?;
+        let (ba, bb) = (a.map_values(|v| v > 0.5), b.map_values(|v| v > 0.0));
+        hash_paths_match_the_heap(Boolean, &ba, &bb)?;
+    }
+
+    #[test]
+    fn grouped_columns_match_the_heap_in_three_semirings((a, b) in arb_grouped()) {
         hash_paths_match_the_heap(PlusTimes::<f64>::new(), &a, &b)?;
         hash_paths_match_the_heap(MinPlus, &a, &b)?;
         let (ba, bb) = (a.map_values(|v| v > 0.5), b.map_values(|v| v > 0.0));

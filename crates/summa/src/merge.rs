@@ -74,7 +74,7 @@
 use hipmcl_comm::{MachineModel, MergeKernel};
 use hipmcl_sparse::{Csc, CscBuilder, Idx, PlusTimes, Semiring, Value};
 use hipmcl_spgemm::emit::Emit;
-use hipmcl_spgemm::hash::{self, HashScratch};
+use hipmcl_spgemm::hash::{Addressing, Formation, Former, HashScratch, LANES};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Mutex;
 
@@ -288,25 +288,34 @@ pub(crate) fn merge_into<S: Semiring, K: ColumnSink<S::Elem>>(
 /// built input's columns. The result is bit-identical either way: a merged
 /// column depends on its inputs' columns alone.
 pub(crate) struct MergeEmit<'a, S: Semiring, K: ColumnSink<S::Elem>> {
-    inputs: Vec<&'a Csc<S::Elem>>,
-    spot: Option<Spot<'a, S::Elem>>,
+    merge: Merge<'a, S, K>,
+    spot: Option<Spot<'a, S>>,
     nrows: usize,
+    former: Former<S::Elem>,
+    formed: (Vec<Idx>, Vec<S::Elem>),
+}
+
+/// What a [`MergeEmit`] merges each column with, where it packs the
+/// result, and one worker's buffers for that.
+struct Merge<'a, S: Semiring, K: ColumnSink<S::Elem>> {
+    inputs: Vec<&'a Csc<S::Elem>>,
     sink: Option<&'a K>,
     tally: &'a Mutex<Vec<K::Tally>>,
     scratch: ColumnScratch<S::Elem>,
     spare: Vec<S::Elem>,
-    table: HashScratch<S::Elem>,
-    formed: (Vec<Idx>, Vec<S::Elem>),
 }
 
 /// A stage product a [`MergeEmit`] forms column by column as it merges:
-/// `A · B` given `fpc = flops_per_column(a, b)`, with each column's length
-/// noted in `counts` — what the launch is charged from.
+/// its [`Formation`] — the hash kernel's, so columns that share a pattern
+/// of `B` are formed a group at a time here too — given `fpc =
+/// flops_per_column(a, b)` and the product's addressing [`modes`](
+/// hipmcl_spgemm::hash::modes), with each column's length noted in
+/// `counts` — what the launch is charged from.
 #[derive(Clone, Copy)]
-pub(crate) struct Spot<'a, T: Value> {
-    pub a: &'a Csc<T>,
-    pub b: &'a Csc<T>,
+pub(crate) struct Spot<'a, S: Semiring> {
+    pub formation: &'a Formation<'a, S>,
     pub fpc: &'a [u64],
+    pub modes: [Addressing; LANES],
     pub counts: &'a [AtomicUsize],
 }
 
@@ -315,66 +324,32 @@ impl<'a, S: Semiring, K: ColumnSink<S::Elem>> MergeEmit<'a, S, K> {
     /// tallies in `tally`, one per column of a product of `nrows` rows.
     pub(crate) fn new(
         inputs: Vec<&'a Csc<S::Elem>>,
-        spot: Option<Spot<'a, S::Elem>>,
+        spot: Option<Spot<'a, S>>,
         nrows: usize,
         sink: Option<&'a K>,
         tally: &'a Mutex<Vec<K::Tally>>,
     ) -> Self {
-        Self {
+        let merge = Merge {
             inputs,
-            spot,
-            nrows,
             sink,
             tally,
             scratch: ColumnScratch::default(),
             spare: Vec::new(),
-            table: HashScratch::default(),
+        };
+        Self {
+            merge,
+            spot,
+            nrows,
+            former: Former::default(),
             formed: (Vec::new(), Vec::new()),
         }
     }
 }
 
-impl<S: Semiring, K: ColumnSink<S::Elem>> Clone for MergeEmit<'_, S, K> {
-    fn clone(&self) -> Self {
-        let (inputs, spot) = (self.inputs.clone(), self.spot);
-        Self::new(inputs, spot, self.nrows, self.sink, self.tally)
-    }
-}
-
-impl<S: Semiring, K: ColumnSink<S::Elem>> Emit<S::Elem> for MergeEmit<'_, S, K> {
-    fn room(&self, j: usize, bound: usize) -> usize {
-        let inputs: usize = self.inputs.iter().map(|m| m.col_nnz(j)).sum();
-        let spot = self.spot.map_or(0, |p| (p.fpc[j] as usize).min(self.nrows));
-        let n = bound + inputs + spot;
-        self.sink.map_or(n, |k| k.room(n))
-    }
-
-    fn emit(&mut self, j: usize, rows: &[Idx], vals: &[S::Elem], out: &mut CscBuilder<S::Elem>) {
-        let (f_rows, f_vals) = (&mut self.formed.0, &mut self.formed.1);
-        let spot: View<S::Elem> = match self.spot {
-            None => (&[], &[]),
-            Some(p) => {
-                let rows = match hash::shared_column(S::default(), p.a, p.b, j, f_vals) {
-                    Some(shared) => shared,
-                    None => {
-                        let table = &mut self.table;
-                        table.open((p.fpc[j] as usize).min(self.nrows), self.nrows);
-                        hash::accumulate(S::default(), table, p.a, p.b, j);
-                        f_rows.resize(table.len(), 0);
-                        f_vals.resize(table.len(), S::Elem::default());
-                        table.drain_sorted_into(j, f_rows, f_vals);
-                        f_rows
-                    }
-                };
-                p.counts[j].store(rows.len(), Relaxed);
-                (rows, f_vals)
-            }
-        };
-        let (kernel_col, both) = ((rows, vals), [spot, (rows, vals)]);
-        let last: &[View<S::Elem>] = match self.spot {
-            Some(_) => &both,
-            None => std::slice::from_ref(&kernel_col),
-        };
+impl<S: Semiring, K: ColumnSink<S::Elem>> Merge<'_, S, K> {
+    /// Merges column `j` of the inputs with the columns `last`, and pushes
+    /// what the sink keeps of it — without a sink, all of it — to `out`.
+    fn column(&mut self, j: usize, last: &[View<S::Elem>], out: &mut CscBuilder<S::Elem>) {
         let (rows, vals) = match (self.inputs.is_empty(), last) {
             (true, [only]) => *only,
             _ => {
@@ -390,6 +365,45 @@ impl<S: Semiring, K: ColumnSink<S::Elem>> Emit<S::Elem> for MergeEmit<'_, S, K> 
             }
             None => out.push_column(rows, vals),
         }
+    }
+}
+
+impl<S: Semiring, K: ColumnSink<S::Elem>> Clone for MergeEmit<'_, S, K> {
+    fn clone(&self) -> Self {
+        let (m, spot) = (&self.merge, self.spot);
+        Self::new(m.inputs.clone(), spot, self.nrows, m.sink, m.tally)
+    }
+}
+
+impl<S: Semiring, K: ColumnSink<S::Elem>> Emit<S::Elem> for MergeEmit<'_, S, K> {
+    fn room(&self, j: usize, bound: usize) -> usize {
+        let inputs: usize = self.merge.inputs.iter().map(|m| m.col_nnz(j)).sum();
+        let spot = self.spot.map_or(0, |p| (p.fpc[j] as usize).min(self.nrows));
+        let n = bound + inputs + spot;
+        self.merge.sink.map_or(n, |k| k.room(n))
+    }
+
+    fn emit(&mut self, j: usize, rows: &[Idx], vals: &[S::Elem], out: &mut CscBuilder<S::Elem>) {
+        let Some(p) = self.spot else {
+            return self.merge.column(j, &[(rows, vals)], out);
+        };
+        // The spot stage's column, formed with this worker's buffers (or
+        // taken from the worker that formed its group), is merged before
+        // the kernel's.
+        let (merge, drained, nrows) = (&mut self.merge, &mut self.formed, self.nrows);
+        let open = |table: &mut HashScratch<S::Elem>, j: usize, lanes: usize| {
+            table.open_lanes(
+                p.modes[lanes - 1],
+                lanes,
+                (p.fpc[j] as usize).min(nrows),
+                nrows,
+            )
+        };
+        p.formation.column(&mut self.former, j, &open, |col| {
+            let spot = col.rows_vals(j, drained);
+            p.counts[j].store(spot.0.len(), Relaxed);
+            merge.column(j, &[spot, (rows, vals)], out);
+        });
     }
 }
 

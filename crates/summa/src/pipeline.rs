@@ -92,6 +92,7 @@ use hipmcl_gpu::select::select_kernel;
 use hipmcl_sparse::util::even_chunk;
 use hipmcl_sparse::{Csc, Dcsc, Semiring, Value};
 use hipmcl_spgemm::emit::{counters, Counted, Emit, Push};
+use hipmcl_spgemm::hash::{self, Formation};
 use hipmcl_spgemm::{CohenEstimator, CpuAlgo, MultAnalysis};
 use std::ops::Range;
 use std::sync::atomic::AtomicUsize;
@@ -287,7 +288,7 @@ impl<'k, S: Semiring, K: ColumnSink<S::Elem>> MergeEngine<'k, S, K> {
         group: &Range<usize>,
         stages: usize,
         built: &'e [Csc<S::Elem>],
-        spot: Option<Spot<'e, S::Elem>>,
+        spot: Option<Spot<'e, S>>,
         tally: &'e Mutex<Vec<K::Tally>>,
     ) -> (MergeEmit<'e, S, K>, bool) {
         let results: Vec<&Csc<S::Elem>> = self.stack.iter().filter_map(|s| s.m.as_ref()).collect();
@@ -734,10 +735,12 @@ where
                 (group.len() == 2).then(|| next_stage(group.start + 1, timers, &mut out))
             });
             let counts = [counters(shape.1), counters(shape.1)];
-            let spot = second.as_ref().map(|_| Spot {
-                a: &*st.a,
-                b: &*st.b,
+            let formation =
+                (second.as_ref()).map(|_| Formation::new(s, &*st.a, &*st.b, 0..shape.1));
+            let spot = formation.as_ref().map(|formation| Spot {
+                formation,
                 fpc: &st.fpc[..],
+                modes: hash::modes::<S::Elem>(&st.fpc, shape.0, None),
                 counts: &counts[0],
             });
             let last = second.as_ref().unwrap_or(&st);

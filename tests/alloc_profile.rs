@@ -263,6 +263,94 @@ fn an_mcl_iteration_never_holds_its_unpruned_product() {
     }
 }
 
+/// The same guard where the hash kernel forms columns a group at a time:
+/// the protein iterate after one iteration (`Dataset::Archaea` at n = 3 288,
+/// ids permuted as the benchmark permutes them, select 300), whose columns
+/// nearly all read a pattern of `B` that other columns read too. A worker
+/// that forms a group's columns keeps its own and publishes the others,
+/// unpruned, until the worker whose block holds them reaches them, so
+/// beside the next iterate the iteration holds the published columns —
+/// still never the unpruned product. The next iterate is reserved at
+/// `Σ_j min(flops_j, nrows, select)`, which at select 300 and about 140
+/// entries a column exceeds the product by itself (address space until
+/// written), so what is held beyond that room is held to the product.
+/// Printed: how many columns are published at once at most, replaying the
+/// width-1 schedule (each member reached free claims the next three free
+/// members of its group).
+#[test]
+fn a_grouped_iteration_never_holds_its_unpruned_product() {
+    let _turn = COUNTING.lock().unwrap();
+    let net = Csc::from_triples(&Dataset::Archaea.instance(500).graph);
+    let n = net.ncols();
+    let p = |v: usize| (v * 7919 + 13) % n;
+    let mut t = Triples::new(n, n);
+    for j in 0..n {
+        for (&i, &v) in net.col_rows(j).iter().zip(net.col_vals(j)) {
+            t.push(p(i as usize) as Idx, p(j) as Idx, v);
+        }
+    }
+    let mut cfg = MclConfig::optimized(1 << 30);
+    cfg.prune.select = 300;
+    let mut a = hipmcl::core::serial::prepare_matrix(&Csc::from_triples(&t), &cfg);
+    hipmcl::core::serial::mcl_iteration(&mut a, &cfg);
+    // Columns sharing a pattern of two rows or more, in column order.
+    let mut cols: Vec<usize> = (0..n).filter(|&j| a.col_nnz(j) >= 2).collect();
+    cols.sort_by_key(|&j| (a.col_rows(j), j));
+    let mut group = vec![None; n];
+    let groups: Vec<&[usize]> = (cols.chunk_by(|&x, &y| a.col_rows(x) == a.col_rows(y)))
+        .filter(|g| g.len() > 1)
+        .collect();
+    for (g, members) in groups.iter().enumerate() {
+        members.iter().for_each(|&j| group[j] = Some(g));
+    }
+    let (mut claimed, mut published, mut most) = (vec![false; n], 0usize, 0);
+    for j in 0..n {
+        match group[j] {
+            Some(_) if claimed[j] => published -= 1,
+            Some(g) => {
+                let next = groups[g].iter().filter(|&&o| o > j && !claimed[o]).take(3);
+                let next: Vec<usize> = next.copied().collect();
+                next.iter().for_each(|&o| claimed[o] = true);
+                published += next.len();
+                most = most.max(published);
+            }
+            None => {}
+        }
+    }
+    let grouped: usize = groups.iter().map(|g| g.len()).sum();
+    println!(
+        "{} groups of {grouped} of {n} columns; at most {most} published at width 1",
+        groups.len()
+    );
+    assert!(grouped * 2 > n, "an iterate that groups");
+    let entry = std::mem::size_of::<Idx>() + std::mem::size_of::<f64>();
+    let fpc = hipmcl::spgemm::flops_per_column(&a, &a);
+    let room: usize = fpc.iter().map(|&f| (f as usize).min(n).min(300)).sum();
+    for width in [1, 2] {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(width)
+            .build()
+            .unwrap();
+        let mut next = a.clone();
+        let before = LIVE.load(Relaxed);
+        PEAK.store(before, Relaxed);
+        let (analysis, _) = pool.install(|| hipmcl::core::serial::mcl_iteration(&mut next, &cfg));
+        let (beyond, product) = (
+            (PEAK.load(Relaxed) - before).saturating_sub(entry * room),
+            entry * analysis.nnz_out as usize,
+        );
+        let ratio = beyond as f64 / product as f64;
+        println!(
+            "width {width}: {beyond} B live beyond the {} B room, {ratio:.3} of the {product} B product",
+            entry * room
+        );
+        assert!(
+            beyond < product,
+            "width {width}: {ratio:.3} of the product live beyond the room"
+        );
+    }
+}
+
 /// One distributed MCL iteration never holds a phase's unpruned merged
 /// slab: each phase's closing merge packs every column it finishes into
 /// the candidates the distributed top-k reads, so beside the phase's stage

@@ -219,6 +219,30 @@ fn the_left_operand_of_mul_comes_from_a() {
     let b = operand(32, 48, 70, 12, |x| 1000 + x % 64);
     let (_, rows, vals) = assert_identical(MaxLeft, &a, &b, true);
     assert!(!rows.is_empty() && vals.iter().all(|&v| f64::from_bits(v) <= 64.0));
+    // Five more columns reading the pattern of `B`'s fullest column, each
+    // with values of its own: a group the kernel forms four at a time.
+    let full = (0..b.ncols()).max_by_key(|&j| b.col_nnz(j)).unwrap();
+    let mut t = Triples::new(b.nrows(), b.ncols() + 5);
+    for j in 0..b.ncols() {
+        for (&k, &v) in b.col_rows(j).iter().zip(b.col_vals(j)) {
+            t.push(k, j as Idx, v);
+        }
+    }
+    for c in 0..5 {
+        for (i, &k) in b.col_rows(full).iter().enumerate() {
+            t.push(
+                k,
+                (b.ncols() + c) as Idx,
+                1000 + (7 * c + 3 * i) as u64 % 64,
+            );
+        }
+    }
+    let grouped = Csc::from_triples_in(MaxLeft, &t);
+    assert!(b.col_nnz(full) >= 2, "a pattern the kernel groups");
+    let (colptr, _, vals) = assert_identical(MaxLeft, &a, &grouped, true);
+    let n = colptr[b.ncols() + 1] - colptr[b.ncols()];
+    assert!(n > 0 && (1..5).all(|c| colptr[b.ncols() + c + 1] - colptr[b.ncols() + c] == n));
+    assert!(vals.iter().all(|&v| f64::from_bits(v) <= 64.0));
 }
 
 #[test]

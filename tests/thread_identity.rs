@@ -269,3 +269,57 @@ fn a_rank_computes_with_its_share_of_the_cores() {
         assert_eq!(widths, vec![(cores / ranks).max(1); ranks], "{ranks} ranks");
     }
 }
+
+/// A clustered operand: a protein net after one serial MCL iteration, its
+/// ids permuted (as the benchmark permutes its workloads') so that the
+/// columns of one cluster, which read one pattern of `B`, lie in many of
+/// the kernel's column blocks. The hash kernel forms such a group's
+/// columns together and hands them between workers at width ≥ 2: every
+/// CPU kernel, every device label and the next serial iteration give the
+/// bits of width 1.
+#[test]
+fn grouped_columns_handed_between_workers() {
+    let net = protein_net(600, 9);
+    let n = net.ncols();
+    let p = |v: Idx| (v as usize * 7919 + 13) % n;
+    let mut t = Triples::new(n, n);
+    for j in 0..n {
+        for (&i, &v) in net.col_rows(j).iter().zip(net.col_vals(j)) {
+            t.push(p(i) as Idx, p(j as Idx) as Idx, v);
+        }
+    }
+    let cfg = MclConfig::testing(40);
+    let mut a = hipmcl::core::serial::prepare_matrix(&Csc::from_triples(&t), &cfg);
+    hipmcl::core::serial::mcl_iteration(&mut a, &cfg);
+    // Patterns of two rows or more that columns in two of the 64 blocks
+    // share.
+    let block =
+        |j: usize| (0..64).find(|&b| hipmcl::sparse::util::even_chunk(n, 64, b).contains(&j));
+    let mut cols: Vec<usize> = (0..n).filter(|&j| a.col_nnz(j) >= 2).collect();
+    cols.sort_by_key(|&j| (a.col_rows(j), j));
+    let spanning = cols
+        .chunk_by(|&x, &y| a.col_rows(x) == a.col_rows(y))
+        .filter(|g| g.iter().any(|&j| block(j) != block(g[0])))
+        .count();
+    assert!(spanning >= 10, "{spanning} groups span blocks");
+    let s = PlusTimes::<f64>::new();
+    same_at_every_width(|| {
+        let fpc = flops_per_column(&a, &a);
+        let cpu = [
+            hash::multiply_as(Direct, s, &a, &a, &fpc),
+            hash::multiply_as(Hashed, s, &a, &a, &fpc),
+            heap::multiply_in(s, &a, &a),
+            hybrid::multiply_auto_in(s, &a, &a).0,
+        ];
+        let gpu = GpuLib::all().map(|lib| {
+            let mut gpus = MultiGpu::new(MachineModel::summit(), 2, 1 << 30);
+            gpus.multiply_in(s, 0.0, &a, &a, lib).unwrap().0
+        });
+        let mut products: Vec<Bits> = cpu.iter().chain(&gpu).map(bits).collect();
+        assert!(products[1..].iter().all(|p| *p == products[0]));
+        let mut next = a.clone();
+        let (analysis, chaos) = hipmcl::core::serial::mcl_iteration(&mut next, &cfg);
+        let next = (bits(&next), analysis.nnz_out, chaos.to_bits());
+        (products.swap_remove(0), next)
+    });
+}
