@@ -5,9 +5,11 @@
 //! launch (one case: every library label runs the hash kernel) across
 //! density regimes — the measured counterpart of the §VI selection recipe —
 //! and the hash and heap kernels on clustered MCL iterates, whose columns
-//! share `B`-patterns. Every case is timed at width 1 and at the host's
-//! width (`hipmcl_bench::scaling_pools`); the printed flops and nnz turn
-//! the times into rates.
+//! share `B`-patterns — the second iterate also through the portable build
+//! of the register tile and lane accumulator, beside the build this host
+//! dispatches to, which it prints. Every case is timed at width 1 and at
+//! the host's width (`hipmcl_bench::scaling_pools`); the printed flops and
+//! nnz turn the times into rates.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hipmcl_comm::{GpuLib, MachineModel};
@@ -16,9 +18,14 @@ use hipmcl_gpu::multi::MultiGpu;
 use hipmcl_sparse::colops::{self, PruneParams};
 use hipmcl_sparse::{Csc, Idx, PlusTimes, Triples};
 use hipmcl_spgemm::hash::Addressing::Hashed;
+use hipmcl_spgemm::hash::Build;
 use hipmcl_spgemm::testutil::random_csc;
 
 fn local_spgemm(c: &mut Criterion) {
+    println!(
+        "local_spgemm: tile and lanes dispatch to {}",
+        Build::host().name()
+    );
     let clustered = clustered_iterates();
     for (width, pool) in hipmcl_bench::scaling_pools() {
         pool.install(|| local_spgemm_at(c, width, &clustered));
@@ -121,6 +128,14 @@ fn local_spgemm_at(c: &mut Criterion, width: usize, clustered: &[(String, Csc<f6
         group.bench_with_input(BenchmarkId::new("cpu-hash", label), a, |bch, a| {
             bch.iter(|| hipmcl_spgemm::hash::multiply(a, a))
         });
+        if label == "clustered_it2" {
+            let portable = BenchmarkId::new("cpu-hash-portable", label);
+            group.bench_with_input(portable, a, |bch, a| {
+                bch.iter(|| {
+                    hipmcl_spgemm::hash::multiply_on(Build::PORTABLE, PlusTimes::<f64>::new(), a, a)
+                })
+            });
+        }
         let nnz = hipmcl_spgemm::hash::multiply(a, a).nnz();
         let flops = hipmcl_spgemm::flops(a, a);
         println!("local_spgemm/{label}: {flops} flops, nnz(C) {nnz}");

@@ -26,7 +26,7 @@ use crate::serial::IterTrace;
 use hipmcl_comm::collectives::{allreduce, allreduce_sum_vec};
 use hipmcl_comm::{ProcGrid, WireDecode, WireEncode, WireError, WireReader};
 use hipmcl_gpu::multi::MultiGpu;
-use hipmcl_sparse::{Csc, PlusTimes};
+use hipmcl_sparse::{colops, Csc, PlusTimes};
 use hipmcl_summa::components::gathered_components;
 use hipmcl_summa::estimate::MemoryEstimate;
 use hipmcl_summa::spgemm::{summa_spgemm_with_in, SummaOutput};
@@ -361,7 +361,7 @@ pub fn dist_inflate_and_chaos_cols(
     let local_sums: Vec<f64> = (0..ncols)
         .map(|j| {
             let powered = m.col_vals_mut(j).iter_mut().map(|v| {
-                *v = v.powf(power);
+                *v = colops::inflate_entry(*v, power);
                 *v
             });
             powered.sum()
@@ -690,6 +690,40 @@ mod tests {
         // truncated.
         let old = &bytes[..bytes.len() - 8];
         assert!(DistMclReport::decode_all(old).is_err());
+    }
+
+    #[test]
+    fn inflation_is_the_serial_operator_bit_for_bit_on_1_and_4_ranks() {
+        // Entries k/64: their squares and cubes and every sum of them are
+        // exact, so the 2×2 grid's partial column sums meet the serial sum
+        // in any order. Powers of 1.5 round, so only one rank — one sum,
+        // in the serial order — is held to them.
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(49);
+        let mut t = Triples::new(12, 12);
+        for j in 0..12 {
+            for i in 0..12 {
+                if rng.gen_range(0..3) != 0 {
+                    t.push(i, j, rng.gen_range(1..64) as f64 / 64.0);
+                }
+            }
+        }
+        let bits = |m: &Csc<f64>| m.vals.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (p, powers) in [(1, &[2.0, 1.5, 3.0][..]), (4, &[2.0, 3.0])] {
+            for &power in powers {
+                let mut want = Csc::from_triples(&t);
+                colops::inflate(&mut want, power);
+                let t = t.clone();
+                let got = Universe::run(p, MachineModel::summit(), move |comm| {
+                    let grid = ProcGrid::new(comm);
+                    let mut m = DistMatrix::from_global(&grid, &t);
+                    dist_inflate_and_chaos_cols(&grid, &mut m.local, power);
+                    m.gather_to_root(&grid)
+                });
+                let got = got[0].as_ref().expect("rank 0 gathers");
+                assert_eq!((&got.colptr, &got.rowidx), (&want.colptr, &want.rowidx));
+                assert_eq!(bits(got), bits(&want), "{p} ranks, r = {power}");
+            }
+        }
     }
 
     #[test]

@@ -157,7 +157,7 @@ pub fn inflate(m: &mut Csc<f64>, power: f64) {
 pub fn inflate_column(col: &mut [f64], power: f64) {
     let mut s = 0.0;
     for v in col.iter_mut() {
-        *v = v.powf(power);
+        *v = inflate_entry(*v, power);
         s += *v;
     }
     if s > 0.0 {
@@ -165,6 +165,20 @@ pub fn inflate_column(col: &mut [f64], power: f64) {
         for v in col {
             *v *= inv;
         }
+    }
+}
+
+/// One entry of the inflation operator Γ_r before renormalization: `v * v`
+/// for the paper's r = 2 — exactly rounded, where the C library's `pow`
+/// is neither (EXPERIMENTS.md, "The tile and the lanes at vector width")
+/// nor cheap — and `v.powf(power)` for any other power. Serial and
+/// distributed inflation both call it, so they agree bit for bit.
+#[inline]
+pub fn inflate_entry(v: f64, power: f64) -> f64 {
+    if power == 2.0 {
+        v * v
+    } else {
+        v.powf(power)
     }
 }
 
@@ -585,6 +599,38 @@ mod tests {
         // Column 0 was (0.5,0.3,0.15,0.05): squaring+renorm boosts the max.
         assert!(m.get(0, 0).unwrap() > 0.5);
         assert!(m.get(3, 0).unwrap() < 0.05);
+    }
+
+    #[test]
+    fn inflating_by_two_squares_exactly_and_other_powers_take_powf() {
+        let subnormal = f64::MIN_POSITIVE / 3.0;
+        let entries = [
+            -0.0,
+            0.0,
+            1.0,
+            subnormal,
+            f64::MIN_POSITIVE,
+            0.1,
+            0.3,
+            0.7,
+            1.0 / 3.0,
+        ];
+        for v in entries {
+            assert_eq!(inflate_entry(v, 2.0).to_bits(), (v * v).to_bits(), "{v:e}");
+            for power in [1.5, 3.0] {
+                assert_eq!(
+                    inflate_entry(v, power).to_bits(),
+                    v.powf(power).to_bits(),
+                    "{v:e}^{power}"
+                );
+            }
+        }
+        // A column of them: squared exactly, then renormalized.
+        let mut col = entries;
+        inflate_column(&mut col, 2.0);
+        let s: f64 = entries.iter().map(|v| v * v).sum();
+        let want = entries.map(|v| v * v * (1.0 / s));
+        assert_eq!(col.map(f64::to_bits), want.map(f64::to_bits));
     }
 
     #[test]

@@ -9,15 +9,17 @@
 //! *claims* it and up to `LANES − 1` more free members of its group,
 //! forms them together, keeps its own and *publishes* the others here;
 //! whoever reaches a published member takes it and hands it to its emit in
-//! column order. A claimer forms and publishes without waiting on anyone,
-//! so a worker that reaches a member claimed by another waits at most one
-//! formation and no hand-off can deadlock. A claimer that panics frees
-//! what it has not published, and whoever reaches it next claims it anew.
+//! column order; the members of one claim share one copy of their rows. A
+//! claimer forms and publishes without waiting on anyone, so a worker that
+//! reaches a member claimed by another waits at most one formation and no
+//! hand-off can deadlock. A claimer that panics frees what it has not
+//! published, and whoever reaches it next claims it anew.
 
 use hipmcl_sparse::{Csc, Idx, Value};
+use std::cell::OnceCell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// The most members of one group a worker forms at once: one value lane
 /// each in the accumulator, one register column each in the tile.
@@ -36,10 +38,13 @@ const UNKNOWN: u8 = 0;
 const ONE: u8 = 1;
 const MANY: u8 = 2;
 
-/// A formed column: its rows and values.
-pub(crate) type Formed<T> = (Vec<Idx>, Vec<T>);
+/// A formed column: its rows, shared with the other members of its claim,
+/// and its values.
+pub(crate) type Formed<T> = (Arc<Vec<Idx>>, Vec<T>);
 
-/// The groups of columns `cols` of a product `A · B` and their hand-off.
+/// The groups of columns `cols` of a product `A · B` and their hand-off;
+/// by default, none.
+#[derive(Default)]
 pub(crate) struct Groups<T> {
     /// Per column of `cols` (from 0), its member index, or `NONE` if no
     /// other column shares its pattern (empty when no column does).
@@ -62,8 +67,10 @@ pub(crate) struct Groups<T> {
     state: Vec<AtomicU8>,
     /// Per member, what its claimer formed for it, until it is taken.
     slot: Vec<Mutex<Option<Formed<T>>>>,
-    /// Buffers of taken members, for the next publication.
-    spare: Mutex<Vec<Formed<T>>>,
+    /// Buffers of taken members for the next publication: values, and
+    /// rows once every member of their claim has been taken.
+    spare_rows: Mutex<Vec<Vec<Idx>>>,
+    spare_vals: Mutex<Vec<Vec<T>>>,
 }
 
 /// What a worker finds at a member it reaches.
@@ -80,6 +87,9 @@ pub(crate) struct Claim<'g, T> {
     groups: &'g Groups<T>,
     members: [u32; LANES],
     len: usize,
+    /// The rows every member of the claim has, copied at the first
+    /// publication.
+    rows: OnceCell<Arc<Vec<Idx>>>,
 }
 
 impl<T: Value> Groups<T> {
@@ -129,7 +139,8 @@ impl<T: Value> Groups<T> {
             cols: members,
             start,
             group,
-            spare: Mutex::new(Vec::new()),
+            spare_rows: Mutex::default(),
+            spare_vals: Mutex::default(),
         }
     }
 
@@ -182,6 +193,7 @@ impl<T: Value> Groups<T> {
             groups: self,
             members: [m as u32; LANES],
             len: 1,
+            rows: OnceCell::new(),
         };
         let g = self.group[m] as usize;
         let (first, end) = (self.start[g] as usize, self.start[g + 1] as usize);
@@ -204,12 +216,19 @@ impl<T: Value> Groups<T> {
         Reached::Claimed(claim)
     }
 
-    /// Returns a taken member's buffers for the next publication.
-    pub(crate) fn give_back(&self, formed: Formed<T>) {
-        self.spare
+    /// Returns a taken member's buffers for the next publication: its
+    /// values, and its rows if no other member holds them still.
+    pub(crate) fn give_back(&self, (rows, vals): Formed<T>) {
+        if let Some(rows) = Arc::into_inner(rows) {
+            self.spare_rows
+                .lock()
+                .expect("nothing panics under the lock")
+                .push(rows);
+        }
+        self.spare_vals
             .lock()
             .expect("nothing panics under the lock")
-            .push(formed);
+            .push(vals);
     }
 }
 
@@ -233,26 +252,37 @@ impl<T: Value> Claim<'_, T> {
     }
 
     /// Publishes claimed member `i` (≥ 1) as `rows` and `vals`, for
-    /// whoever reaches it.
+    /// whoever reaches it. Every member of a claim has the same rows: the
+    /// first publication copies them, the others share that copy.
     pub(crate) fn publish(&self, i: usize, rows: &[Idx], vals: &[T]) {
         assert!(0 < i && i < self.len, "only another's member is published");
         let groups = self.groups;
-        let spare = groups
-            .spare
-            .lock()
-            .expect("nothing panics under the lock")
-            .pop();
-        let (mut r, mut v) = spare.unwrap_or_default();
-        r.clear();
-        r.extend_from_slice(rows);
+        let shared = self.rows.get_or_init(|| {
+            let mut r = spare(&groups.spare_rows);
+            r.clear();
+            r.extend_from_slice(rows);
+            Arc::new(r)
+        });
+        assert_eq!(
+            shared.len(),
+            rows.len(),
+            "the members of a claim share rows"
+        );
+        let mut v = spare(&groups.spare_vals);
         v.clear();
         v.extend_from_slice(vals);
         let m = self.members[i] as usize;
         *groups.slot[m]
             .lock()
-            .expect("nothing panics under the lock") = Some((r, v));
+            .expect("nothing panics under the lock") = Some((Arc::clone(shared), v));
         groups.state[m].store(PUBLISHED, Ordering::Release);
     }
+}
+
+/// A spare buffer from `pool`, or a new one.
+fn spare<B: Default>(pool: &Mutex<Vec<B>>) -> B {
+    let mut pool = pool.lock().expect("nothing panics under the lock");
+    pool.pop().unwrap_or_default()
 }
 
 impl<T> Drop for Claim<'_, T> {
@@ -336,7 +366,7 @@ mod tests {
         let Reached::Published(col) = g.reach(0) else {
             panic!("published")
         };
-        assert_eq!(col, (vec![0, 1], vec![1.0, 2.0]));
+        assert_eq!((&col.0[..], &col.1[..]), (&[0, 1][..], &[1.0, 2.0][..]));
         g.give_back(col);
         let Reached::Claimed(claim) = g.reach(2) else {
             panic!("free")

@@ -44,7 +44,10 @@
 //! Every output entry folds its products in ascending position `l` within
 //! `B_{*j}`; addressing, table size, pass count, lanes and the
 //! shared-pattern tile never touch that order, so values are bit-identical
-//! to the heap kernel.
+//! to the heap kernel. The tile and the lane accumulator are each one body
+//! compiled twice, as it is and for AVX2, and a product runs the build its
+//! host has ([`Build`]); neither fuses a `mul` with an `add`, so both builds
+//! give the same bits.
 
 use crate::analysis::{flops_per_column, nnz_bound};
 use crate::emit::{Emit, Push};
@@ -322,19 +325,18 @@ impl<T: Value> HashScratch<T> {
     #[inline]
     pub fn extend<S: Semiring<Elem = T>>(
         &mut self,
-        sr: S,
+        _: S,
         entries: impl IntoIterator<Item = (Idx, T)>,
     ) {
-        self.extend_lanes(sr, entries.into_iter().map(|(key, val)| (key, [val])));
+        self.extend_lanes::<S, 1>(entries.into_iter().map(|(key, val)| (key, [val])));
     }
 
     /// [`HashScratch::extend`] for an accumulator opened with `L` lanes:
     /// lane `l` of `key`'s slot adds `vals[l]`, so one probe serves every
     /// lane.
-    #[inline]
+    #[inline(always)]
     fn extend_lanes<S: Semiring<Elem = T>, const L: usize>(
         &mut self,
-        _sr: S,
         entries: impl IntoIterator<Item = (Idx, [T; L])>,
     ) {
         assert_eq!(self.lanes, L, "opened for {} lanes", self.lanes);
@@ -458,7 +460,19 @@ impl<T: Value> HashScratch<T> {
 /// Multiplies `C = A · B` with hash accumulation in the given semiring, in
 /// one pass.
 pub fn multiply_in<S: Semiring>(s: S, a: &Csc<S::Elem>, b: &Csc<S::Elem>) -> Csc<S::Elem> {
-    multiply_emit(s, a, b, 0..b.ncols(), &flops_per_column(a, b), None, Push)
+    multiply_on(Build::host(), s, a, b)
+}
+
+/// [`multiply_in`] on the given build of the hot loops — the portable one
+/// on any host, for the benchmarks that time both.
+pub fn multiply_on<S: Semiring>(
+    build: Build,
+    s: S,
+    a: &Csc<S::Elem>,
+    b: &Csc<S::Elem>,
+) -> Csc<S::Elem> {
+    let fpc = flops_per_column(a, b);
+    multiply_emit(build, s, a, b, 0..b.ncols(), &fpc, None, Push)
 }
 
 /// [`multiply_in`] with the numeric plus-times semiring — MCL's default.
@@ -478,7 +492,7 @@ pub fn multiply_as<S: Semiring>(
     b: &Csc<S::Elem>,
     fpc: &[u64],
 ) -> Csc<S::Elem> {
-    multiply_emit(sr, a, b, 0..b.ncols(), fpc, Some(mode), Push)
+    multiply_emit(Build::host(), sr, a, b, 0..b.ncols(), fpc, Some(mode), Push)
 }
 
 /// The addressing mode of every column of a product with `fpc` flops per
@@ -497,8 +511,10 @@ pub fn modes<T>(fpc: &[u64], nrows: usize, mode: Option<Addressing>) -> [Address
 /// Columns `cols` of `A · B`, each opened at its bound `min(flops_j, nrows)`
 /// in `mode` (by default the product's, [`modes`] of `fpc[cols]`) and
 /// handed to `emit` when finished, with room reserved for what `emit`
-/// keeps. `fpc` is `flops_per_column(a, b)`.
+/// keeps, on `build`. `fpc` is `flops_per_column(a, b)`.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn multiply_emit<S: Semiring, E: Emit<S::Elem>>(
+    build: Build,
     sr: S,
     a: &Csc<S::Elem>,
     b: &Csc<S::Elem>,
@@ -515,7 +531,8 @@ pub(crate) fn multiply_emit<S: Semiring, E: Emit<S::Elem>>(
         table.open_lanes(modes[lanes - 1], lanes, (fpc[j] as usize).min(nrows), nrows)
     };
     let mut buf = (Vec::new(), Vec::new());
-    multiply_cols_with(sr, a, b, cols, reserve, open, move |col, j, out| {
+    let formation = Formation::new(sr, a, b, cols).on(build);
+    form_columns(&formation, reserve, open, move |col, j, out| {
         emit.emit_column(col, j, out, &mut buf)
     })
 }
@@ -584,15 +601,24 @@ pub fn multiply_cols_with<S: Semiring>(
     open: impl Fn(&mut HashScratch<S::Elem>, usize, usize) + Sync + Send,
     emit: impl FnMut(Column<'_, S::Elem>, usize, &mut CscBuilder<S::Elem>) + Clone + Send,
 ) -> Csc<S::Elem> {
-    let formation = Formation::new(sr, a, b, cols.clone());
-    let scratch = (Former::default(), emit);
+    form_columns(&Formation::new(sr, a, b, cols), reserve, open, emit)
+}
+
+/// [`multiply_cols_with`]'s loop over the columns of `formation`.
+fn form_columns<S: Semiring>(
+    formation: &Formation<'_, S>,
+    reserve: usize,
+    open: impl Fn(&mut HashScratch<S::Elem>, usize, usize) + Sync + Send,
+    emit: impl FnMut(Column<'_, S::Elem>, usize, &mut CscBuilder<S::Elem>) + Clone + Send,
+) -> Csc<S::Elem> {
+    let (nrows, start) = (formation.a.nrows(), formation.start);
     CscBuilder::build(
-        a.nrows(),
-        cols.len(),
+        nrows,
+        formation.ncols,
         reserve,
-        scratch,
+        (Former::default(), emit),
         |(w, emit), c, out| {
-            let j = cols.start + c;
+            let j = start + c;
             formation.column(w, j, &open, |col| emit(col, j, out))
         },
     )
@@ -612,12 +638,20 @@ pub fn multiply_cols_with<S: Semiring>(
 /// publishes the others for whoever asks for them. Every other column
 /// takes [`shared_column`] or the accumulator alone.
 pub struct Formation<'a, S: Semiring> {
-    sr: S,
     a: &'a Csc<S::Elem>,
     b: &'a Csc<S::Elem>,
     groups: Groups<S::Elem>,
     start: usize,
+    ncols: usize,
+    build: Build,
 }
+
+/// Flops per output column below which a product's columns are not
+/// grouped: the grouping pass sorts the columns and the hand-off touches
+/// every member, which costs more than the lanes and the tile save on so
+/// few products (EXPERIMENTS.md, "The tile and the lanes at vector
+/// width"). The crate's own tests group every product.
+const GROUP_FLOPS_PER_COLUMN: u64 = 64;
 
 /// One worker's buffers for forming columns: its accumulator and the rows
 /// and values of the last columns it formed without draining into `emit`.
@@ -629,17 +663,30 @@ pub struct Former<T> {
 }
 
 impl<'a, S: Semiring> Formation<'a, S> {
-    /// Columns `cols` of `a ⊗ b`, grouped by the row patterns of `B`.
-    pub fn new(sr: S, a: &'a Csc<S::Elem>, b: &'a Csc<S::Elem>, cols: Range<usize>) -> Self {
+    /// Columns `cols` of `a ⊗ b`, grouped by the row patterns of `B` if
+    /// the product has 64 flops per column or more, on the host's
+    /// [`Build`].
+    pub fn new(_: S, a: &'a Csc<S::Elem>, b: &'a Csc<S::Elem>, cols: Range<usize>) -> Self {
         assert_eq!(a.ncols(), b.nrows(), "inner dimensions must agree");
-        let (groups, start) = (Groups::of(b, cols.clone()), cols.start);
+        let ks = &b.rowidx[b.colptr[cols.start]..b.colptr[cols.end]];
+        let flops: u64 = ks.iter().map(|&k| a.col_nnz(k as usize) as u64).sum();
+        let pays = flops >= GROUP_FLOPS_PER_COLUMN * cols.len() as u64;
         Self {
-            sr,
             a,
             b,
-            groups,
-            start,
+            groups: match cfg!(test) || pays {
+                true => Groups::of(b, cols.clone()),
+                false => Groups::default(),
+            },
+            start: cols.start,
+            ncols: cols.len(),
+            build: Build::host(),
         }
+    }
+
+    /// The same formation on `build`.
+    fn on(self, build: Build) -> Self {
+        Self { build, ..self }
     }
 
     /// Forms output column `j` with worker `w`'s buffers and hands it to
@@ -652,7 +699,7 @@ impl<'a, S: Semiring> Formation<'a, S> {
         open: &impl Fn(&mut HashScratch<S::Elem>, usize, usize),
         take: impl FnOnce(Column<'_, S::Elem>) -> R,
     ) -> R {
-        let (sr, a, b, groups) = (self.sr, self.a, self.b, &self.groups);
+        let (a, b, groups, build) = (self.a, self.b, &self.groups, self.build);
         let claim = match groups.member(j - self.start).map(|m| groups.reach(m)) {
             Some(Reached::Published(formed)) => {
                 let taken = take(Column::Formed(&formed.0, &formed.1));
@@ -661,11 +708,11 @@ impl<'a, S: Semiring> Formation<'a, S> {
             }
             Some(Reached::Claimed(claim)) if claim.len() > 1 => claim,
             _ => {
-                if let Some(rows) = shared_column(sr, a, b, j, &mut w.vals) {
+                if let Some(rows) = shared_column_on::<S>(build, a, b, j, &mut w.vals) {
                     return take(Column::Formed(rows, &w.vals));
                 }
                 open(&mut w.table, j, 1);
-                accumulate(sr, &mut w.table, a, b, j);
+                accumulate_lanes::<S, 1>(build, &mut w.table, a, b.col_rows(j), [b.col_vals(j)]);
                 return take(Column::Table(&mut w.table));
             }
         };
@@ -676,9 +723,9 @@ impl<'a, S: Semiring> Formation<'a, S> {
         let js = claim.cols().map(|c| self.start + c);
         let (table, formed) = (&mut w.table, (&mut w.rows, &mut w.vals));
         let n = match claim.len() {
-            2 => form_group::<S, 2>(sr, a, b, js, one, table, formed),
-            3 => form_group::<S, 3>(sr, a, b, js, one, table, formed),
-            _ => form_group::<S, LANES>(sr, a, b, js, one, table, formed),
+            2 => form_group::<S, 2>(build, a, b, js, one, table, formed),
+            3 => form_group::<S, 3>(build, a, b, js, one, table, formed),
+            _ => form_group::<S, LANES>(build, a, b, js, one, table, formed),
         };
         for i in 1..claim.len() {
             claim.publish(i, &w.rows, &w.vals[i * n..][..n]);
@@ -691,8 +738,9 @@ impl<'a, S: Semiring> Formation<'a, S> {
 /// `K`, into `rows` and, lane by lane, `vals`, and returns how many rows
 /// they have: a [`tile`] over `R` when every `A_{*k}`, `k ∈ K`, has the
 /// one row pattern `R` (`one`), else in `table`, opened with `L` lanes.
+#[allow(clippy::too_many_arguments)]
 fn form_group<S: Semiring, const L: usize>(
-    sr: S,
+    build: Build,
     a: &Csc<S::Elem>,
     b: &Csc<S::Elem>,
     mut js: impl Iterator<Item = usize>,
@@ -706,9 +754,9 @@ fn form_group<S: Semiring, const L: usize>(
     if one {
         rows.clear();
         rows.extend_from_slice(a.col_rows(ks[0] as usize));
-        tile::<S, L>(a, ks, bvs, rows.len(), vals);
+        tile::<S, L>(build, a, ks, bvs, rows.len(), vals);
     } else {
-        accumulate_lanes(sr, table, a, ks, bvs);
+        accumulate_lanes::<S, L>(build, table, a, ks, bvs);
         rows.resize(table.len(), 0);
         vals.resize(L * table.len(), S::Elem::default());
         table.drain_sorted_into(js[0], rows, vals);
@@ -728,9 +776,20 @@ pub fn shared_column<'a, S: Semiring>(
     j: usize,
     vals: &mut Vec<S::Elem>,
 ) -> Option<&'a [Idx]> {
+    shared_column_on::<S>(Build::host(), a, b, j, vals)
+}
+
+/// [`shared_column`] on the given build.
+fn shared_column_on<'a, S: Semiring>(
+    build: Build,
+    a: &'a Csc<S::Elem>,
+    b: &Csc<S::Elem>,
+    j: usize,
+    vals: &mut Vec<S::Elem>,
+) -> Option<&'a [Idx]> {
     let ks = b.col_rows(j);
     let rows = one_pattern(a, ks)?;
-    tile::<S, 1>(a, ks, [b.col_vals(j)], rows.len(), vals);
+    tile::<S, 1>(build, a, ks, [b.col_vals(j)], rows.len(), vals);
     Some(rows)
 }
 
@@ -747,6 +806,42 @@ fn one_pattern<'a, T: Value>(a: &'a Csc<T>, ks: &[Idx]) -> Option<&'a [Idx]> {
     (ks.iter().all(same_ends) && ks.iter().all(same)).then_some(rows)
 }
 
+/// Which build of the hot loops — the register tile and the lane
+/// accumulator — a product runs: the portable body,
+/// or the same generic body compiled for AVX2, which an x86-64 host that
+/// has it (asked at run time) runs. Both give every bit alike: each entry
+/// is still a `mul` then an `add`, folded in ascending position of `K`,
+/// and never fused into one rounding.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Build {
+    /// Only [`Build::host`] sets it, and only on a host with AVX2: the
+    /// dispatch's safety rests on it.
+    avx2: bool,
+}
+
+impl Build {
+    /// The portable body, on any host.
+    pub const PORTABLE: Self = Self { avx2: false };
+
+    /// The fastest build this host runs.
+    pub fn host() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        let avx2 = std::arch::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx2 = false;
+        Self { avx2 }
+    }
+
+    /// `"avx2"` or `"portable"`.
+    pub fn name(self) -> &'static str {
+        if self.avx2 {
+            "avx2"
+        } else {
+            "portable"
+        }
+    }
+}
+
 /// Positions of `K` a [`tile`] streams past its registers between two
 /// visits to memory.
 const TILE_KS: usize = 64;
@@ -755,11 +850,12 @@ const TILE_KS: usize = 64;
 /// `bvs[l]`, when every `A_{*k}`, `k ∈ ks`, has the one row pattern `R` of
 /// `nr` rows, into `vals` lane by lane: entry `p` of lane `l` is
 /// `a_{R_p k₀} ⊗ bvs[l][0]`, then `⊕ a_{R_p k} ⊗ bvs[l][i]` in ascending
-/// position `i` — [`accumulate`]'s fold, entry by entry. A register tile:
-/// a few rows of all `L` columns stay in registers while up to
+/// position `i` — [`accumulate_lanes`]'s fold, entry by entry. A register tile:
+/// a block of rows of all `L` columns stays in registers while up to
 /// [`TILE_KS`] positions of `ks` stream past, so `A`'s values are read
-/// once for all `L` columns.
-fn tile<S: Semiring, const L: usize>(
+/// once for all `L` columns. Runs `build`'s compilation of the body.
+pub(crate) fn tile<S: Semiring, const L: usize>(
+    build: Build,
     a: &Csc<S::Elem>,
     ks: &[Idx],
     bvs: [&[S::Elem]; L],
@@ -768,6 +864,38 @@ fn tile<S: Semiring, const L: usize>(
 ) {
     vals.clear();
     vals.resize(L * nr, S::Elem::default());
+    #[cfg(target_arch = "x86_64")]
+    if build.avx2 {
+        // SAFETY: a `Build` with `avx2` set comes only from `Build::host`
+        // on a host that has AVX2.
+        return unsafe { tile_avx2::<S, L>(a, ks, bvs, vals) };
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = build;
+    tile_body::<S, L>(a, ks, bvs, vals)
+}
+
+/// [`tile_body`] compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn tile_avx2<S: Semiring, const L: usize>(
+    a: &Csc<S::Elem>,
+    ks: &[Idx],
+    bvs: [&[S::Elem]; L],
+    vals: &mut [S::Elem],
+) {
+    tile_body::<S, L>(a, ks, bvs, vals)
+}
+
+/// The body of [`tile`], into `vals` of `L · nr` entries.
+#[inline(always)]
+fn tile_body<S: Semiring, const L: usize>(
+    a: &Csc<S::Elem>,
+    ks: &[Idx],
+    bvs: [&[S::Elem]; L],
+    vals: &mut [S::Elem],
+) {
+    let nr = vals.len() / L;
     for (c, chunk) in ks.chunks(TILE_KS).enumerate() {
         // Where each `A_{*k}`'s values start, and each position's `L`
         // values of `B`, side by side.
@@ -778,18 +906,29 @@ fn tile<S: Semiring, const L: usize>(
             bt[i] = bvs.map(|bv| bv[c * TILE_KS + i]);
         }
         let (at, bt, first) = (&at[..chunk.len()], &bt[..chunk.len()], c == 0);
-        // Rows at once: enough independent sums to hide `⊕`'s latency.
-        match L {
-            1 => tile_rows::<S, L, 8>(&a.vals, at, bt, first, vals),
-            _ => tile_rows::<S, L, 4>(&a.vals, at, bt, first, vals),
+        // Eight rows of a lane side by side fill two 4-wide registers;
+        // `L` lanes of them are enough independent sums to hide `⊕`'s
+        // latency. The rows left take a block of four, then one at a time.
+        let mut p = 0;
+        while p + 8 <= nr {
+            tile_rows::<S, L, 8>(&a.vals, at, bt, first, vals, p);
+            p += 8;
+        }
+        if p + 4 <= nr {
+            tile_rows::<S, L, 4>(&a.vals, at, bt, first, vals, p);
+            p += 4;
+        }
+        for p in p..nr {
+            tile_rows::<S, L, 1>(&a.vals, at, bt, first, vals, p);
         }
     }
 }
 
-/// One pass of a [`tile`] over positions whose `A_{*k}` values start at
-/// `at` in `avals` and whose `B` values are `bt`, `P` rows at a time, then
-/// the rows left one at a time. The first pass starts each sum with its
-/// first product; a later one resumes the sums in `vals`.
+/// Rows `p..p + P` of one pass of a [`tile`] over positions whose `A_{*k}`
+/// values start at `at` in `avals` and whose `B` values are `bt`, held as
+/// `L` accumulators of `P` consecutive rows each. The first pass starts
+/// each sum with its first product; a later one resumes the sums in
+/// `vals`.
 #[inline(always)]
 fn tile_rows<S: Semiring, const L: usize, const P: usize>(
     avals: &[S::Elem],
@@ -797,65 +936,79 @@ fn tile_rows<S: Semiring, const L: usize, const P: usize>(
     bt: &[[S::Elem; L]],
     first: bool,
     vals: &mut [S::Elem],
+    p: usize,
 ) {
     let nr = vals.len() / L;
-    let rows = |vals: &[S::Elem], p: usize, n: usize| {
-        let mut acc = [[S::Elem::default(); L]; P];
-        let load = |i: usize| &avals[at[i] + p..][..n];
-        let from = if first {
-            for (acc, &av) in acc.iter_mut().zip(load(0)) {
-                *acc = bt[0].map(|bv| S::mul(av, bv));
-            }
-            1
-        } else {
-            for (r, acc) in acc[..n].iter_mut().enumerate() {
-                *acc = std::array::from_fn(|l| vals[l * nr + p + r]);
-            }
-            0
-        };
-        for (&bv, i) in bt[from..].iter().zip(from..) {
-            for (acc, &av) in acc.iter_mut().zip(load(i)) {
-                for (c, &bv) in acc.iter_mut().zip(&bv) {
-                    *c = S::add(*c, S::mul(av, bv));
-                }
-            }
-        }
-        acc
+    let load = |i: usize| -> [S::Elem; P] {
+        avals[at[i] + p..][..P]
+            .try_into()
+            .expect("P values of a column")
     };
-    let full = nr - nr % P;
-    for (p, n) in (0..full)
-        .step_by(P)
-        .map(|p| (p, P))
-        .chain((full..nr).map(|p| (p, 1)))
-    {
-        let acc = rows(vals, p, n);
-        for (r, acc) in acc[..n].iter().enumerate() {
-            for (l, &c) in acc.iter().enumerate() {
-                vals[l * nr + p + r] = c;
+    let mut acc = [[S::Elem::default(); P]; L];
+    let from = if first {
+        let av = load(0);
+        for (acc, &bv) in acc.iter_mut().zip(&bt[0]) {
+            *acc = av.map(|av| S::mul(av, bv));
+        }
+        1
+    } else {
+        for (l, acc) in acc.iter_mut().enumerate() {
+            acc.copy_from_slice(&vals[l * nr + p..][..P]);
+        }
+        0
+    };
+    for (bv, i) in bt[from..].iter().zip(from..) {
+        let av = load(i);
+        for (acc, &bv) in acc.iter_mut().zip(bv) {
+            for (c, &av) in acc.iter_mut().zip(&av) {
+                *c = S::add(*c, S::mul(av, bv));
             }
         }
     }
+    for (l, acc) in acc.iter().enumerate() {
+        vals[l * nr + p..][..P].copy_from_slice(acc);
+    }
 }
 
-/// The column body of every hash kernel: folds column `j` of `A ⊗ B` into
-/// `table`, opened for it, one product `a_ik ⊗ b_kj` at a time in
-/// ascending position `l` within `B_{*j}` — the order that fixes every
-/// value.
-pub fn accumulate<S: Semiring>(
-    sr: S,
+/// The column body of every hash kernel: folds the `L` columns of `A ⊗ B`
+/// whose `B_{*j}` read `ks` with values `bvs[l]` into `table`, opened for
+/// them with `L` lanes, one product `a_ik ⊗ b_kj` at a time in ascending
+/// position within `ks` — the order that fixes every value. One probe per
+/// product row serves every lane, and lane `l` folds exactly what column
+/// `l` alone would. Runs `build`'s compilation of the body.
+pub(crate) fn accumulate_lanes<S: Semiring, const L: usize>(
+    build: Build,
     table: &mut HashScratch<S::Elem>,
     a: &Csc<S::Elem>,
-    b: &Csc<S::Elem>,
-    j: usize,
+    ks: &[Idx],
+    bvs: [&[S::Elem]; L],
 ) {
-    accumulate_lanes(sr, table, a, b.col_rows(j), [b.col_vals(j)]);
+    #[cfg(target_arch = "x86_64")]
+    if build.avx2 {
+        // SAFETY: a `Build` with `avx2` set comes only from `Build::host`
+        // on a host that has AVX2.
+        return unsafe { accumulate_lanes_avx2::<S, L>(table, a, ks, bvs) };
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = build;
+    accumulate_lanes_body::<S, L>(table, a, ks, bvs)
 }
 
-/// [`accumulate`] for `L` columns whose `B_{*j}` read `ks` with values
-/// `bvs[l]`, into `table` opened with `L` lanes: one probe per product
-/// row, and lane `l` folds exactly what column `l` alone would.
-fn accumulate_lanes<S: Semiring, const L: usize>(
-    sr: S,
+/// [`accumulate_lanes_body`] compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn accumulate_lanes_avx2<S: Semiring, const L: usize>(
+    table: &mut HashScratch<S::Elem>,
+    a: &Csc<S::Elem>,
+    ks: &[Idx],
+    bvs: [&[S::Elem]; L],
+) {
+    accumulate_lanes_body::<S, L>(table, a, ks, bvs)
+}
+
+/// The body of [`accumulate_lanes`].
+#[inline(always)]
+fn accumulate_lanes_body<S: Semiring, const L: usize>(
     table: &mut HashScratch<S::Elem>,
     a: &Csc<S::Elem>,
     ks: &[Idx],
@@ -864,7 +1017,7 @@ fn accumulate_lanes<S: Semiring, const L: usize>(
     for (i, &k) in ks.iter().enumerate() {
         let (k, bv) = (k as usize, bvs.map(|bv| bv[i]));
         let scaled = a.col_vals(k).iter().map(|&av| bv.map(|bv| S::mul(av, bv)));
-        table.extend_lanes(sr, a.col_rows(k).iter().copied().zip(scaled));
+        table.extend_lanes::<S, L>(a.col_rows(k).iter().copied().zip(scaled));
     }
 }
 

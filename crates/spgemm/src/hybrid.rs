@@ -17,6 +17,7 @@
 
 use crate::analysis::MultAnalysis;
 use crate::emit::{Emit, Push};
+use crate::hash::Build;
 use hipmcl_sparse::{Csc, PlusTimes, Semiring, Value};
 use std::ops::Range;
 
@@ -51,7 +52,9 @@ impl CpuAlgo {
     ) -> Csc<S::Elem> {
         match self {
             CpuAlgo::Heap => crate::heap::multiply_cols_in(s, a, b, cols, fpc, emit),
-            CpuAlgo::Hash => crate::hash::multiply_emit(s, a, b, cols, fpc, None, emit),
+            CpuAlgo::Hash => {
+                crate::hash::multiply_emit(Build::host(), s, a, b, cols, fpc, None, emit)
+            }
         }
     }
 }
@@ -96,7 +99,7 @@ pub fn multiply_auto_in<S: Semiring>(
     b: &Csc<S::Elem>,
 ) -> (Csc<S::Elem>, MultAnalysis, CpuAlgo) {
     let fpc = crate::analysis::flops_per_column(a, b);
-    let c = crate::hash::multiply_emit(s, a, b, 0..b.ncols(), &fpc, None, Push);
+    let c = crate::hash::multiply_emit(Build::host(), s, a, b, 0..b.ncols(), &fpc, None, Push);
     let analysis = MultAnalysis {
         flops: fpc.iter().sum(),
         nnz_out: c.nnz() as u64,

@@ -1,8 +1,10 @@
 //! Property tests: all SpGEMM kernels agree with each other and with the
-//! dense reference, in both addressing modes over random universes;
+//! dense reference, in both addressing modes over random universes; the
+//! dispatched build of the hot loops agrees with the portable one;
 //! symbolic and probabilistic estimators are consistent.
 
 use crate::hash::Addressing::{Direct, Hashed};
+use crate::hash::{Build, HashScratch, LANES};
 use crate::testutil::dense_reference;
 use crate::{hash, heap, spa, symbolic};
 use hipmcl_sparse::{Boolean, Csc, Idx, MinPlus, PlusTimes, Semiring, Triples, Value};
@@ -206,6 +208,150 @@ fn hash_paths_match_the_heap<S: Semiring>(
     Ok(())
 }
 
+/// `|K|` of [`arb_lanes`]: one position, and both sides of one and two of
+/// the tile's 64-position passes.
+const KS: [usize; 5] = [1, 63, 64, 65, 129];
+
+/// The operands of a tile and of a lane accumulator, read at positions
+/// `0..|K|` by 1–[`LANES`] columns of `B`.
+#[derive(Debug)]
+struct Lanes {
+    /// `A` whose columns all have one pattern of `8m + r` rows, `r` in
+    /// 1..=7: full 8-row blocks, then a 4-row block and single rows or
+    /// single rows alone.
+    tile: Csc<f64>,
+    /// `A` of the same shape whose columns have patterns of their own.
+    lanes: Csc<f64>,
+    /// Per column of `B`, its `|K|` values.
+    bvs: Vec<Vec<f64>>,
+}
+
+/// Strategy: [`Lanes`] with nonzero values (a zero would leave `A`'s
+/// pattern) that round when summed, so a changed fold order or a fused
+/// `mul`-`add` shows in the low bits.
+fn arb_lanes() -> impl Strategy<Value = Lanes> {
+    let shape = (0usize..4, 1usize..8, 0usize..KS.len(), 1usize..=LANES);
+    let weights = proptest::collection::vec(1u32..1000, 97);
+    (shape, weights).prop_map(|((m, r, k, lanes), weights)| {
+        let (nr, nk) = (8 * m + r, KS[k]);
+        let nrows = 2 * nr + 3;
+        let w = |i: usize, j: usize| weights[(i * 31 + j * 7) % 97] as f64 / 7.0 - 40.3;
+        let (mut tile, mut own) = (Triples::new(nrows, nk), Triples::new(nrows, nk));
+        for k in 0..nk {
+            for i in 0..nr {
+                tile.push((2 * i + 1) as Idx, k as Idx, w(i, k));
+            }
+            let rows = (0..nrows).filter(|&i| weights[(i * 11 + k * 5) % 97] % 3 != 0);
+            for i in rows {
+                own.push(i as Idx, k as Idx, w(i, k + 1));
+            }
+        }
+        let bvs = (0..lanes)
+            .map(|l| (0..nk).map(|i| w(i + 3, l * 17) / 3.0).collect())
+            .collect();
+        Lanes {
+            tile: Csc::from_triples(&tile),
+            lanes: Csc::from_triples(&own),
+            bvs,
+        }
+    })
+}
+
+/// A non-commutative semiring (`mul` keeps its left operand, `add` the
+/// larger): a kernel that swapped `a ⊗ b` to `b ⊗ a` would read `B`'s
+/// values back.
+#[derive(Clone, Copy, Debug, Default)]
+struct MaxLeft;
+
+impl Semiring for MaxLeft {
+    type Elem = u64;
+    const ZERO: u64 = 0;
+    const ONE: u64 = 1;
+    fn add(a: u64, b: u64) -> u64 {
+        a.max(b)
+    }
+    fn mul(a: u64, b: u64) -> u64 {
+        if a == 0 || b == 0 {
+            0
+        } else {
+            a
+        }
+    }
+}
+
+/// The tile and the lane accumulator on the host's build and on the
+/// portable one, both in either addressing mode, against a plain fold of
+/// each entry in ascending position of `K`, bit for bit; `A` and `B`'s
+/// values taken through `va` and `vb`.
+fn dispatched_matches_portable<S: Semiring>(
+    f: &Lanes,
+    va: impl Fn(f64) -> S::Elem,
+    vb: impl Fn(f64) -> S::Elem,
+) -> Result<(), TestCaseError> {
+    let bvs: Vec<Vec<S::Elem>> = (f.bvs.iter())
+        .map(|b| b.iter().map(|&v| vb(v)).collect())
+        .collect();
+    let (tile, lanes) = (f.tile.map_values(&va), f.lanes.map_values(&va));
+    match bvs.len() {
+        1 => lanes_match::<S, 1>(&tile, &lanes, &bvs),
+        2 => lanes_match::<S, 2>(&tile, &lanes, &bvs),
+        3 => lanes_match::<S, 3>(&tile, &lanes, &bvs),
+        _ => lanes_match::<S, LANES>(&tile, &lanes, &bvs),
+    }
+}
+
+/// [`dispatched_matches_portable`] for `L` lanes.
+fn lanes_match<S: Semiring, const L: usize>(
+    tile: &Csc<S::Elem>,
+    lanes: &Csc<S::Elem>,
+    bvs: &[Vec<S::Elem>],
+) -> Result<(), TestCaseError> {
+    let bits = |v: &[S::Elem]| v.iter().map(|v| v.to_f64().to_bits()).collect::<Vec<_>>();
+    let bvs: [&[S::Elem]; L] = std::array::from_fn(|l| &bvs[l][..]);
+    let ks: Vec<Idx> = (0..tile.ncols() as Idx).collect();
+    // Each output row's fold over `a`, in ascending position, lane by lane.
+    let fold = |a: &Csc<S::Elem>| {
+        let mut sums = std::collections::BTreeMap::<Idx, [S::Elem; L]>::new();
+        for (i, &k) in ks.iter().enumerate() {
+            let (rows, vals) = (a.col_rows(k as usize), a.col_vals(k as usize));
+            for (&r, &av) in rows.iter().zip(vals) {
+                let product = bvs.map(|bv| S::mul(av, bv[i]));
+                sums.entry(r)
+                    .and_modify(|s| *s = std::array::from_fn(|l| S::add(s[l], product[l])))
+                    .or_insert(product);
+            }
+        }
+        let rows: Vec<Idx> = sums.keys().copied().collect();
+        let vals: Vec<S::Elem> = (0..L)
+            .flat_map(|l| sums.values().map(move |s| s[l]))
+            .collect();
+        (rows, bits(&vals))
+    };
+    let (want_rows, want) = fold(tile);
+    for build in [Build::PORTABLE, Build::host()] {
+        let mut vals = vec![];
+        hash::tile::<S, L>(build, tile, &ks, bvs, want_rows.len(), &mut vals);
+        prop_assert_eq!(bits(&vals), want.clone(), "tile, {:?}", build);
+    }
+    let (want_rows, want) = fold(lanes);
+    let nrows = lanes.nrows();
+    for mode in [Direct, Hashed] {
+        for build in [Build::PORTABLE, Build::host()] {
+            let mut table = HashScratch::default();
+            table.open_lanes(mode, L, nrows, nrows);
+            hash::accumulate_lanes::<S, L>(build, &mut table, lanes, &ks, bvs);
+            let (mut rows, mut vals) = (
+                vec![0; table.len()],
+                vec![S::Elem::default(); L * table.len()],
+            );
+            table.drain_sorted_into(0, &mut rows, &mut vals);
+            prop_assert_eq!(&rows, &want_rows, "lanes, {:?}, {:?}", mode, build);
+            prop_assert_eq!(bits(&vals), want.clone(), "lanes, {:?}, {:?}", mode, build);
+        }
+    }
+    Ok(())
+}
+
 /// The terms `(A_t, B_t)` of a sum of products.
 type Terms<T> = [(Csc<T>, Csc<T>)];
 
@@ -261,6 +407,15 @@ proptest! {
         hash_paths_match_the_heap(MinPlus, &a, &b)?;
         let (ba, bb) = (a.map_values(|v| v > 0.5), b.map_values(|v| v > 0.0));
         hash_paths_match_the_heap(Boolean, &ba, &bb)?;
+    }
+
+    #[test]
+    fn dispatched_tile_and_lanes_match_the_portable_body_in_three_semirings(f in arb_lanes()) {
+        dispatched_matches_portable::<PlusTimes<f64>>(&f, |v| v, |v| v)?;
+        dispatched_matches_portable::<MinPlus>(&f, |v| v, |v| v)?;
+        dispatched_matches_portable::<Boolean>(&f, |v| v > -20.0, |v| v > -10.0)?;
+        let left = |v: f64| 1 + v.to_bits() % 64;
+        dispatched_matches_portable::<MaxLeft>(&f, left, |v| 1000 + v.to_bits() % 64)?;
     }
 
     #[test]

@@ -220,7 +220,9 @@ fn the_left_operand_of_mul_comes_from_a() {
     let (_, rows, vals) = assert_identical(MaxLeft, &a, &b, true);
     assert!(!rows.is_empty() && vals.iter().all(|&v| f64::from_bits(v) <= 64.0));
     // Five more columns reading the pattern of `B`'s fullest column, each
-    // with values of its own: a group the kernel forms four at a time.
+    // with values of its own: a `B`-pattern group. A product this small
+    // (under 64 flops per column) forms them one at a time; the grouped
+    // path runs on such fixtures in the spgemm crate's own tests.
     let full = (0..b.ncols()).max_by_key(|&j| b.col_nnz(j)).unwrap();
     let mut t = Triples::new(b.nrows(), b.ncols() + 5);
     for j in 0..b.ncols() {
