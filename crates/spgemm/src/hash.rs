@@ -807,11 +807,11 @@ fn one_pattern<'a, T: Value>(a: &'a Csc<T>, ks: &[Idx]) -> Option<&'a [Idx]> {
 }
 
 /// Which build of the hot loops — the register tile and the lane
-/// accumulator — a product runs: the portable body,
-/// or the same generic body compiled for AVX2, which an x86-64 host that
-/// has it (asked at run time) runs. Both give every bit alike: each entry
-/// is still a `mul` then an `add`, folded in ascending position of `K`,
-/// and never fused into one rounding.
+/// accumulator — a product runs: the portable body, or the same generic
+/// body compiled for AVX2, which an x86-64 host that has it (asked at run
+/// time) runs. Both give every bit alike: each entry is still a `mul` then
+/// an `add`, folded in ascending position of `K`, and never fused into one
+/// rounding.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Build {
     /// Only [`Build::host`] sets it, and only on a host with AVX2: the
@@ -850,8 +850,8 @@ const TILE_KS: usize = 64;
 /// `bvs[l]`, when every `A_{*k}`, `k ∈ ks`, has the one row pattern `R` of
 /// `nr` rows, into `vals` lane by lane: entry `p` of lane `l` is
 /// `a_{R_p k₀} ⊗ bvs[l][0]`, then `⊕ a_{R_p k} ⊗ bvs[l][i]` in ascending
-/// position `i` — [`accumulate_lanes`]'s fold, entry by entry. A register tile:
-/// a block of rows of all `L` columns stays in registers while up to
+/// position `i` — [`accumulate_lanes`]'s fold, entry by entry. A register
+/// tile: a block of rows of all `L` columns stays in registers while up to
 /// [`TILE_KS`] positions of `ks` stream past, so `A`'s values are read
 /// once for all `L` columns. Runs `build`'s compilation of the body.
 pub(crate) fn tile<S: Semiring, const L: usize>(
