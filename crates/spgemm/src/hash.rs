@@ -521,18 +521,28 @@ pub(crate) fn multiply_emit<S: Semiring, E: Emit<S::Elem>>(
     cols: Range<usize>,
     fpc: &[u64],
     mode: Option<Addressing>,
+    emit: E,
+) -> Csc<S::Elem> {
+    let formation = Formation::new(sr, a, b, cols, fpc).on(build);
+    emit_formation(&formation, fpc, mode, emit)
+}
+
+/// [`multiply_emit`] of the columns of `formation`.
+fn emit_formation<S: Semiring, E: Emit<S::Elem>>(
+    formation: &Formation<'_, S>,
+    fpc: &[u64],
+    mode: Option<Addressing>,
     mut emit: E,
 ) -> Csc<S::Elem> {
-    assert_eq!(fpc.len(), b.ncols(), "one flops entry per output column");
-    let nrows = a.nrows();
+    let (nrows, start) = (formation.a.nrows(), formation.start);
+    let cols = start..start + formation.ncols;
     let modes = modes::<S::Elem>(&fpc[cols.clone()], nrows, mode);
-    let reserve = crate::emit::reserve(&emit, cols.clone(), fpc, nrows);
+    let reserve = crate::emit::reserve(&emit, cols, fpc, nrows);
     let open = |table: &mut HashScratch<S::Elem>, j: usize, lanes: usize| {
         table.open_lanes(modes[lanes - 1], lanes, (fpc[j] as usize).min(nrows), nrows)
     };
     let mut buf = (Vec::new(), Vec::new());
-    let formation = Formation::new(sr, a, b, cols).on(build);
-    form_columns(&formation, reserve, open, move |col, j, out| {
+    form_columns(formation, reserve, open, move |col, j, out| {
         emit.emit_column(col, j, out, &mut buf)
     })
 }
@@ -591,17 +601,19 @@ pub fn append<T: Value>(col: Column<'_, T>, j: usize, out: &mut CscBuilder<T>) {
 /// to `out`, once, from the worker whose block holds `j`, in column order:
 /// [`append`] pushes it unchanged. Each worker runs its own clone of
 /// `emit`, so what `emit` owns — buffers a column is drained into, say —
-/// is per worker.
+/// is per worker. `fpc` is `flops_per_column(a, b)`.
+#[allow(clippy::too_many_arguments)]
 pub fn multiply_cols_with<S: Semiring>(
     sr: S,
     a: &Csc<S::Elem>,
     b: &Csc<S::Elem>,
     cols: Range<usize>,
+    fpc: &[u64],
     reserve: usize,
     open: impl Fn(&mut HashScratch<S::Elem>, usize, usize) + Sync + Send,
     emit: impl FnMut(Column<'_, S::Elem>, usize, &mut CscBuilder<S::Elem>) + Clone + Send,
 ) -> Csc<S::Elem> {
-    form_columns(&Formation::new(sr, a, b, cols), reserve, open, emit)
+    form_columns(&Formation::new(sr, a, b, cols, fpc), reserve, open, emit)
 }
 
 /// [`multiply_cols_with`]'s loop over the columns of `formation`.
@@ -650,8 +662,8 @@ pub struct Formation<'a, S: Semiring> {
 /// grouped: the grouping pass sorts the columns and the hand-off touches
 /// every member, which costs more than the lanes and the tile save on so
 /// few products (EXPERIMENTS.md, "The tile and the lanes at vector
-/// width"). The crate's own tests group every product.
-const GROUP_FLOPS_PER_COLUMN: u64 = 64;
+/// width").
+pub const GROUP_FLOPS_PER_COLUMN: u64 = 64;
 
 /// One worker's buffers for forming columns: its accumulator and the rows
 /// and values of the last columns it formed without draining into `emit`.
@@ -663,18 +675,36 @@ pub struct Former<T> {
 }
 
 impl<'a, S: Semiring> Formation<'a, S> {
-    /// Columns `cols` of `a ⊗ b`, grouped by the row patterns of `B` if
-    /// the product has 64 flops per column or more, on the host's
-    /// [`Build`].
-    pub fn new(_: S, a: &'a Csc<S::Elem>, b: &'a Csc<S::Elem>, cols: Range<usize>) -> Self {
-        assert_eq!(a.ncols(), b.nrows(), "inner dimensions must agree");
-        let ks = &b.rowidx[b.colptr[cols.start]..b.colptr[cols.end]];
-        let flops: u64 = ks.iter().map(|&k| a.col_nnz(k as usize) as u64).sum();
+    /// Columns `cols` of `a ⊗ b`, whose flops per column are `fpc`
+    /// (`flops_per_column(a, b)`), grouped by the row patterns of `B` if
+    /// they have [`GROUP_FLOPS_PER_COLUMN`] flops per column or more, on
+    /// the host's [`Build`].
+    pub fn new(
+        _: S,
+        a: &'a Csc<S::Elem>,
+        b: &'a Csc<S::Elem>,
+        cols: Range<usize>,
+        fpc: &[u64],
+    ) -> Self {
+        assert_eq!(fpc.len(), b.ncols(), "one flops entry per output column");
+        let flops: u64 = fpc[cols.clone()].iter().sum();
         let pays = flops >= GROUP_FLOPS_PER_COLUMN * cols.len() as u64;
+        Self::grouped_if(pays, a, b, cols)
+    }
+
+    /// Columns `cols` of `a ⊗ b`, grouped by the row patterns of `B` if
+    /// `grouped`, on the host's [`Build`].
+    fn grouped_if(
+        grouped: bool,
+        a: &'a Csc<S::Elem>,
+        b: &'a Csc<S::Elem>,
+        cols: Range<usize>,
+    ) -> Self {
+        assert_eq!(a.ncols(), b.nrows(), "inner dimensions must agree");
         Self {
             a,
             b,
-            groups: match cfg!(test) || pays {
+            groups: match grouped {
                 true => Groups::of(b, cols.clone()),
                 false => Groups::default(),
             },
@@ -1021,6 +1051,22 @@ fn accumulate_lanes_body<S: Semiring, const L: usize>(
     }
 }
 
+/// [`multiply_as`] (in the product's mode if `mode` is `None`) with the
+/// columns grouped by the row patterns of `B` whatever the product's
+/// flops: the small fixtures that test the grouped formation fall under
+/// [`GROUP_FLOPS_PER_COLUMN`].
+#[cfg(test)]
+pub(crate) fn multiply_grouped<S: Semiring>(
+    mode: Option<Addressing>,
+    _: S,
+    a: &Csc<S::Elem>,
+    b: &Csc<S::Elem>,
+    fpc: &[u64],
+) -> Csc<S::Elem> {
+    let formation = Formation::<S>::grouped_if(true, a, b, 0..b.ncols());
+    emit_formation(&formation, fpc, mode, Push)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1232,6 +1278,7 @@ mod tests {
         t.push(0, n as Idx - 1, MARK);
         t.push(2, n as Idx - 1, MARK);
         let b = Csc::from_triples(&t);
+        let fpc = flops_per_column(&a, &b);
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(2)
             .build()
@@ -1252,7 +1299,7 @@ mod tests {
                     j if j == n - 1 => table.open_as(mode, 0, universe),
                     _ => table.open_lanes(mode, lanes, 2, 4),
                 };
-                multiply_cols_with(Gated, &a, &b, 0..n, 0, open, append)
+                multiply_cols_with(Gated, &a, &b, 0..n, &fpc, 0, open, append)
             };
             let caught = pool
                 .install(|| std::panic::catch_unwind(std::panic::AssertUnwindSafe(kernel)))
@@ -1333,9 +1380,38 @@ mod tests {
             let bound = (fpc[j] as usize).min(16);
             table.open_lanes(Addressing::of::<f64>(bound, 16), lanes, bound, 16);
         };
-        let got = multiply_cols_with(PT, &a, &b, 0..b.ncols(), 0, open, append);
+        let got = multiply_cols_with(PT, &a, &b, 0..b.ncols(), &fpc, 0, open, append);
         assert_eq!(got, crate::heap::multiply(&a, &b));
         assert!(SHARED.iter().all(|&j| got.col_nnz(j) > 0));
+    }
+
+    /// `A` with two columns of `rows` and `second ≤ rows` rows, times `B`
+    /// whose four columns all read both: one `B`-pattern group of four
+    /// columns at `rows + second` flops each.
+    fn one_group_at(rows: Idx, second: Idx) -> (Csc<f64>, Csc<f64>) {
+        let mut ta = hipmcl_sparse::Triples::new(rows as usize, 2);
+        for (k, len) in [(0, rows), (1, second)] {
+            (0..len).for_each(|r| ta.push(r, k, 0.25 + (r % 5) as f64));
+        }
+        let mut tb = hipmcl_sparse::Triples::new(2, 4);
+        for j in 0..4 {
+            (0..2).for_each(|k| tb.push(k, j, 1.5 - (j + k) as f64 / 8.0));
+        }
+        (Csc::from_triples(&ta), Csc::from_triples(&tb))
+    }
+
+    #[test]
+    fn products_are_grouped_from_the_floor_of_flops_per_column_up() {
+        let half = (GROUP_FLOPS_PER_COLUMN / 2) as Idx;
+        for (second, grouped) in [(half - 1, false), (half, true)] {
+            let (a, b) = one_group_at(half, second);
+            let fpc = flops_per_column(&a, &b);
+            assert_eq!(fpc, [(half + second) as u64; 4]);
+            let formation = Formation::new(PT, &a, &b, 0..4, &fpc);
+            let members = (0..4).filter(|&c| formation.groups.member(c).is_some());
+            assert_eq!(members.count(), if grouped { 4 } else { 0 }, "{fpc:?}");
+            assert_eq!(multiply(&a, &b), crate::heap::multiply(&a, &b));
+        }
     }
 
     #[test]

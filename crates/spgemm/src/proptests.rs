@@ -183,8 +183,9 @@ fn arb_grouped() -> impl Strategy<Value = (Csc<f64>, Csc<f64>)> {
     })
 }
 
-/// Every hash path — the rule's and both forced modes — against the heap,
-/// bit for bit.
+/// Every hash path — the rule's and both forced modes, each as the
+/// grouping floor has it and with the columns grouped whatever the flops
+/// — against the heap, bit for bit.
 fn hash_paths_match_the_heap<S: Semiring>(
     s: S,
     a: &Csc<S::Elem>,
@@ -202,6 +203,14 @@ fn hash_paths_match_the_heap<S: Semiring>(
             bits(hash::multiply_as(mode, s, a, b, &fpc)),
             want.clone(),
             "{:?}",
+            mode
+        );
+    }
+    for mode in [None, Some(Direct), Some(Hashed)] {
+        prop_assert_eq!(
+            bits(hash::multiply_grouped(mode, s, a, b, &fpc)),
+            want.clone(),
+            "grouped, {:?}",
             mode
         );
     }

@@ -736,7 +736,7 @@ where
             });
             let counts = [counters(shape.1), counters(shape.1)];
             let formation =
-                (second.as_ref()).map(|_| Formation::new(s, &*st.a, &*st.b, 0..shape.1));
+                (second.as_ref()).map(|_| Formation::new(s, &*st.a, &*st.b, 0..shape.1, &st.fpc));
             let spot = formation.as_ref().map(|formation| Spot {
                 formation,
                 fpc: &st.fpc[..],

@@ -220,9 +220,7 @@ fn the_left_operand_of_mul_comes_from_a() {
     let (_, rows, vals) = assert_identical(MaxLeft, &a, &b, true);
     assert!(!rows.is_empty() && vals.iter().all(|&v| f64::from_bits(v) <= 64.0));
     // Five more columns reading the pattern of `B`'s fullest column, each
-    // with values of its own: a `B`-pattern group. A product this small
-    // (under 64 flops per column) forms them one at a time; the grouped
-    // path runs on such fixtures in the spgemm crate's own tests.
+    // with values of its own: a group the kernel forms four at a time.
     let full = (0..b.ncols()).max_by_key(|&j| b.col_nnz(j)).unwrap();
     let mut t = Triples::new(b.nrows(), b.ncols() + 5);
     for j in 0..b.ncols() {
@@ -241,6 +239,9 @@ fn the_left_operand_of_mul_comes_from_a() {
     }
     let grouped = Csc::from_triples_in(MaxLeft, &t);
     assert!(b.col_nnz(full) >= 2, "a pattern the kernel groups");
+    let flops: u64 = flops_per_column(&a, &grouped).iter().sum();
+    let floor = hash::GROUP_FLOPS_PER_COLUMN * grouped.ncols() as u64;
+    assert!(flops >= floor, "{flops} flops: a product the kernel groups");
     let (colptr, _, vals) = assert_identical(MaxLeft, &a, &grouped, true);
     let n = colptr[b.ncols() + 1] - colptr[b.ncols()];
     assert!(n > 0 && (1..5).all(|c| colptr[b.ncols() + c + 1] - colptr[b.ncols() + c] == n));

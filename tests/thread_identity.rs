@@ -302,6 +302,9 @@ fn grouped_columns_handed_between_workers() {
         .filter(|g| g.iter().any(|&j| block(j) != block(g[0])))
         .count();
     assert!(spanning >= 10, "{spanning} groups span blocks");
+    let flops: u64 = flops_per_column(&a, &a).iter().sum();
+    let floor = hash::GROUP_FLOPS_PER_COLUMN * n as u64;
+    assert!(flops >= floor, "{flops} flops: a product the kernel groups");
     let s = PlusTimes::<f64>::new();
     same_at_every_width(|| {
         let fpc = flops_per_column(&a, &a);
